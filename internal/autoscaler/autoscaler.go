@@ -91,15 +91,20 @@ func New(cfg Config) *Autoscaler {
 func (a *Autoscaler) ScrapeInterval() time.Duration { return a.cfg.ScrapeInterval }
 
 // Scrape reads cumulative CPU from every assigned pod and folds per-tenant
-// usage rates into the time series.
+// usage rates into the time series. It holds to the scrape cadence however
+// often it is called: a call less than ScrapeInterval after the last scrape
+// does nothing, because a rate taken over a sliver of an interval is noise
+// (one statement finishing inside a millisecond reads as several vCPUs) and
+// every extra sample would weigh on the window average.
 func (a *Autoscaler) Scrape() {
 	now := a.cfg.Clock.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	dt := now.Sub(a.mu.lastAt).Seconds()
-	if dt <= 0 {
+	elapsed := now.Sub(a.mu.lastAt)
+	if elapsed < a.cfg.ScrapeInterval {
 		return
 	}
+	dt := elapsed.Seconds()
 	a.mu.lastAt = now
 
 	for _, t := range a.cfg.Registry.List() {

@@ -215,3 +215,42 @@ func TestDesiredNodesNoData(t *testing.T) {
 		t.Fatalf("desired for unknown tenant = %d", got)
 	}
 }
+
+// Ticks that come faster than the scrape interval take no sample: fifty
+// one-millisecond readings of a 50 ms burst would each enter the window at
+// the burst's full rate and scale the tenant up on it.
+func TestScrapeHoldsToItsInterval(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
+	e.orch.ScaleTenant(ctx, tn, 1)
+	e.driveLoad(t, ctx, "acme", 0.5, 3)
+	samples := e.as.TenantUsage("acme").Len()
+
+	for i := 0; i < 50; i++ {
+		for _, p := range e.orch.PodsForTenant("acme") {
+			p.Node.SetSyntheticLoad(3)
+		}
+		e.clock.Advance(time.Millisecond)
+		if err := e.as.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.as.TenantUsage("acme").Len(); got != samples {
+		t.Fatalf("%d samples taken inside one scrape interval", got-samples)
+	}
+	if got := len(e.orch.PodsForTenant("acme")); got != 1 {
+		t.Fatalf("pods = %d after 50 ms at 3 vCPUs, want 1", got)
+	}
+	// The burst is not lost: the next due scrape averages it over its
+	// whole interval.
+	for _, p := range e.orch.PodsForTenant("acme") {
+		p.Node.SetSyntheticLoad(0)
+	}
+	e.clock.Advance(e.as.ScrapeInterval())
+	e.as.Scrape()
+	last, _ := e.as.TenantUsage("acme").Latest()
+	if want := 3 * 0.050 / (e.as.ScrapeInterval().Seconds() + 0.050); last.Value < 0.99*want || last.Value > 1.01*want {
+		t.Fatalf("sample after the burst = %v vCPUs, want %v", last.Value, want)
+	}
+}

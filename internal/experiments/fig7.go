@@ -59,7 +59,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		base := heapInUse()
+		base := liveHeap()
 		for i := 0; i < n; i++ {
 			t, err := tb.reg.CreateTenant(ctx, fmt.Sprintf("susp-%d", i), core.TenantOptions{})
 			if err != nil {
@@ -71,7 +71,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 				return nil, nil, err
 			}
 		}
-		after := heapInUse()
+		after := liveHeap()
 		res.Suspended = append(res.Suspended, Fig7Point{
 			Tenants:        n,
 			BytesPerTenant: int64(after-base) / int64(n),
@@ -97,7 +97,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 			tb.close()
 			return nil, nil, err
 		}
-		base := heapInUse()
+		base := liveHeap()
 		var kvBusyBase time.Duration
 		for _, kn := range tb.cluster.Nodes() {
 			kvBusyBase += kn.CPUBusy()
@@ -128,7 +128,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 		for _, kn := range tb.cluster.Nodes() {
 			kvBusy += kn.CPUBusy()
 		}
-		after := heapInUse()
+		after := liveHeap()
 		res.Idle = append(res.Idle, Fig7Point{
 			Tenants:        n,
 			BytesPerTenant: int64(after-base) / int64(n),
@@ -156,11 +156,16 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 	return res, table, nil
 }
 
-func heapInUse() uint64 {
+// liveHeap is the bytes of reachable heap objects: HeapAlloc after two
+// collections, the second freeing what the first one's finalizers and sweep
+// released. HeapInuse would count whole spans, whose occupancy depends on
+// whatever ran earlier in the process rather than on the tenants created.
+func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return m.HeapInuse
+	return m.HeapAlloc
 }
 
 func fmtBytes(b int64) string {

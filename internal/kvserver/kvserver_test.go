@@ -566,11 +566,7 @@ func TestCommandRoundTrip(t *testing.T) {
 		{Kind: mutPut, Key: keys.Key("k"), Value: []byte("v"), TxnID: 7},
 		{Kind: mutResolve, Key: keys.Key("k"), TxnID: 7, Commit: true},
 	}}
-	b, err := encodeCommand(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeCommand(b)
+	got, err := decodeCommand(encodeCommand(c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,8 +137,9 @@ type Orchestrator struct {
 		sync.Mutex
 		warm     []*Pod
 		byTenant map[string][]*Pod
-		all      []*Pod
-		closed   bool
+		// all holds every pod not yet stopped, in creation order.
+		all    []*Pod
+		closed bool
 	}
 	instanceIDs atomic.Int64
 }
@@ -401,13 +403,19 @@ func (o *Orchestrator) stopPod(p *Pod) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	name := p.TenantName()
-	list := o.mu.byTenant[name]
-	for i, q := range list {
-		if q == p {
-			o.mu.byTenant[name] = append(list[:i], list[i+1:]...)
-			break
-		}
+	if list, ok := o.mu.byTenant[name]; ok {
+		o.mu.byTenant[name] = removePod(list, p)
 	}
+	o.mu.all = removePod(o.mu.all, p)
+}
+
+// removePod drops p from list in place, keeping the order of the rest: Tick
+// consults the fault registry per pod in list order.
+func removePod(list []*Pod, p *Pod) []*Pod {
+	if i := slices.Index(list, p); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // SuspendTenant scales the tenant to zero and marks it suspended: the
@@ -424,6 +432,13 @@ func (o *Orchestrator) SuspendTenant(ctx context.Context, name string) error {
 		p.Node.Close()
 		o.suspendedPods.Inc(1)
 	}
+	// A stopped pod is never started again; keeping it would grow all, and
+	// the walk Tick makes over it, by a pod per resume/suspend cycle.
+	o.mu.Lock()
+	for _, p := range pods {
+		o.mu.all = removePod(o.mu.all, p)
+	}
+	o.mu.Unlock()
 	return o.cfg.Registry.Suspend(ctx, name)
 }
 

@@ -270,3 +270,44 @@ func TestDrainTimeoutForcesStop(t *testing.T) {
 		t.Fatalf("drain timeout did not stop pod: %d", got)
 	}
 }
+
+// Stopped pods are forgotten: after many resume/suspend cycles, and a
+// scale-down reaped by Tick, the orchestrator tracks only its warm pool and
+// the pods still serving.
+func TestStoppedPodsAreForgotten(t *testing.T) {
+	e := newEnv(t)
+	o := e.newOrch(t, 2, true)
+	ctx := context.Background()
+	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
+	tracked := func() (all, warm, live int) {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return len(o.mu.all), len(o.mu.warm), len(o.mu.byTenant["acme"])
+	}
+
+	for i := 0; i < 200; i++ {
+		if _, err := o.Lookup(ctx, "acme"); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.SuspendTenant(ctx, "acme"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if all, warm, live := tracked(); live != 0 || all != warm {
+		t.Fatalf("after 200 cycles: %d pods tracked, %d warm, %d live", all, warm, live)
+	}
+
+	if _, err := o.Lookup(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.ScaleTenant(ctx, tn, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.ScaleTenant(ctx, tn, 1); err != nil {
+		t.Fatal(err)
+	}
+	o.Tick() // the drained pod holds no connection, so it is reaped
+	if all, warm, live := tracked(); live != 1 || all != warm+live {
+		t.Fatalf("after scale-down: %d pods tracked, %d warm, %d live", all, warm, live)
+	}
+}

@@ -91,10 +91,11 @@ func (pc *proxiedConn) close() {
 	})
 }
 
+// frame is one whole wire frame as read, header included (wire.ReadFrame),
+// so forwarding it is one Write of bytes the proxy already holds.
 type frame struct {
-	typ     byte
-	payload []byte
-	err     error
+	raw []byte
+	err error
 }
 
 // relay runs the request/response pump until either side closes. Between
@@ -105,9 +106,9 @@ func (pc *proxiedConn) relay() {
 	clientFrames := make(chan frame)
 	go func() {
 		for {
-			typ, payload, err := wire.ReadMessage(pc.client)
+			raw, err := wire.ReadFrame(pc.client)
 			select {
-			case clientFrames <- frame{typ, payload, err}:
+			case clientFrames <- frame{raw, err}:
 				if err != nil {
 					return
 				}
@@ -131,7 +132,7 @@ func (pc *proxiedConn) relay() {
 			if fr.err != nil {
 				return
 			}
-			if fr.typ == wire.MsgTerminate {
+			if fr.raw[0] == wire.MsgTerminate {
 				pc.mu.Lock()
 				if pc.backend != nil {
 					wire.WriteMessage(pc.backend, wire.MsgTerminate, &wire.Terminate{})
@@ -147,48 +148,39 @@ func (pc *proxiedConn) relay() {
 					return
 				}
 			}
-			if err := pc.exchange(fr); err != nil {
+			if err := pc.exchange(fr.raw); err != nil {
 				return
 			}
 		}
 	}
 }
 
-// exchange forwards one request and pumps its response back. On a traced
-// connection, queries are decoded, stamped with a fresh exchange span's
-// IDs, and re-encoded, so the SQL node continues the trace under it.
-func (pc *proxiedConn) exchange(fr frame) error {
+// exchange forwards one request frame and pumps its response back, both as
+// the bytes read: once the tenant is routed the proxy is a byte pipe (§4.2).
+// On a traced connection a query's payload is stamped in place with a fresh
+// exchange span's IDs, so the SQL node continues the trace under it.
+func (pc *proxiedConn) exchange(req []byte) error {
 	pc.mu.Lock()
 	backend := pc.backend
 	pc.mu.Unlock()
 	if backend == nil {
 		return errors.New("proxy: no backend")
 	}
-	if fr.typ == wire.MsgQuery && pc.span != nil {
-		var q wire.Query
-		if err := wire.Decode(fr.payload, &q); err == nil {
-			sp := pc.span.StartChild("proxy.exchange")
-			defer sp.Finish()
-			q.TraceID = sp.TraceID()
-			q.SpanID = sp.SpanID()
-			if err := wire.WriteMessage(backend, wire.MsgQuery, &q); err != nil {
-				return err
-			}
-			typ, payload, err := wire.ReadMessage(backend)
-			if err != nil {
-				return err
-			}
-			return writeRaw(pc.client, typ, payload)
-		}
+	if pc.span != nil && req[0] == wire.MsgQuery {
+		sp := pc.span.StartChild("proxy.exchange")
+		defer sp.Finish()
+		// A payload too short to stamp is no Query; the node rejects it.
+		wire.StampQueryTrace(req[wire.HeaderSize:], sp.TraceID(), sp.SpanID())
 	}
-	if err := writeRaw(backend, fr.typ, fr.payload); err != nil {
+	if _, err := backend.Write(req); err != nil {
 		return err
 	}
-	typ, payload, err := wire.ReadMessage(backend)
+	resp, err := wire.ReadFrame(backend)
 	if err != nil {
 		return err
 	}
-	return writeRaw(pc.client, typ, payload)
+	_, err = pc.client.Write(resp)
+	return err
 }
 
 // killBackendAndReconnect severs the current backend connection (modeling a
@@ -315,13 +307,4 @@ func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAdd
 	pc.proxy.mu.Unlock()
 	pc.proxy.noteMigration()
 	return nil
-}
-
-func writeRaw(conn net.Conn, typ byte, payload []byte) error {
-	hdr := []byte{typ, byte(len(payload) >> 24), byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
-	if _, err := conn.Write(hdr); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
-	return err
 }

@@ -1,15 +1,18 @@
 package sql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
 
+	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
 )
 
 // Datum is one SQL value. The concrete representation (rather than
-// interface{}) keeps gob encoding simple and comparisons allocation-free.
+// interface{}) keeps comparisons allocation-free and lets the codecs below
+// switch on Kind instead of on a dynamic type.
 type Datum struct {
 	Null bool
 	Kind ColumnType
@@ -150,8 +153,9 @@ func (d Datum) coerce(t ColumnType) (Datum, error) {
 	}
 }
 
-// Order-preserving key encoding per datum, with a leading type tag so mixed
-// keys decode unambiguously.
+// Datum type tags. Both encodings of a datum — the order-preserving one used
+// in keys and the compact one used in stored row values and wire frames —
+// lead with one of these, so mixed sequences decode unambiguously.
 const (
 	tagNull   byte = 0x01
 	tagInt    byte = 0x02
@@ -240,4 +244,49 @@ func floatFromSortableBits(bits uint64) float64 {
 		return math.Float64frombits(bits &^ (1 << 63))
 	}
 	return math.Float64frombits(^bits)
+}
+
+// AppendDatum appends the value encoding of d: a tag byte, then what the tag
+// implies — nothing (NULL), a zigzag varint (INT), the IEEE 754 bits as eight
+// big-endian bytes (FLOAT), a uvarint length and that many bytes (STRING), or
+// one byte 0/1 (BOOL). Stored row values and wire frames both carry datums in
+// this form; unlike the key encoding it is compact, not order-preserving.
+func AppendDatum(b []byte, d Datum) []byte {
+	if d.Null {
+		return append(b, tagNull)
+	}
+	switch d.Kind {
+	case TypeInt:
+		return binary.AppendVarint(append(b, tagInt), d.I)
+	case TypeFloat:
+		return binary.BigEndian.AppendUint64(append(b, tagFloat), math.Float64bits(d.F))
+	case TypeString:
+		return binenc.AppendString(append(b, tagString), d.S)
+	case TypeBool:
+		return binenc.AppendBool(append(b, tagBool), d.B)
+	default:
+		return append(b, tagNull)
+	}
+}
+
+// ConsumeDatum reads one AppendDatum encoding from r. A malformed or
+// truncated datum fails r and yields the zero Datum.
+func ConsumeDatum(r *binenc.Reader) Datum {
+	switch tag := r.Byte(); tag {
+	case tagNull:
+		return DNull
+	case tagInt:
+		return DInt(r.Varint())
+	case tagFloat:
+		return DFloat(math.Float64frombits(r.Uint64()))
+	case tagString:
+		return DString(r.Str())
+	case tagBool:
+		return DBool(r.Bool())
+	default:
+		// Byte returns 0 once r has failed, and 0 is no tag, so this arm
+		// covers truncation as well as an unknown tag.
+		r.Fail()
+		return Datum{}
+	}
 }

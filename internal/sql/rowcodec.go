@@ -1,17 +1,17 @@
 package sql
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
+	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
 )
 
 // Row layout in the KV keyspace (§3.1: "SQL schema metadata and individual
 // table accesses are translated by the SQL layer into basic KV operations"):
 //
-//	primary:   /Tenant/<t>/Table/<id>/Index/1/<pk datums>      -> gob(all datums)
+//	primary:   /Tenant/<t>/Table/<id>/Index/1/<pk datums>      -> uvarint ncols, then each datum (AppendDatum)
 //	secondary: /Tenant/<t>/Table/<id>/Index/<n>/<idx datums><pk datums> -> empty
 
 // primaryKey builds a row's primary index key.
@@ -45,18 +45,28 @@ func tableSpan(tenant keys.TenantID, desc *TableDescriptor) keys.Span {
 }
 
 // encodeRowValue serializes the full datum row as the primary index value.
-func encodeRowValue(row []Datum) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(row); err != nil {
-		return nil, fmt.Errorf("sql: encoding row: %w", err)
+func encodeRowValue(row []Datum) []byte {
+	// A tag byte and a short payload per column is the common case; append
+	// grows the buffer for wide strings.
+	b := make([]byte, 0, 1+9*len(row))
+	b = binary.AppendUvarint(b, uint64(len(row)))
+	for _, d := range row {
+		b = AppendDatum(b, d)
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
-// decodeRowValue deserializes a primary index value.
+// decodeRowValue deserializes a primary index value. The value comes out of
+// the KV layer, so it is decoded as untrusted bytes: a malformed one is an
+// error, and the row is allocated only once the column count is known to fit
+// (every datum is at least its tag byte).
 func decodeRowValue(b []byte) ([]Datum, error) {
-	var row []Datum
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&row); err != nil {
+	r := binenc.NewReader(b)
+	row := make([]Datum, r.Count(1))
+	for i := range row {
+		row[i] = ConsumeDatum(r)
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("sql: decoding row: %w", err)
 	}
 	return row, nil

@@ -207,6 +207,9 @@ func writeSpanTree(b *strings.Builder, s *Span, depth int, detail bool) {
 			fmt.Fprintf(b, "%s  · event: %s\n", indent, e.Msg)
 		}
 	}
+	if n := s.DroppedChildren(); n > 0 {
+		fmt.Fprintf(b, "%s  · %d earlier children dropped\n", indent, n)
+	}
 	for _, c := range s.Children() {
 		writeSpanTree(b, c, depth+1, detail)
 	}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -278,8 +279,16 @@ type Span struct {
 		events   []Event
 		attrs    []Attr
 		children []*Span
+		// dropped counts finished children evicted to keep children at
+		// maxChildren.
+		dropped int
 	}
 }
+
+// maxChildren caps the children a span keeps attached. A long-lived parent —
+// a proxy connection's root, which gains a subtree per statement — would
+// otherwise hold every one of them until it finishes.
+const maxChildren = 256
 
 // Op returns the span's operation name.
 func (s *Span) Op() string {
@@ -376,7 +385,8 @@ func (s *Span) Events() []Event {
 	return append([]Event(nil), s.mu.events...)
 }
 
-// Children returns a copy of the span's child spans in start order.
+// Children returns a copy of the span's child spans in start order: all of
+// them up to maxChildren, beyond that the most recent (see DroppedChildren).
 func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
@@ -384,6 +394,17 @@ func (s *Span) Children() []*Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Span(nil), s.mu.children...)
+}
+
+// DroppedChildren returns how many finished children were evicted, oldest
+// first, to keep the span at maxChildren.
+func (s *Span) DroppedChildren() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mu.dropped
 }
 
 // Duration returns the span's duration: end−start once finished, and
@@ -428,10 +449,31 @@ func (s *Span) StartForkedChild(op string) *Span {
 	return s.tracer.newSpan(op, s.traceID, s.spanID, s, src.fork())
 }
 
+// addChild attaches c. At maxChildren it first evicts the oldest finished
+// children to make room; a child still in flight is never evicted, so a span
+// with that many concurrent children grows past the cap until they finish.
 func (s *Span) addChild(c *Span) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if evict := len(s.mu.children) - maxChildren + 1; evict > 0 {
+		// DeleteFunc zeroes the vacated tail, so evicted spans do not stay
+		// reachable through the backing array.
+		s.mu.children = slices.DeleteFunc(s.mu.children, func(old *Span) bool {
+			if evict == 0 || !old.isFinished() {
+				return false
+			}
+			evict--
+			s.mu.dropped++
+			return true
+		})
+	}
 	s.mu.children = append(s.mu.children, c)
-	s.mu.Unlock()
+}
+
+func (s *Span) isFinished() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mu.finished
 }
 
 // Finish ends the span. Finishing a root span hands the whole trace to

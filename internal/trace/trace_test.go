@@ -311,3 +311,47 @@ func TestForkedChildNilSafety(t *testing.T) {
 		t.Fatalf("nil span forked child = %v", got)
 	}
 }
+
+// A long-lived parent keeps its most recent maxChildren children: finished
+// ones are evicted oldest first and counted, one still in flight never is,
+// and the tracez render says how many went.
+func TestSpanChildrenAreCapped(t *testing.T) {
+	tr, _ := newTestTracer(1)
+	root := tr.StartRoot("proxy.conn")
+	inFlight := root.StartChild("proxy.migrate")
+	const n = 10000
+	for i := 0; i < n; i++ {
+		root.StartChild("proxy.exchange").Finish()
+	}
+	kids := root.Children()
+	if len(kids) > maxChildren {
+		t.Fatalf("%d children attached, cap is %d", len(kids), maxChildren)
+	}
+	if kids[0] != inFlight {
+		t.Fatalf("the unfinished child was evicted; oldest attached is %s", kids[0].Op())
+	}
+	if got, want := root.DroppedChildren(), n+1-len(kids); got != want {
+		t.Fatalf("DroppedChildren = %d, want %d", got, want)
+	}
+	root.Finish()
+	if out := RenderTree(root); !strings.Contains(out, "earlier children dropped") {
+		t.Fatalf("render does not mention the dropped children:\n%s", out)
+	}
+
+	// Children all in flight grow past the cap rather than lose one.
+	busy := tr.StartRoot("dist.fanout")
+	for i := 0; i < maxChildren+10; i++ {
+		busy.StartChild("dist.send")
+	}
+	if got := len(busy.Children()); got != maxChildren+10 || busy.DroppedChildren() != 0 {
+		t.Fatalf("in-flight children: %d attached, %d dropped", got, busy.DroppedChildren())
+	}
+
+	// Below the cap nothing changes: no eviction, no extra line.
+	small := tr.StartRoot("proxy.conn")
+	small.StartChild("proxy.exchange").Finish()
+	small.Finish()
+	if small.DroppedChildren() != 0 || strings.Contains(RenderTree(small), "dropped") {
+		t.Fatalf("a short trace reports dropped children:\n%s", RenderTree(small))
+	}
+}

@@ -5,15 +5,18 @@
 // before any query flows, and dedicated control messages support the session
 // serialization handshake used by connection migration (§4.2.4).
 //
-// Framing: 1 type byte, 4-byte big-endian payload length, gob payload.
+// Framing: 1 type byte, 4-byte big-endian payload length, payload. Each
+// message type has a fixed binary payload layout (codec.go) built from uvarint
+// counts, length-prefixed strings and sql.AppendDatum values; a Query leads
+// with its fixed-width trace IDs so the proxy can stamp them in place.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"crdbserverless/internal/sql"
 )
@@ -91,66 +94,64 @@ type Restore struct {
 // Terminate closes the connection.
 type Terminate struct{}
 
-// WriteMessage frames and writes one message.
-func WriteMessage(w io.Writer, typ byte, payload interface{}) error {
-	var body frameBuffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-		return fmt.Errorf("wire: encoding %c: %w", typ, err)
+// HeaderSize is the length of the frame header: the type byte and the
+// big-endian payload length.
+const HeaderSize = 5
+
+// framePool holds frame buffers between writes. A buffer that grew past
+// maxPooledFrame for one large result is dropped rather than kept.
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const maxPooledFrame = 64 << 10
+
+// WriteMessage frames one message and writes it with a single Write, so the
+// peer wakes once per frame. The payload's layout follows from msg's type
+// (one of the message structs above, by pointer), not from typ.
+func WriteMessage(w io.Writer, typ byte, msg interface{}) error {
+	bp := framePool.Get().(*[]byte)
+	frame, err := appendPayload(append((*bp)[:0], typ, 0, 0, 0, 0), msg)
+	if n := len(frame) - HeaderSize; err != nil {
+		err = fmt.Errorf("wire: encoding %c: %w", typ, err)
+	} else if n > maxFrame {
+		err = fmt.Errorf("wire: frame too large (%d bytes)", n)
+	} else {
+		binary.BigEndian.PutUint32(frame[1:], uint32(n))
+		_, err = w.Write(frame)
 	}
-	if len(body.b) > maxFrame {
-		return fmt.Errorf("wire: frame too large (%d bytes)", len(body.b))
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame[:0]
+		framePool.Put(bp)
 	}
-	hdr := make([]byte, 5)
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body.b)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body.b)
 	return err
+}
+
+// ReadFrame reads one whole frame, header included, into a buffer of its own:
+// frame[0] is the type and frame[HeaderSize:] the payload. A relay forwards
+// the frame as it stands with one Write.
+func ReadFrame(r io.Reader) ([]byte, error) {
+	var hdr [HeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > maxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	frame := make([]byte, HeaderSize+int(n))
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[HeaderSize:]); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // ReadMessage reads one frame, returning its type and raw payload.
 func ReadMessage(r io.Reader) (byte, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	frame, err := ReadFrame(r)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
-// Decode unmarshals a payload into out.
-func Decode(payload []byte, out interface{}) error {
-	return gob.NewDecoder(&sliceReader{b: payload}).Decode(out)
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type sliceReader struct {
-	b []byte
-	i int
-}
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.i:])
-	s.i += n
-	return n, nil
+	return frame[0], frame[HeaderSize:], nil
 }
 
 // Client is a SQL client connection.
