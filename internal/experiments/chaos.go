@@ -26,9 +26,11 @@ import (
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/lsm"
+	"crdbserverless/internal/metric"
 	"crdbserverless/internal/mvcc"
 	"crdbserverless/internal/randutil"
 	"crdbserverless/internal/tenantcost"
+	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/txn"
 )
@@ -55,6 +57,14 @@ type ChaosResult struct {
 	Ops     int
 	Commits int
 	Aborts  int
+	// OnePhaseCommits, TwoPhaseCommits and CommitRetries say which commit
+	// paths the storm exercised: transactions a single range committed in one
+	// replicated command, transactions committed by intents and resolution
+	// (their writes crossed a range boundary, or a DeleteRange ended
+	// buffering), and commit batches re-sent after a lost response.
+	OnePhaseCommits int64
+	TwoPhaseCommits int64
+	CommitRetries   int64
 	// Unavailable counts operations that errored through their whole retry
 	// budget — availability loss, which chaos tolerates; consistency loss,
 	// which it does not, lands in Violations.
@@ -201,6 +211,8 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		kvserver.Config{Parallelism: 1, Faults: reg})
 	coord := txn.NewCoordinator(ds, cluster.Clock(), chaosTenant)
 	coord.SetFaults(reg)
+	obs := tenantobs.New(tenantobs.Config{Registry: metric.NewRegistry(), Clock: clock})
+	coord.SetObs(obs)
 	buckets := tenantcost.NewBucketServer(clock)
 	buckets.SetQuota(chaosTenant, 8)
 	bucket := tenantcost.NewNodeBucket(buckets, clock, chaosTenant, 1)
@@ -347,6 +359,9 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 	chaosCheckInvariants(ctx, cluster, coord, buckets, bucket, model, res)
 
 	res.RaftSnapshots = cluster.RaftSnapshots()
+	res.OnePhaseCommits = obs.TxnCommits(chaosTenant.String(), "one_phase")
+	res.TwoPhaseCommits = obs.TxnCommits(chaosTenant.String(), "two_phase")
+	res.CommitRetries = obs.TxnCommitRetries(chaosTenant.String())
 	res.Schedule = reg.Schedule()
 	res.Trace = tr.String()
 	res.Table = chaosTable(res, siteFires)
@@ -622,6 +637,9 @@ func chaosTable(res *ChaosResult, siteFires map[string]int) *Table {
 	add := func(k string, v any) { t.Rows = append(t.Rows, []string{k, fmt.Sprint(v)}) }
 	add("commits", res.Commits)
 	add("aborts", res.Aborts)
+	add("one-phase commits", res.OnePhaseCommits)
+	add("two-phase commits", res.TwoPhaseCommits)
+	add("commit retries", res.CommitRetries)
 	add("unavailable ops", res.Unavailable)
 	add("splits", res.Splits)
 	add("merges", res.Merges)

@@ -21,6 +21,17 @@ func TestChaosSmoke(t *testing.T) {
 	if res.TotalFires == 0 {
 		t.Fatal("chaos run fired no faults")
 	}
+	// Both commit paths, and the re-send of a commit batch after a lost
+	// response, must have run under the storm, and every commit took one of
+	// the two paths.
+	if res.OnePhaseCommits == 0 || res.TwoPhaseCommits == 0 || res.CommitRetries == 0 {
+		t.Fatalf("commit paths not exercised: one-phase=%d two-phase=%d retries=%d",
+			res.OnePhaseCommits, res.TwoPhaseCommits, res.CommitRetries)
+	}
+	if got := res.OnePhaseCommits + res.TwoPhaseCommits; got != int64(res.Commits) {
+		t.Fatalf("%d one-phase + %d two-phase commits, but %d transactions committed",
+			res.OnePhaseCommits, res.TwoPhaseCommits, res.Commits)
+	}
 }
 
 // The same seed must produce a byte-identical fault schedule and operation
@@ -41,7 +52,8 @@ func TestChaosDeterminism(t *testing.T) {
 	if a.Trace != b.Trace {
 		t.Errorf("operation traces diverge for the same seed:\n--- run 1 ---\n%s--- run 2 ---\n%s", a.Trace, b.Trace)
 	}
-	if a.Commits != b.Commits || a.Aborts != b.Aborts || a.TotalFires != b.TotalFires {
+	if a.Commits != b.Commits || a.Aborts != b.Aborts || a.TotalFires != b.TotalFires ||
+		a.OnePhaseCommits != b.OnePhaseCommits || a.CommitRetries != b.CommitRetries {
 		t.Errorf("summary counters diverge: run1={c:%d a:%d f:%d} run2={c:%d a:%d f:%d}",
 			a.Commits, a.Aborts, a.TotalFires, b.Commits, b.Aborts, b.TotalFires)
 	}

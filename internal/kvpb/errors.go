@@ -108,6 +108,35 @@ func (e *TransactionAbortedError) Error() string {
 	return fmt.Sprintf("txn %d aborted", e.TxnID)
 }
 
+// AmbiguousCommitError reports a commit whose outcome the coordinator could
+// not learn: a commit batch failed in a way that may follow application (a
+// lost response) and retrying it did not settle the question. The
+// transaction may or may not have committed, so the error is not retriable —
+// running the transaction again could apply it twice.
+type AmbiguousCommitError struct {
+	TxnID uint64
+	Cause error
+}
+
+// Error implements error.
+func (e *AmbiguousCommitError) Error() string {
+	return fmt.Sprintf("txn %d: result of commit is ambiguous: %v", e.TxnID, e.Cause)
+}
+
+// Unwrap returns the error the last commit attempt failed with.
+func (e *AmbiguousCommitError) Unwrap() error { return e.Cause }
+
+// IsConflict reports whether err is a write conflict: another transaction's
+// intent on the key, or a committed version or read at or above the write's
+// timestamp.
+func IsConflict(err error) bool {
+	var (
+		wie *WriteIntentError
+		wto *WriteTooOldError
+	)
+	return errors.As(err, &wie) || errors.As(err, &wto)
+}
+
 // retriableFault is implemented by injected fault errors
 // (internal/faultinject) so retry loops can treat them as transient
 // transport failures without kvpb importing the injector.
@@ -116,6 +145,10 @@ type retriableFault interface{ RetriableFault() bool }
 // IsRetriable reports whether the error indicates the operation may succeed
 // if retried (possibly after refreshing caches or at a new timestamp).
 func IsRetriable(err error) bool {
+	var ace *AmbiguousCommitError
+	if errors.As(err, &ace) {
+		return false
+	}
 	var rf retriableFault
 	if errors.As(err, &rf) {
 		return rf.RetriableFault()

@@ -145,6 +145,13 @@ type BatchRequest struct {
 	Timestamp hlc.Timestamp
 	// Txn, when non-nil, makes the batch part of a transaction.
 	Txn *TxnMeta
+	// TxnWrites, when positive, marks the batch as its transaction's commit
+	// batch and says how many point writes the whole transaction makes. A
+	// range that receives that many commits them in one replicated command
+	// and answers Committed; a range that receives fewer (the batch was
+	// split, or clipped by a stale descriptor on the way) writes intents for
+	// the coordinator to resolve.
+	TxnWrites int
 	// Priority applies to admission queueing when Txn is nil.
 	Priority Priority
 	// FollowerRead permits a read-only batch to be served by any replica at
@@ -192,6 +199,13 @@ func (b *BatchRequest) WriteBytes() int64 {
 type BatchResponse struct {
 	Timestamp hlc.Timestamp
 	Responses []Response
+	// Committed reports that one range took a commit batch whole (see
+	// BatchRequest.TxnWrites) and wrote it as committed versions: the
+	// transaction is finished and left no intents to resolve.
+	Committed bool
+	// Ranges is the number of range visits that served the batch, filled in
+	// by the DistSender.
+	Ranges int
 }
 
 // ReadBytes returns the total bytes returned by reads in the response, an

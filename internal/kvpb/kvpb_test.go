@@ -107,6 +107,9 @@ func TestErrorsFormatAndRetriable(t *testing.T) {
 		&TenantRateLimitedError{Tenant: 2},
 		&RangeNotFoundError{RangeID: 4},
 		errors.New("generic"),
+		// Whatever made the commit ambiguous, running the transaction again
+		// could apply it twice.
+		&AmbiguousCommitError{TxnID: 9, Cause: &WriteTooOldError{Key: keys.Key("k")}},
 	}
 	for _, err := range notRetriable {
 		if err.Error() == "" {
@@ -115,6 +118,22 @@ func TestErrorsFormatAndRetriable(t *testing.T) {
 		if IsRetriable(err) {
 			t.Fatalf("%T should not be retriable", err)
 		}
+	}
+}
+
+func TestIsConflictAndAmbiguousCause(t *testing.T) {
+	wto := &WriteTooOldError{Key: keys.Key("k")}
+	for _, err := range []error{wto, &WriteIntentError{Key: keys.Key("k"), TxnID: 7}, fmt.Errorf("wrapped: %w", wto)} {
+		if !IsConflict(err) {
+			t.Fatalf("%v should be a conflict", err)
+		}
+	}
+	if IsConflict(&NotLeaseholderError{RangeID: 1}) || IsConflict(nil) {
+		t.Fatal("routing errors and nil are not conflicts")
+	}
+	var got *WriteTooOldError
+	if err := error(&AmbiguousCommitError{TxnID: 9, Cause: wto}); !errors.As(err, &got) || got != wto {
+		t.Fatal("AmbiguousCommitError does not unwrap to its cause")
 	}
 }
 

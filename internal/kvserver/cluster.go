@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/mvcc"
 	"crdbserverless/internal/raftlite"
 	"crdbserverless/internal/rowfilter"
@@ -1337,6 +1339,47 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		return mvcc.CheckWriteConflict(n.Engine(), key, readTs, txnID)
 	}
 
+	// A commit batch (TxnWrites > 0) that arrives with every write its
+	// transaction makes is committed here, in one command: its mutations are
+	// written as committed versions rather than intents, after the same checks
+	// any write gets. The range decides from what it received, not from what
+	// the sender believed — a batch split across ranges, or clipped by a
+	// stale descriptor on the way, holds fewer writes than TxnWrites and lays
+	// down intents for the coordinator to resolve.
+	commitBatch := ba.Txn != nil && ba.TxnWrites > 0
+	onePhase := commitBatch && len(ba.Requests) == ba.TxnWrites
+	for _, r := range ba.Requests {
+		onePhase = onePhase && (r.Method == kvpb.Put || r.Method == kvpb.Delete)
+	}
+	writeTxnID := txnID
+	if onePhase {
+		writeTxnID = 0
+	}
+	// conflicted ends evaluation on a failed checkWrite. The coordinator
+	// re-sends a commit batch whose response it lost, as it is, so a conflict
+	// may be the batch meeting its own first application: if every write in
+	// it is already there as a committed version at the transaction's
+	// timestamp, applying it again would leave the store as it is, and the
+	// batch succeeds without a command. A conflict that survives this check
+	// is a definite abort.
+	conflicted := func(err error) (*kvpb.BatchResponse, error) {
+		if !commitBatch || !kvpb.IsConflict(err) {
+			return nil, err
+		}
+		applied, aerr := alreadyCommitted(n.Engine(), ba.Requests, readTs)
+		if aerr != nil {
+			return nil, aerr
+		}
+		if !applied {
+			return nil, err
+		}
+		out := &kvpb.BatchResponse{Timestamp: readTs, Committed: onePhase}
+		for _, r := range ba.Requests {
+			out.Responses = append(out.Responses, kvpb.Response{Method: r.Method})
+		}
+		return out, nil
+	}
+
 	var cmd command
 	var writtenBytes int64
 	for _, r := range ba.Requests {
@@ -1350,19 +1393,19 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			resp.Responses = append(resp.Responses, out)
 		case kvpb.Put:
 			if err := checkWrite(r.Key); err != nil {
-				return nil, err
+				return conflicted(err)
 			}
 			cmd.Mutations = append(cmd.Mutations, mutation{
-				Kind: mutPut, Key: r.Key.Clone(), Ts: readTs, TxnID: txnID, Value: r.Value,
+				Kind: mutPut, Key: r.Key.Clone(), Ts: readTs, TxnID: writeTxnID, Value: r.Value,
 			})
 			writtenBytes += int64(len(r.Key) + len(r.Value))
 			resp.Responses = append(resp.Responses, kvpb.Response{Method: r.Method})
 		case kvpb.Delete:
 			if err := checkWrite(r.Key); err != nil {
-				return nil, err
+				return conflicted(err)
 			}
 			cmd.Mutations = append(cmd.Mutations, mutation{
-				Kind: mutDelete, Key: r.Key.Clone(), Ts: readTs, TxnID: txnID,
+				Kind: mutDelete, Key: r.Key.Clone(), Ts: readTs, TxnID: writeTxnID,
 			})
 			writtenBytes += int64(len(r.Key))
 			resp.Responses = append(resp.Responses, kvpb.Response{Method: r.Method})
@@ -1422,7 +1465,27 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		rs.writtenBytes += writtenBytes
 		rs.statsMu.Unlock()
 	}
+	resp.Committed = onePhase
 	return resp, nil
+}
+
+// alreadyCommitted reports whether every request of a commit batch is already
+// in the engine as a committed version at exactly ts: the same bytes for a
+// Put, a tombstone for a Delete.
+func alreadyCommitted(e *lsm.Engine, reqs []kvpb.Request, ts hlc.Timestamp) (bool, error) {
+	for _, r := range reqs {
+		if r.Method != kvpb.Put && r.Method != kvpb.Delete {
+			return false, nil
+		}
+		v, ok, err := mvcc.CommittedVersionAt(e, r.Key, ts)
+		if err != nil {
+			return false, err
+		}
+		if !ok || v.Tombstone != (r.Method == kvpb.Delete) || !bytes.Equal(v.Data, r.Value) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // evalRead serves a read request from the node's local engine.

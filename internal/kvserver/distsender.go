@@ -137,24 +137,32 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 			injected[i] = ds.faults.MaybeErr("dist.subbatch.err")
 		}
 	}
-	out := &kvpb.BatchResponse{Timestamp: ba.ReadTs()}
-	responses := make([]kvpb.Response, len(ba.Requests))
+	out := &kvpb.BatchResponse{Timestamp: ba.ReadTs(), Responses: make([]kvpb.Response, len(ba.Requests))}
 	if len(groups) > 1 && ds.parallelism > 1 {
 		sp.SetAttr("dist.ranges", len(groups))
-		err = ds.sendParallel(ctx, sp, groups, ba, responses, injected)
+		err = ds.sendParallel(ctx, sp, groups, ba, out, injected)
 	} else {
-		err = ds.sendSequential(ctx, groups, ba, responses, injected)
+		err = ds.sendSequential(ctx, groups, ba, out, injected)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out.Responses = responses
 	return out, nil
+}
+
+// fold copies one group's merged response into the batch's. A commit batch
+// counts as committed only when one range, in one visit, took all of it.
+func (g *requestGroup) fold(out, resp *kvpb.BatchResponse, groups int) {
+	for i, r := range resp.Responses {
+		out.Responses[g.indexes[i]] = r
+	}
+	out.Ranges += resp.Ranges
+	out.Committed = resp.Committed && groups == 1
 }
 
 // sendSequential dispatches the groups one at a time in request order — the
 // single-range fast path and the Parallelism<=1 configuration.
-func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup, ba *kvpb.BatchRequest, responses []kvpb.Response, injected []error) error {
+func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup, ba *kvpb.BatchRequest, out *kvpb.BatchResponse, injected []error) error {
 	for gi, g := range groups {
 		sub := *ba
 		sub.Requests = g.requests
@@ -166,9 +174,7 @@ func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup,
 		if err != nil {
 			return err
 		}
-		for i, r := range resp.Responses {
-			responses[g.indexes[i]] = r
-		}
+		g.fold(out, resp, len(groups))
 	}
 	return nil
 }
@@ -178,7 +184,7 @@ func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup,
 // streams their descendants draw from) are created sequentially in group
 // order before any goroutine starts, and responses merge by group index —
 // completion order never leaks into the trace or the response.
-func (ds *DistSender) sendParallel(ctx context.Context, sp *trace.Span, groups []requestGroup, ba *kvpb.BatchRequest, responses []kvpb.Response, injected []error) error {
+func (ds *DistSender) sendParallel(ctx context.Context, sp *trace.Span, groups []requestGroup, ba *kvpb.BatchRequest, out *kvpb.BatchResponse, injected []error) error {
 	type branch struct {
 		ctx  context.Context
 		sp   *trace.Span
@@ -215,13 +221,11 @@ func (ds *DistSender) sendParallel(ctx context.Context, sp *trace.Span, groups [
 		}(i)
 	}
 	wg.Wait()
-	for i, g := range groups {
+	for i := range groups {
 		if branches[i].err != nil {
 			return branches[i].err
 		}
-		for j, r := range branches[i].resp.Responses {
-			responses[g.indexes[j]] = r
-		}
+		groups[i].fold(out, branches[i].resp, len(groups))
 	}
 	return nil
 }
@@ -380,6 +384,8 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 	for i := len(segs) - 1; i >= 0; i-- {
 		merged = segs[i].clip.merge(segs[i].pending, segs[i].remIdx, segs[i].resp, merged)
 	}
+	merged.Ranges = len(segs)
+	merged.Committed = len(segs) == 1 && segs[0].resp.Committed
 	return merged, nil
 }
 
@@ -552,9 +558,11 @@ func (c *rangeClip) continuation(reqs []kvpb.Request, resp *kvpb.BatchResponse) 
 		tail.Key = c.clipEnd.Clone()
 		if r.MaxKeys > 0 {
 			got := int64(len(resp.Responses[si].Rows))
-			if got >= r.MaxKeys {
-				// Limit already satisfied inside this range; merge will
-				// surface the resume point without visiting further ranges.
+			if got >= r.MaxKeys || resp.Responses[si].ResumeSpan != nil {
+				// Limit already reached inside this range — also when a
+				// pushed-down filter then dropped rows, leaving the page short
+				// with more of the range to read. Merge will surface the
+				// resume point without visiting further ranges.
 				continue
 			}
 			tail.MaxKeys = r.MaxKeys - got

@@ -99,7 +99,13 @@ func appendEntry(b []byte, e Entry) []byte {
 // decodeBlock parses one encoded block. The returned entries alias the block
 // buffer (immutable); callers clone before handing bytes to users.
 func decodeBlock(b []byte) []Entry {
-	var out []Entry
+	// Count the entries from their headers first, so the slice is sized once
+	// rather than grown entry by entry.
+	n := 0
+	for off := 0; off < len(b); n++ {
+		off += 9 + int(binary.BigEndian.Uint32(b[off+1:off+5])) + int(binary.BigEndian.Uint32(b[off+5:off+9]))
+	}
+	out := make([]Entry, 0, n)
 	for off := 0; off < len(b); {
 		flags := b[off]
 		keyLen := int(binary.BigEndian.Uint32(b[off+1 : off+5]))

@@ -153,17 +153,37 @@ func CheckWriteConflict(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uin
 	return nil
 }
 
+// CommittedVersionAt returns the committed version of key written at exactly
+// ts, if there is one. A replica asks this to recognise a commit batch it has
+// applied before (kvserver.evaluateBatch).
+func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version, bool, error) {
+	raw, ok, err := e.Get(EncodeKey(key, ts))
+	if err != nil || !ok {
+		return Version{}, false, err
+	}
+	v, err := decodeValue(raw)
+	if err != nil || v.IsIntent() {
+		return Version{}, false, err
+	}
+	v.Ts = ts
+	return v, true, nil
+}
+
 func putVersion(e *lsm.Engine, key keys.Key, v Version, replay bool) error {
 	if !replay {
 		if err := CheckWriteConflict(e, key, v.Ts, v.TxnID); err != nil {
 			return err
 		}
 	}
+	if !v.IsIntent() {
+		// Only an intent can have an earlier intent of its own to replace.
+		return e.Set(EncodeKey(key, v.Ts), encodeValue(v))
+	}
 	newest, ok, err := newestVersion(e, key)
 	if err != nil {
 		return err
 	}
-	if ok && newest.IsIntent() && newest.TxnID == v.TxnID && v.IsIntent() {
+	if ok && newest.IsIntent() && newest.TxnID == v.TxnID {
 		// Same transaction rewriting its intent: replace the old provisional
 		// version. Tombstone and replacement go through one engine batch (one
 		// WAL record) so a crash can never surface both versions — or neither.

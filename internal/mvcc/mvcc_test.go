@@ -176,6 +176,50 @@ func TestIntentRewriteBySameTxn(t *testing.T) {
 	}
 }
 
+// A committed version goes straight to the engine, with no look at the key's
+// history — sound because only an intent can have an earlier intent of its
+// own to replace. Where a transaction's intent does sit at the timestamp (a
+// commit batch first laid down intents, then reached a range whole), the
+// committed version has the same storage key and replaces it.
+func TestCommittedVersionReplacesOwnIntentInPlace(t *testing.T) {
+	e := newEngine()
+	defer e.Close()
+	k := keys.Key("k")
+	if err := Put(e, k, ts(10), 5, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplyPut(e, k, ts(10), 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if iks, err := IntentKeys(e, keys.Span{Key: k}, 0); err != nil || len(iks) != 0 {
+		t.Fatalf("intents after committed write = %v, %v", iks, err)
+	}
+	if v, ok, err := Get(e, k, ts(10), 0); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("foreign read = %q %v %v", v, ok, err)
+	}
+}
+
+func TestCommittedVersionAt(t *testing.T) {
+	e := newEngine()
+	defer e.Close()
+	k := keys.Key("k")
+	Put(e, k, ts(10), 0, []byte("v10"))
+	Delete(e, k, ts(20), 0)
+	Put(e, k, ts(30), 7, []byte("intent"))
+	if v, ok, err := CommittedVersionAt(e, k, ts(10)); err != nil || !ok || string(v.Data) != "v10" || v.Tombstone {
+		t.Fatalf("version at 10 = %+v %v %v", v, ok, err)
+	}
+	if v, ok, err := CommittedVersionAt(e, k, ts(20)); err != nil || !ok || !v.Tombstone {
+		t.Fatalf("version at 20 = %+v %v %v, want a tombstone", v, ok, err)
+	}
+	// An intent is not a committed version, and neighbours do not count.
+	for _, at := range []int64{30, 15, 5} {
+		if v, ok, err := CommittedVersionAt(e, k, ts(at)); err != nil || ok {
+			t.Fatalf("version at %d = %+v %v %v, want none", at, v, ok, err)
+		}
+	}
+}
+
 func TestResolveIntentCommit(t *testing.T) {
 	e := newEngine()
 	defer e.Close()

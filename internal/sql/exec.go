@@ -423,7 +423,12 @@ func (e *Executor) insert(ctx context.Context, t *txn.Txn, s *Insert, args []Dat
 			colOrder = append(colOrder, i)
 		}
 	}
-	affected := 0
+	// Evaluate every row first, so the duplicate check below is one KV round
+	// trip for the statement and the writes after it only fill the
+	// transaction's buffer.
+	rows := make([][]Datum, 0, len(s.Rows))
+	pks := make([]keys.Key, 0, len(s.Rows))
+	inStmt := make(map[string]bool, len(s.Rows))
 	for _, exprs := range s.Rows {
 		if len(exprs) != len(colOrder) {
 			return nil, fmt.Errorf("sql: INSERT has %d values for %d columns", len(exprs), len(colOrder))
@@ -444,29 +449,54 @@ func (e *Executor) insert(ctx context.Context, t *txn.Txn, s *Insert, args []Dat
 			}
 			row[colOrder[i]] = coerced
 		}
-		if err := e.writeRow(ctx, t, desc, row, true); err != nil {
+		pk, err := primaryKey(e.tenant, desc, row)
+		if err != nil {
 			return nil, err
 		}
-		affected++
+		if inStmt[string(pk)] {
+			return nil, errDuplicateKey(desc)
+		}
+		inStmt[string(pk)] = true
+		rows = append(rows, row)
+		pks = append(pks, pk)
 	}
-	e.chargeRows(affected)
-	return &Result{RowsAffected: affected}, nil
+	if err := e.checkKeysFree(ctx, t, desc, pks); err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		if err := e.writeRow(ctx, t, desc, pks[i], row); err != nil {
+			return nil, err
+		}
+	}
+	e.chargeRows(len(rows))
+	return &Result{RowsAffected: len(rows)}, nil
 }
 
-// writeRow persists a row and its index entries. checkDup rejects an
-// existing primary key.
-func (e *Executor) writeRow(ctx context.Context, t *txn.Txn, desc *TableDescriptor, row []Datum, checkDup bool) error {
-	pk, err := primaryKey(e.tenant, desc, row)
+func errDuplicateKey(desc *TableDescriptor) error {
+	return fmt.Errorf("sql: duplicate primary key in %s", desc.Name)
+}
+
+// checkKeysFree rejects primary keys that already hold a row, stored or
+// written earlier in the transaction, reading all of them in one KV batch.
+func (e *Executor) checkKeysFree(ctx context.Context, t *txn.Txn, desc *TableDescriptor, pks []keys.Key) error {
+	reqs := make([]kvpb.Request, len(pks))
+	for i, pk := range pks {
+		reqs[i] = kvpb.Request{Method: kvpb.Get, Key: pk}
+	}
+	resp, err := t.Send(ctx, reqs...)
 	if err != nil {
 		return err
 	}
-	if checkDup {
-		if _, exists, err := t.Get(ctx, pk); err != nil {
-			return err
-		} else if exists {
-			return fmt.Errorf("sql: duplicate primary key in %s", desc.Name)
+	for _, r := range resp.Responses {
+		if r.Exists {
+			return errDuplicateKey(desc)
 		}
 	}
+	return nil
+}
+
+// writeRow writes a row under its primary key pk, and its index entries.
+func (e *Executor) writeRow(ctx context.Context, t *txn.Txn, desc *TableDescriptor, pk keys.Key, row []Datum) error {
 	if err := t.Put(ctx, pk, encodeRowValue(row)); err != nil {
 		return err
 	}
@@ -541,7 +571,14 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, s *Update, args []Dat
 			if err := e.deleteRow(ctx, t, desc, r); err != nil {
 				return nil, err
 			}
-			if err := e.writeRow(ctx, t, desc, newRow, true); err != nil {
+			pk, err := primaryKey(e.tenant, desc, newRow)
+			if err != nil {
+				return nil, err
+			}
+			if err := e.checkKeysFree(ctx, t, desc, []keys.Key{pk}); err != nil {
+				return nil, err
+			}
+			if err := e.writeRow(ctx, t, desc, pk, newRow); err != nil {
 				return nil, err
 			}
 		} else {

@@ -15,6 +15,13 @@ import (
 // newTestDB builds a 3-node KV cluster plus an executor/session for tenant 2.
 func newTestDB(t *testing.T) (*Executor, *Session) {
 	t.Helper()
+	_, exec, s := newTestDBOnCluster(t)
+	return exec, s
+}
+
+// newTestDBOnCluster is newTestDB for tests that also inspect the KV cluster.
+func newTestDBOnCluster(t *testing.T) (*kvserver.Cluster, *Executor, *Session) {
+	t.Helper()
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	var nodes []*kvserver.Node
 	for i := 1; i <= 3; i++ {
@@ -31,7 +38,7 @@ func newTestDB(t *testing.T) (*Executor, *Session) {
 	coord := txn.NewCoordinator(ds, c.Clock(), 2)
 	catalog := NewCatalog(coord, 2)
 	exec := NewExecutor(catalog, coord, ExecutorConfig{})
-	return exec, NewSession(exec, "app")
+	return c, exec, NewSession(exec, "app")
 }
 
 func mustExec(t *testing.T, s *Session, q string, args ...Datum) *Result {

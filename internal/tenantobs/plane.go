@@ -68,6 +68,8 @@ type Plane struct {
 	queries     *metric.CounterVec   // sql.tenant_queries{tenant,result}
 	execLat     *metric.HistogramVec // sql.tenant_exec_latency{tenant}
 	retries     *metric.CounterVec   // txn.tenant_retries{tenant}
+	commits     *metric.CounterVec   // txn.tenant_commits{tenant,result}
+	commitRetry *metric.CounterVec   // txn.tenant_commit_retries{tenant}
 	batches     *metric.CounterVec   // dist.tenant_batches{tenant}
 	admWait     *metric.HistogramVec // admission.tenant_wait{tenant}
 	ru          *metric.GaugeVec     // tenantcost.tenant_ru{tenant}
@@ -107,6 +109,8 @@ func New(cfg Config) *Plane {
 		queries:     r.NewCounterVec("sql.tenant_queries", "tenant", "result"),
 		execLat:     r.NewHistogramVec("sql.tenant_exec_latency", "tenant"),
 		retries:     r.NewCounterVec("txn.tenant_retries", "tenant"),
+		commits:     r.NewCounterVec("txn.tenant_commits", "tenant", "result"),
+		commitRetry: r.NewCounterVec("txn.tenant_commit_retries", "tenant"),
 		batches:     r.NewCounterVec("dist.tenant_batches", "tenant"),
 		admWait:     r.NewHistogramVec("admission.tenant_wait", "tenant"),
 		ru:          r.NewGaugeVec("tenantcost.tenant_ru", "tenant"),
@@ -121,10 +125,11 @@ func New(cfg Config) *Plane {
 	// dimension on two-label vectors).
 	single := cfg.MaxTenants + 1
 	double := 4 * (cfg.MaxTenants + 1)
-	for _, v := range []interface{ SetMaxCardinality(int) }{p.conns, p.execLat, p.retries, p.batches, p.admWait, p.ru} {
+	for _, v := range []interface{ SetMaxCardinality(int) }{p.conns, p.execLat, p.retries, p.commitRetry, p.batches, p.admWait, p.ru} {
 		v.SetMaxCardinality(single)
 	}
 	p.queries.SetMaxCardinality(double)
+	p.commits.SetMaxCardinality(double)
 	p.scaleEvents.SetMaxCardinality(double)
 	p.rangeEvents.SetMaxCardinality(double)
 	return p
@@ -293,6 +298,26 @@ func (p *Plane) TxnRetry(id keys.TenantID) {
 	p.retries.With(p.stateByID(id).name).Inc(1)
 }
 
+// TxnCommit records one committed transaction by the path its commit took:
+// "one_phase" (a single range committed the whole commit batch in one
+// replicated command), "two_phase" (intents, then resolution), or
+// "read_only" (nothing to commit).
+func (p *Plane) TxnCommit(id keys.TenantID, path string) {
+	if p == nil {
+		return
+	}
+	p.commits.With(p.stateByID(id).name, path).Inc(1)
+}
+
+// TxnCommitRetry records one re-send of a commit batch whose previous
+// attempt failed without saying whether it applied.
+func (p *Plane) TxnCommitRetry(id keys.TenantID) {
+	if p == nil {
+		return
+	}
+	p.commitRetry.With(p.stateByID(id).name).Inc(1)
+}
+
 // Batch records one DistSender batch sent on behalf of the tenant.
 func (p *Plane) Batch(id keys.TenantID) {
 	if p == nil {
@@ -379,6 +404,34 @@ func (p *Plane) BurnRate(name string, now time.Time, span time.Duration) float64
 		return 0
 	}
 	return st.slo.BurnRate(now, span)
+}
+
+// counterValue reads a labeled counter without creating the series.
+func counterValue(v *metric.CounterVec, values ...string) int64 {
+	if c := v.Peek(values...); c != nil {
+		return c.Value()
+	}
+	return 0
+}
+
+// TxnCommits returns how many of the tenant's transactions committed by the
+// given path (see TxnCommit).
+func (p *Plane) TxnCommits(name, path string) int64 {
+	st := p.lookup(name)
+	if st == nil {
+		return 0
+	}
+	return counterValue(p.commits, st.name, path)
+}
+
+// TxnCommitRetries returns how many times the tenant's commit batches were
+// re-sent.
+func (p *Plane) TxnCommitRetries(name string) int64 {
+	st := p.lookup(name)
+	if st == nil {
+		return 0
+	}
+	return counterValue(p.commitRetry, st.name)
 }
 
 // RU returns the tenant's cumulative recorded request units.

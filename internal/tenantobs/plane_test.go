@@ -24,11 +24,14 @@ func TestNilPlaneIsInert(t *testing.T) {
 	p.ConnOpened("alpha")
 	p.QueryDone(2, time.Millisecond, false)
 	p.TxnRetry(2)
+	p.TxnCommit(2, "one_phase")
+	p.TxnCommitRetry(2)
 	p.Batch(2)
 	p.AdmissionWait(2, 0)
 	p.AddRU(2, 1)
 	p.ScaleEvent("alpha", "up")
-	if p.TenantCount() != 0 || p.Absorbed() != 0 || p.RU("alpha") != 0 {
+	if p.TenantCount() != 0 || p.Absorbed() != 0 || p.RU("alpha") != 0 ||
+		p.TxnCommits("alpha", "one_phase") != 0 || p.TxnCommitRetries("alpha") != 0 {
 		t.Fatal("nil plane reported data")
 	}
 	var b strings.Builder
@@ -54,6 +57,10 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 	}
 	p.QueryDone(3, 500*time.Millisecond, true)
 	p.TxnRetry(3)
+	p.TxnCommit(3, "one_phase")
+	p.TxnCommit(3, "two_phase")
+	p.TxnCommit(3, "two_phase")
+	p.TxnCommitRetry(3)
 	p.Batch(2)
 	p.AdmissionWait(2, 3*time.Millisecond)
 	p.AddRU(2, 42.5)
@@ -72,6 +79,10 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 	if got := p.RU("alpha"); got != 42.5 {
 		t.Fatalf("alpha RU = %v, want 42.5", got)
 	}
+	if one, two, ro, retries := p.TxnCommits("beta", "one_phase"), p.TxnCommits("beta", "two_phase"),
+		p.TxnCommits("beta", "read_only"), p.TxnCommitRetries("beta"); one != 1 || two != 2 || ro != 0 || retries != 1 {
+		t.Fatalf("beta commits one/two/read-only = %d/%d/%d, retries %d; want 1/2/0, 1", one, two, ro, retries)
+	}
 
 	// Signals keyed by ID and by name converge on the same labeled series.
 	var b strings.Builder
@@ -84,6 +95,8 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 		`sql_tenant_queries{result="ok",tenant="alpha"} 100`,
 		`sql_tenant_queries{result="error",tenant="beta"} 1`,
 		`txn_tenant_retries{tenant="beta"} 1`,
+		`txn_tenant_commits{result="two_phase",tenant="beta"} 2`,
+		`txn_tenant_commit_retries{tenant="beta"} 1`,
 		`dist_tenant_batches{tenant="alpha"} 1`,
 		`tenantcost_tenant_ru{tenant="alpha"} 42.5`,
 		`autoscaler_tenant_scale_events{result="suspend",tenant="beta"} 1`,

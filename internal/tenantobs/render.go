@@ -139,12 +139,7 @@ func (p *Plane) WriteTenant(w io.Writer, name string, now time.Time) error {
 		st.slo.GoodFraction(now, metric.BurnShortWindow),
 		st.slo.BurnRate(now, metric.BurnShortWindow),
 		st.slo.BurnRate(now, metric.BurnLongWindow))
-	counter := func(v *metric.CounterVec, values ...string) int64 {
-		if c := v.Peek(values...); c != nil {
-			return c.Value()
-		}
-		return 0
-	}
+	counter := counterValue
 	fmt.Fprintf(&b, "conns=%d queries ok=%d error=%d retries=%d batches=%d ru=%.1f\n",
 		counter(p.conns, st.name),
 		counter(p.queries, st.name, "ok"),
@@ -152,6 +147,11 @@ func (p *Plane) WriteTenant(w io.Writer, name string, now time.Time) error {
 		counter(p.retries, st.name),
 		counter(p.batches, st.name),
 		p.RU(st.name))
+	fmt.Fprintf(&b, "commits: one_phase=%d two_phase=%d read_only=%d commit_retries=%d\n",
+		counter(p.commits, st.name, "one_phase"),
+		counter(p.commits, st.name, "two_phase"),
+		counter(p.commits, st.name, "read_only"),
+		counter(p.commitRetry, st.name))
 	if h := p.admWait.Peek(st.name); h != nil {
 		s := h.Snapshot()
 		fmt.Fprintf(&b, "admission wait: n=%d p50=%v p99=%v\n", s.Count, s.P50, s.P99)

@@ -55,10 +55,21 @@ func assertNoIntents(t *testing.T, c *kvserver.Cluster) {
 	}
 }
 
+// intentCount is the number of unresolved intents on the cluster's first node.
+func intentCount(t *testing.T, c *kvserver.Cluster) int {
+	t.Helper()
+	iks, err := mvcc.IntentKeys(c.Nodes()[0].Engine(), keys.MakeTenantSpan(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(iks)
+}
+
 // Regression: a cross-range batch that failed after part of it applied used
 // to record no intents at all — the applied sub-batches' intents were
-// orphaned, permanently blocking every later reader of those keys. Write
-// footprints are now recorded before the batch goes out.
+// orphaned, permanently blocking every later reader of those keys. The
+// cross-range batch is now the commit batch, and a Commit that fails cleans
+// up after itself: whoever called it (a SQL COMMIT) does not Abort afterwards.
 func TestAbortCleansUpPartiallyAppliedBatch(t *testing.T) {
 	reg := faultinject.New(1, nil)
 	c, coord := newFaultSetup(t, reg)
@@ -72,23 +83,27 @@ func TestAbortCleansUpPartiallyAppliedBatch(t *testing.T) {
 	reg.Enable("dist.subbatch.err", faultinject.Site{Probability: 1, After: 1, MaxFires: 1})
 
 	tx := coord.Begin()
-	_, err := tx.Send(ctx,
+	if _, err := tx.Send(ctx,
 		kvpb.Request{Method: kvpb.Put, Key: k("a"), Value: []byte("v")},
 		kvpb.Request{Method: kvpb.Put, Key: k("z"), Value: []byte("v")},
-	)
-	if !faultinject.IsInjected(err) {
-		t.Fatalf("cross-range batch err = %v, want injected fault", err)
+	); err != nil {
+		t.Fatalf("buffered writes err = %v", err)
 	}
-	if err := tx.Abort(ctx); err != nil {
-		t.Fatal(err)
+	// The fault is not retriable, so the commit batch is not sent again, and
+	// a response was lost, so the coordinator cannot tell what happened.
+	err := tx.Commit(ctx)
+	var ace *kvpb.AmbiguousCommitError
+	if !faultinject.IsInjected(err) || !errors.As(err, &ace) || kvpb.IsRetriable(err) {
+		t.Fatalf("commit err = %v, want a non-retriable ambiguous commit wrapping the injected fault", err)
 	}
 	assertNoIntents(t, c)
-	// Both keys must be readable (and absent) afterwards.
+	// Neither range had the whole batch, so nothing was committed: both keys
+	// must be readable (and absent) afterwards.
 	t2 := coord.Begin()
 	defer t2.Abort(ctx)
 	for _, key := range []keys.Key{k("a"), k("z")} {
 		if _, ok, err := t2.Get(ctx, key); err != nil || ok {
-			t.Fatalf("read %q after abort: ok=%v err=%v", key, ok, err)
+			t.Fatalf("read %q after failed commit: ok=%v err=%v", key, ok, err)
 		}
 	}
 }
@@ -169,8 +184,10 @@ func TestFinishBacksOffBetweenResolveAttempts(t *testing.T) {
 	if err := tx.Put(ctx, k("a"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	// The commit batch (the site's first consult) goes through; the sender
+	// does not claim to have committed it, so resolution follows.
 	const failures = 3
-	reg.Enable("test.resolve.flaky", faultinject.Site{Probability: 1, MaxFires: failures, Retriable: true})
+	reg.Enable("test.resolve.flaky", faultinject.Site{Probability: 1, After: 1, MaxFires: failures, Retriable: true})
 	done := make(chan error, 1)
 	go func() { done <- tx.Commit(ctx) }()
 	// Each failed attempt must register a sleeper on the clock before the
@@ -193,7 +210,7 @@ func TestFinishBacksOffBetweenResolveAttempts(t *testing.T) {
 	if got := reg.Fires("test.resolve.flaky"); got != failures {
 		t.Fatalf("injected %d resolve failures, want %d", got, failures)
 	}
-	// One send for the Put, then failures+1 resolve attempts.
+	// One send for the commit batch, then failures+1 resolve attempts.
 	if want := 1 + failures + 1; sender.sends != want {
 		t.Fatalf("sends = %d, want %d", sender.sends, want)
 	}
@@ -210,9 +227,10 @@ func TestFinishHonorsContextCancellation(t *testing.T) {
 	if err := tx.Put(context.Background(), k("a"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	// Unbounded retriable failures: without the ctx check the loop would run
-	// all 8 attempts and return a retry-exhausted error instead.
-	reg.Enable("test.resolve.flaky", faultinject.Site{Probability: 1, Retriable: true})
+	// Unbounded retriable failures once the commit batch is through: without
+	// the ctx check the loop would run all 8 attempts and return a
+	// retry-exhausted error instead.
+	reg.Enable("test.resolve.flaky", faultinject.Site{Probability: 1, After: 1, Retriable: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- tx.Commit(ctx) }()

@@ -39,52 +39,99 @@ func k(s string) keys.Key {
 }
 
 func TestTxnCommitMakesWritesVisible(t *testing.T) {
-	_, coord := newTestSetup(t)
+	c, coord := newTestSetup(t)
 	ctx := context.Background()
 
 	t1 := coord.Begin()
 	if err := t1.Put(ctx, k("a"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// The writer sees its own intent.
+	// The writer reads its own buffered write.
 	v, ok, err := t1.Get(ctx, k("a"))
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("own read = %q %v %v", v, ok, err)
 	}
-	// A second transaction starting before commit does not see it — it
-	// conflicts on the intent instead.
+	// A second transaction does not: the write is still in t1's buffer, so
+	// it reads the old state and meets no intent.
 	t2 := coord.Begin()
-	_, _, err = t2.Get(ctx, k("a"))
-	var wie *kvpb.WriteIntentError
-	if !errors.As(err, &wie) {
-		t.Fatalf("pre-commit foreign read = %v", err)
+	if _, ok, err := t2.Get(ctx, k("a")); err != nil || ok {
+		t.Fatalf("pre-commit foreign read: ok=%v err=%v", ok, err)
 	}
-	if err := t1.Commit(ctx); err != nil {
+	// That read happened above t1's timestamp, so t1's write can no longer
+	// land below it: the conflict surfaces at commit, and leaves nothing
+	// behind.
+	var wto *kvpb.WriteTooOldError
+	if err := t1.Commit(ctx); !errors.As(err, &wto) {
+		t.Fatalf("commit under a later read = %v, want WriteTooOldError", err)
+	}
+	assertNoIntents(t, c)
+	if _, ok, err := t2.Get(ctx, k("a")); err != nil || ok {
+		t.Fatalf("read after failed commit: ok=%v err=%v", ok, err)
+	}
+	if err := t2.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh transaction sees the committed value.
+
+	// Unopposed, the same write commits, and a fresh transaction sees it.
 	t3 := coord.Begin()
-	v, ok, err = t3.Get(ctx, k("a"))
+	if err := t3.Put(ctx, k("a"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := t3.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t4 := coord.Begin()
+	v, ok, err = t4.Get(ctx, k("a"))
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("post-commit read = %q %v %v", v, ok, err)
 	}
-	t3.Abort(ctx)
+	t4.Abort(ctx)
 }
 
 func TestTxnAbortRemovesIntents(t *testing.T) {
-	_, coord := newTestSetup(t)
+	c, coord := newTestSetup(t)
 	ctx := context.Background()
+	// A transaction that only buffered has nothing to remove, and sends
+	// nothing.
+	before := batchCount(c)
 	t1 := coord.Begin()
 	t1.Put(ctx, k("a"), []byte("doomed"))
 	if err := t1.Abort(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t2 := coord.Begin()
-	_, ok, err := t2.Get(ctx, k("a"))
-	if err != nil || ok {
-		t.Fatalf("read after abort = ok=%v err=%v", ok, err)
+	if got := batchCount(c); got != before {
+		t.Fatalf("aborting buffered writes sent %d KV batches", got-before)
 	}
-	t2.Abort(ctx)
+	// A direct one (the DeleteRange ends buffering) laid down intents.
+	t2 := coord.Begin()
+	t2.Put(ctx, k("a"), []byte("doomed"))
+	if _, err := t2.Send(ctx, kvpb.Request{Method: kvpb.DeleteRange, Key: k("x"), EndKey: k("y")}); err != nil {
+		t.Fatal(err)
+	}
+	t2.Put(ctx, k("b"), []byte("doomed"))
+	if n := intentCount(t, c); n != 2 {
+		t.Fatalf("direct transaction left %d intents, want 2 (a and b)", n)
+	}
+	if err := t2.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	assertNoIntents(t, c)
+	t3 := coord.Begin()
+	for _, key := range []keys.Key{k("a"), k("b")} {
+		if _, ok, err := t3.Get(ctx, key); err != nil || ok {
+			t.Fatalf("read %s after abort = ok=%v err=%v", key, ok, err)
+		}
+	}
+	t3.Abort(ctx)
+}
+
+// batchCount is the number of KV batches the cluster's nodes have served.
+func batchCount(c *kvserver.Cluster) int64 {
+	var n int64
+	for _, node := range c.Nodes() {
+		n += node.BatchCount()
+	}
+	return n
 }
 
 func TestTxnFinishedRejectsFurtherOps(t *testing.T) {
@@ -201,7 +248,7 @@ func TestRunTxnAbortsOnError(t *testing.T) {
 		tx.Put(ctx, k("x"), []byte("v"))
 		return sentinel
 	})
-	// The intent must be gone: a read succeeds and finds nothing.
+	// The write must be gone: a read succeeds and finds nothing.
 	if err := coord.RunTxn(ctx, func(ctx context.Context, tx *Txn) error {
 		_, ok, err := tx.Get(ctx, k("x"))
 		if err != nil {
