@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,6 +63,12 @@ func EncodeBytes(b Key, data []byte) Key {
 		}
 	}
 	return append(b, escapeByte, terminatorByte)
+}
+
+// EncodedBytesLen is the number of bytes EncodeBytes appends for data, for a
+// caller that sizes its buffer once.
+func EncodedBytesLen(data []byte) int {
+	return len(data) + 3 + bytes.Count(data, []byte{escapeByte})
 }
 
 // DecodeBytes consumes the encoding produced by EncodeBytes.

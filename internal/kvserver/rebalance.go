@@ -220,11 +220,15 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 func copySpanData(src, dst *lsm.Engine, rs *rangeState) error {
 	lo, hi := mvcc.EngineSpan(rs.desc.Span)
 	var batch []lsm.Entry
-	for it := src.NewIter(lo, hi); it.Valid(); it.Next() {
+	it := src.NewIter(lo, hi)
+	for ; it.Valid(); it.Next() {
 		batch = append(batch, lsm.Entry{
 			Key:   append([]byte(nil), it.Key()...),
 			Value: append([]byte(nil), it.Value()...),
 		})
+		if err := it.Error(); err != nil {
+			return fmt.Errorf("kvserver: copying range data: %w", err)
+		}
 		if len(batch) >= 1024 {
 			if err := dst.ApplyBatch(batch); err != nil {
 				return err

@@ -53,11 +53,15 @@ func (sm engineSM) Snapshot() ([]byte, error) {
 	lo, hi := mvcc.EngineSpan(desc.Span)
 	var pairs []enginePair
 	e := sm.n.Engine()
-	for it := e.NewIter(lo, hi); it.Valid(); it.Next() {
+	it := e.NewIter(lo, hi)
+	for ; it.Valid(); it.Next() {
 		pairs = append(pairs, enginePair{
 			Key:   append([]byte(nil), it.Key()...),
 			Value: append([]byte(nil), it.Value()...),
 		})
+	}
+	if err := it.Error(); err != nil {
+		return nil, fmt.Errorf("kvserver: reading snapshot: %w", err)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -371,6 +372,73 @@ func TestManifestChecksumCorruption(t *testing.T) {
 	if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrCorruption) {
 		t.Fatalf("Open error = %v, want ErrCorruption", err)
 	}
+}
+
+// TestOpenTruncatedSSTable: sstable files carry no checksum, so a short or
+// damaged one must fail Open with ErrCorruption — not panic it on a length
+// read from the file.
+func TestOpenTruncatedSSTable(t *testing.T) {
+	dir := NewDir()
+	e := New(durableOpts(dir))
+	for i := 0; i < 400; i++ {
+		e.Set([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
+	}
+	e.Flush()
+	e.Close()
+	ssts := dir.List("sst-")
+	if len(ssts) == 0 {
+		t.Fatal("test setup: no sstable persisted")
+	}
+	whole, _ := dir.ReadFile(ssts[0])
+	damaged := map[string][]byte{
+		"cut mid-entry":  whole[:len(whole)-1],
+		"cut mid-header": whole[:entryHeaderLen/2],
+		"key length past the file": func() []byte {
+			b := append([]byte(nil), whole...)
+			binary.BigEndian.PutUint32(b[1:5], 1<<31)
+			return b
+		}(),
+	}
+	for name, data := range damaged {
+		dir.WriteFileSync(ssts[0], data)
+		if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrCorruption) {
+			t.Fatalf("%s: Open error = %v, want ErrCorruption", name, err)
+		}
+	}
+	dir.WriteFileSync(ssts[0], whole)
+	re, err := Open(durableOpts(dir))
+	if err != nil {
+		t.Fatalf("Open over the restored file: %v", err)
+	}
+	re.Close()
+}
+
+// FuzzDecodeBlock feeds decodeBlock — which reads sstable files and WAL
+// payloads — arbitrary bytes: it must never panic, and whatever it accepts
+// must re-encode to exactly the input.
+func FuzzDecodeBlock(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("value")}))
+	f.Add(appendEntry(nil, Entry{Key: []byte("gone"), Tombstone: true}))
+	two := appendEntry(nil, Entry{Key: []byte("a"), Value: encodeValuePointer(valuePointer{fileID: 1, offset: 2, length: 3}), vptr: true})
+	f.Add(appendEntry(two, Entry{Key: []byte("b")}))
+	f.Add(two[:len(two)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ents, err := decodeBlock(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruption) {
+				t.Fatalf("error %v is not ErrCorruption", err)
+			}
+			return
+		}
+		var again []byte
+		for _, ent := range ents {
+			again = appendEntry(again, ent)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("decode/encode round trip changed the block:\n in  %x\n out %x", data, again)
+		}
+	})
 }
 
 // TestWALBytesFramedAccounting verifies the satellite fix: WALBytes reports

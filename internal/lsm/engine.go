@@ -32,8 +32,9 @@ type Options struct {
 	// tests use this to construct specific level shapes.
 	DisableAutoCompactions bool
 	// DisableReadAcceleration turns off the bloom-filter consult and the
-	// L1+ level-bound seek, restoring the probe-every-table read path.
+	// L1+ level-bound seek in Get, restoring its probe-every-table path.
 	// Benchmarks and tests use it to measure the acceleration itself.
+	// Iterators are not affected: they always seek a sorted level's window.
 	DisableReadAcceleration bool
 	// Tracer, when non-nil, records background flush and compaction work
 	// as root spans (lsm.flush / lsm.compact). The engine has no clock of
@@ -174,17 +175,17 @@ type Metrics struct {
 	HotCacheHits     int64
 	HotCacheMisses   int64
 	// Value-log counters (shared WriteMetrics): separated writes, inline
-	// fallbacks from injected append failures, GC rounds/rewrites/reclaimed
-	// bytes, and scan-side resolutions dropped against deleted files.
+	// fallbacks from injected append failures, and GC rounds/rewrites/
+	// reclaimed bytes.
 	VlogWrites           int64
 	VlogWriteFallbacks   int64
 	VlogGCRounds         int64
 	VlogGCRewritten      int64
 	VlogGCReclaimedBytes int64
-	VlogResolveDropped   int64
 	// CorruptionErrors counts reads that surfaced ErrCorruption — a value
-	// pointer whose log file stayed unreachable through every retry. Drawn
-	// from the engine's ReadMetrics counter (may be shared).
+	// pointer whose log file stayed unreachable through every Get retry, or
+	// that an iterator could not resolve against its snapshot's file set.
+	// Drawn from the engine's ReadMetrics counter (may be shared).
 	CorruptionErrors int64
 	// Value-log occupancy for this engine (not shared): segment count and
 	// live/dead payload bytes.
@@ -205,8 +206,9 @@ type ReadMetrics struct {
 	HotCacheHits     *metric.Counter
 	HotCacheMisses   *metric.Counter
 	// CorruptionErrors counts reads that returned ErrCorruption: a value
-	// pointer that stayed unresolvable after the GC-race retries, meaning
-	// the file is genuinely missing rather than mid-rewrite.
+	// pointer that stayed unresolvable after Get's GC-race retries, or at all
+	// for an iterator (whose snapshot holds its files), meaning the file is
+	// genuinely missing rather than mid-rewrite.
 	CorruptionErrors *metric.Counter
 }
 
@@ -255,10 +257,6 @@ type WriteMetrics struct {
 	VlogGCRounds    *metric.Counter
 	VlogGCRewritten *metric.Counter
 	VlogGCReclaimed *metric.Counter
-	// VlogResolveDropped counts scan-side entries dropped because their
-	// value-log file was deleted mid-scan — provably shadowed entries (see
-	// resolveForScanLocked).
-	VlogResolveDropped *metric.Counter
 	// WALBytes counts framed bytes appended to the WAL (headers + CRC);
 	// WALFsyncs counts sync operations issued under the fsync policy.
 	WALBytes  *metric.Counter
@@ -269,29 +267,27 @@ type WriteMetrics struct {
 // shared instance to hand to each engine's Options.
 func NewWriteMetrics(reg *metric.Registry) *WriteMetrics {
 	return &WriteMetrics{
-		CompactCoalesced:   reg.NewCounter("lsm.compact.coalesced"),
-		VlogWrites:         reg.NewCounter("lsm.vlog.writes"),
-		VlogFallbacks:      reg.NewCounter("lsm.vlog.write.fallbacks"),
-		VlogGCRounds:       reg.NewCounter("lsm.vlog.gc.rounds"),
-		VlogGCRewritten:    reg.NewCounter("lsm.vlog.gc.rewritten"),
-		VlogGCReclaimed:    reg.NewCounter("lsm.vlog.gc.reclaimed_bytes"),
-		VlogResolveDropped: reg.NewCounter("lsm.vlog.resolve.dropped"),
-		WALBytes:           reg.NewCounter("lsm.wal.bytes"),
-		WALFsyncs:          reg.NewCounter("lsm.wal.fsyncs"),
+		CompactCoalesced: reg.NewCounter("lsm.compact.coalesced"),
+		VlogWrites:       reg.NewCounter("lsm.vlog.writes"),
+		VlogFallbacks:    reg.NewCounter("lsm.vlog.write.fallbacks"),
+		VlogGCRounds:     reg.NewCounter("lsm.vlog.gc.rounds"),
+		VlogGCRewritten:  reg.NewCounter("lsm.vlog.gc.rewritten"),
+		VlogGCReclaimed:  reg.NewCounter("lsm.vlog.gc.reclaimed_bytes"),
+		WALBytes:         reg.NewCounter("lsm.wal.bytes"),
+		WALFsyncs:        reg.NewCounter("lsm.wal.fsyncs"),
 	}
 }
 
 func newUnregisteredWriteMetrics() *WriteMetrics {
 	return &WriteMetrics{
-		CompactCoalesced:   &metric.Counter{},
-		VlogWrites:         &metric.Counter{},
-		VlogFallbacks:      &metric.Counter{},
-		VlogGCRounds:       &metric.Counter{},
-		VlogGCRewritten:    &metric.Counter{},
-		VlogGCReclaimed:    &metric.Counter{},
-		VlogResolveDropped: &metric.Counter{},
-		WALBytes:           &metric.Counter{},
-		WALFsyncs:          &metric.Counter{},
+		CompactCoalesced: &metric.Counter{},
+		VlogWrites:       &metric.Counter{},
+		VlogFallbacks:    &metric.Counter{},
+		VlogGCRounds:     &metric.Counter{},
+		VlogGCRewritten:  &metric.Counter{},
+		VlogGCReclaimed:  &metric.Counter{},
+		WALBytes:         &metric.Counter{},
+		WALFsyncs:        &metric.Counter{},
 	}
 }
 
@@ -335,9 +331,20 @@ type Engine struct {
 	// are invalidated in the hot cache; fills computed against an older
 	// epoch are rejected (see hotCache.addHot).
 	writeEpoch atomic.Uint64
+	// snapSeq is the highest mu.seq an iterator has captured. NewIter stores
+	// it under the read lock (mu.seq only grows, so it only grows); writers
+	// read it under the exclusive lock to tell whether any snapshot can hold
+	// the version they are about to overwrite (see memTable.set).
+	snapSeq atomic.Uint64
 
 	mu struct {
 		sync.RWMutex
+		// seq numbers the batches applied to the memtables: bumped once per
+		// ApplyBatch, per replayed WAL record and per GC pointer install,
+		// always under the exclusive lock and before the batch's first entry
+		// lands. An iterator captures it under the read lock — so never from
+		// inside a batch — and ignores memtable versions above it.
+		seq uint64
 		mem *memTable
 		// imm holds rotated memtables whose SSTable builds are in flight,
 		// newest-first. Reads consult mem → imm → levels.
@@ -439,8 +446,11 @@ func Open(opts Options) (*Engine, error) {
 	mem.firstSeg = m.minUnflushedSeg
 	var discards []valuePointer
 	if _, err := replayWAL(dir, m.minUnflushedSeg, func(entries []Entry) {
+		// One sequence number per record, as the original commit had. No
+		// iterator exists yet, so every overwrite replaces in place.
+		e.mu.seq++
 		for _, ent := range entries {
-			if old, replaced := mem.set(ent); replaced && old.vptr {
+			if old, replaced := mem.set(ent, e.mu.seq, 0); replaced && old.vptr {
 				if p, perr := decodeValuePointer(old.Value); perr == nil {
 					discards = append(discards, p)
 				}
@@ -634,11 +644,13 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	// sees the new epoch (and rejects itself) or lands before the
 	// invalidation (and is removed by it).
 	e.writeEpoch.Add(1)
+	e.mu.seq++
+	snapSeq := e.snapSeq.Load()
 	for _, ent := range sep {
 		if e.hotCache != nil {
 			e.hotCache.invalidate(ent.Key)
 		}
-		if old, replaced := e.mu.mem.set(ent); replaced && old.vptr {
+		if old, replaced := e.mu.mem.set(ent, e.mu.seq, snapSeq); replaced && old.vptr {
 			if p, err := decodeValuePointer(old.Value); err == nil {
 				discards = append(discards, p)
 			}
@@ -977,7 +989,6 @@ func (e *Engine) Metrics() Metrics {
 	m.VlogGCRounds = e.writeMetrics.VlogGCRounds.Value()
 	m.VlogGCRewritten = e.writeMetrics.VlogGCRewritten.Value()
 	m.VlogGCReclaimedBytes = e.writeMetrics.VlogGCReclaimed.Value()
-	m.VlogResolveDropped = e.writeMetrics.VlogResolveDropped.Value()
 	m.CorruptionErrors = e.readMetrics.CorruptionErrors.Value()
 	if e.vlog != nil {
 		vs := e.vlog.stats()

@@ -203,5 +203,9 @@ func loadSSTable(dir *Dir, id uint64) (*ssTable, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: manifest references missing sstable sst-%06d", ErrCorruption, id)
 	}
-	return newSSTable(id, decodeBlock(data)), nil
+	ents, err := decodeBlock(data)
+	if err != nil {
+		return nil, fmt.Errorf("loading sstable sst-%06d: %w", id, err)
+	}
+	return newSSTable(id, ents), nil
 }

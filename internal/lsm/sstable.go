@@ -29,6 +29,7 @@ func (e Entry) size() int64 { return int64(len(e.Key) + len(e.Value) + 16) }
 // decoded once.
 const (
 	blockTargetBytes   = 2048
+	entryHeaderLen     = 9
 	entryFlagTombstone = 1 << 0
 	entryFlagVptr      = 1 << 1
 )
@@ -86,7 +87,7 @@ func appendEntry(b []byte, e Entry) []byte {
 	if e.vptr {
 		flags |= entryFlagVptr
 	}
-	var hdr [9]byte
+	var hdr [entryHeaderLen]byte
 	hdr[0] = flags
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(e.Key)))
 	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(e.Value)))
@@ -96,29 +97,53 @@ func appendEntry(b []byte, e Entry) []byte {
 	return b
 }
 
-// decodeBlock parses one encoded block. The returned entries alias the block
-// buffer (immutable); callers clone before handing bytes to users.
-func decodeBlock(b []byte) []Entry {
-	// Count the entries from their headers first, so the slice is sized once
-	// rather than grown entry by entry.
+// entryAt returns the entry encoded at off in a block and the offset of the
+// one after it, reading the header in place: nothing is copied and the key and
+// value alias the block. The block must be well formed — built by newSSTable,
+// or already through decodeBlock.
+func entryAt(b []byte, off int) (e Entry, next int) {
+	keyStart := off + entryHeaderLen
+	valStart := keyStart + int(binary.BigEndian.Uint32(b[off+1:off+5]))
+	next = valStart + int(binary.BigEndian.Uint32(b[off+5:off+9]))
+	return Entry{
+		Key:       b[keyStart:valStart],
+		Value:     b[valStart:next],
+		Tombstone: b[off]&entryFlagTombstone != 0,
+		vptr:      b[off]&entryFlagVptr != 0,
+	}, next
+}
+
+// decodeBlock parses one encoded block that came from a file, trusting none
+// of its lengths: a header or a length that runs past the buffer, or a flag
+// bit this build does not write, is ErrCorruption. The returned entries alias
+// the buffer (immutable); callers clone before handing bytes to users.
+func decodeBlock(b []byte) ([]Entry, error) {
+	// Validate and count the entries from their headers first, so the slice is
+	// sized once rather than grown entry by entry.
 	n := 0
 	for off := 0; off < len(b); n++ {
-		off += 9 + int(binary.BigEndian.Uint32(b[off+1:off+5])) + int(binary.BigEndian.Uint32(b[off+5:off+9]))
+		if len(b)-off < entryHeaderLen {
+			return nil, fmt.Errorf("%w: entry header at offset %d runs past the %d-byte block", ErrCorruption, off, len(b))
+		}
+		if b[off]&^(entryFlagTombstone|entryFlagVptr) != 0 {
+			return nil, fmt.Errorf("%w: entry at offset %d has unknown flags %#x", ErrCorruption, off, b[off])
+		}
+		end := int64(off) + entryHeaderLen +
+			int64(binary.BigEndian.Uint32(b[off+1:off+5])) + int64(binary.BigEndian.Uint32(b[off+5:off+9]))
+		if end > int64(len(b)) {
+			return nil, fmt.Errorf("%w: entry at offset %d ends at %d, past the %d-byte block", ErrCorruption, off, end, len(b))
+		}
+		off = int(end)
 	}
-	out := make([]Entry, 0, n)
+	return appendBlockEntries(make([]Entry, 0, n), b), nil
+}
+
+// appendBlockEntries appends the entries of a well-formed block (see entryAt).
+func appendBlockEntries(out []Entry, b []byte) []Entry {
 	for off := 0; off < len(b); {
-		flags := b[off]
-		keyLen := int(binary.BigEndian.Uint32(b[off+1 : off+5]))
-		valLen := int(binary.BigEndian.Uint32(b[off+5 : off+9]))
-		keyStart := off + 9
-		valStart := keyStart + keyLen
-		out = append(out, Entry{
-			Key:       b[keyStart:valStart],
-			Value:     b[valStart : valStart+valLen],
-			Tombstone: flags&entryFlagTombstone != 0,
-			vptr:      flags&entryFlagVptr != 0,
-		})
-		off = valStart + valLen
+		var e Entry
+		e, off = entryAt(b, off)
+		out = append(out, e)
 	}
 	return out
 }
@@ -141,7 +166,12 @@ func (t *ssTable) blockEntries(i int, bc *blockCache) (ents []Entry, cached bool
 			return ents, true
 		}
 	}
-	ents = decodeBlock(t.blocks[i])
+	// Count the entries from their headers first, so the slice is sized once.
+	n := 0
+	for off := 0; off < len(t.blocks[i]); n++ {
+		_, off = entryAt(t.blocks[i], off)
+	}
+	ents = appendBlockEntries(make([]Entry, 0, n), t.blocks[i])
 	if bc != nil {
 		bc.addBlock(t.id, i, ents, int64(len(t.blocks[i])))
 	}
@@ -194,34 +224,7 @@ func (t *ssTable) getCounting(key []byte, bc *blockCache, rm *ReadMetrics) (Entr
 func (t *ssTable) entries() []Entry {
 	out := make([]Entry, 0, t.numEntries)
 	for _, b := range t.blocks {
-		out = append(out, decodeBlock(b)...)
-	}
-	return out
-}
-
-// rangeEntries decodes only the blocks overlapping [lo, hi) and returns the
-// entries inside the bounds. A nil bound is unbounded on that side.
-func (t *ssTable) rangeEntries(lo, hi []byte) []Entry {
-	start := 0
-	if lo != nil {
-		if start = t.blockFor(lo); start < 0 {
-			start = 0
-		}
-	}
-	var out []Entry
-	for bi := start; bi < len(t.blocks); bi++ {
-		if hi != nil && bytes.Compare(t.firstKeys[bi], hi) >= 0 {
-			break
-		}
-		for _, e := range decodeBlock(t.blocks[bi]) {
-			if lo != nil && bytes.Compare(e.Key, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(e.Key, hi) >= 0 {
-				return out
-			}
-			out = append(out, e)
-		}
+		out = appendBlockEntries(out, b)
 	}
 	return out
 }

@@ -19,16 +19,22 @@ import (
 //   - Appends and discards take only vlog.mu; they never run under e.mu.
 //   - A GC rewrite installs the moved pointer into the active memtable under
 //     e.mu (exclusive), and the file is deleted only after every live record
-//     was either rewritten or found dead. A reader that resolves pointers
-//     while holding e.mu.RLock therefore never observes a deleted file: any
-//     pointer reachable from its snapshot was rewritten under a lock that
-//     excludes it. Point reads resolve outside the lock for throughput and
+//     was either rewritten or found dead.
+//   - The file set is copy-on-write: rotation and deleteFile (both rare)
+//     replace the map, never mutate it. An iterator captures the map under the
+//     same e.mu.RLock as the rest of its snapshot and resolves pointers
+//     against that capture, whenever it is asked for a value. A file deleted
+//     before the snapshot held only entries the snapshot sees shadowed (every
+//     replacement pointer was installed, under the exclusive lock, before the
+//     deletion), so none is surfaced; a file deleted after it is still in the
+//     captured map, which keeps its bytes alive. A surfaced pointer that does
+//     not resolve is therefore corruption, not a race.
+//   - Point reads (Engine.Get) resolve against the current file set and
 //     retry from a fresh snapshot on errVlogFileGone instead.
 
-// errVlogFileGone reports a pointer into a value-log file that GC has
-// deleted. For point reads this is a retry signal (the rewrite committed a
-// fresh pointer before the deletion); for scans it proves the entry was
-// already shadowed (see resolveForScanLocked).
+// errVlogFileGone reports a pointer into a value-log file that is not in the
+// file set it was resolved against. For point reads this is a retry signal
+// (the rewrite committed a fresh pointer before the deletion).
 var errVlogFileGone = errors.New("lsm: value-log file deleted by GC")
 
 // valuePointer locates a value in the log. It is encoded into Entry.Value
@@ -77,7 +83,9 @@ const vlogRecordHeaderLen = 8
 // order is e.mu before vlog.mu (ApplyBatch appends before taking e.mu, reads
 // resolve after releasing it, and nothing holding vlog.mu ever takes e.mu).
 type valueLog struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// files is copy-on-write (see the concurrency contract above): a map once
+	// published is never mutated, only the files it points at are, under mu.
 	files    map[uint32]*vlogFile
 	activeID uint32
 	fileSize int64
@@ -163,7 +171,9 @@ func (vl *valueLog) append(key, val []byte) valuePointer {
 	if int64(len(f.buf)) >= vl.fileSize {
 		vl.activeID++
 		f = &vlogFile{id: vl.activeID}
-		vl.files[vl.activeID] = f
+		files := vl.copyFilesLocked()
+		files[f.id] = f
+		vl.files = files
 	}
 	off := uint32(len(f.buf))
 	var hdr [vlogRecordHeaderLen]byte
@@ -181,26 +191,52 @@ func (vl *valueLog) append(key, val []byte) valuePointer {
 	return valuePointer{fileID: f.id, offset: off, length: uint32(len(val))}
 }
 
-// get resolves a pointer to its value. The returned slice aliases the
-// file's buffer — immutable once appended, and kept alive by the alias even
-// after GC deletes the file — so callers must clone before handing it to
-// code that may mutate it. A deleted file yields errVlogFileGone (see the
-// concurrency contract above).
-func (vl *valueLog) get(p valuePointer) ([]byte, error) {
+// copyFilesLocked returns a private copy of the file set for the caller to
+// edit and publish. Caller holds vl.mu exclusively.
+func (vl *valueLog) copyFilesLocked() map[uint32]*vlogFile {
+	files := make(map[uint32]*vlogFile, len(vl.files)+1)
+	for id, f := range vl.files {
+		files[id] = f
+	}
+	return files
+}
+
+// fileSet returns the current file set, for an iterator's snapshot.
+func (vl *valueLog) fileSet() map[uint32]*vlogFile {
 	vl.mu.RLock()
 	defer vl.mu.RUnlock()
-	f, ok := vl.files[p.fileID]
+	return vl.files
+}
+
+// get resolves a pointer against the current file set (see read).
+func (vl *valueLog) get(p valuePointer) ([]byte, error) {
+	return vl.read(vl.fileSet(), p)
+}
+
+// read resolves a pointer to its value against files, a file set obtained
+// from fileSet. The returned slice aliases the file's buffer — immutable once
+// appended, and kept alive by the alias even after GC deletes the file — so
+// callers must clone before handing it to code that may mutate it. A file
+// missing from the set yields errVlogFileGone. vl.mu is held only to read the
+// buffer's header, which an append to the active file replaces.
+func (vl *valueLog) read(files map[uint32]*vlogFile, p valuePointer) ([]byte, error) {
+	f, ok := files[p.fileID]
 	if !ok {
 		return nil, errVlogFileGone
 	}
-	start := int64(p.offset) + vlogRecordHeaderLen
-	keyLen := int64(binary.BigEndian.Uint32(f.buf[p.offset : p.offset+4]))
-	start += keyLen
-	end := start + int64(p.length)
-	if end > int64(len(f.buf)) {
-		return nil, fmt.Errorf("lsm: value pointer %+v out of bounds (file has %d bytes)", p, len(f.buf))
+	vl.mu.RLock()
+	buf := f.buf
+	vl.mu.RUnlock()
+	if int64(p.offset)+vlogRecordHeaderLen > int64(len(buf)) {
+		return nil, fmt.Errorf("lsm: value pointer %+v out of bounds (file has %d bytes)", p, len(buf))
 	}
-	return f.buf[start:end:end], nil
+	keyLen := int64(binary.BigEndian.Uint32(buf[p.offset : p.offset+4]))
+	start := int64(p.offset) + vlogRecordHeaderLen + keyLen
+	end := start + int64(p.length)
+	if end > int64(len(buf)) {
+		return nil, fmt.Errorf("lsm: value pointer %+v out of bounds (file has %d bytes)", p, len(buf))
+	}
+	return buf[start:end:end], nil
 }
 
 // discard records that a pointer's value is dead (its key was overwritten,
@@ -281,7 +317,9 @@ func (vl *valueLog) deleteFile(id uint32) int64 {
 	if !ok || id == vl.activeID {
 		return 0
 	}
-	delete(vl.files, id)
+	files := vl.copyFilesLocked()
+	delete(files, id)
+	vl.files = files
 	if vl.dir != nil {
 		vl.dir.Remove(vlogFileName(id))
 	}
@@ -472,9 +510,10 @@ func (e *Engine) installRewrittenPointer(key []byte, ptr valuePointer, minNewID 
 	if e.mu.wal != nil {
 		e.walAppendLocked(appendEntry(nil, ent))
 	}
-	old, replaced := e.mu.mem.set(ent)
-	_ = old
-	_ = replaced // mem.get above ruled out a resident entry
+	// Its own sequence number: an iterator that predates the move keeps
+	// reading the old pointer, against the file set it captured.
+	e.mu.seq++
+	e.mu.mem.set(ent, e.mu.seq, e.snapSeq.Load()) // a new key: mem.get above ruled out a resident entry
 	e.mu.metrics.MemTableBytes = e.mu.mem.sizeB
 	return true
 }

@@ -245,51 +245,38 @@ func TestTombstoneShortCircuitsProbes(t *testing.T) {
 	}
 }
 
-// Iterators over a narrow range must consult only the L1+ tables whose
-// bounds intersect it; the baseline (DisableReadAcceleration) probes them all.
+// An iterator over a narrow range must position in only the one table of a
+// sorted level whose bounds intersect it.
 func TestIterProbesOnlyOverlappingTables(t *testing.T) {
-	build := func(disable bool) *Engine {
-		e := New(Options{DisableAutoCompactions: true, DisableReadAcceleration: disable})
-		// Five disjoint key ranges, each compacted into its own L1 table.
-		for r := 0; r < 5; r++ {
-			for i := 0; i < 10; i++ {
-				if err := e.Set([]byte(fmt.Sprintf("r%d-%02d", r, i)), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Flush(); err != nil {
+	e := New(Options{DisableAutoCompactions: true})
+	defer e.Close()
+	// Five disjoint key ranges, each compacted into its own bottom-level table.
+	for r := 0; r < 5; r++ {
+		for i := 0; i < 10; i++ {
+			if err := e.Set([]byte(fmt.Sprintf("r%d-%02d", r, i)), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			e.Compact()
 		}
-		e.mu.RLock()
-		bottom := len(e.mu.levels[numLevels-1])
-		e.mu.RUnlock()
-		if bottom < 3 {
-			t.Fatalf("level shape did not spread the bottom level: %d tables", bottom)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		return e
+		e.Compact()
 	}
-	scanProbes := func(e *Engine) int64 {
-		before := e.Metrics().TablesProbed
-		n := 0
-		for it := e.NewIter([]byte("r2-"), []byte("r2-99")); it.Valid(); it.Next() {
-			n++
-		}
-		if n != 10 {
-			t.Fatalf("scan returned %d keys, want 10", n)
-		}
-		return e.Metrics().TablesProbed - before
+	e.mu.RLock()
+	bottom := len(e.mu.levels[numLevels-1])
+	e.mu.RUnlock()
+	if bottom < 3 {
+		t.Fatalf("level shape did not spread the bottom level: %d tables", bottom)
 	}
-	accel := build(false)
-	defer accel.Close()
-	base := build(true)
-	defer base.Close()
-	ap, bp := scanProbes(accel), scanProbes(base)
-	if ap >= bp {
-		t.Fatalf("windowed scan probed %d tables, baseline %d — no reduction", ap, bp)
+	before := e.Metrics().TablesProbed
+	n := 0
+	for it := e.NewIter([]byte("r2-"), []byte("r2-99")); it.Valid(); it.Next() {
+		n++
 	}
-	if ap > 2 {
-		t.Fatalf("windowed scan probed %d tables for a single-table range", ap)
+	if n != 10 {
+		t.Fatalf("scan returned %d keys, want 10", n)
+	}
+	if probed := e.Metrics().TablesProbed - before; probed != 1 {
+		t.Fatalf("single-table range scan probed %d tables, want 1", probed)
 	}
 }

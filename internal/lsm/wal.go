@@ -140,7 +140,8 @@ func walSegments(dir *Dir) []uint64 {
 // sync policy; the lost suffix was never acknowledged as durable. A segment
 // whose header carries the right magic but a different format version is a
 // hard error (the log was written by an incompatible engine, not torn by a
-// crash). The returned count is the number of records applied.
+// crash), and so is a record that passes its CRC but does not decode. The
+// returned count is the number of records applied.
 func replayWAL(dir *Dir, fromSeg uint64, apply func(entries []Entry)) (int, error) {
 	records := 0
 	for _, seg := range walSegments(dir) {
@@ -175,7 +176,12 @@ func replayWAL(dir *Dir, fromSeg uint64, apply func(entries []Entry)) (int, erro
 			if crc32.Checksum(payload, crc32cTable) != sum {
 				return records, nil // corrupt record: truncate here
 			}
-			apply(decodeBlock(payload))
+			ents, err := decodeBlock(payload)
+			if err != nil {
+				// The CRC vouched for these bytes, so this is not a torn tail.
+				return records, fmt.Errorf("wal segment %d, record at offset %d: %w", seg, off, err)
+			}
+			apply(ents)
 			records++
 			off = start + length
 		}

@@ -6,6 +6,8 @@
 package mvcc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -19,38 +21,74 @@ import (
 // user key, versions sort newest-first, so the first storage entry for a key
 // is its latest version.
 func EncodeKey(user keys.Key, ts hlc.Timestamp) []byte {
-	k := keys.EncodeBytes(nil, user)
-	k = keys.EncodeUint64(k, ^uint64(ts.WallTime))
-	k = keys.EncodeUint64(k, ^uint64(uint32(ts.Logical)))
-	return k
+	k := keys.EncodeBytes(make([]byte, 0, keys.EncodedBytesLen(user)+timestampLen), user)
+	return appendTimestamp(k, ts)
+}
+
+// timestampLen is the length of a storage key's timestamp suffix.
+const timestampLen = 16
+
+func appendTimestamp(k []byte, ts hlc.Timestamp) []byte {
+	k = binary.BigEndian.AppendUint64(k, ^uint64(ts.WallTime))
+	return binary.BigEndian.AppendUint64(k, ^uint64(uint32(ts.Logical)))
+}
+
+// splitKey splits a storage key into the encoded user-key prefix and the
+// timestamp, without decoding the user key. The prefix ends in a terminator,
+// so prefixes are prefix-free: two storage keys belong to the same user key
+// exactly when their prefixes are byte-equal.
+func splitKey(storage []byte) ([]byte, hlc.Timestamp, error) {
+	n := len(storage) - timestampLen
+	if n < 0 {
+		return nil, hlc.Timestamp{}, fmt.Errorf("mvcc: storage key of %d bytes has no timestamp", len(storage))
+	}
+	return storage[:n], hlc.Timestamp{
+		WallTime: int64(^binary.BigEndian.Uint64(storage[n:])),
+		Logical:  int32(^uint32(binary.BigEndian.Uint64(storage[n+8:]))),
+	}, nil
 }
 
 // keyPrefix returns the storage prefix covering every version of user.
 func keyPrefix(user keys.Key) []byte {
-	return keys.EncodeBytes(nil, user)
+	return keys.EncodeBytes(make([]byte, 0, keys.EncodedBytesLen(user)), user)
+}
+
+// versionBounds returns the storage bounds [lo, hi) of every version of user,
+// in one allocation: hi, then lo with room behind it to append a timestamp
+// for a seek. The prefix ends in the terminator byte, so hi is the prefix with
+// that byte plus one.
+func versionBounds(user keys.Key) (lo, hi []byte) {
+	n := keys.EncodedBytesLen(user)
+	buf := keys.EncodeBytes(make([]byte, 0, 2*n+timestampLen), user)
+	buf = append(buf, buf...)
+	buf[n-1]++
+	return buf[n : 2*n], buf[:n:n]
 }
 
 // DecodeKey splits a storage key into its user key and timestamp.
 func DecodeKey(storage []byte) (keys.Key, hlc.Timestamp, error) {
-	rest, user, err := keys.DecodeBytes(storage)
+	prefix, ts, err := splitKey(storage)
 	if err != nil {
 		return nil, hlc.Timestamp{}, err
 	}
-	rest, wall, err := keys.DecodeUint64(rest)
+	user, err := decodeUserKey(prefix)
 	if err != nil {
 		return nil, hlc.Timestamp{}, err
 	}
-	rest, logical, err := keys.DecodeUint64(rest)
+	return user, ts, nil
+}
+
+// decodeUserKey decodes the user key of a storage-key prefix (see splitKey)
+// into a fresh slice.
+func decodeUserKey(prefix []byte) (keys.Key, error) {
+	rest, user, err := keys.DecodeBytes(prefix)
 	if err != nil {
-		return nil, hlc.Timestamp{}, err
+		return nil, err
 	}
 	if len(rest) != 0 {
-		return nil, hlc.Timestamp{}, errors.New("mvcc: trailing bytes in storage key")
+		return nil, errors.New("mvcc: trailing bytes in storage key")
 	}
-	return user, hlc.Timestamp{
-		WallTime: int64(^wall),
-		Logical:  int32(^uint32(logical)),
-	}, nil
+	return user, nil
 }
 
 // Version is one decoded version of a key.
@@ -195,78 +233,87 @@ func putVersion(e *lsm.Engine, key keys.Key, v Version, replay bool) error {
 	return e.Set(EncodeKey(key, v.Ts), encodeValue(v))
 }
 
-// newestVersion returns the latest version of key, decoded.
+// iterValue decodes the value the iterator is positioned on: a version
+// without its timestamp, which lives in the key.
+func iterValue(it *lsm.Iterator) (Version, error) {
+	raw := it.Value()
+	if err := it.Error(); err != nil {
+		return Version{}, err
+	}
+	return decodeValue(raw)
+}
+
+// iterVersion decodes the version the iterator is positioned on.
+func iterVersion(it *lsm.Iterator) (Version, error) {
+	v, err := iterValue(it)
+	if err != nil {
+		return Version{}, err
+	}
+	_, v.Ts, err = splitKey(it.Key())
+	return v, err
+}
+
+// newestVersion returns the latest version of key, decoded: one iterator
+// position, however long the key's history.
 func newestVersion(e *lsm.Engine, key keys.Key) (Version, bool, error) {
-	prefix := keyPrefix(key)
-	it := e.NewIter(prefix, keys.Key(prefix).PrefixEnd())
+	it := e.NewIter(versionBounds(key))
 	if !it.Valid() {
-		return Version{}, false, nil
+		return Version{}, false, it.Error()
 	}
-	user, ts, err := DecodeKey(it.Key())
-	if err != nil {
-		return Version{}, false, err
-	}
-	if !user.Equal(key) {
-		return Version{}, false, nil
-	}
-	v, err := decodeValue(it.Value())
-	if err != nil {
-		return Version{}, false, err
-	}
-	v.Ts = ts
-	return v, true, nil
+	v, err := iterVersion(it)
+	return v, err == nil, err
 }
 
 // Get returns the value of key visible at readTs to transaction txnID (0 for
 // non-transactional reads). A visible intent from another transaction yields
 // WriteIntentError. A tombstone or absent key reads as not found.
+//
+// It costs two iterator positions at most. An intent is always a key's newest
+// version, and a transaction reads its own intent whatever its timestamp, so
+// the newest version is looked at first: it is visible, or a conflict, or
+// above readTs — and then everything down to readTs is committed history that
+// one seek to key@readTs passes over.
 func Get(e *lsm.Engine, key keys.Key, readTs hlc.Timestamp, txnID uint64) ([]byte, bool, error) {
-	prefix := keyPrefix(key)
-	it := e.NewIter(prefix, keys.Key(prefix).PrefixEnd())
-	for ; it.Valid(); it.Next() {
-		user, ts, err := DecodeKey(it.Key())
+	lo, hi := versionBounds(key)
+	it := e.NewIter(lo, hi)
+	for first := true; it.Valid(); first = false {
+		v, err := iterVersion(it)
 		if err != nil {
 			return nil, false, err
 		}
-		if !user.Equal(key) {
-			break
+		visible, conflict := visibleVersion(v, readTs, txnID)
+		if conflict {
+			return nil, false, &kvpb.WriteIntentError{Key: key.Clone(), TxnID: v.TxnID}
 		}
-		v, err := decodeValue(it.Value())
-		if err != nil {
-			return nil, false, err
+		if visible {
+			if v.Tombstone {
+				return nil, false, nil
+			}
+			return v.Data, true, nil
 		}
-		v.Ts = ts
-		visible, err := visibleVersion(v, key, readTs, txnID)
-		if err != nil {
-			return nil, false, err
+		if first {
+			it.SeekGE(appendTimestamp(lo, readTs))
+		} else {
+			it.Next()
 		}
-		if !visible {
-			continue
-		}
-		if v.Tombstone {
-			return nil, false, nil
-		}
-		return v.Data, true, nil
 	}
-	return nil, false, nil
+	return nil, false, it.Error()
 }
 
-// visibleVersion applies the snapshot visibility rules and surfaces intent
-// conflicts.
-func visibleVersion(v Version, key keys.Key, readTs hlc.Timestamp, txnID uint64) (bool, error) {
+// visibleVersion applies the snapshot visibility rules. conflict reports
+// another transaction's intent at or below readTs, which the caller surfaces
+// as a WriteIntentError.
+func visibleVersion(v Version, readTs hlc.Timestamp, txnID uint64) (visible, conflict bool) {
 	if v.IsIntent() && v.TxnID == txnID {
 		// A transaction always reads its own provisional writes.
-		return true, nil
+		return true, false
 	}
 	if readTs.Less(v.Ts) {
 		// Version (or foreign intent) above the read timestamp: skip and
 		// read below it.
-		return false, nil
+		return false, false
 	}
-	if v.IsIntent() {
-		return false, &kvpb.WriteIntentError{Key: key.Clone(), TxnID: v.TxnID}
-	}
-	return true, nil
+	return !v.IsIntent(), v.IsIntent()
 }
 
 // ScanResult is the outcome of a Scan.
@@ -276,55 +323,73 @@ type ScanResult struct {
 	Resume *keys.Span
 }
 
+// scanSeekAfter is how many older versions of a decided key Scan steps over
+// before it seeks to the next key instead: a step is cheaper than a seek, and
+// most keys have a short history.
+const scanSeekAfter = 4
+
 // Scan returns up to maxKeys live rows in span visible at readTs to txnID.
 // maxKeys <= 0 means unlimited.
+//
+// Versions of one user key share its encoded prefix, so the scan compares
+// prefixes in place and decodes a user key only for a row it returns.
 func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64) (ScanResult, error) {
-	lo := keyPrefix(span.Key)
-	var hi []byte
-	if span.IsPoint() {
-		hi = keys.Key(lo).PrefixEnd()
-	} else {
-		hi = keyPrefix(span.EndKey)
-	}
 	var res ScanResult
-	it := e.NewIter(lo, hi)
-	var curKey keys.Key
-	decided := false // whether visibility for curKey has been settled
-	for ; it.Valid(); it.Next() {
-		user, ts, err := DecodeKey(it.Key())
+	var (
+		curPrefix []byte // encoded user key being decided; aliases engine memory
+		decided   bool   // whether visibility for it has been settled
+		passed    int    // older versions of it stepped over since
+		nextKey   []byte // seek target scratch
+	)
+	it := e.NewIter(EngineSpan(span))
+	for it.Valid() {
+		prefix, ts, err := splitKey(it.Key())
 		if err != nil {
 			return ScanResult{}, err
 		}
-		if !user.Equal(curKey) {
+		if !bytes.Equal(prefix, curPrefix) {
 			if maxKeys > 0 && int64(len(res.Rows)) >= maxKeys {
-				rs := keys.Span{Key: user.Clone(), EndKey: span.EndKey}
-				res.Resume = &rs
+				user, err := decodeUserKey(prefix)
+				if err != nil {
+					return ScanResult{}, err
+				}
+				res.Resume = &keys.Span{Key: user, EndKey: span.EndKey}
 				return res, nil
 			}
-			curKey = user.Clone()
-			decided = false
+			curPrefix, decided, passed = prefix, false, 0
 		}
 		if decided {
+			if passed++; passed < scanSeekAfter {
+				it.Next()
+			} else {
+				// The prefix ends in the terminator byte; plus one is the
+				// first storage key past every version of this user key.
+				nextKey = append(nextKey[:0], curPrefix...)
+				nextKey[len(nextKey)-1]++
+				it.SeekGE(nextKey)
+			}
 			continue
 		}
-		v, err := decodeValue(it.Value())
+		v, err := iterValue(it)
 		if err != nil {
 			return ScanResult{}, err
 		}
 		v.Ts = ts
-		visible, err := visibleVersion(v, curKey, readTs, txnID)
-		if err != nil {
-			return ScanResult{}, err
+		visible, conflict := visibleVersion(v, readTs, txnID)
+		if conflict || (visible && !v.Tombstone) {
+			user, err := decodeUserKey(prefix)
+			if err != nil {
+				return ScanResult{}, err
+			}
+			if conflict {
+				return ScanResult{}, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
+			}
+			res.Rows = append(res.Rows, kvpb.KeyValue{Key: user, Value: v.Data})
 		}
-		if !visible {
-			continue
-		}
-		decided = true
-		if !v.Tombstone {
-			res.Rows = append(res.Rows, kvpb.KeyValue{Key: curKey, Value: v.Data})
-		}
+		decided = visible
+		it.Next()
 	}
-	return res, nil
+	return res, it.Error()
 }
 
 // ResolveIntent finalizes txnID's intent on key. When commit is true the
@@ -356,17 +421,11 @@ func ResolveIntent(e *lsm.Engine, key keys.Key, txnID uint64, commit bool, commi
 // span, retaining any version newer than keepAfter. It returns the number of
 // versions removed. This is the storage reclamation path (MVCC GC).
 func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int, error) {
-	lo := keyPrefix(span.Key)
-	var hi []byte
-	if span.IsPoint() {
-		hi = keys.Key(lo).PrefixEnd()
-	} else {
-		hi = keyPrefix(span.EndKey)
-	}
 	var toDelete [][]byte
 	var curKey keys.Key
 	kept := false
-	for it := e.NewIter(lo, hi); it.Valid(); it.Next() {
+	it := e.NewIter(EngineSpan(span))
+	for ; it.Valid(); it.Next() {
 		user, ts, err := DecodeKey(it.Key())
 		if err != nil {
 			return 0, err
@@ -375,7 +434,7 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 			curKey = user.Clone()
 			kept = false
 		}
-		v, err := decodeValue(it.Value())
+		v, err := iterValue(it)
 		if err != nil {
 			return 0, err
 		}
@@ -388,6 +447,9 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 			continue
 		}
 		toDelete = append(toDelete, append([]byte(nil), it.Key()...))
+	}
+	if err := it.Error(); err != nil {
+		return 0, err
 	}
 	for _, k := range toDelete {
 		if err := e.Delete(k); err != nil {
@@ -407,7 +469,8 @@ func IntentKeys(e *lsm.Engine, span keys.Span, txnID uint64) ([]keys.Key, error)
 	lo, hi := EngineSpan(span)
 	var out []keys.Key
 	var curKey keys.Key
-	for it := e.NewIter(lo, hi); it.Valid(); it.Next() {
+	it := e.NewIter(lo, hi)
+	for ; it.Valid(); it.Next() {
 		user, _, err := DecodeKey(it.Key())
 		if err != nil {
 			return nil, err
@@ -416,7 +479,7 @@ func IntentKeys(e *lsm.Engine, span keys.Span, txnID uint64) ([]keys.Key, error)
 			continue
 		}
 		curKey = user.Clone()
-		v, err := decodeValue(it.Value())
+		v, err := iterValue(it)
 		if err != nil {
 			return nil, err
 		}
@@ -424,18 +487,15 @@ func IntentKeys(e *lsm.Engine, span keys.Span, txnID uint64) ([]keys.Key, error)
 			out = append(out, curKey)
 		}
 	}
-	return out, nil
+	return out, it.Error()
 }
 
 // EngineSpan translates a user-key span into the raw storage-key bounds that
 // cover every MVCC version (and intent) of keys in the span. Replica
 // rebalancing copies engine data with these bounds.
 func EngineSpan(span keys.Span) (lo, hi []byte) {
-	lo = keyPrefix(span.Key)
 	if span.IsPoint() {
-		hi = keys.Key(lo).PrefixEnd()
-	} else {
-		hi = keyPrefix(span.EndKey)
+		return versionBounds(span.Key)
 	}
-	return lo, hi
+	return keyPrefix(span.Key), keyPrefix(span.EndKey)
 }
