@@ -153,8 +153,11 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 // fold copies one group's merged response into the batch's. A commit batch
 // counts as committed only when one range, in one visit, took all of it.
 func (g *requestGroup) fold(out, resp *kvpb.BatchResponse, groups int) {
-	for i, r := range resp.Responses {
-		out.Responses[g.indexes[i]] = r
+	if g.indexes == nil {
+		copy(out.Responses, resp.Responses)
+	}
+	for i, pos := range g.indexes {
+		out.Responses[pos] = resp.Responses[i]
 	}
 	out.Ranges += resp.Ranges
 	out.Committed = resp.Committed && groups == 1
@@ -234,7 +237,9 @@ func (ds *DistSender) sendParallel(ctx context.Context, sp *trace.Span, groups [
 type requestGroup struct {
 	desc     *RangeDescriptor
 	requests []kvpb.Request
-	indexes  []int // positions in the original batch
+	// indexes are the requests' positions in the original batch; nil when the
+	// group is the whole batch, in order.
+	indexes []int
 }
 
 // splitByRange partitions requests by the (cached) range containing each
@@ -242,18 +247,40 @@ type requestGroup struct {
 // batch under a single lock acquisition; only misses fall back to META via
 // lookupFresh. Scans that cross range boundaries are split into per-range
 // sub-scans by sendToRange's mismatch handling.
+//
+// A batch whose requests all sit in one cached range — a point read, a
+// transaction on a tenant whose tables share a range — is the usual case and
+// comes back as one group over reqs itself, with nothing else built.
 func (ds *DistSender) splitByRange(reqs []kvpb.Request) ([]requestGroup, error) {
-	descs := make([]*RangeDescriptor, len(reqs))
+	// descs stays nil while every request so far is in the first one's range.
+	var descs []*RangeDescriptor
+	var first *RangeDescriptor
 	var misses []int
 	ds.mu.Lock()
 	for i, r := range reqs {
-		if d := ds.cachedDescLocked(r.Key); d != nil {
+		d := ds.cachedDescLocked(r.Key)
+		if i == 0 {
+			first = d
+		}
+		if descs == nil {
+			if d != nil && d == first {
+				continue
+			}
+			descs = make([]*RangeDescriptor, len(reqs))
+			for j := range descs[:i] {
+				descs[j] = first
+			}
+		}
+		if d != nil {
 			descs[i] = d
 		} else {
 			misses = append(misses, i)
 		}
 	}
 	ds.mu.Unlock()
+	if descs == nil && len(reqs) > 0 {
+		return []requestGroup{{desc: first, requests: reqs}}, nil
+	}
 	var last *RangeDescriptor
 	for _, i := range misses {
 		if last != nil && last.ContainsKey(reqs[i].Key) {

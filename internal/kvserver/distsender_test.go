@@ -200,6 +200,59 @@ func TestParallelBatchMergesInRequestOrder(t *testing.T) {
 	}
 }
 
+// A batch in one cached range is one group over the caller's slice, and
+// costs the slice of groups and nothing else; a batch in two is two groups
+// in first-request order with each response folded back to its position.
+func TestSplitByRangeGroups(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	want := loadKeys(t, ds, 8)
+	// Interleaved across what will be the two ranges: 5 1 6 2 7 3.
+	var reqs []kvpb.Request
+	var order []int
+	for i := 1; i < 4; i++ {
+		reqs = append(reqs, getReq(tenantKey(2, want[i+4])), getReq(tenantKey(2, want[i])))
+		order = append(order, i+4, i)
+	}
+	check := func(wantGroups int) []requestGroup {
+		t.Helper()
+		groups, err := ds.splitByRange(reqs)
+		if err != nil || len(groups) != wantGroups {
+			t.Fatalf("splitByRange = %d groups, %v; want %d", len(groups), err, wantGroups)
+		}
+		resp, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range resp.Responses {
+			if wantVal := fmt.Sprintf("v%03d", order[j]); string(r.Value) != wantVal {
+				t.Fatalf("%d groups: response %d = %q, want %q", wantGroups, j, r.Value, wantVal)
+			}
+		}
+		return groups
+	}
+
+	one := check(1)
+	if one[0].indexes != nil || &one[0].requests[0] != &reqs[0] {
+		t.Fatalf("one-range group copies the batch: indexes=%v", one[0].indexes)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ds.splitByRange(reqs) }); n != 1 {
+		t.Fatalf("one-range splitByRange allocates %v objects, want 1", n)
+	}
+
+	splitTenantKeyspace(t, c, want[4])
+	// Refresh the cache on both sides of the split.
+	for _, k := range []string{want[0], want[4]} {
+		if _, err := ds.lookupFresh(tenantKey(2, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	two := check(2)
+	if fmt.Sprint(two[0].indexes, two[1].indexes) != "[0 2 4] [1 3 5]" {
+		t.Fatalf("two-range indexes = %v %v", two[0].indexes, two[1].indexes)
+	}
+}
+
 // TestRandomizedSplitScanProperty is a property test: under random splits
 // and random page limits (seeded RNG), a paginated scan always returns
 // every key exactly once, in order, under both fan-out modes.

@@ -123,7 +123,9 @@ func (e *Executor) ExecuteStmt(ctx context.Context, stmt Statement, args []Datum
 func (e *Executor) executeStmt(ctx context.Context, stmt Statement, args []Datum, tx *txn.Txn) (*Result, error) {
 	ctx, sp := trace.StartSpan(ctx, "sql.exec")
 	defer sp.Finish()
-	sp.SetAttr("sql.stmt", strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql."))
+	if sp != nil {
+		sp.SetAttr("sql.stmt", stmtAttr(stmt))
+	}
 	switch s := stmt.(type) {
 	case *CreateTable:
 		if _, err := e.catalog.CreateTable(ctx, s); err != nil {
@@ -162,6 +164,33 @@ func (e *Executor) executeStmt(ctx context.Context, stmt Statement, args []Datum
 		})
 	default:
 		return nil, fmt.Errorf("sql: statement %T must be executed by the session", stmt)
+	}
+}
+
+// stmtAttr names the statement's type for the sql.stmt span attribute, as
+// %T would less the package. It returns the attribute value rather than a
+// string because a constant is boxed at compile time: every statement passes
+// here, and naming it should not allocate.
+func stmtAttr(stmt Statement) any {
+	switch stmt.(type) {
+	case *Select:
+		return "Select"
+	case *Insert:
+		return "Insert"
+	case *Update:
+		return "Update"
+	case *Delete:
+		return "Delete"
+	case *CreateTable:
+		return "CreateTable"
+	case *CreateIndex:
+		return "CreateIndex"
+	case *DropTable:
+		return "DropTable"
+	case *ShowTables:
+		return "ShowTables"
+	default:
+		return strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")
 	}
 }
 

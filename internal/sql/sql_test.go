@@ -562,3 +562,23 @@ func TestSQLCPUAccounting(t *testing.T) {
 		t.Fatalf("query count = %d", s.QueryCount())
 	}
 }
+
+// The sql.stmt attribute reads as %T less the package for every statement —
+// the ones the type switch names and the ones it leaves to %T — and naming
+// the common ones allocates nothing.
+func TestStmtAttrMatchesTypeName(t *testing.T) {
+	stmts := []Statement{
+		&Select{}, &Insert{}, &Update{}, &Delete{}, &CreateTable{}, &CreateIndex{},
+		&DropTable{}, &ShowTables{}, &BeginTxn{}, &CommitTxn{}, &RollbackTxn{}, &SetVar{},
+	}
+	for _, stmt := range stmts {
+		want := strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")
+		if got := stmtAttr(stmt); got != any(want) {
+			t.Errorf("stmtAttr(%T) = %v, want %q", stmt, got, want)
+		}
+	}
+	var sel Statement = &Select{}
+	if n := testing.AllocsPerRun(100, func() { _ = stmtAttr(sel) }); n != 0 {
+		t.Errorf("stmtAttr(*Select) allocates %v objects, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -84,10 +85,13 @@ func (r *Recorder) spanFinished(s *Span, d time.Duration, isRoot bool) {
 		r.mu.ringLen++
 	}
 	if d >= r.slowThreshold {
-		r.mu.slow = append(r.mu.slow, s)
-		if len(r.mu.slow) > r.mu.slowCap {
-			r.mu.slow = r.mu.slow[1:]
+		if len(r.mu.slow) == r.mu.slowCap {
+			// Shift down rather than reslice: slow[1:] would leave the
+			// evicted root, and its whole tree, reachable through the
+			// backing array.
+			r.mu.slow = slices.Delete(r.mu.slow, 0, 1)
 		}
+		r.mu.slow = append(r.mu.slow, s)
 		r.slowRetained.Inc(1)
 	}
 	r.mu.Unlock()

@@ -2,9 +2,14 @@ package trace
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"crdbserverless/internal/metric"
 	"crdbserverless/internal/timeutil"
@@ -320,15 +325,21 @@ func TestSpanChildrenAreCapped(t *testing.T) {
 	root := tr.StartRoot("proxy.conn")
 	inFlight := root.StartChild("proxy.migrate")
 	const n = 10000
-	for i := 0; i < n; i++ {
-		root.StartChild("proxy.exchange").Finish()
+	started := make([]*Span, n)
+	for i := range started {
+		started[i] = root.StartChild("proxy.exchange")
+		started[i].Finish()
 	}
 	kids := root.Children()
-	if len(kids) > maxChildren {
+	if len(kids) != maxChildren {
 		t.Fatalf("%d children attached, cap is %d", len(kids), maxChildren)
 	}
 	if kids[0] != inFlight {
 		t.Fatalf("the unfinished child was evicted; oldest attached is %s", kids[0].Op())
+	}
+	// The rest are the most recently started, in start order.
+	if !slices.Equal(kids[1:], started[n-(maxChildren-1):]) {
+		t.Fatal("the children kept are not the newest finished ones in start order")
 	}
 	if got, want := root.DroppedChildren(), n+1-len(kids); got != want {
 		t.Fatalf("DroppedChildren = %d, want %d", got, want)
@@ -343,8 +354,17 @@ func TestSpanChildrenAreCapped(t *testing.T) {
 	for i := 0; i < maxChildren+10; i++ {
 		busy.StartChild("dist.send")
 	}
-	if got := len(busy.Children()); got != maxChildren+10 || busy.DroppedChildren() != 0 {
+	inflight := busy.Children()
+	if got := len(inflight); got != maxChildren+10 || busy.DroppedChildren() != 0 {
 		t.Fatalf("in-flight children: %d attached, %d dropped", got, busy.DroppedChildren())
+	}
+	// Once they finish, the next child brings the span back under the cap.
+	for _, c := range inflight {
+		c.Finish()
+	}
+	busy.StartChild("dist.send")
+	if got := len(busy.Children()); got != maxChildren || busy.DroppedChildren() != 11 {
+		t.Fatalf("after the burst: %d attached, %d dropped", got, busy.DroppedChildren())
 	}
 
 	// Below the cap nothing changes: no eviction, no extra line.
@@ -354,4 +374,222 @@ func TestSpanChildrenAreCapped(t *testing.T) {
 	if small.DroppedChildren() != 0 || strings.Contains(RenderTree(small), "dropped") {
 		t.Fatalf("a short trace reports dropped children:\n%s", RenderTree(small))
 	}
+}
+
+// The span StartSpan returns is the context it returns: it carries itself,
+// is found through contexts derived from it, and otherwise behaves as the
+// context it was started from.
+func TestSpanIsItsOwnContext(t *testing.T) {
+	tr, _ := newTestTracer(1)
+	type userKey struct{}
+	deadline := time.Now().Add(time.Hour)
+	base, cancel := context.WithDeadline(context.WithValue(context.Background(), userKey{}, "v"), deadline)
+	defer cancel()
+	root := tr.StartRoot("root")
+	ctx, sp := StartSpan(ContextWithSpan(base, root), "child")
+	if ctx != context.Context(sp) {
+		t.Fatalf("StartSpan returned a %T wrapped around the span", ctx)
+	}
+	if SpanFromContext(ctx) != sp {
+		t.Fatal("the span context does not carry its span")
+	}
+	wrapped, cancelWrapped := context.WithCancel(context.WithValue(ctx, userKey{}, "shadow"))
+	defer cancelWrapped()
+	if SpanFromContext(wrapped) != sp {
+		t.Fatal("span not found through contexts derived from the span context")
+	}
+	_, grand := StartSpan(wrapped, "grandchild")
+	if kids := sp.Children(); len(kids) != 1 || kids[0] != grand {
+		t.Fatalf("a span started from a derived context is not the span's child: %v", kids)
+	}
+	if d, ok := ctx.Deadline(); !ok || !d.Equal(deadline) {
+		t.Fatalf("Deadline = %v, %v; want the parent context's", d, ok)
+	}
+	if ctx.Value(userKey{}) != "v" {
+		t.Fatalf("Value = %v; want the parent context's", ctx.Value(userKey{}))
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("Err = %v before cancel", ctx.Err())
+	}
+	cancel()
+	select {
+	case <-ctx.Done():
+	default:
+		t.Fatal("Done not closed by the parent context's cancel")
+	}
+	<-wrapped.Done() // and cancellation passes through the span to what derives from it
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("Err = %v after cancel", ctx.Err())
+	}
+	// A span started without a context is a context too: never done, no values.
+	if root.Done() != nil || root.Err() != nil || root.Value(userKey{}) != nil {
+		t.Fatal("a root span's context is not background-like")
+	}
+	if _, ok := root.Deadline(); ok {
+		t.Fatal("a root span has a deadline")
+	}
+}
+
+type mutableErr struct{ msg string }
+
+func (e *mutableErr) Error() string { return e.msg }
+
+// Eventf formats when Events is read, except what could read differently by
+// then: that it formats at the call.
+func TestEventfRendersMutableArgumentsAtTheCall(t *testing.T) {
+	tr, _ := newTestTracer(1)
+	s := tr.StartRoot("op")
+	err := &mutableErr{msg: "at the call"}
+	buf := []byte("abc")
+	s.Eventf("failed: %v", err)
+	s.Eventf("wrote %s", buf)
+	s.Eventf("wait %v at %v, %d%% of %q", 3*time.Millisecond, fakeStamp{wall: 7}, 50, "budget")
+	s.Eventf("done")
+	err.msg = "later"
+	buf[0] = 'X'
+	var got []string
+	for _, e := range s.Events() {
+		got = append(got, e.Msg)
+	}
+	want := []string{"failed: at the call", "wrote abc", `wait 3ms at 7.0, 50% of "budget"`, "done"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events = %q, want %q", got, want)
+	}
+	if !immutable([]any{1, "s", 2.5, true, nil, time.Second, fakeStamp{}, [2]int{}}) {
+		t.Fatal("pointer-free arguments should be kept for later")
+	}
+	for _, a := range []any{err, buf, &buf, map[string]int{}, struct{ p *int }{}, [1][]byte{}, func() {}} {
+		if immutable([]any{1, a}) {
+			t.Fatalf("%T holds a pointer and must be formatted at the call", a)
+		}
+	}
+}
+
+// fakeStamp is a pointer-free Stringer, as hlc.Timestamp is.
+type fakeStamp struct {
+	wall    int64
+	logical int32
+}
+
+func (f fakeStamp) String() string { return "7.0" }
+
+// Only a span whose ID can leave the process is findable by it: spans started
+// from a context never enter the tracer's live map.
+func TestOnlyHandleStartedSpansAreLive(t *testing.T) {
+	tr, _ := newTestTracer(1)
+	live := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.mu.live)
+	}
+	root := tr.StartRoot("proxy.conn")
+	exchange := root.StartChild("proxy.exchange")
+	if live() != 2 {
+		t.Fatalf("live = %d after StartRoot and StartChild, want 2", live())
+	}
+	query := tr.StartRemote(exchange.TraceID(), exchange.SpanID(), "sqlnode.query")
+	ctx, exec := StartSpan(ContextWithSpan(context.Background(), query), "sql.exec")
+	_, orphan := tr.StartSpan(context.Background(), "background")
+	fork := exec.StartForkedChild("dist.fanout")
+	_, send := tr.StartSpan(ctx, "dist.send")
+	if live() != 2 {
+		t.Fatalf("live = %d: a span started from a context, a remote parent or a fork entered it", live())
+	}
+	late := tr.StartRemote(exec.TraceID(), exec.SpanID(), "late")
+	if len(exec.Children()) != 2 {
+		t.Fatal("a context-started span was found as a remote parent")
+	}
+	for _, s := range []*Span{late, send, fork, orphan, exec, query, exchange, root} {
+		s.Finish()
+	}
+	if live() != 0 {
+		t.Fatalf("live = %d after every span finished", live())
+	}
+	if roots := tr.Recorder().RecentRoots(); len(roots) != 3 {
+		t.Fatalf("%d roots recorded, want the late remote, the orphan and the connection", len(roots))
+	}
+}
+
+// Several goroutines grow one span — children past the cap, attributes past
+// the inline ones, events — while another renders it. For the race detector.
+func TestConcurrentWritersAndReader(t *testing.T) {
+	tr, _ := newTestTracer(1)
+	root := tr.StartRoot("proxy.conn")
+	ctx := ContextWithSpan(context.Background(), root)
+	const writers, perWriter = 4, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = RenderTree(root)
+			}
+		}
+	}()
+	keys := []string{"a", "b", "c", "d"}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				_, c := StartSpan(ctx, "child")
+				c.SetAttr("i", i)
+				c.Eventf("writer %d step %d", w, i)
+				c.Finish()
+				root.SetAttr(keys[w], i)
+				root.Eventf("writer %d made child %d", w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	root.Finish()
+	if got := len(root.Children()) + root.DroppedChildren(); got != writers*perWriter {
+		t.Fatalf("children attached + dropped = %d, want %d", got, writers*perWriter)
+	}
+	if len(root.Attrs()) != writers || len(root.Events()) != writers*perWriter {
+		t.Fatalf("%d attrs, %d events", len(root.Attrs()), len(root.Events()))
+	}
+}
+
+// A span is one allocation of at most 224 bytes. Widening it — a third
+// inline attribute, an inline end time — buys allocations with bytes, and
+// measured worse on every workload.
+func TestSpanSize(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}); got > 224 {
+		t.Fatalf("Span is %d bytes, budget 224", got)
+	}
+}
+
+// The slow list must not keep an evicted root reachable.
+func TestEvictedSlowRootIsCollectable(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(0, 0))
+	tr := New(Options{Clock: mc, RingSize: 1, SlowSize: 2, SlowThreshold: 100 * time.Millisecond})
+	collected := make(chan struct{})
+	for i := 0; i < 3; i++ {
+		s := tr.StartRoot("slow")
+		if i == 0 {
+			runtime.SetFinalizer(s, func(*Span) { close(collected) })
+		}
+		mc.Advance(150 * time.Millisecond)
+		s.Finish()
+	}
+	if got := len(tr.Recorder().SlowRoots()); got != 2 {
+		t.Fatalf("slow list holds %d, want 2", got)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the root evicted from the slow list is still reachable")
 }
