@@ -9,15 +9,14 @@
 //	repro -list
 //
 // Experiments: fig5, fig6, fig7, fig8, fig9, fig10a, fig10b, table1 (also
-// emits fig12+fig13), kvbench (also writes BENCH_kv.json), tracez, fleetobs
-// (per-tenant observability under a noisy-neighbor storm), fig11, pushdown,
-// kvscaling, chaos (seeded fault storm; -chaos-seed reproduces a run),
-// mergestorm (split/merge churn against the range directory), ablations.
+// emits fig12+fig13), tracez, fleetobs (per-tenant observability under a
+// noisy-neighbor storm), fig11, pushdown, kvscaling, chaos (seeded fault
+// storm; -chaos-seed reproduces a run), mergestorm (split/merge churn against
+// the range directory), ablations.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,29 +33,14 @@ type experiment struct {
 
 func main() {
 	var (
-		which      = flag.String("experiment", "all", "experiment id or 'all'")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		quick      = flag.Bool("quick", false, "smaller sizes for a fast pass")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the chaos experiment; same seed reproduces the run")
-		kvMin      = flag.Float64("kvbench-min-speedup", 0, "fail kvbench if group_commit_speedup falls below this (0 disables the gate)")
-		kvZipf     = flag.Float64("kvbench-min-zipf-speedup", 0, "fail kvbench if zipf_read_p99_speedup falls below this (0 disables the gate)")
-		kvBlock    = flag.Float64("kvbench-min-block-hit", 0, "fail kvbench if block_cache_hit_ratio falls below this (0 disables the gate)")
-		kvReclaim  = flag.Float64("kvbench-min-vlog-reclaim", 0, "fail kvbench if vlog_reclaim_fraction falls below this (0 disables the gate)")
-		kvRecovery = flag.Float64("kvbench-max-recovery-ms", 0, "fail kvbench if recovery_ms exceeds this ceiling (0 disables the gate)")
-		kvHotRange = flag.Float64("kvbench-min-hotrange-speedup", 0, "fail kvbench if fleet_hot_p99_speedup falls below this (0 disables the gate)")
-		kvTickUS   = flag.Float64("kvbench-max-tick-us", 0, "fail kvbench if fleet_idle_tick_us exceeds this ceiling (0 disables the gate)")
+		which     = flag.String("experiment", "all", "experiment id or 'all'")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		quick     = flag.Bool("quick", false, "smaller sizes for a fast pass")
+		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the chaos experiment; same seed reproduces the run")
 	)
 	flag.Parse()
 
-	exps := buildExperiments(*quick, *chaosSeed, kvGates{
-		minSpeedup:     *kvMin,
-		minZipfSpeedup: *kvZipf,
-		minBlockHit:    *kvBlock,
-		minVlogReclaim: *kvReclaim,
-		maxRecoveryMS:  *kvRecovery,
-		minHotRange:    *kvHotRange,
-		maxTickUS:      *kvTickUS,
-	})
+	exps := buildExperiments(*quick, *chaosSeed)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
@@ -84,19 +68,7 @@ func main() {
 	}
 }
 
-// kvGates are the CI floor checks applied to the kvbench results; zero
-// values disable the corresponding gate.
-type kvGates struct {
-	minSpeedup     float64 // group_commit_speedup
-	minZipfSpeedup float64 // zipf_read_p99_speedup
-	minBlockHit    float64 // block_cache_hit_ratio
-	minVlogReclaim float64 // vlog_reclaim_fraction
-	maxRecoveryMS  float64 // recovery_ms ceiling
-	minHotRange    float64 // fleet_hot_p99_speedup
-	maxTickUS      float64 // fleet_idle_tick_us ceiling
-}
-
-func buildExperiments(quick bool, chaosSeed int64, kv kvGates) []experiment {
+func buildExperiments(quick bool, chaosSeed int64) []experiment {
 	scale := func(full, small int) int {
 		if quick {
 			return small
@@ -185,51 +157,6 @@ func buildExperiments(quick bool, chaosSeed int64, kv kvGates) []experiment {
 				fmt.Print(experiments.Fig12Table(cfg, res.Timelines[cfg]))
 				fmt.Println()
 				fmt.Print(experiments.Fig13Table(cfg, res.Timelines[cfg]))
-			}
-			return nil
-		}},
-		{"kvbench", "KV hot path: fan-out + read-accel + write-path pipelining; writes BENCH_kv.json", func() error {
-			res, table, err := experiments.KVBench(experiments.KVBenchOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Print(table)
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile("BENCH_kv.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_kv.json")
-			if kv.minSpeedup > 0 && res.GroupCommitSpeedup < kv.minSpeedup {
-				return fmt.Errorf("group_commit_speedup %.2fx below the %.2fx gate",
-					res.GroupCommitSpeedup, kv.minSpeedup)
-			}
-			if kv.minZipfSpeedup > 0 && res.ZipfP99Speedup < kv.minZipfSpeedup {
-				return fmt.Errorf("zipf_read_p99_speedup %.2fx below the %.2fx gate",
-					res.ZipfP99Speedup, kv.minZipfSpeedup)
-			}
-			if kv.minBlockHit > 0 && res.BlockCacheHitRatio < kv.minBlockHit {
-				return fmt.Errorf("block_cache_hit_ratio %.2f below the %.2f gate",
-					res.BlockCacheHitRatio, kv.minBlockHit)
-			}
-			if kv.minVlogReclaim > 0 && res.VlogReclaimFraction < kv.minVlogReclaim {
-				return fmt.Errorf("vlog_reclaim_fraction %.2f below the %.2f gate",
-					res.VlogReclaimFraction, kv.minVlogReclaim)
-			}
-			if kv.maxRecoveryMS > 0 && res.RecoveryMillis > kv.maxRecoveryMS {
-				return fmt.Errorf("recovery_ms %.1f above the %.1f ceiling",
-					res.RecoveryMillis, kv.maxRecoveryMS)
-			}
-			if kv.minHotRange > 0 && res.FleetHotP99Speedup < kv.minHotRange {
-				return fmt.Errorf("fleet_hot_p99_speedup %.2fx below the %.2fx gate",
-					res.FleetHotP99Speedup, kv.minHotRange)
-			}
-			if kv.maxTickUS > 0 && res.FleetIdleTickMicros > kv.maxTickUS {
-				return fmt.Errorf("fleet_idle_tick_us %.1f above the %.1f ceiling",
-					res.FleetIdleTickMicros, kv.maxTickUS)
 			}
 			return nil
 		}},

@@ -51,16 +51,6 @@ type ClusterConfig struct {
 	// Faults, when non-nil, arms fault-injection sites in every range's
 	// replication group (see internal/faultinject).
 	Faults *faultinject.Registry
-	// DisableGroupCommit turns off proposal coalescing in every range's
-	// replication group: each Propose runs its own commit round, the
-	// pre-pipelining baseline (the write-path analogue of the LSM's
-	// DisableWritePipelining).
-	DisableGroupCommit bool
-	// CommitOverhead is the fixed per-commit-round cost charged inside each
-	// group's critical section (quorum RTT + log fsync). Zero — the default
-	// and every deterministic configuration — charges nothing; benchmarks
-	// set it to make the cost group commit amortizes visible.
-	CommitOverhead time.Duration
 	// CommitMetrics, when non-nil, is shared by every range's replication
 	// group (raft.commit.batch_size and friends).
 	CommitMetrics *raftlite.CommitMetrics
@@ -345,15 +335,13 @@ func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID) (*range
 		sms[i] = engineSM{n: n, rs: rs}
 	}
 	group, err := raftlite.NewGroup(raftlite.Config{
-		RangeID:            int64(id),
-		Clock:              c.clock,
-		Liveness:           c.liveness,
-		LeaseDuration:      c.cfg.LeaseDuration,
-		Faults:             c.cfg.Faults,
-		DisableGroupCommit: c.cfg.DisableGroupCommit,
-		CommitOverhead:     c.cfg.CommitOverhead,
-		CommitMetrics:      c.cfg.CommitMetrics,
-		LogRetention:       c.cfg.RaftLogRetention,
+		RangeID:       int64(id),
+		Clock:         c.clock,
+		Liveness:      c.liveness,
+		LeaseDuration: c.cfg.LeaseDuration,
+		Faults:        c.cfg.Faults,
+		CommitMetrics: c.cfg.CommitMetrics,
+		LogRetention:  c.cfg.RaftLogRetention,
 	}, replicas, sms)
 	if err != nil {
 		return nil, err

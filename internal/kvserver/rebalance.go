@@ -151,14 +151,12 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 		sms[i] = engineSM{n: n, rs: rs}
 	}
 	group, err := raftlite.NewGroup(raftlite.Config{
-		RangeID:            int64(rangeID),
-		Clock:              c.clock,
-		Liveness:           c.liveness,
-		LeaseDuration:      c.cfg.LeaseDuration,
-		DisableGroupCommit: c.cfg.DisableGroupCommit,
-		CommitOverhead:     c.cfg.CommitOverhead,
-		CommitMetrics:      c.cfg.CommitMetrics,
-		LogRetention:       c.cfg.RaftLogRetention,
+		RangeID:       int64(rangeID),
+		Clock:         c.clock,
+		Liveness:      c.liveness,
+		LeaseDuration: c.cfg.LeaseDuration,
+		CommitMetrics: c.cfg.CommitMetrics,
+		LogRetention:  c.cfg.RaftLogRetention,
 	}, newReplicas, sms)
 	if err != nil {
 		return err

@@ -4,37 +4,27 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // BenchmarkKVPointReadDeepL0 measures point reads against the deep shape (a
-// 10-file L0 backlog plus populated L1-L3) with and without the bloom
-// filters and the level-bound seek.
+// 10-file L0 backlog plus populated L1-L3).
 func BenchmarkKVPointReadDeepL0(b *testing.B) {
-	for _, mode := range []struct {
-		name         string
-		disableAccel bool
-	}{
-		{"accelerated", false},
-		{"baseline", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := buildDeepEngine(b, mode.disableAccel)
-			defer e.Close()
-			// Alternate L3 hits (worst present-key case) and misses.
-			var reads [][]byte
-			for tbl := 0; tbl < 4; tbl++ {
-				for k := 0; k < 8; k++ {
-					reads = append(reads, []byte(fmt.Sprintf("l3-%d%d", tbl, k)))
-					reads = append(reads, []byte(fmt.Sprintf("zz-%d%d", tbl, k)))
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := e.Get(reads[i%len(reads)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e := buildDeepEngine(b)
+	defer e.Close()
+	// Alternate L3 hits (worst present-key case) and misses.
+	var reads [][]byte
+	for tbl := 0; tbl < 4; tbl++ {
+		for k := 0; k < 8; k++ {
+			reads = append(reads, []byte(fmt.Sprintf("l3-%d%d", tbl, k)))
+			reads = append(reads, []byte(fmt.Sprintf("zz-%d%d", tbl, k)))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.Get(reads[i%len(reads)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -85,7 +75,7 @@ func BenchmarkKVIterSeek(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	deep := buildDeepEngine(b, false)
+	deep := buildDeepEngine(b)
 	defer deep.Close()
 	for _, shape := range []struct {
 		name         string
@@ -111,4 +101,50 @@ func BenchmarkKVIterSeek(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkKVRecovery measures the cold open of a crashed durable store:
+// manifest load, sstable and value-log re-open, CRC verification, and WAL
+// replay of everything written since the last flush. The store is sized so
+// recovery covers both flushed state and a multi-segment WAL suffix; the kill
+// leaves no torn tail, so the entire WAL replays.
+func BenchmarkKVRecovery(b *testing.B) {
+	const entries = 20000
+	opts := Options{
+		Durable:         NewDir(),
+		MemTableSize:    256 << 10,
+		WALBytesPerSync: 4 << 10,
+	}
+	e := New(opts)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("rec%06d", i)) }
+	const chunk = 50
+	for base := 0; base < entries; base += chunk {
+		batch := make([]Entry, 0, chunk)
+		for i := base; i < base+chunk; i++ {
+			batch = append(batch, Entry{Key: key(i), Value: []byte(fmt.Sprintf("val-%06d", i))})
+		}
+		if err := e.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Close()
+	opts.Durable.Crash(0) // clean kill: everything synced survives
+
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		re, err := Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for _, i := range []int{0, entries / 2, entries - 1} {
+			v, ok, err := re.Get(key(i))
+			if err != nil || !ok || string(v) != fmt.Sprintf("val-%06d", i) {
+				b.Fatalf("recovered key %q = %q (ok=%v err=%v)", key(i), v, ok, err)
+			}
+		}
+		re.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/open")
 }

@@ -41,7 +41,7 @@ func (e *Engine) maybeCompact() {
 // merge can run outside the engine lock.
 type compactionPlan struct {
 	lvl         int
-	inputs      []*ssTable // all of level lvl at plan time
+	inputs      []*ssTable // level lvl at plan time (for L0, those older than any in-flight flush)
 	overlapping []*ssTable // tables of lvl+1 the inputs' key range overlaps
 	keep        []*ssTable // tables of lvl+1 untouched by the merge
 	bottommost  bool
@@ -74,26 +74,24 @@ func (e *Engine) compactOnce() bool {
 		return false
 	}
 	plan := e.planCompactionLocked(lvl)
+	e.mu.Unlock()
 	if plan == nil {
-		e.mu.Unlock()
 		return false
 	}
-	if e.opts.DisableWritePipelining {
-		// Baseline: merge and install inside the critical section, stalling
-		// every reader and writer for the duration (the seed behavior).
-		out, next, discards := e.runMerge(plan)
-		installed := e.installCompactionLocked(plan, out, next)
-		e.mu.Unlock()
-		e.finishCompaction(plan, installed, discards)
-		return true
-	}
-	e.mu.Unlock()
+	e.mergeAndInstall(plan)
+	return true
+}
+
+// mergeAndInstall runs a planned compaction's merge outside the engine lock
+// (readers and writers proceed), re-takes the lock to install the output,
+// and applies the round's deferred side effects. The caller holds
+// e.compactMu but not e.mu.
+func (e *Engine) mergeAndInstall(plan *compactionPlan) {
 	out, next, discards := e.runMerge(plan)
 	e.mu.Lock()
 	installed := e.installCompactionLocked(plan, out, next)
 	e.mu.Unlock()
 	e.finishCompaction(plan, installed, discards)
-	return true
 }
 
 // finishCompaction applies a round's deferred side effects outside the engine
@@ -107,10 +105,8 @@ func (e *Engine) finishCompaction(plan *compactionPlan, installed bool, discards
 	if !installed {
 		return
 	}
-	if e.vlog != nil {
-		for _, p := range discards {
-			e.vlog.discard(p)
-		}
+	for _, p := range discards {
+		e.vlog.discard(p)
 	}
 	if e.blockCache != nil {
 		for _, t := range plan.inputs {
@@ -144,11 +140,22 @@ func (e *Engine) pickCompactionLocked() int {
 	return -1
 }
 
-// planCompactionLocked snapshots the inputs for merging all of level lvl
-// plus the overlapping tables of lvl+1 into lvl+1, and reserves the output
-// table id. Returns nil when the level is empty.
+// planCompactionLocked snapshots the inputs for merging level lvl plus the
+// overlapping tables of lvl+1 into lvl+1, and reserves the output table id.
+// Returns nil when the level has nothing to compact.
+//
+// For L0 the inputs are only the tables older than every flush still in
+// flight: an in-flight flush installs into L0 later, and a younger table
+// already moved beneath it would be shadowed by the older data.
 func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 	from := e.mu.levels[lvl]
+	if lvl == 0 && len(e.mu.imm) > 0 {
+		// Both queues are newest-first by id: the oldest in-flight flush is
+		// imm's last job, and the tables older than it are a suffix of L0.
+		floor := e.mu.imm[len(e.mu.imm)-1].id
+		i := sort.Search(len(from), func(i int) bool { return from[i].id < floor })
+		from = from[i:]
+	}
 	if len(from) == 0 {
 		return nil
 	}
@@ -195,9 +202,8 @@ func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 }
 
 // runMerge executes a plan's merge and builds the output table and the new
-// next-level layout. In pipelined mode it runs outside the engine lock; the
-// e.mergesActive counter is the test hook that asserts reads stay live
-// while it does.
+// next-level layout. It runs outside the engine lock; the e.mergesActive
+// counter is the test hook that asserts reads stay live while it does.
 func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable, []valuePointer) {
 	e.mergesActive.Add(1)
 	defer e.mergesActive.Add(-1)
@@ -323,23 +329,10 @@ func (e *Engine) Compact() {
 	for lvl := 0; lvl < numLevels-1; lvl++ {
 		e.mu.Lock()
 		plan := e.planCompactionLocked(lvl)
-		if plan == nil {
-			e.mu.Unlock()
-			continue
-		}
-		if e.opts.DisableWritePipelining {
-			out, next, discards := e.runMerge(plan)
-			installed := e.installCompactionLocked(plan, out, next)
-			e.mu.Unlock()
-			e.finishCompaction(plan, installed, discards)
-			continue
-		}
 		e.mu.Unlock()
-		out, next, discards := e.runMerge(plan)
-		e.mu.Lock()
-		installed := e.installCompactionLocked(plan, out, next)
-		e.mu.Unlock()
-		e.finishCompaction(plan, installed, discards)
+		if plan != nil {
+			e.mergeAndInstall(plan)
+		}
 	}
 	// The full compaction concentrated discard stats; reclaim eligible
 	// value-log files before returning (still under the single-flight guard).

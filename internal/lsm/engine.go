@@ -31,20 +31,10 @@ type Options struct {
 	// DisableAutoCompactions turns off compaction scheduling after writes;
 	// tests use this to construct specific level shapes.
 	DisableAutoCompactions bool
-	// DisableReadAcceleration turns off the bloom-filter consult and the
-	// L1+ level-bound seek in Get, restoring its probe-every-table path.
-	// Benchmarks and tests use it to measure the acceleration itself.
-	// Iterators are not affected: they always seek a sorted level's window.
-	DisableReadAcceleration bool
 	// Tracer, when non-nil, records background flush and compaction work
 	// as root spans (lsm.flush / lsm.compact). The engine has no clock of
 	// its own; span timestamps come from the tracer's clock.
 	Tracer *trace.Tracer
-	// DisableWritePipelining restores the pre-pipelining write path:
-	// SSTable builds and compaction merges run inside the engine's
-	// exclusive lock, stalling readers for their duration. Benchmarks use
-	// it as the baseline, analogous to DisableReadAcceleration.
-	DisableWritePipelining bool
 	// ReadMetrics, when non-nil, receives the read-path counters. A
 	// deployment creates one ReadMetrics per registry and shares it across
 	// its engines (Registry panics on duplicate names, so per-engine
@@ -64,13 +54,9 @@ type Options struct {
 	// and compaction sites are consulted under the engine lock, so configure
 	// them without a Delay; the vlog sites are consulted outside it.
 	Faults *faultinject.Registry
-	// DisableValueSeparation keeps every value inline in the sstables (the
-	// seed behavior). By default values of ValueThreshold bytes or more are
-	// stored in the append-only value log, with a (fileID, offset, len)
-	// pointer in their place; see vlog.go.
-	DisableValueSeparation bool
-	// ValueThreshold is the minimum value size routed to the value log.
-	// Defaults to 1 KiB.
+	// ValueThreshold is the minimum value size routed to the value log:
+	// such values are stored in the append-only log, with a (fileID, offset,
+	// len) pointer in their place (see vlog.go). Defaults to 1 KiB.
 	ValueThreshold int
 	// VlogFileSize is the rotation threshold for value-log segments.
 	// Defaults to 1 MiB.
@@ -320,8 +306,8 @@ type Engine struct {
 	// engine lock — a test hook for asserting reads stay unblocked.
 	mergesActive atomic.Int32
 
-	// vlog is the value-separation log (nil when disabled). It has its own
-	// lock; the order is e.mu before vlog.mu, never the reverse.
+	// vlog is the value-separation log. It has its own lock; the order is
+	// e.mu before vlog.mu, never the reverse.
 	vlog *valueLog
 	// blockCache caches decoded L1+ blocks (nil when off).
 	blockCache *blockCache
@@ -390,9 +376,7 @@ func newEngineShell(opts Options) *Engine {
 // existing durable state after a crash.
 func New(opts Options) *Engine {
 	e := newEngineShell(opts)
-	if !e.opts.DisableValueSeparation {
-		e.vlog = newValueLog(e.opts.VlogFileSize, e.opts.Durable)
-	}
+	e.vlog = newValueLog(e.opts.VlogFileSize, e.opts.Durable)
 	e.mu.mem = newMemTable(randutil.NewRand(e.opts.Seed))
 	e.mu.nextID = 1
 	if e.opts.Durable != nil {
@@ -435,9 +419,7 @@ func Open(opts Options) (*Engine, error) {
 			e.mu.levels[lvl] = append(e.mu.levels[lvl], t)
 		}
 	}
-	if !e.opts.DisableValueSeparation {
-		e.vlog = recoverValueLog(e.opts.VlogFileSize, dir, m)
-	}
+	e.vlog = recoverValueLog(e.opts.VlogFileSize, dir, m)
 	e.mu.nextID = m.nextID
 	// The replacement-memtable convention from flushLocked: the skiplist seed
 	// derives from the next table id, so recovery lands on the same seed a
@@ -461,12 +443,10 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.mu.mem = mem
 	e.mu.metrics.MemTableBytes = mem.sizeB
-	if e.vlog != nil {
-		// Same-memtable overwrites rediscovered by replay retire their old
-		// value-log records, as the original commits did.
-		for _, p := range discards {
-			e.vlog.discard(p)
-		}
+	// Same-memtable overwrites rediscovered by replay retire their old
+	// value-log records, as the original commits did.
+	for _, p := range discards {
+		e.vlog.discard(p)
 	}
 	// Resume the WAL beyond every segment present: the last one may end in a
 	// torn record, and appending after a truncated tail would resurrect it.
@@ -552,10 +532,8 @@ func (e *Engine) writeManifestLocked() {
 			m.levels[lvl] = append(m.levels[lvl], t.id)
 		}
 	}
-	if e.vlog != nil {
-		// Lock order: e.mu before vlog.mu, the established direction.
-		m.vlogActiveID, m.vlogFiles = e.vlog.manifestState()
-	}
+	// Lock order: e.mu before vlog.mu, the established direction.
+	m.vlogActiveID, m.vlogFiles = e.vlog.manifestState()
 	installManifest(e.opts.Durable, m)
 	e.mu.wal.deleteSegmentsBelow(m.minUnflushedSeg)
 }
@@ -603,7 +581,7 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	for i, ent := range entries {
 		ent.Key = cloneBytes(ent.Key)
 		ent.Value = cloneBytes(ent.Value)
-		if e.vlog != nil && !ent.Tombstone && !ent.vptr && len(ent.Value) >= e.opts.ValueThreshold {
+		if !ent.Tombstone && !ent.vptr && len(ent.Value) >= e.opts.ValueThreshold {
 			if err := e.opts.Faults.MaybeErr("lsm.vlog.write.error"); err != nil {
 				e.writeMetrics.VlogFallbacks.Inc(1)
 			} else {
@@ -659,12 +637,11 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	e.mu.metrics.MemTableBytes = e.mu.mem.sizeB
 	var sp *trace.Span
 	var job *flushJob
-	var flushed bool
 	if e.mu.mem.sizeB >= e.opts.MemTableSize {
 		// A failed background flush is not a write failure: the entries are
 		// already durable in the memtable (and WAL, in a real engine) and the
 		// rotation is retried at the next threshold crossing.
-		sp, job, flushed, _ = e.flushLocked() //lint:allow faulterr a failed background flush is not a write failure; rotation retries at the next threshold crossing
+		sp, job, _ = e.flushLocked() //lint:allow faulterr a failed background flush is not a write failure; rotation retries at the next threshold crossing
 	}
 	e.mu.Unlock()
 	// Same-memtable overwrites retire their old value-log records; reported
@@ -672,13 +649,7 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	for _, p := range discards {
 		e.vlog.discard(p)
 	}
-	if job != nil {
-		e.buildAndInstall(sp, job)
-	}
-	if flushed && !e.opts.DisableAutoCompactions {
-		e.maybeCompact()
-	}
-	sp.Finish()
+	e.finishFlush(sp, job)
 	return nil
 }
 
@@ -768,12 +739,11 @@ func (e *Engine) probeRuns(key []byte, imm []*flushJob, levels [numLevels][]*ssT
 			return ent, true
 		}
 	}
-	accel := !e.opts.DisableReadAcceleration
 	// L0: newest first. Any L0 table may overlap the key, but the bloom
 	// filter lets most of a deep backlog be skipped without a search. L0
 	// bypasses the block cache: compaction churns it too fast to earn hits.
 	for _, t := range levels[0] {
-		if accel && !t.filter.mayContain(key) {
+		if !t.filter.mayContain(key) {
 			e.readMetrics.BloomFiltered.Inc(1)
 			continue
 		}
@@ -784,15 +754,6 @@ func (e *Engine) probeRuns(key []byte, imm []*flushJob, levels [numLevels][]*ssT
 	}
 	for lvl := 1; lvl < numLevels; lvl++ {
 		tables := levels[lvl]
-		if !accel {
-			for _, t := range tables {
-				e.readMetrics.TablesProbed.Inc(1)
-				if ent, ok := t.getCounting(key, e.blockCache, e.readMetrics); ok {
-					return ent, true
-				}
-			}
-			continue
-		}
 		// L1+ tables are sorted and non-overlapping: binary-search the
 		// level's maxKey bounds for the one table that can contain key.
 		i := sortSearchTables(tables, key)
@@ -837,42 +798,47 @@ func (e *Engine) Flush() error {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	sp, job, flushed, err := e.flushLocked()
+	sp, job, err := e.flushLocked()
 	e.mu.Unlock()
-	if job != nil {
-		e.buildAndInstall(sp, job)
-	}
-	if flushed && !e.opts.DisableAutoCompactions {
-		e.maybeCompact()
-	}
-	sp.Finish()
+	e.finishFlush(sp, job)
 	return err
 }
 
+// finishFlush runs the follow-ups of a rotation outside the engine lock:
+// build and install the sstable, compact if auto-compaction is on, and
+// finish the flush span. A nil job (nothing rotated) does nothing.
+func (e *Engine) finishFlush(sp *trace.Span, job *flushJob) {
+	if job == nil {
+		return
+	}
+	e.buildAndInstall(sp, job)
+	if !e.opts.DisableAutoCompactions {
+		e.maybeCompact()
+	}
+	sp.Finish()
+}
+
 // flushLocked rotates the active memtable. The caller must hold e.mu
-// (write-locked) and is responsible for two follow-ups after releasing it:
-// calling buildAndInstall on the returned job (nil in baseline mode, where
-// the build already happened here, under the lock), and finishing the
-// returned span (whose duration is meant to cover any follow-up
-// compaction). The boolean reports whether a rotation happened; the span
-// alone can't signal that, since a nil Tracer yields nil spans for real
-// flushes. An injected flush error (lsm.flush.error) leaves the memtable in
-// place — nothing is lost, the rotation just didn't happen.
+// (write-locked) and, after releasing it, pass the returned span and job to
+// finishFlush (the span's duration is meant to cover any follow-up
+// compaction). The job is nil when nothing rotated: the memtable was empty,
+// or an injected flush error (lsm.flush.error) left it in place — nothing is
+// lost, the rotation just didn't happen.
 //
-// In the default pipelined mode the rotation is a pointer swap: the old
-// memtable joins e.mu.imm, where reads keep finding it, and the sort +
-// bloom build runs outside the lock on the calling goroutine. The
-// synchronous handoff — not a free-running background goroutine — is what
-// keeps same-seed runs byte-identical (DESIGN.md §8). The sstable id is
-// reserved here so id order matches rotation order; the replacement
-// memtable's seed derives from nextID exactly as the seed code did.
-func (e *Engine) flushLocked() (*trace.Span, *flushJob, bool, error) {
+// The rotation is a pointer swap: the old memtable joins e.mu.imm, where
+// reads keep finding it, and the sort + bloom build runs outside the lock
+// on the calling goroutine. The synchronous handoff — not a free-running
+// background goroutine — is what keeps same-seed runs byte-identical
+// (DESIGN.md §8). The sstable id is reserved here so id order matches
+// rotation order; the replacement memtable's seed derives from nextID
+// exactly as the seed code did.
+func (e *Engine) flushLocked() (*trace.Span, *flushJob, error) {
 	if e.mu.mem.empty() {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	//lint:allow lockscope fault site is delay-free by contract (Options.Faults)
 	if err := e.opts.Faults.MaybeErr("lsm.flush.error"); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	sp := e.opts.Tracer.StartRoot("lsm.flush")
 	job := &flushJob{mem: e.mu.mem, id: e.mu.nextID}
@@ -890,16 +856,8 @@ func (e *Engine) flushLocked() (*trace.Span, *flushJob, bool, error) {
 		e.mu.mem.firstSeg = e.mu.wal.seg
 	}
 	e.mu.metrics.MemTableBytes = 0
-	if e.opts.DisableWritePipelining {
-		// Baseline: build the sstable inside the critical section, stalling
-		// every reader and writer for the duration (the seed behavior).
-		//lint:allow lockscope DisableWritePipelining baseline builds under the lock by design
-		t := newSSTable(job.id, job.mem.entries())
-		e.installFlushLocked(nil, t, sp)
-		return sp, nil, true, nil
-	}
 	e.mu.imm = append([]*flushJob{job}, e.mu.imm...)
-	return sp, job, true, nil
+	return sp, job, nil
 }
 
 // buildAndInstall constructs the sstable for a rotated memtable outside the
@@ -915,23 +873,20 @@ func (e *Engine) buildAndInstall(sp *trace.Span, job *flushJob) {
 }
 
 // installFlushLocked publishes a built sstable into L0, retiring its flush
-// job from the immutable queue (job is nil on the baseline path, which
-// never queued one). L0 is kept ordered newest-first by table id, so
-// out-of-order installs from concurrent builds cannot invert shadowing.
+// job from the immutable queue. L0 is kept ordered newest-first by table id,
+// so out-of-order installs from concurrent builds cannot invert shadowing.
 //
 // Every slice mutation here is copy-on-write: readers snapshot the imm and
 // level slice headers under RLock and keep walking them after releasing the
 // lock, so the arrays behind a published header must never change.
 func (e *Engine) installFlushLocked(job *flushJob, t *ssTable, sp *trace.Span) {
-	if job != nil {
-		imm := make([]*flushJob, 0, len(e.mu.imm))
-		for _, j := range e.mu.imm {
-			if j != job {
-				imm = append(imm, j)
-			}
+	imm := make([]*flushJob, 0, len(e.mu.imm))
+	for _, j := range e.mu.imm {
+		if j != job {
+			imm = append(imm, j)
 		}
-		e.mu.imm = imm
 	}
+	e.mu.imm = imm
 	pos := sort.Search(len(e.mu.levels[0]), func(i int) bool {
 		return e.mu.levels[0][i].id < t.id
 	})
@@ -990,12 +945,10 @@ func (e *Engine) Metrics() Metrics {
 	m.VlogGCRewritten = e.writeMetrics.VlogGCRewritten.Value()
 	m.VlogGCReclaimedBytes = e.writeMetrics.VlogGCReclaimed.Value()
 	m.CorruptionErrors = e.readMetrics.CorruptionErrors.Value()
-	if e.vlog != nil {
-		vs := e.vlog.stats()
-		m.VlogFiles = vs.files
-		m.VlogLiveBytes = vs.liveBytes
-		m.VlogDeadBytes = vs.deadBytes
-	}
+	vs := e.vlog.stats()
+	m.VlogFiles = vs.files
+	m.VlogLiveBytes = vs.liveBytes
+	m.VlogDeadBytes = vs.deadBytes
 	return m
 }
 

@@ -59,9 +59,7 @@ func (e *Engine) NewIter(lo, hi []byte) *Iterator {
 	it.seq = e.mu.seq
 	e.snapSeq.Store(it.seq) // writers now retain every version at or below it
 	mem, imm, levels := e.mu.mem, e.mu.imm, e.mu.levels
-	if e.vlog != nil {
-		it.vfiles = e.vlog.fileSet()
-	}
+	it.vfiles = e.vlog.fileSet()
 	e.mu.RUnlock()
 
 	it.srcs = append(it.buf[:0], iterSource{mem: mem})

@@ -15,14 +15,12 @@ import (
 func rotateWithoutBuild(t *testing.T, e *Engine) *flushJob {
 	t.Helper()
 	e.mu.Lock()
-	sp, job, flushed, err := e.flushLocked()
+	sp, job, err := e.flushLocked()
 	e.mu.Unlock()
-	if err != nil || !flushed || job == nil {
-		t.Fatalf("flushLocked = job=%v flushed=%v err=%v", job, flushed, err)
+	if err != nil || job == nil {
+		t.Fatalf("flushLocked = job=%v err=%v", job, err)
 	}
-	if sp != nil {
-		sp.Finish()
-	}
+	sp.Finish()
 	return job
 }
 
@@ -93,6 +91,33 @@ func TestOutOfOrderInstallKeepsShadowing(t *testing.T) {
 	e.mu.RUnlock()
 	if len(l0) != 2 || l0[0].id <= l0[1].id {
 		t.Fatalf("L0 not newest-first by id: %d tables", len(l0))
+	}
+}
+
+// An L0→L1 compaction must not move a table past an older flush still in
+// flight: the older flush installs into L0 afterwards, above L1, and would
+// shadow the newer data with its stale version.
+func TestCompactionSkipsL0YoungerThanInFlightFlush(t *testing.T) {
+	e := New(Options{DisableAutoCompactions: true})
+	defer e.Close()
+	e.Set([]byte("k"), []byte("old"))
+	first := rotateWithoutBuild(t, e)
+	e.Set([]byte("k"), []byte("new"))
+	second := rotateWithoutBuild(t, e)
+
+	e.buildAndInstall(nil, second)
+	e.Compact()
+	e.buildAndInstall(nil, first)
+
+	if v, _, _ := e.Get([]byte("k")); string(v) != "new" {
+		t.Fatalf("Get(k) = %q, want new", v)
+	}
+	e.Compact() // nothing in flight now: both tables compact
+	if v, _, _ := e.Get([]byte("k")); string(v) != "new" {
+		t.Fatalf("after full compaction Get(k) = %q, want new", v)
+	}
+	if m := e.Metrics(); m.L0Files != 0 {
+		t.Fatalf("L0Files = %d after full compaction, want 0", m.L0Files)
 	}
 }
 
@@ -298,218 +323,215 @@ func TestReadsCompleteWhileMergeActive(t *testing.T) {
 // flushes and compactions; under -race this is the pipeline's lock-discipline
 // test, and the final state must match a per-writer shadow map.
 func TestConcurrentReadersWritersDuringFlushAndCompaction(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "pipelined"
-		if disable {
-			name = "baseline"
-		}
-		t.Run(name, func(t *testing.T) {
-			e := New(Options{
-				MemTableSize:           256,
-				L0CompactionThreshold:  2,
-				DisableWritePipelining: disable,
-			})
-			defer e.Close()
+	t.Run("pipelined", func(t *testing.T) {
+		e := New(Options{
+			MemTableSize:          256,
+			L0CompactionThreshold: 2,
+		})
+		defer e.Close()
 
-			const writers, readers, perWriter = 4, 3, 120
-			var writerWg, readerWg sync.WaitGroup
-			stop := make(chan struct{})
-			for r := 0; r < readers; r++ {
-				readerWg.Add(1)
-				go func(r int) {
-					defer readerWg.Done()
-					rng := randutil.NewRand(int64(1000 + r))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						w := rng.Intn(writers)
-						i := rng.Intn(perWriter)
-						// Whatever is visible must be a value some writer
-						// actually wrote for this key.
-						if v, ok, err := e.Get([]byte(fmt.Sprintf("w%d-%04d", w, i))); err != nil {
-							t.Error(err)
-							return
-						} else if ok && len(v) == 0 {
-							t.Errorf("empty value for w%d-%04d", w, i)
-							return
-						}
+		const writers, readers, perWriter = 4, 3, 120
+		var writerWg, readerWg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			readerWg.Add(1)
+			go func(r int) {
+				defer readerWg.Done()
+				rng := randutil.NewRand(int64(1000 + r))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}(r)
-			}
-			for w := 0; w < writers; w++ {
-				writerWg.Add(1)
-				go func(w int) {
-					defer writerWg.Done()
-					for i := 0; i < perWriter; i++ {
-						k := []byte(fmt.Sprintf("w%d-%04d", w, i))
-						v := []byte(fmt.Sprintf("val-%d-%d-%032d", w, i, i))
-						if err := e.Set(k, v); err != nil {
-							t.Error(err)
-							return
-						}
-						if i%10 == 9 {
-							if err := e.Flush(); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			done := make(chan struct{})
-			go func() { writerWg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(60 * time.Second):
-				t.Fatal("concurrent load did not finish")
-			}
-			close(stop)
-			readerWg.Wait()
-
-			e.Compact()
-			for w := 0; w < writers; w++ {
-				for i := 0; i < perWriter; i++ {
-					k := fmt.Sprintf("w%d-%04d", w, i)
-					want := fmt.Sprintf("val-%d-%d-%032d", w, i, i)
-					if v, ok, _ := e.Get([]byte(k)); !ok || string(v) != want {
-						t.Fatalf("%s = %q %v, want %q", k, v, ok, want)
+					w := rng.Intn(writers)
+					i := rng.Intn(perWriter)
+					// Whatever is visible must be a value some writer
+					// actually wrote for this key.
+					if v, ok, err := e.Get([]byte(fmt.Sprintf("w%d-%04d", w, i))); err != nil {
+						t.Error(err)
+						return
+					} else if ok && len(v) == 0 {
+						t.Errorf("empty value for w%d-%04d", w, i)
+						return
 					}
 				}
+			}(r)
+		}
+		for w := 0; w < writers; w++ {
+			writerWg.Add(1)
+			go func(w int) {
+				defer writerWg.Done()
+				for i := 0; i < perWriter; i++ {
+					k := []byte(fmt.Sprintf("w%d-%04d", w, i))
+					v := []byte(fmt.Sprintf("val-%d-%d-%032d", w, i, i))
+					if err := e.Set(k, v); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%10 == 9 {
+						if err := e.Flush(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { writerWg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("concurrent load did not finish")
+		}
+		close(stop)
+		readerWg.Wait()
+
+		e.Compact()
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				k := fmt.Sprintf("w%d-%04d", w, i)
+				want := fmt.Sprintf("val-%d-%d-%032d", w, i, i)
+				if v, ok, _ := e.Get([]byte(k)); !ok || string(v) != want {
+					t.Fatalf("%s = %q %v, want %q", k, v, ok, want)
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // Randomized-interleave property test: a seeded op stream (set, delete,
 // batch, flush, compact) runs against the engine and a shadow map, checking
-// every read in both pipelined and baseline modes. The stream is deterministic
-// per seed, so failures replay exactly.
+// every read. The stream is deterministic per seed, so failures replay
+// exactly.
 func TestRandomizedOpsMatchShadowMap(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "pipelined"
-		if disable {
-			name = "baseline"
-		}
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				e := New(Options{
-					MemTableSize:           512,
-					L0CompactionThreshold:  2,
-					Seed:                   seed,
-					DisableWritePipelining: disable,
-				})
-				rng := randutil.NewRand(seed)
-				shadow := map[string]string{}
-				key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(200))) }
-				for op := 0; op < 2000; op++ {
-					switch rng.Intn(10) {
-					case 0, 1, 2, 3: // set
+	t.Run("pipelined", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			e := New(Options{
+				MemTableSize:          512,
+				L0CompactionThreshold: 2,
+				Seed:                  seed,
+			})
+			rng := randutil.NewRand(seed)
+			shadow := map[string]string{}
+			key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(200))) }
+			for op := 0; op < 2000; op++ {
+				switch rng.Intn(10) {
+				case 0, 1, 2, 3: // set
+					k := key()
+					v := []byte(fmt.Sprintf("v%d", op))
+					if err := e.Set(k, v); err != nil {
+						t.Fatal(err)
+					}
+					shadow[string(k)] = string(v)
+				case 4: // delete
+					k := key()
+					if err := e.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+					delete(shadow, string(k))
+				case 5: // batch
+					n := 1 + rng.Intn(8)
+					ents := make([]Entry, 0, n)
+					for j := 0; j < n; j++ {
 						k := key()
-						v := []byte(fmt.Sprintf("v%d", op))
-						if err := e.Set(k, v); err != nil {
-							t.Fatal(err)
-						}
-						shadow[string(k)] = string(v)
-					case 4: // delete
-						k := key()
-						if err := e.Delete(k); err != nil {
-							t.Fatal(err)
-						}
-						delete(shadow, string(k))
-					case 5: // batch
-						n := 1 + rng.Intn(8)
-						ents := make([]Entry, 0, n)
-						for j := 0; j < n; j++ {
-							k := key()
-							if rng.Intn(5) == 0 {
-								ents = append(ents, Entry{Key: k, Tombstone: true})
-								delete(shadow, string(k))
-							} else {
-								v := fmt.Sprintf("b%d-%d", op, j)
-								ents = append(ents, Entry{Key: k, Value: []byte(v)})
-								shadow[string(k)] = v
-							}
-						}
-						if err := e.ApplyBatch(ents); err != nil {
-							t.Fatal(err)
-						}
-					case 6: // flush
-						if err := e.Flush(); err != nil {
-							t.Fatal(err)
-						}
-					case 7: // manual compaction
-						if op%7 == 0 {
-							e.Compact()
-						}
-					default: // get
-						k := key()
-						v, ok, err := e.Get(k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, inShadow := shadow[string(k)]
-						if ok != inShadow || (ok && string(v) != want) {
-							t.Fatalf("seed %d op %d: Get(%s) = %q %v, shadow %q %v",
-								seed, op, k, v, ok, want, inShadow)
+						if rng.Intn(5) == 0 {
+							ents = append(ents, Entry{Key: k, Tombstone: true})
+							delete(shadow, string(k))
+						} else {
+							v := fmt.Sprintf("b%d-%d", op, j)
+							ents = append(ents, Entry{Key: k, Value: []byte(v)})
+							shadow[string(k)] = v
 						}
 					}
-				}
-				// Full sweep after the stream.
-				for i := 0; i < 200; i++ {
-					k := fmt.Sprintf("key-%03d", i)
-					v, ok, err := e.Get([]byte(k))
+					if err := e.ApplyBatch(ents); err != nil {
+						t.Fatal(err)
+					}
+				case 6: // flush
+					if err := e.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				case 7: // manual compaction
+					if op%7 == 0 {
+						e.Compact()
+					}
+				default: // get
+					k := key()
+					v, ok, err := e.Get(k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, inShadow := shadow[k]
+					want, inShadow := shadow[string(k)]
 					if ok != inShadow || (ok && string(v) != want) {
-						t.Fatalf("seed %d sweep: %s = %q %v, shadow %q %v", seed, k, v, ok, want, inShadow)
+						t.Fatalf("seed %d op %d: Get(%s) = %q %v, shadow %q %v",
+							seed, op, k, v, ok, want, inShadow)
 					}
 				}
-				e.Close()
 			}
-		})
-	}
+			// Full sweep after the stream.
+			for i := 0; i < 200; i++ {
+				k := fmt.Sprintf("key-%03d", i)
+				v, ok, err := e.Get([]byte(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, inShadow := shadow[k]
+				if ok != inShadow || (ok && string(v) != want) {
+					t.Fatalf("seed %d sweep: %s = %q %v, shadow %q %v", seed, k, v, ok, want, inShadow)
+				}
+			}
+			e.Close()
+		}
+	})
 }
 
-// Same seed, same ops, pipelining on vs off: the resulting engine contents
-// and flush/compaction counts must agree — pipelining changes where work runs,
-// not what it produces.
+// Same seed, same ops, run twice: the flush/compaction counts must agree and
+// both engines must hold exactly the shadow map's contents — the synchronous
+// build handoff keeps a seeded run reproducible even though builds and merges
+// run outside the engine lock.
 func TestPipeliningModeEquivalence(t *testing.T) {
-	run := func(disable bool) (*Engine, Metrics) {
-		e := New(Options{MemTableSize: 512, L0CompactionThreshold: 2, DisableWritePipelining: disable})
+	run := func() (*Engine, map[string]string) {
+		e := New(Options{MemTableSize: 512, L0CompactionThreshold: 2})
 		rng := randutil.NewRand(42)
+		shadow := map[string]string{}
 		for op := 0; op < 1500; op++ {
-			k := []byte(fmt.Sprintf("key-%03d", rng.Intn(150)))
+			k := fmt.Sprintf("key-%03d", rng.Intn(150))
 			switch rng.Intn(8) {
 			case 0:
-				e.Delete(k)
+				e.Delete([]byte(k))
+				delete(shadow, k)
 			case 1:
 				e.Flush()
 			default:
-				e.Set(k, []byte(fmt.Sprintf("v%d", op)))
+				v := fmt.Sprintf("v%d", op)
+				e.Set([]byte(k), []byte(v))
+				shadow[k] = v
 			}
 		}
 		e.Compact()
-		return e, e.Metrics()
+		return e, shadow
 	}
-	pipe, pm := run(false)
-	base, bm := run(true)
-	defer pipe.Close()
-	defer base.Close()
-	if pm.FlushCount != bm.FlushCount || pm.CompactionCount != bm.CompactionCount {
-		t.Fatalf("op counts diverge: pipelined flush=%d compact=%d, baseline flush=%d compact=%d",
-			pm.FlushCount, pm.CompactionCount, bm.FlushCount, bm.CompactionCount)
+	first, shadow := run()
+	second, _ := run()
+	defer first.Close()
+	defer second.Close()
+	fm, sm := first.Metrics(), second.Metrics()
+	if fm.FlushCount != sm.FlushCount || fm.CompactionCount != sm.CompactionCount {
+		t.Fatalf("op counts diverge: first flush=%d compact=%d, second flush=%d compact=%d",
+			fm.FlushCount, fm.CompactionCount, sm.FlushCount, sm.CompactionCount)
 	}
-	for i := 0; i < 150; i++ {
-		k := []byte(fmt.Sprintf("key-%03d", i))
-		pv, pok, _ := pipe.Get(k)
-		bv, bok, _ := base.Get(k)
-		if pok != bok || string(pv) != string(bv) {
-			t.Fatalf("key-%03d: pipelined %q %v, baseline %q %v", i, pv, pok, bv, bok)
+	for _, e := range []*Engine{first, second} {
+		for i := 0; i < 150; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			v, ok, err := e.Get([]byte(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, inShadow := shadow[k]
+			if ok != inShadow || (ok && string(v) != want) {
+				t.Fatalf("%s = %q %v, shadow %q %v", k, v, ok, want, inShadow)
+			}
 		}
 	}
 }

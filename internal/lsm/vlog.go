@@ -350,9 +350,6 @@ func (vl *valueLog) stats() vlogStats {
 // threshold. It takes the compaction single-flight lock, so it never
 // overlaps a compaction (whose discard reports it consumes).
 func (e *Engine) VlogGC() {
-	if e.vlog == nil {
-		return
-	}
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
 	e.runVlogGC()
@@ -361,9 +358,6 @@ func (e *Engine) VlogGC() {
 // runVlogGC drains GC candidates. The caller holds e.compactMu (NOT
 // e.mu — the rewrite work below takes e.mu itself, briefly, per entry).
 func (e *Engine) runVlogGC() {
-	if e.vlog == nil {
-		return
-	}
 	for i := 0; i < 64; i++ { // bound runaway loops defensively
 		id, ok := e.vlog.pickGC(e.opts.VlogGCDiscardRatio)
 		if !ok {

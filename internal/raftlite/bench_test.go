@@ -10,18 +10,17 @@ import (
 )
 
 // benchGroup builds a 3-replica group with a leaseholder on node 1.
-func benchGroup(b *testing.B, disable bool, overhead time.Duration) *Group {
+func benchGroup(b *testing.B, overhead time.Duration) *Group {
 	b.Helper()
 	g, err := NewGroup(Config{
-		RangeID:            1,
-		Clock:              timeutil.NewRealClock(),
-		LeaseDuration:      time.Hour,
-		DisableGroupCommit: disable,
-		CommitOverhead:     overhead,
+		RangeID:       1,
+		Clock:         timeutil.NewRealClock(),
+		LeaseDuration: time.Hour,
 	}, []NodeID{1, 2, 3}, []StateMachine{&memSM{}, &memSM{}, &memSM{}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	g.commitOverhead = overhead
 	if err := g.AcquireLease(1); err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func benchGroup(b *testing.B, disable bool, overhead time.Duration) *Group {
 // BenchmarkKVProposeSequential measures the sequencer's own overhead on the
 // single-proposer path, where every round carries exactly one entry.
 func BenchmarkKVProposeSequential(b *testing.B) {
-	g := benchGroup(b, false, 0)
+	g := benchGroup(b, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := g.Propose(1, []byte("cmd")); err != nil {
@@ -40,10 +39,10 @@ func BenchmarkKVProposeSequential(b *testing.B) {
 	}
 }
 
-// benchConcurrentPropose drives b.N proposals from 8 goroutines against a
-// group whose commit rounds cost 100µs each.
-func benchConcurrentPropose(b *testing.B, disable bool) {
-	g := benchGroup(b, disable, 100*time.Microsecond)
+// BenchmarkKVProposeGroupCommit8 drives b.N proposals from 8 concurrent
+// proposers against a group whose commit rounds cost 100µs each.
+func BenchmarkKVProposeGroupCommit8(b *testing.B) {
+	g := benchGroup(b, 100*time.Microsecond)
 	const proposers = 8
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -61,15 +60,4 @@ func benchConcurrentPropose(b *testing.B, disable bool) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// BenchmarkKVProposeGroupCommit8 is 8 concurrent proposers with coalescing.
-func BenchmarkKVProposeGroupCommit8(b *testing.B) {
-	benchConcurrentPropose(b, false)
-}
-
-// BenchmarkKVProposeOneRoundEach8 is the same load with one commit round per
-// proposal — the pre-group-commit baseline.
-func BenchmarkKVProposeOneRoundEach8(b *testing.B) {
-	benchConcurrentPropose(b, true)
 }

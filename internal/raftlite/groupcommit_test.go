@@ -14,7 +14,7 @@ import (
 
 // groupFixture builds a 3-node group on a real clock with commit metrics and
 // the given per-round overhead — the shape the group-commit tests need.
-func groupFixture(t *testing.T, overhead time.Duration, disable bool) (*Group, []*memSM, *CommitMetrics) {
+func groupFixture(t *testing.T, overhead time.Duration) (*Group, []*memSM, *CommitMetrics) {
 	t.Helper()
 	cm := NewCommitMetrics(metric.NewRegistry())
 	var nodes []NodeID
@@ -27,27 +27,25 @@ func groupFixture(t *testing.T, overhead time.Duration, disable bool) (*Group, [
 		sms = append(sms, sm)
 	}
 	g, err := NewGroup(Config{
-		RangeID:            11,
-		Clock:              timeutil.NewRealClock(),
-		LeaseDuration:      time.Hour,
-		DisableGroupCommit: disable,
-		CommitOverhead:     overhead,
-		CommitMetrics:      cm,
+		RangeID:       11,
+		Clock:         timeutil.NewRealClock(),
+		LeaseDuration: time.Hour,
+		CommitMetrics: cm,
 	}, nodes, sms)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.commitOverhead = overhead
 	if err := g.AcquireLease(1); err != nil {
 		t.Fatal(err)
 	}
 	return g, mems, cm
 }
 
-// proposeConcurrently fires proposers×perProposer proposals at the group and
-// returns total wall time. Every proposal must succeed.
-func proposeConcurrently(t *testing.T, g *Group, proposers, perProposer int) time.Duration {
+// proposeConcurrently fires proposers×perProposer proposals at the group.
+// Every proposal must succeed.
+func proposeConcurrently(t *testing.T, g *Group, proposers, perProposer int) {
 	t.Helper()
-	start := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, proposers*perProposer)
 	for w := 0; w < proposers; w++ {
@@ -67,7 +65,6 @@ func proposeConcurrently(t *testing.T, g *Group, proposers, perProposer int) tim
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	return time.Since(start)
 }
 
 // With a per-round overhead and many concurrent proposers, the sequencer must
@@ -75,7 +72,7 @@ func proposeConcurrently(t *testing.T, g *Group, proposers, perProposer int) tim
 // durable on every replica.
 func TestGroupCommitCoalesces(t *testing.T) {
 	const proposers, perProposer = 8, 25
-	g, mems, cm := groupFixture(t, 2*time.Millisecond, false)
+	g, mems, cm := groupFixture(t, 2*time.Millisecond)
 	proposeConcurrently(t, g, proposers, perProposer)
 
 	total := int64(proposers * perProposer)
@@ -128,43 +125,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// Group commit must beat the one-round-per-proposal baseline on wall clock
-// when rounds carry a fixed overhead. The CI bench gate enforces the >=1.5x
-// bar; here we only require a strict win so scheduler noise can't flake it.
-func TestGroupCommitFasterThanBaseline(t *testing.T) {
-	const proposers, perProposer = 8, 10
-	base, _, _ := groupFixture(t, time.Millisecond, true)
-	baseT := proposeConcurrently(t, base, proposers, perProposer)
-	grouped, _, cm := groupFixture(t, time.Millisecond, false)
-	groupT := proposeConcurrently(t, grouped, proposers, perProposer)
-	if cm.Batches.Value() >= cm.Entries.Value() {
-		t.Fatalf("grouped run did not coalesce: %d batches for %d entries",
-			cm.Batches.Value(), cm.Entries.Value())
-	}
-	if groupT >= baseT {
-		t.Fatalf("group commit slower than baseline: %v >= %v", groupT, baseT)
-	}
-}
-
-// DisableGroupCommit must mean exactly one round per proposal.
-func TestDisableGroupCommitOneRoundPerProposal(t *testing.T) {
-	const proposers, perProposer = 4, 8
-	g, _, cm := groupFixture(t, 0, true)
-	proposeConcurrently(t, g, proposers, perProposer)
-	total := int64(proposers * perProposer)
-	if cm.Batches.Value() != total || cm.Entries.Value() != total {
-		t.Fatalf("batches=%d entries=%d, want both %d", cm.Batches.Value(), cm.Entries.Value(), total)
-	}
-	if cm.BatchSize.Max() != 1 {
-		t.Fatalf("max batch size = %d, want 1", cm.BatchSize.Max())
-	}
-}
-
 // A rejected proposal must not fail its round-mates: drive one commit round
 // holding both a leaseholder proposal and a non-leaseholder proposal, and
 // check each gets its own verdict.
 func TestGroupCommitPerProposalErrors(t *testing.T) {
-	g, mems, cm := groupFixture(t, 0, false)
+	g, mems, cm := groupFixture(t, 0)
 	good := &proposal{node: 1, cmd: []byte("good"), done: make(chan struct{})}
 	bad := &proposal{node: 2, cmd: []byte("bad"), done: make(chan struct{})}
 	g.commitRound([]*proposal{bad, good})
@@ -190,7 +155,7 @@ func TestGroupCommitPerProposalErrors(t *testing.T) {
 
 // An all-rejected batch commits nothing and records no round.
 func TestGroupCommitAllRejectedRecordsNothing(t *testing.T) {
-	g, _, cm := groupFixture(t, 0, false)
+	g, _, cm := groupFixture(t, 0)
 	p1 := &proposal{node: 2, cmd: []byte("a"), done: make(chan struct{})}
 	p2 := &proposal{node: 3, cmd: []byte("b"), done: make(chan struct{})}
 	g.commitRound([]*proposal{p1, p2})
@@ -206,7 +171,7 @@ func TestGroupCommitAllRejectedRecordsNothing(t *testing.T) {
 // An apply error inside a round surfaces on the round's committed proposals,
 // matching the one-proposal-per-round path.
 func TestGroupCommitApplyErrorHitsWholeRound(t *testing.T) {
-	g, mems, _ := groupFixture(t, 0, false)
+	g, mems, _ := groupFixture(t, 0)
 	mems[1].errs = true
 	p1 := &proposal{node: 1, cmd: []byte("a"), done: make(chan struct{})}
 	p2 := &proposal{node: 1, cmd: []byte("b"), done: make(chan struct{})}
@@ -222,28 +187,25 @@ func TestGroupCommitApplyErrorHitsWholeRound(t *testing.T) {
 }
 
 // With a single synchronous proposer — every deterministic harness in the
-// repo — the sequencer must degenerate to one entry per round, so grouped and
-// baseline paths apply identical sequences.
+// repo — the sequencer must degenerate to one entry per round, applying
+// exactly the proposed sequence in order.
 func TestGroupCommitSingleProposerMatchesBaseline(t *testing.T) {
-	run := func(disable bool) ([]string, *CommitMetrics) {
-		g, mems, cm := groupFixture(t, 0, disable)
-		for i := 0; i < 20; i++ {
-			if err := g.Propose(1, []byte(fmt.Sprintf("c%02d", i))); err != nil {
-				t.Fatal(err)
-			}
+	g, mems, cm := groupFixture(t, 0)
+	var want []string
+	for i := 0; i < 20; i++ {
+		cmd := fmt.Sprintf("c%02d", i)
+		want = append(want, cmd)
+		if err := g.Propose(1, []byte(cmd)); err != nil {
+			t.Fatal(err)
 		}
-		return mems[0].applied(), cm
 	}
-	grouped, gcm := run(false)
-	baseline, bcm := run(true)
-	if fmt.Sprint(grouped) != fmt.Sprint(baseline) {
-		t.Fatalf("apply sequences diverge:\n grouped %v\n baseline %v", grouped, baseline)
+	for i, sm := range mems {
+		if got := sm.applied(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("replica %d applied %v, want %v", i+1, got, want)
+		}
 	}
-	if gcm.Batches.Value() != 20 || gcm.BatchSize.Max() != 1 {
-		t.Fatalf("single proposer: batches=%d max=%d, want 20 rounds of 1",
-			gcm.Batches.Value(), gcm.BatchSize.Max())
-	}
-	if bcm.Batches.Value() != 20 {
-		t.Fatalf("baseline batches = %d", bcm.Batches.Value())
+	if cm.Batches.Value() != 20 || cm.Entries.Value() != 20 || cm.BatchSize.Max() != 1 {
+		t.Fatalf("single proposer: batches=%d entries=%d max=%d, want 20 rounds of 1",
+			cm.Batches.Value(), cm.Entries.Value(), cm.BatchSize.Max())
 	}
 }

@@ -133,14 +133,17 @@ type peer struct {
 
 // Group is a single range's replication group.
 type Group struct {
-	rangeID        int64
-	clock          timeutil.Clock
-	live           LivenessFunc
-	leaseDur       time.Duration
-	faults         *faultinject.Registry
+	rangeID       int64
+	clock         timeutil.Clock
+	live          LivenessFunc
+	leaseDur      time.Duration
+	faults        *faultinject.Registry
+	commitMetrics *CommitMetrics
+	// commitOverhead models the fixed cost of one commit round (quorum
+	// round-trip + log sync) as a sleep while the round is in flight; group
+	// commit amortizes it over the batch. Zero, the default, skips the sleep
+	// entirely. Only in-package tests and benchmarks set it, after NewGroup.
 	commitOverhead time.Duration
-	disableGroup   bool
-	commitMetrics  *CommitMetrics
 
 	// seq is the group-commit sequencer: proposers enqueue, the first
 	// arrival becomes the round leader and drains the queue into commit
@@ -183,15 +186,6 @@ type Config struct {
 	// The lease.expire site is consulted under the group lock, so configure
 	// it without a Delay.
 	Faults *faultinject.Registry
-	// DisableGroupCommit forces one commit round per proposal — the
-	// pre-group-commit write path. Benchmarks use it as the baseline, the
-	// same role lsm.Options.DisableReadAcceleration plays for reads.
-	DisableGroupCommit bool
-	// CommitOverhead models the fixed cost of one commit round (quorum
-	// round-trip + log sync) as a sleep while the round is in flight. Group
-	// commit amortizes it over the batch. Zero, the default, skips the
-	// sleep entirely, keeping simulated-clock and chaos runs unchanged.
-	CommitOverhead time.Duration
 	// CommitMetrics, when non-nil, receives the commit-round
 	// instrumentation (raft.commit.batch_size and friends). Shared across
 	// groups; see NewCommitMetrics.
@@ -222,16 +216,14 @@ func NewGroup(cfg Config, nodes []NodeID, sms []StateMachine) (*Group, error) {
 		cfg.LeaseDuration = 9 * time.Second
 	}
 	g := &Group{
-		rangeID:        cfg.RangeID,
-		clock:          cfg.Clock,
-		live:           cfg.Liveness,
-		leaseDur:       cfg.LeaseDuration,
-		faults:         cfg.Faults,
-		commitOverhead: cfg.CommitOverhead,
-		disableGroup:   cfg.DisableGroupCommit,
-		commitMetrics:  cfg.CommitMetrics,
-		retention:      cfg.LogRetention,
-		term:           1,
+		rangeID:       cfg.RangeID,
+		clock:         cfg.Clock,
+		live:          cfg.Liveness,
+		leaseDur:      cfg.LeaseDuration,
+		faults:        cfg.Faults,
+		commitMetrics: cfg.CommitMetrics,
+		retention:     cfg.LogRetention,
+		term:          1,
 	}
 	for i, id := range nodes {
 		g.peers = append(g.peers, &peer{id: id, sm: sms[i]})
@@ -380,12 +372,6 @@ func (g *Group) ProposeCtx(ctx context.Context, node NodeID, cmd []byte) error {
 		return err
 	}
 	p := &proposal{node: node, cmd: cmd, done: make(chan struct{})}
-	if g.disableGroup {
-		// Baseline: one commit round per proposal, no coalescing.
-		g.commitRound([]*proposal{p})
-		g.traceCommit(ctx, p)
-		return p.err
-	}
 	g.seq.mu.Lock()
 	g.seq.queue = append(g.seq.queue, p)
 	if g.seq.leading {
