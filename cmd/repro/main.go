@@ -210,11 +210,15 @@ func buildExperiments(quick bool, chaosSeed int64) []experiment {
 			return nil
 		}},
 		{"kvscaling", "extension (§8): automatic KV node scaling across a load cycle", func() error {
-			_, table, err := experiments.ExtensionKVScaling()
+			res, table, err := experiments.ExtensionKVScaling()
 			if err != nil {
 				return err
 			}
 			fmt.Print(table)
+			if !res.DataOK || res.MaxNodes <= 3 || res.EndNodes != 3 {
+				return fmt.Errorf("kv scaling cycle: peak %d nodes, end %d, data ok=%v; want a peak above 3, an end at 3 and data ok",
+					res.MaxNodes, res.EndNodes, res.DataOK)
+			}
 			return nil
 		}},
 		{"chaos", "deterministic fault injection: seeded failure storm + consistency invariants", func() error {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,6 @@ import (
 	"crdbserverless/internal/mvcc"
 	"crdbserverless/internal/raftlite"
 	"crdbserverless/internal/rowfilter"
-	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
@@ -60,32 +58,6 @@ type ClusterConfig struct {
 	// behind the truncation point — a store revived after a crash — rejoins
 	// via state snapshot instead of log replay.
 	RaftLogRetention uint64
-	// LoadSplitQPSThreshold enables load-based splitting: a range whose
-	// decayed QPS estimate exceeds it splits at the load-weighted sample
-	// median. 0 (the default) disables load splits.
-	LoadSplitQPSThreshold float64
-	// LoadHalfLife is the half-life of the per-range and per-node load
-	// EWMAs. Defaults to 10s.
-	LoadHalfLife time.Duration
-	// LoadRebalancing enables QPS-weighted lease placement: the tick moves
-	// leases off nodes whose decayed load dominates a replica peer's, and
-	// the count-based balancer leaves load-significant ranges to it.
-	LoadRebalancing bool
-	// MergeEnabled turns on cold-range merging: a range whose load and size
-	// stay below the hysteresis thresholds for MergeDelay merges into its
-	// right neighbor's span.
-	MergeEnabled bool
-	// MergeQPSFraction is the hysteresis gap between split and merge: a
-	// range is merge-cold only while its QPS sits below
-	// LoadSplitQPSThreshold×MergeQPSFraction. Defaults to 0.25.
-	MergeQPSFraction float64
-	// MergeDelay is how long a range must stay cold before it merges
-	// (re-checked once after this delay). Defaults to 30s.
-	MergeDelay time.Duration
-	// RangeMetrics, when non-nil, counts split/merge/transfer decisions.
-	RangeMetrics *RangeMetrics
-	// Obs, when non-nil, receives per-tenant range-management events.
-	Obs *tenantobs.Plane
 }
 
 // rangeState is one range: descriptor, replication group, and stats.
@@ -103,19 +75,9 @@ type rangeState struct {
 	descAtomic atomic.Pointer[RangeDescriptor]
 	// tsc is the range's timestamp cache (lost-update protection).
 	tsc *tsCache
-	// load is the range's decayed QPS/write-byte signal and key reservoir.
-	load *rangeLoad
-	// dirty guards duplicate changed-set insertions between ticks: only the
-	// first batch after a drain pays the index lock.
-	dirty atomic.Bool
 
 	statsMu      sync.Mutex
 	writtenBytes int64
-	// loadMoveAt is when the load balancer last moved this range's lease.
-	// Until the node counters re-converge from observed traffic (a few
-	// half-lives), the transferred weight is double-counted on the target
-	// and re-moving the range would thrash.
-	loadMoveAt time.Time
 }
 
 // engineSM adapts a node's engine to the raftlite.SnapshotStateMachine
@@ -164,9 +126,9 @@ type Cluster struct {
 	}
 	dir metaDirectory
 	// idx is the incremental maintenance index (per-node lease/replica
-	// aggregates, renewal and merge heaps, the changed set). Lock order:
-	// (latches) → c.mu → idx.mu; idx.mu is a strict leaf.
-	idx *loadIndex
+	// aggregates, the renewal heap). Lock order: (latches) → c.mu → idx.mu;
+	// idx.mu is a strict leaf.
+	idx *maintIndex
 
 	tickMu    sync.Mutex
 	lastTick  TickStats
@@ -191,16 +153,7 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = 9 * time.Second
 	}
-	if cfg.LoadHalfLife <= 0 {
-		cfg.LoadHalfLife = 10 * time.Second
-	}
-	if cfg.MergeQPSFraction <= 0 {
-		cfg.MergeQPSFraction = 0.25
-	}
-	if cfg.MergeDelay <= 0 {
-		cfg.MergeDelay = 30 * time.Second
-	}
-	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), idx: newLoadIndex()}
+	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), idx: newMaintIndex()}
 	c.nodesMu.nodes = make(map[NodeID]*Node)
 	c.mu.ranges = make(map[RangeID]*rangeState)
 	c.mu.nextRangeID = 1
@@ -322,27 +275,10 @@ func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID) (*range
 			Span:     span,
 			Replicas: append([]NodeID(nil), replicas...),
 		},
-		tsc:  newTSCache(),
-		load: newRangeLoad(id),
+		tsc: newTSCache(),
 	}
 	rs.descAtomic.Store(rs.desc)
-	sms := make([]raftlite.StateMachine, len(replicas))
-	for i, nid := range replicas {
-		n, ok := c.Node(nid)
-		if !ok {
-			return nil, fmt.Errorf("kvserver: unknown node %d", nid)
-		}
-		sms[i] = engineSM{n: n, rs: rs}
-	}
-	group, err := raftlite.NewGroup(raftlite.Config{
-		RangeID:       int64(id),
-		Clock:         c.clock,
-		Liveness:      c.liveness,
-		LeaseDuration: c.cfg.LeaseDuration,
-		Faults:        c.cfg.Faults,
-		CommitMetrics: c.cfg.CommitMetrics,
-		LogRetention:  c.cfg.RaftLogRetention,
-	}, replicas, sms)
+	group, err := c.newGroup(rs, replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -352,6 +288,30 @@ func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID) (*range
 	// needs-lease entry the next tick drains.
 	c.idx.registerRange(id, replicas)
 	return rs, nil
+}
+
+// newGroup builds a replication group for rs over replicas, one engine state
+// machine per replica. Every group the cluster creates — new ranges, splits,
+// merges and replica moves — comes from here, so each one gets the same
+// configuration, fault sites included.
+func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, error) {
+	sms := make([]raftlite.StateMachine, len(replicas))
+	for i, nid := range replicas {
+		n, ok := c.Node(nid)
+		if !ok {
+			return nil, fmt.Errorf("kvserver: unknown node %d", nid)
+		}
+		sms[i] = engineSM{n: n, rs: rs}
+	}
+	return raftlite.NewGroup(raftlite.Config{
+		RangeID:       int64(rs.descAtomic.Load().RangeID),
+		Clock:         c.clock,
+		Liveness:      c.liveness,
+		LeaseDuration: c.cfg.LeaseDuration,
+		Faults:        c.cfg.Faults,
+		CommitMetrics: c.cfg.CommitMetrics,
+		LogRetention:  c.cfg.RaftLogRetention,
+	}, replicas, sms)
 }
 
 // rangeByID resolves a range ID to its live state (nil once merged away).
@@ -387,7 +347,7 @@ func (c *Cluster) LookupRange(key keys.Key) (*RangeDescriptor, error) {
 func (c *Cluster) Descriptors() []*RangeDescriptor { return c.dir.all() }
 
 // SplitAt splits the range containing key so that key becomes a range start.
-// Used both by size/load-based splitting and by the cluster-virtualization
+// Used both by size-based splitting and by the cluster-virtualization
 // layer to place tenant boundaries on range boundaries (§3.2.1: the KV layer
 // enforces that no two tenants share a range).
 func (c *Cluster) SplitAt(key keys.Key) error {
@@ -450,31 +410,12 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 			c.idx.noteLease(right.desc.RangeID, lh, c.renewAt())
 		}
 	}
-	// Split halves the parent's accumulated size statistic and partitions
-	// the load signal at the boundary.
+	// Split halves the parent's accumulated size statistic.
 	rs.statsMu.Lock()
 	rs.writtenBytes /= 2
 	right.writtenBytes = rs.writtenBytes
 	rs.statsMu.Unlock()
-	rs.load.halve(key, right.load)
-	c.markChanged(rs)
-	c.markChanged(right)
-	if c.cfg.MergeEnabled {
-		// Both halves are merge candidates once the hysteresis delay
-		// passes — a split that stops being hot collapses back.
-		due := c.clock.Now().Add(c.cfg.MergeDelay)
-		c.idx.scheduleMergeCheck(desc.RangeID, due)
-		c.idx.scheduleMergeCheck(right.desc.RangeID, due)
-	}
 	return true, nil
-}
-
-// markChanged adds the range to the next tick's changed set, paying the
-// index lock only on the first change since the last drain.
-func (c *Cluster) markChanged(rs *rangeState) {
-	if rs.dirty.CompareAndSwap(false, true) {
-		c.idx.markChanged(rs.descAtomic.Load().RangeID)
-	}
 }
 
 // renewAt is when a lease granted now should be proactively renewed.
@@ -482,24 +423,37 @@ func (c *Cluster) renewAt() time.Time {
 	return c.clock.Now().Add(c.cfg.LeaseDuration / 2)
 }
 
-// splitPoint chooses a split key for the range: the load-weighted sample
-// median when the reservoir has seen enough traffic, else a bounded scan's
-// midpoint on the leaseholder's engine. Never scans more than
-// middleKeyScanLimit rows.
+// middleKeyScanLimit bounds boundedMiddleKey's scan.
+const middleKeyScanLimit = 256
+
+// splitPoint chooses a size split's key: the middle row of a bounded scan
+// of the range on the leaseholder's engine.
 func (c *Cluster) splitPoint(rs *rangeState, leaseholder NodeID) keys.Key {
-	span := rs.descAtomic.Load().Span
-	if mid := rs.load.splitKey(span); mid != nil {
-		return mid
-	}
 	n, ok := c.Node(leaseholder)
 	if !ok {
 		return nil
 	}
-	return boundedMiddleKey(n, span)
+	return boundedMiddleKey(n, rs.descAtomic.Load().Span)
 }
 
-// maybeSizeSplit splits rs at the load-weighted (or sampled-midpoint) key if
-// it has absorbed enough writes.
+// boundedMiddleKey scans at most middleKeyScanLimit rows of span (at the
+// maximum timestamp) and returns the middle one, or nil when the span holds
+// fewer than two rows or the middle row is the span start. It never
+// materializes the whole span.
+func boundedMiddleKey(n *Node, span keys.Span) keys.Key {
+	res, err := mvcc.Scan(n.Engine(), span, hlc.Timestamp{WallTime: 1<<62 - 1}, 0, middleKeyScanLimit)
+	if err != nil || len(res.Rows) < 2 {
+		return nil
+	}
+	mid := res.Rows[len(res.Rows)/2].Key
+	if mid.Equal(span.Key) {
+		return nil
+	}
+	return mid
+}
+
+// maybeSizeSplit splits rs at its bounded-scan midpoint if it has absorbed
+// enough writes.
 func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 	rs.statsMu.Lock()
 	over := rs.writtenBytes > c.cfg.SplitSizeThreshold
@@ -513,45 +467,8 @@ func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 	}
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
-	// Size splits are opportunistic; a failure is retried at the next
-	// threshold crossing.
-	if did, err := c.splitLocked(rs, mid); err == nil && did {
-		c.cfg.RangeMetrics.sizeSplit()
-		c.rangeEvent(mid, "split.size")
-	}
-}
-
-// maybeLoadSplit splits rs at the load-weighted sample median once its
-// decayed QPS crosses the configured threshold.
-func (c *Cluster) maybeLoadSplit(rs *rangeState, leaseholder NodeID) {
-	thr := c.cfg.LoadSplitQPSThreshold
-	if thr <= 0 {
-		return
-	}
-	if rs.load.qps(c.clock.Now(), c.cfg.LoadHalfLife) < thr {
-		return
-	}
-	mid := rs.load.splitKey(rs.descAtomic.Load().Span)
-	if mid == nil {
-		return // single hot key or not enough samples: nothing to split
-	}
-	rs.latch.Lock()
-	defer rs.latch.Unlock()
-	if did, err := c.splitLocked(rs, mid); err == nil && did {
-		c.cfg.RangeMetrics.loadSplit()
-		c.rangeEvent(mid, "split.load")
-	}
-}
-
-// rangeEvent forwards a range-management decision to the per-tenant
-// observability plane (no-op without one).
-func (c *Cluster) rangeEvent(key keys.Key, kind string) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	if tid, _, ok := keys.DecodeTenantPrefix(key); ok {
-		c.cfg.Obs.RangeEvent(tid, kind)
-	}
+	//lint:allow faulterr size splits are opportunistic; a failure is retried at the next threshold crossing
+	_, _ = c.splitLocked(rs, mid)
 }
 
 // LeaseCounts returns the number of valid range leases held by each node —
@@ -573,53 +490,31 @@ func (c *Cluster) LeaseCounts() map[NodeID]int {
 	return out
 }
 
-// NodeLeaseLoads returns each node's effective load — decayed leaseholder
-// QPS-weight inflated by queueing occupancy, the signal the load-based
-// lease and replica balancers compare. Pairs with LeaseCounts the way
-// QPS-weighted placement pairs with count balancing.
-func (c *Cluster) NodeLeaseLoads() map[NodeID]float64 {
-	now := c.clock.Now()
-	out := make(map[NodeID]float64)
-	for _, n := range c.Nodes() {
-		out[n.id] = c.effectiveLoad(n, now, c.cfg.LoadHalfLife)
-	}
-	return out
-}
-
-// RangeLoadInfo describes one range's placement and load signal — the
-// per-range view behind load-management debugging and benchmarks.
-type RangeLoadInfo struct {
+// RangeLease is one range's leaseholder.
+type RangeLease struct {
 	RangeID     RangeID
-	Start       keys.Key
 	Leaseholder NodeID // 0 if leaderless
-	QPS         float64
 }
 
-// RangeLoads returns every range's leaseholder and decayed-QPS estimate,
-// ordered by RangeID.
-func (c *Cluster) RangeLoads() []RangeLoadInfo {
-	now := c.clock.Now()
-	out := make([]RangeLoadInfo, 0, 16)
-	for _, rs := range c.rangesByID() {
-		info := RangeLoadInfo{
-			RangeID: rs.desc.RangeID,
-			Start:   rs.descAtomic.Load().Span.Key,
-			QPS:     rs.load.qps(now, c.cfg.LoadHalfLife),
-		}
-		if lh, ok := rs.group.Leaseholder(); ok {
-			info.Leaseholder = lh
-		}
-		out = append(out, info)
+// RangeLoads returns every range's leaseholder, ordered by RangeID. It keeps
+// a name from when ranges also reported load because the benchmark module
+// (bench/e2e) counts lease transfers through it, and that module changes
+// only in changes of its own.
+func (c *Cluster) RangeLoads() []RangeLease {
+	ranges := c.rangesByID()
+	out := make([]RangeLease, 0, len(ranges))
+	for _, rs := range ranges {
+		lh, _ := rs.group.Leaseholder()
+		out = append(out, RangeLease{RangeID: rs.desc.RangeID, Leaseholder: lh})
 	}
 	return out
 }
 
 // Tick runs periodic cluster maintenance: node ticks (AIMD, token refills,
-// capacity estimation), lease upkeep, cold-range merge checks, and lease
-// rebalancing. Range work is driven entirely by the maintenance index —
-// needs-lease drains, dead-holder lease sets, due renewals, and the
-// changed-since-last-tick set — so an idle cluster's tick visits no ranges
-// at all, regardless of how many exist.
+// capacity estimation), lease upkeep, and lease rebalancing. Range work is
+// driven entirely by the maintenance index — needs-lease drains, dead-holder
+// lease sets and due renewals — so a tick visits only ranges with lease work
+// due, however many exist and however much traffic they served.
 func (c *Cluster) Tick() {
 	for _, n := range c.Nodes() {
 		n.Tick()
@@ -663,43 +558,7 @@ func (c *Cluster) Tick() {
 		}
 	}
 
-	// Ranges whose load moved since the last tick: clear their dirty flags
-	// and queue cold ones for a merge re-check after the hysteresis delay.
-	changed := c.idx.drainChanged()
-	for _, id := range changed {
-		rs := c.rangeByID(id)
-		if rs == nil {
-			continue
-		}
-		stats.RangesVisited++
-		rs.dirty.Store(false)
-		if c.cfg.MergeEnabled && c.isMergeCold(rs, now) {
-			c.idx.scheduleMergeCheck(id, now.Add(c.cfg.MergeDelay))
-		}
-	}
-
-	// Cold-range merges whose hysteresis delay expired and that are still
-	// cold get merged into their right neighbor.
-	if c.cfg.MergeEnabled {
-		for _, id := range c.idx.dueMergeChecks(now) {
-			rs := c.rangeByID(id)
-			if rs == nil {
-				continue
-			}
-			stats.RangesVisited++
-			if !c.isMergeCold(rs, now) {
-				// Still hot or large: keep watching at the hysteresis
-				// cadence rather than dropping the candidate.
-				c.idx.scheduleMergeCheck(id, now.Add(c.cfg.MergeDelay))
-				continue
-			}
-			if did, err := c.mergeRight(rs); err == nil && did {
-				stats.Merges++
-			}
-		}
-	}
-
-	c.rebalanceLeases(now, changed, &stats)
+	c.rebalanceLeases(&stats)
 
 	c.tickMu.Lock()
 	c.lastTick = stats
@@ -707,8 +566,8 @@ func (c *Cluster) Tick() {
 	c.tickMu.Unlock()
 }
 
-// LastTickStats reports what the most recent Tick did — the O(changed)
-// evidence the fleet benchmark and tests gate on.
+// LastTickStats reports what the most recent Tick did — the evidence tests
+// gate on that a tick's work follows what is due.
 func (c *Cluster) LastTickStats() TickStats {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
@@ -743,28 +602,16 @@ func (c *Cluster) ensureLease(rs *rangeState, stats *TickStats) {
 	c.idx.markNeedsLease(id)
 }
 
-// isMergeCold reports whether the range's load and size sit below the merge
-// hysteresis thresholds.
-func (c *Cluster) isMergeCold(rs *rangeState, now time.Time) bool {
-	rs.statsMu.Lock()
-	small := rs.writtenBytes <= c.cfg.SplitSizeThreshold/2
-	rs.statsMu.Unlock()
-	if !small {
-		return false
-	}
-	if c.cfg.LoadSplitQPSThreshold <= 0 {
-		// No QPS threshold configured: size alone decides.
-		return true
-	}
-	return rs.load.qps(now, c.cfg.LoadHalfLife) < c.cfg.LoadSplitQPSThreshold*c.cfg.MergeQPSFraction
-}
+// maxLeaseTransfersPerTick bounds the count pass. A burst of splits hands
+// every new range its parent's leaseholder, so the pass may take several
+// ticks to even the spread out; once it has, it moves nothing.
+const maxLeaseTransfersPerTick = 128
 
 // rebalanceLeases moves leases toward an even spread (mechanism (a) of
-// §5.1.1, operating at a longer time scale than admission). With
-// LoadRebalancing enabled a first pass moves the hottest changed ranges off
-// QPS-overloaded nodes; the count pass then evens out lease counts using the
-// index aggregates, walking only the most-loaded node's lease set.
-func (c *Cluster) rebalanceLeases(now time.Time, changed []RangeID, stats *TickStats) {
+// §5.1.1, operating at a longer time scale than admission): it evens out
+// lease counts using the index aggregates, walking only the node with the
+// most leases.
+func (c *Cluster) rebalanceLeases(stats *TickStats) {
 	c.nodesMu.RLock()
 	liveIDs := make([]NodeID, 0, len(c.nodesMu.nodeOrder))
 	for _, nid := range c.nodesMu.nodeOrder {
@@ -777,18 +624,12 @@ func (c *Cluster) rebalanceLeases(now time.Time, changed []RangeID, stats *TickS
 		return
 	}
 	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
-	halfLife := c.cfg.LoadHalfLife
 
-	if c.cfg.LoadRebalancing {
-		c.rebalanceLeasesByLoad(now, changed, halfLife, stats)
-	}
-
-	// Count pass: even the spread using the index's O(1) per-node counts.
 	counts := make(map[NodeID]int, len(liveIDs))
 	for _, nid := range liveIDs {
 		counts[nid] = c.idx.leaseCount(nid)
 	}
-	for iter := 0; iter < 128; iter++ {
+	for iter := 0; iter < maxLeaseTransfersPerTick; iter++ {
 		maxN, minN := liveIDs[0], liveIDs[0]
 		for _, nid := range liveIDs[1:] {
 			if counts[nid] > counts[maxN] {
@@ -806,9 +647,6 @@ func (c *Cluster) rebalanceLeases(now time.Time, changed []RangeID, stats *TickS
 			rs := c.rangeByID(id)
 			if rs == nil {
 				continue
-			}
-			if c.cfg.LoadRebalancing && rs.load.weightAt(now, halfLife) >= loadSignificanceWeight {
-				continue // the load pass owns hot ranges
 			}
 			lh, ok := rs.group.Leaseholder()
 			if !ok || lh != maxN {
@@ -836,170 +674,6 @@ func (c *Cluster) rebalanceLeases(now time.Time, changed []RangeID, stats *TickS
 		if !moved {
 			return
 		}
-	}
-}
-
-// effectiveLoad is a node's placement-comparable load: delivered QPS-weight
-// inflated by smoothed per-vCPU occupancy. A node pushed past capacity
-// delivers no more QPS — the overload shows up only as queue growth — so
-// comparing delivered weight alone under-reports saturated nodes and the
-// balancer converges to a placement that still drowns them. The occupancy
-// term (Little's law over the decayed batch node-seconds) keeps growing
-// with congestion and restores the signal.
-func (c *Cluster) effectiveLoad(n *Node, now time.Time, halfLife time.Duration) float64 {
-	eff, _ := c.nodeLoad(n, now, halfLife)
-	return eff
-}
-
-// nodeLoad returns a node's effective load and the inflation factor applied
-// to its delivered weight. The factor is capped: occupancy is a noisy
-// instantaneous-ish signal, and an uncapped multiplier would let one
-// congested sample dominate every placement comparison for a half-life.
-func (c *Cluster) nodeLoad(n *Node, now time.Time, halfLife time.Duration) (eff, inflation float64) {
-	raw := n.leaseLoad.value(now, halfLife)
-	inflation = 1.0
-	if halfLife > 0 {
-		occupancy := n.waitLoad.value(now, halfLife) * math.Ln2 / halfLife.Seconds()
-		inflation += occupancy / float64(n.vcpus)
-		if inflation > 4 {
-			inflation = 4
-		}
-	}
-	return raw * inflation, inflation
-}
-
-// rebalanceLeasesByLoad moves the hottest recently-changed ranges' leases
-// off nodes whose decayed QPS load dominates a peer's. A lease transfer to a
-// colder replica peer is the cheap first choice; when every peer is hot too
-// — a split-up hot range's pieces all inherit the parent's replica set, so
-// the peers heat up together — the leaseholder's replica moves to the
-// globally coldest non-member node instead, and the lease travels with it.
-func (c *Cluster) rebalanceLeasesByLoad(now time.Time, changed []RangeID, halfLife time.Duration, stats *TickStats) {
-	const maxMovesPerTick = 4
-	const maxReplicaMovesPerTick = 2
-	type cand struct {
-		id RangeID
-		w  float64
-	}
-	cands := make([]cand, 0, len(changed))
-	for _, id := range changed {
-		rs := c.rangeByID(id)
-		if rs == nil {
-			continue
-		}
-		if w := rs.load.weightAt(now, halfLife); w >= loadRebalanceMinWeight {
-			cands = append(cands, cand{id: id, w: w})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
-		}
-		return cands[i].id < cands[j].id
-	})
-	moves := 0
-	for _, cd := range cands {
-		if moves >= maxMovesPerTick {
-			return
-		}
-		rs := c.rangeByID(cd.id)
-		if rs == nil {
-			continue
-		}
-		rs.statsMu.Lock()
-		cooling := !rs.loadMoveAt.IsZero() && now.Sub(rs.loadMoveAt) < 3*halfLife
-		rs.statsMu.Unlock()
-		if cooling {
-			continue
-		}
-		lh, ok := rs.group.Leaseholder()
-		if !ok {
-			continue
-		}
-		lhNode, ok := c.Node(lh)
-		if !ok || !lhNode.Live() {
-			continue
-		}
-		lhLoad, lhInfl := c.nodeLoad(lhNode, now, halfLife)
-		// The candidate's weight is delivered QPS too, deflated by the same
-		// saturation that deflates its node's counter: compare hysteresis in
-		// the inflated space or every inflated diff clears a raw threshold
-		// and the balancer thrashes.
-		wEff := cd.w * lhInfl
-		best, bestLoad := lh, lhLoad
-		var bestNode *Node
-		for _, nid := range rs.group.Replicas() {
-			if nid == lh || !c.liveness(nid) {
-				continue
-			}
-			n, exists := c.Node(nid)
-			if !exists {
-				continue
-			}
-			if l := c.effectiveLoad(n, now, halfLife); l < bestLoad {
-				best, bestLoad, bestNode = nid, l, n
-			}
-		}
-		// Move only when the holder's load exceeds the target's by more
-		// than the range's own weight — otherwise the transfer would just
-		// swap which node is hot (thrash).
-		// Two-part hysteresis: the holder must dominate the target by the
-		// candidate's own inflated weight (or the move just swaps which node
-		// is hot) and by a 20% multiplicative margin (or late-stage noise
-		// keeps the balancer shuffling proportionally-equal nodes forever).
-		if best != lh && lhLoad-bestLoad > 1.5*wEff && lhLoad > 1.2*bestLoad {
-			if err := rs.group.TransferLease(lh, best); err != nil {
-				continue
-			}
-			c.idx.noteLease(cd.id, best, c.renewAt())
-			rs.statsMu.Lock()
-			rs.loadMoveAt = now
-			rs.statsMu.Unlock()
-			// Credit the target now; let the source decay to its reduced
-			// traffic naturally. Debiting the source would make it look
-			// colder than its true load for a half-life, attracting a
-			// compensating move and oscillating load between node pairs —
-			// overstating both sides instead pauses the balancer until the
-			// counters re-converge on observed traffic.
-			bestNode.leaseLoad.add(now, halfLife, cd.w)
-			stats.LoadLeaseTransfers++
-			c.cfg.RangeMetrics.loadLeaseTransfer()
-			c.rangeEvent(rs.descAtomic.Load().Span.Key, "lease.load")
-			moves++
-			continue
-		}
-		// No replica peer can absorb the load. Look for a colder node
-		// outside the replica set: move the leaseholder's replica there
-		// (MoveReplica re-grants the departing holder's lease at the
-		// destination), bounded tighter than lease transfers because a
-		// replica move copies span data.
-		if stats.LoadReplicaMoves >= maxReplicaMovesPerTick {
-			continue
-		}
-		coldest, coldLoad := NodeID(0), lhLoad
-		var coldNode *Node
-		for _, n := range c.Nodes() {
-			if n.id == lh || !n.Live() || hasReplica(rs, n.id) {
-				continue
-			}
-			if l := c.effectiveLoad(n, now, halfLife); l < coldLoad {
-				coldest, coldLoad, coldNode = n.id, l, n
-			}
-		}
-		if coldest == 0 || lhLoad-coldLoad <= 1.5*wEff || lhLoad <= 1.2*coldLoad {
-			continue
-		}
-		if err := c.MoveReplica(cd.id, lh, coldest); err != nil {
-			continue
-		}
-		rs.statsMu.Lock()
-		rs.loadMoveAt = now
-		rs.statsMu.Unlock()
-		coldNode.leaseLoad.add(now, halfLife, cd.w)
-		stats.LoadReplicaMoves++
-		c.cfg.RangeMetrics.loadReplicaMove()
-		c.rangeEvent(rs.descAtomic.Load().Span.Key, "replica.load")
-		moves++
 	}
 }
 
@@ -1241,22 +915,7 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	// Load accounting: decay-and-add the range and leaseholder counters,
-	// sample the first request key into the split reservoir, and flag the
-	// range for the next maintenance tick. Split checks run outside the
-	// range latch.
-	var writeBytes int64
-	if !ba.IsReadOnly() {
-		for _, r := range ba.Requests {
-			writeBytes += int64(len(r.Key) + len(r.Value))
-		}
-	}
-	now := c.clock.Now()
-	rs.load.record(now, c.cfg.LoadHalfLife, len(ba.Requests), writeBytes, ba.Requests[0].Key)
-	n.leaseLoad.add(now, c.cfg.LoadHalfLife, float64(len(ba.Requests)))
-	n.waitLoad.add(now, c.cfg.LoadHalfLife, now.Sub(admitStart).Seconds())
-	c.markChanged(rs)
-	c.maybeLoadSplit(rs, nodeID)
+	// The size check runs outside the range latch.
 	if !ba.IsReadOnly() {
 		c.maybeSizeSplit(rs, nodeID)
 	}

@@ -41,6 +41,30 @@ func newTestCluster(t testing.TB, n int, opts ...func(*NodeConfig)) *Cluster {
 	return c
 }
 
+// newConfiguredCluster builds a cluster with an explicit ClusterConfig
+// (unlike newTestCluster, which pins the defaults). A nil clock means real
+// time.
+func newConfiguredCluster(t testing.TB, n int, cfg ClusterConfig, clock timeutil.Clock) *Cluster {
+	t.Helper()
+	cheap := CostConfig{
+		ReadBatchOverhead:  time.Nanosecond,
+		WriteBatchOverhead: time.Nanosecond,
+		ReadRequestCost:    time.Nanosecond,
+		WriteRequestCost:   time.Nanosecond,
+	}
+	var nodes []*Node
+	for i := 1; i <= n; i++ {
+		nodes = append(nodes, NewNode(NodeConfig{ID: NodeID(i), VCPUs: 2, Cost: cheap, Clock: clock}))
+	}
+	cfg.Clock = clock
+	c, err := NewCluster(cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
 func tenantKey(tid keys.TenantID, s string) keys.Key {
 	return append(keys.MakeTenantPrefix(tid), []byte(s)...)
 }

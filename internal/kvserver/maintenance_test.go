@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/timeutil"
 )
 
 func TestCordonedNodeShedsLeases(t *testing.T) {
@@ -53,6 +55,114 @@ func TestCordonedNodeShedsLeases(t *testing.T) {
 		getReq(tenantKey(2, "during-outage"))}})
 	if err != nil || !resp.Responses[0].Exists {
 		t.Fatalf("read after recovery: %v", err)
+	}
+}
+
+// TestTickVisitsOnlyChangedRanges checks that a tick visits only ranges whose
+// lease needs work (a new range, a due renewal), never a range because it
+// served traffic.
+func TestTickVisitsOnlyChangedRanges(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(10_000, 0))
+	c := newConfiguredCluster(t, 3, ClusterConfig{LeaseDuration: 10 * time.Second}, mc)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		if err := c.SplitAt(tenantKey(2, fmt.Sprintf("s%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Tick() // grants every range its lease
+	ranges := len(c.Descriptors())
+	if got := c.LastTickStats().RangesVisited; got != ranges {
+		t.Fatalf("first tick visited %d ranges, want all %d (each needs a lease)", got, ranges)
+	}
+	// Traffic on a few ranges leaves nothing for the tick to do.
+	for i := 0; i < 20; i++ {
+		k := tenantKey(2, fmt.Sprintf("s%02dx", i%3))
+		if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Tick()
+	if got := c.LastTickStats(); got.RangesVisited != 0 {
+		t.Fatalf("tick after traffic visited %d ranges, want 0 (stats %+v)", got.RangesVisited, got)
+	}
+	// At half the lease duration every lease is due for renewal: the tick
+	// visits each range once, and the next tick none. A renewal schedules
+	// the next one, so the pattern repeats for as long as the leases live.
+	for round := 1; round <= 3; round++ {
+		mc.Advance(5 * time.Second)
+		c.Tick()
+		if got := c.LastTickStats(); got.RangesVisited != ranges || got.LeaseOps != ranges {
+			t.Fatalf("renewal round %d: tick stats %+v, want %d ranges visited and renewed", round, got, ranges)
+		}
+		c.Tick()
+		if got := c.LastTickStats().RangesVisited; got != 0 {
+			t.Fatalf("renewal round %d: next tick visited %d ranges, want 0", round, got)
+		}
+	}
+}
+
+// TestSplitLeasePileUpEvensOutThenStops pins where an idle fleet's lease
+// transfers come from. Every split hands the new range its parent's
+// leaseholder, so creating N tenants piles N+1 leases onto one node. The
+// count pass evens them out at most maxLeaseTransfersPerTick per tick and
+// then moves nothing: the transfers are a one-off burst after the splits,
+// not churn. No lease lapses between ticks either; renewals at half the
+// lease duration keep every range held across two lease durations.
+func TestSplitLeasePileUpEvensOutThenStops(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(10_000, 0))
+	c := newConfiguredCluster(t, 3, ClusterConfig{}, mc)
+	c.Tick() // the first range takes its lease
+	const tenants = 400
+	for tid := keys.TenantID(2); tid < 2+tenants; tid++ {
+		if err := c.SplitAt(keys.MakeTenantPrefix(tid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranges := len(c.Descriptors())
+	counts := c.LeaseCounts()
+	if len(counts) != 1 {
+		t.Fatalf("leases after the splits = %v, want all %d on the first range's holder", counts, ranges)
+	}
+	// Even is ceil(ranges/3) left on the source; the rest move.
+	remaining := ranges - (ranges+2)/3
+	holders := func() map[RangeID]NodeID {
+		out := make(map[RangeID]NodeID)
+		for _, r := range c.RangeLoads() {
+			out[r.RangeID] = r.Leaseholder
+		}
+		return out
+	}
+	prev := holders()
+	for tick := 1; tick <= 20; tick++ {
+		mc.Advance(time.Second)
+		c.Tick()
+		changed := 0
+		for id, h := range holders() {
+			if h == 0 {
+				t.Fatalf("tick %d: range %d has no leaseholder", tick, id)
+			}
+			if h != prev[id] {
+				changed++
+			}
+			prev[id] = h
+		}
+		want := min(remaining, maxLeaseTransfersPerTick)
+		remaining -= want
+		if changed != want || c.LastTickStats().LeaseTransfers != want {
+			t.Fatalf("tick %d: %d leaseholders changed, %d transfers, want %d",
+				tick, changed, c.LastTickStats().LeaseTransfers, want)
+		}
+	}
+	if remaining != 0 {
+		t.Fatalf("%d transfers still owed after 20 ticks", remaining)
+	}
+	counts = c.LeaseCounts()
+	for _, n := range []NodeID{1, 2, 3} {
+		if d := counts[n] - ranges/3; d < 0 || d > 1 {
+			t.Fatalf("lease counts %v are not even over %d ranges", counts, ranges)
+		}
 	}
 }
 

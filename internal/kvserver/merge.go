@@ -6,8 +6,9 @@ import (
 	"crdbserverless/internal/keys"
 )
 
-// Cold-range merging: the inverse of splitLocked. Two adjacent ranges with
-// identical replica sets collapse into one — a fresh range over the union
+// Range merging: the inverse of splitLocked, run only when asked (MergeAt;
+// the chaos merge storm drives it). Two adjacent ranges with identical
+// replica sets collapse into one — a fresh range over the union
 // span whose replication group is seeded (SeedState) at the sum of the
 // parents' commit indexes, with each replica's applied index the sum of its
 // parents' applied indexes. The span data never moves: it already lives in
@@ -20,19 +21,14 @@ var errMergeIneligible = errors.New("kvserver: ranges not eligible to merge")
 // MergeAt merges the range containing key with its right neighbor, if the
 // pair is eligible (adjacent, same replicas, same tenant). It reports
 // whether a merge happened; ineligibility is (false, nil), not an error.
+// Both range latches are held in span order (left before right) for the
+// duration, so no batch evaluates on either side mid-merge; the lock-order
+// lint's cycle detection treats same-class ordered acquisition as safe.
 func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
-	rs, err := c.rangeFor(key)
+	left, err := c.rangeFor(key)
 	if err != nil {
 		return false, err
 	}
-	return c.mergeRight(rs)
-}
-
-// mergeRight merges left with its right neighbor. Both range latches are
-// held in span order (left before right) for the duration, so no batch
-// evaluates on either side mid-merge; the lock-order lint's cycle detection
-// treats same-class ordered acquisition as safe.
-func (c *Cluster) mergeRight(left *rangeState) (bool, error) {
 	left.latch.Lock()
 	defer left.latch.Unlock()
 	leftDesc := left.descAtomic.Load()
@@ -120,8 +116,6 @@ func (c *Cluster) mergeRight(left *rangeState) (bool, error) {
 	merged.statsMu.Lock()
 	merged.writtenBytes = lb + rb
 	merged.statsMu.Unlock()
-	merged.load.absorb(left.load)
-	merged.load.absorb(right.load)
 	mergedID := merged.desc.RangeID
 	c.mu.Unlock()
 
@@ -134,14 +128,6 @@ func (c *Cluster) mergeRight(left *rangeState) (bool, error) {
 	if err := merged.group.AcquireLease(donor); err == nil {
 		c.idx.noteLease(mergedID, donor, c.renewAt())
 	}
-	c.markChanged(merged)
-	if c.cfg.MergeEnabled {
-		// Cascade: the merged range may itself be cold enough to keep
-		// collapsing rightward after another hysteresis delay.
-		c.idx.scheduleMergeCheck(mergedID, c.clock.Now().Add(c.cfg.MergeDelay))
-	}
-	c.cfg.RangeMetrics.merge()
-	c.rangeEvent(union.Key, "merge")
 	return true, nil
 }
 

@@ -65,18 +65,6 @@ type Node struct {
 
 	livenessLimit int
 
-	// leaseLoad is the decayed QPS weight of the batches this node served
-	// as leaseholder — the signal load-aware lease rebalancing reads.
-	// Updated O(1) on the batch path; lease transfers move a range's
-	// weight between node counters.
-	leaseLoad decayedCounter
-	// waitLoad accumulates each served batch's wall time at the node
-	// (admission wait + queueing + execution), decayed on the same clock.
-	// By Little's law its weight is proportional to the mean number of
-	// batches in the system, which keeps growing after delivered QPS
-	// flattens at capacity — the congestion term of effectiveLoad.
-	waitLoad decayedCounter
-
 	mu struct {
 		sync.Mutex
 		acEnabled   bool

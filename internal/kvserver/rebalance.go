@@ -6,7 +6,6 @@ import (
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/mvcc"
-	"crdbserverless/internal/raftlite"
 )
 
 // Replica movement and KV fleet membership — the substrate for automatic
@@ -142,22 +141,7 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 		}
 	}
 	newReplicas = append(newReplicas, to)
-	sms := make([]raftlite.StateMachine, len(newReplicas))
-	for i, nid := range newReplicas {
-		n, ok := c.Node(nid)
-		if !ok {
-			return fmt.Errorf("kvserver: unknown node %d", nid)
-		}
-		sms[i] = engineSM{n: n, rs: rs}
-	}
-	group, err := raftlite.NewGroup(raftlite.Config{
-		RangeID:       int64(rangeID),
-		Clock:         c.clock,
-		Liveness:      c.liveness,
-		LeaseDuration: c.cfg.LeaseDuration,
-		CommitMetrics: c.cfg.CommitMetrics,
-		LogRetention:  c.cfg.RaftLogRetention,
-	}, newReplicas, sms)
+	group, err := c.newGroup(rs, newReplicas)
 	if err != nil {
 		return err
 	}
@@ -208,7 +192,6 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 		} else {
 			c.idx.markNeedsLease(rangeID)
 		}
-		c.markChanged(rs)
 	}
 	return err
 }
@@ -240,14 +223,12 @@ func copySpanData(src, dst *lsm.Engine, rs *rangeState) error {
 	return nil
 }
 
-// RebalanceReplicas moves up to maxMoves replicas from the most-loaded node
-// to the least-loaded live node, preferring the hottest movable range so
-// each move sheds as much load as possible. Per-node counts come from the
-// maintenance index (O(nodes)), and candidates from the most-loaded node's
-// replica set — never a cluster-wide scan. It returns the number of moves
-// performed.
+// RebalanceReplicas moves up to maxMoves replicas from the node with the
+// most replicas to the live node with the fewest, taking the lowest-RangeID
+// range that can move. Per-node counts come from the maintenance index
+// (O(nodes)), and candidates from the fullest node's replica set — never a
+// cluster-wide scan. It returns the number of moves performed.
 func (c *Cluster) RebalanceReplicas(maxMoves int) int {
-	now := c.clock.Now()
 	moves := 0
 	for moves < maxMoves {
 		var maxNode, minNode NodeID
@@ -267,21 +248,13 @@ func (c *Cluster) RebalanceReplicas(maxMoves int) int {
 		if maxNode == 0 || minNode == 0 || maxNode == minNode || maxCount-minCount <= 1 {
 			return moves
 		}
-		// Among maxNode's ranges without a replica on minNode, pick the one
-		// carrying the most decayed load (ties break toward the lowest
-		// RangeID — the index iteration is already sorted).
+		// The first of maxNode's ranges (the index iteration is sorted by
+		// RangeID) without a replica on minNode.
 		var candidate RangeID
-		bestWeight := -1.0
 		for _, id := range c.idx.replicasOf(maxNode) {
-			rs := c.rangeByID(id)
-			if rs == nil {
-				continue
-			}
-			if hasReplica(rs, minNode) {
-				continue
-			}
-			if w := rs.load.weightAt(now, c.cfg.LoadHalfLife); w > bestWeight {
-				bestWeight, candidate = w, id
+			if rs := c.rangeByID(id); rs != nil && !hasReplica(rs, minNode) {
+				candidate = id
+				break
 			}
 		}
 		if candidate == 0 {

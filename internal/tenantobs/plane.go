@@ -74,7 +74,6 @@ type Plane struct {
 	admWait     *metric.HistogramVec // admission.tenant_wait{tenant}
 	ru          *metric.GaugeVec     // tenantcost.tenant_ru{tenant}
 	scaleEvents *metric.CounterVec   // autoscaler.tenant_scale_events{tenant,result}
-	rangeEvents *metric.CounterVec   // kv.tenant_range_events{tenant,result}
 
 	mu       sync.Mutex
 	byID     map[keys.TenantID]*tenantState
@@ -115,7 +114,6 @@ func New(cfg Config) *Plane {
 		admWait:     r.NewHistogramVec("admission.tenant_wait", "tenant"),
 		ru:          r.NewGaugeVec("tenantcost.tenant_ru", "tenant"),
 		scaleEvents: r.NewCounterVec("autoscaler.tenant_scale_events", "tenant", "result"),
-		rangeEvents: r.NewCounterVec("kv.tenant_range_events", "tenant", "result"),
 		byID:        make(map[keys.TenantID]*tenantState),
 		byName:      make(map[string]*tenantState),
 	}
@@ -131,7 +129,6 @@ func New(cfg Config) *Plane {
 	p.queries.SetMaxCardinality(double)
 	p.commits.SetMaxCardinality(double)
 	p.scaleEvents.SetMaxCardinality(double)
-	p.rangeEvents.SetMaxCardinality(double)
 	return p
 }
 
@@ -341,15 +338,6 @@ func (p *Plane) AddRU(id keys.TenantID, ru float64) {
 		return
 	}
 	p.ru.With(p.stateByID(id).name).Add(ru)
-}
-
-// RangeEvent records a range-management decision on the tenant's keyspace:
-// "split.load", "split.size", "merge", or "lease.load".
-func (p *Plane) RangeEvent(id keys.TenantID, kind string) {
-	if p == nil {
-		return
-	}
-	p.rangeEvents.With(p.stateByID(id).name, kind).Inc(1)
 }
 
 // ScaleEvent records an autoscaler decision for the tenant: "up", "down",
