@@ -73,6 +73,13 @@ var (
 	DBool = sql.DBool
 )
 
+const (
+	// kvNodeVCPUs is each KV node's CPU capacity.
+	kvNodeVCPUs = 8
+	// warmPoolSize is the pre-warmed SQL pod pool per region (§4.3.1).
+	warmPoolSize = 4
+)
+
 // Options configure a Serverless deployment.
 type Options struct {
 	// Regions to deploy in. Defaults to a single region, "us-central1".
@@ -81,30 +88,20 @@ type Options struct {
 	Regions []Region
 	// KVNodesPerRegion is the shared KV fleet size per region. Default 3.
 	KVNodesPerRegion int
-	// KVNodeVCPUs is each KV node's CPU capacity. Default 8.
-	KVNodeVCPUs int
-	// WarmPoolSize is the pre-warmed SQL pod pool per region. Default 4.
-	WarmPoolSize int
 	// AdmissionControl enables per-node admission control (§5.1).
 	AdmissionControl bool
 	// Clock defaults to the real clock; experiments pass a manual clock.
 	Clock timeutil.Clock
-	// CostConfig overrides the KV ground-truth CPU cost model.
-	CostConfig *kvserver.CostConfig
 	// TraceSeed seeds the deployment tracer's ID generator; two deployments
 	// built with the same seed (and the same workload) produce identical
 	// trace and span IDs. Defaults to 1.
 	TraceSeed int64
-	// SlowSpanThreshold is the root-span duration beyond which a trace is
-	// force-retained by the recorder. Zero means the recorder default.
-	SlowSpanThreshold time.Duration
 }
 
 // Serverless is a running deployment.
 type Serverless struct {
 	opts     Options
 	topology *region.Topology
-	dns      *region.DNS
 
 	cluster  *kvserver.Cluster
 	registry *core.Registry
@@ -136,40 +133,22 @@ func New(opts Options) (*Serverless, error) {
 	if opts.KVNodesPerRegion <= 0 {
 		opts.KVNodesPerRegion = 3
 	}
-	if opts.KVNodeVCPUs <= 0 {
-		opts.KVNodeVCPUs = 8
-	}
-	if opts.WarmPoolSize <= 0 {
-		opts.WarmPoolSize = 4
-	}
 	if opts.Clock == nil {
 		opts.Clock = timeutil.NewRealClock()
 	}
 	if opts.TraceSeed == 0 {
 		opts.TraceSeed = 1
 	}
-	cost := kvserver.DefaultCostConfig()
-	if opts.CostConfig != nil {
-		cost = *opts.CostConfig
-	}
-
-	topology := region.DefaultTopology()
 	s := &Serverless{
 		opts:          opts,
-		topology:      topology,
-		dns:           region.NewDNS(topology),
+		topology:      region.DefaultTopology(),
 		metrics:       metric.NewRegistry(),
 		regionMetrics: make(map[Region]*metric.Registry),
 		orchestrators: make(map[Region]*orchestrator.Orchestrator),
 		autoscalers:   make(map[Region]*autoscaler.Autoscaler),
 		proxies:       make(map[Region]*proxy.Proxy),
 	}
-	s.tracer = trace.New(trace.Options{
-		Clock:         opts.Clock,
-		Seed:          opts.TraceSeed,
-		Metrics:       s.metrics,
-		SlowThreshold: opts.SlowSpanThreshold,
-	})
+	s.tracer = trace.New(trace.Options{Clock: opts.Clock, Seed: opts.TraceSeed, Metrics: s.metrics})
 	s.obs = tenantobs.New(tenantobs.Config{Registry: s.metrics, Clock: opts.Clock})
 
 	// The shared KV cluster spans all regions. Every node's engine shares
@@ -185,10 +164,9 @@ func New(opts Options) (*Serverless, error) {
 		for i := 0; i < opts.KVNodesPerRegion; i++ {
 			nodes = append(nodes, kvserver.NewNode(kvserver.NodeConfig{
 				ID:     id,
-				VCPUs:  opts.KVNodeVCPUs,
+				VCPUs:  kvNodeVCPUs,
 				Region: string(r),
 				Clock:  opts.Clock,
-				Cost:   cost,
 				LSM: lsm.Options{
 					Tracer:       s.tracer,
 					ReadMetrics:  lsmReadMetrics,
@@ -232,9 +210,8 @@ func New(opts Options) (*Serverless, error) {
 			Buckets:         s.buckets,
 			Clock:           opts.Clock,
 			Region:          r,
-			WarmPoolSize:    opts.WarmPoolSize,
+			WarmPoolSize:    warmPoolSize,
 			PreStartProcess: true,
-			NodeVCPUs:       4,
 			Metrics:         regMetrics,
 			Tracer:          s.tracer,
 			Obs:             s.obs,

@@ -2,29 +2,24 @@ package crdbserverless
 
 import (
 	"context"
+	"reflect"
 	"testing"
-	"time"
 
+	"crdbserverless/internal/admission"
+	"crdbserverless/internal/autoscaler"
 	"crdbserverless/internal/core"
+	"crdbserverless/internal/kvscaler"
 	"crdbserverless/internal/kvserver"
+	"crdbserverless/internal/lsm"
+	"crdbserverless/internal/orchestrator"
+	"crdbserverless/internal/proxy"
+	"crdbserverless/internal/server"
+	"crdbserverless/internal/tenantobs"
+	"crdbserverless/internal/trace"
 )
-
-func cheapCost() *kvserver.CostConfig {
-	c := kvserver.CostConfig{
-		ReadBatchOverhead:  time.Nanosecond,
-		WriteBatchOverhead: time.Nanosecond,
-	}
-	return &c
-}
 
 func newServerless(t *testing.T, opts Options) *Serverless {
 	t.Helper()
-	if opts.CostConfig == nil {
-		opts.CostConfig = cheapCost()
-	}
-	if opts.WarmPoolSize == 0 {
-		opts.WarmPoolSize = 2
-	}
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -192,5 +187,90 @@ func TestTickRunsMaintenance(t *testing.T) {
 	}
 	if err := s.WaitIdle(ctx, 3, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigSurface pins the configuration surface: each option struct's
+// exported field count, and the assembly New(Options{}) builds. Every option
+// doubles the configurations tests and benchmarks must cover, so adding one
+// is an edit here, made with the caller that needs it.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		cfg    any
+		fields int
+	}{
+		{Options{}, 5},
+		{lsm.Options{}, 12},
+		{kvserver.ClusterConfig{}, 5},
+		{kvserver.Config{}, 3},
+		{autoscaler.Config{}, 5},
+		{admission.CPUQueueOptions{}, 4},
+		{admission.WriteQueueOptions{}, 1},
+		{orchestrator.Config{}, 12},
+		{server.SQLNodeConfig{}, 9},
+		{proxy.Config{}, 8},
+		{tenantobs.Config{}, 3},
+		{trace.Options{}, 3},
+		{kvscaler.Config{}, 3},
+	} {
+		typ := reflect.TypeOf(c.cfg)
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				names = append(names, f.Name)
+			}
+		}
+		if len(names) != c.fields {
+			t.Errorf("%s has %d exported fields %v, want %d", typ, len(names), names, c.fields)
+		}
+	}
+
+	s := newServerless(t, Options{})
+	nodes := s.Cluster().Nodes()
+	if len(nodes) != 3 {
+		t.Fatalf("KV nodes = %d, want 3", len(nodes))
+	}
+	for _, n := range nodes {
+		if n.VCPUs() != 8 {
+			t.Errorf("KV node %d has %d vCPUs, want 8", n.ID(), n.VCPUs())
+		}
+	}
+	orch := s.Orchestrator("us-central1")
+	if got := orch.WarmCount(); got != 4 {
+		t.Errorf("warm pool = %d pods, want 4", got)
+	}
+	if got := orch.NodeVCPUs(); got != 4 {
+		t.Errorf("SQL pods have %d vCPUs, want 4", got)
+	}
+	for _, d := range s.Cluster().Descriptors() {
+		if len(d.Replicas) != 3 {
+			t.Errorf("range %d has %d replicas, want 3", d.RangeID, len(d.Replicas))
+		}
+	}
+	// Admission is off: KV traffic never passes the admission queues.
+	ctx := context.Background()
+	if _, err := s.CreateTenant(ctx, "acme", TenantOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s.SQLSession("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Execute(ctx, "CREATE TABLE t (a INT PRIMARY KEY)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Execute(ctx, "INSERT INTO t VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	var batches int64
+	for _, n := range nodes {
+		batches += n.BatchCount()
+		cpu, write := n.AdmissionStats()
+		if cpu.Admitted != 0 || write.Admitted != 0 {
+			t.Errorf("node %d admitted %d CPU and %d write requests with admission off", n.ID(), cpu.Admitted, write.Admitted)
+		}
+	}
+	if batches == 0 {
+		t.Fatal("no KV batches served; the admission check saw no traffic")
 	}
 }

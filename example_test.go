@@ -4,20 +4,14 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"crdbserverless"
-	"crdbserverless/internal/kvserver"
 )
 
 // Example shows the end-to-end lifecycle: provision a virtual cluster, run
 // SQL through the routing proxy, scale to zero, and cold-start back.
 func Example() {
-	cheap := kvserver.CostConfig{
-		ReadBatchOverhead:  time.Nanosecond,
-		WriteBatchOverhead: time.Nanosecond,
-	}
-	srv, err := crdbserverless.New(crdbserverless.Options{CostConfig: &cheap})
+	srv, err := crdbserverless.New(crdbserverless.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -99,7 +99,8 @@ func TestCPUQueueFairnessFavorsLightTenant(t *testing.T) {
 	// A heavy tenant (1000) and a light tenant (2): when both queue, grants
 	// go to the tenant with less recent consumption.
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 1, Clock: mc, UsageHalfLife: time.Hour})
+	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 1, Clock: mc})
+	q.mu.fq.halfLife = time.Hour
 	hold, _ := q.Admit(context.Background(), info(1000))
 
 	// Charge the heavy tenant with prior consumption.
@@ -165,7 +166,7 @@ func TestCPUQueuePriorityWithinTenant(t *testing.T) {
 }
 
 func TestCPUQueueAIMD(t *testing.T) {
-	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 4, MinSlots: 1, MaxSlots: 8})
+	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 4, MaxSlots: 8})
 	// Runnable queue deep: slots shrink.
 	for i := 0; i < 10; i++ {
 		q.AdjustSlots(100, 4)
@@ -211,9 +212,17 @@ func TestCPUQueueGrantOnSlotGrowth(t *testing.T) {
 	}
 }
 
+// newWriteQueueAt returns a write queue on clock whose bucket refills at rate
+// bytes/sec and holds one second of it, as after a capacity estimate.
+func newWriteQueueAt(clock timeutil.Clock, rate float64) *WriteQueue {
+	q := NewWriteQueue(WriteQueueOptions{Clock: clock})
+	q.SetRate(rate)
+	return q
+}
+
 func TestWriteQueueImmediateAndBlocked(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	q := NewWriteQueue(WriteQueueOptions{InitialRate: 1000, Burst: 1000, Clock: mc})
+	q := newWriteQueueAt(mc, 1000)
 	// Bucket starts full: 600 bytes admit immediately.
 	if err := q.Admit(context.Background(), info(2), 600); err != nil {
 		t.Fatal(err)
@@ -253,7 +262,7 @@ func TestWriteQueueZeroBytesNoop(t *testing.T) {
 
 func TestWriteQueueContextCancel(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	q := NewWriteQueue(WriteQueueOptions{InitialRate: 10, Burst: 10, Clock: mc})
+	q := newWriteQueueAt(mc, 10)
 	q.Admit(context.Background(), info(2), 10) // drain bucket
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -267,7 +276,8 @@ func TestWriteQueueContextCancel(t *testing.T) {
 
 func TestWriteQueueFairness(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	q := NewWriteQueue(WriteQueueOptions{InitialRate: 100, Burst: 100, Clock: mc, UsageHalfLife: time.Hour})
+	q := newWriteQueueAt(mc, 100)
+	q.mu.fq.halfLife = time.Hour
 	q.Admit(context.Background(), info(1000), 100) // heavy tenant drains bucket & records usage
 
 	order := make(chan keys.TenantID, 2)
@@ -297,7 +307,7 @@ func TestWriteQueueFairness(t *testing.T) {
 
 func TestWriteQueueSetRate(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	q := NewWriteQueue(WriteQueueOptions{InitialRate: 10, Burst: 10, Clock: mc})
+	q := newWriteQueueAt(mc, 10)
 	q.Admit(context.Background(), info(2), 10)
 	done := make(chan error, 1)
 	go func() { done <- q.Admit(context.Background(), info(2), 500) }()

@@ -28,20 +28,18 @@ type CPUQueue struct {
 		admitted int64
 		queued   int64
 	}
-	minSlots int
 	maxSlots int
 }
+
+// minSlots is the floor of the AIMD loop.
+const minSlots = 1
 
 // CPUQueueOptions configures a CPUQueue.
 type CPUQueueOptions struct {
 	// InitialSlots is the starting concurrency. Defaults to 4.
 	InitialSlots int
-	// MinSlots and MaxSlots bound the AIMD loop. Default 1 and 512.
-	MinSlots int
+	// MaxSlots caps the AIMD loop. Defaults to 512.
 	MaxSlots int
-	// UsageHalfLife controls how quickly a tenant's recent CPU consumption
-	// ages out of the fairness metric. Defaults to 1s.
-	UsageHalfLife time.Duration
 	// Clock defaults to the real clock.
 	Clock timeutil.Clock
 	// Obs, when non-nil, records each request's admission wait against its
@@ -54,17 +52,14 @@ func NewCPUQueue(opts CPUQueueOptions) *CPUQueue {
 	if opts.InitialSlots <= 0 {
 		opts.InitialSlots = 4
 	}
-	if opts.MinSlots <= 0 {
-		opts.MinSlots = 1
-	}
 	if opts.MaxSlots <= 0 {
 		opts.MaxSlots = 512
 	}
 	if opts.Clock == nil {
 		opts.Clock = timeutil.NewRealClock()
 	}
-	q := &CPUQueue{clock: opts.Clock, obs: opts.Obs, minSlots: opts.MinSlots, maxSlots: opts.MaxSlots}
-	q.mu.fq = newFairQueue(opts.UsageHalfLife, opts.Clock.Now())
+	q := &CPUQueue{clock: opts.Clock, obs: opts.Obs, maxSlots: opts.MaxSlots}
+	q.mu.fq = newFairQueue(usageHalfLife, opts.Clock.Now())
 	q.mu.slots = opts.InitialSlots
 	return q
 }
@@ -152,7 +147,7 @@ func (q *CPUQueue) AdjustSlots(runnable, procs int) {
 	defer q.mu.Unlock()
 	switch {
 	case runnable > procs:
-		if q.mu.slots > q.minSlots {
+		if q.mu.slots > minSlots {
 			q.mu.slots--
 		}
 	case q.mu.used >= q.mu.slots:

@@ -114,10 +114,11 @@ type fairQueue struct {
 	waiting   int
 }
 
+// usageHalfLife is how quickly a tenant's recent consumption ages out of the
+// fairness metric, in both queues.
+const usageHalfLife = time.Second
+
 func newFairQueue(halfLife time.Duration, now time.Time) *fairQueue {
-	if halfLife <= 0 {
-		halfLife = time.Second
-	}
 	return &fairQueue{
 		tenants:   make(map[keys.TenantID]*tenantQueue),
 		halfLife:  halfLife,

@@ -34,34 +34,24 @@ type WriteQueue struct {
 
 // WriteQueueOptions configures a WriteQueue.
 type WriteQueueOptions struct {
-	// InitialRate is the starting refill rate in bytes/sec. Defaults to
-	// 64 MiB/s.
-	InitialRate float64
-	// Burst is the bucket capacity in bytes. Defaults to one second of the
-	// initial rate.
-	Burst float64
-	// UsageHalfLife ages tenant write consumption. Defaults to 1s.
-	UsageHalfLife time.Duration
 	// Clock defaults to the real clock.
 	Clock timeutil.Clock
 }
 
+// initialWriteRate is the refill rate in bytes/sec until the first capacity
+// estimate arrives (SetRate); the bucket holds one second of it.
+const initialWriteRate = 64 << 20
+
 // NewWriteQueue returns a WriteQueue.
 func NewWriteQueue(opts WriteQueueOptions) *WriteQueue {
-	if opts.InitialRate <= 0 {
-		opts.InitialRate = 64 << 20
-	}
-	if opts.Burst <= 0 {
-		opts.Burst = opts.InitialRate
-	}
 	if opts.Clock == nil {
 		opts.Clock = timeutil.NewRealClock()
 	}
 	q := &WriteQueue{clock: opts.Clock}
-	q.mu.fq = newFairQueue(opts.UsageHalfLife, opts.Clock.Now())
-	q.mu.rate = opts.InitialRate
-	q.mu.burst = opts.Burst
-	q.mu.tokens = opts.Burst
+	q.mu.fq = newFairQueue(usageHalfLife, opts.Clock.Now())
+	q.mu.rate = initialWriteRate
+	q.mu.burst = initialWriteRate
+	q.mu.tokens = initialWriteRate
 	q.mu.lastRefill = opts.Clock.Now()
 	return q
 }

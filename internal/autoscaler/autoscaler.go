@@ -20,24 +20,36 @@ import (
 	"crdbserverless/internal/timeutil"
 )
 
+const (
+	// scrapeInterval is the metrics cadence (§4.3.2).
+	scrapeInterval = 3 * time.Second
+	// window is the averaging window of the target rule.
+	window = 5 * time.Minute
+	// avgMultiplier and peakMultiplier form the target rule
+	// max(avg*avgMultiplier, peak*peakMultiplier) (§4.2.3).
+	avgMultiplier  = 4
+	peakMultiplier = 1.33
+)
+
+// targetVCPUs is the §4.2.3 target capacity for a tenant whose usage over
+// the window averaged avg vCPUs and peaked at peak: the average term gives
+// stability, the peak term responsiveness.
+func targetVCPUs(avg, peak float64) float64 {
+	target := avg * avgMultiplier
+	if p := peak * peakMultiplier; p > target {
+		target = p
+	}
+	return target
+}
+
 // Config configures an Autoscaler.
 type Config struct {
 	Orchestrator *orchestrator.Orchestrator
 	Registry     *core.Registry
 	Clock        timeutil.Clock
-	// ScrapeInterval is the metrics cadence. Defaults to 3s (§4.3.2).
-	ScrapeInterval time.Duration
-	// Window is the averaging window. Defaults to 5 minutes.
-	Window time.Duration
-	// AvgMultiplier and PeakMultiplier form the target rule
-	// max(avg*AvgMultiplier, peak*PeakMultiplier). Defaults 4 and 1.33.
-	AvgMultiplier  float64
-	PeakMultiplier float64
 	// SuspendAfter is how long a tenant must be idle (zero CPU, zero
 	// connections) before it is suspended to zero. Defaults to 5 minutes.
 	SuspendAfter time.Duration
-	// DisablePeakTerm turns off the 1.33x max component (ablation).
-	DisablePeakTerm bool
 	// Obs, when non-nil, records each scaling decision against its tenant
 	// (autoscaler.tenant_scale_events{result=up|down|suspend}).
 	Obs *tenantobs.Plane
@@ -64,18 +76,6 @@ func New(cfg Config) *Autoscaler {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
 	}
-	if cfg.ScrapeInterval == 0 {
-		cfg.ScrapeInterval = 3 * time.Second
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 5 * time.Minute
-	}
-	if cfg.AvgMultiplier == 0 {
-		cfg.AvgMultiplier = 4
-	}
-	if cfg.PeakMultiplier == 0 {
-		cfg.PeakMultiplier = 1.33
-	}
 	if cfg.SuspendAfter == 0 {
 		cfg.SuspendAfter = 5 * time.Minute
 	}
@@ -87,8 +87,8 @@ func New(cfg Config) *Autoscaler {
 	return a
 }
 
-// ScrapeInterval returns the configured scrape cadence.
-func (a *Autoscaler) ScrapeInterval() time.Duration { return a.cfg.ScrapeInterval }
+// ScrapeInterval returns the scrape cadence.
+func (a *Autoscaler) ScrapeInterval() time.Duration { return scrapeInterval }
 
 // Scrape reads cumulative CPU from every assigned pod and folds per-tenant
 // usage rates into the time series. It holds to the scrape cadence however
@@ -101,7 +101,7 @@ func (a *Autoscaler) Scrape() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	elapsed := now.Sub(a.mu.lastAt)
-	if elapsed < a.cfg.ScrapeInterval {
+	if elapsed < scrapeInterval {
 		return
 	}
 	dt := elapsed.Seconds()
@@ -123,7 +123,7 @@ func (a *Autoscaler) Scrape() {
 		}
 		ts, ok := a.mu.usage[t.Name]
 		if !ok {
-			ts = metric.NewTimeSeries(2 * a.cfg.Window)
+			ts = metric.NewTimeSeries(2 * window)
 			a.mu.usage[t.Name] = ts
 		}
 		ts.Add(now, rate)
@@ -148,15 +148,8 @@ func (a *Autoscaler) DesiredNodes(name string) int {
 		return 0
 	}
 	now := a.cfg.Clock.Now()
-	avg := ts.WindowAvg(now, a.cfg.Window)
-	peak := ts.WindowMax(now, a.cfg.Window)
-	target := avg * a.cfg.AvgMultiplier
-	if !a.cfg.DisablePeakTerm {
-		if p := peak * a.cfg.PeakMultiplier; p > target {
-			target = p
-		}
-	}
-	nodes := int(math.Ceil(target / a.nodeVCPUs))
+	avg, peak := ts.WindowAvg(now, window), ts.WindowMax(now, window)
+	nodes := int(math.Ceil(targetVCPUs(avg, peak) / a.nodeVCPUs))
 	hasConns := false
 	for _, p := range a.cfg.Orchestrator.PodsForTenant(name) {
 		if p.Node.ConnCount() > 0 {

@@ -2,6 +2,7 @@ package autoscaler
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -45,7 +46,6 @@ func newEnv(t *testing.T) *env {
 		Region:          "us-central1",
 		WarmPoolSize:    4,
 		PreStartProcess: true,
-		NodeVCPUs:       4,
 		Clock:           clock,
 	})
 	if err != nil {
@@ -116,50 +116,40 @@ func TestAutoscalerPeakTermReactsToSpike(t *testing.T) {
 	}
 }
 
+// TestAutoscalerAblationNoPeakTerm builds a long low-load history, then
+// spikes for two scrapes. A short spike barely moves the 5-minute average, so
+// the average term alone stays below the scale-up count; the peak term is
+// what makes the autoscaler react within seconds.
 func TestAutoscalerAblationNoPeakTerm(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	e.orch.ScaleTenant(ctx, tn, 1)
-	asNoPeak := New(Config{
-		Orchestrator:    e.orch,
-		Registry:        e.reg,
-		Clock:           e.clock,
-		DisablePeakTerm: true,
-	})
-	// Build up a long low-load history, then spike for one scrape. A short
-	// spike barely moves the 5-minute average, so without the peak term the
-	// desired count stays low — the peak term is what makes the autoscaler
-	// react within seconds.
 	step := func(vcpus float64, ticks int) {
 		for i := 0; i < ticks; i++ {
 			for _, p := range e.orch.PodsForTenant("acme") {
 				p.Node.SetSyntheticLoad(vcpus)
 			}
-			e.clock.Advance(3 * time.Second)
-			asNoPeak.Scrape()
+			e.clock.Advance(scrapeInterval)
+			e.as.Scrape()
 		}
 	}
 	step(0.5, 90) // ~4.5 minutes of light load
 	step(11, 2)   // a 6-second spike
-	if got := asNoPeak.DesiredNodes("acme"); got >= 4 {
-		t.Fatalf("no-peak desired = %d, expected sluggish response", got)
+
+	const scaleUp = 4
+	now := e.clock.Now()
+	ts := e.as.TenantUsage("acme")
+	avg, peak := ts.WindowAvg(now, window), ts.WindowMax(now, window)
+	nodes := func(vcpus float64) int { return int(math.Ceil(vcpus / e.as.nodeVCPUs)) }
+	if got := nodes(avg * avgMultiplier); got >= scaleUp {
+		t.Fatalf("average term alone = %d nodes (avg %.2f vCPUs), want < %d", got, avg, scaleUp)
 	}
-	// The full rule (with the peak term) sees the same history and reacts.
-	withPeak := New(Config{Orchestrator: e.orch, Registry: e.reg, Clock: e.clock})
-	step2 := func(vcpus float64, ticks int) {
-		for i := 0; i < ticks; i++ {
-			for _, p := range e.orch.PodsForTenant("acme") {
-				p.Node.SetSyntheticLoad(vcpus)
-			}
-			e.clock.Advance(3 * time.Second)
-			withPeak.Scrape()
-		}
+	if got := nodes(targetVCPUs(avg, peak)); got < scaleUp {
+		t.Fatalf("full rule = %d nodes (peak %.2f vCPUs), want >= %d", got, peak, scaleUp)
 	}
-	step2(0.5, 90)
-	step2(11, 2)
-	if got := withPeak.DesiredNodes("acme"); got < 4 {
-		t.Fatalf("with-peak desired = %d, expected fast reaction", got)
+	if got, want := e.as.DesiredNodes("acme"), nodes(targetVCPUs(avg, peak)); got != want {
+		t.Fatalf("DesiredNodes = %d, want the full rule's %d", got, want)
 	}
 }
 

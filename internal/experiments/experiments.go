@@ -18,6 +18,7 @@ import (
 	"crdbserverless/internal/core"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
+	"crdbserverless/internal/server"
 	"crdbserverless/internal/sql"
 	"crdbserverless/internal/tenantcost"
 	"crdbserverless/internal/tenantobs"
@@ -138,45 +139,11 @@ func (tb *testbed) close() { tb.cluster.Close() }
 // eCPU throttling — the in-process equivalent of a SQL node.
 type tenantHandle struct {
 	tenant  *core.Tenant
-	metered *tenantMeter
+	metered *server.MeteredSender
 	exec    *sql.Executor
 	bucket  *tenantcost.NodeBucket
 	model   *tenantcost.Model
 	clock   timeutil.Clock
-}
-
-// tenantMeter is a MeteredSender-alike local to the experiments package.
-type tenantMeter struct {
-	inner    txn.Sender
-	mu       chan struct{} // 1-slot semaphore avoids importing sync here
-	features tenantcost.BatchFeatures
-}
-
-func newTenantMeter(inner txn.Sender) *tenantMeter {
-	m := &tenantMeter{inner: inner, mu: make(chan struct{}, 1)}
-	m.mu <- struct{}{}
-	return m
-}
-
-// Send implements txn.Sender.
-func (m *tenantMeter) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
-	resp, err := m.inner.Send(ctx, ba)
-	if err != nil {
-		return nil, err
-	}
-	f := tenantcost.FeaturesFromBatch(ba, resp)
-	<-m.mu
-	m.features.Add(f)
-	m.mu <- struct{}{}
-	return resp, nil
-}
-
-// Features returns accumulated features.
-func (m *tenantMeter) Features() tenantcost.BatchFeatures {
-	<-m.mu
-	f := m.features
-	m.mu <- struct{}{}
-	return f
 }
 
 // newTenant provisions a tenant and its SQL stack. colocated selects the
@@ -187,14 +154,12 @@ func (tb *testbed) newTenant(ctx context.Context, name string, colocated bool, q
 
 // newTenantCfg is newTenant with full executor configuration.
 func (tb *testbed) newTenantCfg(ctx context.Context, name string, cfg sql.ExecutorConfig, quotaVCPUs float64) (*tenantHandle, error) {
-	colocated := cfg.Colocated
 	t, err := tb.reg.CreateTenant(ctx, name, core.TenantOptions{QuotaVCPUs: quotaVCPUs})
 	if err != nil {
 		return nil, err
 	}
 	ds := kvserver.NewDistSender(tb.cluster, kvserver.Identity{Tenant: t.ID})
-	var sender txn.Sender = colocatedSender{inner: ds, colocated: colocated}
-	meter := newTenantMeter(sender)
+	meter := server.NewMeteredSender(colocatedSender{inner: ds, colocated: cfg.Colocated})
 	coord := txn.NewCoordinator(meter, tb.cluster.Clock(), t.ID)
 	catalog := sql.NewCatalog(coord, t.ID)
 	exec := sql.NewExecutor(catalog, coord, cfg)
@@ -220,6 +185,9 @@ func (h *tenantHandle) ecpuTokens() float64 {
 	return est.Tokens()
 }
 
+// colocatedSender stamps batches with the deployment's process topology:
+// Fig 6 and Fig 11 compare the traditional (colocated) deployment against
+// Serverless on the same cluster.
 type colocatedSender struct {
 	inner     txn.Sender
 	colocated bool

@@ -51,7 +51,6 @@ func Fig8() (*Fig8Result, *Table, error) {
 		Region:          "us-central1",
 		WarmPoolSize:    2,
 		PreStartProcess: true,
-		NodeVCPUs:       4,
 	})
 	if err != nil {
 		return nil, nil, err

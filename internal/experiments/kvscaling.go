@@ -64,8 +64,6 @@ func ExtensionKVScaling() (*KVScalingResult, *Table, error) {
 		Cluster:     cluster,
 		Clock:       clock,
 		Provisioner: mkNode,
-		Window:      30 * time.Second,
-		Cooldown:    10 * time.Second,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -23,25 +23,27 @@ import (
 // "add a VM" call).
 type Provisioner func(id kvserver.NodeID) *kvserver.Node
 
+const (
+	// highWater and lowWater bound the target fleet utilization band.
+	highWater = 0.70
+	lowWater  = 0.25
+	// minNodes is the smallest fleet (replication needs it).
+	minNodes = 3
+	// maxNodes caps growth.
+	maxNodes = 32
+	// window is the utilization averaging window.
+	window = 30 * time.Second
+	// cooldown is the minimum time between scaling actions.
+	cooldown = 10 * time.Second
+	// rebalanceMovesPerTick bounds data movement onto an added node.
+	rebalanceMovesPerTick = 8
+)
+
 // Config configures a Scaler.
 type Config struct {
 	Cluster     *kvserver.Cluster
 	Provisioner Provisioner
 	Clock       timeutil.Clock
-	// HighWater and LowWater bound the target fleet utilization band.
-	// Defaults 0.70 and 0.25.
-	HighWater float64
-	LowWater  float64
-	// MinNodes is the smallest fleet (replication needs it). Default 3.
-	MinNodes int
-	// MaxNodes caps growth. Default 32.
-	MaxNodes int
-	// Window is the utilization averaging window. Default 1 minute.
-	Window time.Duration
-	// Cooldown is the minimum time between scaling actions. Default 30s.
-	Cooldown time.Duration
-	// RebalanceMovesPerTick bounds data movement per tick. Default 8.
-	RebalanceMovesPerTick int
 }
 
 // Action describes what a Tick did.
@@ -90,31 +92,10 @@ func New(cfg Config) (*Scaler, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
 	}
-	if cfg.HighWater == 0 {
-		cfg.HighWater = 0.70
-	}
-	if cfg.LowWater == 0 {
-		cfg.LowWater = 0.25
-	}
-	if cfg.MinNodes == 0 {
-		cfg.MinNodes = 3
-	}
-	if cfg.MaxNodes == 0 {
-		cfg.MaxNodes = 32
-	}
-	if cfg.Window == 0 {
-		cfg.Window = time.Minute
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = 30 * time.Second
-	}
-	if cfg.RebalanceMovesPerTick == 0 {
-		cfg.RebalanceMovesPerTick = 8
-	}
 	s := &Scaler{cfg: cfg}
 	s.mu.lastBusy = make(map[kvserver.NodeID]time.Duration)
 	s.mu.lastAt = cfg.Clock.Now()
-	s.mu.util = metric.NewTimeSeries(2 * cfg.Window)
+	s.mu.util = metric.NewTimeSeries(2 * window)
 	var maxID kvserver.NodeID
 	for _, n := range cfg.Cluster.Nodes() {
 		if n.ID() > maxID {
@@ -165,8 +146,8 @@ func (s *Scaler) Tick() (Action, error) {
 	s.sample()
 	now := s.cfg.Clock.Now()
 	s.mu.Lock()
-	avg := s.mu.util.WindowAvg(now, s.cfg.Window)
-	inCooldown := now.Sub(s.mu.lastAction) < s.cfg.Cooldown
+	avg := s.mu.util.WindowAvg(now, window)
+	inCooldown := now.Sub(s.mu.lastAction) < cooldown
 	s.mu.Unlock()
 	if inCooldown {
 		return ActionNone, nil
@@ -174,7 +155,7 @@ func (s *Scaler) Tick() (Action, error) {
 
 	nodes := s.cfg.Cluster.Nodes()
 	switch {
-	case avg > s.cfg.HighWater && len(nodes) < s.cfg.MaxNodes:
+	case avg > highWater && len(nodes) < maxNodes:
 		s.mu.Lock()
 		id := s.mu.nextNodeID
 		s.mu.nextNodeID++
@@ -185,10 +166,10 @@ func (s *Scaler) Tick() (Action, error) {
 			return ActionNone, err
 		}
 		// Shift data toward the new node.
-		s.cfg.Cluster.RebalanceReplicas(s.cfg.RebalanceMovesPerTick)
+		s.cfg.Cluster.RebalanceReplicas(rebalanceMovesPerTick)
 		return ActionAddNode, nil
 
-	case avg < s.cfg.LowWater && len(nodes) > s.cfg.MinNodes:
+	case avg < lowWater && len(nodes) > minNodes:
 		// Drain and remove the node with the fewest replicas.
 		counts := s.cfg.Cluster.ReplicaCounts()
 		victim := nodes[len(nodes)-1]

@@ -33,7 +33,7 @@ type fixture struct {
 	scaler  *Scaler
 }
 
-func newFixture(t *testing.T, minNodes int) *fixture {
+func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	var nodes []*kvserver.Node
@@ -55,9 +55,6 @@ func newFixture(t *testing.T, minNodes int) *fixture {
 		Cluster:     c,
 		Clock:       clock,
 		Provisioner: func(id kvserver.NodeID) *kvserver.Node { return cheapNode(id, clock) },
-		MinNodes:    minNodes,
-		Window:      30 * time.Second,
-		Cooldown:    10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +99,7 @@ func TestScalerValidation(t *testing.T) {
 }
 
 func TestScalerAddsNodeUnderLoad(t *testing.T) {
-	f := newFixture(t, 3)
+	f := newFixture(t)
 	before := len(f.cluster.Nodes())
 	f.driveLoad(t, true, 12)
 	after := len(f.cluster.Nodes())
@@ -124,7 +121,7 @@ func TestScalerAddsNodeUnderLoad(t *testing.T) {
 }
 
 func TestScalerRemovesIdleNode(t *testing.T) {
-	f := newFixture(t, 3)
+	f := newFixture(t)
 	// Grow to 4 nodes first.
 	f.driveLoad(t, true, 12)
 	if len(f.cluster.Nodes()) < 4 {
@@ -144,7 +141,7 @@ func TestScalerRemovesIdleNode(t *testing.T) {
 }
 
 func TestScalerCooldownPreventsFlapping(t *testing.T) {
-	f := newFixture(t, 3)
+	f := newFixture(t)
 	clockActions := 0
 	f.driveLoad(t, true, 2) // 10s: at most one action within the cooldown
 	for _, n := range f.cluster.Nodes() {
@@ -158,7 +155,7 @@ func TestScalerCooldownPreventsFlapping(t *testing.T) {
 }
 
 func TestScalerDataSurvivesScaleCycle(t *testing.T) {
-	f := newFixture(t, 3)
+	f := newFixture(t)
 	ds := kvserver.NewDistSender(f.cluster, kvserver.Identity{Tenant: 2})
 	ctx := context.Background()
 	k := append(keys.MakeTenantPrefix(2), []byte("precious")...)

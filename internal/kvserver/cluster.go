@@ -35,15 +35,18 @@ type Authorizer interface {
 	Authorize(id Identity, ba *kvpb.BatchRequest) error
 }
 
+const (
+	// replicationFactor is the number of replicas per range, capped by the
+	// node count.
+	replicationFactor = 3
+	// splitSizeThreshold triggers a size-based split once a range has
+	// absorbed this many logical write bytes.
+	splitSizeThreshold = 64 << 20
+)
+
 // ClusterConfig configures a Cluster.
 type ClusterConfig struct {
 	Clock timeutil.Clock
-	// ReplicationFactor is the number of replicas per range (capped by the
-	// node count). Defaults to 3.
-	ReplicationFactor int
-	// SplitSizeThreshold triggers a size-based split once a range has
-	// absorbed this many logical write bytes. Defaults to 64 MiB.
-	SplitSizeThreshold int64
 	// LeaseDuration for range leases. Defaults to 9s.
 	LeaseDuration time.Duration
 	// Faults, when non-nil, arms fault-injection sites in every range's
@@ -109,6 +112,9 @@ type Cluster struct {
 	cfg   ClusterConfig
 	clock timeutil.Clock
 	hlc   *hlc.Clock
+	// splitSize starts at splitSizeThreshold; only in-package tests lower
+	// it, right after NewCluster.
+	splitSize int64
 
 	// nodesMu guards the node map separately from mu: liveness callbacks
 	// fire from lease checks that may run while mu is held.
@@ -130,9 +136,8 @@ type Cluster struct {
 	// idx.mu is a strict leaf.
 	idx *maintIndex
 
-	tickMu    sync.Mutex
-	lastTick  TickStats
-	tickCount int64
+	tickMu   sync.Mutex
+	lastTick TickStats
 }
 
 // NewCluster creates a cluster from the given nodes with a single range
@@ -144,16 +149,10 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
 	}
-	if cfg.ReplicationFactor <= 0 {
-		cfg.ReplicationFactor = 3
-	}
-	if cfg.SplitSizeThreshold <= 0 {
-		cfg.SplitSizeThreshold = 64 << 20
-	}
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = 9 * time.Second
 	}
-	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), idx: newMaintIndex()}
+	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), splitSize: splitSizeThreshold, idx: newMaintIndex()}
 	c.nodesMu.nodes = make(map[NodeID]*Node)
 	c.mu.ranges = make(map[RangeID]*rangeState)
 	c.mu.nextRangeID = 1
@@ -235,10 +234,7 @@ func (c *Cluster) pickReplicasLocked() []NodeID {
 	c.nodesMu.RLock()
 	defer c.nodesMu.RUnlock()
 	order := c.nodesMu.nodeOrder
-	rf := c.cfg.ReplicationFactor
-	if rf > len(order) {
-		rf = len(order)
-	}
+	rf := min(replicationFactor, len(order))
 	start := int(c.mu.nextRangeID) % len(order)
 	out := make([]NodeID, 0, rf)
 	for i := 0; i < rf; i++ {
@@ -456,7 +452,7 @@ func boundedMiddleKey(n *Node, span keys.Span) keys.Key {
 // enough writes.
 func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 	rs.statsMu.Lock()
-	over := rs.writtenBytes > c.cfg.SplitSizeThreshold
+	over := rs.writtenBytes > c.splitSize
 	rs.statsMu.Unlock()
 	if !over {
 		return
@@ -562,7 +558,6 @@ func (c *Cluster) Tick() {
 
 	c.tickMu.Lock()
 	c.lastTick = stats
-	c.tickCount++
 	c.tickMu.Unlock()
 }
 

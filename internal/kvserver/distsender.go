@@ -32,7 +32,8 @@ type DistSender struct {
 	// parallelism bounds concurrent sub-batch dispatch; 1 means
 	// sequential.
 	parallelism int
-	// cacheLimit caps both the descriptor cache and the lease-hint map.
+	// cacheLimit caps both the descriptor cache and the lease-hint map. It
+	// starts at descCacheLimit; only in-package tests lower it.
 	cacheLimit int
 	// faults, when non-nil, arms the sender's fault-injection sites
 	// (dist.subbatch.err, dist.desc.stale).
@@ -57,11 +58,6 @@ type Config struct {
 	// ranges addressed). 0 means DefaultParallelism; 1 disables the
 	// fan-out entirely (sequential dispatch in request order).
 	Parallelism int
-	// CacheLimit caps the range-descriptor cache and the lease-hint map.
-	// Crossing the cap triggers a full reset (cheap, and correct: both
-	// structures are best-effort hints repaired by redirects). 0 means
-	// DefaultCacheLimit.
-	CacheLimit int
 	// Faults, when non-nil, arms the sender's fault-injection sites:
 	// dist.subbatch.err fails a per-range sub-batch after the server applied
 	// it (the response is dropped on the floor), and dist.desc.stale makes a
@@ -75,13 +71,14 @@ type Config struct {
 // DefaultParallelism is the default bound on concurrent per-range dispatch.
 const DefaultParallelism = 8
 
-// DefaultCacheLimit is the default cap on the descriptor cache and the
-// lease-hint map. Long-lived senders on split-heavy clusters would
-// otherwise grow those without bound.
-const DefaultCacheLimit = 512
+// descCacheLimit caps the range-descriptor cache and the lease-hint map.
+// Long-lived senders on split-heavy clusters would otherwise grow those
+// without bound. Crossing the cap triggers a full reset (cheap, and correct:
+// both structures are best-effort hints repaired by redirects).
+const descCacheLimit = 512
 
 // NewDistSender returns a sender for the given identity. An optional Config
-// tunes fan-out parallelism and cache bounds.
+// tunes fan-out parallelism and wires faults and observability.
 func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	var conf Config
 	if len(cfg) > 0 {
@@ -90,14 +87,11 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	if conf.Parallelism <= 0 {
 		conf.Parallelism = DefaultParallelism
 	}
-	if conf.CacheLimit <= 0 {
-		conf.CacheLimit = DefaultCacheLimit
-	}
 	ds := &DistSender{
 		cluster:     c,
 		identity:    id,
 		parallelism: conf.Parallelism,
-		cacheLimit:  conf.CacheLimit,
+		cacheLimit:  descCacheLimit,
 		faults:      conf.Faults,
 		obs:         conf.Obs,
 	}
@@ -471,17 +465,6 @@ func (ds *DistSender) cachedDescLocked(key keys.Key) *RangeDescriptor {
 		return ds.mu.cache[i-1]
 	}
 	return nil
-}
-
-// lookup serves a descriptor from the cache, falling back to META.
-func (ds *DistSender) lookup(key keys.Key) (*RangeDescriptor, error) {
-	ds.mu.Lock()
-	d := ds.cachedDescLocked(key)
-	ds.mu.Unlock()
-	if d != nil {
-		return d, nil
-	}
-	return ds.lookupFresh(key)
 }
 
 // lookupFresh reads META and updates the cache.

@@ -296,7 +296,8 @@ func TestDistSenderCacheBounds(t *testing.T) {
 	splitTenantKeyspace(t, c, want[2], want[4], want[6], want[8], want[10],
 		want[12], want[14], want[16], want[18], want[20], want[22])
 
-	ds := NewDistSender(c, Identity{Tenant: 2}, Config{CacheLimit: limit})
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ds.cacheLimit = limit
 	ctx := context.Background()
 	for i, s := range want {
 		resp, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{

@@ -17,7 +17,6 @@ import (
 // paper's no-limits baseline of Fig 12).
 type executor struct {
 	clock timeutil.Clock
-	vcpus int
 	// accountOnly skips the blocking sleep and only records busy time.
 	// Simulated-time deployments (manual clocks) use this: CPU cost is
 	// modeled by accounting, and blocking workers on a manual clock would
@@ -27,7 +26,6 @@ type executor struct {
 	mu struct {
 		sync.Mutex
 		queued   int
-		running  int
 		busyTime time.Duration // cumulative worker-busy time
 		closed   bool
 	}
@@ -51,7 +49,6 @@ func newExecutor(clock timeutil.Clock, vcpus int) *executor {
 	_, manual := clock.(*timeutil.ManualClock)
 	ex := &executor{
 		clock:       clock,
-		vcpus:       vcpus,
 		accountOnly: manual,
 		tasks:       make(chan task, 1<<16),
 		quit:        make(chan struct{}),
@@ -72,13 +69,11 @@ func (ex *executor) worker() {
 		case t := <-ex.tasks:
 			ex.mu.Lock()
 			ex.mu.queued--
-			ex.mu.running++
 			ex.mu.Unlock()
 			if t.dur > 0 && !ex.accountOnly {
 				ex.occupy(t.dur)
 			}
 			ex.mu.Lock()
-			ex.mu.running--
 			ex.mu.busyTime += t.dur
 			ex.mu.Unlock()
 			close(t.done)

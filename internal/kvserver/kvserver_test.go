@@ -266,11 +266,12 @@ func TestSplitAtExistingBoundaryNoop(t *testing.T) {
 func TestSizeSplitTriggers(t *testing.T) {
 	cheap := CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	n1 := NewNode(NodeConfig{ID: 1, VCPUs: 2, Cost: cheap})
-	c, err := NewCluster(ClusterConfig{SplitSizeThreshold: 4096, ReplicationFactor: 1}, []*Node{n1})
+	c, err := NewCluster(ClusterConfig{}, []*Node{n1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.splitSize = 4096
 	ds := NewDistSender(c, Identity{Tenant: 2})
 	ctx := context.Background()
 	before := len(c.Descriptors())

@@ -105,14 +105,6 @@ func (x *maintIndex) noteLease(id RangeID, node NodeID, renewAt time.Time) {
 	heap.Push(&x.renewals, renewalItem{due: renewAt, id: id, gen: x.holderGen[id]})
 }
 
-// holderOf returns the recorded leaseholder, if any.
-func (x *maintIndex) holderOf(id RangeID) (NodeID, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	h, ok := x.holder[id]
-	return h, ok
-}
-
 // markNeedsLease flags a range whose lease op failed for retry next tick.
 func (x *maintIndex) markNeedsLease(id RangeID) {
 	x.mu.Lock()

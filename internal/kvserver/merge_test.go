@@ -133,7 +133,7 @@ func TestMergeRefusesTenantBoundary(t *testing.T) {
 }
 
 func TestMergeRefusesDifferentReplicaSets(t *testing.T) {
-	c := newConfiguredCluster(t, 4, ClusterConfig{ReplicationFactor: 3}, nil)
+	c := newConfiguredCluster(t, 4, ClusterConfig{}, nil)
 	if err := c.SplitAt(keys.MakeTenantPrefix(2)); err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,11 @@ type Node struct {
 	writeModel admission.LinearModel
 
 	livenessLimit int
+	// acEnabled routes batches through the admission queues.
+	acEnabled bool
 
 	mu struct {
 		sync.Mutex
-		acEnabled   bool
 		batchRate   float64 // EWMA batches/sec
 		lastBatchAt time.Time
 		batches     int64
@@ -98,6 +99,7 @@ func NewNode(cfg NodeConfig) *Node {
 		lsmOpts:       cfg.LSM,
 		cost:          cfg.Cost,
 		livenessLimit: cfg.LivenessQueueLimit,
+		acEnabled:     cfg.AdmissionEnabled,
 		// Physical write bytes ≈ 2x logical (raft log + state machine)
 		// plus per-batch framing.
 		writeModel: admission.LinearModel{A: 2, B: 64},
@@ -111,7 +113,6 @@ func NewNode(cfg NodeConfig) *Node {
 		Obs:          cfg.Obs,
 	})
 	n.writeQ = admission.NewWriteQueue(admission.WriteQueueOptions{Clock: cfg.Clock})
-	n.mu.acEnabled = cfg.AdmissionEnabled
 	n.mu.lastBatchAt = cfg.Clock.Now()
 	n.mu.lastCapAt = cfg.Clock.Now()
 	return n
@@ -151,21 +152,6 @@ func (n *Node) Crash(tear int) error {
 	}
 	n.engine.Store(e)
 	return nil
-}
-
-// SetAdmissionEnabled toggles admission control at runtime (the experiment
-// harness compares configurations this way).
-func (n *Node) SetAdmissionEnabled(enabled bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.mu.acEnabled = enabled
-}
-
-// AdmissionEnabled reports whether admission control is active.
-func (n *Node) AdmissionEnabled() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.mu.acEnabled
 }
 
 // Live reports node liveness: an overloaded node (deep executor queue)
@@ -209,7 +195,7 @@ func (n *Node) Close() {
 // admitCPU passes the batch through the CPU admission queue when enabled.
 // It returns a release function to call with the consumed CPU time.
 func (n *Node) admitCPU(ctx context.Context, ba *kvpb.BatchRequest) (func(time.Duration), error) {
-	if !n.AdmissionEnabled() {
+	if !n.acEnabled {
 		return func(time.Duration) {}, nil
 	}
 	info := admission.WorkInfo{Tenant: ba.Tenant, Priority: ba.Priority}
@@ -222,7 +208,7 @@ func (n *Node) admitCPU(ctx context.Context, ba *kvpb.BatchRequest) (func(time.D
 
 // admitWrite passes the batch's write volume through the write token bucket.
 func (n *Node) admitWrite(ctx context.Context, ba *kvpb.BatchRequest) error {
-	if !n.AdmissionEnabled() || ba.IsReadOnly() {
+	if !n.acEnabled || ba.IsReadOnly() {
 		return nil
 	}
 	est := n.writeModel.Predict(float64(ba.WriteBytes()))

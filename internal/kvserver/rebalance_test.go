@@ -177,7 +177,7 @@ func TestRebalanceReplicasEvensLoad(t *testing.T) {
 }
 
 func TestRebalanceReplicasPicksLowestRangeID(t *testing.T) {
-	c := newConfiguredCluster(t, 3, ClusterConfig{ReplicationFactor: 3}, nil)
+	c := newConfiguredCluster(t, 3, ClusterConfig{}, nil)
 	if err := c.SplitAt(keys.MakeTenantPrefix(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func assertReplicaAggregates(t *testing.T, c *Cluster) {
 }
 
 func TestAggregatesSurviveSplitMoveMergeDrain(t *testing.T) {
-	c := newConfiguredCluster(t, 4, ClusterConfig{ReplicationFactor: 3}, nil)
+	c := newConfiguredCluster(t, 4, ClusterConfig{}, nil)
 	if err := c.SplitAt(keys.MakeTenantPrefix(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,9 @@ func TestAggregatesSurviveSplitMoveMergeDrain(t *testing.T) {
 		if !ok {
 			continue
 		}
-		idxLH, idxOK := c.idx.holderOf(rs.desc.RangeID)
+		c.idx.mu.Lock()
+		idxLH, idxOK := c.idx.holder[rs.desc.RangeID]
+		c.idx.mu.Unlock()
 		if !idxOK || idxLH != lh {
 			t.Fatalf("range %d: index holder (%d, %v) != group leaseholder %d",
 				rs.desc.RangeID, idxLH, idxOK, lh)

@@ -52,7 +52,7 @@ func BenchmarkKVBloomFilter(b *testing.B) {
 
 // BenchmarkKVWriteFlush measures the write path through memtable rotation.
 func BenchmarkKVWriteFlush(b *testing.B) {
-	e := New(Options{MemTableSize: 64 << 10, DisableAutoCompactions: true})
+	e := newManualEngine(Options{MemTableSize: 64 << 10})
 	defer e.Close()
 	val := make([]byte, 128)
 	b.ResetTimer()

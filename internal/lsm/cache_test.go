@@ -102,8 +102,7 @@ func TestHotCacheBoundedLRU(t *testing.T) {
 func TestBlockCacheServesRepeatReads(t *testing.T) {
 	opts := acceleratedOptions()
 	opts.HotKeyCacheSize = 0 // isolate the block cache
-	opts.DisableAutoCompactions = true
-	e := New(opts)
+	e := newManualEngine(opts)
 	defer e.Close()
 	for i := 0; i < 200; i++ {
 		if err := e.Set([]byte(fmt.Sprintf("k%04d", i)), bigVal(fmt.Sprintf("v%04d-", i), 64)); err != nil {
@@ -136,8 +135,7 @@ func TestBlockCacheServesRepeatReads(t *testing.T) {
 func TestBlockCacheInvalidatedOnCompaction(t *testing.T) {
 	opts := acceleratedOptions()
 	opts.HotKeyCacheSize = 0
-	opts.DisableAutoCompactions = true
-	e := New(opts)
+	e := newManualEngine(opts)
 	defer e.Close()
 	for i := 0; i < 100; i++ {
 		e.Set([]byte(fmt.Sprintf("k%04d", i)), bigVal("gen1-", 64))
@@ -232,9 +230,7 @@ func TestRandomizedOpsWithSeparationAndCaches(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		opts := acceleratedOptions()
 		opts.MemTableSize = 512
-		opts.L0CompactionThreshold = 2
-		opts.Seed = seed
-		e := New(opts)
+		e := newEngineWithL0(opts, 2)
 		rng := randutil.NewRand(seed)
 		shadow := map[string]string{}
 		key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(200))) }
@@ -327,8 +323,7 @@ func TestRandomizedOpsWithSeparationAndCaches(t *testing.T) {
 func TestConcurrentReadersWritersWithVlogGC(t *testing.T) {
 	opts := acceleratedOptions()
 	opts.MemTableSize = 512
-	opts.L0CompactionThreshold = 2
-	e := New(opts)
+	e := newEngineWithL0(opts, 2)
 	defer e.Close()
 
 	const writers, readers, perWriter = 4, 3, 120

@@ -122,11 +122,11 @@ func (e *Engine) finishCompaction(plan *compactionPlan, installed bool, discards
 func (e *Engine) pickCompactionLocked() int {
 	// Priority 1: L0 backlog. A deep L0 inflates read amplification, which
 	// is exactly the bottleneck §5.1.3 describes.
-	if len(e.mu.levels[0]) >= e.opts.L0CompactionThreshold {
+	if len(e.mu.levels[0]) >= e.l0Threshold {
 		return 0
 	}
 	// Priority 2: size-triggered compaction of L1..L5 into the next level.
-	target := e.opts.LBaseMaxBytes
+	target := e.lBaseMax
 	for lvl := 1; lvl < numLevels-1; lvl++ {
 		var b int64
 		for _, t := range e.mu.levels[lvl] {

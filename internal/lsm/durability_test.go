@@ -21,7 +21,6 @@ func durableOpts(dir *Dir) Options {
 		ValueThreshold:  64,
 		VlogFileSize:    4 << 10,
 		BlockCacheBytes: 32 << 10,
-		Seed:            7,
 	}
 }
 

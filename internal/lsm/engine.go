@@ -16,21 +16,22 @@ import (
 // numLevels is the number of on-disk levels (L0..L6), following Pebble.
 const numLevels = 7
 
+const (
+	// l0CompactionThreshold is the number of L0 files that triggers an
+	// L0->Lbase compaction.
+	l0CompactionThreshold = 4
+	// lBaseMaxBytes is the target size of L1; each deeper level is 10x
+	// larger.
+	lBaseMaxBytes = 16 << 20
+	// vlogGCDiscardRatio is the dead-byte fraction at which a value-log file
+	// becomes a GC candidate.
+	vlogGCDiscardRatio = 0.5
+)
+
 // Options configures an Engine.
 type Options struct {
 	// MemTableSize is the flush threshold in bytes. Defaults to 4 MiB.
 	MemTableSize int64
-	// L0CompactionThreshold is the number of L0 files that triggers an
-	// L0->Lbase compaction. Defaults to 4.
-	L0CompactionThreshold int
-	// LBaseMaxBytes is the target size of L1; each deeper level is 10x
-	// larger. Defaults to 16 MiB.
-	LBaseMaxBytes int64
-	// Seed seeds the skiplist RNG. Defaults to 0 (deterministic).
-	Seed int64
-	// DisableAutoCompactions turns off compaction scheduling after writes;
-	// tests use this to construct specific level shapes.
-	DisableAutoCompactions bool
 	// Tracer, when non-nil, records background flush and compaction work
 	// as root spans (lsm.flush / lsm.compact). The engine has no clock of
 	// its own; span timestamps come from the tracer's clock.
@@ -61,9 +62,6 @@ type Options struct {
 	// VlogFileSize is the rotation threshold for value-log segments.
 	// Defaults to 1 MiB.
 	VlogFileSize int64
-	// VlogGCDiscardRatio is the dead-byte fraction at which a value-log file
-	// becomes a GC candidate. Defaults to 0.5.
-	VlogGCDiscardRatio float64
 	// BlockCacheBytes bounds the L1+ block cache; 0 disables it.
 	BlockCacheBytes int64
 	// HotKeyCacheSize bounds the hot-key read cache (entries); 0 disables it.
@@ -90,20 +88,11 @@ func (o *Options) withDefaults() Options {
 	if out.MemTableSize == 0 {
 		out.MemTableSize = 4 << 20
 	}
-	if out.L0CompactionThreshold == 0 {
-		out.L0CompactionThreshold = 4
-	}
-	if out.LBaseMaxBytes == 0 {
-		out.LBaseMaxBytes = 16 << 20
-	}
 	if out.ValueThreshold == 0 {
 		out.ValueThreshold = 1 << 10
 	}
 	if out.VlogFileSize == 0 {
 		out.VlogFileSize = 1 << 20
-	}
-	if out.VlogGCDiscardRatio == 0 {
-		out.VlogGCDiscardRatio = 0.5
 	}
 	if out.WALSegmentSize == 0 {
 		out.WALSegmentSize = 256 << 10
@@ -296,6 +285,14 @@ type Engine struct {
 	// writeMetrics is Options.WriteMetrics or a private instance.
 	writeMetrics *WriteMetrics
 
+	// l0Threshold and lBaseMax start at l0CompactionThreshold and
+	// lBaseMaxBytes, and noAutoCompact turns off compaction scheduling after
+	// writes. Only in-package tests change them, right after New, to build
+	// specific level shapes.
+	l0Threshold   int
+	lBaseMax      int64
+	noAutoCompact bool
+
 	// compactMu is the compaction single-flight guard. Auto-compaction
 	// (maybeCompact) TryLocks it and counts a coalesced round on failure;
 	// manual Compact blocks on it. It is always acquired before e.mu, never
@@ -353,7 +350,7 @@ var ErrClosed = errors.New("lsm: engine is closed")
 // memtable, value log, or WAL state — New fills those in fresh, Open from
 // the recovered durable state.
 func newEngineShell(opts Options) *Engine {
-	e := &Engine{opts: opts.withDefaults()}
+	e := &Engine{opts: opts.withDefaults(), l0Threshold: l0CompactionThreshold, lBaseMax: lBaseMaxBytes}
 	e.readMetrics = e.opts.ReadMetrics
 	if e.readMetrics == nil {
 		e.readMetrics = newUnregisteredReadMetrics()
@@ -377,7 +374,7 @@ func newEngineShell(opts Options) *Engine {
 func New(opts Options) *Engine {
 	e := newEngineShell(opts)
 	e.vlog = newValueLog(e.opts.VlogFileSize, e.opts.Durable)
-	e.mu.mem = newMemTable(randutil.NewRand(e.opts.Seed))
+	e.mu.mem = newMemTable(randutil.NewRand(0))
 	e.mu.nextID = 1
 	if e.opts.Durable != nil {
 		e.mu.wal = newWALWriter(e.opts.Durable, 1, e.opts.WALSegmentSize, e.opts.WALBytesPerSync)
@@ -424,7 +421,7 @@ func Open(opts Options) (*Engine, error) {
 	// The replacement-memtable convention from flushLocked: the skiplist seed
 	// derives from the next table id, so recovery lands on the same seed a
 	// surviving engine would have used for a memtable created at this point.
-	mem := newMemTable(randutil.NewRand(e.opts.Seed + int64(m.nextID)))
+	mem := newMemTable(randutil.NewRand(int64(m.nextID)))
 	mem.firstSeg = m.minUnflushedSeg
 	var discards []valuePointer
 	if _, err := replayWAL(dir, m.minUnflushedSeg, func(entries []Entry) {
@@ -812,7 +809,7 @@ func (e *Engine) finishFlush(sp *trace.Span, job *flushJob) {
 		return
 	}
 	e.buildAndInstall(sp, job)
-	if !e.opts.DisableAutoCompactions {
+	if !e.noAutoCompact {
 		e.maybeCompact()
 	}
 	sp.Finish()
@@ -851,7 +848,7 @@ func (e *Engine) flushLocked() (*trace.Span, *flushJob, error) {
 		e.mu.wal.rotate()
 		e.noteWALFsyncsLocked(pre)
 	}
-	e.mu.mem = newMemTable(randutil.NewRand(e.opts.Seed + int64(e.mu.nextID)))
+	e.mu.mem = newMemTable(randutil.NewRand(int64(e.mu.nextID)))
 	if e.mu.wal != nil {
 		e.mu.mem.firstSeg = e.mu.wal.seg
 	}

@@ -49,7 +49,7 @@ func TestInjectedFlushErrorKeepsMemTable(t *testing.T) {
 // scheduler and the backlog drains.
 func TestInjectedCompactionErrorSkipsRound(t *testing.T) {
 	reg := faultinject.New(2, nil)
-	e := New(Options{MemTableSize: 8, L0CompactionThreshold: 2, Faults: reg})
+	e := newEngineWithL0(Options{MemTableSize: 8, Faults: reg}, 2)
 	reg.Enable("lsm.compact.error", faultinject.Site{Probability: 1})
 
 	for i := 0; i < 4; i++ {
@@ -58,7 +58,7 @@ func TestInjectedCompactionErrorSkipsRound(t *testing.T) {
 		}
 	}
 	m := e.Metrics()
-	if m.CompactionCount != 0 || m.L0Files < e.opts.L0CompactionThreshold {
+	if m.CompactionCount != 0 || m.L0Files < e.l0Threshold {
 		t.Fatalf("backlog should persist under injected failures: %+v", m)
 	}
 	reg.Disable("lsm.compact.error")
@@ -66,7 +66,7 @@ func TestInjectedCompactionErrorSkipsRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = e.Metrics()
-	if m.CompactionCount == 0 || m.L0Files >= e.opts.L0CompactionThreshold {
+	if m.CompactionCount == 0 || m.L0Files >= e.l0Threshold {
 		t.Fatalf("backlog should drain once the site is disabled: %+v", m)
 	}
 	// Every key still reads back through the compacted shape.

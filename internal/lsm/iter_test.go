@@ -12,18 +12,17 @@ import (
 	"crdbserverless/internal/randutil"
 )
 
-// iterTestOpts keeps memtables, vlog files and the separation threshold small,
-// so a few hundred writes cross flushes, compactions, value-log rotation and
-// GC, and most values are read through a pointer.
-func iterTestOpts() Options {
-	return Options{
-		MemTableSize:          2 << 10,
-		L0CompactionThreshold: 3,
-		LBaseMaxBytes:         8 << 10,
-		ValueThreshold:        64,
-		VlogFileSize:          2 << 10,
-		Seed:                  11,
-	}
+// newIterTestEngine keeps memtables, levels, vlog files and the separation
+// threshold small, so a few hundred writes cross flushes, compactions,
+// value-log rotation and GC, and most values are read through a pointer.
+func newIterTestEngine() *Engine {
+	e := newEngineWithL0(Options{
+		MemTableSize:   2 << 10,
+		ValueThreshold: 64,
+		VlogFileSize:   2 << 10,
+	}, 3)
+	e.lBaseMax = 8 << 10
+	return e
 }
 
 // modelRange returns the model's keys in [lo, hi), sorted.
@@ -47,7 +46,7 @@ func TestIteratorVsModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := randutil.NewRand(seed)
-			e := New(iterTestOpts())
+			e := newIterTestEngine()
 			defer e.Close()
 			model := map[string]string{}
 			key := func() []byte { return []byte(fmt.Sprintf("k%03d", rng.Intn(150))) }
@@ -165,7 +164,7 @@ func TestIteratorVsModel(t *testing.T) {
 // inserted on both sides of each, then a flush, a full compaction and a
 // value-log GC that deletes the files its pointers name.
 func TestIteratorSnapshot(t *testing.T) {
-	e := New(iterTestOpts())
+	e := newIterTestEngine()
 	defer e.Close()
 	want := map[string]string{}
 	put := func(i int, gen string) {
@@ -262,7 +261,7 @@ func TestIteratorSnapshot(t *testing.T) {
 // and compactions the writes trigger.
 func TestIteratorNoTornBatch(t *testing.T) {
 	const pairs, batches = 40, 4000
-	e := New(Options{MemTableSize: 4 << 10, L0CompactionThreshold: 3, ValueThreshold: 64, VlogFileSize: 4 << 10})
+	e := newEngineWithL0(Options{MemTableSize: 4 << 10, ValueThreshold: 64, VlogFileSize: 4 << 10}, 3)
 	defer e.Close()
 	done := make(chan struct{})
 	var wg sync.WaitGroup

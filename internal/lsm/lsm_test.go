@@ -12,6 +12,22 @@ import (
 	"crdbserverless/internal/randutil"
 )
 
+// newManualEngine returns an engine that compacts only when told to, so a
+// test can build a specific level shape.
+func newManualEngine(opts Options) *Engine {
+	e := New(opts)
+	e.noAutoCompact = true
+	return e
+}
+
+// newEngineWithL0 returns an engine whose L0 compacts at l0Files files
+// instead of l0CompactionThreshold, so a few writes cross compactions.
+func newEngineWithL0(opts Options, l0Files int) *Engine {
+	e := New(opts)
+	e.l0Threshold = l0Files
+	return e
+}
+
 func TestEngineSetGet(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
@@ -72,7 +88,7 @@ func TestEngineDeleteAcrossFlush(t *testing.T) {
 }
 
 func TestEngineGetReadsThroughLevels(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("old"), []byte("bottom"))
 	e.Flush()
@@ -91,7 +107,7 @@ func TestEngineGetReadsThroughLevels(t *testing.T) {
 }
 
 func TestEngineNewerLevelsShadowOlder(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("k"), []byte("v1"))
 	e.Flush()
@@ -109,7 +125,7 @@ func TestEngineNewerLevelsShadowOlder(t *testing.T) {
 }
 
 func TestFlushMovesDataToL0(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	for i := 0; i < 10; i++ {
 		e.Set([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
@@ -131,7 +147,7 @@ func TestFlushMovesDataToL0(t *testing.T) {
 }
 
 func TestAutoFlushAtThreshold(t *testing.T) {
-	e := New(Options{MemTableSize: 1024, DisableAutoCompactions: true})
+	e := newManualEngine(Options{MemTableSize: 1024})
 	defer e.Close()
 	big := bytes.Repeat([]byte("x"), 512)
 	e.Set([]byte("a"), big)
@@ -142,7 +158,7 @@ func TestAutoFlushAtThreshold(t *testing.T) {
 }
 
 func TestL0CompactionTriggersAtThreshold(t *testing.T) {
-	e := New(Options{L0CompactionThreshold: 3})
+	e := newEngineWithL0(Options{}, 3)
 	defer e.Close()
 	for i := 0; i < 3; i++ {
 		e.Set([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
@@ -164,7 +180,7 @@ func TestL0CompactionTriggersAtThreshold(t *testing.T) {
 }
 
 func TestCompactionDropsTombstonesAtBottom(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("k"), []byte("v"))
 	e.Flush()
@@ -222,7 +238,7 @@ func TestIteratorBounds(t *testing.T) {
 }
 
 func TestIteratorMergesAcrossRunsWithShadowing(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("a"), []byte("old"))
 	e.Set([]byte("b"), []byte("keep"))
@@ -311,7 +327,8 @@ func TestEngineVsMapProperty(t *testing.T) {
 }
 
 func TestEngineVsMapWithCompactions(t *testing.T) {
-	e := New(Options{MemTableSize: 2048, L0CompactionThreshold: 2, LBaseMaxBytes: 8192})
+	e := newEngineWithL0(Options{MemTableSize: 2048}, 2)
+	e.lBaseMax = 8192
 	defer e.Close()
 	rng := randutil.NewRand(99)
 	ref := map[string]string{}
@@ -373,7 +390,7 @@ func TestEngineConcurrentReadsAndWrites(t *testing.T) {
 }
 
 func TestMetricsReadAmplification(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	if ra := e.Metrics().ReadAmplification; ra != 1 {
 		t.Fatalf("empty engine read amp = %d, want 1 (memtable)", ra)

@@ -28,7 +28,7 @@ func rotateWithoutBuild(t *testing.T, e *Engine) *flushJob {
 // readable from the immutable queue, new writes must land in the fresh
 // memtable, and Metrics must count the extra sorted run.
 func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("a"), []byte("1"))
 	e.Set([]byte("b"), []byte("2"))
@@ -72,7 +72,7 @@ func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
 // not invert shadowing, because L0 ordering goes by table id (= rotation
 // order), not install order.
 func TestOutOfOrderInstallKeepsShadowing(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("k"), []byte("old"))
 	first := rotateWithoutBuild(t, e)
@@ -98,7 +98,7 @@ func TestOutOfOrderInstallKeepsShadowing(t *testing.T) {
 // flight: the older flush installs into L0 afterwards, above L1, and would
 // shadow the newer data with its stale version.
 func TestCompactionSkipsL0YoungerThanInFlightFlush(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	e.Set([]byte("k"), []byte("old"))
 	first := rotateWithoutBuild(t, e)
@@ -125,7 +125,7 @@ func TestCompactionSkipsL0YoungerThanInFlightFlush(t *testing.T) {
 // interleaved into the merge window: the install must keep the tables that
 // arrived mid-merge and the merged output must not lose or resurrect keys.
 func TestCompactionMergeWindowAllowsProgress(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	for i := 0; i < 4; i++ {
 		e.Set([]byte(fmt.Sprintf("key-%02d", i)), []byte(fmt.Sprintf("v%d", i)))
@@ -184,7 +184,7 @@ func TestCompactionMergeWindowAllowsProgress(t *testing.T) {
 // A merge whose inputs were superseded before install must be discarded:
 // nothing changes and no compaction is counted.
 func TestCompactionInstallAbandonedWhenInputsGone(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	for i := 0; i < 3; i++ {
 		e.Set([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
@@ -221,10 +221,9 @@ func TestCompactionInstallAbandonedWhenInputsGone(t *testing.T) {
 // find a round in flight must be absorbed (counted, not queued), and the
 // backlog must drain on a later trigger once the round ends.
 func TestCompactionSingleFlightCoalesces(t *testing.T) {
-	e := New(Options{
-		MemTableSize:          64, // every small batch crosses the threshold
-		L0CompactionThreshold: 2,
-	})
+	e := newEngineWithL0(Options{
+		MemTableSize: 64, // every small batch crosses the threshold
+	}, 2)
 	defer e.Close()
 
 	write := func(i int) {
@@ -248,7 +247,7 @@ func TestCompactionSingleFlightCoalesces(t *testing.T) {
 	if held.CompactionCount != 0 {
 		t.Fatalf("CompactionCount = %d while guard held", held.CompactionCount)
 	}
-	if held.L0Files < e.opts.L0CompactionThreshold {
+	if held.L0Files < e.l0Threshold {
 		t.Fatalf("backlog did not build: L0Files = %d", held.L0Files)
 	}
 
@@ -258,7 +257,7 @@ func TestCompactionSingleFlightCoalesces(t *testing.T) {
 	if drained.CompactionCount == 0 {
 		t.Fatal("backlog not drained after guard released")
 	}
-	if drained.L0Files >= e.opts.L0CompactionThreshold {
+	if drained.L0Files >= e.l0Threshold {
 		t.Fatalf("L0 backlog remains: %d files", drained.L0Files)
 	}
 	for i := 0; i <= 6; i++ {
@@ -272,7 +271,7 @@ func TestCompactionSingleFlightCoalesces(t *testing.T) {
 // a large manual compaction and require at least one Get that both began and
 // finished with the merge still running (the mergesActive hook).
 func TestReadsCompleteWhileMergeActive(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	const tables, perTable = 4, 25000
 	for tbl := 0; tbl < tables; tbl++ {
@@ -324,10 +323,7 @@ func TestReadsCompleteWhileMergeActive(t *testing.T) {
 // test, and the final state must match a per-writer shadow map.
 func TestConcurrentReadersWritersDuringFlushAndCompaction(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {
-		e := New(Options{
-			MemTableSize:          256,
-			L0CompactionThreshold: 2,
-		})
+		e := newEngineWithL0(Options{MemTableSize: 256}, 2)
 		defer e.Close()
 
 		const writers, readers, perWriter = 4, 3, 120
@@ -408,11 +404,7 @@ func TestConcurrentReadersWritersDuringFlushAndCompaction(t *testing.T) {
 func TestRandomizedOpsMatchShadowMap(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
-			e := New(Options{
-				MemTableSize:          512,
-				L0CompactionThreshold: 2,
-				Seed:                  seed,
-			})
+			e := newEngineWithL0(Options{MemTableSize: 512}, 2)
 			rng := randutil.NewRand(seed)
 			shadow := map[string]string{}
 			key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(200))) }
@@ -492,7 +484,7 @@ func TestRandomizedOpsMatchShadowMap(t *testing.T) {
 // run outside the engine lock.
 func TestPipeliningModeEquivalence(t *testing.T) {
 	run := func() (*Engine, map[string]string) {
-		e := New(Options{MemTableSize: 512, L0CompactionThreshold: 2})
+		e := newEngineWithL0(Options{MemTableSize: 512}, 2)
 		rng := randutil.NewRand(42)
 		shadow := map[string]string{}
 		for op := 0; op < 1500; op++ {

@@ -51,7 +51,7 @@ func TestBloomFilterDeterministic(t *testing.T) {
 // non-overlapping tables of level-distinct keys.
 func buildDeepEngine(t testing.TB) *Engine {
 	t.Helper()
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	for i := 0; i < 10; i++ {
 		if err := e.Set([]byte(fmt.Sprintf("l0-%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestReadAccelerationProbeReduction(t *testing.T) {
 // merging or double-counting flushes nondeterministically.
 func TestConcurrentApplyBatchFlushAtThreshold(t *testing.T) {
 	const writers, batches = 8, 20
-	e := New(Options{MemTableSize: 1, DisableAutoCompactions: true})
+	e := newManualEngine(Options{MemTableSize: 1})
 	defer e.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

@@ -359,7 +359,7 @@ func (e *Engine) VlogGC() {
 // e.mu — the rewrite work below takes e.mu itself, briefly, per entry).
 func (e *Engine) runVlogGC() {
 	for i := 0; i < 64; i++ { // bound runaway loops defensively
-		id, ok := e.vlog.pickGC(e.opts.VlogGCDiscardRatio)
+		id, ok := e.vlog.pickGC(vlogGCDiscardRatio)
 		if !ok {
 			return
 		}

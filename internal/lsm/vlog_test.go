@@ -22,7 +22,7 @@ func bigVal(tag string, n int) []byte {
 // across the memtable, a flush, and a compaction — while smaller values stay
 // inline.
 func TestValueSeparationRoundTrip(t *testing.T) {
-	e := New(Options{ValueThreshold: 32, DisableAutoCompactions: true})
+	e := newManualEngine(Options{ValueThreshold: 32})
 	defer e.Close()
 
 	big := bigVal("big-a-", 64)
@@ -68,10 +68,9 @@ func TestValueSeparationRoundTrip(t *testing.T) {
 // GC must reclaim at least half the dead value bytes once compaction has
 // reported the discards, without losing a single live value.
 func TestVlogGCReclaimsDeadBytes(t *testing.T) {
-	e := New(Options{
-		ValueThreshold:         16,
-		VlogFileSize:           1 << 10,
-		DisableAutoCompactions: true,
+	e := newManualEngine(Options{
+		ValueThreshold: 16,
+		VlogFileSize:   1 << 10,
 	})
 	defer e.Close()
 
@@ -124,11 +123,10 @@ func TestVlogGCReclaimsDeadBytes(t *testing.T) {
 // fault is lifted.
 func TestVlogGCSurvivesInjectedError(t *testing.T) {
 	reg := faultinject.New(1, nil)
-	e := New(Options{
-		ValueThreshold:         16,
-		VlogFileSize:           1 << 10,
-		DisableAutoCompactions: true,
-		Faults:                 reg,
+	e := newManualEngine(Options{
+		ValueThreshold: 16,
+		VlogFileSize:   1 << 10,
+		Faults:         reg,
 	})
 	defer e.Close()
 
@@ -181,7 +179,7 @@ func TestVlogGCSurvivesInjectedError(t *testing.T) {
 func TestVlogWriteErrorFallsBackInline(t *testing.T) {
 	reg := faultinject.New(1, nil)
 	reg.Enable("lsm.vlog.write.error", faultinject.Site{Probability: 1})
-	e := New(Options{ValueThreshold: 16, Faults: reg, DisableAutoCompactions: true})
+	e := newManualEngine(Options{ValueThreshold: 16, Faults: reg})
 	defer e.Close()
 
 	big := bigVal("fallback-", 64)
@@ -207,7 +205,7 @@ func TestVlogWriteErrorFallsBackInline(t *testing.T) {
 // Regression: a tombstone found at a shallow level must short-circuit the
 // probe walk — deeper levels hold only shadowed versions.
 func TestTombstoneShortCircuitsProbes(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 
 	// The key's only live version sits in L1.
@@ -248,7 +246,7 @@ func TestTombstoneShortCircuitsProbes(t *testing.T) {
 // An iterator over a narrow range must position in only the one table of a
 // sorted level whose bounds intersect it.
 func TestIterProbesOnlyOverlappingTables(t *testing.T) {
-	e := New(Options{DisableAutoCompactions: true})
+	e := newManualEngine(Options{})
 	defer e.Close()
 	// Five disjoint key ranges, each compacted into its own bottom-level table.
 	for r := 0; r < 5; r++ {

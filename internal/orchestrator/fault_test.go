@@ -17,7 +17,6 @@ func (e *env) newFaultOrch(t *testing.T, warm int, reg *faultinject.Registry) *O
 		Region:          "us-central1",
 		WarmPoolSize:    warm,
 		PreStartProcess: true,
-		NodeVCPUs:       4,
 		Faults:          reg,
 	})
 	if err != nil {

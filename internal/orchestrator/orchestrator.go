@@ -83,6 +83,14 @@ func (p *Pod) TenantName() string {
 	return p.tenant
 }
 
+const (
+	// drainTimeout force-stops a draining pod that still has connections
+	// (§4.2.3).
+	drainTimeout = 10 * time.Minute
+	// sqlNodeVCPUs is each SQL node's allocation, the paper's 4.
+	sqlNodeVCPUs = 4
+)
+
 // Config configures an Orchestrator.
 type Config struct {
 	Cluster  *kvserver.Cluster
@@ -97,17 +105,11 @@ type Config struct {
 	// is known. Disabled, the process starts only at assignment — the
 	// unoptimized baseline of Fig 10a.
 	PreStartProcess bool
-	// DrainTimeout force-stops a draining pod that still has connections.
-	// Defaults to 10 minutes (§4.2.3).
-	DrainTimeout time.Duration
-	// NodeVCPUs is each SQL node's allocation (the paper uses 4).
-	NodeVCPUs int
 	// Metrics receives the orchestrator's counters (orchestrator.*). A
 	// fresh registry is created when nil.
 	Metrics *metric.Registry
 	// RevivalSecret for session migration.
 	RevivalSecret []byte
-	Colocated     bool
 	// Tracer is handed to each SQL node so request traces propagated by
 	// the proxy continue through statement execution.
 	Tracer *trace.Tracer
@@ -149,12 +151,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
 	}
-	if cfg.DrainTimeout == 0 {
-		cfg.DrainTimeout = 10 * time.Minute
-	}
-	if cfg.NodeVCPUs == 0 {
-		cfg.NodeVCPUs = 4
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metric.NewRegistry()
 	}
@@ -173,7 +169,7 @@ func New(cfg Config) (*Orchestrator, error) {
 }
 
 // NodeVCPUs returns the per-SQL-node vCPU allocation.
-func (o *Orchestrator) NodeVCPUs() int { return o.cfg.NodeVCPUs }
+func (o *Orchestrator) NodeVCPUs() int { return sqlNodeVCPUs }
 
 // EnsureWarm tops the warm pool up to n pods.
 func (o *Orchestrator) EnsureWarm(n int) error {
@@ -206,12 +202,10 @@ func (o *Orchestrator) createPod() (*Pod, error) {
 		node := server.NewSQLNode(server.SQLNodeConfig{
 			InstanceID:    o.instanceIDs.Add(1),
 			Cluster:       o.cfg.Cluster,
-			Registry:      o.cfg.Registry,
 			Region:        o.cfg.Region,
 			Buckets:       o.cfg.Buckets,
 			Clock:         o.cfg.Clock,
 			RevivalSecret: o.cfg.RevivalSecret,
-			Colocated:     o.cfg.Colocated,
 			Tracer:        o.cfg.Tracer,
 			Obs:           o.cfg.Obs,
 		})
@@ -387,7 +381,7 @@ func (o *Orchestrator) Tick() {
 			continue
 		}
 		if p.state == PodDraining &&
-			(p.Node.ConnCount() == 0 || now.Sub(p.drainSince) >= o.cfg.DrainTimeout) {
+			(p.Node.ConnCount() == 0 || now.Sub(p.drainSince) >= drainTimeout) {
 			p.state = PodStopped
 			p.mu.Unlock()
 			o.stopPod(p)

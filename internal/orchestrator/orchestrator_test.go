@@ -47,7 +47,6 @@ func (e *env) newOrch(t *testing.T, warm int, preStart bool) *Orchestrator {
 		Region:          "us-central1",
 		WarmPoolSize:    warm,
 		PreStartProcess: preStart,
-		NodeVCPUs:       4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +236,6 @@ func TestDrainTimeoutForcesStop(t *testing.T) {
 		Region:          "us-central1",
 		WarmPoolSize:    1,
 		PreStartProcess: true,
-		DrainTimeout:    10 * time.Minute,
 		Clock:           e.clock,
 	})
 	if err != nil {
@@ -264,7 +262,7 @@ func TestDrainTimeoutForcesStop(t *testing.T) {
 	if got := len(o.PodsForTenant("acme")); got != 2 {
 		t.Fatalf("draining pod with conns reaped early: %d", got)
 	}
-	e.clock.Advance(11 * time.Minute)
+	e.clock.Advance(drainTimeout)
 	o.Tick()
 	if got := len(o.PodsForTenant("acme")); got != 1 {
 		t.Fatalf("drain timeout did not stop pod: %d", got)

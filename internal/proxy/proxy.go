@@ -43,9 +43,6 @@ type Config struct {
 	// Metrics receives the proxy's counters (proxy.*). A fresh registry is
 	// created when nil.
 	Metrics *metric.Registry
-	// ThrottleBase is the initial backoff after a failed authentication
-	// (doubles per failure). Defaults to 100ms.
-	ThrottleBase time.Duration
 	// AllowList and DenyList match client IP prefixes. An empty allow list
 	// admits everyone not denied; deny wins over allow.
 	AllowList []string
@@ -87,6 +84,10 @@ type Proxy struct {
 	backendReconnects *metric.Counter
 }
 
+// throttleBase is the backoff after a failed authentication; it doubles per
+// further failure, up to a minute.
+const throttleBase = 100 * time.Millisecond
+
 type throttleState struct {
 	failures int
 	until    time.Time
@@ -96,9 +97,6 @@ type throttleState struct {
 func New(cfg Config) *Proxy {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
-	}
-	if cfg.ThrottleBase == 0 {
-		cfg.ThrottleBase = 100 * time.Millisecond
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metric.NewRegistry()
@@ -233,7 +231,7 @@ func (p *Proxy) noteAuthFailure(origin string) {
 		p.mu.throttle[origin] = st
 	}
 	st.failures++
-	backoff := p.cfg.ThrottleBase << uint(st.failures-1)
+	backoff := throttleBase << uint(st.failures-1)
 	if backoff > time.Minute {
 		backoff = time.Minute
 	}

@@ -53,7 +53,6 @@ func (e *env) addNode(t *testing.T, tenant *core.Tenant) *server.SQLNode {
 	n := server.NewSQLNode(server.SQLNodeConfig{
 		InstanceID: atomic.AddInt64(&instanceIDs, 1),
 		Cluster:    e.cluster,
-		Registry:   e.reg,
 		Region:     "us-central1",
 	})
 	if err := n.Start(); err != nil {
@@ -202,7 +201,7 @@ func TestProxyAuthThrottling(t *testing.T) {
 	acme, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{Password: "secret"})
 	e.addNode(t, acme)
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	p := startProxy(t, Config{Directory: e, Clock: mc, ThrottleBase: time.Second})
+	p := startProxy(t, Config{Directory: e, Clock: mc})
 
 	// First failure: rejected by the backend, throttle armed.
 	if _, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "bad"}); err == nil {
@@ -218,7 +217,7 @@ func TestProxyAuthThrottling(t *testing.T) {
 		t.Fatal("throttled origin admitted")
 	}
 	// After the backoff expires, the connection succeeds and clears state.
-	mc.Advance(2 * time.Second)
+	mc.Advance(2 * throttleBase)
 	c, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "secret"})
 	if err != nil {
 		t.Fatal(err)
@@ -232,13 +231,14 @@ func TestProxyExponentialBackoffGrows(t *testing.T) {
 	acme, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{Password: "secret"})
 	e.addNode(t, acme)
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	p := startProxy(t, Config{Directory: e, Clock: mc, ThrottleBase: time.Second})
+	p := startProxy(t, Config{Directory: e, Clock: mc})
 
 	wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "bad"})
-	mc.Advance(1100 * time.Millisecond) // past first backoff (1s)
+	mc.Advance(throttleBase * 11 / 10) // past the first backoff
 	wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "bad"})
-	// Second backoff is 2s; 1.1s later we must still be throttled.
-	mc.Advance(1100 * time.Millisecond)
+	// The second backoff is twice the first; as long again later we must
+	// still be throttled.
+	mc.Advance(throttleBase * 11 / 10)
 	if _, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "secret"}); err == nil {
 		t.Fatal("backoff did not grow")
 	}

@@ -51,7 +51,6 @@ func (e *testEnv) startNode(t *testing.T, tenant *core.Tenant) *SQLNode {
 	n := NewSQLNode(SQLNodeConfig{
 		InstanceID: atomic.AddInt64(&instanceIDs, 1),
 		Cluster:    e.cluster,
-		Registry:   e.reg,
 		Region:     "us-central1",
 		Buckets:    e.buckets,
 	})
@@ -287,7 +286,6 @@ func TestSQLNodeSyntheticLoadAndCPUReporting(t *testing.T) {
 	n := NewSQLNode(SQLNodeConfig{
 		InstanceID: atomic.AddInt64(&instanceIDs, 1),
 		Cluster:    env.cluster,
-		Registry:   env.reg,
 		Region:     "us-central1",
 		Clock:      mc,
 	})

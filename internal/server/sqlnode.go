@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"crdbserverless/internal/core"
-	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/region"
 	"crdbserverless/internal/sql"
@@ -22,22 +21,21 @@ import (
 	"crdbserverless/internal/wire"
 )
 
+// costModel prices KV traffic in estimated CPU. Every SQL node shares the
+// calibrated model; nothing mutates it.
+var costModel = tenantcost.DefaultModel()
+
 // SQLNodeConfig configures a SQL node process.
 type SQLNodeConfig struct {
 	// InstanceID is the node's identity in system.sql_instances.
 	InstanceID int64
 	Cluster    *kvserver.Cluster
-	Registry   *core.Registry
 	Region     region.Region
-	// Model prices KV traffic in estimated CPU.
-	Model *tenantcost.Model
 	// Buckets is the distributed token-bucket server enforcing quotas.
 	Buckets *tenantcost.BucketServer
 	// RevivalSecret signs session revival tokens (§4.2.4).
 	RevivalSecret []byte
-	// Colocated marks traditional deployments (SQL in the KV process).
-	Colocated bool
-	Clock     timeutil.Clock
+	Clock         timeutil.Clock
 	// Addr is the TCP address to listen on; defaults to 127.0.0.1:0.
 	Addr string
 	// Tracer, when non-nil, continues request traces propagated by the
@@ -91,9 +89,6 @@ func NewSQLNode(cfg SQLNodeConfig) *SQLNode {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
 	}
-	if cfg.Model == nil {
-		cfg.Model = tenantcost.DefaultModel()
-	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
@@ -144,11 +139,11 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 		return errors.New("server: tenant already assigned")
 	}
 	ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: t.ID}, kvserver.Config{Obs: n.cfg.Obs})
-	metered := NewMeteredSender(colocatedSender{inner: ds, colocated: n.cfg.Colocated})
+	metered := NewMeteredSender(ds)
 	coord := txn.NewCoordinator(metered, n.cfg.Cluster.Clock(), t.ID)
 	coord.SetObs(n.cfg.Obs)
 	catalog := sql.NewCatalog(coord, t.ID)
-	exec := sql.NewExecutor(catalog, coord, sql.ExecutorConfig{Colocated: n.cfg.Colocated, Obs: n.cfg.Obs})
+	exec := sql.NewExecutor(catalog, coord, sql.ExecutorConfig{Obs: n.cfg.Obs})
 	n.mu.tenant = t
 	n.mu.exec = exec
 	n.mu.metered = metered
@@ -162,17 +157,6 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	return sql.RegisterInstance(ctx, coord, t.ID, sql.SQLInstance{
 		ID: n.cfg.InstanceID, Region: n.cfg.Region, Addr: n.Addr(),
 	})
-}
-
-// colocatedSender stamps batches with the deployment's process topology.
-type colocatedSender struct {
-	inner     txn.Sender
-	colocated bool
-}
-
-func (c colocatedSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
-	ba.Colocated = c.colocated
-	return c.inner.Send(ctx, ba)
 }
 
 // Tenant returns the assigned tenant, if any.
@@ -302,7 +286,7 @@ func (n *SQLNode) ECPUConsumedTokens() float64 {
 	if n.mu.exec == nil {
 		return 0
 	}
-	est := n.cfg.Model.Estimate(
+	est := costModel.Estimate(
 		tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()+n.mu.synthAccum),
 		n.mu.metered.Features(),
 	)
@@ -505,7 +489,7 @@ func (n *SQLNode) enforceQuota() {
 	}
 	total := 0.0
 	if n.mu.exec != nil {
-		est := n.cfg.Model.Estimate(tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()), n.mu.metered.Features())
+		est := costModel.Estimate(tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()), n.mu.metered.Features())
 		total = est.Tokens()
 	}
 	delta := total - n.mu.lastECPUTokens

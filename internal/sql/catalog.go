@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"crdbserverless/internal/keys"
-	"crdbserverless/internal/region"
 	"crdbserverless/internal/txn"
 )
 
@@ -41,9 +40,6 @@ type TableDescriptor struct {
 	Columns    []ColumnDef
 	PrimaryKey []int // offsets into Columns
 	Indexes    []IndexDescriptor
-	// Locality and HomeRegion configure multi-region behavior (§3.2.5).
-	Locality   region.Locality
-	HomeRegion region.Region
 }
 
 // ColumnIndex returns the offset of the named column, or -1.

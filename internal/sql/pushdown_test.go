@@ -97,7 +97,7 @@ func TestPushdownWithoutDecoderFailsOpen(t *testing.T) {
 	// are still correct because SQL re-applies the predicate.
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	n1 := kvserver.NewNode(kvserver.NodeConfig{ID: 1, VCPUs: 2, Cost: cheap})
-	c, err := kvserver.NewCluster(kvserver.ClusterConfig{ReplicationFactor: 1}, []*kvserver.Node{n1})
+	c, err := kvserver.NewCluster(kvserver.ClusterConfig{}, []*kvserver.Node{n1})
 	if err != nil {
 		t.Fatal(err)
 	}

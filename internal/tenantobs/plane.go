@@ -37,13 +37,6 @@ type Config struct {
 	// MaxTenants caps distinct tenants (default 2048); excess tenants are
 	// absorbed into the __overflow__ pseudo-tenant.
 	MaxTenants int
-	// WindowWidth and WindowCount size each tenant's window ring
-	// (defaults: 15s x 240 = 1h retention).
-	WindowWidth time.Duration
-	WindowCount int
-	// DefaultObjective is the SLO tenants get unless SetObjective is
-	// called (default: 99.9% of requests good within 100ms).
-	DefaultObjective metric.Objective
 }
 
 // tenantState is everything the plane keeps per tenant beyond the labeled
@@ -57,12 +50,13 @@ type tenantState struct {
 }
 
 // Plane is the tenant observability plane. Safe for concurrent use.
+//
+// Each tenant's window ring holds metric.DefaultWindowCount windows of
+// metric.DefaultWindowWidth (1h retention), and a tenant's SLO is
+// metric.DefaultObjective until SetObjective is called.
 type Plane struct {
-	clock    timeutil.Clock
-	max      int
-	winWidth time.Duration
-	winCount int
-	defObj   metric.Objective
+	clock timeutil.Clock
+	max   int
 
 	conns       *metric.CounterVec   // proxy.tenant_conns{tenant}
 	queries     *metric.CounterVec   // sql.tenant_queries{tenant,result}
@@ -88,22 +82,10 @@ func New(cfg Config) *Plane {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = metric.DefaultVecCardinality
 	}
-	if cfg.WindowWidth <= 0 {
-		cfg.WindowWidth = metric.DefaultWindowWidth
-	}
-	if cfg.WindowCount <= 0 {
-		cfg.WindowCount = metric.DefaultWindowCount
-	}
-	if cfg.DefaultObjective.Target <= 0 || cfg.DefaultObjective.Target >= 1 {
-		cfg.DefaultObjective = metric.DefaultObjective()
-	}
 	r := cfg.Registry
 	p := &Plane{
 		clock:       cfg.Clock,
 		max:         cfg.MaxTenants,
-		winWidth:    cfg.WindowWidth,
-		winCount:    cfg.WindowCount,
-		defObj:      cfg.DefaultObjective,
 		conns:       r.NewCounterVec("proxy.tenant_conns", "tenant"),
 		queries:     r.NewCounterVec("sql.tenant_queries", "tenant", "result"),
 		execLat:     r.NewHistogramVec("sql.tenant_exec_latency", "tenant"),
@@ -146,8 +128,8 @@ func (p *Plane) newStateLocked(name string, id keys.TenantID, obj metric.Objecti
 	return &tenantState{
 		name:  name,
 		id:    id,
-		win:   metric.NewWindowed(p.winWidth, p.winCount),
-		slo:   metric.NewSLO(obj, p.winWidth, p.winCount),
+		win:   metric.NewWindowed(metric.DefaultWindowWidth, metric.DefaultWindowCount),
+		slo:   metric.NewSLO(obj, metric.DefaultWindowWidth, metric.DefaultWindowCount),
 		conns: p.conns.With(name),
 	}
 }
@@ -186,7 +168,7 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *tenantState {
 	if len(p.states) >= p.max {
 		p.absorbed++
 		if p.overflow == nil {
-			p.overflow = p.newStateLocked(metric.OverflowLabelValue, 0, p.defObj)
+			p.overflow = p.newStateLocked(metric.OverflowLabelValue, 0, metric.DefaultObjective())
 		}
 		p.byName[name] = p.overflow
 		if id != 0 {
@@ -194,7 +176,7 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *tenantState {
 		}
 		return p.overflow
 	}
-	st := p.newStateLocked(name, id, p.defObj)
+	st := p.newStateLocked(name, id, metric.DefaultObjective())
 	p.byName[name] = st
 	if id != 0 {
 		p.byID[id] = st
@@ -236,7 +218,7 @@ func (p *Plane) SetObjective(name string, obj metric.Objective) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.ensureLocked(0, name)
-	st.slo = metric.NewSLO(obj, p.winWidth, p.winCount)
+	st.slo = metric.NewSLO(obj, metric.DefaultWindowWidth, metric.DefaultWindowCount)
 }
 
 // Absorbed returns how many distinct tenants were routed to the overflow

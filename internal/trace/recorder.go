@@ -17,8 +17,6 @@ import (
 // force-retained past ring churn, and per-operation span-duration
 // histograms for the /debug/tracez percentile table.
 type Recorder struct {
-	slowThreshold time.Duration
-
 	rootsRecorded *metric.Counter
 	slowRetained  *metric.Counter
 
@@ -28,41 +26,30 @@ type Recorder struct {
 		ringNext int
 		ringLen  int
 		slow     []*Span // retained slow roots, oldest first
-		slowCap  int
 		perOp    map[string]*metric.Histogram
 	}
 }
 
 const (
-	defaultSlowThreshold = 250 * time.Millisecond
-	defaultRingSize      = 64
-	defaultSlowSize      = 32
+	// slowThreshold is the root-span duration at or above which a finished
+	// trace is force-retained regardless of ring churn.
+	slowThreshold = 250 * time.Millisecond
+	// ringSize bounds the ring of recently finished root traces.
+	ringSize = 64
+	// slowSize bounds the list of retained slow traces (oldest evicted
+	// first).
+	slowSize = 32
 )
 
-func newRecorder(opts Options) *Recorder {
-	if opts.SlowThreshold <= 0 {
-		opts.SlowThreshold = defaultSlowThreshold
-	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = defaultRingSize
-	}
-	if opts.SlowSize <= 0 {
-		opts.SlowSize = defaultSlowSize
-	}
+func newRecorder() *Recorder {
 	r := &Recorder{
-		slowThreshold: opts.SlowThreshold,
 		rootsRecorded: &metric.Counter{},
 		slowRetained:  &metric.Counter{},
 	}
-	r.mu.ring = make([]*Span, opts.RingSize)
-	r.mu.slowCap = opts.SlowSize
+	r.mu.ring = make([]*Span, ringSize)
 	r.mu.perOp = map[string]*metric.Histogram{}
 	return r
 }
-
-// SlowThreshold returns the root duration at or above which traces are
-// force-retained.
-func (r *Recorder) SlowThreshold() time.Duration { return r.slowThreshold }
 
 // spanFinished feeds every finished span into the per-op histograms and
 // files finished roots into the ring (and the slow list when over
@@ -84,8 +71,8 @@ func (r *Recorder) spanFinished(s *Span, d time.Duration, isRoot bool) {
 	if r.mu.ringLen < len(r.mu.ring) {
 		r.mu.ringLen++
 	}
-	if d >= r.slowThreshold {
-		if len(r.mu.slow) == r.mu.slowCap {
+	if d >= slowThreshold {
+		if len(r.mu.slow) == slowSize {
 			// Shift down rather than reslice: slow[1:] would leave the
 			// evicted root, and its whole tree, reachable through the
 			// backing array.
@@ -172,7 +159,7 @@ func (r *Recorder) WriteTracez(w io.Writer) error {
 	}
 
 	slow := r.SlowRoots()
-	fmt.Fprintf(&b, "\nretained slow traces (threshold %v): %d\n", r.slowThreshold, len(slow))
+	fmt.Fprintf(&b, "\nretained slow traces (threshold %v): %d\n", slowThreshold, len(slow))
 	for _, root := range slow {
 		b.WriteString("\n")
 		writeSpanTree(&b, root, 0, true)

@@ -46,16 +46,6 @@ type Options struct {
 	// (trace.spans_started, trace.spans_finished, trace.roots_recorded,
 	// trace.slow_retained).
 	Metrics *metric.Registry
-	// SlowThreshold is the root-span duration at or above which a
-	// finished trace is force-retained by the recorder regardless of
-	// ring-buffer churn. Defaults to 250ms.
-	SlowThreshold time.Duration
-	// RingSize bounds the recorder's ring of recently finished root
-	// traces. Defaults to 64.
-	RingSize int
-	// SlowSize bounds the recorder's list of retained slow traces
-	// (oldest evicted first). Defaults to 32.
-	SlowSize int
 }
 
 // Tracer mints and records spans. The zero value is not usable; use New.
@@ -124,7 +114,7 @@ func New(opts Options) *Tracer {
 	}
 	t := &Tracer{
 		clock:         opts.Clock,
-		recorder:      newRecorder(opts),
+		recorder:      newRecorder(),
 		spansStarted:  &metric.Counter{},
 		spansFinished: &metric.Counter{},
 	}

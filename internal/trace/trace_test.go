@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -134,7 +135,7 @@ func TestEventsAndAttrs(t *testing.T) {
 
 func TestRecorderRingAndSlowRetention(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	tr := New(Options{Clock: mc, Seed: 1, RingSize: 4, SlowSize: 2, SlowThreshold: 100 * time.Millisecond})
+	tr := New(Options{Clock: mc, Seed: 1})
 	rec := tr.Recorder()
 
 	finishRoot := func(op string, d time.Duration) {
@@ -142,33 +143,34 @@ func TestRecorderRingAndSlowRetention(t *testing.T) {
 		mc.Advance(d)
 		s.Finish()
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringSize+6; i++ {
 		finishRoot("fast", time.Millisecond)
 	}
-	if got := len(rec.RecentRoots()); got != 4 {
-		t.Fatalf("ring holds %d, want 4", got)
+	if got := len(rec.RecentRoots()); got != ringSize {
+		t.Fatalf("ring holds %d, want %d", got, ringSize)
 	}
-	finishRoot("slow1", 150*time.Millisecond)
-	finishRoot("slow2", 200*time.Millisecond)
-	finishRoot("slow3", 300*time.Millisecond)
-	for i := 0; i < 10; i++ {
+	// One more slow root than the list holds, each at least the threshold.
+	for i := 0; i <= slowSize; i++ {
+		finishRoot(fmt.Sprintf("slow%d", i), slowThreshold+time.Duration(i)*time.Millisecond)
+	}
+	for i := 0; i < ringSize; i++ {
 		finishRoot("fast", time.Millisecond)
 	}
 	slow := rec.SlowRoots()
-	if len(slow) != 2 {
-		t.Fatalf("slow retained %d, want 2 (bounded)", len(slow))
+	if len(slow) != slowSize {
+		t.Fatalf("slow retained %d, want %d (bounded)", len(slow), slowSize)
 	}
-	if slow[0].Op() != "slow2" || slow[1].Op() != "slow3" {
-		t.Fatalf("slow eviction should drop oldest: %s, %s", slow[0].Op(), slow[1].Op())
+	if slow[0].Op() != "slow1" || slow[slowSize-1].Op() != fmt.Sprintf("slow%d", slowSize) {
+		t.Fatalf("slow eviction should drop oldest: %s ... %s", slow[0].Op(), slow[slowSize-1].Op())
 	}
 	// Slow traces survive ring churn.
 	for _, s := range rec.RecentRoots() {
-		if s.Op() == "slow2" || s.Op() == "slow3" {
+		if strings.HasPrefix(s.Op(), "slow") {
 			t.Fatalf("ring should have churned past slow traces")
 		}
 	}
-	if s := rec.OpSummary("fast"); s.Count != 20 {
-		t.Fatalf("fast count = %d, want 20", s.Count)
+	if s := rec.OpSummary("fast"); s.Count != 2*ringSize+6 {
+		t.Fatalf("fast count = %d, want %d", s.Count, 2*ringSize+6)
 	}
 }
 
@@ -207,13 +209,13 @@ func TestStartRemoteAttachesToLiveParent(t *testing.T) {
 func TestWriteTracez(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
 	reg := metric.NewRegistry()
-	tr := New(Options{Clock: mc, Seed: 1, Metrics: reg, SlowThreshold: 50 * time.Millisecond})
+	tr := New(Options{Clock: mc, Seed: 1, Metrics: reg})
 	root := tr.StartRoot("proxy.conn")
 	ctx := ContextWithSpan(context.Background(), root)
 	_, child := StartSpan(ctx, "sql.exec")
 	child.SetAttr("stmt", "select")
 	child.Eventf("row fetched")
-	mc.Advance(60 * time.Millisecond)
+	mc.Advance(slowThreshold + 10*time.Millisecond)
 	child.Finish()
 	root.Finish()
 
@@ -570,18 +572,22 @@ func TestSpanSize(t *testing.T) {
 // The slow list must not keep an evicted root reachable.
 func TestEvictedSlowRootIsCollectable(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
-	tr := New(Options{Clock: mc, RingSize: 1, SlowSize: 2, SlowThreshold: 100 * time.Millisecond})
+	tr := New(Options{Clock: mc})
 	collected := make(chan struct{})
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= slowSize; i++ {
 		s := tr.StartRoot("slow")
 		if i == 0 {
 			runtime.SetFinalizer(s, func(*Span) { close(collected) })
 		}
-		mc.Advance(150 * time.Millisecond)
+		mc.Advance(slowThreshold)
 		s.Finish()
 	}
-	if got := len(tr.Recorder().SlowRoots()); got != 2 {
-		t.Fatalf("slow list holds %d, want 2", got)
+	// Churn the ring too, so only the slow list could still hold the first.
+	for i := 0; i < ringSize; i++ {
+		tr.StartRoot("fast").Finish()
+	}
+	if got := len(tr.Recorder().SlowRoots()); got != slowSize {
+		t.Fatalf("slow list holds %d, want %d", got, slowSize)
 	}
 	for i := 0; i < 10; i++ {
 		runtime.GC()
