@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/timeutil"
 )
 
 // BenchmarkKVBatchGet8Ranges measures a 64-request Get batch spread across 8
@@ -74,5 +76,37 @@ func BenchmarkKVPutThroughput(b *testing.B) {
 			putReq(k, "v")}}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKVTickIdleFleet measures Cluster.Tick over an idle fleet of 400
+// and 4 000 tenant ranges on 3 nodes. A manual clock advances 3 s per tick,
+// the documented tick cadence, so every tick renews the leases that reached
+// half their duration. Timing starts after 60 settling ticks, once the lease
+// transfers that follow the tenant splits are over.
+func BenchmarkKVTickIdleFleet(b *testing.B) {
+	for _, tenants := range []int{400, 4000} {
+		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
+			mc := timeutil.NewManualClock(time.Unix(10_000, 0))
+			c := newConfiguredCluster(b, 3, ClusterConfig{}, mc)
+			c.Tick()
+			for tid := keys.TenantID(2); tid < keys.TenantID(2+tenants); tid++ {
+				if err := c.SplitAt(keys.MakeTenantPrefix(tid)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tick := func() {
+				mc.Advance(3 * time.Second)
+				c.Tick()
+			}
+			for i := 0; i < 60; i++ {
+				tick()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/tick")
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,13 +70,13 @@ type rangeState struct {
 	// read evaluation records into the timestamp cache and write evaluation
 	// consults it, and the two must not interleave.
 	latch sync.Mutex
-	desc  *RangeDescriptor
+	// desc is the range's descriptor, the same pointer the directory holds.
+	// Batches, the tick and the replication group's state machines read it
+	// without a lock (the state machines run under the group's lock, and
+	// splitLocked holds the cluster lock while calling into the group), so a
+	// split or move publishes a new descriptor instead of editing this one.
+	desc  atomic.Pointer[RangeDescriptor]
 	group *raftlite.Group
-	// descAtomic mirrors desc for readers that run under the replication
-	// group's lock (snapshot generation and application): they must not take
-	// the cluster lock — splitLocked holds it while calling into the group —
-	// so they read the descriptor through this pointer instead.
-	descAtomic atomic.Pointer[RangeDescriptor]
 	// tsc is the range's timestamp cache (lost-update protection).
 	tsc *tsCache
 
@@ -103,8 +104,7 @@ func (sm engineSM) Apply(index uint64, cmd []byte) error {
 	if err := applyMutations(e, c); err != nil {
 		return err
 	}
-	desc := sm.rs.descAtomic.Load()
-	return e.Set(appliedKey(desc.RangeID), keys.EncodeUint64(nil, index))
+	return e.Set(appliedKey(sm.rs.desc.Load().RangeID), keys.EncodeUint64(nil, index))
 }
 
 // Cluster is a set of KV nodes hosting the partitioned, replicated keyspace.
@@ -131,13 +131,6 @@ type Cluster struct {
 		rowDecoder  RowDecoder
 	}
 	dir metaDirectory
-	// idx is the incremental maintenance index (per-node lease/replica
-	// aggregates, the renewal heap). Lock order: (latches) → c.mu → idx.mu;
-	// idx.mu is a strict leaf.
-	idx *maintIndex
-
-	tickMu   sync.Mutex
-	lastTick TickStats
 }
 
 // NewCluster creates a cluster from the given nodes with a single range
@@ -152,7 +145,7 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 	if cfg.LeaseDuration <= 0 {
 		cfg.LeaseDuration = 9 * time.Second
 	}
-	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), splitSize: splitSizeThreshold, idx: newMaintIndex()}
+	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), splitSize: splitSizeThreshold}
 	c.nodesMu.nodes = make(map[NodeID]*Node)
 	c.mu.ranges = make(map[RangeID]*rangeState)
 	c.mu.nextRangeID = 1
@@ -246,13 +239,13 @@ func (c *Cluster) pickReplicasLocked() []NodeID {
 // createRangeLocked registers a new range over span with the given replicas
 // and inserts it into the directory.
 func (c *Cluster) createRangeLocked(span keys.Span, replicas []NodeID) (*rangeState, error) {
-	rs, err := c.newRangeStateLocked(span, replicas)
+	rs, err := c.newRangeStateLocked(span, replicas, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.dir.insert(rs.desc); err != nil {
-		c.idx.unregisterRange(rs.desc.RangeID, rs.desc.Replicas)
-		delete(c.mu.ranges, rs.desc.RangeID)
+	desc := rs.desc.Load()
+	if err := c.dir.insert(desc); err != nil {
+		delete(c.mu.ranges, desc.RangeID)
 		return nil, err
 	}
 	return rs, nil
@@ -260,29 +253,25 @@ func (c *Cluster) createRangeLocked(span keys.Span, replicas []NodeID) (*rangeSt
 
 // newRangeStateLocked allocates a range (ID, group, state) without touching
 // the directory; split commits the directory change atomically via replace.
-func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID) (*rangeState, error) {
+// The new range has no lease; the next tick grants one.
+func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID, generation int64) (*rangeState, error) {
 	id := c.mu.nextRangeID
 	c.mu.nextRangeID++
 	// The range state exists before its group: each replica's state machine
 	// reads the descriptor (and writes the applied key) through it.
-	rs := &rangeState{
-		desc: &RangeDescriptor{
-			RangeID:  id,
-			Span:     span,
-			Replicas: append([]NodeID(nil), replicas...),
-		},
-		tsc: newTSCache(),
-	}
-	rs.descAtomic.Store(rs.desc)
+	rs := &rangeState{tsc: newTSCache()}
+	rs.desc.Store(&RangeDescriptor{
+		RangeID:    id,
+		Span:       span,
+		Replicas:   append([]NodeID(nil), replicas...),
+		Generation: generation,
+	})
 	group, err := c.newGroup(rs, replicas)
 	if err != nil {
 		return nil, err
 	}
 	rs.group = group
 	c.mu.ranges[id] = rs
-	// Register in the maintenance index: replica aggregates plus a
-	// needs-lease entry the next tick drains.
-	c.idx.registerRange(id, replicas)
 	return rs, nil
 }
 
@@ -300,7 +289,7 @@ func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, 
 		sms[i] = engineSM{n: n, rs: rs}
 	}
 	return raftlite.NewGroup(raftlite.Config{
-		RangeID:       int64(rs.descAtomic.Load().RangeID),
+		RangeID:       int64(rs.desc.Load().RangeID),
 		Clock:         c.clock,
 		Liveness:      c.liveness,
 		LeaseDuration: c.cfg.LeaseDuration,
@@ -317,7 +306,8 @@ func (c *Cluster) rangeByID(id RangeID) *rangeState {
 	return c.mu.ranges[id]
 }
 
-// rangeFor returns the range state containing key.
+// rangeFor returns the range state containing key. The directory lookup
+// shares the published descriptor; nothing is copied.
 func (c *Cluster) rangeFor(key keys.Key) (*rangeState, error) {
 	desc, err := c.dir.lookup(key)
 	if err != nil {
@@ -336,7 +326,11 @@ func (c *Cluster) rangeFor(key keys.Key) (*rangeState, error) {
 // range lookup. Reads of META tolerate staleness (follower reads, §3.2.5):
 // callers cache results and rely on redirects when ranges move.
 func (c *Cluster) LookupRange(key keys.Key) (*RangeDescriptor, error) {
-	return c.dir.lookup(key)
+	d, err := c.dir.lookup(key)
+	if err != nil {
+		return nil, err
+	}
+	return d.clone(), nil
 }
 
 // Descriptors returns all range descriptors in key order.
@@ -362,7 +356,7 @@ func (c *Cluster) SplitAt(key keys.Key) error {
 func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	desc := rs.desc
+	desc := rs.desc.Load()
 	if key.Equal(desc.Span.Key) {
 		return false, nil // already a boundary
 	}
@@ -371,7 +365,7 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	}
 	rightSpan := keys.Span{Key: key.Clone(), EndKey: desc.Span.EndKey}
 	// The right side inherits the parent's replicas: data stays in place.
-	right, err := c.newRangeStateLocked(rightSpan, desc.Replicas)
+	right, err := c.newRangeStateLocked(rightSpan, desc.Replicas, 0)
 	if err != nil {
 		return false, err
 	}
@@ -388,23 +382,24 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 		}
 	}
 	right.group.SeedState(rs.group.CommitIndex(), applied)
+	// The right side remembers the reads already served on its span, so no
+	// write there can land below one of them.
+	right.tsc.absorb(rs.tsc, rightSpan)
 	// Shrink the left side and commit both descriptors atomically.
-	newLeft := desc.clone()
-	newLeft.Span.EndKey = key.Clone()
-	newLeft.Generation++
-	if err := c.dir.replace(desc.RangeID, newLeft, right.desc); err != nil {
-		c.idx.unregisterRange(right.desc.RangeID, right.desc.Replicas)
-		delete(c.mu.ranges, right.desc.RangeID)
+	left := *desc
+	left.Span.EndKey = key.Clone()
+	left.Generation++
+	rightDesc := right.desc.Load()
+	if err := c.dir.replace(desc.RangeID, &left, rightDesc); err != nil {
+		delete(c.mu.ranges, rightDesc.RangeID)
 		return false, err
 	}
-	rs.desc = newLeft
-	rs.descAtomic.Store(newLeft)
+	rs.desc.Store(&left)
 	// The new right range's lease starts with the parent's leaseholder so
 	// serving continues without interruption.
 	if lh, ok := rs.group.Leaseholder(); ok {
-		if err := right.group.AcquireLease(lh); err == nil {
-			c.idx.noteLease(right.desc.RangeID, lh, c.renewAt())
-		}
+		//lint:allow faulterr a failed hand-over leaves the right range without a lease, which the next tick grants
+		_ = right.group.AcquireLease(lh)
 	}
 	// Split halves the parent's accumulated size statistic.
 	rs.statsMu.Lock()
@@ -412,11 +407,6 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	right.writtenBytes = rs.writtenBytes
 	rs.statsMu.Unlock()
 	return true, nil
-}
-
-// renewAt is when a lease granted now should be proactively renewed.
-func (c *Cluster) renewAt() time.Time {
-	return c.clock.Now().Add(c.cfg.LeaseDuration / 2)
 }
 
 // middleKeyScanLimit bounds boundedMiddleKey's scan.
@@ -429,7 +419,7 @@ func (c *Cluster) splitPoint(rs *rangeState, leaseholder NodeID) keys.Key {
 	if !ok {
 		return nil
 	}
-	return boundedMiddleKey(n, rs.descAtomic.Load().Span)
+	return boundedMiddleKey(n, rs.desc.Load().Span)
 }
 
 // boundedMiddleKey scans at most middleKeyScanLimit rows of span (at the
@@ -470,15 +460,8 @@ func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 // LeaseCounts returns the number of valid range leases held by each node —
 // the per-node lease series of Fig 12.
 func (c *Cluster) LeaseCounts() map[NodeID]int {
-	c.mu.RLock()
-	ranges := make([]*rangeState, 0, len(c.mu.ranges))
-	for _, rs := range c.mu.ranges {
-		ranges = append(ranges, rs)
-	}
-	c.mu.RUnlock()
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].desc.RangeID < ranges[j].desc.RangeID })
 	out := make(map[NodeID]int)
-	for _, rs := range ranges {
+	for _, rs := range c.rangesByID() {
 		if lh, ok := rs.group.Leaseholder(); ok {
 			out[lh]++
 		}
@@ -501,100 +484,58 @@ func (c *Cluster) RangeLoads() []RangeLease {
 	out := make([]RangeLease, 0, len(ranges))
 	for _, rs := range ranges {
 		lh, _ := rs.group.Leaseholder()
-		out = append(out, RangeLease{RangeID: rs.desc.RangeID, Leaseholder: lh})
+		out = append(out, RangeLease{RangeID: rs.desc.Load().RangeID, Leaseholder: lh})
 	}
 	return out
 }
 
 // Tick runs periodic cluster maintenance: node ticks (AIMD, token refills,
-// capacity estimation), lease upkeep, and lease rebalancing. Range work is
-// driven entirely by the maintenance index — needs-lease drains, dead-holder
-// lease sets and due renewals — so a tick visits only ranges with lease work
-// due, however many exist and however much traffic they served.
+// capacity estimation), lease upkeep, and lease rebalancing. Lease upkeep is
+// one pass over the ranges in RangeID order, reading each lease from the
+// range's replication group: a range without a valid lease on a live node
+// gets one, and a lease with half its duration or less to run is extended.
+// The order is fixed because lease operations trigger catch-up applies, and
+// those must consult fault-injection sites in a deterministic sequence for
+// seeded chaos runs to reproduce.
 func (c *Cluster) Tick() {
 	for _, n := range c.Nodes() {
 		n.Tick()
 	}
 	now := c.clock.Now()
-	var stats TickStats
-
-	// Leaderless ranges (new splits/merges, failed prior attempts). All
-	// index drains return RangeID order, not map order: lease maintenance
-	// triggers catch-up applies, and those must consult fault-injection
-	// sites in a deterministic sequence for seeded chaos runs to reproduce.
-	for _, id := range c.idx.drainNeedsLease() {
-		if rs := c.rangeByID(id); rs != nil {
-			stats.RangesVisited++
-			c.ensureLease(rs, &stats)
+	// leases[n] lists the ranges node n holds the lease of, in RangeID
+	// order: the count balancer's input.
+	leases := make(map[NodeID][]*rangeState)
+	for _, rs := range c.rangesByID() {
+		lease := rs.group.Lease()
+		holder, held := lease.Holder, lease.Valid(now) && c.liveness(lease.Holder)
+		if !held || lease.Expiration.Sub(now) <= c.cfg.LeaseDuration/2 {
+			holder, held = c.ensureLease(rs)
+		}
+		if held {
+			leases[holder] = append(leases[holder], rs)
 		}
 	}
-
-	// Leases recorded on nodes that are no longer live: sweep them to a
-	// live replica. Visits only the dead nodes' lease sets.
-	c.nodesMu.RLock()
-	nodeIDs := append([]NodeID(nil), c.nodesMu.nodeOrder...)
-	c.nodesMu.RUnlock()
-	for _, nid := range nodeIDs {
-		if c.liveness(nid) {
-			continue
-		}
-		for _, id := range c.idx.leasesOf(nid) {
-			if rs := c.rangeByID(id); rs != nil {
-				stats.RangesVisited++
-				c.ensureLease(rs, &stats)
-			}
-		}
-	}
-
-	// Proactive renewals at the lease half-life.
-	for _, id := range c.idx.dueRenewals(now) {
-		if rs := c.rangeByID(id); rs != nil {
-			stats.RangesVisited++
-			c.ensureLease(rs, &stats)
-		}
-	}
-
-	c.rebalanceLeases(&stats)
-
-	c.tickMu.Lock()
-	c.lastTick = stats
-	c.tickMu.Unlock()
+	c.rebalanceLeases(leases)
 }
 
-// LastTickStats reports what the most recent Tick did — the evidence tests
-// gate on that a tick's work follows what is due.
-func (c *Cluster) LastTickStats() TickStats {
-	c.tickMu.Lock()
-	defer c.tickMu.Unlock()
-	return c.lastTick
-}
-
-// ensureLease makes sure the range has a live leaseholder, preferring the
-// current holder (extend) and falling back to the first live replica
-// (AcquireLease applies any entries the taker missed before granting). The
-// outcome is recorded in the maintenance index either way.
-func (c *Cluster) ensureLease(rs *rangeState, stats *TickStats) {
-	id := rs.descAtomic.Load().RangeID
+// ensureLease extends the lease of a live holder, and otherwise grants the
+// lease to the first live replica that can take it (AcquireLease applies any
+// entries the taker missed before granting). It reports the holder, or false
+// when no live replica could take the lease; the next tick retries.
+func (c *Cluster) ensureLease(rs *rangeState) (NodeID, bool) {
 	if lh, ok := rs.group.Leaseholder(); ok {
-		if n, exists := c.Node(lh); exists && n.Live() {
-			stats.LeaseOps++
-			if err := rs.group.ExtendLease(lh); err == nil {
-				c.idx.noteLease(id, lh, c.renewAt())
-				return
-			}
+		if err := rs.group.ExtendLease(lh); err == nil {
+			return lh, true
 		}
 	}
 	for _, nid := range rs.group.Replicas() {
 		if c.liveness(nid) {
-			stats.LeaseOps++
 			if err := rs.group.AcquireLease(nid); err == nil {
-				c.idx.noteLease(id, nid, c.renewAt())
-				return
+				return nid, true
 			}
 		}
 	}
-	// No live replica could take the lease; retry next tick.
-	c.idx.markNeedsLease(id)
+	return 0, false
 }
 
 // maxLeaseTransfersPerTick bounds the count pass. A burst of splits hands
@@ -603,10 +544,11 @@ func (c *Cluster) ensureLease(rs *rangeState, stats *TickStats) {
 const maxLeaseTransfersPerTick = 128
 
 // rebalanceLeases moves leases toward an even spread (mechanism (a) of
-// §5.1.1, operating at a longer time scale than admission): it evens out
-// lease counts using the index aggregates, walking only the node with the
-// most leases.
-func (c *Cluster) rebalanceLeases(stats *TickStats) {
+// §5.1.1, operating at a longer time scale than admission). While two live
+// nodes' lease counts differ by more than one, it walks the lease list of
+// the node with the most, lowest RangeID first, and hands the first lease it
+// can to the replica peer with the fewest.
+func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState) {
 	c.nodesMu.RLock()
 	liveIDs := make([]NodeID, 0, len(c.nodesMu.nodeOrder))
 	for _, nid := range c.nodesMu.nodeOrder {
@@ -622,7 +564,7 @@ func (c *Cluster) rebalanceLeases(stats *TickStats) {
 
 	counts := make(map[NodeID]int, len(liveIDs))
 	for _, nid := range liveIDs {
-		counts[nid] = c.idx.leaseCount(nid)
+		counts[nid] = len(leases[nid])
 	}
 	for iter := 0; iter < maxLeaseTransfersPerTick; iter++ {
 		maxN, minN := liveIDs[0], liveIDs[0]
@@ -638,11 +580,7 @@ func (c *Cluster) rebalanceLeases(stats *TickStats) {
 			return
 		}
 		moved := false
-		for _, id := range c.idx.leasesOf(maxN) {
-			rs := c.rangeByID(id)
-			if rs == nil {
-				continue
-			}
+		for i, rs := range leases[maxN] {
 			lh, ok := rs.group.Leaseholder()
 			if !ok || lh != maxN {
 				continue
@@ -658,10 +596,12 @@ func (c *Cluster) rebalanceLeases(stats *TickStats) {
 			}
 			// TransferLease catches the target up before handing over.
 			if err := rs.group.TransferLease(lh, best); err == nil {
-				c.idx.noteLease(id, best, c.renewAt())
+				leases[lh] = slices.Delete(leases[lh], i, i+1)
+				id := rs.desc.Load().RangeID
+				at := sort.Search(len(leases[best]), func(j int) bool { return leases[best][j].desc.Load().RangeID > id })
+				leases[best] = slices.Insert(leases[best], at, rs)
 				counts[lh]--
 				counts[best]++
-				stats.LeaseTransfers++
 				moved = true
 				break
 			}
@@ -694,7 +634,7 @@ func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 				continue
 			}
 			out = append(out, ReplicaStatus{
-				RangeID: rs.desc.RangeID, Node: nid, Applied: applied, Commit: commit,
+				RangeID: rs.desc.Load().RangeID, Node: nid, Applied: applied, Commit: commit,
 			})
 		}
 	}
@@ -730,39 +670,36 @@ func (c *Cluster) CatchUpReplicas() error {
 // rangesByID snapshots the range states in RangeID order.
 func (c *Cluster) rangesByID() []*rangeState {
 	c.mu.RLock()
-	ranges := make([]*rangeState, 0, len(c.mu.ranges))
-	for _, rs := range c.mu.ranges {
-		ranges = append(ranges, rs)
+	defer c.mu.RUnlock()
+	ids := make([]RangeID, 0, len(c.mu.ranges))
+	for id := range c.mu.ranges {
+		ids = append(ids, id)
 	}
-	c.mu.RUnlock()
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].desc.RangeID < ranges[j].desc.RangeID })
-	return ranges
+	slices.Sort(ids)
+	out := make([]*rangeState, len(ids))
+	for i, id := range ids {
+		out[i] = c.mu.ranges[id]
+	}
+	return out
 }
 
 // RunGC reclaims old MVCC versions across every range and node, retaining
 // versions newer than keepAfter (and always the newest committed version and
 // all intents). It returns the number of versions removed. This is the
 // storage-reclamation path behind "the only cost is for storage" (§4.2.3):
-// suspended tenants' data keeps getting compacted down.
+// suspended tenants' data keeps getting compacted down. Ranges are visited
+// in RangeID order so injected storage faults land on a deterministic range.
 func (c *Cluster) RunGC(keepAfter hlc.Timestamp) (int, error) {
 	removed := 0
-	c.mu.RLock()
-	ranges := make([]*rangeState, 0, len(c.mu.ranges))
-	for _, rs := range c.mu.ranges {
-		ranges = append(ranges, rs)
-	}
-	c.mu.RUnlock()
-	// GC visits ranges in RangeID order so injected storage faults land on a
-	// deterministic range regardless of map iteration.
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].desc.RangeID < ranges[j].desc.RangeID })
-	for _, rs := range ranges {
+	for _, rs := range c.rangesByID() {
 		rs.latch.Lock()
-		for _, nid := range rs.desc.Replicas {
+		desc := rs.desc.Load()
+		for _, nid := range desc.Replicas {
 			n, ok := c.Node(nid)
 			if !ok {
 				continue
 			}
-			nRemoved, err := mvcc.GCOldVersions(n.Engine(), rs.desc.Span, keepAfter)
+			nRemoved, err := mvcc.GCOldVersions(n.Engine(), desc.Span, keepAfter)
 			if err != nil {
 				rs.latch.Unlock()
 				return removed, err
@@ -779,24 +716,19 @@ func (c *Cluster) RunGC(keepAfter hlc.Timestamp) (int, error) {
 // suspended tenants (§6.2: storage is the only cost at zero compute).
 func (c *Cluster) TenantStorageBytes(tenant keys.TenantID) (int64, error) {
 	span := keys.MakeTenantSpan(tenant)
-	c.mu.RLock()
-	ranges := make([]*rangeState, 0)
-	for _, rs := range c.mu.ranges {
-		if rs.desc.Span.Overlaps(span) {
-			ranges = append(ranges, rs)
-		}
-	}
-	c.mu.RUnlock()
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].desc.RangeID < ranges[j].desc.RangeID })
 	var total int64
 	readTs := c.hlc.Now()
-	for _, rs := range ranges {
+	for _, rs := range c.rangesByID() {
+		desc := rs.desc.Load()
+		if !desc.Span.Overlaps(span) {
+			continue
+		}
 		// Read from any replica; storage accounting tolerates staleness.
-		n, ok := c.Node(rs.desc.Replicas[0])
+		n, ok := c.Node(desc.Replicas[0])
 		if !ok {
 			continue
 		}
-		overlap := rs.desc.Span
+		overlap := desc.Span
 		if overlap.Key.Less(span.Key) {
 			overlap.Key = span.Key
 		}
@@ -853,20 +785,15 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range ba.Requests {
-		span := r.Span()
-		if !rs.desc.Span.ContainsKey(span.Key) {
-			return nil, &kvpb.RangeKeyMismatchError{RequestedKey: span.Key, ActualSpan: rs.desc.Span}
-		}
-		if !span.IsPoint() && rs.desc.Span.EndKey.Less(span.EndKey) {
-			return nil, &kvpb.RangeKeyMismatchError{RequestedKey: span.EndKey, ActualSpan: rs.desc.Span}
-		}
+	desc := rs.desc.Load()
+	if err := checkSpans(desc, ba); err != nil {
+		return nil, err
 	}
 
 	// Lease check. Follower reads only need a local replica.
 	if ba.FollowerRead && ba.IsReadOnly() {
 		if !hasReplica(rs, nodeID) {
-			return nil, &kvpb.RangeNotFoundError{RangeID: int64(rs.desc.RangeID)}
+			return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
 		}
 	} else {
 		lh, ok := rs.group.Leaseholder()
@@ -879,15 +806,14 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 				if errors.As(err, &nle) {
 					return nil, nle
 				}
-				return nil, &kvpb.NotLeaseholderError{RangeID: int64(rs.desc.RangeID)}
+				return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID)}
 			}
-			c.idx.noteLease(rs.desc.RangeID, nodeID, c.renewAt())
 		} else if lh != nodeID {
-			return nil, &kvpb.NotLeaseholderError{RangeID: int64(rs.desc.RangeID), Leaseholder: lh}
+			return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
 		}
 	}
 
-	sp.SetAttr("kv.range", rs.desc.RangeID)
+	sp.SetAttr("kv.range", desc.RangeID)
 
 	// Admission control (§5.1): writes pass the write queue, everything
 	// passes the CPU queue.
@@ -917,13 +843,23 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	return resp, nil
 }
 
-func hasReplica(rs *rangeState, nodeID NodeID) bool {
-	for _, r := range rs.descAtomic.Load().Replicas {
-		if r == nodeID {
-			return true
+// checkSpans returns a RangeKeyMismatchError unless desc's span contains
+// every request span of ba.
+func checkSpans(desc *RangeDescriptor, ba *kvpb.BatchRequest) error {
+	for _, r := range ba.Requests {
+		span := r.Span()
+		if !desc.Span.ContainsKey(span.Key) {
+			return &kvpb.RangeKeyMismatchError{RequestedKey: span.Key, ActualSpan: desc.Span}
+		}
+		if !span.IsPoint() && desc.Span.EndKey.Less(span.EndKey) {
+			return &kvpb.RangeKeyMismatchError{RequestedKey: span.EndKey, ActualSpan: desc.Span}
 		}
 	}
-	return false
+	return nil
+}
+
+func hasReplica(rs *rangeState, nodeID NodeID) bool {
+	return slices.Contains(rs.desc.Load().Replicas, nodeID)
 }
 
 // evaluateBatch runs the batch against the node's engine, proposing writes
@@ -947,6 +883,16 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	// cache). Follower reads are intentionally stale and skip the cache.
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
+	// A split or merge may have run while the batch waited for the latch: the
+	// range must still be live and still contain every request span, or the
+	// batch would write through a group whose span no longer covers its keys.
+	desc := rs.desc.Load()
+	if c.rangeByID(desc.RangeID) != rs {
+		return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
+	}
+	if err := checkSpans(desc, ba); err != nil {
+		return nil, err
+	}
 
 	// Reads record into the timestamp cache only after the whole batch has
 	// been checked: a batch's own reads must not push its own writes (they

@@ -41,6 +41,11 @@ func (d *RangeDescriptor) String() string {
 // metaDirectory is the range-addressing index — the role of the META range
 // (§3.2.5). Lookups may be served from stale snapshots (modeling follower
 // reads); the source of truth is updated transactionally on splits.
+//
+// The directory holds the same descriptor pointers the ranges publish. A
+// descriptor is immutable once published — a split, move or merge publishes
+// a new one — so in-package lookups share it; LookupRange and Descriptors
+// hand copies to callers outside the package.
 type metaDirectory struct {
 	mu sync.RWMutex
 	// byStart holds descriptors sorted by span start key; spans partition
@@ -62,10 +67,10 @@ func (m *metaDirectory) lookup(k keys.Key) (*RangeDescriptor, error) {
 	if !d.ContainsKey(k) {
 		return nil, fmt.Errorf("kvserver: no range contains key %s", k)
 	}
-	return d.clone(), nil
+	return d, nil
 }
 
-// all returns a snapshot of all descriptors in key order.
+// all returns copies of all descriptors in key order.
 func (m *metaDirectory) all() []*RangeDescriptor {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -83,7 +88,7 @@ func (m *metaDirectory) next(start keys.Key) *RangeDescriptor {
 	defer m.mu.RUnlock()
 	i := m.searchLocked(start)
 	if i < len(m.byStart) && m.byStart[i].Span.Key.Equal(start) {
-		return m.byStart[i].clone()
+		return m.byStart[i]
 	}
 	return nil
 }
@@ -113,7 +118,7 @@ func (m *metaDirectory) insert(d *RangeDescriptor) error {
 	}
 	m.byStart = append(m.byStart, nil)
 	copy(m.byStart[i+1:], m.byStart[i:])
-	m.byStart[i] = d.clone()
+	m.byStart[i] = d
 	return nil
 }
 
@@ -126,10 +131,7 @@ func (m *metaDirectory) replace(old RangeID, with ...*RangeDescriptor) error {
 	if idx == -1 {
 		return fmt.Errorf("kvserver: range %d not in directory", old)
 	}
-	repl := make([]*RangeDescriptor, len(with))
-	for i, d := range with {
-		repl[i] = d.clone()
-	}
+	repl := append([]*RangeDescriptor(nil), with...)
 	sort.Slice(repl, func(i, j int) bool {
 		return repl[i].Span.Key.Less(repl[j].Span.Key)
 	})
@@ -155,7 +157,7 @@ func (m *metaDirectory) mergeReplace(left, right RangeID, with *RangeDescriptor)
 	if !with.Span.Key.Equal(ld.Span.Key) || !with.Span.EndKey.Equal(rd.Span.EndKey) {
 		return fmt.Errorf("kvserver: merged span %s does not cover %s + %s", with.Span, ld.Span, rd.Span)
 	}
-	m.byStart[li] = with.clone()
+	m.byStart[li] = with
 	m.byStart = append(m.byStart[:li+1], m.byStart[li+2:]...)
 	return nil
 }

@@ -31,7 +31,7 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	}
 	left.latch.Lock()
 	defer left.latch.Unlock()
-	leftDesc := left.descAtomic.Load()
+	leftDesc := left.desc.Load()
 	if c.rangeByID(leftDesc.RangeID) != left {
 		return false, nil // merged away while we waited for the latch
 	}
@@ -47,7 +47,7 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	defer right.latch.Unlock()
 	// Re-verify under both latches: a racing split or merge may have
 	// changed either side while we acquired locks.
-	rightDesc = right.descAtomic.Load()
+	rightDesc = right.desc.Load()
 	if c.rangeByID(rightDesc.RangeID) != right ||
 		!rightDesc.Span.Key.Equal(leftDesc.Span.EndKey) {
 		return false, nil
@@ -86,22 +86,20 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	union := keys.Span{Key: leftDesc.Span.Key.Clone(), EndKey: rightDesc.Span.EndKey.Clone()}
 
 	c.mu.Lock()
-	merged, err := c.newRangeStateLocked(union, leftDesc.Replicas)
+	merged, err := c.newRangeStateLocked(union, leftDesc.Replicas, max(leftDesc.Generation, rightDesc.Generation)+1)
 	if err != nil {
 		c.mu.Unlock()
 		return false, err
 	}
 	merged.group.SeedState(lc+rc, applied)
-	if leftDesc.Generation > rightDesc.Generation {
-		merged.desc.Generation = leftDesc.Generation + 1
-	} else {
-		merged.desc.Generation = rightDesc.Generation + 1
-	}
+	// The merged range remembers the reads both parents served.
+	merged.tsc.absorb(left.tsc, union)
+	merged.tsc.absorb(right.tsc, union)
 	// Commit: swap both parents for the union descriptor atomically, then
-	// retire the parents from the range map and the maintenance index.
-	if err := c.dir.mergeReplace(leftDesc.RangeID, rightDesc.RangeID, merged.desc); err != nil {
-		c.idx.unregisterRange(merged.desc.RangeID, merged.desc.Replicas)
-		delete(c.mu.ranges, merged.desc.RangeID)
+	// retire the parents from the range map.
+	mergedDesc := merged.desc.Load()
+	if err := c.dir.mergeReplace(leftDesc.RangeID, rightDesc.RangeID, mergedDesc); err != nil {
+		delete(c.mu.ranges, mergedDesc.RangeID)
 		c.mu.Unlock()
 		return false, err
 	}
@@ -116,18 +114,12 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	merged.statsMu.Lock()
 	merged.writtenBytes = lb + rb
 	merged.statsMu.Unlock()
-	mergedID := merged.desc.RangeID
 	c.mu.Unlock()
 
-	c.idx.unregisterRange(leftDesc.RangeID, leftDesc.Replicas)
-	c.idx.unregisterRange(rightDesc.RangeID, rightDesc.Replicas)
-
 	// Serve without interruption: the donor is caught up in both parents,
-	// so it can take the merged lease immediately. On failure the range
-	// stays in needsLease and the next tick retries.
-	if err := merged.group.AcquireLease(donor); err == nil {
-		c.idx.noteLease(mergedID, donor, c.renewAt())
-	}
+	// so it can take the merged lease immediately.
+	//lint:allow faulterr a failed grant leaves the merged range without a lease, which the next tick grants
+	_ = merged.group.AcquireLease(donor)
 	return true, nil
 }
 
@@ -163,7 +155,7 @@ func (c *Cluster) mergeDonor(left, right *rangeState) (NodeID, bool) {
 	if lh, ok := right.group.Leaseholder(); ok && c.liveness(lh) {
 		return lh, true
 	}
-	for _, nid := range left.descAtomic.Load().Replicas {
+	for _, nid := range left.desc.Load().Replicas {
 		if c.liveness(nid) {
 			return nid, true
 		}

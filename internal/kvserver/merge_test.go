@@ -2,11 +2,17 @@ package kvserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/timeutil"
+	"crdbserverless/internal/trace"
 )
 
 func TestBoundedMiddleKeyFallback(t *testing.T) {
@@ -172,4 +178,183 @@ func TestMergeRefusesDifferentReplicaSets(t *testing.T) {
 	if did {
 		t.Fatal("merge with mismatched replica sets happened")
 	}
+}
+
+// TestSplitDuringTrafficIsRaceFree writes to a tenant while a second
+// goroutine splits its range and a third reads lease counts. Every write must
+// land, and under the race detector no reader may see a descriptor while a
+// split replaces it.
+func TestSplitDuringTrafficIsRaceFree(t *testing.T) {
+	c := newTestCluster(t, 3)
+	for _, k := range []keys.Key{keys.MakeTenantPrefix(2), keys.MakeTenantPrefix(3)} {
+		if err := c.SplitAt(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writes, splits = 200, 50
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	errs := make(chan error, writes+splits)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			k := tenantKey(2, fmt.Sprintf("k%03d", i))
+			if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < splits; i++ {
+			if err := c.SplitAt(tenantKey(2, fmt.Sprintf("k%03d", i*4))); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			c.LeaseCounts()
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	span := keys.MakeTenantSpan(2)
+	resp, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{
+		{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(resp.Responses[0].Rows); got != writes {
+		t.Fatalf("scan after the splits found %d rows, want %d", got, writes)
+	}
+}
+
+// TestBatchRechecksRangeUnderLatch splits a range while a put waits for its
+// latch. The put read the range's descriptor before the split moved its key
+// to the right half, so it must fail with a RangeKeyMismatchError, which the
+// DistSender retries, instead of writing through the left range's group.
+func TestBatchRechecksRangeUnderLatch(t *testing.T) {
+	c := newTestCluster(t, 3)
+	if err := c.SplitAt(keys.MakeTenantPrefix(2)); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick()
+	k := tenantKey(2, "k")
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, ok := rs.group.Leaseholder()
+	if !ok {
+		t.Fatal("range has no leaseholder after a tick")
+	}
+	tr := trace.New(trace.Options{Clock: timeutil.NewRealClock(), Seed: 1})
+	root := tr.StartRoot("test")
+	ctx := trace.ContextWithSpan(context.Background(), root)
+
+	rs.latch.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Batch(ctx, lh, Identity{Tenant: 2}, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}})
+		done <- err
+	}()
+	// Batch sets admission.wait on its kv.eval span right before it
+	// evaluates, and evaluation starts by taking the latch held here.
+	for {
+		if ch := root.Children(); len(ch) > 0 {
+			if _, ok := ch[0].Attr("admission.wait"); ok {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if did, err := c.splitLocked(rs, k); err != nil || !did {
+		t.Fatalf("split under the held latch = (%v, %v)", did, err)
+	}
+	rs.latch.Unlock()
+
+	var rkm *kvpb.RangeKeyMismatchError
+	if err := <-done; !errors.As(err, &rkm) {
+		t.Fatalf("put that waited out a split = %v, want a RangeKeyMismatchError", err)
+	}
+	root.Finish()
+}
+
+// readThenWriteBelow serves reads at one timestamp, runs between, and then
+// writes each of writes one tick below that timestamp. It returns the write
+// errors.
+func readThenWriteBelow(t *testing.T, c *Cluster, reads []kvpb.Request, writes []keys.Key, between func()) []error {
+	t.Helper()
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	ts := c.Clock().Now()
+	for _, r := range reads {
+		if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Timestamp: ts, Requests: []kvpb.Request{r}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	between()
+	below := hlc.Timestamp{WallTime: ts.WallTime - 1}
+	var errs []error
+	for _, k := range writes {
+		_, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Timestamp: below, Requests: []kvpb.Request{putReq(k, "v")}})
+		errs = append(errs, err)
+	}
+	return errs
+}
+
+func assertAllWriteTooOld(t *testing.T, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		var wto *kvpb.WriteTooOldError
+		if !errors.As(err, &wto) {
+			t.Fatalf("write %d below a served read = %v, want WriteTooOld", i, err)
+		}
+	}
+}
+
+// TestSplitKeepsTimestampCache checks that the right half of a split
+// remembers the reads its parent served: a write below one of them is still
+// pushed, for a point read and for a scan over the split key.
+func TestSplitKeepsTimestampCache(t *testing.T) {
+	c := newTestCluster(t, 3)
+	if err := c.SplitAt(keys.MakeTenantPrefix(2)); err != nil {
+		t.Fatal(err)
+	}
+	reads := []kvpb.Request{
+		getReq(tenantKey(2, "m")),
+		{Method: kvpb.Scan, Key: tenantKey(2, "a"), EndKey: tenantKey(2, "z")},
+	}
+	// "m" is the point read; "p" lies in the scanned span, right of the split.
+	writes := []keys.Key{tenantKey(2, "m"), tenantKey(2, "p")}
+	assertAllWriteTooOld(t, readThenWriteBelow(t, c, reads, writes, func() {
+		if err := c.SplitAt(tenantKey(2, "m")); err != nil {
+			t.Fatal(err)
+		}
+	}))
+}
+
+// TestMergeKeepsTimestampCache checks that a merged range remembers the
+// reads both parents served.
+func TestMergeKeepsTimestampCache(t *testing.T) {
+	c := newTestCluster(t, 3)
+	for _, k := range []keys.Key{keys.MakeTenantPrefix(2), tenantKey(2, "m")} {
+		if err := c.SplitAt(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := []keys.Key{tenantKey(2, "c"), tenantKey(2, "x")}
+	reads := []kvpb.Request{getReq(writes[0]), getReq(writes[1])}
+	assertAllWriteTooOld(t, readThenWriteBelow(t, c, reads, writes, func() {
+		if did, err := c.MergeAt(keys.MakeTenantPrefix(2)); err != nil || !did {
+			t.Fatalf("MergeAt = (%v, %v)", did, err)
+		}
+	}))
 }

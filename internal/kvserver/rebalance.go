@@ -3,6 +3,7 @@ package kvserver
 import (
 	"fmt"
 
+	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/mvcc"
@@ -29,7 +30,7 @@ func (c *Cluster) AddNode(n *Node) error {
 // RemoveNode removes an empty KV node from the cluster. Every range must
 // have been moved off it first (drain with MoveReplica).
 func (c *Cluster) RemoveNode(id NodeID) error {
-	if n := c.replicaCount(id); n > 0 {
+	if n := c.ReplicaCounts()[id]; n > 0 {
 		return fmt.Errorf("kvserver: node %d still holds %d replicas", id, n)
 	}
 	c.nodesMu.Lock()
@@ -50,22 +51,13 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 	return nil
 }
 
-// replicaCount returns the number of range replicas on a node — an O(1)
-// read of the maintenance index, not a cluster scan.
-func (c *Cluster) replicaCount(id NodeID) int {
-	return c.idx.replicaCount(id)
-}
-
-// ReplicaCounts returns replicas per node across all ranges, read from the
-// incrementally-maintained per-node aggregates in O(nodes).
+// ReplicaCounts returns replicas per node across all ranges, counted from
+// the range descriptors. A node with no replicas has no entry.
 func (c *Cluster) ReplicaCounts() map[NodeID]int {
-	c.nodesMu.RLock()
-	ids := append([]NodeID(nil), c.nodesMu.nodeOrder...)
-	c.nodesMu.RUnlock()
-	out := make(map[NodeID]int, len(ids))
-	for _, id := range ids {
-		if n := c.idx.replicaCount(id); n > 0 {
-			out[id] = n
+	out := make(map[NodeID]int)
+	for _, rs := range c.rangesByID() {
+		for _, nid := range rs.desc.Load().Replicas {
+			out[nid]++
 		}
 	}
 	return out
@@ -90,7 +82,7 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
 
-	desc := rs.desc
+	desc := rs.desc.Load()
 	hasFrom, hasTo := false, false
 	for _, r := range desc.Replicas {
 		if r == from {
@@ -128,7 +120,7 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 			return fmt.Errorf("kvserver: range %d has no live replica to copy from", rangeID)
 		}
 	}
-	if err := copySpanData(srcNode.Engine(), target.Engine(), rs); err != nil {
+	if err := copySpanData(srcNode.Engine(), target.Engine(), desc.Span); err != nil {
 		return err
 	}
 
@@ -173,33 +165,21 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	//lint:allow faulterr lease restore after a replica move is best-effort; the next request re-acquires
 	_ = group.AcquireLease(newLH)
 
-	newDesc := desc.clone()
+	newDesc := *desc
 	newDesc.Replicas = newReplicas
 	newDesc.Generation++
 
 	c.mu.Lock()
-	rs.desc = newDesc
-	rs.descAtomic.Store(newDesc)
+	defer c.mu.Unlock()
+	rs.desc.Store(&newDesc)
 	rs.group = group
-	err = c.dir.replace(rangeID, newDesc)
-	c.mu.Unlock()
-	if err == nil {
-		// Keep the maintenance index in step: the replica moved, and the
-		// restored lease (if it took) has a new holder to track.
-		c.idx.moveReplica(rangeID, from, to)
-		if lh, ok := group.Leaseholder(); ok {
-			c.idx.noteLease(rangeID, lh, c.renewAt())
-		} else {
-			c.idx.markNeedsLease(rangeID)
-		}
-	}
-	return err
+	return c.dir.replace(rangeID, &newDesc)
 }
 
-// copySpanData copies every raw engine entry of the range's span from src to
-// dst. Intents and all MVCC versions move as-is.
-func copySpanData(src, dst *lsm.Engine, rs *rangeState) error {
-	lo, hi := mvcc.EngineSpan(rs.desc.Span)
+// copySpanData copies every raw engine entry of span from src to dst.
+// Intents and all MVCC versions move as-is.
+func copySpanData(src, dst *lsm.Engine, span keys.Span) error {
+	lo, hi := mvcc.EngineSpan(span)
 	var batch []lsm.Entry
 	it := src.NewIter(lo, hi)
 	for ; it.Valid(); it.Next() {
@@ -225,19 +205,19 @@ func copySpanData(src, dst *lsm.Engine, rs *rangeState) error {
 
 // RebalanceReplicas moves up to maxMoves replicas from the node with the
 // most replicas to the live node with the fewest, taking the lowest-RangeID
-// range that can move. Per-node counts come from the maintenance index
-// (O(nodes)), and candidates from the fullest node's replica set — never a
-// cluster-wide scan. It returns the number of moves performed.
+// range that can move. Counts and candidates come from the range
+// descriptors. It returns the number of moves performed.
 func (c *Cluster) RebalanceReplicas(maxMoves int) int {
 	moves := 0
 	for moves < maxMoves {
+		counts := c.ReplicaCounts()
 		var maxNode, minNode NodeID
 		maxCount, minCount := -1, 1<<30
 		for _, n := range c.Nodes() {
 			if !n.Live() {
 				continue
 			}
-			cnt := c.idx.replicaCount(n.id)
+			cnt := counts[n.id]
 			if cnt > maxCount {
 				maxCount, maxNode = cnt, n.id
 			}
@@ -248,12 +228,11 @@ func (c *Cluster) RebalanceReplicas(maxMoves int) int {
 		if maxNode == 0 || minNode == 0 || maxNode == minNode || maxCount-minCount <= 1 {
 			return moves
 		}
-		// The first of maxNode's ranges (the index iteration is sorted by
-		// RangeID) without a replica on minNode.
+		// The lowest-RangeID range on maxNode without a replica on minNode.
 		var candidate RangeID
-		for _, id := range c.idx.replicasOf(maxNode) {
-			if rs := c.rangeByID(id); rs != nil && !hasReplica(rs, minNode) {
-				candidate = id
+		for _, rs := range c.rangesByID() {
+			if hasReplica(rs, maxNode) && !hasReplica(rs, minNode) {
+				candidate = rs.desc.Load().RangeID
 				break
 			}
 		}
@@ -269,38 +248,37 @@ func (c *Cluster) RebalanceReplicas(maxMoves int) int {
 }
 
 // DrainNodeReplicas moves every replica off a node (preparing it for
-// removal), spreading them over the live nodes with the fewest replicas.
-// Candidates come straight from the node's replica set in the maintenance
-// index; targets from the per-node aggregates.
+// removal), lowest RangeID first, each onto the live non-member with the
+// fewest replicas.
 func (c *Cluster) DrainNodeReplicas(id NodeID) error {
 	for {
-		candidates := c.idx.replicasOf(id)
-		if len(candidates) == 0 {
+		var rs *rangeState
+		for _, r := range c.rangesByID() {
+			if hasReplica(r, id) {
+				rs = r
+				break
+			}
+		}
+		if rs == nil {
 			return nil
 		}
-		candidate := candidates[0]
-		rs := c.rangeByID(candidate)
-		if rs == nil {
-			// The range merged away between the index read and now; the
-			// unregister already dropped it from the set.
-			continue
-		}
-		// Target: live non-member with the fewest replicas.
+		rangeID := rs.desc.Load().RangeID
+		counts := c.ReplicaCounts()
 		var target NodeID
 		best := 1 << 30
 		for _, n := range c.Nodes() {
 			if n.id == id || hasReplica(rs, n.id) || !n.Live() {
 				continue
 			}
-			if cnt := c.idx.replicaCount(n.id); cnt < best {
+			if cnt := counts[n.id]; cnt < best {
 				best = cnt
 				target = n.id
 			}
 		}
 		if target == 0 {
-			return fmt.Errorf("kvserver: no target node to drain range %d onto", candidate)
+			return fmt.Errorf("kvserver: no target node to drain range %d onto", rangeID)
 		}
-		if err := c.MoveReplica(candidate, id, target); err != nil {
+		if err := c.MoveReplica(rangeID, id, target); err != nil {
 			return err
 		}
 	}

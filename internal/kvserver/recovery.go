@@ -49,8 +49,7 @@ type enginePair struct {
 // pointers resolved). A replica that fell behind the group's truncated log —
 // a store revived after a crash — is caught up from this instead of replay.
 func (sm engineSM) Snapshot() ([]byte, error) {
-	desc := sm.rs.descAtomic.Load()
-	lo, hi := mvcc.EngineSpan(desc.Span)
+	lo, hi := mvcc.EngineSpan(sm.rs.desc.Load().Span)
 	var pairs []enginePair
 	e := sm.n.Engine()
 	it := e.NewIter(lo, hi)
@@ -80,7 +79,7 @@ func (sm engineSM) ApplySnapshot(index uint64, data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pairs); err != nil {
 		return fmt.Errorf("kvserver: decoding snapshot: %w", err)
 	}
-	desc := sm.rs.descAtomic.Load()
+	desc := sm.rs.desc.Load()
 	lo, hi := mvcc.EngineSpan(desc.Span)
 	e := sm.n.Engine()
 	var ents []lsm.Entry
@@ -118,7 +117,7 @@ func (c *Cluster) RecoverNode(id NodeID) error {
 		if !hasReplica(rs, id) {
 			continue
 		}
-		applied, err := durableAppliedIndex(e, rs.desc.RangeID)
+		applied, err := durableAppliedIndex(e, rs.desc.Load().RangeID)
 		if err != nil {
 			return err
 		}

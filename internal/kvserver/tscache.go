@@ -80,6 +80,36 @@ func (tc *tsCache) foldSpans() {
 	tc.spans = tc.spans[:0]
 }
 
+// absorb carries another range's reads into this cache when a split or merge
+// creates this range: other's low-water mark, if higher, and every entry that
+// covers a key of span. The result does not depend on other's map order; if
+// it holds more entries than the cache keeps, they fold into the low-water
+// mark.
+func (tc *tsCache) absorb(other *tsCache, span keys.Span) {
+	if tc.lowWater.Less(other.lowWater) {
+		tc.lowWater = other.lowWater
+	}
+	for k, e := range other.points {
+		if !span.ContainsKey(keys.Key(k)) {
+			continue
+		}
+		if cur, ok := tc.points[k]; !ok || cur.ts.Less(e.ts) {
+			tc.points[k] = e
+		}
+	}
+	if len(tc.points) > tsCacheMaxPoints {
+		tc.foldPoints()
+	}
+	for _, e := range other.spans {
+		if e.span.Overlaps(span) {
+			tc.spans = append(tc.spans, e)
+		}
+	}
+	if len(tc.spans) > tsCacheMaxSpans {
+		tc.foldSpans()
+	}
+}
+
 // maxReadOther returns the highest recorded read timestamp covering key from
 // any transaction other than txnID (the low-water mark is ownerless and
 // always applies).
