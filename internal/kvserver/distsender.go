@@ -131,6 +131,16 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 			injected[i] = ds.faults.MaybeErr("dist.subbatch.err")
 		}
 	}
+	if len(groups) == 1 && groups[0].indexes == nil {
+		// One range takes the whole batch, in order: its response is the
+		// batch's, and there is nothing to fold.
+		resp, err := ds.sendGroup(ctx, groups[0], ba, injected, 0)
+		if err != nil {
+			return nil, err
+		}
+		resp.Timestamp = ba.ReadTs()
+		return resp, nil
+	}
 	out := &kvpb.BatchResponse{Timestamp: ba.ReadTs(), Responses: make([]kvpb.Response, len(ba.Requests))}
 	if len(groups) > 1 && ds.parallelism > 1 {
 		sp.SetAttr("dist.ranges", len(groups))
@@ -147,9 +157,6 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 // fold copies one group's merged response into the batch's. A commit batch
 // counts as committed only when one range, in one visit, took all of it.
 func (g *requestGroup) fold(out, resp *kvpb.BatchResponse, groups int) {
-	if g.indexes == nil {
-		copy(out.Responses, resp.Responses)
-	}
 	for i, pos := range g.indexes {
 		out.Responses[pos] = resp.Responses[i]
 	}
@@ -157,17 +164,28 @@ func (g *requestGroup) fold(out, resp *kvpb.BatchResponse, groups int) {
 	out.Committed = resp.Committed && groups == 1
 }
 
+// sendGroup sends group gi's sub-batch to its range. The group that is the
+// whole batch goes out as ba itself, uncopied.
+func (ds *DistSender) sendGroup(ctx context.Context, g requestGroup, ba *kvpb.BatchRequest, injected []error, gi int) (*kvpb.BatchResponse, error) {
+	sub := ba
+	if g.indexes != nil {
+		cp := *ba
+		cp.Requests = g.requests
+		sub = &cp
+	}
+	resp, err := ds.sendToRange(ctx, g.desc, sub)
+	if err == nil && injected != nil && injected[gi] != nil {
+		// The sub-batch applied; its response is lost.
+		err = injected[gi]
+	}
+	return resp, err
+}
+
 // sendSequential dispatches the groups one at a time in request order — the
-// single-range fast path and the Parallelism<=1 configuration.
+// Parallelism<=1 configuration, and a batch regrouped after a cache miss.
 func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup, ba *kvpb.BatchRequest, out *kvpb.BatchResponse, injected []error) error {
 	for gi, g := range groups {
-		sub := *ba
-		sub.Requests = g.requests
-		resp, err := ds.sendToRange(ctx, g.desc, &sub)
-		if err == nil && injected != nil && injected[gi] != nil {
-			// The sub-batch applied; its response is lost.
-			err = injected[gi]
-		}
+		resp, err := ds.sendGroup(ctx, g, ba, injected, gi)
 		if err != nil {
 			return err
 		}
@@ -207,13 +225,7 @@ func (ds *DistSender) sendParallel(ctx context.Context, sp *trace.Span, groups [
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			b := &branches[i]
-			sub := *ba
-			sub.Requests = groups[i].requests
-			b.resp, b.err = ds.sendToRange(b.ctx, groups[i].desc, &sub)
-			if b.err == nil && injected != nil && injected[i] != nil {
-				// The sub-batch applied; its response is lost.
-				b.err = injected[i]
-			}
+			b.resp, b.err = ds.sendGroup(b.ctx, groups[i], ba, injected, i)
 			b.sp.Finish()
 		}(i)
 	}
@@ -324,7 +336,8 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 		resp    *kvpb.BatchResponse
 		remIdx  []int
 	}
-	var segs []segment
+	// One range is the usual walk; its segment stays on the stack.
+	segs := make([]segment, 0, 1)
 	pending := ba.Requests
 	for {
 		var seg segment
@@ -334,10 +347,15 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 			// Clip inside the retry loop: a stale-descriptor refresh can
 			// change the range span and with it the routing.
 			clip := clipToRange(pending, desc.Span)
-			sub := *ba
-			sub.Requests = clip.sent
+			// The first range taking all of ba gets ba itself.
+			sub := ba
+			if clip.sentIdx != nil || len(segs) > 0 {
+				cp := *ba
+				cp.Requests = clip.sent
+				sub = &cp
+			}
 			target := ds.target(desc, ba, attempt)
-			resp, err := ds.cluster.Batch(ctx, target, ds.identity, &sub)
+			resp, err := ds.cluster.Batch(ctx, target, ds.identity, sub)
 			if err == nil {
 				ds.noteLeaseholder(desc.RangeID, target)
 				seg.clip = clip
@@ -511,7 +529,9 @@ func (ds *DistSender) lookupFresh(key keys.Key) (*RangeDescriptor, error) {
 type rangeClip struct {
 	sent []kvpb.Request
 	// sentIdx maps each pending index to its position in sent, or -1 if
-	// the request was deferred.
+	// the request was deferred. It is nil when every pending request lies
+	// wholly inside the range: sent is the pending slice itself, and the
+	// visit leaves nothing to continue or merge.
 	sentIdx []int
 	// truncated marks pending indexes whose scan was cut at clipEnd.
 	truncated []bool
@@ -521,20 +541,29 @@ type rangeClip struct {
 
 // clipToRange routes requests for a visit to the range covering span.
 func clipToRange(reqs []kvpb.Request, span keys.Span) rangeClip {
-	c := rangeClip{
-		sentIdx:   make([]int, len(reqs)),
-		truncated: make([]bool, len(reqs)),
-		clipEnd:   span.EndKey,
-	}
+	c := rangeClip{sent: reqs, clipEnd: span.EndKey}
 	for i, r := range reqs {
 		s := r.Span()
-		if !span.ContainsKey(s.Key) {
-			c.sentIdx[i] = -1
+		inside := span.ContainsKey(s.Key)
+		if inside && (s.IsPoint() || !span.EndKey.Less(s.EndKey)) {
+			if c.sentIdx != nil {
+				c.sentIdx[i] = len(c.sent)
+				c.sent = append(c.sent, r)
+			}
 			continue
 		}
-		if s.IsPoint() || !span.EndKey.Less(s.EndKey) {
-			c.sentIdx[i] = len(c.sent)
-			c.sent = append(c.sent, r)
+		if c.sentIdx == nil {
+			// The first request not wholly inside: route the ones before
+			// it, all sent as they are, explicitly.
+			c.sentIdx = make([]int, len(reqs))
+			c.truncated = make([]bool, len(reqs))
+			for j := range reqs[:i] {
+				c.sentIdx[j] = j
+			}
+			c.sent = append([]kvpb.Request(nil), reqs[:i]...)
+		}
+		if !inside {
+			c.sentIdx[i] = -1
 			continue
 		}
 		head := r
@@ -552,6 +581,9 @@ func clipToRange(reqs []kvpb.Request, span keys.Span) rangeClip {
 // correspondingly reduced limit. remIdx maps each pending index to its
 // position in the continuation, or -1.
 func (c *rangeClip) continuation(reqs []kvpb.Request, resp *kvpb.BatchResponse) (remainder []kvpb.Request, remIdx []int) {
+	if c.sentIdx == nil {
+		return nil, nil
+	}
 	remIdx = make([]int, len(reqs))
 	for i, r := range reqs {
 		remIdx[i] = -1
@@ -584,8 +616,13 @@ func (c *rangeClip) continuation(reqs []kvpb.Request, resp *kvpb.BatchResponse) 
 }
 
 // merge folds the continuation's (already-merged) responses into this
-// range's responses, yielding one response per pending request.
+// range's responses, yielding one response per pending request. After an
+// identity clip that is head itself: nothing was truncated, and a range
+// returns no more rows than a scan's limit.
 func (c *rangeClip) merge(reqs []kvpb.Request, remIdx []int, head, rest *kvpb.BatchResponse) *kvpb.BatchResponse {
+	if c.sentIdx == nil {
+		return head
+	}
 	out := &kvpb.BatchResponse{Timestamp: head.Timestamp}
 	for i := range reqs {
 		si := c.sentIdx[i]

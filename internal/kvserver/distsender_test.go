@@ -253,6 +253,34 @@ func TestSplitByRangeGroups(t *testing.T) {
 	}
 }
 
+// A one-request batch in one range goes to the range as it is and comes back
+// as the range's response: routing adds at most the slice of groups and a
+// little beside it to what the range's own evaluation allocates.
+func TestDistSenderOneRangeAllocs(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	want := loadKeys(t, ds, 1)
+	ctx := context.Background()
+	ba := &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{getReq(tenantKey(2, want[0]))}}
+	resp, err := ds.Send(ctx, ba)
+	if err != nil || len(resp.Responses) != 1 || string(resp.Responses[0].Value) != "v000" {
+		t.Fatalf("get = %+v, %v", resp, err)
+	}
+	if resp.Timestamp != ba.ReadTs() || resp.Ranges != 1 {
+		t.Fatalf("response timestamp %v ranges %d, want %v and 1", resp.Timestamp, resp.Ranges, ba.ReadTs())
+	}
+	groups, err := ds.splitByRange(ba.Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaseholder := ds.target(groups[0].desc, ba, 0)
+	send := testing.AllocsPerRun(100, func() { _, _ = ds.Send(ctx, ba) })
+	batch := testing.AllocsPerRun(100, func() { _, _ = c.Batch(ctx, leaseholder, ds.identity, ba) })
+	if send-batch > 3 {
+		t.Fatalf("Send allocates %v objects, the range %v: routing costs %v, want at most 3", send, batch, send-batch)
+	}
+}
+
 // TestRandomizedSplitScanProperty is a property test: under random splits
 // and random page limits (seeded RNG), a paginated scan always returns
 // every key exactly once, in order, under both fan-out modes.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"time"
 
 	"crdbserverless/internal/trace"
 	"crdbserverless/internal/wire"
@@ -29,13 +31,17 @@ type proxiedConn struct {
 	// span is the connection's root trace span (nil when tracing is off).
 	span *trace.Span
 
+	// clientRd and backendRd read the two connections. Only the goroutine
+	// serving the connection touches them, so they sit outside mu; backendRd
+	// is swapped along with backend.
+	clientRd  *wire.Reader
+	backendRd *wire.Reader
+
 	mu      sync.Mutex
 	backend net.Conn
 	baddr   string
 
 	migrateCh chan string
-	closedCh  chan struct{}
-	closeOnce sync.Once
 }
 
 // connectBackend dials the SQL node and forwards the startup handshake.
@@ -44,32 +50,40 @@ func (pc *proxiedConn) connectBackend(addr string, startup *wire.Startup) error 
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteMessage(conn, wire.MsgStartup, startup); err != nil {
+	rd := wire.NewReader(conn)
+	if err := handshake(conn, rd, wire.MsgStartup, startup); err != nil {
 		conn.Close()
+		rd.Release()
 		return err
-	}
-	typ, payload, err := wire.ReadMessage(conn)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	if typ != wire.MsgAuth {
-		conn.Close()
-		return fmt.Errorf("proxy: unexpected handshake response %c", typ)
-	}
-	var auth wire.Auth
-	if err := wire.Decode(payload, &auth); err != nil {
-		conn.Close()
-		return err
-	}
-	if !auth.OK {
-		conn.Close()
-		return &wire.AuthError{Msg: auth.Msg}
 	}
 	pc.mu.Lock()
 	pc.backend = conn
 	pc.baddr = addr
 	pc.mu.Unlock()
+	pc.backendRd = rd
+	return nil
+}
+
+// handshake opens a backend connection with a Startup or Restore message and
+// reads the node's Auth answer through rd.
+func handshake(conn net.Conn, rd *wire.Reader, typ byte, msg interface{}) error {
+	if err := wire.WriteMessage(conn, typ, msg); err != nil {
+		return err
+	}
+	frame, err := rd.Next()
+	if err != nil {
+		return err
+	}
+	if frame[0] != wire.MsgAuth {
+		return fmt.Errorf("proxy: unexpected handshake response %c", frame[0])
+	}
+	var auth wire.Auth
+	if err := wire.Decode(frame[wire.HeaderSize:], &auth); err != nil {
+		return err
+	}
+	if !auth.OK {
+		return &wire.AuthError{Msg: auth.Msg}
+	}
 	return nil
 }
 
@@ -79,78 +93,79 @@ func (pc *proxiedConn) backendAddr() string {
 	return pc.baddr
 }
 
+// close closes the client and the current backend connection. Any goroutine
+// may call it, more than once; a relay blocked on either wakes with an error.
 func (pc *proxiedConn) close() {
-	pc.closeOnce.Do(func() {
-		close(pc.closedCh)
-		pc.client.Close()
-		pc.mu.Lock()
-		if pc.backend != nil {
-			pc.backend.Close()
-		}
-		pc.mu.Unlock()
-	})
+	pc.client.Close()
+	pc.mu.Lock()
+	if pc.backend != nil {
+		pc.backend.Close()
+	}
+	pc.mu.Unlock()
 }
 
-// frame is one whole wire frame as read, header included (wire.ReadFrame),
-// so forwarding it is one Write of bytes the proxy already holds.
-type frame struct {
-	raw []byte
-	err error
+// aLongTimeAgo is a read deadline already past: setting it fails a blocked
+// Read at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// requestMigration queues a migration to toAddr unless one is already
+// pending, then wakes a relay blocked reading an idle client by setting a
+// read deadline in the past. The request is queued before the deadline is
+// set, and the relay clears the deadline before draining the queue, so no
+// request is left waiting behind a cleared deadline.
+func (pc *proxiedConn) requestMigration(toAddr string) bool {
+	select {
+	case pc.migrateCh <- toAddr:
+	default:
+		return false
+	}
+	// An error means the connection is closed, and the relay is leaving.
+	_ = pc.client.SetReadDeadline(aLongTimeAgo)
+	return true
 }
 
-// relay runs the request/response pump until either side closes. Between
-// exchanges — while the client is idle — pending migration requests execute.
+// relay runs the request/response pump on the connection's one goroutine
+// until either side closes. It reads the client itself; a migration request
+// interrupts that read, and the migration runs there — between exchanges,
+// while the client is idle. A frame the client had half sent stays in
+// clientRd and is finished after the migration, on the new backend.
 func (pc *proxiedConn) relay() {
-	defer pc.close()
-
-	clientFrames := make(chan frame)
-	go func() {
-		for {
-			raw, err := wire.ReadFrame(pc.client)
+	for {
+		req, err := pc.clientRd.Next()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			if err := pc.client.SetReadDeadline(time.Time{}); err != nil {
+				return
+			}
 			select {
-			case clientFrames <- frame{raw, err}:
-				if err != nil {
-					return
-				}
-			case <-pc.closedCh:
+			case to := <-pc.migrateCh:
+				// Migration failure must not disturb the client; the session
+				// simply stays where it is.
+				_ = pc.migrate(to)
+			default:
+			}
+			continue
+		}
+		if err != nil {
+			return
+		}
+		if req[0] == wire.MsgTerminate {
+			pc.mu.Lock()
+			if pc.backend != nil {
+				wire.WriteMessage(pc.backend, wire.MsgTerminate, &wire.Terminate{})
+			}
+			pc.mu.Unlock()
+			return
+		}
+		if pc.proxy.cfg.Faults.Should("proxy.backend.kill") {
+			// Injected SQL-node death between exchanges. The session must
+			// re-route to a healthy backend; only if no backend can be
+			// reached does the client connection die with it.
+			if err := pc.killBackendAndReconnect(); err != nil {
 				return
 			}
 		}
-	}()
-
-	for {
-		select {
-		case <-pc.closedCh:
+		if err := pc.exchange(req); err != nil {
 			return
-		case to := <-pc.migrateCh:
-			if err := pc.migrate(to); err != nil {
-				// Migration failure must not disturb the client; the
-				// session simply stays where it is.
-				continue
-			}
-		case fr := <-clientFrames:
-			if fr.err != nil {
-				return
-			}
-			if fr.raw[0] == wire.MsgTerminate {
-				pc.mu.Lock()
-				if pc.backend != nil {
-					wire.WriteMessage(pc.backend, wire.MsgTerminate, &wire.Terminate{})
-				}
-				pc.mu.Unlock()
-				return
-			}
-			if pc.proxy.cfg.Faults.Should("proxy.backend.kill") {
-				// Injected SQL-node death between exchanges. The session must
-				// re-route to a healthy backend; only if no backend can be
-				// reached does the client connection die with it.
-				if err := pc.killBackendAndReconnect(); err != nil {
-					return
-				}
-			}
-			if err := pc.exchange(fr.raw); err != nil {
-				return
-			}
 		}
 	}
 }
@@ -175,7 +190,7 @@ func (pc *proxiedConn) exchange(req []byte) error {
 	if _, err := backend.Write(req); err != nil {
 		return err
 	}
-	resp, err := wire.ReadFrame(backend)
+	resp, err := pc.backendRd.Next()
 	if err != nil {
 		return err
 	}
@@ -197,6 +212,7 @@ func (pc *proxiedConn) killBackendAndReconnect() error {
 	if old != nil {
 		old.Close()
 	}
+	pc.backendRd.Release()
 	pc.proxy.releaseBackend(oldAddr)
 	backends, err := pc.proxy.cfg.Directory.Lookup(context.Background(), pc.tenantName)
 	if err != nil {
@@ -260,12 +276,12 @@ func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAdd
 	if err := wire.WriteMessage(old, wire.MsgSerialize, &wire.Serialize{}); err != nil {
 		return err
 	}
-	typ, payload, err := wire.ReadMessage(old)
-	if err != nil || typ != wire.MsgSerialized {
+	frame, err := pc.backendRd.Next()
+	if err != nil || frame[0] != wire.MsgSerialized {
 		return fmt.Errorf("proxy: serialize handshake failed: %v", err)
 	}
 	var ser wire.Serialized
-	if err := wire.Decode(payload, &ser); err != nil {
+	if err := wire.Decode(frame[wire.HeaderSize:], &ser); err != nil {
 		return err
 	}
 	if ser.Err != "" {
@@ -279,19 +295,11 @@ func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAdd
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteMessage(conn, wire.MsgRestore, &wire.Restore{Data: ser.Data}); err != nil {
+	rd := wire.NewReader(conn)
+	if err := handshake(conn, rd, wire.MsgRestore, &wire.Restore{Data: ser.Data}); err != nil {
 		conn.Close()
-		return err
-	}
-	typ, payload, err = wire.ReadMessage(conn)
-	if err != nil || typ != wire.MsgAuth {
-		conn.Close()
-		return fmt.Errorf("proxy: restore handshake failed: %v", err)
-	}
-	var auth wire.Auth
-	if err := wire.Decode(payload, &auth); err != nil || !auth.OK {
-		conn.Close()
-		return fmt.Errorf("proxy: restore rejected: %s", auth.Msg)
+		rd.Release()
+		return fmt.Errorf("proxy: restore failed: %w", err)
 	}
 	sp.Eventf("session restored on %s", toAddr)
 
@@ -301,6 +309,8 @@ func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAdd
 	pc.baddr = toAddr
 	pc.mu.Unlock()
 	old.Close()
+	pc.backendRd.Release()
+	pc.backendRd = rd
 	pc.proxy.releaseBackend(oldAddr)
 	pc.proxy.mu.Lock()
 	pc.proxy.mu.connsPerBackend[toAddr]++

@@ -285,13 +285,17 @@ func (p *Proxy) handleConn(client net.Conn) {
 		wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: false, Msg: "too many failed attempts; backoff in effect"})
 		return
 	}
-	// Identify the tenant from the startup message before any routing.
-	typ, payload, err := wire.ReadMessage(client)
-	if err != nil || typ != wire.MsgStartup {
+	// Identify the tenant from the startup message before any routing. The
+	// Reader's buffer grows with the bytes that arrive, so a header claiming
+	// a large frame costs nothing before authentication.
+	clientRd := wire.NewReader(client)
+	defer clientRd.Release()
+	frame, err := clientRd.Next()
+	if err != nil || frame[0] != wire.MsgStartup {
 		return
 	}
 	var startup wire.Startup
-	if err := wire.Decode(payload, &startup); err != nil {
+	if err := wire.Decode(frame[wire.HeaderSize:], &startup); err != nil {
 		return
 	}
 	tenantName := startup.Params["tenant"]
@@ -330,12 +334,12 @@ func (p *Proxy) handleConn(client net.Conn) {
 	pc := &proxiedConn{
 		proxy:      p,
 		client:     client,
+		clientRd:   clientRd,
 		tenantName: tenantName,
 		origin:     origin,
 		startup:    startup,
 		span:       span,
 		migrateCh:  make(chan string, 1),
-		closedCh:   make(chan struct{}),
 	}
 	if err := pc.connectBackend(backend.Addr, &startup); err != nil {
 		p.releaseBackend(backend.Addr)
@@ -349,15 +353,20 @@ func (p *Proxy) handleConn(client net.Conn) {
 		}
 		return
 	}
-	p.noteAuthSuccess(origin)
-	if err := wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: true}); err != nil {
+	defer func() {
 		pc.close()
-		p.releaseBackend(backend.Addr)
+		// The reader of whichever backend the session ended on.
+		pc.backendRd.Release()
+		p.releaseBackend(pc.backendAddr())
+	}()
+	// Register the connection before the client hears it is in, so a Close
+	// after the client's Connect returns finds it; a closing proxy turns it
+	// away.
+	p.mu.Lock()
+	if p.mu.closed {
+		p.mu.Unlock()
 		return
 	}
-	p.cfg.Obs.ConnOpened(tenantName)
-
-	p.mu.Lock()
 	p.mu.nextConnID++
 	pc.id = p.mu.nextConnID
 	p.mu.conns[pc] = struct{}{}
@@ -366,9 +375,12 @@ func (p *Proxy) handleConn(client net.Conn) {
 		p.mu.Lock()
 		delete(p.mu.conns, pc)
 		p.mu.Unlock()
-		p.releaseBackend(pc.backendAddr())
 	}()
-
+	p.noteAuthSuccess(origin)
+	if err := wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: true}); err != nil {
+		return
+	}
+	p.cfg.Obs.ConnOpened(tenantName)
 	pc.relay()
 }
 
@@ -387,10 +399,8 @@ func (p *Proxy) RequestMigrations(fromAddr, toAddr string) int {
 	}
 	n := 0
 	for _, pc := range conns {
-		select {
-		case pc.migrateCh <- toAddr:
+		if pc.requestMigration(toAddr) {
 			n++
-		default: // a migration is already pending
 		}
 	}
 	return n
@@ -410,10 +420,8 @@ func (p *Proxy) RequestMigration(fromAddr, toAddr string) bool {
 		}
 	}
 	for _, pc := range conns {
-		select {
-		case pc.migrateCh <- toAddr:
+		if pc.requestMigration(toAddr) {
 			return true
-		default:
 		}
 	}
 	return false

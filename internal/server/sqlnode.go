@@ -323,12 +323,15 @@ func (n *SQLNode) handleConn(conn net.Conn) {
 	// — the client's handshake waits here rather than seeing a reset.
 	<-n.tenantReady
 
-	typ, payload, err := wire.ReadMessage(conn)
+	rd := wire.NewReader(conn)
+	defer rd.Release()
+	frame, err := rd.Next()
 	if err != nil {
 		return
 	}
+	payload := frame[wire.HeaderSize:]
 	var session *sql.Session
-	switch typ {
+	switch frame[0] {
 	case wire.MsgStartup:
 		var s wire.Startup
 		if err := wire.Decode(payload, &s); err != nil {
@@ -365,7 +368,7 @@ func (n *SQLNode) handleConn(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 
-	n.serveSession(conn, st)
+	n.serveSession(conn, rd, st)
 }
 
 // authenticate validates startup credentials against the tenant record and
@@ -410,20 +413,20 @@ func (n *SQLNode) restore(conn net.Conn, r *wire.Restore) *sql.Session {
 	return session
 }
 
-// serveSession runs the query loop.
-func (n *SQLNode) serveSession(conn net.Conn, st *connState) {
+// serveSession runs the query loop, reading the connection through rd.
+func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 	ctx := context.Background()
 	for {
-		typ, payload, err := wire.ReadMessage(conn)
+		frame, err := rd.Next()
 		if err != nil {
 			return
 		}
-		switch typ {
+		switch frame[0] {
 		case wire.MsgTerminate:
 			return
 		case wire.MsgQuery:
 			var q wire.Query
-			if err := wire.Decode(payload, &q); err != nil {
+			if err := wire.Decode(frame[wire.HeaderSize:], &q); err != nil {
 				return
 			}
 			qctx := ctx
@@ -431,7 +434,9 @@ func (n *SQLNode) serveSession(conn net.Conn, st *connState) {
 			if n.cfg.Tracer != nil && q.TraceID != 0 {
 				qsp = n.cfg.Tracer.StartRemote(q.TraceID, q.SpanID, "sqlnode.query")
 				qsp.SetAttr("sqlnode.instance", n.cfg.InstanceID)
-				qctx = trace.ContextWithSpan(qctx, qsp)
+				// A remote span starts over context.Background, as ctx is,
+				// so the span is already the context carrying itself.
+				qctx = qsp
 			}
 			res, qerr := st.session.Execute(qctx, q.SQL, q.Args...)
 			qsp.Finish()

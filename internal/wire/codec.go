@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"crdbserverless/internal/binenc"
@@ -71,7 +72,7 @@ func appendPayload(b []byte, msg interface{}) ([]byte, error) {
 		b = binenc.AppendBytes(b, m.Data)
 	case *Serialize, *Terminate:
 	default:
-		return b, fmt.Errorf("unsupported message %T", msg)
+		return b, fmt.Errorf("unsupported message %v", reflect.TypeOf(msg))
 	}
 	return b, nil
 }
@@ -144,10 +145,10 @@ func Decode(payload []byte, out interface{}) error {
 		*m = Restore{Data: append([]byte(nil), r.Bytes()...)}
 	case *Serialize, *Terminate:
 	default:
-		return fmt.Errorf("wire: decoding into unsupported %T", out)
+		return fmt.Errorf("wire: decoding into unsupported %v", reflect.TypeOf(out))
 	}
 	if err := r.Done(); err != nil {
-		return fmt.Errorf("wire: decoding %T: %w", out, err)
+		return fmt.Errorf("wire: decoding %v: %w", reflect.TypeOf(out), err)
 	}
 	return nil
 }

@@ -129,15 +129,15 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// ReadFrame hands back the frame as it was written, so a relay can forward
-// it untouched.
-func TestReadFrameReturnsTheWholeFrame(t *testing.T) {
+// A Reader hands back the frame as it was written, so a relay can forward it
+// untouched.
+func TestReaderReturnsTheWholeFrame(t *testing.T) {
 	var stream bytes.Buffer
 	if err := WriteMessage(&stream, MsgQuery, &Query{SQL: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
 	written := append([]byte(nil), stream.Bytes()...)
-	frame, err := ReadFrame(&stream)
+	frame, err := NewReader(&stream).Next()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"crdbserverless/internal/sql"
@@ -125,38 +126,130 @@ func WriteMessage(w io.Writer, typ byte, msg interface{}) error {
 	return err
 }
 
-// ReadFrame reads one whole frame, header included, into a buffer of its own:
-// frame[0] is the type and frame[HeaderSize:] the payload. A relay forwards
-// the frame as it stands with one Write.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+// payloadLen returns the payload length a frame header declares, refusing a
+// length past maxFrame before anything is read for it.
+func payloadLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr[1:HeaderSize])
 	if n > maxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	frame := make([]byte, HeaderSize+int(n))
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[HeaderSize:]); err != nil {
-		return nil, err
-	}
-	return frame, nil
+	return int(n), nil
 }
 
-// ReadMessage reads one frame, returning its type and raw payload.
+// grow makes room in b, which holds the start of a frame whose first want
+// bytes are needed. It at most doubles b's capacity and never grows it past
+// want, so memory follows the bytes that have arrived, not the length a
+// header claims.
+func grow(b []byte, want int) []byte {
+	return slices.Grow(b, min(max(len(b), 512), want-len(b)))
+}
+
+// ReadMessage reads exactly one frame from r, and not a byte past it,
+// returning its type and its payload in a buffer of its own. It suits a
+// one-shot read; a connection that reads frame after frame uses a Reader.
 func ReadMessage(r io.Reader) (byte, []byte, error) {
-	frame, err := ReadFrame(r)
+	frame := make([]byte, HeaderSize)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return 0, nil, err
+	}
+	n, err := payloadLen(frame)
 	if err != nil {
 		return 0, nil, err
 	}
+	for want := HeaderSize + n; len(frame) < want; {
+		have := len(frame)
+		frame = grow(frame, want)
+		frame = frame[:min(cap(frame), want)]
+		if _, err := io.ReadFull(r, frame[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+	}
 	return frame[0], frame[HeaderSize:], nil
+}
+
+// Reader reads frames from one end of a connection. It reads whatever the
+// connection has ready into one pooled buffer, so a frame that arrives in one
+// segment costs one Read and nothing is allocated per frame. Since it may
+// read past the frame it returns, every read on the connection goes through
+// its Reader from the first byte. A Reader is for one goroutine.
+type Reader struct {
+	r io.Reader
+	// buf[:used] is the frame Next returned last and buf[used:] the bytes
+	// read past it.
+	buf  []byte
+	used int
+	// err is the last Read's error, held while the bytes read beside it may
+	// still complete a frame.
+	err error
+	// pooled is the framePool entry buf came from; nil once released.
+	pooled *[]byte
+}
+
+// NewReader returns a Reader over r with a buffer from the frame pool.
+func NewReader(r io.Reader) *Reader {
+	bp := framePool.Get().(*[]byte)
+	return &Reader{r: r, buf: (*bp)[:0], pooled: bp}
+}
+
+// Next returns the next whole frame, header included: frame[0] is the type
+// and frame[HeaderSize:] the payload, which a relay forwards with one Write.
+// The frame points into the Reader's buffer and is valid until the next call.
+//
+// The stream ending between frames is io.EOF and inside one
+// io.ErrUnexpectedEOF. Any other Read error, such as a passed deadline, comes
+// back with the bytes read so far kept, so a later call resumes the frame
+// where this one stopped.
+func (r *Reader) Next() ([]byte, error) {
+	if r.used > 0 {
+		r.buf = r.buf[:copy(r.buf, r.buf[r.used:])]
+		r.used = 0
+	}
+	for {
+		want := HeaderSize
+		if len(r.buf) >= HeaderSize {
+			n, err := payloadLen(r.buf)
+			if err != nil {
+				return nil, err
+			}
+			if want = HeaderSize + n; len(r.buf) >= want {
+				r.used = want
+				return r.buf[:want:want], nil
+			}
+		}
+		if err := r.err; err != nil {
+			r.err = nil
+			if err == io.EOF && len(r.buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(r.buf) == cap(r.buf) {
+			r.buf = grow(r.buf, want)
+		}
+		n, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+n]
+		r.err = err
+	}
+}
+
+// Release returns the Reader's buffer to the frame pool once its connection
+// is closed and no frame from Next is still in use. A buffer that grew past
+// maxPooledFrame is dropped instead.
+func (r *Reader) Release() {
+	if r.pooled != nil && cap(r.buf) <= maxPooledFrame {
+		*r.pooled = r.buf[:0]
+		framePool.Put(r.pooled)
+	}
+	r.pooled, r.buf, r.used = nil, nil, 0
 }
 
 // Client is a SQL client connection.
 type Client struct {
 	conn net.Conn
+	rd   *Reader
 }
 
 // Connect dials addr and performs the startup handshake.
@@ -170,29 +263,34 @@ func Connect(addr string, params map[string]string) (*Client, error) {
 
 // ConnectOn performs the startup handshake on an existing connection.
 func ConnectOn(conn net.Conn, params map[string]string) (*Client, error) {
-	if err := WriteMessage(conn, MsgStartup, &Startup{Params: params}); err != nil {
+	c := &Client{conn: conn, rd: NewReader(conn)}
+	if err := c.startup(params); err != nil {
 		conn.Close()
+		c.rd.Release()
 		return nil, err
 	}
-	typ, payload, err := ReadMessage(conn)
+	return c, nil
+}
+
+func (c *Client) startup(params map[string]string) error {
+	if err := WriteMessage(c.conn, MsgStartup, &Startup{Params: params}); err != nil {
+		return err
+	}
+	frame, err := c.rd.Next()
 	if err != nil {
-		conn.Close()
-		return nil, err
+		return err
 	}
-	if typ != MsgAuth {
-		conn.Close()
-		return nil, fmt.Errorf("wire: expected auth response, got %c", typ)
+	if frame[0] != MsgAuth {
+		return fmt.Errorf("wire: expected auth response, got %c", frame[0])
 	}
 	var auth Auth
-	if err := Decode(payload, &auth); err != nil {
-		conn.Close()
-		return nil, err
+	if err := Decode(frame[HeaderSize:], &auth); err != nil {
+		return err
 	}
 	if !auth.OK {
-		conn.Close()
-		return nil, &AuthError{Msg: auth.Msg}
+		return &AuthError{Msg: auth.Msg}
 	}
-	return &Client{conn: conn}, nil
+	return nil
 }
 
 // AuthError reports a rejected startup.
@@ -206,15 +304,15 @@ func (c *Client) Query(sqlText string, args ...sql.Datum) (*Result, error) {
 	if err := WriteMessage(c.conn, MsgQuery, &Query{SQL: sqlText, Args: args}); err != nil {
 		return nil, err
 	}
-	typ, payload, err := ReadMessage(c.conn)
+	frame, err := c.rd.Next()
 	if err != nil {
 		return nil, err
 	}
-	if typ != MsgResult {
-		return nil, fmt.Errorf("wire: expected result, got %c", typ)
+	if frame[0] != MsgResult {
+		return nil, fmt.Errorf("wire: expected result, got %c", frame[0])
 	}
 	var res Result
-	if err := Decode(payload, &res); err != nil {
+	if err := Decode(frame[HeaderSize:], &res); err != nil {
 		return nil, err
 	}
 	if res.Err != "" {
@@ -226,5 +324,7 @@ func (c *Client) Query(sqlText string, args ...sql.Datum) (*Result, error) {
 // Close terminates the connection gracefully.
 func (c *Client) Close() error {
 	_ = WriteMessage(c.conn, MsgTerminate, &Terminate{})
-	return c.conn.Close()
+	err := c.conn.Close()
+	c.rd.Release()
+	return err
 }
