@@ -143,7 +143,6 @@ type tenantHandle struct {
 	exec    *sql.Executor
 	bucket  *tenantcost.NodeBucket
 	model   *tenantcost.Model
-	clock   timeutil.Clock
 }
 
 // newTenant provisions a tenant and its SQL stack. colocated selects the
@@ -168,7 +167,6 @@ func (tb *testbed) newTenantCfg(ctx context.Context, name string, cfg sql.Execut
 		metered: meter,
 		exec:    exec,
 		model:   tb.model,
-		clock:   tb.clock,
 	}
 	if quotaVCPUs > 0 {
 		h.bucket = tenantcost.NewNodeBucket(tb.buckets, tb.clock, t.ID, 1)
@@ -199,25 +197,18 @@ func (c colocatedSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb
 }
 
 // throttledDB wraps a session with per-statement eCPU quota enforcement —
-// the role server.SQLNode.enforceQuota plays on the wire path.
+// the role server.SQLNode.enforceQuota plays on the wire path. Every session
+// of a tenant charges the tenant's running total to its one bucket.
 type throttledDB struct {
 	sess   *sql.Session
 	handle *tenantHandle
-	last   float64
 }
 
 // Execute implements workload.DB.
 func (d *throttledDB) Execute(ctx context.Context, q string, args ...sql.Datum) (*sql.Result, error) {
 	res, err := d.sess.Execute(ctx, q, args...)
 	if d.handle.bucket != nil {
-		total := d.handle.ecpuTokens()
-		delta := total - d.last
-		d.last = total
-		if delta > 0 {
-			if delay := d.handle.bucket.Consume(delta); delay > 0 {
-				d.handle.clock.Sleep(delay)
-			}
-		}
+		d.handle.bucket.Throttle(ctx, d.handle.ecpuTokens())
 	}
 	return res, err
 }

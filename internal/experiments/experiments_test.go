@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +195,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment")
 	}
+	goroutines := runtime.NumGoroutine()
 	// A very tight liveness bound makes the no-limits destabilization
 	// deterministic at this short test duration; admission control's
 	// executor queues stay well below it.
@@ -218,6 +222,11 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if byCfg[ACOnly].TpmC <= 0 || byCfg[ACOnly].P99 <= 0 {
 		t.Fatalf("AC-only row is empty: tpmC %.0f, p99 %v", byCfg[ACOnly].TpmC, byCfg[ACOnly].P99)
+	}
+	t.Logf("\n%s", table)
+	// Every worker has stopped by the time Table1 returns.
+	if left := runtime.NumGoroutine() - goroutines; left > 0 {
+		t.Fatalf("Table1 left %d goroutines behind", left)
 	}
 	if raceEnabled {
 		// The race detector slows the workers ~50x, so the fixed-duration
@@ -258,6 +267,34 @@ func TestTable1Shape(t *testing.T) {
 	if Fig12Table(ACOnly, res.Timelines[ACOnly]) == nil ||
 		Fig13Table(ACOnly, res.Timelines[ACOnly]) == nil {
 		t.Fatal("timeline tables missing")
+	}
+}
+
+// TestThrottledSessionsChargeWhatTheTenantConsumed runs two throttled
+// sessions of one tenant, as Table 1's noisy workers are: between them they
+// must charge the tenant's bucket exactly the eCPU the tenant consumed.
+func TestThrottledSessionsChargeWhatTheTenantConsumed(t *testing.T) {
+	ctx := context.Background()
+	tb, err := newTestbed(testbedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.close()
+	h, err := tb.newTenant(ctx, "noisy", false, 1000) // a quota that never throttles
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := []*throttledDB{{sess: h.session(), handle: h}, {sess: h.session(), handle: h}}
+	if _, err := dbs[0].Execute(ctx, "CREATE TABLE t (a INT PRIMARY KEY, b INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := dbs[i%2].Execute(ctx, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := h.bucket.Consumed(), h.ecpuTokens(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("sessions charged %.3f tokens for %.3f consumed", got, want)
 	}
 }
 

@@ -75,8 +75,11 @@ type rangeState struct {
 	// without a lock (the state machines run under the group's lock, and
 	// splitLocked holds the cluster lock while calling into the group), so a
 	// split or move publishes a new descriptor instead of editing this one.
-	desc  atomic.Pointer[RangeDescriptor]
-	group *raftlite.Group
+	desc atomic.Pointer[RangeDescriptor]
+	// group is the range's replication group. A replica move replaces it
+	// while the tick and the lease balancer read it without a lock, so it is
+	// published the same way.
+	group atomic.Pointer[raftlite.Group]
 	// tsc is the range's timestamp cache (lost-update protection).
 	tsc *tsCache
 
@@ -270,7 +273,7 @@ func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID, generat
 	if err != nil {
 		return nil, err
 	}
-	rs.group = group
+	rs.group.Store(group)
 	c.mu.ranges[id] = rs
 	return rs, nil
 }
@@ -375,13 +378,14 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	// as lagging here too and heals via snapshot — a fresh group at commit
 	// zero would consider such a replica caught up and its right-span state
 	// would stay stale forever once the parent's log truncates.
+	parent := rs.group.Load()
 	applied := make(map[NodeID]uint64, len(desc.Replicas))
 	for _, nid := range desc.Replicas {
-		if a, err := rs.group.AppliedIndex(nid); err == nil {
+		if a, err := parent.AppliedIndex(nid); err == nil {
 			applied[nid] = a
 		}
 	}
-	right.group.SeedState(rs.group.CommitIndex(), applied)
+	right.group.Load().SeedState(parent.CommitIndex(), applied)
 	// The right side remembers the reads already served on its span, so no
 	// write there can land below one of them.
 	right.tsc.absorb(rs.tsc, rightSpan)
@@ -397,9 +401,9 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	rs.desc.Store(&left)
 	// The new right range's lease starts with the parent's leaseholder so
 	// serving continues without interruption.
-	if lh, ok := rs.group.Leaseholder(); ok {
+	if lh, ok := parent.Leaseholder(); ok {
 		//lint:allow faulterr a failed hand-over leaves the right range without a lease, which the next tick grants
-		_ = right.group.AcquireLease(lh)
+		_ = right.group.Load().AcquireLease(lh)
 	}
 	// Split halves the parent's accumulated size statistic.
 	rs.statsMu.Lock()
@@ -462,7 +466,7 @@ func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 func (c *Cluster) LeaseCounts() map[NodeID]int {
 	out := make(map[NodeID]int)
 	for _, rs := range c.rangesByID() {
-		if lh, ok := rs.group.Leaseholder(); ok {
+		if lh, ok := rs.group.Load().Leaseholder(); ok {
 			out[lh]++
 		}
 	}
@@ -483,7 +487,7 @@ func (c *Cluster) RangeLoads() []RangeLease {
 	ranges := c.rangesByID()
 	out := make([]RangeLease, 0, len(ranges))
 	for _, rs := range ranges {
-		lh, _ := rs.group.Leaseholder()
+		lh, _ := rs.group.Load().Leaseholder()
 		out = append(out, RangeLease{RangeID: rs.desc.Load().RangeID, Leaseholder: lh})
 	}
 	return out
@@ -506,7 +510,7 @@ func (c *Cluster) Tick() {
 	// order: the count balancer's input.
 	leases := make(map[NodeID][]*rangeState)
 	for _, rs := range c.rangesByID() {
-		lease := rs.group.Lease()
+		lease := rs.group.Load().Lease()
 		holder, held := lease.Holder, lease.Valid(now) && c.liveness(lease.Holder)
 		if !held || lease.Expiration.Sub(now) <= c.cfg.LeaseDuration/2 {
 			holder, held = c.ensureLease(rs)
@@ -523,14 +527,15 @@ func (c *Cluster) Tick() {
 // entries the taker missed before granting). It reports the holder, or false
 // when no live replica could take the lease; the next tick retries.
 func (c *Cluster) ensureLease(rs *rangeState) (NodeID, bool) {
-	if lh, ok := rs.group.Leaseholder(); ok {
-		if err := rs.group.ExtendLease(lh); err == nil {
+	g := rs.group.Load()
+	if lh, ok := g.Leaseholder(); ok {
+		if err := g.ExtendLease(lh); err == nil {
 			return lh, true
 		}
 	}
-	for _, nid := range rs.group.Replicas() {
+	for _, nid := range g.Replicas() {
 		if c.liveness(nid) {
-			if err := rs.group.AcquireLease(nid); err == nil {
+			if err := g.AcquireLease(nid); err == nil {
 				return nid, true
 			}
 		}
@@ -581,12 +586,13 @@ func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState) {
 		}
 		moved := false
 		for i, rs := range leases[maxN] {
-			lh, ok := rs.group.Leaseholder()
+			g := rs.group.Load()
+			lh, ok := g.Leaseholder()
 			if !ok || lh != maxN {
 				continue
 			}
 			best := lh
-			for _, nid := range rs.group.Replicas() {
+			for _, nid := range g.Replicas() {
 				if c.liveness(nid) && counts[nid] < counts[best] {
 					best = nid
 				}
@@ -595,7 +601,7 @@ func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState) {
 				continue
 			}
 			// TransferLease catches the target up before handing over.
-			if err := rs.group.TransferLease(lh, best); err == nil {
+			if err := g.TransferLease(lh, best); err == nil {
 				leases[lh] = slices.Delete(leases[lh], i, i+1)
 				id := rs.desc.Load().RangeID
 				at := sort.Search(len(leases[best]), func(j int) bool { return leases[best][j].desc.Load().RangeID > id })
@@ -627,9 +633,10 @@ type ReplicaStatus struct {
 func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 	var out []ReplicaStatus
 	for _, rs := range c.rangesByID() {
-		commit := rs.group.CommitIndex()
-		for _, nid := range rs.group.Replicas() {
-			applied, err := rs.group.AppliedIndex(nid)
+		g := rs.group.Load()
+		commit := g.CommitIndex()
+		for _, nid := range g.Replicas() {
+			applied, err := g.AppliedIndex(nid)
 			if err != nil {
 				continue
 			}
@@ -647,7 +654,7 @@ func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 func (c *Cluster) RaftSnapshots() int64 {
 	var total int64
 	for _, rs := range c.rangesByID() {
-		total += rs.group.Snapshots()
+		total += rs.group.Load().Snapshots()
 	}
 	return total
 }
@@ -658,8 +665,9 @@ func (c *Cluster) RaftSnapshots() int64 {
 func (c *Cluster) CatchUpReplicas() error {
 	var firstErr error
 	for _, rs := range c.rangesByID() {
-		for _, nid := range rs.group.Replicas() {
-			if err := rs.group.CatchUp(nid); err != nil && firstErr == nil {
+		g := rs.group.Load()
+		for _, nid := range g.Replicas() {
+			if err := g.CatchUp(nid); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -796,12 +804,13 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 			return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
 		}
 	} else {
-		lh, ok := rs.group.Leaseholder()
+		g := rs.group.Load()
+		lh, ok := g.Leaseholder()
 		if !ok {
 			// Try to acquire for ourselves.
 			// AcquireLease itself catches the node up to the commit index
 			// before granting, so the new leaseholder serves current state.
-			if err := rs.group.AcquireLease(nodeID); err != nil {
+			if err := g.AcquireLease(nodeID); err != nil {
 				var nle *kvpb.NotLeaseholderError
 				if errors.As(err, &nle) {
 					return nil, nle
@@ -1046,7 +1055,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	}
 
 	if len(cmd.Mutations) > 0 {
-		if err := rs.group.ProposeCtx(ctx, n.id, encodeCommand(cmd)); err != nil {
+		if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(cmd)); err != nil {
 			return nil, err
 		}
 		rs.statsMu.Lock()

@@ -336,7 +336,7 @@ func TestFollowerReadServedByNonLeaseholder(t *testing.T) {
 	lh, ok := func() (NodeID, bool) {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
-		return c.mu.ranges[desc.RangeID].group.Leaseholder()
+		return c.mu.ranges[desc.RangeID].group.Load().Leaseholder()
 	}()
 	if !ok {
 		t.Fatal("no leaseholder")
@@ -380,7 +380,7 @@ func TestDistSenderChasesLeaseholder(t *testing.T) {
 	c.mu.RLock()
 	rs := c.mu.ranges[desc.RangeID]
 	c.mu.RUnlock()
-	lh, _ := rs.group.Leaseholder()
+	lh, _ := rs.group.Load().Leaseholder()
 	var other NodeID
 	for _, r := range desc.Replicas {
 		if r != lh {
@@ -388,10 +388,10 @@ func TestDistSenderChasesLeaseholder(t *testing.T) {
 			break
 		}
 	}
-	if err := rs.group.TransferLease(lh, other); err != nil {
+	if err := rs.group.Load().TransferLease(lh, other); err != nil {
 		t.Fatal(err)
 	}
-	_ = rs.group.CatchUp(other)
+	_ = rs.group.Load().CatchUp(other)
 	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v2")}}); err != nil {
 		t.Fatalf("send after lease move: %v", err)
 	}
@@ -618,7 +618,7 @@ func TestDistSenderRedirectEventOnSpan(t *testing.T) {
 	c.mu.RLock()
 	rs := c.mu.ranges[desc.RangeID]
 	c.mu.RUnlock()
-	lh, _ := rs.group.Leaseholder()
+	lh, _ := rs.group.Load().Leaseholder()
 	var other NodeID
 	for _, r := range desc.Replicas {
 		if r != lh {
@@ -626,10 +626,10 @@ func TestDistSenderRedirectEventOnSpan(t *testing.T) {
 			break
 		}
 	}
-	if err := rs.group.TransferLease(lh, other); err != nil {
+	if err := rs.group.Load().TransferLease(lh, other); err != nil {
 		t.Fatal(err)
 	}
-	_ = rs.group.CatchUp(other)
+	_ = rs.group.Load().CatchUp(other)
 	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v2")}}); err != nil {
 		t.Fatalf("send after lease move: %v", err)
 	}

@@ -75,7 +75,7 @@ func TestTickRenewsEveryLeaseAtHalfLife(t *testing.T) {
 	expirations := func() map[RangeID]time.Time {
 		out := make(map[RangeID]time.Time)
 		for _, rs := range c.rangesByID() {
-			out[rs.desc.Load().RangeID] = rs.group.Lease().Expiration
+			out[rs.desc.Load().RangeID] = rs.group.Load().Lease().Expiration
 		}
 		return out
 	}

@@ -63,21 +63,22 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	if !ok {
 		return false, errMergeIneligible
 	}
-	if err := left.group.CatchUp(donor); err != nil {
+	lg, rg := left.group.Load(), right.group.Load()
+	if err := lg.CatchUp(donor); err != nil {
 		return false, err
 	}
-	if err := right.group.CatchUp(donor); err != nil {
+	if err := rg.CatchUp(donor); err != nil {
 		return false, err
 	}
 
-	lc, rc := left.group.CommitIndex(), right.group.CommitIndex()
+	lc, rc := lg.CommitIndex(), rg.CommitIndex()
 	applied := make(map[NodeID]uint64, len(leftDesc.Replicas))
 	for _, nid := range leftDesc.Replicas {
 		var la, ra uint64
-		if a, err := left.group.AppliedIndex(nid); err == nil {
+		if a, err := lg.AppliedIndex(nid); err == nil {
 			la = a
 		}
-		if a, err := right.group.AppliedIndex(nid); err == nil {
+		if a, err := rg.AppliedIndex(nid); err == nil {
 			ra = a
 		}
 		applied[nid] = la + ra
@@ -91,7 +92,7 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 		c.mu.Unlock()
 		return false, err
 	}
-	merged.group.SeedState(lc+rc, applied)
+	merged.group.Load().SeedState(lc+rc, applied)
 	// The merged range remembers the reads both parents served.
 	merged.tsc.absorb(left.tsc, union)
 	merged.tsc.absorb(right.tsc, union)
@@ -119,7 +120,7 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	// Serve without interruption: the donor is caught up in both parents,
 	// so it can take the merged lease immediately.
 	//lint:allow faulterr a failed grant leaves the merged range without a lease, which the next tick grants
-	_ = merged.group.AcquireLease(donor)
+	_ = merged.group.Load().AcquireLease(donor)
 	return true, nil
 }
 
@@ -149,10 +150,10 @@ func mergeEligible(left, right *RangeDescriptor) bool {
 // the left leaseholder if live, else the right's, else the first live
 // replica in descriptor order.
 func (c *Cluster) mergeDonor(left, right *rangeState) (NodeID, bool) {
-	if lh, ok := left.group.Leaseholder(); ok && c.liveness(lh) {
+	if lh, ok := left.group.Load().Leaseholder(); ok && c.liveness(lh) {
 		return lh, true
 	}
-	if lh, ok := right.group.Leaseholder(); ok && c.liveness(lh) {
+	if lh, ok := right.group.Load().Leaseholder(); ok && c.liveness(lh) {
 		return lh, true
 	}
 	for _, nid := range left.desc.Load().Replicas {

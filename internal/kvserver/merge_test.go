@@ -236,6 +236,85 @@ func TestSplitDuringTrafficIsRaceFree(t *testing.T) {
 	}
 }
 
+// TestMoveReplicaDuringTrafficIsRaceFree writes to a tenant while a second
+// goroutine moves its range's replicas around a 4-node cluster and a third
+// ticks the cluster and reads lease counts. Every write must land, and under
+// the race detector no reader may see a replication group while a move
+// replaces it.
+func TestMoveReplicaDuringTrafficIsRaceFree(t *testing.T) {
+	c := newTestCluster(t, 4)
+	for _, k := range []keys.Key{keys.MakeTenantPrefix(2), keys.MakeTenantPrefix(3)} {
+		if err := c.SplitAt(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writes, moves = 200, 50
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	errs := make(chan error, writes+moves)
+	moved := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			k := tenantKey(2, fmt.Sprintf("k%03d", i))
+			if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(moved)
+		for i := 0; i < moves; i++ {
+			rs, err := c.rangeFor(tenantKey(2, "k"))
+			if err != nil {
+				errs <- err
+				return
+			}
+			desc := rs.desc.Load()
+			to := NodeID(0)
+			for _, n := range c.Nodes() {
+				if !hasReplica(rs, n.id) {
+					to = n.id
+				}
+			}
+			if err := c.MoveReplica(desc.RangeID, desc.Replicas[i%len(desc.Replicas)], to); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-moved:
+				return
+			default:
+			}
+			if i%16 == 0 {
+				c.Tick()
+			}
+			c.LeaseCounts()
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	span := keys.MakeTenantSpan(2)
+	resp, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{
+		{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(resp.Responses[0].Rows); got != writes {
+		t.Fatalf("scan after the moves found %d rows, want %d", got, writes)
+	}
+}
+
 // TestBatchRechecksRangeUnderLatch splits a range while a put waits for its
 // latch. The put read the range's descriptor before the split moved its key
 // to the right half, so it must fail with a RangeKeyMismatchError, which the
@@ -251,7 +330,7 @@ func TestBatchRechecksRangeUnderLatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, ok := rs.group.Leaseholder()
+	lh, ok := rs.group.Load().Leaseholder()
 	if !ok {
 		t.Fatal("range has no leaseholder after a tick")
 	}

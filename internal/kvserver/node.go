@@ -19,7 +19,7 @@ import (
 // NodeConfig configures a KV node.
 type NodeConfig struct {
 	ID NodeID
-	// VCPUs is the node's CPU capacity (worker count).
+	// VCPUs is the node's CPU capacity (the executor's vCPU count).
 	VCPUs int
 	// Region is the node's locality, used by multi-region placement.
 	Region string
@@ -173,11 +173,8 @@ func (n *Node) SetCordoned(cordoned bool) {
 	n.mu.cordoned = cordoned
 }
 
-// CPUBusy returns cumulative busy CPU time across the node's workers.
+// CPUBusy returns cumulative busy CPU time across the node's vCPUs.
 func (n *Node) CPUBusy() time.Duration { return n.ex.busyTime() }
-
-// QueueDepth returns the executor's current queue depth.
-func (n *Node) QueueDepth() int { return n.ex.queueDepth() }
 
 // BatchCount returns the number of batches served.
 func (n *Node) BatchCount() int64 {
@@ -187,10 +184,7 @@ func (n *Node) BatchCount() int64 {
 }
 
 // Close shuts down the node.
-func (n *Node) Close() {
-	n.ex.close()
-	n.Engine().Close()
-}
+func (n *Node) Close() { n.Engine().Close() }
 
 // admitCPU passes the batch through the CPU admission queue when enabled.
 // It returns a release function to call with the consumed CPU time.
@@ -216,7 +210,7 @@ func (n *Node) admitWrite(ctx context.Context, ba *kvpb.BatchRequest) error {
 	return n.writeQ.Admit(ctx, info, int64(est))
 }
 
-// chargeCPU occupies a worker for the batch's ground-truth cost and returns
+// chargeCPU occupies a vCPU for the batch's ground-truth cost and returns
 // the cost charged.
 func (n *Node) chargeCPU(ba *kvpb.BatchRequest, resp *kvpb.BatchResponse, remote bool) time.Duration {
 	rate := n.recordBatch()

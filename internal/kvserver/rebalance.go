@@ -82,7 +82,7 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
 
-	desc := rs.desc.Load()
+	desc, old := rs.desc.Load(), rs.group.Load()
 	hasFrom, hasTo := false, false
 	for _, r := range desc.Replicas {
 		if r == from {
@@ -101,7 +101,7 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 
 	// Copy the range's data from a live replica (prefer the leaseholder).
 	src := from
-	if lh, ok := rs.group.Leaseholder(); ok {
+	if lh, ok := old.Leaseholder(); ok {
 		src = lh
 	}
 	srcNode, ok := c.Node(src)
@@ -147,17 +147,17 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 		if nid == to {
 			continue
 		}
-		if a, err := rs.group.AppliedIndex(nid); err == nil {
+		if a, err := old.AppliedIndex(nid); err == nil {
 			applied[nid] = a
 		}
 	}
-	if a, err := rs.group.AppliedIndex(src); err == nil {
+	if a, err := old.AppliedIndex(src); err == nil {
 		applied[to] = a
 	}
-	group.SeedState(rs.group.CommitIndex(), applied)
+	group.SeedState(old.CommitIndex(), applied)
 	// Restore a lease: the previous holder if it survived the move,
 	// otherwise the new replica.
-	prevLH, hadLease := rs.group.Leaseholder()
+	prevLH, hadLease := old.Leaseholder()
 	newLH := to
 	if hadLease && prevLH != from {
 		newLH = prevLH
@@ -172,7 +172,7 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rs.desc.Store(&newDesc)
-	rs.group = group
+	rs.group.Store(group)
 	return c.dir.replace(rangeID, &newDesc)
 }
 

@@ -121,7 +121,7 @@ func (c *Cluster) RecoverNode(id NodeID) error {
 		if err != nil {
 			return err
 		}
-		if err := rs.group.RegressApplied(id, applied); err != nil {
+		if err := rs.group.Load().RegressApplied(id, applied); err != nil {
 			return err
 		}
 	}

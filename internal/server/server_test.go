@@ -309,6 +309,34 @@ func TestSQLNodeSyntheticLoadAndCPUReporting(t *testing.T) {
 	}
 }
 
+// TestCloseCutsShortAThrottledSession closes a node while a session sleeps
+// off its tenant's quota debt. Close must not wait out the throttle.
+func TestCloseCutsShortAThrottledSession(t *testing.T) {
+	env := newEnv(t)
+	// A quota this small throttles any statement for minutes.
+	tn, _ := env.reg.CreateTenant(context.Background(), "acme", core.TenantOptions{QuotaVCPUs: 1e-6})
+	n := env.startNode(t, tn)
+	c, err := wire.Connect(n.Addr(), map[string]string{"tenant": "acme"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queried := make(chan struct{})
+	go func() {
+		defer close(queried)
+		defer c.Close()
+		c.Query("CREATE TABLE t (a INT PRIMARY KEY)")
+	}()
+	for n.QueryCount() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	n.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v behind a throttled session", took)
+	}
+	<-queried
+}
+
 func TestMeteredSenderAccumulates(t *testing.T) {
 	env := newEnv(t)
 	ctx := context.Background()

@@ -57,6 +57,9 @@ type SQLNode struct {
 	ln  net.Listener
 
 	tenantReady chan struct{}
+	// closing ends when Close starts, cutting short any quota throttle wait.
+	closing context.Context
+	cancel  context.CancelFunc
 
 	mu struct {
 		sync.Mutex
@@ -69,8 +72,6 @@ type SQLNode struct {
 		conns    map[net.Conn]*connState
 		// sessionCount is current open sessions; queries is cumulative.
 		queries int64
-		// lastECPUTokens snapshots consumed estimate for per-query deltas.
-		lastECPUTokens float64
 		// synthetic load for autoscaling experiments (vCPUs).
 		synthRate   float64
 		synthAccum  float64
@@ -96,6 +97,7 @@ func NewSQLNode(cfg SQLNodeConfig) *SQLNode {
 		cfg.RevivalSecret = []byte("cluster-revival-secret")
 	}
 	n := &SQLNode{cfg: cfg, tenantReady: make(chan struct{})}
+	n.closing, n.cancel = context.WithCancel(context.Background())
 	n.mu.conns = make(map[net.Conn]*connState)
 	n.mu.synthSince = cfg.Clock.Now()
 	return n
@@ -227,6 +229,7 @@ func (n *SQLNode) Close() {
 	})
 	tenant := n.mu.tenant
 	n.mu.Unlock()
+	n.cancel()
 	if n.ln != nil {
 		n.ln.Close()
 	}
@@ -443,7 +446,7 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 			n.mu.Lock()
 			n.mu.queries++
 			n.mu.Unlock()
-			n.enforceQuota()
+			n.enforceQuota(n.closing)
 			out := &wire.Result{}
 			if qerr != nil {
 				out.Err = qerr.Error()
@@ -482,30 +485,19 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 	}
 }
 
-// enforceQuota charges the node's eCPU consumption delta against the
-// tenant's distributed token bucket and smooth-throttles when over quota
-// (§5.2.2).
-func (n *SQLNode) enforceQuota() {
+// enforceQuota charges the node's eCPU consumption against the tenant's
+// distributed token bucket and smooth-throttles when over quota (§5.2.2),
+// until ctx ends.
+func (n *SQLNode) enforceQuota(ctx context.Context) {
 	n.mu.Lock()
 	bucket := n.mu.bucket
 	if bucket == nil {
 		n.mu.Unlock()
 		return
 	}
-	total := 0.0
-	if n.mu.exec != nil {
-		est := costModel.Estimate(tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()), n.mu.metered.Features())
-		total = est.Tokens()
-	}
-	delta := total - n.mu.lastECPUTokens
-	n.mu.lastECPUTokens = total
+	est := costModel.Estimate(tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()), n.mu.metered.Features())
 	n.mu.Unlock()
-	if delta <= 0 {
-		return
-	}
-	if delay := bucket.Consume(delta); delay > 0 {
-		n.cfg.Clock.Sleep(delay)
-	}
+	bucket.Throttle(ctx, est.Tokens())
 }
 
 // String implements fmt.Stringer.

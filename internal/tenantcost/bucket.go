@@ -1,6 +1,7 @@
 package tenantcost
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -217,6 +218,8 @@ type NodeBucket struct {
 		rate       float64
 		lastUpdate time.Time
 		consumed   float64 // cumulative tokens consumed (for attribution)
+		// charged is the largest cumulative total Throttle has charged.
+		charged float64
 	}
 	// requestSize is the lump requested when the buffer runs dry: the
 	// node's demand over 10 seconds (§5.2.2).
@@ -298,6 +301,28 @@ func (nb *NodeBucket) Consume(tokens float64) time.Duration {
 		nb.mu.trickleAccrued = finish
 	}
 	return finish.Sub(now)
+}
+
+// Throttle charges the bucket for consumption up to total, the caller's
+// cumulative estimated CPU in tokens, and waits out the resulting delay
+// (§5.2.2's smooth throttling). Callers sharing the bucket may pass the same
+// running total: only the part no earlier call charged is consumed. The wait
+// ends early when ctx does.
+func (nb *NodeBucket) Throttle(ctx context.Context, total float64) {
+	nb.mu.Lock()
+	delta := total - nb.mu.charged
+	if delta > 0 {
+		nb.mu.charged = total
+	}
+	nb.mu.Unlock()
+	delay := nb.Consume(delta)
+	if delay <= 0 {
+		return
+	}
+	select {
+	case <-nb.clock.After(delay):
+	case <-ctx.Done():
+	}
 }
 
 // accrueTrickleLocked adds trickle-rate tokens accrued since the last call.

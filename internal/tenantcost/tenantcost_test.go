@@ -1,7 +1,10 @@
 package tenantcost
 
 import (
+	"context"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -344,4 +347,55 @@ func TestQuotaTimestampIndependence(t *testing.T) {
 		t.Fatalf("tokens not clamped after quota reduction: %f", got)
 	}
 	_ = hlc.Timestamp{}
+}
+
+// TestThrottleChargesSharedTotalOnce has callers share one bucket and one
+// running total, as a tenant's sessions do: each charges the total it last
+// saw, possibly stale, and the bucket consumes exactly the total.
+func TestThrottleChargesSharedTotalOnce(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(0, 0))
+	s := NewBucketServer(mc)
+	s.SetQuota(2, 100) // effectively unconstrained
+	mc.Advance(10 * time.Second)
+	nb := NewNodeBucket(s, mc, 2, 1)
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				nb.Throttle(context.Background(), float64(total.Add(3)))
+			}
+		}()
+	}
+	wg.Wait()
+	nb.Throttle(context.Background(), float64(total.Load()))
+	if got := nb.Consumed(); got != 1200 {
+		t.Fatalf("consumed %.0f tokens for a total of 1200", got)
+	}
+}
+
+// TestThrottleWaitEndsWithCtx checks that an over-quota caller waits on the
+// clock only until its context ends.
+func TestThrottleWaitEndsWithCtx(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(0, 0))
+	s := NewBucketServer(mc)
+	s.SetQuota(2, 1) // 1000 tokens/s, and the bucket starts empty
+	nb := NewNodeBucket(s, mc, 2, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		nb.Throttle(ctx, 5000) // seconds of delay on a clock nobody advances
+		close(done)
+	}()
+	for mc.NumWaiters() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("throttle wait outlived its context")
+	}
 }
