@@ -66,35 +66,9 @@ func (e *engine) installLocked(entries []entry) {
 	e.tables = append(e.tables, t)
 }
 
-type blockCache struct{}
-
-func (blockCache) addBlock(id uint64, idx int, entries []entry, bytes int64) {}
-
-type hotCache struct{}
-
-func (hotCache) addHot(key, val []byte, ok bool) {}
-
 func (e *engine) rewriteVlogFile(id uint32) bool { return true }
 
-type cachedEngine struct {
-	engine
-	bc blockCache
-	hc hotCache
-}
-
-func (e *cachedEngine) fillBlockUnderLock(entries []entry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.bc.addBlock(1, 0, entries, 128) // want lockscope
-}
-
-func (e *cachedEngine) fillHotUnderLock(key, val []byte) {
-	e.mu.Lock()
-	e.hc.addHot(key, val, true) // want lockscope
-	e.mu.Unlock()
-}
-
-func (e *cachedEngine) gcUnderLock() {
+func (e *engine) gcUnderLock() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rewriteVlogFile(7) // want lockscope

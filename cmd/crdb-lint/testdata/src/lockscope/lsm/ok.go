@@ -39,13 +39,10 @@ func (e *engine) install(entries []entry) *table {
 	return newSSTable(4, entries)
 }
 
-// Cache fills and GC rewrites are fine once the engine lock is released: the
-// caches take only their own internal mutexes, and the rewrite acquires the
-// engine lock itself, briefly, per record.
-func (e *cachedEngine) fillOutsideLock(key, val []byte, entries []entry) {
+// A GC rewrite is fine once the engine lock is released: the rewrite
+// acquires the engine lock itself, briefly, per record.
+func (e *engine) gcOutsideLock() {
 	e.mu.Lock()
 	e.mu.Unlock()
-	e.bc.addBlock(2, 1, entries, 64)
-	e.hc.addHot(key, val, true)
 	e.rewriteVlogFile(8)
 }

@@ -153,8 +153,10 @@ func New(opts Options) (*Serverless, error) {
 
 	// The shared KV cluster spans all regions. Every node's engine shares
 	// one set of read-path counters on the deployment registry: the
-	// lsm.reads / lsm.bloom.filtered / lsm.tables.probed exposition is
-	// cluster-wide, matching how the trace.* counters are aggregated.
+	// lsm.tables.probed / lsm.corruption.errors exposition is cluster-wide,
+	// matching how the trace.* counters are aggregated. The engines run
+	// with default options apart from the shared counters: value separation
+	// is on, and reads go through the iterator, which has no cache.
 	lsmReadMetrics := lsm.NewReadMetrics(s.metrics)
 	lsmWriteMetrics := lsm.NewWriteMetrics(s.metrics)
 	commitMetrics := raftlite.NewCommitMetrics(s.metrics)
@@ -171,11 +173,6 @@ func New(opts Options) (*Serverless, error) {
 					Tracer:       s.tracer,
 					ReadMetrics:  lsmReadMetrics,
 					WriteMetrics: lsmWriteMetrics,
-					// Storage acceleration (value separation defaults on):
-					// enough block cache to hold each node's hot L1+ blocks
-					// and a hot-key cache sized for skewed tenant points.
-					BlockCacheBytes: 8 << 20,
-					HotKeyCacheSize: 4096,
 				},
 				AdmissionEnabled: opts.AdmissionControl,
 				Obs:              s.obs,

@@ -174,18 +174,16 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 			Cost:  cheap,
 			// A tiny memtable keeps flushes and compactions — and their
 			// fault sites — on the hot path of a short run, and aggressive
-			// value separation with tiny log segments plus both caches puts
-			// the vlog GC and invalidation machinery in the storm's blast
-			// radius too. Every store is durable with a grouped-sync WAL:
-			// store.crash tears the unsynced suffix and recovers from the
-			// rest, so crash recovery itself is inside the blast radius.
+			// value separation with tiny log segments puts the vlog GC in the
+			// storm's blast radius too. Every store is durable with a
+			// grouped-sync WAL: store.crash tears the unsynced suffix and
+			// recovers from the rest, so crash recovery itself is inside the
+			// blast radius.
 			LSM: lsm.Options{
 				MemTableSize:    8 << 10,
 				Faults:          reg,
 				ValueThreshold:  4,
 				VlogFileSize:    4 << 10,
-				BlockCacheBytes: 32 << 10,
-				HotKeyCacheSize: 64,
 				Durable:         lsm.NewDir(),
 				WALSegmentSize:  4 << 10,
 				WALBytesPerSync: 512,

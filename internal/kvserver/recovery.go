@@ -26,10 +26,16 @@ func appliedKey(id RangeID) []byte {
 }
 
 // durableAppliedIndex reads a range's persisted applied index from an engine
-// (0 when the replica has never applied a command durably).
+// (0 when the replica has never applied a command durably): an iterator
+// from the applied key, which must land on exactly that key.
 func durableAppliedIndex(e *lsm.Engine, id RangeID) (uint64, error) {
-	v, ok, err := e.Get(appliedKey(id))
-	if err != nil || !ok {
+	k := appliedKey(id)
+	it := e.NewIter(k, nil)
+	if !it.Valid() || !bytes.Equal(it.Key(), k) {
+		return 0, it.Error()
+	}
+	v := it.Value()
+	if err := it.Error(); err != nil {
 		return 0, err
 	}
 	_, idx, err := keys.DecodeUint64(keys.Key(v))

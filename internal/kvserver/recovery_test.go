@@ -111,6 +111,57 @@ func TestSplitSeedsRightGroupForLaggingReplica(t *testing.T) {
 	}
 }
 
+// TestRecoverNodeReadsAppliedIndexFromTable: a store flushed and compacted
+// before its crash recovers with nothing to replay, so RecoverNode reads each
+// range's applied index from a sorted-level sstable, not from a memtable the
+// WAL refilled. The index it regresses each replica to must be exactly the
+// one the replica had applied before the crash.
+func TestRecoverNodeReadsAppliedIndexFromTable(t *testing.T) {
+	c := newRecoveryCluster(t, 3)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		k := tenantKey(2, fmt.Sprintf("k%03d", i))
+		if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n2, _ := c.Node(2)
+	n2.SetCordoned(true)
+	if err := n2.Engine().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n2.Engine().Compact()
+	applied := func() map[RangeID]uint64 {
+		out := map[RangeID]uint64{}
+		for _, st := range c.ReplicaStatuses() {
+			if st.Node == 2 {
+				out[st.RangeID] = st.Applied
+			}
+		}
+		return out
+	}
+	before := applied()
+	if len(before) == 0 || before[1] == 0 {
+		t.Fatalf("node 2 applied indexes before the crash = %v, want range 1 past 0", before)
+	}
+	if err := n2.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if m := n2.Engine().Metrics(); m.MemTableBytes != 0 || m.L0Files != 0 || m.LevelBytes == [len(m.LevelBytes)]int64{} {
+		t.Fatalf("recovered store holds %d memtable bytes and %d L0 files, levels %v: want everything in sorted levels",
+			m.MemTableBytes, m.L0Files, m.LevelBytes)
+	}
+	// RecoverNode regresses each replica to what the read returns: a read
+	// that missed the key would regress it to 0.
+	if err := c.RecoverNode(2); err != nil {
+		t.Fatal(err)
+	}
+	if after := applied(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("node 2 applied indexes after RecoverNode = %v, want the pre-crash %v", after, before)
+	}
+}
+
 // TestNodeCrashRecoversDurableState: killing a node's store mid-stream (torn
 // unsynced tail) and recovering it preserves every acked write, and the
 // replication layer reconciles the store's regressed applied index.

@@ -20,12 +20,9 @@ var lockScopeDirs = map[string]bool{"lsm": true, "raftlite": true}
 var lockScopeHeavyIdents = map[string]bool{"mergeRuns": true, "newSSTable": true}
 
 // lockScopeHeavyMethods are method names considered heavy on any receiver:
-// value-log GC rewrites re-append live records and take the engine lock per
-// entry, and cache fills run LRU evictions under the cache's own mutex —
-// none of which may nest inside a held engine lock.
+// a value-log GC rewrite re-appends live records and takes the engine lock
+// per entry, so it may not nest inside a held engine lock.
 var lockScopeHeavyMethods = map[string]bool{
-	"addBlock":        true, // blockCache fill + eviction loop
-	"addHot":          true, // hotCache fill + eviction loop
 	"rewriteVlogFile": true, // value-log GC rewrite round
 }
 

@@ -7,47 +7,36 @@ import (
 	"time"
 )
 
-// BenchmarkKVPointReadDeepL0 measures point reads against the deep shape (a
-// 10-file L0 backlog plus populated L1-L3).
-func BenchmarkKVPointReadDeepL0(b *testing.B) {
-	e := buildDeepEngine(b)
-	defer e.Close()
-	// Alternate L3 hits (worst present-key case) and misses.
-	var reads [][]byte
-	for tbl := 0; tbl < 4; tbl++ {
-		for k := 0; k < 8; k++ {
-			reads = append(reads, []byte(fmt.Sprintf("l3-%d%d", tbl, k)))
-			reads = append(reads, []byte(fmt.Sprintf("zz-%d%d", tbl, k)))
+// buildDeepEngine constructs a deep shape — a 10-file L0 backlog plus
+// populated L1-L3. L0 keys are l0-*, and each deeper level holds 4
+// non-overlapping tables of level-distinct keys.
+func buildDeepEngine(t testing.TB) *Engine {
+	t.Helper()
+	e := newManualEngine(Options{})
+	for i := 0; i < 10; i++ {
+		if err := e.Set([]byte(fmt.Sprintf("l0-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Get(reads[i%len(reads)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKVBloomFilter measures the filter probe itself on hits and misses.
-func BenchmarkKVBloomFilter(b *testing.B) {
-	var entries []Entry
-	for i := 0; i < 4096; i++ {
-		entries = append(entries, Entry{Key: []byte(fmt.Sprintf("key-%06d", i))})
-	}
-	f := newBloomFilter(entries)
-	b.Run("hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !f.mayContain(entries[i%len(entries)].Key) {
-				b.Fatal("false negative")
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for lvl := 1; lvl <= 3; lvl++ {
+		for tbl := 0; tbl < 4; tbl++ {
+			var entries []Entry
+			for k := 0; k < 8; k++ {
+				entries = append(entries, Entry{
+					Key:   []byte(fmt.Sprintf("l%d-%d%d", lvl, tbl, k)),
+					Value: []byte("v"),
+				})
 			}
+			e.mu.levels[lvl] = append(e.mu.levels[lvl], newSSTable(e.mu.nextID, entries))
+			e.mu.nextID++
 		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		miss := []byte("absent-000000")
-		for i := 0; i < b.N; i++ {
-			f.mayContain(miss)
-		}
-	})
+	}
+	return e
 }
 
 // BenchmarkKVWriteFlush measures the write path through memtable rotation.
@@ -65,8 +54,8 @@ func BenchmarkKVWriteFlush(b *testing.B) {
 
 // BenchmarkKVIterSeek measures what every MVCC read pays: open an iterator
 // over a narrow range, read its first entry, seek once within it. memtable is
-// 10 000 keys in the active memtable alone; deep is the acceleration shape, a
-// 10-file L0 backlog over populated L1-L3, where the range lives in L3.
+// 10 000 keys in the active memtable alone; deep is buildDeepEngine's shape,
+// a 10-file L0 backlog over populated L1-L3, where the range lives in L3.
 func BenchmarkKVIterSeek(b *testing.B) {
 	mem := New(Options{MemTableSize: 64 << 20})
 	defer mem.Close()
@@ -138,9 +127,8 @@ func BenchmarkKVRecovery(b *testing.B) {
 		}
 		b.StopTimer()
 		for _, i := range []int{0, entries / 2, entries - 1} {
-			v, ok, err := re.Get(key(i))
-			if err != nil || !ok || string(v) != fmt.Sprintf("val-%06d", i) {
-				b.Fatalf("recovered key %q = %q (ok=%v err=%v)", key(i), v, ok, err)
+			if v, ok := get(b, re, key(i)); !ok || string(v) != fmt.Sprintf("val-%06d", i) {
+				b.Fatalf("recovered key %q = %q (ok=%v)", key(i), v, ok)
 			}
 		}
 		re.Close()

@@ -84,37 +84,19 @@ func (e *Engine) compactOnce() bool {
 
 // mergeAndInstall runs a planned compaction's merge outside the engine lock
 // (readers and writers proceed), re-takes the lock to install the output,
-// and applies the round's deferred side effects. The caller holds
-// e.compactMu but not e.mu.
+// and then, outside it again, reports value-log discard stats for every entry
+// the merge dropped. The discards wait for a successful install — an
+// abandoned round changed nothing. The caller holds e.compactMu but not e.mu.
 func (e *Engine) mergeAndInstall(plan *compactionPlan) {
 	out, next, discards := e.runMerge(plan)
 	e.mu.Lock()
 	installed := e.installCompactionLocked(plan, out, next)
 	e.mu.Unlock()
-	e.finishCompaction(plan, installed, discards)
-}
-
-// finishCompaction applies a round's deferred side effects outside the engine
-// lock: value-log discard stats for every entry the merge dropped, and
-// block-cache invalidation for the retired input tables. Both wait for a
-// successful install — an abandoned round changed nothing. (A reader racing
-// the invalidation may re-fill a retired table's block from its old snapshot;
-// table ids are never reused, so the stale fill is correct data that only
-// occupies cache space until LRU evicts it.)
-func (e *Engine) finishCompaction(plan *compactionPlan, installed bool, discards []valuePointer) {
 	if !installed {
 		return
 	}
 	for _, p := range discards {
 		e.vlog.discard(p)
-	}
-	if e.blockCache != nil {
-		for _, t := range plan.inputs {
-			e.blockCache.invalidateTable(t.id)
-		}
-		for _, t := range plan.overlapping {
-			e.blockCache.invalidateTable(t.id)
-		}
 	}
 }
 

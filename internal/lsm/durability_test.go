@@ -15,12 +15,11 @@ import (
 // flushes, compactions, and value separation with modest write counts.
 func durableOpts(dir *Dir) Options {
 	return Options{
-		Durable:         dir,
-		MemTableSize:    4 << 10,
-		WALSegmentSize:  2 << 10,
-		ValueThreshold:  64,
-		VlogFileSize:    4 << 10,
-		BlockCacheBytes: 32 << 10,
+		Durable:        dir,
+		MemTableSize:   4 << 10,
+		WALSegmentSize: 2 << 10,
+		ValueThreshold: 64,
+		VlogFileSize:   4 << 10,
 	}
 }
 
@@ -30,14 +29,14 @@ func TestOpenEmptyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, ok, err := e.Get([]byte("nothing")); ok || err != nil {
-		t.Fatalf("fresh durable engine Get = %v %v", ok, err)
+	if _, ok := get(t, e, []byte("nothing")); ok {
+		t.Fatal("fresh durable engine holds a key")
 	}
 	if err := e.Set([]byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := e.Get([]byte("a")); !ok || string(v) != "1" {
-		t.Fatalf("Get after Set = %q %v", v, ok)
+	if v, ok := get(t, e, []byte("a")); !ok || string(v) != "1" {
+		t.Fatalf("read after Set = %q %v", v, ok)
 	}
 }
 
@@ -61,9 +60,8 @@ func TestOpenEmptyWAL(t *testing.T) {
 	}
 	defer re.Close()
 	for i := 0; i < 300; i++ {
-		v, ok, err := re.Get([]byte(fmt.Sprintf("k%04d", i)))
-		if err != nil || !ok || string(v) != fmt.Sprintf("v%04d", i) {
-			t.Fatalf("k%04d: Get = %q %v %v", i, v, ok, err)
+		if v, ok := get(t, re, []byte(fmt.Sprintf("k%04d", i))); !ok || string(v) != fmt.Sprintf("v%04d", i) {
+			t.Fatalf("k%04d: get = %q %v", i, v, ok)
 		}
 	}
 }
@@ -97,12 +95,9 @@ func checkAgainstShadow(t *testing.T, e *Engine, shadow map[string]string) {
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%04d", i)
 		want, wantOK := shadow[key]
-		v, ok, err := e.Get([]byte(key))
-		if err != nil {
-			t.Fatalf("%s: Get error %v", key, err)
-		}
+		v, ok := get(t, e, []byte(key))
 		if ok != wantOK || (ok && string(v) != want) {
-			t.Fatalf("%s: Get = %q %v, want %q %v", key, v, ok, want, wantOK)
+			t.Fatalf("%s: read %q %v, want %q %v", key, v, ok, want, wantOK)
 		}
 	}
 }
@@ -202,10 +197,7 @@ func TestCrashPointProperty(t *testing.T) {
 			// Every durably-acknowledged write must be present and exact,
 			// unless a surviving tail record legally overwrote or deleted it.
 			for k, want := range durable {
-				v, ok, err := re.Get([]byte(k))
-				if err != nil {
-					t.Fatalf("%s: %v", k, err)
-				}
+				v, ok := get(t, re, []byte(k))
 				switch {
 				case ok && string(v) == want:
 				case ok && post[k][string(v)]:
@@ -256,42 +248,27 @@ func TestRecoveryDeterministic(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated writes records under a relaxed sync policy, tears
-// the final record in half, and verifies replay stops exactly at the torn
-// record without corrupting earlier ones.
-func TestTornTailTruncated(t *testing.T) {
+// tornWALPayloads are the records tornWAL syncs before the one it tears.
+var tornWALPayloads = [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
+
+// tornWAL is a one-segment log written under a relaxed sync policy: the
+// synced records of tornWALPayloads, then a fourth a crash tore to its first
+// 3 bytes.
+func tornWAL() *Dir {
 	dir := NewDir()
 	w := newWALWriter(dir, 1, 1<<20, 1<<20) // never auto-syncs
-	payloads := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
-	for _, p := range payloads {
+	for _, p := range tornWALPayloads {
 		w.append(appendEntry(nil, Entry{Key: p, Value: p}))
 	}
 	w.sync()
-	// One more record, unsynced; crash keeps only 3 bytes of it.
 	w.append(appendEntry(nil, Entry{Key: []byte("torn"), Value: []byte("torn")}))
 	dir.Crash(3)
-	var got []string
-	n, err := replayWAL(dir, 1, func(entries []Entry) {
-		for _, e := range entries {
-			got = append(got, string(e.Key))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(payloads) || len(got) != len(payloads) {
-		t.Fatalf("replayed %d records (%v), want %d", n, got, len(payloads))
-	}
-	for i, p := range payloads {
-		if got[i] != string(p) {
-			t.Fatalf("record %d = %q, want %q", i, got[i], p)
-		}
-	}
+	return dir
 }
 
-// TestCorruptRecordTruncates flips a payload byte mid-log: replay must stop
-// at the corrupt record (CRC mismatch), keeping only the prefix.
-func TestCorruptRecordTruncates(t *testing.T) {
+// corruptWAL is a one-segment log of five synced records whose third has one
+// payload byte flipped.
+func corruptWAL() *Dir {
 	dir := NewDir()
 	w := newWALWriter(dir, 1, 1<<20, 0)
 	for i := 0; i < 5; i++ {
@@ -299,13 +276,40 @@ func TestCorruptRecordTruncates(t *testing.T) {
 	}
 	name := walSegmentName(1)
 	data, _ := dir.ReadFile(name)
-	// Corrupt the payload of the third record: records are fixed-size here
-	// (8-byte frame + 12-byte entry), after the 8-byte segment header.
+	// Records are fixed-size here (8-byte frame + 12-byte entry), after the
+	// 8-byte segment header.
 	recLen := walRecordHeaderLen + 9 + 2 + 1
-	off := walSegmentHeaderLen + 2*recLen + walRecordHeaderLen + 3
-	data[off] ^= 0xff
+	data[walSegmentHeaderLen+2*recLen+walRecordHeaderLen+3] ^= 0xff
 	dir.WriteFileSync(name, data)
-	n, err := replayWAL(dir, 1, func([]Entry) {})
+	return dir
+}
+
+// TestTornTailTruncated: replay of tornWAL stops exactly at the torn record
+// without corrupting earlier ones.
+func TestTornTailTruncated(t *testing.T) {
+	var got []string
+	n, err := replayWAL(tornWAL(), 1, func(entries []Entry) {
+		for _, e := range entries {
+			got = append(got, string(e.Key))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(tornWALPayloads) || len(got) != len(tornWALPayloads) {
+		t.Fatalf("replayed %d records (%v), want %d", n, got, len(tornWALPayloads))
+	}
+	for i, p := range tornWALPayloads {
+		if got[i] != string(p) {
+			t.Fatalf("record %d = %q, want %q", i, got[i], p)
+		}
+	}
+}
+
+// TestCorruptRecordTruncates: replay of corruptWAL must stop at the corrupt
+// record (CRC mismatch), keeping only the prefix.
+func TestCorruptRecordTruncates(t *testing.T) {
+	n, err := replayWAL(corruptWAL(), 1, func([]Entry) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +337,9 @@ func TestWALVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestManifestVersionMismatch: same contract for the manifest.
-func TestManifestVersionMismatch(t *testing.T) {
+// flushedStore is a closed durable store of 400 small keys, flushed once:
+// a manifest, one sstable, and the WAL past the flush.
+func flushedStore() *Dir {
 	dir := NewDir()
 	e := New(durableOpts(dir))
 	for i := 0; i < 400; i++ {
@@ -342,15 +347,27 @@ func TestManifestVersionMismatch(t *testing.T) {
 	}
 	e.Flush()
 	e.Close()
+	return dir
+}
+
+// withManifestVersion returns a copy of an encoded manifest stamped with
+// version v, its checksum recomputed so only the version differs.
+func withManifestVersion(data []byte, v uint32) []byte {
+	data = append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(data[4:8], v)
+	body := data[:len(data)-manifestChecksumLen]
+	binary.BigEndian.PutUint32(data[len(data)-manifestChecksumLen:], crc32.Checksum(body, crc32cTable))
+	return data
+}
+
+// TestManifestVersionMismatch: same contract for the manifest.
+func TestManifestVersionMismatch(t *testing.T) {
+	dir := flushedStore()
 	data, ok := dir.ReadFile(manifestName)
 	if !ok {
 		t.Fatal("no manifest after flush")
 	}
-	binary.BigEndian.PutUint32(data[4:8], manifestVersion+1)
-	// Recompute the checksum so only the version (not the CRC) trips.
-	body := data[:len(data)-manifestChecksumLen]
-	binary.BigEndian.PutUint32(data[len(data)-manifestChecksumLen:], crc32.Checksum(body, crc32cTable))
-	dir.WriteFileSync(manifestName, data)
+	dir.WriteFileSync(manifestName, withManifestVersion(data, manifestVersion+1))
 	if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("Open error = %v, want ErrVersionMismatch", err)
 	}
@@ -358,13 +375,7 @@ func TestManifestVersionMismatch(t *testing.T) {
 
 // TestManifestChecksumCorruption: a bit-flipped manifest is ErrCorruption.
 func TestManifestChecksumCorruption(t *testing.T) {
-	dir := NewDir()
-	e := New(durableOpts(dir))
-	for i := 0; i < 400; i++ {
-		e.Set([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
-	}
-	e.Flush()
-	e.Close()
+	dir := flushedStore()
 	data, _ := dir.ReadFile(manifestName)
 	data[len(data)/2] ^= 0x01
 	dir.WriteFileSync(manifestName, data)
@@ -377,13 +388,7 @@ func TestManifestChecksumCorruption(t *testing.T) {
 // damaged one must fail Open with ErrCorruption — not panic it on a length
 // read from the file.
 func TestOpenTruncatedSSTable(t *testing.T) {
-	dir := NewDir()
-	e := New(durableOpts(dir))
-	for i := 0; i < 400; i++ {
-		e.Set([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
-	}
-	e.Flush()
-	e.Close()
+	dir := flushedStore()
 	ssts := dir.List("sst-")
 	if len(ssts) == 0 {
 		t.Fatal("test setup: no sstable persisted")
@@ -440,6 +445,109 @@ func FuzzDecodeBlock(f *testing.F) {
 	})
 }
 
+// FuzzDecodeManifest feeds decodeManifest arbitrary bodies under a valid
+// checksum — the fuzzer cannot forge a CRC, so without the recompute it would
+// never get past the first check. Every error must be typed, and whatever
+// decodes must re-encode to exactly the input.
+func FuzzDecodeManifest(f *testing.F) {
+	flushed, _ := flushedStore().ReadFile(manifestName)
+	full := (&manifest{
+		nextID: 9, minUnflushedSeg: 3, walSeg: 4,
+		levels:       [numLevels][]uint64{0: {8, 7}, 6: {5}},
+		vlogActiveID: 2,
+		vlogFiles:    []manifestVlogFile{{id: 1, totalBytes: 100, discardBytes: 40}, {id: 2, totalBytes: 10}},
+	}).encode()
+	for _, enc := range [][]byte{
+		flushed,
+		withManifestVersion(flushed, manifestVersion+1),
+		full,
+		(&manifest{}).encode(),
+	} {
+		f.Add(enc[:len(enc)-manifestChecksumLen])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crc32cTable))
+		m, err := decodeManifest(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruption) && !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("error %v is neither ErrCorruption nor ErrVersionMismatch", err)
+			}
+			return
+		}
+		if again := m.encode(); !bytes.Equal(again, data) {
+			t.Fatalf("decode/encode round trip changed the manifest:\n in  %x\n out %x", data, again)
+		}
+	})
+}
+
+// FuzzReplayWAL replays an arbitrary WAL segment out of a Dir. Replay must
+// never panic; it must apply exactly the records framed before the first torn
+// one (cut short, or failing its CRC), each as framed; and a record that
+// passes its CRC but does not decode, or a segment of another format version,
+// must stop it with a typed error.
+func FuzzReplayWAL(f *testing.F) {
+	segment := func(dir *Dir) []byte {
+		data, _ := dir.ReadFile(walSegmentName(1))
+		return data
+	}
+	torn := segment(tornWAL())
+	otherVersion := append([]byte(nil), torn...)
+	binary.BigEndian.PutUint32(otherVersion[4:8], walFormatVersion+1)
+	undecodable := NewDir()
+	w := newWALWriter(undecodable, 1, 1<<20, 0)
+	w.append(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("v")}))
+	w.append([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}) // a flag bit no build writes
+	for _, seed := range [][]byte{torn, segment(corruptWAL()), otherVersion, segment(undecodable), torn[:walSegmentHeaderLen], nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		dir := NewDir()
+		dir.WriteFileSync(walSegmentName(1), seg)
+		var applied [][]byte // each applied record, re-encoded
+		n, err := replayWAL(dir, 1, func(ents []Entry) {
+			var p []byte
+			for _, ent := range ents {
+				p = appendEntry(p, ent)
+			}
+			applied = append(applied, p)
+		})
+
+		// The records replay must apply, and the typed error it must stop with.
+		var want [][]byte
+		var wantErr error
+		if len(seg) >= walSegmentHeaderLen && binary.BigEndian.Uint32(seg[0:4]) == walMagic {
+			if binary.BigEndian.Uint32(seg[4:8]) != walFormatVersion {
+				wantErr = ErrVersionMismatch
+			}
+			for off := walSegmentHeaderLen; wantErr == nil && off+walRecordHeaderLen <= len(seg); {
+				start := off + walRecordHeaderLen
+				end := start + int(binary.BigEndian.Uint32(seg[off+4:off+8]))
+				if end > len(seg) || crc32.Checksum(seg[start:end], crc32cTable) != binary.BigEndian.Uint32(seg[off:off+4]) {
+					break
+				}
+				if _, derr := decodeBlock(seg[start:end]); derr != nil {
+					wantErr = ErrCorruption
+					break
+				}
+				want = append(want, seg[start:end])
+				off = end
+			}
+		}
+
+		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
+			t.Fatalf("replay error = %v, want %v", err, wantErr)
+		}
+		if n != len(want) || len(applied) != len(want) {
+			t.Fatalf("replay applied %d records (reported %d), want %d", len(applied), n, len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(applied[i], want[i]) {
+				t.Fatalf("record %d applied as %x, framed as %x", i, applied[i], want[i])
+			}
+		}
+	})
+}
+
 // TestWALBytesFramedAccounting verifies the satellite fix: WALBytes reports
 // the actual framed bytes (record header + encoded entries), identically for
 // durable and volatile engines.
@@ -469,29 +577,40 @@ func TestWALBytesFramedAccounting(t *testing.T) {
 	}
 }
 
-// TestGetCorruptionTyped verifies the satellite fix: a pointer into a
-// genuinely deleted value-log file surfaces ErrCorruption (not the internal
-// retry sentinel) and bumps the corruption counter.
+// TestGetCorruptionTyped: a store recovered over a directory that lost a
+// value-log file still replays the pointer into it. A point read of that key
+// — an iterator from the key, as every caller reads — lands on it, reads no
+// value, reports typed ErrCorruption, and counts it once; the next key reads
+// through.
 func TestGetCorruptionTyped(t *testing.T) {
-	e := New(Options{ValueThreshold: 8, VlogFileSize: 64})
-	defer e.Close()
+	dir := NewDir()
+	opts := Options{Durable: dir, ValueThreshold: 8, VlogFileSize: 64}
+	e := New(opts)
 	big := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
 	e.Set([]byte("a"), big) // fills file 1 past rotation size
-	e.Set([]byte("b"), big) // rotates to file 2, so file 1 is deletable
-	// Simulate corruption: force-delete file 1 while a's pointer still
-	// references it (bypassing GC's rewrite-then-delete protocol).
-	if n := e.vlog.deleteFile(1); n == 0 {
-		t.Fatal("test setup: vlog file 1 not deletable")
+	e.Set([]byte("b"), big) // rotates to file 2
+	e.Close()
+	dir.Remove(vlogFileName(1))
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, ok, err := e.Get([]byte("a"))
-	if ok || !errors.Is(err, ErrCorruption) {
-		t.Fatalf("Get = %v %v, want ErrCorruption", ok, err)
+	defer re.Close()
+	it := re.NewIter([]byte("a"), nil)
+	if !it.Valid() || string(it.Key()) != "a" {
+		t.Fatal("point read did not land on key a")
 	}
-	if errors.Is(err, errVlogFileGone) {
-		t.Fatal("internal errVlogFileGone sentinel leaked through the wrap")
+	if v := it.Value(); v != nil {
+		t.Fatalf("Value = %q, want nil", v)
 	}
-	if m := e.Metrics(); m.CorruptionErrors != 1 {
+	if err := it.Error(); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("Error = %v, want ErrCorruption", err)
+	}
+	if m := re.Metrics(); m.CorruptionErrors != 1 {
 		t.Fatalf("CorruptionErrors = %d, want 1", m.CorruptionErrors)
+	}
+	if v, ok := get(t, re, []byte("b")); !ok || !bytes.Equal(v, big) {
+		t.Fatalf("b = %d bytes %v, want its value", len(v), ok)
 	}
 }
 

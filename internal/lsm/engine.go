@@ -62,9 +62,17 @@ type Options struct {
 	// VlogFileSize is the rotation threshold for value-log segments.
 	// Defaults to 1 MiB.
 	VlogFileSize int64
-	// BlockCacheBytes bounds the L1+ block cache; 0 disables it.
+	// BlockCacheBytes is inert: nothing reads it.
+	//
+	// Deprecated: the engine's one read path, the iterator, walks resident
+	// blocks in place and has no block cache. The field stays only because
+	// the benchmark module still sets it; ROADMAP's bench-only item (d)
+	// deletes it.
 	BlockCacheBytes int64
-	// HotKeyCacheSize bounds the hot-key read cache (entries); 0 disables it.
+	// HotKeyCacheSize is inert: nothing reads it.
+	//
+	// Deprecated: there is no hot-key cache. The field stays, and goes, with
+	// BlockCacheBytes.
 	HotKeyCacheSize int
 	// Durable, when non-nil, makes the engine crash-survivable: every batch
 	// is framed into a WAL inside the commit critical section, flushed
@@ -130,25 +138,15 @@ type Metrics struct {
 	// ReadAmplification is the number of sorted runs a read may consult:
 	// memtable + L0 files + one per non-empty deeper level.
 	ReadAmplification int
-	// Reads is the cumulative number of Get calls; BloomFiltered counts
-	// candidate sstables skipped by a negative bloom-filter answer, and
-	// TablesProbed counts sstables actually binary-searched. The three are
-	// drawn from the engine's ReadMetrics counters, which may be shared
-	// with other engines in the same deployment.
-	Reads         int64
-	BloomFiltered int64
-	TablesProbed  int64
+	// TablesProbed counts sstables an iterator positioned in. It is drawn
+	// from the engine's ReadMetrics counter, which may be shared with other
+	// engines in the same deployment.
+	TablesProbed int64
 	// CompactionsCoalesced counts auto-compaction triggers that found
 	// another compaction already in flight and handed it the backlog
 	// instead of queueing behind the single-flight guard. Drawn from the
 	// engine's WriteMetrics counter, which may be shared like ReadMetrics.
 	CompactionsCoalesced int64
-	// Cache counters (shared ReadMetrics, like Reads above): block-cache
-	// hits/misses on L1+ point reads and hot-key cache hits/misses.
-	BlockCacheHits   int64
-	BlockCacheMisses int64
-	HotCacheHits     int64
-	HotCacheMisses   int64
 	// Value-log counters (shared WriteMetrics): separated writes, inline
 	// fallbacks from injected append failures, and GC rounds/rewrites/
 	// reclaimed bytes.
@@ -157,9 +155,8 @@ type Metrics struct {
 	VlogGCRounds         int64
 	VlogGCRewritten      int64
 	VlogGCReclaimedBytes int64
-	// CorruptionErrors counts reads that surfaced ErrCorruption — a value
-	// pointer whose log file stayed unreachable through every Get retry, or
-	// that an iterator could not resolve against its snapshot's file set.
+	// CorruptionErrors counts reads that surfaced ErrCorruption: a value
+	// pointer an iterator could not resolve against its snapshot's file set.
 	// Drawn from the engine's ReadMetrics counter (may be shared).
 	CorruptionErrors int64
 	// Value-log occupancy for this engine (not shared): segment count and
@@ -173,17 +170,11 @@ type Metrics struct {
 // engines registered against the same metric.Registry; see
 // Options.ReadMetrics.
 type ReadMetrics struct {
-	Reads            *metric.Counter
-	BloomFiltered    *metric.Counter
-	TablesProbed     *metric.Counter
-	BlockCacheHits   *metric.Counter
-	BlockCacheMisses *metric.Counter
-	HotCacheHits     *metric.Counter
-	HotCacheMisses   *metric.Counter
+	// TablesProbed counts sstables an iterator positioned in.
+	TablesProbed *metric.Counter
 	// CorruptionErrors counts reads that returned ErrCorruption: a value
-	// pointer that stayed unresolvable after Get's GC-race retries, or at all
-	// for an iterator (whose snapshot holds its files), meaning the file is
-	// genuinely missing rather than mid-rewrite.
+	// pointer an iterator could not resolve although its snapshot holds its
+	// files, meaning the file is genuinely missing.
 	CorruptionErrors *metric.Counter
 }
 
@@ -191,26 +182,14 @@ type ReadMetrics struct {
 // shared instance to hand to each engine's Options.
 func NewReadMetrics(reg *metric.Registry) *ReadMetrics {
 	return &ReadMetrics{
-		Reads:            reg.NewCounter("lsm.reads"),
-		BloomFiltered:    reg.NewCounter("lsm.bloom.filtered"),
 		TablesProbed:     reg.NewCounter("lsm.tables.probed"),
-		BlockCacheHits:   reg.NewCounter("lsm.cache.block.hits"),
-		BlockCacheMisses: reg.NewCounter("lsm.cache.block.misses"),
-		HotCacheHits:     reg.NewCounter("lsm.cache.hot.hits"),
-		HotCacheMisses:   reg.NewCounter("lsm.cache.hot.misses"),
 		CorruptionErrors: reg.NewCounter("lsm.corruption.errors"),
 	}
 }
 
 func newUnregisteredReadMetrics() *ReadMetrics {
 	return &ReadMetrics{
-		Reads:            &metric.Counter{},
-		BloomFiltered:    &metric.Counter{},
 		TablesProbed:     &metric.Counter{},
-		BlockCacheHits:   &metric.Counter{},
-		BlockCacheMisses: &metric.Counter{},
-		HotCacheHits:     &metric.Counter{},
-		HotCacheMisses:   &metric.Counter{},
 		CorruptionErrors: &metric.Counter{},
 	}
 }
@@ -306,14 +285,6 @@ type Engine struct {
 	// vlog is the value-separation log. It has its own lock; the order is
 	// e.mu before vlog.mu, never the reverse.
 	vlog *valueLog
-	// blockCache caches decoded L1+ blocks (nil when off).
-	blockCache *blockCache
-	// hotCache caches resolved point-read results (nil when off).
-	hotCache *hotCache
-	// writeEpoch increments under e.mu on every ApplyBatch before its keys
-	// are invalidated in the hot cache; fills computed against an older
-	// epoch are rejected (see hotCache.addHot).
-	writeEpoch atomic.Uint64
 	// snapSeq is the highest mu.seq an iterator has captured. NewIter stores
 	// it under the read lock (mu.seq only grows, so it only grows); writers
 	// read it under the exclusive lock to tell whether any snapshot can hold
@@ -346,9 +317,9 @@ type Engine struct {
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("lsm: engine is closed")
 
-// newEngineShell builds an engine with metrics and caches wired but no
-// memtable, value log, or WAL state — New fills those in fresh, Open from
-// the recovered durable state.
+// newEngineShell builds an engine with its metrics wired but no memtable,
+// value log, or WAL state — New fills those in fresh, Open from the recovered
+// durable state.
 func newEngineShell(opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults(), l0Threshold: l0CompactionThreshold, lBaseMax: lBaseMaxBytes}
 	e.readMetrics = e.opts.ReadMetrics
@@ -358,12 +329,6 @@ func newEngineShell(opts Options) *Engine {
 	e.writeMetrics = e.opts.WriteMetrics
 	if e.writeMetrics == nil {
 		e.writeMetrics = newUnregisteredWriteMetrics()
-	}
-	if e.opts.BlockCacheBytes > 0 {
-		e.blockCache = newBlockCache(e.opts.BlockCacheBytes)
-	}
-	if e.opts.HotKeyCacheSize > 0 {
-		e.hotCache = newHotCache(e.opts.HotKeyCacheSize)
 	}
 	return e
 }
@@ -615,16 +580,9 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 			e.writeMetrics.WALBytes.Inc(framed)
 		}
 	}
-	// The epoch bump precedes the invalidations, so a racing fill either
-	// sees the new epoch (and rejects itself) or lands before the
-	// invalidation (and is removed by it).
-	e.writeEpoch.Add(1)
 	e.mu.seq++
 	snapSeq := e.snapSeq.Load()
 	for _, ent := range sep {
-		if e.hotCache != nil {
-			e.hotCache.invalidate(ent.Key)
-		}
 		if old, replaced := e.mu.mem.set(ent, e.mu.seq, snapSeq); replaced && old.vptr {
 			if p, err := decodeValuePointer(old.Value); err == nil {
 				discards = append(discards, p)
@@ -652,138 +610,6 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 
 func (e *Engine) apply(ent Entry) error {
 	return e.ApplyBatch([]Entry{ent})
-}
-
-// Get returns the value for key. The boolean reports whether the key exists
-// (a tombstone reads as not found).
-//
-// The read path holds the engine lock only long enough to probe the active
-// memtable and snapshot the immutable runs (every install is copy-on-write,
-// so the snapshotted slices never mutate); the level walk, block decodes,
-// cache fills, and value-log resolution all run outside it. A pointer whose
-// value-log file was deleted by a GC that raced the unlocked window simply
-// retries from a fresh snapshot — the rewrite installed the new pointer
-// before the deletion, so the retry finds it.
-func (e *Engine) Get(key []byte) ([]byte, bool, error) {
-	e.readMetrics.Reads.Inc(1)
-	if e.hotCache != nil {
-		if v, ok, hit := e.hotCache.get(key); hit {
-			e.readMetrics.HotCacheHits.Inc(1)
-			return v, ok, nil
-		}
-		e.readMetrics.HotCacheMisses.Inc(1)
-	}
-	for attempt := 0; ; attempt++ {
-		v, ok, err := e.getOnce(key)
-		if err == errVlogFileGone {
-			if attempt < 16 {
-				continue
-			}
-			// A pointer that stays unresolvable through every retry is not a
-			// GC race (the rewrite installs the new pointer before deleting
-			// the file): the value-log file is genuinely missing. Surface it
-			// as typed corruption, not the internal retry sentinel.
-			e.readMetrics.CorruptionErrors.Inc(1)
-			return nil, false, fmt.Errorf("%w: value-log file unresolvable after %d attempts for key %q",
-				ErrCorruption, attempt+1, key)
-		}
-		// getOnce returns an engine-owned view; the caller gets its own copy.
-		return cloneBytes(v), ok, err
-	}
-}
-
-// getOnce runs one snapshot-probe-resolve pass of the read path.
-func (e *Engine) getOnce(key []byte) ([]byte, bool, error) {
-	e.mu.RLock()
-	if e.mu.closed {
-		e.mu.RUnlock()
-		return nil, false, ErrClosed
-	}
-	epoch := e.writeEpoch.Load()
-	ent, found := e.mu.mem.get(key)
-	imm := e.mu.imm
-	levels := e.mu.levels // an array of slice headers: a cheap, stable snapshot
-	e.mu.RUnlock()
-
-	if !found {
-		ent, found = e.probeRuns(key, imm, levels)
-	}
-	var v []byte
-	ok := false
-	if found && !ent.Tombstone {
-		var err error
-		v, err = e.resolveValue(ent)
-		if err != nil {
-			return nil, false, err
-		}
-		ok = true
-	}
-	if e.hotCache != nil {
-		e.hotCache.addHot(key, v, ok, epoch, &e.writeEpoch)
-	}
-	return v, ok, nil
-}
-
-// probeRuns walks a snapshot of the immutable runs newest-first and returns
-// the first authoritative entry for key (tombstones included — the walk
-// never continues past one).
-func (e *Engine) probeRuns(key []byte, imm []*flushJob, levels [numLevels][]*ssTable) (Entry, bool) {
-	// Immutable memtables whose SSTable builds are in flight, newest-first.
-	// They hold data that has left the active memtable but not yet reached
-	// L0; skipping them would un-ack acknowledged writes.
-	for _, j := range imm {
-		if ent, ok := j.mem.get(key); ok {
-			return ent, true
-		}
-	}
-	// L0: newest first. Any L0 table may overlap the key, but the bloom
-	// filter lets most of a deep backlog be skipped without a search. L0
-	// bypasses the block cache: compaction churns it too fast to earn hits.
-	for _, t := range levels[0] {
-		if !t.filter.mayContain(key) {
-			e.readMetrics.BloomFiltered.Inc(1)
-			continue
-		}
-		e.readMetrics.TablesProbed.Inc(1)
-		if ent, ok := t.get(key, nil); ok {
-			return ent, true
-		}
-	}
-	for lvl := 1; lvl < numLevels; lvl++ {
-		tables := levels[lvl]
-		// L1+ tables are sorted and non-overlapping: binary-search the
-		// level's maxKey bounds for the one table that can contain key.
-		i := sortSearchTables(tables, key)
-		if i < 0 {
-			continue
-		}
-		t := tables[i]
-		if !t.filter.mayContain(key) {
-			e.readMetrics.BloomFiltered.Inc(1)
-			continue
-		}
-		e.readMetrics.TablesProbed.Inc(1)
-		if ent, ok := t.getCounting(key, e.blockCache, e.readMetrics); ok {
-			return ent, true
-		}
-	}
-	return Entry{}, false
-}
-
-// resolveValue returns a stable engine-owned view of a non-tombstone
-// entry's value, chasing its value-log pointer if separated. Inline values
-// alias immutable memtable entries or sstable blocks; separated values
-// alias the immutable value-log buffer. Callers hand out copies, not the
-// view — the hot cache stores the view as is.
-func (e *Engine) resolveValue(ent Entry) ([]byte, error) {
-	if !ent.vptr {
-		return ent.Value, nil
-	}
-	ptr, err := decodeValuePointer(ent.Value)
-	if err != nil {
-		return nil, err
-	}
-	return e.vlog.get(ptr)
 }
 
 // Flush moves the active memtable into a new L0 sstable. The flush is
@@ -823,8 +649,8 @@ func (e *Engine) finishFlush(sp *trace.Span, job *flushJob) {
 // lost, the rotation just didn't happen.
 //
 // The rotation is a pointer swap: the old memtable joins e.mu.imm, where
-// reads keep finding it, and the sort + bloom build runs outside the lock
-// on the calling goroutine. The synchronous handoff — not a free-running
+// reads keep finding it, and the sstable build runs outside the lock on the
+// calling goroutine. The synchronous handoff — not a free-running
 // background goroutine — is what keeps same-seed runs byte-identical
 // (DESIGN.md §8). The sstable id is reserved here so id order matches
 // rotation order; the replacement memtable's seed derives from nextID
@@ -928,14 +754,8 @@ func (e *Engine) Metrics() Metrics {
 			m.ReadAmplification++
 		}
 	}
-	m.Reads = e.readMetrics.Reads.Value()
-	m.BloomFiltered = e.readMetrics.BloomFiltered.Value()
 	m.TablesProbed = e.readMetrics.TablesProbed.Value()
 	m.CompactionsCoalesced = e.writeMetrics.CompactCoalesced.Value()
-	m.BlockCacheHits = e.readMetrics.BlockCacheHits.Value()
-	m.BlockCacheMisses = e.readMetrics.BlockCacheMisses.Value()
-	m.HotCacheHits = e.readMetrics.HotCacheHits.Value()
-	m.HotCacheMisses = e.readMetrics.HotCacheMisses.Value()
 	m.VlogWrites = e.writeMetrics.VlogWrites.Value()
 	m.VlogWriteFallbacks = e.writeMetrics.VlogFallbacks.Value()
 	m.VlogGCRounds = e.writeMetrics.VlogGCRounds.Value()

@@ -21,14 +21,14 @@ func TestInjectedFlushErrorKeepsMemTable(t *testing.T) {
 	if m := e.Metrics(); m.FlushCount != 0 || m.MemTableBytes == 0 {
 		t.Fatalf("after failed flush: FlushCount=%d MemTableBytes=%d", m.FlushCount, m.MemTableBytes)
 	}
-	if v, ok, err := e.Get([]byte("alpha")); err != nil || !ok || string(v) != "one" {
-		t.Fatalf("read after failed flush = %q %v %v", v, ok, err)
+	if v, ok := get(t, e, []byte("alpha")); !ok || string(v) != "one" {
+		t.Fatalf("read after failed flush = %q %v", v, ok)
 	}
 	// The second fire surfaces on the explicit flush.
 	if err := e.Flush(); !faultinject.IsInjected(err) {
 		t.Fatalf("explicit flush err = %v, want injected fault", err)
 	}
-	if v, ok, _ := e.Get([]byte("alpha")); !ok || string(v) != "one" {
+	if v, ok := get(t, e, []byte("alpha")); !ok || string(v) != "one" {
 		t.Fatalf("read after failed explicit flush = %q %v", v, ok)
 	}
 	// Fires exhausted: the retried flush succeeds and nothing was lost.
@@ -39,7 +39,7 @@ func TestInjectedFlushErrorKeepsMemTable(t *testing.T) {
 	if m.FlushCount != 1 || m.L0Files != 1 || m.MemTableBytes != 0 {
 		t.Fatalf("after recovery: %+v", m)
 	}
-	if v, ok, _ := e.Get([]byte("alpha")); !ok || string(v) != "one" {
+	if v, ok := get(t, e, []byte("alpha")); !ok || string(v) != "one" {
 		t.Fatalf("read after recovered flush = %q %v", v, ok)
 	}
 }
@@ -71,8 +71,8 @@ func TestInjectedCompactionErrorSkipsRound(t *testing.T) {
 	}
 	// Every key still reads back through the compacted shape.
 	for i := 0; i < 4; i++ {
-		if v, ok, err := e.Get([]byte{byte('a' + i)}); err != nil || !ok || string(v) != "value" {
-			t.Fatalf("read %c = %q %v %v", 'a'+i, v, ok, err)
+		if v, ok := get(t, e, []byte{byte('a' + i)}); !ok || string(v) != "value" {
+			t.Fatalf("read %c = %q %v", 'a'+i, v, ok)
 		}
 	}
 }

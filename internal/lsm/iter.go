@@ -23,8 +23,9 @@ import (
 // value-log file live exactly as long as an iterator refers to them, and
 // iterators are short-lived.
 //
-// The block cache is not consulted: blocks are resident, the cache holds only
-// their decoded []Entry, and an in-place cursor never builds one.
+// The iterator is the engine's only read path. A point read positions one at
+// the key, by NewIter's lower bound or a SeekGE, and checks that it landed on
+// exactly that key.
 type Iterator struct {
 	e      *Engine
 	seq    uint64
@@ -238,7 +239,7 @@ func (s *iterSource) settleMem(it *Iterator, n *skipNode) {
 
 // seekTables positions the source on its first entry >= key: a binary search
 // for the table (a sorted level's tables are ordered and disjoint), another
-// for the block, and a walk over the block's headers.
+// for the block, and blockSeek within it.
 func (s *iterSource) seekTables(it *Iterator, key []byte) {
 	s.ti = sort.Search(len(s.tables), func(i int) bool {
 		return bytes.Compare(s.tables[i].maxKey, key) >= 0
@@ -250,13 +251,7 @@ func (s *iterSource) seekTables(it *Iterator, key []byte) {
 	if bi := t.blockFor(key); bi > 0 {
 		s.bi = bi
 	}
-	for b := t.blocks[s.bi]; s.off < len(b); {
-		ent, next := entryAt(b, s.off)
-		if bytes.Compare(ent.Key, key) >= 0 {
-			break
-		}
-		s.off = next
-	}
+	s.off = blockSeek(t.blocks[s.bi], key)
 	if s.off >= len(t.blocks[s.bi]) {
 		// Every entry of the block sorts before key, and key <= the table's
 		// maxKey: the answer is the head of the next block.

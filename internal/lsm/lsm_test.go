@@ -28,17 +28,36 @@ func newEngineWithL0(opts Options, l0Files int) *Engine {
 	return e
 }
 
+// get is a point read through the engine's one read path: an iterator
+// seeked to key, which must land on exactly key. The value is copied out, so
+// the caller may keep or modify it. An iterator error fails the test (t.Errorf
+// is safe from any goroutine) and reads as not found.
+func get(t testing.TB, e *Engine, key []byte) ([]byte, bool) {
+	t.Helper()
+	it := e.NewIter(nil, nil)
+	it.SeekGE(key)
+	var v []byte
+	found := it.Valid() && bytes.Equal(it.Key(), key)
+	if found {
+		v = cloneBytes(it.Value())
+	}
+	if err := it.Error(); err != nil {
+		t.Errorf("get(%q): %v", key, err)
+		return nil, false
+	}
+	return v, found
+}
+
 func TestEngineSetGet(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
 	if err := e.Set([]byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := e.Get([]byte("a"))
-	if err != nil || !ok || string(v) != "1" {
-		t.Fatalf("Get = %q %v %v", v, ok, err)
+	if v, ok := get(t, e, []byte("a")); !ok || string(v) != "1" {
+		t.Fatalf("get = %q %v", v, ok)
 	}
-	if _, ok, _ := e.Get([]byte("missing")); ok {
+	if _, ok := get(t, e, []byte("missing")); ok {
 		t.Fatal("missing key found")
 	}
 }
@@ -48,9 +67,9 @@ func TestEngineOverwrite(t *testing.T) {
 	defer e.Close()
 	e.Set([]byte("k"), []byte("v1"))
 	e.Set([]byte("k"), []byte("v2"))
-	v, ok, _ := e.Get([]byte("k"))
+	v, ok := get(t, e, []byte("k"))
 	if !ok || string(v) != "v2" {
-		t.Fatalf("Get = %q %v", v, ok)
+		t.Fatalf("get = %q %v", v, ok)
 	}
 }
 
@@ -59,7 +78,7 @@ func TestEngineDelete(t *testing.T) {
 	defer e.Close()
 	e.Set([]byte("k"), []byte("v"))
 	e.Delete([]byte("k"))
-	if _, ok, _ := e.Get([]byte("k")); ok {
+	if _, ok := get(t, e, []byte("k")); ok {
 		t.Fatal("deleted key still visible")
 	}
 	// Deleting a missing key is fine.
@@ -74,15 +93,15 @@ func TestEngineDeleteAcrossFlush(t *testing.T) {
 	e.Set([]byte("k"), []byte("v"))
 	e.Flush()
 	e.Delete([]byte("k"))
-	if _, ok, _ := e.Get([]byte("k")); ok {
+	if _, ok := get(t, e, []byte("k")); ok {
 		t.Fatal("tombstone in memtable should shadow flushed value")
 	}
 	e.Flush()
-	if _, ok, _ := e.Get([]byte("k")); ok {
+	if _, ok := get(t, e, []byte("k")); ok {
 		t.Fatal("tombstone in L0 should shadow older L0 value")
 	}
 	e.Compact()
-	if _, ok, _ := e.Get([]byte("k")); ok {
+	if _, ok := get(t, e, []byte("k")); ok {
 		t.Fatal("key resurrected after compaction")
 	}
 }
@@ -99,9 +118,9 @@ func TestEngineGetReadsThroughLevels(t *testing.T) {
 	for _, tc := range []struct{ k, v string }{
 		{"old", "bottom"}, {"newer", "l0"}, {"newest", "mem"},
 	} {
-		v, ok, _ := e.Get([]byte(tc.k))
+		v, ok := get(t, e, []byte(tc.k))
 		if !ok || string(v) != tc.v {
-			t.Fatalf("Get(%s) = %q %v", tc.k, v, ok)
+			t.Fatalf("get(%s) = %q %v", tc.k, v, ok)
 		}
 	}
 }
@@ -113,12 +132,12 @@ func TestEngineNewerLevelsShadowOlder(t *testing.T) {
 	e.Flush()
 	e.Set([]byte("k"), []byte("v2"))
 	e.Flush()
-	v, ok, _ := e.Get([]byte("k"))
+	v, ok := get(t, e, []byte("k"))
 	if !ok || string(v) != "v2" {
 		t.Fatalf("newest L0 run must win: got %q", v)
 	}
 	e.Set([]byte("k"), []byte("v3"))
-	v, _, _ = e.Get([]byte("k"))
+	v, _ = get(t, e, []byte("k"))
 	if string(v) != "v3" {
 		t.Fatalf("memtable must win: got %q", v)
 	}
@@ -173,7 +192,7 @@ func TestL0CompactionTriggersAtThreshold(t *testing.T) {
 	}
 	// Data survives compaction.
 	for i := 0; i < 3; i++ {
-		if _, ok, _ := e.Get([]byte(fmt.Sprintf("k%d", i))); !ok {
+		if _, ok := get(t, e, []byte(fmt.Sprintf("k%d", i))); !ok {
 			t.Fatalf("k%d lost in compaction", i)
 		}
 	}
@@ -264,9 +283,6 @@ func TestEngineClosed(t *testing.T) {
 	if err := e.Set([]byte("a"), []byte("b")); err != ErrClosed {
 		t.Fatalf("Set after close = %v", err)
 	}
-	if _, _, err := e.Get([]byte("a")); err != ErrClosed {
-		t.Fatalf("Get after close = %v", err)
-	}
 	if err := e.Flush(); err != ErrClosed {
 		t.Fatalf("Flush after close = %v", err)
 	}
@@ -301,8 +317,8 @@ func TestEngineVsMapProperty(t *testing.T) {
 		}
 		// Point reads.
 		for k, v := range ref {
-			got, ok, err := e.Get([]byte(k))
-			if err != nil || !ok || string(got) != v {
+			got, ok := get(t, e, []byte(k))
+			if !ok || string(got) != v {
 				return false
 			}
 		}
@@ -344,9 +360,9 @@ func TestEngineVsMapWithCompactions(t *testing.T) {
 		}
 	}
 	for k, v := range ref {
-		got, ok, _ := e.Get([]byte(k))
+		got, ok := get(t, e, []byte(k))
 		if !ok || string(got) != v {
-			t.Fatalf("Get(%s) = %q %v, want %q", k, got, ok, v)
+			t.Fatalf("get(%s) = %q %v, want %q", k, got, ok, v)
 		}
 	}
 	n := 0
@@ -376,7 +392,7 @@ func TestEngineConcurrentReadsAndWrites(t *testing.T) {
 				case 0:
 					e.Set(k, []byte("v"))
 				case 1:
-					e.Get(k)
+					get(t, e, k)
 				case 2:
 					it := e.NewIter(k, nil)
 					for j := 0; j < 5 && it.Valid(); j++ {
@@ -387,6 +403,49 @@ func TestEngineConcurrentReadsAndWrites(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentApplyBatchFlushAtThreshold is the regression test for the
+// ApplyBatch/Flush race: with the memtable threshold at one byte, every
+// single-entry batch must trigger exactly one flush of exactly that batch.
+// Under the old two-critical-section scheme a concurrent writer could rotate
+// the memtable between another writer's size check and its Flush call,
+// merging or double-counting flushes nondeterministically.
+func TestConcurrentApplyBatchFlushAtThreshold(t *testing.T) {
+	const writers, batches = 8, 20
+	e := newManualEngine(Options{MemTableSize: 1})
+	defer e.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				key := []byte(fmt.Sprintf("w%02d-b%02d", w, b))
+				if err := e.ApplyBatch([]Entry{{Key: key, Value: []byte("v")}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	m := e.Metrics()
+	if m.FlushCount != writers*batches {
+		t.Fatalf("FlushCount = %d, want exactly %d (one flush per threshold-crossing batch)",
+			m.FlushCount, writers*batches)
+	}
+	if m.L0Files != writers*batches {
+		t.Fatalf("L0Files = %d, want %d", m.L0Files, writers*batches)
+	}
+	for w := 0; w < writers; w++ {
+		for b := 0; b < batches; b++ {
+			key := []byte(fmt.Sprintf("w%02d-b%02d", w, b))
+			if _, ok := get(t, e, key); !ok {
+				t.Fatalf("key %q lost", key)
+			}
+		}
+	}
 }
 
 func TestMetricsReadAmplification(t *testing.T) {
@@ -415,30 +474,25 @@ func TestApplyBatchAtomicVisibility(t *testing.T) {
 	if err := e.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := e.Get([]byte("x")); !ok || string(v) != "1" {
+	if v, ok := get(t, e, []byte("x")); !ok || string(v) != "1" {
 		t.Fatal("batch write x missing")
 	}
-	if v, ok, _ := e.Get([]byte("y")); !ok || string(v) != "2" {
+	if v, ok := get(t, e, []byte("y")); !ok || string(v) != "2" {
 		t.Fatal("batch write y missing")
 	}
 }
 
 func TestEngineValueIsolation(t *testing.T) {
-	// Mutating buffers passed in or returned must not corrupt the engine.
+	// Mutating the key or value buffer a write was given must not corrupt the
+	// engine.
 	e := New(Options{})
 	defer e.Close()
 	k := []byte("k")
 	v := []byte("hello")
 	e.Set(k, v)
-	v[0] = 'X'
-	got, _, _ := e.Get(k)
-	if string(got) != "hello" {
-		t.Fatalf("caller mutation leaked into engine: %q", got)
-	}
-	got[0] = 'Y'
-	got2, _, _ := e.Get(k)
-	if string(got2) != "hello" {
-		t.Fatalf("returned buffer aliases engine state: %q", got2)
+	k[0], v[0] = 'j', 'X'
+	if got, ok := get(t, e, []byte("k")); !ok || string(got) != "hello" {
+		t.Fatalf("caller mutation leaked into engine: %q %v", got, ok)
 	}
 }
 

@@ -196,8 +196,8 @@ func persistSSTable(dir *Dir, t *ssTable) {
 }
 
 // loadSSTable re-reads a persisted table. Rebuilding via newSSTable re-chunks
-// the entries deterministically, so block boundaries, bloom filters, and size
-// accounting come back identical to the pre-crash table.
+// the entries deterministically, so block boundaries and size accounting come
+// back identical to the pre-crash table.
 func loadSSTable(dir *Dir, id uint64) (*ssTable, error) {
 	data, ok := dir.ReadFile(sstFileName(id))
 	if !ok {

@@ -43,13 +43,13 @@ func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
 	if m.ReadAmplification != 2 { // active memtable + 1 immutable
 		t.Fatalf("mid-build read amp = %d, want 2", m.ReadAmplification)
 	}
-	if v, ok, _ := e.Get([]byte("a")); !ok || string(v) != "1" {
+	if v, ok := get(t, e, []byte("a")); !ok || string(v) != "1" {
 		t.Fatalf("rotated data unreadable mid-build: %q %v", v, ok)
 	}
 	// Writes during the build land in the fresh memtable and shadow the
 	// immutable queue.
 	e.Set([]byte("a"), []byte("1x"))
-	if v, _, _ := e.Get([]byte("a")); string(v) != "1x" {
+	if v, _ := get(t, e, []byte("a")); string(v) != "1x" {
 		t.Fatalf("fresh memtable does not shadow immutable queue: %q", v)
 	}
 
@@ -60,11 +60,11 @@ func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
 		t.Fatalf("post-install metrics: L0Files=%d FlushCount=%d amp=%d",
 			m.L0Files, m.FlushCount, m.ReadAmplification)
 	}
-	if v, _, _ := e.Get([]byte("a")); string(v) != "1x" {
-		t.Fatalf("post-install Get(a) = %q", v)
+	if v, _ := get(t, e, []byte("a")); string(v) != "1x" {
+		t.Fatalf("post-install get(a) = %q", v)
 	}
-	if v, ok, _ := e.Get([]byte("b")); !ok || string(v) != "2" {
-		t.Fatalf("post-install Get(b) = %q %v", v, ok)
+	if v, ok := get(t, e, []byte("b")); !ok || string(v) != "2" {
+		t.Fatalf("post-install get(b) = %q %v", v, ok)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestOutOfOrderInstallKeepsShadowing(t *testing.T) {
 	e.buildAndInstall(nil, second)
 	e.buildAndInstall(nil, first)
 
-	if v, _, _ := e.Get([]byte("k")); string(v) != "new" {
-		t.Fatalf("out-of-order install inverted shadowing: Get(k) = %q", v)
+	if v, _ := get(t, e, []byte("k")); string(v) != "new" {
+		t.Fatalf("out-of-order install inverted shadowing: get(k) = %q", v)
 	}
 	e.mu.RLock()
 	l0 := e.mu.levels[0]
@@ -109,12 +109,12 @@ func TestCompactionSkipsL0YoungerThanInFlightFlush(t *testing.T) {
 	e.Compact()
 	e.buildAndInstall(nil, first)
 
-	if v, _, _ := e.Get([]byte("k")); string(v) != "new" {
-		t.Fatalf("Get(k) = %q, want new", v)
+	if v, _ := get(t, e, []byte("k")); string(v) != "new" {
+		t.Fatalf("get(k) = %q, want new", v)
 	}
 	e.Compact() // nothing in flight now: both tables compact
-	if v, _, _ := e.Get([]byte("k")); string(v) != "new" {
-		t.Fatalf("after full compaction Get(k) = %q, want new", v)
+	if v, _ := get(t, e, []byte("k")); string(v) != "new" {
+		t.Fatalf("after full compaction get(k) = %q, want new", v)
 	}
 	if m := e.Metrics(); m.L0Files != 0 {
 		t.Fatalf("L0Files = %d after full compaction, want 0", m.L0Files)
@@ -144,7 +144,7 @@ func TestCompactionMergeWindowAllowsProgress(t *testing.T) {
 
 	// Merge window: the engine lock is free, so reads, writes, and even a
 	// whole flush proceed while the merge would be running.
-	if v, ok, _ := e.Get([]byte("key-00")); !ok || string(v) != "v0" {
+	if v, ok := get(t, e, []byte("key-00")); !ok || string(v) != "v0" {
 		t.Fatalf("read during merge window: %q %v", v, ok)
 	}
 	e.Set([]byte("key-00"), []byte("v0-new"))
@@ -167,15 +167,15 @@ func TestCompactionMergeWindowAllowsProgress(t *testing.T) {
 	if m.L0Files != 1 {
 		t.Fatalf("L0Files = %d, want 1 (the mid-merge flush)", m.L0Files)
 	}
-	if v, _, _ := e.Get([]byte("key-00")); string(v) != "v0-new" {
+	if v, _ := get(t, e, []byte("key-00")); string(v) != "v0-new" {
 		t.Fatalf("mid-merge overwrite lost: %q", v)
 	}
-	if v, ok, _ := e.Get([]byte("mid-merge")); !ok || string(v) != "late" {
+	if v, ok := get(t, e, []byte("mid-merge")); !ok || string(v) != "late" {
 		t.Fatalf("mid-merge write lost: %q %v", v, ok)
 	}
 	for i := 1; i < 4; i++ {
 		k := fmt.Sprintf("key-%02d", i)
-		if v, ok, _ := e.Get([]byte(k)); !ok || string(v) != fmt.Sprintf("v%d", i) {
+		if v, ok := get(t, e, []byte(k)); !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("compacted key %s = %q %v", k, v, ok)
 		}
 	}
@@ -211,7 +211,7 @@ func TestCompactionInstallAbandonedWhenInputsGone(t *testing.T) {
 		t.Fatalf("stale install mutated levels: %+v -> %+v", before.LevelBytes, after.LevelBytes)
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok, _ := e.Get([]byte(fmt.Sprintf("k%d", i))); !ok {
+		if _, ok := get(t, e, []byte(fmt.Sprintf("k%d", i))); !ok {
 			t.Fatalf("k%d lost after abandoned install", i)
 		}
 	}
@@ -261,14 +261,14 @@ func TestCompactionSingleFlightCoalesces(t *testing.T) {
 		t.Fatalf("L0 backlog remains: %d files", drained.L0Files)
 	}
 	for i := 0; i <= 6; i++ {
-		if _, ok, _ := e.Get([]byte(fmt.Sprintf("key-%04d", i))); !ok {
+		if _, ok := get(t, e, []byte(fmt.Sprintf("key-%04d", i))); !ok {
 			t.Fatalf("key-%04d lost across coalesced rounds", i)
 		}
 	}
 }
 
 // Reads must complete while a compaction merge is actually in flight: start
-// a large manual compaction and require at least one Get that both began and
+// a large manual compaction and require at least one read that both began and
 // finished with the merge still running (the mergesActive hook).
 func TestReadsCompleteWhileMergeActive(t *testing.T) {
 	e := newManualEngine(Options{})
@@ -300,7 +300,7 @@ func TestReadsCompleteWhileMergeActive(t *testing.T) {
 		select {
 		case <-done:
 			if overlapped == 0 {
-				t.Fatal("no Get overlapped an in-flight merge")
+				t.Fatal("no read overlapped an in-flight merge")
 			}
 			return
 		default:
@@ -309,8 +309,8 @@ func TestReadsCompleteWhileMergeActive(t *testing.T) {
 			continue
 		}
 		k := []byte(fmt.Sprintf("t%d-%06d", rng.Intn(tables), rng.Intn(perTable)))
-		if _, ok, err := e.Get(k); err != nil || !ok {
-			t.Fatalf("Get(%s) during merge = %v %v", k, ok, err)
+		if _, ok := get(t, e, k); !ok {
+			t.Fatalf("read of %s during merge found nothing", k)
 		}
 		if e.mergesActive.Load() > 0 {
 			overlapped++
@@ -344,10 +344,7 @@ func TestConcurrentReadersWritersDuringFlushAndCompaction(t *testing.T) {
 					i := rng.Intn(perWriter)
 					// Whatever is visible must be a value some writer
 					// actually wrote for this key.
-					if v, ok, err := e.Get([]byte(fmt.Sprintf("w%d-%04d", w, i))); err != nil {
-						t.Error(err)
-						return
-					} else if ok && len(v) == 0 {
+					if v, ok := get(t, e, []byte(fmt.Sprintf("w%d-%04d", w, i))); ok && len(v) == 0 {
 						t.Errorf("empty value for w%d-%04d", w, i)
 						return
 					}
@@ -389,7 +386,7 @@ func TestConcurrentReadersWritersDuringFlushAndCompaction(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				k := fmt.Sprintf("w%d-%04d", w, i)
 				want := fmt.Sprintf("val-%d-%d-%032d", w, i, i)
-				if v, ok, _ := e.Get([]byte(k)); !ok || string(v) != want {
+				if v, ok := get(t, e, []byte(k)); !ok || string(v) != want {
 					t.Fatalf("%s = %q %v, want %q", k, v, ok, want)
 				}
 			}
@@ -450,13 +447,10 @@ func TestRandomizedOpsMatchShadowMap(t *testing.T) {
 					}
 				default: // get
 					k := key()
-					v, ok, err := e.Get(k)
-					if err != nil {
-						t.Fatal(err)
-					}
+					v, ok := get(t, e, k)
 					want, inShadow := shadow[string(k)]
 					if ok != inShadow || (ok && string(v) != want) {
-						t.Fatalf("seed %d op %d: Get(%s) = %q %v, shadow %q %v",
+						t.Fatalf("seed %d op %d: get(%s) = %q %v, shadow %q %v",
 							seed, op, k, v, ok, want, inShadow)
 					}
 				}
@@ -464,10 +458,7 @@ func TestRandomizedOpsMatchShadowMap(t *testing.T) {
 			// Full sweep after the stream.
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("key-%03d", i)
-				v, ok, err := e.Get([]byte(k))
-				if err != nil {
-					t.Fatal(err)
-				}
+				v, ok := get(t, e, []byte(k))
 				want, inShadow := shadow[k]
 				if ok != inShadow || (ok && string(v) != want) {
 					t.Fatalf("seed %d sweep: %s = %q %v, shadow %q %v", seed, k, v, ok, want, inShadow)
@@ -516,10 +507,7 @@ func TestPipeliningModeEquivalence(t *testing.T) {
 	for _, e := range []*Engine{first, second} {
 		for i := 0; i < 150; i++ {
 			k := fmt.Sprintf("key-%03d", i)
-			v, ok, err := e.Get([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
+			v, ok := get(t, e, []byte(k))
 			want, inShadow := shadow[k]
 			if ok != inShadow || (ok && string(v) != want) {
 				t.Fatalf("%s = %q %v, shadow %q %v", k, v, ok, want, inShadow)

@@ -24,9 +24,8 @@ func (e Entry) size() int64 { return int64(len(e.Key) + len(e.Value) + 16) }
 
 // Block encoding: entries are packed into ~blockTargetBytes segments of
 // [flags u8][keyLen u32][valLen u32][key][val], with a per-table index of
-// each block's first key. A point read touches one block; the block cache
-// stores decoded blocks keyed by (tableID, blockIdx) so a hot block is
-// decoded once.
+// each block's first key. A seek touches one block and reads its entry
+// headers in place; nothing is decoded into a slice on the read path.
 const (
 	blockTargetBytes   = 2048
 	entryHeaderLen     = 9
@@ -47,11 +46,10 @@ type ssTable struct {
 	sizeB      int64
 	minKey     []byte
 	maxKey     []byte
-	filter     *bloomFilter
 }
 
 func newSSTable(id uint64, entries []Entry) *ssTable {
-	t := &ssTable{id: id, numEntries: len(entries), filter: newBloomFilter(entries)}
+	t := &ssTable{id: id, numEntries: len(entries)}
 	var block []byte
 	var blockFirst []byte
 	flush := func() {
@@ -157,65 +155,33 @@ func (t *ssTable) blockFor(key []byte) int {
 	return i - 1
 }
 
-// blockEntries returns the decoded entries of block i, consulting bc when
-// non-nil. Cache fills (and the evictions they trigger) happen inside bc;
-// callers on a locked path pass nil.
-func (t *ssTable) blockEntries(i int, bc *blockCache) (ents []Entry, cached bool) {
-	if bc != nil {
-		if ents, ok := bc.get(t.id, i); ok {
-			return ents, true
+// blockSeek returns the offset of the first entry of a well-formed block
+// whose key is >= key, or len(b) when every key sorts before it, walking the
+// entry headers in place.
+func blockSeek(b, key []byte) int {
+	off := 0
+	for off < len(b) {
+		ent, next := entryAt(b, off)
+		if bytes.Compare(ent.Key, key) >= 0 {
+			break
 		}
+		off = next
 	}
-	// Count the entries from their headers first, so the slice is sized once.
-	n := 0
-	for off := 0; off < len(t.blocks[i]); n++ {
-		_, off = entryAt(t.blocks[i], off)
-	}
-	ents = appendBlockEntries(make([]Entry, 0, n), t.blocks[i])
-	if bc != nil {
-		bc.addBlock(t.id, i, ents, int64(len(t.blocks[i])))
-	}
-	return ents, false
+	return off
 }
 
-// get returns the entry for key, if present in this table. bc, when non-nil,
-// serves and fills the block cache; hit/miss accounting is the caller's
-// (only unlocked point-read paths pass a cache).
-func (t *ssTable) get(key []byte, bc *blockCache) (Entry, bool) {
+// get returns the entry for key, if present in this table: the block index
+// picks the one block that can hold it, and blockSeek finds it there.
+func (t *ssTable) get(key []byte) (Entry, bool) {
 	bi := t.blockFor(key)
 	if bi < 0 {
 		return Entry{}, false
 	}
-	ents, _ := t.blockEntries(bi, bc)
-	i := sort.Search(len(ents), func(i int) bool {
-		return bytes.Compare(ents[i].Key, key) >= 0
-	})
-	if i < len(ents) && bytes.Equal(ents[i].Key, key) {
-		return ents[i], true
-	}
-	return Entry{}, false
-}
-
-// getCounting is get with block-cache hit/miss accounting against rm.
-func (t *ssTable) getCounting(key []byte, bc *blockCache, rm *ReadMetrics) (Entry, bool) {
-	if bc == nil {
-		return t.get(key, nil)
-	}
-	bi := t.blockFor(key)
-	if bi < 0 {
-		return Entry{}, false
-	}
-	ents, cached := t.blockEntries(bi, bc)
-	if cached {
-		rm.BlockCacheHits.Inc(1)
-	} else {
-		rm.BlockCacheMisses.Inc(1)
-	}
-	i := sort.Search(len(ents), func(i int) bool {
-		return bytes.Compare(ents[i].Key, key) >= 0
-	})
-	if i < len(ents) && bytes.Equal(ents[i].Key, key) {
-		return ents[i], true
+	b := t.blocks[bi]
+	if off := blockSeek(b, key); off < len(b) {
+		if ent, _ := entryAt(b, off); bytes.Equal(ent.Key, key) {
+			return ent, true
+		}
 	}
 	return Entry{}, false
 }

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -29,13 +28,6 @@ import (
 //     deletion), so none is surfaced; a file deleted after it is still in the
 //     captured map, which keeps its bytes alive. A surfaced pointer that does
 //     not resolve is therefore corruption, not a race.
-//   - Point reads (Engine.Get) resolve against the current file set and
-//     retry from a fresh snapshot on errVlogFileGone instead.
-
-// errVlogFileGone reports a pointer into a value-log file that is not in the
-// file set it was resolved against. For point reads this is a retry signal
-// (the rewrite committed a fresh pointer before the deletion).
-var errVlogFileGone = errors.New("lsm: value-log file deleted by GC")
 
 // valuePointer locates a value in the log. It is encoded into Entry.Value
 // (with Entry.vptr set) as 12 big-endian bytes.
@@ -208,21 +200,16 @@ func (vl *valueLog) fileSet() map[uint32]*vlogFile {
 	return vl.files
 }
 
-// get resolves a pointer against the current file set (see read).
-func (vl *valueLog) get(p valuePointer) ([]byte, error) {
-	return vl.read(vl.fileSet(), p)
-}
-
 // read resolves a pointer to its value against files, a file set obtained
 // from fileSet. The returned slice aliases the file's buffer — immutable once
 // appended, and kept alive by the alias even after GC deletes the file — so
-// callers must clone before handing it to code that may mutate it. A file
-// missing from the set yields errVlogFileGone. vl.mu is held only to read the
-// buffer's header, which an append to the active file replaces.
+// callers must clone before handing it to code that may mutate it. vl.mu is
+// held only to read the buffer's header, which an append to the active file
+// replaces.
 func (vl *valueLog) read(files map[uint32]*vlogFile, p valuePointer) ([]byte, error) {
 	f, ok := files[p.fileID]
 	if !ok {
-		return nil, errVlogFileGone
+		return nil, fmt.Errorf("lsm: value pointer %+v names a file not in the set", p)
 	}
 	vl.mu.RLock()
 	buf := f.buf
@@ -378,11 +365,11 @@ func (e *Engine) runVlogGC() {
 // Per record the protocol is: snapshot-check liveness under RLock (the
 // current newest version must still reference this exact pointer), append
 // the value to the log head, then re-check and install the moved pointer
-// into the active memtable under the exclusive lock. The re-check is three
-// cheap probes — active memtable, immutable queue, and the bloom filters of
-// L0 tables created after the snapshot — because any write racing the
-// rewrite must surface in one of those before compaction (which we exclude
-// via compactMu) can move it deeper. A record that raced a write is simply
+// into the active memtable under the exclusive lock. The re-check probes the
+// active memtable, the immutable queue, and the L0 tables created after the
+// snapshot, because any write racing the rewrite must surface in one of
+// those before compaction (which we exclude via compactMu) can move it
+// deeper. A record that raced a write is simply
 // skipped; the file survives to the next GC round.
 func (e *Engine) rewriteVlogFile(id uint32) bool {
 	recs := e.vlog.records(id)
@@ -442,8 +429,7 @@ func (e *Engine) vlogRecordLive(rec vlogRecord) (bool, uint64) {
 }
 
 // getRawLocked probes mem → imm → levels for the newest version of key
-// without resolving value pointers. Caller holds e.mu (either mode). The
-// block cache is bypassed: GC liveness checks must not evict under the lock.
+// without resolving value pointers. Caller holds e.mu (either mode).
 func (e *Engine) getRawLocked(key []byte) (Entry, bool) {
 	if ent, ok := e.mu.mem.get(key); ok {
 		return ent, true
@@ -454,10 +440,7 @@ func (e *Engine) getRawLocked(key []byte) (Entry, bool) {
 		}
 	}
 	for _, t := range e.mu.levels[0] {
-		if !t.filter.mayContain(key) {
-			continue
-		}
-		if ent, ok := t.get(key, nil); ok {
+		if ent, ok := t.get(key); ok {
 			return ent, true
 		}
 	}
@@ -467,7 +450,7 @@ func (e *Engine) getRawLocked(key []byte) (Entry, bool) {
 		if i < 0 {
 			continue
 		}
-		if ent, ok := tables[i].get(key, nil); ok {
+		if ent, ok := tables[i].get(key); ok {
 			return ent, true
 		}
 	}
@@ -475,10 +458,8 @@ func (e *Engine) getRawLocked(key []byte) (Entry, bool) {
 }
 
 // installRewrittenPointer publishes a GC-moved pointer into the active
-// memtable, unless a write newer than the liveness snapshot may exist (in
-// the memtable, the immutable queue, or an L0 table with id >= minNewID that
-// may contain the key). The moved value is logically identical, so neither
-// the write epoch nor the hot cache is touched.
+// memtable, unless a write newer than the liveness snapshot exists (in the
+// memtable, the immutable queue, or an L0 table with id >= minNewID).
 func (e *Engine) installRewrittenPointer(key []byte, ptr valuePointer, minNewID uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -494,7 +475,10 @@ func (e *Engine) installRewrittenPointer(key []byte, ptr valuePointer, minNewID 
 		}
 	}
 	for _, t := range e.mu.levels[0] {
-		if t.id >= minNewID && t.filter.mayContain(key) {
+		if t.id < minNewID {
+			continue
+		}
+		if _, ok := t.get(key); ok {
 			return false
 		}
 	}

@@ -3,9 +3,12 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"crdbserverless/internal/faultinject"
+	"crdbserverless/internal/randutil"
 )
 
 // bigVal returns a value of n bytes whose content encodes tag, so misdirected
@@ -16,6 +19,12 @@ func bigVal(tag string, n int) []byte {
 		b = append(b, tag...)
 	}
 	return b[:n]
+}
+
+// separatedOptions routes nearly every value to the value log, in segments
+// small enough that a few hundred writes rotate and collect several.
+func separatedOptions() Options {
+	return Options{ValueThreshold: 16, VlogFileSize: 1 << 10}
 }
 
 // Values at or above the threshold must round-trip through the value log —
@@ -40,11 +49,11 @@ func TestValueSeparationRoundTrip(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		if v, ok, err := e.Get([]byte("big")); err != nil || !ok || !bytes.Equal(v, big) {
-			t.Fatalf("%s: Get(big) = %d bytes, ok=%v, err=%v", stage, len(v), ok, err)
+		if v, ok := get(t, e, []byte("big")); !ok || !bytes.Equal(v, big) {
+			t.Fatalf("%s: get(big) = %d bytes, ok=%v", stage, len(v), ok)
 		}
-		if v, ok, err := e.Get([]byte("small")); err != nil || !ok || !bytes.Equal(v, small) {
-			t.Fatalf("%s: Get(small) = %q, ok=%v, err=%v", stage, v, ok, err)
+		if v, ok := get(t, e, []byte("small")); !ok || !bytes.Equal(v, small) {
+			t.Fatalf("%s: get(small) = %q, ok=%v", stage, v, ok)
 		}
 		it := e.NewIter(nil, nil)
 		got := map[string]string{}
@@ -112,8 +121,8 @@ func TestVlogGCReclaimsDeadBytes(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		want := bigVal(fmt.Sprintf("g2-%03d-", i), valLen)
-		if v, ok, err := e.Get([]byte(k)); err != nil || !ok || !bytes.Equal(v, want) {
-			t.Fatalf("after GC: Get(%s) = %d bytes, ok=%v, err=%v", k, len(v), ok, err)
+		if v, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(v, want) {
+			t.Fatalf("after GC: get(%s) = %d bytes, ok=%v", k, len(v), ok)
 		}
 	}
 }
@@ -159,8 +168,8 @@ func TestVlogGCSurvivesInjectedError(t *testing.T) {
 		for i := 0; i < keys; i++ {
 			k := fmt.Sprintf("k%03d", i)
 			want := bigVal(fmt.Sprintf("g2-%03d-", i), valLen)
-			if v, ok, err := e.Get([]byte(k)); err != nil || !ok || !bytes.Equal(v, want) {
-				t.Fatalf("%s: Get(%s) = %d bytes, ok=%v, err=%v", stage, k, len(v), ok, err)
+			if v, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(v, want) {
+				t.Fatalf("%s: get(%s) = %d bytes, ok=%v", stage, k, len(v), ok)
 			}
 		}
 	}
@@ -190,56 +199,15 @@ func TestVlogWriteErrorFallsBackInline(t *testing.T) {
 	if m.VlogWriteFallbacks != 1 || m.VlogWrites != 0 {
 		t.Fatalf("fallbacks=%d writes=%d, want 1 and 0", m.VlogWriteFallbacks, m.VlogWrites)
 	}
-	if v, ok, err := e.Get([]byte("k")); err != nil || !ok || !bytes.Equal(v, big) {
-		t.Fatalf("Get after fallback = %d bytes, ok=%v, err=%v", len(v), ok, err)
+	if v, ok := get(t, e, []byte("k")); !ok || !bytes.Equal(v, big) {
+		t.Fatalf("read after fallback = %d bytes, ok=%v", len(v), ok)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	e.Compact()
-	if v, ok, err := e.Get([]byte("k")); err != nil || !ok || !bytes.Equal(v, big) {
-		t.Fatalf("Get after compaction = %d bytes, ok=%v, err=%v", len(v), ok, err)
-	}
-}
-
-// Regression: a tombstone found at a shallow level must short-circuit the
-// probe walk — deeper levels hold only shadowed versions.
-func TestTombstoneShortCircuitsProbes(t *testing.T) {
-	e := newManualEngine(Options{})
-	defer e.Close()
-
-	// The key's only live version sits in L1.
-	if err := e.Set([]byte("k"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	e.Compact()
-
-	// Case 1: tombstone in the memtable — no table may be probed at all.
-	if err := e.Delete([]byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	probedBefore := e.Metrics().TablesProbed
-	if _, ok, err := e.Get([]byte("k")); err != nil || ok {
-		t.Fatalf("deleted key visible: ok=%v err=%v", ok, err)
-	}
-	if d := e.Metrics().TablesProbed - probedBefore; d != 0 {
-		t.Fatalf("memtable tombstone probed %d tables, want 0", d)
-	}
-
-	// Case 2: tombstone flushed to L0 — exactly the L0 table is probed, never
-	// the L1 table beneath it.
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	probedBefore = e.Metrics().TablesProbed
-	if _, ok, err := e.Get([]byte("k")); err != nil || ok {
-		t.Fatalf("deleted key visible from L0: ok=%v err=%v", ok, err)
-	}
-	if d := e.Metrics().TablesProbed - probedBefore; d != 1 {
-		t.Fatalf("L0 tombstone probed %d tables, want 1 (the L0 table only)", d)
+	if v, ok := get(t, e, []byte("k")); !ok || !bytes.Equal(v, big) {
+		t.Fatalf("read after compaction = %d bytes, ok=%v", len(v), ok)
 	}
 }
 
@@ -276,5 +244,193 @@ func TestIterProbesOnlyOverlappingTables(t *testing.T) {
 	}
 	if probed := e.Metrics().TablesProbed - before; probed != 1 {
 		t.Fatalf("single-table range scan probed %d tables, want 1", probed)
+	}
+}
+
+// Randomized-interleave property test of an engine with aggressive value
+// separation against a shadow map, with forced flushes, compactions, and
+// value-log GC rounds mixed into the op stream. Values straddle the
+// separation threshold so both storage paths are exercised.
+func TestRandomizedOpsWithSeparation(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		opts := separatedOptions()
+		opts.MemTableSize = 512
+		e := newEngineWithL0(opts, 2)
+		rng := randutil.NewRand(seed)
+		shadow := map[string]string{}
+		key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(200))) }
+		value := func(op int) []byte {
+			if rng.Intn(2) == 0 {
+				return bigVal(fmt.Sprintf("big-%d-", op), 24+rng.Intn(64)) // separated
+			}
+			return []byte(fmt.Sprintf("v%d", op)) // inline
+		}
+		for op := 0; op < 2000; op++ {
+			switch rng.Intn(11) {
+			case 0, 1, 2, 3: // set
+				k, v := key(), value(op)
+				if err := e.Set(k, v); err != nil {
+					t.Fatal(err)
+				}
+				shadow[string(k)] = string(v)
+			case 4: // delete
+				k := key()
+				if err := e.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(shadow, string(k))
+			case 5: // flush
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			case 6: // manual compaction (includes a GC pass)
+				if op%7 == 0 {
+					e.Compact()
+				}
+			case 7: // forced value-log GC round
+				e.VlogGC()
+			case 8: // scan a window and cross-check the shadow map
+				lo := fmt.Sprintf("key-%03d", rng.Intn(200))
+				hi := fmt.Sprintf("key-%03d", rng.Intn(200))
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				seen := map[string]string{}
+				for it := e.NewIter([]byte(lo), []byte(hi)); it.Valid(); it.Next() {
+					seen[string(it.Key())] = string(it.Value())
+				}
+				for k, want := range shadow {
+					if k >= lo && k < hi {
+						if got, ok := seen[k]; !ok || got != want {
+							t.Fatalf("seed %d op %d: scan[%s,%s) missing %s (got %q ok=%v)",
+								seed, op, lo, hi, k, got, ok)
+						}
+					}
+				}
+				for k, got := range seen {
+					if want, ok := shadow[k]; !ok || want != got {
+						t.Fatalf("seed %d op %d: scan surfaced %s=%q, shadow %q ok=%v",
+							seed, op, k, got, want, ok)
+					}
+				}
+			default: // get
+				k := key()
+				v, ok := get(t, e, k)
+				want, inShadow := shadow[string(k)]
+				if ok != inShadow || (ok && string(v) != want) {
+					t.Fatalf("seed %d op %d: get(%s) = %q %v, shadow %q %v",
+						seed, op, k, v, ok, want, inShadow)
+				}
+			}
+		}
+		for i := 0; i < 200; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			v, ok := get(t, e, []byte(k))
+			want, inShadow := shadow[k]
+			if ok != inShadow || (ok && string(v) != want) {
+				t.Fatalf("seed %d sweep: %s = %q %v, shadow %q %v", seed, k, v, ok, want, inShadow)
+			}
+		}
+		e.Close()
+	}
+}
+
+// Concurrent readers and writers against an engine with aggressive value
+// separation while a dedicated goroutine forces value-log GC rounds; under
+// -race this is the lock-discipline test for the value log and GC's liveness
+// probes, and the final state must match what the writers wrote.
+func TestConcurrentReadersWritersWithVlogGC(t *testing.T) {
+	opts := separatedOptions()
+	opts.MemTableSize = 512
+	e := newEngineWithL0(opts, 2)
+	defer e.Close()
+
+	const writers, readers, perWriter = 4, 3, 120
+	var writerWg, readerWg, gcWg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		readerWg.Add(1)
+		go func(r int) {
+			defer readerWg.Done()
+			rng := randutil.NewRand(int64(1000 + r))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := rng.Intn(writers)
+				i := rng.Intn(perWriter)
+				if v, ok := get(t, e, []byte(fmt.Sprintf("w%d-%04d", w, i))); ok && len(v) == 0 {
+					t.Errorf("empty value for w%d-%04d", w, i)
+					return
+				}
+			}
+		}(r)
+	}
+	gcWg.Add(1)
+	go func() {
+		defer gcWg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.VlogGC()
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		writerWg.Add(1)
+		go func(w int) {
+			defer writerWg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := []byte(fmt.Sprintf("w%d-%04d", w, i))
+				v := bigVal(fmt.Sprintf("val-%d-%d-", w, i), 48) // above threshold
+				if err := e.Set(k, v); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 1 { // churn: overwrite to generate dead vlog bytes
+					if err := e.Set(k, bigVal(fmt.Sprintf("ovr-%d-%d-", w, i), 48)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if i%10 == 9 {
+					if err := e.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { writerWg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent load did not finish")
+	}
+	close(stop)
+	readerWg.Wait()
+	gcWg.Wait()
+
+	e.Compact()
+	e.VlogGC()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			k := fmt.Sprintf("w%d-%04d", w, i)
+			var want []byte
+			if i%2 == 1 {
+				want = bigVal(fmt.Sprintf("ovr-%d-%d-", w, i), 48)
+			} else {
+				want = bigVal(fmt.Sprintf("val-%d-%d-", w, i), 48)
+			}
+			if v, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(v, want) {
+				t.Fatalf("%s = %d bytes %v, want %d bytes", k, len(v), ok, len(want))
+			}
+		}
 	}
 }

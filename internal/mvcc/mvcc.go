@@ -193,13 +193,17 @@ func CheckWriteConflict(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uin
 
 // CommittedVersionAt returns the committed version of key written at exactly
 // ts, if there is one. A replica asks this to recognise a commit batch it has
-// applied before (kvserver.evaluateBatch).
+// applied before (kvserver.evaluateBatch). It is one seek among the key's
+// versions, to key@ts, which must land on exactly that storage key.
 func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version, bool, error) {
-	raw, ok, err := e.Get(EncodeKey(key, ts))
-	if err != nil || !ok {
-		return Version{}, false, err
+	lo, hi := versionBounds(key)
+	at := appendTimestamp(lo, ts)
+	it := e.NewIter(lo, hi)
+	it.SeekGE(at)
+	if !it.Valid() || !bytes.Equal(it.Key(), at) {
+		return Version{}, false, it.Error()
 	}
-	v, err := decodeValue(raw)
+	v, err := iterValue(it)
 	if err != nil || v.IsIntent() {
 		return Version{}, false, err
 	}

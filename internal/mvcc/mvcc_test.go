@@ -199,24 +199,73 @@ func TestCommittedVersionReplacesOwnIntentInPlace(t *testing.T) {
 	}
 }
 
+// TestCommittedVersionAt pins the exact-key lookup: only a committed version
+// written at exactly the asked timestamp, of exactly the asked key, counts.
+// Each case writes into a fresh engine; values above the separation threshold
+// are read through the value log.
 func TestCommittedVersionAt(t *testing.T) {
-	e := newEngine()
-	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 0, []byte("v10"))
-	Delete(e, k, ts(20), 0)
-	Put(e, k, ts(30), 7, []byte("intent"))
-	if v, ok, err := CommittedVersionAt(e, k, ts(10)); err != nil || !ok || string(v.Data) != "v10" || v.Tombstone {
-		t.Fatalf("version at 10 = %+v %v %v", v, ok, err)
+	at := hlc.Timestamp{WallTime: 10, Logical: 1}
+	big := string(bytes.Repeat([]byte("x"), 32))
+	put := func(key keys.Key, ts hlc.Timestamp, txnID uint64, v string) func(*lsm.Engine) error {
+		return func(e *lsm.Engine) error { return Put(e, key, ts, txnID, []byte(v)) }
 	}
-	if v, ok, err := CommittedVersionAt(e, k, ts(20)); err != nil || !ok || !v.Tombstone {
-		t.Fatalf("version at 20 = %+v %v %v, want a tombstone", v, ok, err)
-	}
-	// An intent is not a committed version, and neighbours do not count.
-	for _, at := range []int64{30, 15, 5} {
-		if v, ok, err := CommittedVersionAt(e, k, ts(at)); err != nil || ok {
-			t.Fatalf("version at %d = %+v %v %v, want none", at, v, ok, err)
+	then := func(steps ...func(*lsm.Engine) error) func(*lsm.Engine) error {
+		return func(e *lsm.Engine) error {
+			for _, s := range steps {
+				if err := s(e); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
+	}
+	resolve := func(commit bool, commitTs hlc.Timestamp) func(*lsm.Engine) error {
+		return func(e *lsm.Engine) error { return ResolveIntent(e, k, 7, commit, commitTs) }
+	}
+	for _, tc := range []struct {
+		name      string
+		write     func(*lsm.Engine) error
+		key       keys.Key
+		ts        hlc.Timestamp
+		found     bool
+		tombstone bool
+		data      string
+	}{
+		{name: "put at ts", write: put(k, at, 0, "v"), key: k, ts: at, found: true, data: "v"},
+		{name: "separated put at ts", write: put(k, at, 0, big), key: k, ts: at, found: true, data: big},
+		{name: "delete at ts", write: then(put(k, ts(5), 0, "old"), func(e *lsm.Engine) error { return Delete(e, k, at, 0) }),
+			key: k, ts: at, found: true, tombstone: true},
+		{name: "intent at ts", write: put(k, at, 7, big), key: k, ts: at},
+		{name: "intent committed at ts", write: then(put(k, at, 7, big), resolve(true, at)), key: k, ts: at, found: true, data: big},
+		{name: "intent committed above ts", write: then(put(k, at, 7, "v"), resolve(true, ts(12))), key: k, ts: at},
+		{name: "intent committed above, read there", write: then(put(k, at, 7, "v"), resolve(true, ts(12))),
+			key: k, ts: ts(12), found: true, data: "v"},
+		{name: "intent aborted", write: then(put(k, at, 7, "v"), resolve(false, hlc.Timestamp{})), key: k, ts: at},
+		{name: "just above ts", write: put(k, at, 0, "v"), key: k, ts: at.Next()},
+		{name: "just below ts", write: put(k, at, 0, "v"), key: k, ts: hlc.Timestamp{WallTime: 10}},
+		{name: "absent key", write: put(k, at, 0, "v"), key: keys.Key("j"), ts: at},
+		// "k" is a byte prefix of "kk", and "kk"@at is the first storage key
+		// after where "k"@at would sort: a lookup that accepted the first key
+		// at or after its target would read the neighbour's version.
+		{name: "prefix of its neighbour", write: put(keys.Key("kk"), at, 0, "v"), key: k, ts: at},
+		{name: "neighbour of a prefix", write: put(k, at, 0, "v"), key: keys.Key("kk"), ts: at},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := lsm.New(lsm.Options{ValueThreshold: 16})
+			defer e.Close()
+			if err := tc.write(e); err != nil {
+				t.Fatal(err)
+			}
+			v, ok, err := CommittedVersionAt(e, tc.key, tc.ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != tc.found || (ok && (v.Tombstone != tc.tombstone || string(v.Data) != tc.data || v.Ts != tc.ts || v.IsIntent())) {
+				t.Fatalf("CommittedVersionAt(%q, %v) = %+v %v, want found=%v tombstone=%v data=%q",
+					tc.key, tc.ts, v, ok, tc.found, tc.tombstone, tc.data)
+			}
+		})
 	}
 }
 
@@ -467,54 +516,58 @@ func TestMVCCPropertySnapshotIsolation(t *testing.T) {
 	}
 }
 
-// Intent resolution reaches the engine as ordinary Delete+Set batches, so a
-// hot-key-cached engine must invalidate the resolved keys: a raw read cached
-// before resolution cannot be served stale afterwards, and the committed
-// version must be immediately visible at the MVCC level.
+// Intent resolution reaches the engine as ordinary Delete+Set batches: a raw
+// read of the intent's storage key after resolution must not find it, and
+// the committed version must be immediately visible at the MVCC level. The
+// engine keeps no read cache, so every read walks the memtable and tables.
 func TestResolveIntentInvalidatesHotCache(t *testing.T) {
-	e := lsm.New(lsm.Options{HotKeyCacheSize: 64, ValueThreshold: 16})
+	e := lsm.New(lsm.Options{ValueThreshold: 16})
 	defer e.Close()
 	k := keys.Key("acct")
 	val := bytes.Repeat([]byte("x"), 32) // above the separation threshold
+	rawValue := func(raw []byte) ([]byte, bool, error) {
+		it := e.NewIter(raw, append(append([]byte(nil), raw...), 0))
+		it.SeekGE(raw)
+		if !it.Valid() || !bytes.Equal(it.Key(), raw) {
+			return nil, false, it.Error()
+		}
+		return append([]byte(nil), it.Value()...), true, it.Error()
+	}
 
 	if err := Put(e, k, ts(5), 77, val); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the hot cache on the intent's raw storage key.
 	raw := EncodeKey(k, ts(5))
 	for i := 0; i < 2; i++ {
-		if v, ok, err := e.Get(raw); err != nil || !ok || len(v) == 0 {
+		if v, ok, err := rawValue(raw); err != nil || !ok || len(v) == 0 {
 			t.Fatalf("raw intent read %d = ok=%v err=%v", i, ok, err)
 		}
-	}
-	if e.Metrics().HotCacheHits == 0 {
-		t.Fatal("repeat raw read did not hit the hot cache")
 	}
 
 	if err := ResolveIntent(e, k, 77, true, ts(9)); err != nil {
 		t.Fatal(err)
 	}
-	// The provisional version was deleted; a stale cache would still serve it.
-	if _, ok, err := e.Get(raw); err != nil || ok {
-		t.Fatalf("resolved intent's raw key still visible: ok=%v err=%v (stale cache?)", ok, err)
+	// The provisional version was deleted.
+	if _, ok, err := rawValue(raw); err != nil || ok {
+		t.Fatalf("resolved intent's raw key still visible: ok=%v err=%v", ok, err)
 	}
 	// The committed version is visible at and after the commit timestamp.
 	if v, ok, err := Get(e, k, ts(10), 0); err != nil || !ok || !bytes.Equal(v, val) {
 		t.Fatalf("committed read = %d bytes ok=%v err=%v", len(v), ok, err)
 	}
 
-	// Abort path: the intent vanishes and cached raw reads cannot resurrect it.
+	// Abort path: the intent vanishes and earlier raw reads cannot resurrect it.
 	if err := Put(e, k, ts(12), 88, []byte("provisional")); err != nil {
 		t.Fatal(err)
 	}
 	rawAbort := EncodeKey(k, ts(12))
-	e.Get(rawAbort)
-	e.Get(rawAbort) // cached
+	rawValue(rawAbort)
+	rawValue(rawAbort)
 	if err := ResolveIntent(e, k, 88, false, hlc.Timestamp{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := e.Get(rawAbort); ok {
-		t.Fatal("aborted intent's raw key still visible (stale cache?)")
+	if _, ok, _ := rawValue(rawAbort); ok {
+		t.Fatal("aborted intent's raw key still visible")
 	}
 	if v, ok, err := Get(e, k, ts(20), 0); err != nil || !ok || !bytes.Equal(v, val) {
 		t.Fatalf("read after abort = %d bytes ok=%v err=%v", len(v), ok, err)
