@@ -71,13 +71,38 @@ func EncodedBytesLen(data []byte) int {
 	return len(data) + 3 + bytes.Count(data, []byte{escapeByte})
 }
 
-// DecodeBytes consumes the encoding produced by EncodeBytes.
+// DecodedBytesLen is the length of the data EncodeBytes encoded as enc, for
+// a caller that sizes its buffer before decoding. Each 0x00 in enc opens an
+// escape: of one zero data byte, or of the terminator.
+func DecodedBytesLen(enc Key) int {
+	return len(enc) - 2 - bytes.Count(enc, []byte{escapeByte})
+}
+
+// DecodeBytes consumes the encoding produced by EncodeBytes, into a fresh
+// slice.
 func DecodeBytes(b Key) (rest Key, data []byte, err error) {
+	var buf []byte
+	if len(b) > 1 {
+		buf = make([]byte, 0, len(b)-1)
+	}
+	if rest, data, err = AppendDecodeBytes(buf, b); err != nil {
+		return nil, nil, err
+	}
+	return rest, data, nil
+}
+
+// AppendDecodeBytes consumes the encoding produced by EncodeBytes, appending
+// the decoded bytes to dst. On error it returns dst as it was: an append
+// never writes below len(dst), so what dst held is untouched either way.
+func AppendDecodeBytes(dst []byte, b Key) (rest Key, out []byte, err error) {
 	if len(b) == 0 || b[0] != bytesMarker {
-		return nil, nil, errors.New("keys: missing bytes marker")
+		return nil, dst, errors.New("keys: missing bytes marker")
 	}
 	b = b[1:]
-	out := make([]byte, 0, len(b))
+	out = dst
+	// Byte by byte rather than bytes.IndexByte between escapes: SQL keys
+	// are mostly the zero bytes of big-endian integers, so the runs between
+	// escapes are short.
 	for i := 0; i < len(b); i++ {
 		c := b[i]
 		if c != escapeByte {
@@ -85,7 +110,7 @@ func DecodeBytes(b Key) (rest Key, data []byte, err error) {
 			continue
 		}
 		if i+1 >= len(b) {
-			return nil, nil, errors.New("keys: truncated escape sequence")
+			return nil, dst, errors.New("keys: truncated escape sequence")
 		}
 		switch b[i+1] {
 		case escapedFF:
@@ -94,10 +119,10 @@ func DecodeBytes(b Key) (rest Key, data []byte, err error) {
 		case terminatorByte:
 			return b[i+2:], out, nil
 		default:
-			return nil, nil, fmt.Errorf("keys: invalid escape byte 0x%02x", b[i+1])
+			return nil, dst, fmt.Errorf("keys: invalid escape byte 0x%02x", b[i+1])
 		}
 	}
-	return nil, nil, errors.New("keys: unterminated bytes encoding")
+	return nil, dst, errors.New("keys: unterminated bytes encoding")
 }
 
 // EncodeString appends an order-preserving encoding of a string.

@@ -227,6 +227,35 @@ func TestBytesEncodingEmbeddedZeros(t *testing.T) {
 	}
 }
 
+// AppendDecodeBytes behind a non-empty dst appends what DecodeBytes returns
+// and leaves the prefix alone; on error it hands dst back as it was.
+// DecodedBytesLen predicts the length decoded.
+func TestAppendDecodeBytes(t *testing.T) {
+	f := func(prefix, data, tail []byte) bool {
+		if DecodedBytesLen(EncodeBytes(nil, data)) != len(data) {
+			return false
+		}
+		enc := append(EncodeBytes(nil, data), tail...)
+		wantRest, want, err := DecodeBytes(enc)
+		if err != nil {
+			return false
+		}
+		dst := append([]byte(nil), prefix...)
+		rest, got, err := AppendDecodeBytes(dst, enc)
+		return err == nil && bytes.Equal(got[:len(prefix)], prefix) &&
+			bytes.Equal(got[len(prefix):], want) && bytes.Equal(rest, wantRest)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Key{{0x99}, {bytesMarker, 'a'}, {bytesMarker, 'a', 0x00}, {bytesMarker, 'a', 0x00, 0x55}} {
+		dst := []byte("keep")
+		if _, got, err := AppendDecodeBytes(dst, bad); err == nil || string(got) != "keep" {
+			t.Errorf("AppendDecodeBytes(%x) = %q, %v; want \"keep\" and an error", bad, got, err)
+		}
+	}
+}
+
 func TestDecodeBytesErrors(t *testing.T) {
 	if _, _, err := DecodeBytes(Key{0x99}); err == nil {
 		t.Fatal("bad marker should error")

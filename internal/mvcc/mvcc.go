@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
@@ -332,11 +333,48 @@ type ScanResult struct {
 // most keys have a short history.
 const scanSeekAfter = 4
 
+// Bounds of a keySlab chunk. The first is small because many scans return a
+// row or two; a page-sized first chunk would cost those scans more than the
+// per-key allocations it replaces.
+const (
+	minSlabChunk = 64
+	maxSlabChunk = 4 << 10
+)
+
+// keySlab holds the user keys one Scan returns, decoded into shared chunks,
+// so a page of rows costs a handful of allocations rather than one per row.
+// Chunks double from minSlabChunk to maxSlabChunk, and a new chunk has room
+// for at least two keys like the one that opened it. A chunk is never reused
+// or written below its length, so a returned key stays valid for as long as
+// its holder keeps it.
+type keySlab []byte
+
+// decode decodes the user key of a storage-key prefix (see splitKey) into
+// the slab. The key is cap-limited: appending to it copies it rather than
+// overwriting the key after it.
+func (s *keySlab) decode(prefix []byte) (keys.Key, error) {
+	if need := keys.DecodedBytesLen(prefix); cap(*s)-len(*s) < need {
+		size := min(max(2*cap(*s), minSlabChunk, 2*need), maxSlabChunk)
+		*s = make([]byte, 0, max(size, need))
+	}
+	start := len(*s)
+	rest, buf, err := keys.AppendDecodeBytes(*s, prefix)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, errors.New("mvcc: trailing bytes in storage key")
+	}
+	*s = buf
+	return buf[start:len(buf):len(buf)], nil
+}
+
 // Scan returns up to maxKeys live rows in span visible at readTs to txnID.
 // maxKeys <= 0 means unlimited.
 //
 // Versions of one user key share its encoded prefix, so the scan compares
-// prefixes in place and decodes a user key only for a row it returns.
+// prefixes in place and decodes a user key only for a row it returns, into
+// the scan's keySlab.
 func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64) (ScanResult, error) {
 	var res ScanResult
 	var (
@@ -344,6 +382,7 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 		decided   bool   // whether visibility for it has been settled
 		passed    int    // older versions of it stepped over since
 		nextKey   []byte // seek target scratch
+		slab      keySlab
 	)
 	it := e.NewIter(EngineSpan(span))
 	for it.Valid() {
@@ -380,13 +419,20 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 		}
 		v.Ts = ts
 		visible, conflict := visibleVersion(v, readTs, txnID)
-		if conflict || (visible && !v.Tombstone) {
+		if conflict {
 			user, err := decodeUserKey(prefix)
 			if err != nil {
 				return ScanResult{}, err
 			}
-			if conflict {
-				return ScanResult{}, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
+			return ScanResult{}, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
+		}
+		if visible && !v.Tombstone {
+			user, err := slab.decode(prefix)
+			if err != nil {
+				return ScanResult{}, err
+			}
+			if len(res.Rows) == cap(res.Rows) {
+				res.Rows = slices.Grow(res.Rows, len(res.Rows))
 			}
 			res.Rows = append(res.Rows, kvpb.KeyValue{Key: user, Value: v.Data})
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -724,6 +725,90 @@ func TestScanMatchesGet(t *testing.T) {
 			next = res.Resume
 		}
 		check("in pages of 5", paged)
+	}
+}
+
+// sqlKey is a primary-index key shaped like the SQL layer's: tenant, table
+// and index prefixes, then an INT datum. Its big-endian integers are mostly
+// zero bytes, each escaped in the storage key.
+func sqlKey(i int64) keys.Key {
+	return keys.EncodeInt64(append(keys.MakeTableIndexPrefix(2, 53, keys.PrimaryIndexID), 0x02), i)
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestScanKeysAreIndependent: Scan decodes the user keys it returns into a
+// shared slab. Each is still its storage key's user key, each is its own
+// slice — an append to one cannot reach the next — and a scan of two rows
+// costs no more bytes than one allocation per key did.
+func TestScanKeysAreIndependent(t *testing.T) {
+	e := newEngine()
+	defer e.Close()
+	span := keys.Span{Key: sqlKey(0), EndKey: sqlKey(1 << 20)}
+	// Enough keys to fill several chunks, one longer than a whole chunk.
+	long := append(sqlKey(500), bytes.Repeat([]byte{0, 7}, 3000)...)
+	for i := int64(1); i <= 400; i++ {
+		if err := Put(e, sqlKey(i), ts(10), 0, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Put(e, long, ts(10), 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var want []keys.Key
+	it := e.NewIter(EngineSpan(span))
+	for ; it.Valid(); it.Next() {
+		user, _, err := DecodeKey(it.Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, user)
+	}
+	res, err := Scan(e, span, ts(20), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("scan returned %d rows, the engine holds %d keys", len(res.Rows), len(want))
+	}
+	for i, kv := range res.Rows {
+		if !kv.Key.Equal(want[i]) {
+			t.Fatalf("row %d key %x, its storage key decodes to %x", i, kv.Key, want[i])
+		}
+	}
+	for i := 0; i+1 < len(res.Rows); i++ {
+		next := res.Rows[i+1].Key.Clone()
+		grown := append(res.Rows[i].Key, 0xee, 0xee, 0xee)
+		if !res.Rows[i+1].Key.Equal(next) || !grown[:len(grown)-3].Equal(want[i]) {
+			t.Fatalf("appending to key %d changed key %d: %x, was %x", i, i+1, res.Rows[i+1].Key, next)
+		}
+	}
+
+	// A two-row scan cost this many bytes with one allocation per key (the
+	// slab's first chunk holds both keys in 80 B, where the two keys took
+	// 128 B).
+	const twoRowScanBytesBefore = 784
+	two := keys.Span{Key: sqlKey(1), EndKey: sqlKey(3)}
+	got := allocBytesPerRun(200, func() {
+		if res, err := Scan(e, two, ts(20), 0, 0); err != nil || len(res.Rows) != 2 {
+			t.Fatalf("two-row scan = %d rows, %v", len(res.Rows), err)
+		}
+	})
+	t.Logf("two-row scan: %d B", got)
+	if got > twoRowScanBytesBefore {
+		t.Errorf("two-row scan allocates %d B, want at most %d", got, twoRowScanBytesBefore)
 	}
 }
 

@@ -108,12 +108,32 @@ func (d Datum) asFloat() float64 {
 	return d.F
 }
 
-// groupKey renders a canonical string key for GROUP BY hashing.
-func (d Datum) groupKey() string {
+// appendGroupKey appends d's key for GROUP BY, DISTINCT and hash-join
+// lookups: a kind byte, then 8 bytes for an INT, the float's bits with -0
+// folded to 0 (the two are SQL-equal), a uvarint length and the bytes of a
+// STRING, or one byte for a BOOL; a NULL is its kind byte alone. Every key is
+// self-delimiting, so a row's keys appended one after another identify its
+// values exactly and no two rows' keys run together.
+func appendGroupKey(b []byte, d Datum) []byte {
 	if d.Null {
-		return "\x00null"
+		return append(b, tagNull)
 	}
-	return fmt.Sprintf("%d:%s", d.Kind, d.String())
+	switch d.Kind {
+	case TypeInt:
+		return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(d.I))
+	case TypeFloat:
+		bits := math.Float64bits(d.F)
+		if d.F == 0 {
+			bits = 0
+		}
+		return binary.BigEndian.AppendUint64(append(b, tagFloat), bits)
+	case TypeString:
+		return binenc.AppendString(append(b, tagString), d.S)
+	case TypeBool:
+		return binenc.AppendBool(append(b, tagBool), d.B)
+	default:
+		return append(b, tagNull)
+	}
 }
 
 // datumFromLiteral converts a parsed literal value to a Datum.

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -208,14 +209,10 @@ func (e *Executor) runMaybeTxn(ctx context.Context, tx *txn.Txn, fn func(context
 	return res, err
 }
 
-// scanSpan reads all rows in span through paginated KV scans.
-func (e *Executor) scanSpan(ctx context.Context, t *txn.Txn, span keys.Span) ([]kvpb.KeyValue, error) {
-	return e.scanSpanFiltered(ctx, t, span, nil)
-}
-
-// scanSpanFiltered is scanSpan with an optional pushed-down row filter.
-func (e *Executor) scanSpanFiltered(ctx context.Context, t *txn.Txn, span keys.Span, filter []byte) ([]kvpb.KeyValue, error) {
-	var out []kvpb.KeyValue
+// scanPages reads span through paginated KV scans, with an optional
+// pushed-down row filter, handing each page to page as it arrives: pages
+// are never concatenated.
+func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, filter []byte, page func([]kvpb.KeyValue) error) error {
 	cur := span
 	for {
 		resp, err := t.Send(ctx, kvpb.Request{
@@ -223,104 +220,123 @@ func (e *Executor) scanSpanFiltered(ctx context.Context, t *txn.Txn, span keys.S
 			Filter: filter,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r := resp.Responses[0]
-		out = append(out, r.Rows...)
 		e.chargeUnmarshal(resp.ReadBytes())
+		if err := page(r.Rows); err != nil {
+			return err
+		}
 		if r.ResumeSpan == nil {
-			return out, nil
+			return nil
 		}
 		cur = *r.ResumeSpan
 	}
 }
 
-// tableRow pairs a decoded row with its primary key.
-type tableRow struct {
-	pk  keys.Key
-	row []Datum
-}
-
-// readTableRows returns the table's rows, using a primary-key point lookup
-// or a secondary-index scan when the WHERE clause allows, and a full scan
-// otherwise. The returned rows are not yet filtered by WHERE (the caller
-// applies the filter; constrained plans just read less).
-func (e *Executor) readTableRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, where Expr, args []Datum) ([]tableRow, error) {
-	return e.readTableRowsAliased(ctx, t, desc, "", where, args)
-}
-
-// readTableRowsAliased is readTableRows with an alias accepted as a column
-// qualifier (join inputs reference their tables by alias).
-func (e *Executor) readTableRowsAliased(ctx context.Context, t *txn.Txn, desc *TableDescriptor, alias string, where Expr, args []Datum) ([]tableRow, error) {
+// scanRows reads the table's rows and calls visit with each, using a
+// primary-key point lookup or a secondary-index scan when where allows, and
+// a full scan otherwise. The index and full-scan plans visit rows page by
+// page as the KV layer returns them.
+//
+// When cols is non-nil it binds where's column references, and only rows
+// that pass where are visited. A nil cols visits every row the plan reads:
+// a join input's WHERE may name the other table's columns, so it applies to
+// the joined rows instead.
+//
+// Every row is decoded into one buffer: the row visit receives is valid only
+// until visit returns, and a caller that keeps it copies it. pk may be kept.
+func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, alias string, where Expr, args []Datum, cols map[string]int, visit func(pk keys.Key, row []Datum) error) error {
+	// row decodes the stored value raw of the row at pk into buf, the one
+	// buffer every row of the scan uses, and visits it if it passes WHERE.
+	// buf, env and where are separate variables, not one struct: escape
+	// analysis does not tell a struct's fields apart, and where and the row
+	// reach the heap (through evalExpr and visit), which would take the
+	// caller's cols map with them.
+	var buf []Datum
+	env := evalEnv{cols: cols, args: args}
+	filtered := cols != nil && where != nil
+	row := func(pk keys.Key, raw []byte) error {
+		var err error
+		if buf, err = decodeRowValue(buf[:0], raw); err != nil {
+			return err
+		}
+		if filtered {
+			env.row = buf
+			v, err := evalExpr(&env, where)
+			if err != nil {
+				return err
+			}
+			if v.Null || v.Kind != TypeBool || !v.B {
+				return nil
+			}
+		}
+		return visit(pk, buf)
+	}
 	// Plan 1: full primary key equality -> point get.
 	if pkVals, ok := extractPKConstraint(desc, alias, where, args); ok {
 		key := primaryKeyFromValues(e.tenant, desc, pkVals)
 		raw, found, err := t.Get(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, nil
-		}
-		row, err := decodeRowValue(raw)
-		if err != nil {
-			return nil, err
+		if err != nil || !found {
+			return err
 		}
 		e.chargeRows(1)
 		e.chargeUnmarshal(int64(len(raw)))
-		return []tableRow{{pk: key, row: row}}, nil
+		return row(key, raw)
 	}
 	// Plan 2: secondary index equality -> index scan + point lookups (the
 	// "index join" plan shape of TPC-H Q9, §6.1.2).
 	if idx, vals, ok := extractIndexConstraint(desc, alias, where, args); ok {
 		prefix := indexPrefix(e.tenant, desc, idx, vals)
-		entries, err := e.scanSpan(ctx, t, keys.Span{Key: prefix, EndKey: prefix.PrefixEnd()})
+		found := 0
+		err := e.scanPages(ctx, t, keys.Span{Key: prefix, EndKey: prefix.PrefixEnd()}, nil, func(entries []kvpb.KeyValue) error {
+			for _, entry := range entries {
+				pkVals, err := decodeIndexKeyPK(e.tenant, desc, idx, entry.Key)
+				if err != nil {
+					return err
+				}
+				key := primaryKeyFromValues(e.tenant, desc, pkVals)
+				raw, ok, err := t.Get(ctx, key)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue // index entry racing a delete
+				}
+				found++
+				e.chargeUnmarshal(int64(len(raw)))
+				if err := row(key, raw); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var out []tableRow
-		for _, entry := range entries {
-			pkVals, err := decodeIndexKeyPK(e.tenant, desc, idx, entry.Key)
-			if err != nil {
-				return nil, err
-			}
-			key := primaryKeyFromValues(e.tenant, desc, pkVals)
-			raw, found, err := t.Get(ctx, key)
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				continue // index entry racing a delete
-			}
-			row, err := decodeRowValue(raw)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, tableRow{pk: key, row: row})
-			e.chargeUnmarshal(int64(len(raw)))
-		}
-		e.chargeRows(len(out))
-		return out, nil
+		e.chargeRows(found)
+		return nil
 	}
 	// Plan 3: full table scan, with row-filter push-down when enabled.
 	var filter []byte
 	if e.cfg.FilterPushdown {
 		filter = compilePushdownFilter(desc, where, args)
 	}
-	kvs, err := e.scanSpanFiltered(ctx, t, tableSpan(e.tenant, desc), filter)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tableRow, 0, len(kvs))
-	for _, kv := range kvs {
-		row, err := decodeRowValue(kv.Value)
-		if err != nil {
-			return nil, err
+	scanned := 0
+	err := e.scanPages(ctx, t, tableSpan(e.tenant, desc), filter, func(kvs []kvpb.KeyValue) error {
+		for _, kv := range kvs {
+			if err := row(kv.Key, kv.Value); err != nil {
+				return err
+			}
 		}
-		out = append(out, tableRow{pk: kv.Key, row: row})
+		scanned += len(kvs)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	e.chargeRows(len(out))
-	return out, nil
+	e.chargeRows(scanned)
+	return nil
 }
 
 // extractPKConstraint finds constant equality constraints covering the whole
@@ -408,27 +424,6 @@ func equalityConstraints(desc *TableDescriptor, alias string, where Expr, args [
 		tryBind(b.Right, b.Left)
 	}
 	return out
-}
-
-// filterRows applies WHERE over rows with the given environment template.
-func (e *Executor) filterRows(rows []tableRow, desc *TableDescriptor, alias string, where Expr, args []Datum) ([]tableRow, error) {
-	if where == nil {
-		return rows, nil
-	}
-	cols := make(map[string]int)
-	bindColumns(desc, alias, 0, cols, map[string]bool{})
-	out := rows[:0]
-	for _, r := range rows {
-		env := &evalEnv{cols: cols, row: r.row, args: args}
-		v, err := evalExpr(env, where)
-		if err != nil {
-			return nil, err
-		}
-		if !v.Null && v.Kind == TypeBool && v.B {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // insert writes rows, maintaining secondary indexes and rejecting duplicate
@@ -541,6 +536,25 @@ func (e *Executor) writeRow(ctx context.Context, t *txn.Txn, desc *TableDescript
 	return nil
 }
 
+// tableRow is a row an UPDATE or DELETE keeps past its scan, with its
+// primary key.
+type tableRow struct {
+	pk  keys.Key
+	row []Datum
+}
+
+// keepRows copies out the table's rows that pass where (cols binds its
+// column references). UPDATE and DELETE write only once the scan is done,
+// so no write of theirs lands in a page still to be read.
+func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, where Expr, args []Datum, cols map[string]int) ([]tableRow, error) {
+	var rows []tableRow
+	err := e.scanRows(ctx, t, desc, "", where, args, cols, func(pk keys.Key, row []Datum) error {
+		rows = append(rows, tableRow{pk: pk, row: slices.Clone(row)})
+		return nil
+	})
+	return rows, err
+}
+
 // deleteRow removes a row and its index entries.
 func (e *Executor) deleteRow(ctx context.Context, t *txn.Txn, desc *TableDescriptor, r tableRow) error {
 	if err := t.Delete(ctx, r.pk); err != nil {
@@ -563,16 +577,12 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, s *Update, args []Dat
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.readTableRows(ctx, t, desc, s.Where, args)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = e.filterRows(rows, desc, "", s.Where, args)
-	if err != nil {
-		return nil, err
-	}
 	cols := make(map[string]int)
 	bindColumns(desc, "", 0, cols, map[string]bool{})
+	rows, err := e.keepRows(ctx, t, desc, s.Where, args, cols)
+	if err != nil {
+		return nil, err
+	}
 	affected := 0
 	for _, r := range rows {
 		newRow := append([]Datum(nil), r.row...)
@@ -645,11 +655,9 @@ func (e *Executor) delete(ctx context.Context, t *txn.Txn, s *Delete, args []Dat
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.readTableRows(ctx, t, desc, s.Where, args)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = e.filterRows(rows, desc, "", s.Where, args)
+	cols := make(map[string]int)
+	bindColumns(desc, "", 0, cols, map[string]bool{})
+	rows, err := e.keepRows(ctx, t, desc, s.Where, args, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -679,27 +687,27 @@ func (e *Executor) createIndex(ctx context.Context, s *CreateIndex) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	// Backfill existing rows.
+	// Backfill existing rows, page by page: the entries written lie in the
+	// new index, outside the primary index span still being read.
 	newIdx := &updated.Indexes[len(updated.Indexes)-1]
 	err = e.coord.RunTxn(ctx, func(ctx context.Context, t *txn.Txn) error {
-		kvs, err := e.scanSpan(ctx, t, tableSpan(e.tenant, updated))
-		if err != nil {
-			return err
-		}
-		for _, kv := range kvs {
-			row, err := decodeRowValue(kv.Value)
-			if err != nil {
-				return err
+		var row []Datum
+		return e.scanPages(ctx, t, tableSpan(e.tenant, updated), nil, func(kvs []kvpb.KeyValue) error {
+			for _, kv := range kvs {
+				var err error
+				if row, err = decodeRowValue(row[:0], kv.Value); err != nil {
+					return err
+				}
+				ik, err := indexKey(e.tenant, updated, newIdx, row)
+				if err != nil {
+					return err
+				}
+				if err := t.Put(ctx, ik, []byte{}); err != nil {
+					return err
+				}
 			}
-			ik, err := indexKey(e.tenant, updated, newIdx, row)
-			if err != nil {
-				return err
-			}
-			if err := t.Put(ctx, ik, []byte{}); err != nil {
-				return err
-			}
-		}
-		return nil
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -736,59 +744,68 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, s *Select, args [
 	cols := make(map[string]int)
 	ambiguous := map[string]bool{}
 	bindColumns(desc, s.TableAs, 0, cols, ambiguous)
-
-	var rows [][]Datum
 	var joinDesc *TableDescriptor
-	if s.Join == nil {
-		trs, err := e.readTableRows(ctx, t, desc, s.Where, args)
-		if err != nil {
-			return nil, err
-		}
-		trs, err = e.filterRows(trs, desc, s.TableAs, s.Where, args)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range trs {
-			rows = append(rows, tr.row)
-		}
-	} else {
-		joinDesc, err = e.catalog.Lookup(ctx, s.Join.Table)
-		if err != nil {
+	if s.Join != nil {
+		if joinDesc, err = e.catalog.Lookup(ctx, s.Join.Table); err != nil {
 			return nil, err
 		}
 		bindColumns(joinDesc, s.Join.As, len(desc.Columns), cols, ambiguous)
-		rows, err = e.joinRows(ctx, t, desc, joinDesc, s, args, cols)
-		if err != nil {
-			return nil, err
-		}
-		// Apply WHERE on joined rows.
-		if s.Where != nil {
-			filtered := rows[:0]
-			for _, r := range rows {
-				env := &evalEnv{cols: cols, row: r, args: args}
-				v, err := evalExpr(env, s.Where)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Null && v.Kind == TypeBool && v.B {
-					filtered = append(filtered, r)
-				}
-			}
-			rows = filtered
-		}
 	}
 
-	// Aggregate or plain projection.
+	// Each source row that passes WHERE goes to the aggregator, or to the
+	// projection — unless a non-aggregate ORDER BY must first sort the source
+	// rows, which are then kept. Both evaluate in env, which neither holds:
+	// escape analysis does not tell a struct's fields apart, so an env kept
+	// beside the result they return would put cols on the heap.
+	env := evalEnv{cols: cols, args: args}
 	hasAgg := len(s.GroupBy) > 0
 	for _, se := range s.Exprs {
 		if !se.Star && exprHasAggregate(se.Expr) {
 			hasAgg = true
 		}
 	}
+	var (
+		agg    aggregator
+		proj   projection
+		sorted [][]Datum
+	)
+	if hasAgg {
+		if agg, err = newAggregator(s); err != nil {
+			return nil, err
+		}
+	} else {
+		proj = newProjection(s, desc, joinDesc)
+	}
+	sorting := !hasAgg && len(s.OrderBy) > 0
+	consume := func(row []Datum) error {
+		switch {
+		case hasAgg:
+			return agg.add(&env, row)
+		case sorting:
+			sorted = append(sorted, row)
+			return nil
+		default:
+			return proj.add(&env, row)
+		}
+	}
+	if s.Join == nil {
+		err = e.scanRows(ctx, t, desc, s.TableAs, s.Where, args, cols, func(_ keys.Key, row []Datum) error {
+			if sorting {
+				row = slices.Clone(row)
+			}
+			return consume(row)
+		})
+	} else {
+		err = e.joinRows(ctx, t, desc, joinDesc, s, args, cols, consume)
+	}
+	if err != nil {
+		return nil, err
+	}
+
 	var res *Result
 	if hasAgg {
-		res, err = e.aggregate(s, rows, cols, args)
-		if err != nil {
+		e.chargeAgg(agg.updates)
+		if res, err = agg.result(&env); err != nil {
 			return nil, err
 		}
 		if len(s.OrderBy) > 0 {
@@ -797,15 +814,17 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, s *Select, args [
 			}
 		}
 	} else {
-		if len(s.OrderBy) > 0 {
-			if err := orderSourceRows(rows, s, cols, args); err != nil {
+		if sorting {
+			if err := orderSourceRows(sorted, s, cols, args); err != nil {
 				return nil, err
 			}
+			for _, row := range sorted {
+				if err := proj.add(&env, row); err != nil {
+					return nil, err
+				}
+			}
 		}
-		res, err = e.project(s, desc, joinDesc, rows, cols, args)
-		if err != nil {
-			return nil, err
-		}
+		res = proj.res
 	}
 
 	if s.Distinct {
@@ -818,19 +837,29 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, s *Select, args [
 }
 
 // joinRows executes an inner join, preferring a hash join on an equality
-// condition.
-func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, left, right *TableDescriptor, s *Select, args []Datum, cols map[string]int) ([][]Datum, error) {
+// condition, and hands each joined row that passes WHERE to emit. The rows
+// emit receives are its to keep.
+func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, left, right *TableDescriptor, s *Select, args []Datum, cols map[string]int, emit func([]Datum) error) error {
 	// Each input reads under the WHERE clause so per-table constraints
 	// (e.g. an indexed equality on the fact table) constrain the plan —
 	// the "index joins resulting in remote KV lookups" shape of Q9.
 	// Constraints referencing the other table's columns simply don't bind.
-	leftRows, err := e.readTableRowsAliased(ctx, t, left, s.TableAs, s.Where, args)
-	if err != nil {
-		return nil, err
+	// Both inputs are kept, so their rows are copied out of the scan.
+	input := func(desc *TableDescriptor, alias string) ([][]Datum, error) {
+		var rows [][]Datum
+		err := e.scanRows(ctx, t, desc, alias, s.Where, args, nil, func(_ keys.Key, row []Datum) error {
+			rows = append(rows, slices.Clone(row))
+			return nil
+		})
+		return rows, err
 	}
-	rightRows, err := e.readTableRowsAliased(ctx, t, right, s.Join.As, s.Where, args)
+	leftRows, err := input(left, s.TableAs)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	rightRows, err := input(right, s.Join.As)
+	if err != nil {
+		return err
 	}
 	leftName, rightName := left.Name, right.Name
 	if s.TableAs != "" {
@@ -840,45 +869,71 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, left, right *TableD
 		rightName = s.Join.As
 	}
 
-	// Try to extract a.col = b.col for a hash join.
-	if lcol, rcol, ok := extractJoinEquality(s.Join.On, left, right, leftName, rightName); ok {
-		ht := make(map[string][][]Datum, len(rightRows))
-		for _, rr := range rightRows {
-			k := rr.row[rcol].groupKey()
-			ht[k] = append(ht[k], rr.row)
-		}
-		var out [][]Datum
-		for _, lr := range leftRows {
-			for _, rrow := range ht[lr.row[lcol].groupKey()] {
-				combined := make([]Datum, 0, len(lr.row)+len(rrow))
-				combined = append(combined, lr.row...)
-				combined = append(combined, rrow...)
-				out = append(out, combined)
+	// joined counts the rows the join produces, and passes on those that
+	// satisfy WHERE.
+	joined := 0
+	env := evalEnv{cols: cols, args: args}
+	pass := func(row []Datum) error {
+		joined++
+		if s.Where != nil {
+			env.row = row
+			v, err := evalExpr(&env, s.Where)
+			if err != nil {
+				return err
+			}
+			if v.Null || v.Kind != TypeBool || !v.B {
+				return nil
 			}
 		}
-		e.chargeRows(len(out))
-		return out, nil
+		return emit(row)
+	}
+	combine := func(l, r []Datum) []Datum {
+		return append(append(make([]Datum, 0, len(l)+len(r)), l...), r...)
 	}
 
-	// Fallback: nested-loop join with the ON condition as a filter.
-	var out [][]Datum
-	for _, lr := range leftRows {
-		for _, rr := range rightRows {
-			combined := make([]Datum, 0, len(lr.row)+len(rr.row))
-			combined = append(combined, lr.row...)
-			combined = append(combined, rr.row...)
-			env := &evalEnv{cols: cols, row: combined, args: args}
-			v, err := evalExpr(env, s.Join.On)
-			if err != nil {
-				return nil, err
+	if lcol, rcol, ok := extractJoinEquality(s.Join.On, left, right, leftName, rightName); ok {
+		// Hash join on l.col = r.col. A NULL equals nothing, so a row whose
+		// join column is NULL matches no row.
+		ht := make(map[string][][]Datum, len(rightRows))
+		var key []byte
+		for _, r := range rightRows {
+			if !r[rcol].Null {
+				key = appendGroupKey(key[:0], r[rcol])
+				ht[string(key)] = append(ht[string(key)], r)
 			}
-			if !v.Null && v.Kind == TypeBool && v.B {
-				out = append(out, combined)
+		}
+		for _, l := range leftRows {
+			if l[lcol].Null {
+				continue
+			}
+			key = appendGroupKey(key[:0], l[lcol])
+			for _, r := range ht[string(key)] {
+				if err := pass(combine(l, r)); err != nil {
+					return err
+				}
+			}
+		}
+	} else {
+		// Fallback: nested-loop join with the ON condition as a filter.
+		on := evalEnv{cols: cols, args: args}
+		for _, l := range leftRows {
+			for _, r := range rightRows {
+				row := combine(l, r)
+				on.row = row
+				v, err := evalExpr(&on, s.Join.On)
+				if err != nil {
+					return err
+				}
+				if !v.Null && v.Kind == TypeBool && v.B {
+					if err := pass(row); err != nil {
+						return err
+					}
+				}
 			}
 		}
 	}
-	e.chargeRows(len(out))
-	return out, nil
+	e.chargeRows(joined)
+	return nil
 }
 
 // extractJoinEquality recognizes ON conditions of the form l.col = r.col.
@@ -924,10 +979,15 @@ func extractJoinEquality(on Expr, left, right *TableDescriptor, leftName, rightN
 	return rc, lc, true
 }
 
-// project evaluates plain (non-aggregate) select expressions.
-func (e *Executor) project(s *Select, desc, joinDesc *TableDescriptor, rows [][]Datum, cols map[string]int, args []Datum) (*Result, error) {
+// projection evaluates plain (non-aggregate) select expressions, one source
+// row at a time, into rows of its own.
+type projection struct {
+	s   *Select
+	res *Result
+}
+
+func newProjection(s *Select, desc, joinDesc *TableDescriptor) projection {
 	res := &Result{}
-	// Column headers.
 	for _, se := range s.Exprs {
 		switch {
 		case se.Star:
@@ -945,23 +1005,27 @@ func (e *Executor) project(s *Select, desc, joinDesc *TableDescriptor, rows [][]
 			res.Columns = append(res.Columns, exprName(se.Expr))
 		}
 	}
-	for _, row := range rows {
-		var out []Datum
-		env := &evalEnv{cols: cols, row: row, args: args}
-		for _, se := range s.Exprs {
-			if se.Star {
-				out = append(out, row...)
-				continue
-			}
-			v, err := evalExpr(env, se.Expr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
+	return projection{s: s, res: res}
+}
+
+// add appends the projection of row, evaluated in env, to the result. It
+// does not keep row.
+func (p *projection) add(env *evalEnv, row []Datum) error {
+	out := make([]Datum, 0, len(p.res.Columns))
+	env.row = row
+	for _, se := range p.s.Exprs {
+		if se.Star {
+			out = append(out, row...)
+			continue
 		}
-		res.Rows = append(res.Rows, out)
+		v, err := evalExpr(env, se.Expr)
+		if err != nil {
+			return err
+		}
+		out = append(out, v)
 	}
-	return res, nil
+	p.res.Rows = append(p.res.Rows, out)
+	return nil
 }
 
 func exprName(e Expr) string {
@@ -1044,103 +1108,134 @@ func (a *aggState) result() Datum {
 	}
 }
 
-// aggregate evaluates GROUP BY and aggregate functions.
-func (e *Executor) aggregate(s *Select, rows [][]Datum, cols map[string]int, args []Datum) (*Result, error) {
-	type group struct {
-		key      []Datum // GROUP BY values
-		firstRow []Datum
-		aggs     []*aggState
-	}
-	// One aggState slot per select expression (nil for non-aggregates).
-	mkAggs := func() ([]*aggState, error) {
-		out := make([]*aggState, len(s.Exprs))
-		for i, se := range s.Exprs {
-			if se.Star {
-				return nil, fmt.Errorf("sql: * not allowed with aggregates")
-			}
-			if fe, ok := se.Expr.(*FuncExpr); ok {
-				out[i] = &aggState{fn: fe.Name, isInt: true}
-			}
-		}
-		return out, nil
-	}
+// aggregator evaluates GROUP BY and aggregate functions over source rows as
+// they arrive. A row's group key is appended into one reused buffer and
+// looked up without allocating; a group, its aggregate states and its copy
+// of the first row are allocated only when the group is new. Without GROUP
+// BY there is one group and no key.
+type aggregator struct {
+	s      *Select
+	groups map[string]*aggGroup // nil without GROUP BY
+	order  []*aggGroup          // groups in order of first appearance
+	key    []byte               // the current row's group key
+	// updates counts aggregate updates, for the statement's one chargeAgg.
+	updates int
+}
 
-	groups := make(map[string]*group)
-	var order []string
-	for _, row := range rows {
-		env := &evalEnv{cols: cols, row: row, args: args}
-		var keyParts []string
-		var keyVals []Datum
-		for _, ge := range s.GroupBy {
-			v, err := evalExpr(env, ge)
-			if err != nil {
-				return nil, err
-			}
-			keyParts = append(keyParts, v.groupKey())
-			keyVals = append(keyVals, v)
-		}
-		k := strings.Join(keyParts, "|")
-		g, ok := groups[k]
-		if !ok {
-			aggs, err := mkAggs()
-			if err != nil {
-				return nil, err
-			}
-			g = &group{key: keyVals, firstRow: row, aggs: aggs}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i, se := range s.Exprs {
-			if g.aggs[i] == nil {
-				continue
-			}
-			fe := se.Expr.(*FuncExpr)
-			if fe.Star {
-				g.aggs[i].count++
-				g.aggs[i].seen = true
-				continue
-			}
-			v, err := evalExpr(env, fe.Arg)
-			if err != nil {
-				return nil, err
-			}
-			g.aggs[i].update(v)
-			e.chargeAgg(1)
+// aggGroup is one group's state: an aggState per select expression (fn is
+// empty for a non-aggregate) and the first row, which the non-aggregate
+// expressions are evaluated on.
+type aggGroup struct {
+	firstRow []Datum
+	aggs     []aggState
+}
+
+func newAggregator(s *Select) (aggregator, error) {
+	for _, se := range s.Exprs {
+		if se.Star {
+			return aggregator{}, fmt.Errorf("sql: * not allowed with aggregates")
 		}
 	}
-	// No GROUP BY over zero rows still yields one (empty-aggregate) row.
-	if len(s.GroupBy) == 0 && len(order) == 0 {
-		aggs, err := mkAggs()
+	a := aggregator{s: s}
+	if len(s.GroupBy) > 0 {
+		a.groups = make(map[string]*aggGroup)
+	}
+	return a, nil
+}
+
+// newGroup returns a group with fresh aggregate states.
+func (a *aggregator) newGroup(firstRow []Datum) *aggGroup {
+	g := &aggGroup{firstRow: firstRow, aggs: make([]aggState, len(a.s.Exprs))}
+	for i, se := range a.s.Exprs {
+		if fe, ok := se.Expr.(*FuncExpr); ok {
+			g.aggs[i] = aggState{fn: fe.Name, isInt: true}
+		}
+	}
+	return g
+}
+
+// group returns the group of env's row, opening the group with a copy of
+// the row if it is new.
+func (a *aggregator) group(env *evalEnv) (*aggGroup, error) {
+	if len(a.s.GroupBy) == 0 {
+		if len(a.order) == 0 {
+			a.order = append(a.order, a.newGroup(slices.Clone(env.row)))
+		}
+		return a.order[0], nil
+	}
+	a.key = a.key[:0]
+	for _, ge := range a.s.GroupBy {
+		v, err := evalExpr(env, ge)
 		if err != nil {
 			return nil, err
 		}
-		groups[""] = &group{aggs: aggs}
-		order = append(order, "")
+		a.key = appendGroupKey(a.key, v)
 	}
+	g, ok := a.groups[string(a.key)]
+	if !ok {
+		g = a.newGroup(slices.Clone(env.row))
+		a.groups[string(a.key)] = g
+		a.order = append(a.order, g)
+	}
+	return g, nil
+}
 
+// add folds row, evaluated in env, into its group. It does not keep row.
+func (a *aggregator) add(env *evalEnv, row []Datum) error {
+	env.row = row
+	g, err := a.group(env)
+	if err != nil {
+		return err
+	}
+	for i, se := range a.s.Exprs {
+		st := &g.aggs[i]
+		if st.fn == "" {
+			continue
+		}
+		fe := se.Expr.(*FuncExpr)
+		if fe.Star {
+			st.count++
+			st.seen = true
+			continue
+		}
+		v, err := evalExpr(env, fe.Arg)
+		if err != nil {
+			return err
+		}
+		st.update(v)
+		a.updates++
+	}
+	return nil
+}
+
+// result renders one row per group, in order of first appearance, with
+// non-aggregate expressions evaluated in env.
+func (a *aggregator) result(env *evalEnv) (*Result, error) {
+	// No GROUP BY over zero rows still yields one (empty-aggregate) row.
+	if len(a.s.GroupBy) == 0 && len(a.order) == 0 {
+		a.order = append(a.order, a.newGroup(nil))
+	}
 	res := &Result{}
-	for _, se := range s.Exprs {
+	for _, se := range a.s.Exprs {
 		if se.As != "" {
 			res.Columns = append(res.Columns, se.As)
 		} else {
 			res.Columns = append(res.Columns, exprName(se.Expr))
 		}
 	}
-	for _, k := range order {
-		g := groups[k]
-		var out []Datum
-		for i, se := range s.Exprs {
-			if g.aggs[i] != nil {
+	for _, g := range a.order {
+		out := make([]Datum, 0, len(a.s.Exprs))
+		for i, se := range a.s.Exprs {
+			if g.aggs[i].fn != "" {
 				out = append(out, g.aggs[i].result())
 				continue
 			}
 			// Non-aggregate expression: evaluate on the group's first row.
-			row := g.firstRow
-			if row == nil {
+			if g.firstRow == nil {
 				out = append(out, DNull)
 				continue
 			}
-			env := &evalEnv{cols: cols, row: row, args: args}
+			env.row = g.firstRow
 			v, err := evalExpr(env, se.Expr)
 			if err != nil {
 				return nil, err
@@ -1245,16 +1340,16 @@ func orderAggResult(res *Result, s *Select) error {
 }
 
 func distinctRows(rows [][]Datum) [][]Datum {
-	seen := make(map[string]bool, len(rows))
+	seen := make(map[string]struct{}, len(rows))
 	out := rows[:0]
+	var key []byte
 	for _, r := range rows {
-		var parts []string
+		key = key[:0]
 		for _, d := range r {
-			parts = append(parts, d.groupKey())
+			key = appendGroupKey(key, d)
 		}
-		k := strings.Join(parts, "|")
-		if !seen[k] {
-			seen[k] = true
+		if _, dup := seen[string(key)]; !dup {
+			seen[string(key)] = struct{}{}
 			out = append(out, r)
 		}
 	}

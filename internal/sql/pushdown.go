@@ -17,7 +17,7 @@ import (
 // down filters. Register it with kvserver.Cluster.SetRowDecoder.
 func KVRowDecoder() kvserver.RowDecoder {
 	return func(value []byte) (rowfilter.RowAccessor, error) {
-		row, err := decodeRowValue(value)
+		row, err := decodeRowValue(nil, value)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package sql
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
@@ -56,18 +57,20 @@ func encodeRowValue(row []Datum) []byte {
 	return b
 }
 
-// decodeRowValue deserializes a primary index value. The value comes out of
+// decodeRowValue deserializes a primary index value, appending its datums to
+// dst, so a scan decodes every row into one buffer. The value comes out of
 // the KV layer, so it is decoded as untrusted bytes: a malformed one is an
-// error, and the row is allocated only once the column count is known to fit
-// (every datum is at least its tag byte).
-func decodeRowValue(b []byte) ([]Datum, error) {
+// error, and dst grows only once the column count is known to fit (every
+// datum is at least its tag byte). On error it returns dst as it was.
+func decodeRowValue(dst []Datum, b []byte) ([]Datum, error) {
 	r := binenc.NewReader(b)
-	row := make([]Datum, r.Count(1))
-	for i := range row {
-		row[i] = ConsumeDatum(r)
+	n := r.Count(1)
+	row := slices.Grow(dst, n)
+	for range n {
+		row = append(row, ConsumeDatum(r))
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("sql: decoding row: %w", err)
+		return dst, fmt.Errorf("sql: decoding row: %w", err)
 	}
 	return row, nil
 }

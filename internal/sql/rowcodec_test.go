@@ -56,7 +56,7 @@ func TestRowValueGolden(t *testing.T) {
 	if got := encodeRowValue(goldenRow); !bytes.Equal(got, want) {
 		t.Fatalf("encoded row\n got %x\nwant %x", got, want)
 	}
-	row, err := decodeRowValue(want)
+	row, err := decodeRowValue(nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRowValueEdgeValues(t *testing.T) {
 		DFloat(math.SmallestNonzeroFloat64), DFloat(-math.MaxFloat64),
 		DBool(false), DBool(true),
 	}
-	got, err := decodeRowValue(encodeRowValue(row))
+	got, err := decodeRowValue(nil, encodeRowValue(row))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRowValueEdgeValues(t *testing.T) {
 	if !sameRow(got, want) {
 		t.Fatalf("round trip\n got %+v\nwant %+v", got, want)
 	}
-	if empty, err := decodeRowValue(encodeRowValue(nil)); err != nil || len(empty) != 0 {
+	if empty, err := decodeRowValue(nil, encodeRowValue(nil)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty row = %v, %v", empty, err)
 	}
 }
@@ -115,7 +115,7 @@ func TestRowValueRandomRoundTrip(t *testing.T) {
 			row[j] = randomDatum(rng)
 		}
 		enc := encodeRowValue(row)
-		got, err := decodeRowValue(enc)
+		got, err := decodeRowValue(nil, enc)
 		if err != nil {
 			t.Fatalf("row %d: %v (encoded %x)", i, err, enc)
 		}
@@ -128,7 +128,7 @@ func TestRowValueRandomRoundTrip(t *testing.T) {
 func TestDecodeRowValueRejectsMalformedInput(t *testing.T) {
 	golden := mustHex(t, goldenRowHex)
 	for cut := 0; cut < len(golden); cut++ {
-		if row, err := decodeRowValue(golden[:cut]); err == nil {
+		if row, err := decodeRowValue(nil, golden[:cut]); err == nil {
 			t.Errorf("row truncated to %d of %d bytes decoded to %+v", cut, len(golden), row)
 		}
 	}
@@ -144,25 +144,45 @@ func TestDecodeRowValueRejectsMalformedInput(t *testing.T) {
 		"unterminated column count":     "80",
 		"int varint longer than 64 bit": "0102ffffffffffffffffffff01",
 	} {
-		if row, err := decodeRowValue(mustHex(t, in)); err == nil {
+		if row, err := decodeRowValue(nil, mustHex(t, in)); err == nil {
 			t.Errorf("%s (%s) decoded to %+v", name, in, row)
 		}
 	}
 }
 
 // FuzzDecodeRowValue: no input makes the decoder panic, and whatever decodes
-// re-encodes to bytes that decode to the same row.
+// re-encodes to bytes that decode to the same row. A scan decodes every row
+// into the buffer the last one used, so decoding behind datums already in
+// dst appends exactly what decoding into nil returns, and a malformed value
+// leaves them as they were.
 func FuzzDecodeRowValue(f *testing.F) {
 	f.Add(mustHex(f, goldenRowHex))
 	f.Add([]byte{0})
 	f.Add(mustHex(f, "0104ff01"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		row, err := decodeRowValue(in)
+		prefix := []Datum{DString("kept"), DInt(-1), DNull}
+		// Spare capacity, so a decode that fails part-way has room to write
+		// behind the prefix.
+		dst := append(make([]Datum, 0, 64), prefix...)
+		appended, dirtyErr := decodeRowValue(dst, in)
+		if !sameRow(appended[:len(prefix)], prefix) {
+			t.Fatalf("decoding %x behind a prefix changed it to %+v", in, appended[:len(prefix)])
+		}
+		row, err := decodeRowValue(nil, in)
+		if (err == nil) != (dirtyErr == nil) {
+			t.Fatalf("%x: decoding into nil errs %v, behind a prefix %v", in, err, dirtyErr)
+		}
 		if err != nil {
+			if len(appended) != len(prefix) {
+				t.Fatalf("%x fails to decode but returns %d datums behind the prefix", in, len(appended)-len(prefix))
+			}
 			return
 		}
+		if !sameRow(appended[len(prefix):], row) {
+			t.Fatalf("%x decodes to %+v, behind a prefix to %+v", in, row, appended[len(prefix):])
+		}
 		enc := encodeRowValue(row)
-		again, err := decodeRowValue(enc)
+		again, err := decodeRowValue(nil, enc)
 		if err != nil {
 			t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
 		}

@@ -1,0 +1,208 @@
+package sql
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+)
+
+// q1 is TPC-H Q1 as the benchmark's scan_agg workload runs it.
+const q1 = "SELECT l_returnflag, SUM(l_quantity) AS sum_qty, SUM(l_price) AS sum_price, " +
+	"AVG(l_quantity) AS avg_qty, COUNT(*) AS count_order " +
+	"FROM lineitem WHERE l_shipdate <= 2400 GROUP BY l_returnflag ORDER BY l_returnflag"
+
+// loadLineitem creates TPC-H's lineitem and loads n rows whose values are a
+// function of the row number, 100 rows to an INSERT.
+func loadLineitem(tb testing.TB, s *Session, n int) {
+	tb.Helper()
+	ctx := context.Background()
+	if _, err := s.Execute(ctx, "CREATE TABLE lineitem (l_key INT PRIMARY KEY, l_partkey INT, "+
+		"l_quantity INT, l_price FLOAT, l_returnflag STRING, l_shipdate INT)"); err != nil {
+		tb.Fatal(err)
+	}
+	flags := []string{"A", "N", "R"}
+	for base := 1; base <= n; base += 100 {
+		var q strings.Builder
+		q.WriteString("INSERT INTO lineitem VALUES ")
+		for i := base; i < base+100 && i <= n; i++ {
+			if i > base {
+				q.WriteString(", ")
+			}
+			fmt.Fprintf(&q, "(%d, %d, %d, %d.25, '%s', %d)", i, i%37+1, 1+i%50, i*7%1000, flags[i%3], i*13%2500)
+		}
+		if _, err := s.Execute(ctx, q.String()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// GROUP BY, DISTINCT and hash-join keys identify values exactly: a string
+// holding another row's separator, or two floats equal to six decimals, are
+// different values; -0 and 0 are one.
+func TestGroupKeysAreUnambiguous(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup []string
+		query string
+		want  []string
+	}{
+		{
+			name:  "GROUP BY strings holding the separator",
+			setup: []string{"CREATE TABLE t (k INT PRIMARY KEY, a STRING, b STRING)", "INSERT INTO t VALUES (1, 'x|1:y', 'z'), (2, 'x', 'y|1:z')"},
+			query: "SELECT a, b, COUNT(*) FROM t GROUP BY a, b ORDER BY a",
+			want:  []string{"x,y|1:z,1", "x|1:y,z,1"},
+		},
+		{
+			name:  "DISTINCT strings holding the separator",
+			setup: []string{"CREATE TABLE t (k INT PRIMARY KEY, a STRING, b STRING)", "INSERT INTO t VALUES (1, 'x|1:y', 'z'), (2, 'x', 'y|1:z')"},
+			query: "SELECT DISTINCT a, b FROM t ORDER BY a",
+			want:  []string{"x,y|1:z", "x|1:y,z"},
+		},
+		{
+			name:  "GROUP BY floats equal to six decimals",
+			setup: []string{"CREATE TABLE t (k INT PRIMARY KEY, f FLOAT)", "INSERT INTO t VALUES (1, 0.1234561), (2, 0.1234564), (3, 0.1234564)"},
+			query: "SELECT COUNT(*) AS n FROM t GROUP BY f ORDER BY n",
+			want:  []string{"1", "2"},
+		},
+		{
+			name:  "DISTINCT floats equal to six decimals",
+			setup: []string{"CREATE TABLE t (k INT PRIMARY KEY, f FLOAT)", "INSERT INTO t VALUES (1, 0.1234561), (2, 0.1234564)"},
+			query: "SELECT DISTINCT f FROM t",
+			want:  []string{"0.123456", "0.123456"},
+		},
+		{
+			name: "hash join on floats equal to six decimals",
+			setup: []string{
+				"CREATE TABLE l (lk INT PRIMARY KEY, lf FLOAT)", "CREATE TABLE r (rk INT PRIMARY KEY, rf FLOAT)",
+				"INSERT INTO l VALUES (1, 0.1234561)", "INSERT INTO r VALUES (1, 0.1234564), (2, 0.1234561)",
+			},
+			query: "SELECT lk, rk FROM l JOIN r ON lf = rf",
+			want:  []string{"1,2"},
+		},
+		{
+			name:  "GROUP BY -0 and 0",
+			setup: []string{"CREATE TABLE t (k INT PRIMARY KEY, f FLOAT)", "INSERT INTO t VALUES (1, 0.0), (2, -0.0), (3, 1.5)"},
+			query: "SELECT COUNT(*) AS n FROM t GROUP BY f ORDER BY n",
+			want:  []string{"1", "2"},
+		},
+		{
+			name:  "DISTINCT -0 and 0",
+			setup: []string{"CREATE TABLE t (k INT PRIMARY KEY, f FLOAT)", "INSERT INTO t VALUES (1, 0.0), (2, -0.0)"},
+			query: "SELECT DISTINCT f FROM t",
+			want:  []string{"0"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, s := newTestDB(t)
+			for _, q := range tc.setup {
+				mustExec(t, s, q)
+			}
+			if got := rowStrings(mustExec(t, s, tc.query)); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("%s = %v, want %v", tc.query, got, tc.want)
+			}
+		})
+	}
+}
+
+// A NULL join column matches no row, in the hash join as in the nested loop.
+func TestHashJoinSkipsNulls(t *testing.T) {
+	_, s := newTestDB(t)
+	mustExec(t, s, "CREATE TABLE l (lk INT PRIMARY KEY, lv INT)")
+	mustExec(t, s, "CREATE TABLE r (rk INT PRIMARY KEY, rv INT)")
+	mustExec(t, s, "INSERT INTO l (lk) VALUES (1)")
+	mustExec(t, s, "INSERT INTO l VALUES (2, 7)")
+	mustExec(t, s, "INSERT INTO r (rk) VALUES (1)")
+	mustExec(t, s, "INSERT INTO r VALUES (2, 7)")
+	if got := rowStrings(mustExec(t, s, "SELECT lk, rk FROM l JOIN r ON lv = rv")); fmt.Sprint(got) != "[2,2]" {
+		t.Fatalf("join = %v, want [2,2]", got)
+	}
+}
+
+// Q1's charges: every scanned row once, every aggregate update once — now
+// summed and charged once per statement — and the bytes of every page. The
+// totals are those of one chargeAgg(1) per update.
+func TestScanAggregateCharges(t *testing.T) {
+	exec, s := newTestDB(t)
+	loadLineitem(t, s, 2000)
+	rows, cpu := exec.RowsProcessed(), exec.SQLCPUSeconds()
+	res := mustExec(t, s, q1)
+	if want := []string{"A,16310,322450,25.484375,640", "N,16365,322371.5,25.490654,642", "R,16240,322653.25,25.335413,641"}; fmt.Sprint(rowStrings(res)) != fmt.Sprint(want) {
+		t.Fatalf("Q1 = %v, want %v", rowStrings(res), want)
+	}
+	const wantRows, wantCPU = 2000, 0.0085927600000028845
+	gotRows, gotCPU := exec.RowsProcessed()-rows, exec.SQLCPUSeconds()-cpu
+	t.Logf("Q1 rows %d, cpu %.17g", gotRows, gotCPU)
+	if gotRows != wantRows || math.Abs(gotCPU-wantCPU) > 1e-12*wantCPU {
+		t.Fatalf("Q1 charged %d rows, %.17g s; want %d, %.17g", gotRows, gotCPU, wantRows, wantCPU)
+	}
+}
+
+// allocsPerQuery is the allocations one run of q through exec costs.
+func allocsPerQuery(t *testing.T, exec *Executor, q string, args ...Datum) float64 {
+	t.Helper()
+	stmt, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	return testing.AllocsPerRun(20, func() {
+		if _, err := exec.ExecuteStmt(ctx, stmt, args, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Q1 aggregates as it scans: no allocation is made per row, so ten times the
+// rows costs only the few more pages and key-slab chunks.
+func TestScanAggregateAllocsDoNotGrowWithRows(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{200, 2000} {
+		exec, s := newTestDB(t)
+		loadLineitem(t, s, n)
+		allocs = append(allocs, allocsPerQuery(t, exec, q1))
+	}
+	t.Logf("Q1 allocations at 200 and 2000 rows: %v", allocs)
+	if d := allocs[1] - allocs[0]; d > 30 {
+		t.Fatalf("Q1 makes %v allocations over 200 rows and %v over 2000 (+%v), want at most +30", allocs[0], allocs[1], d)
+	}
+}
+
+// A point SELECT decodes its one row into the scan's buffer and projects it:
+// the scan's visitor is not a heap allocation, nor is WHERE bound twice. It
+// made 9 more allocations when it read a []tableRow and filtered it apart.
+// Three of the allocations box the transaction ID into the txn.run span's
+// arguments, which costs nothing while the process has issued fewer than
+// 256 IDs: run alone, the test sees 36.
+func TestPointSelectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	exec, s := newTestDB(t)
+	loadLineitem(t, s, 10)
+	const want = 39
+	got := allocsPerQuery(t, exec, "SELECT l_price FROM lineitem WHERE l_key = $1", DInt(7))
+	t.Logf("point SELECT: %v allocations", got)
+	if got > want {
+		t.Fatalf("point SELECT makes %v allocations, want at most %v", got, want)
+	}
+}
+
+// BenchmarkScanAggregate is Q1 over 2 000 rows through an Executor.
+func BenchmarkScanAggregate(b *testing.B) {
+	exec, s := newTestDB(b)
+	loadLineitem(b, s, 2000)
+	stmt, err := Parse(q1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.ExecuteStmt(ctx, stmt, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,14 +13,14 @@ import (
 )
 
 // newTestDB builds a 3-node KV cluster plus an executor/session for tenant 2.
-func newTestDB(t *testing.T) (*Executor, *Session) {
+func newTestDB(t testing.TB) (*Executor, *Session) {
 	t.Helper()
 	_, exec, s := newTestDBOnCluster(t)
 	return exec, s
 }
 
 // newTestDBOnCluster is newTestDB for tests that also inspect the KV cluster.
-func newTestDBOnCluster(t *testing.T) (*kvserver.Cluster, *Executor, *Session) {
+func newTestDBOnCluster(t testing.TB) (*kvserver.Cluster, *Executor, *Session) {
 	t.Helper()
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	var nodes []*kvserver.Node
