@@ -65,11 +65,3 @@ func (e *engine) installLocked(entries []entry) {
 	t := newSSTable(2, entries) // want lockscope
 	e.tables = append(e.tables, t)
 }
-
-func (e *engine) rewriteVlogFile(id uint32) bool { return true }
-
-func (e *engine) gcUnderLock() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rewriteVlogFile(7) // want lockscope
-}

@@ -38,11 +38,3 @@ func (e *engine) allowedConsult() bool {
 func (e *engine) install(entries []entry) *table {
 	return newSSTable(4, entries)
 }
-
-// A GC rewrite is fine once the engine lock is released: the rewrite
-// acquires the engine lock itself, briefly, per record.
-func (e *engine) gcOutsideLock() {
-	e.mu.Lock()
-	e.mu.Unlock()
-	e.rewriteVlogFile(8)
-}

@@ -153,10 +153,10 @@ func New(opts Options) (*Serverless, error) {
 
 	// The shared KV cluster spans all regions. Every node's engine shares
 	// one set of read-path counters on the deployment registry: the
-	// lsm.tables.probed / lsm.corruption.errors exposition is cluster-wide,
-	// matching how the trace.* counters are aggregated. The engines run
-	// with default options apart from the shared counters: value separation
-	// is on, and reads go through the iterator, which has no cache.
+	// lsm.tables.probed exposition is cluster-wide, matching how the trace.*
+	// counters are aggregated. The engines run with default options apart
+	// from the shared counters: every value is stored inline, and reads go
+	// through the iterator, which has no cache.
 	lsmReadMetrics := lsm.NewReadMetrics(s.metrics)
 	lsmWriteMetrics := lsm.NewWriteMetrics(s.metrics)
 	commitMetrics := raftlite.NewCommitMetrics(s.metrics)

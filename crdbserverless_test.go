@@ -199,7 +199,7 @@ func TestConfigSurface(t *testing.T) {
 		fields int
 	}{
 		{Options{}, 5},
-		{lsm.Options{}, 12},
+		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 5},
 		{kvserver.Config{}, 3},
 		{autoscaler.Config{}, 5},

@@ -110,12 +110,6 @@ var chaosSiteConfigs = []struct {
 	{"lsm.flush.error", faultinject.Site{Probability: 0.2}},
 	{"lsm.compact.error", faultinject.Site{Probability: 0.2}},
 	{"lsm.write.stall", faultinject.Site{Probability: 0.01, Delay: 50 * time.Microsecond}},
-	// Value-log sites: a failed append degrades to inline storage (logically
-	// transparent, so replicas with divergent fault streams still converge),
-	// and a GC error aborts a rewrite round mid-file — invariant 1 (acked
-	// writes readable) must hold through both.
-	{"lsm.vlog.write.error", faultinject.Site{Probability: 0.05}},
-	{"lsm.vlog.gc.error", faultinject.Site{Probability: 0.3}},
 	{"txn.postsend", faultinject.Site{Probability: 0.01, Retriable: true}},
 	// Harness-level events: liveness flaps (cordon a node for a stretch of
 	// ops) and range splits, drawn from the same registry so they appear in
@@ -173,17 +167,13 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 			Clock: clock,
 			Cost:  cheap,
 			// A tiny memtable keeps flushes and compactions — and their
-			// fault sites — on the hot path of a short run, and aggressive
-			// value separation with tiny log segments puts the vlog GC in the
-			// storm's blast radius too. Every store is durable with a
-			// grouped-sync WAL: store.crash tears the unsynced suffix and
-			// recovers from the rest, so crash recovery itself is inside the
-			// blast radius.
+			// fault sites — on the hot path of a short run. Every store is
+			// durable with a grouped-sync WAL: store.crash tears the unsynced
+			// suffix and recovers from the rest, so crash recovery itself is
+			// inside the blast radius.
 			LSM: lsm.Options{
 				MemTableSize:    8 << 10,
 				Faults:          reg,
-				ValueThreshold:  4,
-				VlogFileSize:    4 << 10,
 				Durable:         lsm.NewDir(),
 				WALSegmentSize:  4 << 10,
 				WALBytesPerSync: 512,

@@ -187,9 +187,6 @@ func copySpanData(src, dst *lsm.Engine, span keys.Span) error {
 			Key:   append([]byte(nil), it.Key()...),
 			Value: append([]byte(nil), it.Value()...),
 		})
-		if err := it.Error(); err != nil {
-			return fmt.Errorf("kvserver: copying range data: %w", err)
-		}
 		if len(batch) >= 1024 {
 			if err := dst.ApplyBatch(batch); err != nil {
 				return err

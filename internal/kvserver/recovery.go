@@ -32,13 +32,9 @@ func durableAppliedIndex(e *lsm.Engine, id RangeID) (uint64, error) {
 	k := appliedKey(id)
 	it := e.NewIter(k, nil)
 	if !it.Valid() || !bytes.Equal(it.Key(), k) {
-		return 0, it.Error()
+		return 0, nil
 	}
-	v := it.Value()
-	if err := it.Error(); err != nil {
-		return 0, err
-	}
-	_, idx, err := keys.DecodeUint64(keys.Key(v))
+	_, idx, err := keys.DecodeUint64(keys.Key(it.Value()))
 	if err != nil {
 		return 0, fmt.Errorf("kvserver: decoding applied key for range %d: %w", id, err)
 	}
@@ -51,9 +47,9 @@ type enginePair struct {
 }
 
 // Snapshot implements raftlite.SnapshotStateMachine: it serializes every
-// engine pair in the range's span (all MVCC versions and intents, value-log
-// pointers resolved). A replica that fell behind the group's truncated log —
-// a store revived after a crash — is caught up from this instead of replay.
+// engine pair in the range's span (all MVCC versions and intents). A replica
+// that fell behind the group's truncated log — a store revived after a crash
+// — is caught up from this instead of replay.
 func (sm engineSM) Snapshot() ([]byte, error) {
 	lo, hi := mvcc.EngineSpan(sm.rs.desc.Load().Span)
 	var pairs []enginePair
@@ -64,9 +60,6 @@ func (sm engineSM) Snapshot() ([]byte, error) {
 			Key:   append([]byte(nil), it.Key()...),
 			Value: append([]byte(nil), it.Value()...),
 		})
-	}
-	if err := it.Error(); err != nil {
-		return nil, fmt.Errorf("kvserver: reading snapshot: %w", err)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {

@@ -19,13 +19,6 @@ var lockScopeDirs = map[string]bool{"lsm": true, "raftlite": true}
 // them while a mutex is held defeats the write-path pipelining.
 var lockScopeHeavyIdents = map[string]bool{"mergeRuns": true, "newSSTable": true}
 
-// lockScopeHeavyMethods are method names considered heavy on any receiver:
-// a value-log GC rewrite re-appends live records and takes the engine lock
-// per entry, so it may not nest inside a held engine lock.
-var lockScopeHeavyMethods = map[string]bool{
-	"rewriteVlogFile": true, // value-log GC rewrite round
-}
-
 // lockScopeScoped reports whether the check applies to files in pkgDir.
 func lockScopeScoped(pkgDir string) bool {
 	base := pkgDir
@@ -232,9 +225,6 @@ func lockScopeHeavyCall(call *ast.CallExpr) string {
 		if id, ok := fun.X.(*ast.Ident); ok && id.Name == "sort" &&
 			(sel == "Slice" || sel == "SliceStable" || sel == "Sort" || sel == "Stable") {
 			return "sort." + sel
-		}
-		if lockScopeHeavyMethods[sel] {
-			return sel
 		}
 		final := ""
 		switch x := fun.X.(type) {

@@ -93,7 +93,7 @@ func BenchmarkKVIterSeek(b *testing.B) {
 }
 
 // BenchmarkKVRecovery measures the cold open of a crashed durable store:
-// manifest load, sstable and value-log re-open, CRC verification, and WAL
+// manifest load, sstable re-open, CRC verification, and WAL
 // replay of everything written since the last flush. The store is sized so
 // recovery covers both flushed state and a multi-segment WAL suffix; the kill
 // leaves no torn tail, so the entire WAL replays.

@@ -30,10 +30,6 @@ func (e *Engine) maybeCompact() {
 			break
 		}
 	}
-	// Compaction rounds just reported discard stats; collect any value-log
-	// file they pushed past the threshold while still holding the
-	// single-flight guard (GC rewrites never race a compaction merge).
-	e.runVlogGC()
 }
 
 // compactionPlan is the under-lock half of a compaction: the inputs picked
@@ -83,21 +79,13 @@ func (e *Engine) compactOnce() bool {
 }
 
 // mergeAndInstall runs a planned compaction's merge outside the engine lock
-// (readers and writers proceed), re-takes the lock to install the output,
-// and then, outside it again, reports value-log discard stats for every entry
-// the merge dropped. The discards wait for a successful install — an
-// abandoned round changed nothing. The caller holds e.compactMu but not e.mu.
+// (readers and writers proceed) and re-takes the lock to install the output.
+// The caller holds e.compactMu but not e.mu.
 func (e *Engine) mergeAndInstall(plan *compactionPlan) {
-	out, next, discards := e.runMerge(plan)
+	out, next := e.runMerge(plan)
 	e.mu.Lock()
-	installed := e.installCompactionLocked(plan, out, next)
+	e.installCompactionLocked(plan, out, next)
 	e.mu.Unlock()
-	if !installed {
-		return
-	}
-	for _, p := range discards {
-		e.vlog.discard(p)
-	}
 }
 
 // pickCompactionLocked chooses the level to compact, or -1 for none.
@@ -186,7 +174,7 @@ func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 // runMerge executes a plan's merge and builds the output table and the new
 // next-level layout. It runs outside the engine lock; the e.mergesActive
 // counter is the test hook that asserts reads stay live while it does.
-func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable, []valuePointer) {
+func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable) {
 	e.mergesActive.Add(1)
 	defer e.mergesActive.Add(-1)
 	sp := e.opts.Tracer.StartRoot("lsm.compact")
@@ -204,26 +192,14 @@ func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable, []valuePo
 	for _, t := range plan.overlapping {
 		runs = append(runs, t.entries())
 	}
-	// Entries the merge drops — shadowed versions and bottommost tombstones —
-	// retire their value-log records; collect the pointers for discard
-	// reporting after the install commits the drop.
-	var discards []valuePointer
-	onDrop := func(ent Entry) {
-		if !ent.vptr {
-			return
-		}
-		if p, err := decodeValuePointer(ent.Value); err == nil {
-			discards = append(discards, p)
-		}
-	}
-	merged := mergeRuns(runs, plan.bottommost, onDrop)
+	merged := mergeRuns(runs, plan.bottommost)
 	out := newSSTable(plan.outID, merged)
 	next := append(append([]*ssTable(nil), plan.keep...), out)
 	sort.Slice(next, func(i, j int) bool {
 		return bytes.Compare(next[i].minKey, next[j].minKey) < 0
 	})
 	sp.SetAttr("lsm.output_bytes", out.sizeB)
-	return out, next, discards
+	return out, next
 }
 
 // installCompactionLocked swaps a finished merge into the level layout. The
@@ -233,9 +209,9 @@ func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable, []valuePo
 // inputs entirely — in that case the output is discarded and the round
 // abandoned (the invariant re-check in maybeCompact's loop redoes the work
 // against current state).
-func (e *Engine) installCompactionLocked(plan *compactionPlan, out *ssTable, next []*ssTable) bool {
+func (e *Engine) installCompactionLocked(plan *compactionPlan, out *ssTable, next []*ssTable) {
 	if e.mu.closed || !e.planInputsCurrentLocked(plan) {
-		return false
+		return
 	}
 	// Keep the tables of the from-level that arrived after the plan was
 	// taken (flushes prepend to L0 while the merge runs); drop exactly the
@@ -267,7 +243,6 @@ func (e *Engine) installCompactionLocked(plan *compactionPlan, out *ssTable, nex
 			e.opts.Durable.Remove(sstFileName(t.id))
 		}
 	}
-	return true
 }
 
 // planInputsCurrentLocked reports whether every planned input (from-level
@@ -316,7 +291,4 @@ func (e *Engine) Compact() {
 			e.mergeAndInstall(plan)
 		}
 	}
-	// The full compaction concentrated discard stats; reclaim eligible
-	// value-log files before returning (still under the single-flight guard).
-	e.runVlogGC()
 }

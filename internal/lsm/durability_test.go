@@ -12,15 +12,21 @@ import (
 )
 
 // durableOpts returns small-table options over dir so tests exercise
-// flushes, compactions, and value separation with modest write counts.
+// flushes and compactions with modest write counts.
 func durableOpts(dir *Dir) Options {
 	return Options{
 		Durable:        dir,
 		MemTableSize:   4 << 10,
 		WALSegmentSize: 2 << 10,
-		ValueThreshold: 64,
-		VlogFileSize:   4 << 10,
 	}
+}
+
+// syncWAL forces the WAL's buffered tail durable: everything written before
+// it survives any crash after it.
+func syncWAL(e *Engine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.mu.wal.sync()
 }
 
 func TestOpenEmptyDir(t *testing.T) {
@@ -67,8 +73,7 @@ func TestOpenEmptyWAL(t *testing.T) {
 }
 
 // writeWorkload applies a deterministic mixed workload (sets, overwrites,
-// deletes, large values bound for the value log) to both the engine and a
-// shadow map, returning the number of operations applied.
+// deletes, values of two sizes) to both the engine and a shadow map.
 func writeWorkload(e *Engine, shadow map[string]string, seed int64, ops int) {
 	rng := randutil.NewRand(seed)
 	for i := 0; i < ops; i++ {
@@ -78,7 +83,6 @@ func writeWorkload(e *Engine, shadow map[string]string, seed int64, ops int) {
 			e.Delete([]byte(key))
 			delete(shadow, key)
 		case 1, 2:
-			// Above ValueThreshold: routed to the value log.
 			val := fmt.Sprintf("big-%06d-%s", i, string(make([]byte, 80)))
 			e.Set([]byte(key), []byte(val))
 			shadow[key] = val
@@ -120,9 +124,8 @@ func TestCrashRecoverySyncedEveryRecord(t *testing.T) {
 }
 
 // TestCrashRecoveryAfterCompaction forces the full maintenance pipeline
-// (flushes, compactions, value-log GC) before the crash, so recovery
-// exercises manifest level state and vlog file reconstruction, not just WAL
-// replay.
+// (flushes and compactions) before the crash, so recovery exercises manifest
+// level state and sstable reloading, not just WAL replay.
 func TestCrashRecoveryAfterCompaction(t *testing.T) {
 	dir := NewDir()
 	e := New(durableOpts(dir))
@@ -137,9 +140,6 @@ func TestCrashRecoveryAfterCompaction(t *testing.T) {
 	}
 	defer re.Close()
 	checkAgainstShadow(t, re, shadow)
-	if m := re.Metrics(); m.CorruptionErrors != 0 {
-		t.Fatalf("recovery surfaced %d corruption errors", m.CorruptionErrors)
-	}
 }
 
 // TestCrashPointProperty is the randomized crash-point test: under a relaxed
@@ -166,7 +166,7 @@ func TestCrashPointProperty(t *testing.T) {
 			// Force a sync barrier at a random point so "everything before
 			// this is durable" has a witness set, then a few more unsynced ops
 			// whose survival depends on where the tear lands.
-			e.walSyncBarrier()
+			syncWAL(e)
 			durable := map[string]string{}
 			for k, v := range shadow {
 				durable[k] = v
@@ -360,16 +360,33 @@ func withManifestVersion(data []byte, v uint32) []byte {
 	return data
 }
 
-// TestManifestVersionMismatch: same contract for the manifest.
+// v1Manifest returns the version-1 encoding of the same state as a current
+// manifest: version 1 ended its body with a value-log section, here an empty
+// one (active file 1, no files).
+func v1Manifest(data []byte) []byte {
+	body := append([]byte(nil), data[:len(data)-manifestChecksumLen]...)
+	binary.BigEndian.PutUint32(body[4:8], 1)
+	body = binary.BigEndian.AppendUint32(body, 1)
+	body = binary.BigEndian.AppendUint32(body, 0)
+	return binary.BigEndian.AppendUint32(body, crc32.Checksum(body, crc32cTable))
+}
+
+// TestManifestVersionMismatch: same contract for the manifest, for the
+// retired version 1 (which carried a value-log section) and a future one.
 func TestManifestVersionMismatch(t *testing.T) {
-	dir := flushedStore()
-	data, ok := dir.ReadFile(manifestName)
-	if !ok {
-		t.Fatal("no manifest after flush")
-	}
-	dir.WriteFileSync(manifestName, withManifestVersion(data, manifestVersion+1))
-	if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("Open error = %v, want ErrVersionMismatch", err)
+	for name, rewrite := range map[string]func([]byte) []byte{
+		"version 1": v1Manifest,
+		"future":    func(data []byte) []byte { return withManifestVersion(data, manifestVersion+1) },
+	} {
+		dir := flushedStore()
+		data, ok := dir.ReadFile(manifestName)
+		if !ok {
+			t.Fatal("no manifest after flush")
+		}
+		dir.WriteFileSync(manifestName, rewrite(data))
+		if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("%s: Open error = %v, want ErrVersionMismatch", name, err)
+		}
 	}
 }
 
@@ -417,6 +434,34 @@ func TestOpenTruncatedSSTable(t *testing.T) {
 	re.Close()
 }
 
+// retiredVptrEntry is an entry carrying flag 0x02, which once marked a value
+// stored in a value log: a 12-byte (file, offset, length) pointer.
+func retiredVptrEntry() []byte {
+	b := appendEntry(nil, Entry{Key: []byte("a"), Value: []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3}})
+	b[0] = 0x02
+	return b
+}
+
+// TestRetiredVptrFlagIsCorruption: a block or a WAL record carrying the
+// retired value-pointer flag no longer decodes. In an sstable or a WAL record
+// that passes its CRC, that is ErrCorruption, and Open refuses the store.
+func TestRetiredVptrFlagIsCorruption(t *testing.T) {
+	if _, err := decodeBlock(retiredVptrEntry()); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("decodeBlock error = %v, want ErrCorruption", err)
+	}
+	dir := NewDir()
+	w := newWALWriter(dir, 1, 1<<20, 0)
+	w.append(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("v")}))
+	w.append(retiredVptrEntry())
+	n, err := replayWAL(dir, 1, func([]Entry) {})
+	if !errors.Is(err, ErrCorruption) || n != 1 {
+		t.Fatalf("replay = %d records, error %v; want 1 and ErrCorruption", n, err)
+	}
+	if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("Open error = %v, want ErrCorruption", err)
+	}
+}
+
 // FuzzDecodeBlock feeds decodeBlock — which reads sstable files and WAL
 // payloads — arbitrary bytes: it must never panic, and whatever it accepts
 // must re-encode to exactly the input.
@@ -424,9 +469,10 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("value")}))
 	f.Add(appendEntry(nil, Entry{Key: []byte("gone"), Tombstone: true}))
-	two := appendEntry(nil, Entry{Key: []byte("a"), Value: encodeValuePointer(valuePointer{fileID: 1, offset: 2, length: 3}), vptr: true})
+	two := appendEntry(nil, Entry{Key: []byte("a"), Value: []byte("abc")})
 	f.Add(appendEntry(two, Entry{Key: []byte("b")}))
 	f.Add(two[:len(two)-1])
+	f.Add(append(two, retiredVptrEntry()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ents, err := decodeBlock(data)
 		if err != nil {
@@ -453,13 +499,12 @@ func FuzzDecodeManifest(f *testing.F) {
 	flushed, _ := flushedStore().ReadFile(manifestName)
 	full := (&manifest{
 		nextID: 9, minUnflushedSeg: 3, walSeg: 4,
-		levels:       [numLevels][]uint64{0: {8, 7}, 6: {5}},
-		vlogActiveID: 2,
-		vlogFiles:    []manifestVlogFile{{id: 1, totalBytes: 100, discardBytes: 40}, {id: 2, totalBytes: 10}},
+		levels: [numLevels][]uint64{0: {8, 7}, 6: {5}},
 	}).encode()
 	for _, enc := range [][]byte{
 		flushed,
 		withManifestVersion(flushed, manifestVersion+1),
+		v1Manifest(flushed),
 		full,
 		(&manifest{}).encode(),
 	} {
@@ -497,7 +542,10 @@ func FuzzReplayWAL(f *testing.F) {
 	w := newWALWriter(undecodable, 1, 1<<20, 0)
 	w.append(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("v")}))
 	w.append([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}) // a flag bit no build writes
-	for _, seed := range [][]byte{torn, segment(corruptWAL()), otherVersion, segment(undecodable), torn[:walSegmentHeaderLen], nil} {
+	retired := NewDir()
+	w = newWALWriter(retired, 1, 1<<20, 0)
+	w.append(retiredVptrEntry())
+	for _, seed := range [][]byte{torn, segment(corruptWAL()), otherVersion, segment(undecodable), segment(retired), torn[:walSegmentHeaderLen], nil} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seg []byte) {
@@ -577,43 +625,6 @@ func TestWALBytesFramedAccounting(t *testing.T) {
 	}
 }
 
-// TestGetCorruptionTyped: a store recovered over a directory that lost a
-// value-log file still replays the pointer into it. A point read of that key
-// — an iterator from the key, as every caller reads — lands on it, reads no
-// value, reports typed ErrCorruption, and counts it once; the next key reads
-// through.
-func TestGetCorruptionTyped(t *testing.T) {
-	dir := NewDir()
-	opts := Options{Durable: dir, ValueThreshold: 8, VlogFileSize: 64}
-	e := New(opts)
-	big := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
-	e.Set([]byte("a"), big) // fills file 1 past rotation size
-	e.Set([]byte("b"), big) // rotates to file 2
-	e.Close()
-	dir.Remove(vlogFileName(1))
-	re, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	it := re.NewIter([]byte("a"), nil)
-	if !it.Valid() || string(it.Key()) != "a" {
-		t.Fatal("point read did not land on key a")
-	}
-	if v := it.Value(); v != nil {
-		t.Fatalf("Value = %q, want nil", v)
-	}
-	if err := it.Error(); !errors.Is(err, ErrCorruption) {
-		t.Fatalf("Error = %v, want ErrCorruption", err)
-	}
-	if m := re.Metrics(); m.CorruptionErrors != 1 {
-		t.Fatalf("CorruptionErrors = %d, want 1", m.CorruptionErrors)
-	}
-	if v, ok := get(t, re, []byte("b")); !ok || !bytes.Equal(v, big) {
-		t.Fatalf("b = %d bytes %v, want its value", len(v), ok)
-	}
-}
-
 // TestRecoveryPreservesDeterministicIDs: a recovered engine continues the
 // file-id sequence where the crashed one left off, so post-recovery flushes
 // produce the same ids a surviving engine would have.
@@ -634,4 +645,53 @@ func TestRecoveryPreservesDeterministicIDs(t *testing.T) {
 	if re.mu.nextID != wantNext {
 		t.Fatalf("recovered nextID = %d, want %d", re.mu.nextID, wantNext)
 	}
+}
+
+// TestLargeValuesRoundTripInline: values of 64 KiB + 1 B, each 32 blocks'
+// worth, are stored inline like any other and read back byte-identical from
+// the memtable, after a flush, after a compaction, and after a crash and
+// recovery, beside a small one.
+func TestLargeValuesRoundTripInline(t *testing.T) {
+	const n = 64<<10 + 1
+	dir := NewDir()
+	opts := Options{Durable: dir}
+	e := New(opts)
+	want := map[string][]byte{}
+	put := func(k string, v []byte) {
+		t.Helper()
+		if err := e.Set([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	check := func(stage string, e *Engine) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(got, v) {
+				t.Fatalf("%s: %s = %d bytes %v, want %d bytes", stage, k, len(got), ok, len(v))
+			}
+		}
+	}
+	put("small", []byte("inline"))
+	put("big-a", bigVal("big-a-", n))
+	put("big-b", bigVal("big-b-", n))
+	check("memtable", e)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("L0", e)
+	put("big-a", bigVal("big-a2-", n)) // an overwrite the compaction must prefer
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e.Compact()
+	check("compacted", e)
+	put("big-c", bigVal("big-c-", n)) // only in the WAL at the crash
+	dir.Crash(0)
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("recovered", re)
 }

@@ -23,9 +23,6 @@ const (
 	// lBaseMaxBytes is the target size of L1; each deeper level is 10x
 	// larger.
 	lBaseMaxBytes = 16 << 20
-	// vlogGCDiscardRatio is the dead-byte fraction at which a value-log file
-	// becomes a GC candidate.
-	vlogGCDiscardRatio = 0.5
 )
 
 // Options configures an Engine.
@@ -48,20 +45,10 @@ type Options struct {
 	// Faults, when non-nil, arms the engine's fault-injection sites:
 	// lsm.write.stall delays a write before it takes the engine lock,
 	// lsm.flush.error fails a memtable rotation (the memtable stays and is
-	// retried at the next threshold crossing), lsm.compact.error skips a
-	// compaction round, lsm.vlog.write.error fails a value-log append (the
-	// value is stored inline instead — a transparent degradation), and
-	// lsm.vlog.gc.error aborts a value-log GC round mid-rewrite. The flush
-	// and compaction sites are consulted under the engine lock, so configure
-	// them without a Delay; the vlog sites are consulted outside it.
+	// retried at the next threshold crossing), and lsm.compact.error skips a
+	// compaction round. The flush and compaction sites are consulted under
+	// the engine lock, so configure them without a Delay.
 	Faults *faultinject.Registry
-	// ValueThreshold is the minimum value size routed to the value log:
-	// such values are stored in the append-only log, with a (fileID, offset,
-	// len) pointer in their place (see vlog.go). Defaults to 1 KiB.
-	ValueThreshold int
-	// VlogFileSize is the rotation threshold for value-log segments.
-	// Defaults to 1 MiB.
-	VlogFileSize int64
 	// BlockCacheBytes is inert: nothing reads it.
 	//
 	// Deprecated: the engine's one read path, the iterator, walks resident
@@ -76,8 +63,8 @@ type Options struct {
 	HotKeyCacheSize int
 	// Durable, when non-nil, makes the engine crash-survivable: every batch
 	// is framed into a WAL inside the commit critical section, flushed
-	// sstables and value-log segments are persisted into the directory, and
-	// a versioned manifest tracks the level/vlog state. Open recovers an
+	// sstables are persisted into the directory, and a versioned manifest
+	// tracks the level state. Open recovers an
 	// engine from the directory's contents after a crash. nil (the default)
 	// keeps the engine volatile, the pre-durability behavior.
 	Durable *Dir
@@ -95,12 +82,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.MemTableSize == 0 {
 		out.MemTableSize = 4 << 20
-	}
-	if out.ValueThreshold == 0 {
-		out.ValueThreshold = 1 << 10
-	}
-	if out.VlogFileSize == 0 {
-		out.VlogFileSize = 1 << 20
 	}
 	if out.WALSegmentSize == 0 {
 		out.WALSegmentSize = 256 << 10
@@ -147,21 +128,12 @@ type Metrics struct {
 	// instead of queueing behind the single-flight guard. Drawn from the
 	// engine's WriteMetrics counter, which may be shared like ReadMetrics.
 	CompactionsCoalesced int64
-	// Value-log counters (shared WriteMetrics): separated writes, inline
-	// fallbacks from injected append failures, and GC rounds/rewrites/
-	// reclaimed bytes.
-	VlogWrites           int64
-	VlogWriteFallbacks   int64
-	VlogGCRounds         int64
-	VlogGCRewritten      int64
-	VlogGCReclaimedBytes int64
-	// CorruptionErrors counts reads that surfaced ErrCorruption: a value
-	// pointer an iterator could not resolve against its snapshot's file set.
-	// Drawn from the engine's ReadMetrics counter (may be shared).
-	CorruptionErrors int64
-	// Value-log occupancy for this engine (not shared): segment count and
-	// live/dead payload bytes.
-	VlogFiles     int
+	// VlogLiveBytes and VlogDeadBytes are always 0: every value is stored
+	// inline.
+	//
+	// Deprecated: there is no value log. The fields stay only because the
+	// benchmark module still reads them; ROADMAP's bench-only item (d)
+	// deletes them.
 	VlogLiveBytes int64
 	VlogDeadBytes int64
 }
@@ -172,26 +144,16 @@ type Metrics struct {
 type ReadMetrics struct {
 	// TablesProbed counts sstables an iterator positioned in.
 	TablesProbed *metric.Counter
-	// CorruptionErrors counts reads that returned ErrCorruption: a value
-	// pointer an iterator could not resolve although its snapshot holds its
-	// files, meaning the file is genuinely missing.
-	CorruptionErrors *metric.Counter
 }
 
 // NewReadMetrics registers the read-path counters on reg and returns the
 // shared instance to hand to each engine's Options.
 func NewReadMetrics(reg *metric.Registry) *ReadMetrics {
-	return &ReadMetrics{
-		TablesProbed:     reg.NewCounter("lsm.tables.probed"),
-		CorruptionErrors: reg.NewCounter("lsm.corruption.errors"),
-	}
+	return &ReadMetrics{TablesProbed: reg.NewCounter("lsm.tables.probed")}
 }
 
 func newUnregisteredReadMetrics() *ReadMetrics {
-	return &ReadMetrics{
-		TablesProbed:     &metric.Counter{},
-		CorruptionErrors: &metric.Counter{},
-	}
+	return &ReadMetrics{TablesProbed: &metric.Counter{}}
 }
 
 // WriteMetrics holds the write/maintenance-path counters. One instance is
@@ -201,16 +163,6 @@ type WriteMetrics struct {
 	// CompactCoalesced counts auto-compaction triggers absorbed by an
 	// already-running round (the single-flight guard).
 	CompactCoalesced *metric.Counter
-	// VlogWrites counts values separated into the value log; VlogFallbacks
-	// counts injected append failures that degraded to inline storage.
-	VlogWrites    *metric.Counter
-	VlogFallbacks *metric.Counter
-	// VlogGCRounds/VlogGCRewritten/VlogGCReclaimed instrument value-log GC:
-	// candidate rounds started, live records moved to the log head, and
-	// payload bytes of deleted files.
-	VlogGCRounds    *metric.Counter
-	VlogGCRewritten *metric.Counter
-	VlogGCReclaimed *metric.Counter
 	// WALBytes counts framed bytes appended to the WAL (headers + CRC);
 	// WALFsyncs counts sync operations issued under the fsync policy.
 	WALBytes  *metric.Counter
@@ -222,11 +174,6 @@ type WriteMetrics struct {
 func NewWriteMetrics(reg *metric.Registry) *WriteMetrics {
 	return &WriteMetrics{
 		CompactCoalesced: reg.NewCounter("lsm.compact.coalesced"),
-		VlogWrites:       reg.NewCounter("lsm.vlog.writes"),
-		VlogFallbacks:    reg.NewCounter("lsm.vlog.write.fallbacks"),
-		VlogGCRounds:     reg.NewCounter("lsm.vlog.gc.rounds"),
-		VlogGCRewritten:  reg.NewCounter("lsm.vlog.gc.rewritten"),
-		VlogGCReclaimed:  reg.NewCounter("lsm.vlog.gc.reclaimed_bytes"),
 		WALBytes:         reg.NewCounter("lsm.wal.bytes"),
 		WALFsyncs:        reg.NewCounter("lsm.wal.fsyncs"),
 	}
@@ -235,11 +182,6 @@ func NewWriteMetrics(reg *metric.Registry) *WriteMetrics {
 func newUnregisteredWriteMetrics() *WriteMetrics {
 	return &WriteMetrics{
 		CompactCoalesced: &metric.Counter{},
-		VlogWrites:       &metric.Counter{},
-		VlogFallbacks:    &metric.Counter{},
-		VlogGCRounds:     &metric.Counter{},
-		VlogGCRewritten:  &metric.Counter{},
-		VlogGCReclaimed:  &metric.Counter{},
 		WALBytes:         &metric.Counter{},
 		WALFsyncs:        &metric.Counter{},
 	}
@@ -282,9 +224,6 @@ type Engine struct {
 	// engine lock — a test hook for asserting reads stay unblocked.
 	mergesActive atomic.Int32
 
-	// vlog is the value-separation log. It has its own lock; the order is
-	// e.mu before vlog.mu, never the reverse.
-	vlog *valueLog
 	// snapSeq is the highest mu.seq an iterator has captured. NewIter stores
 	// it under the read lock (mu.seq only grows, so it only grows); writers
 	// read it under the exclusive lock to tell whether any snapshot can hold
@@ -294,10 +233,10 @@ type Engine struct {
 	mu struct {
 		sync.RWMutex
 		// seq numbers the batches applied to the memtables: bumped once per
-		// ApplyBatch, per replayed WAL record and per GC pointer install,
-		// always under the exclusive lock and before the batch's first entry
-		// lands. An iterator captures it under the read lock — so never from
-		// inside a batch — and ignores memtable versions above it.
+		// ApplyBatch and per replayed WAL record, always under the exclusive
+		// lock and before the batch's first entry lands. An iterator captures
+		// it under the read lock — so never from inside a batch — and ignores
+		// memtable versions above it.
 		seq uint64
 		mem *memTable
 		// imm holds rotated memtables whose SSTable builds are in flight,
@@ -317,8 +256,8 @@ type Engine struct {
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("lsm: engine is closed")
 
-// newEngineShell builds an engine with its metrics wired but no memtable,
-// value log, or WAL state — New fills those in fresh, Open from the recovered
+// newEngineShell builds an engine with its metrics wired but no memtable or
+// WAL state — New fills those in fresh, Open from the recovered
 // durable state.
 func newEngineShell(opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults(), l0Threshold: l0CompactionThreshold, lBaseMax: lBaseMaxBytes}
@@ -338,7 +277,6 @@ func newEngineShell(opts Options) *Engine {
 // existing durable state after a crash.
 func New(opts Options) *Engine {
 	e := newEngineShell(opts)
-	e.vlog = newValueLog(e.opts.VlogFileSize, e.opts.Durable)
 	e.mu.mem = newMemTable(randutil.NewRand(0))
 	e.mu.nextID = 1
 	if e.opts.Durable != nil {
@@ -350,12 +288,11 @@ func New(opts Options) *Engine {
 
 // Open recovers an Engine from the durable state in opts.Durable: it loads
 // the manifest (verifying its checksum and format version), rebuilds the
-// levels from the persisted sstables, re-opens the value-log files found in
-// the directory, and replays the WAL from the manifest's minimum unflushed
-// segment into a fresh memtable, truncating at the first torn or corrupt
-// record. New appends go to a segment beyond every recovered one — a torn
-// tail is never appended to. With a nil Durable (or an empty directory)
-// Open is equivalent to New.
+// levels from the persisted sstables, and replays the WAL from the
+// manifest's minimum unflushed segment into a fresh memtable, truncating at
+// the first torn or corrupt record. New appends go to a segment beyond every
+// recovered one — a torn tail is never appended to. With a nil Durable (or an
+// empty directory) Open is equivalent to New.
 func Open(opts Options) (*Engine, error) {
 	dir := opts.Durable
 	if dir == nil {
@@ -381,35 +318,24 @@ func Open(opts Options) (*Engine, error) {
 			e.mu.levels[lvl] = append(e.mu.levels[lvl], t)
 		}
 	}
-	e.vlog = recoverValueLog(e.opts.VlogFileSize, dir, m)
 	e.mu.nextID = m.nextID
 	// The replacement-memtable convention from flushLocked: the skiplist seed
 	// derives from the next table id, so recovery lands on the same seed a
 	// surviving engine would have used for a memtable created at this point.
 	mem := newMemTable(randutil.NewRand(int64(m.nextID)))
 	mem.firstSeg = m.minUnflushedSeg
-	var discards []valuePointer
 	if _, err := replayWAL(dir, m.minUnflushedSeg, func(entries []Entry) {
 		// One sequence number per record, as the original commit had. No
 		// iterator exists yet, so every overwrite replaces in place.
 		e.mu.seq++
 		for _, ent := range entries {
-			if old, replaced := mem.set(ent, e.mu.seq, 0); replaced && old.vptr {
-				if p, perr := decodeValuePointer(old.Value); perr == nil {
-					discards = append(discards, p)
-				}
-			}
+			mem.set(ent, e.mu.seq, 0)
 		}
 	}); err != nil {
 		return nil, err
 	}
 	e.mu.mem = mem
 	e.mu.metrics.MemTableBytes = mem.sizeB
-	// Same-memtable overwrites rediscovered by replay retire their old
-	// value-log records, as the original commits did.
-	for _, p := range discards {
-		e.vlog.discard(p)
-	}
 	// Resume the WAL beyond every segment present: the last one may end in a
 	// torn record, and appending after a truncated tail would resurrect it.
 	nextSeg := m.walSeg
@@ -494,24 +420,8 @@ func (e *Engine) writeManifestLocked() {
 			m.levels[lvl] = append(m.levels[lvl], t.id)
 		}
 	}
-	// Lock order: e.mu before vlog.mu, the established direction.
-	m.vlogActiveID, m.vlogFiles = e.vlog.manifestState()
 	installManifest(e.opts.Durable, m)
 	e.mu.wal.deleteSegmentsBelow(m.minUnflushedSeg)
-}
-
-// walSyncBarrier forces any buffered WAL tail to durability. Value-log GC
-// invokes it before deleting a rewritten file: the relocated pointers ride
-// WAL records that must survive a crash that the deletion does.
-func (e *Engine) walSyncBarrier() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mu.wal == nil || e.mu.closed {
-		return
-	}
-	pre := e.mu.wal.fsyncs
-	e.mu.wal.sync()
-	e.noteWALFsyncsLocked(pre)
 }
 
 // Set writes key=value.
@@ -534,27 +444,13 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	// batch before it reaches the engine lock, so stalled writers don't block
 	// readers for the stall's duration.
 	e.opts.Faults.Should("lsm.write.stall")
-	// Value separation happens before the engine lock: large values go to
-	// the value log (its own lock) and only the 12-byte pointer enters the
-	// critical section. An injected append failure degrades to inline
-	// storage — logically transparent, so replicas whose fault streams
-	// diverge still converge on reads.
-	sep := make([]Entry, len(entries))
+	// The memtable keeps what it is given, so the batch is copied before the
+	// lock: the caller may reuse its buffers once ApplyBatch returns.
+	owned := make([]Entry, len(entries))
 	for i, ent := range entries {
-		ent.Key = cloneBytes(ent.Key)
-		ent.Value = cloneBytes(ent.Value)
-		if !ent.Tombstone && !ent.vptr && len(ent.Value) >= e.opts.ValueThreshold {
-			if err := e.opts.Faults.MaybeErr("lsm.vlog.write.error"); err != nil {
-				e.writeMetrics.VlogFallbacks.Inc(1)
-			} else {
-				ent.Value = encodeValuePointer(e.vlog.append(ent.Key, ent.Value))
-				ent.vptr = true
-				e.writeMetrics.VlogWrites.Inc(1)
-			}
-		}
-		sep[i] = ent
+		ent.Key, ent.Value = cloneBytes(ent.Key), cloneBytes(ent.Value)
+		owned[i] = ent
 	}
-	var discards []valuePointer
 	e.mu.Lock()
 	if e.mu.closed {
 		e.mu.Unlock()
@@ -564,17 +460,17 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	// the fsync policy) synced before any entry becomes visible, and record
 	// order is exactly apply order. Volatile engines account the bytes the
 	// batch would have framed, so WALBytes stays comparable.
-	if len(sep) > 0 {
+	if len(owned) > 0 {
 		if e.mu.wal != nil {
 			var payload []byte
-			for _, ent := range sep {
+			for _, ent := range owned {
 				payload = appendEntry(payload, ent)
 			}
 			e.walAppendLocked(payload)
 		} else {
 			framed := int64(walRecordHeaderLen)
-			for _, ent := range sep {
-				framed += int64(9 + len(ent.Key) + len(ent.Value))
+			for _, ent := range owned {
+				framed += int64(entryHeaderLen + len(ent.Key) + len(ent.Value))
 			}
 			e.mu.metrics.WALBytes += framed
 			e.writeMetrics.WALBytes.Inc(framed)
@@ -582,12 +478,8 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	}
 	e.mu.seq++
 	snapSeq := e.snapSeq.Load()
-	for _, ent := range sep {
-		if old, replaced := e.mu.mem.set(ent, e.mu.seq, snapSeq); replaced && old.vptr {
-			if p, err := decodeValuePointer(old.Value); err == nil {
-				discards = append(discards, p)
-			}
-		}
+	for _, ent := range owned {
+		e.mu.mem.set(ent, e.mu.seq, snapSeq)
 	}
 	e.mu.metrics.MemTableBytes = e.mu.mem.sizeB
 	var sp *trace.Span
@@ -599,11 +491,6 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 		sp, job, _ = e.flushLocked() //lint:allow faulterr a failed background flush is not a write failure; rotation retries at the next threshold crossing
 	}
 	e.mu.Unlock()
-	// Same-memtable overwrites retire their old value-log records; reported
-	// outside the lock (discard stats drive GC, nothing on the read path).
-	for _, p := range discards {
-		e.vlog.discard(p)
-	}
 	e.finishFlush(sp, job)
 	return nil
 }
@@ -756,16 +643,6 @@ func (e *Engine) Metrics() Metrics {
 	}
 	m.TablesProbed = e.readMetrics.TablesProbed.Value()
 	m.CompactionsCoalesced = e.writeMetrics.CompactCoalesced.Value()
-	m.VlogWrites = e.writeMetrics.VlogWrites.Value()
-	m.VlogWriteFallbacks = e.writeMetrics.VlogFallbacks.Value()
-	m.VlogGCRounds = e.writeMetrics.VlogGCRounds.Value()
-	m.VlogGCRewritten = e.writeMetrics.VlogGCRewritten.Value()
-	m.VlogGCReclaimedBytes = e.writeMetrics.VlogGCReclaimed.Value()
-	m.CorruptionErrors = e.readMetrics.CorruptionErrors.Value()
-	vs := e.vlog.stats()
-	m.VlogFiles = vs.files
-	m.VlogLiveBytes = vs.liveBytes
-	m.VlogDeadBytes = vs.deadBytes
 	return m
 }
 

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 )
 
@@ -11,16 +10,15 @@ import (
 // keys are not surfaced.
 //
 // The snapshot is everything NewIter captures under one read lock: the
-// engine's batch sequence number, the active and immutable memtables, the
-// level slices and the value log's file set. A batch is applied wholly inside
-// the exclusive lock, so the captured number never falls inside one, and a
-// later batch is invisible because its memtable versions carry a higher
-// number (tables and level slices are immutable once published). Nothing is
+// engine's batch sequence number, the active and immutable memtables and the
+// level slices. A batch is applied wholly inside the exclusive lock, so the
+// captured number never falls inside one, and a later batch is invisible
+// because its memtable versions carry a higher number (tables and level
+// slices are immutable once published). Nothing is
 // copied or decoded until the iterator is positioned on it: a memtable source
-// walks the skiplist in place, a table source reads entry headers in place in
-// the encoded block, and Value chases a value pointer only when asked. There
-// is no Close: a rotated memtable, a compacted-away table and a GC-deleted
-// value-log file live exactly as long as an iterator refers to them, and
+// walks the skiplist in place, and a table source reads entry headers in place
+// in the encoded block. There is no Close: a rotated memtable and a
+// compacted-away table live exactly as long as an iterator refers to them, and
 // iterators are short-lived.
 //
 // The iterator is the engine's only read path. A point read positions one at
@@ -29,11 +27,9 @@ import (
 type Iterator struct {
 	e      *Engine
 	seq    uint64
-	vfiles map[uint32]*vlogFile
 	lo, hi []byte
 	srcs   []iterSource // newest run first: a key's first holder shadows the rest
 	cur    *iterSource  // holder of the current entry; nil when exhausted
-	err    error
 	// buf backs srcs for the common shapes, keeping NewIter at one allocation.
 	buf [3]iterSource
 }
@@ -60,7 +56,6 @@ func (e *Engine) NewIter(lo, hi []byte) *Iterator {
 	it.seq = e.mu.seq
 	e.snapSeq.Store(it.seq) // writers now retain every version at or below it
 	mem, imm, levels := e.mu.mem, e.mu.imm, e.mu.levels
-	it.vfiles = e.vlog.fileSet()
 	e.mu.RUnlock()
 
 	it.srcs = append(it.buf[:0], iterSource{mem: mem})
@@ -99,33 +94,9 @@ func (it *Iterator) Valid() bool { return it.cur != nil }
 // moves on.
 func (it *Iterator) Key() []byte { return it.cur.key }
 
-// Value returns the current value, resolving a value-log pointer against the
-// snapshot's file set. Only valid while Valid() is true. A pointer that does
-// not resolve is corruption (see the contract in vlog.go): Value returns nil
-// and Error reports it.
-func (it *Iterator) Value() []byte {
-	ent := it.cur.entry(it)
-	if !ent.vptr {
-		return ent.Value
-	}
-	p, err := decodeValuePointer(ent.Value)
-	var v []byte
-	if err == nil {
-		v, err = it.e.vlog.read(it.vfiles, p)
-	}
-	if err != nil {
-		it.e.readMetrics.CorruptionErrors.Inc(1)
-		if it.err == nil {
-			it.err = fmt.Errorf("%w: value pointer of key %q does not resolve: %v", ErrCorruption, ent.Key, err)
-		}
-		return nil
-	}
-	return v
-}
-
-// Error returns the first error the iterator met; callers check it where
-// they read a value and when their loop ends.
-func (it *Iterator) Error() error { return it.err }
+// Value returns the current value. Only valid while Valid() is true. Like
+// Key, the slice aliases immutable engine memory.
+func (it *Iterator) Value() []byte { return it.cur.entry(it).Value }
 
 // Next advances to the next live (non-tombstone) key.
 func (it *Iterator) Next() {

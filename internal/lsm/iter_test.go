@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,15 +11,10 @@ import (
 	"crdbserverless/internal/randutil"
 )
 
-// newIterTestEngine keeps memtables, levels, vlog files and the separation
-// threshold small, so a few hundred writes cross flushes, compactions,
-// value-log rotation and GC, and most values are read through a pointer.
+// newIterTestEngine keeps memtables and levels small, so a few hundred writes
+// cross flushes and compactions.
 func newIterTestEngine() *Engine {
-	e := newEngineWithL0(Options{
-		MemTableSize:   2 << 10,
-		ValueThreshold: 64,
-		VlogFileSize:   2 << 10,
-	}, 3)
+	e := newEngineWithL0(Options{MemTableSize: 2 << 10}, 3)
 	e.lBaseMax = 8 << 10
 	return e
 }
@@ -38,8 +32,8 @@ func modelRange(model map[string]string, lo, hi []byte) []string {
 }
 
 // TestIteratorVsModel drives the engine and a sorted-map model with the same
-// seeded stream of sets, deletes, multi-key batches, flushes, compactions and
-// value-log GC rounds, and between them walks random iterators with NewIter,
+// seeded stream of sets, deletes, multi-key batches, flushes and compactions,
+// and between them walks random iterators with NewIter,
 // SeekGE (both directions) and Next, checking every position against the
 // model.
 func TestIteratorVsModel(t *testing.T) {
@@ -51,7 +45,7 @@ func TestIteratorVsModel(t *testing.T) {
 			model := map[string]string{}
 			key := func() []byte { return []byte(fmt.Sprintf("k%03d", rng.Intn(150))) }
 			val := func() []byte {
-				v := make([]byte, 1+rng.Intn(160)) // about half cross ValueThreshold
+				v := make([]byte, 1+rng.Intn(160))
 				for i := range v {
 					v[i] = byte('a' + rng.Intn(26))
 				}
@@ -113,9 +107,6 @@ func TestIteratorVsModel(t *testing.T) {
 						check("Next")
 					}
 				}
-				if err := it.Error(); err != nil {
-					t.Fatal(err)
-				}
 			}
 			for op := 0; op < 1500; op++ {
 				switch r := rng.Intn(100); {
@@ -143,33 +134,30 @@ func TestIteratorVsModel(t *testing.T) {
 					}
 				case r < 86:
 					e.Compact()
-				case r < 88:
-					e.VlogGC()
 				default:
 					walk()
 				}
 			}
 			walk()
 			m := e.Metrics()
-			if m.FlushCount == 0 || m.CompactionCount == 0 || m.VlogWrites == 0 || m.VlogGCRewritten == 0 {
-				t.Fatalf("run did not exercise flush/compaction/vlog/GC: %+v", m)
+			if m.FlushCount == 0 || m.CompactionCount == 0 {
+				t.Fatalf("run did not exercise flush/compaction: %+v", m)
 			}
 		})
 	}
 }
 
 // TestIteratorSnapshot: an iterator yields exactly the state it was created
-// over — separated values included — however the engine is rewritten around
-// it afterwards: every key overwritten, every other one deleted, new keys
-// inserted on both sides of each, then a flush, a full compaction and a
-// value-log GC that deletes the files its pointers name.
+// over, however the engine is rewritten around it afterwards: every key
+// overwritten, every other one deleted, new keys inserted on both sides of
+// each, then a flush and a full compaction that retires the tables it reads.
 func TestIteratorSnapshot(t *testing.T) {
 	e := newIterTestEngine()
 	defer e.Close()
 	want := map[string]string{}
 	put := func(i int, gen string) {
 		k := fmt.Sprintf("k%03d-m", i)
-		v := fmt.Sprintf("%s-%03d-%s", gen, i, bytes.Repeat([]byte{'x'}, (i%3)*60)) // a third inline
+		v := fmt.Sprintf("%s-%03d-%s", gen, i, bytes.Repeat([]byte{'x'}, (i%3)*60))
 		if err := e.Set([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -217,17 +205,6 @@ func TestIteratorSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Compact()
-	e.VlogGC()
-	gone := 0
-	now := e.vlog.fileSet()
-	for id := range it.vfiles {
-		if now[id] == nil {
-			gone++
-		}
-	}
-	if gone == 0 {
-		t.Fatalf("GC deleted none of the snapshot's %d value-log files", len(it.vfiles))
-	}
 
 	verify := func(it *Iterator, lo, hi []byte) {
 		t.Helper()
@@ -242,9 +219,6 @@ func TestIteratorSnapshot(t *testing.T) {
 		}
 		if it.Valid() {
 			t.Fatalf("iterator continues with %q past the snapshot's last key", it.Key())
-		}
-		if err := it.Error(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	verify(it, nil, nil)
@@ -261,7 +235,7 @@ func TestIteratorSnapshot(t *testing.T) {
 // and compactions the writes trigger.
 func TestIteratorNoTornBatch(t *testing.T) {
 	const pairs, batches = 40, 4000
-	e := newEngineWithL0(Options{MemTableSize: 4 << 10, ValueThreshold: 64, VlogFileSize: 4 << 10}, 3)
+	e := newEngineWithL0(Options{MemTableSize: 4 << 10}, 3)
 	defer e.Close()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -298,10 +272,6 @@ func TestIteratorNoTornBatch(t *testing.T) {
 				for ; it.Valid(); it.Next() {
 					seen[string(it.Key())] = string(it.Value())
 				}
-				if err := it.Error(); err != nil {
-					t.Error(err)
-					return
-				}
 				for i := 0; i < pairs; i++ {
 					a, aok := seen[fmt.Sprintf("a%03d", i)]
 					b, bok := seen[fmt.Sprintf("b%03d", i)]
@@ -316,39 +286,6 @@ func TestIteratorNoTornBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestIteratorCorruptPointer: a surfaced value pointer that does not resolve
-// against the snapshot's file set is typed corruption on Error, counted, with
-// a nil Value.
-func TestIteratorCorruptPointer(t *testing.T) {
-	e := New(Options{ValueThreshold: 8, VlogFileSize: 64})
-	defer e.Close()
-	big := bytes.Repeat([]byte("0123456789abcdef"), 4)
-	e.Set([]byte("a"), big) // fills file 1 past rotation size
-	e.Set([]byte("b"), big) // rotates to file 2, so file 1 is deletable
-	// Force-delete file 1 while a's pointer still names it, bypassing GC's
-	// rewrite-then-delete protocol — before the snapshot, so it is not held.
-	if n := e.vlog.deleteFile(1); n == 0 {
-		t.Fatal("test setup: vlog file 1 not deletable")
-	}
-	it := e.NewIter(nil, nil)
-	if !it.Valid() || string(it.Key()) != "a" {
-		t.Fatalf("iterator not on key a")
-	}
-	if v := it.Value(); v != nil {
-		t.Fatalf("Value = %q, want nil", v)
-	}
-	if err := it.Error(); !errors.Is(err, ErrCorruption) {
-		t.Fatalf("Error = %v, want ErrCorruption", err)
-	}
-	if m := e.Metrics(); m.CorruptionErrors != 1 {
-		t.Fatalf("CorruptionErrors = %d, want 1", m.CorruptionErrors)
-	}
-	it.Next()
-	if !it.Valid() || !bytes.Equal(it.Value(), big) {
-		t.Fatal("iterator did not carry on to key b")
-	}
-}
-
 // TestMemTableOverwrite: an overwrite of a version some snapshot may hold
 // keeps it for that snapshot, and must then grow sizeB — a key rewritten by
 // every command would otherwise hold a chain no flush threshold ever sees. An
@@ -360,11 +297,11 @@ func TestMemTableOverwrite(t *testing.T) {
 	m.set(Entry{Key: k, Value: []byte("12345678")}, 1, 0)
 	base := m.sizeB
 	// No iterator has a snapshot yet (snapSeq 0): replaced, not retained.
-	old, replaced := m.set(Entry{Key: k, Value: []byte("abcdefgh")}, 2, 0)
-	if !replaced || string(old.Value) != "12345678" || m.sizeB != base {
-		t.Fatalf("unobserved overwrite: replaced=%v old=%q sizeB %d -> %d", replaced, old.Value, base, m.sizeB)
-	}
+	m.set(Entry{Key: k, Value: []byte("abcdefgh")}, 2, 0)
 	n := m.seek(k, nil)
+	if v := n.latest(); string(v.value) != "abcdefgh" || m.sizeB != base {
+		t.Fatalf("unobserved overwrite: latest=%q sizeB %d -> %d", v.value, base, m.sizeB)
+	}
 	if n.newest.Load() != nil {
 		t.Fatal("unobserved overwrite pushed a version")
 	}
@@ -391,5 +328,41 @@ func TestMemTableOverwrite(t *testing.T) {
 	// 76 k of these are most of new_order's live heap: the node must not grow.
 	if sz := unsafe.Sizeof(skipNode{}); sz > 112 {
 		t.Fatalf("skipNode is %d bytes, want <= 112", sz)
+	}
+}
+
+// An iterator over a narrow range must position in only the one table of a
+// sorted level whose bounds intersect it.
+func TestIterProbesOnlyOverlappingTables(t *testing.T) {
+	e := newManualEngine(Options{})
+	defer e.Close()
+	// Five disjoint key ranges, each compacted into its own bottom-level table.
+	for r := 0; r < 5; r++ {
+		for i := 0; i < 10; i++ {
+			if err := e.Set([]byte(fmt.Sprintf("r%d-%02d", r, i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		e.Compact()
+	}
+	e.mu.RLock()
+	bottom := len(e.mu.levels[numLevels-1])
+	e.mu.RUnlock()
+	if bottom < 3 {
+		t.Fatalf("level shape did not spread the bottom level: %d tables", bottom)
+	}
+	before := e.Metrics().TablesProbed
+	n := 0
+	for it := e.NewIter([]byte("r2-"), []byte("r2-99")); it.Valid(); it.Next() {
+		n++
+	}
+	if n != 10 {
+		t.Fatalf("scan returned %d keys, want 10", n)
+	}
+	if probed := e.Metrics().TablesProbed - before; probed != 1 {
+		t.Fatalf("single-table range scan probed %d tables, want 1", probed)
 	}
 }

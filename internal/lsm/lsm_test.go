@@ -30,22 +30,25 @@ func newEngineWithL0(opts Options, l0Files int) *Engine {
 
 // get is a point read through the engine's one read path: an iterator
 // seeked to key, which must land on exactly key. The value is copied out, so
-// the caller may keep or modify it. An iterator error fails the test (t.Errorf
-// is safe from any goroutine) and reads as not found.
+// the caller may keep or modify it.
 func get(t testing.TB, e *Engine, key []byte) ([]byte, bool) {
 	t.Helper()
 	it := e.NewIter(nil, nil)
 	it.SeekGE(key)
-	var v []byte
-	found := it.Valid() && bytes.Equal(it.Key(), key)
-	if found {
-		v = cloneBytes(it.Value())
-	}
-	if err := it.Error(); err != nil {
-		t.Errorf("get(%q): %v", key, err)
+	if !it.Valid() || !bytes.Equal(it.Key(), key) {
 		return nil, false
 	}
-	return v, found
+	return cloneBytes(it.Value()), true
+}
+
+// bigVal returns a value of n bytes whose content encodes tag, so a value
+// read back from the wrong key is caught by content checks, not just lengths.
+func bigVal(tag string, n int) []byte {
+	b := make([]byte, 0, n)
+	for len(b) < n {
+		b = append(b, tag...)
+	}
+	return b[:n]
 }
 
 func TestEngineSetGet(t *testing.T) {
@@ -499,7 +502,7 @@ func TestEngineValueIsolation(t *testing.T) {
 func TestMergeRunsPrecedence(t *testing.T) {
 	newer := []Entry{{Key: []byte("a"), Value: []byte("new")}}
 	older := []Entry{{Key: []byte("a"), Value: []byte("old")}, {Key: []byte("b"), Value: []byte("b")}}
-	out := mergeRuns([][]Entry{newer, older}, false, nil)
+	out := mergeRuns([][]Entry{newer, older}, false)
 	if len(out) != 2 || string(out[0].Value) != "new" {
 		t.Fatalf("merge precedence: %+v", out)
 	}
@@ -508,11 +511,11 @@ func TestMergeRunsPrecedence(t *testing.T) {
 func TestMergeRunsTombstoneHandling(t *testing.T) {
 	newer := []Entry{{Key: []byte("a"), Tombstone: true}}
 	older := []Entry{{Key: []byte("a"), Value: []byte("old")}}
-	kept := mergeRuns([][]Entry{newer, older}, false, nil)
+	kept := mergeRuns([][]Entry{newer, older}, false)
 	if len(kept) != 1 || !kept[0].Tombstone {
 		t.Fatalf("tombstone should be kept when not bottommost: %+v", kept)
 	}
-	dropped := mergeRuns([][]Entry{newer, older}, true, nil)
+	dropped := mergeRuns([][]Entry{newer, older}, true)
 	if len(dropped) != 0 {
 		t.Fatalf("tombstone should be dropped at bottom: %+v", dropped)
 	}

@@ -9,25 +9,26 @@ import (
 
 // The manifest is the engine's durable source of truth for everything outside
 // the WAL: which sstables make up each level, how far the WAL has been
-// flushed (the minimum segment recovery must replay), the next file ID, and
-// the value log's file set with its discard stats. It is rewritten in full on
-// every flush and compaction install — the state is small — and installed
-// atomically by writing MANIFEST.tmp and renaming over MANIFEST, so a crash
-// leaves either the old or the new manifest, never a blend.
+// flushed (the minimum segment recovery must replay), and the next file ID.
+// It is rewritten in full on every flush and compaction install — the state
+// is small — and installed atomically by writing MANIFEST.tmp and renaming
+// over MANIFEST, so a crash leaves either the old or the new manifest, never
+// a blend.
 //
 // Encoding (all big-endian):
 //
 //	[magic "MANI"][format version u32]
 //	[nextID u64][minUnflushedSeg u64][walSeg u64]
 //	numLevels x ([count u32][id u64]...)
-//	[vlog activeID u32][vlog file count u32]
-//	  per file: [id u32][totalBytes u64][discardBytes u64]
 //	[crc32c u32 over everything above]
+//
+// Version 1 ended the body with a value-log section; this build has no value
+// log and refuses it with ErrVersionMismatch.
 
 // ErrCorruption reports on-disk state that fails its integrity checks — a
-// manifest with a bad CRC, or a value-log file referenced by live data that
-// no longer exists. Distinct from a torn WAL tail, which is expected after a
-// crash and silently truncated.
+// manifest with a bad CRC, an sstable that does not decode or is missing, or
+// a WAL record that passes its CRC but does not decode. Distinct from a torn
+// WAL tail, which is expected after a crash and silently truncated.
 var ErrCorruption = errors.New("lsm: corruption detected")
 
 // ErrVersionMismatch reports durable state written by an incompatible engine
@@ -39,22 +40,12 @@ const (
 	manifestName        = "MANIFEST"
 	manifestTmpName     = "MANIFEST.tmp"
 	manifestMagic       = uint32('M')<<24 | uint32('A')<<16 | uint32('N')<<8 | uint32('I')
-	manifestVersion     = 1
+	manifestVersion     = 2
 	manifestHeaderLen   = 8 // magic + version
 	manifestChecksumLen = 4
 )
 
-func sstFileName(id uint64) string  { return fmt.Sprintf("sst-%06d", id) }
-func vlogFileName(id uint32) string { return fmt.Sprintf("vlog-%06d", id) }
-
-// manifestVlogFile is the durable record of one value-log file's occupancy.
-// Discard stats are advisory (they steer GC candidate selection); byte
-// contents live in the vlog file itself.
-type manifestVlogFile struct {
-	id           uint32
-	totalBytes   int64
-	discardBytes int64
-}
+func sstFileName(id uint64) string { return fmt.Sprintf("sst-%06d", id) }
 
 // manifest is the decoded durable engine state.
 type manifest struct {
@@ -62,8 +53,6 @@ type manifest struct {
 	minUnflushedSeg uint64 // lowest WAL segment holding unflushed data
 	walSeg          uint64 // active WAL segment at install time
 	levels          [numLevels][]uint64
-	vlogActiveID    uint32
-	vlogFiles       []manifestVlogFile
 }
 
 func (m *manifest) encode() []byte {
@@ -78,13 +67,6 @@ func (m *manifest) encode() []byte {
 		for _, id := range m.levels[lvl] {
 			b = binary.BigEndian.AppendUint64(b, id)
 		}
-	}
-	b = binary.BigEndian.AppendUint32(b, m.vlogActiveID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.vlogFiles)))
-	for _, f := range m.vlogFiles {
-		b = binary.BigEndian.AppendUint32(b, f.id)
-		b = binary.BigEndian.AppendUint64(b, uint64(f.totalBytes))
-		b = binary.BigEndian.AppendUint64(b, uint64(f.discardBytes))
 	}
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crc32cTable))
 }
@@ -114,15 +96,6 @@ func decodeManifest(b []byte) (*manifest, error) {
 		for i := 0; i < n && !r.bad; i++ {
 			m.levels[lvl] = append(m.levels[lvl], r.uint64())
 		}
-	}
-	m.vlogActiveID = r.uint32()
-	nFiles := int(r.uint32())
-	for i := 0; i < nFiles && !r.bad; i++ {
-		m.vlogFiles = append(m.vlogFiles, manifestVlogFile{
-			id:           r.uint32(),
-			totalBytes:   int64(r.uint64()),
-			discardBytes: int64(r.uint64()),
-		})
 	}
 	if r.bad || r.off != len(body) {
 		return nil, fmt.Errorf("%w: manifest body malformed", ErrCorruption)

@@ -24,7 +24,6 @@ type memVersion struct {
 	seq       uint64
 	older     *memVersion
 	tombstone bool
-	vptr      bool
 }
 
 // skipNode is one key of the skiplist. The level-0 link and the first version
@@ -73,7 +72,7 @@ func (n *skipNode) visible(seq uint64) *memVersion {
 }
 
 func (n *skipNode) entry(v *memVersion) Entry {
-	return Entry{Key: n.key, Value: v.value, Tombstone: v.tombstone, vptr: v.vptr}
+	return Entry{Key: n.key, Value: v.value, Tombstone: v.tombstone}
 }
 
 // memTable is a skiplist-based ordered map from key to a chain of versions.
@@ -127,9 +126,7 @@ func (m *memTable) seek(target []byte, prev *[maxSkipLevel]*skipNode) *skipNode 
 	return x.next(0)
 }
 
-// set writes e as part of engine batch seq. Overwriting a key returns the
-// entry that was current until now, so the caller can report a discarded
-// value-log pointer.
+// set writes e as part of engine batch seq.
 //
 // snapSeq is the highest sequence number any iterator's snapshot holds. A
 // current version above it is one no iterator can read — those that exist
@@ -139,24 +136,23 @@ func (m *memTable) seek(target []byte, prev *[maxSkipLevel]*skipNode) *skipNode 
 // the node's chain for the snapshots that hold it, and stays charged to sizeB
 // — a key overwritten by every command (the per-range applied index) would
 // otherwise grow a chain bounded by nothing but the other keys' bytes.
-func (m *memTable) set(e Entry, seq, snapSeq uint64) (Entry, bool) {
+func (m *memTable) set(e Entry, seq, snapSeq uint64) {
 	var prev [maxSkipLevel]*skipNode
 	if n := m.seek(e.Key, &prev); n != nil && bytes.Equal(n.key, e.Key) {
 		cur := n.latest()
-		old := n.entry(cur)
 		if cur.seq > snapSeq {
 			// Readers only ever compare cur.seq, which keeps its (older, still
 			// unobserved) number.
 			m.sizeB += int64(len(e.Value) - len(cur.value))
-			cur.value, cur.tombstone, cur.vptr = e.Value, e.Tombstone, e.vptr
-			return old, true
+			cur.value, cur.tombstone = e.Value, e.Tombstone
+			return
 		}
 		m.sizeB += int64(len(e.Value) + 16)
-		n.newest.Store(&memVersion{value: e.Value, seq: seq, older: cur, tombstone: e.Tombstone, vptr: e.vptr})
-		return old, true
+		n.newest.Store(&memVersion{value: e.Value, seq: seq, older: cur, tombstone: e.Tombstone})
+		return
 	}
 	lvl := m.randomLevel()
-	n := &skipNode{key: e.Key, first: memVersion{value: e.Value, seq: seq, tombstone: e.Tombstone, vptr: e.vptr}}
+	n := &skipNode{key: e.Key, first: memVersion{value: e.Value, seq: seq, tombstone: e.Tombstone}}
 	if lvl > 1 {
 		n.tower = make([]atomic.Pointer[skipNode], lvl-1)
 	}
@@ -168,16 +164,6 @@ func (m *memTable) set(e Entry, seq, snapSeq uint64) (Entry, bool) {
 	}
 	m.count++
 	m.sizeB += int64(len(e.Key) + len(e.Value) + 16)
-	return Entry{}, false
-}
-
-// get returns the newest entry for key, if present. The caller holds the
-// engine lock (either mode), so no batch is half applied.
-func (m *memTable) get(key []byte) (Entry, bool) {
-	if n := m.seek(key, nil); n != nil && bytes.Equal(n.key, key) {
-		return n.entry(n.latest()), true
-	}
-	return Entry{}, false
 }
 
 // entries returns the newest entry of every key, in key order. Called on a

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -154,10 +155,7 @@ func TestCompactionMergeWindowAllowsProgress(t *testing.T) {
 	}
 
 	// Phases 2+3: merge outside the lock, install under it.
-	out, next, _ := e.runMerge(plan)
-	e.mu.Lock()
-	e.installCompactionLocked(plan, out, next)
-	e.mu.Unlock()
+	e.mergeAndInstall(plan)
 
 	m := e.Metrics()
 	if m.CompactionCount != 1 {
@@ -198,10 +196,7 @@ func TestCompactionInstallAbandonedWhenInputsGone(t *testing.T) {
 	e.Compact()
 	before := e.Metrics()
 
-	out, next, _ := e.runMerge(stale)
-	e.mu.Lock()
-	e.installCompactionLocked(stale, out, next)
-	e.mu.Unlock()
+	e.mergeAndInstall(stale)
 
 	after := e.Metrics()
 	if after.CompactionCount != before.CompactionCount {
@@ -467,6 +462,185 @@ func TestRandomizedOpsMatchShadowMap(t *testing.T) {
 			e.Close()
 		}
 	})
+}
+
+// Randomized-interleave property test with range scans: a seeded op stream
+// of sets, deletes, forced flushes and compactions, range scans and point
+// reads runs against the engine and a shadow map. Values are of two sizes, a
+// few bytes and up to 88, and every scan window is cross-checked both ways
+// against the shadow map.
+func TestRandomizedOpsWithScans(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		e := newEngineWithL0(Options{MemTableSize: 512}, 2)
+		rng := randutil.NewRand(seed)
+		shadow := map[string]string{}
+		key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(200))) }
+		value := func(op int) []byte {
+			if rng.Intn(2) == 0 {
+				return bigVal(fmt.Sprintf("big-%d-", op), 24+rng.Intn(64))
+			}
+			return []byte(fmt.Sprintf("v%d", op))
+		}
+		for op := 0; op < 2000; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3: // set
+				k, v := key(), value(op)
+				if err := e.Set(k, v); err != nil {
+					t.Fatal(err)
+				}
+				shadow[string(k)] = string(v)
+			case 4: // delete
+				k := key()
+				if err := e.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(shadow, string(k))
+			case 5: // flush
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			case 6: // manual compaction
+				if op%7 == 0 {
+					e.Compact()
+				}
+			case 7: // scan a window and cross-check the shadow map
+				lo := fmt.Sprintf("key-%03d", rng.Intn(200))
+				hi := fmt.Sprintf("key-%03d", rng.Intn(200))
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				seen := map[string]string{}
+				for it := e.NewIter([]byte(lo), []byte(hi)); it.Valid(); it.Next() {
+					seen[string(it.Key())] = string(it.Value())
+				}
+				for k, want := range shadow {
+					if k >= lo && k < hi {
+						if got, ok := seen[k]; !ok || got != want {
+							t.Fatalf("seed %d op %d: scan[%s,%s) missing %s (got %q ok=%v)",
+								seed, op, lo, hi, k, got, ok)
+						}
+					}
+				}
+				for k, got := range seen {
+					if want, ok := shadow[k]; !ok || want != got {
+						t.Fatalf("seed %d op %d: scan surfaced %s=%q, shadow %q ok=%v",
+							seed, op, k, got, want, ok)
+					}
+				}
+			default: // get
+				k := key()
+				v, ok := get(t, e, k)
+				want, inShadow := shadow[string(k)]
+				if ok != inShadow || (ok && string(v) != want) {
+					t.Fatalf("seed %d op %d: get(%s) = %q %v, shadow %q %v",
+						seed, op, k, v, ok, want, inShadow)
+				}
+			}
+		}
+		for i := 0; i < 200; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			v, ok := get(t, e, []byte(k))
+			want, inShadow := shadow[k]
+			if ok != inShadow || (ok && string(v) != want) {
+				t.Fatalf("seed %d sweep: %s = %q %v, shadow %q %v", seed, k, v, ok, want, inShadow)
+			}
+		}
+		e.Close()
+	}
+}
+
+// Concurrent readers and overwriting writers while a dedicated goroutine
+// forces full compactions; under -race this is the lock-discipline test for
+// manual compaction racing auto-compaction, flushes and reads, and the final
+// state must match what the writers wrote last.
+func TestConcurrentReadersWritersWithCompactor(t *testing.T) {
+	e := newEngineWithL0(Options{MemTableSize: 512}, 2)
+	defer e.Close()
+
+	const writers, readers, perWriter = 4, 3, 120
+	var writerWg, readerWg, compactWg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		readerWg.Add(1)
+		go func(r int) {
+			defer readerWg.Done()
+			rng := randutil.NewRand(int64(1000 + r))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := rng.Intn(writers)
+				i := rng.Intn(perWriter)
+				if v, ok := get(t, e, []byte(fmt.Sprintf("w%d-%04d", w, i))); ok && len(v) == 0 {
+					t.Errorf("empty value for w%d-%04d", w, i)
+					return
+				}
+			}
+		}(r)
+	}
+	compactWg.Add(1)
+	go func() {
+		defer compactWg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Compact()
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		writerWg.Add(1)
+		go func(w int) {
+			defer writerWg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := []byte(fmt.Sprintf("w%d-%04d", w, i))
+				if err := e.Set(k, bigVal(fmt.Sprintf("val-%d-%d-", w, i), 48)); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 1 { // churn: overwrite, so merges drop shadowed versions
+					if err := e.Set(k, bigVal(fmt.Sprintf("ovr-%d-%d-", w, i), 48)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if i%10 == 9 {
+					if err := e.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { writerWg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent load did not finish")
+	}
+	close(stop)
+	readerWg.Wait()
+	compactWg.Wait()
+
+	e.Compact()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			k := fmt.Sprintf("w%d-%04d", w, i)
+			want := bigVal(fmt.Sprintf("val-%d-%d-", w, i), 48)
+			if i%2 == 1 {
+				want = bigVal(fmt.Sprintf("ovr-%d-%d-", w, i), 48)
+			}
+			if v, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(v, want) {
+				t.Fatalf("%s = %d bytes %v, want %d bytes", k, len(v), ok, len(want))
+			}
+		}
+	}
 }
 
 // Same seed, same ops, run twice: the flush/compaction counts must agree and

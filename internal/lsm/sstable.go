@@ -9,14 +9,11 @@ import (
 
 // Entry is a single key-value record. A tombstone marks a deletion that
 // shadows older versions of the key in lower levels until compacted away.
-// When vptr is set, Value holds an encoded valuePointer into the value log
-// instead of the value itself; the flag travels opaquely through memtables,
-// sstables, and compactions, and is resolved only at the read boundary.
+// Every value is stored inline, whatever its size.
 type Entry struct {
 	Key       []byte
 	Value     []byte
 	Tombstone bool
-	vptr      bool
 }
 
 // size returns the approximate on-disk footprint of the entry.
@@ -26,11 +23,11 @@ func (e Entry) size() int64 { return int64(len(e.Key) + len(e.Value) + 16) }
 // [flags u8][keyLen u32][valLen u32][key][val], with a per-table index of
 // each block's first key. A seek touches one block and reads its entry
 // headers in place; nothing is decoded into a slice on the read path.
+// Tombstone is the only flag bit; any other is corruption.
 const (
 	blockTargetBytes   = 2048
 	entryHeaderLen     = 9
 	entryFlagTombstone = 1 << 0
-	entryFlagVptr      = 1 << 1
 )
 
 // ssTable is an immutable sorted run stored as encoded blocks. In a
@@ -82,9 +79,6 @@ func appendEntry(b []byte, e Entry) []byte {
 	if e.Tombstone {
 		flags |= entryFlagTombstone
 	}
-	if e.vptr {
-		flags |= entryFlagVptr
-	}
 	var hdr [entryHeaderLen]byte
 	hdr[0] = flags
 	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(e.Key)))
@@ -107,7 +101,6 @@ func entryAt(b []byte, off int) (e Entry, next int) {
 		Key:       b[keyStart:valStart],
 		Value:     b[valStart:next],
 		Tombstone: b[off]&entryFlagTombstone != 0,
-		vptr:      b[off]&entryFlagVptr != 0,
 	}, next
 }
 
@@ -123,7 +116,7 @@ func decodeBlock(b []byte) ([]Entry, error) {
 		if len(b)-off < entryHeaderLen {
 			return nil, fmt.Errorf("%w: entry header at offset %d runs past the %d-byte block", ErrCorruption, off, len(b))
 		}
-		if b[off]&^(entryFlagTombstone|entryFlagVptr) != 0 {
+		if b[off]&^entryFlagTombstone != 0 {
 			return nil, fmt.Errorf("%w: entry at offset %d has unknown flags %#x", ErrCorruption, off, b[off])
 		}
 		end := int64(off) + entryHeaderLen +
@@ -170,22 +163,6 @@ func blockSeek(b, key []byte) int {
 	return off
 }
 
-// get returns the entry for key, if present in this table: the block index
-// picks the one block that can hold it, and blockSeek finds it there.
-func (t *ssTable) get(key []byte) (Entry, bool) {
-	bi := t.blockFor(key)
-	if bi < 0 {
-		return Entry{}, false
-	}
-	b := t.blocks[bi]
-	if off := blockSeek(b, key); off < len(b) {
-		if ent, _ := entryAt(b, off); bytes.Equal(ent.Key, key) {
-			return ent, true
-		}
-	}
-	return Entry{}, false
-}
-
 // entries decodes the whole table in key order (compaction input, scans).
 func (t *ssTable) entries() []Entry {
 	out := make([]Entry, 0, t.numEntries)
@@ -210,18 +187,6 @@ func (t *ssTable) overlaps(lo, hi []byte) bool {
 	return true
 }
 
-// sortSearchTables returns the index of the one table in a sorted,
-// non-overlapping (L1+) level that can contain key, or -1.
-func sortSearchTables(tables []*ssTable, key []byte) int {
-	i := sort.Search(len(tables), func(i int) bool {
-		return bytes.Compare(tables[i].maxKey, key) >= 0
-	})
-	if i >= len(tables) || bytes.Compare(tables[i].minKey, key) > 0 {
-		return -1
-	}
-	return i
-}
-
 func (t *ssTable) String() string {
 	return fmt.Sprintf("sst-%d[%q,%q] %dB", t.id, t.minKey, t.maxKey, t.sizeB)
 }
@@ -229,10 +194,8 @@ func (t *ssTable) String() string {
 // mergeRuns merges sorted runs into a single sorted run. Runs earlier in the
 // slice take precedence for duplicate keys (they are newer). If dropTombstones
 // is set, tombstones are elided from the output (valid only when merging into
-// the bottommost level). onDrop, when non-nil, observes every entry the merge
-// discards — shadowed older versions and bottommost tombstones — so the
-// caller can report value-log discard stats for them.
-func mergeRuns(runs [][]Entry, dropTombstones bool, onDrop func(Entry)) []Entry {
+// the bottommost level).
+func mergeRuns(runs [][]Entry, dropTombstones bool) []Entry {
 	type cursor struct {
 		run []Entry
 		idx int
@@ -262,16 +225,10 @@ func mergeRuns(runs [][]Entry, dropTombstones bool, onDrop func(Entry)) []Entry 
 		for i := range cursors {
 			c := &cursors[i]
 			for c.idx < len(c.run) && bytes.Equal(c.run[c.idx].Key, e.Key) {
-				if onDrop != nil {
-					onDrop(c.run[c.idx])
-				}
 				c.idx++
 			}
 		}
 		if e.Tombstone && dropTombstones {
-			if onDrop != nil {
-				onDrop(e)
-			}
 			continue
 		}
 		out = append(out, e)

@@ -8,7 +8,7 @@ import (
 )
 
 // Dir is the crash-survivable directory a durable Engine writes its WAL,
-// manifest, sstables, and value-log segments into. Like the sstables
+// manifest and sstables into. Like the sstables
 // themselves, "disk" here is in-memory — what matters for the systems above
 // is the durability contract, which Dir models faithfully: an append is
 // volatile until the file is synced, a rename is atomic and durable, and

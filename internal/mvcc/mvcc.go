@@ -202,9 +202,9 @@ func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version,
 	it := e.NewIter(lo, hi)
 	it.SeekGE(at)
 	if !it.Valid() || !bytes.Equal(it.Key(), at) {
-		return Version{}, false, it.Error()
+		return Version{}, false, nil
 	}
-	v, err := iterValue(it)
+	v, err := decodeValue(it.Value())
 	if err != nil || v.IsIntent() {
 		return Version{}, false, err
 	}
@@ -238,19 +238,10 @@ func putVersion(e *lsm.Engine, key keys.Key, v Version, replay bool) error {
 	return e.Set(EncodeKey(key, v.Ts), encodeValue(v))
 }
 
-// iterValue decodes the value the iterator is positioned on: a version
-// without its timestamp, which lives in the key.
-func iterValue(it *lsm.Iterator) (Version, error) {
-	raw := it.Value()
-	if err := it.Error(); err != nil {
-		return Version{}, err
-	}
-	return decodeValue(raw)
-}
-
-// iterVersion decodes the version the iterator is positioned on.
+// iterVersion decodes the version the iterator is positioned on. The value
+// holds a version without its timestamp, which lives in the key.
 func iterVersion(it *lsm.Iterator) (Version, error) {
-	v, err := iterValue(it)
+	v, err := decodeValue(it.Value())
 	if err != nil {
 		return Version{}, err
 	}
@@ -263,7 +254,7 @@ func iterVersion(it *lsm.Iterator) (Version, error) {
 func newestVersion(e *lsm.Engine, key keys.Key) (Version, bool, error) {
 	it := e.NewIter(versionBounds(key))
 	if !it.Valid() {
-		return Version{}, false, it.Error()
+		return Version{}, false, nil
 	}
 	v, err := iterVersion(it)
 	return v, err == nil, err
@@ -302,7 +293,7 @@ func Get(e *lsm.Engine, key keys.Key, readTs hlc.Timestamp, txnID uint64) ([]byt
 			it.Next()
 		}
 	}
-	return nil, false, it.Error()
+	return nil, false, nil
 }
 
 // visibleVersion applies the snapshot visibility rules. conflict reports
@@ -413,7 +404,7 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 			}
 			continue
 		}
-		v, err := iterValue(it)
+		v, err := decodeValue(it.Value())
 		if err != nil {
 			return ScanResult{}, err
 		}
@@ -439,7 +430,7 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 		decided = visible
 		it.Next()
 	}
-	return res, it.Error()
+	return res, nil
 }
 
 // ResolveIntent finalizes txnID's intent on key. When commit is true the
@@ -484,7 +475,7 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 			curKey = user.Clone()
 			kept = false
 		}
-		v, err := iterValue(it)
+		v, err := decodeValue(it.Value())
 		if err != nil {
 			return 0, err
 		}
@@ -497,9 +488,6 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 			continue
 		}
 		toDelete = append(toDelete, append([]byte(nil), it.Key()...))
-	}
-	if err := it.Error(); err != nil {
-		return 0, err
 	}
 	for _, k := range toDelete {
 		if err := e.Delete(k); err != nil {
@@ -529,7 +517,7 @@ func IntentKeys(e *lsm.Engine, span keys.Span, txnID uint64) ([]keys.Key, error)
 			continue
 		}
 		curKey = user.Clone()
-		v, err := iterValue(it)
+		v, err := decodeValue(it.Value())
 		if err != nil {
 			return nil, err
 		}
@@ -537,7 +525,7 @@ func IntentKeys(e *lsm.Engine, span keys.Span, txnID uint64) ([]keys.Key, error)
 			out = append(out, curKey)
 		}
 	}
-	return out, it.Error()
+	return out, nil
 }
 
 // EngineSpan translates a user-key span into the raw storage-key bounds that

@@ -202,8 +202,7 @@ func TestCommittedVersionReplacesOwnIntentInPlace(t *testing.T) {
 
 // TestCommittedVersionAt pins the exact-key lookup: only a committed version
 // written at exactly the asked timestamp, of exactly the asked key, counts.
-// Each case writes into a fresh engine; values above the separation threshold
-// are read through the value log.
+// Each case writes into a fresh engine.
 func TestCommittedVersionAt(t *testing.T) {
 	k := keys.Key("k")
 	at := hlc.Timestamp{WallTime: 10, Logical: 1}
@@ -234,7 +233,6 @@ func TestCommittedVersionAt(t *testing.T) {
 		data      string
 	}{
 		{name: "put at ts", write: put(k, at, 0, "v"), key: k, ts: at, found: true, data: "v"},
-		{name: "separated put at ts", write: put(k, at, 0, big), key: k, ts: at, found: true, data: big},
 		{name: "delete at ts", write: then(put(k, ts(5), 0, "old"), func(e *lsm.Engine) error { return Delete(e, k, at, 0) }),
 			key: k, ts: at, found: true, tombstone: true},
 		{name: "intent at ts", write: put(k, at, 7, big), key: k, ts: at},
@@ -253,7 +251,7 @@ func TestCommittedVersionAt(t *testing.T) {
 		{name: "neighbour of a prefix", write: put(k, at, 0, "v"), key: keys.Key("kk"), ts: at},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := lsm.New(lsm.Options{ValueThreshold: 16})
+			e := lsm.New(lsm.Options{})
 			defer e.Close()
 			if err := tc.write(e); err != nil {
 				t.Fatal(err)
@@ -522,17 +520,17 @@ func TestMVCCPropertySnapshotIsolation(t *testing.T) {
 // the committed version must be immediately visible at the MVCC level. The
 // engine keeps no read cache, so every read walks the memtable and tables.
 func TestResolveIntentInvalidatesHotCache(t *testing.T) {
-	e := lsm.New(lsm.Options{ValueThreshold: 16})
+	e := lsm.New(lsm.Options{})
 	defer e.Close()
 	k := keys.Key("acct")
-	val := bytes.Repeat([]byte("x"), 32) // above the separation threshold
-	rawValue := func(raw []byte) ([]byte, bool, error) {
+	val := bytes.Repeat([]byte("x"), 32)
+	rawValue := func(raw []byte) ([]byte, bool) {
 		it := e.NewIter(raw, append(append([]byte(nil), raw...), 0))
 		it.SeekGE(raw)
 		if !it.Valid() || !bytes.Equal(it.Key(), raw) {
-			return nil, false, it.Error()
+			return nil, false
 		}
-		return append([]byte(nil), it.Value()...), true, it.Error()
+		return append([]byte(nil), it.Value()...), true
 	}
 
 	if err := Put(e, k, ts(5), 77, val); err != nil {
@@ -540,8 +538,8 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 	}
 	raw := EncodeKey(k, ts(5))
 	for i := 0; i < 2; i++ {
-		if v, ok, err := rawValue(raw); err != nil || !ok || len(v) == 0 {
-			t.Fatalf("raw intent read %d = ok=%v err=%v", i, ok, err)
+		if v, ok := rawValue(raw); !ok || len(v) == 0 {
+			t.Fatalf("raw intent read %d = ok=%v", i, ok)
 		}
 	}
 
@@ -549,8 +547,8 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The provisional version was deleted.
-	if _, ok, err := rawValue(raw); err != nil || ok {
-		t.Fatalf("resolved intent's raw key still visible: ok=%v err=%v", ok, err)
+	if _, ok := rawValue(raw); ok {
+		t.Fatal("resolved intent's raw key still visible")
 	}
 	// The committed version is visible at and after the commit timestamp.
 	if v, ok, err := Get(e, k, ts(10), 0); err != nil || !ok || !bytes.Equal(v, val) {
@@ -567,7 +565,7 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 	if err := ResolveIntent(e, k, 88, false, hlc.Timestamp{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := rawValue(rawAbort); ok {
+	if _, ok := rawValue(rawAbort); ok {
 		t.Fatal("aborted intent's raw key still visible")
 	}
 	if v, ok, err := Get(e, k, ts(20), 0); err != nil || !ok || !bytes.Equal(v, val) {

@@ -564,6 +564,10 @@ func (t *Txn) resolve(ctx context.Context, intents []keys.Key, spans []keys.Span
 // its writes: each retry begins a fresh transaction. fn receives a context
 // carrying the coordinator's txn.run span, so work done inside the
 // transaction nests under it in the request trace.
+//
+// A nil span drops its attributes and events, but only after the caller has
+// boxed their arguments, so every call on sp is guarded: an untraced
+// transaction allocates nothing for its trace.
 func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn) error) error {
 	ctx, sp := trace.StartSpan(ctx, "txn.run")
 	defer sp.Finish()
@@ -571,30 +575,38 @@ func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn)
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		t := c.Begin()
-		if attempt == 0 {
-			sp.SetAttr("txn.id", t.meta.ID)
+		if sp != nil {
+			if attempt == 0 {
+				sp.SetAttr("txn.id", t.meta.ID)
+			}
+			sp.Eventf("begin txn=%d ts=%v attempt=%d", t.meta.ID, t.meta.Ts, attempt)
 		}
-		sp.Eventf("begin txn=%d ts=%v attempt=%d", t.meta.ID, t.meta.Ts, attempt)
 		err := fn(ctx, t)
 		if err == nil {
 			err = t.Commit(ctx)
 		}
 		if err == nil {
-			sp.Eventf("commit txn=%d", t.meta.ID)
-			sp.SetAttr("txn.attempts", attempt+1)
+			if sp != nil {
+				sp.Eventf("commit txn=%d", t.meta.ID)
+				sp.SetAttr("txn.attempts", attempt+1)
+			}
 			return nil
 		}
-		if aerr := t.Abort(ctx); aerr != nil {
+		if aerr := t.Abort(ctx); aerr != nil && sp != nil {
 			// The retry loop's own error wins, but an abort failure is worth a
 			// trace event: it means intents may linger for lazy resolution.
 			sp.Eventf("abort failed txn=%d: %v", t.meta.ID, aerr)
 		}
 		if !kvpb.IsRetriable(err) {
-			sp.Eventf("abort txn=%d: %v", t.meta.ID, err)
-			sp.SetAttr("txn.attempts", attempt+1)
+			if sp != nil {
+				sp.Eventf("abort txn=%d: %v", t.meta.ID, err)
+				sp.SetAttr("txn.attempts", attempt+1)
+			}
 			return err
 		}
-		sp.Eventf("retry attempt=%d: %v", attempt+1, err)
+		if sp != nil {
+			sp.Eventf("retry attempt=%d: %v", attempt+1, err)
+		}
 		c.obs.TxnRetry(c.tenant)
 		lastErr = err
 		// Advance our clock reading past the conflict so the next attempt
