@@ -51,6 +51,7 @@ type Executor struct {
 	coord   *txn.Coordinator
 	tenant  keys.TenantID
 	cfg     ExecutorConfig
+	stmts   stmtCache
 
 	mu struct {
 		sync.Mutex
@@ -107,27 +108,27 @@ func (e *Executor) chargeUnmarshal(bytes int64) {
 	e.mu.Unlock()
 }
 
-// ExecuteStmt runs a parsed statement. When tx is nil the statement runs in
-// its own (retried) implicit transaction; otherwise it joins tx.
-func (e *Executor) ExecuteStmt(ctx context.Context, stmt Statement, args []Datum, tx *txn.Txn) (*Result, error) {
+// ExecuteStmt runs a prepared statement. When tx is nil the statement runs
+// in its own (retried) implicit transaction; otherwise it joins tx.
+func (e *Executor) ExecuteStmt(ctx context.Context, p *Prepared, args []Datum, tx *txn.Txn) (*Result, error) {
 	var start time.Time
 	if e.cfg.Obs != nil {
 		start = e.cfg.Obs.Now()
 	}
-	res, err := e.executeStmt(ctx, stmt, args, tx)
+	res, err := e.executeStmt(ctx, p, args, tx)
 	if e.cfg.Obs != nil {
 		e.cfg.Obs.QueryDone(e.tenant, e.cfg.Obs.Now().Sub(start), err != nil)
 	}
 	return res, err
 }
 
-func (e *Executor) executeStmt(ctx context.Context, stmt Statement, args []Datum, tx *txn.Txn) (*Result, error) {
+func (e *Executor) executeStmt(ctx context.Context, p *Prepared, args []Datum, tx *txn.Txn) (*Result, error) {
 	ctx, sp := trace.StartSpan(ctx, "sql.exec")
 	defer sp.Finish()
 	if sp != nil {
-		sp.SetAttr("sql.stmt", stmtAttr(stmt))
+		sp.SetAttr("sql.stmt", stmtAttr(p.stmt))
 	}
-	switch s := stmt.(type) {
+	switch s := p.stmt.(type) {
 	case *CreateTable:
 		if _, err := e.catalog.CreateTable(ctx, s); err != nil {
 			return nil, err
@@ -149,22 +150,22 @@ func (e *Executor) executeStmt(ctx context.Context, stmt Statement, args []Datum
 		return res, nil
 	case *Insert:
 		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.insert(ctx, t, s, args)
+			return e.insert(ctx, t, p, s, args)
 		})
 	case *Select:
 		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.selectStmt(ctx, t, s, args)
+			return e.selectStmt(ctx, t, p, s, args)
 		})
 	case *Update:
 		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.update(ctx, t, s, args)
+			return e.update(ctx, t, p, s, args)
 		})
 	case *Delete:
 		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.delete(ctx, t, s, args)
+			return e.delete(ctx, t, p, s, args)
 		})
 	default:
-		return nil, fmt.Errorf("sql: statement %T must be executed by the session", stmt)
+		return nil, fmt.Errorf("sql: statement %T must be executed by the session", p.stmt)
 	}
 }
 
@@ -235,9 +236,10 @@ func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, fi
 }
 
 // scanRows reads the table's rows and calls visit with each, using a
-// primary-key point lookup or a secondary-index scan when where allows, and
-// a full scan otherwise. The index and full-scan plans visit rows page by
-// page as the KV layer returns them.
+// primary-key point lookup or a secondary-index scan when the WHERE
+// conjuncts conds (the plan's colConds of desc) allow, and a full scan
+// otherwise. The index and full-scan plans visit rows page by page as the KV
+// layer returns them.
 //
 // When cols is non-nil it binds where's column references, and only rows
 // that pass where are visited. A nil cols visits every row the plan reads:
@@ -246,13 +248,9 @@ func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, fi
 //
 // Every row is decoded into one buffer: the row visit receives is valid only
 // until visit returns, and a caller that keeps it copies it. pk may be kept.
-func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, alias string, where Expr, args []Datum, cols map[string]int, visit func(pk keys.Key, row []Datum) error) error {
+func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, visit func(pk keys.Key, row []Datum) error) error {
 	// row decodes the stored value raw of the row at pk into buf, the one
 	// buffer every row of the scan uses, and visits it if it passes WHERE.
-	// buf, env and where are separate variables, not one struct: escape
-	// analysis does not tell a struct's fields apart, and where and the row
-	// reach the heap (through evalExpr and visit), which would take the
-	// caller's cols map with them.
 	var buf []Datum
 	env := evalEnv{cols: cols, args: args}
 	filtered := cols != nil && where != nil
@@ -274,7 +272,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 		return visit(pk, buf)
 	}
 	// Plan 1: full primary key equality -> point get.
-	if pkVals, ok := extractPKConstraint(desc, alias, where, args); ok {
+	if pkVals, ok := extractPKConstraint(desc, conds, args); ok {
 		key := primaryKeyFromValues(e.tenant, desc, pkVals)
 		raw, found, err := t.Get(ctx, key)
 		if err != nil || !found {
@@ -286,7 +284,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 	}
 	// Plan 2: secondary index equality -> index scan + point lookups (the
 	// "index join" plan shape of TPC-H Q9, §6.1.2).
-	if idx, vals, ok := extractIndexConstraint(desc, alias, where, args); ok {
+	if idx, vals, ok := extractIndexConstraint(desc, conds, args); ok {
 		prefix := indexPrefix(e.tenant, desc, idx, vals)
 		found := 0
 		err := e.scanPages(ctx, t, keys.Span{Key: prefix, EndKey: prefix.PrefixEnd()}, nil, func(entries []kvpb.KeyValue) error {
@@ -320,7 +318,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 	// Plan 3: full table scan, with row-filter push-down when enabled.
 	var filter []byte
 	if e.cfg.FilterPushdown {
-		filter = compilePushdownFilter(desc, where, args)
+		filter = compilePushdownFilter(conds, args)
 	}
 	scanned := 0
 	err := e.scanPages(ctx, t, tableSpan(e.tenant, desc), filter, func(kvs []kvpb.KeyValue) error {
@@ -341,14 +339,13 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 
 // extractPKConstraint finds constant equality constraints covering the whole
 // primary key.
-func extractPKConstraint(desc *TableDescriptor, alias string, where Expr, args []Datum) ([]Datum, bool) {
-	if where == nil {
+func extractPKConstraint(desc *TableDescriptor, conds []colCond, args []Datum) ([]Datum, bool) {
+	if len(conds) == 0 {
 		return nil, false
 	}
-	eq := equalityConstraints(desc, alias, where, args)
 	vals := make([]Datum, 0, len(desc.PrimaryKey))
 	for _, pkIdx := range desc.PrimaryKey {
-		d, ok := eq[pkIdx]
+		d, ok := eqValue(conds, pkIdx, args)
 		if !ok {
 			return nil, false
 		}
@@ -363,18 +360,17 @@ func extractPKConstraint(desc *TableDescriptor, alias string, where Expr, args [
 
 // extractIndexConstraint finds an index whose leading column(s) are
 // constrained by constant equality.
-func extractIndexConstraint(desc *TableDescriptor, alias string, where Expr, args []Datum) (*IndexDescriptor, []Datum, bool) {
-	if where == nil || len(desc.Indexes) == 0 {
+func extractIndexConstraint(desc *TableDescriptor, conds []colCond, args []Datum) (*IndexDescriptor, []Datum, bool) {
+	if len(conds) == 0 || len(desc.Indexes) == 0 {
 		return nil, nil, false
 	}
-	eq := equalityConstraints(desc, alias, where, args)
 	var best *IndexDescriptor
 	var bestVals []Datum
 	for i := range desc.Indexes {
 		idx := &desc.Indexes[i]
 		var vals []Datum
 		for _, col := range idx.Columns {
-			d, ok := eq[col]
+			d, ok := eqValue(conds, col, args)
 			if !ok {
 				break
 			}
@@ -395,58 +391,14 @@ func extractIndexConstraint(desc *TableDescriptor, alias string, where Expr, arg
 	return best, bestVals, true
 }
 
-// equalityConstraints maps column offsets to constant equality values found
-// in the WHERE conjuncts.
-func equalityConstraints(desc *TableDescriptor, alias string, where Expr, args []Datum) map[int]Datum {
-	out := make(map[int]Datum)
-	for _, c := range conjuncts(where) {
-		b, ok := c.(*BinaryExpr)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		tryBind := func(colSide, valSide Expr) {
-			ref, ok := colSide.(*ColumnRef)
-			if !ok {
-				return
-			}
-			if ref.Table != "" && ref.Table != desc.Name && ref.Table != alias {
-				return
-			}
-			i := desc.ColumnIndex(ref.Column)
-			if i < 0 {
-				return
-			}
-			if v, ok := constantValue(valSide, args); ok {
-				out[i] = v
-			}
-		}
-		tryBind(b.Left, b.Right)
-		tryBind(b.Right, b.Left)
-	}
-	return out
-}
-
 // insert writes rows, maintaining secondary indexes and rejecting duplicate
 // primary keys.
-func (e *Executor) insert(ctx context.Context, t *txn.Txn, s *Insert, args []Datum) (*Result, error) {
-	desc, err := e.catalog.Lookup(ctx, s.Table)
+func (e *Executor) insert(ctx context.Context, t *txn.Txn, p *Prepared, s *Insert, args []Datum) (*Result, error) {
+	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	colOrder := make([]int, 0, len(desc.Columns))
-	if len(s.Columns) == 0 {
-		for i := range desc.Columns {
-			colOrder = append(colOrder, i)
-		}
-	} else {
-		for _, name := range s.Columns {
-			i := desc.ColumnIndex(name)
-			if i < 0 {
-				return nil, fmt.Errorf("sql: column %q not in table %s", name, s.Table)
-			}
-			colOrder = append(colOrder, i)
-		}
-	}
+	desc, colOrder := pl.desc, pl.colOrder
 	// Evaluate every row first, so the duplicate check below is one KV round
 	// trip for the statement and the writes after it only fill the
 	// transaction's buffer.
@@ -543,12 +495,12 @@ type tableRow struct {
 	row []Datum
 }
 
-// keepRows copies out the table's rows that pass where (cols binds its
-// column references). UPDATE and DELETE write only once the scan is done,
-// so no write of theirs lands in a page still to be read.
-func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, where Expr, args []Datum, cols map[string]int) ([]tableRow, error) {
+// keepRows copies out the rows of pl's table that pass where. UPDATE and
+// DELETE write only once the scan is done, so no write of theirs lands in a
+// page still to be read.
+func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, pl *plan, where Expr, args []Datum) ([]tableRow, error) {
 	var rows []tableRow
-	err := e.scanRows(ctx, t, desc, "", where, args, cols, func(pk keys.Key, row []Datum) error {
+	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, func(pk keys.Key, row []Datum) error {
 		rows = append(rows, tableRow{pk: pk, row: slices.Clone(row)})
 		return nil
 	})
@@ -572,14 +524,13 @@ func (e *Executor) deleteRow(ctx context.Context, t *txn.Txn, desc *TableDescrip
 	return nil
 }
 
-func (e *Executor) update(ctx context.Context, t *txn.Txn, s *Update, args []Datum) (*Result, error) {
-	desc, err := e.catalog.Lookup(ctx, s.Table)
+func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Update, args []Datum) (*Result, error) {
+	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	cols := make(map[string]int)
-	bindColumns(desc, "", 0, cols, map[string]bool{})
-	rows, err := e.keepRows(ctx, t, desc, s.Where, args, cols)
+	desc, cols := pl.desc, pl.cols
+	rows, err := e.keepRows(ctx, t, pl, s.Where, args)
 	if err != nil {
 		return nil, err
 	}
@@ -650,19 +601,17 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, s *Update, args []Dat
 	return &Result{RowsAffected: affected}, nil
 }
 
-func (e *Executor) delete(ctx context.Context, t *txn.Txn, s *Delete, args []Datum) (*Result, error) {
-	desc, err := e.catalog.Lookup(ctx, s.Table)
+func (e *Executor) delete(ctx context.Context, t *txn.Txn, p *Prepared, s *Delete, args []Datum) (*Result, error) {
+	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	cols := make(map[string]int)
-	bindColumns(desc, "", 0, cols, map[string]bool{})
-	rows, err := e.keepRows(ctx, t, desc, s.Where, args, cols)
+	rows, err := e.keepRows(ctx, t, pl, s.Where, args)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range rows {
-		if err := e.deleteRow(ctx, t, desc, r); err != nil {
+		if err := e.deleteRow(ctx, t, pl.desc, r); err != nil {
 			return nil, err
 		}
 	}
@@ -735,35 +684,19 @@ func (e *Executor) dropTable(ctx context.Context, s *DropTable) (*Result, error)
 	return &Result{}, nil
 }
 
-// selectStmt plans and runs a SELECT.
-func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, s *Select, args []Datum) (*Result, error) {
-	desc, err := e.catalog.Lookup(ctx, s.Table)
+// selectStmt runs a SELECT on its plan.
+func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *Select, args []Datum) (*Result, error) {
+	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	cols := make(map[string]int)
-	ambiguous := map[string]bool{}
-	bindColumns(desc, s.TableAs, 0, cols, ambiguous)
-	var joinDesc *TableDescriptor
-	if s.Join != nil {
-		if joinDesc, err = e.catalog.Lookup(ctx, s.Join.Table); err != nil {
-			return nil, err
-		}
-		bindColumns(joinDesc, s.Join.As, len(desc.Columns), cols, ambiguous)
-	}
+	desc, joinDesc, cols := pl.desc, pl.joinDesc, pl.cols
 
 	// Each source row that passes WHERE goes to the aggregator, or to the
 	// projection — unless a non-aggregate ORDER BY must first sort the source
-	// rows, which are then kept. Both evaluate in env, which neither holds:
-	// escape analysis does not tell a struct's fields apart, so an env kept
-	// beside the result they return would put cols on the heap.
+	// rows, which are then kept. Both evaluate in env, which neither holds.
 	env := evalEnv{cols: cols, args: args}
-	hasAgg := len(s.GroupBy) > 0
-	for _, se := range s.Exprs {
-		if !se.Star && exprHasAggregate(se.Expr) {
-			hasAgg = true
-		}
-	}
+	hasAgg := hasAggregate(s)
 	var (
 		agg    aggregator
 		proj   projection
@@ -789,14 +722,14 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, s *Select, args [
 		}
 	}
 	if s.Join == nil {
-		err = e.scanRows(ctx, t, desc, s.TableAs, s.Where, args, cols, func(_ keys.Key, row []Datum) error {
+		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, func(_ keys.Key, row []Datum) error {
 			if sorting {
 				row = slices.Clone(row)
 			}
 			return consume(row)
 		})
 	} else {
-		err = e.joinRows(ctx, t, desc, joinDesc, s, args, cols, consume)
+		err = e.joinRows(ctx, t, pl, s, args, consume)
 	}
 	if err != nil {
 		return nil, err
@@ -839,25 +772,26 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, s *Select, args [
 // joinRows executes an inner join, preferring a hash join on an equality
 // condition, and hands each joined row that passes WHERE to emit. The rows
 // emit receives are its to keep.
-func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, left, right *TableDescriptor, s *Select, args []Datum, cols map[string]int, emit func([]Datum) error) error {
+func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select, args []Datum, emit func([]Datum) error) error {
 	// Each input reads under the WHERE clause so per-table constraints
 	// (e.g. an indexed equality on the fact table) constrain the plan —
 	// the "index joins resulting in remote KV lookups" shape of Q9.
 	// Constraints referencing the other table's columns simply don't bind.
 	// Both inputs are kept, so their rows are copied out of the scan.
-	input := func(desc *TableDescriptor, alias string) ([][]Datum, error) {
+	input := func(desc *TableDescriptor, conds []colCond) ([][]Datum, error) {
 		var rows [][]Datum
-		err := e.scanRows(ctx, t, desc, alias, s.Where, args, nil, func(_ keys.Key, row []Datum) error {
+		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, func(_ keys.Key, row []Datum) error {
 			rows = append(rows, slices.Clone(row))
 			return nil
 		})
 		return rows, err
 	}
-	leftRows, err := input(left, s.TableAs)
+	left, right, cols := pl.desc, pl.joinDesc, pl.cols
+	leftRows, err := input(left, pl.where)
 	if err != nil {
 		return err
 	}
-	rightRows, err := input(right, s.Join.As)
+	rightRows, err := input(right, pl.joinWhere)
 	if err != nil {
 		return err
 	}
@@ -1251,28 +1185,15 @@ func (a *aggregator) result(env *evalEnv) (*Result, error) {
 // ORDER BY terms may reference any source column, a select alias, or an
 // arbitrary expression over source columns.
 func orderSourceRows(rows [][]Datum, s *Select, cols map[string]int, args []Datum) error {
-	// Aliases resolve to their select expressions.
-	aliases := make(map[string]Expr)
-	for _, se := range s.Exprs {
-		if se.As != "" && !se.Star {
-			aliases[se.As] = se.Expr
-		}
-	}
-	resolve := func(oc OrderClause) Expr {
-		if ref, ok := oc.Expr.(*ColumnRef); ok && ref.Table == "" {
-			if ex, ok := aliases[ref.Column]; ok {
-				if _, isCol := cols[ref.Column]; !isCol {
-					return ex
-				}
-			}
-		}
-		return oc.Expr
+	terms := make([]Expr, len(s.OrderBy))
+	for k, oc := range s.OrderBy {
+		terms[k] = resolveOrderTerm(oc, s, cols)
 	}
 	keys := make([][]Datum, len(rows))
 	for i, row := range rows {
 		env := &evalEnv{cols: cols, row: row, args: args}
-		for _, oc := range s.OrderBy {
-			v, err := evalExpr(env, resolve(oc))
+		for _, term := range terms {
+			v, err := evalExpr(env, term)
 			if err != nil {
 				return err
 			}
@@ -1302,6 +1223,25 @@ func orderSourceRows(rows [][]Datum, s *Select, cols map[string]int, args []Datu
 	}
 	copy(rows, sorted)
 	return nil
+}
+
+// resolveOrderTerm returns the expression a non-aggregate ORDER BY term sorts
+// on: a bare name that is a select alias and not a column resolves to the
+// aliased expression (the last, if several share the alias).
+func resolveOrderTerm(oc OrderClause, s *Select, cols map[string]int) Expr {
+	ref, ok := oc.Expr.(*ColumnRef)
+	if !ok || ref.Table != "" {
+		return oc.Expr
+	}
+	if _, isCol := cols[ref.Column]; isCol {
+		return oc.Expr
+	}
+	for i := len(s.Exprs) - 1; i >= 0; i-- {
+		if se := s.Exprs[i]; se.As == ref.Column && !se.Star {
+			return se.Expr
+		}
+	}
+	return oc.Expr
 }
 
 // orderAggResult sorts aggregate output rows; ORDER BY terms must name an

@@ -13,23 +13,6 @@ type evalEnv struct {
 	args []Datum // placeholder values
 }
 
-// bindColumns builds the name→position map for a table's columns under the
-// given qualifiers (table name and optional alias).
-func bindColumns(desc *TableDescriptor, alias string, base int, into map[string]int, ambiguous map[string]bool) {
-	for i, c := range desc.Columns {
-		pos := base + i
-		if prev, ok := into[c.Name]; ok && prev != pos {
-			ambiguous[c.Name] = true
-		} else {
-			into[c.Name] = pos
-		}
-		into[desc.Name+"."+c.Name] = pos
-		if alias != "" {
-			into[alias+"."+c.Name] = pos
-		}
-	}
-}
-
 // lookup resolves a column reference.
 func (env *evalEnv) lookup(ref *ColumnRef) (Datum, error) {
 	name := ref.Column
@@ -199,6 +182,20 @@ func exprHasAggregate(e Expr) bool {
 	default:
 		return false
 	}
+}
+
+// hasAggregate reports whether a SELECT aggregates: it has a GROUP BY, or a
+// select expression calls an aggregate.
+func hasAggregate(s *Select) bool {
+	if len(s.GroupBy) > 0 {
+		return true
+	}
+	for _, se := range s.Exprs {
+		if !se.Star && exprHasAggregate(se.Expr) {
+			return true
+		}
+	}
+	return false
 }
 
 // conjuncts flattens an AND tree.

@@ -71,32 +71,23 @@ var flippedOps = map[rowfilter.Op]rowfilter.Op{
 	rowfilter.OpGt: rowfilter.OpLt, rowfilter.OpGe: rowfilter.OpLe,
 }
 
-// compilePushdownFilter extracts the WHERE conjuncts expressible in the
-// restricted filter language. It returns the encoded filter, or nil when
-// nothing is eligible. Ineligible conjuncts are simply left for the SQL-side
-// filter; eligible ones are also re-checked there (fail-open contract).
-func compilePushdownFilter(desc *TableDescriptor, where Expr, args []Datum) []byte {
-	if where == nil {
-		return nil
-	}
+// compilePushdownFilter compiles the WHERE conjuncts conds (a plan's
+// colConds) whose constants evaluate to a non-NULL value into a filter. It
+// returns the encoded filter, or nil when nothing is eligible. Ineligible
+// conjuncts are simply left for the SQL-side filter; eligible ones are also
+// re-checked there (fail-open contract).
+func compilePushdownFilter(conds []colCond, args []Datum) []byte {
 	var f rowfilter.Filter
-	for _, c := range conjuncts(where) {
-		b, ok := c.(*BinaryExpr)
+	for _, c := range conds {
+		d, ok := constantValue(c.val, args)
 		if !ok {
 			continue
 		}
-		op, ok := pushdownOps[b.Op]
-		if !ok {
+		v, ok := datumToFilterValue(d)
+		if !ok || v.Null {
 			continue
 		}
-		// col OP const, or const OP col (flipped).
-		if cond, ok := compileCond(desc, b.Left, b.Right, op, args); ok {
-			f.Conds = append(f.Conds, cond)
-			continue
-		}
-		if cond, ok := compileCond(desc, b.Right, b.Left, flippedOps[op], args); ok {
-			f.Conds = append(f.Conds, cond)
-		}
+		f.Conds = append(f.Conds, rowfilter.Cond{Col: c.col, Op: c.op, Value: v})
 	}
 	if f.Empty() {
 		return nil
@@ -106,27 +97,4 @@ func compilePushdownFilter(desc *TableDescriptor, where Expr, args []Datum) []by
 		return nil // fail open: the SQL-side filter still applies
 	}
 	return enc
-}
-
-func compileCond(desc *TableDescriptor, colSide, valSide Expr, op rowfilter.Op, args []Datum) (rowfilter.Cond, bool) {
-	ref, ok := colSide.(*ColumnRef)
-	if !ok {
-		return rowfilter.Cond{}, false
-	}
-	if ref.Table != "" && ref.Table != desc.Name {
-		return rowfilter.Cond{}, false
-	}
-	col := desc.ColumnIndex(ref.Column)
-	if col < 0 {
-		return rowfilter.Cond{}, false
-	}
-	d, ok := constantValue(valSide, args)
-	if !ok {
-		return rowfilter.Cond{}, false
-	}
-	v, ok := datumToFilterValue(d)
-	if !ok || v.Null {
-		return rowfilter.Cond{}, false
-	}
-	return rowfilter.Cond{Col: col, Op: op, Value: v}, true
 }

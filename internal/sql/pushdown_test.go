@@ -123,7 +123,7 @@ func TestCompilePushdownFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := compilePushdownFilter(desc, stmt.(*Select).Where, nil)
+	enc := compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), nil)
 	if enc == nil {
 		t.Fatal("no filter compiled")
 	}
@@ -141,20 +141,20 @@ func TestCompilePushdownFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc := compilePushdownFilter(desc, stmt.(*Select).Where, nil); enc != nil {
+		if enc := compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), nil); enc != nil {
 			t.Fatalf("%s compiled a filter", q)
 		}
 	}
 	// Placeholders are constants.
 	stmt, _ = Parse("SELECT a FROM t WHERE a <= $1")
-	enc = compilePushdownFilter(desc, stmt.(*Select).Where, []Datum{DInt(9)})
+	enc = compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), []Datum{DInt(9)})
 	f, _ = rowfilter.Decode(enc)
 	if len(f.Conds) != 1 || f.Conds[0].Value.I != 9 || f.Conds[0].Op != rowfilter.OpLe {
 		t.Fatalf("placeholder filter = %+v", f)
 	}
 	// Flipped constant-on-left comparisons.
 	stmt, _ = Parse("SELECT a FROM t WHERE 5 < a")
-	f, _ = rowfilter.Decode(compilePushdownFilter(desc, stmt.(*Select).Where, nil))
+	f, _ = rowfilter.Decode(compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), nil))
 	if len(f.Conds) != 1 || f.Conds[0].Op != rowfilter.OpGt {
 		t.Fatalf("flipped filter = %+v", f)
 	}

@@ -139,16 +139,17 @@ func TestScanAggregateCharges(t *testing.T) {
 	}
 }
 
-// allocsPerQuery is the allocations one run of q through exec costs.
+// allocsPerQuery is the allocations one run of q through exec costs, the
+// text's parse and plan cached as a session's repeated statement finds them.
 func allocsPerQuery(t *testing.T, exec *Executor, q string, args ...Datum) float64 {
 	t.Helper()
-	stmt, err := Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	return testing.AllocsPerRun(20, func() {
-		if _, err := exec.ExecuteStmt(ctx, stmt, args, nil); err != nil {
+		p, err := exec.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.ExecuteStmt(ctx, p, args, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -171,9 +172,11 @@ func TestScanAggregateAllocsDoNotGrowWithRows(t *testing.T) {
 
 // A point SELECT decodes its one row into the scan's buffer and projects it:
 // the scan's visitor is not a heap allocation, nor is WHERE bound twice. It
-// made 9 more allocations when it read a []tableRow and filtered it apart.
-// The 300 statements first take the process past 256 transaction IDs, beyond
-// which boxing an ID allocates: an untraced transaction must box none.
+// made 9 more allocations when it read a []tableRow and filtered it apart,
+// and 12 more when every execution parsed its text, bound its columns and
+// collected its WHERE equalities again. The 300 statements first take the
+// process past 256 transaction IDs, beyond which boxing an ID allocates: an
+// untraced transaction must box none.
 func TestPointSelectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -184,7 +187,7 @@ func TestPointSelectAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mustExec(t, s, q, DInt(7))
 	}
-	const want = 33
+	const want = 21
 	got := allocsPerQuery(t, exec, q, DInt(7))
 	t.Logf("point SELECT: %v allocations", got)
 	if got > want {
@@ -192,11 +195,41 @@ func TestPointSelectAllocs(t *testing.T) {
 	}
 }
 
+// A session's explicit transaction around a point SELECT parses none of its
+// three texts again (a parse would lex, and lexing allocates its tokens): the
+// count is that of the transaction and the read alone. It was 48 when every
+// execution parsed its text and planned the SELECT.
+func TestSessionTxnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	_, s := newTestDB(t)
+	loadLineitem(t, s, 10)
+	const q = "SELECT l_price FROM lineitem WHERE l_key = $1"
+	ctx := context.Background()
+	run := func() {
+		for _, stmt := range []string{"BEGIN", q, "COMMIT"} {
+			if _, err := s.Execute(ctx, stmt, DInt(7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 300; i++ {
+		run()
+	}
+	const want = 23
+	got := testing.AllocsPerRun(20, run)
+	t.Logf("BEGIN, point SELECT, COMMIT: %v allocations", got)
+	if got > want {
+		t.Fatalf("BEGIN, point SELECT, COMMIT makes %v allocations, want at most %v", got, want)
+	}
+}
+
 // BenchmarkScanAggregate is Q1 over 2 000 rows through an Executor.
 func BenchmarkScanAggregate(b *testing.B) {
 	exec, s := newTestDB(b)
 	loadLineitem(b, s, 2000)
-	stmt, err := Parse(q1)
+	p, err := exec.Prepare(q1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,7 +237,7 @@ func BenchmarkScanAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.ExecuteStmt(ctx, stmt, nil, nil); err != nil {
+		if _, err := exec.ExecuteStmt(ctx, p, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

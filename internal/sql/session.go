@@ -63,17 +63,17 @@ func (s *Session) InTxn() bool {
 	return s.mu.txn != nil
 }
 
-// Execute parses and runs one statement, honoring the session's transaction
-// state.
+// Execute runs one statement, honoring the session's transaction state. The
+// text is parsed once per executor: a text seen before reuses its parse.
 func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*Result, error) {
-	stmt, err := Parse(sqlText)
+	p, err := s.exec.Prepare(sqlText)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.mu.queries++
 	s.mu.Unlock()
-	switch st := stmt.(type) {
+	switch st := p.stmt.(type) {
 	case *BeginTxn:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -119,7 +119,7 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 		s.mu.Lock()
 		t := s.mu.txn
 		s.mu.Unlock()
-		res, err := s.exec.ExecuteStmt(ctx, stmt, args, t)
+		res, err := s.exec.ExecuteStmt(ctx, p, args, t)
 		if err != nil && t != nil {
 			// A failed statement poisons the explicit transaction.
 			//lint:allow faulterr the statement error is what the client sees; a failed abort only leaves intents for the next reader to resolve
@@ -132,9 +132,10 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 	}
 }
 
-// Prepare registers a named prepared statement.
+// Prepare registers a named prepared statement. The name maps to the text,
+// which is what migrates; the executor keeps the parse.
 func (s *Session) Prepare(name, sqlText string) error {
-	if _, err := Parse(sqlText); err != nil {
+	if _, err := s.exec.Prepare(sqlText); err != nil {
 		return err
 	}
 	s.mu.Lock()
