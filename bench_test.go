@@ -83,7 +83,6 @@ func BenchmarkFig9Migration(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Migrations), "migrations")
 		b.ReportMetric(float64(res.Errors), "errors")
-		b.ReportMetric(float64(res.Aborts), "aborts")
 		b.ReportMetric(res.During.P99.Seconds()*1000, "during-p99-ms")
 	}
 }

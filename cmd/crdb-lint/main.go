@@ -1,8 +1,8 @@
 // Command crdb-lint is the repository's static-analysis pass. It enforces
 // the determinism, lock-safety, lock-ordering, fault-propagation, and
 // metric-naming invariants every component must uphold for the simulator and
-// the paper reproductions to stay reproducible. It is part of tier-1
-// verification:
+// the paper reproductions to stay reproducible, and it reports surface no
+// program reaches (deadsurface). It is part of tier-1 verification:
 //
 //	go run ./cmd/crdb-lint ./...
 //

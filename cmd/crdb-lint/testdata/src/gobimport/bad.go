@@ -8,7 +8,7 @@ import (
 	stdgob "encoding/gob" // want gobimport
 )
 
-type record struct{ Name string }
+type record struct{ Name string } // want deadsurface
 
 func encode(r record) ([]byte, error) {
 	var buf bytes.Buffer

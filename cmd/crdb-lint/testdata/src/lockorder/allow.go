@@ -15,7 +15,7 @@ func (c *cache) fill() {
 	c.aMu.Lock()
 	defer c.aMu.Unlock()
 	c.bMu.Lock() //lint:allow lockorder corpus case: cycle documented as unreachable because fill and evict never run concurrently
-	c.b++
+	c.b += c.a
 	c.bMu.Unlock()
 }
 
@@ -23,6 +23,6 @@ func (c *cache) evict() {
 	c.bMu.Lock()
 	defer c.bMu.Unlock()
 	c.aMu.Lock()
-	c.a--
+	c.a -= c.b
 	c.aMu.Unlock()
 }

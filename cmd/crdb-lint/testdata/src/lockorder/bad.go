@@ -16,7 +16,7 @@ func (s *server) register() {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	s.connMu.Lock()
-	s.conns++
+	s.conns += s.reg
 	s.connMu.Unlock()
 }
 
@@ -24,6 +24,6 @@ func (s *server) broadcast() {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	s.regMu.Lock() // want lockorder
-	s.reg++
+	s.reg += s.conns
 	s.regMu.Unlock()
 }

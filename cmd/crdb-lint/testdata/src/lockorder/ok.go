@@ -15,9 +15,9 @@ func (p *pool) grow() {
 	p.bigMu.Lock()
 	defer p.bigMu.Unlock()
 	p.smallMu.Lock()
-	p.small++
+	p.small += p.big
 	p.smallMu.Unlock()
-	p.big++
+	p.big += p.small
 }
 
 func (p *pool) shrink() {

@@ -3,7 +3,7 @@
 // a new owner, and a justified escape hatch.
 package spanfinish
 
-type holder struct{ s *span }
+type holder struct{ s *span } // want deadsurface
 
 func deferred(t *tracer) {
 	sp := t.StartRoot("deferred")

@@ -32,7 +32,10 @@ func TestCPUQueueImmediateAdmit(t *testing.T) {
 	if s := q.Stats(); s.Used != 0 {
 		t.Fatalf("slot not released: %+v", s)
 	}
-	if u := q.TenantUsage(2); u <= 0 {
+	q.mu.Lock()
+	u := q.mu.fq.usage(2)
+	q.mu.Unlock()
+	if u <= 0 {
 		t.Fatalf("usage not recorded: %f", u)
 	}
 }
@@ -445,14 +448,14 @@ func TestCapacityEstimatorTracksThroughput(t *testing.T) {
 }
 
 func TestCapacityEstimatorL0Backlog(t *testing.T) {
-	ce := CapacityEstimator{L0Threshold: 4}
+	var ce CapacityEstimator
 	now := time.Unix(0, 0)
 	base := lsm.Metrics{}
 	ce.Update(base, now)
 	base.FlushedBytes = 60 << 20
 	healthy := ce.Update(base, now.Add(15*time.Second))
 	backlogged := base
-	backlogged.L0Files = 16
+	backlogged.L0Files = 4 * l0Threshold
 	reduced := ce.Update(backlogged, now.Add(16*time.Second))
 	if reduced >= healthy {
 		t.Fatalf("L0 backlog should reduce capacity: %f >= %f", reduced, healthy)
@@ -463,13 +466,13 @@ func TestCapacityEstimatorL0Backlog(t *testing.T) {
 }
 
 func TestCapacityEstimatorFloor(t *testing.T) {
-	ce := CapacityEstimator{Floor: 100}
+	var ce CapacityEstimator
 	now := time.Unix(0, 0)
 	ce.Update(lsm.Metrics{}, now)
 	// No throughput ever observed: smoothed stays at optimistic prior, but
 	// a massive backlog cannot push below the floor.
 	m := lsm.Metrics{L0Files: 1 << 20}
-	if got := ce.Update(m, now.Add(time.Hour)); got < 100 {
+	if got := ce.Update(m, now.Add(time.Hour)); got < capacityFloor {
 		t.Fatalf("capacity %f below floor", got)
 	}
 }

@@ -26,7 +26,6 @@ type CPUQueue struct {
 		slots    int
 		used     int
 		admitted int64
-		queued   int64
 	}
 	maxSlots int
 }
@@ -79,7 +78,6 @@ func (q *CPUQueue) Admit(ctx context.Context, info WorkInfo) (release func(cpu t
 	}
 	w := &waiter{info: info, grantCh: make(chan struct{})}
 	q.mu.fq.enqueue(w)
-	q.mu.queued++
 	q.mu.Unlock()
 
 	sp := trace.SpanFromContext(ctx)
@@ -164,7 +162,6 @@ type CPUQueueStats struct {
 	Used     int
 	Waiting  int
 	Admitted int64
-	Queued   int64
 }
 
 // Stats returns a snapshot of queue state.
@@ -176,14 +173,5 @@ func (q *CPUQueue) Stats() CPUQueueStats {
 		Used:     q.mu.used,
 		Waiting:  q.mu.fq.waiting,
 		Admitted: q.mu.admitted,
-		Queued:   q.mu.queued,
 	}
-}
-
-// TenantUsage returns the tenant's decayed recent CPU seconds, for tests and
-// introspection.
-func (q *CPUQueue) TenantUsage(id keys.TenantID) float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.mu.fq.usage(id)
 }

@@ -37,7 +37,6 @@ type waiter struct {
 	amount   float64 // resource amount needed at grant time (write bytes); 0 for CPU
 	grantCh  chan struct{}
 	canceled bool
-	idx      int
 }
 
 // waiterHeap orders waiters by priority (higher first) then create time
@@ -53,13 +52,9 @@ func (h waiterHeap) Less(i, j int) bool {
 }
 func (h waiterHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
 }
 func (h *waiterHeap) Push(x interface{}) {
-	w := x.(*waiter)
-	w.idx = len(*h)
-	*h = append(*h, w)
+	*h = append(*h, x.(*waiter))
 }
 func (h *waiterHeap) Pop() interface{} {
 	old := *h

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"crdbserverless/internal/keys"
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
@@ -28,7 +27,6 @@ type WriteQueue struct {
 		burst      float64
 		lastRefill time.Time
 		admitted   int64
-		queued     int64
 	}
 }
 
@@ -74,7 +72,6 @@ func (q *WriteQueue) Admit(ctx context.Context, info WorkInfo, bytes int64) erro
 	}
 	w := &waiter{info: info, amount: float64(bytes), grantCh: make(chan struct{})}
 	q.mu.fq.enqueue(w)
-	q.mu.queued++
 	q.mu.Unlock()
 
 	sp := trace.SpanFromContext(ctx)
@@ -157,7 +154,6 @@ type WriteQueueStats struct {
 	Rate     float64
 	Waiting  int
 	Admitted int64
-	Queued   int64
 }
 
 // Stats returns a snapshot of queue state.
@@ -169,15 +165,7 @@ func (q *WriteQueue) Stats() WriteQueueStats {
 		Rate:     q.mu.rate,
 		Waiting:  q.mu.fq.waiting,
 		Admitted: q.mu.admitted,
-		Queued:   q.mu.queued,
 	}
-}
-
-// TenantUsage returns the tenant's decayed recent write bytes.
-func (q *WriteQueue) TenantUsage(id keys.TenantID) float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.mu.fq.usage(id)
 }
 
 // LinearModel estimates actual resource use as a*x + b. The paper fits such
@@ -221,51 +209,39 @@ func FitLinearModel(xs, ys []float64) LinearModel {
 	return LinearModel{A: a, B: b}
 }
 
-// CapacityEstimator turns LSM instrumentation into a write-capacity estimate
-// in bytes/sec, re-evaluated at a fixed interval (15s in the paper). The
-// estimate is the observed flush+compaction throughput, scaled down when L0
-// accumulates files so compactions can drain the backlog.
-type CapacityEstimator struct {
-	// Interval is the minimum time between re-estimates. Defaults to 15s.
-	Interval time.Duration
-	// L0Threshold is the L0 file count above which capacity is reduced.
-	// Defaults to 8.
-	L0Threshold int
-	// Floor is the minimum capacity returned. Defaults to 1 MiB/s.
-	Floor float64
+// The capacity estimator's constants: the minimum time between re-estimates
+// (15s in the paper), the L0 file count above which capacity is reduced, and
+// the minimum capacity returned, in bytes/sec.
+const (
+	capacityInterval = 15 * time.Second
+	l0Threshold      = 8
+	capacityFloor    = 1 << 20
+)
 
+// CapacityEstimator turns LSM instrumentation into a write-capacity estimate
+// in bytes/sec, re-evaluated every capacityInterval. The estimate is the
+// observed flush+compaction throughput, scaled down when L0 accumulates
+// files so compactions can drain the backlog.
+type CapacityEstimator struct {
 	initialized bool
 	lastMetrics lsm.Metrics
 	lastAt      time.Time
 	smoothed    float64
 }
 
-func (ce *CapacityEstimator) defaults() {
-	if ce.Interval == 0 {
-		ce.Interval = 15 * time.Second
-	}
-	if ce.L0Threshold == 0 {
-		ce.L0Threshold = 8
-	}
-	if ce.Floor == 0 {
-		ce.Floor = 1 << 20
-	}
-}
-
 // Update folds in a metrics snapshot taken at now and returns the current
 // capacity estimate in bytes/sec. Snapshots arriving before Interval has
 // elapsed return the previous estimate.
 func (ce *CapacityEstimator) Update(m lsm.Metrics, now time.Time) float64 {
-	ce.defaults()
 	if !ce.initialized {
 		ce.initialized = true
 		ce.lastMetrics = m
 		ce.lastAt = now
-		ce.smoothed = ce.Floor * 64 // optimistic until measured
+		ce.smoothed = capacityFloor * 64 // optimistic until measured
 		return ce.estimate(m)
 	}
 	dt := now.Sub(ce.lastAt).Seconds()
-	if dt < ce.Interval.Seconds() {
+	if dt < capacityInterval.Seconds() {
 		return ce.estimate(m)
 	}
 	deltaBytes := float64((m.FlushedBytes - ce.lastMetrics.FlushedBytes) +
@@ -283,11 +259,11 @@ func (ce *CapacityEstimator) Update(m lsm.Metrics, now time.Time) float64 {
 // estimate applies the L0-backlog reduction to the smoothed throughput.
 func (ce *CapacityEstimator) estimate(m lsm.Metrics) float64 {
 	cap := ce.smoothed
-	if m.L0Files > ce.L0Threshold {
-		cap *= float64(ce.L0Threshold) / float64(m.L0Files)
+	if m.L0Files > l0Threshold {
+		cap *= float64(l0Threshold) / float64(m.L0Files)
 	}
-	if cap < ce.Floor {
-		cap = ce.Floor
+	if cap < capacityFloor {
+		cap = capacityFloor
 	}
 	return cap
 }

@@ -188,10 +188,9 @@ func (r *Registry) load(ctx context.Context) error {
 
 // Errors returned by Registry methods.
 var (
-	ErrTenantExists    = errors.New("core: tenant already exists")
-	ErrTenantNotFound  = errors.New("core: tenant not found")
-	ErrTenantDropped   = errors.New("core: tenant is dropped")
-	ErrTenantSuspended = errors.New("core: tenant is suspended")
+	ErrTenantExists   = errors.New("core: tenant already exists")
+	ErrTenantNotFound = errors.New("core: tenant not found")
+	ErrTenantDropped  = errors.New("core: tenant is dropped")
 )
 
 // CreateTenant provisions a new virtual cluster: allocates its ID, splits
@@ -354,6 +353,8 @@ func (r *Registry) setState(ctx context.Context, name string, to State, from Sta
 
 // Drop deletes a tenant: the record is tombstoned and the tenant's keyspace
 // is deleted through the system tenant.
+//
+//lint:allow deadsurface roadmap: "One read path, one engine mode" step 5 clears, collects and merges a dropped tenant's span
 func (r *Registry) Drop(ctx context.Context, name string) error {
 	r.mu.Lock()
 	t, ok := r.mu.byName[name]
@@ -377,35 +378,6 @@ func (r *Registry) Drop(ctx context.Context, name string) error {
 		return err
 	})
 }
-
-// Authenticate validates a connection attempt against the tenant record and
-// returns the tenant. Suspended tenants authenticate successfully — the
-// caller then triggers a resume (cold start).
-func (r *Registry) Authenticate(name, password string) (*Tenant, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.mu.byName[name]
-	if !ok {
-		return nil, ErrTenantNotFound
-	}
-	if t.State == StateDropped {
-		return nil, ErrTenantDropped
-	}
-	if t.Password != password {
-		return nil, errors.New("core: invalid credentials")
-	}
-	return t.clone(), nil
-}
-
-// SystemCoordinator exposes the system tenant's transaction coordinator —
-// the control interface of §3.2.4.
-func (r *Registry) SystemCoordinator() *txn.Coordinator { return r.sysTxn }
-
-// Cluster returns the underlying KV cluster.
-func (r *Registry) Cluster() *kvserver.Cluster { return r.cluster }
-
-// Buckets returns the tenant token-bucket server.
-func (r *Registry) Buckets() *tenantcost.BucketServer { return r.buckets }
 
 func (t *Tenant) clone() *Tenant {
 	out := *t

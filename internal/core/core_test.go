@@ -93,7 +93,7 @@ func TestCreateTenantCarvesRanges(t *testing.T) {
 	}
 	// The tenant's span boundaries must be range boundaries.
 	span := keys.MakeTenantSpan(tn.ID)
-	descs := reg.Cluster().Descriptors()
+	descs := reg.cluster.Descriptors()
 	var startBoundary, endBoundary bool
 	for _, d := range descs {
 		if d.Span.Key.Equal(span.Key) {
@@ -160,8 +160,8 @@ func TestTenantDropReclaimsKeyspace(t *testing.T) {
 	tn, _ := reg.CreateTenant(ctx, "acme", TenantOptions{})
 
 	// Write tenant data through the tenant's own identity.
-	ds := kvserver.NewDistSender(reg.Cluster(), kvserver.Identity{Tenant: tn.ID})
-	coord := txn.NewCoordinator(ds, reg.Cluster().Clock(), tn.ID)
+	ds := kvserver.NewDistSender(reg.cluster, kvserver.Identity{Tenant: tn.ID})
+	coord := txn.NewCoordinator(ds, reg.cluster.Clock(), tn.ID)
 	k := append(keys.MakeTenantPrefix(tn.ID), []byte("data")...)
 	if err := coord.RunTxn(ctx, func(ctx context.Context, tx *txn.Txn) error {
 		return tx.Put(ctx, k, []byte("v"))
@@ -172,7 +172,7 @@ func TestTenantDropReclaimsKeyspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Data is gone (read through the system tenant, which sees everything).
-	if err := reg.SystemCoordinator().RunTxn(ctx, func(ctx context.Context, tx *txn.Txn) error {
+	if err := reg.sysTxn.RunTxn(ctx, func(ctx context.Context, tx *txn.Txn) error {
 		rows, err := tx.Scan(ctx, keys.MakeTenantSpan(tn.ID), 0)
 		if err != nil {
 			return err
@@ -188,29 +188,6 @@ func TestTenantDropReclaimsKeyspace(t *testing.T) {
 	if err := reg.Resume(ctx, "acme"); err != ErrTenantDropped {
 		t.Fatalf("resume dropped = %v", err)
 	}
-	if _, err := reg.Authenticate("acme", ""); err != ErrTenantDropped {
-		t.Fatalf("auth dropped = %v", err)
-	}
-}
-
-func TestAuthenticate(t *testing.T) {
-	reg := newTestRegistry(t)
-	ctx := context.Background()
-	reg.CreateTenant(ctx, "acme", TenantOptions{Password: "secret"})
-	if _, err := reg.Authenticate("acme", "secret"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Authenticate("acme", "wrong"); err == nil {
-		t.Fatal("wrong password accepted")
-	}
-	if _, err := reg.Authenticate("nope", "x"); err != ErrTenantNotFound {
-		t.Fatalf("unknown tenant auth = %v", err)
-	}
-	// Suspended tenants still authenticate (triggers cold start).
-	reg.Suspend(ctx, "acme")
-	if _, err := reg.Authenticate("acme", "secret"); err != nil {
-		t.Fatalf("suspended auth = %v", err)
-	}
 }
 
 func TestRegistryPersistenceReload(t *testing.T) {
@@ -221,7 +198,7 @@ func TestRegistryPersistenceReload(t *testing.T) {
 	reg.Suspend(ctx, "globex")
 
 	// A second registry over the same cluster reloads the records.
-	reg2, err := NewRegistry(reg.Cluster(), tenantcost.NewBucketServer(timeutil.NewRealClock()))
+	reg2, err := NewRegistry(reg.cluster, tenantcost.NewBucketServer(timeutil.NewRealClock()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +227,7 @@ func TestTenantQuotaConfigured(t *testing.T) {
 	reg := newTestRegistry(t)
 	ctx := context.Background()
 	tn, _ := reg.CreateTenant(ctx, "acme", TenantOptions{QuotaVCPUs: 2})
-	if q := reg.Buckets().Quota(tn.ID); q != 2 {
+	if q := reg.buckets.Quota(tn.ID); q != 2 {
 		t.Fatalf("quota = %f", q)
 	}
 }
@@ -264,8 +241,8 @@ func TestCrossTenantIsolationEndToEnd(t *testing.T) {
 	b, _ := reg.CreateTenant(ctx, "b", TenantOptions{})
 
 	// B writes data.
-	bsender := kvserver.NewDistSender(reg.Cluster(), kvserver.Identity{Tenant: b.ID})
-	bcoord := txn.NewCoordinator(bsender, reg.Cluster().Clock(), b.ID)
+	bsender := kvserver.NewDistSender(reg.cluster, kvserver.Identity{Tenant: b.ID})
+	bcoord := txn.NewCoordinator(bsender, reg.cluster.Clock(), b.ID)
 	secret := append(keys.MakeTenantPrefix(b.ID), []byte("secret")...)
 	if err := bcoord.RunTxn(ctx, func(ctx context.Context, tx *txn.Txn) error {
 		return tx.Put(ctx, secret, []byte("b-data"))
@@ -274,7 +251,7 @@ func TestCrossTenantIsolationEndToEnd(t *testing.T) {
 	}
 
 	// A attempts reads with its own identity.
-	asender := kvserver.NewDistSender(reg.Cluster(), kvserver.Identity{Tenant: a.ID})
+	asender := kvserver.NewDistSender(reg.cluster, kvserver.Identity{Tenant: a.ID})
 	var tae *kvpb.TenantAuthError
 	// Point read of B's key.
 	_, err := asender.Send(ctx, &kvpb.BatchRequest{Tenant: b.ID, Requests: []kvpb.Request{

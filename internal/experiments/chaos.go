@@ -42,8 +42,6 @@ type ChaosOptions struct {
 	Seed int64
 	// Ops is the number of workload operations. Defaults to 5000.
 	Ops int
-	// Nodes is the KV cluster size. Defaults to 5.
-	Nodes int
 	// MergeStorm boosts the split and merge sites an order of magnitude so
 	// the range directory churns in both directions at once while the rest
 	// of the fault surface stays armed — the regression surface for the
@@ -129,6 +127,9 @@ var chaosSiteConfigs = []struct {
 const chaosTenant = keys.TenantID(2)
 const chaosKeyCount = 200
 
+// chaosNodes is the KV cluster size.
+const chaosNodes = 5
+
 func chaosKeyName(i int) string { return fmt.Sprintf("key-%03d", i) }
 
 func chaosKey(name string) keys.Key {
@@ -153,14 +154,11 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 	if opts.Ops == 0 {
 		opts.Ops = 5000
 	}
-	if opts.Nodes == 0 {
-		opts.Nodes = 5
-	}
 	clock := timeutil.NewRealClock()
 	reg := faultinject.New(opts.Seed, clock)
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	var nodes []*kvserver.Node
-	for i := 1; i <= opts.Nodes; i++ {
+	for i := 1; i <= chaosNodes; i++ {
 		nodes = append(nodes, kvserver.NewNode(kvserver.NodeConfig{
 			ID:    kvserver.NodeID(i),
 			VCPUs: 2,
@@ -238,7 +236,7 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		// Flaps and crashes each cordon a node; at most one of each is in
 		// flight, and they never overlap (two dead nodes could cost quorum).
 		if reg.Should("chaos.flap") && cordoned == 0 && crashed == 0 {
-			cordoned = kvserver.NodeID(nextFlap%opts.Nodes) + 1
+			cordoned = kvserver.NodeID(nextFlap%chaosNodes) + 1
 			nextFlap++
 			flapRemaining = 25
 			if n, ok := cluster.Node(cordoned); ok {
@@ -262,7 +260,7 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		// cordoned for a stretch so it genuinely falls behind — with the
 		// short log retention, far enough to need a snapshot.
 		if reg.Should("store.crash") && crashed == 0 && cordoned == 0 {
-			crashed = kvserver.NodeID(nextCrash%opts.Nodes) + 1
+			crashed = kvserver.NodeID(nextCrash%chaosNodes) + 1
 			nextCrash++
 			crashRemaining = 25
 			tear := rng.Intn(64)

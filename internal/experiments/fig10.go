@@ -131,12 +131,10 @@ func Fig10b(trials int) ([]Fig10bRegion, *Table) {
 	return out, table
 }
 
-// Fig10Durations exposes an ablation helper: the warm-pool size sweep. A
-// cold start that misses the warm pool pays the full pod creation cost; the
-// hit rate depends on pool size versus cold-start arrival rate.
+// WarmPoolPoint is one pool size of the warm-pool sweep. A cold start that
+// misses the warm pool pays the full pod creation cost; the hit rate depends
+// on pool size versus cold-start arrival rate.
 type WarmPoolPoint struct {
-	PoolSize   int
-	HitRate    float64
 	P50Latency time.Duration
 }
 
@@ -189,7 +187,7 @@ func AblationWarmPool(arrivalsPerMin float64, trials int) ([]WarmPoolPoint, *Tab
 			}
 			h.Record(lat)
 		}
-		pt := WarmPoolPoint{PoolSize: size, HitRate: hitRate, P50Latency: h.P50()}
+		pt := WarmPoolPoint{P50Latency: h.P50()}
 		out = append(out, pt)
 		table.Rows = append(table.Rows, []string{
 			fmt.Sprintf("%d", size),

@@ -14,7 +14,6 @@ import (
 type Fig5Result struct {
 	BatchesPerSec   float64
 	GroundTruthPerB time.Duration // CPU per batch at this rate (ground truth)
-	ModelPerB       time.Duration // trained piecewise-linear prediction
 	BatchesPerVCPUs float64       // batches one vCPU-second processes
 	ModelErrPercent float64
 }
@@ -56,7 +55,6 @@ func Fig5() ([]Fig5Result, *Table) {
 		r := Fig5Result{
 			BatchesPerSec:   rate,
 			GroundTruthPerB: truth,
-			ModelPerB:       modelPer,
 			BatchesPerVCPUs: 1 / truth.Seconds(),
 			ModelErrPercent: errPct,
 		}

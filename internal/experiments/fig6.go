@@ -21,16 +21,15 @@ type Fig6Workload struct {
 
 // Fig6Options size the experiment.
 type Fig6Options struct {
-	TPCCWarehouses int // default 2
-	TPCCOps        int // default 60
-	TPCHRows       int // default 800
-	TPCHRuns       int // default 10
+	TPCCOps  int // default 60
+	TPCHRows int // default 800
+	TPCHRuns int // default 10
 }
 
+// fig6Warehouses is the TPC-C warehouse count of the Fig 6 workload.
+const fig6Warehouses = 2
+
 func (o *Fig6Options) defaults() {
-	if o.TPCCWarehouses == 0 {
-		o.TPCCWarehouses = 2
-	}
 	if o.TPCCOps == 0 {
 		o.TPCCOps = 60
 	}
@@ -126,7 +125,7 @@ func Fig6(opts Fig6Options) ([]Fig6Workload, *Table, error) {
 
 	// TPC-C (OLTP).
 	if err := run("tpcc", opts.TPCCOps, func() (func(workload.DB) error, func(workload.DB) error) {
-		w := workload.NewTPCC(opts.TPCCWarehouses, 1)
+		w := workload.NewTPCC(fig6Warehouses, 1)
 		return func(db workload.DB) error { return w.Setup(ctx, db) },
 			func(db workload.DB) error { return w.RunMix(ctx, db) }
 	}); err != nil {

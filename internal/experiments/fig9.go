@@ -23,20 +23,18 @@ type Fig9Result struct {
 	QueriesAfter          int64
 	Migrations            int64
 	Errors                int64
-	Aborts                int64
 }
 
 // Fig9Options size the experiment.
 type Fig9Options struct {
-	SQLNodes    int           // default 3
 	Connections int           // default 9
 	Phase       time.Duration // default 700ms per phase
 }
 
+// fig9SQLNodes is the number of SQL pods the upgrade rolls through.
+const fig9SQLNodes = 3
+
 func (o *Fig9Options) defaults() {
-	if o.SQLNodes == 0 {
-		o.SQLNodes = 3
-	}
 	if o.Connections == 0 {
 		o.Connections = 9
 	}
@@ -63,7 +61,7 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 		Registry:        tb.reg,
 		Buckets:         tb.buckets,
 		Region:          "us-central1",
-		WarmPoolSize:    opts.SQLNodes + 1,
+		WarmPoolSize:    fig9SQLNodes + 1,
 		PreStartProcess: true,
 	})
 	if err != nil {
@@ -80,7 +78,7 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := orch.ScaleTenant(ctx, tenant, opts.SQLNodes); err != nil {
+	if _, err := orch.ScaleTenant(ctx, tenant, fig9SQLNodes); err != nil {
 		return nil, nil, err
 	}
 
@@ -185,7 +183,7 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 		[]string{"during upgrade", fmt.Sprintf("%d", res.QueriesDuring), fmtDur(res.During.P50), fmtDur(res.During.P99)},
 		[]string{"after", fmt.Sprintf("%d", res.QueriesAfter), fmtDur(res.After.P50), fmtDur(res.After.P99)},
 		[]string{"migrations", fmt.Sprintf("%d", res.Migrations), "", ""},
-		[]string{"errors", fmt.Sprintf("%d", res.Errors), "aborts", fmt.Sprintf("%d", res.Aborts)},
+		[]string{"errors", fmt.Sprintf("%d", res.Errors), "", ""},
 	)
 	return res, table, nil
 }

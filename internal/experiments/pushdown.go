@@ -12,11 +12,6 @@ import (
 // PushdownResult quantifies the §8 future-work row-filter push-down on a
 // selective full-scan query, in a Serverless (separate-process) deployment.
 type PushdownResult struct {
-	// CPU per query without and with push-down, plus the colocated
-	// (traditional) reference.
-	NoPushdownCPU   time.Duration
-	WithPushdownCPU time.Duration
-	TraditionalCPU  time.Duration
 	// PenaltyNoPushdown and PenaltyWithPushdown are the Serverless/CPU
 	// ratios vs traditional — push-down should close most of the gap for
 	// selective scans.
@@ -92,11 +87,7 @@ func AblationFilterPushdown(rows, runs int) (*PushdownResult, *Table, error) {
 		return nil, nil, err
 	}
 
-	res := &PushdownResult{
-		NoPushdownCPU:   noPush,
-		WithPushdownCPU: withPush,
-		TraditionalCPU:  trad,
-	}
+	res := &PushdownResult{}
 	if trad > 0 {
 		res.PenaltyNoPushdown = float64(noPush) / float64(trad)
 		res.PenaltyWithPushdown = float64(withPush) / float64(trad)

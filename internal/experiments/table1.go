@@ -95,33 +95,35 @@ type TimelineSample struct {
 	ECPUPerTenant map[string]float64
 }
 
+// The shape of Table 1's load.
+const (
+	// noisyTenants tenants run noisyWorkers workers each.
+	noisyTenants = 3
+	noisyWorkers = 48
+	// costScale multiplies the ground-truth KV service costs so the noisy
+	// load saturates the scaled-down cluster the way 10K-warehouse TPC-C
+	// saturates the paper's 96-core one.
+	costScale = 8
+	// testWorkers workers with thinkTime between transactions make up the
+	// well-behaved tenant.
+	testWorkers = 4
+	thinkTime   = 25 * time.Millisecond
+	// noisyQuotaVCPUs is the eCPU limit per noisy tenant in the third
+	// configuration: 10% of a 12-vCPU cluster, matching the paper's
+	// limit-of-10 on 96 cores.
+	noisyQuotaVCPUs = 1.2
+)
+
 // Table1Options size the experiment.
 type Table1Options struct {
 	// Duration per configuration (wall clock). Default 2s.
 	Duration time.Duration
-	// NoisyTenants and NoisyWorkers shape the antagonists. Defaults 3, 24.
-	NoisyTenants int
-	NoisyWorkers int
-	// CostScale multiplies the ground-truth KV service costs so the noisy
-	// load saturates the scaled-down cluster the way 10K-warehouse TPC-C
-	// saturates the paper's 96-core one. Default 8.
-	CostScale float64
-	// TestWorkers and ThinkTime shape the well-behaved tenant. Defaults 4,
-	// 25ms.
-	TestWorkers int
-	ThinkTime   time.Duration
-	// NoisyQuotaVCPUs is the eCPU limit per noisy tenant in the third
-	// configuration. Default 1.2 (10% of a 12-vCPU cluster, matching the
-	// paper's limit-of-10 on 96 cores).
-	NoisyQuotaVCPUs float64
 	// LivenessQueueLimit is the per-node executor queue depth beyond which
 	// a node fails liveness. Default 40 — low enough that the unthrottled
 	// noisy backlog destabilizes the cluster, comfortably above anything
 	// admission control lets through.
+	//lint:allow deadsurface test seam: TestTable1Shape tightens it so the no-limits destabilization is deterministic in a short run
 	LivenessQueueLimit int
-	// Clock drives all waiting and latency measurement. Defaults to the
-	// real clock (the workers burn real CPU); tests may inject their own.
-	Clock timeutil.Clock
 	// Configs to run; default all three.
 	Configs []NoisyConfig
 }
@@ -130,32 +132,11 @@ func (o *Table1Options) defaults() {
 	if o.Duration == 0 {
 		o.Duration = 2 * time.Second
 	}
-	if o.NoisyTenants == 0 {
-		o.NoisyTenants = 3
-	}
-	if o.NoisyWorkers == 0 {
-		o.NoisyWorkers = 48
-	}
-	if o.CostScale == 0 {
-		o.CostScale = 8
-	}
-	if o.TestWorkers == 0 {
-		o.TestWorkers = 4
-	}
-	if o.ThinkTime == 0 {
-		o.ThinkTime = 25 * time.Millisecond
-	}
-	if o.NoisyQuotaVCPUs == 0 {
-		o.NoisyQuotaVCPUs = 1.2
-	}
 	if o.LivenessQueueLimit == 0 {
 		o.LivenessQueueLimit = 40
 	}
 	if len(o.Configs) == 0 {
 		o.Configs = []NoisyConfig{NoLimits, ACOnly, ACAndECPU}
-	}
-	if o.Clock == nil {
-		o.Clock = timeutil.NewRealClock()
 	}
 }
 
@@ -211,10 +192,12 @@ func Table1(opts Table1Options) (*Table1Result, *Table, error) {
 func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []TimelineSample, error) {
 	ctx := context.Background()
 	tb, err := newTestbed(testbedOptions{
-		kvNodes:   3,
-		vcpus:     4,
-		clock:     opts.Clock,
-		cost:      scaleCost(kvserver.DefaultCostConfig(), opts.CostScale),
+		kvNodes: 3,
+		vcpus:   4,
+		// The workers burn real CPU, so the real clock drives all waiting
+		// and latency measurement.
+		clock:     timeutil.NewRealClock(),
+		cost:      scaleCost(kvserver.DefaultCostConfig(), costScale),
 		admission: cfg != NoLimits,
 		// A tight liveness bound: the unthrottled noisy backlog makes
 		// nodes miss heartbeats and shed leases (the Fig 12 chaos);
@@ -227,15 +210,15 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	defer tb.close()
 	// The pricing model must match the scaled ground truth, or eCPU limits
 	// would underprice the noisy tenants by the same factor.
-	tb.model = scaleModel(tenantcost.DefaultModel(), opts.CostScale)
+	tb.model = scaleModel(tenantcost.DefaultModel(), costScale)
 
 	// Provision tenants. Noisy tenants get quotas only in the third config.
 	quota := 0.0
 	if cfg == ACAndECPU {
-		quota = opts.NoisyQuotaVCPUs
+		quota = noisyQuotaVCPUs
 	}
 	var noisy []*tenantHandle
-	for i := 0; i < opts.NoisyTenants; i++ {
+	for i := 0; i < noisyTenants; i++ {
 		h, err := tb.newTenant(ctx, fmt.Sprintf("noisy-%d", i), false, quota)
 		if err != nil {
 			return nil, nil, err
@@ -251,7 +234,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	// their job is offered load, not data volume); the test tenant uses the
 	// stock shape.
 	slimTPCC := func(seed int64) *workload.TPCC {
-		gen := workload.NewTPCC(opts.NoisyWorkers, seed)
+		gen := workload.NewTPCC(noisyWorkers, seed)
 		gen.DistrictsPerWH = 1
 		gen.CustomersPerDistrict = 1
 		gen.Items = 10
@@ -295,7 +278,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 
 	// Noisy workers: tight loop, pinned warehouses, per-worker sessions.
 	for ti, h := range noisy {
-		for w := 1; w <= opts.NoisyWorkers; w++ {
+		for w := 1; w <= noisyWorkers; w++ {
 			gen := slimTPCC(int64(1000*ti + w))
 			gen.PinnedWarehouse = w
 			db := &throttledDB{sess: h.session(), handle: h}
@@ -313,7 +296,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	// client, a worker retries a failed transaction until it completes (or
 	// the run ends), so cluster instability shows up as high latency and
 	// lost throughput; aborts count the retries consumed.
-	for w := 0; w < opts.TestWorkers; w++ {
+	for w := 0; w < testWorkers; w++ {
 		gen := workload.NewTPCC(2, int64(9000+w))
 		sess := test.session()
 		wg.Add(1)
@@ -334,7 +317,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 					}
 					tb.clock.Sleep(5 * time.Millisecond)
 				}
-				tb.clock.Sleep(opts.ThinkTime)
+				tb.clock.Sleep(thinkTime)
 			}
 		}()
 	}

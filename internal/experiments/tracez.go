@@ -36,8 +36,10 @@ type TracezResult struct {
 // TracezOptions size the observability demo.
 type TracezOptions struct {
 	Queries int
-	Seed    int64
 }
+
+// tracezSeed seeds the demo's tracer.
+const tracezSeed = 20250805
 
 // Tracez runs a traced point-read workload through the full serving path —
 // routing proxy, SQL node, transaction coordinator, DistSender, KV command
@@ -48,9 +50,6 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 	if opts.Queries <= 0 {
 		opts.Queries = 25
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 20250805
-	}
 	ctx := context.Background()
 	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8, admission: true})
 	if err != nil {
@@ -59,7 +58,7 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 	defer tb.close()
 
 	reg := metric.NewRegistry()
-	tr := trace.New(trace.Options{Clock: tb.clock, Seed: opts.Seed, Metrics: reg})
+	tr := trace.New(trace.Options{Clock: tb.clock, Seed: tracezSeed, Metrics: reg})
 	orch, err := orchestrator.New(orchestrator.Config{
 		Cluster:         tb.cluster,
 		Registry:        tb.reg,

@@ -61,8 +61,10 @@ type Site struct {
 	// After skips the first After consultations unconditionally (arming the
 	// site partway into a run, or pinning "fail exactly the nth call" shapes
 	// together with MaxFires).
+	//lint:allow deadsurface test seam: TestAbortCleansUpPartiallyAppliedBatch fails exactly the second sub-batch
 	After int
 	// MaxFires caps the total number of fires; 0 means unlimited.
+	//lint:allow deadsurface test seam: TestFinishBacksOffBetweenResolveAttempts fails a resolve a set number of times
 	MaxFires int
 	// Delay, when nonzero, is slept on the registry's clock at each fire —
 	// write stalls and scheduling delays rather than hard failures.
@@ -121,16 +123,6 @@ func (r *Registry) Enable(name string, cfg Site) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.mu.sites[name] = &siteState{cfg: cfg, rng: randutil.NewRand(r.siteSeed(name))}
-}
-
-// Disable disarms a site; subsequent consultations never fire.
-func (r *Registry) Disable(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.mu.sites, name)
 }
 
 // DisableAll disarms every site (the chaos harness's quiescence step). The
@@ -209,20 +201,6 @@ func (r *Registry) Fires(name string) int {
 		return st.fires
 	}
 	return 0
-}
-
-// TotalFires returns the total number of fires across all sites, including
-// sites since disabled (it is derived from the schedule log).
-func (r *Registry) TotalFires() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.mu.log.Len() == 0 {
-		return 0
-	}
-	return strings.Count(r.mu.log.String(), "\n")
 }
 
 // Schedule returns the fault schedule so far, one line per fire in the order

@@ -26,14 +26,6 @@ func (t Timestamp) Less(o Timestamp) bool {
 	return t.Logical < o.Logical
 }
 
-// LessEq reports whether t orders before or equal to o.
-func (t Timestamp) LessEq(o Timestamp) bool { return !o.Less(t) }
-
-// Equal reports whether t and o are the same instant.
-func (t Timestamp) Equal(o Timestamp) bool {
-	return t.WallTime == o.WallTime && t.Logical == o.Logical
-}
-
 // IsEmpty reports whether t is the zero timestamp.
 func (t Timestamp) IsEmpty() bool { return t.WallTime == 0 && t.Logical == 0 }
 
@@ -45,36 +37,12 @@ func (t Timestamp) Next() Timestamp {
 	return Timestamp{WallTime: t.WallTime, Logical: t.Logical + 1}
 }
 
-// Prev returns the largest timestamp strictly less than t. Calling Prev on
-// the zero timestamp returns the zero timestamp.
-func (t Timestamp) Prev() Timestamp {
-	if t.Logical > 0 {
-		return Timestamp{WallTime: t.WallTime, Logical: t.Logical - 1}
-	}
-	if t.WallTime > 0 {
-		return Timestamp{WallTime: t.WallTime - 1, Logical: int32(^uint32(0) >> 1)}
-	}
-	return Timestamp{}
-}
-
 // GoTime converts the wall component to a time.Time.
 func (t Timestamp) GoTime() time.Time { return time.Unix(0, t.WallTime) }
 
 // String renders the timestamp as wall,logical.
 func (t Timestamp) String() string {
 	return fmt.Sprintf("%d.%09d,%d", t.WallTime/1e9, t.WallTime%1e9, t.Logical)
-}
-
-// Compare returns -1, 0, or +1 per the usual contract.
-func (t Timestamp) Compare(o Timestamp) int {
-	switch {
-	case t.Less(o):
-		return -1
-	case o.Less(t):
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Clock generates monotonically increasing hybrid logical timestamps from an

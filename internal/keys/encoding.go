@@ -161,21 +161,3 @@ func MakeTableIndexSpan(tenant TenantID, table TableID, index IndexID) Span {
 	p := MakeTableIndexPrefix(tenant, table, index)
 	return Span{Key: p, EndKey: p.PrefixEnd()}
 }
-
-// DecodeTableIndexPrefix parses a key laid out by MakeTableIndexPrefix,
-// returning the components and the trailing (datum) portion of the key.
-func DecodeTableIndexPrefix(k Key) (tenant TenantID, table TableID, index IndexID, rest Key, err error) {
-	tenant, rest, ok := DecodeTenantPrefix(k)
-	if !ok {
-		return 0, 0, 0, nil, errors.New("keys: key lacks tenant prefix")
-	}
-	rest, t, err := DecodeUint64(rest)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	rest, i, err := DecodeUint64(rest)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return tenant, TableID(t), IndexID(i), rest, nil
-}

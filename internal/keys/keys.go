@@ -104,9 +104,6 @@ func (k Key) PrefixEnd() Key {
 	return append(Key(nil), MaxKey...)
 }
 
-// Compare returns -1, 0, or 1 comparing k to o lexicographically.
-func (k Key) Compare(o Key) int { return bytes.Compare(k, o) }
-
 // Equal reports byte equality.
 func (k Key) Equal(o Key) bool { return bytes.Equal(k, o) }
 
@@ -139,15 +136,6 @@ type Span struct {
 	EndKey Key
 }
 
-// Valid reports whether the span is well formed (Key < EndKey, or a point
-// span with empty EndKey).
-func (s Span) Valid() bool {
-	if len(s.EndKey) == 0 {
-		return len(s.Key) > 0
-	}
-	return s.Key.Less(s.EndKey)
-}
-
 // IsPoint reports whether the span addresses a single key.
 func (s Span) IsPoint() bool { return len(s.EndKey) == 0 }
 
@@ -157,17 +145,6 @@ func (s Span) ContainsKey(k Key) bool {
 		return s.Key.Equal(k)
 	}
 	return !k.Less(s.Key) && k.Less(s.EndKey)
-}
-
-// Contains reports whether s fully contains o.
-func (s Span) Contains(o Span) bool {
-	if o.IsPoint() {
-		return s.ContainsKey(o.Key)
-	}
-	if s.IsPoint() {
-		return false
-	}
-	return !o.Key.Less(s.Key) && !s.EndKey.Less(o.EndKey)
 }
 
 // Overlaps reports whether the two spans share any key.

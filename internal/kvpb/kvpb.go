@@ -110,7 +110,6 @@ type KeyValue struct {
 
 // Response is the result of a single Request.
 type Response struct {
-	Method Method
 	// Value is the result of a Get (nil if the key is absent).
 	Value []byte
 	// Exists reports whether a Get found the key.
@@ -152,12 +151,6 @@ type BatchRequest struct {
 	// split, or clipped by a stale descriptor on the way) writes intents for
 	// the coordinator to resolve.
 	TxnWrites int
-	// Priority applies to admission queueing when Txn is nil.
-	Priority Priority
-	// FollowerRead permits a read-only batch to be served by any replica at
-	// a (possibly slightly stale) timestamp instead of the leaseholder
-	// (§3.2.5: META-range reads and global-table reads use this).
-	FollowerRead bool
 	// Colocated marks the batch as issued by a SQL engine running in the
 	// same process as the KV node (the traditional deployment of §6.1):
 	// responses skip the cross-process marshaling cost.

@@ -44,11 +44,11 @@ func TestBatchReadTs(t *testing.T) {
 	ts1 := hlc.Timestamp{WallTime: 10}
 	ts2 := hlc.Timestamp{WallTime: 20}
 	b := BatchRequest{Timestamp: ts1}
-	if !b.ReadTs().Equal(ts1) {
+	if b.ReadTs() != ts1 {
 		t.Fatal("non-txn batch should read at batch ts")
 	}
 	b.Txn = &TxnMeta{ID: 1, Ts: ts2}
-	if !b.ReadTs().Equal(ts2) {
+	if b.ReadTs() != ts2 {
 		t.Fatal("txn batch should read at txn ts")
 	}
 }
@@ -75,8 +75,8 @@ func TestBatchIsReadOnlyAndWriteBytes(t *testing.T) {
 
 func TestBatchResponseReadBytes(t *testing.T) {
 	r := BatchResponse{Responses: []Response{
-		{Method: Get, Value: []byte("1234")},
-		{Method: Scan, Rows: []KeyValue{{Key: keys.Key("k"), Value: []byte("vv")}}},
+		{Value: []byte("1234")},
+		{Rows: []KeyValue{{Key: keys.Key("k"), Value: []byte("vv")}}},
 	}}
 	if got := r.ReadBytes(); got != 4+1+2 {
 		t.Fatalf("ReadBytes = %d, want 7", got)
@@ -104,7 +104,6 @@ func TestErrorsFormatAndRetriable(t *testing.T) {
 	}
 	notRetriable := []error{
 		&TenantAuthError{Authenticated: 2, Requested: 3, Key: keys.Key("k")},
-		&TenantRateLimitedError{Tenant: 2},
 		&RangeNotFoundError{RangeID: 4},
 		errors.New("generic"),
 		// Whatever made the commit ambiguous, running the transaction again

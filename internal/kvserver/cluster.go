@@ -694,6 +694,8 @@ func (c *Cluster) rangesByID() []*rangeState {
 // storage-reclamation path behind "the only cost is for storage" (§4.2.3):
 // suspended tenants' data keeps getting compacted down. Ranges are visited
 // in RangeID order so injected storage faults land on a deterministic range.
+//
+//lint:allow deadsurface roadmap: "One read path, one engine mode" step 4 drives MVCC GC from the tick
 func (c *Cluster) RunGC(keepAfter hlc.Timestamp) (int, error) {
 	removed := 0
 	for _, rs := range c.rangesByID() {
@@ -714,41 +716,6 @@ func (c *Cluster) RunGC(keepAfter hlc.Timestamp) (int, error) {
 		rs.latch.Unlock()
 	}
 	return removed, nil
-}
-
-// TenantStorageBytes reports the logical bytes a tenant stores (latest
-// visible versions, summed over one replica) — the storage-billing input for
-// suspended tenants (§6.2: storage is the only cost at zero compute).
-func (c *Cluster) TenantStorageBytes(tenant keys.TenantID) (int64, error) {
-	span := keys.MakeTenantSpan(tenant)
-	var total int64
-	readTs := c.hlc.Now()
-	for _, rs := range c.rangesByID() {
-		desc := rs.desc.Load()
-		if !desc.Span.Overlaps(span) {
-			continue
-		}
-		// Read from any replica; storage accounting tolerates staleness.
-		n, ok := c.Node(desc.Replicas[0])
-		if !ok {
-			continue
-		}
-		overlap := desc.Span
-		if overlap.Key.Less(span.Key) {
-			overlap.Key = span.Key
-		}
-		if span.EndKey.Less(overlap.EndKey) {
-			overlap.EndKey = span.EndKey
-		}
-		res, err := mvcc.Scan(n.Engine(), overlap, readTs, 0, 0)
-		if err != nil {
-			return 0, err
-		}
-		for _, kv := range res.Rows {
-			total += int64(len(kv.Key) + len(kv.Value))
-		}
-	}
-	return total, nil
 }
 
 // Close shuts down all nodes.
@@ -795,28 +762,22 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 		return nil, err
 	}
 
-	// Lease check. Follower reads only need a local replica.
-	if ba.FollowerRead && ba.IsReadOnly() {
-		if !hasReplica(rs, nodeID) {
-			return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
-		}
-	} else {
-		g := rs.group.Load()
-		lh, ok := g.Leaseholder()
-		if !ok {
-			// Try to acquire for ourselves.
-			// AcquireLease itself catches the node up to the commit index
-			// before granting, so the new leaseholder serves current state.
-			if err := g.AcquireLease(nodeID); err != nil {
-				var nle *kvpb.NotLeaseholderError
-				if errors.As(err, &nle) {
-					return nil, nle
-				}
-				return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID)}
+	// Lease check.
+	g := rs.group.Load()
+	lh, ok := g.Leaseholder()
+	if !ok {
+		// Try to acquire for ourselves.
+		// AcquireLease itself catches the node up to the commit index
+		// before granting, so the new leaseholder serves current state.
+		if err := g.AcquireLease(nodeID); err != nil {
+			var nle *kvpb.NotLeaseholderError
+			if errors.As(err, &nle) {
+				return nil, nle
 			}
-		} else if lh != nodeID {
-			return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
+			return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID)}
 		}
+	} else if lh != nodeID {
+		return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
 	}
 
 	sp.SetAttr("kv.range", desc.RangeID)
@@ -905,9 +866,6 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	// all happen atomically at one timestamp).
 	var readSpans []keys.Span
 	defer func() {
-		if ba.FollowerRead {
-			return // intentionally stale; not a serializable read point
-		}
 		for _, sp := range readSpans {
 			rs.tsc.recordRead(sp, readTs, txnID)
 		}
@@ -967,11 +925,8 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		if !applied {
 			return nil, err
 		}
-		out := &kvpb.BatchResponse{Timestamp: readTs, Committed: onePhase}
-		for _, r := range ba.Requests {
-			out.Responses = append(out.Responses, kvpb.Response{Method: r.Method})
-		}
-		return out, nil
+		return &kvpb.BatchResponse{Timestamp: readTs, Committed: onePhase,
+			Responses: make([]kvpb.Response, len(ba.Requests))}, nil
 	}
 
 	var cmd command
@@ -993,7 +948,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 				Kind: mutPut, Key: r.Key.Clone(), Ts: readTs, TxnID: writeTxnID, Value: r.Value,
 			})
 			writtenBytes += int64(len(r.Key) + len(r.Value))
-			resp.Responses = append(resp.Responses, kvpb.Response{Method: r.Method})
+			resp.Responses = append(resp.Responses, kvpb.Response{})
 		case kvpb.Delete:
 			if err := checkWrite(r.Key); err != nil {
 				return conflicted(err)
@@ -1002,7 +957,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 				Kind: mutDelete, Key: r.Key.Clone(), Ts: readTs, TxnID: writeTxnID,
 			})
 			writtenBytes += int64(len(r.Key))
-			resp.Responses = append(resp.Responses, kvpb.Response{Method: r.Method})
+			resp.Responses = append(resp.Responses, kvpb.Response{})
 		case kvpb.DeleteRange:
 			res, err := mvcc.Scan(n.Engine(), r.Span(), readTs, txnID, 0)
 			if err != nil {
@@ -1011,7 +966,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			// Report the deleted keys so a transactional caller can track
 			// (and later resolve) the intents this request lays down.
 			readSpans = append(readSpans, r.Span())
-			deleted := kvpb.Response{Method: r.Method}
+			var deleted kvpb.Response
 			for _, kv := range res.Rows {
 				if err := checkWrite(kv.Key); err != nil {
 					return nil, err
@@ -1028,7 +983,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 				Kind: mutResolve, Key: r.Key.Clone(), TxnID: r.ResolveTxnID,
 				Commit: r.ResolveCommit, CommitTs: r.ResolveTs,
 			})
-			resp.Responses = append(resp.Responses, kvpb.Response{Method: r.Method})
+			resp.Responses = append(resp.Responses, kvpb.Response{})
 		case kvpb.ResolveIntentRange:
 			// The leaseholder enumerates the transaction's intents in the
 			// span and replicates one point resolution per key, so every
@@ -1037,7 +992,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			if err != nil {
 				return nil, err
 			}
-			out := kvpb.Response{Method: r.Method}
+			var out kvpb.Response
 			for _, k := range iks {
 				cmd.Mutations = append(cmd.Mutations, mutation{
 					Kind: mutResolve, Key: k, TxnID: r.ResolveTxnID,
@@ -1090,13 +1045,13 @@ func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, dec R
 		if err != nil {
 			return kvpb.Response{}, err
 		}
-		return kvpb.Response{Method: r.Method, Value: v, Exists: ok}, nil
+		return kvpb.Response{Value: v, Exists: ok}, nil
 	case kvpb.Scan:
 		res, err := mvcc.Scan(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys)
 		if err != nil {
 			return kvpb.Response{}, err
 		}
-		out := kvpb.Response{Method: r.Method, Rows: res.Rows, ResumeSpan: res.Resume}
+		out := kvpb.Response{Rows: res.Rows, ResumeSpan: res.Resume}
 		for _, kv := range res.Rows {
 			out.ScannedBytes += int64(len(kv.Key) + len(kv.Value))
 		}

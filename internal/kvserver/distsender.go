@@ -99,9 +99,6 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	return ds
 }
 
-// Identity returns the sender's authenticated identity.
-func (ds *DistSender) Identity() Identity { return ds.identity }
-
 // maxSendRetries bounds redirect-chasing per range visited.
 const maxSendRetries = 16
 
@@ -354,7 +351,7 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 				cp.Requests = clip.sent
 				sub = &cp
 			}
-			target := ds.target(desc, ba, attempt)
+			target := ds.target(desc, attempt)
 			resp, err := ds.cluster.Batch(ctx, target, ds.identity, sub)
 			if err == nil {
 				ds.noteLeaseholder(desc.RangeID, target)
@@ -428,13 +425,9 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 	return merged, nil
 }
 
-// target picks the node to contact: follower reads go to the first replica
-// (in production, the nearest); everything else goes to the lease hint or,
-// absent one, a replica that may acquire the lease.
-func (ds *DistSender) target(desc *RangeDescriptor, ba *kvpb.BatchRequest, attempt int) NodeID {
-	if ba.FollowerRead && ba.IsReadOnly() {
-		return desc.Replicas[0]
-	}
+// target picks the node to contact: the lease hint or, absent one, a replica
+// that may acquire the lease.
+func (ds *DistSender) target(desc *RangeDescriptor, attempt int) NodeID {
 	ds.mu.Lock()
 	hint, ok := ds.mu.leaseHints[desc.RangeID]
 	ds.mu.Unlock()
@@ -463,14 +456,6 @@ func (ds *DistSender) clearLeaseHint(id RangeID) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	delete(ds.mu.leaseHints, id)
-}
-
-// CacheSizes reports the current descriptor-cache and lease-hint entry
-// counts (tests assert the bounds hold).
-func (ds *DistSender) CacheSizes() (descriptors, leaseHints int) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.mu.cache), len(ds.mu.leaseHints)
 }
 
 // cachedDescLocked returns the cached descriptor containing key, or nil.

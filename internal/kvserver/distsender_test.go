@@ -270,7 +270,7 @@ func TestDistSenderOneRangeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaseholder := ds.target(groups[0].desc, ba, 0)
+	leaseholder := ds.target(groups[0].desc, 0)
 	send := testing.AllocsPerRun(100, func() { _, _ = ds.Send(ctx, ba) })
 	batch := testing.AllocsPerRun(100, func() { _, _ = c.Batch(ctx, leaseholder, ds.identity, ba) })
 	if send-batch > 3 {
@@ -333,7 +333,9 @@ func TestDistSenderCacheBounds(t *testing.T) {
 		if wantVal := fmt.Sprintf("v%03d", i); string(resp.Responses[0].Value) != wantVal {
 			t.Fatalf("key %s = %q, want %q", s, resp.Responses[0].Value, wantVal)
 		}
-		descs, hints := ds.CacheSizes()
+		ds.mu.Lock()
+		descs, hints := len(ds.mu.cache), len(ds.mu.leaseHints)
+		ds.mu.Unlock()
 		if descs > limit {
 			t.Fatalf("descriptor cache grew to %d, cap %d", descs, limit)
 		}

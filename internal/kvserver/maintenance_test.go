@@ -225,48 +225,3 @@ func TestClusterRunGC(t *testing.T) {
 		t.Fatalf("second gc removed %d, %v", removed, err)
 	}
 }
-
-func TestTenantStorageBytes(t *testing.T) {
-	c := newTestCluster(t, 3)
-	ctx := context.Background()
-	// Carve two tenants and fill them unevenly.
-	for _, tid := range []keys.TenantID{2, 3} {
-		c.SplitAt(keys.MakeTenantPrefix(tid))
-		c.SplitAt(keys.MakeTenantSpan(tid).EndKey)
-	}
-	ds2 := NewDistSender(c, Identity{Tenant: 2})
-	ds3 := NewDistSender(c, Identity{Tenant: 3})
-	for i := 0; i < 10; i++ {
-		ds2.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{
-			putReq(tenantKey(2, fmt.Sprintf("k%02d", i)), "0123456789")}})
-	}
-	ds3.Send(ctx, &kvpb.BatchRequest{Tenant: 3, Requests: []kvpb.Request{
-		putReq(tenantKey(3, "solo"), "x")}})
-
-	b2, err := c.TenantStorageBytes(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3, err := c.TenantStorageBytes(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 <= b3 || b3 == 0 {
-		t.Fatalf("storage accounting: tenant2=%d tenant3=%d", b2, b3)
-	}
-	// Overwrites do not inflate the logical size (old versions are not
-	// billed).
-	before := b2
-	for i := 0; i < 5; i++ {
-		ds2.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{
-			putReq(tenantKey(2, "k00"), "0123456789")}})
-	}
-	after, _ := c.TenantStorageBytes(2)
-	if after != before {
-		t.Fatalf("logical size changed on overwrite: %d -> %d", before, after)
-	}
-	// Empty tenant reads as zero.
-	if b, _ := c.TenantStorageBytes(99); b != 0 {
-		t.Fatalf("empty tenant storage = %d", b)
-	}
-}

@@ -3,10 +3,7 @@ package kvserver
 import (
 	"fmt"
 
-	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
-	"crdbserverless/internal/lsm"
-	"crdbserverless/internal/mvcc"
 )
 
 // Replica movement and KV fleet membership — the substrate for automatic
@@ -64,9 +61,11 @@ func (c *Cluster) ReplicaCounts() map[NodeID]int {
 }
 
 // MoveReplica relocates one range replica from one node to another: the
-// range's data is copied from a healthy replica's engine to the target, and
-// the replication group is rebuilt over the new membership. Writes to the
-// range are blocked (range latch) for the duration.
+// target is seeded the way raft catches up a lagging replica, with a
+// snapshot of a healthy replica that replaces whatever the target's engine
+// still holds in the span, and the replication group is rebuilt over the new
+// membership. Writes to the range are blocked (range latch) for the
+// duration.
 func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	c.mu.RLock()
 	rs, ok := c.mu.ranges[rangeID]
@@ -120,12 +119,19 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 			return fmt.Errorf("kvserver: range %d has no live replica to copy from", rangeID)
 		}
 	}
-	if err := copySpanData(srcNode.Engine(), target.Engine(), desc.Span); err != nil {
+	// A node the range left earlier still holds that replica's data; the
+	// snapshot's span wipe drops it.
+	srcApplied, srcErr := old.AppliedIndex(src)
+	snap, err := engineSM{n: srcNode, rs: rs}.Snapshot()
+	if err != nil {
+		return err
+	}
+	if err := (engineSM{n: target, rs: rs}).ApplySnapshot(srcApplied, snap); err != nil {
 		return err
 	}
 
-	// Rebuild membership and the replication group. The copied engine state
-	// is the new replica's snapshot; the fresh group's log starts after it.
+	// Rebuild membership and the replication group. The fresh group's log
+	// starts after the snapshot.
 	newReplicas := make([]NodeID, 0, len(desc.Replicas))
 	for _, r := range desc.Replicas {
 		if r != from {
@@ -151,8 +157,8 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 			applied[nid] = a
 		}
 	}
-	if a, err := old.AppliedIndex(src); err == nil {
-		applied[to] = a
+	if srcErr == nil {
+		applied[to] = srcApplied
 	}
 	group.SeedState(old.CommitIndex(), applied)
 	// Restore a lease: the previous holder if it survived the move,
@@ -174,30 +180,6 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	rs.desc.Store(&newDesc)
 	rs.group.Store(group)
 	return c.dir.replace(rangeID, &newDesc)
-}
-
-// copySpanData copies every raw engine entry of span from src to dst.
-// Intents and all MVCC versions move as-is.
-func copySpanData(src, dst *lsm.Engine, span keys.Span) error {
-	lo, hi := mvcc.EngineSpan(span)
-	var batch []lsm.Entry
-	it := src.NewIter(lo, hi)
-	for ; it.Valid(); it.Next() {
-		batch = append(batch, lsm.Entry{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
-		if len(batch) >= 1024 {
-			if err := dst.ApplyBatch(batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
-		}
-	}
-	if len(batch) > 0 {
-		return dst.ApplyBatch(batch)
-	}
-	return nil
 }
 
 // RebalanceReplicas moves up to maxMoves replicas from the node with the

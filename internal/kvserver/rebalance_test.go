@@ -9,6 +9,7 @@ import (
 	"crdbserverless/internal/faultinject"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/mvcc"
 )
 
 func TestAddNodeAndNewRangePlacement(t *testing.T) {
@@ -308,5 +309,59 @@ func TestDrainAndRemoveNode(t *testing.T) {
 	resp, err := ds2.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{getReq(k)}})
 	if err != nil || !resp.Responses[0].Exists {
 		t.Fatalf("data lost after node removal: %v", err)
+	}
+}
+
+// TestMoveReplicaBackDropsStaleData: a replica moved back onto a node it
+// left must not resurrect what that node still held from its earlier stay.
+// Here the stale state is an intent whose transaction aborted while the
+// replica was away.
+func TestMoveReplicaBackDropsStaleData(t *testing.T) {
+	c := newTestCluster(t, 3)
+	cheap := CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
+	if err := c.AddNode(NewNode(NodeConfig{ID: 4, VCPUs: 2, Cost: cheap})); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	k := tenantKey(2, "k")
+	ts := c.Clock().Now()
+	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Txn: &kvpb.TxnMeta{ID: 77, Ts: ts},
+		Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+		t.Fatal(err)
+	}
+
+	desc, err := c.LookupRange(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, ok := c.rangeByID(desc.RangeID).group.Load().Leaseholder()
+	if !ok {
+		t.Fatal("no leaseholder")
+	}
+	var follower NodeID
+	for _, r := range desc.Replicas {
+		if r != lh {
+			follower = r
+			break
+		}
+	}
+	const spare = NodeID(4)
+	if err := c.MoveReplica(desc.RangeID, follower, spare); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(),
+		Requests: []kvpb.Request{{Method: kvpb.ResolveIntent, Key: k, ResolveTxnID: 77, ResolveTs: ts}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MoveReplica(desc.RangeID, spare, follower); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, id := range []NodeID{lh, follower} {
+		n, _ := c.Node(id)
+		if _, found, err := mvcc.Get(n.Engine(), k, c.Clock().Now(), 0); err != nil || found {
+			t.Errorf("node %d reads the aborted key as found=%v, err=%v; want absent", id, found, err)
+		}
 	}
 }

@@ -82,17 +82,17 @@ func TestSnapshotRoundTripBetweenReplicas(t *testing.T) {
 	}
 
 	de := donor.Engine()
-	must(mvcc.Put(de, tenantKey(tenant, "a"), at(10), 0, []byte("a1")))
-	must(mvcc.Put(de, tenantKey(tenant, "a"), at(20), 0, []byte("a2")))
-	must(mvcc.Put(de, tenantKey(tenant, "b"), at(10), 0, []byte("b1")))
-	must(mvcc.Delete(de, tenantKey(tenant, "b"), at(30), 0))
-	must(mvcc.Put(de, tenantKey(tenant, "c"), at(10), 0, []byte{}))
+	must(mvcc.ApplyPut(de, tenantKey(tenant, "a"), at(10), 0, []byte("a1")))
+	must(mvcc.ApplyPut(de, tenantKey(tenant, "a"), at(20), 0, []byte("a2")))
+	must(mvcc.ApplyPut(de, tenantKey(tenant, "b"), at(10), 0, []byte("b1")))
+	must(mvcc.ApplyDelete(de, tenantKey(tenant, "b"), at(30), 0))
+	must(mvcc.ApplyPut(de, tenantKey(tenant, "c"), at(10), 0, []byte{}))
 	const intentTxn = 7
-	must(mvcc.Put(de, tenantKey(tenant, "d"), at(40), intentTxn, []byte("d-intent")))
+	must(mvcc.ApplyPut(de, tenantKey(tenant, "d"), at(40), intentTxn, []byte("d-intent")))
 
 	re := recv.Engine()
-	must(mvcc.Put(re, tenantKey(tenant, "a"), at(50), 0, []byte("stale")))
-	must(mvcc.Put(re, tenantKey(tenant, "z"), at(5), 0, []byte("stale")))
+	must(mvcc.ApplyPut(re, tenantKey(tenant, "a"), at(50), 0, []byte("stale")))
+	must(mvcc.ApplyPut(re, tenantKey(tenant, "z"), at(5), 0, []byte("stale")))
 	outside := appliedKey(rs.desc.Load().RangeID + 1)
 	must(re.Set(outside, []byte("other range")))
 

@@ -18,7 +18,7 @@ func TestTSCachePointReads(t *testing.T) {
 	}
 	tc.recordRead(keys.Span{Key: k}, tcts(10), 1)
 	// Another txn's write below 10 sees the read.
-	if got := tc.maxReadOther(k, 2); !got.Equal(tcts(10)) {
+	if got := tc.maxReadOther(k, 2); got != tcts(10) {
 		t.Fatalf("maxReadOther = %v", got)
 	}
 	// The reading txn itself is not pushed by its own read.
@@ -28,7 +28,7 @@ func TestTSCachePointReads(t *testing.T) {
 	// Higher reads replace lower ones; lower reads don't regress.
 	tc.recordRead(keys.Span{Key: k}, tcts(20), 3)
 	tc.recordRead(keys.Span{Key: k}, tcts(5), 4)
-	if got := tc.maxReadOther(k, 0); !got.Equal(tcts(20)) {
+	if got := tc.maxReadOther(k, 0); got != tcts(20) {
 		t.Fatalf("after overwrite = %v", got)
 	}
 	// Other keys unaffected.
@@ -40,7 +40,7 @@ func TestTSCachePointReads(t *testing.T) {
 func TestTSCacheSpanReads(t *testing.T) {
 	tc := newTSCache()
 	tc.recordRead(keys.Span{Key: keys.Key("b"), EndKey: keys.Key("m")}, tcts(7), 9)
-	if got := tc.maxReadOther(keys.Key("c"), 1); !got.Equal(tcts(7)) {
+	if got := tc.maxReadOther(keys.Key("c"), 1); got != tcts(7) {
 		t.Fatalf("span covered key = %v", got)
 	}
 	if got := tc.maxReadOther(keys.Key("z"), 1); !got.IsEmpty() {

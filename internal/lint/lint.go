@@ -12,6 +12,20 @@
 //
 // Checks:
 //
+//   - deadsurface: surface no program reaches. Every non-test file is a
+//     caller, a nested module's (such as bench/) included, but findings in a
+//     nested module are not reported. Three shapes: an exported struct field
+//     no non-test code writes, or writes only in its own package's
+//     `if x.F == zero { x.F = d }` (literals, assignment also through an
+//     index, ++/--, &x.F and a pointer method called on x.F are writes); a
+//     field written but never read (a .F selector in any _test.go file
+//     counts as a read, and so do the fields of a map-key struct); and an
+//     exported function or method no non-test code references. Tagged
+//     fields (reached by reflection), methods that
+//     implement an in-tree or imported interface declaring them, and
+//     Unwrap/Is/As are exempt. An allow must name its kind: `test seam:`
+//     (name the test), `deployment:` or `credential:`, `paper §N:` (a
+//     mechanism a figure or test pins), or `roadmap:` (the open item).
 //   - directtime: no direct time.Now/Sleep/After/... calls outside
 //     internal/timeutil and _test.go files; components thread a
 //     timeutil.Clock so the simulator and the latency experiments stay
@@ -78,13 +92,14 @@ import (
 
 // Checks is the set of known check names, in reporting order.
 var Checks = []string{
-	"directtime", "faulterr", "globalrand", "gobimport", "lockorder",
-	"lockscope", "locksafety", "maporder", "metricnames", "spanfinish",
+	"deadsurface", "directtime", "faulterr", "globalrand", "gobimport",
+	"lockorder", "lockscope", "locksafety", "maporder", "metricnames",
+	"spanfinish",
 }
 
 // typedChecks are the checks that need the type-checked loader and the
 // module call graph.
-var typedChecks = map[string]bool{"faulterr": true, "lockorder": true, "maporder": true}
+var typedChecks = map[string]bool{"deadsurface": true, "faulterr": true, "lockorder": true, "maporder": true}
 
 // Diagnostic is one reported violation.
 type Diagnostic struct {
@@ -153,6 +168,9 @@ type Tree struct {
 	// type-checker output across all of them.
 	pkgs []*Package
 	info *types.Info
+	// nested are the slash-separated root-relative directories that hold
+	// their own go.mod: read as callers, never reported in.
+	nested []string
 }
 
 // Load parses every .go file under root, skipping testdata, vendor, and
@@ -165,8 +183,16 @@ func Load(root string) (*Tree, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path == root {
+				return nil
+			}
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				if rel, err := filepath.Rel(root, path); err == nil {
+					t.nested = append(t.nested, filepath.ToSlash(rel))
+				}
 			}
 			return nil
 		}
@@ -205,6 +231,17 @@ func Load(root string) (*Tree, error) {
 	return t, nil
 }
 
+// inNestedModule reports whether the root-relative path lies in a nested
+// module.
+func (t *Tree) inNestedModule(rel string) bool {
+	for _, dir := range t.nested {
+		if strings.HasPrefix(rel, dir+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 func pathDir(rel string) string {
 	if i := strings.LastIndexByte(rel, '/'); i >= 0 {
 		return rel[:i]
@@ -235,12 +272,6 @@ func importNames(af *ast.File, importPath string) map[string]bool {
 		}
 	}
 	return names
-}
-
-// Run lints the tree under root with every check and returns the surviving
-// diagnostics sorted by position.
-func Run(root string) ([]Diagnostic, error) {
-	return RunOpts(root, Options{})
 }
 
 // RunOpts lints the tree under root with the configured checks.
@@ -291,9 +322,16 @@ func (t *Tree) Check(opts Options) ([]Diagnostic, error) {
 		diags = append(diags, reg.duplicates()...)
 	}
 
-	if enabled["maporder"] || enabled["lockorder"] || enabled["faulterr"] {
+	typed := false
+	for c := range typedChecks {
+		typed = typed || enabled[c]
+	}
+	if typed {
 		if err := t.typecheck(); err != nil {
 			return nil, err
+		}
+		if enabled["deadsurface"] {
+			diags = append(diags, checkDeadSurface(t)...)
 		}
 		cg := buildCallGraph(t)
 		for _, fn := range cg.sortedFuncs() {
@@ -413,6 +451,11 @@ func parseAllows(f *file) ([]Diagnostic, []*allowDirective) {
 			if reason == "" {
 				diags = append(diags, Diagnostic{Pos: pos, Check: "lintdirective",
 					Message: fmt.Sprintf("lint:allow %s needs a reason", check)})
+				continue
+			}
+			if check == "deadsurface" && !deadSurfaceReasonRE.MatchString(reason) {
+				diags = append(diags, Diagnostic{Pos: pos, Check: "lintdirective",
+					Message: "lint:allow deadsurface reason must start with its kind: test seam:, deployment:, credential:, paper §N:, or roadmap:"})
 				continue
 			}
 			dirs = append(dirs, &allowDirective{pos: pos, check: check})

@@ -280,6 +280,8 @@ func (e *Engine) planInputsCurrentLocked(plan *compactionPlan) bool {
 // bottom. Unlike maybeCompact it queues behind any in-flight round rather
 // than coalescing with it: callers rely on the level shape being fully
 // compacted on return.
+//
+//lint:allow deadsurface test seam: TestRecoverNodeReadsAppliedIndexFromTable compacts a node's engine to the bottom level
 func (e *Engine) Compact() {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()

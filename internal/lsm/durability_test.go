@@ -620,7 +620,8 @@ func TestWALBytesFramedAccounting(t *testing.T) {
 		t.Fatal("durable engine with sync-every-record policy reported 0 fsyncs")
 	}
 	// The segment file really holds the framed record (plus its header).
-	if got := dir.Size(walSegmentName(1)); got != wantFramed+walSegmentHeaderLen {
+	seg, _ := dir.ReadFile(walSegmentName(1))
+	if got := int64(len(seg)); got != wantFramed+walSegmentHeaderLen {
 		t.Fatalf("segment size = %d, want %d", got, wantFramed+walSegmentHeaderLen)
 	}
 }

@@ -61,7 +61,7 @@ func TestInjectedCompactionErrorSkipsRound(t *testing.T) {
 	if m.CompactionCount != 0 || m.L0Files < e.l0Threshold {
 		t.Fatalf("backlog should persist under injected failures: %+v", m)
 	}
-	reg.Disable("lsm.compact.error")
+	reg.DisableAll()
 	if err := e.Set([]byte("zz"), []byte("value")); err != nil {
 		t.Fatal(err)
 	}

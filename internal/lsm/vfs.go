@@ -115,16 +115,6 @@ func (d *Dir) List(prefix string) []string {
 	return out
 }
 
-// Size returns the current length of the named file (0 if absent).
-func (d *Dir) Size(name string) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if f := d.files[name]; f != nil {
-		return int64(len(f.data))
-	}
-	return 0
-}
-
 // Crash simulates a process crash: every file loses its unsynced tail,
 // except that up to tear bytes of the unsynced suffix survive on each file —
 // the partially-flushed page a real disk can leave behind, which is what

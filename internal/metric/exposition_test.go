@@ -11,7 +11,9 @@ import (
 func buildExpositionRegistry() *Registry {
 	r := NewRegistry()
 	r.NewCounter("proxy.requests").Inc(7)
-	r.NewGauge("kv.cpu_load").Set(0.625)
+	g := &Gauge{}
+	r.MustRegister("kv.cpu_load", g)
+	g.Add(0.625)
 	h := r.NewHistogram("sql.exec_latency")
 	for i := 1; i <= 100; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)

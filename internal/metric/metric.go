@@ -21,7 +21,6 @@ type Histogram struct {
 	counts  []uint64
 	total   uint64
 	sum     time.Duration
-	min     time.Duration
 	max     time.Duration
 	samples []time.Duration // exact values kept up to sampleCap for precise quantiles
 }
@@ -35,7 +34,7 @@ const numBuckets = 64 * 4
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, numBuckets), min: math.MaxInt64}
+	return &Histogram{counts: make([]uint64, numBuckets)}
 }
 
 func bucketFor(d time.Duration) int {
@@ -65,49 +64,12 @@ func (h *Histogram) Record(d time.Duration) {
 	h.counts[bucketFor(d)]++
 	h.total++
 	h.sum += d
-	if d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
 	if len(h.samples) < sampleCap {
 		h.samples = append(h.samples, d)
 	}
-}
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Mean returns the average of all observations, or 0 if empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.total)
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) of the recorded values.
@@ -271,11 +233,6 @@ func (c *Counter) Value() int64 {
 // bits.
 type Gauge struct {
 	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adds delta to the gauge.

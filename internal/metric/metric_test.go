@@ -9,7 +9,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.P50() != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Mean != 0 || s.Max != 0 || h.P50() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }
@@ -25,13 +25,11 @@ func TestHistogramExactQuantiles(t *testing.T) {
 	if got := h.P99(); got < 98*time.Millisecond || got > 100*time.Millisecond {
 		t.Fatalf("p99 = %v, want ~99ms", got)
 	}
-	if got := h.Min(); got != time.Millisecond {
-		t.Fatalf("min = %v", got)
-	}
-	if got := h.Max(); got != 100*time.Millisecond {
+	s := h.Snapshot()
+	if got := s.Max; got != 100*time.Millisecond {
 		t.Fatalf("max = %v", got)
 	}
-	if got := h.Mean(); got != 50500*time.Microsecond {
+	if got := s.Mean; got != 50500*time.Microsecond {
 		t.Fatalf("mean = %v, want 50.5ms", got)
 	}
 }
@@ -73,8 +71,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
+	if n := h.Snapshot().Count; n != 8000 {
+		t.Fatalf("count = %d, want 8000", n)
 	}
 }
 
@@ -127,7 +125,7 @@ func TestCounter(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(1.5)
 	if g.Value() != 4.0 {
 		t.Fatalf("gauge = %f, want 4", g.Value())

@@ -52,13 +52,6 @@ func (r *Registry) NewCounter(name string) *Counter {
 	return c
 }
 
-// NewGauge registers and returns a fresh Gauge.
-func (r *Registry) NewGauge(name string) *Gauge {
-	g := &Gauge{}
-	r.MustRegister(name, g)
-	return g
-}
-
 // NewHistogram registers and returns a fresh Histogram.
 func (r *Registry) NewHistogram(name string) *Histogram {
 	h := NewHistogram()

@@ -32,7 +32,7 @@ func TestRegistryRegisterAndGet(t *testing.T) {
 func TestRegistryRejectsBadNames(t *testing.T) {
 	r := NewRegistry()
 	mustPanic(t, "no dot", func() { r.NewCounter("nodots") })
-	mustPanic(t, "uppercase", func() { r.NewGauge("Proxy.Things") })
+	mustPanic(t, "uppercase", func() { r.NewCounter("Proxy.Things") })
 	mustPanic(t, "empty", func() { r.MustRegister("", 1) })
 }
 

@@ -89,21 +89,6 @@ func (v *vecCore) SetMaxCardinality(n int) {
 	v.max = n
 }
 
-// Len returns the number of distinct (non-overflow) children.
-func (v *vecCore) Len() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.children)
-}
-
-// Absorbed returns how many distinct label sets have been routed to the
-// overflow child.
-func (v *vecCore) Absorbed() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.absorbed
-}
-
 // child returns the metric for the given label values, creating it with
 // mk on first use. Past the cardinality cap it returns the shared overflow
 // child instead.

@@ -16,7 +16,7 @@ func TestCounterVecBasics(t *testing.T) {
 	if got := v.With("alpha", "ok").Value(); got != 5 {
 		t.Fatalf("child value = %d, want 5", got)
 	}
-	if got := v.Len(); got != 2 {
+	if got := v.length(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
 	var visited []string
@@ -67,10 +67,10 @@ func TestVecCardinalityGuard(t *testing.T) {
 	for i := 0; i < capN+1; i++ {
 		v.With(fmt.Sprintf("tenant-%04d", i)).Inc(1)
 	}
-	if got := v.Len(); got != capN {
+	if got := v.length(); got != capN {
 		t.Fatalf("Len = %d, want the cap %d", got, capN)
 	}
-	if got := v.Absorbed(); got != 1 {
+	if got := v.absorbedCount(); got != 1 {
 		t.Fatalf("Absorbed = %d, want 1", got)
 	}
 	// Everything past the cap shares one child, however many label sets
@@ -78,7 +78,7 @@ func TestVecCardinalityGuard(t *testing.T) {
 	for i := capN + 1; i < 4*capN; i++ {
 		v.With(fmt.Sprintf("tenant-%04d", i)).Inc(1)
 	}
-	if got := v.Len(); got != capN {
+	if got := v.length(); got != capN {
 		t.Fatalf("Len grew past the cap: %d", got)
 	}
 	if got := v.With(OverflowLabelValue).Value(); got != int64(3*capN) {
@@ -86,7 +86,7 @@ func TestVecCardinalityGuard(t *testing.T) {
 	}
 	// Explicitly addressing the overflow bucket does not count as a new
 	// absorbed label set.
-	if got := v.Absorbed(); got != int64(3*capN) {
+	if got := v.absorbedCount(); got != int64(3*capN) {
 		t.Fatalf("Absorbed = %d, want %d", got, 3*capN)
 	}
 	var last []string
@@ -151,7 +151,7 @@ func TestHistogramAndGaugeVec(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		hv.With("alpha").Record(5e6) // 5ms
 	}
-	if got := hv.With("alpha").Count(); got != 10 {
+	if got := hv.With("alpha").Snapshot().Count; got != 10 {
 		t.Fatalf("histogram child count = %d, want 10", got)
 	}
 	gv := r.NewGaugeVec("tenantcost.tenant_ru", "tenant")
@@ -160,4 +160,19 @@ func TestHistogramAndGaugeVec(t *testing.T) {
 	if got := gv.With("alpha").Value(); got != 4 {
 		t.Fatalf("gauge child = %v, want 4", got)
 	}
+}
+
+// length returns the number of distinct (non-overflow) children.
+func (v *vecCore) length() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.children)
+}
+
+// absorbedCount returns how many distinct label sets have been routed to the
+// overflow child.
+func (v *vecCore) absorbedCount() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.absorbed
 }

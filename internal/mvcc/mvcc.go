@@ -137,34 +137,23 @@ func decodeValue(b []byte) (Version, error) {
 	return v, nil
 }
 
-// Put writes value for key at ts. If txnID is nonzero the write is an intent
-// owned by that transaction. Put returns WriteIntentError when another
-// transaction holds an intent on the key, and WriteTooOldError when a
-// committed version exists at or above ts.
-func Put(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64, value []byte) error {
-	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Data: value}, false)
-}
-
-// Delete writes a deletion tombstone version for key at ts, with the same
-// conflict rules as Put.
-func Delete(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
-	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Tombstone: true}, false)
-}
-
-// ApplyPut is the replication-side Put: it skips conflict checking, which
-// already ran on the leaseholder during evaluation. Replicas applying a
+// ApplyPut writes value for key at ts; if txnID is nonzero the write is an
+// intent owned by that transaction. It is the replication-side write: it
+// skips conflict checking (CheckWriteConflict), which already ran on the
+// leaseholder during evaluation. Replicas applying a
 // committed command — including a recovered store replaying raft entries over
 // partially surviving state — must not re-check, because a half-applied
 // command's own versions would read as conflicts and make deterministic
 // application fail partway through. It is idempotent: re-applying writes the
 // identical version at the identical timestamp.
 func ApplyPut(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64, value []byte) error {
-	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Data: value}, true)
+	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Data: value})
 }
 
-// ApplyDelete is the replication-side Delete (see ApplyPut).
+// ApplyDelete writes a deletion tombstone version for key at ts (see
+// ApplyPut).
 func ApplyDelete(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
-	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Tombstone: true}, true)
+	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Tombstone: true})
 }
 
 // CheckWriteConflict reports the conflict a write at (ts, txnID) on key would
@@ -212,12 +201,7 @@ func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version,
 	return v, true, nil
 }
 
-func putVersion(e *lsm.Engine, key keys.Key, v Version, replay bool) error {
-	if !replay {
-		if err := CheckWriteConflict(e, key, v.Ts, v.TxnID); err != nil {
-			return err
-		}
-	}
+func putVersion(e *lsm.Engine, key keys.Key, v Version) error {
 	if !v.IsIntent() {
 		// Only an intent can have an earlier intent of its own to replace.
 		return e.Set(EncodeKey(key, v.Ts), encodeValue(v))

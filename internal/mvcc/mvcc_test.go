@@ -41,7 +41,7 @@ func TestKeyRoundTrip(t *testing.T) {
 		}
 		in := hlc.Timestamp{WallTime: wall, Logical: logical}
 		k, gotTs, err := DecodeKey(EncodeKey(keys.Key(user), in))
-		return err == nil && bytes.Equal(k, user) && gotTs.Equal(in)
+		return err == nil && bytes.Equal(k, user) && gotTs == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -65,10 +65,10 @@ func TestPutGetAtTimestamps(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	if err := Put(e, k, ts(10), 0, []byte("v10")); err != nil {
+	if err := put(e, k, ts(10), 0, []byte("v10")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Put(e, k, ts(20), 0, []byte("v20")); err != nil {
+	if err := put(e, k, ts(20), 0, []byte("v20")); err != nil {
 		t.Fatal(err)
 	}
 	// Read below the first version: not found.
@@ -91,8 +91,8 @@ func TestWriteTooOld(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(20), 0, []byte("v"))
-	err := Put(e, k, ts(10), 0, []byte("stale"))
+	put(e, k, ts(20), 0, []byte("v"))
+	err := put(e, k, ts(10), 0, []byte("stale"))
 	var wto *kvpb.WriteTooOldError
 	if !errors.As(err, &wto) {
 		t.Fatalf("expected WriteTooOldError, got %v", err)
@@ -106,8 +106,8 @@ func TestDeleteTombstone(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 0, []byte("v"))
-	if err := Delete(e, k, ts(20), 0); err != nil {
+	put(e, k, ts(10), 0, []byte("v"))
+	if err := del(e, k, ts(20), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Old snapshot still sees the value (time travel).
@@ -124,8 +124,8 @@ func TestIntentVisibilityRules(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 0, []byte("committed"))
-	if err := Put(e, k, ts(20), 77, []byte("provisional")); err != nil {
+	put(e, k, ts(10), 0, []byte("committed"))
+	if err := put(e, k, ts(20), 77, []byte("provisional")); err != nil {
 		t.Fatal(err)
 	}
 	// The writing txn reads its own intent.
@@ -148,8 +148,8 @@ func TestWriteWriteConflict(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 1, []byte("txn1"))
-	err := Put(e, k, ts(20), 2, []byte("txn2"))
+	put(e, k, ts(10), 1, []byte("txn1"))
+	err := put(e, k, ts(20), 2, []byte("txn2"))
 	var wie *kvpb.WriteIntentError
 	if !errors.As(err, &wie) || wie.TxnID != 1 {
 		t.Fatalf("expected WriteIntentError{1}, got %v", err)
@@ -160,8 +160,8 @@ func TestIntentRewriteBySameTxn(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 5, []byte("v1"))
-	if err := Put(e, k, ts(12), 5, []byte("v2")); err != nil {
+	put(e, k, ts(10), 5, []byte("v1"))
+	if err := put(e, k, ts(12), 5, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := Get(e, k, ts(12), 5)
@@ -186,7 +186,7 @@ func TestCommittedVersionReplacesOwnIntentInPlace(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	if err := Put(e, k, ts(10), 5, []byte("v")); err != nil {
+	if err := put(e, k, ts(10), 5, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ApplyPut(e, k, ts(10), 0, []byte("v")); err != nil {
@@ -208,7 +208,7 @@ func TestCommittedVersionAt(t *testing.T) {
 	at := hlc.Timestamp{WallTime: 10, Logical: 1}
 	big := string(bytes.Repeat([]byte("x"), 32))
 	put := func(key keys.Key, ts hlc.Timestamp, txnID uint64, v string) func(*lsm.Engine) error {
-		return func(e *lsm.Engine) error { return Put(e, key, ts, txnID, []byte(v)) }
+		return func(e *lsm.Engine) error { return put(e, key, ts, txnID, []byte(v)) }
 	}
 	then := func(steps ...func(*lsm.Engine) error) func(*lsm.Engine) error {
 		return func(e *lsm.Engine) error {
@@ -233,7 +233,7 @@ func TestCommittedVersionAt(t *testing.T) {
 		data      string
 	}{
 		{name: "put at ts", write: put(k, at, 0, "v"), key: k, ts: at, found: true, data: "v"},
-		{name: "delete at ts", write: then(put(k, ts(5), 0, "old"), func(e *lsm.Engine) error { return Delete(e, k, at, 0) }),
+		{name: "delete at ts", write: then(put(k, ts(5), 0, "old"), func(e *lsm.Engine) error { return del(e, k, at, 0) }),
 			key: k, ts: at, found: true, tombstone: true},
 		{name: "intent at ts", write: put(k, at, 7, big), key: k, ts: at},
 		{name: "intent committed at ts", write: then(put(k, at, 7, big), resolve(true, at)), key: k, ts: at, found: true, data: big},
@@ -272,7 +272,7 @@ func TestResolveIntentCommit(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 9, []byte("v"))
+	put(e, k, ts(10), 9, []byte("v"))
 	if err := ResolveIntent(e, k, 9, true, ts(12)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +289,8 @@ func TestResolveIntentAbort(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(5), 0, []byte("old"))
-	Put(e, k, ts(10), 9, []byte("aborted"))
+	put(e, k, ts(5), 0, []byte("old"))
+	put(e, k, ts(10), 9, []byte("aborted"))
 	if err := ResolveIntent(e, k, 9, false, hlc.Timestamp{}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestResolveIntentIdempotent(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 9, []byte("v"))
+	put(e, k, ts(10), 9, []byte("v"))
 	ResolveIntent(e, k, 9, true, ts(10))
 	// Second resolution is a no-op, not an error, and must not disturb the
 	// committed version.
@@ -324,9 +324,9 @@ func TestScanBasics(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	for i := 0; i < 5; i++ {
-		Put(e, keys.Key(fmt.Sprintf("k%d", i)), ts(10), 0, []byte(fmt.Sprintf("v%d", i)))
+		put(e, keys.Key(fmt.Sprintf("k%d", i)), ts(10), 0, []byte(fmt.Sprintf("v%d", i)))
 	}
-	Delete(e, keys.Key("k2"), ts(20), 0)
+	del(e, keys.Key("k2"), ts(20), 0)
 	res, err := Scan(e, keys.Span{Key: keys.Key("k0"), EndKey: keys.Key("k9")}, ts(30), 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -347,9 +347,9 @@ func TestScanBasics(t *testing.T) {
 func TestScanSnapshot(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
-	Put(e, keys.Key("a"), ts(10), 0, []byte("a10"))
-	Put(e, keys.Key("a"), ts(30), 0, []byte("a30"))
-	Put(e, keys.Key("b"), ts(20), 0, []byte("b20"))
+	put(e, keys.Key("a"), ts(10), 0, []byte("a10"))
+	put(e, keys.Key("a"), ts(30), 0, []byte("a30"))
+	put(e, keys.Key("b"), ts(20), 0, []byte("b20"))
 	res, err := Scan(e, keys.Span{Key: keys.Key("a"), EndKey: keys.Key("z")}, ts(15), 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestScanResumeSpan(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	for i := 0; i < 10; i++ {
-		Put(e, keys.Key(fmt.Sprintf("k%d", i)), ts(10), 0, []byte("v"))
+		put(e, keys.Key(fmt.Sprintf("k%d", i)), ts(10), 0, []byte("v"))
 	}
 	span := keys.Span{Key: keys.Key("k0"), EndKey: keys.Key("k9\xff")}
 	res, err := Scan(e, span, ts(20), 0, 3)
@@ -389,8 +389,8 @@ func TestScanResumeSpan(t *testing.T) {
 func TestScanIntentConflict(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
-	Put(e, keys.Key("a"), ts(10), 0, []byte("v"))
-	Put(e, keys.Key("b"), ts(10), 3, []byte("intent"))
+	put(e, keys.Key("a"), ts(10), 0, []byte("v"))
+	put(e, keys.Key("b"), ts(10), 3, []byte("intent"))
 	_, err := Scan(e, keys.Span{Key: keys.Key("a"), EndKey: keys.Key("z")}, ts(20), 0, 0)
 	var wie *kvpb.WriteIntentError
 	if !errors.As(err, &wie) || wie.TxnID != 3 {
@@ -406,8 +406,8 @@ func TestScanIntentConflict(t *testing.T) {
 func TestScanPointSpan(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
-	Put(e, keys.Key("a"), ts(10), 0, []byte("v"))
-	Put(e, keys.Key("a2"), ts(10), 0, []byte("x"))
+	put(e, keys.Key("a"), ts(10), 0, []byte("v"))
+	put(e, keys.Key("a2"), ts(10), 0, []byte("x"))
 	res, err := Scan(e, keys.Span{Key: keys.Key("a")}, ts(20), 0, 0)
 	if err != nil || len(res.Rows) != 1 || string(res.Rows[0].Key) != "a" {
 		t.Fatalf("point scan = %+v %v", res.Rows, err)
@@ -419,7 +419,7 @@ func TestGCOldVersions(t *testing.T) {
 	defer e.Close()
 	k := keys.Key("k")
 	for i := int64(1); i <= 5; i++ {
-		Put(e, k, ts(i*10), 0, []byte(fmt.Sprintf("v%d", i)))
+		put(e, k, ts(i*10), 0, []byte(fmt.Sprintf("v%d", i)))
 	}
 	// Keep versions newer than ts 100 (none) -> newest committed survives.
 	n, err := GCOldVersions(e, keys.Span{Key: keys.Key("a"), EndKey: keys.Key("z")}, ts(100))
@@ -442,9 +442,9 @@ func TestGCKeepsIntentsAndRecent(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
-	Put(e, k, ts(10), 0, []byte("old"))
-	Put(e, k, ts(20), 0, []byte("mid"))
-	Put(e, k, ts(30), 7, []byte("intent"))
+	put(e, k, ts(10), 0, []byte("old"))
+	put(e, k, ts(20), 0, []byte("mid"))
+	put(e, k, ts(30), 7, []byte("intent"))
 	// keepAfter=15: version@20 is recent, intent survives, version@10 is
 	// shadowed by version@20 (the newest committed <= keepAfter boundary
 	// logic retains the newest non-recent committed version as well).
@@ -481,7 +481,7 @@ func TestMVCCPropertySnapshotIsolation(t *testing.T) {
 			k := fmt.Sprintf("k%d", w.KeyIdx%8)
 			v := fmt.Sprintf("v%d", w.Val)
 			wts := int64(i + 1)
-			if err := Put(e, keys.Key(k), ts(wts), 0, []byte(v)); err != nil {
+			if err := put(e, keys.Key(k), ts(wts), 0, []byte(v)); err != nil {
 				return false
 			}
 			history[k] = append(history[k], struct {
@@ -533,7 +533,7 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 		return append([]byte(nil), it.Value()...), true
 	}
 
-	if err := Put(e, k, ts(5), 77, val); err != nil {
+	if err := put(e, k, ts(5), 77, val); err != nil {
 		t.Fatal(err)
 	}
 	raw := EncodeKey(k, ts(5))
@@ -556,7 +556,7 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 	}
 
 	// Abort path: the intent vanishes and earlier raw reads cannot resurrect it.
-	if err := Put(e, k, ts(12), 88, []byte("provisional")); err != nil {
+	if err := put(e, k, ts(12), 88, []byte("provisional")); err != nil {
 		t.Fatal(err)
 	}
 	rawAbort := EncodeKey(k, ts(12))
@@ -628,7 +628,7 @@ func TestGetIntentAboveReadTimestamp(t *testing.T) {
 	defer e.Close()
 	k := keys.Key("k")
 	deepHistory(t, e, k, 10) // committed at 10..100
-	if err := Put(e, k, ts(200), 77, []byte("provisional")); err != nil {
+	if err := put(e, k, ts(200), 77, []byte("provisional")); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, err := Get(e, k, ts(55), 77); err != nil || !ok || string(v) != "provisional" {
@@ -758,11 +758,11 @@ func TestScanKeysAreIndependent(t *testing.T) {
 	// Enough keys to fill several chunks, one longer than a whole chunk.
 	long := append(sqlKey(500), bytes.Repeat([]byte{0, 7}, 3000)...)
 	for i := int64(1); i <= 400; i++ {
-		if err := Put(e, sqlKey(i), ts(10), 0, []byte("v")); err != nil {
+		if err := put(e, sqlKey(i), ts(10), 0, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := Put(e, long, ts(10), 0, []byte("v")); err != nil {
+	if err := put(e, long, ts(10), 0, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	var want []keys.Key
@@ -834,4 +834,20 @@ func BenchmarkKVMVCCGetDeepHistory(b *testing.B) {
 			}
 		})
 	}
+}
+
+// put is the leaseholder's write: the conflict check, then the version.
+func put(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64, value []byte) error {
+	if err := CheckWriteConflict(e, key, ts, txnID); err != nil {
+		return err
+	}
+	return ApplyPut(e, key, ts, txnID, value)
+}
+
+// del is put's tombstone.
+func del(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
+	if err := CheckWriteConflict(e, key, ts, txnID); err != nil {
+		return err
+	}
+	return ApplyDelete(e, key, ts, txnID)
 }

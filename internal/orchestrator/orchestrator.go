@@ -109,6 +109,7 @@ type Config struct {
 	// fresh registry is created when nil.
 	Metrics *metric.Registry
 	// RevivalSecret for session migration.
+	//lint:allow deadsurface credential: the key that signs session revival tokens
 	RevivalSecret []byte
 	// Tracer is handed to each SQL node so request traces propagated by
 	// the proxy continue through statement execution.
@@ -121,6 +122,7 @@ type Config struct {
 	// retries with a fresh pod), and orchestrator.pod.evict reclaims an
 	// assigned pod's VM at the next Tick (the following directory lookup
 	// re-assigns from the warm pool).
+	//lint:allow deadsurface test seam: TestStartCrashRetriesWithFreshPod and TestPodEvictionRecoversViaLookup arm its sites
 	Faults *faultinject.Registry
 }
 

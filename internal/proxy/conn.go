@@ -26,7 +26,6 @@ type proxiedConn struct {
 	id         uint64
 	client     net.Conn
 	tenantName string
-	origin     string
 	startup    wire.Startup
 	// span is the connection's root trace span (nil when tracing is off).
 	span *trace.Span

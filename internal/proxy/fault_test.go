@@ -42,7 +42,7 @@ func TestBackendKillForcesReconnect(t *testing.T) {
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("follow-up query = %+v, %v", res, err)
 	}
-	if got := p.BackendReconnects(); got != 1 {
+	if got := p.backendReconnects.Value(); got != 1 {
 		t.Fatalf("backend reconnects = %d, want 1", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestBackendKillReconnectsToSoleBackend(t *testing.T) {
 	if _, err := conn.Query("SELECT a FROM t"); err != nil {
 		t.Fatalf("query across backend death = %v", err)
 	}
-	if got := p.BackendReconnects(); got != 1 {
+	if got := p.backendReconnects.Value(); got != 1 {
 		t.Fatalf("backend reconnects = %d, want 1", got)
 	}
 }

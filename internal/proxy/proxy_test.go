@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,7 +169,7 @@ func TestProxyLeastConnections(t *testing.T) {
 		}
 		clients = append(clients, c)
 	}
-	counts := p.ConnsPerBackend()
+	counts := connsPerBackend(p)
 	if counts[n1.Addr()] != 4 || counts[n2.Addr()] != 4 {
 		t.Fatalf("least-connections imbalance: %v", counts)
 	}
@@ -189,7 +190,7 @@ func TestProxySkipsDrainingBackends(t *testing.T) {
 		}
 		defer c.Close()
 	}
-	counts := p.ConnsPerBackend()
+	counts := connsPerBackend(p)
 	if counts[n1.Addr()] != 0 || counts[n2.Addr()] != 4 {
 		t.Fatalf("draining backend received connections: %v", counts)
 	}
@@ -207,8 +208,8 @@ func TestProxyAuthThrottling(t *testing.T) {
 	if _, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "bad"}); err == nil {
 		t.Fatal("bad password accepted")
 	}
-	if p.AuthFailures() != 1 {
-		t.Fatalf("auth failures = %d", p.AuthFailures())
+	if p.authFailures.Value() != 1 {
+		t.Fatalf("auth failures = %d", p.authFailures.Value())
 	}
 	// Second attempt within backoff: rejected by the proxy itself, even
 	// with the right password.
@@ -241,6 +242,27 @@ func TestProxyExponentialBackoffGrows(t *testing.T) {
 	mc.Advance(throttleBase * 11 / 10)
 	if _, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "password": "secret"}); err == nil {
 		t.Fatal("backoff did not grow")
+	}
+}
+
+// TestProxyBackoffStaysCapped: a patient origin that retries each time its
+// backoff ends is throttled after every failure, by at most a minute.
+func TestProxyBackoffStaysCapped(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(0, 0))
+	p := New(Config{Clock: mc})
+	const origin = "10.0.0.1"
+	for i := 1; i <= 100; i++ {
+		p.noteAuthFailure(origin)
+		if !p.throttled(origin) {
+			t.Fatalf("failure %d: origin not throttled", i)
+		}
+		p.mu.Lock()
+		backoff := p.mu.throttle[origin].until.Sub(mc.Now())
+		p.mu.Unlock()
+		if backoff < throttleBase || backoff > time.Minute {
+			t.Fatalf("failure %d: backoff %v outside [%v, 1m]", i, backoff, throttleBase)
+		}
+		mc.Advance(backoff)
 	}
 }
 
@@ -413,8 +435,8 @@ func TestProxyRebalanceTickSmoothsAfterScaleUp(t *testing.T) {
 		}
 		clients = append(clients, c)
 	}
-	if got := p.ConnsPerBackend()[n1.Addr()]; got != 6 {
-		t.Fatalf("pre-scale distribution: %v", p.ConnsPerBackend())
+	if got := connsPerBackend(p)[n1.Addr()]; got != 6 {
+		t.Fatalf("pre-scale distribution: %v", connsPerBackend(p))
 	}
 
 	// Scale up: a second node appears; the rebalance tick smooths the
@@ -423,7 +445,7 @@ func TestProxyRebalanceTickSmoothsAfterScaleUp(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		p.RebalanceTick(ctx)
-		counts := p.ConnsPerBackend()
+		counts := connsPerBackend(p)
 		if counts[n1.Addr()] == 3 && counts[n2.Addr()] == 3 {
 			break
 		}
@@ -441,4 +463,11 @@ func TestProxyRebalanceTickSmoothsAfterScaleUp(t *testing.T) {
 	if p.Migrations() == 0 {
 		t.Fatal("no migrations recorded")
 	}
+}
+
+// connsPerBackend returns a snapshot of p's per-backend connection counts.
+func connsPerBackend(p *Proxy) map[string]int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return maps.Clone(p.mu.connsPerBackend)
 }

@@ -82,11 +82,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if cm.Batches.Value() >= total {
 		t.Fatalf("batches = %d entries = %d: no coalescing happened", cm.Batches.Value(), total)
 	}
-	if got := cm.BatchSize.Count(); got != uint64(cm.Batches.Value()) {
+	if got := cm.BatchSize.Snapshot().Count; got != uint64(cm.Batches.Value()) {
 		t.Fatalf("batch_size histogram count = %d, batches = %d", got, cm.Batches.Value())
 	}
-	if cm.BatchSize.Max() < 2 {
-		t.Fatalf("max batch size = %d, want >= 2", cm.BatchSize.Max())
+	if m := cm.BatchSize.Snapshot().Max; m < 2 {
+		t.Fatalf("max batch size = %d, want >= 2", m)
 	}
 	if g.CommitIndex() != uint64(total) {
 		t.Fatalf("commit index = %d, want %d", g.CommitIndex(), total)
@@ -204,8 +204,8 @@ func TestGroupCommitSingleProposerMatchesBaseline(t *testing.T) {
 			t.Fatalf("replica %d applied %v, want %v", i+1, got, want)
 		}
 	}
-	if cm.Batches.Value() != 20 || cm.Entries.Value() != 20 || cm.BatchSize.Max() != 1 {
+	if cm.Batches.Value() != 20 || cm.Entries.Value() != 20 || cm.BatchSize.Snapshot().Max != 1 {
 		t.Fatalf("single proposer: batches=%d entries=%d max=%d, want 20 rounds of 1",
-			cm.Batches.Value(), cm.Entries.Value(), cm.BatchSize.Max())
+			cm.Batches.Value(), cm.Entries.Value(), cm.BatchSize.Snapshot().Max)
 	}
 }

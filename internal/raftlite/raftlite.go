@@ -71,8 +71,7 @@ var (
 )
 
 type entry struct {
-	term uint64
-	cmd  []byte
+	cmd []byte
 }
 
 // CommitMetrics holds the group-commit instrumentation. One instance is
@@ -156,8 +155,7 @@ type Group struct {
 
 	retention uint64
 
-	mu   sync.Mutex
-	term uint64
+	mu sync.Mutex
 	// log holds the entries after the truncation point: log[i] is the entry
 	// at index truncated+i+1. Entries at or below truncated were compacted
 	// away once every live peer applied them (keeping retention extras); a
@@ -223,16 +221,12 @@ func NewGroup(cfg Config, nodes []NodeID, sms []StateMachine) (*Group, error) {
 		faults:        cfg.Faults,
 		commitMetrics: cfg.CommitMetrics,
 		retention:     cfg.LogRetention,
-		term:          1,
 	}
 	for i, id := range nodes {
 		g.peers = append(g.peers, &peer{id: id, sm: sms[i]})
 	}
 	return g, nil
 }
-
-// RangeID returns the range this group replicates.
-func (g *Group) RangeID() int64 { return g.rangeID }
 
 // Replicas returns the node IDs holding replicas.
 func (g *Group) Replicas() []NodeID {
@@ -413,7 +407,7 @@ func (g *Group) commitRound(batch []*proposal) {
 		if p.err = g.admitProposalLocked(p.node, now); p.err != nil {
 			continue
 		}
-		g.log = append(g.log, entry{term: g.term, cmd: p.cmd})
+		g.log = append(g.log, entry{cmd: p.cmd})
 		p.index = g.truncated + uint64(len(g.log))
 		appended++
 	}
@@ -685,13 +679,6 @@ func (g *Group) Snapshots() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.snapshots
-}
-
-// TruncatedIndex returns the log truncation point (0 when never truncated).
-func (g *Group) TruncatedIndex() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.truncated
 }
 
 // AppliedIndex returns a peer's applied index (for tests and rebalancing).

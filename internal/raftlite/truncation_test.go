@@ -126,7 +126,7 @@ func TestLogTruncationAdvances(t *testing.T) {
 	if got, want := f.group.CommitIndex(), uint64(20); got != want {
 		t.Fatalf("commit = %d, want %d", got, want)
 	}
-	if got, want := f.group.TruncatedIndex(), uint64(16); got != want {
+	if got, want := truncatedIndex(f.group), uint64(16); got != want {
 		t.Fatalf("truncated = %d, want %d", got, want)
 	}
 	f.group.mu.Lock()
@@ -149,13 +149,13 @@ func TestSnapshotCatchUpBehindTruncation(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		f.propose(t, fmt.Sprintf("k%02d=v%02d", i, i))
 	}
-	if tr := f.group.TruncatedIndex(); tr == 0 {
+	if tr := truncatedIndex(f.group); tr == 0 {
 		t.Fatal("log never truncated")
 	}
 	ap3, _ := f.group.AppliedIndex(3)
-	if ap3 >= f.group.TruncatedIndex() {
+	if ap3 >= truncatedIndex(f.group) {
 		t.Fatalf("test setup: peer 3 (applied=%d) not behind truncation (%d)",
-			ap3, f.group.TruncatedIndex())
+			ap3, truncatedIndex(f.group))
 	}
 	f.dead[3] = false
 	if err := f.group.CatchUp(3); err != nil {
@@ -289,7 +289,7 @@ func TestSeedStateLaggingPeerSnapshots(t *testing.T) {
 	if got, want := f.group.CommitIndex(), uint64(10); got != want {
 		t.Fatalf("commit = %d, want %d", got, want)
 	}
-	if got, want := f.group.TruncatedIndex(), uint64(10); got != want {
+	if got, want := truncatedIndex(f.group), uint64(10); got != want {
 		t.Fatalf("truncated = %d, want %d", got, want)
 	}
 	// The seeded group keeps serving: the next proposal lands at index 11.
@@ -365,4 +365,11 @@ func TestSnapshotUnavailableWithoutCapableDonor(t *testing.T) {
 	if err := f.group.CatchUp(2); err != ErrSnapshotUnavailable {
 		t.Fatalf("CatchUp = %v, want ErrSnapshotUnavailable", err)
 	}
+}
+
+// truncatedIndex returns g's log truncation point (0 when never truncated).
+func truncatedIndex(g *Group) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.truncated
 }

@@ -50,15 +50,6 @@ func LogNormal(r *rand.Rand, median time.Duration, sigma float64) time.Duration 
 	return time.Duration(x)
 }
 
-// Exponential returns a duration drawn from an exponential distribution with
-// the given mean.
-func Exponential(r *rand.Rand, mean time.Duration) time.Duration {
-	if mean <= 0 {
-		return 0
-	}
-	return time.Duration(r.ExpFloat64() * float64(mean))
-}
-
 // Zipf generates values in [0, n) with a Zipfian skew parameterized by theta
 // in (0, 1). theta near 1 is highly skewed. This is the classic YCSB
 // generator (Gray et al.'s method).

@@ -1,7 +1,6 @@
 package randutil
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -75,20 +74,6 @@ func TestLogNormalNonPositive(t *testing.T) {
 	r := NewRand(3)
 	if d := LogNormal(r, 0, 1); d != 0 {
 		t.Fatalf("LogNormal(0) = %v", d)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRand(11)
-	mean := time.Second
-	var sum time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += Exponential(r, mean)
-	}
-	got := float64(sum) / n
-	if math.Abs(got-float64(mean))/float64(mean) > 0.05 {
-		t.Fatalf("exponential mean %v, want ~%v", time.Duration(got), mean)
 	}
 }
 

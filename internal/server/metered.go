@@ -21,7 +21,6 @@ type MeteredSender struct {
 
 	mu       sync.Mutex
 	features tenantcost.BatchFeatures
-	batches  int64
 }
 
 // NewMeteredSender wraps inner.
@@ -38,7 +37,6 @@ func (m *MeteredSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.
 	f := tenantcost.FeaturesFromBatch(ba, resp)
 	m.mu.Lock()
 	m.features.Add(f)
-	m.batches++
 	m.mu.Unlock()
 	return resp, nil
 }
@@ -48,11 +46,4 @@ func (m *MeteredSender) Features() tenantcost.BatchFeatures {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.features
-}
-
-// Batches returns the number of KV batches sent.
-func (m *MeteredSender) Batches() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.batches
 }

@@ -89,8 +89,8 @@ func TestSQLNodeServesQueries(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "y" {
 		t.Fatalf("query over wire = %+v", res)
 	}
-	if n.QueryCount() != 3 {
-		t.Fatalf("query count = %d", n.QueryCount())
+	if q := queryCount(n); q != 3 {
+		t.Fatalf("query count = %d", q)
 	}
 	if n.ConnCount() != 1 {
 		t.Fatalf("conn count = %d", n.ConnCount())
@@ -374,7 +374,7 @@ func TestCloseCutsShortAThrottledSession(t *testing.T) {
 		defer c.Close()
 		c.Query("CREATE TABLE t (a INT PRIMARY KEY)")
 	}()
-	for n.QueryCount() == 0 {
+	for queryCount(n) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
@@ -400,15 +400,18 @@ func TestMeteredSenderAccumulates(t *testing.T) {
 	c.Query("SELECT * FROM t")
 	n.mu.Lock()
 	f := n.mu.metered.Features()
-	batches := n.mu.metered.Batches()
 	n.mu.Unlock()
-	if f.ReadBatches == 0 || f.WriteBatches == 0 || batches == 0 {
-		t.Fatalf("metering empty: %+v (%d batches)", f, batches)
-	}
-	if n.ECPUConsumedTokens() <= 0 {
-		t.Fatal("no eCPU recorded")
+	if f.ReadBatches == 0 || f.WriteBatches == 0 {
+		t.Fatalf("metering empty: %+v", f)
 	}
 }
 
 // netDial is a tiny helper for raw wire exchanges in tests.
 func netDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
+// queryCount returns the number of queries n has served.
+func queryCount(n *SQLNode) int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.mu.queries
+}

@@ -37,6 +37,7 @@ type SQLNodeConfig struct {
 	RevivalSecret []byte
 	Clock         timeutil.Clock
 	// Addr is the TCP address to listen on; defaults to 127.0.0.1:0.
+	//lint:allow deadsurface deployment: the listen address of a SQL pod
 	Addr string
 	// Tracer, when non-nil, continues request traces propagated by the
 	// proxy (wire.Query trace IDs) through statement execution.
@@ -128,6 +129,8 @@ func (n *SQLNode) Addr() string {
 func (n *SQLNode) InstanceID() int64 { return n.cfg.InstanceID }
 
 // Region returns the node's region.
+//
+//lint:allow deadsurface roadmap: "Run Fig 10 on the assembly" (3) drives ConnectRegion on the real stack
 func (n *SQLNode) Region() region.Region { return n.cfg.Region }
 
 // AssignTenant stamps the node with its tenant — the moment the tenant's
@@ -205,13 +208,6 @@ func (n *SQLNode) ConnCount() int {
 	return n.mu.activeConns
 }
 
-// QueryCount returns the number of queries served.
-func (n *SQLNode) QueryCount() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.mu.queries
-}
-
 // Close shuts the node down.
 func (n *SQLNode) Close() {
 	n.mu.Lock()
@@ -279,21 +275,6 @@ func (n *SQLNode) accrueSynthLocked() {
 		n.mu.synthAccum += n.mu.synthRate * dt
 	}
 	n.mu.synthSince = now
-}
-
-// ECPUConsumedTokens returns the node's total estimated-CPU consumption in
-// bucket tokens (milliseconds), per the §5.2.1 model.
-func (n *SQLNode) ECPUConsumedTokens() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.mu.exec == nil {
-		return 0
-	}
-	est := costModel.Estimate(
-		tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()+n.mu.synthAccum),
-		n.mu.metered.Features(),
-	)
-	return est.Tokens()
 }
 
 func (n *SQLNode) acceptLoop() {

@@ -79,13 +79,6 @@ func (e *Executor) SQLCPUSeconds() float64 {
 	return e.mu.sqlCPUSeconds
 }
 
-// RowsProcessed returns the cumulative rows flowed through the executor.
-func (e *Executor) RowsProcessed() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mu.rowsProcessed
-}
-
 func (e *Executor) chargeRows(n int) {
 	e.mu.Lock()
 	e.mu.sqlCPUSeconds += float64(n) * perRowCPUSeconds

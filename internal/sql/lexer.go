@@ -27,7 +27,6 @@ const (
 type token struct {
 	kind tokenKind
 	text string // keywords are upper-cased; identifiers keep original case-folded lower
-	pos  int
 }
 
 func (t token) String() string {
@@ -74,9 +73,9 @@ func lex(input string) ([]token, error) {
 			word := input[start:i]
 			up := strings.ToUpper(word)
 			if keywords[up] {
-				toks = append(toks, token{kind: tokKeyword, text: up, pos: start})
+				toks = append(toks, token{kind: tokKeyword, text: up})
 			} else {
-				toks = append(toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start})
+				toks = append(toks, token{kind: tokIdent, text: strings.ToLower(word)})
 			}
 		case unicode.IsDigit(c) || (c == '.' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
 			start := i
@@ -87,7 +86,7 @@ func lex(input string) ([]token, error) {
 				}
 				i++
 			}
-			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start})
+			toks = append(toks, token{kind: tokNumber, text: input[start:i]})
 		case c == '\'':
 			i++
 			var sb strings.Builder
@@ -109,22 +108,22 @@ func lex(input string) ([]token, error) {
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at %d", i)
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
+			toks = append(toks, token{kind: tokString, text: sb.String()})
 		case strings.ContainsRune("(),*;=+-/<>.", c):
 			// Multi-char operators.
 			if i+1 < n {
 				two := input[i : i+2]
 				if two == "<=" || two == ">=" || two == "!=" || two == "<>" {
-					toks = append(toks, token{kind: tokSymbol, text: two, pos: i})
+					toks = append(toks, token{kind: tokSymbol, text: two})
 					i += 2
 					continue
 				}
 			}
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
+			toks = append(toks, token{kind: tokSymbol, text: string(c)})
 			i++
 		case c == '!':
 			if i+1 < n && input[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: "!=", pos: i})
+				toks = append(toks, token{kind: tokSymbol, text: "!="})
 				i += 2
 				continue
 			}
@@ -139,12 +138,12 @@ func lex(input string) ([]token, error) {
 			if i == start+1 {
 				return nil, fmt.Errorf("sql: bare $ at %d", start)
 			}
-			toks = append(toks, token{kind: tokSymbol, text: input[start:i], pos: start})
+			toks = append(toks, token{kind: tokSymbol, text: input[start:i]})
 		default:
 			return nil, fmt.Errorf("sql: unexpected character %q at %d", c, i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
+	toks = append(toks, token{kind: tokEOF})
 	return toks, nil
 }
 

@@ -76,13 +76,13 @@ func TestPushdownReducesReturnedBytes(t *testing.T) {
 	loadFilterTable(t, pushed, 200)
 
 	q := "SELECT a FROM t WHERE b = 500" // matches exactly one of 200 rows
-	plainBefore := execPlain.RowsProcessed()
+	plainBefore := execPlain.rowsProcessed()
 	mustExec(t, plain, q)
-	plainRows := execPlain.RowsProcessed() - plainBefore
+	plainRows := execPlain.rowsProcessed() - plainBefore
 
-	pushedBefore := execPushed.RowsProcessed()
+	pushedBefore := execPushed.rowsProcessed()
 	mustExec(t, pushed, q)
-	pushedRows := execPushed.RowsProcessed() - pushedBefore
+	pushedRows := execPushed.rowsProcessed() - pushedBefore
 
 	if pushedRows >= plainRows {
 		t.Fatalf("pushdown processed %d rows vs %d without — no reduction", pushedRows, plainRows)

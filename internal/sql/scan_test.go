@@ -126,13 +126,13 @@ func TestHashJoinSkipsNulls(t *testing.T) {
 func TestScanAggregateCharges(t *testing.T) {
 	exec, s := newTestDB(t)
 	loadLineitem(t, s, 2000)
-	rows, cpu := exec.RowsProcessed(), exec.SQLCPUSeconds()
+	rows, cpu := exec.rowsProcessed(), exec.SQLCPUSeconds()
 	res := mustExec(t, s, q1)
 	if want := []string{"A,16310,322450,25.484375,640", "N,16365,322371.5,25.490654,642", "R,16240,322653.25,25.335413,641"}; fmt.Sprint(rowStrings(res)) != fmt.Sprint(want) {
 		t.Fatalf("Q1 = %v, want %v", rowStrings(res), want)
 	}
 	const wantRows, wantCPU = 2000, 0.0085927600000028845
-	gotRows, gotCPU := exec.RowsProcessed()-rows, exec.SQLCPUSeconds()-cpu
+	gotRows, gotCPU := exec.rowsProcessed()-rows, exec.SQLCPUSeconds()-cpu
 	t.Logf("Q1 rows %d, cpu %.17g", gotRows, gotCPU)
 	if gotRows != wantRows || math.Abs(gotCPU-wantCPU) > 1e-12*wantCPU {
 		t.Fatalf("Q1 charged %d rows, %.17g s; want %d, %.17g", gotRows, gotCPU, wantRows, wantCPU)

@@ -40,28 +40,6 @@ func NewSession(exec *Executor, user string) *Session {
 	return s
 }
 
-// User returns the authenticated user.
-func (s *Session) User() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mu.user
-}
-
-// QueryCount returns the number of statements executed.
-func (s *Session) QueryCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mu.queries
-}
-
-// InTxn reports whether an explicit transaction is open — a session with an
-// open transaction is not idle and cannot migrate.
-func (s *Session) InTxn() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mu.txn != nil
-}
-
 // Execute runs one statement, honoring the session's transaction state. The
 // text is parsed once per executor: a text seen before reuses its parse.
 func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*Result, error) {
@@ -133,6 +111,8 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 
 // Prepare registers a named prepared statement. The name maps to the text,
 // which is what migrates; the executor keeps the parse.
+//
+//lint:allow deadsurface paper §4.2.4: prepared statements migrate with the session; TestSessionSerializeRestore pins it
 func (s *Session) Prepare(name, sqlText string) error {
 	if _, err := s.exec.Prepare(sqlText); err != nil {
 		return err
@@ -144,6 +124,8 @@ func (s *Session) Prepare(name, sqlText string) error {
 }
 
 // ExecutePrepared runs a previously prepared statement with arguments.
+//
+//lint:allow deadsurface paper §4.2.4: a restored session runs the statements it prepared before migrating; TestPreparedStatements pins it
 func (s *Session) ExecutePrepared(ctx context.Context, name string, args ...Datum) (*Result, error) {
 	s.mu.Lock()
 	text, ok := s.mu.prepared[name]
@@ -152,14 +134,6 @@ func (s *Session) ExecutePrepared(ctx context.Context, name string, args ...Datu
 		return nil, fmt.Errorf("sql: prepared statement %q not found", name)
 	}
 	return s.Execute(ctx, text, args...)
-}
-
-// Setting returns a session setting value.
-func (s *Session) Setting(name string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.mu.settings[name]
-	return v, ok
 }
 
 // SerializedSession is the migratable snapshot of a session: client settings,

@@ -242,13 +242,13 @@ func TestSecondaryIndexLookup(t *testing.T) {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES (%d, 'g%d', %d)", i, i%3, i))
 	}
 	mustExec(t, s, "CREATE INDEX t_b ON t (b)")
-	before := exec.RowsProcessed()
+	before := exec.rowsProcessed()
 	res := mustExec(t, s, "SELECT a FROM t WHERE b = 'g1' ORDER BY a")
 	if len(res.Rows) != 10 {
 		t.Fatalf("index lookup rows = %d", len(res.Rows))
 	}
 	// The index join plan should process ~10 rows, not all 30.
-	if delta := exec.RowsProcessed() - before; delta > 15 {
+	if delta := exec.rowsProcessed() - before; delta > 15 {
 		t.Fatalf("index plan processed %d rows; looks like a full scan", delta)
 	}
 	// Index maintenance: update a row's indexed column and re-query.
@@ -324,12 +324,12 @@ func TestExplicitTransactionCommitRollback(t *testing.T) {
 	_, s := newTestDB(t)
 	mustExec(t, s, "CREATE TABLE t (a INT PRIMARY KEY)")
 	mustExec(t, s, "BEGIN")
-	if !s.InTxn() {
+	if !s.inTxn() {
 		t.Fatal("not in txn after BEGIN")
 	}
 	mustExec(t, s, "INSERT INTO t VALUES (1)")
 	mustExec(t, s, "COMMIT")
-	if s.InTxn() {
+	if s.inTxn() {
 		t.Fatal("still in txn after COMMIT")
 	}
 	if got := mustExec(t, s, "SELECT COUNT(*) FROM t").Rows[0][0].I; got != 1 {
@@ -354,8 +354,12 @@ func TestExplicitTransactionCommitRollback(t *testing.T) {
 func TestSessionSettings(t *testing.T) {
 	_, s := newTestDB(t)
 	mustExec(t, s, "SET application_name = 'myapp'")
-	if v, ok := s.Setting("application_name"); !ok || v != "myapp" {
-		t.Fatalf("setting = %q %v", v, ok)
+	ser, err := s.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := ser.Settings["application_name"]; v != "myapp" {
+		t.Fatalf("setting = %q", v)
 	}
 }
 
@@ -399,11 +403,15 @@ func TestSessionSerializeRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := restored.Setting("app"); !ok || v != "x" {
-		t.Fatalf("restored setting = %q %v", v, ok)
+	again, err := restored.Serialize(secret)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if restored.User() != "app" {
-		t.Fatalf("restored user = %s", restored.User())
+	if v := again.Settings["app"]; v != "x" {
+		t.Fatalf("restored setting = %q", v)
+	}
+	if again.User != "app" {
+		t.Fatalf("restored user = %s", again.User)
 	}
 	// Tampered token rejected.
 	decoded.RevivalToken = "forged"
@@ -514,7 +522,7 @@ func TestErrorInExplicitTxnAborts(t *testing.T) {
 	if _, err := s.Execute(context.Background(), "INSERT INTO t VALUES (1)"); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	if s.InTxn() {
+	if s.inTxn() {
 		t.Fatal("failed statement should abort the txn")
 	}
 	if got := mustExec(t, s, "SELECT COUNT(*) FROM t").Rows[0][0].I; got != 0 {
@@ -554,8 +562,11 @@ func TestSQLCPUAccounting(t *testing.T) {
 	if exec.SQLCPUSeconds() <= before {
 		t.Fatal("no SQL CPU recorded")
 	}
-	if s.QueryCount() != 52 {
-		t.Fatalf("query count = %d", s.QueryCount())
+	s.mu.Lock()
+	queries := s.mu.queries
+	s.mu.Unlock()
+	if queries != 52 {
+		t.Fatalf("query count = %d", queries)
 	}
 }
 
@@ -577,4 +588,19 @@ func TestStmtAttrMatchesTypeName(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = stmtAttr(sel) }); n != 0 {
 		t.Errorf("stmtAttr(*Select) allocates %v objects, want 0", n)
 	}
+}
+
+// rowsProcessed returns the cumulative rows flowed through the executor.
+func (e *Executor) rowsProcessed() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.mu.rowsProcessed
+}
+
+// inTxn reports whether an explicit transaction is open — a session with an
+// open transaction is not idle and cannot migrate.
+func (s *Session) inTxn() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mu.txn != nil
 }

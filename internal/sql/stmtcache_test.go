@@ -27,12 +27,12 @@ func TestJoinAmbiguousColumn(t *testing.T) {
 		"SELECT SUM(id) FROM a JOIN b ON v = w",
 		"SELECT v FROM a JOIN b ON v = w ORDER BY id",
 	} {
-		before := exec.RowsProcessed()
+		before := exec.rowsProcessed()
 		_, err := s.Execute(context.Background(), q)
 		if err == nil || !strings.Contains(err.Error(), `column reference "id" is ambiguous`) {
 			t.Errorf("%s: err = %v, want the ambiguous column reference", q, err)
 		}
-		if n := exec.RowsProcessed() - before; n != 0 {
+		if n := exec.rowsProcessed() - before; n != 0 {
 			t.Errorf("%s read %d rows before failing", q, n)
 		}
 	}
@@ -65,11 +65,11 @@ func TestStmtCacheIndexPlanAfterCreateIndex(t *testing.T) {
 	const q = "SELECT a FROM t WHERE b = 'g1'"
 	read := func() int64 {
 		t.Helper()
-		before := exec.RowsProcessed()
+		before := exec.rowsProcessed()
 		if res := mustExec(t, s, q); len(res.Rows) != 10 {
 			t.Fatalf("%s returned %d rows, want 10", q, len(res.Rows))
 		}
-		return exec.RowsProcessed() - before
+		return exec.rowsProcessed() - before
 	}
 	if n := read(); n != 30 {
 		t.Fatalf("before the index, %s processed %d rows, want the full scan's 30", q, n)
@@ -93,11 +93,11 @@ func TestStmtCacheDropAndRecreate(t *testing.T) {
 	mustExec(t, s, "DROP TABLE t")
 	mustExec(t, s, "CREATE TABLE t (b INT PRIMARY KEY, a INT)")
 	mustExec(t, s, "INSERT INTO t VALUES (5, 40), (6, 50)")
-	before := exec.RowsProcessed()
+	before := exec.rowsProcessed()
 	if got := fmt.Sprint(rowStrings(mustExec(t, s, q))); got != "[40,5]" {
 		t.Fatalf("after re-creating t, %s = %s, want [40,5]", q, got)
 	}
-	if n := exec.RowsProcessed() - before; n != 1 {
+	if n := exec.rowsProcessed() - before; n != 1 {
 		t.Fatalf("after re-creating t, %s processed %d rows, want the point read's 1", q, n)
 	}
 }
@@ -113,12 +113,12 @@ func TestStmtCachePlaceholderFallThrough(t *testing.T) {
 		mustExec(t, s, "INSERT INTO t VALUES ($1, $2)", DInt(int64(i)), DString(fmt.Sprintf("v%d", i)))
 	}
 	run := func(q string, args ...Datum) (string, int64, error) {
-		before := exec.RowsProcessed()
+		before := exec.rowsProcessed()
 		res, err := s.Execute(ctx, q, args...)
 		if err != nil {
-			return "", exec.RowsProcessed() - before, err
+			return "", exec.rowsProcessed() - before, err
 		}
-		return fmt.Sprint(rowStrings(res)), exec.RowsProcessed() - before, nil
+		return fmt.Sprint(rowStrings(res)), exec.rowsProcessed() - before, nil
 	}
 	const q1, q2 = "SELECT b FROM t WHERE a = $1", "SELECT b FROM t WHERE a = $2"
 	for _, tc := range []struct {
@@ -285,11 +285,11 @@ func TestStmtCacheConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	before := exec.RowsProcessed()
+	before := exec.rowsProcessed()
 	if res := mustExec(t, s, byB, DString("g1")); len(res.Rows) != 10 {
 		t.Fatalf("%s returned %d rows, want 10", byB, len(res.Rows))
 	}
-	if n := exec.RowsProcessed() - before; n != 10 {
+	if n := exec.rowsProcessed() - before; n != 10 {
 		t.Fatalf("after CREATE INDEX, %s processed %d rows, want the index plan's 10", byB, n)
 	}
 }

@@ -46,7 +46,7 @@ func TestCommitConflictLeavesNoIntents(t *testing.T) {
 	if !kvpb.IsConflict(err) {
 		t.Fatalf("COMMIT = %v, want a write conflict", err)
 	}
-	if s.InTxn() {
+	if s.inTxn() {
 		t.Fatal("session still in a transaction after failed COMMIT")
 	}
 	for _, n := range c.Nodes() {
@@ -82,8 +82,8 @@ func TestRollbackOfBufferedWritesSendsNothing(t *testing.T) {
 	if _, err := s.Execute(context.Background(), "INSERT INTO t VALUES (4, 4), (4, 4)"); err == nil {
 		t.Fatal("duplicate inside one INSERT accepted")
 	}
-	if got := kvBatches(c) - before; got != 0 || s.InTxn() {
-		t.Fatalf("poisoned transaction: %d KV batches, in txn %v; want 0, false", got, s.InTxn())
+	if got := kvBatches(c) - before; got != 0 || s.inTxn() {
+		t.Fatalf("poisoned transaction: %d KV batches, in txn %v; want 0, false", got, s.inTxn())
 	}
 	res := mustExec(t, s, "SELECT a, b FROM t ORDER BY a")
 	if want := []string{"1,1"}; fmt.Sprint(rowStrings(res)) != fmt.Sprint(want) {

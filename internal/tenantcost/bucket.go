@@ -103,6 +103,8 @@ func (s *BucketServer) SetQuota(tenant keys.TenantID, vcpus float64) {
 }
 
 // Quota returns the tenant's quota in vCPUs (0 = unlimited/unset).
+//
+//lint:allow deadsurface test seam: TestTenantQuotaConfigured checks that CreateTenant's quota reaches the bucket server
 func (s *BucketServer) Quota(tenant keys.TenantID) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

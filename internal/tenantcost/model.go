@@ -18,9 +18,6 @@ type ECPU float64
 // Tokens converts ECPU seconds to bucket tokens (milliseconds).
 func (e ECPU) Tokens() float64 { return float64(e) * 1000 }
 
-// ECPUFromTokens converts bucket tokens back to ECPU seconds.
-func ECPUFromTokens(tokens float64) ECPU { return ECPU(tokens / 1000) }
-
 // BatchFeatures are the six model inputs the paper trains per-feature models
 // on (§5.2.1): read/write batch counts, per-batch request counts, and
 // per-batch byte volumes.

@@ -20,9 +20,6 @@ func TestECPUTokenConversion(t *testing.T) {
 	if e.Tokens() != 2500 {
 		t.Fatalf("Tokens = %f", e.Tokens())
 	}
-	if got := ECPUFromTokens(2500); got != 2.5 {
-		t.Fatalf("FromTokens = %f", got)
-	}
 }
 
 func TestFeaturesFromBatch(t *testing.T) {
@@ -32,7 +29,7 @@ func TestFeaturesFromBatch(t *testing.T) {
 		{Method: kvpb.Put, Key: keys.Key("kk"), Value: []byte("vvvv")},
 	}}
 	resp := &kvpb.BatchResponse{Responses: []kvpb.Response{
-		{Method: kvpb.Get, Value: []byte("123")},
+		{Value: []byte("123")},
 	}}
 	f := FeaturesFromBatch(req, resp)
 	if f.ReadBatches != 1 || f.ReadRequests != 2 || f.ReadBytes != 3 {

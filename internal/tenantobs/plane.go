@@ -332,16 +332,6 @@ func (p *Plane) lookup(name string) *tenantState {
 	return p.byName[name]
 }
 
-// Rate returns the tenant's query rate (QPS) over the trailing span, or 0
-// for an unknown tenant.
-func (p *Plane) Rate(name string, now time.Time, span time.Duration) float64 {
-	st := p.lookup(name)
-	if st == nil {
-		return 0
-	}
-	return st.win.Rate(now, span)
-}
-
 // P99 returns the tenant's p99 query latency over the trailing span, or 0
 // for an unknown tenant.
 func (p *Plane) P99(name string, now time.Time, span time.Duration) time.Duration {

@@ -68,7 +68,7 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 	p.ScaleEvent("beta", "suspend")
 
 	now := clock.Now()
-	if got := p.Rate("alpha", now, metric.BurnShortWindow); got == 0 {
+	if got := p.rate("alpha", now, metric.BurnShortWindow); got == 0 {
 		t.Fatal("alpha qps = 0, want > 0")
 	}
 	if got := p.BurnRate("beta", now, metric.BurnShortWindow); got == 0 {
@@ -137,7 +137,7 @@ func TestPlaneOneRingServesSLO(t *testing.T) {
 		p.QueryDone(2, lat, errored)
 	}
 	now := clock.Now()
-	if got, want := p.Rate("alpha", now, metric.BurnShortWindow), 1000/metric.BurnShortWindow.Seconds(); got != want {
+	if got, want := p.rate("alpha", now, metric.BurnShortWindow), 1000/metric.BurnShortWindow.Seconds(); got != want {
 		t.Fatalf("qps(5m) = %v, want %v (each query recorded once)", got, want)
 	}
 	rows := p.snapshotRows(now)
@@ -164,7 +164,7 @@ func TestPlaneOneRingServesSLO(t *testing.T) {
 func TestPlaneUnknownIDGetsFallbackName(t *testing.T) {
 	p, clock, _ := newTestPlane(0)
 	p.QueryDone(7, time.Millisecond, false)
-	if got := p.Rate("tenant-7", clock.Now(), metric.BurnShortWindow); got == 0 {
+	if got := p.rate("tenant-7", clock.Now(), metric.BurnShortWindow); got == 0 {
 		t.Fatal("unregistered tenant not recorded under fallback name")
 	}
 	// A later registration binds the ID to the existing fallback state.
@@ -284,4 +284,14 @@ func TestPlaneTopKTieBreak(t *testing.T) {
 	if !(ia < im && im < iz) {
 		t.Fatalf("tie-break not by ascending name (alpha@%d mid@%d zeta@%d):\n%s", ia, im, iz, page)
 	}
+}
+
+// rate returns the tenant's query rate (QPS) over the trailing span, or 0
+// for an unknown tenant.
+func (p *Plane) rate(name string, now time.Time, span time.Duration) float64 {
+	st := p.lookup(name)
+	if st == nil {
+		return 0
+	}
+	return st.win.Rate(now, span)
 }

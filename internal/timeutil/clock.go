@@ -103,6 +103,8 @@ func (c *ManualClock) Advance(d time.Duration) {
 }
 
 // AdvanceTo moves the clock to t if t is later than the current time.
+//
+//lint:allow deadsurface roadmap: the virtual-time driver advances the clock to the next deadline
 func (c *ManualClock) AdvanceTo(t time.Time) {
 	c.mu.Lock()
 	if t.After(c.now) {
@@ -118,6 +120,8 @@ func (c *ManualClock) AdvanceTo(t time.Time) {
 
 // NumWaiters returns the number of goroutines blocked on this clock. Useful
 // for tests that step time until all waiters drain.
+//
+//lint:allow deadsurface roadmap: the virtual-time driver releases parked goroutines one at a time
 func (c *ManualClock) NumWaiters() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -126,6 +130,8 @@ func (c *ManualClock) NumWaiters() int {
 
 // NextDeadline returns the earliest pending waiter deadline and true, or a
 // zero time and false if there are no waiters.
+//
+//lint:allow deadsurface roadmap: the virtual-time driver advances to the smallest pending deadline
 func (c *ManualClock) NextDeadline() (time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -162,7 +162,7 @@ func (r *Recorder) WriteTracez(w io.Writer) error {
 	fmt.Fprintf(&b, "\nretained slow traces (threshold %v): %d\n", slowThreshold, len(slow))
 	for _, root := range slow {
 		b.WriteString("\n")
-		writeSpanTree(&b, root, 0, true)
+		writeSpanTree(&b, root, 0)
 	}
 
 	recent := r.RecentRoots()
@@ -173,59 +173,31 @@ func (r *Recorder) WriteTracez(w io.Writer) error {
 	fmt.Fprintf(&b, "\nrecent traces (last %d of ring):\n", len(recent))
 	for _, root := range recent {
 		b.WriteString("\n")
-		writeSpanTree(&b, root, 0, true)
+		writeSpanTree(&b, root, 0)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeSpanTree renders one span subtree, indented two spaces per
-// level. With detail, events and attributes are included.
-func writeSpanTree(b *strings.Builder, s *Span, depth int, detail bool) {
+// writeSpanTree renders one span subtree with its attributes and events,
+// indented two spaces per level.
+func writeSpanTree(b *strings.Builder, s *Span, depth int) {
 	indent := strings.Repeat("  ", depth)
 	if depth == 0 {
 		fmt.Fprintf(b, "%s=== trace %016x (%v)\n", indent, s.TraceID(), s.Duration())
 	}
 	fmt.Fprintf(b, "%s%s %v", indent, s.Op(), s.Duration())
-	if detail {
-		for _, a := range s.Attrs() {
-			fmt.Fprintf(b, " %s=%v", a.Key, a.Value)
-		}
+	for _, a := range s.Attrs() {
+		fmt.Fprintf(b, " %s=%v", a.Key, a.Value)
 	}
 	b.WriteString("\n")
-	if detail {
-		for _, e := range s.Events() {
-			fmt.Fprintf(b, "%s  · event: %s\n", indent, e.Msg)
-		}
+	for _, e := range s.Events() {
+		fmt.Fprintf(b, "%s  · event: %s\n", indent, e.Msg)
 	}
 	if n := s.DroppedChildren(); n > 0 {
 		fmt.Fprintf(b, "%s  · %d earlier children dropped\n", indent, n)
 	}
 	for _, c := range s.Children() {
-		writeSpanTree(b, c, depth+1, detail)
-	}
-}
-
-// RenderTree returns the detailed text rendering of one trace.
-func RenderTree(root *Span) string {
-	var b strings.Builder
-	writeSpanTree(&b, root, 0, true)
-	return b.String()
-}
-
-// StructureString renders a trace's deterministic skeleton — trace ID,
-// span IDs, parent links, and operation names, with no timestamps or
-// durations. Two same-seed runs must produce byte-identical structure
-// strings for equivalent workloads.
-func StructureString(root *Span) string {
-	var b strings.Builder
-	writeStructure(&b, root, 0)
-	return b.String()
-}
-
-func writeStructure(b *strings.Builder, s *Span, depth int) {
-	fmt.Fprintf(b, "%s%016x/%016x %s\n", strings.Repeat("  ", depth), s.TraceID(), s.SpanID(), s.Op())
-	for _, c := range s.Children() {
-		writeStructure(b, c, depth+1)
+		writeSpanTree(b, c, depth+1)
 	}
 }

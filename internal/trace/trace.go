@@ -185,22 +185,6 @@ func (t *Tracer) StartRoot(op string) *Span {
 	return t.newSpan(context.Background(), op, 0, nil, nil, true)
 }
 
-// StartSpan starts a span as a child of the span in ctx, or a new root
-// if ctx carries none, and returns a context carrying the new span: the
-// span itself.
-func (t *Tracer) StartSpan(ctx context.Context, op string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	var traceID uint64
-	parent := SpanFromContext(ctx)
-	if parent != nil {
-		traceID = parent.traceID
-	}
-	s := t.newSpan(ctx, op, traceID, parent, nil, false)
-	return s, s
-}
-
 // StartRemote continues a trace whose parent span lives on the other
 // side of a wire hop: the caller supplies the propagated trace and
 // parent span IDs. If the parent is still in flight in this tracer the

@@ -20,7 +20,6 @@ import (
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
-	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/trace"
 )
@@ -100,12 +99,6 @@ func (c *Coordinator) Begin() *Txn {
 	return t
 }
 
-// ID returns the transaction's unique ID.
-func (t *Txn) ID() uint64 { return t.meta.ID }
-
-// Ts returns the transaction's current timestamp.
-func (t *Txn) Ts() hlc.Timestamp { return t.meta.Ts }
-
 // ErrTxnFinished is returned by operations on a committed/aborted txn.
 var ErrTxnFinished = errors.New("txn: transaction already finished")
 
@@ -178,7 +171,6 @@ func (t *Txn) sendBuffered(ctx context.Context, reqs []kvpb.Request) (*kvpb.Batc
 	var fwdIdx []int
 	t.mu.Lock()
 	for i, r := range reqs {
-		out.Responses[i].Method = r.Method
 		if r.Method.IsWrite() {
 			continue
 		}
@@ -618,10 +610,4 @@ func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn)
 		t.backoff(attempt + 1)
 	}
 	return fmt.Errorf("txn: retry budget exhausted: %w", lastErr)
-}
-
-// NewCoordinatorForDistSender is a convenience constructor wiring a
-// DistSender directly.
-func NewCoordinatorForDistSender(ds *kvserver.DistSender, cl *kvserver.Cluster) *Coordinator {
-	return NewCoordinator(ds, cl.Clock(), ds.Identity().Tenant)
 }

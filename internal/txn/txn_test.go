@@ -31,7 +31,7 @@ func newTestSetup(t *testing.T) (*kvserver.Cluster, *Coordinator) {
 	}
 	t.Cleanup(c.Close)
 	ds := kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2})
-	return c, NewCoordinatorForDistSender(ds, c)
+	return c, NewCoordinator(ds, c.Clock(), 2)
 }
 
 func k(s string) keys.Key {
@@ -268,10 +268,10 @@ func TestTxnIDsUnique(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		tx := coord.Begin()
-		if seen[tx.ID()] {
-			t.Fatalf("duplicate txn id %d", tx.ID())
+		if seen[tx.meta.ID] {
+			t.Fatalf("duplicate txn id %d", tx.meta.ID)
 		}
-		seen[tx.ID()] = true
+		seen[tx.meta.ID] = true
 		tx.Abort(context.Background())
 	}
 }

@@ -117,7 +117,6 @@ type KV struct {
 	ReadFraction float64
 	ValueSize    int
 	rng          *rand.Rand
-	created      bool
 }
 
 // NewKV returns a KV generator.
@@ -136,7 +135,6 @@ func (k *KV) Setup(ctx context.Context, db DB) error {
 	if _, err := exec(ctx, db, "CREATE TABLE kv (k INT PRIMARY KEY, v STRING)"); err != nil {
 		return err
 	}
-	k.created = true
 	return nil
 }
 

@@ -88,7 +88,7 @@ func TestPointReadTraceDepth(t *testing.T) {
 	walk(root, nil)
 	if !found {
 		t.Fatalf("no span chain contains %s in order:\n%s",
-			strings.Join(want, " > "), trace.RenderTree(root))
+			strings.Join(want, " > "), traceStructure(root))
 	}
 }
 
@@ -96,14 +96,14 @@ func TestPointReadTraceDepth(t *testing.T) {
 // running the same workload produce byte-identical trace IDs, span IDs,
 // and span structure.
 func TestSameSeedTracesAreIdentical(t *testing.T) {
-	a := trace.StructureString(runTracedWorkload(t, 42))
-	b := trace.StructureString(runTracedWorkload(t, 42))
+	a := traceStructure(runTracedWorkload(t, 42))
+	b := traceStructure(runTracedWorkload(t, 42))
 	if a != b {
 		t.Fatalf("same-seed traces differ:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}
 	// A different seed must produce different IDs (the structure lines
 	// embed trace and span IDs).
-	c := trace.StructureString(runTracedWorkload(t, 43))
+	c := traceStructure(runTracedWorkload(t, 43))
 	if a == c {
 		t.Fatal("different seeds produced identical trace IDs")
 	}
@@ -166,7 +166,7 @@ func runParallelBatchTrace(t *testing.T, seed int64) string {
 		}
 	}
 	root.Finish()
-	return trace.StructureString(root)
+	return traceStructure(root)
 }
 
 // TestParallelBatchTraceDeterminism: with parallel fan-out enabled, a
@@ -186,4 +186,19 @@ func TestParallelBatchTraceDeterminism(t *testing.T) {
 	if c := runParallelBatchTrace(t, 43); a == c {
 		t.Fatal("different seeds produced identical trace IDs")
 	}
+}
+
+// traceStructure renders a trace's deterministic skeleton: trace ID, span
+// IDs, parent links and operation names, with no timestamps or durations.
+func traceStructure(root *trace.Span) string {
+	var b strings.Builder
+	var walk func(s *trace.Span, depth int)
+	walk = func(s *trace.Span, depth int) {
+		fmt.Fprintf(&b, "%s%016x/%016x %s\n", strings.Repeat("  ", depth), s.TraceID(), s.SpanID(), s.Op())
+		for _, c := range s.Children() {
+			walk(c, depth+1)
+		}
+	}
+	walk(root, 0)
+	return b.String()
 }
