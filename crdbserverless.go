@@ -203,16 +203,15 @@ func New(opts Options) (*Serverless, error) {
 		regMetrics := metric.NewRegistry()
 		s.regionMetrics[r] = regMetrics
 		orch, err := orchestrator.New(orchestrator.Config{
-			Cluster:         cluster,
-			Registry:        s.registry,
-			Buckets:         s.buckets,
-			Clock:           opts.Clock,
-			Region:          r,
-			WarmPoolSize:    warmPoolSize,
-			PreStartProcess: true,
-			Metrics:         regMetrics,
-			Tracer:          s.tracer,
-			Obs:             s.obs,
+			Cluster:      cluster,
+			Registry:     s.registry,
+			Buckets:      s.buckets,
+			Clock:        opts.Clock,
+			Region:       r,
+			WarmPoolSize: warmPoolSize,
+			Metrics:      regMetrics,
+			Tracer:       s.tracer,
+			Obs:          s.obs,
 		})
 		if err != nil {
 			s.Close()

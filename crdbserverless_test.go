@@ -12,6 +12,7 @@ import (
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/orchestrator"
 	"crdbserverless/internal/proxy"
+	"crdbserverless/internal/raftlite"
 	"crdbserverless/internal/server"
 	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/trace"
@@ -202,16 +203,17 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{Options{}, 5},
 		{lsm.Options{}, 10},
-		{kvserver.ClusterConfig{}, 5},
+		{kvserver.ClusterConfig{}, 4},
 		{kvserver.Config{}, 3},
 		{autoscaler.Config{}, 5},
 		{admission.CPUQueueOptions{}, 4},
 		{admission.WriteQueueOptions{}, 1},
-		{orchestrator.Config{}, 12},
+		{orchestrator.Config{}, 11},
 		{server.SQLNodeConfig{}, 9},
 		{proxy.Config{}, 8},
 		{tenantobs.Config{}, 3},
 		{trace.Options{}, 3},
+		{raftlite.Config{}, 6},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		var names []string

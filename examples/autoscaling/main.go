@@ -45,7 +45,7 @@ func main() {
 	}
 	orch, err := orchestrator.New(orchestrator.Config{
 		Cluster: cluster, Registry: reg, Clock: clock,
-		Region: "us-central1", WarmPoolSize: 1, PreStartProcess: true,
+		Region: "us-central1", WarmPoolSize: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -42,12 +42,11 @@ func newEnv(t *testing.T) *env {
 	}
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:         c,
-		Registry:        reg,
-		Region:          "us-central1",
-		WarmPoolSize:    4,
-		PreStartProcess: true,
-		Clock:           clock,
+		Cluster:      c,
+		Registry:     reg,
+		Region:       "us-central1",
+		WarmPoolSize: 4,
+		Clock:        clock,
 	})
 	if err != nil {
 		t.Fatal(err)

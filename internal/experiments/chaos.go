@@ -185,9 +185,6 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		// would tie control flow to wall-clock speed. All lease churn comes
 		// from injected expirations and liveness flaps.
 		LeaseDuration: time.Hour,
-		// A short raft log forces a crashed store that missed more than a
-		// handful of commits to rejoin via state snapshot, not log replay.
-		RaftLogRetention: 8,
 	}, nodes)
 	if err != nil {
 		return nil, err
@@ -257,8 +254,8 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		// loses its unsynced suffix (up to tear bytes of torn WAL tail), the
 		// engine reopens from durable state, and the replication groups
 		// regress the replica to its durably applied indexes. The node stays
-		// cordoned for a stretch so it genuinely falls behind — with the
-		// short log retention, far enough to need a snapshot.
+		// cordoned for a stretch so it genuinely falls behind — past the
+		// raft log's 8 retained entries, far enough to need a snapshot.
 		if reg.Should("store.crash") && crashed == 0 && cordoned == 0 {
 			crashed = kvserver.NodeID(nextCrash%chaosNodes) + 1
 			nextCrash++

@@ -2,8 +2,23 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 )
+
+// Pinned SHA-256 digests of seeded replays, over the schedule followed by
+// the trace. A change that moves one changed what the storm does: if that
+// is intended, say why and re-pin.
+const (
+	chaosSeed42Pin      = "78565a37d0aadc85645e3b1d7f0ec33321d85c7a0ee33480b7adca7ec2b1aeb2"
+	mergeStormSeed23Pin = "7cc055dbeea7f017ec3e04ec17fdc15e3e3909458e08b1abfe11f3511bfa7558"
+)
+
+// replayDigest is the hex SHA-256 of a run's schedule followed by its trace.
+func replayDigest(res *ChaosResult) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(res.Schedule+res.Trace)))
+}
 
 // A short chaos run must complete with zero invariant violations and must
 // actually have exercised the fault surface.
@@ -51,6 +66,9 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if a.Trace != b.Trace {
 		t.Errorf("operation traces diverge for the same seed:\n--- run 1 ---\n%s--- run 2 ---\n%s", a.Trace, b.Trace)
+	}
+	if got := replayDigest(a); got != chaosSeed42Pin {
+		t.Errorf("seed 42 replay digest %s, pinned %s", got, chaosSeed42Pin)
 	}
 	if a.Commits != b.Commits || a.Aborts != b.Aborts || a.TotalFires != b.TotalFires ||
 		a.OnePhaseCommits != b.OnePhaseCommits || a.CommitRetries != b.CommitRetries {
@@ -113,6 +131,9 @@ func TestMergeStormDeterminism(t *testing.T) {
 	}
 	if a.Trace != b.Trace {
 		t.Errorf("operation traces diverge for the same seed:\n--- run 1 ---\n%s--- run 2 ---\n%s", a.Trace, b.Trace)
+	}
+	if got := replayDigest(a); got != mergeStormSeed23Pin {
+		t.Errorf("seed 23 merge-storm replay digest %s, pinned %s", got, mergeStormSeed23Pin)
 	}
 	if a.Merges != b.Merges || a.Splits != b.Splits {
 		t.Errorf("directory churn diverges: run1={s:%d m:%d} run2={s:%d m:%d}",

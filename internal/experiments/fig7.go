@@ -86,12 +86,11 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 			return nil, nil, err
 		}
 		orch, err := orchestrator.New(orchestrator.Config{
-			Cluster:         tb.cluster,
-			Registry:        tb.reg,
-			Buckets:         tb.buckets,
-			Region:          "us-central1",
-			WarmPoolSize:    0,
-			PreStartProcess: true,
+			Cluster:      tb.cluster,
+			Registry:     tb.reg,
+			Buckets:      tb.buckets,
+			Region:       "us-central1",
+			WarmPoolSize: 0,
 		})
 		if err != nil {
 			tb.close()

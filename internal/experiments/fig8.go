@@ -44,13 +44,12 @@ func Fig8() (*Fig8Result, *Table, error) {
 	}
 	defer tb.close()
 	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:         tb.cluster,
-		Registry:        tb.reg,
-		Buckets:         tb.buckets,
-		Clock:           clock,
-		Region:          "us-central1",
-		WarmPoolSize:    2,
-		PreStartProcess: true,
+		Cluster:      tb.cluster,
+		Registry:     tb.reg,
+		Buckets:      tb.buckets,
+		Clock:        clock,
+		Region:       "us-central1",
+		WarmPoolSize: 2,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -57,12 +57,11 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 	}
 	defer tb.close()
 	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:         tb.cluster,
-		Registry:        tb.reg,
-		Buckets:         tb.buckets,
-		Region:          "us-central1",
-		WarmPoolSize:    fig9SQLNodes + 1,
-		PreStartProcess: true,
+		Cluster:      tb.cluster,
+		Registry:     tb.reg,
+		Buckets:      tb.buckets,
+		Region:       "us-central1",
+		WarmPoolSize: fig9SQLNodes + 1,
 	})
 	if err != nil {
 		return nil, nil, err

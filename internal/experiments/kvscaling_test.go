@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 )
+
+// kvScalingTablePin is the SHA-256 of the rendered kvscaling table. The run
+// is on a manual clock, so the table is the same on every run; a change that
+// moves it changed the scaling cycle.
+const kvScalingTablePin = "881aa663e5908482c28f8b9bdd885588ddb069565c007eb7b512775d73e23181"
 
 // TestExtensionKVScalingShape: write pressure grows the KV fleet and moves
 // replicas onto the added node, the idle phase drains it back to exactly the
@@ -50,6 +57,11 @@ func TestExtensionKVScalingShape(t *testing.T) {
 	t.Run("DataSurvivesScaleCycle", func(t *testing.T) {
 		if !res.DataOK {
 			t.Fatal("sentinel key lost across the scale cycle")
+		}
+	})
+	t.Run("TableReplays", func(t *testing.T) {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(table.String()))); got != kvScalingTablePin {
+			t.Fatalf("kvscaling table digest %s, pinned %s:\n%s", got, kvScalingTablePin, table)
 		}
 	})
 }

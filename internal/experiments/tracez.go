@@ -60,14 +60,13 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 	reg := metric.NewRegistry()
 	tr := trace.New(trace.Options{Clock: tb.clock, Seed: tracezSeed, Metrics: reg})
 	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:         tb.cluster,
-		Registry:        tb.reg,
-		Buckets:         tb.buckets,
-		Region:          "us-central1",
-		WarmPoolSize:    2,
-		PreStartProcess: true,
-		Metrics:         reg,
-		Tracer:          tr,
+		Cluster:      tb.cluster,
+		Registry:     tb.reg,
+		Buckets:      tb.buckets,
+		Region:       "us-central1",
+		WarmPoolSize: 2,
+		Metrics:      reg,
+		Tracer:       tr,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -56,12 +56,6 @@ type ClusterConfig struct {
 	// CommitMetrics, when non-nil, is shared by every range's replication
 	// group (raft.commit.batch_size and friends).
 	CommitMetrics *raftlite.CommitMetrics
-	// RaftLogRetention is the number of committed entries each range's
-	// replication group keeps behind the slowest live replica. 0 (the
-	// default) never truncates; with a positive value a replica that falls
-	// behind the truncation point — a store revived after a crash — rejoins
-	// via state snapshot instead of log replay.
-	RaftLogRetention uint64
 }
 
 // rangeState is one range: descriptor, replication group, and stats.
@@ -295,7 +289,6 @@ func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, 
 		LeaseDuration: c.cfg.LeaseDuration,
 		Faults:        c.cfg.Faults,
 		CommitMetrics: c.cfg.CommitMetrics,
-		LogRetention:  c.cfg.RaftLogRetention,
 	}, replicas, sms)
 }
 

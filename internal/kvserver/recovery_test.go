@@ -13,8 +13,9 @@ import (
 	"crdbserverless/internal/mvcc"
 )
 
-// newRecoveryCluster builds a cluster with durable stores and an aggressive
-// raft log retention so truncation and snapshot catch-up trigger quickly.
+// newRecoveryCluster builds a cluster with durable stores. Its ranges keep
+// raftlite's fixed log retention (8 entries), so a test that wants a
+// replica behind the truncation point writes more than that while it is down.
 func newRecoveryCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
 	cheap := CostConfig{
@@ -30,7 +31,7 @@ func newRecoveryCluster(t *testing.T, n int) *Cluster {
 			LSM: lsm.Options{Durable: lsm.NewDir(), WALSegmentSize: 4 << 10},
 		}))
 	}
-	c, err := NewCluster(ClusterConfig{RaftLogRetention: 2}, nodes)
+	c, err := NewCluster(ClusterConfig{}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,9 @@ func TestSplitSeedsRightGroupForLaggingReplica(t *testing.T) {
 	}
 
 	// Left-span writes advance the parent group's log past node 3's applied
-	// index; with retention 2 the pre-split entries truncate away, so log
-	// replay can no longer deliver the right-span write to node 3.
+	// index. Ten of them outrun the 8 retained entries, so the pre-split
+	// entries truncate away and log replay can no longer deliver the
+	// right-span write to node 3.
 	for i := 0; i < 10; i++ {
 		put(tenantKey(2, fmt.Sprintf("a%02d", i)), "v")
 	}

@@ -12,12 +12,11 @@ import (
 func (e *env) newFaultOrch(t *testing.T, warm int, reg *faultinject.Registry) *Orchestrator {
 	t.Helper()
 	o, err := New(Config{
-		Cluster:         e.cluster,
-		Registry:        e.reg,
-		Region:          "us-central1",
-		WarmPoolSize:    warm,
-		PreStartProcess: true,
-		Faults:          reg,
+		Cluster:      e.cluster,
+		Registry:     e.reg,
+		Region:       "us-central1",
+		WarmPoolSize: warm,
+		Faults:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -100,11 +100,6 @@ type Config struct {
 	Region   region.Region
 	// WarmPoolSize is the number of pre-warmed pods to maintain.
 	WarmPoolSize int
-	// PreStartProcess enables the §4.3.1 optimization: the SQL process (and
-	// its TCP listener) starts when the pod is created, before any tenant
-	// is known. Disabled, the process starts only at assignment — the
-	// unoptimized baseline of Fig 10a.
-	PreStartProcess bool
 	// Metrics receives the orchestrator's counters (orchestrator.*). A
 	// fresh registry is created when nil.
 	Metrics *metric.Registry
@@ -125,6 +120,8 @@ type Config struct {
 	//lint:allow deadsurface test seam: TestStartCrashRetriesWithFreshPod and TestPodEvictionRecoversViaLookup arm its sites
 	Faults *faultinject.Registry
 }
+
+var errClosed = errors.New("orchestrator: closed")
 
 // Orchestrator manages the pod fleet for one region.
 type Orchestrator struct {
@@ -186,15 +183,31 @@ func (o *Orchestrator) EnsureWarm(n int) error {
 		if err != nil {
 			return err
 		}
-		o.mu.Lock()
-		o.mu.warm = append(o.mu.warm, pod)
-		o.mu.all = append(o.mu.all, pod)
-		o.mu.Unlock()
+		if o.addPod(pod, true) != nil {
+			return nil
+		}
 	}
 }
 
-// createPod provisions a pod. With PreStartProcess the SQL process starts
-// (and opens its listener) immediately. An injected VM crash during startup
+// addPod records a new pod in the fleet, and in the warm pool when warm. If
+// Close ran while the pod started, nothing would ever stop it: addPod closes
+// it and returns errClosed instead.
+func (o *Orchestrator) addPod(pod *Pod, warm bool) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.mu.closed {
+		pod.Node.Close()
+		return errClosed
+	}
+	if warm {
+		o.mu.warm = append(o.mu.warm, pod)
+	}
+	o.mu.all = append(o.mu.all, pod)
+	return nil
+}
+
+// createPod provisions a pod and starts its SQL process and listener before
+// any tenant is known (§4.3.1). An injected VM crash during startup
 // (orchestrator.start.crash) discards the pod and retries with a fresh one,
 // as the control plane would reschedule a crashed container.
 func (o *Orchestrator) createPod() (*Pod, error) {
@@ -218,12 +231,10 @@ func (o *Orchestrator) createPod() (*Pod, error) {
 			lastErr = err
 			continue
 		}
-		if o.cfg.PreStartProcess {
-			if err := node.Start(); err != nil {
-				node.Close()
-				lastErr = err
-				continue
-			}
+		if err := node.Start(); err != nil {
+			node.Close()
+			lastErr = err
+			continue
 		}
 		return pod, nil
 	}
@@ -254,7 +265,7 @@ func (o *Orchestrator) AssignPod(ctx context.Context, t *core.Tenant) (*Pod, err
 	o.mu.Lock()
 	if o.mu.closed {
 		o.mu.Unlock()
-		return nil, errors.New("orchestrator: closed")
+		return nil, errClosed
 	}
 	// Reuse a draining pod of this tenant.
 	for _, p := range o.mu.byTenant[t.Name] {
@@ -284,17 +295,11 @@ func (o *Orchestrator) AssignPod(ctx context.Context, t *core.Tenant) (*Pod, err
 		if err != nil {
 			return nil, err
 		}
-		o.mu.Lock()
-		o.mu.all = append(o.mu.all, pod)
-		o.mu.Unlock()
-	} else {
-		sp.Eventf("pulled warm pod %d", pod.Node.InstanceID())
-	}
-	// Unoptimized flow: the process starts only now.
-	if !o.cfg.PreStartProcess {
-		if err := pod.Node.Start(); err != nil {
+		if err := o.addPod(pod, false); err != nil {
 			return nil, err
 		}
+	} else {
+		sp.Eventf("pulled warm pod %d", pod.Node.InstanceID())
 	}
 	// Stamp with the tenant (the "certificates arrive" moment).
 	certCtx, certSp := trace.StartSpan(ctx, "orchestrator.cert_issue")

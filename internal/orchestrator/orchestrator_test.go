@@ -2,6 +2,8 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -39,14 +41,13 @@ func newEnv(t *testing.T) *env {
 	return &env{cluster: c, reg: reg, clock: timeutil.NewManualClock(time.Unix(0, 0))}
 }
 
-func (e *env) newOrch(t *testing.T, warm int, preStart bool) *Orchestrator {
+func (e *env) newOrch(t *testing.T, warm int) *Orchestrator {
 	t.Helper()
 	o, err := New(Config{
-		Cluster:         e.cluster,
-		Registry:        e.reg,
-		Region:          "us-central1",
-		WarmPoolSize:    warm,
-		PreStartProcess: preStart,
+		Cluster:      e.cluster,
+		Registry:     e.reg,
+		Region:       "us-central1",
+		WarmPoolSize: warm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +58,7 @@ func (e *env) newOrch(t *testing.T, warm int, preStart bool) *Orchestrator {
 
 func TestWarmPoolMaintained(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 3, true)
+	o := e.newOrch(t, 3)
 	if got := o.WarmCount(); got != 3 {
 		t.Fatalf("warm = %d", got)
 	}
@@ -82,7 +83,7 @@ func TestWarmPoolMaintained(t *testing.T) {
 
 func TestPreStartedPodServesImmediately(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 1, true)
+	o := e.newOrch(t, 1)
 	ctx := context.Background()
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	pod, err := o.AssignPod(ctx, tn)
@@ -99,30 +100,42 @@ func TestPreStartedPodServesImmediately(t *testing.T) {
 	}
 }
 
-func TestUnoptimizedPodStartsAtAssignment(t *testing.T) {
+// TestPodStartedAcrossCloseIsStopped: EnsureWarm and a cold AssignPod start
+// their pod outside the lock and then add it through addPod. A pod that
+// finishes starting after Close must be stopped there, not recorded in a
+// fleet that nothing will stop again.
+func TestPodStartedAcrossCloseIsStopped(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 1, false)
-	ctx := context.Background()
-	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
-	// Warm pod has no listener yet.
+	o := e.newOrch(t, 0)
+	var pods []*Pod
+	for i := 0; i < 2; i++ {
+		pod, err := o.createPod()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pods = append(pods, pod)
+	}
+	o.Close()
+	for i, warm := range []bool{true, false} {
+		pod := pods[i]
+		if err := o.addPod(pod, warm); !errors.Is(err, errClosed) {
+			t.Fatalf("addPod(warm=%v) after Close = %v, want errClosed", warm, err)
+		}
+		if c, err := net.Dial("tcp", pod.Node.Addr()); err == nil {
+			c.Close()
+			t.Fatalf("pod added after Close (warm=%v) still accepts connections", warm)
+		}
+	}
 	o.mu.Lock()
-	warmAddr := o.mu.warm[0].Node.Addr()
-	o.mu.Unlock()
-	if warmAddr != "" {
-		t.Fatalf("unoptimized warm pod has a listener: %q", warmAddr)
-	}
-	pod, err := o.AssignPod(ctx, tn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pod.Node.Addr() == "" {
-		t.Fatal("assigned pod has no listener")
+	defer o.mu.Unlock()
+	if len(o.mu.all) != 0 || len(o.mu.warm) != 0 {
+		t.Fatalf("closed orchestrator recorded %d pods, %d warm", len(o.mu.all), len(o.mu.warm))
 	}
 }
 
 func TestScaleUpAndDown(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 2, true)
+	o := e.newOrch(t, 2)
 	ctx := context.Background()
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 
@@ -153,7 +166,7 @@ func TestScaleUpAndDown(t *testing.T) {
 
 func TestDrainingPodReusedBeforeWarm(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 2, true)
+	o := e.newOrch(t, 2)
 	ctx := context.Background()
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	o.ScaleTenant(ctx, tn, 2)
@@ -180,7 +193,7 @@ func TestDrainingPodReusedBeforeWarm(t *testing.T) {
 
 func TestSuspendAndResumeViaLookup(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 2, true)
+	o := e.newOrch(t, 2)
 	ctx := context.Background()
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	o.ScaleTenant(ctx, tn, 2)
@@ -216,7 +229,7 @@ func TestSuspendAndResumeViaLookup(t *testing.T) {
 
 func TestLookupUnknownAndDropped(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 1, true)
+	o := e.newOrch(t, 1)
 	ctx := context.Background()
 	if _, err := o.Lookup(ctx, "ghost"); err == nil {
 		t.Fatal("unknown tenant lookup succeeded")
@@ -231,12 +244,11 @@ func TestLookupUnknownAndDropped(t *testing.T) {
 func TestDrainTimeoutForcesStop(t *testing.T) {
 	e := newEnv(t)
 	o, err := New(Config{
-		Cluster:         e.cluster,
-		Registry:        e.reg,
-		Region:          "us-central1",
-		WarmPoolSize:    1,
-		PreStartProcess: true,
-		Clock:           e.clock,
+		Cluster:      e.cluster,
+		Registry:     e.reg,
+		Region:       "us-central1",
+		WarmPoolSize: 1,
+		Clock:        e.clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +286,7 @@ func TestDrainTimeoutForcesStop(t *testing.T) {
 // the pods still serving.
 func TestStoppedPodsAreForgotten(t *testing.T) {
 	e := newEnv(t)
-	o := e.newOrch(t, 2, true)
+	o := e.newOrch(t, 2)
 	ctx := context.Background()
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	tracked := func() (all, warm, live int) {

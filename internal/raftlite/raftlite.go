@@ -74,6 +74,10 @@ type entry struct {
 	cmd []byte
 }
 
+// logRetention is how many applied entries a group keeps behind its slowest
+// live peer. A peer further behind catches up from a live peer's snapshot.
+const logRetention = 8
+
 // CommitMetrics holds the group-commit instrumentation. One instance is
 // shared by every Group registered against the same metric.Registry (the
 // Registry panics on duplicate names, so per-group registration is not an
@@ -153,6 +157,7 @@ type Group struct {
 		leading bool
 	}
 
+	// retention is logRetention; in-package tests may change it.
 	retention uint64
 
 	mu sync.Mutex
@@ -188,14 +193,6 @@ type Config struct {
 	// instrumentation (raft.commit.batch_size and friends). Shared across
 	// groups; see NewCommitMetrics.
 	CommitMetrics *CommitMetrics
-	// LogRetention, when > 0, enables log truncation: after each commit
-	// round the log is compacted up to the minimum applied index over live
-	// peers minus LogRetention entries of slack (so a briefly-lagging peer
-	// can still catch up from the log). A peer that falls behind the
-	// truncation point — dead through many rounds, or a recovered store
-	// whose durable applied index regressed — rejoins via snapshot from a
-	// live SnapshotStateMachine peer. 0 (the default) never truncates.
-	LogRetention uint64
 }
 
 // NewGroup creates a replication group over the given nodes. Each node's
@@ -220,7 +217,7 @@ func NewGroup(cfg Config, nodes []NodeID, sms []StateMachine) (*Group, error) {
 		leaseDur:      cfg.LeaseDuration,
 		faults:        cfg.Faults,
 		commitMetrics: cfg.CommitMetrics,
-		retention:     cfg.LogRetention,
+		retention:     logRetention,
 	}
 	for i, id := range nodes {
 		g.peers = append(g.peers, &peer{id: id, sm: sms[i]})
@@ -533,11 +530,8 @@ func (g *Group) applyCommittedLocked() error {
 // maybeTruncateLocked compacts the log prefix every live peer has applied,
 // keeping retention entries of slack so short-lived laggards can still use
 // log replay. Dead peers do not hold back truncation — that is the point:
-// they rejoin via snapshot. No-op unless Config.LogRetention was set.
+// they rejoin via snapshot. Compacting in place keeps one backing array.
 func (g *Group) maybeTruncateLocked() {
-	if g.retention == 0 {
-		return
-	}
 	min := g.commit
 	for _, p := range g.peers {
 		if g.live(p.id) && p.applied < min {
@@ -552,7 +546,9 @@ func (g *Group) maybeTruncateLocked() {
 		return
 	}
 	drop := target - g.truncated
-	g.log = append([]entry(nil), g.log[drop:]...)
+	n := copy(g.log, g.log[drop:])
+	clear(g.log[n:])
+	g.log = g.log[:n]
 	g.truncated = target
 }
 

@@ -97,11 +97,11 @@ func newSnapFixture(t *testing.T, n int, retention uint64) *snapFixture {
 		Clock:         f.clock,
 		Liveness:      func(id NodeID) bool { return !f.dead[id] },
 		LeaseDuration: time.Hour,
-		LogRetention:  retention,
 	}, nodes, sms)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.retention = retention
 	f.group = g
 	return f
 }
@@ -134,6 +134,55 @@ func TestLogTruncationAdvances(t *testing.T) {
 	f.group.mu.Unlock()
 	if logLen != 4 {
 		t.Fatalf("log holds %d entries, want 4 (retention)", logLen)
+	}
+}
+
+// TestLogStaysBoundedByDefault: a group built with the default config keeps
+// logRetention entries behind its peers, so a thousand commits on an all-live
+// group leave a log, and a backing array, of constant size.
+func TestLogStaysBoundedByDefault(t *testing.T) {
+	f := newFixture(t, 3)
+	if err := f.group.AcquireLease(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := f.group.Propose(1, []byte(fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.group.mu.Lock()
+	n, c := len(f.group.log), cap(f.group.log)
+	f.group.mu.Unlock()
+	if n > logRetention+1 {
+		t.Fatalf("log holds %d entries after 1000 commits, want at most %d", n, logRetention+1)
+	}
+	if c > 4*logRetention {
+		t.Fatalf("log's backing array holds %d entries, want at most %d", c, 4*logRetention)
+	}
+}
+
+// TestTruncationAllocatesNothing: once the log's backing array has grown to
+// its working size, appending an entry and truncating the log behind it
+// allocate nothing; the log is compacted in place.
+func TestTruncationAllocatesNothing(t *testing.T) {
+	f := newFixture(t, 3)
+	g := f.group
+	cmd := []byte("c")
+	allocs := testing.AllocsPerRun(100, func() {
+		g.mu.Lock()
+		g.log = append(g.log, entry{cmd: cmd})
+		g.commit++
+		for _, p := range g.peers {
+			p.applied = g.commit
+		}
+		g.maybeTruncateLocked()
+		g.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Fatalf("append + truncate allocates %.1f objects, want 0", allocs)
+	}
+	if got, want := truncatedIndex(g), g.CommitIndex()-logRetention; got != want {
+		t.Fatalf("truncated = %d, want %d", got, want)
 	}
 }
 

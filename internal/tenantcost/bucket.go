@@ -16,7 +16,7 @@ import (
 // server switches to "trickle grants": instead of lump sums it hands each
 // node a tokens/second rate, sized so the sum of recent trickles converges on
 // the bucket's refill rate. Nodes then run queries at a smooth reduced rate
-// rather than stop/start.
+// rather than stop/start. A trickle grant's tokens are debt that refill repays.
 
 // TokensPerVCPUSecond is the refill rate per vCPU of quota: 1000 tokens/sec,
 // each token one millisecond of estimated CPU.
@@ -38,9 +38,11 @@ type serverBucket struct {
 	rate       float64 // refill tokens/sec (quota vCPUs * 1000)
 	burst      float64
 	lastUpdate time.Time
+	debt       float64 // trickle tokens granted and not yet repaid by refill
 	// nodeRates is an EWMA of each node's recent request rate, used to
 	// split trickle capacity proportionally.
-	nodeRates map[int32]float64
+	nodeRates    map[int32]float64
+	trickleUntil map[int32]time.Time // end of each node's charged trickle window
 }
 
 // BucketServer is the token-bucket authority for all tenants of a cluster.
@@ -118,11 +120,11 @@ func (s *BucketServer) bucketLocked(tenant keys.TenantID) *serverBucket {
 	b, ok := s.tenants[tenant]
 	if !ok {
 		b = &serverBucket{
-			lastUpdate: s.clock.Now(),
-			nodeRates:  make(map[int32]float64),
+			lastUpdate:   s.clock.Now(),
+			nodeRates:    make(map[int32]float64),
+			trickleUntil: make(map[int32]time.Time),
 		}
 		s.tenants[tenant] = b
-		b.tokens = 0
 	}
 	return b
 }
@@ -132,7 +134,9 @@ func (b *serverBucket) refill(now time.Time) {
 	if dt <= 0 {
 		return
 	}
-	b.tokens += b.rate * dt
+	repay := min(b.rate*dt, b.debt)
+	b.debt -= repay
+	b.tokens += b.rate*dt - repay
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
@@ -174,18 +178,24 @@ func (s *BucketServer) Request(tenant keys.TenantID, node int32, rate, want floa
 	for _, r := range b.nodeRates {
 		totalDemand += r
 	}
-	share := 1.0
+	share := 1.0 / float64(len(b.nodeRates))
 	if totalDemand > 0 {
 		share = b.nodeRates[node] / totalDemand
-	} else {
-		share = 1.0 / float64(len(b.nodeRates))
 	}
 	grant := b.tokens // hand over whatever remains as a partial lump
 	b.tokens = 0
+	trickle, deadline := b.rate*share, now.Add(s.trickleInterval)
+	// Charge only the part of the window not charged to this node before.
+	from := now
+	if prev := b.trickleUntil[node]; prev.After(from) {
+		from = prev
+	}
+	b.debt += trickle * deadline.Sub(from).Seconds()
+	b.trickleUntil[node] = deadline
 	return GrantResponse{
 		Granted:         grant,
-		TrickleRate:     b.rate * share,
-		TrickleDeadline: now.Add(s.trickleInterval),
+		TrickleRate:     trickle,
+		TrickleDeadline: deadline,
 	}
 }
 

@@ -396,3 +396,57 @@ func TestThrottleWaitEndsWithCtx(t *testing.T) {
 		t.Fatal("throttle wait outlived its context")
 	}
 }
+
+// consumeFlatOut runs consumers on the given number of SQL nodes of one
+// tenant with a 1-vCPU quota for d of manual-clock time. It returns the
+// tokens they consumed, and the bucket's balance after a further idle
+// second. Each operation charges 10 tokens, takes 1 ms and then waits out
+// the returned delay, so every node alone demands 10 vCPUs.
+func consumeFlatOut(nodes int, d time.Duration) (consumed, idleBalance float64) {
+	mc := timeutil.NewManualClock(time.Unix(0, 0))
+	s := NewBucketServer(mc)
+	s.SetQuota(2, 1)
+	buckets := make([]*NodeBucket, nodes)
+	next := make([]time.Time, nodes)
+	for i := range buckets {
+		buckets[i] = NewNodeBucket(s, mc, 2, int32(i+1))
+		next[i] = mc.Now()
+	}
+	end := mc.Now().Add(d)
+	for {
+		i := 0
+		for j := range next {
+			if next[j].Before(next[i]) {
+				i = j
+			}
+		}
+		if !next[i].Before(end) {
+			break
+		}
+		mc.AdvanceTo(next[i])
+		delay := buckets[i].Consume(10)
+		consumed += 10
+		next[i] = next[i].Add(time.Millisecond + delay)
+	}
+	mc.AdvanceTo(end.Add(2 * time.Second))
+	return consumed, s.Available(2)
+}
+
+// TestMeteringConservedUnderTrickle: consumers that stay over quota for 10 s
+// consume the quota's 10 000 tokens, whether one node or two share the
+// bucket. Trickle grants count against the bucket, so its refill is not
+// handed out a second time as a lump. A node that asks again inside its
+// trickle window is charged only for the extension, so two idle seconds
+// later the bucket has repaid the trickle windows still owed and holds
+// tokens again.
+func TestMeteringConservedUnderTrickle(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		got, idle := consumeFlatOut(nodes, 10*time.Second)
+		if math.Abs(got-10000)/10000 > 0.01 {
+			t.Errorf("%d node(s) consumed %.0f tokens in 10 s on a 1-vCPU quota, want 10000 ±1%%", nodes, got)
+		}
+		if idle <= 0 {
+			t.Errorf("%d node(s): bucket still empty 2 s after its consumers stopped; trickle windows were charged more than once", nodes)
+		}
+	}
+}

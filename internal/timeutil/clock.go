@@ -1,7 +1,7 @@
 // Package timeutil provides clock abstractions so that every component in the
 // system can run against either real wall-clock time or a deterministic
-// manually-advanced clock. The simulation harness (internal/sim) and all
-// latency experiments depend on ManualClock for reproducibility.
+// manually-advanced clock. Seeded experiments (kvscaling, fig8, fig10,
+// fleetobs) and most unit tests run on ManualClock for reproducibility.
 package timeutil
 
 import (
