@@ -1,5 +1,5 @@
 // Positive cases for the locksafety check: missing unlocks, defer-Lock
-// typos, by-value lock copies, and channel sends under a lock.
+// typos, and channel sends under a lock.
 package locksafety
 
 import "sync"
@@ -18,18 +18,6 @@ func deferTypo(c *counter) {
 	c.mu.Lock()       // want locksafety
 	defer c.mu.Lock() // want locksafety
 	c.n++
-}
-
-func (c counter) byValueReceiver() int { // want locksafety
-	return c.n
-}
-
-func byValueParam(c counter) int { // want locksafety
-	return c.n
-}
-
-func waitGroupByValue(wg sync.WaitGroup) { // want locksafety
-	wg.Wait()
 }
 
 func sendWhileLocked(c *counter, ch chan int) {

@@ -31,11 +31,6 @@ func splitNotifiesUnderLatch(r *rangeLatch, events chan string) {
 	events <- r.span // want locksafety
 }
 
-// decideByValueCopy copies the latch-bearing state into the decision helper.
-func decideByValueCopy(r rangeLatch) bool { // want locksafety
-	return r.span != ""
-}
-
 // mergeBothSidesHeld is the safe shape: ordered acquisition, both deferred.
 func mergeBothSidesHeld(left, right *rangeLatch) {
 	left.mu.Lock()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -232,7 +233,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 
 	// Load schemas: noisy tenants get one warehouse per worker (slim rows —
 	// their job is offered load, not data volume); the test tenant uses the
-	// stock shape.
+	// stock shape. The tenants share no data, so they load concurrently.
 	slimTPCC := func(seed int64) *workload.TPCC {
 		gen := workload.NewTPCC(noisyWorkers, seed)
 		gen.DistrictsPerWH = 1
@@ -240,13 +241,23 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 		gen.Items = 10
 		return gen
 	}
+	gens := []*workload.TPCC{workload.NewTPCC(2, 7)}
+	handles := []*tenantHandle{test}
 	for i, h := range noisy {
-		if err := slimTPCC(int64(100+i)).Setup(ctx, h.session()); err != nil {
-			return nil, nil, err
-		}
+		gens = append(gens, slimTPCC(int64(100+i)))
+		handles = append(handles, h)
 	}
-	testGen := workload.NewTPCC(2, 7)
-	if err := testGen.Setup(ctx, test.session()); err != nil {
+	setupErrs := make([]error, len(gens))
+	var setupWG sync.WaitGroup
+	for i, gen := range gens {
+		setupWG.Add(1)
+		go func() {
+			defer setupWG.Done()
+			setupErrs[i] = gen.Setup(ctx, handles[i].session())
+		}()
+	}
+	setupWG.Wait()
+	if err := errors.Join(setupErrs...); err != nil {
 		return nil, nil, err
 	}
 

@@ -54,7 +54,7 @@ type ClusterConfig struct {
 	// replication group (see internal/faultinject).
 	Faults *faultinject.Registry
 	// CommitMetrics, when non-nil, is shared by every range's replication
-	// group (raft.commit.batch_size and friends).
+	// group (raft.commit.batches and raft.commit.entries).
 	CommitMetrics *raftlite.CommitMetrics
 }
 

@@ -3,6 +3,7 @@ package kvserver
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -99,7 +100,11 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	return ds
 }
 
-// maxSendRetries bounds redirect-chasing per range visited.
+// maxSendRetries bounds redirect-chasing per range visited. A stale
+// descriptor whose refresh finds a range version the visit has not tried yet
+// (a split, merge or replica change landed since the lookup) does not count:
+// a writer racing a run of splits to the right of it makes progress on every
+// refresh, and the topology changes in flight are finite.
 const maxSendRetries = 16
 
 // Send routes and executes the batch, merging per-range responses back into
@@ -340,7 +345,12 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 		var seg segment
 		seg.pending = pending
 		sent := false
-		for attempt := 0; attempt < maxSendRetries; attempt++ {
+		// tried lists the descriptors this visit has been redirected away
+		// from; refreshed counts the refreshes that found a range version
+		// not among them.
+		var tried []*RangeDescriptor
+		refreshed := 0
+		for attempt := 0; attempt-refreshed < maxSendRetries; attempt++ {
 			// Clip inside the retry loop: a stale-descriptor refresh can
 			// change the range span and with it the routing.
 			clip := clipToRange(pending, desc.Span)
@@ -383,6 +393,12 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 				fresh, lerr := ds.lookupFresh(pending[0].Key)
 				if lerr != nil {
 					return nil, lerr
+				}
+				tried = append(tried, desc)
+				if !slices.ContainsFunc(tried, func(d *RangeDescriptor) bool {
+					return d.RangeID == fresh.RangeID && d.Generation == fresh.Generation
+				}) {
+					refreshed++
 				}
 				desc = fresh
 			default:

@@ -53,8 +53,9 @@
 //     rounds never stall concurrent readers. Functions named *Locked are
 //     analyzed as if a caller's lock were held.
 //   - locksafety: mutex hygiene — a Lock with no Unlock on any path,
-//     `defer mu.Lock()` typos, by-value receivers/params of lock-bearing
-//     structs, and channel sends performed while a lock is held.
+//     `defer mu.Lock()` typos, and channel sends performed while a lock is
+//     held. A lock copied by value is go vet's copylocks finding, not
+//     crdb-lint's.
 //   - maporder: iteration order of a map must not escape into observable
 //     behavior (slice append without a later sort, channel send, trace or
 //     metric or wire call, fault-site consult, formatted message); Go
@@ -149,12 +150,11 @@ type file struct {
 	isTest bool
 	fset   *token.FileSet
 	ast    *ast.File
-	// timeNames / randNames / syncNames are the local import names bound to
-	// the "time", "math/rand", and "sync" packages (empty when not
-	// imported; a package may be imported more than once under aliases).
+	// timeNames / randNames are the local import names bound to the "time"
+	// and "math/rand" packages (empty when not imported; a package may be
+	// imported more than once under aliases).
 	timeNames map[string]bool
 	randNames map[string]bool
-	syncNames map[string]bool
 }
 
 // Tree is a parsed source tree ready to be checked.
@@ -221,7 +221,6 @@ func Load(root string) (*Tree, error) {
 		}
 		f.timeNames = importNames(af, "time")
 		f.randNames = importNames(af, "math/rand")
-		f.syncNames = importNames(af, "sync")
 		t.files = append(t.files, f)
 		return nil
 	})
@@ -293,7 +292,6 @@ func (t *Tree) Check(opts Options) ([]Diagnostic, error) {
 	}
 
 	var diags []Diagnostic
-	structIdx := buildStructIndex(t.files)
 	reg := newMetricNameIndex()
 	for _, f := range t.files {
 		if enabled["directtime"] {
@@ -306,7 +304,7 @@ func (t *Tree) Check(opts Options) ([]Diagnostic, error) {
 			diags = append(diags, checkGobImport(f)...)
 		}
 		if enabled["locksafety"] {
-			diags = append(diags, checkLockSafety(f, structIdx)...)
+			diags = append(diags, checkLockSafety(f)...)
 		}
 		if enabled["lockscope"] {
 			diags = append(diags, checkLockScope(f)...)

@@ -16,7 +16,6 @@ func parseSrc(t *testing.T, src string) (*token.FileSet, *file) {
 	f := &file{relPath: "src.go", pkgDir: ".", fset: fset, ast: af}
 	f.timeNames = importNames(af, "time")
 	f.randNames = importNames(af, "math/rand")
-	f.syncNames = importNames(af, "sync")
 	return fset, f
 }
 
@@ -36,8 +35,8 @@ import (
 	if len(f.randNames) != 0 {
 		t.Errorf("randNames = %v, want empty (blank import)", f.randNames)
 	}
-	if len(f.syncNames) != 0 {
-		t.Errorf("syncNames = %v, want empty (not imported)", f.syncNames)
+	if got := importNames(f.ast, "sync"); len(got) != 0 {
+		t.Errorf("sync names = %v, want empty (not imported)", got)
 	}
 }
 

@@ -15,11 +15,6 @@ var lockMethods = map[string]bool{
 	"Unlock": false, "RUnlock": false,
 }
 
-// syncLockTypes are sync types that must never be copied after first use.
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true, "Pool": true, "Map": true,
-}
-
 // mutexRecvName reports whether the receiver of a Lock/Unlock-style call is
 // named like a mutex. crdb-lint is syntactic, so this naming heuristic is
 // what keeps Lock() methods on unrelated types (e.g. a table lock manager)
@@ -66,137 +61,13 @@ func lockCall(call *ast.CallExpr) (key string, acquire, ok bool) {
 	return key, acquire, true
 }
 
-// structIndex records, per "pkgDir:TypeName", whether the struct type
-// (transitively) embeds a sync lock and therefore must not be copied.
-type structIndex map[string]bool
-
-// buildStructIndex scans every struct declaration in the tree and computes
-// which types contain a lock, following same-package and cross-package
-// (by import-path suffix) field references to a fixpoint.
-func buildStructIndex(files []*file) structIndex {
-	idx := structIndex{}
-	pkgDirs := map[string]bool{}
-	for _, f := range files {
-		pkgDirs[f.pkgDir] = true
-	}
-	// refs[typeKey] = struct field type keys it embeds by value.
-	refs := map[string][]string{}
-	for _, f := range files {
-		for _, decl := range f.ast.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				key := f.pkgDir + ":" + ts.Name.Name
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				if _, seen := idx[key]; !seen {
-					idx[key] = false
-				}
-				for _, fld := range st.Fields.List {
-					direct, ref := fieldLockInfo(fld.Type, f, pkgDirs)
-					if direct {
-						idx[key] = true
-					}
-					if ref != "" {
-						refs[key] = append(refs[key], ref)
-					}
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for key, deps := range refs {
-			if idx[key] {
-				continue
-			}
-			for _, dep := range deps {
-				if idx[dep] {
-					idx[key] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return idx
-}
-
-// fieldLockInfo classifies a struct field type: direct reports a by-value
-// sync lock; ref names another struct type key the field embeds by value.
-func fieldLockInfo(expr ast.Expr, f *file, pkgDirs map[string]bool) (direct bool, ref string) {
-	switch t := expr.(type) {
-	case *ast.SelectorExpr:
-		if id, ok := t.X.(*ast.Ident); ok {
-			if f.syncNames[id.Name] && syncLockTypes[t.Sel.Name] {
-				return true, ""
-			}
-			if dir := importDirFor(f, id.Name, pkgDirs); dir != "" {
-				return false, dir + ":" + t.Sel.Name
-			}
-		}
-	case *ast.Ident:
-		return false, f.pkgDir + ":" + t.Name
-	case *ast.StructType:
-		for _, fld := range t.Fields.List {
-			d, r := fieldLockInfo(fld.Type, f, pkgDirs)
-			if d {
-				return true, ""
-			}
-			if r != "" {
-				ref = r // anonymous structs with a single embedded ref are rare; keep the last
-			}
-		}
-		return false, ref
-	}
-	return false, ""
-}
-
-// importDirFor maps a file-local package name to a pkgDir inside the lint
-// root, matching the import path by suffix. Returns "" for stdlib or
-// out-of-tree imports.
-func importDirFor(f *file, localName string, pkgDirs map[string]bool) string {
-	for _, imp := range f.ast.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		name := ""
-		if imp.Name != nil {
-			name = imp.Name.Name
-		} else if i := strings.LastIndexByte(p, '/'); i >= 0 {
-			name = p[i+1:]
-		} else {
-			name = p
-		}
-		if name != localName {
-			continue
-		}
-		for dir := range pkgDirs {
-			if p == dir || strings.HasSuffix(p, "/"+dir) {
-				return dir
-			}
-		}
-	}
-	return ""
-}
-
-// checkLockSafety runs the four lock-hygiene checks over one file.
-func checkLockSafety(f *file, idx structIndex) []Diagnostic {
+// checkLockSafety runs the three lock-hygiene checks over one file.
+func checkLockSafety(f *file) []Diagnostic {
 	var diags []Diagnostic
-	la := &lockAnalyzer{f: f, idx: idx}
+	la := &lockAnalyzer{f: f}
 	for _, decl := range f.ast.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		diags = append(diags, la.checkCopiedLocks(fd)...)
-		if fd.Body == nil {
+		if !ok || fd.Body == nil {
 			continue
 		}
 		diags = append(diags, la.checkMissingUnlock(fd)...)
@@ -206,62 +77,7 @@ func checkLockSafety(f *file, idx structIndex) []Diagnostic {
 }
 
 type lockAnalyzer struct {
-	f   *file
-	idx structIndex
-}
-
-// checkCopiedLocks flags by-value receivers and parameters whose type
-// contains a sync lock.
-func (la *lockAnalyzer) checkCopiedLocks(fd *ast.FuncDecl) []Diagnostic {
-	var diags []Diagnostic
-	flag := func(expr ast.Expr, what string) {
-		if name, lockish := la.lockBearing(expr); lockish {
-			diags = append(diags, Diagnostic{
-				Pos:     la.f.fset.Position(expr.Pos()),
-				Check:   "locksafety",
-				Message: fmt.Sprintf("%s of %s passes the lock by value; use a pointer", what, name),
-			})
-		}
-	}
-	if fd.Recv != nil {
-		for _, fld := range fd.Recv.List {
-			flag(fld.Type, fmt.Sprintf("receiver of %s", fd.Name.Name))
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, fld := range fd.Type.Params.List {
-			flag(fld.Type, fmt.Sprintf("parameter of %s", fd.Name.Name))
-		}
-	}
-	return diags
-}
-
-// lockBearing reports whether a non-pointer type expression names a
-// lock-bearing type (a sync lock itself or a struct containing one).
-func (la *lockAnalyzer) lockBearing(expr ast.Expr) (string, bool) {
-	switch t := expr.(type) {
-	case *ast.Ident:
-		key := la.f.pkgDir + ":" + t.Name
-		if la.idx[key] {
-			return t.Name, true
-		}
-	case *ast.SelectorExpr:
-		if id, ok := t.X.(*ast.Ident); ok {
-			if la.f.syncNames[id.Name] && syncLockTypes[t.Sel.Name] {
-				return "sync." + t.Sel.Name, true
-			}
-			pkgDirs := map[string]bool{}
-			for k := range la.idx {
-				if i := strings.LastIndexByte(k, ':'); i >= 0 {
-					pkgDirs[k[:i]] = true
-				}
-			}
-			if dir := importDirFor(la.f, id.Name, pkgDirs); dir != "" && la.idx[dir+":"+t.Sel.Name] {
-				return types.ExprString(t), true
-			}
-		}
-	}
-	return "", false
+	f *file
 }
 
 // checkMissingUnlock tallies Lock/Unlock pairs across a whole function body

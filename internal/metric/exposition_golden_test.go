@@ -14,7 +14,9 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("proxy.requests").Inc(7)
-	r.NewHistogram("sql.exec_latency").Record(5 * time.Millisecond)
+	h := NewHistogram()
+	r.MustRegister("sql.exec_latency", h)
+	h.Record(5 * time.Millisecond)
 	v := r.NewCounterVec("kv.tenant_batches", "tenant")
 	v.SetMaxCardinality(2)
 	v.With("alpha").Inc(1)

@@ -14,7 +14,8 @@ func buildExpositionRegistry() *Registry {
 	g := &Gauge{}
 	r.MustRegister("kv.cpu_load", g)
 	g.Add(0.625)
-	h := r.NewHistogram("sql.exec_latency")
+	h := NewHistogram()
+	r.MustRegister("sql.exec_latency", h)
 	for i := 1; i <= 100; i++ {
 		h.Record(time.Duration(i) * time.Millisecond)
 	}
@@ -83,7 +84,8 @@ func TestExpositionFormatPerType(t *testing.T) {
 func TestExpositionLabelsSortedAndOnEveryLine(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("proxy.requests").Inc(1)
-	h := r.NewHistogram("sql.exec_latency")
+	h := NewHistogram()
+	r.MustRegister("sql.exec_latency", h)
 	h.Record(time.Millisecond)
 	var b strings.Builder
 	err := r.WriteExpositionLabels(&b, map[string]string{"zone": "b", "region": "us-east1"})

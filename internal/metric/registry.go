@@ -52,13 +52,6 @@ func (r *Registry) NewCounter(name string) *Counter {
 	return c
 }
 
-// NewHistogram registers and returns a fresh Histogram.
-func (r *Registry) NewHistogram(name string) *Histogram {
-	h := NewHistogram()
-	r.MustRegister(name, h)
-	return h
-}
-
 // Get returns the metric registered under name, or nil.
 func (r *Registry) Get(name string) any {
 	r.mu.Lock()

@@ -78,18 +78,13 @@ type entry struct {
 // live peer. A peer further behind catches up from a live peer's snapshot.
 const logRetention = 8
 
-// CommitMetrics holds the group-commit instrumentation. One instance is
+// CommitMetrics counts commit rounds and committed entries. One instance is
 // shared by every Group registered against the same metric.Registry (the
 // Registry panics on duplicate names, so per-group registration is not an
 // option), mirroring lsm.ReadMetrics.
 type CommitMetrics struct {
-	// BatchSize is the raft.commit.batch_size histogram: entries committed
-	// per commit round. Histogram buckets are duration-typed, so a round of
-	// n entries records as n nanoseconds — a unit pun that keeps the
-	// exposition machinery unchanged (1ns tick = 1 entry).
-	BatchSize *metric.Histogram
-	// Batches and Entries count commit rounds and committed entries; their
-	// ratio is the realized group-commit factor.
+	// Batches and Entries count commit rounds and committed entries. Each
+	// round commits exactly one entry (see ProposeCtx), so they stay equal.
 	Batches *metric.Counter
 	Entries *metric.Counter
 }
@@ -98,34 +93,19 @@ type CommitMetrics struct {
 // returns the shared instance to hand to each Group's Config.
 func NewCommitMetrics(reg *metric.Registry) *CommitMetrics {
 	return &CommitMetrics{
-		BatchSize: reg.NewHistogram("raft.commit.batch_size"),
-		Batches:   reg.NewCounter("raft.commit.batches"),
-		Entries:   reg.NewCounter("raft.commit.entries"),
+		Batches: reg.NewCounter("raft.commit.batches"),
+		Entries: reg.NewCounter("raft.commit.entries"),
 	}
 }
 
-// record notes one commit round of n entries. Nil-safe: groups without
-// metrics pay only the nil check.
-func (m *CommitMetrics) record(n int) {
+// record notes one commit round. Nil-safe: groups without metrics pay only
+// the nil check.
+func (m *CommitMetrics) record() {
 	if m == nil {
 		return
 	}
-	m.BatchSize.Record(time.Duration(n))
 	m.Batches.Inc(1)
-	m.Entries.Inc(int64(n))
-}
-
-// proposal is one waiter in the group-commit queue.
-type proposal struct {
-	node NodeID
-	cmd  []byte
-	// index is the log index assigned at append (0 when rejected), and
-	// batch the number of entries committed by the round that served this
-	// proposal; both are read only after done is closed.
-	index uint64
-	batch int
-	err   error
-	done  chan struct{}
+	m.Entries.Inc(1)
 }
 
 type peer struct {
@@ -142,20 +122,6 @@ type Group struct {
 	leaseDur      time.Duration
 	faults        *faultinject.Registry
 	commitMetrics *CommitMetrics
-	// commitOverhead models the fixed cost of one commit round (quorum
-	// round-trip + log sync) as a sleep while the round is in flight; group
-	// commit amortizes it over the batch. Zero, the default, skips the sleep
-	// entirely. Only in-package tests and benchmarks set it, after NewGroup.
-	commitOverhead time.Duration
-
-	// seq is the group-commit sequencer: proposers enqueue, the first
-	// arrival becomes the round leader and drains the queue into commit
-	// rounds. seq.mu orders the queue and is never held across a round.
-	seq struct {
-		mu      sync.Mutex
-		queue   []*proposal
-		leading bool
-	}
 
 	// retention is logRetention; in-package tests may change it.
 	retention uint64
@@ -189,9 +155,9 @@ type Config struct {
 	// The lease.expire site is consulted under the group lock, so configure
 	// it without a Delay.
 	Faults *faultinject.Registry
-	// CommitMetrics, when non-nil, receives the commit-round
-	// instrumentation (raft.commit.batch_size and friends). Shared across
-	// groups; see NewCommitMetrics.
+	// CommitMetrics, when non-nil, receives the commit-round counters
+	// (raft.commit.batches and raft.commit.entries). Shared across groups;
+	// see NewCommitMetrics.
 	CommitMetrics *CommitMetrics
 }
 
@@ -331,8 +297,7 @@ func (g *Group) ExtendLease(node NodeID) error {
 
 // Propose replicates cmd through the group on behalf of node, which must
 // hold a valid lease. On success the command is committed and applied to
-// every live replica; dead replicas catch up when they next apply. See
-// ProposeCtx for the group-commit mechanics.
+// every live replica; dead replicas catch up when they next apply.
 func (g *Group) Propose(node NodeID, cmd []byte) error {
 	return g.ProposeCtx(context.Background(), node, cmd)
 }
@@ -341,102 +306,42 @@ func (g *Group) Propose(node NodeID, cmd []byte) error {
 // commit outcome is recorded on it as an event (never a child span, so
 // Fig-10-style decompositions of the parent keep summing exactly).
 //
-// Concurrent proposals are coalesced by a group-commit sequencer: the first
-// proposer to find no round in flight becomes the leader, drains the queue,
-// and runs one append+quorum+apply round for the whole batch, waking every
-// waiter with its per-entry result. The queue is FIFO and the leader appends
-// in arrival order, so proposals never reorder. Admission (lease validity,
-// proposer liveness, quorum of live acks) is checked per proposal inside the
-// round: a rejected proposal neither blocks nor fails its round-mates. With
-// exactly one proposer at a time — every deterministic single-threaded
-// harness in this repo — each round carries exactly one entry and the
-// observable behavior (fault-consult order, clock reads, apply order) is
-// identical to the pre-batching path.
+// Each proposal is its own commit round: admission, append, commit and apply
+// run in one critical section under the group lock, so concurrent proposers
+// serialize and commit in lock order. No caller batches: the KV layer holds
+// the range latch across its proposal, so at most one proposal per range is
+// ever in flight.
 func (g *Group) ProposeCtx(ctx context.Context, node NodeID, cmd []byte) error {
-	// Fault sites, consulted before the sequencer and the group lock so
-	// configured delays do not sleep under either: a scheduling delay before
-	// the proposal enters the group, and an outright proposal failure
-	// (dropped before append — the caller sees an error and nothing
-	// replicated).
+	// Fault sites, consulted before the group lock so configured delays do
+	// not sleep under it: a scheduling delay before the proposal enters the
+	// group, and an outright proposal failure (dropped before append — the
+	// caller sees an error and nothing replicated).
 	g.faults.Should("raftlite.propose.delay")
 	if err := g.faults.MaybeErr("raftlite.propose.err"); err != nil {
 		return err
 	}
-	p := &proposal{node: node, cmd: cmd, done: make(chan struct{})}
-	g.seq.mu.Lock()
-	g.seq.queue = append(g.seq.queue, p)
-	if g.seq.leading {
-		// A leader is draining the queue; it will carry this proposal in
-		// its next round.
-		g.seq.mu.Unlock()
-		<-p.done
-		g.traceCommit(ctx, p)
-		return p.err
-	}
-	g.seq.leading = true
-	for len(g.seq.queue) > 0 {
-		batch := g.seq.queue
-		g.seq.queue = nil
-		g.seq.mu.Unlock()
-		g.commitRound(batch)
-		g.seq.mu.Lock()
-	}
-	g.seq.leading = false
-	g.seq.mu.Unlock()
-	g.traceCommit(ctx, p)
-	return p.err
-}
-
-// commitRound runs one append+quorum+apply round for a batch of proposals,
-// filling each proposal's err/index, and wakes the waiters.
-func (g *Group) commitRound(batch []*proposal) {
 	g.mu.Lock()
 	now := g.clock.Now()
 	//lint:allow lockscope fault site is delay-free by contract (Config.Faults)
 	if g.faults.Should("raftlite.lease.expire") {
 		// Simulated lease loss (a liveness blip reaching the lease record):
-		// force-expire so the validity check below redirects the proposers
+		// force-expire so the validity check below redirects the proposer
 		// into reacquisition.
 		g.lease.Expiration = now
 	}
-	appended := 0
-	for _, p := range batch {
-		if p.err = g.admitProposalLocked(p.node, now); p.err != nil {
-			continue
-		}
-		g.log = append(g.log, entry{cmd: p.cmd})
-		p.index = g.truncated + uint64(len(g.log))
-		appended++
-	}
-	if appended > 0 {
-		if g.commitOverhead > 0 {
-			// One quorum round-trip + log sync per commit round. Rounds are
-			// serialized at the leader — an unpipelined log has at most one
-			// round in flight — so the sleep stays inside the critical
-			// section: that serialization is precisely the cost group
-			// commit amortizes over the batch.
-			//lint:allow lockscope models the serialized commit round; zero in every deterministic config
-			g.clock.Sleep(g.commitOverhead)
-		}
-		g.commit = g.truncated + uint64(len(g.log))
-		if roundErr := g.applyCommittedLocked(); roundErr != nil {
-			// An apply error surfaces on every proposal that committed in
-			// this round, matching the old one-proposal-per-round path where
-			// the lone proposer received it.
-			for _, p := range batch {
-				if p.err == nil {
-					p.err = roundErr
-				}
-			}
-		}
+	var index uint64
+	err := g.admitProposalLocked(node, now)
+	if err == nil {
+		g.log = append(g.log, entry{cmd: cmd})
+		index = g.truncated + uint64(len(g.log))
+		g.commit = index
+		err = g.applyCommittedLocked()
 		g.maybeTruncateLocked()
-		g.commitMetrics.record(appended)
+		g.commitMetrics.record()
 	}
 	g.mu.Unlock()
-	for _, p := range batch {
-		p.batch = appended
-		close(p.done)
-	}
+	g.traceCommit(ctx, index, err)
+	return err
 }
 
 // admitProposalLocked checks whether node may commit a proposal right now:
@@ -468,16 +373,16 @@ func (g *Group) admitProposalLocked(node NodeID, now time.Time) error {
 // traceCommit records the commit outcome on the caller's span. Events carry
 // error classes, never error strings, per the determinism rules (DESIGN.md
 // §9). Nil-safe: an untraced ctx costs one nil check.
-func (g *Group) traceCommit(ctx context.Context, p *proposal) {
+func (g *Group) traceCommit(ctx context.Context, index uint64, err error) {
 	sp := trace.SpanFromContext(ctx)
 	if sp == nil {
 		return
 	}
-	if p.err != nil {
-		sp.Eventf("raft.commit: r%d rejected (%s)", g.rangeID, proposalErrClass(p.err))
+	if err != nil {
+		sp.Eventf("raft.commit: r%d rejected (%s)", g.rangeID, proposalErrClass(err))
 		return
 	}
-	sp.Eventf("raft.commit: r%d index=%d batch=%d", g.rangeID, p.index, p.batch)
+	sp.Eventf("raft.commit: r%d index=%d", g.rangeID, index)
 }
 
 // proposalErrClass maps a proposal error to a stable class name for trace

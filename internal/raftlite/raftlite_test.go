@@ -292,11 +292,21 @@ func TestProposalOrderPreserved(t *testing.T) {
 	}
 }
 
+// One replica's apply error surfaces on the proposal, which still commits
+// and applies on the healthy replicas.
 func TestApplyErrorSurfaces(t *testing.T) {
 	f := newFixture(t, 3)
 	f.group.AcquireLease(1)
 	f.sms[1].errs = true
 	if err := f.group.Propose(1, []byte("x")); err == nil {
 		t.Fatal("apply error should surface")
+	}
+	if f.group.CommitIndex() != 1 {
+		t.Fatalf("commit index = %d, want 1", f.group.CommitIndex())
+	}
+	for _, i := range []int{0, 2} {
+		if got := f.sms[i].applied(); len(got) != 1 || got[0] != "x" {
+			t.Fatalf("replica %d applied %v, want [x]", i+1, got)
+		}
 	}
 }

@@ -176,6 +176,26 @@ func TestSQLNodeRegistersInstance(t *testing.T) {
 	}
 }
 
+// A pod the orchestrator pulled from the warm pool can be closed before its
+// tenant lands; the closed node must refuse the tenant rather than register
+// an instance row that advertises its dead address.
+func TestSQLNodeAssignTenantAfterCloseRefused(t *testing.T) {
+	env := newEnv(t)
+	ctx := context.Background()
+	tn, _ := env.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
+	n := env.startNode(t, nil)
+	n.Close()
+	if err := n.AssignTenant(ctx, tn); err == nil {
+		t.Fatal("closed node accepted a tenant")
+	}
+	ds := kvserver.NewDistSender(env.cluster, kvserver.Identity{Tenant: tn.ID})
+	coord := txn.NewCoordinator(ds, env.cluster.Clock(), tn.ID)
+	instances, err := sql.ListInstances(ctx, coord, tn.ID)
+	if err != nil || len(instances) != 0 {
+		t.Fatalf("instances after assign-on-closed = %v, %v", instances, err)
+	}
+}
+
 func TestSQLNodeSerializeAndRestoreSession(t *testing.T) {
 	env := newEnv(t)
 	ctx := context.Background()

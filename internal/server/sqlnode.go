@@ -136,13 +136,22 @@ func (n *SQLNode) Region() region.Region { return n.cfg.Region }
 // AssignTenant stamps the node with its tenant — the moment the tenant's
 // certificates land on the pod's file system in production (§4.3.1). The
 // node connects to the KV layer, builds its SQL stack, and registers itself
-// in system.sql_instances for DistSQL discovery.
+// in system.sql_instances for DistSQL discovery. A closed node refuses: its
+// instance row would advertise a dead address that nothing removes.
 func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	n.mu.Lock()
+	if n.mu.closed {
+		n.mu.Unlock()
+		return errors.New("server: node closed")
+	}
 	if n.mu.tenant != nil {
 		n.mu.Unlock()
 		return errors.New("server: tenant already assigned")
 	}
+	// Close waits for the registration below before it deregisters, so a
+	// Close racing this call cannot leave the row behind.
+	n.wg.Add(1)
+	defer n.wg.Done()
 	ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: t.ID}, kvserver.Config{Obs: n.cfg.Obs})
 	metered := NewMeteredSender(ds)
 	coord := txn.NewCoordinator(metered, n.cfg.Cluster.Clock(), t.ID)
@@ -233,8 +242,9 @@ func (n *SQLNode) Close() {
 		c.Close()
 	}
 	n.wg.Wait()
-	// Deregister from system.sql_instances.
-	if tenant != nil && n.mu.exec != nil {
+	// Deregister from system.sql_instances. The wait above let an
+	// AssignTenant already past its closed check finish registering.
+	if tenant != nil {
 		ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: tenant.ID})
 		coord := txn.NewCoordinator(ds, n.cfg.Cluster.Clock(), tenant.ID)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
