@@ -104,14 +104,6 @@ func (r *Reader) Bool() bool {
 	return v == 1
 }
 
-// Uint32 reads four bytes, big-endian.
-func (r *Reader) Uint32() uint32 {
-	if p := r.Take(4); p != nil {
-		return binary.BigEndian.Uint32(p)
-	}
-	return 0
-}
-
 // Uint64 reads eight bytes, big-endian.
 func (r *Reader) Uint64() uint64 {
 	if p := r.Take(8); p != nil {

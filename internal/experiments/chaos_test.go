@@ -11,8 +11,8 @@ import (
 // the trace. A change that moves one changed what the storm does: if that
 // is intended, say why and re-pin.
 const (
-	chaosSeed42Pin      = "78565a37d0aadc85645e3b1d7f0ec33321d85c7a0ee33480b7adca7ec2b1aeb2"
-	mergeStormSeed23Pin = "7cc055dbeea7f017ec3e04ec17fdc15e3e3909458e08b1abfe11f3511bfa7558"
+	chaosSeed42Pin      = "fec8f780d6064be6a608a65d7472264b8d52e57f03de9a9d86ac215c4b2501ef"
+	mergeStormSeed23Pin = "dc31148b4aae2a6312f2c15fa3ddf7dc4da5510a94ea78ead124ae47c278eebf"
 )
 
 // replayDigest is the hex SHA-256 of a run's schedule followed by its trace.

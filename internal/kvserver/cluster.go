@@ -88,20 +88,21 @@ type engineSM struct {
 	rs *rangeState
 }
 
-// Apply implements raftlite.StateMachine. After the command's mutations it
-// persists the applied index under the range's raw applied key, so a store
-// recovering from a crash can tell the replication group how far its durable
-// state actually reached (Cluster.RecoverNode).
+// Apply implements raftlite.StateMachine. It writes the command's entries
+// and the range's applied index, under the range's raw applied key, in one
+// engine batch: one WAL record, so a crash keeps the whole command or none of
+// it, and a store recovering from one can tell the replication group how far
+// its durable state actually reached (Cluster.RecoverNode).
 func (sm engineSM) Apply(index uint64, cmd []byte) error {
-	c, err := decodeCommand(cmd)
+	ents, err := decodeCommand(cmd)
 	if err != nil {
 		return err
 	}
-	e := sm.n.Engine()
-	if err := applyMutations(e, c); err != nil {
-		return err
-	}
-	return e.Set(appliedKey(sm.rs.desc.Load().RangeID), keys.EncodeUint64(nil, index))
+	ents = append(ents, lsm.Entry{
+		Key:   appliedKey(sm.rs.desc.Load().RangeID),
+		Value: keys.EncodeUint64(nil, index),
+	})
+	return sm.n.Engine().ApplyBatch(ents)
 }
 
 // Cluster is a set of KV nodes hosting the partitioned, replicated keyspace.
@@ -877,16 +878,17 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	}
 
 	// checkWrite combines the timestamp-cache push with MVCC conflicts.
+	e := n.Engine()
 	checkWrite := func(key keys.Key) error {
 		if cached := rs.tsc.maxReadOther(key, txnID); !cached.Less(readTs) {
 			return &kvpb.WriteTooOldError{Key: key.Clone(), ActualTs: cached.Next()}
 		}
-		return mvcc.CheckWriteConflict(n.Engine(), key, readTs, txnID)
+		return mvcc.CheckWriteConflict(e, key, readTs, txnID)
 	}
 
 	// A commit batch (TxnWrites > 0) that arrives with every write its
-	// transaction makes is committed here, in one command: its mutations are
-	// written as committed versions rather than intents, after the same checks
+	// transaction makes is committed here, in one command: its writes land
+	// as committed versions rather than intents, after the same checks
 	// any write gets. The range decides from what it received, not from what
 	// the sender believed — a batch split across ranges, or clipped by a
 	// stale descriptor on the way, holds fewer writes than TxnWrites and lays
@@ -911,7 +913,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		if !commitBatch || !kvpb.IsConflict(err) {
 			return nil, err
 		}
-		applied, aerr := alreadyCommitted(n.Engine(), ba.Requests, readTs)
+		applied, aerr := alreadyCommitted(e, ba.Requests, readTs)
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -922,8 +924,13 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			Responses: make([]kvpb.Response, len(ba.Requests))}, nil
 	}
 
-	var cmd command
+	// The command's entries are built against the engine as it stands
+	// before the batch. A batch writes every key at one timestamp, so a key
+	// it writes twice gets one storage key, and the later entry wins within
+	// the engine batch.
+	var ents []lsm.Entry
 	var writtenBytes int64
+	var err error
 	for _, r := range ba.Requests {
 		switch r.Method {
 		case kvpb.Get, kvpb.Scan:
@@ -937,22 +944,22 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			if err := checkWrite(r.Key); err != nil {
 				return conflicted(err)
 			}
-			cmd.Mutations = append(cmd.Mutations, mutation{
-				Kind: mutPut, Key: r.Key.Clone(), Ts: readTs, TxnID: writeTxnID, Value: r.Value,
-			})
+			if ents, err = mvcc.AppendPut(ents, e, r.Key, mvcc.Version{Ts: readTs, TxnID: writeTxnID, Data: r.Value}); err != nil {
+				return nil, err
+			}
 			writtenBytes += int64(len(r.Key) + len(r.Value))
 			resp.Responses = append(resp.Responses, kvpb.Response{})
 		case kvpb.Delete:
 			if err := checkWrite(r.Key); err != nil {
 				return conflicted(err)
 			}
-			cmd.Mutations = append(cmd.Mutations, mutation{
-				Kind: mutDelete, Key: r.Key.Clone(), Ts: readTs, TxnID: writeTxnID,
-			})
+			if ents, err = mvcc.AppendPut(ents, e, r.Key, mvcc.Version{Ts: readTs, TxnID: writeTxnID, Tombstone: true}); err != nil {
+				return nil, err
+			}
 			writtenBytes += int64(len(r.Key))
 			resp.Responses = append(resp.Responses, kvpb.Response{})
 		case kvpb.DeleteRange:
-			res, err := mvcc.Scan(n.Engine(), r.Span(), readTs, txnID, 0)
+			res, err := mvcc.Scan(e, r.Span(), readTs, txnID, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -964,33 +971,30 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 				if err := checkWrite(kv.Key); err != nil {
 					return nil, err
 				}
-				cmd.Mutations = append(cmd.Mutations, mutation{
-					Kind: mutDelete, Key: kv.Key.Clone(), Ts: readTs, TxnID: txnID,
-				})
+				if ents, err = mvcc.AppendPut(ents, e, kv.Key, mvcc.Version{Ts: readTs, TxnID: txnID, Tombstone: true}); err != nil {
+					return nil, err
+				}
 				writtenBytes += int64(len(kv.Key))
 				deleted.Rows = append(deleted.Rows, kvpb.KeyValue{Key: kv.Key.Clone()})
 			}
 			resp.Responses = append(resp.Responses, deleted)
 		case kvpb.ResolveIntent:
-			cmd.Mutations = append(cmd.Mutations, mutation{
-				Kind: mutResolve, Key: r.Key.Clone(), TxnID: r.ResolveTxnID,
-				Commit: r.ResolveCommit, CommitTs: r.ResolveTs,
-			})
+			if ents, err = mvcc.AppendResolve(ents, e, r.Key, r.ResolveTxnID, r.ResolveCommit, r.ResolveTs); err != nil {
+				return nil, err
+			}
 			resp.Responses = append(resp.Responses, kvpb.Response{})
 		case kvpb.ResolveIntentRange:
 			// The leaseholder enumerates the transaction's intents in the
-			// span and replicates one point resolution per key, so every
-			// replica applies the identical mutation list.
-			iks, err := mvcc.IntentKeys(n.Engine(), r.Span(), r.ResolveTxnID)
+			// span and resolves each one.
+			iks, err := mvcc.IntentKeys(e, r.Span(), r.ResolveTxnID)
 			if err != nil {
 				return nil, err
 			}
 			var out kvpb.Response
 			for _, k := range iks {
-				cmd.Mutations = append(cmd.Mutations, mutation{
-					Kind: mutResolve, Key: k, TxnID: r.ResolveTxnID,
-					Commit: r.ResolveCommit, CommitTs: r.ResolveTs,
-				})
+				if ents, err = mvcc.AppendResolve(ents, e, k, r.ResolveTxnID, r.ResolveCommit, r.ResolveTs); err != nil {
+					return nil, err
+				}
 				out.Rows = append(out.Rows, kvpb.KeyValue{Key: k})
 			}
 			resp.Responses = append(resp.Responses, out)
@@ -999,8 +1003,10 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		}
 	}
 
-	if len(cmd.Mutations) > 0 {
-		if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(cmd)); err != nil {
+	// A batch whose writes come to no entries (a resolve that found no
+	// intent) has nothing to replicate.
+	if len(ents) > 0 {
+		if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(ents)); err != nil {
 			return nil, err
 		}
 		rs.statsMu.Lock()

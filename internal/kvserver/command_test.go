@@ -3,30 +3,26 @@ package kvserver
 import (
 	"bytes"
 	"encoding/hex"
-	"reflect"
 	"testing"
 
-	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
+	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/randutil"
 )
 
 // goldenCommand and goldenCommandHex fix the replicated command format. A
 // diff here is a format change: replicas on either side of it could not apply
 // each other's raft entries.
-var goldenCommand = command{Mutations: []mutation{
-	{Kind: mutPut, Key: keys.Key("a"), Ts: hlc.Timestamp{WallTime: 1000, Logical: 2}, TxnID: 7, Value: []byte("v1")},
-	{Kind: mutDelete, Key: keys.Key("bc"), Ts: hlc.Timestamp{WallTime: 1001}},
-	{Kind: mutResolve, Key: keys.Key("a"), TxnID: 300, Value: []byte{}, Commit: true, CommitTs: hlc.Timestamp{WallTime: 1002, Logical: 1}},
-}}
+var goldenCommand = []lsm.Entry{
+	{Key: []byte("a"), Value: []byte("v1")},
+	{Key: []byte("bc"), Tombstone: true},
+	{Key: []byte("d"), Value: []byte{}},
+}
 
-const goldenCommandHex = "03" + // three mutations
-	// put "a" @1000.2 by txn 7, value "v1"
-	"00" + "0161" + "00000000000003e8" + "00000002" + "07" + "037631" + "00" + "0000000000000000" + "00000000" +
-	// delete "bc" @1001.0, no txn, nil value
-	"01" + "026263" + "00000000000003e9" + "00000000" + "00" + "00" + "00" + "0000000000000000" + "00000000" +
-	// resolve "a" for txn 300: commit @1002.1; the value is empty, not nil
-	"02" + "0161" + "0000000000000000" + "00000000" + "ac02" + "01" + "01" + "00000000000003ea" + "00000001"
+const goldenCommandHex = "03" + // three entries
+	"00" + "0161" + "027631" + // put "a" -> "v1"
+	"01" + "026263" + "00" + // tombstone for "bc"
+	"00" + "0164" + "00" // put "d" -> empty value
 
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
@@ -35,6 +31,20 @@ func mustHex(t testing.TB, s string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// sameEntries compares entry lists as the engine sees them: a nil value and
+// an empty one are the same value.
+func sameEntries(a, b []lsm.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Tombstone != b[i].Tombstone || !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCommandGolden(t *testing.T) {
@@ -46,55 +56,64 @@ func TestCommandGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DeepEqual tells a nil Value from an empty one, which is the point.
-	if !reflect.DeepEqual(got, goldenCommand) {
-		t.Fatalf("decoded command = %+v", got)
+	if !sameEntries(got, goldenCommand) {
+		t.Fatalf("decoded command = %v", got)
+	}
+	if got, err := decodeCommand(encodeCommand(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty command = %v, %v", got, err)
 	}
 }
 
-// The raft entry is shared by every replica and stays in the log; a decoded
-// command must not point into it.
-func TestDecodedCommandDoesNotAliasTheEntry(t *testing.T) {
-	entry := mustHex(t, goldenCommandHex)
-	got, err := decodeCommand(entry)
+// The decoded entries alias the raft entry, which every replica shares and
+// the log keeps: the engine must copy what it keeps, so overwriting the entry
+// after Apply leaves the applied state as it was.
+func TestOverwritingTheEntryAfterApplyLeavesTheEngine(t *testing.T) {
+	c := newTestCluster(t, 1)
+	rs, err := c.rangeFor(tenantKey(2, "a"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(NodeConfig{ID: 9, VCPUs: 2})
+	entry := mustHex(t, goldenCommandHex)
+	const index = 7
+	if err := (engineSM{n: n, rs: rs}).Apply(index, entry); err != nil {
 		t.Fatal(err)
 	}
 	for i := range entry {
 		entry[i] = 0xff
 	}
-	if !reflect.DeepEqual(got, goldenCommand) {
-		t.Fatalf("overwriting the entry changed the decoded command: %+v", got)
+	applied := appliedKey(rs.desc.Load().RangeID)
+	want := []lsm.Entry{
+		{Key: applied, Value: keys.EncodeUint64(nil, index)},
+		goldenCommand[0],
+		goldenCommand[2],
+	}
+	var got []lsm.Entry
+	for it := n.Engine().NewIter(nil, nil); it.Valid(); it.Next() {
+		got = append(got, lsm.Entry{Key: bytes.Clone(it.Key()), Value: bytes.Clone(it.Value())})
+	}
+	if !sameEntries(got, want) {
+		t.Fatalf("engine after overwriting the entry = %v, want %v", got, want)
 	}
 }
 
 func TestCommandRandomRoundTrip(t *testing.T) {
 	rng := randutil.NewRand(18)
-	randTs := func() hlc.Timestamp {
-		return hlc.Timestamp{WallTime: rng.Int63() >> uint(rng.Intn(63)), Logical: int32(rng.Intn(1 << 20))}
-	}
 	for i := 0; i < 1000; i++ {
-		c := command{Mutations: make([]mutation, rng.Intn(8))}
-		for j := range c.Mutations {
-			m := mutation{
-				Kind:     mutationKind(rng.Intn(3)),
-				Key:      keys.Key(randutil.RandBytes(rng, rng.Intn(30))),
-				Ts:       randTs(),
-				TxnID:    rng.Uint64() >> uint(rng.Intn(64)),
-				Commit:   rng.Intn(2) == 1,
-				CommitTs: randTs(),
+		ents := make([]lsm.Entry, rng.Intn(8))
+		for j := range ents {
+			ents[j] = lsm.Entry{
+				Key:       randutil.RandBytes(rng, rng.Intn(30)),
+				Value:     randutil.RandBytes(rng, rng.Intn(200)),
+				Tombstone: rng.Intn(2) == 1,
 			}
-			if n := rng.Intn(200); n > 0 {
-				m.Value = randutil.RandBytes(rng, n-1)
-			}
-			c.Mutations[j] = m
 		}
-		got, err := decodeCommand(encodeCommand(c))
+		got, err := decodeCommand(encodeCommand(ents))
 		if err != nil {
 			t.Fatalf("command %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, c) {
-			t.Fatalf("command %d round trip\n got %+v\nwant %+v", i, got, c)
+		if !sameEntries(got, ents) {
+			t.Fatalf("command %d round trip\n got %v\nwant %v", i, got, ents)
 		}
 	}
 }
@@ -102,48 +121,54 @@ func TestCommandRandomRoundTrip(t *testing.T) {
 func TestDecodeCommandRejectsMalformedInput(t *testing.T) {
 	golden := mustHex(t, goldenCommandHex)
 	for cut := 0; cut < len(golden); cut++ {
-		if c, err := decodeCommand(golden[:cut]); err == nil {
-			t.Errorf("command truncated to %d of %d bytes decoded to %+v", cut, len(golden), c)
+		if ents, err := decodeCommand(golden[:cut]); err == nil {
+			t.Errorf("command truncated to %d of %d bytes decoded to %v", cut, len(golden), ents)
 		}
 	}
-	// One well-formed mutation to damage: put "k" with a nil value.
-	const one = "01" + "00" + "016b" + "0000000000000001" + "00000000" + "00" + "00" + "00" + "0000000000000000" + "00000000"
+	// One well-formed entry to damage: put "k" -> "v".
+	const one = "01" + "00" + "016b" + "0176"
 	if _, err := decodeCommand(mustHex(t, one)); err != nil {
-		t.Fatalf("the undamaged mutation: %v", err)
+		t.Fatalf("the undamaged entry: %v", err)
 	}
 	for name, in := range map[string]string{
-		"trailing byte":          one + "00",
-		"unknown kind":           "01" + "03" + one[4:],
-		"commit out of range":    one[:len(one)-26] + "02" + one[len(one)-24:],
-		"count beyond input":     "02" + one[2:],
-		"count near 2^64":        "ffffffffffffffffff01" + one[2:],
-		"key longer than input":  "01" + "00" + "7f6b" + one[8:],
-		"value length near 2^64": "01" + "00" + "016b" + "0000000000000001" + "00000000" + "00" + "ffffffffffffffffff01",
+		"trailing byte":            one + "00",
+		"tombstone out of range":   "01" + "02" + one[4:],
+		"count beyond input":       "02" + one[2:],
+		"count near 2^64":          "ffffffffffffffffff01" + one[2:],
+		"key longer than input":    "01" + "00" + "7f6b" + "0176",
+		"value longer than input":  "01" + "00" + "016b" + "0276",
+		"value length near 2^64":   "01" + "00" + "016b" + "ffffffffffffffffff01",
+		"unterminated key length":  "01" + "00" + "80808080",
+		"unterminated count":       "80",
+		"entry missing its value":  "01" + "00" + "016b",
+		"second entry beyond end":  "02" + one[2:] + "00",
+		"no entry after the count": "01",
 	} {
-		if c, err := decodeCommand(mustHex(t, in)); err == nil {
-			t.Errorf("%s (%s) decoded to %+v", name, in, c)
+		if ents, err := decodeCommand(mustHex(t, in)); err == nil {
+			t.Errorf("%s (%s) decoded to %v", name, in, ents)
 		}
 	}
 }
 
 // FuzzDecodeCommand: no input makes the decoder panic, and whatever decodes
-// re-encodes to bytes that decode to the same command.
+// re-encodes to bytes that decode to the same entries.
 func FuzzDecodeCommand(f *testing.F) {
 	f.Add(mustHex(f, goldenCommandHex))
+	f.Add(mustHex(f, "01"+"01"+"016b"+"0176")) // a tombstone carrying a value
 	f.Add([]byte{0})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		c, err := decodeCommand(in)
+		ents, err := decodeCommand(in)
 		if err != nil {
 			return
 		}
-		enc := encodeCommand(c)
+		enc := encodeCommand(ents)
 		again, err := decodeCommand(enc)
 		if err != nil {
 			t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
 		}
-		if !reflect.DeepEqual(again, c) {
-			t.Fatalf("%x decodes to %+v, its re-encoding to %+v", in, c, again)
+		if !sameEntries(again, ents) {
+			t.Fatalf("%x decodes to %v, its re-encoding to %v", in, ents, again)
 		}
 	})
 }

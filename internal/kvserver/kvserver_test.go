@@ -577,23 +577,6 @@ func TestMetaDirectoryInvariants(t *testing.T) {
 	}
 }
 
-func TestCommandRoundTrip(t *testing.T) {
-	c := command{Mutations: []mutation{
-		{Kind: mutPut, Key: keys.Key("k"), Value: []byte("v"), TxnID: 7},
-		{Kind: mutResolve, Key: keys.Key("k"), TxnID: 7, Commit: true},
-	}}
-	got, err := decodeCommand(encodeCommand(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Mutations) != 2 || string(got.Mutations[0].Value) != "v" || !got.Mutations[1].Commit {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if _, err := decodeCommand([]byte("garbage")); err == nil {
-		t.Fatal("garbage command should fail to decode")
-	}
-}
-
 func TestDistSenderRedirectEventOnSpan(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ds := NewDistSender(c, Identity{Tenant: 2})

@@ -133,9 +133,10 @@ func (n *Node) VCPUs() int { return n.vcpus }
 func (n *Node) Engine() *lsm.Engine { return n.engine.Load() }
 
 // Crash simulates a process crash and restart of the node's store: the
-// engine is closed, the directory loses its unsynced suffix (up to tear
-// bytes of torn tail per file), and the engine is reopened from the durable
-// state — replaying the WAL, truncating at the first torn record. The node
+// directory loses its unsynced suffix (up to tear bytes of torn tail per
+// file) before the old engine is closed, since a close syncs the WAL tail a
+// crash would lose, and the engine is reopened from the durable state —
+// replaying the WAL, truncating at the first torn record. The node
 // must be configured with durable storage (Options.Durable), and the caller
 // must cordon it first so no batch runs against the dying engine. After a
 // successful Crash the caller reconciles replication state with
@@ -145,8 +146,8 @@ func (n *Node) Crash(tear int) error {
 	if dir == nil {
 		return errors.New("kvserver: node has no durable storage to crash")
 	}
-	n.Engine().Close()
 	dir.Crash(tear)
+	n.Engine().Close()
 	e, err := lsm.Open(n.lsmOpts)
 	if err != nil {
 		return fmt.Errorf("kvserver: reopening store after crash: %w", err)

@@ -3,6 +3,7 @@ package kvserver
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,6 +204,153 @@ func TestNodeCrashRecoversDurableState(t *testing.T) {
 	for _, st := range c.ReplicaStatuses() {
 		if st.Applied != st.Commit {
 			t.Fatalf("range %d node %d applied %d != commit %d", st.RangeID, st.Node, st.Applied, st.Commit)
+		}
+	}
+}
+
+// newSyncPolicyCluster builds a 3-node cluster whose durable stores sync the
+// WAL once bytesPerSync bytes have accumulated (0 syncs every record).
+func newSyncPolicyCluster(t *testing.T, bytesPerSync int64) *Cluster {
+	return newTestCluster(t, 3, func(cfg *NodeConfig) {
+		cfg.LSM = lsm.Options{Durable: lsm.NewDir(), WALBytesPerSync: bytesPerSync}
+	})
+}
+
+// TestNodeCrashLosesUnsyncedTail: a store crash loses what its WAL had not
+// synced. Node 2's store never syncs on its own here, so the crash takes
+// every command it applied and its durable applied index falls; recovery
+// then replays them from the log.
+func TestNodeCrashLosesUnsyncedTail(t *testing.T) {
+	c := newSyncPolicyCluster(t, 1<<30)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		k := tenantKey(2, fmt.Sprintf("k%d", i))
+		if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n2, _ := c.Node(2)
+	before, err := durableAppliedIndex(n2.Engine(), 1)
+	if err != nil || before == 0 {
+		t.Fatalf("node 2 applied index before the crash = %d, %v; want past 0", before, err)
+	}
+	n2.SetCordoned(true)
+	if err := n2.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := durableAppliedIndex(n2.Engine(), 1); err != nil || after >= before {
+		t.Fatalf("node 2 durable applied index %d -> %d (%v) across a crash with nothing synced", before, after, err)
+	}
+	if err := c.RecoverNode(2); err != nil {
+		t.Fatal(err)
+	}
+	n2.SetCordoned(false)
+	if err := c.CatchUpReplicas(); err != nil {
+		t.Fatal(err)
+	}
+	readTs := hlc.Timestamp{WallTime: 1<<62 - 1}
+	for i := 0; i < 5; i++ {
+		if _, ok, err := mvcc.Get(n2.Engine(), tenantKey(2, fmt.Sprintf("k%d", i)), readTs, 0); err != nil || !ok {
+			t.Fatalf("after recovery node 2 lacks k%d (%v)", i, err)
+		}
+	}
+}
+
+// TestCrashLeavesNoCommandHalfApplied: a command and its applied index are
+// one WAL record, so wherever a crash cuts the WAL — at a sync point or
+// through a torn record — each batch's writes survive on the store all
+// together or not at all.
+func TestCrashLeavesNoCommandHalfApplied(t *testing.T) {
+	const batches, perBatch = 12, 4
+	key := func(b, i int) keys.Key { return tenantKey(2, fmt.Sprintf("b%02d-k%d", b, i)) }
+	// A command is a WAL record of about 280 bytes. The first one carries
+	// longer values and syncs alone under the 512-byte policy; the rest pair
+	// up behind it, which leaves the last one unsynced for the crash to take.
+	value := func(b int) string {
+		if b == 0 {
+			return strings.Repeat("v", 64)
+		}
+		return "v"
+	}
+	readTs := hlc.Timestamp{WallTime: 1<<62 - 1}
+	torn := 0 // crashes that kept some batches and lost others
+	for _, bytesPerSync := range []int64{128, 256, 512} {
+		for tear := 0; tear < 64; tear += 3 {
+			c := newSyncPolicyCluster(t, bytesPerSync)
+			ds := NewDistSender(c, Identity{Tenant: 2})
+			for b := 0; b < batches; b++ {
+				ba := &kvpb.BatchRequest{Tenant: 2}
+				for i := 0; i < perBatch; i++ {
+					ba.Requests = append(ba.Requests, putReq(key(b, i), value(b)))
+				}
+				if _, err := ds.Send(context.Background(), ba); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n2, _ := c.Node(2)
+			n2.SetCordoned(true)
+			if err := n2.Crash(tear); err != nil {
+				t.Fatal(err)
+			}
+			kept := 0
+			for b := 0; b < batches; b++ {
+				present := 0
+				for i := 0; i < perBatch; i++ {
+					if _, ok, err := mvcc.Get(n2.Engine(), key(b, i), readTs, 0); err != nil {
+						t.Fatal(err)
+					} else if ok {
+						present++
+					}
+				}
+				if present != 0 && present != perBatch {
+					t.Errorf("sync every %d B, tear %d: batch %d has %d of its %d writes on the crashed store",
+						bytesPerSync, tear, b, present, perBatch)
+				}
+				if present == perBatch {
+					kept++
+				}
+			}
+			if kept > 0 && kept < batches {
+				torn++
+			}
+		}
+	}
+	if torn == 0 {
+		t.Fatal("no crash kept some batches and lost others: the test cut no WAL between commands")
+	}
+}
+
+// TestCommandIsOneWALSync: under a sync-every-record policy, a command with
+// several writes costs each replica one WAL record, so one sync.
+func TestCommandIsOneWALSync(t *testing.T) {
+	c := newSyncPolicyCluster(t, 0)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	send := func(ba *kvpb.BatchRequest) {
+		t.Helper()
+		if _, err := ds.Send(ctx, ba); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first write also acquires the range's lease.
+	send(&kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(tenantKey(2, "warm"), "v")}})
+	fsyncs := func() []int64 {
+		var out []int64
+		for _, n := range c.Nodes() {
+			out = append(out, n.Engine().Metrics().WALFsyncs)
+		}
+		return out
+	}
+	before := fsyncs()
+	ba := &kvpb.BatchRequest{Tenant: 2}
+	for i := 0; i < 4; i++ {
+		ba.Requests = append(ba.Requests, putReq(tenantKey(2, fmt.Sprintf("k%d", i)), "v"))
+	}
+	send(ba)
+	for i, after := range fsyncs() {
+		if d := after - before[i]; d != 1 {
+			t.Errorf("node %d issued %d WAL syncs for one 4-write command, want 1", i+1, d)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
+	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/mvcc"
 )
 
@@ -82,19 +83,23 @@ func TestSnapshotRoundTripBetweenReplicas(t *testing.T) {
 	}
 
 	de := donor.Engine()
-	must(mvcc.ApplyPut(de, tenantKey(tenant, "a"), at(10), 0, []byte("a1")))
-	must(mvcc.ApplyPut(de, tenantKey(tenant, "a"), at(20), 0, []byte("a2")))
-	must(mvcc.ApplyPut(de, tenantKey(tenant, "b"), at(10), 0, []byte("b1")))
-	must(mvcc.ApplyDelete(de, tenantKey(tenant, "b"), at(30), 0))
-	must(mvcc.ApplyPut(de, tenantKey(tenant, "c"), at(10), 0, []byte{}))
+	put := func(e *lsm.Engine, k string, wall int64, txnID uint64, v []byte) {
+		t.Helper()
+		must(applyVersion(e, tenantKey(tenant, k), mvcc.Version{Ts: at(wall), TxnID: txnID, Data: v}))
+	}
+	put(de, "a", 10, 0, []byte("a1"))
+	put(de, "a", 20, 0, []byte("a2"))
+	put(de, "b", 10, 0, []byte("b1"))
+	must(applyVersion(de, tenantKey(tenant, "b"), mvcc.Version{Ts: at(30), Tombstone: true}))
+	put(de, "c", 10, 0, []byte{})
 	const intentTxn = 7
-	must(mvcc.ApplyPut(de, tenantKey(tenant, "d"), at(40), intentTxn, []byte("d-intent")))
+	put(de, "d", 40, intentTxn, []byte("d-intent"))
 
 	re := recv.Engine()
-	must(mvcc.ApplyPut(re, tenantKey(tenant, "a"), at(50), 0, []byte("stale")))
-	must(mvcc.ApplyPut(re, tenantKey(tenant, "z"), at(5), 0, []byte("stale")))
+	put(re, "a", 50, 0, []byte("stale"))
+	put(re, "z", 5, 0, []byte("stale"))
 	outside := appliedKey(rs.desc.Load().RangeID + 1)
-	must(re.Set(outside, []byte("other range")))
+	must(re.ApplyBatch([]lsm.Entry{{Key: outside, Value: []byte("other range")}}))
 
 	data, err := engineSM{n: donor, rs: rs}.Snapshot()
 	must(err)
@@ -142,4 +147,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("%x decodes to %q, its re-encoding to %q", in, pairs, again)
 		}
 	})
+}
+
+// applyVersion writes v for key as a replica applies a command:
+// mvcc.AppendPut's entries in one engine batch.
+func applyVersion(e *lsm.Engine, key keys.Key, v mvcc.Version) error {
+	ents, err := mvcc.AppendPut(nil, e, key, v)
+	if err != nil {
+		return err
+	}
+	return e.ApplyBatch(ents)
 }

@@ -424,16 +424,6 @@ func (e *Engine) writeManifestLocked() {
 	e.mu.wal.deleteSegmentsBelow(m.minUnflushedSeg)
 }
 
-// Set writes key=value.
-func (e *Engine) Set(key, value []byte) error {
-	return e.apply(Entry{Key: cloneBytes(key), Value: cloneBytes(value)})
-}
-
-// Delete writes a tombstone for key.
-func (e *Engine) Delete(key []byte) error {
-	return e.apply(Entry{Key: cloneBytes(key), Tombstone: true})
-}
-
 // ApplyBatch writes a batch of entries atomically with respect to flushes.
 // If the batch pushes the memtable past its threshold, the rotation happens
 // inside the same critical section as the writes: a concurrent writer that
@@ -493,10 +483,6 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	e.mu.Unlock()
 	e.finishFlush(sp, job)
 	return nil
-}
-
-func (e *Engine) apply(ent Entry) error {
-	return e.ApplyBatch([]Entry{ent})
 }
 
 // Flush moves the active memtable into a new L0 sstable. The flush is

@@ -12,6 +12,16 @@ import (
 	"crdbserverless/internal/randutil"
 )
 
+// Set writes key=value, one entry in its own batch.
+func (e *Engine) Set(key, value []byte) error {
+	return e.ApplyBatch([]Entry{{Key: key, Value: value}})
+}
+
+// Delete writes a tombstone for key, one entry in its own batch.
+func (e *Engine) Delete(key []byte) error {
+	return e.ApplyBatch([]Entry{{Key: key, Tombstone: true}})
+}
+
 // newManualEngine returns an engine that compacts only when told to, so a
 // test can build a specific level shape.
 func newManualEngine(opts Options) *Engine {

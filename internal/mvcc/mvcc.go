@@ -137,25 +137,6 @@ func decodeValue(b []byte) (Version, error) {
 	return v, nil
 }
 
-// ApplyPut writes value for key at ts; if txnID is nonzero the write is an
-// intent owned by that transaction. It is the replication-side write: it
-// skips conflict checking (CheckWriteConflict), which already ran on the
-// leaseholder during evaluation. Replicas applying a
-// committed command — including a recovered store replaying raft entries over
-// partially surviving state — must not re-check, because a half-applied
-// command's own versions would read as conflicts and make deterministic
-// application fail partway through. It is idempotent: re-applying writes the
-// identical version at the identical timestamp.
-func ApplyPut(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64, value []byte) error {
-	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Data: value})
-}
-
-// ApplyDelete writes a deletion tombstone version for key at ts (see
-// ApplyPut).
-func ApplyDelete(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
-	return putVersion(e, key, Version{Ts: ts, TxnID: txnID, Tombstone: true})
-}
-
 // CheckWriteConflict reports the conflict a write at (ts, txnID) on key would
 // encounter: WriteIntentError for another transaction's intent, or
 // WriteTooOldError for a committed version at or above ts. The KV layer runs
@@ -201,25 +182,26 @@ func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version,
 	return v, true, nil
 }
 
-func putVersion(e *lsm.Engine, key keys.Key, v Version) error {
-	if !v.IsIntent() {
-		// Only an intent can have an earlier intent of its own to replace.
-		return e.Set(EncodeKey(key, v.Ts), encodeValue(v))
+// AppendPut appends to dst the engine entries that write v as key's newest
+// version: when v is an intent and key's newest version is an earlier intent
+// of the same transaction, a tombstone for that one, then v itself. The
+// leaseholder builds a command this way under the range latch, after
+// CheckWriteConflict; replicas apply the entries as they are, in one engine
+// batch, so the tombstone and its replacement share one WAL record and a
+// crash never surfaces both versions, or neither. A committed version is
+// appended without a look at the key: only an intent can have an earlier
+// intent of its own to replace.
+func AppendPut(dst []lsm.Entry, e *lsm.Engine, key keys.Key, v Version) ([]lsm.Entry, error) {
+	if v.IsIntent() {
+		newest, ok, err := newestVersion(e, key)
+		if err != nil {
+			return dst, err
+		}
+		if ok && newest.IsIntent() && newest.TxnID == v.TxnID {
+			dst = append(dst, lsm.Entry{Key: EncodeKey(key, newest.Ts), Tombstone: true})
+		}
 	}
-	newest, ok, err := newestVersion(e, key)
-	if err != nil {
-		return err
-	}
-	if ok && newest.IsIntent() && newest.TxnID == v.TxnID {
-		// Same transaction rewriting its intent: replace the old provisional
-		// version. Tombstone and replacement go through one engine batch (one
-		// WAL record) so a crash can never surface both versions — or neither.
-		return e.ApplyBatch([]lsm.Entry{
-			{Key: EncodeKey(key, newest.Ts), Tombstone: true},
-			{Key: EncodeKey(key, v.Ts), Value: encodeValue(v)},
-		})
-	}
-	return e.Set(EncodeKey(key, v.Ts), encodeValue(v))
+	return append(dst, lsm.Entry{Key: EncodeKey(key, v.Ts), Value: encodeValue(v)}), nil
 }
 
 // iterVersion decodes the version the iterator is positioned on. The value
@@ -417,36 +399,31 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 	return res, nil
 }
 
-// ResolveIntent finalizes txnID's intent on key. When commit is true the
-// provisional version is rewritten as committed at commitTs; otherwise it is
-// removed. Resolving a key with no matching intent is a no-op (resolution
-// must be idempotent: the txn layer retries it). The intent removal and the
-// committed rewrite go through one engine batch — one WAL record — so a crash
-// mid-resolution can never lose the committed version while having dropped
-// the intent (or leave both visible).
-func ResolveIntent(e *lsm.Engine, key keys.Key, txnID uint64, commit bool, commitTs hlc.Timestamp) error {
+// AppendResolve appends to dst the engine entries that finalize txnID's
+// intent on key: a tombstone for the intent, then, when commit is true, the
+// same version committed at commitTs. It appends nothing when key holds no
+// intent of txnID, so resolution stays idempotent (the txn layer retries it).
+// Applied as one engine batch, the intent's removal and its committed rewrite
+// share one WAL record.
+func AppendResolve(dst []lsm.Entry, e *lsm.Engine, key keys.Key, txnID uint64, commit bool, commitTs hlc.Timestamp) ([]lsm.Entry, error) {
 	v, ok, err := newestVersion(e, key)
-	if err != nil {
-		return err
+	if err != nil || !ok || !v.IsIntent() || v.TxnID != txnID {
+		return dst, err
 	}
-	if !ok || !v.IsIntent() || v.TxnID != txnID {
-		return nil
+	dst = append(dst, lsm.Entry{Key: EncodeKey(key, v.Ts), Tombstone: true})
+	if commit {
+		committed := Version{Ts: commitTs, Tombstone: v.Tombstone, Data: v.Data}
+		dst = append(dst, lsm.Entry{Key: EncodeKey(key, commitTs), Value: encodeValue(committed)})
 	}
-	if !commit {
-		return e.Delete(EncodeKey(key, v.Ts))
-	}
-	committed := Version{Ts: commitTs, Tombstone: v.Tombstone, Data: v.Data}
-	return e.ApplyBatch([]lsm.Entry{
-		{Key: EncodeKey(key, v.Ts), Tombstone: true},
-		{Key: EncodeKey(key, commitTs), Value: encodeValue(committed)},
-	})
+	return dst, nil
 }
 
 // GCOldVersions removes all but the newest committed version of each key in
 // span, retaining any version newer than keepAfter. It returns the number of
-// versions removed. This is the storage reclamation path (MVCC GC).
+// versions removed. This is the storage reclamation path (MVCC GC). The
+// removals go to the engine as one batch.
 func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int, error) {
-	var toDelete [][]byte
+	var toDelete []lsm.Entry
 	var curKey keys.Key
 	kept := false
 	it := e.NewIter(EngineSpan(span))
@@ -471,12 +448,11 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 			kept = true // newest committed version survives
 			continue
 		}
-		toDelete = append(toDelete, append([]byte(nil), it.Key()...))
+		// The key aliases immutable engine memory, and ApplyBatch copies it.
+		toDelete = append(toDelete, lsm.Entry{Key: it.Key(), Tombstone: true})
 	}
-	for _, k := range toDelete {
-		if err := e.Delete(k); err != nil {
-			return 0, err
-		}
+	if err := e.ApplyBatch(toDelete); err != nil {
+		return 0, err
 	}
 	return len(toDelete), nil
 }

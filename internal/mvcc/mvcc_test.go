@@ -169,7 +169,7 @@ func TestIntentRewriteBySameTxn(t *testing.T) {
 		t.Fatalf("rewritten intent = %q %v %v", v, ok, err)
 	}
 	// Only one intent exists: committing yields exactly one version.
-	if err := ResolveIntent(e, k, 5, true, ts(12)); err != nil {
+	if err := resolveIntent(e, k, 5, true, ts(12)); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, _ := Get(e, k, ts(100), 0); !ok || string(v) != "v2" {
@@ -189,7 +189,7 @@ func TestCommittedVersionReplacesOwnIntentInPlace(t *testing.T) {
 	if err := put(e, k, ts(10), 5, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyPut(e, k, ts(10), 0, []byte("v")); err != nil {
+	if err := applyPut(e, k, ts(10), 0, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if iks, err := IntentKeys(e, keys.Span{Key: k}, 0); err != nil || len(iks) != 0 {
@@ -221,7 +221,7 @@ func TestCommittedVersionAt(t *testing.T) {
 		}
 	}
 	resolve := func(commit bool, commitTs hlc.Timestamp) func(*lsm.Engine) error {
-		return func(e *lsm.Engine) error { return ResolveIntent(e, k, 7, commit, commitTs) }
+		return func(e *lsm.Engine) error { return resolveIntent(e, k, 7, commit, commitTs) }
 	}
 	for _, tc := range []struct {
 		name      string
@@ -268,12 +268,57 @@ func TestCommittedVersionAt(t *testing.T) {
 	}
 }
 
+// TestAppendedEntries pins what a replica is handed: raw engine entries,
+// written as -wall for a tombstone and +wall for a version, the replaced or
+// resolved intent's tombstone first.
+func TestAppendedEntries(t *testing.T) {
+	e := newEngine()
+	defer e.Close()
+	k := keys.Key("k")
+	check := func(name string, ents []lsm.Entry, err error, want string) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, ent := range ents {
+			_, at, err := DecodeKey(ent.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sign := "+"
+			if ent.Tombstone {
+				sign = "-"
+			}
+			got += fmt.Sprintf("%s%d ", sign, at.WallTime)
+		}
+		if got != want {
+			t.Errorf("%s: entries %q, want %q", name, got, want)
+		}
+	}
+	ents, err := AppendPut(nil, e, k, Version{Ts: ts(5), Data: []byte("v")})
+	check("committed put", ents, err, "+5 ")
+	ents, err = AppendResolve(nil, e, k, 9, true, ts(12))
+	check("resolve with no intent", ents, err, "")
+	if err := applyPut(e, k, ts(10), 9, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	ents, err = AppendPut(nil, e, k, Version{Ts: ts(11), TxnID: 9, Data: []byte("v2")})
+	check("intent over its own intent", ents, err, "-10 +11 ")
+	ents, err = AppendResolve(nil, e, k, 8, true, ts(12))
+	check("another transaction's resolve", ents, err, "")
+	ents, err = AppendResolve(nil, e, k, 9, true, ts(12))
+	check("commit", ents, err, "-10 +12 ")
+	ents, err = AppendResolve(nil, e, k, 9, false, hlc.Timestamp{})
+	check("abort", ents, err, "-10 ")
+}
+
 func TestResolveIntentCommit(t *testing.T) {
 	e := newEngine()
 	defer e.Close()
 	k := keys.Key("k")
 	put(e, k, ts(10), 9, []byte("v"))
-	if err := ResolveIntent(e, k, 9, true, ts(12)); err != nil {
+	if err := resolveIntent(e, k, 9, true, ts(12)); err != nil {
 		t.Fatal(err)
 	}
 	// Committed at ts 12, not 10.
@@ -291,7 +336,7 @@ func TestResolveIntentAbort(t *testing.T) {
 	k := keys.Key("k")
 	put(e, k, ts(5), 0, []byte("old"))
 	put(e, k, ts(10), 9, []byte("aborted"))
-	if err := ResolveIntent(e, k, 9, false, hlc.Timestamp{}); err != nil {
+	if err := resolveIntent(e, k, 9, false, hlc.Timestamp{}); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := Get(e, k, ts(100), 0)
@@ -305,14 +350,14 @@ func TestResolveIntentIdempotent(t *testing.T) {
 	defer e.Close()
 	k := keys.Key("k")
 	put(e, k, ts(10), 9, []byte("v"))
-	ResolveIntent(e, k, 9, true, ts(10))
+	resolveIntent(e, k, 9, true, ts(10))
 	// Second resolution is a no-op, not an error, and must not disturb the
 	// committed version.
-	if err := ResolveIntent(e, k, 9, true, ts(10)); err != nil {
+	if err := resolveIntent(e, k, 9, true, ts(10)); err != nil {
 		t.Fatal(err)
 	}
 	// Resolving a different txn's id is also a no-op.
-	if err := ResolveIntent(e, k, 42, false, hlc.Timestamp{}); err != nil {
+	if err := resolveIntent(e, k, 42, false, hlc.Timestamp{}); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, _ := Get(e, k, ts(10), 0); !ok || string(v) != "v" {
@@ -543,7 +588,7 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 		}
 	}
 
-	if err := ResolveIntent(e, k, 77, true, ts(9)); err != nil {
+	if err := resolveIntent(e, k, 77, true, ts(9)); err != nil {
 		t.Fatal(err)
 	}
 	// The provisional version was deleted.
@@ -562,7 +607,7 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 	rawAbort := EncodeKey(k, ts(12))
 	rawValue(rawAbort)
 	rawValue(rawAbort)
-	if err := ResolveIntent(e, k, 88, false, hlc.Timestamp{}); err != nil {
+	if err := resolveIntent(e, k, 88, false, hlc.Timestamp{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rawValue(rawAbort); ok {
@@ -579,7 +624,7 @@ func TestResolveIntentInvalidatesHotCache(t *testing.T) {
 func deepHistory(tb testing.TB, e *lsm.Engine, key keys.Key, versions int) {
 	tb.Helper()
 	for i := 1; i <= versions; i++ {
-		if err := ApplyPut(e, key, ts(int64(10*i)), 0, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := applyPut(e, key, ts(int64(10*i)), 0, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			tb.Fatal(err)
 		}
 		if i == versions/2 {
@@ -665,9 +710,9 @@ func TestScanMatchesGet(t *testing.T) {
 			at := ts(int64(10 * v))
 			var err error
 			if (v+i)%7 == 0 {
-				err = ApplyDelete(e, k, at, 0)
+				err = applyDelete(e, k, at, 0)
 			} else {
-				err = ApplyPut(e, k, at, 0, []byte(fmt.Sprintf("k%d-v%d", i, v)))
+				err = applyPut(e, k, at, 0, []byte(fmt.Sprintf("k%d-v%d", i, v)))
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -841,7 +886,7 @@ func put(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64, value []by
 	if err := CheckWriteConflict(e, key, ts, txnID); err != nil {
 		return err
 	}
-	return ApplyPut(e, key, ts, txnID, value)
+	return applyPut(e, key, ts, txnID, value)
 }
 
 // del is put's tombstone.
@@ -849,5 +894,33 @@ func del(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
 	if err := CheckWriteConflict(e, key, ts, txnID); err != nil {
 		return err
 	}
-	return ApplyDelete(e, key, ts, txnID)
+	return applyDelete(e, key, ts, txnID)
+}
+
+// applyPut writes a version as a replica applies a command: AppendPut's
+// entries in one engine batch, with no conflict check.
+func applyPut(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64, value []byte) error {
+	return applyVersion(e, key, Version{Ts: ts, TxnID: txnID, Data: value})
+}
+
+// applyDelete is applyPut's tombstone.
+func applyDelete(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
+	return applyVersion(e, key, Version{Ts: ts, TxnID: txnID, Tombstone: true})
+}
+
+func applyVersion(e *lsm.Engine, key keys.Key, v Version) error {
+	ents, err := AppendPut(nil, e, key, v)
+	if err != nil {
+		return err
+	}
+	return e.ApplyBatch(ents)
+}
+
+// resolveIntent applies AppendResolve's entries in one engine batch.
+func resolveIntent(e *lsm.Engine, key keys.Key, txnID uint64, commit bool, commitTs hlc.Timestamp) error {
+	ents, err := AppendResolve(nil, e, key, txnID, commit, commitTs)
+	if err != nil {
+		return err
+	}
+	return e.ApplyBatch(ents)
 }
