@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/lsm"
+	"crdbserverless/internal/mvcc"
 	"crdbserverless/internal/randutil"
 )
 
@@ -115,6 +117,44 @@ func TestCommandRandomRoundTrip(t *testing.T) {
 		if !sameEntries(got, ents) {
 			t.Fatalf("command %d round trip\n got %v\nwant %v", i, got, ents)
 		}
+	}
+}
+
+// TestCommandRoundTrip carries a transaction's put and its committing resolve
+// through the codec as the leaseholder builds them, and applies each decoded
+// command the way a replica does: the committed value is what a reader sees.
+func TestCommandRoundTrip(t *testing.T) {
+	e := lsm.New(lsm.Options{})
+	k := keys.Key("k")
+	ts := hlc.Timestamp{WallTime: 10}
+	propose := func(ents []lsm.Entry, err error) []lsm.Entry {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeCommand(encodeCommand(ents))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEntries(got, ents) {
+			t.Fatalf("round trip\n got %v\nwant %v", got, ents)
+		}
+		if err := e.ApplyBatch(got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if put := propose(mvcc.AppendPut(nil, e, k, mvcc.Version{Ts: ts, TxnID: 7, Data: []byte("v")})); len(put) != 1 {
+		t.Fatalf("put = %v, want one intent", put)
+	}
+	if resolve := propose(mvcc.AppendResolve(nil, e, k, 7, true, ts)); len(resolve) != 2 || !resolve[0].Tombstone {
+		t.Fatalf("resolve = %v, want the intent's tombstone and the committed version", resolve)
+	}
+	if v, ok, err := mvcc.Get(e, k, hlc.Timestamp{WallTime: 20}, 0); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after commit = %q, %v, %v", v, ok, err)
+	}
+	if _, err := decodeCommand([]byte("garbage")); err == nil {
+		t.Fatal("garbage command should fail to decode")
 	}
 }
 
