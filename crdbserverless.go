@@ -87,9 +87,6 @@ type Options struct {
 	Regions []Region
 	// KVNodesPerRegion is the shared KV fleet size per region. Default 3.
 	KVNodesPerRegion int
-	// AdmissionControl enables per-node admission control (§5.1).
-	//lint:allow deadsurface roadmap: the bench-only item's noisy_neighbor workload turns it on
-	AdmissionControl bool
 	// Clock defaults to the real clock; experiments pass a manual clock.
 	//lint:allow deadsurface roadmap: the virtual-time item (2) runs every figure on New with a manual clock
 	Clock timeutil.Clock
@@ -175,8 +172,7 @@ func New(opts Options) (*Serverless, error) {
 					ReadMetrics:  lsmReadMetrics,
 					WriteMetrics: lsmWriteMetrics,
 				},
-				AdmissionEnabled: opts.AdmissionControl,
-				Obs:              s.obs,
+				Obs: s.obs,
 			}))
 			id++
 		}

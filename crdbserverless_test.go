@@ -201,7 +201,7 @@ func TestConfigSurface(t *testing.T) {
 		cfg    any
 		fields int
 	}{
-		{Options{}, 5},
+		{Options{}, 4},
 		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 4},
 		{kvserver.Config{}, 3},
@@ -249,7 +249,7 @@ func TestConfigSurface(t *testing.T) {
 			t.Errorf("range %d has %d replicas, want 3", d.RangeID, len(d.Replicas))
 		}
 	}
-	// Admission is off: KV traffic never passes the admission queues.
+	// Admission control is on: KV traffic passes the admission queues.
 	ctx := context.Background()
 	if _, err := s.CreateTenant(ctx, "acme", TenantOptions{}); err != nil {
 		t.Fatal(err)
@@ -264,15 +264,13 @@ func TestConfigSurface(t *testing.T) {
 	if _, err := sess.Execute(ctx, "INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	var batches int64
+	var cpuAdmitted, writeAdmitted int64
 	for _, n := range nodes {
-		batches += n.BatchCount()
 		cpu, write := n.AdmissionStats()
-		if cpu.Admitted != 0 || write.Admitted != 0 {
-			t.Errorf("node %d admitted %d CPU and %d write requests with admission off", n.ID(), cpu.Admitted, write.Admitted)
-		}
+		cpuAdmitted += cpu.Admitted
+		writeAdmitted += write.Admitted
 	}
-	if batches == 0 {
-		t.Fatal("no KV batches served; the admission check saw no traffic")
+	if cpuAdmitted == 0 || writeAdmitted == 0 {
+		t.Errorf("nodes admitted %d CPU and %d write requests, want both > 0", cpuAdmitted, writeAdmitted)
 	}
 }

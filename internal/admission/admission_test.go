@@ -11,6 +11,8 @@ import (
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/lsm"
+	"crdbserverless/internal/metric"
+	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -20,7 +22,7 @@ func info(tenant keys.TenantID) WorkInfo {
 
 func TestCPUQueueImmediateAdmit(t *testing.T) {
 	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 2})
-	release, err := q.Admit(context.Background(), info(2))
+	slot, err := q.Admit(context.Background(), info(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestCPUQueueImmediateAdmit(t *testing.T) {
 	if s.Used != 1 || s.Admitted != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	release(10 * time.Millisecond)
+	slot.Release(10 * time.Millisecond)
 	if s := q.Stats(); s.Used != 0 {
 		t.Fatalf("slot not released: %+v", s)
 	}
@@ -42,9 +44,9 @@ func TestCPUQueueImmediateAdmit(t *testing.T) {
 
 func TestCPUQueueReleaseIdempotent(t *testing.T) {
 	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 1})
-	release, _ := q.Admit(context.Background(), info(2))
-	release(time.Millisecond)
-	release(time.Millisecond) // second call must be a no-op
+	slot, _ := q.Admit(context.Background(), info(2))
+	slot.Release(time.Millisecond)
+	slot.Release(time.Millisecond) // second call must be a no-op
 	if s := q.Stats(); s.Used != 0 {
 		t.Fatalf("double release corrupted used count: %+v", s)
 	}
@@ -57,7 +59,7 @@ func TestCPUQueueBlocksAtCapacity(t *testing.T) {
 	go func() {
 		r2, err := q.Admit(context.Background(), info(3))
 		if err == nil {
-			r2(0)
+			r2.Release(0)
 		}
 		close(admitted)
 	}()
@@ -67,7 +69,7 @@ func TestCPUQueueBlocksAtCapacity(t *testing.T) {
 		t.Fatal("second admit should have queued")
 	case <-time.After(50 * time.Millisecond):
 	}
-	r1(time.Millisecond)
+	r1.Release(time.Millisecond)
 	select {
 	case <-admitted:
 	case <-time.After(2 * time.Second):
@@ -90,12 +92,12 @@ func TestCPUQueueContextCancel(t *testing.T) {
 		t.Fatalf("canceled admit = %v", err)
 	}
 	// The canceled waiter must not absorb the next grant.
-	r1(time.Millisecond)
-	release, err := q.Admit(context.Background(), info(4))
+	r1.Release(time.Millisecond)
+	slot, err := q.Admit(context.Background(), info(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	release(0)
+	slot.Release(0)
 }
 
 func TestCPUQueueFairnessFavorsLightTenant(t *testing.T) {
@@ -117,18 +119,18 @@ func TestCPUQueueFairnessFavorsLightTenant(t *testing.T) {
 		wg.Add(1)
 		go func(tid keys.TenantID) {
 			defer wg.Done()
-			release, err := q.Admit(context.Background(), info(tid))
+			slot, err := q.Admit(context.Background(), info(tid))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			order <- tid
-			release(time.Millisecond)
+			slot.Release(time.Millisecond)
 		}(tid)
 		// Ensure deterministic enqueue order: heavy enqueues first.
 		time.Sleep(20 * time.Millisecond)
 	}
-	hold(50 * time.Millisecond)
+	hold.Release(50 * time.Millisecond)
 	wg.Wait()
 	close(order)
 	first := <-order
@@ -146,21 +148,21 @@ func TestCPUQueuePriorityWithinTenant(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			release, err := q.Admit(context.Background(),
+			slot, err := q.Admit(context.Background(),
 				WorkInfo{Tenant: 5, Priority: pri, CreateTime: createTime})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			order <- label
-			release(0)
+			slot.Release(0)
 		}()
 		time.Sleep(20 * time.Millisecond)
 	}
 	base := time.Unix(100, 0)
 	start("low-old", kvpb.PriorityLow, base)
 	start("high-new", kvpb.PriorityHigh, base.Add(time.Hour))
-	hold(0)
+	hold.Release(0)
 	wg.Wait()
 	close(order)
 	if first := <-order; first != "high-new" {
@@ -178,14 +180,14 @@ func TestCPUQueueAIMD(t *testing.T) {
 		t.Fatalf("slots after overload = %d, want min 1", s)
 	}
 	// All slots busy, runnable short: slots grow (work-conserving).
-	release, _ := q.Admit(context.Background(), info(2))
+	slot, _ := q.Admit(context.Background(), info(2))
 	for i := 0; i < 20; i++ {
 		q.AdjustSlots(0, 4)
 	}
 	if s := q.Stats().Slots; s <= 1 {
 		t.Fatalf("slots did not grow: %d", s)
 	}
-	release(0)
+	slot.Release(0)
 	// Idle (used < slots): no growth.
 	before := q.Stats().Slots
 	q.AdjustSlots(0, 4)
@@ -197,12 +199,12 @@ func TestCPUQueueAIMD(t *testing.T) {
 func TestCPUQueueGrantOnSlotGrowth(t *testing.T) {
 	q := NewCPUQueue(CPUQueueOptions{InitialSlots: 1, MaxSlots: 4})
 	r1, _ := q.Admit(context.Background(), info(2))
-	defer r1(0)
+	defer r1.Release(0)
 	granted := make(chan struct{})
 	go func() {
 		r2, err := q.Admit(context.Background(), info(2))
 		if err == nil {
-			defer r2(0)
+			defer r2.Release(0)
 		}
 		close(granted)
 	}()
@@ -227,12 +229,12 @@ func TestWriteQueueImmediateAndBlocked(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
 	q := newWriteQueueAt(mc, 1000)
 	// Bucket starts full: 600 bytes admit immediately.
-	if err := q.Admit(context.Background(), info(2), 600); err != nil {
+	if _, err := q.Admit(context.Background(), info(2), 600); err != nil {
 		t.Fatal(err)
 	}
 	// 600 more exceed remaining 400: must wait for refill.
 	done := make(chan error, 1)
-	go func() { done <- q.Admit(context.Background(), info(2), 600) }()
+	go func() { _, err := q.Admit(context.Background(), info(2), 600); done <- err }()
 	select {
 	case <-done:
 		t.Fatal("admit should have blocked")
@@ -252,10 +254,10 @@ func TestWriteQueueImmediateAndBlocked(t *testing.T) {
 
 func TestWriteQueueZeroBytesNoop(t *testing.T) {
 	q := NewWriteQueue(WriteQueueOptions{})
-	if err := q.Admit(context.Background(), info(2), 0); err != nil {
+	if _, err := q.Admit(context.Background(), info(2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Admit(context.Background(), info(2), -5); err != nil {
+	if _, err := q.Admit(context.Background(), info(2), -5); err != nil {
 		t.Fatal(err)
 	}
 	if s := q.Stats(); s.Admitted != 0 {
@@ -269,7 +271,7 @@ func TestWriteQueueContextCancel(t *testing.T) {
 	q.Admit(context.Background(), info(2), 10) // drain bucket
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
-	go func() { errCh <- q.Admit(ctx, info(3), 10) }()
+	go func() { _, err := q.Admit(ctx, info(3), 10); errCh <- err }()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	if err := <-errCh; err != context.Canceled {
@@ -289,7 +291,7 @@ func TestWriteQueueFairness(t *testing.T) {
 		wg.Add(1)
 		go func(tid keys.TenantID) {
 			defer wg.Done()
-			if err := q.Admit(context.Background(), info(tid), 50); err != nil {
+			if _, err := q.Admit(context.Background(), info(tid), 50); err != nil {
 				t.Error(err)
 				return
 			}
@@ -313,7 +315,7 @@ func TestWriteQueueSetRate(t *testing.T) {
 	q := newWriteQueueAt(mc, 10)
 	q.Admit(context.Background(), info(2), 10)
 	done := make(chan error, 1)
-	go func() { done <- q.Admit(context.Background(), info(2), 500) }()
+	go func() { _, err := q.Admit(context.Background(), info(2), 500); done <- err }()
 	time.Sleep(20 * time.Millisecond)
 	q.SetRate(1 << 20) // capacity estimate jumped; burst now covers the wait
 	mc.Advance(time.Second)
@@ -328,6 +330,81 @@ func TestWriteQueueSetRate(t *testing.T) {
 	}
 	if got := q.Stats().Rate; got != 1<<20 {
 		t.Fatalf("rate = %f", got)
+	}
+}
+
+// TestWriteQueueOversizedWrite admits a write larger than the bucket once
+// the bucket is full, and holds later writes until refill repays the debt.
+// Without the debt the large write never fits and blocks every write queued
+// behind it.
+func TestWriteQueueOversizedWrite(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(0, 0))
+	q := newWriteQueueAt(mc, 1<<20)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if wait, err := q.Admit(ctx, info(2), 4<<20); err != nil || wait != 0 {
+		t.Fatalf("4 MiB write into a full 1 MiB bucket: wait %v, err %v; want admitted at once", wait, err)
+	}
+	done := make(chan error, 1)
+	go func() { _, err := q.Admit(context.Background(), info(3), 100); done <- err }()
+	for q.Stats().Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	mc.Advance(3 * time.Second) // repays the 3 MiB debt, no more
+	q.Tick()
+	if s := q.Stats(); s.Waiting != 1 || s.Tokens != 0 {
+		t.Fatalf("after repaying the debt: %+v, want 1 waiting and 0 tokens", s)
+	}
+	mc.Advance(time.Second)
+	q.Tick()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("write queued behind the debt never granted")
+	}
+}
+
+// TestAwaitGrantGrantWinsCancel: when a grant and a cancellation are both
+// ready, the operation is admitted, since the grant already consumed the
+// queue's slot or tokens on its behalf.
+func TestAwaitGrantGrantWinsCancel(t *testing.T) {
+	var mu sync.Mutex
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		w := &waiter{info: info(2), grantCh: make(chan struct{})}
+		close(w.grantCh)
+		if _, err := awaitGrant(ctx, timeutil.NewRealClock(), &mu, w, "cpu"); err != nil {
+			t.Fatalf("granted waiter returned %v", err)
+		}
+	}
+}
+
+// TestAdmitUncontendedAllocs pins the cost every KV batch pays: admission
+// that succeeds at once allocates nothing.
+func TestAdmitUncontendedAllocs(t *testing.T) {
+	obs := tenantobs.New(tenantobs.Config{Registry: metric.NewRegistry(), Clock: timeutil.NewRealClock()})
+	cq := NewCPUQueue(CPUQueueOptions{InitialSlots: 1, Obs: obs})
+	wq := NewWriteQueue(WriteQueueOptions{})
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() {
+		slot, err := cq.Admit(ctx, info(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot.Release(time.Microsecond)
+	}); n != 0 {
+		t.Errorf("CPUQueue.Admit + Slot.Release: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := wq.Admit(ctx, info(2), 100); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteQueue.Admit: %v allocs, want 0", n)
 	}
 }
 
@@ -486,7 +563,7 @@ func TestCPUQueueConcurrentStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				release, err := q.Admit(context.Background(), info(keys.TenantID(g%4+2)))
+				slot, err := q.Admit(context.Background(), info(keys.TenantID(g%4+2)))
 				if err != nil {
 					t.Error(err)
 					return
@@ -499,7 +576,7 @@ func TestCPUQueueConcurrentStress(t *testing.T) {
 					}
 				}
 				atomic.AddInt64(&inFlight, -1)
-				release(time.Microsecond)
+				slot.Release(time.Microsecond)
 			}
 		}(g)
 	}

@@ -8,7 +8,6 @@ import (
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
-	"crdbserverless/internal/trace"
 )
 
 // CPUQueue admits operations onto a bounded number of CPU "slots". The slot
@@ -63,61 +62,49 @@ func NewCPUQueue(opts CPUQueueOptions) *CPUQueue {
 	return q
 }
 
+// Slot is an admitted operation's hold on a CPU slot; the zero Slot holds
+// nothing. Wait is the time the operation queued, 0 if admitted at once.
+type Slot struct {
+	q      *CPUQueue
+	tenant keys.TenantID
+	Wait   time.Duration
+}
+
+// Release frees the slot when the operation finishes its bounded chunk of
+// work, passing the CPU time actually consumed; consumption feeds
+// inter-tenant fairness (§5.1.4). A second call does nothing.
+func (s *Slot) Release(cpu time.Duration) {
+	q := s.q
+	if q == nil {
+		return
+	}
+	s.q = nil
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.mu.fq.recordUsage(s.tenant, cpu.Seconds(), q.clock.Now())
+	q.mu.used--
+	q.grantLocked()
+}
+
 // Admit blocks until the operation is granted a CPU slot (or ctx is done).
-// The returned release function must be called exactly once when the
-// operation finishes its bounded chunk of work, passing the CPU time actually
-// consumed; consumption feeds inter-tenant fairness (§5.1.4).
-func (q *CPUQueue) Admit(ctx context.Context, info WorkInfo) (release func(cpu time.Duration), err error) {
+func (q *CPUQueue) Admit(ctx context.Context, info WorkInfo) (Slot, error) {
+	var wait time.Duration
 	q.mu.Lock()
 	if q.mu.used < q.mu.slots && q.mu.fq.peekNext() == nil {
 		q.mu.used++
 		q.mu.admitted++
 		q.mu.Unlock()
-		q.obs.AdmissionWait(info.Tenant, 0)
-		return q.releaseFunc(info.Tenant), nil
-	}
-	w := &waiter{info: info, grantCh: make(chan struct{})}
-	q.mu.fq.enqueue(w)
-	q.mu.Unlock()
-
-	sp := trace.SpanFromContext(ctx)
-	enqueued := q.clock.Now()
-	sp.Eventf("admission: cpu queued tenant=%d", info.Tenant)
-
-	select {
-	case <-w.grantCh:
-		wait := q.clock.Since(enqueued)
-		sp.SetAttr("admission.cpu_wait", wait)
-		q.obs.AdmissionWait(info.Tenant, wait)
-		return q.releaseFunc(info.Tenant), nil
-	case <-ctx.Done():
-		q.mu.Lock()
-		select {
-		case <-w.grantCh:
-			// Granted concurrently with cancellation: hand the slot back.
-			q.mu.Unlock()
-			q.releaseFunc(info.Tenant)(0)
-			return nil, ctx.Err()
-		default:
-		}
-		w.canceled = true
+	} else {
+		w := &waiter{info: info, grantCh: make(chan struct{})}
+		q.mu.fq.enqueue(w)
 		q.mu.Unlock()
-		return nil, ctx.Err()
+		var err error
+		if wait, err = awaitGrant(ctx, q.clock, &q.mu.Mutex, w, "cpu"); err != nil {
+			return Slot{}, err
+		}
 	}
-}
-
-// releaseFunc returns the function an admitted operation calls when done.
-func (q *CPUQueue) releaseFunc(tenant keys.TenantID) func(cpu time.Duration) {
-	var once sync.Once
-	return func(cpu time.Duration) {
-		once.Do(func() {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			q.mu.fq.recordUsage(tenant, cpu.Seconds(), q.clock.Now())
-			q.mu.used--
-			q.grantLocked()
-		})
-	}
+	q.obs.AdmissionWait(info.Tenant, wait)
+	return Slot{q: q, tenant: info.Tenant, Wait: wait}, nil
 }
 
 // grantLocked hands free slots to waiting work, least-consuming tenant first.

@@ -15,11 +15,15 @@ package admission
 
 import (
 	"container/heap"
+	"context"
 	"math"
+	"sync"
 	"time"
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/timeutil"
+	"crdbserverless/internal/trace"
 )
 
 // WorkInfo describes one operation seeking admission.
@@ -37,6 +41,27 @@ type waiter struct {
 	amount   float64 // resource amount needed at grant time (write bytes); 0 for CPU
 	grantCh  chan struct{}
 	canceled bool
+}
+
+// awaitGrant blocks until w, enqueued under the queue's lock mu, is granted
+// or ctx is done, and returns the time it waited. A grant that races the
+// cancellation wins, so the slot or tokens it took are not lost.
+func awaitGrant(ctx context.Context, clock timeutil.Clock, mu *sync.Mutex, w *waiter, resource string) (time.Duration, error) {
+	enqueued := clock.Now()
+	trace.SpanFromContext(ctx).Eventf("admission: %s queued tenant=%d", resource, w.info.Tenant)
+	select {
+	case <-w.grantCh:
+	case <-ctx.Done():
+		mu.Lock()
+		defer mu.Unlock()
+		select {
+		case <-w.grantCh:
+		default:
+			w.canceled = true
+			return 0, ctx.Err()
+		}
+	}
+	return clock.Since(enqueued), nil
 }
 
 // waiterHeap orders waiters by priority (higher first) then create time

@@ -7,7 +7,6 @@ import (
 
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/timeutil"
-	"crdbserverless/internal/trace"
 )
 
 // WriteQueue admits write work against a token bucket denominated in bytes.
@@ -22,7 +21,7 @@ type WriteQueue struct {
 	mu struct {
 		sync.Mutex
 		fq         *fairQueue
-		tokens     float64 // available bytes
+		tokens     float64 // available bytes; negative while a large write's debt is repaid
 		rate       float64 // refill bytes/sec
 		burst      float64
 		lastRefill time.Time
@@ -54,46 +53,28 @@ func NewWriteQueue(opts WriteQueueOptions) *WriteQueue {
 	return q
 }
 
-// Admit blocks until bytes of write capacity are available (or ctx is done).
-// bytes should be the *estimated actual* write bytes, i.e. the linear model's
-// prediction including the raft log and state-machine writes (§5.1.4).
-func (q *WriteQueue) Admit(ctx context.Context, info WorkInfo, bytes int64) error {
+// Admit blocks until bytes of write capacity are available (or ctx is done)
+// and returns the time it queued. bytes should be the *estimated actual*
+// write bytes, i.e. the linear model's prediction including the raft log and
+// state-machine writes (§5.1.4). A write larger than the bucket needs only a
+// full bucket and leaves the tokens in debt, which refill repays.
+func (q *WriteQueue) Admit(ctx context.Context, info WorkInfo, bytes int64) (time.Duration, error) {
 	if bytes <= 0 {
-		return nil
+		return 0, nil
 	}
 	q.mu.Lock()
 	q.refillLocked()
-	if q.mu.fq.peekNext() == nil && q.mu.tokens >= float64(bytes) {
+	if q.mu.fq.peekNext() == nil && q.mu.tokens >= min(float64(bytes), q.mu.burst) {
 		q.mu.tokens -= float64(bytes)
 		q.mu.admitted++
 		q.mu.fq.recordUsage(info.Tenant, float64(bytes), q.clock.Now())
 		q.mu.Unlock()
-		return nil
+		return 0, nil
 	}
 	w := &waiter{info: info, amount: float64(bytes), grantCh: make(chan struct{})}
 	q.mu.fq.enqueue(w)
 	q.mu.Unlock()
-
-	sp := trace.SpanFromContext(ctx)
-	enqueued := q.clock.Now()
-	sp.Eventf("admission: write queued tenant=%d bytes=%d", info.Tenant, bytes)
-
-	select {
-	case <-w.grantCh:
-		sp.SetAttr("admission.write_wait", q.clock.Since(enqueued))
-		return nil
-	case <-ctx.Done():
-		q.mu.Lock()
-		select {
-		case <-w.grantCh:
-			q.mu.Unlock()
-			return ctx.Err()
-		default:
-		}
-		w.canceled = true
-		q.mu.Unlock()
-		return ctx.Err()
-	}
+	return awaitGrant(ctx, q.clock, &q.mu.Mutex, w, "write")
 }
 
 // Tick refills the bucket and grants waiting work. Call periodically (the KV
@@ -137,7 +118,7 @@ func (q *WriteQueue) refillLocked() {
 func (q *WriteQueue) grantLocked() {
 	for {
 		w := q.mu.fq.peekNext()
-		if w == nil || q.mu.tokens < w.amount {
+		if w == nil || q.mu.tokens < min(w.amount, q.mu.burst) {
 			return
 		}
 		w = q.mu.fq.popNext()

@@ -56,14 +56,14 @@ func AblationFIFOvsFair() (*AblationFairnessResult, *Table, error) {
 						return
 					default:
 					}
-					release, err := q.Admit(ctx, admission.WorkInfo{
+					slot, err := q.Admit(ctx, admission.WorkInfo{
 						Tenant: heavyTenant, CreateTime: clock.Now(),
 					})
 					if err != nil {
 						return
 					}
 					clock.Sleep(2 * time.Millisecond)
-					release(2 * time.Millisecond)
+					slot.Release(2 * time.Millisecond)
 				}
 			}()
 		}
@@ -72,14 +72,14 @@ func AblationFIFOvsFair() (*AblationFairnessResult, *Table, error) {
 		// backlog; under tenant-fair queueing it is served next.
 		for i := 0; i < 30; i++ {
 			start := clock.Now()
-			release, err := q.Admit(ctx, admission.WorkInfo{
+			slot, err := q.Admit(ctx, admission.WorkInfo{
 				Tenant: lightTenant, CreateTime: clock.Now(),
 			})
 			if err != nil {
 				return 0, err
 			}
 			clock.Sleep(200 * time.Microsecond)
-			release(200 * time.Microsecond)
+			slot.Release(200 * time.Microsecond)
 			lightHist.Record(clock.Since(start))
 			clock.Sleep(3 * time.Millisecond)
 		}

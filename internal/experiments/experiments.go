@@ -75,11 +75,13 @@ type testbed struct {
 
 // testbedOptions configure newTestbed.
 type testbedOptions struct {
-	kvNodes   int
-	vcpus     int
-	cost      kvserver.CostConfig
-	admission bool
-	clock     timeutil.Clock
+	kvNodes int
+	vcpus   int
+	cost    kvserver.CostConfig
+	// noAdmission turns admission control off on every node, for Table 1's
+	// no-limits baseline.
+	noAdmission bool
+	clock       timeutil.Clock
 	// livenessLimit overrides the executor queue depth beyond which a node
 	// fails liveness.
 	livenessLimit int
@@ -108,7 +110,7 @@ func newTestbed(opts testbedOptions) (*testbed, error) {
 			VCPUs:              opts.vcpus,
 			Clock:              opts.clock,
 			Cost:               opts.cost,
-			AdmissionEnabled:   opts.admission,
+			NoAdmission:        opts.noAdmission,
 			LivenessQueueLimit: opts.livenessLimit,
 			Obs:                opts.obs,
 		}))

@@ -145,7 +145,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 		Clock:      clock,
 		MaxTenants: opts.MaxTenants,
 	})
-	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8, admission: true, clock: clock, obs: plane})
+	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8, clock: clock, obs: plane})
 	if err != nil {
 		return nil, err
 	}

@@ -197,9 +197,9 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 		vcpus:   4,
 		// The workers burn real CPU, so the real clock drives all waiting
 		// and latency measurement.
-		clock:     timeutil.NewRealClock(),
-		cost:      scaleCost(kvserver.DefaultCostConfig(), costScale),
-		admission: cfg != NoLimits,
+		clock:       timeutil.NewRealClock(),
+		cost:        scaleCost(kvserver.DefaultCostConfig(), costScale),
+		noAdmission: cfg == NoLimits,
 		// A tight liveness bound: the unthrottled noisy backlog makes
 		// nodes miss heartbeats and shed leases (the Fig 12 chaos);
 		// admission control keeps executor queues short and nodes live.

@@ -51,7 +51,7 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 		opts.Queries = 25
 	}
 	ctx := context.Background()
-	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8, admission: true})
+	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -776,24 +776,20 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 
 	sp.SetAttr("kv.range", desc.RangeID)
 
-	// Admission control (§5.1): writes pass the write queue, everything
-	// passes the CPU queue.
-	admitStart := c.clock.Now()
-	if err := n.admitWrite(ctx, ba); err != nil {
-		return nil, err
-	}
-	releaseCPU, err := n.admitCPU(ctx, ba)
+	// Admission control (§5.1). The wait is the time queued: 0, which boxes
+	// without allocating, when the batch is admitted at once.
+	slot, err := n.admit(ctx, ba)
 	if err != nil {
 		return nil, err
 	}
-	sp.SetAttr("admission.wait", c.clock.Since(admitStart))
+	sp.SetAttr("admission.wait", slot.Wait)
 
 	resp, evalErr := c.evaluateBatch(ctx, n, rs, ba)
 	// Charge ground-truth CPU: the work happens whether or not evaluation
 	// errored (conflict checks consume CPU too), but successful responses
 	// carry the payload costs.
 	cost := n.chargeCPU(ba, resp, !ba.Colocated)
-	releaseCPU(cost)
+	slot.Release(cost)
 	if evalErr != nil {
 		return nil, evalErr
 	}

@@ -25,8 +25,9 @@ type NodeConfig struct {
 	Clock  timeutil.Clock
 	Cost   CostConfig
 	LSM    lsm.Options
-	// AdmissionEnabled turns on admission control for this node.
-	AdmissionEnabled bool
+	// NoAdmission turns admission control off: batches skip the admission
+	// queues. Only the paper's no-limits baseline (Table 1) sets it.
+	NoAdmission bool
 	// LivenessQueueLimit is the executor queue depth beyond which the node
 	// fails liveness (it is too overloaded to heartbeat). Defaults to
 	// 300 * VCPUs.
@@ -63,8 +64,8 @@ type Node struct {
 	writeModel admission.LinearModel
 
 	livenessLimit int
-	// acEnabled routes batches through the admission queues.
-	acEnabled bool
+	// noAdmission routes batches around the admission queues.
+	noAdmission bool
 
 	mu struct {
 		sync.Mutex
@@ -98,7 +99,7 @@ func NewNode(cfg NodeConfig) *Node {
 		lsmOpts:       cfg.LSM,
 		cost:          cfg.Cost,
 		livenessLimit: cfg.LivenessQueueLimit,
-		acEnabled:     cfg.AdmissionEnabled,
+		noAdmission:   cfg.NoAdmission,
 		// Physical write bytes ≈ 2x logical (raft log + state machine)
 		// plus per-batch framing.
 		writeModel: admission.LinearModel{A: 2, B: 64},
@@ -188,28 +189,31 @@ func (n *Node) BatchCount() int64 {
 // Close shuts down the node.
 func (n *Node) Close() { n.Engine().Close() }
 
-// admitCPU passes the batch through the CPU admission queue when enabled.
-// It returns a release function to call with the consumed CPU time.
-func (n *Node) admitCPU(ctx context.Context, ba *kvpb.BatchRequest) (func(time.Duration), error) {
-	if !n.acEnabled {
-		return func(time.Duration) {}, nil
+// admit passes the batch through admission control (§5.1): a write first
+// takes its estimated physical bytes from the write token bucket, then every
+// batch takes a CPU slot. The caller releases the slot with the CPU time the
+// batch consumed. The slot's Wait is the time the batch queued in both
+// queues. A node with admission off returns the zero Slot at once.
+func (n *Node) admit(ctx context.Context, ba *kvpb.BatchRequest) (admission.Slot, error) {
+	if n.noAdmission {
+		return admission.Slot{}, nil
 	}
 	info := admission.WorkInfo{Tenant: ba.Tenant, Priority: kvpb.PriorityNormal}
 	if ba.Txn != nil {
 		info.Priority = ba.Txn.Priority
 		info.CreateTime = ba.Txn.Ts.GoTime()
 	}
-	return n.cpuQ.Admit(ctx, info)
-}
-
-// admitWrite passes the batch's write volume through the write token bucket.
-func (n *Node) admitWrite(ctx context.Context, ba *kvpb.BatchRequest) error {
-	if !n.acEnabled || ba.IsReadOnly() {
-		return nil
+	var writeWait time.Duration
+	if !ba.IsReadOnly() {
+		est := n.writeModel.Predict(float64(ba.WriteBytes()))
+		var err error
+		if writeWait, err = n.writeQ.Admit(ctx, info, int64(est)); err != nil {
+			return admission.Slot{}, err
+		}
 	}
-	est := n.writeModel.Predict(float64(ba.WriteBytes()))
-	info := admission.WorkInfo{Tenant: ba.Tenant, Priority: kvpb.PriorityNormal}
-	return n.writeQ.Admit(ctx, info, int64(est))
+	slot, err := n.cpuQ.Admit(ctx, info)
+	slot.Wait += writeWait
+	return slot, err
 }
 
 // chargeCPU occupies a vCPU for the batch's ground-truth cost and returns
@@ -262,7 +266,7 @@ func (n *Node) Tick() {
 
 // AdmissionStats exposes the node's admission queue state.
 //
-//lint:allow deadsurface test seam: TestConfigSurface checks through it that New leaves admission off
+//lint:allow deadsurface test seam: TestConfigSurface checks through it that New admits every batch
 func (n *Node) AdmissionStats() (admission.CPUQueueStats, admission.WriteQueueStats) {
 	return n.cpuQ.Stats(), n.writeQ.Stats()
 }

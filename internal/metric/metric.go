@@ -18,7 +18,7 @@ import (
 // percentiles. It is safe for concurrent use.
 type Histogram struct {
 	mu      sync.Mutex
-	counts  []uint64
+	counts  []uint64 // up to the highest bucket recorded
 	total   uint64
 	sum     time.Duration
 	max     time.Duration
@@ -34,7 +34,7 @@ const numBuckets = 64 * 4
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, numBuckets)}
+	return &Histogram{}
 }
 
 func bucketFor(d time.Duration) int {
@@ -61,7 +61,11 @@ func bucketUpper(b int) time.Duration {
 func (h *Histogram) Record(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.counts[bucketFor(d)]++
+	b := bucketFor(d)
+	if b >= len(h.counts) {
+		h.counts = append(h.counts, make([]uint64, b+1-len(h.counts))...)
+	}
+	h.counts[b]++
 	h.total++
 	h.sum += d
 	if d > h.max {

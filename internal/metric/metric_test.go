@@ -14,6 +14,27 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketsOnDemand: a histogram holds buckets only up to the
+// highest one recorded. The admission queues record a zero wait per tenant
+// on every uncontended batch, and such a histogram holds one bucket.
+func TestHistogramBucketsOnDemand(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 10; i++ {
+		h.Record(0)
+	}
+	if got := len(h.counts); got != 1 {
+		t.Fatalf("zeros only: %d buckets, want 1", got)
+	}
+	h.Record(time.Millisecond)
+	if got, want := len(h.counts), bucketFor(time.Millisecond)+1; got != want {
+		t.Fatalf("after a 1ms sample: %d buckets, want %d", got, want)
+	}
+	h.Record(0)
+	if got, want := len(h.counts), bucketFor(time.Millisecond)+1; got != want {
+		t.Fatalf("a lower sample resized the buckets: %d, want %d", got, want)
+	}
+}
+
 func TestHistogramExactQuantiles(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
