@@ -102,7 +102,8 @@ func (r Request) Span() keys.Span {
 	return keys.Span{Key: r.Key, EndKey: r.EndKey}
 }
 
-// KeyValue is one row of a scan response.
+// KeyValue is one row of a scan response. A scan's keys may live in a pooled
+// Page, valid until the response owning it is released.
 type KeyValue struct {
 	Key   keys.Key
 	Value []byte
@@ -199,6 +200,10 @@ type BatchResponse struct {
 	// Ranges is the number of range visits that served the batch, filled in
 	// by the DistSender.
 	Ranges int
+	// pages are the pooled pages the Rows of Responses point into (see
+	// Page). They hang off the batch, not each Response: a pointer there
+	// would grow every Response, and with it every batch's response slice.
+	pages *Page
 }
 
 // ReadBytes returns the total bytes returned by reads in the response, an

@@ -430,7 +430,8 @@ func boundedMiddleKey(n *Node, span keys.Span) keys.Key {
 	if mid.Equal(span.Key) {
 		return nil
 	}
-	return mid
+	// A copy, so the split key does not hold the scan's key slab.
+	return mid.Clone()
 }
 
 // maybeSizeSplit splits rs at its bounded-scan midpoint if it has absorbed
@@ -863,7 +864,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 
 	if ba.IsReadOnly() {
 		for _, r := range ba.Requests {
-			out, err := evalRead(n, r, readTs, txnID, c.rowDecoder())
+			out, err := evalRead(n, r, readTs, txnID, c.rowDecoder(), resp)
 			if err != nil {
 				return nil, err
 			}
@@ -930,7 +931,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	for _, r := range ba.Requests {
 		switch r.Method {
 		case kvpb.Get, kvpb.Scan:
-			out, err := evalRead(n, r, readTs, txnID, c.rowDecoder())
+			out, err := evalRead(n, r, readTs, txnID, c.rowDecoder(), resp)
 			if err != nil {
 				return nil, err
 			}
@@ -1032,8 +1033,10 @@ func alreadyCommitted(e *lsm.Engine, reqs []kvpb.Request, ts hlc.Timestamp) (boo
 	return true, nil
 }
 
-// evalRead serves a read request from the node's local engine.
-func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, dec RowDecoder) (kvpb.Response, error) {
+// evalRead serves a read request from the node's local engine. A scan reads
+// into a pooled page when the pool has one, and owner, the batch response
+// the rows go up in, owns it.
+func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, dec RowDecoder, owner *kvpb.BatchResponse) (kvpb.Response, error) {
 	switch r.Method {
 	case kvpb.Get:
 		v, ok, err := mvcc.Get(n.Engine(), r.Key, readTs, txnID)
@@ -1042,7 +1045,9 @@ func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, dec R
 		}
 		return kvpb.Response{Value: v, Exists: ok}, nil
 	case kvpb.Scan:
-		res, err := mvcc.Scan(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys)
+		page := kvpb.DrawPage()
+		owner.KeepPage(page)
+		res, err := mvcc.ScanInto(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys, page)
 		if err != nil {
 			return kvpb.Response{}, err
 		}

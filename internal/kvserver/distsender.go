@@ -156,12 +156,14 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 	return out, nil
 }
 
-// fold copies one group's merged response into the batch's. A commit batch
-// counts as committed only when one range, in one visit, took all of it.
+// fold copies one group's merged response into the batch's, which takes its
+// pages. A commit batch counts as committed only when one range, in one
+// visit, took all of it.
 func (g *requestGroup) fold(out, resp *kvpb.BatchResponse, groups int) {
 	for i, pos := range g.indexes {
 		out.Responses[pos] = resp.Responses[i]
 	}
+	out.TakePages(resp)
 	out.Ranges += resp.Ranges
 	out.Committed = resp.Committed && groups == 1
 }
@@ -617,14 +619,18 @@ func (c *rangeClip) continuation(reqs []kvpb.Request, resp *kvpb.BatchResponse) 
 }
 
 // merge folds the continuation's (already-merged) responses into this
-// range's responses, yielding one response per pending request. After an
-// identity clip that is head itself: nothing was truncated, and a range
-// returns no more rows than a scan's limit.
+// range's responses, yielding one response per pending request, which owns
+// every page of both. After an identity clip that is head itself: nothing
+// was truncated, and a range returns no more rows than a scan's limit.
 func (c *rangeClip) merge(reqs []kvpb.Request, remIdx []int, head, rest *kvpb.BatchResponse) *kvpb.BatchResponse {
 	if c.sentIdx == nil {
 		return head
 	}
 	out := &kvpb.BatchResponse{Timestamp: head.Timestamp}
+	out.TakePages(head)
+	if rest != nil {
+		out.TakePages(rest)
+	}
 	for i := range reqs {
 		si := c.sentIdx[i]
 		if si < 0 {

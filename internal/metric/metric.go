@@ -22,7 +22,11 @@ type Histogram struct {
 	total   uint64
 	sum     time.Duration
 	max     time.Duration
-	samples []time.Duration // exact values kept up to sampleCap for precise quantiles
+	// The exact-sample reservoir: the first sampleCap values, for precise
+	// quantiles. Zeros are counted rather than stored, so a stream of them
+	// (an uncontended admission wait on every batch) costs no memory.
+	samples []time.Duration // the non-zero values
+	zeros   uint64
 }
 
 // sampleCap bounds the exact-sample reservoir. Below the cap percentiles are
@@ -71,8 +75,12 @@ func (h *Histogram) Record(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	if len(h.samples) < sampleCap {
-		h.samples = append(h.samples, d)
+	if h.total <= sampleCap {
+		if d == 0 {
+			h.zeros++
+		} else {
+			h.samples = append(h.samples, d)
+		}
 	}
 }
 
@@ -100,11 +108,22 @@ func (h *Histogram) quantilesLocked(qs ...float64) []time.Duration {
 			qs[i] = 1
 		}
 	}
-	if uint64(len(h.samples)) == h.total {
+	if h.total <= sampleCap {
+		// The sorted reservoir is the negative samples, the zeros, then the
+		// positive samples.
 		s := append([]time.Duration(nil), h.samples...)
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		neg := sort.Search(len(s), func(i int) bool { return s[i] > 0 })
+		zeros := int(h.zeros)
 		for i, q := range qs {
-			out[i] = s[int(q*float64(len(s)-1))]
+			switch at := int(q * float64(len(s)+zeros-1)); {
+			case at < neg:
+				out[i] = s[at]
+			case at < neg+zeros:
+				out[i] = 0
+			default:
+				out[i] = s[at-zeros]
+			}
 		}
 		return out
 	}

@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,83 @@ func TestHistogramExactQuantiles(t *testing.T) {
 	}
 	if got := s.Mean; got != 50500*time.Microsecond {
 		t.Fatalf("mean = %v, want 50.5ms", got)
+	}
+}
+
+// TestHistogramZerosAreCounted: a zero is counted, not stored, so a stream of
+// zero waits leaves the exact-sample reservoir empty.
+func TestHistogramZerosAreCounted(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 100_000; i++ {
+		h.Record(0)
+	}
+	if len(h.samples) != 0 || cap(h.samples) != 0 {
+		t.Fatalf("100000 zero Records left %d samples (cap %d), want none", len(h.samples), cap(h.samples))
+	}
+	if s := h.Snapshot(); s.Count != 100_000 || s.Sum != 0 || s.Max != 0 {
+		t.Fatalf("snapshot of 100000 zeros = %v", s)
+	}
+}
+
+// storedQuantiles is Quantile as it was when the reservoir stored zeros: the
+// first sampleCap values, sorted, while they are all the values; the bucket
+// interpolation after.
+func storedQuantiles(h *Histogram, all []time.Duration, qs ...float64) []time.Duration {
+	out := make([]time.Duration, len(qs))
+	if len(all) <= sampleCap {
+		s := append([]time.Duration(nil), all...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		for i, q := range qs {
+			out[i] = s[int(q*float64(len(s)-1))]
+		}
+		return out
+	}
+	for i, q := range qs {
+		target := uint64(q * float64(len(all)))
+		var cum uint64
+		out[i] = h.max
+		for b, c := range h.counts {
+			if cum += c; cum > target {
+				out[i] = bucketUpper(b)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestHistogramZerosMatchStoredSamples: counting zeros changes no result. For
+// streams mixing zeros with negative and positive values, below the
+// reservoir's cap, at it and above it, every quantile and the snapshot are
+// those of a reservoir that stored the zeros.
+func TestHistogramZerosMatchStoredSamples(t *testing.T) {
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.7, 0.95, 0.99, 0.999, 1}
+	for _, n := range []int{1, 2, 7, 1000, sampleCap, sampleCap + 1, 3 * sampleCap} {
+		for _, zeroEvery := range []int{1, 2, 3, 10} {
+			h := NewHistogram()
+			var all []time.Duration
+			for i := 0; i < n; i++ {
+				d := time.Duration(i%997) * time.Microsecond
+				switch {
+				case i%zeroEvery == 0:
+					d = 0
+				case i%13 == 0:
+					d = -d
+				}
+				h.Record(d)
+				all = append(all, d)
+			}
+			want := storedQuantiles(h, all, qs...)
+			for i, q := range qs {
+				if got := h.Quantile(q); got != want[i] {
+					t.Fatalf("n=%d, zero every %d: Quantile(%v) = %v, want %v", n, zeroEvery, q, got, want[i])
+				}
+			}
+			s := h.Snapshot()
+			if w := storedQuantiles(h, all, 0.50, 0.95, 0.99); s.P50 != w[0] || s.P95 != w[1] || s.P99 != w[2] || s.Count != uint64(n) {
+				t.Fatalf("n=%d, zero every %d: snapshot %v, want p50 %v p95 %v p99 %v", n, zeroEvery, s, w[0], w[1], w[2])
+			}
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
@@ -290,56 +289,29 @@ type ScanResult struct {
 // most keys have a short history.
 const scanSeekAfter = 4
 
-// Bounds of a keySlab chunk. The first is small because many scans return a
-// row or two; a page-sized first chunk would cost those scans more than the
-// per-key allocations it replaces.
-const (
-	minSlabChunk = 64
-	maxSlabChunk = 4 << 10
-)
-
-// keySlab holds the user keys one Scan returns, decoded into shared chunks,
-// so a page of rows costs a handful of allocations rather than one per row.
-// Chunks double from minSlabChunk to maxSlabChunk, and a new chunk has room
-// for at least two keys like the one that opened it. A chunk is never reused
-// or written below its length, so a returned key stays valid for as long as
-// its holder keeps it.
-type keySlab []byte
-
-// decode decodes the user key of a storage-key prefix (see splitKey) into
-// the slab. The key is cap-limited: appending to it copies it rather than
-// overwriting the key after it.
-func (s *keySlab) decode(prefix []byte) (keys.Key, error) {
-	if need := keys.DecodedBytesLen(prefix); cap(*s)-len(*s) < need {
-		size := min(max(2*cap(*s), minSlabChunk, 2*need), maxSlabChunk)
-		*s = make([]byte, 0, max(size, need))
-	}
-	start := len(*s)
-	rest, buf, err := keys.AppendDecodeBytes(*s, prefix)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("mvcc: trailing bytes in storage key")
-	}
-	*s = buf
-	return buf[start:len(buf):len(buf)], nil
+// Scan returns up to maxKeys live rows in span visible at readTs to txnID.
+// maxKeys <= 0 means unlimited. The rows are in fresh memory their holder may
+// keep.
+func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64) (ScanResult, error) {
+	return ScanInto(e, span, readTs, txnID, maxKeys, nil)
 }
 
-// Scan returns up to maxKeys live rows in span visible at readTs to txnID.
-// maxKeys <= 0 means unlimited.
+// ScanInto is Scan reading into page, a pooled page (kvpb.DrawPage), when it
+// is non-nil: the rows are then the page's, valid until it is released. A nil
+// page reads into fresh memory, as Scan does.
 //
 // Versions of one user key share its encoded prefix, so the scan compares
 // prefixes in place and decodes a user key only for a row it returns, into
-// the scan's keySlab.
-func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64) (ScanResult, error) {
-	var res ScanResult
+// the page's key slab (kvpb.Page.AppendRow).
+func ScanInto(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64, page *kvpb.Page) (ScanResult, error) {
+	if page == nil {
+		page = new(kvpb.Page)
+	}
 	var (
 		curPrefix []byte // encoded user key being decided; aliases engine memory
 		decided   bool   // whether visibility for it has been settled
 		passed    int    // older versions of it stepped over since
 		nextKey   []byte // seek target scratch
-		slab      keySlab
 	)
 	it := e.NewIter(EngineSpan(span))
 	for it.Valid() {
@@ -348,13 +320,12 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 			return ScanResult{}, err
 		}
 		if !bytes.Equal(prefix, curPrefix) {
-			if maxKeys > 0 && int64(len(res.Rows)) >= maxKeys {
+			if maxKeys > 0 && int64(len(page.Rows)) >= maxKeys {
 				user, err := decodeUserKey(prefix)
 				if err != nil {
 					return ScanResult{}, err
 				}
-				res.Resume = &keys.Span{Key: user, EndKey: span.EndKey}
-				return res, nil
+				return ScanResult{Rows: page.Rows, Resume: &keys.Span{Key: user, EndKey: span.EndKey}}, nil
 			}
 			curPrefix, decided, passed = prefix, false, 0
 		}
@@ -384,19 +355,14 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 			return ScanResult{}, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
 		}
 		if visible && !v.Tombstone {
-			user, err := slab.decode(prefix)
-			if err != nil {
+			if err := page.AppendRow(prefix, v.Data); err != nil {
 				return ScanResult{}, err
 			}
-			if len(res.Rows) == cap(res.Rows) {
-				res.Rows = slices.Grow(res.Rows, len(res.Rows))
-			}
-			res.Rows = append(res.Rows, kvpb.KeyValue{Key: user, Value: v.Data})
 		}
 		decided = visible
 		it.Next()
 	}
-	return res, nil
+	return ScanResult{Rows: page.Rows}, nil
 }
 
 // AppendResolve appends to dst the engine entries that finalize txnID's

@@ -205,7 +205,9 @@ func (e *Executor) runMaybeTxn(ctx context.Context, tx *txn.Txn, fn func(context
 
 // scanPages reads span through paginated KV scans, with an optional
 // pushed-down row filter, handing each page to page as it arrives: pages
-// are never concatenated.
+// are never concatenated. It is the one consumer that releases a response
+// (kvpb.BatchResponse.Release), as soon as page returns, so the rows and
+// their keys are valid only until then.
 func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, filter []byte, page func([]kvpb.KeyValue) error) error {
 	cur := span
 	for {
@@ -218,7 +220,9 @@ func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, fi
 		}
 		r := resp.Responses[0]
 		e.chargeUnmarshal(resp.ReadBytes())
-		if err := page(r.Rows); err != nil {
+		err = page(r.Rows)
+		resp.Release()
+		if err != nil {
 			return err
 		}
 		if r.ResumeSpan == nil {
@@ -240,14 +244,16 @@ func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, fi
 // the joined rows instead.
 //
 // Every row is decoded into one buffer: the row visit receives is valid only
-// until visit returns, and a caller that keeps it copies it. pk may be kept.
-func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, visit func(pk keys.Key, row []Datum) error) error {
+// until visit returns, and a caller that keeps it copies it. So is pk when
+// paged is true, for the full scan reads it from a KV page; the point and
+// index plans build a fresh pk, which may be kept.
+func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, visit func(pk keys.Key, paged bool, row []Datum) error) error {
 	// row decodes the stored value raw of the row at pk into buf, the one
 	// buffer every row of the scan uses, and visits it if it passes WHERE.
 	var buf []Datum
 	env := evalEnv{cols: cols, args: args}
 	filtered := cols != nil && where != nil
-	row := func(pk keys.Key, raw []byte) error {
+	row := func(pk keys.Key, paged bool, raw []byte) error {
 		var err error
 		if buf, err = decodeRowValue(buf[:0], raw); err != nil {
 			return err
@@ -262,7 +268,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 				return nil
 			}
 		}
-		return visit(pk, buf)
+		return visit(pk, paged, buf)
 	}
 	// Plan 1: full primary key equality -> point get.
 	if pkVals, ok := extractPKConstraint(desc, conds, args); ok {
@@ -273,7 +279,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 		}
 		e.chargeRows(1)
 		e.chargeUnmarshal(int64(len(raw)))
-		return row(key, raw)
+		return row(key, false, raw)
 	}
 	// Plan 2: secondary index equality -> index scan + point lookups (the
 	// "index join" plan shape of TPC-H Q9, §6.1.2).
@@ -296,7 +302,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 				}
 				found++
 				e.chargeUnmarshal(int64(len(raw)))
-				if err := row(key, raw); err != nil {
+				if err := row(key, false, raw); err != nil {
 					return err
 				}
 			}
@@ -316,7 +322,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 	scanned := 0
 	err := e.scanPages(ctx, t, tableSpan(e.tenant, desc), filter, func(kvs []kvpb.KeyValue) error {
 		for _, kv := range kvs {
-			if err := row(kv.Key, kv.Value); err != nil {
+			if err := row(kv.Key, true, kv.Value); err != nil {
 				return err
 			}
 		}
@@ -488,12 +494,16 @@ type tableRow struct {
 	row []Datum
 }
 
-// keepRows copies out the rows of pl's table that pass where. UPDATE and
-// DELETE write only once the scan is done, so no write of theirs lands in a
-// page still to be read.
+// keepRows copies out the rows of pl's table that pass where, and the
+// primary keys read from a page (the released page's slab is the next
+// page's). UPDATE and DELETE write only once the scan is done, so no write of
+// theirs lands in a page still to be read.
 func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, pl *plan, where Expr, args []Datum) ([]tableRow, error) {
 	var rows []tableRow
-	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, func(pk keys.Key, row []Datum) error {
+	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, func(pk keys.Key, paged bool, row []Datum) error {
+		if paged {
+			pk = pk.Clone()
+		}
 		rows = append(rows, tableRow{pk: pk, row: slices.Clone(row)})
 		return nil
 	})
@@ -715,7 +725,7 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 		}
 	}
 	if s.Join == nil {
-		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, func(_ keys.Key, row []Datum) error {
+		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, func(_ keys.Key, _ bool, row []Datum) error {
 			if sorting {
 				row = slices.Clone(row)
 			}
@@ -773,7 +783,7 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select
 	// Both inputs are kept, so their rows are copied out of the scan.
 	input := func(desc *TableDescriptor, conds []colCond) ([][]Datum, error) {
 		var rows [][]Datum
-		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, func(_ keys.Key, row []Datum) error {
+		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, func(_ keys.Key, _ bool, row []Datum) error {
 			rows = append(rows, slices.Clone(row))
 			return nil
 		})

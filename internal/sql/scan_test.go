@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -167,6 +169,84 @@ func TestScanAggregateAllocsDoNotGrowWithRows(t *testing.T) {
 	t.Logf("Q1 allocations at 200 and 2000 rows: %v", allocs)
 	if d := allocs[1] - allocs[0]; d > 30 {
 		t.Fatalf("Q1 makes %v allocations over 200 rows and %v over 2000 (+%v), want at most +30", allocs[0], allocs[1], d)
+	}
+}
+
+// Q1 recycles its KV page: the row headers and the key slab come back from
+// the page pool every query, so after warm-up a query allocates a few kB of
+// plan-independent state. It allocated about 300 kB when every scan grew a
+// fresh 2 000-row page by doubling and decoded its keys into fresh chunks.
+func TestScanAggregateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	_, s := newTestDB(t)
+	loadLineitem(t, s, 2000)
+	for i := 0; i < 5; i++ {
+		mustExec(t, s, q1)
+	}
+	// The median query: one that runs on another P than the last release
+	// finds the pool empty and regrows a page.
+	var bytes [21]uint64
+	var before, after runtime.MemStats
+	for i := range bytes {
+		runtime.ReadMemStats(&before)
+		mustExec(t, s, q1)
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(bytes[:])
+	got := bytes[len(bytes)/2]
+	t.Logf("Q1 over 2000 rows: %d B per query (median)", got)
+	const want = 32 << 10
+	if got > want {
+		t.Fatalf("Q1 over 2000 rows allocates %d B per query, want at most %d", got, want)
+	}
+}
+
+// UPDATE and DELETE keep the primary keys of the rows they change past the
+// scan, and a full scan's keys live in a page the next page reuses: over more
+// than one page, a kept key that still pointed into the released page would
+// name a row of page 2. Every row must change exactly once, under its own key.
+func TestUpdateDeleteKeepKeysAcrossPages(t *testing.T) {
+	_, s := newTestDB(t)
+	const n = scanPageSize + 904
+	mustExec(t, s, "CREATE TABLE t (k INT PRIMARY KEY, v INT)")
+	for base := 1; base <= n; base += 500 {
+		var q strings.Builder
+		q.WriteString("INSERT INTO t VALUES ")
+		for i := base; i < base+500 && i <= n; i++ {
+			if i > base {
+				q.WriteString(", ")
+			}
+			fmt.Fprintf(&q, "(%d, %d)", i, 10*i)
+		}
+		mustExec(t, s, q.String())
+	}
+	// A page's slab grows to hold a whole page when it is released, so the
+	// first scans read into fresh chunks; later ones decode page 2's keys
+	// over page 1's. (A scan that runs on another P than the last release
+	// finds the pool empty, hence several rounds.)
+	for round := int64(1); round <= 6; round++ {
+		if res := mustExec(t, s, "UPDATE t SET v = v + 1"); res.RowsAffected != n {
+			t.Fatalf("round %d: UPDATE changed %d rows, want %d", round, res.RowsAffected, n)
+		}
+		res := mustExec(t, s, "SELECT k, v FROM t ORDER BY k")
+		if len(res.Rows) != n {
+			t.Fatalf("round %d: after UPDATE the table holds %d rows, want %d", round, len(res.Rows), n)
+		}
+		for i, row := range res.Rows {
+			k, v := row[0].I, row[1].I
+			if want := int64(i + 1); k != want || v != 10*want+round {
+				t.Fatalf("round %d: row %d after UPDATE = (%d, %d), want (%d, %d)", round, i, k, v, want, 10*want+round)
+			}
+		}
+	}
+	if res := mustExec(t, s, "DELETE FROM t WHERE v > 0"); res.RowsAffected != n {
+		t.Fatalf("DELETE removed %d rows, want %d", res.RowsAffected, n)
+	}
+	if got := rowStrings(mustExec(t, s, "SELECT COUNT(*) FROM t")); fmt.Sprint(got) != "[0]" {
+		t.Fatalf("after DELETE COUNT(*) = %v, want 0", got)
 	}
 }
 

@@ -74,7 +74,8 @@ func (b *writeBuffer) requests() []kvpb.Request {
 // scan's pushed-down filter; like an undecodable row they are returned
 // (kvserver.evalRead fails open the same way, and the SQL layer applies the
 // whole predicate again). A page the inserts push past MaxKeys is cut back
-// to it, resuming at the first row cut.
+// to it, resuming at the first row cut. The rows still point into the
+// response's pages, and the resume key is a copy: it outlives them.
 func (b *writeBuffer) overlay(r kvpb.Request, page *kvpb.Response) {
 	covered := keys.Span{Key: r.Key, EndKey: r.EndKey}
 	if page.ResumeSpan != nil {
@@ -107,7 +108,7 @@ func (b *writeBuffer) overlay(r kvpb.Request, page *kvpb.Response) {
 		in = in[1:]
 	}
 	if r.MaxKeys > 0 && int64(len(rows)) > r.MaxKeys {
-		page.ResumeSpan = &keys.Span{Key: rows[r.MaxKeys].Key, EndKey: r.EndKey}
+		page.ResumeSpan = &keys.Span{Key: rows[r.MaxKeys].Key.Clone(), EndKey: r.EndKey}
 		rows = rows[:r.MaxKeys]
 	}
 	page.Rows = rows

@@ -190,6 +190,7 @@ func (t *Txn) sendBuffered(ctx context.Context, reqs []kvpb.Request) (*kvpb.Batc
 		if resp, err = t.send(ctx, t.batch(fwd)); err != nil {
 			return nil, err
 		}
+		out.TakePages(resp)
 	}
 	t.mu.Lock()
 	for j, i := range fwdIdx {
@@ -303,7 +304,8 @@ func (t *Txn) Delete(ctx context.Context, key keys.Key) error {
 }
 
 // Scan reads a span within the transaction: all of it, or its first maxKeys
-// rows when maxKeys is positive.
+// rows when maxKeys is positive. It releases no response, so the rows are
+// the caller's to keep: the pages they point into never return to the pool.
 func (t *Txn) Scan(ctx context.Context, span keys.Span, maxKeys int64) ([]kvpb.KeyValue, error) {
 	var rows []kvpb.KeyValue
 	for {
