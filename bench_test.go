@@ -205,8 +205,8 @@ func BenchmarkFig11ModelAccuracy(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionFilterPushdown measures the §8 row-filter push-down on a
-// selective full scan.
+// BenchmarkExtensionFilterPushdown measures the §8 push-down on a selective
+// full scan (filter push-down) and on TPC-H Q1 (aggregation push-down).
 func BenchmarkExtensionFilterPushdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, _, err := experiments.AblationFilterPushdown(1000, 8)
@@ -215,6 +215,8 @@ func BenchmarkExtensionFilterPushdown(b *testing.B) {
 		}
 		b.ReportMetric(res.PenaltyNoPushdown, "penalty-no-pushdown-x")
 		b.ReportMetric(res.PenaltyWithPushdown, "penalty-pushdown-x")
+		b.ReportMetric(res.Q1PenaltyNoPushdown, "q1-penalty-no-pushdown-x")
+		b.ReportMetric(res.Q1PenaltyWithPushdown, "q1-penalty-pushdown-x")
 	}
 }
 

@@ -201,7 +201,7 @@ func buildExperiments(quick bool, chaosSeed int64) []experiment {
 			fmt.Print(table)
 			return nil
 		}},
-		{"pushdown", "extension (§8): row-filter push-down on selective full scans", func() error {
+		{"pushdown", "extension (§8): filter and aggregation push-down on full scans", func() error {
 			_, table, err := experiments.AblationFilterPushdown(scale(1000, 400), scale(8, 4))
 			if err != nil {
 				return err

@@ -182,7 +182,6 @@ func New(opts Options) (*Serverless, error) {
 		return nil, err
 	}
 	s.cluster = cluster
-	cluster.SetRowDecoder(sql.KVRowDecoder())
 	s.buckets = tenantcost.NewBucketServer(opts.Clock)
 	s.buckets.SetConsumptionObserver(s.obs.AddRU)
 	s.registry, err = core.NewRegistry(cluster, s.buckets)

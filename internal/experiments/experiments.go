@@ -119,7 +119,6 @@ func newTestbed(opts testbedOptions) (*testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster.SetRowDecoder(sql.KVRowDecoder())
 	buckets := tenantcost.NewBucketServer(opts.clock)
 	reg, err := core.NewRegistry(cluster, buckets)
 	if err != nil {
@@ -149,8 +148,10 @@ type tenantHandle struct {
 
 // newTenant provisions a tenant and its SQL stack. colocated selects the
 // traditional deployment cost model; quotaVCPUs > 0 enables eCPU limiting.
+// The stack pushes nothing down to KV: the figures reproduce the paper's
+// system, in which every scanned row crosses the SQL/KV boundary.
 func (tb *testbed) newTenant(ctx context.Context, name string, colocated bool, quotaVCPUs float64) (*tenantHandle, error) {
-	return tb.newTenantCfg(ctx, name, sql.ExecutorConfig{Colocated: colocated}, quotaVCPUs)
+	return tb.newTenantCfg(ctx, name, sql.ExecutorConfig{Colocated: colocated, NoPushdown: true}, quotaVCPUs)
 }
 
 // newTenantCfg is newTenant with full executor configuration.

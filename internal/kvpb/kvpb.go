@@ -206,16 +206,41 @@ type BatchResponse struct {
 	pages *Page
 }
 
-// ReadBytes returns the total bytes returned by reads in the response, an
-// input to the estimated-CPU model (§5.2.1).
+// ReadBytes returns the total bytes returned by reads in the response: what
+// crosses the SQL/KV boundary.
 func (b *BatchResponse) ReadBytes() int64 {
 	var n int64
 	for i := range b.Responses {
 		r := &b.Responses[i]
-		n += int64(len(r.Value))
-		for _, kv := range r.Rows {
-			n += int64(len(kv.Key) + len(kv.Value))
+		n += int64(len(r.Value)) + r.rowBytes()
+	}
+	return n
+}
+
+// ScannedBytes returns the bytes the KV node read to serve the response's
+// reads. It is ReadBytes, except that a scan counts what it read
+// (Response.ScannedBytes) rather than what it returned, which is less when a
+// pushed-down filter dropped rows or a pushed-down aggregation folded them.
+// Reads are priced on it, both by the KV node's ground-truth cost and by the
+// tenant's estimated-CPU bill (§5.2.1), so push-down never makes a read
+// cheaper to bill than the work it made the KV node do.
+func (b *BatchResponse) ScannedBytes() int64 {
+	var n int64
+	for i := range b.Responses {
+		r := &b.Responses[i]
+		if r.ScannedBytes > int64(len(r.Value)) {
+			n += int64(len(r.Value)) + r.ScannedBytes
+		} else {
+			n += int64(len(r.Value)) + r.rowBytes()
 		}
+	}
+	return n
+}
+
+func (r *Response) rowBytes() int64 {
+	var n int64
+	for _, kv := range r.Rows {
+		n += int64(len(kv.Key) + len(kv.Value))
 	}
 	return n
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Page is the memory one Scan response's rows live in: the row headers, and
-// the slab their keys are decoded into. (Row values alias engine memory; the
-// page holds only pointers to them.)
+// the slab their keys are decoded into. (Read rows' values alias engine
+// memory, and the page holds only pointers to them; the rows a pushed-down
+// aggregation builds are copied into the slab whole.)
 //
 // The KV node evaluating a scan draws a page from a pool (DrawPage) and fills
 // it; the BatchResponse carrying the rows up owns the page, and so does every
@@ -24,10 +25,10 @@ import (
 // garbage collections, so an idle page costs no live heap.
 type Page struct {
 	Rows []KeyValue
-	// slab is the chunk keys are decoded into; keyBytes counts the key
-	// bytes decoded since the page was drawn, all chunks together.
-	slab     []byte
-	keyBytes int
+	// slab is the chunk keys (and built rows) are copied into; slabBytes
+	// counts the bytes copied since the page was drawn, all chunks together.
+	slab      []byte
+	slabBytes int
 	// next links the pages one response owns.
 	next *Page
 }
@@ -52,15 +53,10 @@ const (
 
 // AppendRow appends a row whose key is decoded from enc, a key as
 // keys.EncodeBytes wrote it, into the page's slab, so a page of rows costs a
-// handful of allocations rather than one per row. Chunks double from
-// minSlabChunk to maxSlabChunk, and a new chunk has room for at least two
-// keys like the one that opened it. The key is cap-limited: appending to it
-// copies it rather than overwriting the key after it.
+// handful of allocations rather than one per row. The key is cap-limited:
+// appending to it copies it rather than overwriting the key after it.
 func (p *Page) AppendRow(enc, value []byte) error {
-	if need := keys.DecodedBytesLen(enc); cap(p.slab)-len(p.slab) < need {
-		size := min(max(2*cap(p.slab), minSlabChunk, 2*need), maxSlabChunk)
-		p.slab = make([]byte, 0, max(size, need))
-	}
+	p.reserve(keys.DecodedBytesLen(enc))
 	start := len(p.slab)
 	rest, buf, err := keys.AppendDecodeBytes(p.slab, enc)
 	if err != nil {
@@ -70,12 +66,38 @@ func (p *Page) AppendRow(enc, value []byte) error {
 		return errors.New("kvpb: trailing bytes in encoded key")
 	}
 	p.slab = buf
-	p.keyBytes += len(buf) - start
+	p.slabBytes += len(buf) - start
+	p.appendKV(KeyValue{Key: buf[start:len(buf):len(buf)], Value: value})
+	return nil
+}
+
+// AppendOwned appends a row the KV node built rather than read, such as a
+// partial aggregate: no engine memory backs it, so its key and value are both
+// copied into the page's slab, each cap-limited as AppendRow's key is.
+func (p *Page) AppendOwned(key, value []byte) {
+	p.reserve(len(key) + len(value))
+	start := len(p.slab)
+	p.slab = append(append(p.slab, key...), value...)
+	p.slabBytes += len(key) + len(value)
+	mid, end := start+len(key), len(p.slab)
+	p.appendKV(KeyValue{Key: p.slab[start:mid:mid], Value: p.slab[mid:end:end]})
+}
+
+// reserve makes room for need more bytes in the slab. Chunks double from
+// minSlabChunk to maxSlabChunk, and a new chunk has room for at least two
+// rows like the one that opened it.
+func (p *Page) reserve(need int) {
+	if cap(p.slab)-len(p.slab) < need {
+		size := min(max(2*cap(p.slab), minSlabChunk, 2*need), maxSlabChunk)
+		p.slab = make([]byte, 0, max(size, need))
+	}
+}
+
+func (p *Page) appendKV(kv KeyValue) {
 	if len(p.Rows) == cap(p.Rows) {
 		p.Rows = slices.Grow(p.Rows, len(p.Rows))
 	}
-	p.Rows = append(p.Rows, KeyValue{Key: buf[start:len(buf):len(buf)], Value: value})
-	return nil
+	p.Rows = append(p.Rows, kv)
 }
 
 // release empties p and puts it back in the pool.
@@ -85,16 +107,16 @@ func (p *Page) release() {
 }
 
 // reset empties p for its next fill, which reuses its row headers and one
-// slab chunk that holds every key of this fill: once a page has served a
+// slab chunk that holds every byte of this fill: once a page has served a
 // scan, a scan like it allocates nothing.
 func (p *Page) reset() {
 	clear(p.Rows)
 	p.Rows = p.Rows[:0]
-	if cap(p.slab) < p.keyBytes {
-		p.slab = make([]byte, 0, p.keyBytes)
+	if cap(p.slab) < p.slabBytes {
+		p.slab = make([]byte, 0, p.slabBytes)
 	}
 	p.slab = p.slab[:0]
-	p.keyBytes = 0
+	p.slabBytes = 0
 	p.next = nil
 }
 

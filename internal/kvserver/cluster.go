@@ -126,7 +126,6 @@ type Cluster struct {
 		ranges      map[RangeID]*rangeState
 		nextRangeID RangeID
 		auth        Authorizer
-		rowDecoder  RowDecoder
 	}
 	dir metaDirectory
 }
@@ -172,23 +171,39 @@ func (c *Cluster) SetAuthorizer(a Authorizer) {
 	c.mu.auth = a
 }
 
-// RowDecoder decodes a stored row value into the column accessor the
-// row-filter evaluator consumes. The SQL layer registers its codec here;
-// without one, pushed-down filters are ignored and full rows are returned
-// (the pre-push-down behavior).
-type RowDecoder func(value []byte) (rowfilter.RowAccessor, error)
-
-// SetRowDecoder registers the row codec used for filter push-down (§8).
-func (c *Cluster) SetRowDecoder(dec RowDecoder) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mu.rowDecoder = dec
+// A ScanEvaluator evaluates what a Scan pushes down to the KV node in
+// kvpb.Request.Filter: a rowfilter.Filter, or a rowfilter.AggSpec (the
+// paper's §8 future work). kvserver knows nothing of rows: the SQL layer
+// registers the one evaluator, which decodes the values it wrote.
+type ScanEvaluator interface {
+	// Begin starts evaluating spec over one scan's rows.
+	Begin(spec []byte) (ScanFold, error)
 }
 
-func (c *Cluster) rowDecoder() RowDecoder {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.mu.rowDecoder
+// A ScanFold is one scan's evaluation. The scan hands it every visible row in
+// key order, then calls Finish exactly once, also when the scan failed.
+type ScanFold interface {
+	// Row reports whether the row with this value goes into the response as
+	// it is. A filter keeps the rows that pass it; an aggregation keeps none
+	// and folds the ones that pass instead.
+	Row(value []byte) (keep bool, err error)
+	// Finish appends to page what the fold built (an aggregation's partial
+	// rows) and ends the fold. A nil page discards it.
+	Finish(page *kvpb.Page) error
+}
+
+// scanEvaluator is the registered ScanEvaluator, nil if none is.
+var scanEvaluator atomic.Pointer[ScanEvaluator]
+
+// RegisterScanEvaluator makes ev the evaluator of every node's pushed-down
+// scans. The SQL layer calls it once, when it is initialized; a nil ev
+// unregisters.
+func RegisterScanEvaluator(ev ScanEvaluator) {
+	if ev == nil {
+		scanEvaluator.Store(nil)
+		return
+	}
+	scanEvaluator.Store(&ev)
 }
 
 // Node returns the node with the given ID.
@@ -864,7 +879,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 
 	if ba.IsReadOnly() {
 		for _, r := range ba.Requests {
-			out, err := evalRead(n, r, readTs, txnID, c.rowDecoder(), resp)
+			out, err := evalRead(n, r, readTs, txnID, resp)
 			if err != nil {
 				return nil, err
 			}
@@ -931,7 +946,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	for _, r := range ba.Requests {
 		switch r.Method {
 		case kvpb.Get, kvpb.Scan:
-			out, err := evalRead(n, r, readTs, txnID, c.rowDecoder(), resp)
+			out, err := evalRead(n, r, readTs, txnID, resp)
 			if err != nil {
 				return nil, err
 			}
@@ -1036,7 +1051,7 @@ func alreadyCommitted(e *lsm.Engine, reqs []kvpb.Request, ts hlc.Timestamp) (boo
 // evalRead serves a read request from the node's local engine. A scan reads
 // into a pooled page when the pool has one, and owner, the batch response
 // the rows go up in, owns it.
-func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, dec RowDecoder, owner *kvpb.BatchResponse) (kvpb.Response, error) {
+func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, owner *kvpb.BatchResponse) (kvpb.Response, error) {
 	switch r.Method {
 	case kvpb.Get:
 		v, ok, err := mvcc.Get(n.Engine(), r.Key, readTs, txnID)
@@ -1047,34 +1062,71 @@ func evalRead(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, dec R
 	case kvpb.Scan:
 		page := kvpb.DrawPage()
 		owner.KeepPage(page)
-		res, err := mvcc.ScanInto(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys, page)
-		if err != nil {
-			return kvpb.Response{}, err
+		if page == nil {
+			page = new(kvpb.Page)
 		}
-		out := kvpb.Response{Rows: res.Rows, ResumeSpan: res.Resume}
-		for _, kv := range res.Rows {
-			out.ScannedBytes += int64(len(kv.Key) + len(kv.Value))
+		if len(r.Filter) == 0 {
+			return evalScan(n, r, readTs, txnID, page)
 		}
-		// Row-filter push-down (§8): drop non-matching rows before they
-		// cross the process boundary. Requires a registered row codec;
-		// undecodable rows are returned unfiltered (fail open — the SQL
-		// layer re-applies the full predicate regardless).
-		if len(r.Filter) > 0 && dec != nil {
-			filter, ferr := rowfilter.Decode(r.Filter)
-			if ferr != nil {
-				return kvpb.Response{}, ferr
-			}
-			kept := out.Rows[:0]
-			for _, kv := range out.Rows {
-				acc, derr := dec(kv.Value)
-				if derr != nil || filter.Matches(acc) {
-					kept = append(kept, kv)
-				}
-			}
-			out.Rows = kept
-		}
-		return out, nil
+		return evalPushedScan(n, r, readTs, txnID, page)
 	default:
 		return kvpb.Response{}, fmt.Errorf("kvserver: %s is not a read", r.Method)
 	}
+}
+
+// evalScan returns the scan's rows as they are stored.
+func evalScan(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, page *kvpb.Page) (kvpb.Response, error) {
+	res, err := mvcc.ScanInto(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys, page)
+	if err != nil {
+		return kvpb.Response{}, err
+	}
+	out := kvpb.Response{Rows: res.Rows, ResumeSpan: res.Resume}
+	for _, kv := range res.Rows {
+		out.ScannedBytes += int64(len(kv.Key) + len(kv.Value))
+	}
+	return out, nil
+}
+
+// evalPushedScan serves a scan that pushes a filter or an aggregation down
+// (§8), handing each row to the registered evaluator as the MVCC scan reaches
+// it: a kept row goes into page, and a folded one never does. MaxKeys bounds
+// the rows scanned, not the rows returned, and ScannedBytes counts every row
+// scanned, as a plain scan's does.
+//
+// Without an evaluator a bare filter is ignored and every row returned: the
+// SQL layer applies its whole WHERE clause again. Anything else fails, for
+// rows returned in place of partial aggregates would be read as partials.
+func evalPushedScan(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, page *kvpb.Page) (kvpb.Response, error) {
+	ev := scanEvaluator.Load()
+	if ev == nil {
+		if _, err := rowfilter.Decode(r.Filter); err != nil {
+			return kvpb.Response{}, fmt.Errorf("kvserver: no evaluator for a pushed-down scan: %w", err)
+		}
+		return evalScan(n, r, readTs, txnID, page)
+	}
+	fold, err := (*ev).Begin(r.Filter)
+	if err != nil {
+		return kvpb.Response{}, err
+	}
+	var out kvpb.Response
+	out.ResumeSpan, err = mvcc.ScanFunc(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys, func(enc, value []byte) error {
+		out.ScannedBytes += int64(keys.DecodedBytesLen(enc) + len(value))
+		keep, err := fold.Row(value)
+		if keep && err == nil {
+			err = page.AppendRow(enc, value)
+		}
+		return err
+	})
+	into := page
+	if err != nil {
+		into = nil
+	}
+	if ferr := fold.Finish(into); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return kvpb.Response{}, err
+	}
+	out.Rows = page.Rows
+	return out, nil
 }

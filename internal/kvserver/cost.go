@@ -87,28 +87,14 @@ func (c CostConfig) BatchCost(req *kvpb.BatchRequest, resp *kvpb.BatchResponse, 
 		cost += time.Duration(req.WriteBytes()) * c.WriteByteCost
 	}
 	if resp != nil {
-		rb := resp.ReadBytes()
 		// The scan work is charged on bytes read, which exceeds bytes
-		// returned when a pushed-down filter dropped rows; marshaling is
-		// charged only on what actually crosses the process boundary.
-		scanned := rb
-		for i := range resp.Responses {
-			if s := resp.Responses[i].ScannedBytes; s > int64(len(resp.Responses[i].Value)) {
-				scanned += s - sumRowBytes(&resp.Responses[i])
-			}
-		}
-		cost += time.Duration(scanned) * c.ReadByteCost
+		// returned when a pushed-down filter or aggregation folded rows
+		// away; marshaling is charged only on what actually crosses the
+		// process boundary.
+		cost += time.Duration(resp.ScannedBytes()) * c.ReadByteCost
 		if remote {
-			cost += time.Duration(rb) * c.MarshalByteCost
+			cost += time.Duration(resp.ReadBytes()) * c.MarshalByteCost
 		}
 	}
 	return cost
-}
-
-func sumRowBytes(r *kvpb.Response) int64 {
-	var n int64
-	for _, kv := range r.Rows {
-		n += int64(len(kv.Key) + len(kv.Value))
-	}
-	return n
 }

@@ -643,6 +643,7 @@ func (c *rangeClip) merge(reqs []kvpb.Request, remIdx []int, head, rest *kvpb.Ba
 				cont := rest.Responses[ri]
 				r.Rows = append(r.Rows, cont.Rows...)
 				r.ResumeSpan = cont.ResumeSpan
+				r.ScannedBytes += cont.ScannedBytes
 			} else if r.ResumeSpan != nil {
 				// The range-local scan stopped at its limit; re-point the
 				// resume window at the original scan end, not the clip end.

@@ -124,7 +124,7 @@ func (r firstByteRow) Column(i int) (rowfilter.Value, bool) {
 // resume point — silently skipping the rest of the first range.
 func TestCrossRangeFilteredScanResumesInsideRange(t *testing.T) {
 	c := newTestCluster(t, 3)
-	c.SetRowDecoder(func(v []byte) (rowfilter.RowAccessor, error) { return firstByteRow(v), nil })
+	withScanEvaluator(t, filterEvaluator(func(v []byte) rowfilter.RowAccessor { return firstByteRow(v) }))
 	ds := NewDistSender(c, Identity{Tenant: 2})
 	ctx := context.Background()
 	// Left range: two rows the filter drops, then one it keeps. Right range:

@@ -17,11 +17,11 @@ import (
 // Histogram records durations into exponential buckets and reports
 // percentiles. It is safe for concurrent use.
 type Histogram struct {
-	mu      sync.Mutex
-	counts  []uint64 // up to the highest bucket recorded
-	total   uint64
-	sum     time.Duration
-	max     time.Duration
+	mu     sync.Mutex
+	counts []uint64 // up to the highest bucket recorded
+	total  uint64
+	sum    time.Duration
+	max    time.Duration
 	// The exact-sample reservoir: the first sampleCap values, for precise
 	// quantiles. Zeros are counted rather than stored, so a stream of them
 	// (an uncontended admission wait on every batch) costs no memory.

@@ -298,34 +298,50 @@ func Scan(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, max
 
 // ScanInto is Scan reading into page, a pooled page (kvpb.DrawPage), when it
 // is non-nil: the rows are then the page's, valid until it is released. A nil
-// page reads into fresh memory, as Scan does.
-//
-// Versions of one user key share its encoded prefix, so the scan compares
-// prefixes in place and decodes a user key only for a row it returns, into
+// page reads into fresh memory, as Scan does. Each row's key is decoded into
 // the page's key slab (kvpb.Page.AppendRow).
 func ScanInto(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64, page *kvpb.Page) (ScanResult, error) {
 	if page == nil {
 		page = new(kvpb.Page)
 	}
+	resume, err := ScanFunc(e, span, readTs, txnID, maxKeys, page.AppendRow)
+	if err != nil {
+		return ScanResult{}, err
+	}
+	return ScanResult{Rows: page.Rows, Resume: resume}, nil
+}
+
+// ScanFunc is Scan handing each row to visit as the scan reaches it, in key
+// order, instead of keeping it: enc is the row's user key as
+// keys.EncodeBytes wrote it, and value its value. Both alias engine memory,
+// which does not change under them: ScanInto's page keeps each value. maxKeys
+// bounds the rows visited, and the span not reached is returned as Scan's
+// Resume is. An error from visit ends the scan and is returned.
+//
+// Versions of one user key share its encoded prefix, so the scan compares
+// prefixes in place and never decodes a user key, except a resume key or a
+// conflicting intent's.
+func ScanFunc(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64, visit func(enc, value []byte) error) (*keys.Span, error) {
 	var (
 		curPrefix []byte // encoded user key being decided; aliases engine memory
 		decided   bool   // whether visibility for it has been settled
 		passed    int    // older versions of it stepped over since
 		nextKey   []byte // seek target scratch
+		visited   int64
 	)
 	it := e.NewIter(EngineSpan(span))
 	for it.Valid() {
 		prefix, ts, err := splitKey(it.Key())
 		if err != nil {
-			return ScanResult{}, err
+			return nil, err
 		}
 		if !bytes.Equal(prefix, curPrefix) {
-			if maxKeys > 0 && int64(len(page.Rows)) >= maxKeys {
+			if maxKeys > 0 && visited >= maxKeys {
 				user, err := decodeUserKey(prefix)
 				if err != nil {
-					return ScanResult{}, err
+					return nil, err
 				}
-				return ScanResult{Rows: page.Rows, Resume: &keys.Span{Key: user, EndKey: span.EndKey}}, nil
+				return &keys.Span{Key: user, EndKey: span.EndKey}, nil
 			}
 			curPrefix, decided, passed = prefix, false, 0
 		}
@@ -343,26 +359,27 @@ func ScanInto(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64,
 		}
 		v, err := decodeValue(it.Value())
 		if err != nil {
-			return ScanResult{}, err
+			return nil, err
 		}
 		v.Ts = ts
 		visible, conflict := visibleVersion(v, readTs, txnID)
 		if conflict {
 			user, err := decodeUserKey(prefix)
 			if err != nil {
-				return ScanResult{}, err
+				return nil, err
 			}
-			return ScanResult{}, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
+			return nil, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
 		}
 		if visible && !v.Tombstone {
-			if err := page.AppendRow(prefix, v.Data); err != nil {
-				return ScanResult{}, err
+			if err := visit(prefix, v.Data); err != nil {
+				return nil, err
 			}
+			visited++
 		}
 		decided = visible
 		it.Next()
 	}
-	return ScanResult{Rows: page.Rows}, nil
+	return nil, nil
 }
 
 // AppendResolve appends to dst the engine entries that finalize txnID's

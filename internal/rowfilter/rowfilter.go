@@ -8,7 +8,8 @@
 // single-column comparisons against constants — so the KV layer can evaluate
 // it without any knowledge of SQL: the SQL layer compiles eligible WHERE
 // conjuncts down to this form, and scan responses then carry only matching
-// rows across the process boundary.
+// rows across the process boundary. An AggSpec goes one step further and
+// asks for partial aggregates per group in place of the rows.
 //
 // The package sits below both the SQL layer and the KV server (neither may
 // import the other), so it owns the minimal value model the two share.
@@ -19,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"crdbserverless/internal/binenc"
 )
@@ -233,20 +235,35 @@ func (f *Filter) Encode() []byte {
 
 // Decode parses a transported filter. It arrives inside a KV request, so a
 // malformed filter is an error, never a panic or an allocation its length
-// does not pay for.
+// does not pay for. An AggSpec's bytes are a filter with an aggregation
+// behind it, so Decode rejects them: nothing that reads filters alone can
+// take a request for partial aggregates for a request for rows.
 func Decode(b []byte) (*Filter, error) {
-	r := binenc.NewReader(b)
 	f := &Filter{}
-	if n := r.Count(minCondSize); n > 0 {
-		f.Conds = make([]Cond, n)
-		for i := range f.Conds {
-			f.Conds[i] = consumeCond(r)
-		}
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("rowfilter: decode: %w", err)
+	if err := DecodeInto(f, b); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// DecodeInto is Decode into f, reusing the capacity of f.Conds, so a reader
+// that keeps its Filter decodes spec after spec without allocating. On error
+// f holds whatever was decoded before the fault.
+func DecodeInto(f *Filter, b []byte) error {
+	r := binenc.NewReader(b)
+	consumeFilter(r, f)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("rowfilter: decode: %w", err)
+	}
+	return nil
+}
+
+func consumeFilter(r *binenc.Reader, f *Filter) {
+	n := r.Count(minCondSize)
+	f.Conds = slices.Grow(f.Conds[:0], n)[:n]
+	for i := range f.Conds {
+		f.Conds[i] = consumeCond(r)
+	}
 }
 
 func consumeCond(r *binenc.Reader) Cond {
@@ -270,4 +287,95 @@ func consumeCond(r *binenc.Reader) Cond {
 		c.Value.B = r.Bool()
 	}
 	return c
+}
+
+// AggFunc is an aggregate function a KV node folds rows into.
+type AggFunc byte
+
+// Aggregate functions. AVG folds what SUM does and is finished by the reader.
+const (
+	AggCountRows AggFunc = iota // COUNT(*): counts rows, reads no column
+	AggCount
+	AggSum
+	AggAvg
+	AggMin
+	AggMax
+)
+
+// Agg is one aggregate: Fn over column Col. Col is 0 for AggCountRows.
+type Agg struct {
+	Fn  AggFunc
+	Col int
+}
+
+// AggSpec asks the KV node for partial aggregates instead of rows: one row
+// per group of the rows that pass Filter, grouped by the GroupBy columns,
+// each holding the Aggs folded over its group's rows. What a partial row
+// holds is the evaluator's format; rowfilter fixes only the request.
+//
+// An AggSpec travels where a filter does, in the Scan's Filter bytes. Its
+// encoding is the filter's, then
+//
+//	uvarint group column count, then each column as a uvarint
+//	uvarint aggregate count, then per aggregate its AggFunc byte and column
+//	as a uvarint
+//
+// so a filter-only Scan carries exactly what it did before AggSpec existed.
+type AggSpec struct {
+	Filter  Filter
+	GroupBy []int
+	Aggs    []Agg
+}
+
+// Encode serializes the spec for transport in a KV request.
+func (s *AggSpec) Encode() []byte {
+	b := s.Filter.Encode()
+	b = binary.AppendUvarint(b, uint64(len(s.GroupBy)))
+	for _, c := range s.GroupBy {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Aggs)))
+	for _, a := range s.Aggs {
+		b = append(b, byte(a.Fn))
+		b = binary.AppendUvarint(b, uint64(a.Col))
+	}
+	return b
+}
+
+// DecodeAggSpecInto parses a transported AggSpec into s, reusing the
+// capacity of its slices as DecodeInto does. Like Decode it fails, never
+// panics, on malformed input; a bare filter, which has no aggregation behind
+// it, is malformed here. On error s holds whatever was decoded before the
+// fault.
+func DecodeAggSpecInto(s *AggSpec, b []byte) error {
+	r := binenc.NewReader(b)
+	consumeFilter(r, &s.Filter)
+	n := r.Count(1)
+	s.GroupBy = slices.Grow(s.GroupBy[:0], n)[:n]
+	for i := range s.GroupBy {
+		s.GroupBy[i] = consumeCol(r)
+	}
+	// An aggregate is at least its function byte and a one-byte column.
+	n = r.Count(2)
+	s.Aggs = slices.Grow(s.Aggs[:0], n)[:n]
+	for i := range s.Aggs {
+		if s.Aggs[i].Fn = AggFunc(r.Byte()); s.Aggs[i].Fn > AggMax {
+			r.Fail()
+		}
+		s.Aggs[i].Col = consumeCol(r)
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("rowfilter: decode aggregation: %w", err)
+	}
+	return nil
+}
+
+// consumeCol reads a column offset, which must fit an int32.
+func consumeCol(r *binenc.Reader) int {
+	c := r.Uvarint()
+	if c > math.MaxInt32 {
+		r.Fail()
+		return 0
+	}
+	return int(c)
 }

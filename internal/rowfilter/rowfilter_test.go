@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +247,150 @@ func TestMatchesConsistentWithComparisonProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// goldenAggSpec and goldenAggSpecHex fix the format of a pushed-down
+// aggregation: the golden filter, then the aggregation behind it.
+var goldenAggSpec = &AggSpec{
+	Filter:  *goldenFilter,
+	GroupBy: []int{4, 300},
+	Aggs:    []Agg{{Fn: AggCountRows}, {Fn: AggSum, Col: 2}, {Fn: AggAvg, Col: 2}, {Fn: AggMax, Col: 130}},
+}
+
+const goldenAggSpecHex = goldenFilterHex +
+	"02" + "04" + "ac02" + // GROUP BY col 4, col 300
+	"04" + // four aggregates
+	"00" + "00" + // COUNT(*)
+	"02" + "02" + // SUM(col 2)
+	"03" + "02" + // AVG(col 2)
+	"05" + "8201" // MAX(col 130)
+
+func TestAggregateSpecGolden(t *testing.T) {
+	want := mustHex(t, goldenAggSpecHex)
+	if got := goldenAggSpec.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("encoded spec\n got %x\nwant %x", got, want)
+	}
+	got, err := decodeAggSpec(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, goldenAggSpec) {
+		t.Fatalf("decoded spec = %+v", got)
+	}
+	// A spec is not a filter, and a filter is not a spec: neither decoder
+	// takes the other's bytes, so no reader mistakes partials for rows.
+	if f, err := Decode(want); err == nil {
+		t.Fatalf("a spec decoded as the filter %+v", f)
+	}
+	if s, err := decodeAggSpec(mustHex(t, goldenFilterHex)); err == nil {
+		t.Fatalf("a bare filter decoded as the spec %+v", s)
+	}
+	// The empty spec, COUNT(*) over no filter and no group.
+	empty := &AggSpec{Aggs: []Agg{{Fn: AggCountRows}}}
+	if got, err := decodeAggSpec(empty.Encode()); err != nil || len(got.Aggs) != 1 || !got.Filter.Empty() {
+		t.Fatalf("COUNT(*) spec round trip = %+v, %v", got, err)
+	}
+}
+
+func TestDecodeAggregateSpecRejectsMalformedInput(t *testing.T) {
+	golden := mustHex(t, goldenAggSpecHex)
+	for cut := 0; cut < len(golden); cut++ {
+		if s, err := decodeAggSpec(golden[:cut]); err == nil {
+			t.Errorf("spec truncated to %d of %d bytes decoded to %+v", cut, len(golden), s)
+		}
+	}
+	// No condition, GROUP BY col 1, COUNT(col 0).
+	const one = "00" + "0101" + "01" + "0100"
+	if _, err := decodeAggSpec(mustHex(t, one)); err != nil {
+		t.Fatalf("the undamaged spec: %v", err)
+	}
+	for name, in := range map[string]string{
+		"trailing byte":             one + "00",
+		"unknown function":          "00" + "0101" + "01" + "0600",
+		"group column beyond int32": "00" + "01" + "8080808008" + "01" + "0100",
+		"agg column beyond int32":   "00" + "0101" + "01" + "01" + "8080808008",
+		"group count beyond input":  "00" + "05" + "01" + "01" + "0100",
+		"agg count beyond input":    "00" + "0101" + "03" + "0100",
+		"agg count near 2^64":       "00" + "0101" + "ffffffffffffffffff01" + "0100",
+		"no aggregate count":        "00" + "0101",
+	} {
+		if s, err := decodeAggSpec(mustHex(t, in)); err == nil {
+			t.Errorf("%s (%s) decoded to %+v", name, in, s)
+		}
+	}
+}
+
+// A reader that keeps its AggSpec decodes spec after spec into it without
+// allocating (but for a string constant's bytes), and a short spec decoded
+// over a long one keeps nothing of it.
+func TestDecodeAggSpecIntoReuses(t *testing.T) {
+	golden := mustHex(t, goldenAggSpecHex)
+	q1 := (&AggSpec{
+		Filter:  Filter{Conds: []Cond{{Col: 3, Op: OpLe, Value: vi(2400)}}},
+		GroupBy: []int{1},
+		Aggs:    []Agg{{Fn: AggSum, Col: 2}, {Fn: AggAvg, Col: 2}, {Fn: AggCountRows}},
+	}).Encode()
+	one := (&AggSpec{GroupBy: []int{1}, Aggs: []Agg{{Fn: AggCount}}}).Encode()
+	var s AggSpec
+	if err := DecodeAggSpecInto(&s, golden); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeAggSpecInto(&s, q1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding into a used spec allocates %v times", allocs)
+	}
+	if err := DecodeAggSpecInto(&s, one); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Encode(); !bytes.Equal(got, one) {
+		t.Fatalf("decoded over the golden spec, %x re-encodes to %x", one, got)
+	}
+	if err := DecodeInto(&s.Filter, mustHex(t, goldenFilterHex)); err != nil || len(s.Filter.Conds) != len(goldenAggSpec.Filter.Conds) {
+		t.Fatalf("filter decoded into a used spec: %+v, %v", s.Filter, err)
+	}
+}
+
+func decodeAggSpec(b []byte) (*AggSpec, error) {
+	s := &AggSpec{}
+	if err := DecodeAggSpecInto(s, b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// FuzzDecodeAggSpec: a spec arrives at the KV node inside a request, so no
+// input makes its decoder panic, and whatever decodes re-encodes to bytes
+// that decode and encode to the same bytes again.
+func FuzzDecodeAggSpec(f *testing.F) {
+	f.Add(mustHex(f, goldenAggSpecHex))
+	f.Add((&AggSpec{Aggs: []Agg{{Fn: AggCountRows}}}).Encode())
+	f.Add(mustHex(f, goldenFilterHex))
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := decodeAggSpec(in)
+		// Decoding into a used spec takes and yields what a fresh decode does.
+		used := *goldenAggSpec
+		used.Filter.Conds = slices.Clone(used.Filter.Conds)
+		used.GroupBy, used.Aggs = slices.Clone(used.GroupBy), slices.Clone(used.Aggs)
+		if uerr := DecodeAggSpecInto(&used, in); (uerr == nil) != (err == nil) {
+			t.Fatalf("%x: fresh decode %v, into a used spec %v", in, err, uerr)
+		}
+		if err != nil {
+			return
+		}
+		enc := s.Encode()
+		if got := used.Encode(); !bytes.Equal(got, enc) {
+			t.Fatalf("%x decodes into a used spec as %x, fresh as %x", in, got, enc)
+		}
+		again, err := decodeAggSpec(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
+		}
+		if enc2 := again.Encode(); !bytes.Equal(enc2, enc) {
+			t.Fatalf("%x re-encodes to %x, then to %x", in, enc, enc2)
+		}
+	})
 }

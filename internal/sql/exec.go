@@ -35,10 +35,11 @@ type ExecutorConfig struct {
 	// Colocated marks the traditional deployment (SQL and KV in one
 	// process): scans skip cross-process marshaling on both sides (§6.1.2).
 	Colocated bool
-	// FilterPushdown compiles eligible WHERE conjuncts into KV-evaluated
-	// row filters on full-table-scan plans (the §8 future-work
-	// optimization). Requires sql.KVRowDecoder registered on the cluster.
-	FilterPushdown bool
+	// NoPushdown keeps full-table scans from pushing work down to the KV
+	// node (the §8 future-work optimization, pushdown.go): every row then
+	// crosses the SQL/KV boundary, as in the paper's system. The figures
+	// that reproduce the paper set it; the product pushes down.
+	NoPushdown bool
 	// Obs, when non-nil, receives per-tenant statement outcomes and
 	// latencies (sql.tenant_queries, sql.tenant_exec_latency, and the
 	// tenant's SLO/window series).
@@ -314,10 +315,10 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 		e.chargeRows(found)
 		return nil
 	}
-	// Plan 3: full table scan, with row-filter push-down when enabled.
+	// Plan 3: full table scan, with row-filter push-down.
 	var filter []byte
-	if e.cfg.FilterPushdown {
-		filter = compilePushdownFilter(conds, args)
+	if !e.cfg.NoPushdown {
+		filter = compilePushdownFilter(desc, conds, args)
 	}
 	scanned := 0
 	err := e.scanPages(ctx, t, tableSpan(e.tenant, desc), filter, func(kvs []kvpb.KeyValue) error {
@@ -724,15 +725,23 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 			return proj.add(&env, row)
 		}
 	}
-	if s.Join == nil {
+	switch {
+	case s.Join != nil:
+		err = e.joinRows(ctx, t, pl, s, args, consume)
+	case hasAgg && pl.push != nil:
+		span := tableSpan(e.tenant, desc)
+		if spec := e.aggSpec(t, pl, span, args); spec != nil {
+			err = e.scanPartials(ctx, t, pl, span, spec, &agg)
+			break
+		}
+		fallthrough
+	default:
 		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, func(_ keys.Key, _ bool, row []Datum) error {
 			if sorting {
 				row = slices.Clone(row)
 			}
 			return consume(row)
 		})
-	} else {
-		err = e.joinRows(ctx, t, pl, s, args, consume)
 	}
 	if err != nil {
 		return nil, err
@@ -1013,6 +1022,34 @@ func (a *aggState) update(d Datum) {
 	a.seen = true
 }
 
+// countRow counts a row for COUNT(*).
+func (a *aggState) countRow() {
+	a.count++
+	a.seen = true
+}
+
+// merge folds into a the state p of the rows that follow a's: a then holds
+// what update would have reached over both runs of rows, one after the
+// other, but for sum, which adds up the runs' float sums rather than the
+// values one by one. Partial aggregates computed at the KV node are merged
+// this way.
+func (a *aggState) merge(p *aggState) {
+	if !p.seen {
+		return
+	}
+	a.count += p.count
+	a.sumI += p.sumI
+	a.sum += p.sum
+	a.isInt = a.isInt && p.isInt
+	if !a.seen || p.min.Compare(a.min) < 0 {
+		a.min = p.min
+	}
+	if !a.seen || p.max.Compare(a.max) > 0 {
+		a.max = p.max
+	}
+	a.seen = true
+}
+
 func (a *aggState) result() Datum {
 	switch a.fn {
 	case "COUNT":
@@ -1046,7 +1083,8 @@ func (a *aggState) result() Datum {
 }
 
 // aggregator evaluates GROUP BY and aggregate functions over source rows as
-// they arrive. A row's group key is appended into one reused buffer and
+// they arrive, or over the partial aggregates a KV node computed from them
+// (addPartial). A row's group key is appended into one reused buffer and
 // looked up without allocating; a group, its aggregate states and its copy
 // of the first row are allocated only when the group is new. Without GROUP
 // BY there is one group and no key.
@@ -1055,7 +1093,8 @@ type aggregator struct {
 	groups map[string]*aggGroup // nil without GROUP BY
 	order  []*aggGroup          // groups in order of first appearance
 	key    []byte               // the current row's group key
-	// updates counts aggregate updates, for the statement's one chargeAgg.
+	// updates counts aggregate updates and merges, for the statement's one
+	// chargeAgg.
 	updates int
 }
 
@@ -1131,8 +1170,7 @@ func (a *aggregator) add(env *evalEnv, row []Datum) error {
 		}
 		fe := se.Expr.(*FuncExpr)
 		if fe.Star {
-			st.count++
-			st.seen = true
+			st.countRow()
 			continue
 		}
 		v, err := evalExpr(env, fe.Arg)
@@ -1142,6 +1180,52 @@ func (a *aggregator) add(env *evalEnv, row []Datum) error {
 		st.update(v)
 		a.updates++
 	}
+	return nil
+}
+
+// addPartial merges one partial row of pl's pushed aggregation into its
+// group, opening the group if it is new. The group's first row is known only
+// by its group columns, the only columns its non-aggregate expressions read
+// (newAggPush); the others are NULL.
+func (a *aggregator) addPartial(pl *plan, value []byte) error {
+	p := pl.push
+	// A partial row's values are decoded onto the stack: the few groups of
+	// a query are the only allocations the partials cost.
+	var valBuf [4]Datum
+	var stateBuf [8]aggState
+	vals, states, err := decodePartial(p, value, valBuf[:0], stateBuf[:0])
+	if err != nil {
+		return err
+	}
+	a.key = a.key[:0]
+	for _, v := range vals {
+		a.key = appendGroupKey(a.key, v)
+	}
+	var g *aggGroup
+	switch {
+	case a.groups == nil && len(a.order) > 0:
+		g = a.order[0]
+	case a.groups != nil:
+		g = a.groups[string(a.key)]
+	}
+	if g == nil {
+		first := make([]Datum, len(pl.desc.Columns))
+		for i := range first {
+			first[i] = DNull
+		}
+		for i, c := range p.groupBy {
+			first[c] = vals[i]
+		}
+		g = a.newGroup(first)
+		if a.groups != nil {
+			a.groups[string(a.key)] = g
+		}
+		a.order = append(a.order, g)
+	}
+	for j, i := range p.exprs {
+		g.aggs[i].merge(&states[j])
+	}
+	a.updates += len(p.exprs)
 	return nil
 }
 

@@ -11,7 +11,7 @@ import (
 	"crdbserverless/internal/txn"
 )
 
-// newPushdownDB builds a DB with the row decoder registered and pushdown on.
+// newPushdownDB builds a DB that pushes work down to KV, or does not.
 func newPushdownDB(t *testing.T, pushdown bool) (*kvserver.Cluster, *Executor, *Session) {
 	t.Helper()
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
@@ -26,11 +26,10 @@ func newPushdownDB(t *testing.T, pushdown bool) (*kvserver.Cluster, *Executor, *
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	c.SetRowDecoder(KVRowDecoder())
 	ds := kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2})
 	coord := txn.NewCoordinator(ds, c.Clock(), 2)
 	catalog := NewCatalog(coord, 2)
-	exec := NewExecutor(catalog, coord, ExecutorConfig{FilterPushdown: pushdown})
+	exec := NewExecutor(catalog, coord, ExecutorConfig{NoPushdown: !pushdown})
 	return c, exec, NewSession(exec, "app")
 }
 
@@ -52,6 +51,10 @@ func TestPushdownSameResultsAsSQLFilter(t *testing.T) {
 		"SELECT a FROM t WHERE b > 100 AND a + 1 < 20 ORDER BY a",
 		// Constant on the left (flipped operator).
 		"SELECT a FROM t WHERE 100 < b ORDER BY a LIMIT 5",
+		// A constant of another kind than its column: Datum.Compare orders
+		// them, rowfilter does not, so the conjunct stays on the SQL side.
+		"SELECT a FROM t WHERE c != 5 AND b < 100 ORDER BY a",
+		"SELECT COUNT(*) FROM t WHERE c > 1",
 	}
 	_, _, plain := newPushdownDB(t, false)
 	_, _, pushed := newPushdownDB(t, true)
@@ -93,8 +96,12 @@ func TestPushdownReducesReturnedBytes(t *testing.T) {
 }
 
 func TestPushdownWithoutDecoderFailsOpen(t *testing.T) {
-	// A cluster without a registered decoder ignores the filter; results
-	// are still correct because SQL re-applies the predicate.
+	// A cluster without a registered evaluator ignores a bare filter; results
+	// are still correct because SQL re-applies the predicate. An aggregation
+	// it cannot compute fails instead: rows taken for partials would be
+	// wrong answers.
+	kvserver.RegisterScanEvaluator(nil)
+	t.Cleanup(func() { kvserver.RegisterScanEvaluator(kvEvaluator{}) })
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	n1 := kvserver.NewNode(kvserver.NodeConfig{ID: 1, VCPUs: 2, Cost: cheap})
 	c, err := kvserver.NewCluster(kvserver.ClusterConfig{}, []*kvserver.Node{n1})
@@ -104,12 +111,15 @@ func TestPushdownWithoutDecoderFailsOpen(t *testing.T) {
 	t.Cleanup(c.Close)
 	ds := kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2})
 	coord := txn.NewCoordinator(ds, c.Clock(), 2)
-	exec := NewExecutor(NewCatalog(coord, 2), coord, ExecutorConfig{FilterPushdown: true})
+	exec := NewExecutor(NewCatalog(coord, 2), coord, ExecutorConfig{})
 	s := NewSession(exec, "app")
 	loadFilterTable(t, s, 20)
-	res := mustExec(t, s, "SELECT COUNT(*) FROM t WHERE b >= 100")
-	if res.Rows[0][0].I != 10 {
-		t.Fatalf("count = %d, want 10", res.Rows[0][0].I)
+	res := mustExec(t, s, "SELECT a FROM t WHERE b >= 100")
+	if len(res.Rows) != 10 {
+		t.Fatalf("filtered scan returned %d rows, want 10", len(res.Rows))
+	}
+	if _, err := s.Execute(context.Background(), "SELECT COUNT(*) FROM t WHERE b >= 100"); err == nil {
+		t.Fatal("a pushed COUNT(*) succeeded on a node with no evaluator")
 	}
 }
 
@@ -123,7 +133,7 @@ func TestCompilePushdownFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), nil)
+	enc := compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil)
 	if enc == nil {
 		t.Fatal("no filter compiled")
 	}
@@ -141,22 +151,28 @@ func TestCompilePushdownFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc := compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), nil); enc != nil {
+		if enc := compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil); enc != nil {
 			t.Fatalf("%s compiled a filter", q)
 		}
 	}
 	// Placeholders are constants.
 	stmt, _ = Parse("SELECT a FROM t WHERE a <= $1")
-	enc = compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), []Datum{DInt(9)})
+	enc = compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), []Datum{DInt(9)})
 	f, _ = rowfilter.Decode(enc)
 	if len(f.Conds) != 1 || f.Conds[0].Value.I != 9 || f.Conds[0].Op != rowfilter.OpLe {
 		t.Fatalf("placeholder filter = %+v", f)
 	}
 	// Flipped constant-on-left comparisons.
 	stmt, _ = Parse("SELECT a FROM t WHERE 5 < a")
-	f, _ = rowfilter.Decode(compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), nil))
+	f, _ = rowfilter.Decode(compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil))
 	if len(f.Conds) != 1 || f.Conds[0].Op != rowfilter.OpGt {
 		t.Fatalf("flipped filter = %+v", f)
 	}
-	_ = context.Background()
+	// A constant of another kind than its column's is left to the SQL
+	// side: rowfilter and Datum.Compare disagree on mixed kinds.
+	stmt, _ = Parse("SELECT a FROM t WHERE a > 5 AND b != 7 AND a < 'x'")
+	f, _ = rowfilter.Decode(compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil))
+	if len(f.Conds) != 1 || f.Conds[0].Col != 0 || f.Conds[0].Op != rowfilter.OpGt {
+		t.Fatalf("mixed-kind filter = %+v", f)
+	}
 }

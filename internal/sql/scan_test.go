@@ -122,11 +122,11 @@ func TestHashJoinSkipsNulls(t *testing.T) {
 	}
 }
 
-// Q1's charges: every scanned row once, every aggregate update once — now
-// summed and charged once per statement — and the bytes of every page. The
-// totals are those of one chargeAgg(1) per update.
+// Q1's charges on the row path: every scanned row once, every aggregate
+// update once — now summed and charged once per statement — and the bytes of
+// every page. The totals are those of one chargeAgg(1) per update.
 func TestScanAggregateCharges(t *testing.T) {
-	exec, s := newTestDB(t)
+	exec, s := newRowPathDB(t)
 	loadLineitem(t, s, 2000)
 	rows, cpu := exec.rowsProcessed(), exec.SQLCPUSeconds()
 	res := mustExec(t, s, q1)

@@ -19,8 +19,22 @@ func newTestDB(t testing.TB) (*Executor, *Session) {
 	return exec, s
 }
 
+// newRowPathDB is newTestDB with push-down off: every scanned row crosses
+// to the executor, as in the paper's system.
+func newRowPathDB(t testing.TB) (*Executor, *Session) {
+	t.Helper()
+	_, exec, s := newTestDBWith(t, ExecutorConfig{NoPushdown: true})
+	return exec, s
+}
+
 // newTestDBOnCluster is newTestDB for tests that also inspect the KV cluster.
 func newTestDBOnCluster(t testing.TB) (*kvserver.Cluster, *Executor, *Session) {
+	t.Helper()
+	return newTestDBWith(t, ExecutorConfig{})
+}
+
+// newTestDBWith is newTestDBOnCluster with an executor configured by cfg.
+func newTestDBWith(t testing.TB, cfg ExecutorConfig) (*kvserver.Cluster, *Executor, *Session) {
 	t.Helper()
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
 	var nodes []*kvserver.Node
@@ -37,7 +51,7 @@ func newTestDBOnCluster(t testing.TB) (*kvserver.Cluster, *Executor, *Session) {
 	ds := kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2})
 	coord := txn.NewCoordinator(ds, c.Clock(), 2)
 	catalog := NewCatalog(coord, 2)
-	exec := NewExecutor(catalog, coord, ExecutorConfig{})
+	exec := NewExecutor(catalog, coord, cfg)
 	return c, exec, NewSession(exec, "app")
 }
 

@@ -90,6 +90,9 @@ type plan struct {
 	where, joinWhere []colCond
 	// colOrder is an INSERT's target column offset for each VALUES entry.
 	colOrder []int
+	// push is an aggregating SELECT's aggregation as the KV node computes
+	// it, nil when it cannot be pushed down (pushdown.go).
+	push *aggPush
 }
 
 // colCond is a WHERE conjunct `column OP constant`, or `constant OP column`
@@ -178,6 +181,8 @@ func buildPlan(stmt Statement, desc, joinDesc *TableDescriptor) (*plan, error) {
 		pl.where = colConds(desc, s.TableAs, s.Where)
 		if joinDesc != nil {
 			pl.joinWhere = colConds(joinDesc, joinAs, s.Where)
+		} else if hasAggregate(s) {
+			pl.push = newAggPush(s, desc, pl.cols, pl.where)
 		}
 	}
 	return pl, nil

@@ -55,9 +55,11 @@ func TestJoinAmbiguousColumn(t *testing.T) {
 }
 
 // A cached full-scan text plans again when CREATE INDEX installs a new
-// descriptor, and reads through the index from then on.
+// descriptor, and reads through the index from then on. (Without push-down,
+// so that the full scan's rows all reach the executor and tell the plans
+// apart.)
 func TestStmtCacheIndexPlanAfterCreateIndex(t *testing.T) {
-	exec, s := newTestDB(t)
+	exec, s := newRowPathDB(t)
 	mustExec(t, s, "CREATE TABLE t (a INT PRIMARY KEY, b STRING, c INT)")
 	for i := 0; i < 30; i++ {
 		mustExec(t, s, "INSERT INTO t VALUES ($1, $2, $3)", DInt(int64(i)), DString(fmt.Sprintf("g%d", i%3)), DInt(int64(i)))
@@ -104,9 +106,10 @@ func TestStmtCacheDropAndRecreate(t *testing.T) {
 
 // The plan is cached; the placeholder values are not. Each execution
 // evaluates and coerces them again, and falls through to the full scan, with
-// its error, exactly where a fresh plan would.
+// its error, exactly where a fresh plan would. (Without push-down, so that a
+// full scan's rows all reach the executor.)
 func TestStmtCachePlaceholderFallThrough(t *testing.T) {
-	exec, s := newTestDB(t)
+	exec, s := newRowPathDB(t)
 	ctx := context.Background()
 	mustExec(t, s, "CREATE TABLE t (a INT PRIMARY KEY, b STRING)")
 	for i := 0; i < 20; i++ {

@@ -55,7 +55,11 @@ func FeaturesFromBatch(req *kvpb.BatchRequest, resp *kvpb.BatchResponse) BatchFe
 		f.ReadBatches = 1
 		f.ReadRequests = reads
 		if resp != nil {
-			f.ReadBytes = resp.ReadBytes()
+			// Priced on what the KV node read, not on what it returned: a
+			// pushed-down filter or aggregation returns less than it reads,
+			// and must not make a tenant's reads cheaper against its quota
+			// than the work they cost.
+			f.ReadBytes = resp.ScannedBytes()
 		}
 	}
 	if writes > 0 {

@@ -72,8 +72,10 @@ func (b *writeBuffer) requests() []kvpb.Request {
 // resume key, if there is one — a buffered put replaces or inserts its row
 // and a buffered delete removes it. Buffered rows are not run through the
 // scan's pushed-down filter; like an undecodable row they are returned
-// (kvserver.evalRead fails open the same way, and the SQL layer applies the
-// whole predicate again). A page the inserts push past MaxKeys is cut back
+// (the KV side's filter fails open the same way, and the SQL layer applies
+// the whole predicate again). The SQL layer pushes no aggregation down
+// through a transaction with buffered writes in the span (BuffersWritesIn):
+// the buffer can be laid over rows, not over partial aggregates. A page the inserts push past MaxKeys is cut back
 // to it, resuming at the first row cut. The rows still point into the
 // response's pages, and the resume key is a copy: it outlives them.
 func (b *writeBuffer) overlay(r kvpb.Request, page *kvpb.Response) {

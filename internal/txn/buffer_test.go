@@ -8,6 +8,7 @@ import (
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/randutil"
 	"crdbserverless/internal/rowfilter"
 )
@@ -23,6 +24,18 @@ func (r byteRow) Column(i int) (rowfilter.Value, bool) {
 	return rowfilter.Value{Kind: rowfilter.KindInt, I: int64(r[0])}, true
 }
 
+// byteRowFilter is the model test's scan evaluator: it evaluates bare
+// filters over byteRows.
+type byteRowFilter struct{ f *rowfilter.Filter }
+
+func (byteRowFilter) Begin(spec []byte) (kvserver.ScanFold, error) {
+	f, err := rowfilter.Decode(spec)
+	return byteRowFilter{f}, err
+}
+
+func (e byteRowFilter) Row(value []byte) (bool, error) { return e.f.Matches(byteRow(value)), nil }
+func (byteRowFilter) Finish(*kvpb.Page) error          { return nil }
+
 // A transaction's reads must see the stored rows with its own buffered
 // writes laid over them, whatever shape the read takes: point gets, scans
 // paged by MaxKeys, scans crossing a range boundary, and scans with a filter
@@ -34,7 +47,8 @@ func TestBufferedReadsMatchModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			c, coord := newTestSetup(t)
-			c.SetRowDecoder(func(v []byte) (rowfilter.RowAccessor, error) { return byteRow(v), nil })
+			kvserver.RegisterScanEvaluator(byteRowFilter{})
+			t.Cleanup(func() { kvserver.RegisterScanEvaluator(nil) })
 			ctx := context.Background()
 			rng := randutil.NewRand(seed)
 			value := func() []byte { return []byte{byte(rng.Intn(10)), byte(rng.Intn(256))} }

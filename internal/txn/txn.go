@@ -144,6 +144,21 @@ func (t *Txn) Send(ctx context.Context, reqs ...kvpb.Request) (*kvpb.BatchRespon
 	}
 }
 
+// BuffersWritesIn reports whether the transaction holds back a write to a key
+// in span: a read of span sees it only by overlaying the buffer on the rows
+// KV returns, so a read whose answer is not rows (a pushed-down aggregation)
+// would miss it.
+func (t *Txn) BuffersWritesIn(span keys.Span) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, w := range t.mu.buf.writes {
+		if span.ContainsKey(w.key) {
+			return true
+		}
+	}
+	return false
+}
+
 // batch wraps reqs as a batch of this transaction. The meta never changes
 // after Begin, so every batch points at the one copy.
 func (t *Txn) batch(reqs []kvpb.Request) *kvpb.BatchRequest {
