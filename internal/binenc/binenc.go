@@ -1,8 +1,8 @@
 // Package binenc holds the primitives of every byte format that crosses a
 // process or survives a crash — wire frames (internal/wire), stored row values
-// and catalog descriptors and session snapshots (internal/sql), raft commands
-// and span snapshots (internal/kvserver), tenant records (internal/core) and
-// row filters (internal/rowfilter): uvarint counts and lengths,
+// and catalog descriptors and session snapshots and push-down scan specs
+// (internal/sql), raft commands and span snapshots (internal/kvserver) and
+// tenant records (internal/core): uvarint counts and lengths,
 // length-prefixed byte strings, and fixed-width big-endian integers.
 //
 // Appending is mostly the standard library's (binary.AppendUvarint and

@@ -87,10 +87,11 @@ type Request struct {
 	ResolveTxnID  uint64
 	ResolveCommit bool
 	ResolveTs     hlc.Timestamp
-	// Filter, when non-nil on a Scan, is an encoded rowfilter.Filter the KV
-	// node evaluates before returning rows — the row-filtering push-down of
-	// the paper's §8: rows failing the predicate never cross the process
-	// boundary.
+	// Filter, when non-nil on a Scan, is a push-down spec the KV node
+	// hands to its registered scan evaluator (kvserver.ScanEvaluator) — the
+	// push-down of the paper's §8: rows failing a filter, or folded into
+	// partial aggregates, never cross the process boundary. The SQL layer
+	// that writes the bytes owns their format; KV does not read them.
 	Filter []byte
 }
 

@@ -18,7 +18,6 @@ import (
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/mvcc"
 	"crdbserverless/internal/raftlite"
-	"crdbserverless/internal/rowfilter"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
@@ -172,9 +171,10 @@ func (c *Cluster) SetAuthorizer(a Authorizer) {
 }
 
 // A ScanEvaluator evaluates what a Scan pushes down to the KV node in
-// kvpb.Request.Filter: a rowfilter.Filter, or a rowfilter.AggSpec (the
-// paper's §8 future work). kvserver knows nothing of rows: the SQL layer
-// registers the one evaluator, which decodes the values it wrote.
+// kvpb.Request.Filter: a filter, or an aggregation (the paper's §8 future
+// work). kvserver knows nothing of rows or of the spec's format: the SQL
+// layer registers the one evaluator, which decodes the specs and the values
+// it wrote.
 type ScanEvaluator interface {
 	// Begin starts evaluating spec over one scan's rows.
 	Begin(spec []byte) (ScanFold, error)
@@ -194,6 +194,8 @@ type ScanFold interface {
 
 // scanEvaluator is the registered ScanEvaluator, nil if none is.
 var scanEvaluator atomic.Pointer[ScanEvaluator]
+
+var errNoScanEvaluator = errors.New("kvserver: no evaluator for a pushed-down scan")
 
 // RegisterScanEvaluator makes ev the evaluator of every node's pushed-down
 // scans. The SQL layer calls it once, when it is initialized; a nil ev
@@ -1093,16 +1095,13 @@ func evalScan(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, page 
 // the rows scanned, not the rows returned, and ScannedBytes counts every row
 // scanned, as a plain scan's does.
 //
-// Without an evaluator a bare filter is ignored and every row returned: the
-// SQL layer applies its whole WHERE clause again. Anything else fails, for
-// rows returned in place of partial aggregates would be read as partials.
+// Without an evaluator every pushed scan fails: kvserver cannot tell a
+// filter from an aggregation, and rows returned in place of partial
+// aggregates would be read as partials.
 func evalPushedScan(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, page *kvpb.Page) (kvpb.Response, error) {
 	ev := scanEvaluator.Load()
 	if ev == nil {
-		if _, err := rowfilter.Decode(r.Filter); err != nil {
-			return kvpb.Response{}, fmt.Errorf("kvserver: no evaluator for a pushed-down scan: %w", err)
-		}
-		return evalScan(n, r, readTs, txnID, page)
+		return kvpb.Response{}, errNoScanEvaluator
 	}
 	fold, err := (*ev).Begin(r.Filter)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/randutil"
-	"crdbserverless/internal/rowfilter"
 )
 
 // splitTenantKeyspace splits tenant 2's keyspace at each of the given suffixes.
@@ -107,24 +106,13 @@ func TestCrossRangeScanMaxKeys(t *testing.T) {
 	}
 }
 
-// firstByteRow decodes a stored value as a one-column row holding its first
-// byte.
-type firstByteRow []byte
-
-func (r firstByteRow) Column(i int) (rowfilter.Value, bool) {
-	if i != 0 || len(r) == 0 {
-		return rowfilter.Value{}, false
-	}
-	return rowfilter.Value{Kind: rowfilter.KindString, S: string(r[:1])}, true
-}
-
 // Regression: a pushed-down filter can leave a range's page short of MaxKeys
 // while the range still has rows to scan. The cross-range walk took the short
 // page for an exhausted range, continued into the next one, and returned its
 // resume point — silently skipping the rest of the first range.
 func TestCrossRangeFilteredScanResumesInsideRange(t *testing.T) {
 	c := newTestCluster(t, 3)
-	withScanEvaluator(t, filterEvaluator(func(v []byte) rowfilter.RowAccessor { return firstByteRow(v) }))
+	withScanEvaluator(t, prefixEvaluator{})
 	ds := NewDistSender(c, Identity{Tenant: 2})
 	ctx := context.Background()
 	// Left range: two rows the filter drops, then one it keeps. Right range:
@@ -136,9 +124,7 @@ func TestCrossRangeFilteredScanResumesInsideRange(t *testing.T) {
 		}
 	}
 	splitTenantKeyspace(t, c, "b")
-	filter := (&rowfilter.Filter{Conds: []rowfilter.Cond{{
-		Col: 0, Op: rowfilter.OpEq, Value: rowfilter.Value{Kind: rowfilter.KindString, S: "k"},
-	}}}).Encode()
+	filter := filterSpec("k")
 	span := keys.MakeTenantSpan(2)
 	req := kvpb.Request{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey, MaxKeys: 2, Filter: filter}
 	var got []string

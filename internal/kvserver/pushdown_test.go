@@ -9,7 +9,6 @@ import (
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
-	"crdbserverless/internal/rowfilter"
 )
 
 // withScanEvaluator registers ev for the rest of the test. The SQL layer
@@ -21,43 +20,38 @@ func withScanEvaluator(t *testing.T, ev ScanEvaluator) {
 	t.Cleanup(func() { RegisterScanEvaluator(nil) })
 }
 
-// filterEvaluator evaluates bare filters over the rows its function decodes.
-type filterEvaluator func(value []byte) rowfilter.RowAccessor
+// The tests' own push-down spec, as opaque to kvserver as the SQL layer's:
+// a tag byte, then a value prefix. A filter ('f') keeps the rows whose value
+// starts with the prefix; a grouping ('g') folds them instead, into a count
+// per distinct value. A partial row's key is a value, outside every table's
+// keyspace, and its value the uvarint count of the rows holding it.
+func filterSpec(prefix string) []byte { return append([]byte{'f'}, prefix...) }
 
-func (ev filterEvaluator) Begin(spec []byte) (ScanFold, error) {
-	f, err := rowfilter.Decode(spec)
-	if err != nil {
-		return nil, err
+var countSpec = []byte{'g'}
+
+type prefixEvaluator struct{}
+
+func (prefixEvaluator) Begin(spec []byte) (ScanFold, error) {
+	if len(spec) == 0 || (spec[0] != 'f' && spec[0] != 'g') {
+		return nil, fmt.Errorf("unknown spec %q", spec)
 	}
-	return filterFold{f: f, decode: ev}, nil
+	return &prefixFold{group: spec[0] == 'g', prefix: string(spec[1:]), counts: map[string]uint64{}}, nil
 }
 
-type filterFold struct {
-	f      *rowfilter.Filter
-	decode filterEvaluator
-}
-
-func (f filterFold) Row(value []byte) (bool, error) { return f.f.Matches(f.decode(value)), nil }
-func (filterFold) Finish(*kvpb.Page) error          { return nil }
-
-// groupEvaluator answers an AggSpec by counting rows per distinct value: a
-// partial row's key is a value, outside every table's keyspace, and its value
-// the uvarint count of the rows holding it.
-type groupEvaluator struct{}
-
-func (groupEvaluator) Begin(spec []byte) (ScanFold, error) {
-	if err := rowfilter.DecodeAggSpecInto(new(rowfilter.AggSpec), spec); err != nil {
-		return nil, err
-	}
-	return &groupFold{counts: map[string]uint64{}}, nil
-}
-
-type groupFold struct {
+type prefixFold struct {
+	group  bool
+	prefix string
 	order  []string
 	counts map[string]uint64
 }
 
-func (f *groupFold) Row(value []byte) (bool, error) {
+func (f *prefixFold) Row(value []byte) (bool, error) {
+	if !strings.HasPrefix(string(value), f.prefix) {
+		return false, nil
+	}
+	if !f.group {
+		return true, nil
+	}
 	if _, ok := f.counts[string(value)]; !ok {
 		f.order = append(f.order, string(value))
 	}
@@ -65,7 +59,7 @@ func (f *groupFold) Row(value []byte) (bool, error) {
 	return false, nil
 }
 
-func (f *groupFold) Finish(page *kvpb.Page) error {
+func (f *prefixFold) Finish(page *kvpb.Page) error {
 	if page != nil {
 		for _, g := range f.order {
 			page.AppendOwned([]byte("group/"+g), binary.AppendUvarint(nil, f.counts[g]))
@@ -74,11 +68,9 @@ func (f *groupFold) Finish(page *kvpb.Page) error {
 	return nil
 }
 
-var countSpec = (&rowfilter.AggSpec{Aggs: []rowfilter.Agg{{Fn: rowfilter.AggCountRows}}}).Encode()
-
-// A node with no evaluator cannot answer an aggregating scan, and must not
-// answer it with rows, which the reader would take for partial aggregates. A
-// bare filter it may ignore: the reader applies the predicate again.
+// A node with no evaluator cannot answer a pushed-down scan, and must not
+// answer it with rows: kvserver cannot tell a filter's spec from an
+// aggregation's, and rows would be taken for partial aggregates.
 func TestPushdownWithoutEvaluatorFailsClosed(t *testing.T) {
 	RegisterScanEvaluator(nil)
 	c := newTestCluster(t, 1)
@@ -86,22 +78,14 @@ func TestPushdownWithoutEvaluatorFailsClosed(t *testing.T) {
 	loadKeys(t, ds, 5)
 	span := keys.MakeTenantSpan(2)
 	ctx := context.Background()
-	scan := func(spec []byte) (*kvpb.BatchResponse, error) {
-		return ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{{
+	for _, spec := range [][]byte{countSpec, filterSpec("v")} {
+		resp, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{{
 			Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey, Filter: spec}}})
-	}
-	if resp, err := scan(countSpec); err == nil {
-		t.Fatalf("an aggregating scan with no evaluator returned %d rows, want an error", len(resp.Responses[0].Rows))
-	} else if !strings.Contains(err.Error(), "no evaluator") {
-		t.Fatalf("aggregating scan with no evaluator: %v", err)
-	}
-	filter := (&rowfilter.Filter{Conds: []rowfilter.Cond{{Op: rowfilter.OpEq, Value: rowfilter.Value{Kind: rowfilter.KindInt}}}}).Encode()
-	resp, err := scan(filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(resp.Responses[0].Rows); n != 5 {
-		t.Fatalf("a filtered scan with no evaluator returned %d rows, want all 5", n)
+		if err == nil {
+			t.Fatalf("a scan pushing %q with no evaluator returned %d rows, want an error", spec, len(resp.Responses[0].Rows))
+		} else if !strings.Contains(err.Error(), "no evaluator") {
+			t.Fatalf("a scan pushing %q with no evaluator: %v", spec, err)
+		}
 	}
 }
 
@@ -114,7 +98,7 @@ func TestPushdownWithoutEvaluatorFailsClosed(t *testing.T) {
 // value of its own, the most partial rows a scan can return, and the pages
 // together must count every row exactly once.
 func TestPushdownPartialsNeverCutByMergeLimit(t *testing.T) {
-	withScanEvaluator(t, groupEvaluator{})
+	withScanEvaluator(t, prefixEvaluator{})
 	for _, parallelism := range []int{1, DefaultParallelism} {
 		t.Run(fmt.Sprint("parallelism=", parallelism), func(t *testing.T) {
 			c := newTestCluster(t, 3)
@@ -168,7 +152,7 @@ func TestPushdownPartialsNeverCutByMergeLimit(t *testing.T) {
 // a plain scan's equal to the bytes it returned. Across ranges the merged
 // response counts every range's bytes, not only the first range's.
 func TestPushdownScannedBytesCountRowsRead(t *testing.T) {
-	withScanEvaluator(t, groupEvaluator{})
+	withScanEvaluator(t, prefixEvaluator{})
 	for _, splits := range [][]string{nil, {"k004", "k008", "k012"}} {
 		t.Run(fmt.Sprint("ranges=", len(splits)+1), func(t *testing.T) {
 			c := newTestCluster(t, 3)

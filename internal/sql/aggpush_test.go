@@ -12,7 +12,6 @@ import (
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/randutil"
-	"crdbserverless/internal/rowfilter"
 	"crdbserverless/internal/txn"
 )
 
@@ -61,7 +60,8 @@ func pushes(t testing.TB, exec *Executor, q string, args ...Datum) bool {
 }
 
 // loadRandomTable creates r (k INT PRIMARY KEY, i INT, f FLOAT, s STRING, g
-// INT, u INT) and loads n rows: i, f and s are NULL one time in ten, g takes
+// INT, u INT) and loads n rows: i, f and s are NULL one time in ten, f is
+// one of ±0, ±Inf and NaNs of two bit patterns one time in twenty, g takes
 // groups values and u is k mod 4500, more distinct values than a scan page
 // holds rows.
 func loadRandomTable(t testing.TB, s *Session, rng *rand.Rand, n, groups int) {
@@ -77,8 +77,10 @@ func loadRandomTable(t testing.TB, s *Session, rng *rand.Rand, n, groups int) {
 		}
 		return v
 	}
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN()}
 	for base := 0; base < n; base += 500 {
 		var q strings.Builder
+		var args []Datum
 		q.WriteString("INSERT INTO r VALUES ")
 		for k := base; k < base+500 && k < n; k++ {
 			if k > base {
@@ -86,13 +88,14 @@ func loadRandomTable(t testing.TB, s *Session, rng *rand.Rand, n, groups int) {
 			}
 			f := fmt.Sprintf("%g", (rng.Float64()-0.5)*200)
 			if rng.Intn(20) == 0 {
-				f = []string{"0.0", "-0.0"}[rng.Intn(2)]
+				args = append(args, DFloat(specials[rng.Intn(len(specials))]))
+				f = fmt.Sprintf("$%d", len(args))
 			}
 			fmt.Fprintf(&q, "(%d, %s, %s, %s, %d, %d)", k,
 				orNull(fmt.Sprint(rng.Intn(101)-50)), orNull(f), orNull("'"+strs[rng.Intn(len(strs))]+"'"),
 				rng.Intn(groups), k%4500)
 		}
-		if _, err := s.Execute(ctx, q.String()); err != nil {
+		if _, err := s.Execute(ctx, q.String(), args...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,10 +103,11 @@ func loadRandomTable(t testing.TB, s *Session, rng *rand.Rand, n, groups int) {
 
 // randomAggQuery returns an aggregating SELECT over r that push-down can
 // serve: group columns, aggregates of single columns, and WHERE conjuncts
-// comparing a column with a constant of its own kind.
+// comparing a column with a constant, of the column's kind or another, or
+// NULL.
 func randomAggQuery(rng *rand.Rand) string {
 	var groupBy []string
-	for _, c := range []string{"g", "s", "i", "u"} {
+	for _, c := range []string{"g", "s", "i", "u", "f"} {
 		if rng.Intn(4) == 0 {
 			groupBy = append(groupBy, c)
 		}
@@ -118,7 +122,7 @@ func randomAggQuery(rng *rand.Rand) string {
 		}
 	}
 	aggs := []string{"COUNT(*)", "COUNT(i)", "COUNT(f)", "COUNT(s)", "SUM(i)", "SUM(f)", "AVG(i)", "AVG(f)",
-		"MIN(i)", "MAX(i)", "MIN(s)", "MAX(s)", "SUM(u)", "MIN(k)", "MAX(g)"}
+		"MIN(i)", "MAX(i)", "MIN(s)", "MAX(s)", "SUM(u)", "MIN(k)", "MAX(g)", "MIN(f)", "MAX(f)"}
 	for n := 1 + rng.Intn(4); n > 0; n-- {
 		sel = append(sel, aggs[rng.Intn(len(aggs))])
 	}
@@ -132,6 +136,12 @@ func randomAggQuery(rng *rand.Rand) string {
 		},
 		func() string { return fmt.Sprintf("%d %s g", rng.Intn(10), randomOp(rng)) },
 		func() string { return fmt.Sprintf("k %s %d", []string{"<", ">=", "!="}[rng.Intn(3)], rng.Intn(6000)) },
+		func() string { return fmt.Sprintf("f %s %s", randomOp(rng), []string{"0", "0.0", "-0.0"}[rng.Intn(3)]) },
+		// Constants of another kind than the column's, and NULL.
+		func() string { return fmt.Sprintf("s %s %d", randomOp(rng), rng.Intn(101)-50) },
+		func() string { return fmt.Sprintf("'%s' %s i", []string{"a", "zz"}[rng.Intn(2)], randomOp(rng)) },
+		func() string { return fmt.Sprintf("f %s TRUE", randomOp(rng)) },
+		func() string { return fmt.Sprintf("%s %s NULL", []string{"i", "f", "s"}[rng.Intn(3)], randomOp(rng)) },
 	}
 	var where []string
 	for n := rng.Intn(3); n > 0; n-- {
@@ -152,8 +162,9 @@ func randomOp(rng *rand.Rand) string {
 
 // sameResult fails unless got, the pushed result, equals want, the row
 // path's: same columns, rows in the same order, INTs, STRINGs and NULLs
-// exactly, FLOATs exactly when exactFloats is set and to 1e-9 relative
-// otherwise (a sum taken in parts rounds differently).
+// exactly, FLOATs bit for bit (any NaN equal to any NaN) when exactFloats is
+// set, and otherwise finite FLOATs to 1e-9 relative (a sum taken in parts
+// rounds differently) and the others exactly.
 func sameResult(t *testing.T, q string, got, want *Result, exactFloats bool) {
 	t.Helper()
 	if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) || len(got.Rows) != len(want.Rows) {
@@ -162,9 +173,14 @@ func sameResult(t *testing.T, q string, got, want *Result, exactFloats bool) {
 	for i := range want.Rows {
 		for j, w := range want.Rows[i] {
 			g := got.Rows[i][j]
-			same := g == w
-			if !same && !exactFloats && !g.Null && !w.Null && g.Kind == TypeFloat && w.Kind == TypeFloat {
-				same = math.Abs(g.F-w.F) <= 1e-9*math.Max(math.Abs(w.F), 1e-300)
+			same := sameDatum(g, w)
+			if !same && !g.Null && !w.Null && g.Kind == TypeFloat && w.Kind == TypeFloat {
+				switch {
+				case math.IsNaN(g.F) || math.IsNaN(w.F):
+					same = math.IsNaN(g.F) && math.IsNaN(w.F)
+				case !exactFloats && !math.IsInf(w.F, 0):
+					same = math.Abs(g.F-w.F) <= 1e-9*math.Max(math.Abs(w.F), 1e-300)
+				}
 			}
 			if !same {
 				t.Fatalf("%s: row %d column %d: pushed %+v, row path %+v", q, i, j, g, w)
@@ -201,10 +217,9 @@ func TestPushdownDifferential(t *testing.T) {
 				}
 				sameResult(t, q, mustExec(t, p.ps, q), mustExec(t, p.rs, q), tc.exactFloats)
 			}
-			// Every query but those with MIN or MAX of f is pushable; most
-			// must have been pushed, or the test compares the row path with
-			// itself.
-			if pushed < 30 {
+			// Every query is pushable, or the test compares the row path
+			// with itself.
+			if pushed != 40 {
 				t.Fatalf("only %d of 40 queries pushed down", pushed)
 			}
 			// More groups than a scan page holds rows.
@@ -229,11 +244,11 @@ func TestPushdownEligibility(t *testing.T) {
 		"SELECT COUNT(*) FROM r WHERE r.i >= -2.5":                  true,
 		"SELECT i, COUNT(*) FROM r WHERE 3 < i GROUP BY i":          true,
 		"SELECT COUNT(*) FROM r WHERE i = $1":                       true,
-		"SELECT MIN(f) FROM r":                                      false, // NaN breaks MIN in parts
-		"SELECT MAX(f), COUNT(*) FROM r":                            false,
-		"SELECT COUNT(*) FROM r WHERE s = 3":                        false, // mixed kinds
-		"SELECT COUNT(*) FROM r WHERE i < 'x'":                      false,
-		"SELECT COUNT(*) FROM r WHERE i = NULL":                     false,
+		"SELECT MIN(f) FROM r":                                      true,
+		"SELECT MAX(f), COUNT(*) FROM r":                            true,
+		"SELECT COUNT(*) FROM r WHERE s = 3":                        true, // mixed kinds
+		"SELECT COUNT(*) FROM r WHERE i < 'x'":                      true,
+		"SELECT COUNT(*) FROM r WHERE i = NULL":                     true,
 		"SELECT COUNT(*) FROM r WHERE i + 1 > 3":                    false,
 		"SELECT COUNT(*) FROM r WHERE i > 3 OR f < 2":               false,
 		"SELECT COUNT(*) FROM r WHERE i = g":                        false,
@@ -491,11 +506,11 @@ func TestDecodePartialRejectsMalformedInput(t *testing.T) {
 // are not folded, undecodable rows fail an aggregation, and the fold's
 // groups outgrow the linear search without losing a row.
 func TestScanFoldGroups(t *testing.T) {
-	spec := (&rowfilter.AggSpec{
-		Filter:  rowfilter.Filter{Conds: []rowfilter.Cond{{Col: 2, Op: rowfilter.OpGe, Value: rowfilter.Value{Kind: rowfilter.KindInt, I: 1}}}},
-		GroupBy: []int{0},
-		Aggs:    []rowfilter.Agg{{Fn: rowfilter.AggCountRows}, {Fn: rowfilter.AggSum, Col: 1}},
-	}).Encode()
+	spec := (&scanSpec{
+		conds:   []specCond{{col: 2, op: opGe, val: DInt(1)}},
+		groupBy: []int{0},
+		aggs:    []int{countRows, 1},
+	}).encode()
 	fold, err := kvEvaluator{}.Begin(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -56,44 +57,66 @@ func (d Datum) String() string {
 	}
 }
 
-// Compare orders two datums. NULL sorts first. Numeric kinds compare by
-// value across INT/FLOAT.
+// Compare orders two datums totally, as CockroachDB does: NULL first, then
+// the numbers, then STRINGs, then BOOLs (false before true). INT and FLOAT
+// compare by exact value, and a NaN equals every NaN and sorts below every
+// other number. So WHERE, MIN and MAX, ORDER BY and the KV node's pushed-down
+// conditions see one order, whatever the kinds of the two sides.
 func (d Datum) Compare(o Datum) int {
+	if c := cmp.Compare(d.rank(), o.rank()); c != 0 || d.Null {
+		return c
+	}
 	switch {
-	case d.Null && o.Null:
-		return 0
-	case d.Null:
-		return -1
-	case o.Null:
-		return 1
-	}
-	// Cross-numeric comparison.
-	if d.isNumeric() && o.isNumeric() {
-		a, b := d.asFloat(), o.asFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	switch d.Kind {
-	case TypeString:
+	case d.Kind == TypeInt && o.Kind == TypeInt:
+		return cmp.Compare(d.I, o.I)
+	case d.Kind == TypeFloat && o.Kind == TypeFloat:
+		return cmp.Compare(d.F, o.F) // NaN == NaN < -Inf, and -0 == 0
+	case d.Kind == TypeFloat && o.Kind == TypeInt:
+		return compareFloatInt(d.F, o.I)
+	case d.Kind == TypeInt && o.Kind == TypeFloat:
+		return -compareFloatInt(o.F, d.I)
+	case d.Kind == TypeString:
 		return strings.Compare(d.S, o.S)
-	case TypeBool:
+	case d.Kind == TypeBool:
 		switch {
 		case !d.B && o.B:
 			return -1
 		case d.B && !o.B:
 			return 1
-		default:
-			return 0
 		}
-	default:
-		return 0
 	}
+	return 0
+}
+
+// rank is d's place in Compare's order of kinds: the kinds that do not
+// compare with each other order by it. INT and FLOAT share one.
+func (d Datum) rank() int {
+	switch {
+	case d.Null:
+		return 0
+	case d.isNumeric():
+		return 1
+	case d.Kind == TypeString:
+		return 2
+	default:
+		return 3 + int(d.Kind)
+	}
+}
+
+// compareFloatInt compares f with i exactly: converting either to the
+// other's type can round (2^53+1 is no float64, 0.5 no int64).
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case math.IsNaN(f) || f < math.MinInt64:
+		return -1
+	case f >= -math.MinInt64:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmp.Compare(f, t)
 }
 
 // Equal reports value equality.
@@ -109,11 +132,13 @@ func (d Datum) asFloat() float64 {
 }
 
 // appendGroupKey appends d's key for GROUP BY, DISTINCT and hash-join
-// lookups: a kind byte, then 8 bytes for an INT, the float's bits with -0
-// folded to 0 (the two are SQL-equal), a uvarint length and the bytes of a
-// STRING, or one byte for a BOOL; a NULL is its kind byte alone. Every key is
-// self-delimiting, so a row's keys appended one after another identify its
-// values exactly and no two rows' keys run together.
+// lookups: datums Compare calls equal share one key. A key is a kind byte,
+// then 8 bytes for an INT, or for a FLOAT of integral value the INT it
+// equals (so -0 keys as 0), else the float's bits with every NaN folded to
+// one; a uvarint length and the bytes of a STRING, or one byte for a BOOL; a
+// NULL is its kind byte alone. Every key is self-delimiting, so a row's keys
+// appended one after another identify its values exactly and no two rows'
+// keys run together.
 func appendGroupKey(b []byte, d Datum) []byte {
 	if d.Null {
 		return append(b, tagNull)
@@ -122,9 +147,12 @@ func appendGroupKey(b []byte, d Datum) []byte {
 	case TypeInt:
 		return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(d.I))
 	case TypeFloat:
+		if t := math.Trunc(d.F); t == d.F && t >= math.MinInt64 && t < -math.MinInt64 {
+			return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(int64(t)))
+		}
 		bits := math.Float64bits(d.F)
-		if d.F == 0 {
-			bits = 0
+		if math.IsNaN(d.F) {
+			bits = math.Float64bits(math.NaN())
 		}
 		return binary.BigEndian.AppendUint64(append(b, tagFloat), bits)
 	case TypeString:

@@ -205,16 +205,16 @@ func (e *Executor) runMaybeTxn(ctx context.Context, tx *txn.Txn, fn func(context
 }
 
 // scanPages reads span through paginated KV scans, with an optional
-// pushed-down row filter, handing each page to page as it arrives: pages
+// pushed-down scanSpec, handing each page to page as it arrives: pages
 // are never concatenated. It is the one consumer that releases a response
 // (kvpb.BatchResponse.Release), as soon as page returns, so the rows and
 // their keys are valid only until then.
-func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, filter []byte, page func([]kvpb.KeyValue) error) error {
+func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, spec []byte, page func([]kvpb.KeyValue) error) error {
 	cur := span
 	for {
 		resp, err := t.Send(ctx, kvpb.Request{
 			Method: kvpb.Scan, Key: cur.Key, EndKey: cur.EndKey, MaxKeys: scanPageSize,
-			Filter: filter,
+			Filter: spec,
 		})
 		if err != nil {
 			return err
@@ -315,10 +315,10 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 		e.chargeRows(found)
 		return nil
 	}
-	// Plan 3: full table scan, with row-filter push-down.
+	// Plan 3: full table scan, with filter push-down.
 	var filter []byte
 	if !e.cfg.NoPushdown {
-		filter = compilePushdownFilter(desc, conds, args)
+		filter = compilePushdownFilter(conds, args)
 	}
 	scanned := 0
 	err := e.scanPages(ctx, t, tableSpan(e.tenant, desc), filter, func(kvs []kvpb.KeyValue) error {

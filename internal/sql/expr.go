@@ -105,30 +105,89 @@ func evalBinary(env *evalEnv, x *BinaryExpr) (Datum, error) {
 	if err != nil {
 		return Datum{}, err
 	}
+	if op, ok := cmpOpOf(x.Op); ok {
+		return DBool(op.holds(l, r)), nil
+	}
 	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.Null || r.Null {
-			return DBool(false), nil // SQL NULL comparisons are never true
-		}
-		cmp := l.Compare(r)
-		switch x.Op {
-		case "=":
-			return DBool(cmp == 0), nil
-		case "!=":
-			return DBool(cmp != 0), nil
-		case "<":
-			return DBool(cmp < 0), nil
-		case "<=":
-			return DBool(cmp <= 0), nil
-		case ">":
-			return DBool(cmp > 0), nil
-		default:
-			return DBool(cmp >= 0), nil
-		}
 	case "+", "-", "*", "/":
 		return evalArith(x.Op, l, r)
 	default:
 		return Datum{}, fmt.Errorf("sql: unknown operator %s", x.Op)
+	}
+}
+
+// cmpOp is a comparison operator. WHERE evaluates its comparisons with
+// holds, and so does the KV node with a pushed-down scan's conditions
+// (pushdown.go), so the two agree by construction.
+type cmpOp byte
+
+// Comparison operators.
+const (
+	opEq cmpOp = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+// cmpOpOf returns the comparison operator s spells.
+func cmpOpOf(s string) (cmpOp, bool) {
+	switch s {
+	case "=":
+		return opEq, true
+	case "!=":
+		return opNe, true
+	case "<":
+		return opLt, true
+	case "<=":
+		return opLe, true
+	case ">":
+		return opGt, true
+	case ">=":
+		return opGe, true
+	default:
+		return 0, false
+	}
+}
+
+// flip returns the operator that compares the operands the other way round:
+// `l o r` is `r o.flip() l`.
+func (o cmpOp) flip() cmpOp {
+	switch o {
+	case opLt:
+		return opGt
+	case opLe:
+		return opGe
+	case opGt:
+		return opLt
+	case opGe:
+		return opLe
+	default:
+		return o
+	}
+}
+
+// holds reports whether `l o r` is true: never when either side is NULL,
+// otherwise as Datum.Compare orders l and r.
+func (o cmpOp) holds(l, r Datum) bool {
+	if l.Null || r.Null {
+		return false
+	}
+	c := l.Compare(r)
+	switch o {
+	case opEq:
+		return c == 0
+	case opNe:
+		return c != 0
+	case opLt:
+		return c < 0
+	case opLe:
+		return c <= 0
+	case opGt:
+		return c > 0
+	default:
+		return c >= 0
 	}
 }
 

@@ -3,111 +3,167 @@ package sql
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
-	"crdbserverless/internal/rowfilter"
 	"crdbserverless/internal/txn"
 )
 
 // Push-down (the paper's §8 future work): a full-table scan carries to the
-// KV node what of its statement the node can evaluate, in the Scan request's
-// Filter bytes (rowfilter owns their format).
+// KV node what of its statement the node can evaluate, as a scanSpec in the
+// Scan request's Filter bytes. The format is this package's own: kvserver
+// and txn carry the bytes without reading them.
 //
-//   - A filter: the WHERE conjuncts `column OP constant` compile to a
-//     rowfilter.Filter, and the node returns only the rows that pass it. The
-//     executor still applies the whole WHERE clause to the rows it gets, so a
-//     filter only ever saves work: a conjunct that does not compile is left to
-//     the SQL side.
+//   - A filter: the WHERE conjuncts `column OP constant` whose constants
+//     evaluate become the spec's conditions, and the node returns only the
+//     rows that pass them. The executor still applies the whole WHERE clause
+//     to the rows it gets, so a filter only ever saves work.
 //   - An aggregation: when the KV node can compute a SELECT's whole answer up
-//     to the merge (aggPush), the Scan carries a rowfilter.AggSpec and the
-//     node returns one partial-aggregate row per group instead of the rows.
-//     Nothing is applied again, so this is exact or not pushed at all.
+//     to the merge (aggPush), the spec also carries the group columns and the
+//     aggregates, and the node returns one partial-aggregate row per group
+//     instead of the rows. Nothing is applied again, so this is exact or not
+//     pushed at all.
 //
 // Both are evaluated at the leaseholder by the one evaluator this package
-// registers with kvserver (kvEvaluator), as the MVCC scan yields each row.
+// registers with kvserver (kvEvaluator), as the MVCC scan yields each row. A
+// condition holds there exactly when its comparison does in WHERE: both call
+// cmpOp.holds, over the Datums the row codec decodes.
 
 func init() { kvserver.RegisterScanEvaluator(kvEvaluator{}) }
 
-// datumRow adapts a decoded datum row to the filter evaluator.
-type datumRow []Datum
+// scanSpec is what a Scan pushes down: the conditions a row must pass, and,
+// for an aggregation, the columns to group the passing rows by and the
+// aggregates to fold them into. A spec with neither is a filter.
+type scanSpec struct {
+	conds   []specCond
+	groupBy []int
+	// aggs holds the column each aggregate folds, or countRows. What an
+	// aggregate makes of its column is the SQL node's business: a partial
+	// row carries its whole aggState.
+	aggs []int
+}
 
-// Column implements rowfilter.RowAccessor.
-func (r *datumRow) Column(i int) (rowfilter.Value, bool) {
-	if i < 0 || i >= len(*r) {
-		return rowfilter.Value{}, false
+// specCond is one condition: row[col] op val.
+type specCond struct {
+	col int
+	op  cmpOp
+	val Datum
+}
+
+// countRows is the column of COUNT(*), which counts rows and reads none.
+const countRows = -1
+
+// aggregating reports whether s asks for partial aggregates, not rows.
+func (s *scanSpec) aggregating() bool { return len(s.groupBy) > 0 || len(s.aggs) > 0 }
+
+// Encoded spec:
+//
+//	uvarint condition count, then per condition
+//	  column    uvarint, at most 2^31-1
+//	  operator  1 byte, a cmpOp
+//	  constant  AppendDatum
+//	uvarint group column count, then each column as a uvarint
+//	uvarint aggregate count, then each aggregate's column plus one as a
+//	  uvarint, 0 for COUNT(*)
+//
+// A filter's spec ends in two zero counts. minCondSize is a condition on
+// column 0 with a NULL constant, which bounds the count a spec can hold.
+const minCondSize = 3
+
+// encode serializes s for transport in a Scan request.
+func (s *scanSpec) encode() []byte {
+	b := binary.AppendUvarint(nil, uint64(len(s.conds)))
+	for _, c := range s.conds {
+		b = binary.AppendUvarint(b, uint64(c.col))
+		b = AppendDatum(append(b, byte(c.op)), c.val)
 	}
-	return datumToFilterValue((*r)[i])
-}
-
-// datumToFilterValue converts a datum to the filter value model.
-func datumToFilterValue(d Datum) (rowfilter.Value, bool) {
-	if d.Null {
-		return rowfilter.Value{Null: true}, true
+	b = binary.AppendUvarint(b, uint64(len(s.groupBy)))
+	for _, c := range s.groupBy {
+		b = binary.AppendUvarint(b, uint64(c))
 	}
-	switch d.Kind {
-	case TypeInt:
-		return rowfilter.Value{Kind: rowfilter.KindInt, I: d.I}, true
-	case TypeFloat:
-		return rowfilter.Value{Kind: rowfilter.KindFloat, F: d.F}, true
-	case TypeString:
-		return rowfilter.Value{Kind: rowfilter.KindString, S: d.S}, true
-	case TypeBool:
-		return rowfilter.Value{Kind: rowfilter.KindBool, B: d.B}, true
-	default:
-		return rowfilter.Value{}, false
+	b = binary.AppendUvarint(b, uint64(len(s.aggs)))
+	for _, c := range s.aggs {
+		b = binary.AppendUvarint(b, uint64(c+1))
 	}
+	return b
 }
 
-var pushdownOps = map[string]rowfilter.Op{
-	"=": rowfilter.OpEq, "!=": rowfilter.OpNe,
-	"<": rowfilter.OpLt, "<=": rowfilter.OpLe,
-	">": rowfilter.OpGt, ">=": rowfilter.OpGe,
+// decode parses a transported spec into s, reusing the capacity of its
+// slices, so a reader that keeps its spec decodes spec after spec without
+// allocating (but for a STRING constant's bytes). The bytes arrive inside a
+// KV request, so malformed ones are an error, never a panic or an allocation
+// their length does not pay for. On error s holds whatever was decoded
+// before the fault.
+func (s *scanSpec) decode(b []byte) error {
+	r := binenc.NewReader(b)
+	n := r.Count(minCondSize)
+	s.conds = slices.Grow(s.conds[:0], n)[:n]
+	for i := range s.conds {
+		c := specCond{col: consumeCol(r, 0), op: cmpOp(r.Byte())}
+		if c.op > opGe {
+			r.Fail()
+		}
+		c.val = ConsumeDatum(r)
+		s.conds[i] = c
+	}
+	n = r.Count(1)
+	s.groupBy = slices.Grow(s.groupBy[:0], n)[:n]
+	for i := range s.groupBy {
+		s.groupBy[i] = consumeCol(r, 0)
+	}
+	n = r.Count(1)
+	s.aggs = slices.Grow(s.aggs[:0], n)[:n]
+	for i := range s.aggs {
+		s.aggs[i] = consumeCol(r, 1)
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("sql: decoding scan spec: %w", err)
+	}
+	return nil
 }
 
-var flippedOps = map[rowfilter.Op]rowfilter.Op{
-	rowfilter.OpEq: rowfilter.OpEq, rowfilter.OpNe: rowfilter.OpNe,
-	rowfilter.OpLt: rowfilter.OpGt, rowfilter.OpLe: rowfilter.OpGe,
-	rowfilter.OpGt: rowfilter.OpLt, rowfilter.OpGe: rowfilter.OpLe,
+// consumeCol reads a column offset encoded plus bias, which must leave an
+// offset that fits an int32.
+func consumeCol(r *binenc.Reader, bias uint64) int {
+	c := r.Uvarint()
+	if c > math.MaxInt32+bias {
+		r.Fail()
+		return 0
+	}
+	return int(c) - int(bias)
 }
 
-// isNumber reports whether t is INT or FLOAT.
-func isNumber(t ColumnType) bool { return t == TypeInt || t == TypeFloat }
-
-// compileFilter compiles the conjuncts conds of desc (a plan's colConds) into
-// a filter. A conjunct compiles when its constant evaluates in args to a
-// non-NULL value of a kind rowfilter compares with the column's type as
-// Datum.Compare does: a number with a number, anything else with its own
-// kind only. all reports whether every conjunct compiled.
-func compileFilter(desc *TableDescriptor, conds []colCond, args []Datum) (f rowfilter.Filter, all bool) {
+// compileConds returns the conditions of a plan's conjuncts conds (its
+// colConds) whose constants evaluate in args; all reports whether every one
+// does. A comparison means the same wherever it is evaluated, so nothing
+// else keeps a conjunct on the SQL side.
+func compileConds(conds []colCond, args []Datum) (out []specCond, all bool) {
 	all = true
 	for _, c := range conds {
 		d, ok := constantValue(c.val, args)
-		typ := desc.Columns[c.col].Type
-		if !ok || d.Null || (d.Kind != typ && !(isNumber(d.Kind) && isNumber(typ))) {
+		if !ok {
 			all = false
 			continue
 		}
-		v, _ := datumToFilterValue(d)
-		f.Conds = append(f.Conds, rowfilter.Cond{Col: c.col, Op: c.op, Value: v})
+		out = append(out, specCond{col: c.col, op: c.op, val: d})
 	}
-	return f, all
+	return out, all
 }
 
 // compilePushdownFilter returns the encoded filter of the conjuncts of conds
 // that compile, or nil when none does.
-func compilePushdownFilter(desc *TableDescriptor, conds []colCond, args []Datum) []byte {
-	f, _ := compileFilter(desc, conds, args)
-	if f.Empty() {
+func compilePushdownFilter(conds []colCond, args []Datum) []byte {
+	out, _ := compileConds(conds, args)
+	if len(out) == 0 {
 		return nil
 	}
-	return f.Encode()
+	return (&scanSpec{conds: out}).encode()
 }
 
 // aggPush is a SELECT's aggregation in the form the KV node computes it. A
@@ -117,34 +173,27 @@ func compilePushdownFilter(desc *TableDescriptor, conds []colCond, args []Datum)
 type aggPush struct {
 	// groupBy lists the group columns, in GROUP BY order.
 	groupBy []int
-	// aggs are the aggregates the node folds, and exprs[j] is the select
-	// expression aggs[j] computes.
-	aggs  []rowfilter.Agg
+	// aggs are the columns of the aggregates the node folds (scanSpec.aggs),
+	// and exprs[j] is the select expression aggs[j] computes.
+	aggs  []int
 	exprs []int
-	// spec is the encoded AggSpec when WHERE holds no placeholder, so every
+	// spec is the encoded scanSpec when WHERE holds no placeholder, so every
 	// execution pushes the same bytes; nil when each execution compiles its
 	// own.
 	spec []byte
 }
 
-var aggFuncs = map[string]rowfilter.AggFunc{
-	"COUNT": rowfilter.AggCount, "SUM": rowfilter.AggSum, "AVG": rowfilter.AggAvg,
-	"MIN": rowfilter.AggMin, "MAX": rowfilter.AggMax,
-}
-
 // newAggPush returns the push-down of s, an aggregating single-table SELECT
-// over desc whose column bindings are cols and WHERE conjuncts `column OP
-// constant` are where, or nil when the KV node cannot compute s exactly:
+// whose column bindings are cols and WHERE conjuncts `column OP constant`
+// are where, or nil when the KV node cannot compute s exactly:
 //
 //   - every WHERE conjunct must be one of where, for nothing is applied to
 //     the partial rows afterwards;
 //   - every GROUP BY term is a column;
-//   - every aggregate is COUNT(*) or COUNT, SUM, AVG, MIN or MAX of a column,
-//     except MIN and MAX of a FLOAT column: Datum.Compare orders no NaN, so a
-//     minimum taken in parts can differ from one taken in one pass;
+//   - every aggregate is COUNT(*) or COUNT, SUM, AVG, MIN or MAX of a column;
 //   - every other select expression reads group columns only, since its
 //     group's first row reaches the SQL node as those columns alone.
-func newAggPush(s *Select, desc *TableDescriptor, cols map[string]int, where []colCond) *aggPush {
+func newAggPush(s *Select, cols map[string]int, where []colCond) *aggPush {
 	if len(conjuncts(s.Where)) != len(where) {
 		return nil
 	}
@@ -169,14 +218,13 @@ func newAggPush(s *Select, desc *TableDescriptor, cols map[string]int, where []c
 			}
 			continue
 		case fe.Star:
-			p.aggs = append(p.aggs, rowfilter.Agg{Fn: rowfilter.AggCountRows})
+			p.aggs = append(p.aggs, countRows)
 		default:
 			c, ok := columnRef(fe.Arg, cols)
-			fn := aggFuncs[fe.Name]
-			if !ok || ((fn == rowfilter.AggMin || fn == rowfilter.AggMax) && desc.Columns[c].Type == TypeFloat) {
+			if !ok {
 				return nil
 			}
-			p.aggs = append(p.aggs, rowfilter.Agg{Fn: fn, Col: c})
+			p.aggs = append(p.aggs, c)
 		}
 		p.exprs = append(p.exprs, i)
 	}
@@ -185,11 +233,11 @@ func newAggPush(s *Select, desc *TableDescriptor, cols map[string]int, where []c
 			return p
 		}
 	}
-	f, all := compileFilter(desc, where, nil)
+	conds, all := compileConds(where, nil)
 	if !all {
 		return nil
 	}
-	p.spec = (&rowfilter.AggSpec{Filter: f, GroupBy: p.groupBy, Aggs: p.aggs}).Encode()
+	p.spec = (&scanSpec{conds: conds, groupBy: p.groupBy, aggs: p.aggs}).encode()
 	return p
 }
 
@@ -240,10 +288,10 @@ func hasPlaceholder(e Expr) bool {
 	}
 }
 
-// aggSpec returns the encoded AggSpec of pl's SELECT for this execution, or
+// aggSpec returns the encoded scanSpec of pl's SELECT for this execution, or
 // nil when it takes the row path: push-down is off, the statement's shape
 // does not allow it, a point or index plan serves it, a constant does not
-// compile, or t holds buffered writes in span, the table's span, which the
+// evaluate, or t holds buffered writes in span, the table's span, which the
 // transaction overlays on rows it reads and could not overlay on partials.
 func (e *Executor) aggSpec(t *txn.Txn, pl *plan, span keys.Span, args []Datum) []byte {
 	p := pl.push
@@ -262,14 +310,14 @@ func (e *Executor) aggSpec(t *txn.Txn, pl *plan, span keys.Span, args []Datum) [
 	if p.spec != nil {
 		return p.spec
 	}
-	f, all := compileFilter(pl.desc, pl.where, args)
+	conds, all := compileConds(pl.where, args)
 	if !all {
 		return nil
 	}
-	return (&rowfilter.AggSpec{Filter: f, GroupBy: p.groupBy, Aggs: p.aggs}).Encode()
+	return (&scanSpec{conds: conds, groupBy: p.groupBy, aggs: p.aggs}).encode()
 }
 
-// Partial rows. The KV node answers an AggSpec with one row per group, in the
+// Partial rows. The KV node answers an aggregating scanSpec with one row per group, in the
 // order the groups first appear in the scan. The key is the group's key
 // (appendGroupKey of each group column), and the value is
 //
@@ -357,34 +405,19 @@ func (kvEvaluator) Begin(spec []byte) (kvserver.ScanFold, error) {
 	if f == nil {
 		f = new(scanFold)
 	}
-	if err := f.decode(spec); err != nil {
+	if err := f.spec.decode(spec); err != nil {
 		f.reset()
 		return nil, err
 	}
 	return f, nil
 }
 
-var errBadSpec = errors.New("sql: scan spec is neither a filter nor an aggregation")
-
-// decode decodes spec into f.spec, reusing its slices: a spec is an AggSpec,
-// or else a bare filter.
-func (f *scanFold) decode(spec []byte) error {
-	f.aggregating = rowfilter.DecodeAggSpecInto(&f.spec, spec) == nil
-	if f.aggregating || rowfilter.DecodeInto(&f.spec.Filter, spec) == nil {
-		return nil
-	}
-	return errBadSpec
-}
-
 // scanFold evaluates one scan's spec. Folds are pooled: once one has served
 // a scan, a scan like it allocates nothing for its spec or its groups.
 type scanFold struct {
-	// spec is the decoded spec: an AggSpec when aggregating, else only its
-	// Filter holds the bare filter.
-	spec        rowfilter.AggSpec
-	aggregating bool
-	row         datumRow // the row being evaluated
-	key         []byte   // its group key
+	spec scanSpec // decoded into the slices it already holds
+	row  []Datum  // the row being evaluated
+	key  []byte   // its group key
 	// keys holds every group's key back to back, group i's ending at
 	// ends[i]. Groups are found by a linear search over them, or through
 	// index once there are more than linearGroups.
@@ -392,7 +425,7 @@ type scanFold struct {
 	ends  []int
 	index map[string]int
 	// vals and states hold group i's group values and aggregate states at
-	// [i*len(GroupBy):] and [i*len(Aggs):].
+	// [i*len(groupBy):] and [i*len(aggs):].
 	vals   []Datum
 	states []aggState
 	out    []byte // a partial row's value
@@ -405,30 +438,29 @@ const linearGroups = 8
 
 var foldPool sync.Pool
 
-// Row implements kvserver.ScanFold.
+// Row implements kvserver.ScanFold: a row passes when every condition holds,
+// and a filter keeps it while an aggregation folds it.
 func (f *scanFold) Row(value []byte) (bool, error) {
 	row, err := decodeRowValue(f.row[:0], value)
 	if err != nil {
-		if f.aggregating {
-			return false, err
-		}
-		// The SQL node decodes a row it is sent again, and fails there.
-		return true, nil
+		return false, err
 	}
 	f.row = row
-	if !f.spec.Filter.Matches(&f.row) {
-		return false, nil
+	for _, c := range f.spec.conds {
+		if c.col >= len(row) || !c.op.holds(row[c.col], c.val) {
+			return false, nil
+		}
 	}
-	if !f.aggregating {
+	if !f.spec.aggregating() {
 		return true, nil
 	}
 	return false, f.fold(row)
 }
 
-// fold adds a row that passed the filter to its group.
+// fold adds a row that passed the conditions to its group.
 func (f *scanFold) fold(row []Datum) error {
 	f.key = f.key[:0]
-	for _, c := range f.spec.GroupBy {
+	for _, c := range f.spec.groupBy {
 		if c >= len(row) {
 			return fmt.Errorf("sql: group column %d of a %d-column row", c, len(row))
 		}
@@ -438,17 +470,17 @@ func (f *scanFold) fold(row []Datum) error {
 	if !ok {
 		g = f.open(row)
 	}
-	na := len(f.spec.Aggs)
+	na := len(f.spec.aggs)
 	states := f.states[g*na : (g+1)*na]
-	for j, a := range f.spec.Aggs {
-		if a.Fn == rowfilter.AggCountRows {
+	for j, c := range f.spec.aggs {
+		switch {
+		case c == countRows:
 			states[j].countRow()
-			continue
+		case c >= len(row):
+			return fmt.Errorf("sql: aggregate column %d of a %d-column row", c, len(row))
+		default:
+			states[j].update(row[c])
 		}
-		if a.Col >= len(row) {
-			return fmt.Errorf("sql: aggregate column %d of a %d-column row", a.Col, len(row))
-		}
-		states[j].update(row[a.Col])
 	}
 	return nil
 }
@@ -474,10 +506,10 @@ func (f *scanFold) open(row []Datum) int {
 	g := len(f.ends)
 	f.keys = append(f.keys, f.key...)
 	f.ends = append(f.ends, len(f.keys))
-	for _, c := range f.spec.GroupBy {
+	for _, c := range f.spec.groupBy {
 		f.vals = append(f.vals, row[c])
 	}
-	for range f.spec.Aggs {
+	for range f.spec.aggs {
 		f.states = append(f.states, aggState{isInt: true})
 	}
 	switch {
@@ -497,8 +529,8 @@ func (f *scanFold) open(row []Datum) int {
 // Finish implements kvserver.ScanFold: it appends a partial row per group,
 // in the order the groups opened, and returns f to the pool.
 func (f *scanFold) Finish(page *kvpb.Page) error {
-	if page != nil && f.aggregating {
-		ng, na := len(f.spec.GroupBy), len(f.spec.Aggs)
+	if page != nil && f.spec.aggregating() {
+		ng, na := len(f.spec.groupBy), len(f.spec.aggs)
 		start := 0
 		for g, end := range f.ends {
 			f.out = f.out[:0]
@@ -518,16 +550,13 @@ func (f *scanFold) Finish(page *kvpb.Page) error {
 
 // reset empties f, keeping its capacity, and returns it to the pool.
 func (f *scanFold) reset() {
-	clear(f.spec.Filter.Conds)
+	clear(f.spec.conds)
 	clear(f.row)
 	clear(f.vals)
 	clear(f.states)
 	*f = scanFold{
-		spec: rowfilter.AggSpec{
-			Filter:  rowfilter.Filter{Conds: f.spec.Filter.Conds[:0]},
-			GroupBy: f.spec.GroupBy[:0], Aggs: f.spec.Aggs[:0],
-		},
-		row: f.row[:0], key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0],
+		spec: scanSpec{conds: f.spec.conds[:0], groupBy: f.spec.groupBy[:0], aggs: f.spec.aggs[:0]},
+		row:  f.row[:0], key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0],
 		vals: f.vals[:0], states: f.states[:0], out: f.out[:0],
 	}
 	foldPool.Put(f)

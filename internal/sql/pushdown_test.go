@@ -1,13 +1,19 @@
 package sql
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
+	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
-	"crdbserverless/internal/rowfilter"
 	"crdbserverless/internal/txn"
 )
 
@@ -51,10 +57,16 @@ func TestPushdownSameResultsAsSQLFilter(t *testing.T) {
 		"SELECT a FROM t WHERE b > 100 AND a + 1 < 20 ORDER BY a",
 		// Constant on the left (flipped operator).
 		"SELECT a FROM t WHERE 100 < b ORDER BY a LIMIT 5",
-		// A constant of another kind than its column: Datum.Compare orders
-		// them, rowfilter does not, so the conjunct stays on the SQL side.
+		// A constant of another kind than its column: the KV node orders the
+		// two as WHERE does, with Datum.Compare, so the conjunct is pushed.
 		"SELECT a FROM t WHERE c != 5 AND b < 100 ORDER BY a",
 		"SELECT COUNT(*) FROM t WHERE c > 1",
+		"SELECT COUNT(*) FROM t WHERE c = 5",
+		"SELECT COUNT(*) FROM t WHERE 5 = c",
+		"SELECT COUNT(*) FROM t WHERE b < 'x' AND 5 < c",
+		// A NULL constant: no row passes, on either side.
+		"SELECT COUNT(*) FROM t WHERE b = NULL",
+		"SELECT a FROM t WHERE NULL != c ORDER BY a",
 	}
 	_, _, plain := newPushdownDB(t, false)
 	_, _, pushed := newPushdownDB(t, true)
@@ -95,11 +107,12 @@ func TestPushdownReducesReturnedBytes(t *testing.T) {
 	}
 }
 
-func TestPushdownWithoutDecoderFailsOpen(t *testing.T) {
-	// A cluster without a registered evaluator ignores a bare filter; results
-	// are still correct because SQL re-applies the predicate. An aggregation
-	// it cannot compute fails instead: rows taken for partials would be
-	// wrong answers.
+func TestPushdownWithoutDecoderFailsClosed(t *testing.T) {
+	// A cluster without a registered evaluator fails every pushed scan, a
+	// filter's as an aggregation's: kvserver cannot tell the two apart, and
+	// rows taken for partials would be wrong answers. Only the SQL layer
+	// builds specs, and it registers its evaluator when it is initialized,
+	// so no product binary meets such a cluster.
 	kvserver.RegisterScanEvaluator(nil)
 	t.Cleanup(func() { kvserver.RegisterScanEvaluator(kvEvaluator{}) })
 	cheap := kvserver.CostConfig{ReadBatchOverhead: time.Nanosecond, WriteBatchOverhead: time.Nanosecond}
@@ -114,13 +127,31 @@ func TestPushdownWithoutDecoderFailsOpen(t *testing.T) {
 	exec := NewExecutor(NewCatalog(coord, 2), coord, ExecutorConfig{})
 	s := NewSession(exec, "app")
 	loadFilterTable(t, s, 20)
-	res := mustExec(t, s, "SELECT a FROM t WHERE b >= 100")
-	if len(res.Rows) != 10 {
-		t.Fatalf("filtered scan returned %d rows, want 10", len(res.Rows))
+	for _, q := range []string{"SELECT a FROM t WHERE b >= 100", "SELECT COUNT(*) FROM t WHERE b >= 100"} {
+		if res, err := s.Execute(context.Background(), q); err == nil {
+			t.Fatalf("%s returned %d rows on a node with no evaluator, want an error", q, len(res.Rows))
+		} else if !strings.Contains(err.Error(), "no evaluator") {
+			t.Fatalf("%s on a node with no evaluator: %v", q, err)
+		}
 	}
-	if _, err := s.Execute(context.Background(), "SELECT COUNT(*) FROM t WHERE b >= 100"); err == nil {
-		t.Fatal("a pushed COUNT(*) succeeded on a node with no evaluator")
+}
+
+// compileWhere returns the decoded filter q's WHERE clause compiles to over
+// desc, with args for its placeholders; ok is false when none compiles.
+func compileWhere(t *testing.T, desc *TableDescriptor, q string, args ...Datum) (spec scanSpec, ok bool) {
+	t.Helper()
+	stmt, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
 	}
+	enc := compilePushdownFilter(colConds(desc, "", stmt.(*Select).Where), args)
+	if enc == nil {
+		return scanSpec{}, false
+	}
+	if err := spec.decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	return spec, true
 }
 
 func TestCompilePushdownFilter(t *testing.T) {
@@ -129,50 +160,314 @@ func TestCompilePushdownFilter(t *testing.T) {
 		Columns: []ColumnDef{{Name: "a", Type: TypeInt}, {Name: "b", Type: TypeString}},
 	}
 	// Eligible: a > 5 AND b = 'x'.
-	stmt, err := Parse("SELECT a FROM t WHERE a > 5 AND b = 'x'")
-	if err != nil {
-		t.Fatal(err)
+	if f, ok := compileWhere(t, desc, "SELECT a FROM t WHERE a > 5 AND b = 'x'"); !ok || len(f.conds) != 2 || f.aggregating() {
+		t.Fatalf("filter = %+v", f)
 	}
-	enc := compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil)
-	if enc == nil {
-		t.Fatal("no filter compiled")
-	}
-	f, err := rowfilter.Decode(enc)
-	if err != nil || len(f.Conds) != 2 {
-		t.Fatalf("filter = %+v, %v", f, err)
-	}
-	// Ineligible: OR at the top, function calls, column-to-column.
+	// Ineligible: OR at the top, function calls, column-to-column, a
+	// constant that does not evaluate.
 	for _, q := range []string{
 		"SELECT a FROM t WHERE a > 5 OR b = 'x'",
 		"SELECT a FROM t WHERE a + 1 > 5",
 		"SELECT a FROM t WHERE a = a",
+		"SELECT a FROM t WHERE a = 1 / 0",
+		"SELECT a FROM t WHERE a = $2",
 	} {
-		stmt, err := Parse(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if enc := compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil); enc != nil {
-			t.Fatalf("%s compiled a filter", q)
+		if f, ok := compileWhere(t, desc, q, DInt(1)); ok {
+			t.Fatalf("%s compiled the filter %+v", q, f)
 		}
 	}
 	// Placeholders are constants.
-	stmt, _ = Parse("SELECT a FROM t WHERE a <= $1")
-	enc = compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), []Datum{DInt(9)})
-	f, _ = rowfilter.Decode(enc)
-	if len(f.Conds) != 1 || f.Conds[0].Value.I != 9 || f.Conds[0].Op != rowfilter.OpLe {
+	f, _ := compileWhere(t, desc, "SELECT a FROM t WHERE a <= $1", DInt(9))
+	if want := []specCond{{col: 0, op: opLe, val: DInt(9)}}; !reflect.DeepEqual(f.conds, want) {
 		t.Fatalf("placeholder filter = %+v", f)
 	}
 	// Flipped constant-on-left comparisons.
-	stmt, _ = Parse("SELECT a FROM t WHERE 5 < a")
-	f, _ = rowfilter.Decode(compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil))
-	if len(f.Conds) != 1 || f.Conds[0].Op != rowfilter.OpGt {
+	f, _ = compileWhere(t, desc, "SELECT a FROM t WHERE 5 < a")
+	if want := []specCond{{col: 0, op: opGt, val: DInt(5)}}; !reflect.DeepEqual(f.conds, want) {
 		t.Fatalf("flipped filter = %+v", f)
 	}
-	// A constant of another kind than its column's is left to the SQL
-	// side: rowfilter and Datum.Compare disagree on mixed kinds.
-	stmt, _ = Parse("SELECT a FROM t WHERE a > 5 AND b != 7 AND a < 'x'")
-	f, _ = rowfilter.Decode(compilePushdownFilter(desc, colConds(desc, "", stmt.(*Select).Where), nil))
-	if len(f.Conds) != 1 || f.Conds[0].Col != 0 || f.Conds[0].Op != rowfilter.OpGt {
+	// Every constant that evaluates compiles: of another kind than its
+	// column, or NULL. The KV node compares as WHERE does.
+	f, _ = compileWhere(t, desc, "SELECT a FROM t WHERE a > 5 AND b != 7 AND a < 'x' AND NULL = b")
+	want := []specCond{
+		{col: 0, op: opGt, val: DInt(5)}, {col: 1, op: opNe, val: DInt(7)},
+		{col: 0, op: opLt, val: DString("x")}, {col: 1, op: opEq, val: DNull},
+	}
+	if !reflect.DeepEqual(f.conds, want) {
 		t.Fatalf("mixed-kind filter = %+v", f)
 	}
+}
+
+// holds is the one comparison of WHERE and of the KV node's conditions: never
+// true with a NULL side, numbers across INT and FLOAT by value, and the kinds
+// that do not compare ordered by kind, the same whichever side each is on.
+func TestCmpOpHolds(t *testing.T) {
+	nan := DFloat(math.NaN())
+	for _, c := range []struct {
+		l    Datum
+		op   cmpOp
+		r    Datum
+		want bool
+	}{
+		{DInt(5), opEq, DInt(5), true},
+		{DInt(5), opEq, DInt(6), false},
+		{DInt(5), opNe, DInt(6), true},
+		{DInt(5), opLt, DInt(6), true},
+		{DInt(5), opLe, DInt(5), true},
+		{DInt(5), opGt, DInt(5), false},
+		{DInt(5), opGe, DInt(5), true},
+		{DString("m"), opLt, DString("z"), true},
+		{DString("m"), opGt, DString("z"), false},
+		{DBool(true), opEq, DBool(true), true},
+		{DBool(true), opGt, DBool(false), true},
+		{DFloat(2.5), opEq, DFloat(2.5), true},
+		{DInt(5), opLt, DFloat(5.5), true},
+		{DFloat(2.5), opGt, DInt(2), true},
+		{DInt(1<<53 + 1), opGt, DFloat(1 << 53), true},
+		{DInt(1<<53 + 1), opNe, DInt(1 << 53), true},
+		{DFloat(math.Copysign(0, -1)), opEq, DInt(0), true},
+		{nan, opEq, nan, true},
+		{nan, opLt, DFloat(math.Inf(-1)), true},
+		{nan, opLt, DInt(math.MinInt64), true},
+		{DFloat(1), opEq, nan, false},
+		{DFloat(math.Inf(1)), opGt, DInt(math.MaxInt64), true},
+		{DInt(5), opEq, DString("5"), false},
+		{DString("5"), opEq, DInt(5), false},
+		{DInt(5), opLt, DString("a"), true},
+		{DString("a"), opGt, DInt(5), true},
+		{DString("a"), opLt, DBool(false), true},
+		{DNull, opEq, DNull, false},
+		{DNull, opNe, DInt(1), false},
+		{DInt(1), opLt, DNull, false},
+		{DInt(1), opGe, DNull, false},
+	} {
+		if got := c.op.holds(c.l, c.r); got != c.want {
+			t.Errorf("%+v %d %+v: got %v, want %v", c.l, c.op, c.r, got, c.want)
+		}
+		if got := c.op.flip().holds(c.r, c.l); got != c.want {
+			t.Errorf("%+v %d %+v flipped: got %v, want %v", c.l, c.op, c.r, got, c.want)
+		}
+	}
+	if _, ok := cmpOpOf("+"); ok {
+		t.Fatal("+ is a comparison")
+	}
+	// On INTs, holds is Go's comparison.
+	prop := func(l, r int64, sel uint8) bool {
+		op := cmpOp(sel % 6)
+		want := map[cmpOp]bool{opEq: l == r, opNe: l != r, opLt: l < r, opLe: l <= r, opGt: l > r, opGe: l >= r}[op]
+		return op.holds(DInt(l), DInt(r)) == want
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The KV side's filter, driven directly: a row passes when every condition
+// holds, so an empty spec keeps every row, and a condition on a column the
+// row does not have keeps none.
+func TestScanFoldFilters(t *testing.T) {
+	row := encodeRowValue([]Datum{DInt(15), DString("m"), DNull})
+	for _, c := range []struct {
+		conds []specCond
+		keep  bool
+	}{
+		{nil, true},
+		{[]specCond{{col: 0, op: opGe, val: DInt(10)}, {col: 0, op: opLt, val: DInt(20)}}, true},
+		{[]specCond{{col: 0, op: opGe, val: DInt(10)}, {col: 0, op: opLt, val: DInt(15)}}, false},
+		{[]specCond{{col: 1, op: opGt, val: DInt(15)}}, true},
+		{[]specCond{{col: 2, op: opEq, val: DNull}}, false},
+		{[]specCond{{col: 3, op: opNe, val: DInt(1)}}, false},
+	} {
+		fold, err := kvEvaluator{}.Begin((&scanSpec{conds: c.conds}).encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep, err := fold.Row(row)
+		if err != nil || keep != c.keep {
+			t.Errorf("%+v: keep %v, %v; want %v", c.conds, keep, err, c.keep)
+		}
+		if _, err := fold.Row([]byte{0x05}); err == nil {
+			t.Errorf("%+v: an undecodable row passed", c.conds)
+		}
+		var page kvpb.Page
+		if err := fold.Finish(&page); err != nil || len(page.Rows) != 0 {
+			t.Errorf("%+v: a filter finished with %d rows, %v", c.conds, len(page.Rows), err)
+		}
+	}
+	if _, err := (kvEvaluator{}).Begin([]byte("junk")); err == nil {
+		t.Fatal("junk began a fold")
+	}
+}
+
+// goldenFilterSpec and goldenAggSpec, and their hex, fix the two shapes of
+// the spec a pushed-down scan carries to the KV node. A diff here is a
+// format change: SQL and KV nodes on either side of it could not push work
+// to each other.
+var goldenFilterSpec = &scanSpec{conds: []specCond{
+	{col: 2, op: opLe, val: DFloat(1.5)},
+	{col: 0, op: opEq, val: DString("hi")},
+	{col: 300, op: opGt, val: DInt(-3)},
+	{col: 1, op: opNe, val: DBool(true)},
+	{col: 4, op: opGe, val: DNull},
+}}
+
+const goldenCondsHex = "05" + // five conditions
+	"02" + "03" + "03" + "3ff8000000000000" + // col 2 <= FLOAT 1.5
+	"00" + "00" + "04" + "026869" + // col 0 = STRING "hi"
+	"ac02" + "04" + "02" + "05" + // col 300 > INT -3 (zigzag 5)
+	"01" + "01" + "05" + "01" + // col 1 != BOOL true
+	"04" + "05" + "01" // col 4 >= NULL: no payload
+
+const goldenFilterSpecHex = goldenCondsHex + "00" + "00" // no group, no aggregate
+
+var goldenAggSpec = &scanSpec{
+	conds:   goldenFilterSpec.conds,
+	groupBy: []int{4, 300},
+	aggs:    []int{countRows, 2, 2, 130},
+}
+
+const goldenAggSpecHex = goldenCondsHex +
+	"02" + "04" + "ac02" + // GROUP BY col 4, col 300
+	"04" + // four aggregates
+	"00" + // COUNT(*)
+	"03" + "03" + // two of col 2
+	"8301" // one of col 130
+
+func TestScanSpecGolden(t *testing.T) {
+	for _, g := range []struct {
+		spec *scanSpec
+		hex  string
+	}{{goldenFilterSpec, goldenFilterSpecHex}, {goldenAggSpec, goldenAggSpecHex}} {
+		want := mustHex(t, g.hex)
+		if got := g.spec.encode(); !bytes.Equal(got, want) {
+			t.Fatalf("encoded spec\n got %x\nwant %x", got, want)
+		}
+		var got scanSpec
+		if err := got.decode(want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, g.spec) {
+			t.Fatalf("decoded spec = %+v, want %+v", got, g.spec)
+		}
+		if got.aggregating() != (g.spec == goldenAggSpec) {
+			t.Fatalf("%x: aggregating %v", want, got.aggregating())
+		}
+	}
+	// GROUP BY with no aggregate still aggregates: its answer is one row
+	// per group.
+	if s := (scanSpec{groupBy: []int{1}}); !s.aggregating() {
+		t.Fatal("a spec with group columns is a filter")
+	}
+}
+
+func TestDecodeScanSpecRejectsMalformedInput(t *testing.T) {
+	for _, golden := range []string{goldenFilterSpecHex, goldenAggSpecHex} {
+		b := mustHex(t, golden)
+		for cut := 0; cut < len(b); cut++ {
+			var s scanSpec
+			if err := s.decode(b[:cut]); err == nil {
+				t.Errorf("spec %s truncated to %d bytes decoded to %+v", golden, cut, s)
+			}
+		}
+	}
+	// One condition, col 0 = BOOL false; and GROUP BY col 1 with one
+	// aggregate of col 0.
+	const one, oneAgg = "01" + "00" + "00" + "0500" + "00" + "00", "00" + "0101" + "01" + "01"
+	for _, in := range []string{one, oneAgg} {
+		var s scanSpec
+		if err := s.decode(mustHex(t, in)); err != nil {
+			t.Fatalf("the undamaged spec %s: %v", in, err)
+		}
+	}
+	for name, in := range map[string]string{
+		"trailing byte":             one + "00",
+		"unknown op":                "01" + "00" + "06" + "0500" + "0000",
+		"unknown datum tag":         "01" + "00" + "00" + "0600" + "0000",
+		"bool out of range":         "01" + "00" + "00" + "0502" + "0000",
+		"column beyond int32":       "01" + "8080808008" + "00" + "0500" + "0000",
+		"count beyond input":        "02" + one[2:],
+		"count near 2^64":           "ffffffffffffffffff01" + one[2:],
+		"string longer than it":     "01" + "00" + "00" + "047f68" + "0000",
+		"float cut short":           "01" + "00" + "00" + "033ff8" + "0000",
+		"unterminated int value":    "01" + "00" + "00" + "0280",
+		"group column beyond int32": "00" + "01" + "8080808008" + "00",
+		"agg column beyond int32":   "00" + "00" + "01" + "8180808008",
+		"group count beyond input":  "00" + "05" + "01" + "00",
+		"agg count beyond input":    "00" + "00" + "03" + "01",
+		"agg count near 2^64":       "00" + "00" + "ffffffffffffffffff01" + "01",
+		"no aggregate count":        "00" + "00",
+		"empty":                     "",
+	} {
+		var s scanSpec
+		if err := s.decode(mustHex(t, in)); err == nil {
+			t.Errorf("%s (%s) decoded to %+v", name, in, s)
+		}
+	}
+}
+
+// A reader that keeps its spec decodes spec after spec into it without
+// allocating (but for a STRING constant's bytes), and a short spec decoded
+// over a long one keeps nothing of it.
+func TestDecodeScanSpecIntoReuses(t *testing.T) {
+	q1 := (&scanSpec{
+		conds:   []specCond{{col: 3, op: opLe, val: DInt(2400)}},
+		groupBy: []int{1},
+		aggs:    []int{2, 2, countRows},
+	}).encode()
+	one := (&scanSpec{groupBy: []int{1}, aggs: []int{0}}).encode()
+	var s scanSpec
+	if err := s.decode(mustHex(t, goldenAggSpecHex)); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.decode(q1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding into a used spec allocates %v times", allocs)
+	}
+	if err := s.decode(one); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.encode(); !bytes.Equal(got, one) {
+		t.Fatalf("decoded over the golden spec, %x re-encodes to %x", one, got)
+	}
+}
+
+// FuzzDecodeScanSpec: a spec arrives at the KV node inside a request, so no
+// input makes its decoder panic, decoding into a used spec takes and yields
+// what a fresh decode does, and whatever decodes re-encodes to bytes that
+// decode and encode to the same bytes again (bytes, not values: a NaN
+// constant is one value of many encodings).
+func FuzzDecodeScanSpec(f *testing.F) {
+	f.Add(mustHex(f, goldenAggSpecHex))
+	f.Add((&scanSpec{aggs: []int{countRows}}).encode())
+	f.Add(mustHex(f, goldenFilterSpecHex))
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var fresh scanSpec
+		err := fresh.decode(in)
+		used := scanSpec{
+			conds:   slices.Clone(goldenAggSpec.conds),
+			groupBy: slices.Clone(goldenAggSpec.groupBy),
+			aggs:    slices.Clone(goldenAggSpec.aggs),
+		}
+		if uerr := used.decode(in); (uerr == nil) != (err == nil) {
+			t.Fatalf("%x: fresh decode %v, into a used spec %v", in, err, uerr)
+		}
+		if err != nil {
+			return
+		}
+		enc := fresh.encode()
+		if got := used.encode(); !bytes.Equal(got, enc) {
+			t.Fatalf("%x decodes into a used spec as %x, fresh as %x", in, got, enc)
+		}
+		var again scanSpec
+		if err := again.decode(enc); err != nil {
+			t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
+		}
+		if enc2 := again.encode(); !bytes.Equal(enc2, enc) {
+			t.Fatalf("%x re-encodes to %x, then to %x", in, enc, enc2)
+		}
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"crdbserverless/internal/rowfilter"
 )
 
 // stmtCacheSize bounds the statement texts an executor keeps parsed. A client
@@ -100,7 +98,7 @@ type plan struct {
 // constant is evaluated per execution, since its placeholders change.
 type colCond struct {
 	col int
-	op  rowfilter.Op
+	op  cmpOp
 	val Expr
 }
 
@@ -182,7 +180,7 @@ func buildPlan(stmt Statement, desc, joinDesc *TableDescriptor) (*plan, error) {
 		if joinDesc != nil {
 			pl.joinWhere = colConds(joinDesc, joinAs, s.Where)
 		} else if hasAggregate(s) {
-			pl.push = newAggPush(s, desc, pl.cols, pl.where)
+			pl.push = newAggPush(s, pl.cols, pl.where)
 		}
 	}
 	return pl, nil
@@ -286,14 +284,14 @@ func colConds(desc *TableDescriptor, alias string, where Expr) []colCond {
 		if !ok {
 			continue
 		}
-		op, ok := pushdownOps[b.Op]
+		op, ok := cmpOpOf(b.Op)
 		if !ok {
 			continue
 		}
 		if col, ok := columnOf(desc, alias, b.Left); ok && isConstant(b.Right) {
 			out = append(out, colCond{col: col, op: op, val: b.Right})
 		} else if col, ok := columnOf(desc, alias, b.Right); ok && isConstant(b.Left) {
-			out = append(out, colCond{col: col, op: flippedOps[op], val: b.Left})
+			out = append(out, colCond{col: col, op: op.flip(), val: b.Left})
 		}
 	}
 	return out
@@ -329,7 +327,7 @@ func isConstant(e Expr) bool {
 func eqValue(conds []colCond, col int, args []Datum) (Datum, bool) {
 	for i := len(conds) - 1; i >= 0; i-- {
 		c := &conds[i]
-		if c.col != col || c.op != rowfilter.OpEq {
+		if c.col != col || c.op != opEq {
 			continue
 		}
 		if v, ok := constantValue(c.val, args); ok {

@@ -10,31 +10,24 @@ import (
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/randutil"
-	"crdbserverless/internal/rowfilter"
 )
 
-// byteRow is the row codec of the model test: a value's first byte is its
-// only column.
-type byteRow []byte
+// belowFilter is the model test's scan evaluator, and its spec is the
+// test's own, opaque to kvserver and txn: one byte, a bound. A row passes
+// when its value's first byte is below the bound.
+type belowFilter struct{ bound byte }
 
-func (r byteRow) Column(i int) (rowfilter.Value, bool) {
-	if i != 0 || len(r) == 0 {
-		return rowfilter.Value{}, false
+func (belowFilter) Begin(spec []byte) (kvserver.ScanFold, error) {
+	if len(spec) != 1 {
+		return nil, fmt.Errorf("spec %q is not one byte", spec)
 	}
-	return rowfilter.Value{Kind: rowfilter.KindInt, I: int64(r[0])}, true
+	return belowFilter{spec[0]}, nil
 }
 
-// byteRowFilter is the model test's scan evaluator: it evaluates bare
-// filters over byteRows.
-type byteRowFilter struct{ f *rowfilter.Filter }
-
-func (byteRowFilter) Begin(spec []byte) (kvserver.ScanFold, error) {
-	f, err := rowfilter.Decode(spec)
-	return byteRowFilter{f}, err
+func (f belowFilter) Row(value []byte) (bool, error) {
+	return len(value) > 0 && value[0] < f.bound, nil
 }
-
-func (e byteRowFilter) Row(value []byte) (bool, error) { return e.f.Matches(byteRow(value)), nil }
-func (byteRowFilter) Finish(*kvpb.Page) error          { return nil }
+func (belowFilter) Finish(*kvpb.Page) error { return nil }
 
 // A transaction's reads must see the stored rows with its own buffered
 // writes laid over them, whatever shape the read takes: point gets, scans
@@ -47,7 +40,7 @@ func TestBufferedReadsMatchModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			c, coord := newTestSetup(t)
-			kvserver.RegisterScanEvaluator(byteRowFilter{})
+			kvserver.RegisterScanEvaluator(belowFilter{})
 			t.Cleanup(func() { kvserver.RegisterScanEvaluator(nil) })
 			ctx := context.Background()
 			rng := randutil.NewRand(seed)
@@ -75,9 +68,7 @@ func TestBufferedReadsMatchModel(t *testing.T) {
 				}
 			}
 			const threshold = 5
-			filter := (&rowfilter.Filter{Conds: []rowfilter.Cond{{
-				Col: 0, Op: rowfilter.OpLt, Value: rowfilter.Value{Kind: rowfilter.KindInt, I: threshold},
-			}}}).Encode()
+			filter := []byte{threshold}
 			passes := func(v []byte) bool { return v[0] < threshold }
 
 			// expect returns the model's rows in [lo, hi), in key order.
