@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -198,9 +199,9 @@ func TestCompilePushdownFilter(t *testing.T) {
 	}
 }
 
-// holds is the one comparison of WHERE and of the KV node's conditions: never
-// true with a NULL side, numbers across INT and FLOAT by value, and the kinds
-// that do not compare ordered by kind, the same whichever side each is on.
+// holds is the one comparison of WHERE and of the KV node's conditions:
+// numbers across INT and FLOAT by value, and the kinds that do not compare
+// ordered by kind, the same whichever side each is on.
 func TestCmpOpHolds(t *testing.T) {
 	nan := DFloat(math.NaN())
 	for _, c := range []struct {
@@ -236,10 +237,6 @@ func TestCmpOpHolds(t *testing.T) {
 		{DInt(5), opLt, DString("a"), true},
 		{DString("a"), opGt, DInt(5), true},
 		{DString("a"), opLt, DBool(false), true},
-		{DNull, opEq, DNull, false},
-		{DNull, opNe, DInt(1), false},
-		{DInt(1), opLt, DNull, false},
-		{DInt(1), opGe, DNull, false},
 	} {
 		if got := c.op.holds(c.l, c.r); got != c.want {
 			t.Errorf("%+v %d %+v: got %v, want %v", c.l, c.op, c.r, got, c.want)
@@ -251,47 +248,129 @@ func TestCmpOpHolds(t *testing.T) {
 	if _, ok := cmpOpOf("+"); ok {
 		t.Fatal("+ is a comparison")
 	}
-	// On INTs, holds is Go's comparison.
+}
+
+// No comparison with a NULL side holds, under any operator: not in WHERE,
+// and not at the KV node, for a NULL column or a NULL constant.
+func TestCmpOpHoldsNeverOnNull(t *testing.T) {
+	for op := opEq; op <= opGe; op++ {
+		for _, d := range []Datum{DNull, DInt(1), DFloat(math.NaN()), DString("a"), DBool(false)} {
+			if op.holds(DNull, d) || op.holds(d, DNull) {
+				t.Errorf("NULL %d %+v holds one way round", op, d)
+			}
+		}
+		if keeps(t, &scanSpec{conds: []specCond{{col: 0, op: op, val: DInt(1)}}}, DNull) {
+			t.Errorf("a NULL column passed %d 1", op)
+		}
+		if keeps(t, &scanSpec{conds: []specCond{{col: 0, op: op, val: DNull}}}, DInt(1)) {
+			t.Errorf("1 passed %d NULL", op)
+		}
+	}
+}
+
+// On INTs, a condition is Go's comparison, in WHERE and at the KV node.
+func TestCmpOpHoldsMatchesGoComparison(t *testing.T) {
 	prop := func(l, r int64, sel uint8) bool {
 		op := cmpOp(sel % 6)
 		want := map[cmpOp]bool{opEq: l == r, opNe: l != r, opLt: l < r, opLe: l <= r, opGt: l > r, opGe: l >= r}[op]
-		return op.holds(DInt(l), DInt(r)) == want
+		return op.holds(DInt(l), DInt(r)) == want &&
+			keeps(t, &scanSpec{conds: []specCond{{col: 0, op: op, val: DInt(r)}}}, DInt(l)) == want
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The KV side's filter, driven directly: a row passes when every condition
-// holds, so an empty spec keeps every row, and a condition on a column the
-// row does not have keeps none.
-func TestScanFoldFilters(t *testing.T) {
-	row := encodeRowValue([]Datum{DInt(15), DString("m"), DNull})
+// keeps runs one row through the KV node's fold of a filter spec, which
+// answers per row and finishes with no rows of its own.
+func keeps(t *testing.T, spec *scanSpec, row ...Datum) bool {
+	t.Helper()
+	fold, err := kvEvaluator{}.Begin(spec.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := fold.Row(encodeRowValue(row))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page kvpb.Page
+	if err := fold.Finish(&page); err != nil || len(page.Rows) != 0 {
+		t.Fatalf("%+v: a filter finished with %d rows, %v", spec, len(page.Rows), err)
+	}
+	return keep
+}
+
+// A spec with no conditions is the filter of a scan with no WHERE: the KV
+// node keeps every row it can decode, and fails on one it cannot.
+func TestScanFoldEmptySpecKeepsAll(t *testing.T) {
+	empty := &scanSpec{}
+	if empty.aggregating() {
+		t.Fatal("the empty spec aggregates")
+	}
+	for _, row := range [][]Datum{{}, {DNull}, {DInt(15), DString("m"), DFloat(math.NaN()), DBool(false)}} {
+		if !keeps(t, empty, row...) {
+			t.Errorf("the empty spec dropped %+v", row)
+		}
+	}
+	fold, err := kvEvaluator{}.Begin(empty.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fold.Row([]byte{0x05}); err == nil {
+		t.Error("an undecodable row passed")
+	}
+	if err := fold.Finish(&kvpb.Page{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A row passes the KV node's filter only when every condition holds.
+func TestScanFoldConjunction(t *testing.T) {
+	rng := &scanSpec{conds: []specCond{{col: 0, op: opGe, val: DInt(10)}, {col: 0, op: opLt, val: DInt(20)}}}
+	for v, want := range map[int64]bool{5: false, 9: false, 10: true, 15: true, 19: true, 20: false} {
+		if got := keeps(t, rng, DInt(v)); got != want {
+			t.Errorf("10 <= %d < 20: kept %v", v, got)
+		}
+	}
+	two := &scanSpec{conds: []specCond{{col: 0, op: opGe, val: DInt(10)}, {col: 1, op: opEq, val: DString("m")}}}
 	for _, c := range []struct {
-		conds []specCond
-		keep  bool
+		row  []Datum
+		want bool
 	}{
-		{nil, true},
-		{[]specCond{{col: 0, op: opGe, val: DInt(10)}, {col: 0, op: opLt, val: DInt(20)}}, true},
-		{[]specCond{{col: 0, op: opGe, val: DInt(10)}, {col: 0, op: opLt, val: DInt(15)}}, false},
-		{[]specCond{{col: 1, op: opGt, val: DInt(15)}}, true},
-		{[]specCond{{col: 2, op: opEq, val: DNull}}, false},
-		{[]specCond{{col: 3, op: opNe, val: DInt(1)}}, false},
+		{[]Datum{DInt(15), DString("m")}, true},
+		{[]Datum{DInt(15), DString("n")}, false},
+		{[]Datum{DInt(5), DString("m")}, false},
+		{[]Datum{DInt(15), DNull}, false},
 	} {
-		fold, err := kvEvaluator{}.Begin((&scanSpec{conds: c.conds}).encode())
-		if err != nil {
-			t.Fatal(err)
+		if got := keeps(t, two, c.row...); got != c.want {
+			t.Errorf("%+v: kept %v", c.row, got)
 		}
-		keep, err := fold.Row(row)
-		if err != nil || keep != c.keep {
-			t.Errorf("%+v: keep %v, %v; want %v", c.conds, keep, err, c.keep)
+	}
+}
+
+// At the KV node as in WHERE, kinds that do not compare are ordered by kind;
+// a condition on a column the row does not have keeps nothing, and bytes
+// that are not a spec begin no fold.
+func TestScanFoldMixedKindsAndBounds(t *testing.T) {
+	row := []Datum{DInt(1), DString("m")}
+	for _, c := range []struct {
+		cond specCond
+		keep bool
+	}{
+		{specCond{col: 0, op: opEq, val: DString("x")}, false},
+		{specCond{col: 0, op: opNe, val: DString("x")}, true},
+		{specCond{col: 0, op: opLt, val: DString("x")}, true},
+		{specCond{col: 1, op: opGt, val: DInt(15)}, true},
+		{specCond{col: 1, op: opEq, val: DBool(false)}, false},
+		{specCond{col: 1, op: opLt, val: DBool(false)}, true},
+		{specCond{col: 9, op: opEq, val: DInt(1)}, false},
+		{specCond{col: 9, op: opNe, val: DInt(1)}, false},
+	} {
+		if got := keeps(t, &scanSpec{conds: []specCond{c.cond}}, row...); got != c.keep {
+			t.Errorf("%+v: kept %v, want %v", c.cond, got, c.keep)
 		}
-		if _, err := fold.Row([]byte{0x05}); err == nil {
-			t.Errorf("%+v: an undecodable row passed", c.conds)
-		}
-		var page kvpb.Page
-		if err := fold.Finish(&page); err != nil || len(page.Rows) != 0 {
-			t.Errorf("%+v: a filter finished with %d rows, %v", c.conds, len(page.Rows), err)
+		if c.cond.col < len(row) && c.cond.op.holds(row[c.cond.col], c.cond.val) != c.keep {
+			t.Errorf("%+v: WHERE and the KV node disagree", c.cond)
 		}
 	}
 	if _, err := (kvEvaluator{}).Begin([]byte("junk")); err == nil {
@@ -333,25 +412,33 @@ const goldenAggSpecHex = goldenCondsHex +
 	"03" + "03" + // two of col 2
 	"8301" // one of col 130
 
-func TestScanSpecGolden(t *testing.T) {
-	for _, g := range []struct {
-		spec *scanSpec
-		hex  string
-	}{{goldenFilterSpec, goldenFilterSpecHex}, {goldenAggSpec, goldenAggSpecHex}} {
-		want := mustHex(t, g.hex)
-		if got := g.spec.encode(); !bytes.Equal(got, want) {
-			t.Fatalf("encoded spec\n got %x\nwant %x", got, want)
-		}
-		var got scanSpec
-		if err := got.decode(want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(&got, g.spec) {
-			t.Fatalf("decoded spec = %+v, want %+v", got, g.spec)
-		}
-		if got.aggregating() != (g.spec == goldenAggSpec) {
-			t.Fatalf("%x: aggregating %v", want, got.aggregating())
-		}
+// checkGolden checks that spec encodes to hex and hex decodes to spec.
+func checkGolden(t *testing.T, spec *scanSpec, hex string) {
+	t.Helper()
+	want := mustHex(t, hex)
+	if got := spec.encode(); !bytes.Equal(got, want) {
+		t.Fatalf("encoded spec\n got %x\nwant %x", got, want)
+	}
+	var got scanSpec
+	if err := got.decode(want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, spec) {
+		t.Fatalf("decoded spec = %+v, want %+v", got, spec)
+	}
+}
+
+func TestFilterScanSpecGolden(t *testing.T) {
+	checkGolden(t, goldenFilterSpec, goldenFilterSpecHex)
+	if goldenFilterSpec.aggregating() {
+		t.Fatal("the golden filter aggregates")
+	}
+}
+
+func TestAggregateScanSpecGolden(t *testing.T) {
+	checkGolden(t, goldenAggSpec, goldenAggSpecHex)
+	if !goldenAggSpec.aggregating() {
+		t.Fatal("the golden aggregation is a filter")
 	}
 	// GROUP BY with no aggregate still aggregates: its answer is one row
 	// per group.
@@ -360,49 +447,100 @@ func TestScanSpecGolden(t *testing.T) {
 	}
 }
 
-func TestDecodeScanSpecRejectsMalformedInput(t *testing.T) {
-	for _, golden := range []string{goldenFilterSpecHex, goldenAggSpecHex} {
-		b := mustHex(t, golden)
-		for cut := 0; cut < len(b); cut++ {
-			var s scanSpec
-			if err := s.decode(b[:cut]); err == nil {
-				t.Errorf("spec %s truncated to %d bytes decoded to %+v", golden, cut, s)
-			}
-		}
-	}
-	// One condition, col 0 = BOOL false; and GROUP BY col 1 with one
-	// aggregate of col 0.
-	const one, oneAgg = "01" + "00" + "00" + "0500" + "00" + "00", "00" + "0101" + "01" + "01"
-	for _, in := range []string{one, oneAgg} {
+// Any spec decodes to what was encoded: conditions on constants of every
+// kind (NULL, ±0, ±Inf and NaNs included), group columns and aggregates.
+// Bytes that are not a spec do not decode.
+func TestScanSpecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
 		var s scanSpec
-		if err := s.decode(mustHex(t, in)); err != nil {
-			t.Fatalf("the undamaged spec %s: %v", in, err)
+		for n := rng.Intn(4); n > 0; n-- {
+			s.conds = append(s.conds, specCond{col: rng.Intn(400), op: cmpOp(rng.Intn(6)), val: edgeDatum(rng)})
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			s.groupBy = append(s.groupBy, rng.Intn(400))
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			s.aggs = append(s.aggs, rng.Intn(401)-1) // countRows is -1
+		}
+		enc := s.encode()
+		var got scanSpec
+		if err := got.decode(enc); err != nil {
+			t.Fatalf("%+v (%x): %v", s, enc, err)
+		}
+		sameCond := func(a, b specCond) bool { return a.col == b.col && a.op == b.op && sameDatum(a.val, b.val) }
+		if !slices.EqualFunc(got.conds, s.conds, sameCond) || !slices.Equal(got.groupBy, s.groupBy) ||
+			!slices.Equal(got.aggs, s.aggs) {
+			t.Fatalf("%x decoded to %+v, want %+v", enc, got, s)
 		}
 	}
-	for name, in := range map[string]string{
-		"trailing byte":             one + "00",
-		"unknown op":                "01" + "00" + "06" + "0500" + "0000",
-		"unknown datum tag":         "01" + "00" + "00" + "0600" + "0000",
-		"bool out of range":         "01" + "00" + "00" + "0502" + "0000",
-		"column beyond int32":       "01" + "8080808008" + "00" + "0500" + "0000",
-		"count beyond input":        "02" + one[2:],
-		"count near 2^64":           "ffffffffffffffffff01" + one[2:],
-		"string longer than it":     "01" + "00" + "00" + "047f68" + "0000",
-		"float cut short":           "01" + "00" + "00" + "033ff8" + "0000",
-		"unterminated int value":    "01" + "00" + "00" + "0280",
+	var s scanSpec
+	if err := s.decode([]byte("junk")); err == nil {
+		t.Fatalf("junk decoded to %+v", s)
+	}
+}
+
+// rejectsAll checks that no input in cases decodes as a spec, and that no
+// cut of golden short of its whole does.
+func rejectsAll(t *testing.T, golden string, cases map[string]string) {
+	t.Helper()
+	b := mustHex(t, golden)
+	for cut := 0; cut < len(b); cut++ {
+		var s scanSpec
+		if err := s.decode(b[:cut]); err == nil {
+			t.Errorf("spec %s truncated to %d bytes decoded to %+v", golden, cut, s)
+		}
+	}
+	for name, in := range cases {
+		var s scanSpec
+		if err := s.decode(mustHex(t, in)); err == nil {
+			t.Errorf("%s (%s) decoded to %+v", name, in, s)
+		}
+	}
+}
+
+// mustDecode checks that in, the undamaged input the malformed ones are
+// made from, decodes.
+func mustDecode(t *testing.T, in string) {
+	t.Helper()
+	var s scanSpec
+	if err := s.decode(mustHex(t, in)); err != nil {
+		t.Fatalf("the undamaged spec %s: %v", in, err)
+	}
+}
+
+func TestDecodeFilterSpecRejectsMalformedInput(t *testing.T) {
+	// One condition, col 0 = BOOL false; no group, no aggregate.
+	const one = "01" + "00" + "00" + "0500" + "00" + "00"
+	mustDecode(t, one)
+	rejectsAll(t, goldenFilterSpecHex, map[string]string{
+		"trailing byte":          one + "00",
+		"unknown op":             "01" + "00" + "06" + "0500" + "0000",
+		"unknown datum tag":      "01" + "00" + "00" + "0600" + "0000",
+		"bool out of range":      "01" + "00" + "00" + "0502" + "0000",
+		"column beyond int32":    "01" + "8080808008" + "00" + "0500" + "0000",
+		"count beyond input":     "02" + one[2:],
+		"count near 2^64":        "ffffffffffffffffff01" + one[2:],
+		"string longer than it":  "01" + "00" + "00" + "047f68" + "0000",
+		"float cut short":        "01" + "00" + "00" + "033ff8" + "0000",
+		"unterminated int value": "01" + "00" + "00" + "0280",
+		"empty":                  "",
+	})
+}
+
+func TestDecodeScanSpecRejectsMalformedInput(t *testing.T) {
+	// No condition; GROUP BY col 1 with one aggregate of col 0.
+	const oneAgg = "00" + "0101" + "01" + "01"
+	mustDecode(t, oneAgg)
+	rejectsAll(t, goldenAggSpecHex, map[string]string{
+		"trailing byte":             oneAgg + "00",
 		"group column beyond int32": "00" + "01" + "8080808008" + "00",
 		"agg column beyond int32":   "00" + "00" + "01" + "8180808008",
 		"group count beyond input":  "00" + "05" + "01" + "00",
 		"agg count beyond input":    "00" + "00" + "03" + "01",
 		"agg count near 2^64":       "00" + "00" + "ffffffffffffffffff01" + "01",
 		"no aggregate count":        "00" + "00",
-		"empty":                     "",
-	} {
-		var s scanSpec
-		if err := s.decode(mustHex(t, in)); err == nil {
-			t.Errorf("%s (%s) decoded to %+v", name, in, s)
-		}
-	}
+	})
 }
 
 // A reader that keeps its spec decodes spec after spec into it without
@@ -434,40 +572,77 @@ func TestDecodeScanSpecIntoReuses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeScanSpec: a spec arrives at the KV node inside a request, so no
-// input makes its decoder panic, decoding into a used spec takes and yields
-// what a fresh decode does, and whatever decodes re-encodes to bytes that
-// decode and encode to the same bytes again (bytes, not values: a NaN
-// constant is one value of many encodings).
+// checkSpecDecode is the property both fuzz targets check: a spec arrives at
+// the KV node inside a request, so no input makes its decoder panic,
+// decoding into a used spec takes and yields what a fresh decode does, and
+// whatever decodes re-encodes to bytes that decode and encode to the same
+// bytes again (bytes, not values: a NaN constant is one value of many
+// encodings). It returns the decoded spec, or nil.
+func checkSpecDecode(t *testing.T, in []byte) *scanSpec {
+	var fresh scanSpec
+	err := fresh.decode(in)
+	used := scanSpec{
+		conds:   slices.Clone(goldenAggSpec.conds),
+		groupBy: slices.Clone(goldenAggSpec.groupBy),
+		aggs:    slices.Clone(goldenAggSpec.aggs),
+	}
+	if uerr := used.decode(in); (uerr == nil) != (err == nil) {
+		t.Fatalf("%x: fresh decode %v, into a used spec %v", in, err, uerr)
+	}
+	if err != nil {
+		return nil
+	}
+	enc := fresh.encode()
+	if got := used.encode(); !bytes.Equal(got, enc) {
+		t.Fatalf("%x decodes into a used spec as %x, fresh as %x", in, got, enc)
+	}
+	var again scanSpec
+	if err := again.decode(enc); err != nil {
+		t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
+	}
+	if enc2 := again.encode(); !bytes.Equal(enc2, enc) {
+		t.Fatalf("%x re-encodes to %x, then to %x", in, enc, enc2)
+	}
+	return &fresh
+}
+
+// FuzzDecodeScanSpec checks checkSpecDecode from aggregating seeds.
 func FuzzDecodeScanSpec(f *testing.F) {
 	f.Add(mustHex(f, goldenAggSpecHex))
 	f.Add((&scanSpec{aggs: []int{countRows}}).encode())
 	f.Add(mustHex(f, goldenFilterSpecHex))
 	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) { checkSpecDecode(t, in) })
+}
+
+// FuzzDecodeFilterSpec checks checkSpecDecode from filter seeds, and that
+// the KV node's fold of whatever filter decodes keeps a row exactly when
+// every condition holds under WHERE's comparison, adding no rows of its own.
+func FuzzDecodeFilterSpec(f *testing.F) {
+	f.Add(mustHex(f, goldenFilterSpecHex))
+	f.Add((&scanSpec{}).encode())
+	f.Add([]byte("garbage"))
+	row := []Datum{DInt(15), DString("m"), DNull, DFloat(math.NaN()), DBool(true)}
+	value := encodeRowValue(row)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var fresh scanSpec
-		err := fresh.decode(in)
-		used := scanSpec{
-			conds:   slices.Clone(goldenAggSpec.conds),
-			groupBy: slices.Clone(goldenAggSpec.groupBy),
-			aggs:    slices.Clone(goldenAggSpec.aggs),
-		}
-		if uerr := used.decode(in); (uerr == nil) != (err == nil) {
-			t.Fatalf("%x: fresh decode %v, into a used spec %v", in, err, uerr)
-		}
-		if err != nil {
+		spec := checkSpecDecode(t, in)
+		if spec == nil || spec.aggregating() {
 			return
 		}
-		enc := fresh.encode()
-		if got := used.encode(); !bytes.Equal(got, enc) {
-			t.Fatalf("%x decodes into a used spec as %x, fresh as %x", in, got, enc)
+		want := true
+		for _, c := range spec.conds {
+			want = want && c.col < len(row) && c.op.holds(row[c.col], c.val)
 		}
-		var again scanSpec
-		if err := again.decode(enc); err != nil {
-			t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
+		fold, err := kvEvaluator{}.Begin(in)
+		if err != nil {
+			t.Fatalf("%x decodes but begins no fold: %v", in, err)
 		}
-		if enc2 := again.encode(); !bytes.Equal(enc2, enc) {
-			t.Fatalf("%x re-encodes to %x, then to %x", in, enc, enc2)
+		if keep, err := fold.Row(value); err != nil || keep != want {
+			t.Fatalf("%x: kept %v, %v; want %v", in, keep, err, want)
+		}
+		var page kvpb.Page
+		if err := fold.Finish(&page); err != nil || len(page.Rows) != 0 {
+			t.Fatalf("%x: a filter finished with %d rows, %v", in, len(page.Rows), err)
 		}
 	})
 }
