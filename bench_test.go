@@ -1,4 +1,4 @@
-package crdbserverless
+package crdbserverless_test
 
 // One benchmark per table and figure of the paper's evaluation (§6), plus
 // ablation benches for the design choices DESIGN.md calls out. Each bench

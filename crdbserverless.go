@@ -88,7 +88,6 @@ type Options struct {
 	// KVNodesPerRegion is the shared KV fleet size per region. Default 3.
 	KVNodesPerRegion int
 	// Clock defaults to the real clock; experiments pass a manual clock.
-	//lint:allow deadsurface roadmap: the virtual-time item (2) runs every figure on New with a manual clock
 	Clock timeutil.Clock
 	// TraceSeed seeds the deployment tracer's ID generator; two deployments
 	// built with the same seed (and the same workload) produce identical
@@ -294,11 +293,12 @@ func (s *Serverless) SQLSession(tenantName string) (*Session, error) {
 // Suspend scales a tenant to zero compute.
 func (s *Serverless) Suspend(ctx context.Context, tenantName string) error {
 	for _, r := range s.opts.Regions {
-		if err := s.orchestrators[r].SuspendTenant(ctx, tenantName); err != nil && err != core.ErrTenantNotFound {
+		if err := s.orchestrators[r].SuspendTenant(ctx, tenantName); err != nil {
 			return err
 		}
 	}
-	// SuspendTenant marks the registry; calling it per-region is idempotent.
+	// The registry is global: every region's SuspendTenant marks the same
+	// record, so suspending an already suspended tenant is not an error.
 	return nil
 }
 

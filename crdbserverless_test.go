@@ -2,8 +2,10 @@ package crdbserverless
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"crdbserverless/internal/admission"
 	"crdbserverless/internal/autoscaler"
@@ -15,6 +17,7 @@ import (
 	"crdbserverless/internal/raftlite"
 	"crdbserverless/internal/server"
 	"crdbserverless/internal/tenantobs"
+	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
 
@@ -92,6 +95,55 @@ func TestColdStartFromSuspension(t *testing.T) {
 	if tn.State != core.StateActive {
 		t.Fatalf("state after cold start = %s", tn.State)
 	}
+}
+
+// TestSuspendUnknownTenant: suspending a tenant that does not exist is an
+// error, not a silent no-op.
+func TestSuspendUnknownTenant(t *testing.T) {
+	s := newServerless(t, Options{})
+	if err := s.Suspend(context.Background(), "ghost"); !errors.Is(err, core.ErrTenantNotFound) {
+		t.Fatalf("Suspend(ghost) = %v, want %v", err, core.ErrTenantNotFound)
+	}
+}
+
+// TestTickSuspendsIdleTenant pins the product's scale-to-zero: driven by Tick
+// at the 3 s scrape cadence, a tenant with no load and no connections keeps
+// its pod through 4 idle minutes and is suspended to zero pods by 6.
+func TestTickSuspendsIdleTenant(t *testing.T) {
+	clock := timeutil.NewManualClock(time.Unix(0, 0))
+	s := newServerless(t, Options{KVNodesPerRegion: 1, Clock: clock})
+	ctx := context.Background()
+	tenant, err := s.CreateTenant(ctx, "sleepy", TenantOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orch := s.Orchestrator("us-central1")
+	if _, err := orch.ScaleTenant(ctx, tenant, 1); err != nil {
+		t.Fatal(err)
+	}
+	idle := func(d time.Duration) {
+		t.Helper()
+		for end := clock.Now().Add(d); clock.Now().Before(end); {
+			clock.Advance(3 * time.Second)
+			if err := s.Tick(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(after string, state core.State, pods int) {
+		t.Helper()
+		tn, err := s.Registry().GetByName("sleepy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(orch.PodsForTenant("sleepy")); tn.State != state || got != pods {
+			t.Fatalf("after %s idle: state=%s pods=%d, want state=%s pods=%d", after, tn.State, got, state, pods)
+		}
+	}
+	idle(4 * time.Minute)
+	check("4m", core.StateActive, 1)
+	idle(2 * time.Minute)
+	check("6m", core.StateSuspended, 0)
 }
 
 func TestMultiTenantIsolationThroughFullStack(t *testing.T) {
@@ -205,7 +257,7 @@ func TestConfigSurface(t *testing.T) {
 		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 4},
 		{kvserver.Config{}, 3},
-		{autoscaler.Config{}, 5},
+		{autoscaler.Config{}, 4},
 		{admission.CPUQueueOptions{}, 4},
 		{admission.WriteQueueOptions{}, 1},
 		{orchestrator.Config{}, 11},

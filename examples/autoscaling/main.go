@@ -10,12 +10,8 @@ import (
 	"log"
 	"time"
 
-	"crdbserverless/internal/autoscaler"
-	"crdbserverless/internal/core"
+	"crdbserverless"
 	"crdbserverless/internal/experiments"
-	"crdbserverless/internal/kvserver"
-	"crdbserverless/internal/orchestrator"
-	"crdbserverless/internal/tenantcost"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -31,33 +27,17 @@ func main() {
 		res.MeanHeadroom, res.UnderProvisionedFrac*100)
 
 	// Scale-to-zero: a tenant that goes fully idle is suspended after the
-	// configured quiet period.
+	// autoscaler's quiet period.
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
-	node := kvserver.NewNode(kvserver.NodeConfig{ID: 1, VCPUs: 8, Clock: clock})
-	cluster, err := kvserver.NewCluster(kvserver.ClusterConfig{Clock: clock}, []*kvserver.Node{node})
+	srv, err := crdbserverless.New(crdbserverless.Options{KVNodesPerRegion: 1, Clock: clock})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
-	reg, err := core.NewRegistry(cluster, tenantcost.NewBucketServer(clock))
-	if err != nil {
-		log.Fatal(err)
-	}
-	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster: cluster, Registry: reg, Clock: clock,
-		Region: "us-central1", WarmPoolSize: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer orch.Close()
-	as := autoscaler.New(autoscaler.Config{
-		Orchestrator: orch, Registry: reg, Clock: clock,
-		SuspendAfter: 5 * time.Minute,
-	})
+	defer srv.Close()
+	orch := srv.Orchestrator("us-central1")
 
 	ctx := context.Background()
-	tenant, err := reg.CreateTenant(ctx, "sleepy", core.TenantOptions{})
+	tenant, err := srv.CreateTenant(ctx, "sleepy", crdbserverless.TenantOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,13 +45,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("tenant 'sleepy' active with 1 SQL node; going idle...")
+	start := clock.Now()
 	for i := 0; i < 130; i++ { // ~6.5 simulated minutes of silence
 		clock.Advance(3 * time.Second)
-		if err := as.Tick(ctx); err != nil {
+		if err := srv.Tick(ctx); err != nil {
 			log.Fatal(err)
 		}
 	}
-	t, _ := reg.GetByName("sleepy")
-	fmt.Printf("after %.0f idle minutes: state=%s, pods=%d (scale to zero, §4.2.3)\n",
-		6.5, t.State, len(orch.PodsForTenant("sleepy")))
+	t, err := srv.Registry().GetByName("sleepy")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("after %s idle: state=%s, pods=%d (scale to zero, §4.2.3)\n",
+		clock.Since(start), t.State, len(orch.PodsForTenant("sleepy")))
 }

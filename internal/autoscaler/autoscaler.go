@@ -24,6 +24,9 @@ const (
 	scrapeInterval = 3 * time.Second
 	// window is the averaging window of the target rule.
 	window = 5 * time.Minute
+	// suspendAfter is how long a tenant must be idle (zero CPU, zero
+	// connections) before it is suspended to zero.
+	suspendAfter = 5 * time.Minute
 	// avgMultiplier and peakMultiplier form the target rule
 	// max(avg*avgMultiplier, peak*peakMultiplier) (§4.2.3).
 	avgMultiplier  = 4
@@ -91,9 +94,6 @@ type Config struct {
 	Orchestrator *orchestrator.Orchestrator
 	Registry     *core.Registry
 	Clock        timeutil.Clock
-	// SuspendAfter is how long a tenant must be idle (zero CPU, zero
-	// connections) before it is suspended to zero. Defaults to 5 minutes.
-	SuspendAfter time.Duration
 	// Obs, when non-nil, records each scaling decision against its tenant
 	// (autoscaler.tenant_scale_events{result=up|down|suspend}).
 	Obs *tenantobs.Plane
@@ -122,21 +122,15 @@ func New(cfg Config) *Autoscaler {
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
 	}
-	if cfg.SuspendAfter == 0 {
-		cfg.SuspendAfter = 5 * time.Minute
-	}
 	a := &Autoscaler{cfg: cfg, nodeVCPUs: float64(cfg.Orchestrator.NodeVCPUs())}
 	a.mu.idleSince = make(map[string]time.Time)
 	a.mu.lastAt = cfg.Clock.Now()
 	return a
 }
 
-// ScrapeInterval returns the scrape cadence.
-func (a *Autoscaler) ScrapeInterval() time.Duration { return scrapeInterval }
-
 // Scrape reads cumulative CPU from every assigned pod and folds per-tenant
 // usage rates into the usage rings. It holds to the scrape cadence however
-// often it is called: a call less than ScrapeInterval after the last scrape
+// often it is called: a call less than scrapeInterval after the last scrape
 // does nothing, because a rate taken over a sliver of an interval is noise
 // (one statement finishing inside a millisecond reads as several vCPUs) and
 // every extra sample would weigh on the window average.
@@ -242,7 +236,7 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 		}
 		a.mu.Unlock()
 
-		if idle && now.Sub(since) >= a.cfg.SuspendAfter {
+		if idle && now.Sub(since) >= suspendAfter {
 			if err := a.cfg.Orchestrator.SuspendTenant(ctx, t.Name); err != nil {
 				return err
 			}
@@ -269,7 +263,7 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 }
 
 // Tick performs one scrape+reconcile step. The caller drives it at
-// ScrapeInterval (tests and the simulation use a manual clock).
+// scrapeInterval (tests and the simulation use a manual clock).
 func (a *Autoscaler) Tick(ctx context.Context) error {
 	a.Scrape()
 	return a.Reconcile(ctx)

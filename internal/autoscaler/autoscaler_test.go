@@ -56,7 +56,6 @@ func newEnv(t *testing.T) *env {
 		Orchestrator: orch,
 		Registry:     reg,
 		Clock:        clock,
-		SuspendAfter: 5 * time.Minute,
 	})
 	return &env{cluster: c, reg: reg, orch: orch, clock: clock, as: as}
 }
@@ -74,7 +73,7 @@ func (e *env) driveLoad(t *testing.T, ctx context.Context, tenant string, totalV
 		for _, p := range pods {
 			p.Node.SetSyntheticLoad(per)
 		}
-		e.clock.Advance(e.as.ScrapeInterval())
+		e.clock.Advance(scrapeInterval)
 		if err := e.as.Tick(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -248,10 +247,10 @@ func TestScrapeHoldsToItsInterval(t *testing.T) {
 	for _, p := range e.orch.PodsForTenant("acme") {
 		p.Node.SetSyntheticLoad(0)
 	}
-	e.clock.Advance(e.as.ScrapeInterval())
+	e.clock.Advance(scrapeInterval)
 	e.as.Scrape()
 	_, last, _, _ := e.usage("acme")
-	if want := 3 * 0.050 / (e.as.ScrapeInterval().Seconds() + 0.050); last < 0.99*want || last > 1.01*want {
+	if want := 3 * 0.050 / (scrapeInterval.Seconds() + 0.050); last < 0.99*want || last > 1.01*want {
 		t.Fatalf("sample after the burst = %v vCPUs, want %v", last, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -123,6 +124,15 @@ func TestFig8Shape(t *testing.T) {
 				t.Fatalf("spike not covered: allocated %.0f vCPUs", p.AllocatedVCPUs)
 			}
 		}
+	}
+	// The trace runs on a manual clock, so a second run replays it exactly,
+	// whatever the deployment's warm-pool backfills do in the background.
+	again, _, err := Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Series, res.Series) {
+		t.Fatal("a second Fig 8 run produced a different series")
 	}
 }
 

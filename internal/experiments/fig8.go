@@ -6,9 +6,7 @@ import (
 	"math"
 	"time"
 
-	"crdbserverless/internal/autoscaler"
-	"crdbserverless/internal/core"
-	"crdbserverless/internal/orchestrator"
+	"crdbserverless"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -31,38 +29,20 @@ type Fig8Result struct {
 	UnderProvisionedFrac float64
 }
 
-// Fig8 reproduces §6.3: replay a bursty CPU trace through the autoscaler
-// (driven on a manual clock at the 3s scrape cadence) and record used vs
-// allocated vCPUs. The allocation curve should track the load with ~4x
-// average headroom and react to spikes within seconds.
+// Fig8 reproduces §6.3: replay a bursty CPU trace through the deployment's
+// autoscaler (srv.Tick driven on a manual clock at the 3s scrape cadence)
+// and record used vs allocated vCPUs. The allocation curve should track the
+// load with ~4x average headroom and react to spikes within seconds.
 func Fig8() (*Fig8Result, *Table, error) {
 	ctx := context.Background()
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
-	tb, err := newTestbed(testbedOptions{kvNodes: 1, clock: clock})
+	srv, err := crdbserverless.New(crdbserverless.Options{KVNodesPerRegion: 1, Clock: clock})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer tb.close()
-	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:      tb.cluster,
-		Registry:     tb.reg,
-		Buckets:      tb.buckets,
-		Clock:        clock,
-		Region:       "us-central1",
-		WarmPoolSize: 2,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer orch.Close()
-	as := autoscaler.New(autoscaler.Config{
-		Orchestrator: orch,
-		Registry:     tb.reg,
-		Clock:        clock,
-		SuspendAfter: time.Hour, // keep the tenant alive for the whole trace
-	})
-
-	tenant, err := tb.reg.CreateTenant(ctx, "trace", core.TenantOptions{})
+	defer srv.Close()
+	orch := srv.Orchestrator("us-central1")
+	tenant, err := srv.CreateTenant(ctx, "trace", crdbserverless.TenantOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +75,7 @@ func Fig8() (*Fig8Result, *Table, error) {
 	var headroomSum float64
 	var loaded, under int
 	traceLen := 2 * time.Hour
-	step := as.ScrapeInterval()
+	step := 3 * time.Second // the autoscaler's scrape cadence
 	sampleEvery := time.Minute
 	nextSample := time.Duration(0)
 	for off := time.Duration(0); off < traceLen; off += step {
@@ -109,7 +89,7 @@ func Fig8() (*Fig8Result, *Table, error) {
 			p.Node.SetSyntheticLoad(per)
 		}
 		clock.Advance(step)
-		if err := as.Tick(ctx); err != nil {
+		if err := srv.Tick(ctx); err != nil {
 			return nil, nil, err
 		}
 		if off >= nextSample {

@@ -7,11 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crdbserverless/internal/core"
+	"crdbserverless"
 	"crdbserverless/internal/metric"
-	"crdbserverless/internal/orchestrator"
-	"crdbserverless/internal/proxy"
-	"crdbserverless/internal/wire"
+	"crdbserverless/internal/timeutil"
 )
 
 // Fig9Result summarizes throughput and latency across a rolling upgrade.
@@ -51,29 +49,16 @@ func (o *Fig9Options) defaults() {
 func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 	opts.defaults()
 	ctx := context.Background()
-	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8})
+	srv, err := crdbserverless.New(crdbserverless.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer tb.close()
-	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:      tb.cluster,
-		Registry:     tb.reg,
-		Buckets:      tb.buckets,
-		Region:       "us-central1",
-		WarmPoolSize: fig9SQLNodes + 1,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer orch.Close()
-	p := proxy.New(proxy.Config{Directory: orch})
-	if err := p.Start("127.0.0.1:0"); err != nil {
-		return nil, nil, err
-	}
-	defer p.Close()
+	defer srv.Close()
+	clock := timeutil.NewRealClock()
+	orch := srv.Orchestrator("us-central1")
+	p := srv.Proxy("us-central1")
 
-	tenant, err := tb.reg.CreateTenant(ctx, "prod", core.TenantOptions{})
+	tenant, err := srv.CreateTenant(ctx, "prod", crdbserverless.TenantOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,7 +67,7 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 	}
 
 	// Seed the schema through the proxy.
-	seed, err := wire.Connect(p.Addr(), map[string]string{"tenant": "prod"})
+	seed, err := srv.Connect("prod", "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,7 +92,7 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := wire.Connect(p.Addr(), map[string]string{"tenant": "prod", "user": "app"})
+			conn, err := srv.Connect("prod", "")
 			if err != nil {
 				atomic.AddInt64(&res.Errors, 1)
 				return
@@ -121,23 +106,23 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 				default:
 				}
 				ph := phase.Load()
-				start := tb.clock.Now()
+				start := clock.Now()
 				_, qerr := conn.Query(fmt.Sprintf("SELECT b FROM t WHERE a = %d", i%20))
 				if qerr != nil {
 					atomic.AddInt64(&res.Errors, 1)
 					return
 				}
-				hists[ph].Record(tb.clock.Since(start))
+				hists[ph].Record(clock.Since(start))
 				countsMu.Lock()
 				counts[ph]++
 				countsMu.Unlock()
 				i++
-				tb.clock.Sleep(2 * time.Millisecond)
+				clock.Sleep(2 * time.Millisecond)
 			}
 		}(c)
 	}
 
-	tb.clock.Sleep(opts.Phase)
+	clock.Sleep(opts.Phase)
 	phase.Store(1)
 
 	// Rolling upgrade: replace each SQL node with a fresh one, migrating
@@ -157,13 +142,13 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 				old.Node.ConnCount() == 0 {
 				break
 			}
-			tb.clock.Sleep(10 * time.Millisecond)
+			clock.Sleep(10 * time.Millisecond)
 		}
 		orch.Tick() // reap the drained node
 	}
 
 	phase.Store(2)
-	tb.clock.Sleep(opts.Phase)
+	clock.Sleep(opts.Phase)
 	close(stop)
 	wg.Wait()
 

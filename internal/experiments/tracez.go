@@ -6,13 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"crdbserverless/internal/core"
-	"crdbserverless/internal/debug"
-	"crdbserverless/internal/metric"
-	"crdbserverless/internal/orchestrator"
-	"crdbserverless/internal/proxy"
+	"crdbserverless"
+	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
-	"crdbserverless/internal/wire"
 )
 
 // TracezResult is the observability demo's digest of the trace surface.
@@ -51,37 +47,17 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 		opts.Queries = 25
 	}
 	ctx := context.Background()
-	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8})
+	srv, err := crdbserverless.New(crdbserverless.Options{TraceSeed: tracezSeed})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer tb.close()
+	defer srv.Close()
+	clock := timeutil.NewRealClock()
 
-	reg := metric.NewRegistry()
-	tr := trace.New(trace.Options{Clock: tb.clock, Seed: tracezSeed, Metrics: reg})
-	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:      tb.cluster,
-		Registry:     tb.reg,
-		Buckets:      tb.buckets,
-		Region:       "us-central1",
-		WarmPoolSize: 2,
-		Metrics:      reg,
-		Tracer:       tr,
-	})
-	if err != nil {
+	if _, err := srv.CreateTenant(ctx, "obs", crdbserverless.TenantOptions{}); err != nil {
 		return nil, nil, err
 	}
-	defer orch.Close()
-	p := proxy.New(proxy.Config{Directory: orch, Clock: tb.clock, Metrics: reg, Tracer: tr})
-	if err := p.Start("127.0.0.1:0"); err != nil {
-		return nil, nil, err
-	}
-	defer p.Close()
-
-	if _, err := tb.reg.CreateTenant(ctx, "obs", core.TenantOptions{}); err != nil {
-		return nil, nil, err
-	}
-	conn, err := wire.Connect(p.Addr(), map[string]string{"tenant": "obs", "user": "app"})
+	conn, err := srv.Connect("obs", "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,13 +80,13 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 	// The connection's root span finishes asynchronously when the proxy
 	// tears the session down; wait for it to land in the recorder.
 	var roots []*trace.Span
-	deadline := tb.clock.Now().Add(2 * time.Second)
+	deadline := clock.Now().Add(2 * time.Second)
 	for {
-		roots = tr.Recorder().RecentRoots()
-		if hasOp(roots, "proxy.conn") || !tb.clock.Now().Before(deadline) {
+		roots = srv.Tracer().Recorder().RecentRoots()
+		if hasOp(roots, "proxy.conn") || !clock.Now().Before(deadline) {
 			break
 		}
-		tb.clock.Sleep(5 * time.Millisecond)
+		clock.Sleep(5 * time.Millisecond)
 	}
 	if !hasOp(roots, "proxy.conn") {
 		return nil, nil, fmt.Errorf("tracez: no proxy.conn root trace recorded (have %d roots)", len(roots))
@@ -140,7 +116,7 @@ func Tracez(opts TracezOptions) (*TracezResult, *Table, error) {
 		walk(r, 1)
 	}
 
-	h := &debug.Handler{Tracer: tr, Sections: []debug.Section{{Registry: reg}}}
+	h := srv.DebugHandler()
 	var tz, mx strings.Builder
 	if err := h.WriteTracez(&tz); err != nil {
 		return nil, nil, err
