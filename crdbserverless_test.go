@@ -254,14 +254,15 @@ func TestConfigSurface(t *testing.T) {
 		fields int
 	}{
 		{Options{}, 4},
+		{Baseline{}, 6},
 		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 4},
 		{kvserver.Config{}, 3},
 		{autoscaler.Config{}, 4},
 		{admission.CPUQueueOptions{}, 4},
 		{admission.WriteQueueOptions{}, 1},
-		{orchestrator.Config{}, 11},
-		{server.SQLNodeConfig{}, 9},
+		{orchestrator.Config{}, 14},
+		{server.SQLNodeConfig{}, 12},
 		{proxy.Config{}, 8},
 		{tenantobs.Config{}, 3},
 		{trace.Options{}, 3},

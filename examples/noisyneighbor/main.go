@@ -24,9 +24,8 @@ func main() {
 	fmt.Println()
 
 	// Narrate the Fig 12 takeaway from the recorded timelines.
-	for _, cfg := range []experiments.NoisyConfig{
-		experiments.NoLimits, experiments.ACOnly, experiments.ACAndECPU,
-	} {
+	for _, row := range res.Rows {
+		cfg := row.Config
 		tl := res.Timelines[cfg]
 		if len(tl) == 0 {
 			continue
@@ -36,7 +35,7 @@ func main() {
 		for _, c := range last.CoresPerNode {
 			cores += c
 		}
-		fmt.Printf("%-18s cluster cores in use at end: %.1f / 12", cfg, cores)
+		fmt.Printf("%-18s cluster cores in use at end: %.1f / %d", cfg, cores, row.ClusterVCPUs)
 		if cfg == experiments.ACAndECPU {
 			fmt.Printf("   <- eCPU limits cap the noisy tenants")
 		}

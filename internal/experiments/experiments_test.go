@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -224,7 +222,7 @@ func TestTable1Shape(t *testing.T) {
 		byCfg[r.Config] = r
 	}
 	// Every configuration must have completed work on the well-behaved
-	// tenant; a zero row means the testbed wedged rather than throttled.
+	// tenant; a zero row means the deployment wedged rather than throttled.
 	for _, cfg := range []NoisyConfig{NoLimits, ACOnly, ACAndECPU} {
 		if _, ok := byCfg[cfg]; !ok {
 			t.Fatalf("missing row for config %v", cfg)
@@ -277,34 +275,6 @@ func TestTable1Shape(t *testing.T) {
 	if Fig12Table(ACOnly, res.Timelines[ACOnly]) == nil ||
 		Fig13Table(ACOnly, res.Timelines[ACOnly]) == nil {
 		t.Fatal("timeline tables missing")
-	}
-}
-
-// TestThrottledSessionsChargeWhatTheTenantConsumed runs two throttled
-// sessions of one tenant, as Table 1's noisy workers are: between them they
-// must charge the tenant's bucket exactly the eCPU the tenant consumed.
-func TestThrottledSessionsChargeWhatTheTenantConsumed(t *testing.T) {
-	ctx := context.Background()
-	tb, err := newTestbed(testbedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.close()
-	h, err := tb.newTenant(ctx, "noisy", false, 1000) // a quota that never throttles
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbs := []*throttledDB{{sess: h.session(), handle: h}, {sess: h.session(), handle: h}}
-	if _, err := dbs[0].Execute(ctx, "CREATE TABLE t (a INT PRIMARY KEY, b INT)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := dbs[i%2].Execute(ctx, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := h.bucket.Consumed(), h.ecpuTokens(); math.Abs(got-want) > 1e-9*want {
-		t.Fatalf("sessions charged %.3f tokens for %.3f consumed", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"crdbserverless"
 	"crdbserverless/internal/workload"
 )
 
@@ -254,41 +255,29 @@ type fig11Measurement struct {
 	actual    time.Duration
 }
 
-func fig11Run(ctx context.Context, spec fig11Workload, colocated bool) (fig11Measurement, error) {
-	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8})
+func fig11Run(ctx context.Context, spec fig11Workload, traditional bool) (fig11Measurement, error) {
+	srv, err := crdbserverless.NewBaseline(crdbserverless.Options{}, crdbserverless.Baseline{Traditional: traditional, NoPushdown: true})
 	if err != nil {
 		return fig11Measurement{}, err
 	}
-	defer tb.close()
-	h, err := tb.newTenant(ctx, spec.name, colocated, 0)
+	defer srv.Close()
+	node, err := newTenant(ctx, srv, spec.name, 0)
 	if err != nil {
 		return fig11Measurement{}, err
 	}
-	sess := h.session()
+	sess := node.NewSession("bench")
 	if err := spec.setup(ctx, sess); err != nil {
 		return fig11Measurement{}, err
 	}
 
-	estBefore := h.ecpuTokens()
-	var kvBefore time.Duration
-	for _, n := range tb.cluster.Nodes() {
-		kvBefore += n.CPUBusy()
-	}
-	sqlBefore := h.exec.SQLCPUSeconds()
-
+	estBefore, cpuBefore := node.ECPU(), cpuSpent(srv, node)
 	for i := 0; i < spec.iters; i++ {
 		if err := spec.run(ctx, sess); err != nil {
 			return fig11Measurement{}, err
 		}
 	}
-
-	var kvAfter time.Duration
-	for _, n := range tb.cluster.Nodes() {
-		kvAfter += n.CPUBusy()
-	}
 	return fig11Measurement{
-		estimated: time.Duration((h.ecpuTokens() - estBefore) / 1000 * float64(time.Second)),
-		actual: (kvAfter - kvBefore) +
-			time.Duration((h.exec.SQLCPUSeconds()-sqlBefore)*float64(time.Second)),
+		estimated: time.Duration(float64(node.ECPU()-estBefore) * float64(time.Second)),
+		actual:    cpuSpent(srv, node) - cpuBefore,
 	}, nil
 }

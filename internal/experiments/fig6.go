@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"crdbserverless"
 	"crdbserverless/internal/metric"
+	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/workload"
 )
 
@@ -50,65 +52,54 @@ func (o *Fig6Options) defaults() {
 func Fig6(opts Fig6Options) ([]Fig6Workload, *Table, error) {
 	opts.defaults()
 	ctx := context.Background()
+	clock := timeutil.NewRealClock()
 
 	type mode struct {
-		name      string
-		colocated bool
+		name        string
+		traditional bool
 	}
 	modes := []mode{{"serverless", false}, {"traditional", true}}
 
-	// measure runs fn against a fresh tenant in the given mode and returns
-	// (total CPU consumed, latency histogram).
-	measure := func(name string, colocated bool, setup func(workload.DB) error, op func(workload.DB) error, ops int) (time.Duration, metric.Summary, error) {
-		tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8})
+	// measure runs op against a fresh tenant on a fresh deployment of the
+	// given mode and returns (total CPU consumed, latency histogram).
+	measure := func(name string, traditional bool, setup func(workload.DB) error, op func(workload.DB) error, ops int) (time.Duration, metric.Summary, error) {
+		srv, err := crdbserverless.NewBaseline(crdbserverless.Options{}, crdbserverless.Baseline{Traditional: traditional, NoPushdown: true})
 		if err != nil {
 			return 0, metric.Summary{}, err
 		}
-		defer tb.close()
-		h, err := tb.newTenant(ctx, name, colocated, 0)
+		defer srv.Close()
+		node, err := newTenant(ctx, srv, name, 0)
 		if err != nil {
 			return 0, metric.Summary{}, err
 		}
-		sess := h.session()
+		sess := node.NewSession("bench")
 		if err := setup(sess); err != nil {
 			return 0, metric.Summary{}, err
 		}
-		// CPU baseline after setup.
-		var kvBefore time.Duration
-		for _, n := range tb.cluster.Nodes() {
-			kvBefore += n.CPUBusy()
-		}
-		sqlBefore := h.exec.SQLCPUSeconds()
-
+		before := cpuSpent(srv, node)
 		hist := metric.NewHistogram()
 		for i := 0; i < ops; i++ {
-			start := tb.clock.Now()
+			start := clock.Now()
 			if err := op(sess); err != nil {
 				return 0, metric.Summary{}, err
 			}
-			hist.Record(tb.clock.Since(start))
+			hist.Record(clock.Since(start))
 		}
-
-		var kvAfter time.Duration
-		for _, n := range tb.cluster.Nodes() {
-			kvAfter += n.CPUBusy()
-		}
-		sqlDelta := time.Duration((h.exec.SQLCPUSeconds() - sqlBefore) * float64(time.Second))
-		return (kvAfter - kvBefore) + sqlDelta, hist.Snapshot(), nil
+		return cpuSpent(srv, node) - before, hist.Snapshot(), nil
 	}
 
 	var results []Fig6Workload
 	// run measures one workload in both modes. factory builds a fresh
-	// generator per mode (each mode has its own testbed and tenant).
+	// generator per mode (each mode has its own deployment and tenant).
 	run := func(label string, ops int, factory func() (setup, op func(workload.DB) error)) error {
 		r := Fig6Workload{Name: label}
 		for _, m := range modes {
 			setup, op := factory()
-			cpu, lat, err := measure(fmt.Sprintf("%s-%s", label, m.name), m.colocated, setup, op, ops)
+			cpu, lat, err := measure(fmt.Sprintf("%s-%s", label, m.name), m.traditional, setup, op, ops)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", label, m.name, err)
 			}
-			if m.colocated {
+			if m.traditional {
 				r.TraditionalCPU = cpu
 				r.TraditionalLat = lat
 			} else {

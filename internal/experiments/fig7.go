@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"time"
 
-	"crdbserverless/internal/core"
-	"crdbserverless/internal/orchestrator"
+	"crdbserverless"
+	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/wire"
 )
 
@@ -21,7 +21,8 @@ type Fig7Point struct {
 type Fig7Result struct {
 	Suspended []Fig7Point
 	Idle      []Fig7Point
-	// IdleCPUPerTenant is CPU seconds/second per idle tenant.
+	// IdleCPUPerTenant is KV CPU seconds/second per idle tenant, measured at
+	// the last of Fig7Options.IdleCounts (the largest fleet by default).
 	IdleCPUPerTenant float64
 }
 
@@ -55,89 +56,20 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 
 	// Suspended tenants: registry records + keyspace boundaries only.
 	for _, n := range opts.SuspendedCounts {
-		tb, err := newTestbed(testbedOptions{kvNodes: 1})
+		p, err := fig7Suspended(ctx, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		base := liveHeap()
-		for i := 0; i < n; i++ {
-			t, err := tb.reg.CreateTenant(ctx, fmt.Sprintf("susp-%d", i), core.TenantOptions{})
-			if err != nil {
-				tb.close()
-				return nil, nil, err
-			}
-			if err := tb.reg.Suspend(ctx, t.Name); err != nil {
-				tb.close()
-				return nil, nil, err
-			}
-		}
-		after := liveHeap()
-		res.Suspended = append(res.Suspended, Fig7Point{
-			Tenants:        n,
-			BytesPerTenant: int64(after-base) / int64(n),
-		})
-		tb.close()
+		res.Suspended = append(res.Suspended, p)
 	}
-
 	// Idle tenants: each gets a SQL node with one open connection.
 	for _, n := range opts.IdleCounts {
-		tb, err := newTestbed(testbedOptions{kvNodes: 1})
+		p, cpu, err := fig7Idle(ctx, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		orch, err := orchestrator.New(orchestrator.Config{
-			Cluster:      tb.cluster,
-			Registry:     tb.reg,
-			Buckets:      tb.buckets,
-			Region:       "us-central1",
-			WarmPoolSize: 0,
-		})
-		if err != nil {
-			tb.close()
-			return nil, nil, err
-		}
-		base := liveHeap()
-		var kvBusyBase time.Duration
-		for _, kn := range tb.cluster.Nodes() {
-			kvBusyBase += kn.CPUBusy()
-		}
-		var conns []*wire.Client
-		for i := 0; i < n; i++ {
-			t, err := tb.reg.CreateTenant(ctx, fmt.Sprintf("idle-%d", i), core.TenantOptions{})
-			if err != nil {
-				tb.close()
-				return nil, nil, err
-			}
-			pod, err := orch.AssignPod(ctx, t)
-			if err != nil {
-				tb.close()
-				return nil, nil, err
-			}
-			c, err := wire.Connect(pod.Node.Addr(), map[string]string{"tenant": t.Name})
-			if err != nil {
-				tb.close()
-				return nil, nil, err
-			}
-			conns = append(conns, c)
-		}
-		// Let the fleet sit idle briefly and measure CPU drift.
-		idleWindow := 200 * time.Millisecond
-		tb.clock.Sleep(idleWindow)
-		var kvBusy time.Duration
-		for _, kn := range tb.cluster.Nodes() {
-			kvBusy += kn.CPUBusy()
-		}
-		after := liveHeap()
-		res.Idle = append(res.Idle, Fig7Point{
-			Tenants:        n,
-			BytesPerTenant: int64(after-base) / int64(n),
-		})
-		res.IdleCPUPerTenant = (kvBusy - kvBusyBase).Seconds() / idleWindow.Seconds() / float64(n)
-		for _, c := range conns {
-			c.Close()
-		}
-		orch.Close()
-		tb.close()
+		res.Idle = append(res.Idle, p)
+		res.IdleCPUPerTenant = cpu
 	}
 
 	table := &Table{
@@ -153,6 +85,63 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 	table.Rows = append(table.Rows, []string{"idle", "cpu/tenant",
 		fmt.Sprintf("%.5f cpu-sec/sec", res.IdleCPUPerTenant)})
 	return res, table, nil
+}
+
+// fig7Suspended measures n suspended tenants on a fresh deployment.
+func fig7Suspended(ctx context.Context, n int) (Fig7Point, error) {
+	srv, err := crdbserverless.New(crdbserverless.Options{KVNodesPerRegion: 1})
+	if err != nil {
+		return Fig7Point{}, err
+	}
+	defer srv.Close()
+	base := liveHeap()
+	for i := 0; i < n; i++ {
+		t, err := srv.CreateTenant(ctx, fmt.Sprintf("susp-%d", i), crdbserverless.TenantOptions{})
+		if err != nil {
+			return Fig7Point{}, err
+		}
+		if err := srv.Suspend(ctx, t.Name); err != nil {
+			return Fig7Point{}, err
+		}
+	}
+	return Fig7Point{Tenants: n, BytesPerTenant: int64(liveHeap()-base) / int64(n)}, nil
+}
+
+// fig7Idle measures n idle tenants on a fresh deployment, each holding one
+// pod with one open connection, and returns their memory and CPU per tenant.
+// A tenant's pod comes from the warm pool, which refills in the background:
+// the heap is read once the pool is back to its size, so it counts one pod
+// per tenant whether the pod came warm or cold.
+func fig7Idle(ctx context.Context, n int) (Fig7Point, float64, error) {
+	srv, err := crdbserverless.New(crdbserverless.Options{KVNodesPerRegion: 1})
+	if err != nil {
+		return Fig7Point{}, 0, err
+	}
+	defer srv.Close()
+	clock := timeutil.NewRealClock()
+	orch := srv.Orchestrator("us-central1")
+	warm := orch.WarmCount()
+	base := liveHeap()
+	kvBusyBase := kvBusy(srv.Cluster())
+	for i := 0; i < n; i++ {
+		node, err := newTenant(ctx, srv, fmt.Sprintf("idle-%d", i), 0)
+		if err != nil {
+			return Fig7Point{}, 0, err
+		}
+		c, err := wire.Connect(node.Addr(), map[string]string{"tenant": node.Tenant().Name})
+		if err != nil {
+			return Fig7Point{}, 0, err
+		}
+		defer c.Close()
+	}
+	// Let the fleet sit idle briefly and measure CPU drift.
+	idleWindow := 200 * time.Millisecond
+	clock.Sleep(idleWindow)
+	cpu := (kvBusy(srv.Cluster()) - kvBusyBase).Seconds() / idleWindow.Seconds() / float64(n)
+	for orch.WarmCount() < warm {
+		clock.Sleep(time.Millisecond)
+	}
+	return Fig7Point{Tenants: n, BytesPerTenant: int64(liveHeap()-base) / int64(n)}, cpu, nil
 }
 
 // liveHeap is the bytes of reachable heap objects: HeapAlloc after two

@@ -145,12 +145,20 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 		Clock:      clock,
 		MaxTenants: opts.MaxTenants,
 	})
-	tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8, clock: clock, obs: plane})
+	// The fleet needs KV nodes that report to this plane, with its own
+	// cardinality cap, and drives no SQL: it builds them here, as chaos and
+	// kvscaling do.
+	var nodes []*kvserver.Node
+	for id := kvserver.NodeID(1); id <= 3; id++ {
+		nodes = append(nodes, kvserver.NewNode(kvserver.NodeConfig{ID: id, VCPUs: 8, Clock: clock, Obs: plane}))
+	}
+	cluster, err := kvserver.NewCluster(kvserver.ClusterConfig{Clock: clock}, nodes)
 	if err != nil {
 		return nil, err
 	}
-	defer tb.close()
-	tb.buckets.SetConsumptionObserver(plane.AddRU)
+	defer cluster.Close()
+	buckets := tenantcost.NewBucketServer(clock)
+	buckets.SetConsumptionObserver(plane.AddRU)
 
 	n := opts.Tenants
 	aggressors := n / 100
@@ -179,8 +187,8 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 			id:    id,
 			name:  fmt.Sprintf("t-%04d", rank),
 			calmQ: fleetCalmLoad(rank),
-			ds:    kvserver.NewDistSender(tb.cluster, kvserver.Identity{Tenant: id}, kvserver.Config{Obs: plane}),
-			nb:    tenantcost.NewNodeBucket(tb.buckets, clock, id, 1),
+			ds:    kvserver.NewDistSender(cluster, kvserver.Identity{Tenant: id}, kvserver.Config{Obs: plane}),
+			nb:    tenantcost.NewNodeBucket(buckets, clock, id, 1),
 			key:   append(keys.MakeTenantPrefix(id), 'k'),
 		}
 		fleet[rank-1] = t

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"crdbserverless/internal/sql"
+	"crdbserverless"
 	"crdbserverless/internal/workload"
 )
 
@@ -43,39 +43,29 @@ func AblationFilterPushdown(rows, runs int) (*PushdownResult, *Table, error) {
 	ctx := context.Background()
 
 	// measure returns the CPU per run of the selective scan and of Q1.
-	measure := func(cfg sql.ExecutorConfig) (scan, q1 time.Duration, err error) {
-		tb, err := newTestbed(testbedOptions{kvNodes: 3, vcpus: 8})
+	measure := func(b crdbserverless.Baseline) (scan, q1 time.Duration, err error) {
+		srv, err := crdbserverless.NewBaseline(crdbserverless.Options{}, b)
 		if err != nil {
 			return 0, 0, err
 		}
-		defer tb.close()
-		h, err := tb.newTenantCfg(ctx, "pushdown", cfg, 0)
+		defer srv.Close()
+		node, err := newTenant(ctx, srv, "pushdown", 0)
 		if err != nil {
 			return 0, 0, err
 		}
-		sess := h.session()
+		sess := node.NewSession("bench")
 		gen := workload.NewTPCH(rows, 31)
 		if err := gen.Setup(ctx, sess); err != nil {
 			return 0, 0, err
 		}
 		cpu := func(query func() error) (time.Duration, error) {
-			var kvBefore time.Duration
-			for _, n := range tb.cluster.Nodes() {
-				kvBefore += n.CPUBusy()
-			}
-			sqlBefore := h.exec.SQLCPUSeconds()
+			before := cpuSpent(srv, node)
 			for i := 0; i < runs; i++ {
 				if err := query(); err != nil {
 					return 0, err
 				}
 			}
-			var kvAfter time.Duration
-			for _, n := range tb.cluster.Nodes() {
-				kvAfter += n.CPUBusy()
-			}
-			total := (kvAfter - kvBefore) +
-				time.Duration((h.exec.SQLCPUSeconds()-sqlBefore)*float64(time.Second))
-			return total / time.Duration(runs), nil
+			return (cpuSpent(srv, node) - before) / time.Duration(runs), nil
 		}
 		// A ~2% selective predicate with no usable index.
 		if scan, err = cpu(func() error {
@@ -89,19 +79,19 @@ func AblationFilterPushdown(rows, runs int) (*PushdownResult, *Table, error) {
 		return scan, q1, err
 	}
 
-	noPush, q1NoPush, err := measure(sql.ExecutorConfig{NoPushdown: true})
+	noPush, q1NoPush, err := measure(crdbserverless.Baseline{NoPushdown: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	withPush, q1Push, err := measure(sql.ExecutorConfig{})
+	withPush, q1Push, err := measure(crdbserverless.Baseline{})
 	if err != nil {
 		return nil, nil, err
 	}
-	trad, q1Trad, err := measure(sql.ExecutorConfig{Colocated: true, NoPushdown: true})
+	trad, q1Trad, err := measure(crdbserverless.Baseline{Traditional: true, NoPushdown: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	tradPush, q1TradPush, err := measure(sql.ExecutorConfig{Colocated: true})
+	tradPush, q1TradPush, err := measure(crdbserverless.Baseline{Traditional: true})
 	if err != nil {
 		return nil, nil, err
 	}

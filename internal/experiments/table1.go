@@ -8,44 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crdbserverless/internal/kvserver"
+	"crdbserverless"
 	"crdbserverless/internal/metric"
+	"crdbserverless/internal/server"
 	"crdbserverless/internal/tenantcost"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/workload"
 )
-
-// scaleCost multiplies every ground-truth cost constant by f.
-func scaleCost(c kvserver.CostConfig, f float64) kvserver.CostConfig {
-	scale := func(d time.Duration) time.Duration { return time.Duration(float64(d) * f) }
-	c.ReadBatchOverhead = scale(c.ReadBatchOverhead)
-	c.WriteBatchOverhead = scale(c.WriteBatchOverhead)
-	c.ReadRequestCost = scale(c.ReadRequestCost)
-	c.WriteRequestCost = scale(c.WriteRequestCost)
-	c.ReadByteCost = scale(c.ReadByteCost)
-	c.WriteByteCost = scale(c.WriteByteCost)
-	c.MarshalByteCost = scale(c.MarshalByteCost)
-	return c
-}
-
-// scaleModel multiplies the estimated-CPU model's per-feature curves by f.
-func scaleModel(m *tenantcost.Model, f float64) *tenantcost.Model {
-	scaleCurve := func(p tenantcost.PiecewiseLinear) tenantcost.PiecewiseLinear {
-		out := tenantcost.PiecewiseLinear{Points: make([]tenantcost.Point, len(p.Points))}
-		for i, pt := range p.Points {
-			out.Points[i] = tenantcost.Point{X: pt.X, Y: pt.Y * f}
-		}
-		return out
-	}
-	return &tenantcost.Model{
-		ReadBatch:    scaleCurve(m.ReadBatch),
-		ReadRequest:  scaleCurve(m.ReadRequest),
-		ReadByte:     scaleCurve(m.ReadByte),
-		WriteBatch:   scaleCurve(m.WriteBatch),
-		WriteRequest: scaleCurve(m.WriteRequest),
-		WriteByte:    scaleCurve(m.WriteByte),
-	}
-}
 
 // NoisyConfig selects a resource-control configuration of §6.6.
 type NoisyConfig int
@@ -82,6 +51,8 @@ type Table1Row struct {
 	Aborts int64
 	// MeanUtilization is the mean per-node CPU utilization.
 	MeanUtilization float64
+	// ClusterVCPUs is the KV cluster's capacity: its nodes' summed vCPUs.
+	ClusterVCPUs int
 }
 
 // TimelineSample is one point of the Fig 12 / Fig 13 series.
@@ -101,16 +72,18 @@ const (
 	// noisyTenants tenants run noisyWorkers workers each.
 	noisyTenants = 3
 	noisyWorkers = 48
-	// costScale multiplies the ground-truth KV service costs so the noisy
-	// load saturates the scaled-down cluster the way 10K-warehouse TPC-C
-	// saturates the paper's 96-core one.
+	// kvNodeVCPUs is the size of each of the three KV nodes.
+	kvNodeVCPUs = 4
+	// costScale multiplies the ground-truth KV service costs (and the
+	// pricing model with them) so the noisy load saturates the scaled-down
+	// cluster the way 10K-warehouse TPC-C saturates the paper's 96-core one.
 	costScale = 8
 	// testWorkers workers with thinkTime between transactions make up the
 	// well-behaved tenant.
 	testWorkers = 4
 	thinkTime   = 25 * time.Millisecond
 	// noisyQuotaVCPUs is the eCPU limit per noisy tenant in the third
-	// configuration: 10% of a 12-vCPU cluster, matching the paper's
+	// configuration: 10% of the 12-vCPU cluster, matching the paper's
 	// limit-of-10 on 96 cores.
 	noisyQuotaVCPUs = 1.2
 )
@@ -167,10 +140,8 @@ func Table1(opts Table1Options) (*Table1Result, *Table, error) {
 
 	table := &Table{
 		Title:   "Table 1: well-behaved tenant under noisy neighbors (§6.6)",
-		Columns: []string{"", res.Rows[0].Config.String(), "", ""},
+		Columns: []string{"metric"},
 	}
-	// Rebuild columns from actual configs.
-	table.Columns = []string{"metric"}
 	for _, r := range res.Rows {
 		table.Columns = append(table.Columns, r.Config.String())
 	}
@@ -192,44 +163,42 @@ func Table1(opts Table1Options) (*Table1Result, *Table, error) {
 
 func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []TimelineSample, error) {
 	ctx := context.Background()
-	tb, err := newTestbed(testbedOptions{
-		kvNodes: 3,
-		vcpus:   4,
-		// The workers burn real CPU, so the real clock drives all waiting
-		// and latency measurement.
-		clock:       timeutil.NewRealClock(),
-		cost:        scaleCost(kvserver.DefaultCostConfig(), costScale),
-		noAdmission: cfg == NoLimits,
+	// The workers burn real CPU, so the real clock drives all waiting and
+	// latency measurement.
+	clock := timeutil.NewRealClock()
+	srv, err := crdbserverless.NewBaseline(crdbserverless.Options{Clock: clock}, crdbserverless.Baseline{
+		NoPushdown:  true,
+		NoAdmission: cfg == NoLimits,
 		// A tight liveness bound: the unthrottled noisy backlog makes
 		// nodes miss heartbeats and shed leases (the Fig 12 chaos);
 		// admission control keeps executor queues short and nodes live.
-		livenessLimit: opts.LivenessQueueLimit,
+		LivenessQueueLimit: opts.LivenessQueueLimit,
+		CostScale:          costScale,
+		KVNodeVCPUs:        kvNodeVCPUs,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer tb.close()
-	// The pricing model must match the scaled ground truth, or eCPU limits
-	// would underprice the noisy tenants by the same factor.
-	tb.model = scaleModel(tenantcost.DefaultModel(), costScale)
+	defer srv.Close()
 
 	// Provision tenants. Noisy tenants get quotas only in the third config.
 	quota := 0.0
 	if cfg == ACAndECPU {
 		quota = noisyQuotaVCPUs
 	}
-	var noisy []*tenantHandle
+	var noisy []*server.SQLNode
 	for i := 0; i < noisyTenants; i++ {
-		h, err := tb.newTenant(ctx, fmt.Sprintf("noisy-%d", i), false, quota)
+		node, err := newTenant(ctx, srv, fmt.Sprintf("noisy-%d", i), quota)
 		if err != nil {
 			return nil, nil, err
 		}
-		noisy = append(noisy, h)
+		noisy = append(noisy, node)
 	}
-	test, err := tb.newTenant(ctx, "test", false, 0)
+	test, err := newTenant(ctx, srv, "test", 0)
 	if err != nil {
 		return nil, nil, err
 	}
+	all := append(append([]*server.SQLNode(nil), noisy...), test)
 
 	// Load schemas: noisy tenants get one warehouse per worker (slim rows —
 	// their job is offered load, not data volume); the test tenant uses the
@@ -241,19 +210,18 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 		gen.Items = 10
 		return gen
 	}
-	gens := []*workload.TPCC{workload.NewTPCC(2, 7)}
-	handles := []*tenantHandle{test}
-	for i, h := range noisy {
+	var gens []*workload.TPCC
+	for i := range noisy {
 		gens = append(gens, slimTPCC(int64(100+i)))
-		handles = append(handles, h)
 	}
+	gens = append(gens, workload.NewTPCC(2, 7))
 	setupErrs := make([]error, len(gens))
 	var setupWG sync.WaitGroup
 	for i, gen := range gens {
 		setupWG.Add(1)
 		go func() {
 			defer setupWG.Done()
-			setupErrs[i] = gen.Setup(ctx, handles[i].session())
+			setupErrs[i] = gen.Setup(ctx, all[i].NewSession("bench"))
 		}()
 	}
 	setupWG.Wait()
@@ -262,17 +230,16 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	}
 
 	// Ensure leases are placed before the storm.
-	tb.cluster.Tick()
+	srv.Cluster().Tick()
 
 	// A bucket banks up to 10 s of quota while its tenant idles (§5.2.2), so
 	// setup leaves each limited noisy tenant more credit than a run of a few
 	// seconds can spend, while the paper measures long after the burst is
-	// gone. Charge setup and spend the bank: the run opens in that steady
-	// state.
-	for _, h := range noisy {
-		if h.bucket != nil {
-			h.bucket.Throttle(ctx, h.ecpuTokens())
-			h.bucket.Consume(h.bucket.LocalTokens() + tb.buckets.Available(h.tenant.ID))
+	// gone. Spend the bank: the run opens in that steady state.
+	if cfg == ACAndECPU {
+		for _, node := range noisy {
+			b := node.Bucket()
+			b.Consume(b.LocalTokens() + srv.Buckets().Available(node.Tenant().ID))
 		}
 	}
 
@@ -288,11 +255,11 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	)
 
 	// Noisy workers: tight loop, pinned warehouses, per-worker sessions.
-	for ti, h := range noisy {
+	for ti, node := range noisy {
 		for w := 1; w <= noisyWorkers; w++ {
 			gen := slimTPCC(int64(1000*ti + w))
 			gen.PinnedWarehouse = w
-			db := &throttledDB{sess: h.session(), handle: h}
+			db := node.NewSession("bench")
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -309,16 +276,16 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	// lost throughput; aborts count the retries consumed.
 	for w := 0; w < testWorkers; w++ {
 		gen := workload.NewTPCC(2, int64(9000+w))
-		sess := test.session()
+		sess := test.NewSession("bench")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for runCtx.Err() == nil {
-				start := tb.clock.Now()
+				start := clock.Now()
 				for {
 					err := gen.RunMix(runCtx, sess)
 					if err == nil {
-						testHist.Record(tb.clock.Since(start))
+						testHist.Record(clock.Since(start))
 						atomic.AddInt64(&testTxns, 1)
 						break
 					}
@@ -326,32 +293,31 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 					if runCtx.Err() != nil {
 						return
 					}
-					tb.clock.Sleep(5 * time.Millisecond)
+					clock.Sleep(5 * time.Millisecond)
 				}
-				tb.clock.Sleep(thinkTime)
+				clock.Sleep(thinkTime)
 			}
 		}()
 	}
 
 	// Sampler: cluster maintenance + the Fig 12/13 series.
 	var timeline []TimelineSample
-	nodes := tb.cluster.Nodes()
+	nodes := srv.Cluster().Nodes()
 	prevBusy := make([]time.Duration, len(nodes))
-	prevECPU := map[string]float64{}
-	for _, h := range noisy {
-		prevECPU[h.tenant.Name] = h.ecpuTokens()
+	prevECPU := make([]tenantcost.ECPU, len(all))
+	for i, node := range all {
+		prevECPU[i] = node.ECPU()
 	}
-	prevECPU["test"] = test.ecpuTokens()
 	var utilSum float64
 	var utilN int
 
 	sampleEvery := 100 * time.Millisecond
-	begin := tb.clock.Now()
+	begin := clock.Now()
 	deadline := begin.Add(opts.Duration)
-	for tb.clock.Now().Before(deadline) {
-		tb.clock.Sleep(sampleEvery)
-		tb.cluster.Tick()
-		s := TimelineSample{At: tb.clock.Since(begin), ECPUPerTenant: map[string]float64{}}
+	for clock.Now().Before(deadline) {
+		clock.Sleep(sampleEvery)
+		srv.Cluster().Tick()
+		s := TimelineSample{At: clock.Since(begin), ECPUPerTenant: map[string]float64{}}
 		for i, n := range nodes {
 			busy := n.CPUBusy()
 			cores := (busy - prevBusy[i]).Seconds() / sampleEvery.Seconds()
@@ -360,16 +326,14 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 			utilSum += cores / float64(n.VCPUs())
 			utilN++
 		}
-		counts := tb.cluster.LeaseCounts()
+		counts := srv.Cluster().LeaseCounts()
 		for _, n := range nodes {
 			s.LeasesPerNode = append(s.LeasesPerNode, counts[n.ID()])
 		}
-		all := append(append([]*tenantHandle(nil), noisy...), test)
-		for _, h := range all {
-			cur := h.ecpuTokens()
-			rate := (cur - prevECPU[h.tenant.Name]) / 1000 / sampleEvery.Seconds() // vCPUs
-			prevECPU[h.tenant.Name] = cur
-			s.ECPUPerTenant[h.tenant.Name] = rate
+		for i, node := range all {
+			cur := node.ECPU()
+			s.ECPUPerTenant[node.Tenant().Name] = float64(cur-prevECPU[i]) / sampleEvery.Seconds() // vCPUs
+			prevECPU[i] = cur
 		}
 		timeline = append(timeline, s)
 	}
@@ -378,7 +342,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	}
 	// Snapshot throughput at stop time: the workers' drain is not part of
 	// the measurement window.
-	elapsed := tb.clock.Since(begin)
+	elapsed := clock.Since(begin)
 	txns := atomic.LoadInt64(&testTxns)
 	aborts := atomic.LoadInt64(&testAborts)
 	stop()
@@ -391,6 +355,9 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 		TpmC:   float64(txns) / elapsed.Minutes(),
 		Aborts: aborts,
 	}
+	for _, n := range nodes {
+		row.ClusterVCPUs += n.VCPUs()
+	}
 	if utilN > 0 {
 		row.MeanUtilization = utilSum / float64(utilN)
 	}
@@ -401,7 +368,15 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 func Fig12Table(cfg NoisyConfig, timeline []TimelineSample) *Table {
 	table := &Table{
 		Title:   fmt.Sprintf("Fig 12 (%s): cores used and range leases per node", cfg),
-		Columns: []string{"t", "cores n1", "cores n2", "cores n3", "leases n1", "leases n2", "leases n3"},
+		Columns: []string{"t"},
+	}
+	if len(timeline) > 0 {
+		nodes := len(timeline[0].CoresPerNode)
+		for _, kind := range []string{"cores", "leases"} {
+			for i := 1; i <= nodes; i++ {
+				table.Columns = append(table.Columns, fmt.Sprintf("%s n%d", kind, i))
+			}
+		}
 	}
 	for i, s := range timeline {
 		if i%2 != 0 {

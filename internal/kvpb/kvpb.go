@@ -153,10 +153,6 @@ type BatchRequest struct {
 	// split, or clipped by a stale descriptor on the way) writes intents for
 	// the coordinator to resolve.
 	TxnWrites int
-	// Colocated marks the batch as issued by a SQL engine running in the
-	// same process as the KV node (the traditional deployment of §6.1):
-	// responses skip the cross-process marshaling cost.
-	Colocated bool
 	Requests  []Request
 }
 

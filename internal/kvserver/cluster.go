@@ -806,7 +806,7 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	// Charge ground-truth CPU: the work happens whether or not evaluation
 	// errored (conflict checks consume CPU too), but successful responses
 	// carry the payload costs.
-	cost := n.chargeCPU(ba, resp, !ba.Colocated)
+	cost := n.chargeCPU(ba, resp)
 	slot.Release(cost)
 	if evalErr != nil {
 		return nil, evalErr

@@ -51,6 +51,18 @@ func DefaultCostConfig() CostConfig {
 	}
 }
 
+// Scaled returns c with every service cost multiplied by f, leaving the
+// amortization curve as it is.
+func (c CostConfig) Scaled(f float64) CostConfig {
+	for _, d := range []*time.Duration{
+		&c.ReadBatchOverhead, &c.WriteBatchOverhead, &c.ReadRequestCost, &c.WriteRequestCost,
+		&c.ReadByteCost, &c.WriteByteCost, &c.MarshalByteCost,
+	} {
+		*d = time.Duration(float64(*d) * f)
+	}
+	return c
+}
+
 // amortizationFactor returns the multiplier applied to per-batch overhead at
 // the given recent batch rate: 1.0 at rate 0, falling toward
 // 1-BatchAmortization as the rate grows (a smooth saturating curve).

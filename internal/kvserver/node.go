@@ -25,6 +25,10 @@ type NodeConfig struct {
 	Clock  timeutil.Clock
 	Cost   CostConfig
 	LSM    lsm.Options
+	// Colocated runs the node in one process with the SQL engines it serves
+	// (the traditional deployment of §6.1): responses skip the marshaling
+	// cost of crossing to a separate SQL process.
+	Colocated bool
 	// NoAdmission turns admission control off: batches skip the admission
 	// queues. Only the paper's no-limits baseline (Table 1) sets it.
 	NoAdmission bool
@@ -55,6 +59,8 @@ type Node struct {
 	lsmOpts lsm.Options
 	ex      *executor
 	cost    CostConfig
+	// colocated drops the marshaling cost from every batch (§6.1).
+	colocated bool
 
 	cpuQ   *admission.CPUQueue
 	writeQ *admission.WriteQueue
@@ -98,6 +104,7 @@ func NewNode(cfg NodeConfig) *Node {
 		clock:         cfg.Clock,
 		lsmOpts:       cfg.LSM,
 		cost:          cfg.Cost,
+		colocated:     cfg.Colocated,
 		livenessLimit: cfg.LivenessQueueLimit,
 		noAdmission:   cfg.NoAdmission,
 		// Physical write bytes ≈ 2x logical (raft log + state machine)
@@ -218,9 +225,9 @@ func (n *Node) admit(ctx context.Context, ba *kvpb.BatchRequest) (admission.Slot
 
 // chargeCPU occupies a vCPU for the batch's ground-truth cost and returns
 // the cost charged.
-func (n *Node) chargeCPU(ba *kvpb.BatchRequest, resp *kvpb.BatchResponse, remote bool) time.Duration {
+func (n *Node) chargeCPU(ba *kvpb.BatchRequest, resp *kvpb.BatchResponse) time.Duration {
 	rate := n.recordBatch()
-	cost := n.cost.BatchCost(ba, resp, rate, remote)
+	cost := n.cost.BatchCost(ba, resp, rate, !n.colocated)
 	n.ex.run(cost)
 	return cost
 }

@@ -112,6 +112,12 @@ type Config struct {
 	// Obs is handed to each SQL node so its executor, coordinator, and
 	// DistSender report per-tenant signals to the observability plane.
 	Obs *tenantobs.Plane
+	// Colocated, NoPushdown and CostScale are handed to each SQL node: the
+	// deployment's paper baseline (crdbserverless.Baseline), whose SQL side
+	// the node reads (server.SQLNodeConfig).
+	Colocated  bool
+	NoPushdown bool
+	CostScale  float64
 	// Faults, when non-nil, arms the orchestrator's fault-injection sites:
 	// orchestrator.start.crash kills a pod's VM during cold start (creation
 	// retries with a fresh pod), and orchestrator.pod.evict reclaims an
@@ -223,6 +229,9 @@ func (o *Orchestrator) createPod() (*Pod, error) {
 			RevivalSecret: o.cfg.RevivalSecret,
 			Tracer:        o.cfg.Tracer,
 			Obs:           o.cfg.Obs,
+			Colocated:     o.cfg.Colocated,
+			NoPushdown:    o.cfg.NoPushdown,
+			CostScale:     o.cfg.CostScale,
 		})
 		pod := &Pod{Node: node, state: PodWarm}
 		o.podsCreated.Inc(1)

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -403,6 +405,70 @@ func TestCloseCutsShortAThrottledSession(t *testing.T) {
 		t.Fatalf("Close took %v behind a throttled session", took)
 	}
 	<-queried
+}
+
+// TestThrottleChargesWhatTheNodeConsumed runs two in-process sessions and one
+// wire session on one SQL node, as Table 1's noisy tenants are driven beside
+// the wire path: between them they must charge the tenant's bucket exactly
+// the eCPU the node consumed.
+func TestThrottleChargesWhatTheNodeConsumed(t *testing.T) {
+	env := newEnv(t)
+	ctx := context.Background()
+	// A quota that never throttles.
+	tn, _ := env.reg.CreateTenant(ctx, "acme", core.TenantOptions{QuotaVCPUs: 1000})
+	n := env.startNode(t, tn)
+	c, err := wire.Connect(n.Addr(), map[string]string{"tenant": "acme"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sessions := []func(q string) error{
+		func(q string) error { _, err := n.NewSession("app").Execute(ctx, q); return err },
+		func(q string) error { _, err := n.NewSession("app").Execute(ctx, q); return err },
+		func(q string) error { _, err := c.Query(q); return err },
+	}
+	if err := sessions[0]("CREATE TABLE t (a INT PRIMARY KEY, b INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		q := fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i)
+		if i%5 == 4 {
+			q = "SELECT * FROM t"
+		}
+		if err := sessions[i%3](q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := n.Bucket().Consumed(), n.ECPU().Tokens(); want <= 0 || math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("sessions charged %.3f tokens for %.3f consumed", got, want)
+	}
+}
+
+// TestECPUIsSQLPlusScaledKV pins the estimate the quota charges:
+// estimated_cpu = sql + kv, with the KV part scaled by CostScale.
+func TestECPUIsSQLPlusScaledKV(t *testing.T) {
+	env := newEnv(t)
+	ctx := context.Background()
+	tn, _ := env.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
+	n := NewSQLNode(SQLNodeConfig{InstanceID: atomic.AddInt64(&instanceIDs, 1), Cluster: env.cluster, CostScale: 3})
+	defer n.Close()
+	if n.ECPU() != 0 {
+		t.Fatalf("unassigned node estimates %f", n.ECPU())
+	}
+	if err := n.AssignTenant(ctx, tn); err != nil {
+		t.Fatal(err)
+	}
+	sess := n.NewSession("app")
+	for _, q := range []string{"CREATE TABLE t (a INT PRIMARY KEY)", "INSERT INTO t VALUES (1)", "SELECT * FROM t"} {
+		if _, err := sess.Execute(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sqlCPU := tenantcost.ECPU(n.Executor().SQLCPUSeconds())
+	kv := costModel.EstimateKV(n.mu.metered.Features())
+	if got, want := n.ECPU(), sqlCPU+3*kv; kv <= 0 || got != want {
+		t.Fatalf("ECPU = %f, want %f + 3 * %f", got, sqlCPU, kv)
+	}
 }
 
 func TestMeteredSenderAccumulates(t *testing.T) {

@@ -46,6 +46,17 @@ type SQLNodeConfig struct {
 	// executor, coordinator, and DistSender report per-tenant signals
 	// through it.
 	Obs *tenantobs.Plane
+	// Colocated, NoPushdown and CostScale carry the deployment's paper
+	// baseline (crdbserverless.Baseline) to the node. Colocated runs the
+	// node's SQL engine in one process with KV (§6.1), so scanned rows are
+	// not unmarshaled; NoPushdown keeps full scans from pushing work down to
+	// KV (§8).
+	Colocated  bool
+	NoPushdown bool
+	// CostScale multiplies the pricing model's KV estimate, matching KV
+	// nodes whose ground-truth costs are scaled by the same factor (§6.6).
+	// Defaults to 1.
+	CostScale float64
 }
 
 // SQLNode is one tenant's SQL process. It follows the optimized cold-start
@@ -96,6 +107,9 @@ func NewSQLNode(cfg SQLNodeConfig) *SQLNode {
 	}
 	if len(cfg.RevivalSecret) == 0 {
 		cfg.RevivalSecret = []byte("cluster-revival-secret")
+	}
+	if cfg.CostScale == 0 {
+		cfg.CostScale = 1
 	}
 	n := &SQLNode{cfg: cfg, tenantReady: make(chan struct{})}
 	n.closing, n.cancel = context.WithCancel(context.Background())
@@ -157,7 +171,11 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	coord := txn.NewCoordinator(metered, n.cfg.Cluster.Clock(), t.ID)
 	coord.SetObs(n.cfg.Obs)
 	catalog := sql.NewCatalog(coord, t.ID)
-	exec := sql.NewExecutor(catalog, coord, sql.ExecutorConfig{Obs: n.cfg.Obs})
+	exec := sql.NewExecutor(catalog, coord, sql.ExecutorConfig{
+		Colocated:  n.cfg.Colocated,
+		NoPushdown: n.cfg.NoPushdown,
+		Obs:        n.cfg.Obs,
+	})
 	n.mu.tenant = t
 	n.mu.exec = exec
 	n.mu.metered = metered
@@ -434,9 +452,6 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 			}
 			res, qerr := st.session.Execute(qctx, q.SQL, q.Args...)
 			qsp.Finish()
-			n.mu.Lock()
-			n.mu.queries++
-			n.mu.Unlock()
 			n.enforceQuota(n.closing)
 			out := &wire.Result{}
 			if qerr != nil {
@@ -471,19 +486,68 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 	}
 }
 
-// enforceQuota charges the node's eCPU consumption against the tenant's
-// distributed token bucket and smooth-throttles when over quota (§5.2.2),
-// until ctx ends.
+// enforceQuota runs after every statement the node serves, on the wire or
+// in process: it counts the statement, charges the node's eCPU consumption
+// against the tenant's distributed token bucket, and smooth-throttles when
+// over quota (§5.2.2), until ctx ends.
 func (n *SQLNode) enforceQuota(ctx context.Context) {
 	n.mu.Lock()
-	bucket := n.mu.bucket
-	if bucket == nil {
-		n.mu.Unlock()
-		return
-	}
-	est := costModel.Estimate(tenantcost.ECPU(n.mu.exec.SQLCPUSeconds()), n.mu.metered.Features())
+	n.mu.queries++
+	bucket, exec, metered := n.mu.bucket, n.mu.exec, n.mu.metered
 	n.mu.Unlock()
-	bucket.Throttle(ctx, est.Tokens())
+	if bucket != nil {
+		bucket.Throttle(ctx, n.estimate(exec, metered).Tokens())
+	}
+}
+
+// ECPU returns the node's cumulative estimated CPU (§5.2.1), the figure the
+// quota is charged from; the experiments report it.
+func (n *SQLNode) ECPU() tenantcost.ECPU {
+	n.mu.Lock()
+	exec, metered := n.mu.exec, n.mu.metered
+	n.mu.Unlock()
+	if exec == nil {
+		return 0
+	}
+	return n.estimate(exec, metered)
+}
+
+// estimate is the node's directly measured SQL CPU plus the modelled CPU of
+// the KV traffic it sent:
+//
+//	estimated_cpu = actual_sql_cpu + estimated_kv_cpu
+func (n *SQLNode) estimate(exec *sql.Executor, metered *MeteredSender) tenantcost.ECPU {
+	kv := costModel.EstimateKV(metered.Features()) * tenantcost.ECPU(n.cfg.CostScale)
+	return tenantcost.ECPU(exec.SQLCPUSeconds()) + kv
+}
+
+// Bucket returns the node's client of the tenant's distributed token bucket
+// (nil before assignment).
+func (n *SQLNode) Bucket() *tenantcost.NodeBucket {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.mu.bucket
+}
+
+// Session is an in-process session on the node: its statements run on the
+// node's executor, metered, and charged to the tenant's quota by the same
+// enforceQuota the wire loop calls, without the wire protocol.
+type Session struct {
+	node *SQLNode
+	sess *sql.Session
+}
+
+// NewSession opens an in-process session for user on an assigned node.
+func (n *SQLNode) NewSession(user string) *Session {
+	return &Session{node: n, sess: sql.NewSession(n.Executor(), user)}
+}
+
+// Execute runs one statement, then charges the tenant's quota for it; a
+// throttle wait ends early when ctx does.
+func (s *Session) Execute(ctx context.Context, q string, args ...sql.Datum) (*sql.Result, error) {
+	res, err := s.sess.Execute(ctx, q, args...)
+	s.node.enforceQuota(ctx)
+	return res, err
 }
 
 // String implements fmt.Stringer.

@@ -147,13 +147,6 @@ func (m *Model) EstimateKV(f BatchFeatures) ECPU {
 	return ECPU(total)
 }
 
-// Estimate combines directly-measured SQL CPU with modeled KV CPU:
-//
-//	estimated_cpu = actual_sql_cpu + estimated_kv_cpu
-func (m *Model) Estimate(sqlCPU ECPU, f BatchFeatures) ECPU {
-	return sqlCPU + m.EstimateKV(f)
-}
-
 // DefaultModel returns the calibrated model shipped with the system. The
 // constants reflect the paper's qualitative findings: batches carry a fixed
 // overhead that amortizes at volume (the Fig 5 efficiency curve), requests

@@ -112,10 +112,6 @@ func TestDefaultModelProperties(t *testing.T) {
 	if m.EstimateKV(w) <= m.EstimateKV(r) {
 		t.Fatal("writes should price above reads")
 	}
-	// estimated_cpu = sql + kv.
-	if got := m.Estimate(2, f); got != 2+m.EstimateKV(f) {
-		t.Fatalf("Estimate = %f", got)
-	}
 }
 
 func TestDefaultModelBatchingEfficiency(t *testing.T) {

@@ -1,6 +1,9 @@
 package crdbserverless
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -59,5 +62,72 @@ func TestDesignMapsEveryPackage(t *testing.T) {
 		if !packages[p] {
 			t.Errorf("DESIGN.md §2 names %s, which is no package", p)
 		}
+	}
+}
+
+// assemblyCalls are the constructors of the serving fabric's parts. Only New
+// assembles them; a figure that builds its own measures a different system.
+var assemblyCalls = map[string]bool{
+	"kvserver.NewCluster": true,
+	"kvserver.NewNode":    true,
+	"orchestrator.New":    true,
+	"proxy.New":           true,
+	"autoscaler.New":      true,
+}
+
+// assemblyBuilders are the non-test files allowed to call them, each with its
+// reason.
+var assemblyBuilders = map[string]string{
+	"crdbserverless.go":                 "New is the one assembly",
+	"internal/experiments/chaos.go":     "chaos tests KV alone, with faults armed on its own nodes",
+	"internal/experiments/kvscaling.go": "kvscaling tests KV alone, adding and draining its own nodes",
+	"internal/experiments/fleetobs.go":  "fleetobs drives no SQL and caps its own observability plane",
+}
+
+// TestOneAssembly fails when a non-test file outside assemblyBuilders
+// constructs a KV node, a KV cluster, an orchestrator, a proxy or an
+// autoscaler: the paper's figures run on crdbserverless.New (and its
+// baselines), not on a private second assembly.
+func TestOneAssembly(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || d.Name() == "bench" || d.Name()[0] == '.'):
+			// bench/ is its own module, and drives New from outside.
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			name := pkg.Name + "." + sel.Sel.Name
+			if assemblyCalls[name] {
+				if _, ok := assemblyBuilders[filepath.ToSlash(path)]; !ok {
+					t.Errorf("%s calls %s: build the deployment with crdbserverless.New or NewBaseline", fset.Position(call.Pos()), name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
