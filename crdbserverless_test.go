@@ -256,7 +256,7 @@ func TestConfigSurface(t *testing.T) {
 		{Options{}, 4},
 		{Baseline{}, 6},
 		{lsm.Options{}, 10},
-		{kvserver.ClusterConfig{}, 4},
+		{kvserver.ClusterConfig{}, 3},
 		{kvserver.Config{}, 3},
 		{autoscaler.Config{}, 4},
 		{admission.CPUQueueOptions{}, 4},

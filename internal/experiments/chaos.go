@@ -8,9 +8,8 @@
 // operation trace. Everything that influences control flow is drawn from
 // seeded RNGs (the workload RNG and the registry's per-site streams), the
 // workload is single-threaded, the DistSender runs with Parallelism 1, and
-// lease durations are set far beyond the run length so wall-clock time never
-// decides an outcome. The trace records operations and results, never
-// timestamps.
+// leases have no expiration, so wall-clock time never decides an outcome.
+// The trace records operations and results, never timestamps.
 
 package experiments
 
@@ -178,14 +177,9 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 			},
 		}))
 	}
-	cluster, err := kvserver.NewCluster(kvserver.ClusterConfig{
-		Clock:  clock,
-		Faults: reg,
-		// Leases must outlive the run by a wide margin: natural expiration
-		// would tie control flow to wall-clock speed. All lease churn comes
-		// from injected expirations and liveness flaps.
-		LeaseDuration: time.Hour,
-	}, nodes)
+	// All lease churn comes from injected lease losses and liveness flaps:
+	// a lease lasts while its holder is live, whatever the wall clock says.
+	cluster, err := kvserver.NewCluster(kvserver.ClusterConfig{Clock: clock, Faults: reg}, nodes)
 	if err != nil {
 		return nil, err
 	}

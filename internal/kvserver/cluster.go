@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crdbserverless/internal/faultinject"
 	"crdbserverless/internal/hlc"
@@ -47,8 +46,6 @@ const (
 // ClusterConfig configures a Cluster.
 type ClusterConfig struct {
 	Clock timeutil.Clock
-	// LeaseDuration for range leases. Defaults to 9s.
-	LeaseDuration time.Duration
 	// Faults, when non-nil, arms fault-injection sites in every range's
 	// replication group (see internal/faultinject).
 	Faults *faultinject.Registry
@@ -137,9 +134,6 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = timeutil.NewRealClock()
-	}
-	if cfg.LeaseDuration <= 0 {
-		cfg.LeaseDuration = 9 * time.Second
 	}
 	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), splitSize: splitSizeThreshold}
 	c.nodesMu.nodes = make(map[NodeID]*Node)
@@ -302,9 +296,7 @@ func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, 
 	}
 	return raftlite.NewGroup(raftlite.Config{
 		RangeID:       int64(rs.desc.Load().RangeID),
-		Clock:         c.clock,
 		Liveness:      c.liveness,
-		LeaseDuration: c.cfg.LeaseDuration,
 		Faults:        c.cfg.Faults,
 		CommitMetrics: c.cfg.CommitMetrics,
 	}, replicas, sms)
@@ -503,47 +495,46 @@ func (c *Cluster) RangeLoads() []RangeLease {
 }
 
 // Tick runs periodic cluster maintenance: node ticks (AIMD, token refills,
-// capacity estimation), lease upkeep, and lease rebalancing. Lease upkeep is
-// one pass over the ranges in RangeID order, reading each lease from the
-// range's replication group: a range without a valid lease on a live node
-// gets one, and a lease with half its duration or less to run is extended.
-// The order is fixed because lease operations trigger catch-up applies, and
-// those must consult fault-injection sites in a deterministic sequence for
-// seeded chaos runs to reproduce.
+// capacity estimation), lease grants, and lease rebalancing. A lease lasts
+// while its holder is live, so it needs no renewal: the tick reads each
+// node's liveness once, and one pass over the ranges in RangeID order grants
+// a lease only to a range whose holder is not live. The order is fixed
+// because lease operations trigger catch-up applies, and those must consult
+// fault-injection sites in a deterministic sequence for seeded chaos runs to
+// reproduce.
 func (c *Cluster) Tick() {
-	for _, n := range c.Nodes() {
+	nodes := c.Nodes()
+	for _, n := range nodes {
 		n.Tick()
 	}
-	now := c.clock.Now()
+	live := make(map[NodeID]bool, len(nodes))
+	for _, n := range nodes {
+		live[n.id] = n.Live()
+	}
 	// leases[n] lists the ranges node n holds the lease of, in RangeID
 	// order: the count balancer's input.
 	leases := make(map[NodeID][]*rangeState)
 	for _, rs := range c.rangesByID() {
-		lease := rs.group.Load().Lease()
-		holder, held := lease.Holder, lease.Valid(now) && c.liveness(lease.Holder)
-		if !held || lease.Expiration.Sub(now) <= c.cfg.LeaseDuration/2 {
-			holder, held = c.ensureLease(rs)
+		holder := rs.group.Load().Lease().Holder
+		if !live[holder] {
+			var ok bool
+			if holder, ok = c.grantLease(rs, live); !ok {
+				continue
+			}
 		}
-		if held {
-			leases[holder] = append(leases[holder], rs)
-		}
+		leases[holder] = append(leases[holder], rs)
 	}
-	c.rebalanceLeases(leases)
+	c.rebalanceLeases(leases, live)
 }
 
-// ensureLease extends the lease of a live holder, and otherwise grants the
-// lease to the first live replica that can take it (AcquireLease applies any
-// entries the taker missed before granting). It reports the holder, or false
-// when no live replica could take the lease; the next tick retries.
-func (c *Cluster) ensureLease(rs *rangeState) (NodeID, bool) {
+// grantLease grants rs's lease to the first live replica that can take it
+// (AcquireLease applies any entries the taker missed before granting). It
+// reports the holder, or false when no live replica could take the lease;
+// the next tick retries.
+func (c *Cluster) grantLease(rs *rangeState, live map[NodeID]bool) (NodeID, bool) {
 	g := rs.group.Load()
-	if lh, ok := g.Leaseholder(); ok {
-		if err := g.ExtendLease(lh); err == nil {
-			return lh, true
-		}
-	}
 	for _, nid := range g.Replicas() {
-		if c.liveness(nid) {
+		if live[nid] {
 			if err := g.AcquireLease(nid); err == nil {
 				return nid, true
 			}
@@ -561,20 +552,18 @@ const maxLeaseTransfersPerTick = 128
 // §5.1.1, operating at a longer time scale than admission). While two live
 // nodes' lease counts differ by more than one, it walks the lease list of
 // the node with the most, lowest RangeID first, and hands the first lease it
-// can to the replica peer with the fewest.
-func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState) {
-	c.nodesMu.RLock()
-	liveIDs := make([]NodeID, 0, len(c.nodesMu.nodeOrder))
-	for _, nid := range c.nodesMu.nodeOrder {
-		if n := c.nodesMu.nodes[nid]; n != nil && n.Live() {
+// can to the replica peer with the fewest. live is the tick's liveness read.
+func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState, live map[NodeID]bool) {
+	liveIDs := make([]NodeID, 0, len(live))
+	for nid, ok := range live {
+		if ok {
 			liveIDs = append(liveIDs, nid)
 		}
 	}
-	c.nodesMu.RUnlock()
 	if len(liveIDs) < 2 {
 		return
 	}
-	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
+	slices.Sort(liveIDs)
 
 	counts := make(map[NodeID]int, len(liveIDs))
 	for _, nid := range liveIDs {
@@ -602,7 +591,7 @@ func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState) {
 			}
 			best := lh
 			for _, nid := range g.Replicas() {
-				if c.liveness(nid) && counts[nid] < counts[best] {
+				if live[nid] && counts[nid] < counts[best] {
 					best = nid
 				}
 			}
@@ -774,7 +763,9 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 		return nil, err
 	}
 
-	// Lease check.
+	// Lease check. evaluateBatch checks again under the range latch, since
+	// the lease can move while the batch waits in admission; this early one
+	// turns a misrouted batch away before it queues.
 	g := rs.group.Load()
 	lh, ok := g.Leaseholder()
 	if !ok {
@@ -867,6 +858,12 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	}
 	if err := checkSpans(desc, ba); err != nil {
 		return nil, err
+	}
+	// The lease may also have moved since Batch checked it: a holder that
+	// failed liveness while the batch queued has lost the lease to a replica
+	// that may since have committed writes this node has not applied.
+	if lh, ok := rs.group.Load().Leaseholder(); !ok || lh != n.id {
+		return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
 	}
 
 	// Reads record into the timestamp cache only after the whole batch has

@@ -358,6 +358,56 @@ func TestNonLeaseholderReadRedirects(t *testing.T) {
 	}
 }
 
+// Regression: Batch checks the lease before admission, which can queue, and
+// evaluation then read the node's engine without checking it again. A holder
+// that failed liveness in that window lost the lease to a replica that
+// committed a write it never applied, and the queued read returned the old
+// value. Evaluation now re-checks the lease under the range latch.
+func TestOldLeaseholderReadRechecksLease(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ctx := context.Background()
+	k := tenantKey(2, "k")
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "old")}}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, ok := rs.group.Load().Leaseholder()
+	if !ok {
+		t.Fatal("no leaseholder")
+	}
+	var other NodeID
+	for _, r := range rs.desc.Load().Replicas {
+		if r != old {
+			other = r
+			break
+		}
+	}
+	// The holder fails liveness; another replica takes the lease and
+	// commits a write the old holder does not apply.
+	oldNode, _ := c.Node(old)
+	oldNode.SetCordoned(true)
+	if _, err := c.Batch(ctx, other, Identity{Tenant: 2}, &kvpb.BatchRequest{Tenant: 2,
+		Requests: []kvpb.Request{putReq(k, "new")}}); err != nil {
+		t.Fatal(err)
+	}
+	oldNode.SetCordoned(false)
+	// A read that passed the old holder's early lease check evaluates now.
+	ba := &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(), Requests: []kvpb.Request{getReq(k)}}
+	resp, err := c.evaluateBatch(ctx, oldNode, rs, ba)
+	var nle *kvpb.NotLeaseholderError
+	if !errors.As(err, &nle) || nle.Leaseholder != other {
+		var got string
+		if resp != nil && len(resp.Responses) > 0 {
+			got = string(resp.Responses[0].Value)
+		}
+		t.Fatalf("read on the old leaseholder = %q, %v; want NotLeaseholderError naming %d", got, err, other)
+	}
+}
+
 func TestDistSenderChasesLeaseholder(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ds := NewDistSender(c, Identity{Tenant: 2})

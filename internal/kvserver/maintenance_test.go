@@ -3,11 +3,13 @@ package kvserver
 import (
 	"context"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/raftlite"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -58,75 +60,78 @@ func TestCordonedNodeShedsLeases(t *testing.T) {
 	}
 }
 
-// TestTickRenewsEveryLeaseAtHalfLife checks the tick's lease upkeep against
-// the leases the replication groups hold: a new range gets a lease, traffic
-// alone extends nothing, and a lease with half its duration left is extended
-// by the next tick and then left alone until it is due again.
-func TestTickRenewsEveryLeaseAtHalfLife(t *testing.T) {
+// TestTickLeasesRideLiveness checks the tick's lease rule against the
+// leases the replication groups hold: a lease lasts while its holder is
+// live, so a day of ticks with light traffic changes no lease record, and a
+// holder that fails liveness loses exactly its own leases at the next tick.
+func TestTickLeasesRideLiveness(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(10_000, 0))
-	c := newConfiguredCluster(t, 3, ClusterConfig{LeaseDuration: 10 * time.Second}, mc)
-	ds := NewDistSender(c, Identity{Tenant: 2})
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
+	c := newConfiguredCluster(t, 3, ClusterConfig{}, mc)
+	for i := 0; i < 4; i++ {
 		if err := c.SplitAt(tenantKey(2, fmt.Sprintf("s%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	expirations := func() map[RangeID]time.Time {
-		out := make(map[RangeID]time.Time)
+	leases := func() map[RangeID]raftlite.Lease {
+		out := make(map[RangeID]raftlite.Lease)
 		for _, rs := range c.rangesByID() {
-			out[rs.desc.Load().RangeID] = rs.group.Load().Lease().Expiration
+			out[rs.desc.Load().RangeID] = rs.group.Load().Lease()
 		}
 		return out
 	}
-	// moved counts the ranges whose expiration differs from prev, and checks
-	// that each of them now expires at now+10s.
-	moved := func(prev map[RangeID]time.Time) (int, map[RangeID]time.Time) {
-		t.Helper()
-		cur := expirations()
-		n := 0
-		for id, exp := range cur {
-			if exp.Equal(prev[id]) {
-				continue
-			}
-			n++
-			if want := mc.Now().Add(10 * time.Second); !exp.Equal(want) {
-				t.Fatalf("range %d: lease expires at %v, want %v", id, exp, want)
-			}
-		}
-		return n, cur
-	}
-
-	exp := expirations()
-	ranges := len(exp)
-	c.Tick()
-	n, exp := moved(exp)
-	if n != ranges {
-		t.Fatalf("first tick granted %d of %d ranges a lease", n, ranges)
-	}
-	// Traffic on a few ranges leaves nothing for the tick to do.
-	for i := 0; i < 20; i++ {
-		k := tenantKey(2, fmt.Sprintf("s%02dx", i%3))
-		if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Tick()
-	if n, exp = moved(exp); n != 0 {
-		t.Fatalf("tick after traffic moved %d lease expirations, want 0", n)
-	}
-	// At half the lease duration every lease is due: one tick extends each,
-	// and the next extends none. The pattern repeats for as long as the
-	// leases live.
-	for round := 1; round <= 3; round++ {
-		mc.Advance(5 * time.Second)
+	// The first ticks grant every range a lease and even out the split
+	// burst.
+	for i := 0; i < 5; i++ {
 		c.Tick()
-		if n, exp = moved(exp); n != ranges {
-			t.Fatalf("renewal round %d: tick extended %d of %d leases", round, n, ranges)
+	}
+	settled := leases()
+	for id, l := range settled {
+		if l.Holder == 0 {
+			t.Fatalf("range %d has no lease after settling", id)
 		}
+	}
+	// Traffic on the leaseholders moves no lease either.
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	for i := 0; i < 24*60; i++ {
+		mc.Advance(time.Minute)
 		c.Tick()
-		if n, exp = moved(exp); n != 0 {
-			t.Fatalf("renewal round %d: next tick extended %d leases, want 0", round, n)
+		if i%60 == 0 {
+			k := tenantKey(2, fmt.Sprintf("s%02dx", i/60%4))
+			if _, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := leases(); !maps.Equal(got, settled) {
+		t.Fatalf("a day of ticks changed leases:\nbefore %v\nafter  %v", settled, got)
+	}
+	// Cordon the node with the fewest leases: the replica that takes them
+	// over then holds no more than one lease above the third node, so the
+	// count balancer has nothing to move and the tick's only lease work is
+	// the lapsed holder's ranges.
+	counts := c.LeaseCounts()
+	victim := NodeID(1)
+	for _, n := range []NodeID{2, 3} {
+		if counts[n] < counts[victim] {
+			victim = n
+		}
+	}
+	if counts[victim] == 0 {
+		t.Fatalf("lease counts %v: node %d holds no lease to lose", counts, victim)
+	}
+	n, _ := c.Node(victim)
+	n.SetCordoned(true)
+	c.Tick()
+	for id, l := range leases() {
+		before := settled[id]
+		if before.Holder != victim {
+			if l != before {
+				t.Fatalf("range %d: lease %+v -> %+v, though node %d did not hold it", id, before, l, victim)
+			}
+			continue
+		}
+		if l.Holder == victim || l.Holder == 0 || l.Sequence != before.Sequence+1 {
+			t.Fatalf("range %d: lease %+v -> %+v, want one grant away from node %d", id, before, l, victim)
 		}
 	}
 }
@@ -136,8 +141,8 @@ func TestTickRenewsEveryLeaseAtHalfLife(t *testing.T) {
 // leaseholder, so creating N tenants piles N+1 leases onto one node. The
 // count pass evens them out at most maxLeaseTransfersPerTick per tick and
 // then moves nothing: the transfers are a one-off burst after the splits,
-// not churn. No lease lapses between ticks either; renewals at half the
-// lease duration keep every range held across two lease durations.
+// not churn. No lease lapses between ticks either: every holder stays live,
+// so every range stays held across the 20 s of ticks.
 func TestSplitLeasePileUpEvensOutThenStops(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(10_000, 0))
 	c := newConfiguredCluster(t, 3, ClusterConfig{}, mc)

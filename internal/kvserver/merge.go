@@ -150,10 +150,10 @@ func mergeEligible(left, right *RangeDescriptor) bool {
 // the left leaseholder if live, else the right's, else the first live
 // replica in descriptor order.
 func (c *Cluster) mergeDonor(left, right *rangeState) (NodeID, bool) {
-	if lh, ok := left.group.Load().Leaseholder(); ok && c.liveness(lh) {
+	if lh, ok := left.group.Load().Leaseholder(); ok {
 		return lh, true
 	}
-	if lh, ok := right.group.Load().Leaseholder(); ok && c.liveness(lh) {
+	if lh, ok := right.group.Load().Leaseholder(); ok {
 		return lh, true
 	}
 	for _, nid := range left.desc.Load().Replicas {

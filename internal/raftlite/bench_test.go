@@ -1,20 +1,11 @@
 package raftlite
 
-import (
-	"testing"
-	"time"
-
-	"crdbserverless/internal/timeutil"
-)
+import "testing"
 
 // BenchmarkKVProposeSequential measures one proposal's commit round on a
 // 3-replica group with the lease on node 1.
 func BenchmarkKVProposeSequential(b *testing.B) {
-	g, err := NewGroup(Config{
-		RangeID:       1,
-		Clock:         timeutil.NewRealClock(),
-		LeaseDuration: time.Hour,
-	}, []NodeID{1, 2, 3}, []StateMachine{&memSM{}, &memSM{}, &memSM{}})
+	g, err := NewGroup(Config{RangeID: 1}, []NodeID{1, 2, 3}, []StateMachine{&memSM{}, &memSM{}, &memSM{}})
 	if err != nil {
 		b.Fatal(err)
 	}

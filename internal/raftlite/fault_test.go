@@ -3,11 +3,9 @@ package raftlite
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"crdbserverless/internal/faultinject"
 	"crdbserverless/internal/kvpb"
-	"crdbserverless/internal/timeutil"
 )
 
 // Regression: a replica that was dead while entries committed could acquire
@@ -29,10 +27,10 @@ func TestAcquireLeaseAppliesPendingEntries(t *testing.T) {
 	if n, _ := g.AppliedIndex(3); n != 0 {
 		t.Fatalf("dead replica applied %d entries", n)
 	}
-	// Liveness flap: node 3 revives, the holder's lease lapses, and node 3
-	// grabs it.
+	// Liveness flap: node 3 revives, the holder fails liveness so its lease
+	// lapses, and node 3 grabs it.
 	f.dead[3] = false
-	f.clock.Advance(10 * time.Second)
+	f.dead[1] = true
 	if err := g.AcquireLease(3); err != nil {
 		t.Fatal(err)
 	}
@@ -73,21 +71,20 @@ func TestTransferLeaseAppliesPendingEntries(t *testing.T) {
 }
 
 // newFaultGroup builds a 3-node group wired to a fault registry.
-func newFaultGroup(t *testing.T, reg *faultinject.Registry) (*Group, *timeutil.ManualClock) {
+func newFaultGroup(t *testing.T, reg *faultinject.Registry) *Group {
 	t.Helper()
-	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	nodes := []NodeID{1, 2, 3}
 	sms := []StateMachine{&memSM{}, &memSM{}, &memSM{}}
-	g, err := NewGroup(Config{RangeID: 7, Clock: clock, Faults: reg}, nodes, sms)
+	g, err := NewGroup(Config{RangeID: 7, Faults: reg}, nodes, sms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, clock
+	return g
 }
 
 func TestLeaseExpireFaultForcesReacquisition(t *testing.T) {
 	reg := faultinject.New(7, nil)
-	g, _ := newFaultGroup(t, reg)
+	g := newFaultGroup(t, reg)
 	if err := g.AcquireLease(1); err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +94,13 @@ func TestLeaseExpireFaultForcesReacquisition(t *testing.T) {
 	reg.Enable("raftlite.lease.expire", faultinject.Site{Probability: 1, MaxFires: 1})
 	var nlhe *kvpb.NotLeaseholderError
 	if err := g.Propose(1, []byte("y")); !errors.As(err, &nlhe) {
-		t.Fatalf("propose under expired lease = %v, want NotLeaseholderError", err)
+		t.Fatalf("propose under a cleared lease = %v, want NotLeaseholderError", err)
 	}
 	if got := g.CommitIndex(); got != 1 {
 		t.Fatalf("commit index = %d after rejected proposal, want 1", got)
 	}
-	// The proposer reacquires (its own expired lease is up for grabs) and
-	// the write goes through.
+	// The proposer reacquires (the cleared lease is up for grabs) and the
+	// write goes through.
 	if err := g.AcquireLease(1); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestLeaseExpireFaultForcesReacquisition(t *testing.T) {
 
 func TestProposeErrFaultIsRetriable(t *testing.T) {
 	reg := faultinject.New(8, nil)
-	g, _ := newFaultGroup(t, reg)
+	g := newFaultGroup(t, reg)
 	if err := g.AcquireLease(1); err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/metric"
-	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
 
-// groupFixture builds a 3-node group on a real clock with commit metrics and
-// the lease on node 1.
+// groupFixture builds a 3-node group with commit metrics and the lease on
+// node 1.
 func groupFixture(t *testing.T) (*Group, []*memSM, *CommitMetrics) {
 	t.Helper()
 	cm := NewCommitMetrics(metric.NewRegistry())
@@ -28,12 +26,7 @@ func groupFixture(t *testing.T) (*Group, []*memSM, *CommitMetrics) {
 		nodes = append(nodes, NodeID(i))
 		sms = append(sms, sm)
 	}
-	g, err := NewGroup(Config{
-		RangeID:       11,
-		Clock:         timeutil.NewRealClock(),
-		LeaseDuration: time.Hour,
-		CommitMetrics: cm,
-	}, nodes, sms)
+	g, err := NewGroup(Config{RangeID: 11, CommitMetrics: cm}, nodes, sms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,23 @@
-// Package raftlite implements per-range quorum replication with epoch-style
-// leases, in the spirit of CockroachDB's use of Raft (§3.1 of the paper). A
-// Group replicates a command log across peers, commits entries once a quorum
-// of live peers has accepted them, and applies committed entries to each
-// peer's state machine. Leases gate serving: only the leaseholder may propose
-// writes or serve consistent reads, and an overloaded node that stops
-// heartbeating loses its leases — the destabilizing behavior the paper's
-// Fig 12 shows admission control preventing.
+// Package raftlite implements per-range quorum replication with leases that
+// ride node liveness, in the spirit of CockroachDB's use of Raft and its
+// epoch-based leases (§3.1 of the paper). A Group replicates a command log
+// across peers, commits entries once a quorum of live peers has accepted
+// them, and applies committed entries to each peer's state machine. Leases
+// gate serving: only the leaseholder may propose writes or serve consistent
+// reads, and an overloaded node that stops heartbeating loses its leases —
+// the destabilizing behavior the paper's Fig 12 shows admission control
+// preventing.
+//
+// A lease has no expiration: it is valid for as long as its holder passes
+// liveness, so an idle range costs no lease upkeep. It ends in only three
+// ways: another replica acquires it after the holder fails liveness, the
+// holder transfers it, or the raftlite.lease.expire fault clears it. There
+// is no explicit per-node epoch. In CockroachDB a node that takes over a
+// lapsed lease bumps the old holder's liveness epoch, which invalidates the
+// old lease everywhere at once. Here the group's lease record is the only
+// authority, and AcquireLease overwrites it under the group lock; that
+// overwrite, counted by Lease.Sequence, is the epoch bump. The package reads
+// no clock.
 package raftlite
 
 import (
@@ -48,16 +60,11 @@ type SnapshotStateMachine interface {
 // misses heartbeats reads as dead and cannot hold leases or ack proposals.
 type LivenessFunc func(NodeID) bool
 
-// Lease grants one node the right to serve a range until expiration.
+// Lease grants one node the right to serve a range for as long as it passes
+// liveness. Holder is 0 when no node holds it. Sequence counts the grants.
 type Lease struct {
-	Holder     NodeID
-	Expiration time.Time
-	Sequence   uint64
-}
-
-// Valid reports whether the lease is held at the given instant.
-func (l Lease) Valid(now time.Time) bool {
-	return l.Holder != 0 && now.Before(l.Expiration)
+	Holder   NodeID
+	Sequence uint64
 }
 
 // Errors returned by Group methods.
@@ -117,9 +124,7 @@ type peer struct {
 // Group is a single range's replication group.
 type Group struct {
 	rangeID       int64
-	clock         timeutil.Clock
 	live          LivenessFunc
-	leaseDur      time.Duration
 	faults        *faultinject.Registry
 	commitMetrics *CommitMetrics
 
@@ -144,11 +149,15 @@ type Group struct {
 // Config configures a Group.
 type Config struct {
 	RangeID int64
-	Clock   timeutil.Clock
+	// Clock is read by nothing: leases have no expiration. The bench-only
+	// item, part (d), drops it from bench/e2e/micro.go and then deletes it.
+	Clock timeutil.Clock
 	// Liveness reports node health; nil means all nodes are always live.
 	Liveness LivenessFunc
-	// LeaseDuration is how long a lease lasts without extension. Defaults
-	// to 9 seconds (3 missed 3s heartbeats), mirroring CRDB defaults.
+	// LeaseDuration is read by nothing: a lease lasts while its holder is
+	// live.
+	//
+	//lint:allow deadsurface roadmap: the bench-only item, part (d), stops bench/e2e setting it, then deletes it
 	LeaseDuration time.Duration
 	// Faults, when non-nil, arms the group's fault-injection sites
 	// (raftlite.propose.delay, raftlite.propose.err, raftlite.lease.expire).
@@ -167,20 +176,12 @@ func NewGroup(cfg Config, nodes []NodeID, sms []StateMachine) (*Group, error) {
 	if len(nodes) == 0 || len(nodes) != len(sms) {
 		return nil, fmt.Errorf("raftlite: %d nodes with %d state machines", len(nodes), len(sms))
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = timeutil.NewRealClock()
-	}
 	if cfg.Liveness == nil {
 		cfg.Liveness = func(NodeID) bool { return true }
 	}
-	if cfg.LeaseDuration == 0 {
-		cfg.LeaseDuration = 9 * time.Second
-	}
 	g := &Group{
 		rangeID:       cfg.RangeID,
-		clock:         cfg.Clock,
 		live:          cfg.Liveness,
-		leaseDur:      cfg.LeaseDuration,
 		faults:        cfg.Faults,
 		commitMetrics: cfg.CommitMetrics,
 		retention:     logRetention,
@@ -205,27 +206,31 @@ func (g *Group) Replicas() []NodeID {
 // quorum returns the number of replicas needed to commit.
 func (g *Group) quorum() int { return len(g.peers)/2 + 1 }
 
-// Lease returns the current lease (which may be expired).
+// Lease returns the current lease (whose holder may have failed liveness).
 func (g *Group) Lease() Lease {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.lease
 }
 
-// Leaseholder returns the node holding a valid lease, or (0, false).
+// Leaseholder returns the lease's holder if it is live, or (0, false).
 func (g *Group) Leaseholder() (NodeID, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := g.clock.Now()
-	if g.lease.Valid(now) && g.live(g.lease.Holder) {
+	if g.heldLocked() {
 		return g.lease.Holder, true
 	}
 	return 0, false
 }
 
+// heldLocked reports whether the lease has a live holder.
+func (g *Group) heldLocked() bool {
+	return g.lease.Holder != 0 && g.live(g.lease.Holder)
+}
+
 // AcquireLease attempts to grant the lease to node. It succeeds when the
-// current lease is invalid (expired or holder dead) or already held by node,
-// and a quorum of replicas is live. Lease acquisition is itself a replicated
+// current lease has no live holder or is already held by node, and a quorum
+// of replicas is live. Lease acquisition is itself a replicated
 // decision in real Raft; here the quorum check models that requirement.
 func (g *Group) AcquireLease(node NodeID) error {
 	g.mu.Lock()
@@ -236,8 +241,7 @@ func (g *Group) AcquireLease(node NodeID) error {
 	if !g.live(node) {
 		return fmt.Errorf("raftlite: node %d is not live", node)
 	}
-	now := g.clock.Now()
-	if g.lease.Valid(now) && g.live(g.lease.Holder) && g.lease.Holder != node {
+	if g.heldLocked() && g.lease.Holder != node {
 		return &kvpb.NotLeaseholderError{RangeID: g.rangeID, Leaseholder: g.lease.Holder}
 	}
 	if g.liveCountLocked() < g.quorum() {
@@ -250,23 +254,18 @@ func (g *Group) AcquireLease(node NodeID) error {
 	if err := g.catchUpPeerLocked(node); err != nil {
 		return err
 	}
-	g.lease = Lease{
-		Holder:     node,
-		Expiration: now.Add(g.leaseDur),
-		Sequence:   g.lease.Sequence + 1,
-	}
+	g.lease = Lease{Holder: node, Sequence: g.lease.Sequence + 1}
 	return nil
 }
 
-// TransferLease moves a valid lease from its holder to another replica.
+// TransferLease moves the lease from its holder to another replica.
 func (g *Group) TransferLease(from, to NodeID) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.hasPeerLocked(to) {
 		return ErrUnknownPeer
 	}
-	now := g.clock.Now()
-	if !g.lease.Valid(now) || g.lease.Holder != from {
+	if g.lease.Holder == 0 || g.lease.Holder != from {
 		return ErrNotLeaseholder
 	}
 	// Same catch-up-before-grant rule as AcquireLease: the target may have
@@ -274,29 +273,12 @@ func (g *Group) TransferLease(from, to NodeID) error {
 	if err := g.catchUpPeerLocked(to); err != nil {
 		return err
 	}
-	g.lease = Lease{
-		Holder:     to,
-		Expiration: now.Add(g.leaseDur),
-		Sequence:   g.lease.Sequence + 1,
-	}
-	return nil
-}
-
-// ExtendLease renews the holder's lease (the heartbeat path). Extending a
-// lease the node does not hold is an error.
-func (g *Group) ExtendLease(node NodeID) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	now := g.clock.Now()
-	if !g.lease.Valid(now) || g.lease.Holder != node {
-		return ErrNotLeaseholder
-	}
-	g.lease.Expiration = now.Add(g.leaseDur)
+	g.lease = Lease{Holder: to, Sequence: g.lease.Sequence + 1}
 	return nil
 }
 
 // Propose replicates cmd through the group on behalf of node, which must
-// hold a valid lease. On success the command is committed and applied to
+// hold the lease. On success the command is committed and applied to
 // every live replica; dead replicas catch up when they next apply.
 func (g *Group) Propose(node NodeID, cmd []byte) error {
 	return g.ProposeCtx(context.Background(), node, cmd)
@@ -321,16 +303,15 @@ func (g *Group) ProposeCtx(ctx context.Context, node NodeID, cmd []byte) error {
 		return err
 	}
 	g.mu.Lock()
-	now := g.clock.Now()
 	//lint:allow lockscope fault site is delay-free by contract (Config.Faults)
 	if g.faults.Should("raftlite.lease.expire") {
 		// Simulated lease loss (a liveness blip reaching the lease record):
-		// force-expire so the validity check below redirects the proposer
-		// into reacquisition.
-		g.lease.Expiration = now
+		// clear the holder so the check below redirects the proposer into
+		// reacquisition. The site keeps the name it had when leases expired.
+		g.lease.Holder = 0
 	}
 	var index uint64
-	err := g.admitProposalLocked(node, now)
+	err := g.admitProposalLocked(node)
 	if err == nil {
 		g.log = append(g.log, entry{cmd: cmd})
 		index = g.truncated + uint64(len(g.log))
@@ -345,15 +326,11 @@ func (g *Group) ProposeCtx(ctx context.Context, node NodeID, cmd []byte) error {
 }
 
 // admitProposalLocked checks whether node may commit a proposal right now:
-// it must hold a valid lease, be live, and see a quorum of live replicas
-// (the proposer acks implicitly).
-func (g *Group) admitProposalLocked(node NodeID, now time.Time) error {
-	if !g.lease.Valid(now) || g.lease.Holder != node {
-		holder := g.lease.Holder
-		if !g.lease.Valid(now) {
-			holder = 0
-		}
-		return &kvpb.NotLeaseholderError{RangeID: g.rangeID, Leaseholder: holder}
+// it must hold the lease, be live, and see a quorum of live replicas (the
+// proposer acks implicitly).
+func (g *Group) admitProposalLocked(node NodeID) error {
+	if g.lease.Holder != node {
+		return &kvpb.NotLeaseholderError{RangeID: g.rangeID, Leaseholder: g.lease.Holder}
 	}
 	if !g.live(node) {
 		return ErrNoQuorum

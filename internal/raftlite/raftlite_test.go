@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"crdbserverless/internal/kvpb"
-	"crdbserverless/internal/timeutil"
 )
 
 // memSM is a StateMachine recording applied commands.
@@ -38,7 +36,6 @@ func (m *memSM) applied() []string {
 }
 
 type fixture struct {
-	clock *timeutil.ManualClock
 	sms   []*memSM
 	group *Group
 	dead  map[NodeID]bool
@@ -46,10 +43,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
-	f := &fixture{
-		clock: timeutil.NewManualClock(time.Unix(0, 0)),
-		dead:  map[NodeID]bool{},
-	}
+	f := &fixture{dead: map[NodeID]bool{}}
 	var nodes []NodeID
 	var sms []StateMachine
 	for i := 1; i <= n; i++ {
@@ -59,10 +53,8 @@ func newFixture(t *testing.T, n int) *fixture {
 		sms = append(sms, sm)
 	}
 	g, err := NewGroup(Config{
-		RangeID:       7,
-		Clock:         f.clock,
-		Liveness:      func(id NodeID) bool { return !f.dead[id] },
-		LeaseDuration: 9 * time.Second,
+		RangeID:  7,
+		Liveness: func(id NodeID) bool { return !f.dead[id] },
 	}, nodes, sms)
 	if err != nil {
 		t.Fatal(err)
@@ -115,36 +107,42 @@ func TestProposeWithoutLeaseFails(t *testing.T) {
 	}
 }
 
-func TestLeaseExpiry(t *testing.T) {
+// A lease lapses only while its holder fails liveness, and ends only when
+// another replica acquires it: a holder that comes back before anyone else
+// takes over holds the same lease again, with no new grant.
+func TestLeaseLapsesWhenHolderFailsLiveness(t *testing.T) {
 	f := newFixture(t, 3)
-	f.group.AcquireLease(1)
-	f.clock.Advance(10 * time.Second)
-	if _, ok := f.group.Leaseholder(); ok {
-		t.Fatal("lease should have expired")
+	if err := f.group.AcquireLease(1); err != nil {
+		t.Fatal(err)
 	}
-	// Another node can now acquire.
+	granted := f.group.Lease()
+	f.dead[1] = true
+	if _, ok := f.group.Leaseholder(); ok {
+		t.Fatal("lease of a dead holder should lapse")
+	}
+	f.dead[1] = false
+	if lh, ok := f.group.Leaseholder(); !ok || lh != 1 {
+		t.Fatalf("revived holder: leaseholder = %d %v, want 1", lh, ok)
+	}
+	if got := f.group.Lease(); got != granted {
+		t.Fatalf("lease record changed without a grant: %+v -> %+v", granted, got)
+	}
+	// Once another replica takes the lapsed lease, the old holder's revival
+	// does not bring it back.
+	f.dead[1] = true
 	if err := f.group.AcquireLease(2); err != nil {
 		t.Fatal(err)
 	}
+	f.dead[1] = false
 	if lh, _ := f.group.Leaseholder(); lh != 2 {
-		t.Fatalf("leaseholder = %d", lh)
+		t.Fatalf("leaseholder = %d, want 2", lh)
 	}
-}
-
-func TestExtendLeaseKeepsHolding(t *testing.T) {
-	f := newFixture(t, 3)
-	f.group.AcquireLease(1)
-	for i := 0; i < 5; i++ {
-		f.clock.Advance(5 * time.Second)
-		if err := f.group.ExtendLease(1); err != nil {
-			t.Fatal(err)
-		}
+	var nle *kvpb.NotLeaseholderError
+	if err := f.group.AcquireLease(1); !errors.As(err, &nle) || nle.Leaseholder != 2 {
+		t.Fatalf("old holder's acquire = %v, want NotLeaseholderError naming 2", err)
 	}
-	if lh, ok := f.group.Leaseholder(); !ok || lh != 1 {
-		t.Fatal("extended lease lost")
-	}
-	if err := f.group.ExtendLease(2); err != ErrNotLeaseholder {
-		t.Fatalf("non-holder extend = %v", err)
+	if err := f.group.Propose(1, []byte("x")); !errors.As(err, &nle) {
+		t.Fatalf("old holder's propose = %v, want NotLeaseholderError", err)
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"crdbserverless/internal/timeutil"
 )
 
 // snapSM is a SnapshotStateMachine over a simple key=value map. Snapshot
@@ -72,7 +69,6 @@ func (m *snapSM) get(k string) string {
 }
 
 type snapFixture struct {
-	clock *timeutil.ManualClock
 	sms   []*snapSM
 	group *Group
 	dead  map[NodeID]bool
@@ -80,10 +76,7 @@ type snapFixture struct {
 
 func newSnapFixture(t *testing.T, n int, retention uint64) *snapFixture {
 	t.Helper()
-	f := &snapFixture{
-		clock: timeutil.NewManualClock(time.Unix(0, 0)),
-		dead:  map[NodeID]bool{},
-	}
+	f := &snapFixture{dead: map[NodeID]bool{}}
 	var nodes []NodeID
 	var sms []StateMachine
 	for i := 1; i <= n; i++ {
@@ -93,10 +86,8 @@ func newSnapFixture(t *testing.T, n int, retention uint64) *snapFixture {
 		sms = append(sms, sm)
 	}
 	g, err := NewGroup(Config{
-		RangeID:       9,
-		Clock:         f.clock,
-		Liveness:      func(id NodeID) bool { return !f.dead[id] },
-		LeaseDuration: time.Hour,
+		RangeID:  9,
+		Liveness: func(id NodeID) bool { return !f.dead[id] },
 	}, nodes, sms)
 	if err != nil {
 		t.Fatal(err)
