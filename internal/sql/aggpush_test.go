@@ -1,10 +1,12 @@
 package sql
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -361,7 +363,7 @@ func TestScanAggregateChargesPushed(t *testing.T) {
 	}
 	rows, cpu := exec.rowsProcessed(), exec.SQLCPUSeconds()
 	mustExec(t, NewSession(exec, "app"), q1)
-	const wantRows, wantCPU = 3, 1.5959999999999759e-05
+	const wantRows, wantCPU = 3, 1.4970000000000001e-05
 	gotRows, gotCPU := exec.rowsProcessed()-rows, exec.SQLCPUSeconds()-cpu
 	t.Logf("Q1 pushed: rows %d, cpu %.17g", gotRows, gotCPU)
 	if gotRows != wantRows || math.Abs(gotCPU-wantCPU) > 1e-9*wantCPU {
@@ -370,7 +372,8 @@ func TestScanAggregateChargesPushed(t *testing.T) {
 }
 
 // Each range and each page of a pushed scan contributes its own partial row
-// for a group, and the merge of their states is the state of the whole.
+// for a group, and the merge of their states is the state of the whole, for
+// every function.
 func TestAggStateMergeMatchesUpdate(t *testing.T) {
 	rng := randutil.NewRand(11)
 	vals := func() []Datum {
@@ -385,24 +388,26 @@ func TestAggStateMergeMatchesUpdate(t *testing.T) {
 		}
 		return ds
 	}
-	for i := 0; i < 200; i++ {
-		all, parts := aggState{isInt: true}, aggState{isInt: true}
-		for p := rng.Intn(5); p >= 0; p-- {
-			part := aggState{isInt: true}
-			for _, d := range vals() {
-				part.update(d)
-				all.update(d)
+	for fn := aggCount; fn <= aggMax; fn++ {
+		for i := 0; i < 200; i++ {
+			all, parts := aggState{fn: fn, isInt: true}, aggState{fn: fn, isInt: true}
+			for p := rng.Intn(5); p >= 0; p-- {
+				part := aggState{fn: fn, isInt: true}
+				for _, d := range vals() {
+					part.update(d)
+					all.update(d)
+				}
+				// The partial crosses the boundary encoded.
+				r := binenc.NewReader(appendAggState(nil, &part))
+				decoded := consumeAggState(r, fn)
+				if err := r.Done(); err != nil {
+					t.Fatal(err)
+				}
+				parts.merge(&decoded)
 			}
-			// The partial crosses the boundary encoded.
-			r := binenc.NewReader(appendAggState(nil, &part))
-			decoded := consumeAggState(r)
-			if err := r.Done(); err != nil {
-				t.Fatal(err)
+			if parts != all {
+				t.Fatalf("fn %d: merged %+v, updated %+v", fn, parts, all)
 			}
-			parts.merge(&decoded)
-		}
-		if parts != all {
-			t.Fatalf("merged %+v, updated %+v", parts, all)
 		}
 	}
 }
@@ -435,11 +440,11 @@ func FuzzDecodePartial(f *testing.F) {
 	p := pushPlanOf(f, q1Push)
 	seed := AppendDatum(nil, DString("A"))
 	for _, a := range []aggState{
-		{count: 3, isInt: true, sumI: 40, sum: 40, min: DInt(2), max: DInt(30), seen: true},
-		{count: 3, sum: 1.5, min: DFloat(-0.5), max: DFloat(2), seen: true},
-		{count: 7, isInt: true, seen: true},
-		{isInt: true},
-		{count: 1, isInt: true, sumI: 5, sum: 5, min: DString("A"), max: DString("A"), seen: true},
+		{fn: aggSum, count: 3, isInt: true, sumI: 40, sum: 40, min: DInt(2), max: DInt(30), seen: true},
+		{fn: aggAvg, count: 3, sum: 1.5, min: DFloat(-0.5), max: DFloat(2), seen: true},
+		{fn: aggCount, count: 7, isInt: true, seen: true},
+		{fn: aggMin, isInt: true},
+		{fn: aggMax, count: 1, isInt: true, sumI: 5, sum: 5, min: DString("A"), max: DString("A"), seen: true},
 	} {
 		seed = appendAggState(seed, &a)
 	}
@@ -509,7 +514,7 @@ func TestScanFoldGroups(t *testing.T) {
 	spec := (&scanSpec{
 		conds:   []specCond{{col: 2, op: opGe, val: DInt(1)}},
 		groupBy: []int{0},
-		aggs:    []int{countRows, 1},
+		aggs:    []specAgg{{col: countRows, fn: aggCount}, {col: 1, fn: aggSum}},
 	}).encode()
 	fold, err := kvEvaluator{}.Begin(spec)
 	if err != nil {
@@ -552,8 +557,8 @@ func TestScanFoldGroups(t *testing.T) {
 		if d := ConsumeDatum(r); d != DInt(int64(g)) {
 			t.Fatalf("partial %d is for group %v", g, d)
 		}
-		rows := consumeAggState(r)
-		consumeAggState(r)
+		rows := consumeAggState(r, aggCount)
+		consumeAggState(r, aggSum)
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}
@@ -561,6 +566,164 @@ func TestScanFoldGroups(t *testing.T) {
 	}
 	if count != want {
 		t.Fatalf("folded %d rows, want %d", count, want)
+	}
+}
+
+// unreadString is a STRING column no spec of the fold tests reads, wide
+// enough that decoding it would allocate.
+var unreadString = DString(strings.Repeat("x", 40))
+
+// The KV side's fold builds Datums only for the columns its spec reads: a
+// row's unread STRING column costs it no allocation.
+func TestScanFoldSkipsUnreadColumns(t *testing.T) {
+	fold, err := kvEvaluator{}.Begin(pushPlanOf(t, q1).spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := encodeRowValue(append(lineitemRow(1), unreadString))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fold.Row(value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := fold.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("folding a row with an unread STRING allocates %v times", allocs)
+	}
+}
+
+// fullDecodeRow is scanFold.Row over the whole decoded row: the reference
+// FuzzScanFoldRow checks the column-pruned decode against.
+func fullDecodeRow(f *scanFold, value []byte) (bool, error) {
+	row, err := decodeRowValue(nil, value)
+	if err != nil {
+		return false, err
+	}
+	for _, c := range f.spec.conds {
+		if c.col >= len(row) || !c.op.holds(row[c.col], c.val) {
+			return false, nil
+		}
+	}
+	if !f.spec.aggregating() {
+		return true, nil
+	}
+	return false, f.fold(row)
+}
+
+// FuzzScanFoldRow: for any row value, folded between two well-formed rows
+// under one of a few specs, Row fails exactly where the full-decode
+// reference does (so where decodeRowValue does, or where an aggregate's
+// column is past the row's end), with the same error, keeps what the
+// reference keeps, and the two folds finish with the same partial rows.
+func FuzzScanFoldRow(f *testing.F) {
+	specs := [][]byte{
+		pushPlanOf(f, q1).spec,
+		pushPlanOf(f, q1Push).spec,
+		goldenFilterSpec.encode(),
+		(&scanSpec{}).encode(),
+		(&scanSpec{conds: []specCond{{col: 3, op: opGt, val: DInt(100)}, {col: 4, op: opNe, val: DString("N")}}}).encode(),
+		(&scanSpec{groupBy: []int{4, 1}, aggs: []specAgg{
+			{col: countRows, fn: aggCount}, {col: 3, fn: aggMin}, {col: 3, fn: aggMax},
+			{col: 2, fn: aggSum}, {col: 0, fn: aggAvg}, {col: 4, fn: aggMax},
+		}}).encode(),
+		(&scanSpec{conds: []specCond{{col: 2, op: opGe, val: DInt(0)}}, aggs: []specAgg{{col: 6, fn: aggMin}}}).encode(),
+	}
+	row := lineitemRow(7)
+	good := encodeRowValue(row)
+	for i := range specs {
+		f.Add(uint8(i), good)
+		f.Add(uint8(i), encodeRowValue(append(lineitemRow(8), unreadString)))
+		f.Add(uint8(i), encodeRowValue(append(lineitemRow(9), DBool(true), DNull)))
+		f.Add(uint8(i), encodeRowValue(row[:3]))
+		f.Add(uint8(i), good[:len(good)-1])
+		f.Add(uint8(i), append(slices.Clone(good), 0))
+		f.Add(uint8(i), []byte{})
+	}
+	// An unread column with an unknown tag, a bool out of range, a string
+	// longer than the row.
+	f.Add(uint8(0), mustHex(f, "06"+"0202"+"0600"+"0202"+"0202"+"0202"+"0202"))
+	f.Add(uint8(0), mustHex(f, "0202020502"))
+	f.Add(uint8(0), mustHex(f, "0302020420"+"02"+"0202"))
+	f.Fuzz(func(t *testing.T, which uint8, value []byte) {
+		spec := specs[int(which)%len(specs)]
+		fold, err := kvEvaluator{}.Begin(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := kvEvaluator{}.Begin(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, derr := decodeRowValue(nil, value)
+		for i, v := range [][]byte{good, value, good} {
+			keep, err := fold.Row(v)
+			wantKeep, wantErr := fullDecodeRow(ref.(*scanFold), v)
+			if keep != wantKeep || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("spec %x, row %d %x: kept %v, %v; the full decode %v, %v", spec, i, v, keep, err, wantKeep, wantErr)
+			}
+			if i == 1 && derr != nil && err == nil {
+				t.Fatalf("row %x folded, but decodeRowValue fails: %v", v, derr)
+			}
+			if err != nil {
+				break
+			}
+		}
+		var got, want kvpb.Page
+		if err := fold.Finish(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Finish(&want); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("spec %x, row %x: %d partial rows, the full decode %d", spec, value, len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			if !bytes.Equal(got.Rows[i].Key, want.Rows[i].Key) || !bytes.Equal(got.Rows[i].Value, want.Rows[i].Value) {
+				t.Fatalf("spec %x, row %x: partial %d is %x=%x, the full decode %x=%x", spec, value, i,
+					got.Rows[i].Key, got.Rows[i].Value, want.Rows[i].Key, want.Rows[i].Value)
+			}
+		}
+	})
+}
+
+// BenchmarkScanFold is the leaseholder's side of pushed Q1 alone: Q1's spec
+// folded over 2 000 encoded lineitem rows, with no transaction and no KV.
+// The second case gives each row an unread 40-byte STRING column.
+func BenchmarkScanFold(b *testing.B) {
+	spec := pushPlanOf(b, q1).spec
+	for _, bc := range []struct {
+		name  string
+		extra []Datum
+	}{
+		{"q1", nil},
+		{"unread_string", []Datum{unreadString}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			values := make([][]byte, 2000)
+			for i := range values {
+				values[i] = encodeRowValue(append(lineitemRow(i+1), bc.extra...))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				fold, err := kvEvaluator{}.Begin(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, v := range values {
+					if _, err := fold.Row(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var page kvpb.Page
+				if err := fold.Finish(&page); err != nil || len(page.Rows) != 3 {
+					b.Fatalf("Q1 finished with %d partial rows, %v", len(page.Rows), err)
+				}
+			}
+		})
 	}
 }
 

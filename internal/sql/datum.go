@@ -63,14 +63,19 @@ func (d Datum) String() string {
 // other number. So WHERE, MIN and MAX, ORDER BY and the KV node's pushed-down
 // conditions see one order, whatever the kinds of the two sides.
 func (d Datum) Compare(o Datum) int {
+	// Two numbers of one kind, the common case, need no rank.
+	if !d.Null && !o.Null && d.Kind == o.Kind {
+		switch d.Kind {
+		case TypeInt:
+			return cmp.Compare(d.I, o.I)
+		case TypeFloat:
+			return cmp.Compare(d.F, o.F) // NaN == NaN < -Inf, and -0 == 0
+		}
+	}
 	if c := cmp.Compare(d.rank(), o.rank()); c != 0 || d.Null {
 		return c
 	}
 	switch {
-	case d.Kind == TypeInt && o.Kind == TypeInt:
-		return cmp.Compare(d.I, o.I)
-	case d.Kind == TypeFloat && o.Kind == TypeFloat:
-		return cmp.Compare(d.F, o.F) // NaN == NaN < -Inf, and -0 == 0
 	case d.Kind == TypeFloat && o.Kind == TypeInt:
 		return compareFloatInt(d.F, o.I)
 	case d.Kind == TypeInt && o.Kind == TypeFloat:
@@ -336,5 +341,23 @@ func ConsumeDatum(r *binenc.Reader) Datum {
 		// covers truncation as well as an unknown tag.
 		r.Fail()
 		return Datum{}
+	}
+}
+
+// skipDatum reads past one AppendDatum encoding without building its Datum.
+// It fails r exactly where ConsumeDatum would.
+func skipDatum(r *binenc.Reader) {
+	switch tag := r.Byte(); tag {
+	case tagNull:
+	case tagInt:
+		r.Varint()
+	case tagFloat:
+		r.Uint64()
+	case tagString:
+		r.Bytes()
+	case tagBool:
+		r.Bool()
+	default:
+		r.Fail()
 	}
 }

@@ -988,9 +988,45 @@ func exprName(e Expr) string {
 	}
 }
 
-// aggState accumulates one aggregate function over a group.
+// aggFn is an aggregate function. Its values are the function bytes of an
+// encoded scan spec (pushdown.go), so they are never renumbered.
+type aggFn byte
+
+// The aggregate functions. aggNone marks a select expression that is not an
+// aggregate.
+const (
+	aggNone aggFn = iota
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+// aggFnNamed returns the function a FuncExpr of this name calls.
+func aggFnNamed(name string) aggFn {
+	switch name {
+	case "COUNT":
+		return aggCount
+	case "SUM":
+		return aggSum
+	case "AVG":
+		return aggAvg
+	case "MIN":
+		return aggMin
+	case "MAX":
+		return aggMax
+	default:
+		return aggNone
+	}
+}
+
+// aggState accumulates one aggregate function over a group. It tracks only
+// what its function's result reads: count for every function (seen is
+// count > 0 once a state crosses the SQL/KV boundary), sum, sumI and isInt
+// for SUM and AVG, min for MIN and max for MAX.
 type aggState struct {
-	fn    string
+	fn    aggFn
 	count int64
 	sum   float64
 	sumI  int64
@@ -1005,19 +1041,24 @@ func (a *aggState) update(d Datum) {
 		return
 	}
 	a.count++
-	if d.isNumeric() {
-		if d.Kind == TypeInt {
-			a.sumI += d.I
-		} else {
-			a.isInt = false
+	switch a.fn {
+	case aggMin:
+		if !a.seen || d.Compare(a.min) < 0 {
+			a.min = d
 		}
-		a.sum += d.asFloat()
-	}
-	if !a.seen || d.Compare(a.min) < 0 {
-		a.min = d
-	}
-	if !a.seen || d.Compare(a.max) > 0 {
-		a.max = d
+	case aggMax:
+		if !a.seen || d.Compare(a.max) > 0 {
+			a.max = d
+		}
+	default:
+		if d.isNumeric() {
+			if d.Kind == TypeInt {
+				a.sumI += d.I
+			} else {
+				a.isInt = false
+			}
+			a.sum += d.asFloat()
+		}
 	}
 	a.seen = true
 }
@@ -1028,33 +1069,38 @@ func (a *aggState) countRow() {
 	a.seen = true
 }
 
-// merge folds into a the state p of the rows that follow a's: a then holds
-// what update would have reached over both runs of rows, one after the
-// other, but for sum, which adds up the runs' float sums rather than the
-// values one by one. Partial aggregates computed at the KV node are merged
-// this way.
+// merge folds into a the state p of the rows that follow a's, both of a's
+// function: a then holds what update would have reached over both runs of
+// rows, one after the other, but for sum, which adds up the runs' float sums
+// rather than the values one by one. Partial aggregates computed at the KV
+// node are merged this way.
 func (a *aggState) merge(p *aggState) {
 	if !p.seen {
 		return
 	}
 	a.count += p.count
-	a.sumI += p.sumI
-	a.sum += p.sum
-	a.isInt = a.isInt && p.isInt
-	if !a.seen || p.min.Compare(a.min) < 0 {
-		a.min = p.min
-	}
-	if !a.seen || p.max.Compare(a.max) > 0 {
-		a.max = p.max
+	switch a.fn {
+	case aggMin:
+		if !a.seen || p.min.Compare(a.min) < 0 {
+			a.min = p.min
+		}
+	case aggMax:
+		if !a.seen || p.max.Compare(a.max) > 0 {
+			a.max = p.max
+		}
+	default:
+		a.sumI += p.sumI
+		a.sum += p.sum
+		a.isInt = a.isInt && p.isInt
 	}
 	a.seen = true
 }
 
 func (a *aggState) result() Datum {
 	switch a.fn {
-	case "COUNT":
+	case aggCount:
 		return DInt(a.count)
-	case "SUM":
+	case aggSum:
 		if !a.seen {
 			return DNull
 		}
@@ -1062,17 +1108,17 @@ func (a *aggState) result() Datum {
 			return DInt(a.sumI)
 		}
 		return DFloat(a.sum)
-	case "AVG":
+	case aggAvg:
 		if a.count == 0 {
 			return DNull
 		}
 		return DFloat(a.sum / float64(a.count))
-	case "MIN":
+	case aggMin:
 		if !a.seen {
 			return DNull
 		}
 		return a.min
-	case "MAX":
+	case aggMax:
 		if !a.seen {
 			return DNull
 		}
@@ -1099,7 +1145,7 @@ type aggregator struct {
 }
 
 // aggGroup is one group's state: an aggState per select expression (fn is
-// empty for a non-aggregate) and the first row, which the non-aggregate
+// aggNone for a non-aggregate) and the first row, which the non-aggregate
 // expressions are evaluated on.
 type aggGroup struct {
 	firstRow []Datum
@@ -1124,7 +1170,7 @@ func (a *aggregator) newGroup(firstRow []Datum) *aggGroup {
 	g := &aggGroup{firstRow: firstRow, aggs: make([]aggState, len(a.s.Exprs))}
 	for i, se := range a.s.Exprs {
 		if fe, ok := se.Expr.(*FuncExpr); ok {
-			g.aggs[i] = aggState{fn: fe.Name, isInt: true}
+			g.aggs[i] = aggState{fn: aggFnNamed(fe.Name), isInt: true}
 		}
 	}
 	return g
@@ -1165,7 +1211,7 @@ func (a *aggregator) add(env *evalEnv, row []Datum) error {
 	}
 	for i, se := range a.s.Exprs {
 		st := &g.aggs[i]
-		if st.fn == "" {
+		if st.fn == aggNone {
 			continue
 		}
 		fe := se.Expr.(*FuncExpr)
@@ -1247,7 +1293,7 @@ func (a *aggregator) result(env *evalEnv) (*Result, error) {
 	for _, g := range a.order {
 		out := make([]Datum, 0, len(a.s.Exprs))
 		for i, se := range a.s.Exprs {
-			if g.aggs[i].fn != "" {
+			if g.aggs[i].fn != aggNone {
 				out = append(out, g.aggs[i].result())
 				continue
 			}

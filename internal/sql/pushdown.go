@@ -31,9 +31,12 @@ import (
 //     pushed at all.
 //
 // Both are evaluated at the leaseholder by the one evaluator this package
-// registers with kvserver (kvEvaluator), as the MVCC scan yields each row. A
-// condition holds there exactly when its comparison does in WHERE: both call
-// cmpOp.holds, over the Datums the row codec decodes.
+// registers with kvserver (kvEvaluator), as the MVCC scan yields each row.
+// The evaluator computes only what the statement reads: it decodes only the
+// columns the spec names, and each aggregate keeps only the state its
+// function's result needs. A condition holds there exactly when its
+// comparison does in WHERE: both call cmpOp.holds, over the Datums the row
+// codec decodes.
 
 func init() { kvserver.RegisterScanEvaluator(kvEvaluator{}) }
 
@@ -43,10 +46,17 @@ func init() { kvserver.RegisterScanEvaluator(kvEvaluator{}) }
 type scanSpec struct {
 	conds   []specCond
 	groupBy []int
-	// aggs holds the column each aggregate folds, or countRows. What an
-	// aggregate makes of its column is the SQL node's business: a partial
-	// row carries its whole aggState.
-	aggs []int
+	// aggs are the aggregates each group's rows fold into. A partial row
+	// carries each one's aggState, which tracks only what its function's
+	// result reads (appendAggState).
+	aggs []specAgg
+}
+
+// specAgg is one aggregate: fn of column col, or of every row when col is
+// countRows.
+type specAgg struct {
+	col int
+	fn  aggFn
 }
 
 // specCond is one condition: row[col] op val.
@@ -69,12 +79,18 @@ func (s *scanSpec) aggregating() bool { return len(s.groupBy) > 0 || len(s.aggs)
 //	  operator  1 byte, a cmpOp
 //	  constant  AppendDatum
 //	uvarint group column count, then each column as a uvarint
-//	uvarint aggregate count, then each aggregate's column plus one as a
-//	  uvarint, 0 for COUNT(*)
+//	uvarint aggregate count, then per aggregate
+//	  column    plus one as a uvarint, 0 for COUNT(*)
+//	  function  1 byte, an aggFn from aggCount to aggMax
 //
 // A filter's spec ends in two zero counts. minCondSize is a condition on
-// column 0 with a NULL constant, which bounds the count a spec can hold.
-const minCondSize = 3
+// column 0 with a NULL constant, and minAggSize an aggregate of COUNT(*):
+// they bound the counts a spec can hold. The columns a KV node decodes are
+// not sent: the fold derives them from the spec (scanFold.readCols).
+const (
+	minCondSize = 3
+	minAggSize  = 2
+)
 
 // encode serializes s for transport in a Scan request.
 func (s *scanSpec) encode() []byte {
@@ -88,8 +104,8 @@ func (s *scanSpec) encode() []byte {
 		b = binary.AppendUvarint(b, uint64(c))
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.aggs)))
-	for _, c := range s.aggs {
-		b = binary.AppendUvarint(b, uint64(c+1))
+	for _, a := range s.aggs {
+		b = append(binary.AppendUvarint(b, uint64(a.col+1)), byte(a.fn))
 	}
 	return b
 }
@@ -117,10 +133,14 @@ func (s *scanSpec) decode(b []byte) error {
 	for i := range s.groupBy {
 		s.groupBy[i] = consumeCol(r, 0)
 	}
-	n = r.Count(1)
+	n = r.Count(minAggSize)
 	s.aggs = slices.Grow(s.aggs[:0], n)[:n]
 	for i := range s.aggs {
-		s.aggs[i] = consumeCol(r, 1)
+		a := specAgg{col: consumeCol(r, 1), fn: aggFn(r.Byte())}
+		if a.fn < aggCount || a.fn > aggMax {
+			r.Fail()
+		}
+		s.aggs[i] = a
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("sql: decoding scan spec: %w", err)
@@ -173,9 +193,9 @@ func compilePushdownFilter(conds []colCond, args []Datum) []byte {
 type aggPush struct {
 	// groupBy lists the group columns, in GROUP BY order.
 	groupBy []int
-	// aggs are the columns of the aggregates the node folds (scanSpec.aggs),
-	// and exprs[j] is the select expression aggs[j] computes.
-	aggs  []int
+	// aggs are the aggregates the node folds (scanSpec.aggs), and exprs[j]
+	// is the select expression aggs[j] computes.
+	aggs  []specAgg
 	exprs []int
 	// spec is the encoded scanSpec when WHERE holds no placeholder, so every
 	// execution pushes the same bytes; nil when each execution compiles its
@@ -218,13 +238,13 @@ func newAggPush(s *Select, cols map[string]int, where []colCond) *aggPush {
 			}
 			continue
 		case fe.Star:
-			p.aggs = append(p.aggs, countRows)
+			p.aggs = append(p.aggs, specAgg{col: countRows, fn: aggFnNamed(fe.Name)})
 		default:
 			c, ok := columnRef(fe.Arg, cols)
 			if !ok {
 				return nil
 			}
-			p.aggs = append(p.aggs, c)
+			p.aggs = append(p.aggs, specAgg{col: c, fn: aggFnNamed(fe.Name)})
 		}
 		p.exprs = append(p.exprs, i)
 	}
@@ -327,8 +347,8 @@ func (e *Executor) aggSpec(t *txn.Txn, pl *plan, span keys.Span, args []Datum) [
 //	  isInt  1 byte, 0 or 1
 //	  sumI   zigzag varint
 //	  sum    the IEEE 754 bits, 8 bytes big-endian
-//	  min    AppendDatum
-//	  max    AppendDatum
+//	  min    AppendDatum; NULL unless the function is MIN
+//	  max    AppendDatum; NULL unless the function is MAX
 //
 // seen is count > 0. The SQL node merges the states of a group's partial rows
 // (aggState.merge), page after page and range after range, in key order.
@@ -339,17 +359,23 @@ func appendAggState(b []byte, a *aggState) []byte {
 	b = binenc.AppendBool(b, a.isInt)
 	b = binary.AppendVarint(b, a.sumI)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.sum))
-	b = AppendDatum(b, a.min)
-	return AppendDatum(b, a.max)
+	lo, hi := DNull, DNull
+	switch a.fn {
+	case aggMin:
+		lo = a.min
+	case aggMax:
+		hi = a.max
+	}
+	return AppendDatum(AppendDatum(b, lo), hi)
 }
 
-// consumeAggState reads one appendAggState encoding.
-func consumeAggState(r *binenc.Reader) aggState {
+// consumeAggState reads one appendAggState encoding of a state of fn.
+func consumeAggState(r *binenc.Reader, fn aggFn) aggState {
 	n := r.Uvarint()
 	if n > math.MaxInt64 {
 		r.Fail()
 	}
-	a := aggState{count: int64(n), isInt: r.Bool(), sumI: r.Varint(), sum: math.Float64frombits(r.Uint64())}
+	a := aggState{fn: fn, count: int64(n), isInt: r.Bool(), sumI: r.Varint(), sum: math.Float64frombits(r.Uint64())}
 	a.min, a.max, a.seen = ConsumeDatum(r), ConsumeDatum(r), a.count > 0
 	return a
 }
@@ -365,8 +391,8 @@ func decodePartial(p *aggPush, value []byte, vals []Datum, states []aggState) ([
 	for range p.groupBy {
 		v = append(v, ConsumeDatum(r))
 	}
-	for range p.aggs {
-		s = append(s, consumeAggState(r))
+	for _, a := range p.aggs {
+		s = append(s, consumeAggState(r, a.fn))
 	}
 	if err := r.Done(); err != nil {
 		return vals, states, fmt.Errorf("sql: decoding partial aggregate: %w", err)
@@ -409,6 +435,7 @@ func (kvEvaluator) Begin(spec []byte) (kvserver.ScanFold, error) {
 		f.reset()
 		return nil, err
 	}
+	f.readCols()
 	return f, nil
 }
 
@@ -416,8 +443,12 @@ func (kvEvaluator) Begin(spec []byte) (kvserver.ScanFold, error) {
 // a scan, a scan like it allocates nothing for its spec or its groups.
 type scanFold struct {
 	spec scanSpec // decoded into the slices it already holds
-	row  []Datum  // the row being evaluated
-	key  []byte   // its group key
+	// cols lists the columns the spec reads, ascending and each once. Row
+	// decodes those into row, the row being evaluated, and skips the rest:
+	// an unread column's place in row holds whatever was there before.
+	cols []int
+	row  []Datum
+	key  []byte // the row's group key
 	// keys holds every group's key back to back, group i's ending at
 	// ends[i]. Groups are found by a linear search over them, or through
 	// index once there are more than linearGroups.
@@ -438,12 +469,42 @@ const linearGroups = 8
 
 var foldPool sync.Pool
 
+// readCols sets f.cols to the columns f's spec reads: those of its
+// conditions, its group columns and its aggregates.
+func (f *scanFold) readCols() {
+	cols := f.cols[:0]
+	for _, c := range f.spec.conds {
+		cols = append(cols, c.col)
+	}
+	cols = append(cols, f.spec.groupBy...)
+	for _, a := range f.spec.aggs {
+		if a.col != countRows {
+			cols = append(cols, a.col)
+		}
+	}
+	slices.Sort(cols)
+	f.cols = slices.Compact(cols)
+}
+
 // Row implements kvserver.ScanFold: a row passes when every condition holds,
-// and a filter keeps it while an aggregation folds it.
+// and a filter keeps it while an aggregation folds it. The value is decoded
+// as decodeRowValue decodes it, and fails where that fails, but only the
+// columns in f.cols become Datums.
 func (f *scanFold) Row(value []byte) (bool, error) {
-	row, err := decodeRowValue(f.row[:0], value)
-	if err != nil {
-		return false, err
+	r := binenc.NewReader(value)
+	n := r.Count(1)
+	row := slices.Grow(f.row[:0], n)[:n]
+	cols := f.cols
+	for i := range row {
+		if len(cols) > 0 && cols[0] == i {
+			row[i] = ConsumeDatum(r)
+			cols = cols[1:]
+		} else {
+			skipDatum(r)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return false, fmt.Errorf("sql: decoding row: %w", err)
 	}
 	f.row = row
 	for _, c := range f.spec.conds {
@@ -472,14 +533,14 @@ func (f *scanFold) fold(row []Datum) error {
 	}
 	na := len(f.spec.aggs)
 	states := f.states[g*na : (g+1)*na]
-	for j, c := range f.spec.aggs {
+	for j, a := range f.spec.aggs {
 		switch {
-		case c == countRows:
+		case a.col == countRows:
 			states[j].countRow()
-		case c >= len(row):
-			return fmt.Errorf("sql: aggregate column %d of a %d-column row", c, len(row))
+		case a.col >= len(row):
+			return fmt.Errorf("sql: aggregate column %d of a %d-column row", a.col, len(row))
 		default:
-			states[j].update(row[c])
+			states[j].update(row[a.col])
 		}
 	}
 	return nil
@@ -509,8 +570,8 @@ func (f *scanFold) open(row []Datum) int {
 	for _, c := range f.spec.groupBy {
 		f.vals = append(f.vals, row[c])
 	}
-	for range f.spec.aggs {
-		f.states = append(f.states, aggState{isInt: true})
+	for _, a := range f.spec.aggs {
+		f.states = append(f.states, aggState{fn: a.fn, isInt: true})
 	}
 	switch {
 	case f.index != nil:
@@ -556,7 +617,7 @@ func (f *scanFold) reset() {
 	clear(f.states)
 	*f = scanFold{
 		spec: scanSpec{conds: f.spec.conds[:0], groupBy: f.spec.groupBy[:0], aggs: f.spec.aggs[:0]},
-		row:  f.row[:0], key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0],
+		cols: f.cols[:0], row: f.row[:0], key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0],
 		vals: f.vals[:0], states: f.states[:0], out: f.out[:0],
 	}
 	foldPool.Put(f)

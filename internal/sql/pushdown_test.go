@@ -402,15 +402,15 @@ const goldenFilterSpecHex = goldenCondsHex + "00" + "00" // no group, no aggrega
 var goldenAggSpec = &scanSpec{
 	conds:   goldenFilterSpec.conds,
 	groupBy: []int{4, 300},
-	aggs:    []int{countRows, 2, 2, 130},
+	aggs:    []specAgg{{col: countRows, fn: aggCount}, {col: 2, fn: aggSum}, {col: 2, fn: aggMin}, {col: 130, fn: aggMax}},
 }
 
 const goldenAggSpecHex = goldenCondsHex +
 	"02" + "04" + "ac02" + // GROUP BY col 4, col 300
 	"04" + // four aggregates
-	"00" + // COUNT(*)
-	"03" + "03" + // two of col 2
-	"8301" // one of col 130
+	"00" + "01" + // COUNT(*)
+	"03" + "02" + "03" + "04" + // SUM and MIN of col 2
+	"8301" + "05" // MAX of col 130
 
 // checkGolden checks that spec encodes to hex and hex decodes to spec.
 func checkGolden(t *testing.T, spec *scanSpec, hex string) {
@@ -461,7 +461,8 @@ func TestScanSpecRoundTrip(t *testing.T) {
 			s.groupBy = append(s.groupBy, rng.Intn(400))
 		}
 		for n := rng.Intn(4); n > 0; n-- {
-			s.aggs = append(s.aggs, rng.Intn(401)-1) // countRows is -1
+			// countRows is -1.
+			s.aggs = append(s.aggs, specAgg{col: rng.Intn(401) - 1, fn: aggCount + aggFn(rng.Intn(5))})
 		}
 		enc := s.encode()
 		var got scanSpec
@@ -529,17 +530,20 @@ func TestDecodeFilterSpecRejectsMalformedInput(t *testing.T) {
 }
 
 func TestDecodeScanSpecRejectsMalformedInput(t *testing.T) {
-	// No condition; GROUP BY col 1 with one aggregate of col 0.
-	const oneAgg = "00" + "0101" + "01" + "01"
+	// No condition; GROUP BY col 1 with one aggregate, MAX of col 0.
+	const oneAgg = "00" + "0101" + "01" + "01" + "05"
 	mustDecode(t, oneAgg)
 	rejectsAll(t, goldenAggSpecHex, map[string]string{
 		"trailing byte":             oneAgg + "00",
 		"group column beyond int32": "00" + "01" + "8080808008" + "00",
-		"agg column beyond int32":   "00" + "00" + "01" + "8180808008",
+		"agg column beyond int32":   "00" + "00" + "01" + "8180808008" + "01",
 		"group count beyond input":  "00" + "05" + "01" + "00",
-		"agg count beyond input":    "00" + "00" + "03" + "01",
-		"agg count near 2^64":       "00" + "00" + "ffffffffffffffffff01" + "01",
+		"agg count beyond input":    "00" + "00" + "03" + "01" + "01",
+		"agg count near 2^64":       "00" + "00" + "ffffffffffffffffff01" + "01" + "01",
 		"no aggregate count":        "00" + "00",
+		"no function byte":          "00" + "00" + "01" + "01",
+		"function byte zero":        "00" + "00" + "01" + "01" + "00",
+		"unknown function byte":     "00" + "00" + "01" + "01" + "06",
 	})
 }
 
@@ -550,9 +554,9 @@ func TestDecodeScanSpecIntoReuses(t *testing.T) {
 	q1 := (&scanSpec{
 		conds:   []specCond{{col: 3, op: opLe, val: DInt(2400)}},
 		groupBy: []int{1},
-		aggs:    []int{2, 2, countRows},
+		aggs:    []specAgg{{col: 2, fn: aggSum}, {col: 2, fn: aggAvg}, {col: countRows, fn: aggCount}},
 	}).encode()
-	one := (&scanSpec{groupBy: []int{1}, aggs: []int{0}}).encode()
+	one := (&scanSpec{groupBy: []int{1}, aggs: []specAgg{{col: 0, fn: aggMin}}}).encode()
 	var s scanSpec
 	if err := s.decode(mustHex(t, goldenAggSpecHex)); err != nil {
 		t.Fatal(err)
@@ -609,7 +613,9 @@ func checkSpecDecode(t *testing.T, in []byte) *scanSpec {
 // FuzzDecodeScanSpec checks checkSpecDecode from aggregating seeds.
 func FuzzDecodeScanSpec(f *testing.F) {
 	f.Add(mustHex(f, goldenAggSpecHex))
-	f.Add((&scanSpec{aggs: []int{countRows}}).encode())
+	for fn := aggCount; fn <= aggMax; fn++ {
+		f.Add((&scanSpec{aggs: []specAgg{{col: countRows, fn: aggCount}, {col: 1, fn: fn}}}).encode())
+	}
 	f.Add(mustHex(f, goldenFilterSpecHex))
 	f.Add([]byte{0, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) { checkSpecDecode(t, in) })

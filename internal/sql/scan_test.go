@@ -15,6 +15,15 @@ const q1 = "SELECT l_returnflag, SUM(l_quantity) AS sum_qty, SUM(l_price) AS sum
 	"AVG(l_quantity) AS avg_qty, COUNT(*) AS count_order " +
 	"FROM lineitem WHERE l_shipdate <= 2400 GROUP BY l_returnflag ORDER BY l_returnflag"
 
+// lineitemRow is row i of the lineitem table loadLineitem loads: its values
+// are a function of i.
+func lineitemRow(i int) []Datum {
+	return []Datum{
+		DInt(int64(i)), DInt(int64(i%37 + 1)), DInt(int64(1 + i%50)),
+		DFloat(float64(i*7%1000) + 0.25), DString("ANR"[i%3 : i%3+1]), DInt(int64(i * 13 % 2500)),
+	}
+}
+
 // loadLineitem creates TPC-H's lineitem and loads n rows whose values are a
 // function of the row number, 100 rows to an INSERT.
 func loadLineitem(tb testing.TB, s *Session, n int) {
@@ -24,7 +33,6 @@ func loadLineitem(tb testing.TB, s *Session, n int) {
 		"l_quantity INT, l_price FLOAT, l_returnflag STRING, l_shipdate INT)"); err != nil {
 		tb.Fatal(err)
 	}
-	flags := []string{"A", "N", "R"}
 	for base := 1; base <= n; base += 100 {
 		var q strings.Builder
 		q.WriteString("INSERT INTO lineitem VALUES ")
@@ -32,7 +40,8 @@ func loadLineitem(tb testing.TB, s *Session, n int) {
 			if i > base {
 				q.WriteString(", ")
 			}
-			fmt.Fprintf(&q, "(%d, %d, %d, %d.25, '%s', %d)", i, i%37+1, 1+i%50, i*7%1000, flags[i%3], i*13%2500)
+			r := lineitemRow(i)
+			fmt.Fprintf(&q, "(%s, %s, %s, %s, '%s', %s)", r[0], r[1], r[2], r[3], r[4], r[5])
 		}
 		if _, err := s.Execute(ctx, q.String()); err != nil {
 			tb.Fatal(err)
