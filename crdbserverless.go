@@ -33,6 +33,7 @@ import (
 	"crdbserverless/internal/proxy"
 	"crdbserverless/internal/raftlite"
 	"crdbserverless/internal/region"
+	"crdbserverless/internal/server"
 	"crdbserverless/internal/sql"
 	"crdbserverless/internal/tenantcost"
 	"crdbserverless/internal/tenantobs"
@@ -248,18 +249,20 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 		regMetrics := metric.NewRegistry()
 		s.regionMetrics[r] = regMetrics
 		orch, err := orchestrator.New(orchestrator.Config{
-			Cluster:      cluster,
-			Registry:     s.registry,
-			Buckets:      s.buckets,
-			Clock:        opts.Clock,
-			Region:       r,
+			Registry: s.registry,
+			Node: server.SQLNodeConfig{
+				Cluster:    cluster,
+				Region:     r,
+				Buckets:    s.buckets,
+				Clock:      opts.Clock,
+				Tracer:     s.tracer,
+				Obs:        s.obs,
+				Colocated:  b.Traditional,
+				NoPushdown: b.NoPushdown,
+				CostScale:  b.CostScale,
+			},
 			WarmPoolSize: warmPoolSize,
 			Metrics:      regMetrics,
-			Tracer:       s.tracer,
-			Obs:          s.obs,
-			Colocated:    b.Traditional,
-			NoPushdown:   b.NoPushdown,
-			CostScale:    b.CostScale,
 		})
 		if err != nil {
 			s.Close()
@@ -268,7 +271,6 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 		s.orchestrators[r] = orch
 		s.autoscalers[r] = autoscaler.New(autoscaler.Config{
 			Orchestrator: orch,
-			Registry:     s.registry,
 			Clock:        opts.Clock,
 			Obs:          s.obs,
 		})
@@ -282,7 +284,9 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 	return s, nil
 }
 
-// CreateTenant provisions a virtual cluster.
+// CreateTenant provisions a virtual cluster. The tenant enters the
+// observability plane with its first pod or session, not here, so tenants
+// that never run take none of the plane's capacity.
 func (s *Serverless) CreateTenant(ctx context.Context, name string, opts TenantOptions) (*Tenant, error) {
 	if len(opts.Regions) == 0 {
 		opts.Regions = s.opts.Regions
@@ -292,12 +296,7 @@ func (s *Serverless) CreateTenant(ctx context.Context, name string, opts TenantO
 			return nil, fmt.Errorf("crdbserverless: region %s is not deployed", r)
 		}
 	}
-	t, err := s.registry.CreateTenant(ctx, name, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.obs.RegisterTenant(t.ID, name)
-	return t, nil
+	return s.registry.CreateTenant(ctx, name, opts)
 }
 
 // Connect opens a SQL connection to a tenant through the nearest region's
@@ -336,6 +335,7 @@ func (s *Serverless) SQLSession(tenantName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.obs.RegisterTenant(t.ID, t.Name)
 	ds := kvserver.NewDistSender(s.cluster, kvserver.Identity{Tenant: t.ID}, kvserver.Config{Obs: s.obs})
 	coord := txn.NewCoordinator(ds, s.cluster.Clock(), t.ID)
 	coord.SetObs(s.obs)
@@ -356,7 +356,8 @@ func (s *Serverless) Suspend(ctx context.Context, tenantName string) error {
 		}
 	}
 	// The registry is global: every region's SuspendTenant marks the same
-	// record, so suspending an already suspended tenant is not an error.
+	// record, so suspending an already suspended tenant is not an error,
+	// and neither is stopping a dropped tenant's pods.
 	return nil
 }
 

@@ -258,10 +258,10 @@ func TestConfigSurface(t *testing.T) {
 		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 3},
 		{kvserver.Config{}, 3},
-		{autoscaler.Config{}, 4},
+		{autoscaler.Config{}, 3},
 		{admission.CPUQueueOptions{}, 4},
 		{admission.WriteQueueOptions{}, 1},
-		{orchestrator.Config{}, 14},
+		{orchestrator.Config{}, 5},
 		{server.SQLNodeConfig{}, 12},
 		{proxy.Config{}, 8},
 		{tenantobs.Config{}, 3},

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"crdbserverless/internal/core"
 	"crdbserverless/internal/orchestrator"
 	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
@@ -91,23 +90,26 @@ func targetVCPUs(avg, peak float64) float64 {
 
 // Config configures an Autoscaler.
 type Config struct {
+	// Orchestrator runs the region's pods. The tenants it has pods for are
+	// the ones the autoscaler scales (§4.2.3); a tenant at zero is resumed
+	// by the proxy, not here.
 	Orchestrator *orchestrator.Orchestrator
-	Registry     *core.Registry
 	Clock        timeutil.Clock
 	// Obs, when non-nil, records each scaling decision against its tenant
 	// (autoscaler.tenant_scale_events{result=up|down|suspend}).
 	Obs *tenantobs.Plane
 }
 
-// Autoscaler drives SQL node allocation for all tenants of one region.
+// Autoscaler drives SQL node allocation for the tenants with pods in one
+// region.
 type Autoscaler struct {
 	cfg       Config
 	nodeVCPUs float64
 
 	mu struct {
 		sync.Mutex
-		// usage holds the CPU samples (vCPUs) of each tenant active at the
-		// last scrape.
+		// usage holds the CPU samples (vCPUs) of each tenant that had pods
+		// at the last scrape.
 		usage map[string]*usageRing
 		// lastCPU holds the cumulative CPU of each pod read at the last
 		// scrape.
@@ -136,8 +138,8 @@ func New(cfg Config) *Autoscaler {
 // every extra sample would weigh on the window average.
 //
 // Each scrape keeps state only for what it read: a pod it did not read
-// loses its CPU reading, and a tenant that is not active loses its ring and
-// its idle mark, so a resumed tenant starts like a new one.
+// loses its CPU reading, and a tenant without pods loses its ring and its
+// idle mark, so a resumed tenant starts like a new one.
 func (a *Autoscaler) Scrape() {
 	now := a.cfg.Clock.Now()
 	a.mu.Lock()
@@ -151,12 +153,9 @@ func (a *Autoscaler) Scrape() {
 
 	usage := make(map[string]*usageRing, len(a.mu.usage))
 	lastCPU := make(map[int64]float64, len(a.mu.lastCPU))
-	for _, t := range a.cfg.Registry.List() {
-		if t.State != core.StateActive {
-			continue
-		}
+	for _, name := range a.cfg.Orchestrator.Tenants() {
 		var rate float64
-		for _, p := range a.cfg.Orchestrator.PodsForTenant(t.Name) {
+		for _, p := range a.cfg.Orchestrator.PodsForTenant(name) {
 			cum := p.Node.CumulativeCPUSeconds()
 			prev, seen := a.mu.lastCPU[p.Node.InstanceID()]
 			lastCPU[p.Node.InstanceID()] = cum
@@ -164,12 +163,12 @@ func (a *Autoscaler) Scrape() {
 				rate += (cum - prev) / dt
 			}
 		}
-		r := a.mu.usage[t.Name]
+		r := a.mu.usage[name]
 		if r == nil {
 			r = new(usageRing)
 		}
 		r.add(now, rate)
-		usage[t.Name] = r
+		usage[name] = r
 	}
 	a.mu.usage, a.mu.lastCPU = usage, lastCPU
 	for name := range a.mu.idleSince {
@@ -179,70 +178,59 @@ func (a *Autoscaler) Scrape() {
 	}
 }
 
-// DesiredNodes computes the node count for a tenant from its usage ring:
-// ceil(max(4*avg, 1.33*peak) / nodeVCPUs), with a floor of one node while
-// the tenant has connections or recent usage.
-func (a *Autoscaler) DesiredNodes(name string) int {
-	now := a.cfg.Clock.Now()
+// DesiredNodes computes the node count for a tenant whose pods hold conns
+// connections, from its usage ring: ceil(max(4*avg, 1.33*peak) /
+// nodeVCPUs), with a floor of one node while the tenant has connections or
+// recent usage.
+func (a *Autoscaler) DesiredNodes(name string, conns int) int {
+	var avg, peak float64
 	a.mu.Lock()
-	r := a.mu.usage[name]
-	if r == nil {
-		a.mu.Unlock()
-		return 0
+	if r := a.mu.usage[name]; r != nil {
+		avg, peak = r.stats(a.cfg.Clock.Now())
 	}
-	avg, peak := r.stats(now)
 	a.mu.Unlock()
 	nodes := int(math.Ceil(targetVCPUs(avg, peak) / a.nodeVCPUs))
-	hasConns := false
-	for _, p := range a.cfg.Orchestrator.PodsForTenant(name) {
-		if p.Node.ConnCount() > 0 {
-			hasConns = true
-			break
-		}
-	}
-	if nodes < 1 && (hasConns || peak > 0) {
+	if nodes < 1 && (conns > 0 || peak > 0) {
 		nodes = 1
 	}
 	return nodes
 }
 
-// Reconcile scales every active tenant toward its desired node count, and
-// suspends tenants that have been fully idle past the suspend deadline.
+// Reconcile scales every tenant with pods toward its desired node count,
+// and suspends tenants that have been fully idle past the suspend deadline.
 func (a *Autoscaler) Reconcile(ctx context.Context) error {
 	now := a.cfg.Clock.Now()
-	for _, t := range a.cfg.Registry.List() {
-		if t.State != core.StateActive {
-			continue
-		}
-		pods := a.cfg.Orchestrator.PodsForTenant(t.Name)
+	for _, name := range a.cfg.Orchestrator.Tenants() {
+		pods := a.cfg.Orchestrator.PodsForTenant(name)
 		if len(pods) == 0 {
-			continue // already at zero; the proxy resumes it on demand
+			continue // suspended since Tenants read the pod map
 		}
-		want := a.DesiredNodes(t.Name)
-
-		// Idle tracking for suspension.
 		conns := 0
 		for _, p := range pods {
 			conns += p.Node.ConnCount()
 		}
-		idle := want == 0 && conns == 0
+		want := a.DesiredNodes(name, conns)
+
+		// Idle tracking for suspension: no usage in the window and no
+		// connections.
+		idle := want == 0
 		a.mu.Lock()
-		since, tracked := a.mu.idleSince[t.Name]
+		since, tracked := a.mu.idleSince[name]
 		if idle && !tracked {
-			a.mu.idleSince[t.Name] = now
+			a.mu.idleSince[name] = now
 			since = now
 		} else if !idle && tracked {
-			delete(a.mu.idleSince, t.Name)
+			delete(a.mu.idleSince, name)
 		}
 		a.mu.Unlock()
 
 		if idle && now.Sub(since) >= suspendAfter {
-			if err := a.cfg.Orchestrator.SuspendTenant(ctx, t.Name); err != nil {
+			if err := a.cfg.Orchestrator.SuspendTenant(ctx, name); err != nil {
 				return err
 			}
-			a.cfg.Obs.ScaleEvent(t.Name, "suspend")
+			a.cfg.Obs.ScaleEvent(name, "suspend")
 			a.mu.Lock()
-			delete(a.mu.idleSince, t.Name)
+			delete(a.mu.idleSince, name)
 			a.mu.Unlock()
 			continue
 		}
@@ -250,11 +238,12 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 			want = 1 // keep one node while not yet suspendable
 		}
 		if want > len(pods) {
-			a.cfg.Obs.ScaleEvent(t.Name, "up")
+			a.cfg.Obs.ScaleEvent(name, "up")
 		} else if want < len(pods) {
-			a.cfg.Obs.ScaleEvent(t.Name, "down")
+			a.cfg.Obs.ScaleEvent(name, "down")
 		}
-		if _, err := a.cfg.Orchestrator.ScaleTenant(ctx, t, want); err != nil {
+		// Every pod holds its tenant's record since AssignPod stamped it.
+		if _, err := a.cfg.Orchestrator.ScaleTenant(ctx, pods[0].Node.Tenant(), want); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"crdbserverless/internal/core"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/orchestrator"
+	"crdbserverless/internal/server"
 	"crdbserverless/internal/tenantcost"
 	"crdbserverless/internal/timeutil"
 )
@@ -42,11 +43,9 @@ func newEnv(t *testing.T) *env {
 	}
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	orch, err := orchestrator.New(orchestrator.Config{
-		Cluster:      c,
 		Registry:     reg,
-		Region:       "us-central1",
+		Node:         server.SQLNodeConfig{Cluster: c, Region: "us-central1", Clock: clock},
 		WarmPoolSize: 4,
-		Clock:        clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +53,6 @@ func newEnv(t *testing.T) *env {
 	t.Cleanup(orch.Close)
 	as := New(Config{
 		Orchestrator: orch,
-		Registry:     reg,
 		Clock:        clock,
 	})
 	return &env{cluster: c, reg: reg, orch: orch, clock: clock, as: as}
@@ -105,7 +103,7 @@ func TestAutoscalerScalesUpWithLoad(t *testing.T) {
 	if got := len(e.orch.PodsForTenant("acme")); got != 3 {
 		t.Fatalf("pods = %d, want 3", got)
 	}
-	if want := e.as.DesiredNodes("acme"); want != 3 {
+	if want := e.as.DesiredNodes("acme", 0); want != 3 {
 		t.Fatalf("desired = %d, want 3", want)
 	}
 }
@@ -119,7 +117,7 @@ func TestAutoscalerPeakTermReactsToSpike(t *testing.T) {
 	// -> 4 nodes (the paper's second worked example).
 	e.driveLoad(t, ctx, "acme", 2.5, 10)
 	e.driveLoad(t, ctx, "acme", 11, 2)
-	if got := e.as.DesiredNodes("acme"); got != 4 {
+	if got := e.as.DesiredNodes("acme", 0); got != 4 {
 		t.Fatalf("desired after spike = %d, want 4", got)
 	}
 	e.driveLoad(t, ctx, "acme", 11, 2)
@@ -158,7 +156,7 @@ func TestAutoscalerAblationNoPeakTerm(t *testing.T) {
 	if got := nodes(targetVCPUs(avg, peak)); got < scaleUp {
 		t.Fatalf("full rule = %d nodes (peak %.2f vCPUs), want >= %d", got, peak, scaleUp)
 	}
-	if got, want := e.as.DesiredNodes("acme"), nodes(targetVCPUs(avg, peak)); got != want {
+	if got, want := e.as.DesiredNodes("acme", 0), nodes(targetVCPUs(avg, peak)); got != want {
 		t.Fatalf("DesiredNodes = %d, want the full rule's %d", got, want)
 	}
 }
@@ -209,9 +207,28 @@ func TestAutoscalerIgnoresSuspendedTenants(t *testing.T) {
 	}
 }
 
+// TestScrapeKeepsNoStateForTenantsWithoutPods: tenants that were created
+// but never ran are active in the registry and have no pods; the
+// autoscaler keeps no usage ring or idle mark for them.
+func TestScrapeKeepsNoStateForTenantsWithoutPods(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		if _, err := e.reg.CreateTenant(ctx, fmt.Sprintf("t%02d", i), core.TenantOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.driveLoad(t, ctx, "t00", 0, 3)
+	e.as.mu.Lock()
+	defer e.as.mu.Unlock()
+	if len(e.as.mu.usage) != 0 || len(e.as.mu.idleSince) != 0 {
+		t.Fatalf("%d rings and %d idle marks for tenants without pods", len(e.as.mu.usage), len(e.as.mu.idleSince))
+	}
+}
+
 func TestDesiredNodesNoData(t *testing.T) {
 	e := newEnv(t)
-	if got := e.as.DesiredNodes("ghost"); got != 0 {
+	if got := e.as.DesiredNodes("ghost", 0); got != 0 {
 		t.Fatalf("desired for unknown tenant = %d", got)
 	}
 }
@@ -276,13 +293,13 @@ func TestDesiredNodesWindowSpikeEdge(t *testing.T) {
 	for i := 0; i < 120; i++ { // six minutes of light load
 		e.scrapeAfter("acme", scrapeInterval, 0.5)
 	}
-	if got := e.as.DesiredNodes("acme"); got != 1 {
+	if got := e.as.DesiredNodes("acme", 0); got != 1 {
 		t.Fatalf("desired before the spike = %d, want 1", got)
 	}
 	e.scrapeAfter("acme", scrapeInterval, 11) // 1.33 * 11 vCPUs -> 4 nodes
 	spikeAt := e.clock.Now()
 	for e.clock.Now().Sub(spikeAt) < window {
-		if got := e.as.DesiredNodes("acme"); got != 4 {
+		if got := e.as.DesiredNodes("acme", 0); got != 4 {
 			t.Fatalf("desired %v after the spike = %d, want 4", e.clock.Now().Sub(spikeAt), got)
 		}
 		e.scrapeAfter("acme", scrapeInterval, 0.5)
@@ -290,7 +307,7 @@ func TestDesiredNodesWindowSpikeEdge(t *testing.T) {
 	if age := e.clock.Now().Sub(spikeAt); age != window {
 		t.Fatalf("spike age = %v, want exactly %v", age, window)
 	}
-	if got := e.as.DesiredNodes("acme"); got != 1 {
+	if got := e.as.DesiredNodes("acme", 0); got != 1 {
 		t.Fatalf("desired once the spike is exactly %v old = %d, want 1", window, got)
 	}
 }
@@ -333,7 +350,7 @@ func TestDesiredNodesWindowIrregularGaps(t *testing.T) {
 		if want < 1 {
 			want = 1
 		}
-		if got := e.as.DesiredNodes("acme"); got != want {
+		if got := e.as.DesiredNodes("acme", 0); got != want {
 			t.Fatalf("scrape %d: desired = %d, want %d (avg %.3f, peak %.2f over %d samples)",
 				i, got, want, sum/float64(n), peak, n)
 		}

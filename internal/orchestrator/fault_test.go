@@ -6,15 +6,15 @@ import (
 
 	"crdbserverless/internal/core"
 	"crdbserverless/internal/faultinject"
+	"crdbserverless/internal/server"
 	"crdbserverless/internal/wire"
 )
 
 func (e *env) newFaultOrch(t *testing.T, warm int, reg *faultinject.Registry) *Orchestrator {
 	t.Helper()
 	o, err := New(Config{
-		Cluster:      e.cluster,
 		Registry:     e.reg,
-		Region:       "us-central1",
+		Node:         server.SQLNodeConfig{Cluster: e.cluster, Region: "us-central1"},
 		WarmPoolSize: warm,
 		Faults:       reg,
 	})

@@ -17,13 +17,9 @@ import (
 
 	"crdbserverless/internal/core"
 	"crdbserverless/internal/faultinject"
-	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/metric"
 	"crdbserverless/internal/proxy"
-	"crdbserverless/internal/region"
 	"crdbserverless/internal/server"
-	"crdbserverless/internal/tenantcost"
-	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
@@ -93,31 +89,16 @@ const (
 
 // Config configures an Orchestrator.
 type Config struct {
-	Cluster  *kvserver.Cluster
 	Registry *core.Registry
-	Buckets  *tenantcost.BucketServer
-	Clock    timeutil.Clock
-	Region   region.Region
+	// Node configures each pod's SQL node; the orchestrator gives every
+	// pod its own InstanceID. Node.Clock also times drains (real time when
+	// nil).
+	Node server.SQLNodeConfig
 	// WarmPoolSize is the number of pre-warmed pods to maintain.
 	WarmPoolSize int
 	// Metrics receives the orchestrator's counters (orchestrator.*). A
 	// fresh registry is created when nil.
 	Metrics *metric.Registry
-	// RevivalSecret for session migration.
-	//lint:allow deadsurface credential: the key that signs session revival tokens
-	RevivalSecret []byte
-	// Tracer is handed to each SQL node so request traces propagated by
-	// the proxy continue through statement execution.
-	Tracer *trace.Tracer
-	// Obs is handed to each SQL node so its executor, coordinator, and
-	// DistSender report per-tenant signals to the observability plane.
-	Obs *tenantobs.Plane
-	// Colocated, NoPushdown and CostScale are handed to each SQL node: the
-	// deployment's paper baseline (crdbserverless.Baseline), whose SQL side
-	// the node reads (server.SQLNodeConfig).
-	Colocated  bool
-	NoPushdown bool
-	CostScale  float64
 	// Faults, when non-nil, arms the orchestrator's fault-injection sites:
 	// orchestrator.start.crash kills a pod's VM during cold start (creation
 	// retries with a fresh pod), and orchestrator.pod.evict reclaims an
@@ -142,7 +123,10 @@ type Orchestrator struct {
 
 	mu struct {
 		sync.Mutex
-		warm     []*Pod
+		warm []*Pod
+		// byTenant holds each tenant's pods not yet stopped. A tenant
+		// without pods has no entry, so its keys are the tenants the
+		// autoscaler walks.
 		byTenant map[string][]*Pod
 		// all holds every pod not yet stopped, in creation order.
 		all    []*Pod
@@ -153,8 +137,8 @@ type Orchestrator struct {
 
 // New returns an Orchestrator and fills its warm pool.
 func New(cfg Config) (*Orchestrator, error) {
-	if cfg.Clock == nil {
-		cfg.Clock = timeutil.NewRealClock()
+	if cfg.Node.Clock == nil {
+		cfg.Node.Clock = timeutil.NewRealClock()
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metric.NewRegistry()
@@ -220,19 +204,9 @@ func (o *Orchestrator) createPod() (*Pod, error) {
 	const maxStartAttempts = 3
 	var lastErr error
 	for attempt := 0; attempt < maxStartAttempts; attempt++ {
-		node := server.NewSQLNode(server.SQLNodeConfig{
-			InstanceID:    o.instanceIDs.Add(1),
-			Cluster:       o.cfg.Cluster,
-			Region:        o.cfg.Region,
-			Buckets:       o.cfg.Buckets,
-			Clock:         o.cfg.Clock,
-			RevivalSecret: o.cfg.RevivalSecret,
-			Tracer:        o.cfg.Tracer,
-			Obs:           o.cfg.Obs,
-			Colocated:     o.cfg.Colocated,
-			NoPushdown:    o.cfg.NoPushdown,
-			CostScale:     o.cfg.CostScale,
-		})
+		nodeCfg := o.cfg.Node
+		nodeCfg.InstanceID = o.instanceIDs.Add(1)
+		node := server.NewSQLNode(nodeCfg)
 		pod := &Pod{Node: node, state: PodWarm}
 		o.podsCreated.Inc(1)
 		if err := o.cfg.Faults.MaybeErr("orchestrator.start.crash"); err != nil {
@@ -255,6 +229,18 @@ func (o *Orchestrator) WarmCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return len(o.mu.warm)
+}
+
+// Tenants returns the names of the tenants that have pods, sorted.
+func (o *Orchestrator) Tenants() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	names := make([]string, 0, len(o.mu.byTenant))
+	for name := range o.mu.byTenant {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // PodsForTenant returns the tenant's non-stopped pods.
@@ -358,7 +344,7 @@ func (o *Orchestrator) ScaleTenant(ctx context.Context, t *core.Tenant, want int
 		}
 		victim.mu.Lock()
 		victim.state = PodDraining
-		victim.drainSince = o.cfg.Clock.Now()
+		victim.drainSince = o.cfg.Node.Clock.Now()
 		victim.mu.Unlock()
 		victim.Node.Drain()
 	}
@@ -383,7 +369,7 @@ func (o *Orchestrator) Tick() {
 	o.mu.Lock()
 	pods := append([]*Pod(nil), o.mu.all...)
 	o.mu.Unlock()
-	now := o.cfg.Clock.Now()
+	now := o.cfg.Node.Clock.Now()
 	for _, p := range pods {
 		p.mu.Lock()
 		if p.state == PodAssigned && o.cfg.Faults.Should("orchestrator.pod.evict") {
@@ -413,8 +399,10 @@ func (o *Orchestrator) stopPod(p *Pod) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	name := p.TenantName()
-	if list, ok := o.mu.byTenant[name]; ok {
-		o.mu.byTenant[name] = removePod(list, p)
+	if list := removePod(o.mu.byTenant[name], p); len(list) > 0 {
+		o.mu.byTenant[name] = list
+	} else {
+		delete(o.mu.byTenant, name)
 	}
 	o.mu.all = removePod(o.mu.all, p)
 }
@@ -449,7 +437,12 @@ func (o *Orchestrator) SuspendTenant(ctx context.Context, name string) error {
 		o.mu.all = removePod(o.mu.all, p)
 	}
 	o.mu.Unlock()
-	return o.cfg.Registry.Suspend(ctx, name)
+	// A dropped tenant's record stays dropped; stopping its pods is all
+	// that is left to do.
+	if err := o.cfg.Registry.Suspend(ctx, name); err != nil && !errors.Is(err, core.ErrTenantDropped) {
+		return err
+	}
+	return nil
 }
 
 // Lookup implements proxy.Directory: it returns the tenant's SQL nodes,

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"crdbserverless/internal/core"
 	"crdbserverless/internal/kvserver"
+	"crdbserverless/internal/server"
 	"crdbserverless/internal/tenantcost"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/wire"
@@ -44,9 +46,8 @@ func newEnv(t *testing.T) *env {
 func (e *env) newOrch(t *testing.T, warm int) *Orchestrator {
 	t.Helper()
 	o, err := New(Config{
-		Cluster:      e.cluster,
 		Registry:     e.reg,
-		Region:       "us-central1",
+		Node:         server.SQLNodeConfig{Cluster: e.cluster, Region: "us-central1"},
 		WarmPoolSize: warm,
 	})
 	if err != nil {
@@ -227,6 +228,51 @@ func TestSuspendAndResumeViaLookup(t *testing.T) {
 	}
 }
 
+// TestTenantsAreThoseWithPods: Tenants lists, sorted, exactly the tenants
+// with pods not yet stopped, whether their last pod went by suspension, by
+// a reaped drain, or with a dropped record.
+func TestTenantsAreThoseWithPods(t *testing.T) {
+	e := newEnv(t)
+	o := e.newOrch(t, 1)
+	ctx := context.Background()
+	for _, name := range []string{"c", "b", "a", "idle"} {
+		tn, err := e.reg.CreateTenant(ctx, name, core.TenantOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "idle" {
+			if _, err := o.ScaleTenant(ctx, tn, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(want ...string) {
+		t.Helper()
+		if got := o.Tenants(); !slices.Equal(got, want) {
+			t.Fatalf("Tenants() = %q, want %q", got, want)
+		}
+	}
+	check("a", "b", "c")
+	if err := o.SuspendTenant(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	check("b", "c")
+	tb, _ := e.reg.GetByName("b")
+	if _, err := o.ScaleTenant(ctx, tb, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("b", "c") // draining until Tick reaps it
+	o.Tick()
+	check("c")
+	if err := e.reg.Drop(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.SuspendTenant(ctx, "c"); err != nil {
+		t.Fatalf("stopping a dropped tenant's pods: %v", err)
+	}
+	check()
+}
+
 func TestLookupUnknownAndDropped(t *testing.T) {
 	e := newEnv(t)
 	o := e.newOrch(t, 1)
@@ -244,11 +290,9 @@ func TestLookupUnknownAndDropped(t *testing.T) {
 func TestDrainTimeoutForcesStop(t *testing.T) {
 	e := newEnv(t)
 	o, err := New(Config{
-		Cluster:      e.cluster,
 		Registry:     e.reg,
-		Region:       "us-central1",
+		Node:         server.SQLNodeConfig{Cluster: e.cluster, Region: "us-central1", Clock: e.clock},
 		WarmPoolSize: 1,
-		Clock:        e.clock,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -166,6 +166,9 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	// Close racing this call cannot leave the row behind.
 	n.wg.Add(1)
 	defer n.wg.Done()
+	// The tenant enters the observability plane with its first pod, before
+	// any signal keyed by its ID alone could name a series after the ID.
+	n.cfg.Obs.RegisterTenant(t.ID, t.Name)
 	ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: t.ID}, kvserver.Config{Obs: n.cfg.Obs})
 	metered := NewMeteredSender(ds)
 	coord := txn.NewCoordinator(metered, n.cfg.Cluster.Clock(), t.ID)
