@@ -119,8 +119,16 @@ func main() {
 		case line == `\q`:
 			return
 		case line == `\tenants`:
+			// A tenant is suspended in a region where it runs no pods.
 			for _, t := range srv.Registry().List() {
-				fmt.Printf("  %-16s id=%d state=%s regions=%v\n", t.Name, t.ID, t.State, t.Regions)
+				fmt.Printf("  %-16s id=%d", t.Name, t.ID)
+				if t.Dropped {
+					fmt.Print(" dropped")
+				}
+				for _, r := range t.Regions {
+					fmt.Printf(" %s:%d pod(s)", r, len(srv.Orchestrator(r).PodsForTenant(t.Name)))
+				}
+				fmt.Println()
 			}
 		case line == `\pods`:
 			for _, t := range srv.Registry().List() {

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"crdbserverless/internal/core"
+	"crdbserverless/internal/metric"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -49,10 +50,16 @@ func connectAndClose(t *testing.T, s *Serverless, r Region, tenant string) {
 	}
 }
 
+// counter reads a counter from a metric registry.
+func counter(reg *metric.Registry, name string) int64 {
+	return reg.Get(name).(*metric.Counter).Value()
+}
+
 // TestRegionKeepsAutoscalingAfterAnotherSuspends: a tenant idle in one
-// region is suspended there, which marks the global record suspended. Its
-// pod in the other region still serves, and that region's autoscaler still
-// scales it: 6 vCPUs of load reads as a 1.33 × 6 peak, two 4-vCPU pods.
+// region is suspended there. Its pod in the other region still serves: a
+// new connection through that region is no cold start, and that region's
+// autoscaler still scales the pod: 6 vCPUs of load reads as a 1.33 × 6
+// peak, two 4-vCPU pods.
 func TestRegionKeepsAutoscalingAfterAnotherSuspends(t *testing.T) {
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	regions := []Region{"us-central1", "europe-west1"}
@@ -69,13 +76,19 @@ func TestRegionKeepsAutoscalingAfterAnotherSuspends(t *testing.T) {
 	defer cu.Close()
 
 	tickFor(t, s, clock, 6*time.Minute)
-	tn, err := s.Registry().GetByName("acme")
+	if len(eu.PodsForTenant("acme")) != 0 || len(us.PodsForTenant("acme")) != 1 {
+		t.Fatalf("after 6m: europe-west1 pods=%d, us-central1 pods=%d; want 0, 1",
+			len(eu.PodsForTenant("acme")), len(us.PodsForTenant("acme")))
+	}
+	usMetrics := s.RegionMetrics("us-central1")
+	cold := counter(usMetrics, "orchestrator.cold_resumes")
+	cu2, err := s.ConnectRegion("us-central1", "acme", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tn.State != core.StateSuspended || len(eu.PodsForTenant("acme")) != 0 || len(us.PodsForTenant("acme")) != 1 {
-		t.Fatalf("after 6m: state=%s, europe-west1 pods=%d, us-central1 pods=%d; want suspended, 0, 1",
-			tn.State, len(eu.PodsForTenant("acme")), len(us.PodsForTenant("acme")))
+	defer cu2.Close()
+	if got := counter(usMetrics, "orchestrator.cold_resumes"); got != cold {
+		t.Fatalf("a connection through us-central1, which serves the tenant, counted %d cold resumes", got-cold)
 	}
 
 	us.PodsForTenant("acme")[0].Node.SetSyntheticLoad(6)
@@ -101,6 +114,105 @@ func TestTickReapsDroppedTenantPods(t *testing.T) {
 	tickFor(t, s, clock, 6*time.Minute)
 	if got := len(s.Orchestrator("us-central1").PodsForTenant("gone")); got != 0 {
 		t.Fatalf("dropped tenant has %d pods after 6 idle minutes, want 0", got)
+	}
+}
+
+// TestSuspendedBurstResumesOnce: eight connections that arrive together
+// at a tenant scaled to zero share one cold start: one pod leaves the warm
+// pool, and one cold resume is counted.
+func TestSuspendedBurstResumesOnce(t *testing.T) {
+	s := newServerless(t, Options{})
+	ctx := context.Background()
+	if _, err := s.CreateTenant(ctx, "acme", TenantOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	connectAndClose(t, s, "us-central1", "acme")
+	if err := s.Suspend(ctx, "acme"); err != nil {
+		t.Fatal(err)
+	}
+	metrics := s.RegionMetrics("us-central1")
+	cold := counter(metrics, "orchestrator.cold_resumes")
+
+	const burst = 8
+	start := make(chan struct{})
+	errs := make(chan error, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			c, err := s.Connect("acme", "")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			_, err = c.Query("SELECT COUNT(*) FROM t")
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pods := len(s.Orchestrator("us-central1").PodsForTenant("acme"))
+	if got := counter(metrics, "orchestrator.cold_resumes") - cold; pods != 1 || got != 1 {
+		t.Fatalf("after %d concurrent connects: %d pods, %d cold resumes; want 1, 1", burst, pods, got)
+	}
+}
+
+// TestSuspendWritesNoTenantRecord: suspension and the cold start after it
+// are pod changes, not tenant-record writes. Suspending tenants that never
+// ran commits nothing, and a connect, query, close and suspend cycle
+// commits only the pod's system.sql_instances row, inserted and deleted.
+func TestSuspendWritesNoTenantRecord(t *testing.T) {
+	clock := timeutil.NewManualClock(time.Unix(0, 0))
+	s := newServerless(t, Options{KVNodesPerRegion: 1, Clock: clock})
+	ctx := context.Background()
+	entries := func() int64 { return counter(s.Metrics(), "raft.commit.entries") }
+
+	const fleet = 100
+	for i := 0; i < fleet; i++ {
+		if _, err := s.CreateTenant(ctx, fmt.Sprintf("never-%d", i), TenantOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := entries()
+	for i := 0; i < fleet; i++ {
+		if err := s.Suspend(ctx, fmt.Sprintf("never-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := entries() - before; got != 0 {
+		t.Errorf("suspending %d tenants that never ran committed %d raft entries, want 0", fleet, got)
+	}
+
+	if _, err := s.CreateTenant(ctx, "ran", TenantOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	connectAndClose(t, s, "us-central1", "ran")
+	if err := s.Suspend(ctx, "ran"); err != nil {
+		t.Fatal(err)
+	}
+	before = entries()
+	c, err := s.Connect("ran", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query("SELECT COUNT(*) FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := s.Suspend(ctx, "ran"); err != nil {
+		t.Fatal(err)
+	}
+	if got := entries() - before; got != 2 {
+		t.Errorf("a connect, query, close and suspend cycle committed %d raft entries, want 2", got)
 	}
 }
 

@@ -348,16 +348,16 @@ func (s *Serverless) SQLSession(tenantName string) (*Session, error) {
 	return sql.NewSession(exec, "app"), nil
 }
 
-// Suspend scales a tenant to zero compute.
+// Suspend scales a tenant to zero compute: it stops the tenant's pods in
+// every region. Suspending a tenant with no pods, or a dropped tenant's,
+// is not an error.
 func (s *Serverless) Suspend(ctx context.Context, tenantName string) error {
-	for _, r := range s.opts.Regions {
-		if err := s.orchestrators[r].SuspendTenant(ctx, tenantName); err != nil {
-			return err
-		}
+	if _, err := s.registry.GetByName(tenantName); err != nil {
+		return err
 	}
-	// The registry is global: every region's SuspendTenant marks the same
-	// record, so suspending an already suspended tenant is not an error,
-	// and neither is stopping a dropped tenant's pods.
+	for _, r := range s.opts.Regions {
+		s.orchestrators[r].SuspendTenant(tenantName)
+	}
 	return nil
 }
 

@@ -73,13 +73,12 @@ func TestColdStartFromSuspension(t *testing.T) {
 	if err := s.Suspend(ctx, "acme"); err != nil {
 		t.Fatal(err)
 	}
-	tn, _ := s.Registry().GetByName("acme")
-	if tn.State != core.StateSuspended {
-		t.Fatalf("state = %s", tn.State)
-	}
-	if pods := s.Orchestrator("us-central1").PodsForTenant("acme"); len(pods) != 0 {
+	orch := s.Orchestrator("us-central1")
+	if pods := orch.PodsForTenant("acme"); len(pods) != 0 {
 		t.Fatalf("pods after suspend = %d", len(pods))
 	}
+	metrics := s.RegionMetrics("us-central1")
+	cold := counter(metrics, "orchestrator.cold_resumes")
 
 	// Reconnecting is a cold start: resume + warm pod + first query.
 	conn2, err := s.Connect("acme", "")
@@ -91,9 +90,9 @@ func TestColdStartFromSuspension(t *testing.T) {
 	if err != nil || res.Rows[0][0].I != 1 {
 		t.Fatalf("cold query = %+v, %v", res, err)
 	}
-	tn, _ = s.Registry().GetByName("acme")
-	if tn.State != core.StateActive {
-		t.Fatalf("state after cold start = %s", tn.State)
+	pods := len(orch.PodsForTenant("acme"))
+	if got := counter(metrics, "orchestrator.cold_resumes") - cold; pods != 1 || got != 1 {
+		t.Fatalf("after cold start: %d pods, %d cold resumes; want 1, 1", pods, got)
 	}
 }
 
@@ -130,20 +129,16 @@ func TestTickSuspendsIdleTenant(t *testing.T) {
 			}
 		}
 	}
-	check := func(after string, state core.State, pods int) {
+	check := func(after string, pods int) {
 		t.Helper()
-		tn, err := s.Registry().GetByName("sleepy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(orch.PodsForTenant("sleepy")); tn.State != state || got != pods {
-			t.Fatalf("after %s idle: state=%s pods=%d, want state=%s pods=%d", after, tn.State, got, state, pods)
+		if got := len(orch.PodsForTenant("sleepy")); got != pods {
+			t.Fatalf("after %s idle: pods=%d, want %d", after, got, pods)
 		}
 	}
 	idle(4 * time.Minute)
-	check("4m", core.StateActive, 1)
+	check("4m", 1)
 	idle(2 * time.Minute)
-	check("6m", core.StateSuspended, 0)
+	check("6m", 0)
 }
 
 func TestMultiTenantIsolationThroughFullStack(t *testing.T) {

@@ -52,10 +52,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	t, err := srv.Registry().GetByName("sleepy")
-	if err != nil {
-		log.Fatal(err)
+	// A tenant with no pods is suspended: the next connection cold-starts it.
+	pods := len(orch.PodsForTenant("sleepy"))
+	state := "active"
+	if pods == 0 {
+		state = "suspended"
 	}
 	fmt.Printf("after %s idle: state=%s, pods=%d (scale to zero, §4.2.3)\n",
-		clock.Since(start), t.State, len(orch.PodsForTenant("sleepy")))
+		clock.Since(start), state, pods)
 }

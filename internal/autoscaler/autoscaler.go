@@ -225,9 +225,7 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 		a.mu.Unlock()
 
 		if idle && now.Sub(since) >= suspendAfter {
-			if err := a.cfg.Orchestrator.SuspendTenant(ctx, name); err != nil {
-				return err
-			}
+			a.cfg.Orchestrator.SuspendTenant(name)
 			a.cfg.Obs.ScaleEvent(name, "suspend")
 			a.mu.Lock()
 			delete(a.mu.idleSince, name)

@@ -185,23 +185,23 @@ func TestAutoscalerSuspendsIdleTenant(t *testing.T) {
 	// Brief activity, then total silence.
 	e.driveLoad(t, ctx, "acme", 1, 5)
 	e.driveLoad(t, ctx, "acme", 0, 250) // >10 minutes of zero CPU
-	got, _ := e.reg.GetByName("acme")
-	if got.State != core.StateSuspended {
-		t.Fatalf("state = %s, want suspended", got.State)
-	}
 	if pods := len(e.orch.PodsForTenant("acme")); pods != 0 {
 		t.Fatalf("pods after suspend = %d", pods)
 	}
+	if names := e.orch.Tenants(); len(names) != 0 {
+		t.Fatalf("tenants with pods after suspend = %q", names)
+	}
 }
 
+// TestAutoscalerIgnoresSuspendedTenants: a tenant whose pods were stopped
+// gets none back from the autoscaler; only a connection resumes it.
 func TestAutoscalerIgnoresSuspendedTenants(t *testing.T) {
 	e := newEnv(t)
 	ctx := context.Background()
-	e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
-	e.reg.Suspend(ctx, "acme")
-	if err := e.as.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
+	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
+	e.orch.ScaleTenant(ctx, tn, 1)
+	e.orch.SuspendTenant("acme")
+	e.driveLoad(t, ctx, "acme", 0, 5)
 	if pods := len(e.orch.PodsForTenant("acme")); pods != 0 {
 		t.Fatalf("suspended tenant got pods: %d", pods)
 	}
@@ -376,11 +376,9 @@ func TestScrapeForgetsInactiveTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 		active, pods := 0, 0
-		for _, tn := range e.reg.List() {
-			if tn.State == core.StateActive {
-				active++
-				pods += len(e.orch.PodsForTenant(tn.Name))
-			}
+		for _, name := range e.orch.Tenants() {
+			active++
+			pods += len(e.orch.PodsForTenant(name))
 		}
 		e.as.mu.Lock()
 		usage, idle, lastCPU := len(e.as.mu.usage), len(e.as.mu.idleSince), len(e.as.mu.lastCPU)
@@ -389,8 +387,6 @@ func TestScrapeForgetsInactiveTenants(t *testing.T) {
 			t.Fatalf("cycle %d: %d rings, %d idle marks, %d pod readings for %d active tenants on %d pods",
 				i, usage, idle, lastCPU, active, pods)
 		}
-		if err := e.orch.SuspendTenant(ctx, name); err != nil {
-			t.Fatal(err)
-		}
+		e.orch.SuspendTenant(name)
 	}
 }

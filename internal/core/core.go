@@ -7,10 +7,11 @@
 // The package provides:
 //   - Authorizer: the KV-side check that a request's identity matches the
 //     keyspace it addresses (§3.2.3).
-//   - Registry: tenant lifecycle — create, suspend, resume, drop (§3.2.4,
-//     managed through the system tenant) — including carving each tenant's
-//     keyspace onto dedicated range boundaries so no two tenants ever share
-//     a range (§3.2.1).
+//   - Registry: tenant lifecycle — create and drop (§3.2.4, managed
+//     through the system tenant) — including carving each tenant's keyspace
+//     onto dedicated range boundaries so no two tenants ever share a range
+//     (§3.2.1). Suspension is not a record state: a tenant is scaled to
+//     zero in a region when the orchestrator runs no pods for it there.
 package core
 
 import (
@@ -61,39 +62,14 @@ func (Authorizer) Authorize(id kvserver.Identity, ba *kvpb.BatchRequest) error {
 	return nil
 }
 
-// State is a tenant's lifecycle state.
-type State int
-
-// Tenant lifecycle states.
-const (
-	// StateActive: the tenant may have SQL nodes and serve queries.
-	StateActive State = iota
-	// StateSuspended: no SQL nodes are allocated; the tenant consumes only
-	// storage (§6.2). A connection attempt resumes it.
-	StateSuspended
-	// StateDropped: the tenant is deleted; its keyspace is reclaimable.
-	StateDropped
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateActive:
-		return "active"
-	case StateSuspended:
-		return "suspended"
-	case StateDropped:
-		return "dropped"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
 // Tenant is one virtual cluster's control-plane record.
 type Tenant struct {
-	ID    keys.TenantID
-	Name  string
-	State State
+	ID   keys.TenantID
+	Name string
+	// Dropped marks a deleted tenant whose keyspace is reclaimable. A live
+	// tenant is suspended in a region exactly when it runs no pods there
+	// (the orchestrator's concern, not the record's).
+	Dropped bool
 	// Regions the tenant selected (§4.2.5). The system database presents
 	// these as the only regions in the cluster.
 	Regions []region.Region
@@ -210,7 +186,6 @@ func (r *Registry) CreateTenant(ctx context.Context, name string, opts TenantOpt
 	t := &Tenant{
 		ID:          id,
 		Name:        name,
-		State:       StateActive,
 		Regions:     append([]region.Region(nil), opts.Regions...),
 		Password:    opts.Password,
 		QuotaVCPUs:  opts.QuotaVCPUs,
@@ -245,11 +220,18 @@ func (r *Registry) persist(ctx context.Context, t *Tenant) error {
 	})
 }
 
+// The record's state byte. 1 meant suspended; no record holds it any more,
+// since a region's pods answer that.
+const (
+	stateLive    = 0
+	stateDropped = 2
+)
+
 // Encoded tenant record:
 //
 //	ID           uvarint
 //	Name         string
-//	State        1 byte
+//	State        1 byte, stateLive or stateDropped
 //	Regions      count, then each region as a string
 //	Password     string
 //	QuotaVCPUs   IEEE 754 bits, 8 bytes big-endian
@@ -257,7 +239,11 @@ func (r *Registry) persist(ctx context.Context, t *Tenant) error {
 func encodeTenant(t *Tenant) []byte {
 	b := binary.AppendUvarint(nil, uint64(t.ID))
 	b = binenc.AppendString(b, t.Name)
-	b = append(b, byte(t.State))
+	state := byte(stateLive)
+	if t.Dropped {
+		state = stateDropped
+	}
+	b = append(b, state)
 	b = binary.AppendUvarint(b, uint64(len(t.Regions)))
 	for _, reg := range t.Regions {
 		b = binenc.AppendString(b, string(reg))
@@ -271,8 +257,12 @@ func encodeTenant(t *Tenant) []byte {
 // leaves them.
 func decodeTenant(b []byte) (*Tenant, error) {
 	r := binenc.NewReader(b)
-	t := &Tenant{ID: keys.TenantID(r.Uvarint()), Name: r.Str(), State: State(r.Byte())}
-	if t.State > StateDropped {
+	t := &Tenant{ID: keys.TenantID(r.Uvarint()), Name: r.Str()}
+	switch r.Byte() {
+	case stateLive:
+	case stateDropped:
+		t.Dropped = true
+	default:
 		r.Fail()
 	}
 	// A region is at least its length byte.
@@ -314,43 +304,6 @@ func (r *Registry) List() []*Tenant {
 	return out
 }
 
-// Suspend scales a tenant's compute to zero (§4.2.3): its record moves to
-// StateSuspended; only storage remains.
-func (r *Registry) Suspend(ctx context.Context, name string) error {
-	return r.setState(ctx, name, StateSuspended, StateActive)
-}
-
-// Resume reactivates a suspended tenant (the control-plane half of a cold
-// start).
-func (r *Registry) Resume(ctx context.Context, name string) error {
-	return r.setState(ctx, name, StateActive, StateSuspended)
-}
-
-func (r *Registry) setState(ctx context.Context, name string, to State, from State) error {
-	r.mu.Lock()
-	t, ok := r.mu.byName[name]
-	if !ok {
-		r.mu.Unlock()
-		return ErrTenantNotFound
-	}
-	if t.State == StateDropped {
-		r.mu.Unlock()
-		return ErrTenantDropped
-	}
-	if t.State == to {
-		r.mu.Unlock()
-		return nil // idempotent
-	}
-	if t.State != from {
-		r.mu.Unlock()
-		return fmt.Errorf("core: tenant %s is %s, cannot move to %s", name, t.State, to)
-	}
-	t.State = to
-	snapshot := t.clone()
-	r.mu.Unlock()
-	return r.persist(ctx, snapshot)
-}
-
 // Drop deletes a tenant: the record is tombstoned and the tenant's keyspace
 // is deleted through the system tenant.
 //
@@ -362,7 +315,7 @@ func (r *Registry) Drop(ctx context.Context, name string) error {
 		r.mu.Unlock()
 		return ErrTenantNotFound
 	}
-	t.State = StateDropped
+	t.Dropped = true
 	id := t.ID
 	snapshot := t.clone()
 	r.mu.Unlock()

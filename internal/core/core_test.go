@@ -126,31 +126,24 @@ func TestCreateTenantDuplicate(t *testing.T) {
 	}
 }
 
+// TestTenantLifecycle: a record is live from creation until Drop marks it
+// dropped; suspension is no state of the record.
 func TestTenantLifecycle(t *testing.T) {
 	reg := newTestRegistry(t)
 	ctx := context.Background()
 	reg.CreateTenant(ctx, "acme", TenantOptions{})
 
-	if err := reg.Suspend(ctx, "acme"); err != nil {
+	if tn, _ := reg.GetByName("acme"); tn.Dropped {
+		t.Fatal("a new tenant is dropped")
+	}
+	if err := reg.Drop(ctx, "acme"); err != nil {
 		t.Fatal(err)
 	}
-	tn, _ := reg.GetByName("acme")
-	if tn.State != StateSuspended {
-		t.Fatalf("state = %s", tn.State)
+	if tn, _ := reg.GetByName("acme"); !tn.Dropped {
+		t.Fatal("Drop left the tenant live")
 	}
-	// Suspend is idempotent.
-	if err := reg.Suspend(ctx, "acme"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Resume(ctx, "acme"); err != nil {
-		t.Fatal(err)
-	}
-	tn, _ = reg.GetByName("acme")
-	if tn.State != StateActive {
-		t.Fatalf("state after resume = %s", tn.State)
-	}
-	if err := reg.Suspend(ctx, "missing"); err != ErrTenantNotFound {
-		t.Fatalf("suspend missing = %v", err)
+	if err := reg.Drop(ctx, "missing"); err != ErrTenantNotFound {
+		t.Fatalf("drop missing = %v", err)
 	}
 }
 
@@ -184,9 +177,8 @@ func TestTenantDropReclaimsKeyspace(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Lifecycle transitions on a dropped tenant fail.
-	if err := reg.Resume(ctx, "acme"); err != ErrTenantDropped {
-		t.Fatalf("resume dropped = %v", err)
+	if got, _ := reg.GetByName("acme"); !got.Dropped {
+		t.Fatal("dropped tenant's record reads live")
 	}
 }
 
@@ -195,7 +187,7 @@ func TestRegistryPersistenceReload(t *testing.T) {
 	ctx := context.Background()
 	reg.CreateTenant(ctx, "acme", TenantOptions{Password: "pw", QuotaVCPUs: 4})
 	reg.CreateTenant(ctx, "globex", TenantOptions{})
-	reg.Suspend(ctx, "globex")
+	reg.Drop(ctx, "globex")
 
 	// A second registry over the same cluster reloads the records.
 	reg2, err := NewRegistry(reg.cluster, tenantcost.NewBucketServer(timeutil.NewRealClock()))
@@ -203,11 +195,11 @@ func TestRegistryPersistenceReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn, err := reg2.GetByName("acme")
-	if err != nil || tn.Password != "pw" || tn.QuotaVCPUs != 4 {
+	if err != nil || tn.Password != "pw" || tn.QuotaVCPUs != 4 || tn.Dropped {
 		t.Fatalf("reloaded acme = %+v, %v", tn, err)
 	}
 	g, err := reg2.GetByName("globex")
-	if err != nil || g.State != StateSuspended {
+	if err != nil || !g.Dropped {
 		t.Fatalf("reloaded globex = %+v, %v", g, err)
 	}
 	// ID allocation continues after the loaded tenants.

@@ -15,7 +15,7 @@ import (
 var goldenTenant = &Tenant{
 	ID:          5,
 	Name:        "acme",
-	State:       StateSuspended,
+	Dropped:     true,
 	Regions:     []region.Region{"us-east1", "eu-west1"},
 	Password:    "pw",
 	QuotaVCPUs:  1.5,
@@ -24,7 +24,7 @@ var goldenTenant = &Tenant{
 
 const goldenTenantHex = "05" + // ID 5
 	"0461636d65" + // name "acme"
-	"01" + // suspended
+	"02" + // dropped
 	"02" + "0875732d6561737431" + "0865752d7765737431" + // regions
 	"027077" + // password "pw"
 	"3ff8000000000000" + // quota 1.5 vCPUs, IEEE 754 bits big-endian
@@ -74,6 +74,7 @@ func TestDecodeTenantRecordRejectsMalformedInput(t *testing.T) {
 	for name, in := range map[string]string{
 		"trailing byte":             one + "00",
 		"unknown state":             "01" + "0161" + "03" + one[8:],
+		"retired suspended state":   "01" + "0161" + "01" + one[8:],
 		"region-aware out of range": one[:len(one)-2] + "02",
 		"regions beyond input":      "01" + "0161" + "00" + "7f" + one[10:],
 		"regions near 2^64":         "01" + "0161" + "00" + "ffffffffffffffffff01",

@@ -129,8 +129,11 @@ type Orchestrator struct {
 		// autoscaler walks.
 		byTenant map[string][]*Pod
 		// all holds every pod not yet stopped, in creation order.
-		all    []*Pod
-		closed bool
+		all []*Pod
+		// resuming holds the assignment in flight for each tenant that
+		// had no serving pod when a lookup came.
+		resuming map[string]*resume
+		closed   bool
 	}
 	instanceIDs atomic.Int64
 }
@@ -151,6 +154,7 @@ func New(cfg Config) (*Orchestrator, error) {
 	o.suspendedPods = cfg.Metrics.NewCounter("orchestrator.pods_suspended")
 	o.podsEvicted = cfg.Metrics.NewCounter("orchestrator.pods_evicted")
 	o.mu.byTenant = make(map[string][]*Pod)
+	o.mu.resuming = make(map[string]*resume)
 	if err := o.EnsureWarm(cfg.WarmPoolSize); err != nil {
 		return nil, err
 	}
@@ -416,11 +420,12 @@ func removePod(list []*Pod, p *Pod) []*Pod {
 	return list
 }
 
-// SuspendTenant scales the tenant to zero and marks it suspended: the
-// scale-to-zero transition of §4.2.3. All pods stop immediately.
-func (o *Orchestrator) SuspendTenant(ctx context.Context, name string) error {
+// SuspendTenant scales the tenant to zero in this region, the
+// scale-to-zero transition of §4.2.3: all its pods stop immediately. No
+// record changes; a tenant without pods here is suspended here.
+func (o *Orchestrator) SuspendTenant(name string) {
 	o.mu.Lock()
-	pods := append([]*Pod(nil), o.mu.byTenant[name]...)
+	pods := o.mu.byTenant[name]
 	delete(o.mu.byTenant, name)
 	o.mu.Unlock()
 	for _, p := range pods {
@@ -437,37 +442,30 @@ func (o *Orchestrator) SuspendTenant(ctx context.Context, name string) error {
 		o.mu.all = removePod(o.mu.all, p)
 	}
 	o.mu.Unlock()
-	// A dropped tenant's record stays dropped; stopping its pods is all
-	// that is left to do.
-	if err := o.cfg.Registry.Suspend(ctx, name); err != nil && !errors.Is(err, core.ErrTenantDropped) {
-		return err
-	}
-	return nil
+}
+
+// resume is one in-flight pod assignment for a tenant with no serving pod;
+// lookups that arrive meanwhile wait for it instead of pulling pods of
+// their own.
+type resume struct {
+	done chan struct{}
+	err  error
 }
 
 // Lookup implements proxy.Directory: it returns the tenant's SQL nodes,
-// resuming a suspended tenant by pulling a warm pod first — the cold-start
-// flow a connection to a scaled-to-zero tenant triggers (§4.2.3).
+// assigning one first if none serves. When the tenant has no pods in this
+// region at all, that is the cold start a connection to a scaled-to-zero
+// tenant triggers (§4.2.3).
 func (o *Orchestrator) Lookup(ctx context.Context, tenantName string) ([]proxy.Backend, error) {
 	t, err := o.cfg.Registry.GetByName(tenantName)
 	if err != nil {
 		return nil, err
 	}
-	if t.State == core.StateDropped {
+	if t.Dropped {
 		return nil, core.ErrTenantDropped
 	}
-	if t.State == core.StateSuspended {
-		trace.SpanFromContext(ctx).Eventf("cold resume: tenant %s was scaled to zero", tenantName)
-		if err := o.cfg.Registry.Resume(ctx, tenantName); err != nil {
-			return nil, err
-		}
-		t.State = core.StateActive
-		o.coldResumes.Inc(1)
-	}
-	if len(o.servingPods(tenantName)) == 0 {
-		if _, err := o.AssignPod(ctx, t); err != nil {
-			return nil, err
-		}
+	if err := o.ensureServing(ctx, t); err != nil {
+		return nil, err
 	}
 	var out []proxy.Backend
 	for _, p := range o.servingPods(tenantName) {
@@ -478,6 +476,41 @@ func (o *Orchestrator) Lookup(ctx context.Context, tenantName string) ([]proxy.B
 		})
 	}
 	return out, nil
+}
+
+// ensureServing assigns the tenant a pod unless one serves. Concurrent
+// callers share one assignment, so a burst of connections to a tenant
+// scaled to zero takes one pod from the warm pool, not one each.
+func (o *Orchestrator) ensureServing(ctx context.Context, t *core.Tenant) error {
+	o.mu.Lock()
+	if r, ok := o.mu.resuming[t.Name]; ok {
+		o.mu.Unlock()
+		select {
+		case <-r.done:
+			return r.err
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	pods := o.mu.byTenant[t.Name]
+	if slices.ContainsFunc(pods, func(p *Pod) bool { return p.State() == PodAssigned }) {
+		o.mu.Unlock()
+		return nil
+	}
+	r := &resume{done: make(chan struct{})}
+	o.mu.resuming[t.Name] = r
+	o.mu.Unlock()
+
+	if len(pods) == 0 {
+		trace.SpanFromContext(ctx).Eventf("cold resume: tenant %s was scaled to zero", t.Name)
+		o.coldResumes.Inc(1)
+	}
+	_, r.err = o.AssignPod(ctx, t)
+	o.mu.Lock()
+	delete(o.mu.resuming, t.Name)
+	o.mu.Unlock()
+	close(r.done)
+	return r.err
 }
 
 // Close stops every pod.

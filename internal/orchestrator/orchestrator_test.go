@@ -199,12 +199,10 @@ func TestSuspendAndResumeViaLookup(t *testing.T) {
 	tn, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	o.ScaleTenant(ctx, tn, 2)
 
-	if err := o.SuspendTenant(ctx, "acme"); err != nil {
-		t.Fatal(err)
+	if got := o.coldResumes.Value(); got != 0 {
+		t.Fatalf("cold resumes before suspend = %d", got)
 	}
-	if got, _ := e.reg.GetByName("acme"); got.State != core.StateSuspended {
-		t.Fatalf("state = %s", got.State)
-	}
+	o.SuspendTenant("acme")
 	if got := len(o.PodsForTenant("acme")); got != 0 {
 		t.Fatalf("pods after suspend = %d", got)
 	}
@@ -214,8 +212,12 @@ func TestSuspendAndResumeViaLookup(t *testing.T) {
 	if err != nil || len(backends) != 1 {
 		t.Fatalf("lookup = %v, %v", backends, err)
 	}
-	if got, _ := e.reg.GetByName("acme"); got.State != core.StateActive {
-		t.Fatalf("state after lookup = %s", got.State)
+	if pods, cold := len(o.PodsForTenant("acme")), o.coldResumes.Value(); pods != 1 || cold != 1 {
+		t.Fatalf("after lookup: %d pods, %d cold resumes; want 1, 1", pods, cold)
+	}
+	// A tenant that has a pod is not resumed again.
+	if _, err := o.Lookup(ctx, "acme"); err != nil || o.coldResumes.Value() != 1 {
+		t.Fatalf("second lookup: %v, %d cold resumes; want 1", err, o.coldResumes.Value())
 	}
 	// The new backend serves.
 	c, err := wire.Connect(backends[0].Addr, map[string]string{"tenant": "acme"})
@@ -253,9 +255,7 @@ func TestTenantsAreThoseWithPods(t *testing.T) {
 		}
 	}
 	check("a", "b", "c")
-	if err := o.SuspendTenant(ctx, "a"); err != nil {
-		t.Fatal(err)
-	}
+	o.SuspendTenant("a")
 	check("b", "c")
 	tb, _ := e.reg.GetByName("b")
 	if _, err := o.ScaleTenant(ctx, tb, 0); err != nil {
@@ -267,9 +267,7 @@ func TestTenantsAreThoseWithPods(t *testing.T) {
 	if err := e.reg.Drop(ctx, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.SuspendTenant(ctx, "c"); err != nil {
-		t.Fatalf("stopping a dropped tenant's pods: %v", err)
-	}
+	o.SuspendTenant("c")
 	check()
 }
 
@@ -343,9 +341,7 @@ func TestStoppedPodsAreForgotten(t *testing.T) {
 		if _, err := o.Lookup(ctx, "acme"); err != nil {
 			t.Fatal(err)
 		}
-		if err := o.SuspendTenant(ctx, "acme"); err != nil {
-			t.Fatal(err)
-		}
+		o.SuspendTenant("acme")
 	}
 	if all, warm, live := tracked(); live != 0 || all != warm {
 		t.Fatalf("after 200 cycles: %d pods tracked, %d warm, %d live", all, warm, live)

@@ -30,8 +30,9 @@ type Backend struct {
 }
 
 // Directory resolves tenants to SQL nodes. The orchestrator implements it;
-// for a suspended tenant, Lookup triggers the cold-start path (pulling a
-// warm node and stamping it) before returning.
+// for a tenant with no SQL node in the region (scaled to zero there, or
+// never run there), Lookup takes the cold-start path, pulling a warm node
+// and stamping it, before returning.
 type Directory interface {
 	Lookup(ctx context.Context, tenantName string) ([]Backend, error)
 }
