@@ -49,14 +49,9 @@ func (Authorizer) Authorize(id kvserver.Identity, ba *kvpb.BatchRequest) error {
 	if ba.Tenant != id.Tenant {
 		return &kvpb.TenantAuthError{Authenticated: id.Tenant, Requested: ba.Tenant}
 	}
-	span := keys.MakeTenantSpan(id.Tenant)
 	for _, r := range ba.Requests {
-		rs := r.Span()
-		if !span.ContainsKey(rs.Key) {
-			return &kvpb.TenantAuthError{Authenticated: id.Tenant, Requested: ba.Tenant, Key: rs.Key}
-		}
-		if !rs.IsPoint() && span.EndKey.Less(rs.EndKey) {
-			return &kvpb.TenantAuthError{Authenticated: id.Tenant, Requested: ba.Tenant, Key: rs.EndKey}
+		if outside, ok := keys.TenantSpanContains(id.Tenant, r.Span()); !ok {
+			return &kvpb.TenantAuthError{Authenticated: id.Tenant, Requested: ba.Tenant, Key: outside}
 		}
 	}
 	return nil

@@ -79,6 +79,48 @@ func TestAuthorizerConfinesTenant(t *testing.T) {
 	if err := a.Authorize(kvserver.Identity{Tenant: 0}, own); !errors.As(err, &tae) {
 		t.Fatalf("invalid identity allowed: %v", err)
 	}
+	// At and just past the span's end, for a tenant whose span end carries
+	// over its ID's 0xff low byte.
+	for _, id := range []keys.TenantID{5, 0x1ff} {
+		span := keys.MakeTenantSpan(id)
+		for _, c := range []struct {
+			req     kvpb.Request
+			allowed bool
+		}{
+			{kvpb.Request{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey}, true},
+			{kvpb.Request{Method: kvpb.Get, Key: span.EndKey}, false},
+			{kvpb.Request{Method: kvpb.Get, Key: span.EndKey.Next()}, false},
+			{kvpb.Request{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey.Next()}, false},
+			{kvpb.Request{Method: kvpb.Scan, Key: span.EndKey, EndKey: span.EndKey.Next()}, false},
+		} {
+			ba := &kvpb.BatchRequest{Tenant: id, Requests: []kvpb.Request{c.req}}
+			err := a.Authorize(kvserver.Identity{Tenant: id}, ba)
+			if c.allowed && err != nil {
+				t.Errorf("tenant %d, %s %s: %v", id, c.req.Method, c.req.Span(), err)
+			}
+			if !c.allowed && !errors.As(err, &tae) {
+				t.Errorf("tenant %d, %s %s allowed: %v", id, c.req.Method, c.req.Span(), err)
+			}
+		}
+	}
+}
+
+// A tenant's batch passes the boundary check without an allocation.
+func TestAuthorizeAllocs(t *testing.T) {
+	prefix := keys.MakeTenantPrefix(5)
+	ba := &kvpb.BatchRequest{Tenant: 5, Requests: []kvpb.Request{
+		{Method: kvpb.Get, Key: append(prefix.Clone(), 'x')},
+		{Method: kvpb.Scan, Key: append(prefix.Clone(), 'a'), EndKey: append(prefix.Clone(), 'z')},
+	}}
+	a := Authorizer{}
+	id := kvserver.Identity{Tenant: 5}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.Authorize(id, ba); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Authorize makes %v allocations on a 2-request batch, want 0", n)
+	}
 }
 
 func TestCreateTenantCarvesRanges(t *testing.T) {

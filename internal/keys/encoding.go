@@ -148,12 +148,12 @@ type IndexID uint32
 // PrimaryIndexID is the IndexID of every table's primary index.
 const PrimaryIndexID IndexID = 1
 
-// MakeTableIndexPrefix returns the key prefix of (tenant, table, index).
+// MakeTableIndexPrefix returns the key prefix of (tenant, table, index), in
+// one allocation.
 func MakeTableIndexPrefix(tenant TenantID, table TableID, index IndexID) Key {
-	k := MakeTenantPrefix(tenant)
+	k := appendTenantPrefix(make(Key, 0, tenantPrefixLen+8+8), tenant)
 	k = EncodeUint64(k, uint64(table))
-	k = EncodeUint64(k, uint64(index))
-	return k
+	return EncodeUint64(k, uint64(index))
 }
 
 // MakeTableIndexSpan returns the span covering the whole (table, index).

@@ -59,14 +59,48 @@ func (t TenantID) String() string { return fmt.Sprintf("tenant-%d", uint64(t)) }
 // the keyspace. All of the tenant's data lives in
 // [MakeTenantPrefix(id), MakeTenantPrefix(id).PrefixEnd()).
 func MakeTenantPrefix(id TenantID) Key {
-	k := Key{tenantPrefixByte}
-	return EncodeUint64(k, uint64(id))
+	return appendTenantPrefix(make(Key, 0, tenantPrefixLen), id)
+}
+
+// tenantPrefixLen is the length of a tenant prefix: its marker byte, then
+// the ID as 8 bytes big-endian.
+const tenantPrefixLen = 1 + 8
+
+func appendTenantPrefix(b Key, id TenantID) Key {
+	return EncodeUint64(append(b, tenantPrefixByte), uint64(id))
 }
 
 // MakeTenantSpan returns the span covering the whole tenant keyspace.
 func MakeTenantSpan(id TenantID) Span {
 	p := MakeTenantPrefix(id)
 	return Span{Key: p, EndKey: p.PrefixEnd()}
+}
+
+// TenantSpanContains reports whether s lies within MakeTenantSpan(id): its
+// key, and its end when it has one. When s does not, outside is the first of
+// the two that falls outside the tenant's span. The span's bounds are built
+// on the stack, so a check allocates nothing.
+func TenantSpanContains(id TenantID, s Span) (outside Key, ok bool) {
+	var buf [tenantPrefixLen]byte
+	p := appendTenantPrefix(buf[:0], id)
+	// The keys of [p, p.PrefixEnd()) are exactly those that begin with p.
+	if !bytes.HasPrefix(s.Key, p) {
+		return s.Key, false
+	}
+	if s.IsPoint() {
+		return nil, true
+	}
+	// p.PrefixEnd() in place: the last byte below 0xff plus one, and the
+	// 0xff bytes behind it dropped. The marker byte is below 0xff.
+	i := len(p) - 1
+	for p[i] == maxByte {
+		i--
+	}
+	p[i]++
+	if bytes.Compare(s.EndKey, p[:i+1]) > 0 {
+		return s.EndKey, false
+	}
+	return nil, true
 }
 
 // DecodeTenantPrefix extracts the tenant ID from a key that carries a tenant

@@ -298,6 +298,53 @@ func TestTableIndexPrefix(t *testing.T) {
 	}
 }
 
+// keySink keeps a built key on the heap, as a caller that keeps it does.
+var keySink Key
+
+// Each prefix builder allocates once.
+func TestPrefixBuildersAllocateOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { keySink = MakeTableIndexPrefix(3, 50, 1) }); n != 1 {
+		t.Errorf("MakeTableIndexPrefix makes %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keySink = MakeTenantPrefix(3) }); n != 1 {
+		t.Errorf("MakeTenantPrefix makes %v allocations, want 1", n)
+	}
+}
+
+// TenantSpanContains agrees with MakeTenantSpan's bounds, the end's carry
+// over 0xff bytes included, at and around both bounds.
+func TestTenantSpanContains(t *testing.T) {
+	for _, id := range []TenantID{2, 5, 0xff, 0x1ff, 0xffff, 1<<56 - 1} {
+		span := MakeTenantSpan(id)
+		below := MakeTenantPrefix(id - 1)
+		keysAround := []Key{span.Key, append(span.Key.Clone(), 'x'), span.EndKey, span.EndKey.Next(),
+			below, append(below.Clone(), 0xff, 0xff), Key(span.Key[:len(span.Key)-1]), MaxKey}
+		for _, k := range keysAround {
+			outside, ok := TenantSpanContains(id, Span{Key: k})
+			if want := span.ContainsKey(k); ok != want || (!ok && !outside.Equal(k)) {
+				t.Errorf("tenant %d, key %x: contained %v (outside %x), want %v", id, k, ok, outside, want)
+			}
+			for _, end := range keysAround {
+				s := Span{Key: k, EndKey: end}
+				outside, ok := TenantSpanContains(id, s)
+				var want Key
+				switch {
+				case !span.ContainsKey(k):
+					want = k
+				case span.EndKey.Less(end):
+					want = end
+				}
+				if ok != (want == nil) || !outside.Equal(want) {
+					t.Errorf("tenant %d, span %s: contained %v (outside %x), want outside %x", id, s, ok, outside, want)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { TenantSpanContains(id, span) }); n != 0 {
+			t.Errorf("TenantSpanContains makes %v allocations", n)
+		}
+	}
+}
+
 func TestTableIndexSpanOrdering(t *testing.T) {
 	// Index spans within a table are disjoint and ordered.
 	spans := []Span{

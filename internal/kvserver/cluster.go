@@ -175,7 +175,9 @@ type ScanEvaluator interface {
 }
 
 // A ScanFold is one scan's evaluation. The scan hands it every visible row in
-// key order, then calls Finish exactly once, also when the scan failed.
+// key order, then calls Finish exactly once, also when the scan failed. A
+// row's value is engine memory that does not change, and the fold may keep
+// referring to it until Finish.
 type ScanFold interface {
 	// Row reports whether the row with this value goes into the response as
 	// it is. A filter keeps the rows that pass it; an aggregation keeps none

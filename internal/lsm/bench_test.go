@@ -92,6 +92,54 @@ func BenchmarkKVIterSeek(b *testing.B) {
 	}
 }
 
+// BenchmarkKVIterScan measures what an MVCC scan pays the engine per entry:
+// a forward scan of 2 000 keys, reading each key and value. memtable holds
+// them in the active memtable alone; l1 in four L1 tables of 500 keys.
+func BenchmarkKVIterScan(b *testing.B) {
+	const n = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	val := []byte("a row value of about thirty bytes")
+	mem := New(Options{MemTableSize: 64 << 20})
+	defer mem.Close()
+	for i := 0; i < n; i++ {
+		if err := mem.Set(key(i), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	l1 := newManualEngine(Options{})
+	defer l1.Close()
+	l1.mu.Lock()
+	for t := 0; t < 4; t++ {
+		var entries []Entry
+		for i := t * n / 4; i < (t+1)*n/4; i++ {
+			entries = append(entries, Entry{Key: key(i), Value: val})
+		}
+		l1.mu.levels[1] = append(l1.mu.levels[1], newSSTable(l1.mu.nextID, entries))
+		l1.mu.nextID++
+	}
+	l1.mu.Unlock()
+	for _, shape := range []struct {
+		name string
+		e    *Engine
+	}{{"memtable", mem}, {"l1", l1}} {
+		b.Run(shape.name, func(b *testing.B) {
+			lo, hi := []byte("key-"), []byte("key-~")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bytes := 0
+				it := shape.e.NewIter(lo, hi)
+				for ; it.Valid(); it.Next() {
+					bytes += len(it.Key()) + len(it.Value())
+				}
+				if bytes != n*(len(key(0))+len(val)) {
+					b.Fatalf("scanned %d bytes", bytes)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkKVRecovery measures the cold open of a crashed durable store:
 // manifest load, sstable re-open, CRC verification, and WAL
 // replay of everything written since the last flush. The store is sized so

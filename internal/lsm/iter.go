@@ -36,13 +36,18 @@ type Iterator struct {
 
 // iterSource is a cursor over one sorted run: a memtable (mem set) or a
 // sorted window of tables — one L0 table, or a whole L1+ level, which opens
-// its next table when the last runs out.
+// its next table when the last runs out. Positioning finds the entry once:
+// a memtable source keeps the version visible in the snapshot, and a table
+// source the bounds of the entry in its block, so neither the tombstone
+// check nor Value walks a version chain or parses an entry header again.
 type iterSource struct {
 	mem  *memTable
-	node *skipNode // holds a version visible in the snapshot
+	node *skipNode   // holds a version visible in the snapshot
+	ver  *memVersion // that version
 
-	tables      []*ssTable
-	ti, bi, off int // table, block within it, offset of the entry within that
+	tables    []*ssTable
+	ti, bi    int32 // table, block within it
+	off, next int   // offsets of the entry within the block, and of the one after it
 
 	key []byte // current key; nil when the run is exhausted
 }
@@ -96,7 +101,7 @@ func (it *Iterator) Key() []byte { return it.cur.key }
 
 // Value returns the current value. Only valid while Valid() is true. Like
 // Key, the slice aliases immutable engine memory.
-func (it *Iterator) Value() []byte { return it.cur.entry(it).Value }
+func (it *Iterator) Value() []byte { return it.cur.value() }
 
 // Next advances to the next live (non-tombstone) key.
 func (it *Iterator) Next() {
@@ -156,33 +161,42 @@ func (it *Iterator) settle() {
 				it.cur = s
 			}
 		}
-		if it.cur == nil || !it.cur.entry(it).Tombstone {
+		if it.cur == nil || !it.cur.tombstone() {
 			return
 		}
 		it.skipCurrent()
 	}
 }
 
-// entry returns the source's current entry, aliasing the memtable version or
-// the encoded block.
-func (s *iterSource) entry(it *Iterator) Entry {
+// value returns the source's current value, aliasing the memtable version
+// or the encoded block.
+func (s *iterSource) value() []byte {
 	if s.mem != nil {
-		return s.node.entry(s.node.visible(it.seq))
+		return s.ver.value
 	}
-	ent, _ := entryAt(s.tables[s.ti].blocks[s.bi], s.off)
-	return ent
+	return s.block()[s.off+entryHeaderLen+len(s.key) : s.next]
 }
+
+// tombstone reports whether the source's current entry is a tombstone.
+func (s *iterSource) tombstone() bool {
+	if s.mem != nil {
+		return s.ver.tombstone
+	}
+	return s.block()[s.off]&entryFlagTombstone != 0
+}
+
+// block returns a table source's current block.
+func (s *iterSource) block() []byte { return s.tables[s.ti].blocks[s.bi] }
 
 func (s *iterSource) step(it *Iterator) {
 	if s.mem != nil {
 		s.settleMem(it, s.node.next(0))
 		return
 	}
-	t := s.tables[s.ti]
-	_, s.off = entryAt(t.blocks[s.bi], s.off)
-	if s.off >= len(t.blocks[s.bi]) {
+	s.off = s.next
+	if s.off >= len(s.block()) {
 		s.bi, s.off = s.bi+1, 0
-		if s.bi >= len(t.blocks) {
+		if int(s.bi) >= len(s.tables[s.ti].blocks) {
 			s.ti++
 			if !s.openTable(it) {
 				return
@@ -200,27 +214,27 @@ func (s *iterSource) settleMem(it *Iterator, n *skipNode) {
 		if it.hi != nil && bytes.Compare(n.key, it.hi) >= 0 {
 			break
 		}
-		if n.visible(it.seq) != nil {
-			s.node, s.key = n, n.key
+		if v := n.visible(it.seq); v != nil {
+			s.node, s.ver, s.key = n, v, n.key
 			return
 		}
 	}
-	s.node, s.key = nil, nil
+	s.node, s.ver, s.key = nil, nil, nil
 }
 
 // seekTables positions the source on its first entry >= key: a binary search
 // for the table (a sorted level's tables are ordered and disjoint), another
 // for the block, and blockSeek within it.
 func (s *iterSource) seekTables(it *Iterator, key []byte) {
-	s.ti = sort.Search(len(s.tables), func(i int) bool {
+	s.ti = int32(sort.Search(len(s.tables), func(i int) bool {
 		return bytes.Compare(s.tables[i].maxKey, key) >= 0
-	})
+	}))
 	if !s.openTable(it) {
 		return
 	}
 	t := s.tables[s.ti]
 	if bi := t.blockFor(key); bi > 0 {
-		s.bi = bi
+		s.bi = int32(bi)
 	}
 	s.off = blockSeek(t.blocks[s.bi], key)
 	if s.off >= len(t.blocks[s.bi]) {
@@ -237,10 +251,10 @@ func (s *iterSource) seekTables(it *Iterator, key []byte) {
 // starts at or past hi. A table counts as probed when a source positions in
 // it.
 func (s *iterSource) openTable(it *Iterator) bool {
-	for s.ti < len(s.tables) && s.tables[s.ti].numEntries == 0 {
+	for int(s.ti) < len(s.tables) && s.tables[s.ti].numEntries == 0 {
 		s.ti++
 	}
-	if s.ti >= len(s.tables) || (it.hi != nil && bytes.Compare(s.tables[s.ti].minKey, it.hi) >= 0) {
+	if int(s.ti) >= len(s.tables) || (it.hi != nil && bytes.Compare(s.tables[s.ti].minKey, it.hi) >= 0) {
 		s.key = nil
 		return false
 	}
@@ -249,9 +263,11 @@ func (s *iterSource) openTable(it *Iterator) bool {
 	return true
 }
 
-// load reads the key at the source's position, exhausting the source at hi.
+// load reads the entry at the source's position — its key, and where it
+// ends — exhausting the source at hi.
 func (s *iterSource) load(it *Iterator) {
-	ent, _ := entryAt(s.tables[s.ti].blocks[s.bi], s.off)
+	var ent Entry
+	ent, s.next = entryAt(s.block(), s.off)
 	s.key = ent.Key
 	if it.hi != nil && bytes.Compare(s.key, it.hi) >= 0 {
 		s.key = nil

@@ -331,6 +331,36 @@ func TestMemTableOverwrite(t *testing.T) {
 	}
 }
 
+// An iterator is one allocation for the common shapes (sources in its own
+// buffer), and that allocation stays in the 384-byte size class.
+func TestIteratorSizeAndAllocs(t *testing.T) {
+	if sz := unsafe.Sizeof(Iterator{}); sz > 384 {
+		t.Fatalf("Iterator is %d bytes, want <= 384", sz)
+	}
+	e := newManualEngine(Options{})
+	defer e.Close()
+	for i := 0; i < 10; i++ {
+		if err := e.Set([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if i == 4 {
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The active memtable over one L0 table.
+	lo, hi := []byte("k"), []byte("l")
+	allocs := testing.AllocsPerRun(100, func() {
+		if it := e.NewIter(lo, hi); !it.Valid() {
+			t.Fatal("iterator not on a key")
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("NewIter makes %v allocations, want 1", allocs)
+	}
+}
+
 // An iterator over a narrow range must position in only the one table of a
 // sorted level whose bounds intersect it.
 func TestIterProbesOnlyOverlappingTables(t *testing.T) {

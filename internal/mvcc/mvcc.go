@@ -104,6 +104,9 @@ func (v Version) IsIntent() bool { return v.TxnID != 0 }
 
 const (
 	flagTombstone = 1 << 0
+	// valueHeaderLen is the length of a version value's header: the flags
+	// byte, then the transaction ID as 8 bytes big-endian. Data follows it.
+	valueHeaderLen = 9
 )
 
 // encodeValue serializes a version's value portion (timestamp lives in the
@@ -120,20 +123,23 @@ func encodeValue(v Version) []byte {
 }
 
 func decodeValue(b []byte) (Version, error) {
-	if len(b) < 9 {
-		return Version{}, fmt.Errorf("mvcc: short value (%d bytes)", len(b))
-	}
-	var v Version
-	v.Tombstone = b[0]&flagTombstone != 0
-	_, txnID, err := keys.DecodeUint64(keys.Key(b[1:9]))
+	tombstone, txnID, err := valueHeader(b)
 	if err != nil {
 		return Version{}, err
 	}
-	v.TxnID = txnID
-	if len(b) > 9 {
-		v.Data = b[9:]
+	v := Version{Tombstone: tombstone, TxnID: txnID}
+	if len(b) > valueHeaderLen {
+		v.Data = b[valueHeaderLen:]
 	}
 	return v, nil
+}
+
+// valueHeader reads a version value's header in place.
+func valueHeader(b []byte) (tombstone bool, txnID uint64, err error) {
+	if len(b) < valueHeaderLen {
+		return false, 0, fmt.Errorf("mvcc: short value (%d bytes)", len(b))
+	}
+	return b[0]&flagTombstone != 0, binary.BigEndian.Uint64(b[1:valueHeaderLen]), nil
 }
 
 // CheckWriteConflict reports the conflict a write at (ts, txnID) on key would
@@ -357,21 +363,22 @@ func ScanFunc(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64,
 			}
 			continue
 		}
-		v, err := decodeValue(it.Value())
+		// Visibility reads the value's header alone.
+		value := it.Value()
+		tombstone, vTxnID, err := valueHeader(value)
 		if err != nil {
 			return nil, err
 		}
-		v.Ts = ts
-		visible, conflict := visibleVersion(v, readTs, txnID)
+		visible, conflict := visibleVersion(Version{Ts: ts, TxnID: vTxnID}, readTs, txnID)
 		if conflict {
 			user, err := decodeUserKey(prefix)
 			if err != nil {
 				return nil, err
 			}
-			return nil, &kvpb.WriteIntentError{Key: user, TxnID: v.TxnID}
+			return nil, &kvpb.WriteIntentError{Key: user, TxnID: vTxnID}
 		}
-		if visible && !v.Tombstone {
-			if err := visit(prefix, v.Data); err != nil {
+		if visible && !tombstone {
+			if err := visit(prefix, value[valueHeaderLen:]); err != nil {
 				return nil, err
 			}
 			visited++

@@ -405,11 +405,19 @@ func TestAggStateMergeMatchesUpdate(t *testing.T) {
 				}
 				parts.merge(&decoded)
 			}
-			if parts != all {
+			if !sameAggState(&parts, &all) {
 				t.Fatalf("fn %d: merged %+v, updated %+v", fn, parts, all)
 			}
 		}
 	}
+}
+
+// sameAggState reports whether a and b are equal field by field, their MIN
+// and MAX values as their encodings.
+func sameAggState(a, b *aggState) bool {
+	return a.fn == b.fn && a.count == b.count && a.sum == b.sum && a.sumI == b.sumI && a.isInt == b.isInt &&
+		a.seen == b.seen && bytes.Equal(appendSlot(nil, &a.min), appendSlot(nil, &b.min)) &&
+		bytes.Equal(appendSlot(nil, &a.max), appendSlot(nil, &b.max))
 }
 
 // q1Push is a Q1-like aggregation with an aggregate of each kind.
@@ -440,11 +448,11 @@ func FuzzDecodePartial(f *testing.F) {
 	p := pushPlanOf(f, q1Push)
 	seed := AppendDatum(nil, DString("A"))
 	for _, a := range []aggState{
-		{fn: aggSum, count: 3, isInt: true, sumI: 40, sum: 40, min: DInt(2), max: DInt(30), seen: true},
-		{fn: aggAvg, count: 3, sum: 1.5, min: DFloat(-0.5), max: DFloat(2), seen: true},
+		{fn: aggSum, count: 3, isInt: true, sumI: 40, sum: 40, min: DInt(2).slot(), max: DInt(30).slot(), seen: true},
+		{fn: aggAvg, count: 3, sum: 1.5, min: DFloat(-0.5).slot(), max: DFloat(2).slot(), seen: true},
 		{fn: aggCount, count: 7, isInt: true, seen: true},
 		{fn: aggMin, isInt: true},
-		{fn: aggMax, count: 1, isInt: true, sumI: 5, sum: 5, min: DString("A"), max: DString("A"), seen: true},
+		{fn: aggMax, count: 1, isInt: true, sumI: 5, sum: 5, min: DString("A").slot(), max: DString("A").slot(), seen: true},
 	} {
 		seed = appendAggState(seed, &a)
 	}
@@ -486,7 +494,7 @@ func TestDecodePartialRejectsMalformedInput(t *testing.T) {
 	p := pushPlanOf(t, q1Push)
 	good := AppendDatum(nil, DString("N"))
 	for range p.aggs {
-		good = appendAggState(good, &aggState{count: 1, isInt: true, sumI: 2, sum: 2, min: DInt(2), max: DInt(2), seen: true})
+		good = appendAggState(good, &aggState{count: 1, isInt: true, sumI: 2, sum: 2, min: DInt(2).slot(), max: DInt(2).slot(), seen: true})
 	}
 	vals, states, err := decodePartial(p, good, nil, nil)
 	if err != nil || len(vals) != 1 || vals[0] != DString("N") || len(states) != len(p.aggs) || states[0].sumI != 2 {
@@ -594,9 +602,32 @@ func TestScanFoldSkipsUnreadColumns(t *testing.T) {
 	}
 }
 
-// fullDecodeRow is scanFold.Row over the whole decoded row: the reference
-// FuzzScanFoldRow checks the column-pruned decode against.
-func fullDecodeRow(f *scanFold, value []byte) (bool, error) {
+// refFold is the reference FuzzScanFoldRow checks the KV node's fold
+// against. It shares none of the fold's code: it decodes each whole row into
+// Datums and evaluates the spec with the row path's cmpOp.holds,
+// appendGroupKey and aggState.update, keeping each group's first-row values
+// as Datums.
+type refFold struct {
+	spec   scanSpec
+	order  []string // group keys, in order of first appearance
+	groups map[string]*refGroup
+}
+
+type refGroup struct {
+	vals   []Datum
+	states []aggState
+}
+
+func newRefFold(t *testing.T, spec []byte) *refFold {
+	f := &refFold{groups: map[string]*refGroup{}}
+	if err := f.spec.decode(spec); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// row is kvserver.ScanFold's Row.
+func (f *refFold) row(value []byte) (bool, error) {
 	row, err := decodeRowValue(nil, value)
 	if err != nil {
 		return false, err
@@ -609,14 +640,60 @@ func fullDecodeRow(f *scanFold, value []byte) (bool, error) {
 	if !f.spec.aggregating() {
 		return true, nil
 	}
-	return false, f.fold(row)
+	var key []byte
+	for _, c := range f.spec.groupBy {
+		if c >= len(row) {
+			return false, fmt.Errorf("sql: group column %d of a %d-column row", c, len(row))
+		}
+		key = appendGroupKey(key, row[c])
+	}
+	g := f.groups[string(key)]
+	if g == nil {
+		g = &refGroup{}
+		for _, c := range f.spec.groupBy {
+			g.vals = append(g.vals, row[c])
+		}
+		for _, a := range f.spec.aggs {
+			g.states = append(g.states, aggState{fn: a.fn, isInt: true})
+		}
+		f.groups[string(key)] = g
+		f.order = append(f.order, string(key))
+	}
+	for j, a := range f.spec.aggs {
+		switch {
+		case a.col == countRows:
+			g.states[j].countRow()
+		case a.col >= len(row):
+			return false, fmt.Errorf("sql: aggregate column %d of a %d-column row", a.col, len(row))
+		default:
+			g.states[j].update(row[a.col])
+		}
+	}
+	return false, nil
+}
+
+// partials returns the partial rows the fold finishes with.
+func (f *refFold) partials() []kvpb.KeyValue {
+	var out []kvpb.KeyValue
+	for _, key := range f.order {
+		g := f.groups[key]
+		var value []byte
+		for _, v := range g.vals {
+			value = AppendDatum(value, v)
+		}
+		for i := range g.states {
+			value = appendAggState(value, &g.states[i])
+		}
+		out = append(out, kvpb.KeyValue{Key: []byte(key), Value: value})
+	}
+	return out
 }
 
 // FuzzScanFoldRow: for any row value, folded between two well-formed rows
-// under one of a few specs, Row fails exactly where the full-decode
-// reference does (so where decodeRowValue does, or where an aggregate's
-// column is past the row's end), with the same error, keeps what the
-// reference keeps, and the two folds finish with the same partial rows.
+// under one of a few specs, Row fails exactly where the reference does (so
+// where decodeRowValue does, or where a group or aggregate column is past
+// the row's end), with the same error, keeps what the reference keeps, and
+// the fold finishes with the reference's partial rows, byte for byte.
 func FuzzScanFoldRow(f *testing.F) {
 	specs := [][]byte{
 		pushPlanOf(f, q1).spec,
@@ -629,9 +706,33 @@ func FuzzScanFoldRow(f *testing.F) {
 			{col: 2, fn: aggSum}, {col: 0, fn: aggAvg}, {col: 4, fn: aggMax},
 		}}).encode(),
 		(&scanSpec{conds: []specCond{{col: 2, op: opGe, val: DInt(0)}}, aggs: []specAgg{{col: 6, fn: aggMin}}}).encode(),
+		// STRING conditions and group columns, and MIN and MAX of a STRING.
+		(&scanSpec{
+			conds:   []specCond{{col: 4, op: opGe, val: DString("A")}, {col: 6, op: opLt, val: DString("zz")}},
+			groupBy: []int{6, 4},
+			aggs:    []specAgg{{col: 6, fn: aggMin}, {col: 6, fn: aggMax}, {col: 4, fn: aggMin}, {col: countRows, fn: aggCount}},
+		}).encode(),
+		// A FLOAT constant against an INT column and an INT constant
+		// against a FLOAT one; MIN, MAX, SUM and AVG of a column whose rows
+		// mix INTs and FLOATs; grouping by it.
+		(&scanSpec{
+			conds:   []specCond{{col: 2, op: opLt, val: DFloat(40.5)}, {col: 3, op: opGe, val: DInt(7)}},
+			groupBy: []int{3},
+			aggs: []specAgg{
+				{col: 3, fn: aggMin}, {col: 3, fn: aggMax}, {col: 3, fn: aggSum}, {col: 3, fn: aggAvg},
+				{col: 2, fn: aggMax}, {col: 3, fn: aggCount},
+			},
+		}).encode(),
 	}
 	row := lineitemRow(7)
 	good := encodeRowValue(row)
+	withCols := func(i int, cols map[int]Datum) []byte {
+		r := append(lineitemRow(i), DString("0123456789"))
+		for c, d := range cols {
+			r[c] = d
+		}
+		return encodeRowValue(r)
+	}
 	for i := range specs {
 		f.Add(uint8(i), good)
 		f.Add(uint8(i), encodeRowValue(append(lineitemRow(8), unreadString)))
@@ -640,6 +741,12 @@ func FuzzScanFoldRow(f *testing.F) {
 		f.Add(uint8(i), good[:len(good)-1])
 		f.Add(uint8(i), append(slices.Clone(good), 0))
 		f.Add(uint8(i), []byte{})
+		// NaN, -0, NULL and INT/FLOAT mixes where the specs read.
+		f.Add(uint8(i), withCols(10, map[int]Datum{3: DFloat(math.NaN())}))
+		f.Add(uint8(i), withCols(11, map[int]Datum{3: DFloat(math.Copysign(0, -1)), 2: DFloat(-0.5)}))
+		f.Add(uint8(i), withCols(12, map[int]Datum{3: DNull, 4: DNull, 6: DNull}))
+		f.Add(uint8(i), withCols(13, map[int]Datum{3: DInt(7), 2: DFloat(40.5)}))
+		f.Add(uint8(i), withCols(14, map[int]Datum{3: DFloat(7), 6: DString("")}))
 	}
 	// An unread column with an unknown tag, a bool out of range, a string
 	// longer than the row.
@@ -652,16 +759,13 @@ func FuzzScanFoldRow(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := kvEvaluator{}.Begin(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newRefFold(t, spec)
 		_, derr := decodeRowValue(nil, value)
 		for i, v := range [][]byte{good, value, good} {
 			keep, err := fold.Row(v)
-			wantKeep, wantErr := fullDecodeRow(ref.(*scanFold), v)
+			wantKeep, wantErr := ref.row(v)
 			if keep != wantKeep || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Fatalf("spec %x, row %d %x: kept %v, %v; the full decode %v, %v", spec, i, v, keep, err, wantKeep, wantErr)
+				t.Fatalf("spec %x, row %d %x: kept %v, %v; the reference %v, %v", spec, i, v, keep, err, wantKeep, wantErr)
 			}
 			if i == 1 && derr != nil && err == nil {
 				t.Fatalf("row %x folded, but decodeRowValue fails: %v", v, derr)
@@ -670,60 +774,113 @@ func FuzzScanFoldRow(f *testing.F) {
 				break
 			}
 		}
-		var got, want kvpb.Page
+		var got kvpb.Page
 		if err := fold.Finish(&got); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Finish(&want); err != nil {
-			t.Fatal(err)
+		want := ref.partials()
+		if len(got.Rows) != len(want) {
+			t.Fatalf("spec %x, row %x: %d partial rows, the reference %d", spec, value, len(got.Rows), len(want))
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("spec %x, row %x: %d partial rows, the full decode %d", spec, value, len(got.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			if !bytes.Equal(got.Rows[i].Key, want.Rows[i].Key) || !bytes.Equal(got.Rows[i].Value, want.Rows[i].Value) {
-				t.Fatalf("spec %x, row %x: partial %d is %x=%x, the full decode %x=%x", spec, value, i,
-					got.Rows[i].Key, got.Rows[i].Value, want.Rows[i].Key, want.Rows[i].Value)
+		for i := range want {
+			if !bytes.Equal(got.Rows[i].Key, want[i].Key) || !bytes.Equal(got.Rows[i].Value, want[i].Value) {
+				t.Fatalf("spec %x, row %x: partial %d is %x=%x, the reference %x=%x", spec, value, i,
+					got.Rows[i].Key, got.Rows[i].Value, want[i].Key, want[i].Value)
 			}
 		}
 	})
 }
 
-// BenchmarkScanFold is the leaseholder's side of pushed Q1 alone: Q1's spec
-// folded over 2 000 encoded lineitem rows, with no transaction and no KV.
-// The second case gives each row an unread 40-byte STRING column.
+// stringGroupSpec groups by, filters on, and takes MIN and MAX of column 6
+// of stringGroupRow, a 10-byte STRING.
+var stringGroupSpec = &scanSpec{
+	conds:   []specCond{{col: 6, op: opGe, val: DString("group-0001")}},
+	groupBy: []int{6},
+	aggs:    []specAgg{{col: countRows, fn: aggCount}, {col: 6, fn: aggMin}, {col: 6, fn: aggMax}},
+}
+
+// stringGroupRow is lineitemRow(i) and a 10-byte STRING of four values.
+func stringGroupRow(i int) []Datum {
+	return append(lineitemRow(i), DString(fmt.Sprintf("group-%04d", i%4)))
+}
+
+// foldCases are the folds BenchmarkScanFold times and TestScanFoldAllocs
+// counts: a spec over 2 000 encoded rows, and the partial rows it finishes
+// with.
+var foldCases = []struct {
+	name     string
+	spec     func(testing.TB) []byte
+	row      func(i int) []Datum
+	partials int
+}{
+	{"q1", q1Spec, lineitemRow, 3},
+	{"unread_string", q1Spec, func(i int) []Datum { return append(lineitemRow(i), unreadString) }, 3},
+	{"string_group", func(testing.TB) []byte { return stringGroupSpec.encode() }, stringGroupRow, 3},
+}
+
+func q1Spec(tb testing.TB) []byte { return pushPlanOf(tb, q1).spec }
+
+// encodeRows returns the encodings of rows 1 to n of row.
+func encodeRows(n int, row func(i int) []Datum) [][]byte {
+	values := make([][]byte, n)
+	for i := range values {
+		values[i] = encodeRowValue(row(i + 1))
+	}
+	return values
+}
+
+// foldAll folds values under spec as a pushed scan does and checks the
+// number of partial rows it finishes with.
+func foldAll(tb testing.TB, spec []byte, values [][]byte, partials int) {
+	fold, err := kvEvaluator{}.Begin(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, v := range values {
+		if _, err := fold.Row(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var page kvpb.Page
+	if err := fold.Finish(&page); err != nil || len(page.Rows) != partials {
+		tb.Fatalf("finished with %d partial rows, %v; want %d", len(page.Rows), err, partials)
+	}
+}
+
+// BenchmarkScanFold is the leaseholder's side of a pushed aggregation
+// alone, with no transaction and no KV: q1 is Q1's spec folded over 2 000
+// encoded lineitem rows; unread_string gives each row an unread 40-byte
+// STRING column; string_group groups, filters and takes MIN and MAX on a
+// 10-byte STRING column.
 func BenchmarkScanFold(b *testing.B) {
-	spec := pushPlanOf(b, q1).spec
-	for _, bc := range []struct {
-		name  string
-		extra []Datum
-	}{
-		{"q1", nil},
-		{"unread_string", []Datum{unreadString}},
-	} {
+	for _, bc := range foldCases {
 		b.Run(bc.name, func(b *testing.B) {
-			values := make([][]byte, 2000)
-			for i := range values {
-				values[i] = encodeRowValue(append(lineitemRow(i+1), bc.extra...))
-			}
+			spec, values := bc.spec(b), encodeRows(2000, bc.row)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				fold, err := kvEvaluator{}.Begin(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, v := range values {
-					if _, err := fold.Row(v); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var page kvpb.Page
-				if err := fold.Finish(&page); err != nil || len(page.Rows) != 3 {
-					b.Fatalf("Q1 finished with %d partial rows, %v", len(page.Rows), err)
-				}
+				foldAll(b, spec, values, bc.partials)
 			}
 		})
+	}
+}
+
+// A fold copies no STRING it reads: a column's bytes alias the row value, so
+// a fold of 2 000 rows that groups, filters and takes MIN and MAX on a
+// STRING makes the allocations of its page alone, as Q1 does. It made one
+// allocation per row when each read STRING became a Datum.
+func TestScanFoldAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, c := range foldCases {
+		spec, values := c.spec(t), encodeRows(2000, c.row)
+		foldAll(t, spec, values, c.partials) // a pooled fold, warm
+		allocs := testing.AllocsPerRun(20, func() { foldAll(t, spec, values, c.partials) })
+		t.Logf("%s: %v allocations per fold of 2000 rows", c.name, allocs)
+		if allocs > 6 {
+			t.Errorf("%s: a fold of 2000 rows makes %v allocations, want at most 6", c.name, allocs)
+		}
 	}
 }
 

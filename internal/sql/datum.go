@@ -1,11 +1,13 @@
 package sql
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 
 	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
@@ -61,51 +63,109 @@ func (d Datum) String() string {
 // the numbers, then STRINGs, then BOOLs (false before true). INT and FLOAT
 // compare by exact value, and a NaN equals every NaN and sorts below every
 // other number. So WHERE, MIN and MAX, ORDER BY and the KV node's pushed-down
-// conditions see one order, whatever the kinds of the two sides.
+// conditions see one order, whatever the kinds of the two sides: each is
+// compareSlots.
 func (d Datum) Compare(o Datum) int {
-	// Two numbers of one kind, the common case, need no rank.
-	if !d.Null && !o.Null && d.Kind == o.Kind {
-		switch d.Kind {
-		case TypeInt:
-			return cmp.Compare(d.I, o.I)
-		case TypeFloat:
-			return cmp.Compare(d.F, o.F) // NaN == NaN < -Inf, and -0 == 0
-		}
-	}
-	if c := cmp.Compare(d.rank(), o.rank()); c != 0 || d.Null {
-		return c
-	}
-	switch {
-	case d.Kind == TypeFloat && o.Kind == TypeInt:
-		return compareFloatInt(d.F, o.I)
-	case d.Kind == TypeInt && o.Kind == TypeFloat:
-		return -compareFloatInt(o.F, d.I)
-	case d.Kind == TypeString:
-		return strings.Compare(d.S, o.S)
-	case d.Kind == TypeBool:
-		switch {
-		case !d.B && o.B:
-			return -1
-		case d.B && !o.B:
-			return 1
-		}
-	}
-	return 0
+	a, b := d.slot(), o.slot()
+	return compareSlots(&a, &b)
 }
 
-// rank is d's place in Compare's order of kinds: the kinds that do not
-// compare with each other order by it. INT and FLOAT share one.
-func (d Datum) rank() int {
+// slot is one value in typed form: the form the KV node's fold decodes a
+// row's columns into (readColumn), and the one Compare, appendGroupKey,
+// AppendDatum and the aggregate states work on, so that the row path and
+// the fold order, key, encode and fold values with the same code. tag is
+// the value's encoding tag; an INT is i, a BOOL is i as 0 or 1, a FLOAT is
+// f, and a STRING is b, which aliases the bytes it was read from (or the
+// Datum it views) and is never written. The fields the tag does not name
+// hold whatever they held before. A tag that is none of tagNull to tagBool
+// (the zero slot's) encodes and keys as NULL.
+type slot struct {
+	tag byte
+	i   int64
+	f   float64
+	b   []byte
+}
+
+// slot returns d in typed form. A STRING's bytes view d.S in place: a
+// string's bytes never change, and no slot's are written.
+func (d Datum) slot() slot {
 	switch {
 	case d.Null:
-		return 0
-	case d.isNumeric():
-		return 1
+		return slot{tag: tagNull}
+	case d.Kind == TypeInt:
+		return slot{tag: tagInt, i: d.I}
+	case d.Kind == TypeFloat:
+		return slot{tag: tagFloat, f: d.F}
 	case d.Kind == TypeString:
-		return 2
+		return slot{tag: tagString, b: unsafe.Slice(unsafe.StringData(d.S), len(d.S))}
+	case d.Kind == TypeBool && d.B:
+		return slot{tag: tagBool, i: 1}
+	case d.Kind == TypeBool:
+		return slot{tag: tagBool}
 	default:
-		return 3 + int(d.Kind)
+		return slot{tag: tagNull}
 	}
+}
+
+// datum returns s as a Datum, copying a STRING's bytes.
+func (s *slot) datum() Datum {
+	switch s.tag {
+	case tagInt:
+		return DInt(s.i)
+	case tagFloat:
+		return DFloat(s.f)
+	case tagString:
+		return DString(string(s.b))
+	case tagBool:
+		return DBool(s.i != 0)
+	default:
+		return DNull
+	}
+}
+
+// compareSlots orders a and b as Compare orders their Datums.
+func compareSlots(a, b *slot) int {
+	if a.tag == b.tag {
+		switch a.tag {
+		case tagInt, tagBool:
+			return cmp.Compare(a.i, b.i)
+		case tagFloat:
+			return cmp.Compare(a.f, b.f) // NaN == NaN < -Inf, and -0 == 0
+		case tagString:
+			return bytes.Compare(a.b, b.b)
+		}
+		return 0
+	}
+	if c := cmp.Compare(tagRank(a.tag), tagRank(b.tag)); c != 0 {
+		return c
+	}
+	if a.tag == tagFloat {
+		return compareFloatInt(a.f, b.i)
+	}
+	return -compareFloatInt(b.f, a.i)
+}
+
+// sameSlot reports whether compareSlots(a, b) == 0, comparing two INTs or
+// two STRINGs, a group column's common cases, by equality alone.
+func sameSlot(a, b *slot) bool {
+	switch {
+	case a.tag != b.tag:
+	case a.tag == tagInt:
+		return a.i == b.i
+	case a.tag == tagString:
+		return string(a.b) == string(b.b)
+	}
+	return compareSlots(a, b) == 0
+}
+
+// tagRank is a value's place in Compare's order of kinds: the kinds that do
+// not compare with each other order by it. The tags are in that order, and
+// FLOAT shares INT's rank.
+func tagRank(tag byte) byte {
+	if tag == tagFloat {
+		return tagInt
+	}
+	return tag
 }
 
 // compareFloatInt compares f with i exactly: converting either to the
@@ -145,25 +205,28 @@ func (d Datum) asFloat() float64 {
 // appended one after another identify its values exactly and no two rows'
 // keys run together.
 func appendGroupKey(b []byte, d Datum) []byte {
-	if d.Null {
-		return append(b, tagNull)
-	}
-	switch d.Kind {
-	case TypeInt:
-		return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(d.I))
-	case TypeFloat:
-		if t := math.Trunc(d.F); t == d.F && t >= math.MinInt64 && t < -math.MinInt64 {
+	s := d.slot()
+	return appendSlotKey(b, &s)
+}
+
+// appendSlotKey is appendGroupKey of s.
+func appendSlotKey(b []byte, s *slot) []byte {
+	switch s.tag {
+	case tagInt:
+		return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(s.i))
+	case tagFloat:
+		if t := math.Trunc(s.f); t == s.f && t >= math.MinInt64 && t < -math.MinInt64 {
 			return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(int64(t)))
 		}
-		bits := math.Float64bits(d.F)
-		if math.IsNaN(d.F) {
+		bits := math.Float64bits(s.f)
+		if math.IsNaN(s.f) {
 			bits = math.Float64bits(math.NaN())
 		}
 		return binary.BigEndian.AppendUint64(append(b, tagFloat), bits)
-	case TypeString:
-		return binenc.AppendString(append(b, tagString), d.S)
-	case TypeBool:
-		return binenc.AppendBool(append(b, tagBool), d.B)
+	case tagString:
+		return binenc.AppendBytes(append(b, tagString), s.b)
+	case tagBool:
+		return append(b, tagBool, byte(s.i))
 	default:
 		return append(b, tagNull)
 	}
@@ -305,18 +368,21 @@ func floatFromSortableBits(bits uint64) float64 {
 // one byte 0/1 (BOOL). Stored row values and wire frames both carry datums in
 // this form; unlike the key encoding it is compact, not order-preserving.
 func AppendDatum(b []byte, d Datum) []byte {
-	if d.Null {
-		return append(b, tagNull)
-	}
-	switch d.Kind {
-	case TypeInt:
-		return binary.AppendVarint(append(b, tagInt), d.I)
-	case TypeFloat:
-		return binary.BigEndian.AppendUint64(append(b, tagFloat), math.Float64bits(d.F))
-	case TypeString:
-		return binenc.AppendString(append(b, tagString), d.S)
-	case TypeBool:
-		return binenc.AppendBool(append(b, tagBool), d.B)
+	s := d.slot()
+	return appendSlot(b, &s)
+}
+
+// appendSlot is AppendDatum of s.
+func appendSlot(b []byte, s *slot) []byte {
+	switch s.tag {
+	case tagInt:
+		return binary.AppendVarint(append(b, tagInt), s.i)
+	case tagFloat:
+		return binary.BigEndian.AppendUint64(append(b, tagFloat), math.Float64bits(s.f))
+	case tagString:
+		return binenc.AppendBytes(append(b, tagString), s.b)
+	case tagBool:
+		return append(b, tagBool, byte(s.i))
 	default:
 		return append(b, tagNull)
 	}
@@ -324,7 +390,12 @@ func AppendDatum(b []byte, d Datum) []byte {
 
 // ConsumeDatum reads one AppendDatum encoding from r. A malformed or
 // truncated datum fails r and yields the zero Datum.
-func ConsumeDatum(r *binenc.Reader) Datum {
+func ConsumeDatum(r *binenc.Reader) Datum { return consumeDatum(r, DNull) }
+
+// consumeDatum is ConsumeDatum, but a STRING equal to prev is prev itself:
+// a decoder that reads the value it read last time into the same place
+// allocates nothing for it.
+func consumeDatum(r *binenc.Reader, prev Datum) Datum {
 	switch tag := r.Byte(); tag {
 	case tagNull:
 		return DNull
@@ -333,7 +404,11 @@ func ConsumeDatum(r *binenc.Reader) Datum {
 	case tagFloat:
 		return DFloat(math.Float64frombits(r.Uint64()))
 	case tagString:
-		return DString(r.Str())
+		b := r.Bytes()
+		if !prev.Null && prev.Kind == TypeString && prev.S == string(b) {
+			return prev
+		}
+		return DString(string(b))
 	case tagBool:
 		return DBool(r.Bool())
 	default:
@@ -341,23 +416,5 @@ func ConsumeDatum(r *binenc.Reader) Datum {
 		// covers truncation as well as an unknown tag.
 		r.Fail()
 		return Datum{}
-	}
-}
-
-// skipDatum reads past one AppendDatum encoding without building its Datum.
-// It fails r exactly where ConsumeDatum would.
-func skipDatum(r *binenc.Reader) {
-	switch tag := r.Byte(); tag {
-	case tagNull:
-	case tagInt:
-		r.Varint()
-	case tagFloat:
-		r.Uint64()
-	case tagString:
-		r.Bytes()
-	case tagBool:
-		r.Bool()
-	default:
-		r.Fail()
 	}
 }

@@ -1024,42 +1024,64 @@ func aggFnNamed(name string) aggFn {
 // aggState accumulates one aggregate function over a group. It tracks only
 // what its function's result reads: count for every function (seen is
 // count > 0 once a state crosses the SQL/KV boundary), sum, sumI and isInt
-// for SUM and AVG, min for MIN and max for MAX.
+// for SUM and AVG, min for MIN and max for MAX. min and max are slots: at
+// the KV node a STRING's bytes alias the row value it was read from, which
+// outlives the fold, and on the SQL side they view a Datum's string.
 type aggState struct {
 	fn    aggFn
 	count int64
 	sum   float64
 	sumI  int64
 	isInt bool
-	min   Datum
-	max   Datum
+	min   slot
+	max   slot
 	seen  bool
 }
 
+// update folds d into a: it is add of d's slot.
 func (a *aggState) update(d Datum) {
-	if d.Null {
+	v := d.slot()
+	a.add(&v)
+}
+
+// add folds v into a, a step the row path (update) and the KV node's fold
+// share.
+func (a *aggState) add(v *slot) {
+	switch {
+	case v.tag == tagNull:
+		return
+	case a.fn == aggMin:
+		if !a.seen || compareSlots(v, &a.min) < 0 {
+			a.min = *v
+		}
+	case a.fn == aggMax:
+		if !a.seen || compareSlots(v, &a.max) > 0 {
+			a.max = *v
+		}
+	case v.tag == tagInt:
+		a.addInt(v.i)
+		return
+	case v.tag == tagFloat:
+		a.addFloat(v.f)
 		return
 	}
 	a.count++
-	switch a.fn {
-	case aggMin:
-		if !a.seen || d.Compare(a.min) < 0 {
-			a.min = d
-		}
-	case aggMax:
-		if !a.seen || d.Compare(a.max) > 0 {
-			a.max = d
-		}
-	default:
-		if d.isNumeric() {
-			if d.Kind == TypeInt {
-				a.sumI += d.I
-			} else {
-				a.isInt = false
-			}
-			a.sum += d.asFloat()
-		}
-	}
+	a.seen = true
+}
+
+// addInt is add of an INT i to a state that sums (neither MIN nor MAX).
+func (a *aggState) addInt(i int64) {
+	a.count++
+	a.sumI += i
+	a.sum += float64(i)
+	a.seen = true
+}
+
+// addFloat is add of a FLOAT f to a state that sums.
+func (a *aggState) addFloat(f float64) {
+	a.count++
+	a.isInt = false
+	a.sum += f
 	a.seen = true
 }
 
@@ -1081,11 +1103,11 @@ func (a *aggState) merge(p *aggState) {
 	a.count += p.count
 	switch a.fn {
 	case aggMin:
-		if !a.seen || p.min.Compare(a.min) < 0 {
+		if !a.seen || compareSlots(&p.min, &a.min) < 0 {
 			a.min = p.min
 		}
 	case aggMax:
-		if !a.seen || p.max.Compare(a.max) > 0 {
+		if !a.seen || compareSlots(&p.max, &a.max) > 0 {
 			a.max = p.max
 		}
 	default:
@@ -1117,12 +1139,12 @@ func (a *aggState) result() Datum {
 		if !a.seen {
 			return DNull
 		}
-		return a.min
+		return a.min.datum()
 	case aggMax:
 		if !a.seen {
 			return DNull
 		}
-		return a.max
+		return a.max.datum()
 	default:
 		return DNull
 	}

@@ -169,12 +169,23 @@ func (o cmpOp) flip() cmpOp {
 }
 
 // holds reports whether `l o r` is true: never when either side is NULL,
-// otherwise as Datum.Compare orders l and r.
+// otherwise as Datum.Compare orders l and r. It is holdsSlots of their
+// slots, which the KV node's fold calls on the columns it decodes.
 func (o cmpOp) holds(l, r Datum) bool {
-	if l.Null || r.Null {
+	a, b := l.slot(), r.slot()
+	return o.holdsSlots(&a, &b)
+}
+
+// holdsSlots is holds of two values in typed form.
+func (o cmpOp) holdsSlots(l, r *slot) bool {
+	if l.tag == tagNull || r.tag == tagNull {
 		return false
 	}
-	c := l.Compare(r)
+	return o.test(compareSlots(l, r))
+}
+
+// test reports whether o holds between two values that compare c.
+func (o cmpOp) test(c int) bool {
 	switch o {
 	case opEq:
 		return c == 0

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -35,8 +36,9 @@ import (
 // The evaluator computes only what the statement reads: it decodes only the
 // columns the spec names, and each aggregate keeps only the state its
 // function's result needs. A condition holds there exactly when its
-// comparison does in WHERE: both call cmpOp.holds, over the Datums the row
-// codec decodes.
+// comparison does in WHERE: both are cmpOp.holdsSlots, WHERE's over two
+// Datums' slots and the evaluator's over the typed slots the row cursor
+// decodes a row's columns into (scanFold).
 
 func init() { kvserver.RegisterScanEvaluator(kvEvaluator{}) }
 
@@ -86,7 +88,7 @@ func (s *scanSpec) aggregating() bool { return len(s.groupBy) > 0 || len(s.aggs)
 // A filter's spec ends in two zero counts. minCondSize is a condition on
 // column 0 with a NULL constant, and minAggSize an aggregate of COUNT(*):
 // they bound the counts a spec can hold. The columns a KV node decodes are
-// not sent: the fold derives them from the spec (scanFold.readCols).
+// not sent: the fold derives them from the spec (scanFold.compile).
 const (
 	minCondSize = 3
 	minAggSize  = 2
@@ -111,8 +113,9 @@ func (s *scanSpec) encode() []byte {
 }
 
 // decode parses a transported spec into s, reusing the capacity of its
-// slices, so a reader that keeps its spec decodes spec after spec without
-// allocating (but for a STRING constant's bytes). The bytes arrive inside a
+// slices and a STRING constant equal to the one decoded into its place
+// before, so a reader that keeps its spec decodes spec after spec without
+// allocating (but for a new STRING constant's bytes). The bytes arrive inside a
 // KV request, so malformed ones are an error, never a panic or an allocation
 // their length does not pay for. On error s holds whatever was decoded
 // before the fault.
@@ -125,7 +128,7 @@ func (s *scanSpec) decode(b []byte) error {
 		if c.op > opGe {
 			r.Fail()
 		}
-		c.val = ConsumeDatum(r)
+		c.val = consumeDatum(r, s.conds[i].val)
 		s.conds[i] = c
 	}
 	n = r.Count(1)
@@ -359,14 +362,14 @@ func appendAggState(b []byte, a *aggState) []byte {
 	b = binenc.AppendBool(b, a.isInt)
 	b = binary.AppendVarint(b, a.sumI)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.sum))
-	lo, hi := DNull, DNull
+	lo, hi := slot{tag: tagNull}, slot{tag: tagNull}
 	switch a.fn {
 	case aggMin:
 		lo = a.min
 	case aggMax:
 		hi = a.max
 	}
-	return AppendDatum(AppendDatum(b, lo), hi)
+	return appendSlot(appendSlot(b, &lo), &hi)
 }
 
 // consumeAggState reads one appendAggState encoding of a state of fn.
@@ -376,7 +379,7 @@ func consumeAggState(r *binenc.Reader, fn aggFn) aggState {
 		r.Fail()
 	}
 	a := aggState{fn: fn, count: int64(n), isInt: r.Bool(), sumI: r.Varint(), sum: math.Float64frombits(r.Uint64())}
-	a.min, a.max, a.seen = ConsumeDatum(r), ConsumeDatum(r), a.count > 0
+	a.min, a.max, a.seen = ConsumeDatum(r).slot(), ConsumeDatum(r).slot(), a.count > 0
 	return a
 }
 
@@ -435,31 +438,60 @@ func (kvEvaluator) Begin(spec []byte) (kvserver.ScanFold, error) {
 		f.reset()
 		return nil, err
 	}
-	f.readCols()
+	f.compile()
 	return f, nil
 }
 
 // scanFold evaluates one scan's spec. Folds are pooled: once one has served
 // a scan, a scan like it allocates nothing for its spec or its groups.
+//
+// A row is decoded into typed slots, not Datums: Row reads each column the
+// spec reads once, into slots[k] for column cols[k], and the conditions and
+// aggregates, resolved to slots by compile, read them there. A STRING slot's
+// bytes alias the row value, which is engine memory that does not change
+// (mvcc.ScanFunc), so no STRING is copied: a group's values and an
+// aggregate's MIN or MAX keep aliasing the row they came from until Finish
+// encodes them.
 type scanFold struct {
 	spec scanSpec // decoded into the slices it already holds
-	// cols lists the columns the spec reads, ascending and each once. Row
-	// decodes those into row, the row being evaluated, and skips the rest:
-	// an unread column's place in row holds whatever was there before.
-	cols []int
-	row  []Datum
-	key  []byte // the row's group key
+	// cols lists the columns the spec reads, ascending and each once.
+	cols  []int
+	slots []slot
+	// have is how many of cols the row being evaluated has: slot k is one
+	// of its columns exactly when k < have. n is its column count.
+	have, n int
+	conds   []foldCond
+	groupBy []int // the slot of each group column
+	aggs    []foldAgg
+	key     []byte // the row's group key, when index finds groups
 	// keys holds every group's key back to back, group i's ending at
-	// ends[i]. Groups are found by a linear search over them, or through
-	// index once there are more than linearGroups.
+	// ends[i], and vals its group values, at [i*len(groupBy):], their
+	// STRINGs aliasing the row that opened the group. A row's group is
+	// found by comparing its values with each group's, or through index
+	// by its key once there are more than linearGroups.
 	keys  []byte
 	ends  []int
+	vals  []slot
 	index map[string]int
-	// vals and states hold group i's group values and aggregate states at
-	// [i*len(groupBy):] and [i*len(aggs):].
-	vals   []Datum
+	// states holds group i's aggregate states at [i*len(aggs):].
 	states []aggState
 	out    []byte // a partial row's value
+}
+
+// foldCond is a specCond resolved to its column's slot.
+type foldCond struct {
+	k   int
+	op  cmpOp
+	val slot // views the spec's constant
+}
+
+// foldAgg is a specAgg resolved to its column's slot, k being countRows
+// for COUNT(*). sums is whether its state sums the values (its function is
+// neither MIN nor MAX).
+type foldAgg struct {
+	k    int
+	fn   aggFn
+	sums bool
 }
 
 // linearGroups is where a fold's group lookup moves to a map. A map after
@@ -469,9 +501,10 @@ const linearGroups = 8
 
 var foldPool sync.Pool
 
-// readCols sets f.cols to the columns f's spec reads: those of its
-// conditions, its group columns and its aggregates.
-func (f *scanFold) readCols() {
+// compile sets f.cols to the columns f's spec reads (those of its
+// conditions, its group columns and its aggregates) and resolves the
+// conditions, group columns and aggregates to their slots.
+func (f *scanFold) compile() {
 	cols := f.cols[:0]
 	for _, c := range f.spec.conds {
 		cols = append(cols, c.col)
@@ -484,98 +517,171 @@ func (f *scanFold) readCols() {
 	}
 	slices.Sort(cols)
 	f.cols = slices.Compact(cols)
+	f.slots = slices.Grow(f.slots[:0], len(f.cols))[:len(f.cols)]
+	slotOf := func(col int) int {
+		k, _ := slices.BinarySearch(f.cols, col)
+		return k
+	}
+	for _, c := range f.spec.conds {
+		f.conds = append(f.conds, foldCond{k: slotOf(c.col), op: c.op, val: c.val.slot()})
+	}
+	for _, c := range f.spec.groupBy {
+		f.groupBy = append(f.groupBy, slotOf(c))
+	}
+	for _, a := range f.spec.aggs {
+		k := countRows
+		if a.col != countRows {
+			k = slotOf(a.col)
+		}
+		f.aggs = append(f.aggs, foldAgg{k: k, fn: a.fn, sums: a.fn != aggMin && a.fn != aggMax})
+	}
 }
 
 // Row implements kvserver.ScanFold: a row passes when every condition holds,
 // and a filter keeps it while an aggregation folds it. The value is decoded
 // as decodeRowValue decodes it, and fails where that fails, but only the
-// columns in f.cols become Datums.
+// columns in f.cols are kept.
 func (f *scanFold) Row(value []byte) (bool, error) {
-	r := binenc.NewReader(value)
-	n := r.Count(1)
-	row := slices.Grow(f.row[:0], n)[:n]
-	cols := f.cols
-	for i := range row {
-		if len(cols) > 0 && cols[0] == i {
-			row[i] = ConsumeDatum(r)
-			cols = cols[1:]
-		} else {
-			skipDatum(r)
+	if !f.read(value) {
+		return false, errMalformedRow
+	}
+	for i := range f.conds {
+		c := &f.conds[i]
+		if c.k >= f.have {
+			return false, nil // the row has no such column
 		}
-	}
-	if err := r.Done(); err != nil {
-		return false, fmt.Errorf("sql: decoding row: %w", err)
-	}
-	f.row = row
-	for _, c := range f.spec.conds {
-		if c.col >= len(row) || !c.op.holds(row[c.col], c.val) {
+		v := &f.slots[c.k]
+		// An INT column against an INT constant, the common case, needs
+		// no call.
+		if v.tag == tagInt && c.val.tag == tagInt {
+			if !c.op.test(cmp.Compare(v.i, c.val.i)) {
+				return false, nil
+			}
+		} else if !c.op.holdsSlots(v, &c.val) {
 			return false, nil
 		}
 	}
 	if !f.spec.aggregating() {
 		return true, nil
 	}
-	return false, f.fold(row)
+	return false, f.fold()
 }
 
-// fold adds a row that passed the conditions to its group.
-func (f *scanFold) fold(row []Datum) error {
-	f.key = f.key[:0]
-	for _, c := range f.spec.groupBy {
-		if c >= len(row) {
-			return fmt.Errorf("sql: group column %d of a %d-column row", c, len(row))
-		}
-		f.key = appendGroupKey(f.key, row[c])
-	}
-	g, ok := f.lookup(f.key)
+// read decodes row value b into f's slots, reporting false where
+// decodeRowValue fails.
+func (f *scanFold) read(b []byte) bool {
+	b, n, ok := openRow(b)
 	if !ok {
-		g = f.open(row)
+		return false
 	}
-	na := len(f.spec.aggs)
+	var skip slot
+	cols, slots := f.cols, f.slots
+	k, want := 0, -1 // the next column to keep, and its slot
+	if len(cols) > 0 {
+		want = cols[0]
+	}
+	for i := range n {
+		s := &skip
+		if i == want {
+			s = &slots[k]
+			if k++; k < len(cols) {
+				want = cols[k]
+			}
+		}
+		if b, ok = readColumn(b, s); !ok {
+			return false
+		}
+	}
+	f.have, f.n = k, n
+	return len(b) == 0
+}
+
+// fold adds the row in f's slots, which passed the conditions, to its group.
+func (f *scanFold) fold() error {
+	for _, k := range f.groupBy {
+		if k >= f.have {
+			return fmt.Errorf("sql: group column %d of a %d-column row", f.cols[k], f.n)
+		}
+	}
+	g, ok := f.lookup()
+	if !ok {
+		g = f.open()
+	}
+	na := len(f.aggs)
 	states := f.states[g*na : (g+1)*na]
-	for j, a := range f.spec.aggs {
+	for j, a := range f.aggs {
 		switch {
-		case a.col == countRows:
+		case a.k == countRows:
 			states[j].countRow()
-		case a.col >= len(row):
-			return fmt.Errorf("sql: aggregate column %d of a %d-column row", a.col, len(row))
+			continue
+		case a.k >= f.have:
+			return fmt.Errorf("sql: aggregate column %d of a %d-column row", f.cols[a.k], f.n)
+		}
+		v := &f.slots[a.k]
+		switch {
+		case a.sums && v.tag == tagInt:
+			states[j].addInt(v.i) // add's INT and FLOAT cases, inline
+		case a.sums && v.tag == tagFloat:
+			states[j].addFloat(v.f)
 		default:
-			states[j].update(row[a.col])
+			states[j].add(v)
 		}
 	}
 	return nil
 }
 
-// lookup returns the group whose key is key.
-func (f *scanFold) lookup(key []byte) (int, bool) {
+// lookup returns the group of the row in f's slots: the group whose values
+// its group columns equal, which is the group whose key it has
+// (appendGroupKey), so through index the row's key is built.
+func (f *scanFold) lookup() (int, bool) {
 	if f.index != nil {
-		g, ok := f.index[string(key)]
+		f.key = f.appendKey(f.key[:0])
+		g, ok := f.index[string(f.key)]
 		return g, ok
 	}
-	start := 0
-	for g, end := range f.ends {
-		if string(f.keys[start:end]) == string(key) {
+	ng := len(f.groupBy)
+	for g := range f.ends {
+		vals := f.vals[g*ng : (g+1)*ng]
+		same := true
+		for i, k := range f.groupBy {
+			if !sameSlot(&f.slots[k], &vals[i]) {
+				same = false
+				break
+			}
+		}
+		if same {
 			return g, true
 		}
-		start = end
 	}
 	return 0, false
 }
 
-// open opens the group of row, whose key is f.key.
-func (f *scanFold) open(row []Datum) int {
-	g := len(f.ends)
-	f.keys = append(f.keys, f.key...)
-	f.ends = append(f.ends, len(f.keys))
-	for _, c := range f.spec.groupBy {
-		f.vals = append(f.vals, row[c])
+// appendKey appends the group key of the row in f's slots.
+func (f *scanFold) appendKey(b []byte) []byte {
+	for _, k := range f.groupBy {
+		b = appendSlotKey(b, &f.slots[k])
 	}
-	for _, a := range f.spec.aggs {
+	return b
+}
+
+// open opens the group of the row in f's slots.
+func (f *scanFold) open() int {
+	g := len(f.ends)
+	f.keys = f.appendKey(f.keys)
+	f.ends = append(f.ends, len(f.keys))
+	for _, k := range f.groupBy {
+		f.vals = append(f.vals, f.slots[k])
+	}
+	for _, a := range f.aggs {
 		f.states = append(f.states, aggState{fn: a.fn, isInt: true})
 	}
 	switch {
 	case f.index != nil:
-		f.index[string(f.key)] = g
+		start := 0
+		if g > 0 {
+			start = f.ends[g-1]
+		}
+		f.index[string(f.keys[start:])] = g
 	case len(f.ends) > linearGroups:
 		f.index = make(map[string]int, 2*len(f.ends))
 		start := 0
@@ -591,12 +697,12 @@ func (f *scanFold) open(row []Datum) int {
 // in the order the groups opened, and returns f to the pool.
 func (f *scanFold) Finish(page *kvpb.Page) error {
 	if page != nil && f.spec.aggregating() {
-		ng, na := len(f.spec.groupBy), len(f.spec.aggs)
+		ng, na := len(f.groupBy), len(f.aggs)
 		start := 0
 		for g, end := range f.ends {
 			f.out = f.out[:0]
-			for _, d := range f.vals[g*ng : (g+1)*ng] {
-				f.out = AppendDatum(f.out, d)
+			for i := g * ng; i < (g+1)*ng; i++ {
+				f.out = appendSlot(f.out, &f.vals[i])
 			}
 			for j := g * na; j < (g+1)*na; j++ {
 				f.out = appendAggState(f.out, &f.states[j])
@@ -609,16 +715,19 @@ func (f *scanFold) Finish(page *kvpb.Page) error {
 	return nil
 }
 
-// reset empties f, keeping its capacity, and returns it to the pool.
+// reset empties f, keeping its capacity, and returns it to the pool. It
+// drops every reference into the rows f read, but keeps its spec's
+// constants for the next decode (scanSpec.decode).
 func (f *scanFold) reset() {
-	clear(f.spec.conds)
-	clear(f.row)
+	clear(f.slots)
+	clear(f.conds)
 	clear(f.vals)
 	clear(f.states)
 	*f = scanFold{
 		spec: scanSpec{conds: f.spec.conds[:0], groupBy: f.spec.groupBy[:0], aggs: f.spec.aggs[:0]},
-		cols: f.cols[:0], row: f.row[:0], key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0],
-		vals: f.vals[:0], states: f.states[:0], out: f.out[:0],
+		cols: f.cols[:0], slots: f.slots[:0], conds: f.conds[:0], groupBy: f.groupBy[:0], aggs: f.aggs[:0],
+		key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0], vals: f.vals[:0],
+		states: f.states[:0], out: f.out[:0],
 	}
 	foldPool.Put(f)
 }

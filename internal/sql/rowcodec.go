@@ -3,6 +3,7 @@ package sql
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"crdbserverless/internal/binenc"
@@ -63,16 +64,105 @@ func encodeRowValue(row []Datum) []byte {
 // error, and dst grows only once the column count is known to fit (every
 // datum is at least its tag byte). On error it returns dst as it was.
 func decodeRowValue(dst []Datum, b []byte) ([]Datum, error) {
-	r := binenc.NewReader(b)
-	n := r.Count(1)
-	row := slices.Grow(dst, n)
-	for range n {
-		row = append(row, ConsumeDatum(r))
+	cols, n, ok := openRow(b)
+	if !ok {
+		return dst, errMalformedRow
 	}
-	if err := r.Done(); err != nil {
-		return dst, fmt.Errorf("sql: decoding row: %w", err)
+	row := slices.Grow(dst, n)
+	var s slot
+	for range n {
+		if cols, ok = readColumn(cols, &s); !ok {
+			return dst, errMalformedRow
+		}
+		row = append(row, s.datum())
+	}
+	if len(cols) != 0 {
+		return dst, errMalformedRow
 	}
 	return row, nil
+}
+
+// errMalformedRow is the error of a row value that does not decode.
+var errMalformedRow = fmt.Errorf("sql: decoding row: %w", binenc.ErrMalformed)
+
+// The row cursor: openRow and readColumn are the one decoder of the row
+// format, behind decodeRowValue and the KV node's fold (scanFold.read). They
+// check what binenc.Reader checks, so they fail exactly where ConsumeDatum
+// would on the same bytes, and read in place: a STRING's bytes alias the
+// row value.
+
+// openRow returns the columns of row value b and their count. It reports
+// false unless b begins with a count that the bytes behind it could hold,
+// every column being at least its tag byte.
+func openRow(b []byte) ([]byte, int, bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w) {
+		return nil, 0, false
+	}
+	return b[w:], int(n), true
+}
+
+// readColumn reads the column at the front of b into s and returns the
+// bytes after it. It reports false when the column is malformed or
+// truncated. A short varint, which most INTs and STRING lengths are, takes
+// no loop.
+func readColumn(b []byte, s *slot) ([]byte, bool) {
+	if len(b) < 2 {
+		// Only a NULL, a tag alone, is shorter than two bytes.
+		if len(b) == 1 && b[0] == tagNull {
+			s.tag = tagNull
+			return b[1:], true
+		}
+		return nil, false
+	}
+	tag := b[0]
+	s.tag = tag
+	switch tag {
+	case tagNull:
+		return b[1:], true
+	case tagInt:
+		// binary.Varint, inline: Uvarint and the zigzag. Keys and dates are
+		// often two bytes.
+		u, w := uint64(b[1]), 1
+		switch {
+		case u < 0x80:
+		case len(b) > 2 && b[2] < 0x80:
+			u, w = u&0x7f|uint64(b[2])<<7, 2
+		default:
+			if u, w = binary.Uvarint(b[1:]); w <= 0 {
+				return nil, false
+			}
+		}
+		s.i = int64(u>>1) ^ -int64(u&1)
+		return b[1+w:], true
+	case tagFloat:
+		if len(b) < 9 {
+			return nil, false
+		}
+		s.f = math.Float64frombits(binary.BigEndian.Uint64(b[1:9]))
+		return b[9:], true
+	case tagString:
+		n, w := uint64(b[1]), 1
+		if n >= 0x80 {
+			if n, w = binary.Uvarint(b[1:]); w <= 0 {
+				return nil, false
+			}
+		}
+		if n > uint64(len(b)-1-w) {
+			return nil, false
+		}
+		end := 1 + w + int(n)
+		s.b = b[1+w : end : end]
+		return b[end:], true
+	case tagBool:
+		if b[1] > 1 {
+			return nil, false
+		}
+		s.i = int64(b[1])
+		return b[2:], true
+	default:
+		return nil, false
+	}
 }
 
 // indexKey builds a secondary index entry key for a row.
