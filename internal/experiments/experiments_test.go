@@ -312,6 +312,36 @@ func TestFig11SampledWorkloads(t *testing.T) {
 	}
 }
 
+// Rows that print the same est/actual ratio come out by name, in whatever
+// order they arrive and whatever their unprinted digits, and so does the
+// worst outlier among points equally far from 1.
+func TestFig11OrderBreaksTiesByName(t *testing.T) {
+	points := []Fig11Point{
+		{Name: "tpch-q9", Ratio: 1.1012},
+		{Name: "ycsb-C", Ratio: 0.97},
+		{Name: "import-600", Ratio: 1.0951},
+		{Name: "kv-read50", Ratio: 1.21},
+		{Name: "import-200", Ratio: 1.0998},
+		{Name: "tpcc", Ratio: 0.79},
+	}
+	want := []string{"kv-read50", "import-200", "import-600", "tpch-q9", "ycsb-C", "tpcc"}
+	for rot := range points {
+		in := append(append([]Fig11Point(nil), points[rot:]...), points[:rot]...)
+		sorted, worst := fig11Order(in)
+		var got []string
+		for _, p := range sorted {
+			got = append(got, p.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rotation %d: order %v, want %v", rot, got, want)
+		}
+		// kv-read50 (1.21) and tpcc (0.79) both print 0.21 from 1.
+		if worst != "kv-read50" {
+			t.Fatalf("rotation %d: worst outlier %q, want kv-read50", rot, worst)
+		}
+	}
+}
+
 func TestAblations(t *testing.T) {
 	fair, table, err := AblationFIFOvsFair()
 	if err != nil || table == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"crdbserverless"
@@ -219,20 +220,14 @@ func Fig11() (*Fig11Result, *Table, error) {
 	}
 
 	within := 0
-	worstDelta := 0.0
 	for _, p := range res.Points {
 		if p.Ratio >= 0.8 && p.Ratio <= 1.2 {
 			within++
 		}
-		if d := math.Abs(p.Ratio - 1); d > worstDelta {
-			worstDelta = d
-			res.WorstOutlier = p.Name
-		}
 	}
 	res.Within20Frac = float64(within) / float64(len(res.Points))
-
-	sorted := append([]Fig11Point(nil), res.Points...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Ratio > sorted[j].Ratio })
+	var sorted []Fig11Point
+	sorted, res.WorstOutlier = fig11Order(res.Points)
 	table := &Table{
 		Title:   "Fig 11: estimated Serverless CPU vs actual Dedicated CPU (§6.7)",
 		Columns: []string{"workload", "estimated", "actual", "est/actual"},
@@ -248,6 +243,37 @@ func Fig11() (*Fig11Result, *Table, error) {
 		"worst outlier", res.WorstOutlier,
 	})
 	return res, table, nil
+}
+
+// fig11Order returns the points by printed est/actual ratio, highest first,
+// and the worst outlier: the point whose printed ratio is furthest from 1.
+// Both break ties by name, so rows that print the same ratio come out in the
+// same order on every run, whatever their unprinted digits.
+func fig11Order(points []Fig11Point) (sorted []Fig11Point, worst string) {
+	// The ratio in hundredths, as the table prints it.
+	cents := func(p Fig11Point) int {
+		r, _ := strconv.ParseFloat(fmt.Sprintf("%.2f", p.Ratio), 64) // parses what Sprintf printed
+		return int(math.Round(r * 100))
+	}
+	sorted = append([]Fig11Point(nil), points...)
+	sort.Slice(sorted, func(i, j int) bool {
+		ci, cj := cents(sorted[i]), cents(sorted[j])
+		if ci != cj {
+			return ci > cj
+		}
+		return sorted[i].Name < sorted[j].Name
+	})
+	worstDelta := -1
+	for _, p := range sorted {
+		d := cents(p) - 100
+		if d < 0 {
+			d = -d
+		}
+		if d > worstDelta || (d == worstDelta && p.Name < worst) {
+			worstDelta, worst = d, p.Name
+		}
+	}
+	return sorted, worst
 }
 
 type fig11Measurement struct {

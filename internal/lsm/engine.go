@@ -434,13 +434,6 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	// batch before it reaches the engine lock, so stalled writers don't block
 	// readers for the stall's duration.
 	e.opts.Faults.Should("lsm.write.stall")
-	// The memtable keeps what it is given, so the batch is copied before the
-	// lock: the caller may reuse its buffers once ApplyBatch returns.
-	owned := make([]Entry, len(entries))
-	for i, ent := range entries {
-		ent.Key, ent.Value = cloneBytes(ent.Key), cloneBytes(ent.Value)
-		owned[i] = ent
-	}
 	e.mu.Lock()
 	if e.mu.closed {
 		e.mu.Unlock()
@@ -450,16 +443,16 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	// the fsync policy) synced before any entry becomes visible, and record
 	// order is exactly apply order. Volatile engines account the bytes the
 	// batch would have framed, so WALBytes stays comparable.
-	if len(owned) > 0 {
+	if len(entries) > 0 {
 		if e.mu.wal != nil {
 			var payload []byte
-			for _, ent := range owned {
+			for _, ent := range entries {
 				payload = appendEntry(payload, ent)
 			}
 			e.walAppendLocked(payload)
 		} else {
 			framed := int64(walRecordHeaderLen)
-			for _, ent := range owned {
+			for _, ent := range entries {
 				framed += int64(entryHeaderLen + len(ent.Key) + len(ent.Value))
 			}
 			e.mu.metrics.WALBytes += framed
@@ -468,7 +461,9 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	}
 	e.mu.seq++
 	snapSeq := e.snapSeq.Load()
-	for _, ent := range owned {
+	// The memtable copies each entry into its arena: the caller may reuse its
+	// buffers once ApplyBatch returns.
+	for _, ent := range entries {
 		e.mu.mem.set(ent, e.mu.seq, snapSeq)
 	}
 	e.mu.metrics.MemTableBytes = e.mu.mem.sizeB
@@ -654,11 +649,4 @@ func (e *Engine) String() string {
 		s += fmt.Sprintf(" L%d=%dB", lvl, m.LevelBytes[lvl])
 	}
 	return s
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }

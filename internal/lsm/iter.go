@@ -14,12 +14,13 @@ import (
 // level slices. A batch is applied wholly inside the exclusive lock, so the
 // captured number never falls inside one, and a later batch is invisible
 // because its memtable versions carry a higher number (tables and level
-// slices are immutable once published). Nothing is
-// copied or decoded until the iterator is positioned on it: a memtable source
-// walks the skiplist in place, and a table source reads entry headers in place
-// in the encoded block. There is no Close: a rotated memtable and a
-// compacted-away table live exactly as long as an iterator refers to them, and
-// iterators are short-lived.
+// slices are immutable once published). Nothing is copied or decoded until
+// the iterator is positioned on it: a memtable source follows the skiplist's
+// index links through the memtable's arenas and reads keys and values where
+// they lie in its byte chunks, and a table source reads entry headers in
+// place in the encoded block. There is no Close: a rotated memtable (its
+// arenas with it) and a compacted-away table live exactly as long as an
+// iterator refers to them, and iterators are short-lived.
 //
 // The iterator is the engine's only read path. A point read positions one at
 // the key, by NewIter's lower bound or a SeekGE, and checks that it landed on
@@ -36,20 +37,22 @@ type Iterator struct {
 
 // iterSource is a cursor over one sorted run: a memtable (mem set) or a
 // sorted window of tables — one L0 table, or a whole L1+ level, which opens
-// its next table when the last runs out. Positioning finds the entry once:
-// a memtable source keeps the version visible in the snapshot, and a table
-// source the bounds of the entry in its block, so neither the tombstone
-// check nor Value walks a version chain or parses an entry header again.
+// its next table when the last runs out. Positioning finds the entry once
+// and keeps its key and value, in a block or a memtable chunk (a version
+// visible in a snapshot is never rewritten), so neither the tombstone check
+// nor Value walks a version chain or parses an entry header again.
 type iterSource struct {
-	mem  *memTable
-	node *skipNode   // holds a version visible in the snapshot
-	ver  *memVersion // that version
+	mem *memTable
 
-	tables    []*ssTable
-	ti, bi    int32 // table, block within it
-	off, next int   // offsets of the entry within the block, and of the one after it
+	tables []*ssTable
+	ti, bi int32 // table, block within it
+	// off and next are the offsets of the entry within the block and of the
+	// one after it; a memtable source's next is the node after its current
+	// one, so a step looks up no node it has already read.
+	off, next int32
 
 	key []byte // current key; nil when the run is exhausted
+	val []byte // current value; nil for a tombstone
 }
 
 // NewIter returns an iterator over [lo, hi) positioned on the first live key.
@@ -95,13 +98,14 @@ func (e *Engine) NewIter(lo, hi []byte) *Iterator {
 func (it *Iterator) Valid() bool { return it.cur != nil }
 
 // Key returns the current key. Only valid while Valid() is true. The slice
-// aliases immutable engine memory and stays readable after the iterator
-// moves on.
+// aliases immutable engine memory (a block, or a memtable's byte chunk) and
+// stays readable after the iterator moves on; its capacity ends with it.
 func (it *Iterator) Key() []byte { return it.cur.key }
 
 // Value returns the current value. Only valid while Valid() is true. Like
-// Key, the slice aliases immutable engine memory.
-func (it *Iterator) Value() []byte { return it.cur.value() }
+// Key, the slice aliases immutable engine memory and its capacity ends with
+// it.
+func (it *Iterator) Value() []byte { return it.cur.val }
 
 // Next advances to the next live (non-tombstone) key.
 func (it *Iterator) Next() {
@@ -168,33 +172,19 @@ func (it *Iterator) settle() {
 	}
 }
 
-// value returns the source's current value, aliasing the memtable version
-// or the encoded block.
-func (s *iterSource) value() []byte {
-	if s.mem != nil {
-		return s.ver.value
-	}
-	return s.block()[s.off+entryHeaderLen+len(s.key) : s.next]
-}
-
 // tombstone reports whether the source's current entry is a tombstone.
-func (s *iterSource) tombstone() bool {
-	if s.mem != nil {
-		return s.ver.tombstone
-	}
-	return s.block()[s.off]&entryFlagTombstone != 0
-}
+func (s *iterSource) tombstone() bool { return s.val == nil }
 
 // block returns a table source's current block.
 func (s *iterSource) block() []byte { return s.tables[s.ti].blocks[s.bi] }
 
 func (s *iterSource) step(it *Iterator) {
 	if s.mem != nil {
-		s.settleMem(it, s.node.next(0))
+		s.settleMem(it, uint32(s.next))
 		return
 	}
 	s.off = s.next
-	if s.off >= len(s.block()) {
+	if int(s.off) >= len(s.block()) {
 		s.bi, s.off = s.bi+1, 0
 		if int(s.bi) >= len(s.tables[s.ti].blocks) {
 			s.ti++
@@ -206,20 +196,42 @@ func (s *iterSource) step(it *Iterator) {
 	s.load(it)
 }
 
-// settleMem positions the source on the first node from n on that existed in
+// settleMem positions the source on the first node from x on that existed in
 // the snapshot: a node inserted by a later batch has no version at or below
-// the snapshot's sequence number and is passed over.
-func (s *iterSource) settleMem(it *Iterator, n *skipNode) {
-	for ; n != nil; n = n.next(0) {
-		if it.hi != nil && bytes.Compare(n.key, it.hi) >= 0 {
+// the snapshot's sequence number and is passed over. The successor is read
+// once, here: a node linked in after it was read belongs to a batch later than
+// the snapshot. A value in the key's chunk (an insert lays a node's first
+// value out right after its key) is sliced from the chunk already found.
+func (s *iterSource) settleMem(it *Iterator, x uint32) {
+	m := s.mem
+	for x != 0 {
+		n := m.nodes.at(x)
+		v := &n.first // what most nodes hold: one version, older than the snapshot
+		if n.newest.Load() != 0 || v.seq > it.seq {
+			v = m.visible(n, it.seq)
+		}
+		c, o := m.bytes.locate(n.key)
+		end := o + n.klen
+		s.key = c[o:end:end]
+		x = n.next0.Load()
+		if it.hi != nil && bytes.Compare(s.key, it.hi) >= 0 {
 			break
 		}
-		if v := n.visible(it.seq); v != nil {
-			s.node, s.ver, s.key = n, v, n.key
-			return
+		if v == nil {
+			continue
 		}
+		s.next = int32(x)
+		switch vl, vo := uint32(v.valueLen()), v.val&(1<<chunkBits-1); {
+		case v.tombstone():
+			s.val = nil
+		case v.val>>chunkBits == n.key>>chunkBits:
+			s.val = c[vo : vo+vl : vo+vl]
+		default:
+			s.val = m.bytes.slice(v.val, vl)
+		}
+		return
 	}
-	s.node, s.ver, s.key = nil, nil, nil
+	s.key = nil
 }
 
 // seekTables positions the source on its first entry >= key: a binary search
@@ -236,8 +248,8 @@ func (s *iterSource) seekTables(it *Iterator, key []byte) {
 	if bi := t.blockFor(key); bi > 0 {
 		s.bi = int32(bi)
 	}
-	s.off = blockSeek(t.blocks[s.bi], key)
-	if s.off >= len(t.blocks[s.bi]) {
+	s.off = int32(blockSeek(t.blocks[s.bi], key))
+	if int(s.off) >= len(t.blocks[s.bi]) {
 		// Every entry of the block sorts before key, and key <= the table's
 		// maxKey: the answer is the head of the next block.
 		s.bi, s.off = s.bi+1, 0
@@ -266,9 +278,13 @@ func (s *iterSource) openTable(it *Iterator) bool {
 // load reads the entry at the source's position — its key, and where it
 // ends — exhausting the source at hi.
 func (s *iterSource) load(it *Iterator) {
-	var ent Entry
-	ent, s.next = entryAt(s.block(), s.off)
-	s.key = ent.Key
+	ent, next := entryAt(s.block(), int(s.off))
+	s.next = int32(next)
+	s.key = ent.Key[:len(ent.Key):len(ent.Key)]
+	s.val = ent.Value[:len(ent.Value):len(ent.Value)]
+	if ent.Tombstone {
+		s.val = nil
+	}
 	if it.hi != nil && bytes.Compare(s.key, it.hi) >= 0 {
 		s.key = nil
 	}

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -298,14 +299,14 @@ func TestMemTableOverwrite(t *testing.T) {
 	base := m.sizeB
 	// No iterator has a snapshot yet (snapSeq 0): replaced, not retained.
 	m.set(Entry{Key: k, Value: []byte("abcdefgh")}, 2, 0)
-	n := m.seek(k, nil)
-	if v := n.latest(); string(v.value) != "abcdefgh" || m.sizeB != base {
-		t.Fatalf("unobserved overwrite: latest=%q sizeB %d -> %d", v.value, base, m.sizeB)
+	n := m.nodes.at(m.seek(k, nil))
+	if v := m.version(n, n.newest.Load()); string(m.value(v)) != "abcdefgh" || m.sizeB != base {
+		t.Fatalf("unobserved overwrite: latest=%q sizeB %d -> %d", m.value(v), base, m.sizeB)
 	}
-	if n.newest.Load() != nil {
+	if n.newest.Load() != 0 {
 		t.Fatal("unobserved overwrite pushed a version")
 	}
-	if n.visible(0) != nil {
+	if m.visible(n, 0) != nil {
 		t.Fatal("the key is visible to a snapshot that predates it")
 	}
 	// An iterator captured sequence number 2: batch 3 must keep what it sees.
@@ -316,19 +317,60 @@ func TestMemTableOverwrite(t *testing.T) {
 	grown := m.sizeB
 	// The same key again in batch 3: in place, whatever the snapshots below.
 	m.set(Entry{Key: k, Tombstone: true}, 3, 2)
-	if v := n.visible(2); v == nil || string(v.value) != "abcdefgh" {
-		t.Fatalf("snapshot 2 reads %+v", v)
+	v2 := m.visible(n, 2)
+	if v2 == nil || string(m.value(v2)) != "abcdefgh" {
+		t.Fatalf("snapshot 2 reads %+v", v2)
 	}
-	if v := n.visible(3); v == nil || !v.tombstone || v.older != n.visible(2) {
+	if v := m.visible(n, 3); v == nil || !v.tombstone() || m.version(n, v.older) != v2 {
 		t.Fatalf("snapshot 3 reads %+v", v)
 	}
 	if want := grown - int64(len("ABCDEFGH")); m.sizeB != want {
 		t.Fatalf("same-batch rewrite: sizeB = %d, want %d", m.sizeB, want)
 	}
-	// 76 k of these are most of new_order's live heap: the node must not grow.
-	if sz := unsafe.Sizeof(skipNode{}); sz > 112 {
-		t.Fatalf("skipNode is %d bytes, want <= 112", sz)
+}
+
+// The memtable's arena elements: a node is 48 bytes where the pointer
+// skiplist's was 112 plus two size-class-rounded copies, and none of them
+// holds a pointer, so the GC never scans a chunk.
+func TestMemTableLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(memNode{}); sz != 48 {
+		t.Fatalf("memNode is %d bytes, want 48", sz)
 	}
+	if sz := unsafe.Sizeof(memVersion{}); sz != 24 {
+		t.Fatalf("memVersion is %d bytes, want 24", sz)
+	}
+	m := newMemTable(randutil.NewRand(1))
+	for _, chunk := range []reflect.Type{
+		reflect.TypeOf(m.nodes.chunk(0)),
+		reflect.TypeOf(m.versions.inline[0]),
+		reflect.TypeOf(m.links.chunk(0)),
+		reflect.TypeOf(m.bytes.chunk(0)),
+	} {
+		elem := chunk.Elem()
+		if p := pointerIn(elem); p != "" {
+			t.Errorf("arena element %v holds a pointer: %s", elem, p)
+		}
+	}
+}
+
+// pointerIn names a part of typ that holds a pointer, or returns "".
+func pointerIn(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerIn(typ.Field(i).Type); p != "" {
+				return typ.Field(i).Name + "." + p
+			}
+		}
+		return ""
+	}
+	return typ.String()
 }
 
 // An iterator is one allocation for the common shapes (sources in its own

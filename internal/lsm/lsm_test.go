@@ -48,7 +48,7 @@ func get(t testing.TB, e *Engine, key []byte) ([]byte, bool) {
 	if !it.Valid() || !bytes.Equal(it.Key(), key) {
 		return nil, false
 	}
-	return cloneBytes(it.Value()), true
+	return append([]byte(nil), it.Value()...), true
 }
 
 // bigVal returns a value of n bytes whose content encodes tag, so a value

@@ -45,21 +45,24 @@ type ssTable struct {
 	maxKey     []byte
 }
 
+// newSSTable encodes entries, which must be in key order, into a table. The
+// table's keys (block first keys, min and max) alias its own blocks, never the
+// entries: a flushed memtable's arena or a compaction's input tables are not
+// kept alive by the table built from them.
 func newSSTable(id uint64, entries []Entry) *ssTable {
 	t := &ssTable{id: id, numEntries: len(entries)}
 	var block []byte
-	var blockFirst []byte
+	last := 0 // offset of the last entry in block
 	flush := func() {
 		if len(block) > 0 {
+			first, _ := entryAt(block, 0)
 			t.blocks = append(t.blocks, block)
-			t.firstKeys = append(t.firstKeys, blockFirst)
-			block, blockFirst = nil, nil
+			t.firstKeys = append(t.firstKeys, first.Key)
+			block = nil
 		}
 	}
 	for _, e := range entries {
-		if blockFirst == nil {
-			blockFirst = e.Key
-		}
+		last = len(block)
 		block = appendEntry(block, e)
 		t.sizeB += e.size()
 		if len(block) >= blockTargetBytes {
@@ -68,8 +71,9 @@ func newSSTable(id uint64, entries []Entry) *ssTable {
 	}
 	flush()
 	if len(entries) > 0 {
-		t.minKey = entries[0].Key
-		t.maxKey = entries[len(entries)-1].Key
+		t.minKey = t.firstKeys[0]
+		maxEnt, _ := entryAt(t.blocks[len(t.blocks)-1], last)
+		t.maxKey = maxEnt.Key
 	}
 	return t
 }
