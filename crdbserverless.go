@@ -55,7 +55,9 @@ type (
 	Client = wire.Client
 	// Result is a statement result returned by Client.Query.
 	Result = wire.Result
-	// Session is an in-process SQL session (benchmarks bypass the wire).
+	// Session is an in-process SQL session (benchmarks bypass the wire). The
+	// Result its Execute returns is the caller's, but a SELECT's Columns are
+	// shared with the statement's cached plan: read them, never write them.
 	Session = sql.Session
 	// Datum is a SQL value.
 	Datum = sql.Datum
@@ -234,7 +236,7 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 	}
 	s.cluster = cluster
 	s.buckets = tenantcost.NewBucketServer(opts.Clock)
-	s.buckets.SetConsumptionObserver(s.obs.AddRU)
+	s.buckets.SetConsumptionObserver(func(id keys.TenantID) func(float64) { return s.obs.Tenant(id).AddRU })
 	s.registry, err = core.NewRegistry(cluster, s.buckets)
 	if err != nil {
 		cluster.Close()

@@ -90,6 +90,7 @@ func (s *Slot) Release(cpu time.Duration) {
 func (q *CPUQueue) Admit(ctx context.Context, info WorkInfo) (Slot, error) {
 	var wait time.Duration
 	q.mu.Lock()
+	obs := q.tenantObsLocked(info.Tenant)
 	if q.mu.used < q.mu.slots && q.mu.fq.peekNext() == nil {
 		q.mu.used++
 		q.mu.admitted++
@@ -103,8 +104,21 @@ func (q *CPUQueue) Admit(ctx context.Context, info WorkInfo) (Slot, error) {
 			return Slot{}, err
 		}
 	}
-	q.obs.AdmissionWait(info.Tenant, wait)
+	obs.AdmissionWait(wait)
 	return Slot{q: q, tenant: info.Tenant, Wait: wait}, nil
+}
+
+// tenantObsLocked returns the tenant's observability handle, resolving it
+// from the plane on the tenant's first admission. The caller holds q.mu.
+func (q *CPUQueue) tenantObsLocked(id keys.TenantID) *tenantobs.Tenant {
+	if q.obs == nil {
+		return nil
+	}
+	t := q.mu.fq.tenant(id)
+	if t.obs == nil {
+		t.obs = q.obs.Tenant(id)
+	}
+	return t.obs
 }
 
 // grantLocked hands free slots to waiting work, least-consuming tenant first.

@@ -22,6 +22,7 @@ import (
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
@@ -96,6 +97,9 @@ type tenantQueue struct {
 	used    float64 // decayed recent consumption (cpu-seconds or bytes)
 	waiters waiterHeap
 	heapIdx int // position in the tenant heap, -1 if not enqueued
+	// obs is the tenant's observability handle, resolved by the CPU queue
+	// on the tenant's first admission (nil without a plane).
+	obs *tenantobs.Tenant
 }
 
 // tenantHeap orders tenants so the least-consuming tenant with waiting work

@@ -226,7 +226,7 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 
 		if idle && now.Sub(since) >= suspendAfter {
 			a.cfg.Orchestrator.SuspendTenant(name)
-			a.cfg.Obs.ScaleEvent(name, "suspend")
+			a.cfg.Obs.Named(name).ScaleEvent("suspend")
 			a.mu.Lock()
 			delete(a.mu.idleSince, name)
 			a.mu.Unlock()
@@ -236,9 +236,9 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 			want = 1 // keep one node while not yet suspendable
 		}
 		if want > len(pods) {
-			a.cfg.Obs.ScaleEvent(name, "up")
+			a.cfg.Obs.Named(name).ScaleEvent("up")
 		} else if want < len(pods) {
-			a.cfg.Obs.ScaleEvent(name, "down")
+			a.cfg.Obs.Named(name).ScaleEvent("down")
 		}
 		// Every pod holds its tenant's record since AssignPod stamped it.
 		if _, err := a.cfg.Orchestrator.ScaleTenant(ctx, pods[0].Node.Tenant(), want); err != nil {

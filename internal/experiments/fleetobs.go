@@ -158,7 +158,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 	}
 	defer cluster.Close()
 	buckets := tenantcost.NewBucketServer(clock)
-	buckets.SetConsumptionObserver(plane.AddRU)
+	buckets.SetConsumptionObserver(func(id keys.TenantID) func(float64) { return plane.Tenant(id).AddRU })
 
 	n := opts.Tenants
 	aggressors := n / 100
@@ -170,6 +170,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 	type fleetTenant struct {
 		id    keys.TenantID
 		name  string
+		obs   *tenantobs.Tenant
 		calmQ int
 		ds    *kvserver.DistSender
 		nb    *tenantcost.NodeBucket
@@ -183,9 +184,13 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 	plane.RegisterTenant(keys.SystemTenantID, "system")
 	for rank := 1; rank <= n; rank++ {
 		id := keys.TenantID(rank + 1)
+		name := fmt.Sprintf("t-%04d", rank)
+		// Registered before its sender and bucket resolve the handle by ID.
+		obs := plane.RegisterTenant(id, name)
 		t := &fleetTenant{
 			id:    id,
-			name:  fmt.Sprintf("t-%04d", rank),
+			name:  name,
+			obs:   obs,
 			calmQ: fleetCalmLoad(rank),
 			ds:    kvserver.NewDistSender(cluster, kvserver.Identity{Tenant: id}, kvserver.Config{Obs: plane}),
 			nb:    tenantcost.NewNodeBucket(buckets, clock, id, 1),
@@ -193,8 +198,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 		}
 		fleet[rank-1] = t
 		calmTotal += t.calmQ
-		plane.RegisterTenant(id, t.name)
-		plane.ConnOpened(t.name)
+		obs.ConnOpened()
 	}
 
 	rng := randutil.NewRand(fleetObsSeed)
@@ -208,7 +212,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 		if storm && tick == opts.CalmTicks {
 			// The autoscaler reacts to the storm: scale the aggressors up.
 			for rank := 1; rank <= aggressors; rank++ {
-				plane.ScaleEvent(fleet[rank-1].name, "up")
+				fleet[rank-1].obs.ScaleEvent("up")
 			}
 			// Snapshot the victim's calm p99 before the storm lands.
 			run.victimP99Calm = plane.P99(fleet[victim-1].name, now, metric.BurnShortWindow)
@@ -242,11 +246,11 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 			t.nb.Consume(0.25 * float64(q))
 			for i := 0; i < q; i++ {
 				lat, bad := fleetLatency(rng, isolated, storm, aggr, m)
-				plane.QueryDone(t.id, lat, bad)
+				t.obs.QueryDone(lat, bad)
 			}
 			if storm && aggr {
 				for i := 0; i < q/10; i++ {
-					plane.TxnRetry(t.id)
+					t.obs.TxnRetry()
 				}
 			}
 		}

@@ -148,12 +148,21 @@ type IndexID uint32
 // PrimaryIndexID is the IndexID of every table's primary index.
 const PrimaryIndexID IndexID = 1
 
+// TableIndexPrefixLen is the length of every (tenant, table, index) prefix.
+const TableIndexPrefixLen = tenantPrefixLen + 8 + 8
+
 // MakeTableIndexPrefix returns the key prefix of (tenant, table, index), in
 // one allocation.
 func MakeTableIndexPrefix(tenant TenantID, table TableID, index IndexID) Key {
-	k := appendTenantPrefix(make(Key, 0, tenantPrefixLen+8+8), tenant)
-	k = EncodeUint64(k, uint64(table))
-	return EncodeUint64(k, uint64(index))
+	return AppendTableIndexPrefix(make(Key, 0, TableIndexPrefixLen), tenant, table, index)
+}
+
+// AppendTableIndexPrefix appends the key prefix of (tenant, table, index) to
+// b.
+func AppendTableIndexPrefix(b Key, tenant TenantID, table TableID, index IndexID) Key {
+	b = appendTenantPrefix(b, tenant)
+	b = EncodeUint64(b, uint64(table))
+	return EncodeUint64(b, uint64(index))
 }
 
 // MakeTableIndexSpan returns the span covering the whole (table, index).

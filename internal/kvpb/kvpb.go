@@ -203,6 +203,20 @@ type BatchResponse struct {
 	pages *Page
 }
 
+// NewBatchResponse returns an empty response at ts with room for n
+// responses, in one allocation when n is 1, as a point read's is.
+func NewBatchResponse(ts hlc.Timestamp, n int) *BatchResponse {
+	if n == 1 {
+		b := &struct {
+			BatchResponse
+			one [1]Response
+		}{}
+		b.Timestamp, b.Responses = ts, b.one[:0]
+		return &b.BatchResponse
+	}
+	return &BatchResponse{Timestamp: ts, Responses: make([]Response, 0, n)}
+}
+
 // ReadBytes returns the total bytes returned by reads in the response: what
 // crosses the SQL/KV boundary.
 func (b *BatchResponse) ReadBytes() int64 {

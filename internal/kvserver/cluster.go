@@ -842,7 +842,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		txnID = ba.Txn.ID
 	}
 
-	resp := &kvpb.BatchResponse{Timestamp: readTs}
+	resp := kvpb.NewBatchResponse(readTs, len(ba.Requests))
 
 	// All evaluation runs under the range latch: reads record into the
 	// timestamp cache and writes consult it, so a write can never land
@@ -870,8 +870,9 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 
 	// Reads record into the timestamp cache only after the whole batch has
 	// been checked: a batch's own reads must not push its own writes (they
-	// all happen atomically at one timestamp).
-	var readSpans []keys.Span
+	// all happen atomically at one timestamp). A few spans fit on the stack.
+	var spanBuf [4]keys.Span
+	readSpans := spanBuf[:0]
 	defer func() {
 		for _, sp := range readSpans {
 			rs.tsc.recordRead(sp, readTs, txnID)

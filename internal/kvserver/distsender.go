@@ -41,7 +41,7 @@ type DistSender struct {
 	faults *faultinject.Registry
 	// obs, when non-nil, counts each batch against the sender's tenant
 	// (dist.tenant_batches).
-	obs *tenantobs.Plane
+	obs *tenantobs.Tenant
 
 	mu struct {
 		sync.Mutex
@@ -65,7 +65,8 @@ type Config struct {
 	// META lookup return a stale cached descriptor instead of the fresh one.
 	Faults *faultinject.Registry
 	// Obs, when non-nil, counts each Send against the sender's tenant on
-	// the tenant observability plane.
+	// the tenant observability plane. The tenant's handle is resolved when
+	// the sender is made.
 	Obs *tenantobs.Plane
 }
 
@@ -94,7 +95,7 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 		parallelism: conf.Parallelism,
 		cacheLimit:  descCacheLimit,
 		faults:      conf.Faults,
-		obs:         conf.Obs,
+		obs:         conf.Obs.Tenant(id.Tenant),
 	}
 	ds.mu.leaseHints = make(map[RangeID]NodeID)
 	return ds
@@ -113,14 +114,15 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 	ctx, sp := trace.StartSpan(ctx, "dist.send")
 	defer sp.Finish()
 	sp.SetAttr("dist.requests", len(ba.Requests))
-	ds.obs.Batch(ds.identity.Tenant)
+	ds.obs.Batch()
 	if ba.Timestamp.IsEmpty() && ba.Txn == nil {
 		ba.Timestamp = ds.cluster.Clock().Now()
 	}
-	groups, err := ds.splitByRange(ba.Requests)
+	whole, groups, err := ds.splitByRange(ba.Requests)
 	if err != nil {
 		return nil, err
 	}
+
 	// Pre-draw per-sub-batch fault decisions sequentially in group order —
 	// the same discipline as the pre-forked trace spans — so parallel
 	// dispatch cannot reorder schedule consultations. An injected sub-batch
@@ -128,15 +130,15 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 	// landed but the client never hears about it (a lost response).
 	var injected []error
 	if ds.faults != nil {
-		injected = make([]error, len(groups))
-		for i := range groups {
+		injected = make([]error, max(len(groups), 1))
+		for i := range injected {
 			injected[i] = ds.faults.MaybeErr("dist.subbatch.err")
 		}
 	}
-	if len(groups) == 1 && groups[0].indexes == nil {
+	if whole != nil {
 		// One range takes the whole batch, in order: its response is the
 		// batch's, and there is nothing to fold.
-		resp, err := ds.sendGroup(ctx, groups[0], ba, injected, 0)
+		resp, err := ds.sendGroup(ctx, requestGroup{desc: whole, requests: ba.Requests}, ba, injected, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -260,8 +262,9 @@ type requestGroup struct {
 //
 // A batch whose requests all sit in one cached range — a point read, a
 // transaction on a tenant whose tables share a range — is the usual case and
-// comes back as one group over reqs itself, with nothing else built.
-func (ds *DistSender) splitByRange(reqs []kvpb.Request) ([]requestGroup, error) {
+// comes back as that range's descriptor, whole, with nothing built; groups
+// are built only when whole is nil.
+func (ds *DistSender) splitByRange(reqs []kvpb.Request) (whole *RangeDescriptor, groups []requestGroup, err error) {
 	// descs stays nil while every request so far is in the first one's range.
 	var descs []*RangeDescriptor
 	var first *RangeDescriptor
@@ -289,7 +292,7 @@ func (ds *DistSender) splitByRange(reqs []kvpb.Request) ([]requestGroup, error) 
 	}
 	ds.mu.Unlock()
 	if descs == nil && len(reqs) > 0 {
-		return []requestGroup{{desc: first, requests: reqs}}, nil
+		return first, nil, nil
 	}
 	var last *RangeDescriptor
 	for _, i := range misses {
@@ -299,7 +302,7 @@ func (ds *DistSender) splitByRange(reqs []kvpb.Request) ([]requestGroup, error) 
 		}
 		d, err := ds.lookupFresh(reqs[i].Key)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		descs[i] = d
 		last = d
@@ -322,7 +325,7 @@ func (ds *DistSender) splitByRange(reqs []kvpb.Request) ([]requestGroup, error) 
 	for _, id := range order {
 		out = append(out, *byRange[id])
 	}
-	return out, nil
+	return nil, out, nil
 }
 
 // sendToRange delivers a sub-batch to its range, chasing redirects and

@@ -183,9 +183,9 @@ func TestParallelBatchMergesInRequestOrder(t *testing.T) {
 	}
 }
 
-// A batch in one cached range is one group over the caller's slice, and
-// costs the slice of groups and nothing else; a batch in two is two groups
-// in first-request order with each response folded back to its position.
+// A batch in one cached range comes back whole, as the range's descriptor,
+// and costs nothing; a batch in two is two groups in first-request order
+// with each response folded back to its position.
 func TestSplitByRangeGroups(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ds := NewDistSender(c, Identity{Tenant: 2})
@@ -199,7 +199,12 @@ func TestSplitByRangeGroups(t *testing.T) {
 	}
 	check := func(wantGroups int) []requestGroup {
 		t.Helper()
-		groups, err := ds.splitByRange(reqs)
+		whole, groups, err := ds.splitByRange(reqs)
+		if wantGroups == 1 && whole != nil && groups == nil {
+			groups = []requestGroup{{desc: whole, requests: reqs}}
+		} else if whole != nil {
+			t.Fatalf("splitByRange = whole r%d; want %d groups", whole.RangeID, wantGroups)
+		}
 		if err != nil || len(groups) != wantGroups {
 			t.Fatalf("splitByRange = %d groups, %v; want %d", len(groups), err, wantGroups)
 		}
@@ -215,12 +220,9 @@ func TestSplitByRangeGroups(t *testing.T) {
 		return groups
 	}
 
-	one := check(1)
-	if one[0].indexes != nil || &one[0].requests[0] != &reqs[0] {
-		t.Fatalf("one-range group copies the batch: indexes=%v", one[0].indexes)
-	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = ds.splitByRange(reqs) }); n != 1 {
-		t.Fatalf("one-range splitByRange allocates %v objects, want 1", n)
+	check(1)
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = ds.splitByRange(reqs) }); n != 0 {
+		t.Fatalf("one-range splitByRange allocates %v objects, want 0", n)
 	}
 
 	splitTenantKeyspace(t, c, want[4])
@@ -252,11 +254,11 @@ func TestDistSenderOneRangeAllocs(t *testing.T) {
 	if resp.Timestamp != ba.ReadTs() || resp.Ranges != 1 {
 		t.Fatalf("response timestamp %v ranges %d, want %v and 1", resp.Timestamp, resp.Ranges, ba.ReadTs())
 	}
-	groups, err := ds.splitByRange(ba.Requests)
-	if err != nil {
-		t.Fatal(err)
+	whole, _, err := ds.splitByRange(ba.Requests)
+	if err != nil || whole == nil {
+		t.Fatalf("splitByRange = r%v, %v; want the whole batch in one range", whole, err)
 	}
-	leaseholder := ds.target(groups[0].desc, 0)
+	leaseholder := ds.target(whole, 0)
 	send := testing.AllocsPerRun(100, func() { _, _ = ds.Send(ctx, ba) })
 	batch := testing.AllocsPerRun(100, func() { _, _ = c.Batch(ctx, leaseholder, ds.identity, ba) })
 	if send-batch > 3 {

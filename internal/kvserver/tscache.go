@@ -1,6 +1,8 @@
 package kvserver
 
 import (
+	"slices"
+
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 )
@@ -18,8 +20,12 @@ import (
 // access.
 type tsCache struct {
 	lowWater hlc.Timestamp
-	points   map[string]tsCacheEntry
-	spans    []spanEntry
+	// points indexes entries by key. A key read again updates its entry in
+	// place: storing into a map under string(b) allocates the key even when
+	// it is present, and looking it up does not.
+	points  map[string]int
+	entries []tsCacheEntry
+	spans   []spanEntry
 }
 
 type tsCacheEntry struct {
@@ -39,19 +45,13 @@ const (
 )
 
 func newTSCache() *tsCache {
-	return &tsCache{points: make(map[string]tsCacheEntry)}
+	return &tsCache{points: make(map[string]int)}
 }
 
 // recordRead notes that span was read at ts by txnID.
 func (tc *tsCache) recordRead(span keys.Span, ts hlc.Timestamp, txnID uint64) {
 	if span.IsPoint() {
-		k := string(span.Key)
-		if cur, ok := tc.points[k]; !ok || cur.ts.Less(ts) {
-			if len(tc.points) >= tsCacheMaxPoints {
-				tc.foldPoints()
-			}
-			tc.points[k] = tsCacheEntry{ts: ts, txnID: txnID}
-		}
+		tc.recordPoint(span.Key, tsCacheEntry{ts: ts, txnID: txnID})
 		return
 	}
 	if len(tc.spans) >= tsCacheMaxSpans {
@@ -60,14 +60,31 @@ func (tc *tsCache) recordRead(span keys.Span, ts hlc.Timestamp, txnID uint64) {
 	tc.spans = append(tc.spans, spanEntry{span: span, ts: ts, txnID: txnID})
 }
 
+// recordPoint keeps e for key unless key's entry is at least as new. Only a
+// new key is copied, into the map.
+func (tc *tsCache) recordPoint(key keys.Key, e tsCacheEntry) {
+	if i, ok := tc.points[string(key)]; ok {
+		if tc.entries[i].ts.Less(e.ts) {
+			tc.entries[i] = e
+		}
+		return
+	}
+	if len(tc.entries) >= tsCacheMaxPoints {
+		tc.foldPoints()
+	}
+	tc.points[string(key)] = len(tc.entries)
+	tc.entries = append(tc.entries, e)
+}
+
 // foldPoints collapses all point entries into the low-water mark.
 func (tc *tsCache) foldPoints() {
-	for _, e := range tc.points {
+	for _, e := range tc.entries {
 		if tc.lowWater.Less(e.ts) {
 			tc.lowWater = e.ts
 		}
 	}
-	tc.points = make(map[string]tsCacheEntry)
+	tc.points = make(map[string]int)
+	tc.entries = nil
 }
 
 // foldSpans collapses all span entries into the low-water mark.
@@ -89,15 +106,25 @@ func (tc *tsCache) absorb(other *tsCache, span keys.Span) {
 	if tc.lowWater.Less(other.lowWater) {
 		tc.lowWater = other.lowWater
 	}
-	for k, e := range other.points {
-		if !span.ContainsKey(keys.Key(k)) {
-			continue
-		}
-		if cur, ok := tc.points[k]; !ok || cur.ts.Less(e.ts) {
-			tc.points[k] = e
+	// New entries go in key order, so the entries' order does not depend on
+	// other's map order.
+	var in []string
+	for k := range other.points {
+		if span.ContainsKey(keys.Key(k)) {
+			in = append(in, k)
 		}
 	}
-	if len(tc.points) > tsCacheMaxPoints {
+	slices.Sort(in)
+	for _, k := range in {
+		i := other.points[k]
+		if j, ok := tc.points[k]; !ok {
+			tc.points[k] = len(tc.entries)
+			tc.entries = append(tc.entries, other.entries[i])
+		} else if e := other.entries[i]; tc.entries[j].ts.Less(e.ts) {
+			tc.entries[j] = e
+		}
+	}
+	if len(tc.entries) > tsCacheMaxPoints {
 		tc.foldPoints()
 	}
 	for _, e := range other.spans {
@@ -115,8 +142,8 @@ func (tc *tsCache) absorb(other *tsCache, span keys.Span) {
 // always applies).
 func (tc *tsCache) maxReadOther(key keys.Key, txnID uint64) hlc.Timestamp {
 	max := tc.lowWater
-	if e, ok := tc.points[string(key)]; ok {
-		if (txnID == 0 || e.txnID != txnID) && max.Less(e.ts) {
+	if i, ok := tc.points[string(key)]; ok {
+		if e := tc.entries[i]; (txnID == 0 || e.txnID != txnID) && max.Less(e.ts) {
 			max = e.ts
 		}
 	}

@@ -530,3 +530,44 @@ func TestMergeRunsTombstoneHandling(t *testing.T) {
 		t.Fatalf("tombstone should be dropped at bottom: %+v", dropped)
 	}
 }
+
+// A table's blocks are allocated exactly: no block keeps the capacity an
+// append would have grown it to, whatever the entry sizes.
+func TestSSTableBlocksExactlySized(t *testing.T) {
+	for _, valLen := range []int{0, 80, 180, 300, 3000} {
+		var entries []Entry
+		for i := 0; i < 500; i++ {
+			entries = append(entries, Entry{
+				Key:       []byte(fmt.Sprintf("key-%06d", i)),
+				Value:     bytes.Repeat([]byte{'v'}, valLen+i%7),
+				Tombstone: i%11 == 0,
+			})
+		}
+		tbl := newSSTable(1, entries)
+		var lens, caps, sizeB int64
+		n := 0
+		for bi, b := range tbl.blocks {
+			lens += int64(len(b))
+			caps += int64(cap(b))
+			for off := 0; off < len(b); n++ {
+				var e Entry
+				e, off = entryAt(b, off)
+				if !bytes.Equal(e.Key, entries[n].Key) || !bytes.Equal(e.Value, entries[n].Value) || e.Tombstone != entries[n].Tombstone {
+					t.Fatalf("value %d: block %d entry %d = %q, want %q", valLen, bi, n, e.Key, entries[n].Key)
+				}
+				sizeB += e.size()
+				// A block ends with the entry that brings it to the target.
+				if off < len(b) && off >= blockTargetBytes {
+					t.Fatalf("value %d: block %d goes on past %d bytes", valLen, bi, off)
+				}
+			}
+		}
+		if n != len(entries) || caps != lens {
+			t.Fatalf("value %d: %d entries in blocks of %d bytes and %d capacity, want %d entries and capacity = length",
+				valLen, n, lens, caps, len(entries))
+		}
+		if sizeB != tbl.sizeB {
+			t.Fatalf("value %d: sizeB = %d, want %d", valLen, tbl.sizeB, sizeB)
+		}
+	}
+}

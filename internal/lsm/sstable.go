@@ -49,27 +49,31 @@ type ssTable struct {
 // table's keys (block first keys, min and max) alias its own blocks, never the
 // entries: a flushed memtable's arena or a compaction's input tables are not
 // kept alive by the table built from them.
+//
+// A block ends with the entry that brings it to blockTargetBytes. Each is
+// sized before it is encoded and allocated exactly, on its own: growth
+// capacity would be kept for the table's life, and a key a caller keeps pins
+// its block, not the whole table.
 func newSSTable(id uint64, entries []Entry) *ssTable {
 	t := &ssTable{id: id, numEntries: len(entries)}
 	var block []byte
 	last := 0 // offset of the last entry in block
-	flush := func() {
-		if len(block) > 0 {
-			first, _ := entryAt(block, 0)
-			t.blocks = append(t.blocks, block)
-			t.firstKeys = append(t.firstKeys, first.Key)
-			block = nil
+	for i := 0; i < len(entries); {
+		n, j := 0, i
+		for ; j < len(entries) && n < blockTargetBytes; j++ {
+			n += entryHeaderLen + len(entries[j].Key) + len(entries[j].Value)
 		}
-	}
-	for _, e := range entries {
-		last = len(block)
-		block = appendEntry(block, e)
-		t.sizeB += e.size()
-		if len(block) >= blockTargetBytes {
-			flush()
+		block = make([]byte, 0, n)
+		for _, e := range entries[i:j] {
+			last = len(block)
+			block = appendEntry(block, e)
+			t.sizeB += e.size()
 		}
+		first, _ := entryAt(block, 0)
+		t.blocks = append(t.blocks, block)
+		t.firstKeys = append(t.firstKeys, first.Key)
+		i = j
 	}
-	flush()
 	if len(entries) > 0 {
 		t.minKey = t.firstKeys[0]
 		maxEnt, _ := entryAt(t.blocks[len(t.blocks)-1], last)

@@ -245,11 +245,16 @@ func (p *Proxy) pickBackend(backends []Backend) (Backend, error) {
 	return backends[best], nil
 }
 
+// releaseBackend returns a connection's hold on addr. An address left with
+// no connection is dropped: every pod listens on a fresh address, so a count
+// kept at zero would outlive its pod.
 func (p *Proxy) releaseBackend(addr string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mu.connsPerBackend[addr] > 0 {
-		p.mu.connsPerBackend[addr]--
+	if n := p.mu.connsPerBackend[addr]; n > 1 {
+		p.mu.connsPerBackend[addr] = n - 1
+	} else {
+		delete(p.mu.connsPerBackend, addr)
 	}
 }
 
@@ -358,7 +363,7 @@ func (p *Proxy) handleConn(client net.Conn) {
 	if err := wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: true}); err != nil {
 		return
 	}
-	p.cfg.Obs.ConnOpened(tenantName)
+	p.cfg.Obs.Named(tenantName).ConnOpened()
 	pc.relay()
 }
 

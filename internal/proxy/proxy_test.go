@@ -471,3 +471,51 @@ func connsPerBackend(p *Proxy) map[string]int {
 	defer p.mu.Unlock()
 	return maps.Clone(p.mu.connsPerBackend)
 }
+
+// Every pod listens on a fresh address, so the proxy's per-backend counts
+// must forget an address once its last connection closes: a tenant that is
+// resumed, queried and suspended over and over would otherwise leave one
+// count behind per pod it ever ran.
+func TestConnsPerBackendForgetsClosedBackends(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	acme, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
+	p := startProxy(t, Config{Directory: e})
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		n := e.addNode(t, acme)
+		c, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "user": "app"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query("SHOW TABLES"); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		// Suspend: the pod goes away and the directory stops listing it.
+		e.mu.Lock()
+		e.nodes = e.nodes[:0]
+		e.mu.Unlock()
+		n.Close()
+	}
+	// The proxy sees each close when its relay ends.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(connsPerBackend(p)) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d cycles with no connection open the proxy counts %d backends: %v",
+				cycles, len(connsPerBackend(p)), connsPerBackend(p))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// An address with an open connection keeps its count.
+	n := e.addNode(t, acme)
+	c, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme", "user": "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := connsPerBackend(p); len(got) != 1 || got[n.Addr()] != 1 {
+		t.Fatalf("one open connection: counts %v, want %s:1", got, n.Addr())
+	}
+}

@@ -168,6 +168,8 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	defer n.wg.Done()
 	// The tenant enters the observability plane with its first pod, before
 	// any signal keyed by its ID alone could name a series after the ID.
+	// The DistSender, coordinator, executor and node bucket made below each
+	// resolve its handle once, here.
 	n.cfg.Obs.RegisterTenant(t.ID, t.Name)
 	ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: t.ID}, kvserver.Config{Obs: n.cfg.Obs})
 	metered := NewMeteredSender(ds)
@@ -428,9 +430,16 @@ func (n *SQLNode) restore(conn net.Conn, r *wire.Restore) *sql.Session {
 	return session
 }
 
-// serveSession runs the query loop, reading the connection through rd.
+// serveSession runs the query loop, reading the connection through rd. The
+// connection decodes every query into one Query and runs every statement in
+// one Scratch, so a statement it repeats allocates no frame, text, argument
+// array, result, row array or implicit transaction of its own. The Scratch is
+// released once each result is written, so it keeps no values between
+// statements.
 func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 	ctx := context.Background()
+	var q wire.Query
+	var scratch sql.Scratch
 	for {
 		frame, err := rd.Next()
 		if err != nil {
@@ -440,7 +449,6 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 		case wire.MsgTerminate:
 			return
 		case wire.MsgQuery:
-			var q wire.Query
 			if err := wire.Decode(frame[wire.HeaderSize:], &q); err != nil {
 				return
 			}
@@ -453,7 +461,7 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 				// so the span is already the context carrying itself.
 				qctx = qsp
 			}
-			res, qerr := st.session.Execute(qctx, q.SQL, q.Args...)
+			res, qerr := st.session.ExecuteIn(qctx, &scratch, q.SQL, q.Args)
 			qsp.Finish()
 			n.enforceQuota(n.closing)
 			out := &wire.Result{}
@@ -467,6 +475,7 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 			if err := wire.WriteMessage(conn, wire.MsgResult, out); err != nil {
 				return
 			}
+			scratch.Release()
 		case wire.MsgSerialize:
 			ser, serr := st.session.Serialize(n.cfg.RevivalSecret)
 			resp := &wire.Serialized{}

@@ -306,6 +306,22 @@ func encodeDatumKey(b keys.Key, d Datum) keys.Key {
 	}
 }
 
+// datumKeyLen is the number of bytes encodeDatumKey appends for d.
+func datumKeyLen(d Datum) int {
+	switch {
+	case d.Null:
+		return 1
+	case d.Kind == TypeInt, d.Kind == TypeFloat:
+		return 1 + 8
+	case d.Kind == TypeString:
+		return 1 + keys.EncodedBytesLen(unsafe.Slice(unsafe.StringData(d.S), len(d.S)))
+	case d.Kind == TypeBool:
+		return 2
+	default:
+		return 1
+	}
+}
+
 // decodeDatumKey consumes one datum encoding.
 func decodeDatumKey(b keys.Key) (keys.Key, Datum, error) {
 	if len(b) == 0 {

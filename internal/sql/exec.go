@@ -42,7 +42,8 @@ type ExecutorConfig struct {
 	NoPushdown bool
 	// Obs, when non-nil, receives per-tenant statement outcomes and
 	// latencies (sql.tenant_queries, sql.tenant_exec_latency, and the
-	// tenant's SLO/window series).
+	// tenant's SLO/window series). The tenant's handle is resolved when the
+	// executor is made.
 	Obs *tenantobs.Plane
 }
 
@@ -52,6 +53,7 @@ type Executor struct {
 	coord   *txn.Coordinator
 	tenant  keys.TenantID
 	cfg     ExecutorConfig
+	obs     *tenantobs.Tenant
 	stmts   stmtCache
 
 	mu struct {
@@ -63,14 +65,56 @@ type Executor struct {
 
 // NewExecutor returns an executor over the catalog's tenant.
 func NewExecutor(catalog *Catalog, coord *txn.Coordinator, cfg ExecutorConfig) *Executor {
-	return &Executor{catalog: catalog, coord: coord, tenant: catalog.Tenant(), cfg: cfg}
+	return &Executor{catalog: catalog, coord: coord, tenant: catalog.Tenant(), cfg: cfg, obs: cfg.Obs.Tenant(catalog.Tenant())}
 }
 
-// Result is the outcome of a statement.
+// Result is the outcome of a statement. A SELECT's Columns are its plan's,
+// shared by every execution of the plan in every session: a caller reads
+// them and never writes them.
 type Result struct {
 	Columns      []string
 	Rows         [][]Datum
 	RowsAffected int
+}
+
+// Scratch is the storage a connection lends its statements one at a time,
+// for the connection's life: a statement's Result, its implicit transaction
+// and the buffer its rows are decoded into. A statement run in a Scratch
+// returns the Scratch's Result, valid until Release or the next statement
+// runs in it. No two of the Result's row slots share an array, so the next
+// SELECT can refill them in place.
+type Scratch struct {
+	res Result
+	txn txn.Txn
+	row []Datum
+}
+
+// keptRows is the most row arrays a Scratch keeps across statements: enough
+// that a short result allocates no row, and few enough that one large SELECT
+// does not hold its rows' storage for the rest of the connection's life.
+const keptRows = 16
+
+// result returns the statement's Result, emptied.
+func (sc *Scratch) result() *Result {
+	sc.res = Result{Rows: sc.res.Rows[:0]}
+	return &sc.res
+}
+
+// Release drops what the last statement left in sc: the values of its
+// Result and of the decode buffer, and its row arrays when there are more
+// than keptRows. A connection releases its Scratch once it has written the
+// Result, so an idle connection holds no values alive. The Result is not
+// valid after.
+func (sc *Scratch) Release() {
+	rows := sc.res.Rows[:cap(sc.res.Rows)]
+	if len(rows) > keptRows {
+		rows = nil
+	}
+	for _, r := range rows {
+		clear(r[:cap(r)])
+	}
+	sc.res = Result{Rows: rows[:0]}
+	clear(sc.row[:cap(sc.row)])
 }
 
 // SQLCPUSeconds returns the cumulative directly-measured SQL CPU.
@@ -102,21 +146,21 @@ func (e *Executor) chargeUnmarshal(bytes int64) {
 	e.mu.Unlock()
 }
 
-// ExecuteStmt runs a prepared statement. When tx is nil the statement runs
-// in its own (retried) implicit transaction; otherwise it joins tx.
-func (e *Executor) ExecuteStmt(ctx context.Context, p *Prepared, args []Datum, tx *txn.Txn) (*Result, error) {
+// ExecuteStmt runs a prepared statement in sc's storage. When tx is nil the statement runs in its own (retried) implicit
+// transaction; otherwise it joins tx.
+func (e *Executor) ExecuteStmt(ctx context.Context, p *Prepared, args []Datum, tx *txn.Txn, sc *Scratch) (*Result, error) {
 	var start time.Time
-	if e.cfg.Obs != nil {
-		start = e.cfg.Obs.Now()
+	if e.obs != nil {
+		start = e.obs.Now()
 	}
-	res, err := e.executeStmt(ctx, p, args, tx)
-	if e.cfg.Obs != nil {
-		e.cfg.Obs.QueryDone(e.tenant, e.cfg.Obs.Now().Sub(start), err != nil)
+	res, err := e.executeStmt(ctx, p, args, tx, sc)
+	if e.obs != nil {
+		e.obs.QueryDone(e.obs.Now().Sub(start), err != nil)
 	}
 	return res, err
 }
 
-func (e *Executor) executeStmt(ctx context.Context, p *Prepared, args []Datum, tx *txn.Txn) (*Result, error) {
+func (e *Executor) executeStmt(ctx context.Context, p *Prepared, args []Datum, tx *txn.Txn, sc *Scratch) (*Result, error) {
 	ctx, sp := trace.StartSpan(ctx, "sql.exec")
 	defer sp.Finish()
 	if sp != nil {
@@ -143,20 +187,20 @@ func (e *Executor) executeStmt(ctx context.Context, p *Prepared, args []Datum, t
 		}
 		return res, nil
 	case *Insert:
-		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
+		return e.runMaybeTxn(ctx, tx, sc, func(ctx context.Context, t *txn.Txn) (*Result, error) {
 			return e.insert(ctx, t, p, s, args)
 		})
 	case *Select:
-		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.selectStmt(ctx, t, p, s, args)
+		return e.runMaybeTxn(ctx, tx, sc, func(ctx context.Context, t *txn.Txn) (*Result, error) {
+			return e.selectStmt(ctx, t, p, s, args, sc)
 		})
 	case *Update:
-		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.update(ctx, t, p, s, args)
+		return e.runMaybeTxn(ctx, tx, sc, func(ctx context.Context, t *txn.Txn) (*Result, error) {
+			return e.update(ctx, t, p, s, args, sc)
 		})
 	case *Delete:
-		return e.runMaybeTxn(ctx, tx, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.delete(ctx, t, p, s, args)
+		return e.runMaybeTxn(ctx, tx, sc, func(ctx context.Context, t *txn.Txn) (*Result, error) {
+			return e.delete(ctx, t, p, s, args, sc)
 		})
 	default:
 		return nil, fmt.Errorf("sql: statement %T must be executed by the session", p.stmt)
@@ -190,13 +234,14 @@ func stmtAttr(stmt Statement) any {
 	}
 }
 
-// runMaybeTxn executes fn in tx, or in a fresh retried implicit transaction.
-func (e *Executor) runMaybeTxn(ctx context.Context, tx *txn.Txn, fn func(context.Context, *txn.Txn) (*Result, error)) (*Result, error) {
+// runMaybeTxn executes fn in tx, or in a retried implicit transaction in
+// sc's storage.
+func (e *Executor) runMaybeTxn(ctx context.Context, tx *txn.Txn, sc *Scratch, fn func(context.Context, *txn.Txn) (*Result, error)) (*Result, error) {
 	if tx != nil {
 		return fn(ctx, tx)
 	}
 	var res *Result
-	err := e.coord.RunTxn(ctx, func(ctx context.Context, t *txn.Txn) error {
+	err := e.coord.RunTxnIn(ctx, &sc.txn, func(ctx context.Context, t *txn.Txn) error {
 		var err error
 		res, err = fn(ctx, t)
 		return err
@@ -244,14 +289,14 @@ func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, sp
 // a join input's WHERE may name the other table's columns, so it applies to
 // the joined rows instead.
 //
-// Every row is decoded into one buffer: the row visit receives is valid only
-// until visit returns, and a caller that keeps it copies it. So is pk when
-// paged is true, for the full scan reads it from a KV page; the point and
-// index plans build a fresh pk, which may be kept.
-func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, visit func(pk keys.Key, paged bool, row []Datum) error) error {
+// Every row is decoded into one buffer, sc's: the row visit receives is
+// valid only until visit returns, and a caller that keeps it copies it. So is pk when paged is true, for the full scan reads it from
+// a KV page; the point and index plans build a fresh pk, which may be kept.
+func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, sc *Scratch, visit func(pk keys.Key, paged bool, row []Datum) error) error {
 	// row decodes the stored value raw of the row at pk into buf, the one
 	// buffer every row of the scan uses, and visits it if it passes WHERE.
-	var buf []Datum
+	buf := sc.row
+	defer func() { sc.row = buf }()
 	env := evalEnv{cols: cols, args: args}
 	filtered := cols != nil && where != nil
 	row := func(pk keys.Key, paged bool, raw []byte) error {
@@ -272,7 +317,8 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 		return visit(pk, paged, buf)
 	}
 	// Plan 1: full primary key equality -> point get.
-	if pkVals, ok := extractPKConstraint(desc, conds, args); ok {
+	var pkBuf [4]Datum
+	if pkVals, ok := extractPKConstraint(pkBuf[:0], desc, conds, args); ok {
 		key := primaryKeyFromValues(e.tenant, desc, pkVals)
 		raw, found, err := t.Get(ctx, key)
 		if err != nil || !found {
@@ -338,12 +384,11 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 }
 
 // extractPKConstraint finds constant equality constraints covering the whole
-// primary key.
-func extractPKConstraint(desc *TableDescriptor, conds []colCond, args []Datum) ([]Datum, bool) {
+// primary key, and appends their values to vals.
+func extractPKConstraint(vals []Datum, desc *TableDescriptor, conds []colCond, args []Datum) ([]Datum, bool) {
 	if len(conds) == 0 {
 		return nil, false
 	}
-	vals := make([]Datum, 0, len(desc.PrimaryKey))
 	for _, pkIdx := range desc.PrimaryKey {
 		d, ok := eqValue(conds, pkIdx, args)
 		if !ok {
@@ -499,9 +544,9 @@ type tableRow struct {
 // primary keys read from a page (the released page's slab is the next
 // page's). UPDATE and DELETE write only once the scan is done, so no write of
 // theirs lands in a page still to be read.
-func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, pl *plan, where Expr, args []Datum) ([]tableRow, error) {
+func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, pl *plan, where Expr, args []Datum, sc *Scratch) ([]tableRow, error) {
 	var rows []tableRow
-	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, func(pk keys.Key, paged bool, row []Datum) error {
+	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, sc, func(pk keys.Key, paged bool, row []Datum) error {
 		if paged {
 			pk = pk.Clone()
 		}
@@ -528,13 +573,13 @@ func (e *Executor) deleteRow(ctx context.Context, t *txn.Txn, desc *TableDescrip
 	return nil
 }
 
-func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Update, args []Datum) (*Result, error) {
+func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Update, args []Datum, sc *Scratch) (*Result, error) {
 	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	desc, cols := pl.desc, pl.cols
-	rows, err := e.keepRows(ctx, t, pl, s.Where, args)
+	rows, err := e.keepRows(ctx, t, pl, s.Where, args, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -605,12 +650,12 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Updat
 	return &Result{RowsAffected: affected}, nil
 }
 
-func (e *Executor) delete(ctx context.Context, t *txn.Txn, p *Prepared, s *Delete, args []Datum) (*Result, error) {
+func (e *Executor) delete(ctx context.Context, t *txn.Txn, p *Prepared, s *Delete, args []Datum, sc *Scratch) (*Result, error) {
 	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.keepRows(ctx, t, pl, s.Where, args)
+	rows, err := e.keepRows(ctx, t, pl, s.Where, args, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -689,12 +734,12 @@ func (e *Executor) dropTable(ctx context.Context, s *DropTable) (*Result, error)
 }
 
 // selectStmt runs a SELECT on its plan.
-func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *Select, args []Datum) (*Result, error) {
+func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *Select, args []Datum, sc *Scratch) (*Result, error) {
 	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	desc, joinDesc, cols := pl.desc, pl.joinDesc, pl.cols
+	desc, cols := pl.desc, pl.cols
 
 	// Each source row that passes WHERE goes to the aggregator, or to the
 	// projection — unless a non-aggregate ORDER BY must first sort the source
@@ -711,7 +756,8 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 			return nil, err
 		}
 	} else {
-		proj = newProjection(s, desc, joinDesc)
+		proj = projection{s: s, res: sc.result()}
+		proj.res.Columns = pl.columns
 	}
 	sorting := !hasAgg && len(s.OrderBy) > 0
 	consume := func(row []Datum) error {
@@ -727,7 +773,7 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 	}
 	switch {
 	case s.Join != nil:
-		err = e.joinRows(ctx, t, pl, s, args, consume)
+		err = e.joinRows(ctx, t, pl, s, args, sc, consume)
 	case hasAgg && pl.push != nil:
 		span := tableSpan(e.tenant, desc)
 		if spec := e.aggSpec(t, pl, span, args); spec != nil {
@@ -736,7 +782,7 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 		}
 		fallthrough
 	default:
-		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, func(_ keys.Key, _ bool, row []Datum) error {
+		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, sc, func(_ keys.Key, _ bool, row []Datum) error {
 			if sorting {
 				row = slices.Clone(row)
 			}
@@ -784,7 +830,7 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 // joinRows executes an inner join, preferring a hash join on an equality
 // condition, and hands each joined row that passes WHERE to emit. The rows
 // emit receives are its to keep.
-func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select, args []Datum, emit func([]Datum) error) error {
+func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select, args []Datum, sc *Scratch, emit func([]Datum) error) error {
 	// Each input reads under the WHERE clause so per-table constraints
 	// (e.g. an indexed equality on the fact table) constrain the plan —
 	// the "index joins resulting in remote KV lookups" shape of Q9.
@@ -792,7 +838,7 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select
 	// Both inputs are kept, so their rows are copied out of the scan.
 	input := func(desc *TableDescriptor, conds []colCond) ([][]Datum, error) {
 		var rows [][]Datum
-		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, func(_ keys.Key, _ bool, row []Datum) error {
+		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, sc, func(_ keys.Key, _ bool, row []Datum) error {
 			rows = append(rows, slices.Clone(row))
 			return nil
 		})
@@ -932,32 +978,41 @@ type projection struct {
 	res *Result
 }
 
-func newProjection(s *Select, desc, joinDesc *TableDescriptor) projection {
-	res := &Result{}
+// projectionColumns names the columns a plain select's rows hold, once per
+// plan.
+func projectionColumns(s *Select, desc, joinDesc *TableDescriptor) []string {
+	var cols []string
 	for _, se := range s.Exprs {
 		switch {
 		case se.Star:
 			for _, c := range desc.Columns {
-				res.Columns = append(res.Columns, c.Name)
+				cols = append(cols, c.Name)
 			}
 			if joinDesc != nil {
 				for _, c := range joinDesc.Columns {
-					res.Columns = append(res.Columns, c.Name)
+					cols = append(cols, c.Name)
 				}
 			}
 		case se.As != "":
-			res.Columns = append(res.Columns, se.As)
+			cols = append(cols, se.As)
 		default:
-			res.Columns = append(res.Columns, exprName(se.Expr))
+			cols = append(cols, exprName(se.Expr))
 		}
 	}
-	return projection{s: s, res: res}
+	return slices.Clip(cols)
 }
 
-// add appends the projection of row, evaluated in env, to the result. It
-// does not keep row.
+// add appends the projection of row, evaluated in env, to the result, into
+// the array of the result's next row when its Scratch kept one. It does not
+// keep row.
 func (p *projection) add(env *evalEnv, row []Datum) error {
-	out := make([]Datum, 0, len(p.res.Columns))
+	var out []Datum
+	if n := len(p.res.Rows); n < cap(p.res.Rows) {
+		out = p.res.Rows[: n+1 : n+1][n][:0]
+	}
+	if cap(out) < len(p.res.Columns) {
+		out = make([]Datum, 0, len(p.res.Columns))
+	}
 	env.row = row
 	for _, se := range p.s.Exprs {
 		if se.Star {
@@ -1434,19 +1489,24 @@ func orderAggResult(res *Result, s *Select) error {
 	return nil
 }
 
+// distinctRows keeps the first of each set of equal rows, in order, in the
+// front of rows. It swaps rather than overwrites, so the dropped rows'
+// arrays move to the tail and no two slots share an array: a Scratch's
+// next SELECT refills every slot in place.
 func distinctRows(rows [][]Datum) [][]Datum {
 	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
+	n := 0
 	var key []byte
-	for _, r := range rows {
+	for i, r := range rows {
 		key = key[:0]
 		for _, d := range r {
 			key = appendGroupKey(key, d)
 		}
 		if _, dup := seen[string(key)]; !dup {
 			seen[string(key)] = struct{}{}
-			out = append(out, r)
+			rows[n], rows[i] = rows[i], rows[n]
+			n++
 		}
 	}
-	return out
+	return rows[:n]
 }

@@ -321,7 +321,7 @@ func (e *Executor) aggSpec(t *txn.Txn, pl *plan, span keys.Span, args []Datum) [
 	if p == nil || e.cfg.NoPushdown {
 		return nil
 	}
-	if _, ok := extractPKConstraint(pl.desc, pl.where, args); ok {
+	if _, ok := extractPKConstraint(nil, pl.desc, pl.where, args); ok {
 		return nil
 	}
 	if _, _, ok := extractIndexConstraint(pl.desc, pl.where, args); ok {

@@ -34,7 +34,11 @@ func primaryKey(tenant keys.TenantID, desc *TableDescriptor, row []Datum) (keys.
 // primaryKeyFromValues builds a primary key from just the PK datums (for
 // point lookups planned from WHERE clauses).
 func primaryKeyFromValues(tenant keys.TenantID, desc *TableDescriptor, pkVals []Datum) keys.Key {
-	k := keys.MakeTableIndexPrefix(tenant, desc.ID, keys.PrimaryIndexID)
+	n := keys.TableIndexPrefixLen
+	for _, d := range pkVals {
+		n += datumKeyLen(d)
+	}
+	k := keys.AppendTableIndexPrefix(make(keys.Key, 0, n), tenant, desc.ID, keys.PrimaryIndexID)
 	for _, d := range pkVals {
 		k = encodeDatumKey(k, d)
 	}

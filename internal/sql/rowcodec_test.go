@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"crdbserverless/internal/keys"
 	"crdbserverless/internal/randutil"
 )
 
@@ -190,4 +191,28 @@ func FuzzDecodeRowValue(f *testing.F) {
 			t.Fatalf("%x decodes to %+v, its re-encoding to %+v", in, row, again)
 		}
 	})
+}
+
+// A primary key is built in one exactly sized allocation, byte for byte the
+// prefix followed by each value's key encoding, for every kind of value
+// (a STRING's 0x00 bytes are escaped, so they count twice).
+func TestPrimaryKeyExactlySized(t *testing.T) {
+	desc := &TableDescriptor{ID: 7}
+	for _, vals := range [][]Datum{
+		{DInt(-3)},
+		{DString("a\x00b\x00"), DFloat(-0.5), DBool(true), DNull},
+		{DString(""), DInt(1 << 40), DBool(false)},
+	} {
+		want := keys.MakeTableIndexPrefix(9, desc.ID, keys.PrimaryIndexID)
+		for _, d := range vals {
+			want = encodeDatumKey(want, d)
+		}
+		var got keys.Key
+		if n := testing.AllocsPerRun(10, func() { got = primaryKeyFromValues(9, desc, vals) }); n != 1 {
+			t.Fatalf("%v: %v allocations, want 1", vals, n)
+		}
+		if !bytes.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("%v: key %x (capacity %d), want %x exactly", vals, got, cap(got), want)
+		}
+	}
 }

@@ -160,7 +160,7 @@ func allocsPerQuery(t *testing.T, exec *Executor, q string, args ...Datum) float
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.ExecuteStmt(ctx, p, args, nil); err != nil {
+		if _, err := exec.ExecuteStmt(ctx, p, args, nil, new(Scratch)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -276,11 +276,82 @@ func TestPointSelectAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mustExec(t, s, q, DInt(7))
 	}
-	const want = 21
+	const want = 8
 	got := allocsPerQuery(t, exec, q, DInt(7))
 	t.Logf("point SELECT: %v allocations", got)
 	if got > want {
 		t.Fatalf("point SELECT makes %v allocations, want at most %v", got, want)
+	}
+}
+
+// distinctRows moves the rows it drops behind the ones it keeps, so every
+// array the rows held is still in exactly one slot: a Scratch refills the
+// slots in place, and a shared array would make two rows one.
+func TestDistinctRowsKeepsEachArrayOnce(t *testing.T) {
+	var rows [][]Datum
+	for _, v := range []string{"x", "x", "y", "z", "y", "x"} {
+		rows = append(rows, []Datum{DString(v)})
+	}
+	arrays := make(map[*Datum]bool)
+	for _, r := range rows {
+		arrays[&r[0]] = true
+	}
+	kept := distinctRows(rows)
+	if got := rowStrings(&Result{Rows: kept}); strings.Join(got, " ") != "x y z" {
+		t.Fatalf("distinct rows %q, want x y z", got)
+	}
+	for _, r := range rows {
+		if !arrays[&r[0]] {
+			t.Fatalf("slot holds an array it did not hold before: %v", rows)
+		}
+		delete(arrays, &r[0])
+	}
+	if len(arrays) != 0 {
+		t.Fatalf("%d arrays are in no slot, so two slots share one", len(arrays))
+	}
+}
+
+// Release leaves a Scratch holding no value of its last statement: a short
+// result's row arrays are kept, cleared, for the next SELECT to refill, and
+// a result of more than keptRows rows gives up its arrays, so one large
+// SELECT does not pin its rows for the rest of the connection's life.
+func TestScratchReleaseKeepsNoValues(t *testing.T) {
+	_, s := newTestDB(t)
+	loadLineitem(t, s, 40)
+	ctx := context.Background()
+	var sc Scratch
+	const q = "SELECT l_key, l_returnflag FROM lineitem WHERE l_key <= $1"
+	zero := func() {
+		t.Helper()
+		for _, r := range sc.res.Rows[:cap(sc.res.Rows)] {
+			for _, d := range r[:cap(r)] {
+				if d != (Datum{}) {
+					t.Fatalf("released scratch still holds %v", d)
+				}
+			}
+		}
+		for _, d := range sc.row[:cap(sc.row)] {
+			if d != (Datum{}) {
+				t.Fatalf("released decode buffer still holds %v", d)
+			}
+		}
+	}
+	res, err := s.ExecuteIn(ctx, &sc, q, []Datum{DInt(keptRows)})
+	if err != nil || len(res.Rows) != keptRows {
+		t.Fatalf("%d rows, err %v; want %d", len(res.Rows), err, keptRows)
+	}
+	sc.Release()
+	zero()
+	if cap(sc.res.Rows) < keptRows {
+		t.Fatalf("released scratch kept %d row arrays, want the %d of a short result", cap(sc.res.Rows), keptRows)
+	}
+	if res, err = s.ExecuteIn(ctx, &sc, q, []Datum{DInt(40)}); err != nil || len(res.Rows) != 40 {
+		t.Fatalf("%d rows, err %v; want 40", len(res.Rows), err)
+	}
+	sc.Release()
+	zero()
+	if cap(sc.res.Rows) != 0 {
+		t.Fatalf("released scratch kept %d row arrays of a 40-row result", cap(sc.res.Rows))
 	}
 }
 
@@ -306,7 +377,7 @@ func TestSessionTxnAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		run()
 	}
-	const want = 23
+	const want = 11
 	got := testing.AllocsPerRun(20, run)
 	t.Logf("BEGIN, point SELECT, COMMIT: %v allocations", got)
 	if got > want {
@@ -326,7 +397,7 @@ func BenchmarkScanAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.ExecuteStmt(ctx, p, nil, nil); err != nil {
+		if _, err := exec.ExecuteStmt(ctx, p, nil, nil, new(Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,8 +41,17 @@ func NewSession(exec *Executor, user string) *Session {
 }
 
 // Execute runs one statement, honoring the session's transaction state. The
-// text is parsed once per executor: a text seen before reuses its parse.
+// text is parsed once per executor: a text seen before reuses its parse. The
+// Result is the caller's to keep, in storage of its own; a SELECT's Columns
+// are the plan's, which the caller reads and never writes.
 func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*Result, error) {
+	return s.ExecuteIn(ctx, new(Scratch), sqlText, args)
+}
+
+// ExecuteIn is Execute in the storage of sc, which a connection holds for its
+// life and lends to one statement at a time: the Result is sc's, valid until
+// sc.Release or the next statement runs in sc.
+func (s *Session) ExecuteIn(ctx context.Context, sc *Scratch, sqlText string, args []Datum) (*Result, error) {
 	p, err := s.exec.Prepare(sqlText)
 	if err != nil {
 		return nil, err
@@ -58,7 +67,7 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 			return nil, errors.New("sql: transaction already open")
 		}
 		s.mu.txn = s.exec.coord.Begin()
-		return &Result{}, nil
+		return sc.result(), nil
 	case *CommitTxn:
 		s.mu.Lock()
 		t := s.mu.txn
@@ -70,7 +79,7 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 		if err := t.Commit(ctx); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return sc.result(), nil
 	case *RollbackTxn:
 		s.mu.Lock()
 		t := s.mu.txn
@@ -82,7 +91,7 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 		if err := t.Abort(ctx); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return sc.result(), nil
 	case *SetVar:
 		v, err := evalExpr(&evalEnv{args: args}, st.Value)
 		if err != nil {
@@ -91,12 +100,12 @@ func (s *Session) Execute(ctx context.Context, sqlText string, args ...Datum) (*
 		s.mu.Lock()
 		s.mu.settings[st.Name] = v.String()
 		s.mu.Unlock()
-		return &Result{}, nil
+		return sc.result(), nil
 	default:
 		s.mu.Lock()
 		t := s.mu.txn
 		s.mu.Unlock()
-		res, err := s.exec.ExecuteStmt(ctx, p, args, t)
+		res, err := s.exec.ExecuteStmt(ctx, p, args, t, sc)
 		if err != nil && t != nil {
 			// A failed statement poisons the explicit transaction.
 			//lint:allow faulterr the statement error is what the client sees; a failed abort only leaves intents for the next reader to resolve

@@ -91,6 +91,8 @@ type plan struct {
 	// push is an aggregating SELECT's aggregation as the KV node computes
 	// it, nil when it cannot be pushed down (pushdown.go).
 	push *aggPush
+	// columns names a plain (non-aggregating) SELECT's result columns.
+	columns []string
 }
 
 // colCond is a WHERE conjunct `column OP constant`, or `constant OP column`
@@ -181,6 +183,9 @@ func buildPlan(stmt Statement, desc, joinDesc *TableDescriptor) (*plan, error) {
 			pl.joinWhere = colConds(joinDesc, joinAs, s.Where)
 		} else if hasAggregate(s) {
 			pl.push = newAggPush(s, pl.cols, pl.where)
+		}
+		if !hasAggregate(s) {
+			pl.columns = projectionColumns(s, desc, joinDesc)
 		}
 	}
 	return pl, nil

@@ -53,30 +53,31 @@ type BucketServer struct {
 	tenants map[keys.TenantID]*serverBucket
 	// trickleInterval is how long each trickle grant lasts.
 	trickleInterval time.Duration
-	// onConsume, when set, observes every NodeBucket consumption
-	// (tenant, tokens). Invoked outside both the server's and the node
-	// bucket's locks.
-	onConsume func(keys.TenantID, float64)
+	// observer, when set, gives each new NodeBucket the function that
+	// observes its consumption.
+	observer func(keys.TenantID) func(tokens float64)
 }
 
-// SetConsumptionObserver installs fn to observe every token consumption
-// attributed through any NodeBucket of this server. The deployment wires
-// this to the tenant observability plane so per-tenant RU burn shows up on
-// /debug/metrics (tenantcost.tenant_ru).
-func (s *BucketServer) SetConsumptionObserver(fn func(tenant keys.TenantID, tokens float64)) {
+// SetConsumptionObserver installs observer, which each NodeBucket made after
+// the call asks, once, for the function that observes its tenant's token
+// consumption. The deployment wires this to the tenant observability plane
+// so per-tenant RU burn shows up on /debug/metrics (tenantcost.tenant_ru).
+func (s *BucketServer) SetConsumptionObserver(observer func(tenant keys.TenantID) func(tokens float64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.onConsume = fn
+	s.observer = observer
 }
 
-// noteConsumption relays one consumption to the observer, if any.
-func (s *BucketServer) noteConsumption(tenant keys.TenantID, tokens float64) {
+// observerFor returns the consumption observer of a new bucket of tenant's,
+// nil when there is none.
+func (s *BucketServer) observerFor(tenant keys.TenantID) func(float64) {
 	s.mu.Lock()
-	fn := s.onConsume
+	observer := s.observer
 	s.mu.Unlock()
-	if fn != nil {
-		fn(tenant, tokens)
+	if observer == nil {
+		return nil
 	}
+	return observer(tenant)
 }
 
 // NewBucketServer returns a server using the given clock.
@@ -216,6 +217,9 @@ type NodeBucket struct {
 	clock  timeutil.Clock
 	tenant keys.TenantID
 	node   int32
+	// onConsume, when set, observes every consumption. It is called outside
+	// the bucket's and the server's locks.
+	onConsume func(tokens float64)
 
 	mu struct {
 		sync.Mutex
@@ -244,6 +248,7 @@ func NewNodeBucket(server *BucketServer, clock timeutil.Clock, tenant keys.Tenan
 		clock = timeutil.NewRealClock()
 	}
 	nb := &NodeBucket{server: server, clock: clock, tenant: tenant, node: node, requestWindow: 10 * time.Second}
+	nb.onConsume = server.observerFor(tenant)
 	nb.mu.lastUpdate = clock.Now()
 	nb.mu.trickleAccrued = clock.Now()
 	return nb
@@ -260,7 +265,9 @@ func (nb *NodeBucket) Consume(tokens float64) time.Duration {
 	// Registered before the Unlock defer below, so it runs after the lock
 	// is released: the observer (the observability plane) is called with no
 	// tenantcost locks held.
-	defer nb.server.noteConsumption(nb.tenant, tokens)
+	if nb.onConsume != nil {
+		defer nb.onConsume(tokens)
+	}
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
 	now := nb.clock.Now()

@@ -8,9 +8,21 @@
 // telemetry exists; the flat registry of PRs 1–2 could not distinguish a
 // noisy neighbor from fleet-wide load.
 //
-// Every Plane method is nil-safe: a nil *Plane records nothing, so
-// instrumented packages call unconditionally and tests that don't care
-// about observability pay nothing, the same contract as nil trace spans.
+// Signals are recorded through a per-tenant handle, a *Tenant, resolved once
+// where a component binds to its tenant: a SQL pod when it is assigned one,
+// a node bucket when it is made, a KV node's admission queue when it first
+// admits the tenant's work. A handle holds the tenant's window ring and its
+// children of the labeled vectors, so recording a signal takes neither the
+// plane's lock nor a vector's and joins no label values: the plane lock is
+// taken only to register a tenant (resolve a handle) and to render. Each
+// labeled child is looked up in its vector on the tenant's first signal of
+// that kind, as it was when every signal looked it up, so the set of series
+// and the order they appear in do not depend on when handles are resolved.
+//
+// Every method is nil-safe: a nil *Plane resolves nil handles and a nil
+// *Tenant records nothing, so instrumented packages call unconditionally and
+// tests that don't care about observability pay nothing, the same contract
+// as nil trace spans.
 //
 // Tenant cardinality is hard-capped. Once MaxTenants distinct tenants have
 // been seen, further tenants collapse into a single __overflow__
@@ -20,7 +32,9 @@
 package tenantobs
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crdbserverless/internal/keys"
@@ -42,14 +56,61 @@ type Config struct {
 // objective is every tenant's SLO: 99.9% of queries good within 100ms.
 var objective = metric.Objective{LatencyThreshold: 100 * time.Millisecond, Target: 0.999}
 
-// tenantState is everything the plane keeps per tenant beyond the labeled
-// vector children: one query window ring, whose observations are marked bad
-// against objective, so rate, p99, good fraction and burn all read it.
-type tenantState struct {
-	name  string // label value; OverflowLabelValue for the shared overflow state
-	id    keys.TenantID
-	win   *metric.Windowed
-	conns *metric.Counter // cached proxy.tenant_conns child
+// Tenant is one tenant's handle on the plane: its window ring, whose
+// observations are marked bad against objective, so rate, p99, good fraction
+// and burn all read it, and its children of the labeled vectors. A nil
+// *Tenant records nothing. Safe for concurrent use.
+type Tenant struct {
+	p    *Plane
+	name string        // label value; OverflowLabelValue for the shared overflow state
+	id   keys.TenantID // guarded by p.mu
+	win  *metric.Windowed
+
+	conns *metric.Counter // proxy.tenant_conns{tenant}, made with the state
+	// The children below are looked up on first use (see counter).
+	queries     [2]atomic.Pointer[metric.Counter] // result ok, error
+	execLat     atomic.Pointer[metric.Histogram]
+	retries     atomic.Pointer[metric.Counter]
+	commits     [len(commitPaths)]atomic.Pointer[metric.Counter]
+	commitRetry atomic.Pointer[metric.Counter]
+	batches     atomic.Pointer[metric.Counter]
+	admWait     atomic.Pointer[metric.Histogram]
+	ru          atomic.Pointer[metric.Gauge]
+}
+
+// commitPaths are the paths a commit takes, one commits child each.
+var commitPaths = [...]string{"one_phase", "two_phase", "read_only"}
+
+// counter, histogram and gauge return the vector child held in slot,
+// looking it up in v with the given label values on first use. Two first
+// uses at once find the same child, so either may store it. (A generic
+// version would call With through its dictionary, which makes the label
+// values escape: one allocation per signal.)
+func counter(slot *atomic.Pointer[metric.Counter], v *metric.CounterVec, values ...string) *metric.Counter {
+	if m := slot.Load(); m != nil {
+		return m
+	}
+	m := v.With(values...)
+	slot.Store(m)
+	return m
+}
+
+func histogram(slot *atomic.Pointer[metric.Histogram], v *metric.HistogramVec, values ...string) *metric.Histogram {
+	if m := slot.Load(); m != nil {
+		return m
+	}
+	m := v.With(values...)
+	slot.Store(m)
+	return m
+}
+
+func gauge(slot *atomic.Pointer[metric.Gauge], v *metric.GaugeVec, values ...string) *metric.Gauge {
+	if m := slot.Load(); m != nil {
+		return m
+	}
+	m := v.With(values...)
+	slot.Store(m)
+	return m
 }
 
 // Plane is the tenant observability plane. Safe for concurrent use.
@@ -70,12 +131,13 @@ type Plane struct {
 	ru          *metric.GaugeVec     // tenantcost.tenant_ru{tenant}
 	scaleEvents *metric.CounterVec   // autoscaler.tenant_scale_events{tenant,result}
 
+	// mu guards the tenant registry below; no signal takes it.
 	mu       sync.Mutex
-	byID     map[keys.TenantID]*tenantState
-	byName   map[string]*tenantState
-	states   []*tenantState // non-overflow states in creation order
-	overflow *tenantState   // lazily created at the cap
-	absorbed int64          // distinct tenants routed to overflow
+	byID     map[keys.TenantID]*Tenant
+	byName   map[string]*Tenant
+	states   []*Tenant // non-overflow states in creation order
+	overflow *Tenant   // lazily created at the cap
+	absorbed int64     // distinct tenants routed to overflow
 }
 
 // New builds a Plane and registers its labeled vectors on cfg.Registry.
@@ -97,8 +159,8 @@ func New(cfg Config) *Plane {
 		admWait:     r.NewHistogramVec("admission.tenant_wait", "tenant"),
 		ru:          r.NewGaugeVec("tenantcost.tenant_ru", "tenant"),
 		scaleEvents: r.NewCounterVec("autoscaler.tenant_scale_events", "tenant", "result"),
-		byID:        make(map[keys.TenantID]*tenantState),
-		byName:      make(map[string]*tenantState),
+		byID:        make(map[keys.TenantID]*Tenant),
+		byName:      make(map[string]*Tenant),
 	}
 	// The plane converts overflow tenants to the __overflow__ label before
 	// touching any vector, so the vector-level caps only need to cover the
@@ -124,9 +186,10 @@ func (p *Plane) Now() time.Time {
 	return p.clock.Now()
 }
 
-// newStateLocked builds a tenantState for name.
-func (p *Plane) newStateLocked(name string, id keys.TenantID) *tenantState {
-	return &tenantState{
+// newStateLocked builds the state for name.
+func (p *Plane) newStateLocked(name string, id keys.TenantID) *Tenant {
+	return &Tenant{
+		p:     p,
 		name:  name,
 		id:    id,
 		win:   metric.NewWindowed(),
@@ -139,7 +202,7 @@ func (p *Plane) newStateLocked(name string, id keys.TenantID) *tenantState {
 // cap, new tenants map to the shared overflow state (and are remembered in
 // the lookup maps, so each distinct tenant is absorbed exactly once).
 // Caller must hold p.mu.
-func (p *Plane) ensureLocked(id keys.TenantID, name string) *tenantState {
+func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
 	if name != "" {
 		if st, ok := p.byName[name]; ok {
 			if id != 0 && st != p.overflow {
@@ -185,27 +248,38 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *tenantState {
 	return st
 }
 
-func (p *Plane) stateByID(id keys.TenantID) *tenantState {
+// RegisterTenant declares a tenant up front, binding its ID to its
+// human-readable name so signals keyed by either converge on one series, and
+// returns its handle.
+func (p *Plane) RegisterTenant(id keys.TenantID, name string) *Tenant {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ensureLocked(id, name)
+}
+
+// Tenant returns the handle of the tenant with the given ID, registering it
+// under its ID's decimal form if it was never registered by name.
+func (p *Plane) Tenant(id keys.TenantID) *Tenant {
+	if p == nil {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ensureLocked(id, "")
 }
 
-func (p *Plane) stateByName(name string) *tenantState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ensureLocked(0, name)
-}
-
-// RegisterTenant declares a tenant up front, binding its ID to its
-// human-readable name so signals keyed by either converge on one series.
-func (p *Plane) RegisterTenant(id keys.TenantID, name string) {
+// Named returns the handle of the tenant with the given name, registering it
+// if it was never seen.
+func (p *Plane) Named(name string) *Tenant {
 	if p == nil {
-		return
+		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensureLocked(id, name)
+	return p.ensureLocked(0, name)
 }
 
 // Absorbed returns how many distinct tenants were routed to the overflow
@@ -229,98 +303,110 @@ func (p *Plane) TenantCount() int {
 	return len(p.states)
 }
 
+// Now returns the plane's clock reading; the zero time when t is nil.
+func (t *Tenant) Now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.p.clock.Now()
+}
+
 // ConnOpened records an accepted, authenticated proxy connection.
-func (p *Plane) ConnOpened(name string) {
-	if p == nil {
+func (t *Tenant) ConnOpened() {
+	if t == nil {
 		return
 	}
-	p.stateByName(name).conns.Inc(1)
+	t.conns.Inc(1)
 }
 
 // QueryDone records one completed SQL statement: its latency, and whether
 // it errored. Feeds the labeled counters/histograms and the tenant's window
 // ring, where the statement is bad if it errored or missed the objective's
 // latency threshold.
-func (p *Plane) QueryDone(id keys.TenantID, latency time.Duration, errored bool) {
-	if p == nil {
+func (t *Tenant) QueryDone(latency time.Duration, errored bool) {
+	if t == nil {
 		return
 	}
-	st := p.stateByID(id)
-	result := "ok"
+	p := t.p
 	if errored {
-		result = "error"
+		counter(&t.queries[1], p.queries, t.name, "error").Inc(1)
+	} else {
+		counter(&t.queries[0], p.queries, t.name, "ok").Inc(1)
 	}
-	p.queries.With(st.name, result).Inc(1)
-	p.execLat.With(st.name).Record(latency)
-	st.win.Observe(p.clock.Now(), latency, errored || latency > objective.LatencyThreshold)
+	histogram(&t.execLat, p.execLat, t.name).Record(latency)
+	t.win.Observe(p.clock.Now(), latency, errored || latency > objective.LatencyThreshold)
 }
 
 // TxnRetry records one transaction retry.
-func (p *Plane) TxnRetry(id keys.TenantID) {
-	if p == nil {
+func (t *Tenant) TxnRetry() {
+	if t == nil {
 		return
 	}
-	p.retries.With(p.stateByID(id).name).Inc(1)
+	counter(&t.retries, t.p.retries, t.name).Inc(1)
 }
 
 // TxnCommit records one committed transaction by the path its commit took:
 // "one_phase" (a single range committed the whole commit batch in one
 // replicated command), "two_phase" (intents, then resolution), or
 // "read_only" (nothing to commit).
-func (p *Plane) TxnCommit(id keys.TenantID, path string) {
-	if p == nil {
+func (t *Tenant) TxnCommit(path string) {
+	if t == nil {
 		return
 	}
-	p.commits.With(p.stateByID(id).name, path).Inc(1)
+	i := slices.Index(commitPaths[:], path)
+	if i < 0 {
+		panic("tenantobs: unknown commit path " + path)
+	}
+	counter(&t.commits[i], t.p.commits, t.name, path).Inc(1)
 }
 
 // TxnCommitRetry records one re-send of a commit batch whose previous
 // attempt failed without saying whether it applied.
-func (p *Plane) TxnCommitRetry(id keys.TenantID) {
-	if p == nil {
+func (t *Tenant) TxnCommitRetry() {
+	if t == nil {
 		return
 	}
-	p.commitRetry.With(p.stateByID(id).name).Inc(1)
+	counter(&t.commitRetry, t.p.commitRetry, t.name).Inc(1)
 }
 
 // Batch records one DistSender batch sent on behalf of the tenant.
-func (p *Plane) Batch(id keys.TenantID) {
-	if p == nil {
+func (t *Tenant) Batch() {
+	if t == nil {
 		return
 	}
-	p.batches.With(p.stateByID(id).name).Inc(1)
+	counter(&t.batches, t.p.batches, t.name).Inc(1)
 }
 
 // AdmissionWait records the admission-queue wait of one request.
-func (p *Plane) AdmissionWait(id keys.TenantID, wait time.Duration) {
-	if p == nil {
+func (t *Tenant) AdmissionWait(wait time.Duration) {
+	if t == nil {
 		return
 	}
-	p.admWait.With(p.stateByID(id).name).Record(wait)
+	histogram(&t.admWait, t.p.admWait, t.name).Record(wait)
 }
 
 // AddRU records request-unit consumption (tenantcost wires its node-bucket
 // consumption here).
-func (p *Plane) AddRU(id keys.TenantID, ru float64) {
-	if p == nil {
+func (t *Tenant) AddRU(ru float64) {
+	if t == nil {
 		return
 	}
-	p.ru.With(p.stateByID(id).name).Add(ru)
+	gauge(&t.ru, t.p.ru, t.name).Add(ru)
 }
 
 // ScaleEvent records an autoscaler decision for the tenant: "up", "down",
-// or "suspend".
-func (p *Plane) ScaleEvent(name, kind string) {
-	if p == nil {
+// or "suspend". Decisions are rare, so the handle keeps no child for them.
+func (t *Tenant) ScaleEvent(kind string) {
+	if t == nil {
 		return
 	}
-	p.scaleEvents.With(p.stateByName(name).name, kind).Inc(1)
+	t.p.scaleEvents.With(t.name, kind).Inc(1)
 }
 
 // lookup returns the state for name without creating one: nil when the
 // tenant has never been seen. Read paths use this so that rendering a
 // debug page never perturbs the set of series.
-func (p *Plane) lookup(name string) *tenantState {
+func (p *Plane) lookup(name string) *Tenant {
 	if p == nil {
 		return nil
 	}

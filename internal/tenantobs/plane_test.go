@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,15 +23,15 @@ func newTestPlane(max int) (*Plane, *timeutil.ManualClock, *metric.Registry) {
 func TestNilPlaneIsInert(t *testing.T) {
 	var p *Plane
 	p.RegisterTenant(2, "alpha")
-	p.ConnOpened("alpha")
-	p.QueryDone(2, time.Millisecond, false)
-	p.TxnRetry(2)
-	p.TxnCommit(2, "one_phase")
-	p.TxnCommitRetry(2)
-	p.Batch(2)
-	p.AdmissionWait(2, 0)
-	p.AddRU(2, 1)
-	p.ScaleEvent("alpha", "up")
+	p.Named("alpha").ConnOpened()
+	p.Tenant(2).QueryDone(time.Millisecond, false)
+	p.Tenant(2).TxnRetry()
+	p.Tenant(2).TxnCommit("one_phase")
+	p.Tenant(2).TxnCommitRetry()
+	p.Tenant(2).Batch()
+	p.Tenant(2).AdmissionWait(0)
+	p.Tenant(2).AddRU(1)
+	p.Named("alpha").ScaleEvent("up")
 	if p.TenantCount() != 0 || p.Absorbed() != 0 || p.RU("alpha") != 0 ||
 		p.TxnCommits("alpha", "one_phase") != 0 || p.TxnCommitRetries("alpha") != 0 {
 		t.Fatal("nil plane reported data")
@@ -51,21 +52,21 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 	p, clock, r := newTestPlane(0)
 	p.RegisterTenant(2, "alpha")
 	p.RegisterTenant(3, "beta")
-	p.ConnOpened("alpha")
+	p.Named("alpha").ConnOpened()
 	for i := 0; i < 100; i++ {
-		p.QueryDone(2, 10*time.Millisecond, false)
+		p.Tenant(2).QueryDone(10*time.Millisecond, false)
 		clock.Advance(time.Second)
 	}
-	p.QueryDone(3, 500*time.Millisecond, true)
-	p.TxnRetry(3)
-	p.TxnCommit(3, "one_phase")
-	p.TxnCommit(3, "two_phase")
-	p.TxnCommit(3, "two_phase")
-	p.TxnCommitRetry(3)
-	p.Batch(2)
-	p.AdmissionWait(2, 3*time.Millisecond)
-	p.AddRU(2, 42.5)
-	p.ScaleEvent("beta", "suspend")
+	p.Tenant(3).QueryDone(500*time.Millisecond, true)
+	p.Tenant(3).TxnRetry()
+	p.Tenant(3).TxnCommit("one_phase")
+	p.Tenant(3).TxnCommit("two_phase")
+	p.Tenant(3).TxnCommit("two_phase")
+	p.Tenant(3).TxnCommitRetry()
+	p.Tenant(2).Batch()
+	p.Tenant(2).AdmissionWait(3 * time.Millisecond)
+	p.Tenant(2).AddRU(42.5)
+	p.Named("beta").ScaleEvent("suspend")
 
 	now := clock.Now()
 	if got := p.rate("alpha", now, metric.BurnShortWindow); got == 0 {
@@ -114,14 +115,14 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 // missed the 100ms threshold: good(5m) = 0.99 and burn(5m) = 0.01 / 0.001 = 10.
 func TestPlaneOneRingServesSLO(t *testing.T) {
 	rings := 0
-	typ := reflect.TypeOf(tenantState{})
+	typ := reflect.TypeOf(Tenant{})
 	for i := 0; i < typ.NumField(); i++ {
 		if typ.Field(i).Type == reflect.TypeOf((*metric.Windowed)(nil)) {
 			rings++
 		}
 	}
 	if rings != 1 {
-		t.Fatalf("tenantState holds %d window rings, want 1", rings)
+		t.Fatalf("Tenant holds %d window rings, want 1", rings)
 	}
 
 	p, clock, _ := newTestPlane(0)
@@ -134,7 +135,7 @@ func TestPlaneOneRingServesSLO(t *testing.T) {
 		case i < 10:
 			lat = 150 * time.Millisecond
 		}
-		p.QueryDone(2, lat, errored)
+		p.Tenant(2).QueryDone(lat, errored)
 	}
 	now := clock.Now()
 	if got, want := p.rate("alpha", now, metric.BurnShortWindow), 1000/metric.BurnShortWindow.Seconds(); got != want {
@@ -163,7 +164,7 @@ func TestPlaneOneRingServesSLO(t *testing.T) {
 
 func TestPlaneUnknownIDGetsFallbackName(t *testing.T) {
 	p, clock, _ := newTestPlane(0)
-	p.QueryDone(7, time.Millisecond, false)
+	p.Tenant(7).QueryDone(time.Millisecond, false)
 	if got := p.rate("tenant-7", clock.Now(), metric.BurnShortWindow); got == 0 {
 		t.Fatal("unregistered tenant not recorded under fallback name")
 	}
@@ -183,7 +184,7 @@ func TestPlaneCardinalityGuard(t *testing.T) {
 	for i := 0; i < max+1; i++ {
 		id := keys.TenantID(i + 2)
 		p.RegisterTenant(id, fmt.Sprintf("tenant-%04d", i))
-		p.QueryDone(id, time.Millisecond, false)
+		p.Tenant(id).QueryDone(time.Millisecond, false)
 	}
 	if got := p.TenantCount(); got != max {
 		t.Fatalf("TenantCount = %d, want cap %d", got, max)
@@ -193,7 +194,7 @@ func TestPlaneCardinalityGuard(t *testing.T) {
 	}
 	// Re-recording for an absorbed tenant reuses the overflow state rather
 	// than absorbing again.
-	p.QueryDone(keys.TenantID(max+2), time.Millisecond, false)
+	p.Tenant(keys.TenantID(max+2)).QueryDone(time.Millisecond, false)
 	if got := p.Absorbed(); got != 1 {
 		t.Fatalf("Absorbed after re-record = %d, want still 1", got)
 	}
@@ -228,8 +229,8 @@ func TestPlaneRenderDeterministic(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				id := keys.TenantID(i + 2)
 				lat := time.Duration(i+1) * time.Millisecond * time.Duration(tick%3+1)
-				p.QueryDone(id, lat, (tick+i)%17 == 0)
-				p.AddRU(id, float64(i))
+				p.Tenant(id).QueryDone(lat, (tick+i)%17 == 0)
+				p.Tenant(id).AddRU(float64(i))
 			}
 			clock.Advance(5 * time.Second)
 		}
@@ -273,7 +274,7 @@ func TestPlaneTopKTieBreak(t *testing.T) {
 	}
 	// Identical traffic for all three.
 	for _, name := range []string{"zeta", "alpha", "mid"} {
-		p.ConnOpened(name)
+		p.Named(name).ConnOpened()
 	}
 	var b strings.Builder
 	if err := p.WriteTenantz(&b, clock.Now(), 3); err != nil {
@@ -294,4 +295,74 @@ func (p *Plane) rate(name string, now time.Time, span time.Duration) float64 {
 		return 0
 	}
 	return st.win.Rate(now, span)
+}
+
+// Handles are resolved and written from many goroutines while the pages
+// render: a first signal of a kind stores its child in the handle, which a
+// concurrent first signal of the same kind may find or store again, and
+// rendering reads the registry under the plane lock the signals never take.
+func TestTenantHandleConcurrentSignals(t *testing.T) {
+	clock := timeutil.NewManualClock(time.Unix(0, 0))
+	p := New(Config{Registry: metric.NewRegistry(), Clock: clock, MaxTenants: 4})
+	const writers, signals = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < signals; i++ {
+				// Six tenants against a cap of four: two share the overflow
+				// handle.
+				id := keys.TenantID(2 + (w+i)%6)
+				h := p.RegisterTenant(id, fmt.Sprintf("t%d", id))
+				h.QueryDone(time.Millisecond, i%5 == 0)
+				h.Batch()
+				h.AdmissionWait(0)
+				h.AddRU(1)
+				h.TxnCommit(commitPaths[i%len(commitPaths)])
+				h.TxnRetry()
+				h.TxnCommitRetry()
+				h.ScaleEvent([...]string{"up", "down", "suspend"}[i%3])
+				h.ConnOpened()
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	rendered := make(chan struct{})
+	go func() {
+		defer close(rendered)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var b strings.Builder
+			if err := p.WriteTenantz(&b, clock.Now(), 3); err != nil {
+				t.Error(err)
+			}
+			if err := p.WriteTenant(&b, "t2", clock.Now()); err != nil {
+				t.Error(err)
+			}
+			if err := p.WriteSLO(&b, clock.Now()); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-rendered
+	// Which four tenants got series of their own depends on arrival order;
+	// the overflow handle counts the other two.
+	var total int64
+	seen := map[*Tenant]bool{}
+	for id := keys.TenantID(2); id < 8; id++ {
+		if h := p.Tenant(id); !seen[h] {
+			seen[h] = true
+			total += p.TxnCommitRetries(h.name)
+		}
+	}
+	if total != writers*signals || p.TenantCount() != 4 || p.Absorbed() != 2 {
+		t.Fatalf("commit retries %d, tenants %d, absorbed %d; want %d, 4, 2", total, p.TenantCount(), p.Absorbed(), writers*signals)
+	}
 }

@@ -31,7 +31,7 @@ type row struct {
 // last), sorted by name.
 func (p *Plane) snapshotRows(now time.Time) []row {
 	p.mu.Lock()
-	states := append([]*tenantState(nil), p.states...)
+	states := append([]*Tenant(nil), p.states...)
 	overflow := p.overflow
 	p.mu.Unlock()
 	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })

@@ -54,8 +54,12 @@ func (b *writeBuffer) get(key keys.Key) (bufferedWrite, bool) {
 	return b.writes[i], true
 }
 
-// requests returns the buffer as Put/Delete requests in key order.
+// requests returns the buffer as Put/Delete requests in key order; nil when
+// it is empty.
 func (b *writeBuffer) requests() []kvpb.Request {
+	if len(b.writes) == 0 {
+		return nil
+	}
 	reqs := make([]kvpb.Request, len(b.writes))
 	for i, w := range b.writes {
 		reqs[i] = kvpb.Request{Method: kvpb.Put, Key: w.key, Value: w.value}

@@ -38,7 +38,7 @@ type Coordinator struct {
 	clock  *hlc.Clock
 	tenant keys.TenantID
 	faults *faultinject.Registry
-	obs    *tenantobs.Plane
+	obs    *tenantobs.Tenant
 }
 
 // NewCoordinator returns a Coordinator.
@@ -54,8 +54,8 @@ func (c *Coordinator) SetFaults(f *faultinject.Registry) { c.faults = f }
 // SetObs wires the tenant observability plane; transaction retries, commits
 // by path and commit-batch retries are then counted against the
 // coordinator's tenant (txn.tenant_retries, txn.tenant_commits,
-// txn.tenant_commit_retries).
-func (c *Coordinator) SetObs(p *tenantobs.Plane) { c.obs = p }
+// txn.tenant_commit_retries), whose handle is resolved here.
+func (c *Coordinator) SetObs(p *tenantobs.Plane) { c.obs = p.Tenant(c.tenant) }
 
 // Txn is one transaction. It is not safe for concurrent use (like a SQL
 // session, it executes one statement at a time).
@@ -70,6 +70,12 @@ func (c *Coordinator) SetObs(p *tenantobs.Plane) { c.obs = p }
 type Txn struct {
 	coord *Coordinator
 	meta  kvpb.TxnMeta
+	// ba and one are the transaction's own storage for the batch it sends
+	// and for the single request of a Get, Put, Delete or Scan: a
+	// transaction sends one batch at a time, and nothing keeps either past
+	// the send.
+	ba  kvpb.BatchRequest
+	one [1]kvpb.Request
 
 	mu struct {
 		sync.Mutex
@@ -90,13 +96,19 @@ type Txn struct {
 
 // Begin starts a transaction at the current HLC time.
 func (c *Coordinator) Begin() *Txn {
-	t := &Txn{coord: c}
-	t.meta = kvpb.TxnMeta{
+	t := new(Txn)
+	c.beginIn(t)
+	return t
+}
+
+// beginIn starts a transaction at the current HLC time in t, whose previous
+// transaction, if any, has finished.
+func (c *Coordinator) beginIn(t *Txn) {
+	*t = Txn{coord: c, meta: kvpb.TxnMeta{
 		ID:       atomic.AddUint64(&nextTxnID, 1),
 		Ts:       c.clock.Now(),
 		Priority: kvpb.PriorityNormal,
-	}
-	return t
+	}}
 }
 
 // ErrTxnFinished is returned by operations on a committed/aborted txn.
@@ -159,10 +171,18 @@ func (t *Txn) BuffersWritesIn(span keys.Span) bool {
 	return false
 }
 
-// batch wraps reqs as a batch of this transaction. The meta never changes
-// after Begin, so every batch points at the one copy.
+// batch wraps reqs as a batch of this transaction, in the transaction's own
+// batch storage. The meta never changes after Begin, so every batch points
+// at the one copy.
 func (t *Txn) batch(reqs []kvpb.Request) *kvpb.BatchRequest {
-	return &kvpb.BatchRequest{Tenant: t.coord.tenant, Txn: &t.meta, Requests: reqs}
+	t.ba = kvpb.BatchRequest{Tenant: t.coord.tenant, Txn: &t.meta, Requests: reqs}
+	return &t.ba
+}
+
+// sendOne sends r alone, from the transaction's one-request storage.
+func (t *Txn) sendOne(ctx context.Context, r kvpb.Request) (*kvpb.BatchResponse, error) {
+	t.one[0] = r
+	return t.Send(ctx, t.one[:]...)
 }
 
 // send sends one transactional batch. The txn.postsend fault fails it after
@@ -298,7 +318,7 @@ func (t *Txn) noteIntentLocked(key keys.Key) {
 
 // Get reads a key within the transaction.
 func (t *Txn) Get(ctx context.Context, key keys.Key) ([]byte, bool, error) {
-	resp, err := t.Send(ctx, kvpb.Request{Method: kvpb.Get, Key: key})
+	resp, err := t.sendOne(ctx, kvpb.Request{Method: kvpb.Get, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
@@ -308,13 +328,13 @@ func (t *Txn) Get(ctx context.Context, key keys.Key) ([]byte, bool, error) {
 // Put writes a key within the transaction. See Send for who owns key and
 // value afterwards.
 func (t *Txn) Put(ctx context.Context, key keys.Key, value []byte) error {
-	_, err := t.Send(ctx, kvpb.Request{Method: kvpb.Put, Key: key, Value: value})
+	_, err := t.sendOne(ctx, kvpb.Request{Method: kvpb.Put, Key: key, Value: value})
 	return err
 }
 
 // Delete removes a key within the transaction.
 func (t *Txn) Delete(ctx context.Context, key keys.Key) error {
-	_, err := t.Send(ctx, kvpb.Request{Method: kvpb.Delete, Key: key})
+	_, err := t.sendOne(ctx, kvpb.Request{Method: kvpb.Delete, Key: key})
 	return err
 }
 
@@ -328,7 +348,7 @@ func (t *Txn) Scan(ctx context.Context, span keys.Span, maxKeys int64) ([]kvpb.K
 		if maxKeys > 0 {
 			req.MaxKeys = maxKeys - int64(len(rows))
 		}
-		resp, err := t.Send(ctx, req)
+		resp, err := t.sendOne(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -381,13 +401,13 @@ func (t *Txn) Commit(ctx context.Context) error {
 		intents, spans := t.footprint()
 		return t.resolveCommitted(ctx, intents, spans)
 	case len(writes) == 0:
-		t.coord.obs.TxnCommit(t.coord.tenant, pathReadOnly)
+		t.coord.obs.TxnCommit(pathReadOnly)
 		return nil
 	}
 	resp, err := t.sendCommit(ctx, writes)
 	if err == nil && resp.Committed {
 		sp.Eventf("commit 1pc txn=%d writes=%d", t.meta.ID, len(writes))
-		t.coord.obs.TxnCommit(t.coord.tenant, pathOnePhase)
+		t.coord.obs.TxnCommit(pathOnePhase)
 		return nil
 	}
 	// Any part of the commit batch may have landed as intents, also when the
@@ -417,7 +437,7 @@ func (t *Txn) resolveCommitted(ctx context.Context, intents []keys.Key, spans []
 	if err := t.resolve(ctx, intents, spans, true); err != nil {
 		return err
 	}
-	t.coord.obs.TxnCommit(t.coord.tenant, pathTwoPhase)
+	t.coord.obs.TxnCommit(pathTwoPhase)
 	return nil
 }
 
@@ -470,7 +490,7 @@ func (t *Txn) sendCommit(ctx context.Context, writes []kvpb.Request) (*kvpb.Batc
 	maybeApplied := false
 	for attempt := 0; attempt < maxFinishAttempts; attempt++ {
 		if attempt > 0 {
-			t.coord.obs.TxnCommitRetry(t.coord.tenant)
+			t.coord.obs.TxnCommitRetry()
 			t.backoff(attempt)
 		}
 		if err = ctx.Err(); err != nil {
@@ -578,17 +598,30 @@ func (t *Txn) resolve(ctx context.Context, intents []keys.Key, spans []keys.Span
 // boxed their arguments, so every call on sp is guarded: an untraced
 // transaction allocates nothing for its trace.
 func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn) error) error {
+	return c.RunTxnIn(ctx, new(Txn), fn)
+}
+
+// RunTxnIn is RunTxn in storage the caller lends: every attempt begins in t,
+// which must not be in use, and t is free again once RunTxnIn returns, kept
+// empty so it holds no keys or values alive. A connection that runs its
+// statements one at a time lends each the same storage.
+func (c *Coordinator) RunTxnIn(ctx context.Context, t *Txn, fn func(context.Context, *Txn) error) error {
 	ctx, sp := trace.StartSpan(ctx, "txn.run")
 	defer sp.Finish()
+	defer func() { *t = Txn{} }()
 	const maxAttempts = 256
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		t := c.Begin()
+		c.beginIn(t)
+		// The ID is boxed once for the attribute and every event that
+		// names it.
+		var id any
 		if sp != nil {
+			id = t.meta.ID
 			if attempt == 0 {
-				sp.SetAttr("txn.id", t.meta.ID)
+				sp.SetAttr("txn.id", id)
 			}
-			sp.Eventf("begin txn=%d ts=%v attempt=%d", t.meta.ID, t.meta.Ts, attempt)
+			sp.Eventf("begin txn=%d ts=%v attempt=%d", id, t.meta.Ts, attempt)
 		}
 		err := fn(ctx, t)
 		if err == nil {
@@ -596,7 +629,7 @@ func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn)
 		}
 		if err == nil {
 			if sp != nil {
-				sp.Eventf("commit txn=%d", t.meta.ID)
+				sp.Eventf("commit txn=%d", id)
 				sp.SetAttr("txn.attempts", attempt+1)
 			}
 			return nil
@@ -604,11 +637,11 @@ func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn)
 		if aerr := t.Abort(ctx); aerr != nil && sp != nil {
 			// The retry loop's own error wins, but an abort failure is worth a
 			// trace event: it means intents may linger for lazy resolution.
-			sp.Eventf("abort failed txn=%d: %v", t.meta.ID, aerr)
+			sp.Eventf("abort failed txn=%d: %v", id, aerr)
 		}
 		if !kvpb.IsRetriable(err) {
 			if sp != nil {
-				sp.Eventf("abort txn=%d: %v", t.meta.ID, err)
+				sp.Eventf("abort txn=%d: %v", id, err)
 				sp.SetAttr("txn.attempts", attempt+1)
 			}
 			return err
@@ -616,7 +649,7 @@ func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn)
 		if sp != nil {
 			sp.Eventf("retry attempt=%d: %v", attempt+1, err)
 		}
-		c.obs.TxnRetry(c.tenant)
+		c.obs.TxnRetry()
 		lastErr = err
 		// Advance our clock reading past the conflict so the next attempt
 		// starts above it.

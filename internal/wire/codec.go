@@ -75,23 +75,30 @@ func appendDatums(b []byte, ds []sql.Datum) []byte {
 	return b
 }
 
-// consumeDatums reads a counted datum list; an empty one is nil. Every datum
-// is at least its tag byte, which bounds the count.
-func consumeDatums(r *binenc.Reader) []sql.Datum {
+// consumeDatums reads a counted datum list into dst's array when it has
+// room, and into a new one otherwise; an empty list is nil. Every datum is at
+// least its tag byte, which bounds the count.
+func consumeDatums(r *binenc.Reader, dst []sql.Datum) []sql.Datum {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	ds := make([]sql.Datum, n)
-	for i := range ds {
-		ds[i] = sql.ConsumeDatum(r)
+	ds := dst[:0]
+	if cap(ds) < n {
+		ds = make([]sql.Datum, 0, n)
+	}
+	for range n {
+		ds = append(ds, sql.ConsumeDatum(r))
 	}
 	return ds
 }
 
 // Decode unmarshals a payload into out, a pointer to the message struct the
 // frame's type byte names. out is overwritten whole and shares no memory with
-// payload.
+// payload. A Query decoded over one keeps its SQL when the text is the same
+// and its Args array when it has room: a connection that decodes every query
+// into one Query allocates nothing for the text of a statement it repeats,
+// nor for arguments that hold no string.
 func Decode(payload []byte, out interface{}) error {
 	r := binenc.NewReader(payload)
 	switch m := out.(type) {
@@ -100,7 +107,11 @@ func Decode(payload []byte, out interface{}) error {
 	case *Auth:
 		*m = Auth{OK: r.Bool(), Msg: r.Str()}
 	case *Query:
-		*m = Query{TraceID: r.Uint64(), SpanID: r.Uint64(), SQL: r.Str(), Args: consumeDatums(r)}
+		m.TraceID, m.SpanID = r.Uint64(), r.Uint64()
+		if text := r.Bytes(); m.SQL != string(text) {
+			m.SQL = string(text)
+		}
+		m.Args = consumeDatums(r, m.Args)
 	case *Result:
 		*m = Result{}
 		if n := r.Count(1); n > 0 {
@@ -113,7 +124,7 @@ func Decode(payload []byte, out interface{}) error {
 		if n := r.Count(1); n > 0 {
 			m.Rows = make([][]sql.Datum, n)
 			for i := range m.Rows {
-				m.Rows[i] = consumeDatums(r)
+				m.Rows[i] = consumeDatums(r, nil)
 			}
 		}
 		m.RowsAffected = int(r.Varint())
