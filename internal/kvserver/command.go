@@ -10,7 +10,7 @@ import (
 
 // Commands are the units replicated through a range's raft group. The
 // leaseholder evaluates a batch under the range latch into the raw engine
-// entries it writes (mvcc.AppendPut, mvcc.AppendResolve); every replica
+// entries it writes (mvcc.Entries); every replica
 // applies that entry list as it is, in one engine batch, with no reads and no
 // MVCC logic of its own.
 //
@@ -38,14 +38,24 @@ func encodeCommand(ents []lsm.Entry) []byte {
 	return b
 }
 
-// decodeCommand parses a raft entry. Keys and values are sub-slices of the
-// entry, which every replica shares and the log keeps: the engine copies what
-// it keeps, so nothing decoded outlives the apply. The slice has room for one
-// more entry, the applied index engineSM.Apply adds.
-func decodeCommand(entry []byte) ([]lsm.Entry, error) {
+// decodeCommand parses a raft entry into buf's array when it has room, and
+// into a new one otherwise, with room for one more entry: the applied index
+// engineSM.Apply adds. Keys and values are sub-slices of the entry, which
+// every replica shares and the log keeps: the engine copies what it keeps,
+// so nothing decoded outlives the apply, and buf may be on the applier's
+// stack.
+func decodeCommand(buf []lsm.Entry, entry []byte) ([]lsm.Entry, error) {
 	r := binenc.NewReader(entry)
 	n := r.Count(minEntrySize)
-	ents := make([]lsm.Entry, n, n+1)
+	// Filled by index, not appended: an append could copy buf's entries to
+	// the heap, and the escape analysis then keeps none of them on the
+	// applier's stack.
+	var ents []lsm.Entry
+	if cap(buf) > n {
+		ents = buf[:n]
+	} else {
+		ents = make([]lsm.Entry, n, n+1)
+	}
 	for i := range ents {
 		ents[i] = lsm.Entry{Tombstone: r.Bool(), Key: r.Bytes(), Value: r.Bytes()}
 	}

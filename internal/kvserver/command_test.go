@@ -54,14 +54,14 @@ func TestCommandGolden(t *testing.T) {
 	if got := encodeCommand(goldenCommand); !bytes.Equal(got, want) {
 		t.Fatalf("encoded command\n got %x\nwant %x", got, want)
 	}
-	got, err := decodeCommand(want)
+	got, err := decodeCommand(nil, want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameEntries(got, goldenCommand) {
 		t.Fatalf("decoded command = %v", got)
 	}
-	if got, err := decodeCommand(encodeCommand(nil)); err != nil || len(got) != 0 {
+	if got, err := decodeCommand(nil, encodeCommand(nil)); err != nil || len(got) != 0 {
 		t.Fatalf("empty command = %v, %v", got, err)
 	}
 }
@@ -110,7 +110,7 @@ func TestCommandRandomRoundTrip(t *testing.T) {
 				Tombstone: rng.Intn(2) == 1,
 			}
 		}
-		got, err := decodeCommand(encodeCommand(ents))
+		got, err := decodeCommand(nil, encodeCommand(ents))
 		if err != nil {
 			t.Fatalf("command %d: %v", i, err)
 		}
@@ -132,7 +132,7 @@ func TestCommandRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeCommand(encodeCommand(ents))
+		got, err := decodeCommand(nil, encodeCommand(ents))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,16 +144,20 @@ func TestCommandRoundTrip(t *testing.T) {
 		}
 		return got
 	}
-	if put := propose(mvcc.AppendPut(nil, e, k, mvcc.Version{Ts: ts, TxnID: 7, Data: []byte("v")})); len(put) != 1 {
+	var put mvcc.Entries
+	put.Put(k, mvcc.Version{Ts: ts, TxnID: 7, Data: []byte("v")}, mvcc.Version{})
+	if put := propose(put.List, nil); len(put) != 1 {
 		t.Fatalf("put = %v, want one intent", put)
 	}
-	if resolve := propose(mvcc.AppendResolve(nil, e, k, 7, true, ts)); len(resolve) != 2 || !resolve[0].Tombstone {
+	var resolve mvcc.Entries
+	err := resolve.Resolve(new(mvcc.Lookup), e, k, 7, true, ts)
+	if resolve := propose(resolve.List, err); len(resolve) != 2 || !resolve[0].Tombstone {
 		t.Fatalf("resolve = %v, want the intent's tombstone and the committed version", resolve)
 	}
 	if v, ok, err := mvcc.Get(e, k, hlc.Timestamp{WallTime: 20}, 0); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get after commit = %q, %v, %v", v, ok, err)
 	}
-	if _, err := decodeCommand([]byte("garbage")); err == nil {
+	if _, err := decodeCommand(nil, []byte("garbage")); err == nil {
 		t.Fatal("garbage command should fail to decode")
 	}
 }
@@ -161,13 +165,13 @@ func TestCommandRoundTrip(t *testing.T) {
 func TestDecodeCommandRejectsMalformedInput(t *testing.T) {
 	golden := mustHex(t, goldenCommandHex)
 	for cut := 0; cut < len(golden); cut++ {
-		if ents, err := decodeCommand(golden[:cut]); err == nil {
+		if ents, err := decodeCommand(nil, golden[:cut]); err == nil {
 			t.Errorf("command truncated to %d of %d bytes decoded to %v", cut, len(golden), ents)
 		}
 	}
 	// One well-formed entry to damage: put "k" -> "v".
 	const one = "01" + "00" + "016b" + "0176"
-	if _, err := decodeCommand(mustHex(t, one)); err != nil {
+	if _, err := decodeCommand(nil, mustHex(t, one)); err != nil {
 		t.Fatalf("the undamaged entry: %v", err)
 	}
 	for name, in := range map[string]string{
@@ -184,7 +188,7 @@ func TestDecodeCommandRejectsMalformedInput(t *testing.T) {
 		"second entry beyond end":  "02" + one[2:] + "00",
 		"no entry after the count": "01",
 	} {
-		if ents, err := decodeCommand(mustHex(t, in)); err == nil {
+		if ents, err := decodeCommand(nil, mustHex(t, in)); err == nil {
 			t.Errorf("%s (%s) decoded to %v", name, in, ents)
 		}
 	}
@@ -198,12 +202,12 @@ func FuzzDecodeCommand(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		ents, err := decodeCommand(in)
+		ents, err := decodeCommand(nil, in)
 		if err != nil {
 			return
 		}
 		enc := encodeCommand(ents)
-		again, err := decodeCommand(enc)
+		again, err := decodeCommand(nil, enc)
 		if err != nil {
 			t.Fatalf("re-encoding of %x does not decode: %v (%x)", in, err, enc)
 		}

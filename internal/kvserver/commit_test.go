@@ -2,6 +2,9 @@ package kvserver
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crdbserverless/internal/keys"
@@ -107,5 +110,132 @@ func TestCommitBatchReappliedIsRecognised(t *testing.T) {
 	}
 	if n := intentCount(t, c); n != 0 {
 		t.Fatalf("%d intents left behind", n)
+	}
+}
+
+// The leaseholder builds a one-phase commit's command from one lookup per
+// write, in a pooled Lookup, and entries whose keys and values share one
+// slab; a replica applies it from its stack. Evaluating a commit batch of
+// eight writes allocates the response and its response array, the entry
+// list and its slab, and the encoded command (51 allocations before).
+func TestOnePhaseCommitCommandAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	c := newTestCluster(t, 3)
+	ctx := context.Background()
+	var reqs []kvpb.Request
+	for i := 0; i < 8; i++ {
+		reqs = append(reqs, putReq(tenantKey(2, fmt.Sprintf("order/%d", i)), "a line of an order"))
+	}
+	ba := commitBatch(c, 1, len(reqs), reqs...)
+	if _, err := NewDistSender(c, Identity{Tenant: 2}).Send(ctx, ba); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.rangeFor(reqs[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, _ := rs.group.Load().Leaseholder()
+	n, _ := c.Node(lh)
+	commit := func() {
+		ba.Txn.ID++
+		ba.Txn.Ts = c.Clock().Now()
+		resp, err := c.evaluateBatch(ctx, n, rs, ba)
+		if err != nil || !resp.Committed {
+			t.Fatalf("commit: %+v, %v", resp, err)
+		}
+	}
+	const want = 5
+	got := testing.AllocsPerRun(50, commit)
+	t.Logf("8-write one-phase commit: %v allocations", got)
+	if got > want {
+		t.Fatalf("evaluating an 8-write one-phase commit makes %v allocations, want at most %v", got, want)
+	}
+}
+
+// Evaluation lends each batch a Lookup from a pool, and the Lookup's
+// iterator captures an engine snapshot that Release drops. This drives
+// batches of reads and writes from several goroutines while every engine
+// flushes and compacts and the range splits beside them, under the race
+// detector in CI: each writer's last committed value must read back through
+// its own batches.
+func TestLookupsBesideFlushCompactionAndSplit(t *testing.T) {
+	c := newTestCluster(t, 3)
+	ctx := context.Background()
+	const writers, rounds = 4, 60
+	var checked atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ds := NewDistSender(c, Identity{Tenant: 2})
+			key := tenantKey(2, fmt.Sprintf("w%d", w))
+			other := tenantKey(2, fmt.Sprintf("w%d/other", w))
+			for i := 0; i < rounds; i++ {
+				want := fmt.Sprintf("v%d", i)
+				ba := commitBatch(c, uint64(1000*w+i+1), 2, putReq(key, want), putReq(other, want))
+				if _, err := ds.Send(ctx, ba); err != nil && !kvpb.IsRetriable(err) {
+					errs <- err
+					return
+				} else if err != nil {
+					continue
+				}
+				resp, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{getReq(key), getReq(other)}})
+				if err != nil {
+					if kvpb.IsRetriable(err) {
+						continue
+					}
+					errs <- err
+					return
+				}
+				for _, r := range resp.Responses {
+					if !r.Exists || string(r.Value) != want {
+						errs <- fmt.Errorf("writer %d round %d read %q, want %q", w, i, r.Value, want)
+						return
+					}
+				}
+				checked.Add(1)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var maint sync.WaitGroup
+	maint.Add(1)
+	go func() {
+		defer maint.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, n := range c.Nodes() {
+				if err := n.Engine().Flush(); err != nil {
+					errs <- err
+					return
+				}
+				n.Engine().Compact()
+			}
+			if i < writers {
+				if err := c.SplitAt(tenantKey(2, fmt.Sprintf("w%d", i))); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	maint.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// A retriable error skips a round; most rounds must check their read.
+	if n := checked.Load(); n < writers*rounds/2 {
+		t.Fatalf("%d of %d rounds read back their write", n, writers*rounds)
 	}
 }

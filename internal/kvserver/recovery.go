@@ -22,8 +22,16 @@ const rawKeyPrefix = 0x01
 // reads it after a crash to regress the replication group's view of the
 // replica to what its storage actually retained.
 func appliedKey(id RangeID) []byte {
-	k := []byte{rawKeyPrefix, 'a', 'p', 'p', 'l', 'i', 'e', 'd'}
-	return keys.EncodeUint64(k, uint64(id))
+	return appendAppliedKey(make([]byte, 0, appliedKeyLen), id)
+}
+
+// appliedKeyLen is the length of an applied key: the prefix and the range ID.
+const appliedKeyLen = 8 + 8
+
+// appendAppliedKey appends range id's applied key to b.
+func appendAppliedKey(b []byte, id RangeID) []byte {
+	b = append(b, rawKeyPrefix, 'a', 'p', 'p', 'l', 'i', 'e', 'd')
+	return keys.EncodeUint64(b, uint64(id))
 }
 
 // durableAppliedIndex reads a range's persisted applied index from an engine

@@ -150,11 +150,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 }
 
 // applyVersion writes v for key as a replica applies a command:
-// mvcc.AppendPut's entries in one engine batch.
+// mvcc.Entries.Put's entries in one engine batch.
+// The intent it replaces is the one mvcc.Lookup.CheckWriteConflict finds.
 func applyVersion(e *lsm.Engine, key keys.Key, v mvcc.Version) error {
-	ents, err := mvcc.AppendPut(nil, e, key, v)
-	if err != nil {
-		return err
-	}
-	return e.ApplyBatch(ents)
+	prior, _ := new(mvcc.Lookup).CheckWriteConflict(e, key, v.Ts, v.TxnID)
+	var b mvcc.Entries
+	b.Put(key, v, prior)
+	return e.ApplyBatch(b.List)
 }

@@ -59,7 +59,16 @@ type iterSource struct {
 // The engine lock is held only to capture the snapshot; positioning — and
 // every later step — runs outside it, beside concurrent writers.
 func (e *Engine) NewIter(lo, hi []byte) *Iterator {
-	it := &Iterator{e: e, lo: lo, hi: hi}
+	it := new(Iterator)
+	e.IterIn(it, lo, hi)
+	return it
+}
+
+// IterIn is NewIter in storage the caller keeps: it makes it an iterator over
+// [lo, hi) of a snapshot captured now, whatever it was before. The snapshot
+// lives as long as it does; a caller that keeps it past its use zeroes it.
+func (e *Engine) IterIn(it *Iterator, lo, hi []byte) {
+	*it = Iterator{e: e, lo: lo, hi: hi}
 	e.mu.RLock()
 	it.seq = e.mu.seq
 	e.snapSeq.Store(it.seq) // writers now retain every version at or below it
@@ -91,7 +100,6 @@ func (e *Engine) NewIter(lo, hi []byte) *Iterator {
 		}
 	}
 	it.seekSources(lo, false)
-	return it
 }
 
 // Valid reports whether the iterator is positioned on an entry.

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
@@ -17,12 +18,11 @@ import (
 	"crdbserverless/internal/lsm"
 )
 
-// EncodeKey builds the storage key for (user key, timestamp). For a single
-// user key, versions sort newest-first, so the first storage entry for a key
-// is its latest version.
-func EncodeKey(user keys.Key, ts hlc.Timestamp) []byte {
-	k := keys.EncodeBytes(make([]byte, 0, keys.EncodedBytesLen(user)+timestampLen), user)
-	return appendTimestamp(k, ts)
+// appendKey appends the storage key for (user key, timestamp) to b. For a
+// single user key, versions sort newest-first, so the first storage entry
+// for a key is its latest version.
+func appendKey(b []byte, user keys.Key, ts hlc.Timestamp) []byte {
+	return appendTimestamp(keys.EncodeBytes(b, user), ts)
 }
 
 // timestampLen is the length of a storage key's timestamp suffix.
@@ -58,11 +58,46 @@ func keyPrefix(user keys.Key) []byte {
 // for a seek. The prefix ends in the terminator byte, so hi is the prefix with
 // that byte plus one.
 func versionBounds(user keys.Key) (lo, hi []byte) {
+	return versionBoundsIn(make([]byte, 0, boundsLen(user)), user)
+}
+
+// boundsLen is the capacity versionBoundsIn needs for user.
+func boundsLen(user keys.Key) int { return 2*keys.EncodedBytesLen(user) + timestampLen }
+
+// versionBoundsIn is versionBounds in buf's array, whose capacity is at
+// least boundsLen.
+func versionBoundsIn(buf []byte, user keys.Key) (lo, hi []byte) {
 	n := keys.EncodedBytesLen(user)
-	buf := keys.EncodeBytes(make([]byte, 0, 2*n+timestampLen), user)
+	buf = keys.EncodeBytes(buf[:0], user)
 	buf = append(buf, buf...)
 	buf[n-1]++
 	return buf[n : 2*n], buf[:n:n]
+}
+
+// Lookup is the storage of a point lookup: the iterator it positions and the
+// key's version bounds. A caller that makes lookups one after another — a
+// leaseholder evaluating a batch under its range latch — keeps one Lookup
+// for all of them, and each reuses what the one before it allocated. The
+// zero value is ready. The iterator holds the engine snapshot of the last
+// lookup until Release.
+type Lookup struct {
+	it     lsm.Iterator
+	bounds []byte
+}
+
+// Release drops the engine snapshot of l's last lookup; l stays ready for
+// the next one.
+func (l *Lookup) Release() { l.it = lsm.Iterator{} }
+
+// seek positions l's iterator on key's newest version, and returns the
+// bounds of key's versions: lo has room behind it for a timestamp.
+func (l *Lookup) seek(e *lsm.Engine, key keys.Key) (lo, hi []byte) {
+	if n := boundsLen(key); cap(l.bounds) < n {
+		l.bounds = make([]byte, 0, n)
+	}
+	lo, hi = versionBoundsIn(l.bounds, key)
+	e.IterIn(&l.it, lo, hi)
+	return lo, hi
 }
 
 // DecodeKey splits a storage key into its user key and timestamp.
@@ -109,10 +144,9 @@ const (
 	valueHeaderLen = 9
 )
 
-// encodeValue serializes a version's value portion (timestamp lives in the
-// key).
-func encodeValue(v Version) []byte {
-	out := make([]byte, 0, 9+len(v.Data))
+// appendValue appends a version's value portion (timestamp lives in the
+// key) to out.
+func appendValue(out []byte, v Version) []byte {
 	var flags byte
 	if v.Tombstone {
 		flags |= flagTombstone
@@ -146,35 +180,32 @@ func valueHeader(b []byte) (tombstone bool, txnID uint64, err error) {
 // encounter: WriteIntentError for another transaction's intent, or
 // WriteTooOldError for a committed version at or above ts. The KV layer runs
 // this during evaluation, before replicating a command, so that command
-// application cannot fail partway through a batch.
-func CheckWriteConflict(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) error {
-	newest, ok, err := newestVersion(e, key)
-	if err != nil {
-		return err
+// application cannot fail partway through a batch. Without a conflict it
+// returns key's newest version, the zero Version when key has none: the
+// write's Entries.Put takes it, so the key is looked up once. Its Data
+// aliases engine memory.
+func (l *Lookup) CheckWriteConflict(e *lsm.Engine, key keys.Key, ts hlc.Timestamp, txnID uint64) (Version, error) {
+	newest, ok, err := l.newestVersion(e, key)
+	if err != nil || !ok {
+		return Version{}, err
 	}
-	if !ok {
-		return nil
+	if newest.IsIntent() && newest.TxnID != txnID {
+		return Version{}, &kvpb.WriteIntentError{Key: key.Clone(), TxnID: newest.TxnID}
 	}
-	if newest.IsIntent() {
-		if newest.TxnID != txnID {
-			return &kvpb.WriteIntentError{Key: key.Clone(), TxnID: newest.TxnID}
-		}
-		return nil
+	if !newest.IsIntent() && !newest.Ts.Less(ts) {
+		return Version{}, &kvpb.WriteTooOldError{Key: key.Clone(), ActualTs: newest.Ts.Next()}
 	}
-	if !newest.Ts.Less(ts) {
-		return &kvpb.WriteTooOldError{Key: key.Clone(), ActualTs: newest.Ts.Next()}
-	}
-	return nil
+	return newest, nil
 }
 
 // CommittedVersionAt returns the committed version of key written at exactly
 // ts, if there is one. A replica asks this to recognise a commit batch it has
 // applied before (kvserver.evaluateBatch). It is one seek among the key's
 // versions, to key@ts, which must land on exactly that storage key.
-func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version, bool, error) {
-	lo, hi := versionBounds(key)
+func (l *Lookup) CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version, bool, error) {
+	lo, _ := l.seek(e, key)
 	at := appendTimestamp(lo, ts)
-	it := e.NewIter(lo, hi)
+	it := &l.it
 	it.SeekGE(at)
 	if !it.Valid() || !bytes.Equal(it.Key(), at) {
 		return Version{}, false, nil
@@ -187,26 +218,69 @@ func CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version,
 	return v, true, nil
 }
 
-// AppendPut appends to dst the engine entries that write v as key's newest
-// version: when v is an intent and key's newest version is an earlier intent
-// of the same transaction, a tombstone for that one, then v itself. The
-// leaseholder builds a command this way under the range latch, after
-// CheckWriteConflict; replicas apply the entries as they are, in one engine
-// batch, so the tombstone and its replacement share one WAL record and a
-// crash never surfaces both versions, or neither. A committed version is
-// appended without a look at the key: only an intent can have an earlier
-// intent of its own to replace.
-func AppendPut(dst []lsm.Entry, e *lsm.Engine, key keys.Key, v Version) ([]lsm.Entry, error) {
-	if v.IsIntent() {
-		newest, ok, err := newestVersion(e, key)
-		if err != nil {
-			return dst, err
-		}
-		if ok && newest.IsIntent() && newest.TxnID == v.TxnID {
-			dst = append(dst, lsm.Entry{Key: EncodeKey(key, newest.Ts), Tombstone: true})
-		}
+// Entries is the engine entries of one command as the leaseholder builds
+// them under the range latch, after CheckWriteConflict: replicas apply the
+// entries as they are, in one engine batch, with no reads of their own. The
+// entries' keys and values lie in a slab of Entries' own, so a command of
+// many writes takes a few allocations rather than two per write. A full slab
+// is replaced, not overwritten: every entry stays valid as long as Entries.
+type Entries struct {
+	List []lsm.Entry
+	slab []byte
+}
+
+// minEntriesSlab is the smallest slab Entries allocates: a few writes.
+const minEntriesSlab = 256
+
+// PutBytes is the bytes Put takes in the slab for a write of value to key,
+// beside any tombstone for an intent it replaces.
+func PutBytes(key keys.Key, value []byte) int {
+	return keys.EncodedBytesLen(key) + timestampLen + valueHeaderLen + len(value)
+}
+
+// Grow makes room for n more entries, and bytes more bytes in the slab.
+func (b *Entries) Grow(n, bytes int) {
+	b.List = slices.Grow(b.List, n)
+	b.room(bytes)
+}
+
+// room makes room for n more bytes in the slab.
+func (b *Entries) room(n int) {
+	if cap(b.slab)-len(b.slab) < n {
+		b.slab = make([]byte, 0, max(2*cap(b.slab), n, minEntriesSlab))
 	}
-	return append(dst, lsm.Entry{Key: EncodeKey(key, v.Ts), Value: encodeValue(v)}), nil
+}
+
+// add appends an entry for key's version at ts: v's value, or a tombstone
+// when v is nil.
+func (b *Entries) add(key keys.Key, ts hlc.Timestamp, v *Version) {
+	n := keys.EncodedBytesLen(key) + timestampLen
+	if v != nil {
+		n += valueHeaderLen + len(v.Data)
+	}
+	b.room(n)
+	off := len(b.slab)
+	b.slab = appendKey(b.slab, key, ts)
+	ent := lsm.Entry{Key: b.slab[off:len(b.slab):len(b.slab)], Tombstone: v == nil}
+	if v != nil {
+		off = len(b.slab)
+		b.slab = appendValue(b.slab, *v)
+		ent.Value = b.slab[off:len(b.slab):len(b.slab)]
+	}
+	b.List = append(b.List, ent)
+}
+
+// Put appends the entries that write v as key's newest version: when v is an
+// intent and prior, key's newest version as CheckWriteConflict found it, is
+// an earlier intent of the same transaction, a tombstone for that one, then
+// v itself. The tombstone and its replacement share one WAL record, so a
+// crash never surfaces both versions, or neither. Only an intent can have an
+// earlier intent of its own to replace.
+func (b *Entries) Put(key keys.Key, v Version, prior Version) {
+	if v.IsIntent() && prior.IsIntent() && prior.TxnID == v.TxnID {
+		b.add(key, prior.Ts, nil)
+	}
+	b.add(key, v.Ts, &v)
 }
 
 // iterVersion decodes the version the iterator is positioned on. The value
@@ -222,8 +296,9 @@ func iterVersion(it *lsm.Iterator) (Version, error) {
 
 // newestVersion returns the latest version of key, decoded: one iterator
 // position, however long the key's history.
-func newestVersion(e *lsm.Engine, key keys.Key) (Version, bool, error) {
-	it := e.NewIter(versionBounds(key))
+func (l *Lookup) newestVersion(e *lsm.Engine, key keys.Key) (Version, bool, error) {
+	l.seek(e, key)
+	it := &l.it
 	if !it.Valid() {
 		return Version{}, false, nil
 	}
@@ -241,8 +316,14 @@ func newestVersion(e *lsm.Engine, key keys.Key) (Version, bool, error) {
 // above readTs — and then everything down to readTs is committed history that
 // one seek to key@readTs passes over.
 func Get(e *lsm.Engine, key keys.Key, readTs hlc.Timestamp, txnID uint64) ([]byte, bool, error) {
-	lo, hi := versionBounds(key)
-	it := e.NewIter(lo, hi)
+	return new(Lookup).Get(e, key, readTs, txnID)
+}
+
+// Get is the package's Get in l's storage. The value aliases engine memory,
+// as the package's does, and outlives the lookup.
+func (l *Lookup) Get(e *lsm.Engine, key keys.Key, readTs hlc.Timestamp, txnID uint64) ([]byte, bool, error) {
+	lo, _ := l.seek(e, key)
+	it := &l.it
 	for first := true; it.Valid(); first = false {
 		v, err := iterVersion(it)
 		if err != nil {
@@ -389,23 +470,23 @@ func ScanFunc(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64,
 	return nil, nil
 }
 
-// AppendResolve appends to dst the engine entries that finalize txnID's
-// intent on key: a tombstone for the intent, then, when commit is true, the
-// same version committed at commitTs. It appends nothing when key holds no
-// intent of txnID, so resolution stays idempotent (the txn layer retries it).
-// Applied as one engine batch, the intent's removal and its committed rewrite
-// share one WAL record.
-func AppendResolve(dst []lsm.Entry, e *lsm.Engine, key keys.Key, txnID uint64, commit bool, commitTs hlc.Timestamp) ([]lsm.Entry, error) {
-	v, ok, err := newestVersion(e, key)
+// Resolve appends the entries that finalize txnID's intent on key: a
+// tombstone for the intent, then, when commit is true, the same version
+// committed at commitTs. It appends nothing when key holds no intent of
+// txnID, so resolution stays idempotent (the txn layer retries it). Applied
+// as one engine batch, the intent's removal and its committed rewrite share
+// one WAL record. The lookup is l's.
+func (b *Entries) Resolve(l *Lookup, e *lsm.Engine, key keys.Key, txnID uint64, commit bool, commitTs hlc.Timestamp) error {
+	v, ok, err := l.newestVersion(e, key)
 	if err != nil || !ok || !v.IsIntent() || v.TxnID != txnID {
-		return dst, err
+		return err
 	}
-	dst = append(dst, lsm.Entry{Key: EncodeKey(key, v.Ts), Tombstone: true})
+	b.add(key, v.Ts, nil)
 	if commit {
 		committed := Version{Ts: commitTs, Tombstone: v.Tombstone, Data: v.Data}
-		dst = append(dst, lsm.Entry{Key: EncodeKey(key, commitTs), Value: encodeValue(committed)})
+		b.add(key, commitTs, &committed)
 	}
-	return dst, nil
+	return nil
 }
 
 // GCOldVersions removes all but the newest committed version of each key in

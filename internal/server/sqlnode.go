@@ -431,15 +431,17 @@ func (n *SQLNode) restore(conn net.Conn, r *wire.Restore) *sql.Session {
 }
 
 // serveSession runs the query loop, reading the connection through rd. The
-// connection decodes every query into one Query and runs every statement in
-// one Scratch, so a statement it repeats allocates no frame, text, argument
-// array, result, row array or implicit transaction of its own. The Scratch is
+// connection decodes every query into one Query, taking a text the statement
+// cache holds from the cache, and runs every statement in one Scratch, so a
+// statement it has run before allocates no frame, text, argument array,
+// result, row array or implicit transaction of its own. The Scratch is
 // released once each result is written, so it keeps no values between
 // statements.
 func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 	ctx := context.Background()
 	var q wire.Query
 	var scratch sql.Scratch
+	texts := st.session.CachedText
 	for {
 		frame, err := rd.Next()
 		if err != nil {
@@ -449,7 +451,7 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 		case wire.MsgTerminate:
 			return
 		case wire.MsgQuery:
-			if err := wire.Decode(frame[wire.HeaderSize:], &q); err != nil {
+			if err := wire.DecodeQuery(frame[wire.HeaderSize:], &q, texts); err != nil {
 				return
 			}
 			qctx := ctx

@@ -40,7 +40,7 @@ func (p *pushdownPair) splitTable(t testing.TB, table string, pks ...int64) {
 		t.Fatal(err)
 	}
 	for _, pk := range pks {
-		if err := p.cluster.SplitAt(primaryKeyFromValues(2, desc, []Datum{DInt(pk)})); err != nil {
+		if err := p.cluster.SplitAt(appendKeyFromValues(nil, 2, desc, []Datum{DInt(pk)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,9 @@ func pushes(t testing.TB, exec *Executor, q string, args ...Datum) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exec.aggSpec(exec.coord.Begin(), pl, tableSpan(2, pl.desc), args) != nil
+	tx := new(txn.Txn)
+	exec.coord.BeginIn(tx)
+	return exec.aggSpec(tx, pl, tableSpan(2, pl.desc), args) != nil
 }
 
 // loadRandomTable creates r (k INT PRIMARY KEY, i INT, f FLOAT, s STRING, g

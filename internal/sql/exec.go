@@ -78,21 +78,44 @@ type Result struct {
 }
 
 // Scratch is the storage a connection lends its statements one at a time,
-// for the connection's life: a statement's Result, its implicit transaction
-// and the buffer its rows are decoded into. A statement run in a Scratch
-// returns the Scratch's Result, valid until Release or the next statement
-// runs in it. No two of the Result's row slots share an array, so the next
-// SELECT can refill them in place.
+// for the connection's life: a statement's Result, its implicit transaction,
+// the buffer its rows are decoded into and a write's storage. A statement
+// run in a Scratch returns the Scratch's Result, valid until Release or the
+// next statement runs in it. No two of the Result's row slots share an
+// array, so the next SELECT can refill them in place.
 type Scratch struct {
 	res Result
 	txn txn.Txn
 	row []Datum
+	w   writeScratch
+}
+
+// writeScratch is the storage of a statement's keys and values: the
+// transaction copies what it keeps of them, so the next statement reuses it.
+type writeScratch struct {
+	// key is a point plan's primary key.
+	key keys.Key
+	// rows are the rows an INSERT writes, or an UPDATE or DELETE keeps,
+	// end to end; keys are their primary keys, end to end, and kept the
+	// kept rows over both.
+	rows []Datum
+	keys []byte
+	kept []tableRow
+	// reqs are an INSERT's duplicate check.
+	reqs []kvpb.Request
+	// value is the row value a write encodes.
+	value []byte
 }
 
 // keptRows is the most row arrays a Scratch keeps across statements: enough
 // that a short result allocates no row, and few enough that one large SELECT
 // does not hold its rows' storage for the rest of the connection's life.
-const keptRows = 16
+// keptBytes bounds the key and value buffers it keeps the same way.
+const (
+	keptRows   = 16
+	keptDatums = 16 * keptRows
+	keptBytes  = 4 << 10
+)
 
 // result returns the statement's Result, emptied.
 func (sc *Scratch) result() *Result {
@@ -115,6 +138,20 @@ func (sc *Scratch) Release() {
 	}
 	sc.res = Result{Rows: rows[:0]}
 	clear(sc.row[:cap(sc.row)])
+	sc.w.release()
+}
+
+// release drops the values and keys w holds. It drops the buffers too when a
+// statement grew them past keptRows rows or keptBytes bytes.
+func (w *writeScratch) release() {
+	if cap(w.reqs) > keptRows || cap(w.kept) > keptRows || cap(w.rows) > keptDatums ||
+		cap(w.keys) > keptBytes || cap(w.value) > keptBytes {
+		*w = writeScratch{}
+		return
+	}
+	clear(w.rows[:cap(w.rows)])
+	clear(w.kept[:cap(w.kept)])
+	clear(w.reqs[:cap(w.reqs)])
 }
 
 // SQLCPUSeconds returns the cumulative directly-measured SQL CPU.
@@ -188,7 +225,7 @@ func (e *Executor) executeStmt(ctx context.Context, p *Prepared, args []Datum, t
 		return res, nil
 	case *Insert:
 		return e.runMaybeTxn(ctx, tx, sc, func(ctx context.Context, t *txn.Txn) (*Result, error) {
-			return e.insert(ctx, t, p, s, args)
+			return e.insert(ctx, t, p, s, args, sc)
 		})
 	case *Select:
 		return e.runMaybeTxn(ctx, tx, sc, func(ctx context.Context, t *txn.Txn) (*Result, error) {
@@ -290,16 +327,17 @@ func (e *Executor) scanPages(ctx context.Context, t *txn.Txn, span keys.Span, sp
 // the joined rows instead.
 //
 // Every row is decoded into one buffer, sc's: the row visit receives is
-// valid only until visit returns, and a caller that keeps it copies it. So is pk when paged is true, for the full scan reads it from
-// a KV page; the point and index plans build a fresh pk, which may be kept.
-func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, sc *Scratch, visit func(pk keys.Key, paged bool, row []Datum) error) error {
+// valid only until visit returns, and a caller that keeps it copies it. So
+// is pk, which the full scan reads from a KV page and the point and index
+// plans build in sc.
+func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescriptor, conds []colCond, where Expr, args []Datum, cols map[string]int, sc *Scratch, visit func(pk keys.Key, row []Datum) error) error {
 	// row decodes the stored value raw of the row at pk into buf, the one
 	// buffer every row of the scan uses, and visits it if it passes WHERE.
 	buf := sc.row
 	defer func() { sc.row = buf }()
 	env := evalEnv{cols: cols, args: args}
 	filtered := cols != nil && where != nil
-	row := func(pk keys.Key, paged bool, raw []byte) error {
+	row := func(pk keys.Key, raw []byte) error {
 		var err error
 		if buf, err = decodeRowValue(buf[:0], raw); err != nil {
 			return err
@@ -314,19 +352,20 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 				return nil
 			}
 		}
-		return visit(pk, paged, buf)
+		return visit(pk, buf)
 	}
 	// Plan 1: full primary key equality -> point get.
 	var pkBuf [4]Datum
 	if pkVals, ok := extractPKConstraint(pkBuf[:0], desc, conds, args); ok {
-		key := primaryKeyFromValues(e.tenant, desc, pkVals)
+		key := appendKeyFromValues(sc.w.key[:0], e.tenant, desc, pkVals)
+		sc.w.key = key
 		raw, found, err := t.Get(ctx, key)
 		if err != nil || !found {
 			return err
 		}
 		e.chargeRows(1)
 		e.chargeUnmarshal(int64(len(raw)))
-		return row(key, false, raw)
+		return row(key, raw)
 	}
 	// Plan 2: secondary index equality -> index scan + point lookups (the
 	// "index join" plan shape of TPC-H Q9, §6.1.2).
@@ -339,7 +378,8 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 				if err != nil {
 					return err
 				}
-				key := primaryKeyFromValues(e.tenant, desc, pkVals)
+				key := appendKeyFromValues(sc.w.key[:0], e.tenant, desc, pkVals)
+				sc.w.key = key
 				raw, ok, err := t.Get(ctx, key)
 				if err != nil {
 					return err
@@ -349,7 +389,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 				}
 				found++
 				e.chargeUnmarshal(int64(len(raw)))
-				if err := row(key, false, raw); err != nil {
+				if err := row(key, raw); err != nil {
 					return err
 				}
 			}
@@ -369,7 +409,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 	scanned := 0
 	err := e.scanPages(ctx, t, tableSpan(e.tenant, desc), filter, func(kvs []kvpb.KeyValue) error {
 		for _, kv := range kvs {
-			if err := row(kv.Key, true, kv.Value); err != nil {
+			if err := row(kv.Key, kv.Value); err != nil {
 				return err
 			}
 		}
@@ -437,30 +477,37 @@ func extractIndexConstraint(desc *TableDescriptor, conds []colCond, args []Datum
 }
 
 // insert writes rows, maintaining secondary indexes and rejecting duplicate
-// primary keys.
-func (e *Executor) insert(ctx context.Context, t *txn.Txn, p *Prepared, s *Insert, args []Datum) (*Result, error) {
+// primary keys. The rows, their keys and values are in sc's storage.
+func (e *Executor) insert(ctx context.Context, t *txn.Txn, p *Prepared, s *Insert, args []Datum, sc *Scratch) (*Result, error) {
 	pl, err := e.planFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	desc, colOrder := pl.desc, pl.colOrder
+	width := len(desc.Columns)
 	// Evaluate every row first, so the duplicate check below is one KV round
 	// trip for the statement and the writes after it only fill the
-	// transaction's buffer.
-	rows := make([][]Datum, 0, len(s.Rows))
-	pks := make([]keys.Key, 0, len(s.Rows))
-	inStmt := make(map[string]bool, len(s.Rows))
+	// transaction's buffer. The rows lie end to end, and the check's
+	// requests hold their keys. A statement of one row cannot repeat a key.
+	w := &sc.w
+	rows, pks, reqs := w.rows[:0], w.keys[:0], w.reqs[:0]
+	defer func() { w.rows, w.keys, w.reqs = rows, pks, reqs }()
+	var inStmt map[string]bool
+	if len(s.Rows) > 1 {
+		inStmt = make(map[string]bool, len(s.Rows))
+	}
+	env := evalEnv{args: args}
 	for _, exprs := range s.Rows {
 		if len(exprs) != len(colOrder) {
 			return nil, fmt.Errorf("sql: INSERT has %d values for %d columns", len(exprs), len(colOrder))
 		}
-		row := make([]Datum, len(desc.Columns))
-		for i := range row {
-			row[i] = DNull
+		start := len(rows)
+		for range width {
+			rows = append(rows, DNull)
 		}
-		env := &evalEnv{args: args}
+		row := rows[start:]
 		for i, ex := range exprs {
-			v, err := evalExpr(env, ex)
+			v, err := evalExpr(&env, ex)
 			if err != nil {
 				return nil, err
 			}
@@ -470,27 +517,31 @@ func (e *Executor) insert(ctx context.Context, t *txn.Txn, p *Prepared, s *Inser
 			}
 			row[colOrder[i]] = coerced
 		}
-		pk, err := primaryKey(e.tenant, desc, row)
-		if err != nil {
+		start = len(pks)
+		if pks, err = appendPrimaryKey(pks, e.tenant, desc, row); err != nil {
 			return nil, err
 		}
-		if inStmt[string(pk)] {
-			return nil, errDuplicateKey(desc)
+		pk := keys.Key(pks[start:len(pks):len(pks)])
+		if inStmt != nil {
+			if inStmt[string(pk)] {
+				return nil, errDuplicateKey(desc)
+			}
+			inStmt[string(pk)] = true
 		}
-		inStmt[string(pk)] = true
-		rows = append(rows, row)
-		pks = append(pks, pk)
+		reqs = append(reqs, kvpb.Request{Method: kvpb.Get, Key: pk})
 	}
-	if err := e.checkKeysFree(ctx, t, desc, pks); err != nil {
+	if err := e.checkKeysFree(ctx, t, desc, reqs); err != nil {
 		return nil, err
 	}
-	for i, row := range rows {
-		if err := e.writeRow(ctx, t, desc, pks[i], row); err != nil {
+	for i := range reqs {
+		if err := e.writeRow(ctx, t, desc, reqs[i].Key, rows[i*width:(i+1)*width], w); err != nil {
 			return nil, err
 		}
 	}
-	e.chargeRows(len(rows))
-	return &Result{RowsAffected: len(rows)}, nil
+	e.chargeRows(len(reqs))
+	res := sc.result()
+	res.RowsAffected = len(reqs)
+	return res, nil
 }
 
 func errDuplicateKey(desc *TableDescriptor) error {
@@ -498,12 +549,9 @@ func errDuplicateKey(desc *TableDescriptor) error {
 }
 
 // checkKeysFree rejects primary keys that already hold a row, stored or
-// written earlier in the transaction, reading all of them in one KV batch.
-func (e *Executor) checkKeysFree(ctx context.Context, t *txn.Txn, desc *TableDescriptor, pks []keys.Key) error {
-	reqs := make([]kvpb.Request, len(pks))
-	for i, pk := range pks {
-		reqs[i] = kvpb.Request{Method: kvpb.Get, Key: pk}
-	}
+// written earlier in the transaction, reading all of them in one KV batch:
+// reqs are a Get of each.
+func (e *Executor) checkKeysFree(ctx context.Context, t *txn.Txn, desc *TableDescriptor, reqs []kvpb.Request) error {
 	resp, err := t.Send(ctx, reqs...)
 	if err != nil {
 		return err
@@ -516,9 +564,11 @@ func (e *Executor) checkKeysFree(ctx context.Context, t *txn.Txn, desc *TableDes
 	return nil
 }
 
-// writeRow writes a row under its primary key pk, and its index entries.
-func (e *Executor) writeRow(ctx context.Context, t *txn.Txn, desc *TableDescriptor, pk keys.Key, row []Datum) error {
-	if err := t.Put(ctx, pk, encodeRowValue(row)); err != nil {
+// writeRow writes a row under its primary key pk, and its index entries. The
+// row value is encoded in w.
+func (e *Executor) writeRow(ctx context.Context, t *txn.Txn, desc *TableDescriptor, pk keys.Key, row []Datum, w *writeScratch) error {
+	w.value = appendRowValue(w.value[:0], row)
+	if err := t.Put(ctx, pk, w.value); err != nil {
 		return err
 	}
 	for i := range desc.Indexes {
@@ -540,20 +590,22 @@ type tableRow struct {
 	row []Datum
 }
 
-// keepRows copies out the rows of pl's table that pass where, and the
-// primary keys read from a page (the released page's slab is the next
-// page's). UPDATE and DELETE write only once the scan is done, so no write of
-// theirs lands in a page still to be read.
+// keepRows copies out the rows of pl's table that pass where, and their
+// primary keys, into sc's storage: scanRows lends both only for the visit.
+// UPDATE and DELETE write only once the scan is done, so no write of theirs
+// lands in a page still to be read.
 func (e *Executor) keepRows(ctx context.Context, t *txn.Txn, pl *plan, where Expr, args []Datum, sc *Scratch) ([]tableRow, error) {
-	var rows []tableRow
-	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, sc, func(pk keys.Key, paged bool, row []Datum) error {
-		if paged {
-			pk = pk.Clone()
-		}
-		rows = append(rows, tableRow{pk: pk, row: slices.Clone(row)})
+	w := &sc.w
+	kept, rows, pks := w.kept[:0], w.rows[:0], w.keys[:0]
+	err := e.scanRows(ctx, t, pl.desc, pl.where, where, args, pl.cols, sc, func(pk keys.Key, row []Datum) error {
+		start := len(pks)
+		pks = append(pks, pk...)
+		rows = append(rows, row...)
+		kept = append(kept, tableRow{pk: pks[start:len(pks):len(pks)], row: rows[len(rows)-len(row) : len(rows) : len(rows)]})
 		return nil
 	})
-	return rows, err
+	w.kept, w.rows, w.keys = kept, rows, pks
+	return kept, err
 }
 
 // deleteRow removes a row and its index entries.
@@ -585,7 +637,9 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Updat
 	}
 	affected := 0
 	for _, r := range rows {
-		newRow := append([]Datum(nil), r.row...)
+		// The scan is over, so its decode buffer holds the new row.
+		newRow := append(sc.row[:0], r.row...)
+		sc.row = newRow
 		env := &evalEnv{cols: cols, row: r.row, args: args}
 		pkChanged := false
 		for _, set := range s.Set {
@@ -610,14 +664,15 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Updat
 			if err := e.deleteRow(ctx, t, desc, r); err != nil {
 				return nil, err
 			}
-			pk, err := primaryKey(e.tenant, desc, newRow)
+			pk, err := appendPrimaryKey(sc.w.key[:0], e.tenant, desc, newRow)
 			if err != nil {
 				return nil, err
 			}
-			if err := e.checkKeysFree(ctx, t, desc, []keys.Key{pk}); err != nil {
+			sc.w.key = pk
+			if err := e.checkKeysFree(ctx, t, desc, []kvpb.Request{{Method: kvpb.Get, Key: pk}}); err != nil {
 				return nil, err
 			}
-			if err := e.writeRow(ctx, t, desc, pk, newRow); err != nil {
+			if err := e.writeRow(ctx, t, desc, pk, newRow, &sc.w); err != nil {
 				return nil, err
 			}
 		} else {
@@ -640,14 +695,17 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, p *Prepared, s *Updat
 					}
 				}
 			}
-			if err := t.Put(ctx, r.pk, encodeRowValue(newRow)); err != nil {
+			sc.w.value = appendRowValue(sc.w.value[:0], newRow)
+			if err := t.Put(ctx, r.pk, sc.w.value); err != nil {
 				return nil, err
 			}
 		}
 		affected++
 	}
 	e.chargeRows(affected)
-	return &Result{RowsAffected: affected}, nil
+	res := sc.result()
+	res.RowsAffected = affected
+	return res, nil
 }
 
 func (e *Executor) delete(ctx context.Context, t *txn.Txn, p *Prepared, s *Delete, args []Datum, sc *Scratch) (*Result, error) {
@@ -665,7 +723,9 @@ func (e *Executor) delete(ctx context.Context, t *txn.Txn, p *Prepared, s *Delet
 		}
 	}
 	e.chargeRows(len(rows))
-	return &Result{RowsAffected: len(rows)}, nil
+	res := sc.result()
+	res.RowsAffected = len(rows)
+	return res, nil
 }
 
 func (e *Executor) createIndex(ctx context.Context, s *CreateIndex) (*Result, error) {
@@ -782,7 +842,7 @@ func (e *Executor) selectStmt(ctx context.Context, t *txn.Txn, p *Prepared, s *S
 		}
 		fallthrough
 	default:
-		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, sc, func(_ keys.Key, _ bool, row []Datum) error {
+		err = e.scanRows(ctx, t, desc, pl.where, s.Where, args, cols, sc, func(_ keys.Key, row []Datum) error {
 			if sorting {
 				row = slices.Clone(row)
 			}
@@ -838,7 +898,7 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select
 	// Both inputs are kept, so their rows are copied out of the scan.
 	input := func(desc *TableDescriptor, conds []colCond) ([][]Datum, error) {
 		var rows [][]Datum
-		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, sc, func(_ keys.Key, _ bool, row []Datum) error {
+		err := e.scanRows(ctx, t, desc, conds, s.Where, args, nil, sc, func(_ keys.Key, row []Datum) error {
 			rows = append(rows, slices.Clone(row))
 			return nil
 		})

@@ -16,29 +16,34 @@ import (
 //	primary:   /Tenant/<t>/Table/<id>/Index/1/<pk datums>      -> uvarint ncols, then each datum (AppendDatum)
 //	secondary: /Tenant/<t>/Table/<id>/Index/<n>/<idx datums><pk datums> -> empty
 
-// primaryKey builds a row's primary index key.
-func primaryKey(tenant keys.TenantID, desc *TableDescriptor, row []Datum) (keys.Key, error) {
-	k := keys.MakeTableIndexPrefix(tenant, desc.ID, keys.PrimaryIndexID)
+// appendPrimaryKey appends a row's primary index key to dst.
+func appendPrimaryKey(dst keys.Key, tenant keys.TenantID, desc *TableDescriptor, row []Datum) (keys.Key, error) {
+	var pkBuf [4]Datum
+	pkVals := pkBuf[:0]
 	for _, pkIdx := range desc.PrimaryKey {
 		if pkIdx >= len(row) {
-			return nil, fmt.Errorf("sql: row too short for primary key of %s", desc.Name)
+			return dst, fmt.Errorf("sql: row too short for primary key of %s", desc.Name)
 		}
 		if row[pkIdx].Null {
-			return nil, fmt.Errorf("sql: NULL in primary key of %s", desc.Name)
+			return dst, fmt.Errorf("sql: NULL in primary key of %s", desc.Name)
 		}
-		k = encodeDatumKey(k, row[pkIdx])
+		pkVals = append(pkVals, row[pkIdx])
 	}
-	return k, nil
+	return appendKeyFromValues(dst, tenant, desc, pkVals), nil
 }
 
-// primaryKeyFromValues builds a primary key from just the PK datums (for
-// point lookups planned from WHERE clauses).
-func primaryKeyFromValues(tenant keys.TenantID, desc *TableDescriptor, pkVals []Datum) keys.Key {
+// appendKeyFromValues appends to dst a primary key built from just the PK
+// datums (for point lookups planned from WHERE clauses). A dst without room
+// for the key doubles, and a nil one is sized exactly.
+func appendKeyFromValues(dst keys.Key, tenant keys.TenantID, desc *TableDescriptor, pkVals []Datum) keys.Key {
 	n := keys.TableIndexPrefixLen
 	for _, d := range pkVals {
 		n += datumKeyLen(d)
 	}
-	k := keys.AppendTableIndexPrefix(make(keys.Key, 0, n), tenant, desc.ID, keys.PrimaryIndexID)
+	if cap(dst)-len(dst) < n {
+		dst = append(make(keys.Key, 0, max(2*cap(dst), len(dst)+n)), dst...)
+	}
+	k := keys.AppendTableIndexPrefix(dst, tenant, desc.ID, keys.PrimaryIndexID)
 	for _, d := range pkVals {
 		k = encodeDatumKey(k, d)
 	}
@@ -50,11 +55,9 @@ func tableSpan(tenant keys.TenantID, desc *TableDescriptor) keys.Span {
 	return keys.MakeTableIndexSpan(tenant, desc.ID, keys.PrimaryIndexID)
 }
 
-// encodeRowValue serializes the full datum row as the primary index value.
-func encodeRowValue(row []Datum) []byte {
-	// A tag byte and a short payload per column is the common case; append
-	// grows the buffer for wide strings.
-	b := make([]byte, 0, 1+9*len(row))
+// appendRowValue appends the full datum row, serialized as the primary
+// index value, to b.
+func appendRowValue(b []byte, row []Datum) []byte {
 	b = binary.AppendUvarint(b, uint64(len(row)))
 	for _, d := range row {
 		b = AppendDatum(b, d)

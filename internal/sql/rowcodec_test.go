@@ -24,6 +24,9 @@ const goldenRowHex = "06" + // six columns
 	"0501" + // BOOL true
 	"02d804" // INT 300: zigzag 600
 
+// encodeRowValue is row's primary index value, in a buffer of its own.
+func encodeRowValue(row []Datum) []byte { return appendRowValue(nil, row) }
+
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -208,7 +211,7 @@ func TestPrimaryKeyExactlySized(t *testing.T) {
 			want = encodeDatumKey(want, d)
 		}
 		var got keys.Key
-		if n := testing.AllocsPerRun(10, func() { got = primaryKeyFromValues(9, desc, vals) }); n != 1 {
+		if n := testing.AllocsPerRun(10, func() { got = appendKeyFromValues(nil, 9, desc, vals) }); n != 1 {
 			t.Fatalf("%v: %v allocations, want 1", vals, n)
 		}
 		if !bytes.Equal(got, want) || cap(got) != len(got) {

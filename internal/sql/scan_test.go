@@ -276,7 +276,7 @@ func TestPointSelectAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mustExec(t, s, q, DInt(7))
 	}
-	const want = 8
+	const want = 6
 	got := allocsPerQuery(t, exec, q, DInt(7))
 	t.Logf("point SELECT: %v allocations", got)
 	if got > want {
@@ -377,7 +377,7 @@ func TestSessionTxnAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		run()
 	}
-	const want = 11
+	const want = 8
 	got := testing.AllocsPerRun(20, run)
 	t.Logf("BEGIN, point SELECT, COMMIT: %v allocations", got)
 	if got > want {

@@ -20,6 +20,10 @@ import (
 // on another SQL node without client re-authentication.
 type Session struct {
 	exec *Executor
+	// slot is the storage of the session's explicit transactions: each
+	// begins in it, and its Commit or Abort leaves it holding no key or
+	// value. mu.txn points at it while one is open.
+	slot txn.Txn
 
 	mu struct {
 		sync.Mutex
@@ -66,7 +70,8 @@ func (s *Session) ExecuteIn(ctx context.Context, sc *Scratch, sqlText string, ar
 		if s.mu.txn != nil {
 			return nil, errors.New("sql: transaction already open")
 		}
-		s.mu.txn = s.exec.coord.Begin()
+		s.exec.coord.BeginIn(&s.slot)
+		s.mu.txn = &s.slot
 		return sc.result(), nil
 	case *CommitTxn:
 		s.mu.Lock()
@@ -117,6 +122,10 @@ func (s *Session) ExecuteIn(ctx context.Context, sc *Scratch, sqlText string, ar
 		return res, err
 	}
 }
+
+// CachedText returns the statement text equal to b that the session's
+// executor holds parsed, if there is one, without copying b.
+func (s *Session) CachedText(b []byte) (string, bool) { return s.exec.stmts.cachedText(b) }
 
 // Prepare registers a named prepared statement. The name maps to the text,
 // which is what migrates; the executor keeps the parse.

@@ -97,3 +97,68 @@ func FuzzDecodeSerializedSession(f *testing.F) {
 		}
 	})
 }
+
+// heldBytes returns the path of the first byte slice, or the first
+// non-empty map, that v holds: through structs and arrays, and slices up to
+// their capacity. It does not follow pointers or interfaces, so a
+// transaction's coordinator is not searched. "" means v holds no bytes.
+func heldBytes(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := heldBytes(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := heldBytes(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if !v.IsNil() {
+				return path
+			}
+			return ""
+		}
+		all := v.Slice(0, v.Cap())
+		for i := 0; i < all.Len(); i++ {
+			if p := heldBytes(all.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		if v.Len() > 0 {
+			return path
+		}
+	}
+	return ""
+}
+
+// A session's explicit transactions begin in its transaction slot, which
+// keeps their arrays from one to the next. Once COMMIT or ROLLBACK ends
+// one, the slot holds no key or value: an idle connection pins none.
+func TestTxnSlotHoldsNothingAfterCommitOrRollback(t *testing.T) {
+	_, s := newTestDB(t)
+	loadLineitem(t, s, 3)
+	slot := reflect.ValueOf(&s.slot).Elem()
+	for i, end := range []string{"COMMIT", "ROLLBACK", "COMMIT"} {
+		mustExec(t, s, "BEGIN")
+		row := lineitemRow(10 + i)
+		mustExec(t, s, "INSERT INTO lineitem VALUES ($1, $2, $3, $4, $5, $6)", row...)
+		mustExec(t, s, "UPDATE lineitem SET l_quantity = l_quantity + 1 WHERE l_key = $1", DInt(2))
+		mustExec(t, s, "SELECT l_price FROM lineitem WHERE l_key = $1", DInt(2))
+		if p := heldBytes(slot, "slot"); p == "" {
+			t.Fatal("an open transaction's slot holds no bytes: the check sees nothing")
+		}
+		mustExec(t, s, end)
+		if p := heldBytes(slot, "slot"); p != "" {
+			t.Fatalf("after %s the transaction slot still holds %s", end, p)
+		}
+	}
+	if res := mustExec(t, s, "SELECT l_key FROM lineitem"); len(res.Rows) != 5 {
+		t.Fatalf("%d rows after two committed inserts into 3, want 5", len(res.Rows))
+	}
+}

@@ -21,6 +21,9 @@ const stmtCacheSize = 256
 type Prepared struct {
 	stmt Statement
 	plan atomic.Pointer[plan]
+	// text is the map's key for the entry, kept so a lookup by bytes can
+	// return it (the first entry's is firstText).
+	text string
 }
 
 // stmtCache maps statement texts to their parses. The first text an
@@ -39,6 +42,21 @@ func (c *stmtCache) lookup(text string) *Prepared {
 		return &c.first
 	}
 	return c.m[text]
+}
+
+// cachedText returns the text the cache holds equal to b, if it holds one.
+// Looking b up copies nothing: a connection's decoder takes the cache's
+// string instead of copying a text it has seen before.
+func (c *stmtCache) cachedText(b []byte) (string, bool) {
+	c.RLock()
+	defer c.RUnlock()
+	if c.firstText != "" && c.firstText == string(b) {
+		return c.firstText, true
+	}
+	if p, ok := c.m[string(b)]; ok {
+		return p.text, true
+	}
+	return "", false
 }
 
 // Prepare returns the executor's parse of text, parsing it on first sight.
@@ -69,7 +87,7 @@ func (e *Executor) Prepare(text string) (*Prepared, error) {
 	case len(c.m) >= stmtCacheSize-1:
 		clear(c.m)
 	}
-	p = &Prepared{stmt: stmt}
+	p = &Prepared{stmt: stmt, text: text}
 	c.m[text] = p
 	return p, nil
 }

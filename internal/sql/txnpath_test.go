@@ -33,7 +33,7 @@ func TestCommitConflictLeavesNoIntents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SplitAt(primaryKeyFromValues(2, desc, []Datum{DInt(2)})); err != nil {
+	if err := c.SplitAt(appendKeyFromValues(nil, 2, desc, []Datum{DInt(2)})); err != nil {
 		t.Fatal(err)
 	}
 

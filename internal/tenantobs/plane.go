@@ -200,9 +200,14 @@ func (p *Plane) newStateLocked(name string, id keys.TenantID) *Tenant {
 // ensureLocked returns the state for (id, name), creating it if needed.
 // Either id or name may be zero-valued; known halves are merged. Past the
 // cap, new tenants map to the shared overflow state (and are remembered in
-// the lookup maps, so each distinct tenant is absorbed exactly once).
-// Caller must hold p.mu.
+// the lookup maps, so each distinct tenant is absorbed exactly once). The
+// overflow label names that state, not a tenant: it absorbs nothing, and
+// below the cap it registers no state of its own, whose series the overflow
+// state's would share. Caller must hold p.mu.
 func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
+	if name == metric.OverflowLabelValue {
+		return p.overflowLocked()
+	}
 	if name != "" {
 		if st, ok := p.byName[name]; ok {
 			if id != 0 && st != p.overflow {
@@ -230,10 +235,7 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
 	}
 	if len(p.states) >= p.max {
 		p.absorbed++
-		if p.overflow == nil {
-			p.overflow = p.newStateLocked(metric.OverflowLabelValue, 0)
-		}
-		p.byName[name] = p.overflow
+		p.byName[name] = p.overflowLocked()
 		if id != 0 {
 			p.byID[id] = p.overflow
 		}
@@ -246,6 +248,15 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
 	}
 	p.states = append(p.states, st)
 	return st
+}
+
+// overflowLocked returns the shared overflow state, creating it if needed.
+// Caller must hold p.mu.
+func (p *Plane) overflowLocked() *Tenant {
+	if p.overflow == nil {
+		p.overflow = p.newStateLocked(metric.OverflowLabelValue, 0)
+	}
+	return p.overflow
 }
 
 // RegisterTenant declares a tenant up front, binding its ID to its

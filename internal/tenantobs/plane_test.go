@@ -215,6 +215,51 @@ func TestPlaneCardinalityGuard(t *testing.T) {
 	}
 }
 
+// The overflow label names the overflow state, never a tenant. At the cap,
+// resolving it by name absorbs no tenant, so tenantz's absorbed= counts
+// only tenants. Below the cap it registers no state of its own: were it a
+// tenant, it and the overflow state would write one series.
+func TestPlaneOverflowLabelIsNotATenant(t *testing.T) {
+	const max = 2
+	p, clock, r := newTestPlane(max)
+	below := p.Named(metric.OverflowLabelValue)
+	if got := p.TenantCount(); got != 0 {
+		t.Fatalf("below the cap: TenantCount = %d after resolving the overflow label, want 0", got)
+	}
+	if got := p.Absorbed(); got != 0 {
+		t.Fatalf("below the cap: Absorbed = %d after resolving the overflow label, want 0", got)
+	}
+	for i := 0; i < max+2; i++ {
+		p.RegisterTenant(keys.TenantID(i+2), fmt.Sprintf("tenant-%d", i))
+	}
+	if got := p.Absorbed(); got != 2 {
+		t.Fatalf("Absorbed = %d with %d tenants past a cap of %d, want 2", got, max+2, max)
+	}
+	at := p.Named(metric.OverflowLabelValue)
+	if at != below || at != p.Tenant(keys.TenantID(max+3)) {
+		t.Fatal("the overflow label and an absorbed tenant resolve to different states")
+	}
+	if got := p.Absorbed(); got != 2 {
+		t.Fatalf("at the cap: Absorbed = %d after resolving the overflow label, want 2", got)
+	}
+	at.QueryDone(time.Millisecond, false)
+	p.Tenant(keys.TenantID(max+2)).QueryDone(time.Millisecond, false)
+	var b strings.Builder
+	if err := r.WriteExposition(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `sql_tenant_queries{result="ok",tenant="__overflow__"} 2`; !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q:\n%s", want, b.String())
+	}
+	b.Reset()
+	if err := p.WriteTenantz(&b, clock.Now(), max+4); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "absorbed=2") {
+		t.Fatalf("tenantz page does not read absorbed=2:\n%s", b.String())
+	}
+}
+
 // TestPlaneRenderDeterministic: identical recording sequences produce
 // byte-identical tenantz, slo, drill-down, and exposition pages — including
 // the cardinality-overflow path (cap 4 < 10 tenants).

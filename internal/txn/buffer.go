@@ -1,7 +1,10 @@
 package txn
 
 import (
+	"bytes"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
@@ -19,28 +22,67 @@ type bufferedWrite struct {
 	del   bool
 }
 
+// minSlabBytes is the size of a transaction's first slab: a few rows' keys
+// and values.
+const minSlabBytes = 512
+
+// keptWrites is the most writes whose storage — the index, the writes and
+// the commit batch's requests — a writeBuffer keeps for the next
+// transaction: enough that a short transaction allocates none of it, and few
+// enough that one large transaction does not hold its storage for the rest
+// of a connection's life.
+const keptWrites = 64
+
 // writeBuffer is a transaction's point writes, latest write per user key.
 // Writes sit in first-write order with a map from key to position, so no
 // output order ever depends on map iteration.
+//
+// The buffer holds copies of its keys and values, in slab: one transaction's
+// writes cost an allocation per slab, not one per key and value. The index's
+// keys are strings over the key bytes in the slab, which never change: a
+// full slab is replaced, not overwritten, and reset drops it. The rows and
+// values a read of the buffer returns point into the slab, so they stay
+// valid after the transaction.
 type writeBuffer struct {
 	index  map[string]int
 	writes []bufferedWrite
 	bytes  int
+	slab   []byte
+	// reqs is the storage requests builds the commit batch in.
+	reqs []kvpb.Request
 }
 
 func (b *writeBuffer) len() int { return len(b.writes) }
 
-// add buffers w, replacing an earlier write to the same key.
+// hold copies p into the slab and returns the copy, whose capacity ends
+// with it.
+func (b *writeBuffer) hold(p []byte) []byte {
+	if len(p) == 0 {
+		return p[:0:0]
+	}
+	if cap(b.slab)-len(b.slab) < len(p) {
+		b.slab = make([]byte, 0, max(2*cap(b.slab), len(p), minSlabBytes))
+	}
+	off := len(b.slab)
+	b.slab = append(b.slab, p...)
+	return b.slab[off:len(b.slab):len(b.slab)]
+}
+
+// add buffers a copy of w, replacing an earlier write to the same key. The
+// caller may reuse w's key and value afterwards.
 func (b *writeBuffer) add(w bufferedWrite) {
+	w.value = b.hold(w.value)
 	if i, ok := b.index[string(w.key)]; ok {
 		b.bytes += len(w.value) - len(b.writes[i].value)
+		w.key = b.writes[i].key
 		b.writes[i] = w
 		return
 	}
 	if b.index == nil {
 		b.index = make(map[string]int)
 	}
-	b.index[string(w.key)] = len(b.writes)
+	w.key = b.hold(w.key)
+	b.index[unsafe.String(unsafe.SliceData(w.key), len(w.key))] = len(b.writes)
 	b.writes = append(b.writes, w)
 	b.bytes += len(w.key) + len(w.value)
 }
@@ -54,21 +96,38 @@ func (b *writeBuffer) get(key keys.Key) (bufferedWrite, bool) {
 	return b.writes[i], true
 }
 
-// requests returns the buffer as Put/Delete requests in key order; nil when
-// it is empty.
+// requests returns the buffer as Put/Delete requests in key order, in the
+// buffer's own storage, valid until reset; nil when it is empty.
 func (b *writeBuffer) requests() []kvpb.Request {
 	if len(b.writes) == 0 {
 		return nil
 	}
-	reqs := make([]kvpb.Request, len(b.writes))
-	for i, w := range b.writes {
-		reqs[i] = kvpb.Request{Method: kvpb.Put, Key: w.key, Value: w.value}
+	reqs := b.reqs[:0]
+	for _, w := range b.writes {
+		r := kvpb.Request{Method: kvpb.Put, Key: w.key, Value: w.value}
 		if w.del {
-			reqs[i].Method = kvpb.Delete
+			r.Method = kvpb.Delete
 		}
+		reqs = append(reqs, r)
 	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Key.Less(reqs[j].Key) })
+	slices.SortFunc(reqs, func(x, y kvpb.Request) int { return bytes.Compare(x.Key, y.Key) })
+	b.reqs = reqs
 	return reqs
+}
+
+// reset empties the buffer for the next transaction: it then refers to no
+// key or value. It keeps the storage of the index, the writes and the
+// requests, unless the transaction wrote more than keptWrites keys, and
+// drops the slab, whose bytes the transaction's reads may have handed out.
+func (b *writeBuffer) reset() {
+	if len(b.writes) > keptWrites || len(b.reqs) > keptWrites {
+		*b = writeBuffer{}
+		return
+	}
+	clear(b.index)
+	clear(b.writes)
+	clear(b.reqs)
+	*b = writeBuffer{index: b.index, writes: b.writes[:0], reqs: b.reqs[:0]}
 }
 
 // overlay lays the buffer over one page of a Scan, so the transaction reads

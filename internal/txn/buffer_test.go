@@ -100,7 +100,7 @@ func TestBufferedReadsMatchModel(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				tx = coord.Begin()
+				tx = coord.begin()
 				model = make(map[string][]byte, len(committed))
 				for name, v := range committed {
 					model[name] = v

@@ -358,7 +358,7 @@ func TestDeleteRangeEndsBuffering(t *testing.T) {
 		t.Fatalf("two-phase commits = %d, want 1", env.commits("two_phase"))
 	}
 	assertNoIntents(t, env.cluster)
-	tx := env.coord.Begin()
+	tx := env.coord.begin()
 	defer tx.Abort(ctx)
 	rows, err := tx.Scan(ctx, keys.MakeTenantSpan(2), 0)
 	if err != nil || len(rows) != 2 || string(rows[0].Value) != "buffered" || string(rows[1].Value) != "direct" {
@@ -373,7 +373,7 @@ func TestBufferOverflowEndsBuffering(t *testing.T) {
 	ctx := context.Background()
 	big := make([]byte, maxBufferBytes/4-64) // four fit, keys included; the fifth does not
 	intents := func() int { return intentCount(t, env.cluster) }
-	tx := env.coord.Begin()
+	tx := env.coord.begin()
 	for i, want := range []int{0, 0, 0, 0, 5, 6} {
 		if err := tx.Put(ctx, k(string(rune('a'+i))), big); err != nil {
 			t.Fatal(err)
@@ -391,7 +391,7 @@ func TestBufferOverflowEndsBuffering(t *testing.T) {
 	if intents() != 0 || env.commits("two_phase") != 1 {
 		t.Fatalf("after commit: %d intents, %d two-phase commits; want 0, 1", intents(), env.commits("two_phase"))
 	}
-	rows, err := env.coord.Begin().Scan(ctx, keys.MakeTenantSpan(2), 0)
+	rows, err := env.coord.begin().Scan(ctx, keys.MakeTenantSpan(2), 0)
 	if err != nil || len(rows) != 6 {
 		t.Fatalf("committed rows = %d, %v; want 6", len(rows), err)
 	}

@@ -82,7 +82,7 @@ func TestAbortCleansUpPartiallyAppliedBatch(t *testing.T) {
 	// batch as a whole errors.
 	reg.Enable("dist.subbatch.err", faultinject.Site{Probability: 1, After: 1, MaxFires: 1})
 
-	tx := coord.Begin()
+	tx := coord.begin()
 	if _, err := tx.Send(ctx,
 		kvpb.Request{Method: kvpb.Put, Key: k("a"), Value: []byte("v")},
 		kvpb.Request{Method: kvpb.Put, Key: k("z"), Value: []byte("v")},
@@ -99,7 +99,7 @@ func TestAbortCleansUpPartiallyAppliedBatch(t *testing.T) {
 	assertNoIntents(t, c)
 	// Neither range had the whole batch, so nothing was committed: both keys
 	// must be readable (and absent) afterwards.
-	t2 := coord.Begin()
+	t2 := coord.begin()
 	defer t2.Abort(ctx)
 	for _, key := range []keys.Key{k("a"), k("z")} {
 		if _, ok, err := t2.Get(ctx, key); err != nil || ok {
@@ -128,7 +128,7 @@ func TestAbortResolvesDeleteRangeIntentsBySpan(t *testing.T) {
 	}
 
 	reg.Enable("txn.postsend", faultinject.Site{Probability: 1, MaxFires: 1})
-	tx := coord.Begin()
+	tx := coord.begin()
 	_, err := tx.Send(ctx, kvpb.Request{Method: kvpb.DeleteRange, Key: k("a"), EndKey: k("d")})
 	if !faultinject.IsInjected(err) {
 		t.Fatalf("err = %v, want injected fault", err)
@@ -180,7 +180,7 @@ func TestFinishBacksOffBetweenResolveAttempts(t *testing.T) {
 	coord := NewCoordinator(sender, hlc.NewClock(manual), 2)
 	ctx := context.Background()
 
-	tx := coord.Begin()
+	tx := coord.begin()
 	if err := tx.Put(ctx, k("a"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFinishHonorsContextCancellation(t *testing.T) {
 	reg := faultinject.New(4, nil)
 	coord := NewCoordinator(&scriptedSender{reg: reg}, hlc.NewClock(manual), 2)
 
-	tx := coord.Begin()
+	tx := coord.begin()
 	if err := tx.Put(context.Background(), k("a"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}

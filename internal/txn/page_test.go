@@ -40,7 +40,7 @@ func TestScanPageOwnership(t *testing.T) {
 	c, coord := newTestSetup(t)
 	ctx := context.Background()
 	name := func(prefix string, i int) string { return fmt.Sprintf("%s%02d", prefix, i) }
-	setup := coord.Begin()
+	setup := coord.begin()
 	for i := 0; i < 30; i++ {
 		for _, prefix := range []string{"a", "b", "c"} {
 			if err := setup.Put(ctx, k(name(prefix, i)), []byte(name("v"+prefix, i))); err != nil {
@@ -92,7 +92,7 @@ func TestScanPageOwnership(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			new(kvpb.BatchResponse).Release()
 		}
-		tx := coord.Begin()
+		tx := coord.begin()
 		kept, err := tx.Scan(ctx, span("c"), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestScanPageOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Put the a-span back for the next round.
-		reset := coord.Begin()
+		reset := coord.begin()
 		if err := reset.Put(ctx, k("a05"), []byte("va05")); err != nil {
 			t.Fatal(err)
 		}

@@ -76,6 +76,13 @@ type Txn struct {
 	// the send.
 	ba  kvpb.BatchRequest
 	one [1]kvpb.Request
+	// resp, fwd and fwdIdx are sendBuffered's storage: the response to a
+	// batch of point reads and writes, valid until the transaction's next
+	// send, and the reads it forwards to KV with their positions in the
+	// batch. Entries past each slice's length are zero.
+	resp   kvpb.BatchResponse
+	fwd    []kvpb.Request
+	fwdIdx []int
 
 	mu struct {
 		sync.Mutex
@@ -94,31 +101,59 @@ type Txn struct {
 	}
 }
 
-// Begin starts a transaction at the current HLC time.
-func (c *Coordinator) Begin() *Txn {
-	t := new(Txn)
-	c.beginIn(t)
-	return t
-}
-
-// beginIn starts a transaction at the current HLC time in t, whose previous
-// transaction, if any, has finished.
-func (c *Coordinator) beginIn(t *Txn) {
+// BeginIn starts a transaction at the current HLC time in storage the
+// caller lends: t must not be in use, and the transaction it held before, if
+// any, must have finished. A transaction begun in t keeps the arrays of the
+// ones before it, emptied: a connection that runs its transactions one at a
+// time in one Txn allocates none of them again. Commit and Abort leave t
+// holding no key or value.
+func (c *Coordinator) BeginIn(t *Txn) {
+	// Emptied already, unless the transaction before never finished.
+	t.empty()
+	t.mu.Lock()
+	buf := t.mu.buf
+	t.mu.Unlock()
+	resps, fwd, fwdIdx := t.resp.Responses, t.fwd, t.fwdIdx
 	*t = Txn{coord: c, meta: kvpb.TxnMeta{
 		ID:       atomic.AddUint64(&nextTxnID, 1),
 		Ts:       c.clock.Now(),
 		Priority: kvpb.PriorityNormal,
-	}}
+	}, fwd: fwd, fwdIdx: fwdIdx}
+	t.resp.Responses = resps
+	t.mu.buf = buf
+}
+
+// empty drops what t refers to once its transaction has finished: the last
+// batch and response, the buffered writes and the intent footprint. It
+// keeps the arrays they were in for the next transaction begun in t, unless
+// the transaction grew them past keptWrites.
+func (t *Txn) empty() {
+	t.ba = kvpb.BatchRequest{}
+	t.one = [1]kvpb.Request{}
+	clear(t.resp.Responses)
+	clear(t.fwd)
+	t.resp = kvpb.BatchResponse{Responses: t.resp.Responses[:0]}
+	t.fwd, t.fwdIdx = t.fwd[:0], t.fwdIdx[:0]
+	if cap(t.resp.Responses) > keptWrites || cap(t.fwd) > keptWrites {
+		t.resp.Responses, t.fwd, t.fwdIdx = nil, nil, nil
+	}
+	t.mu.Lock()
+	t.mu.buf.reset()
+	t.mu.intents = nil
+	t.mu.spans = nil
+	t.mu.Unlock()
 }
 
 // ErrTxnFinished is returned by operations on a committed/aborted txn.
 var ErrTxnFinished = errors.New("txn: transaction already finished")
 
 // Send executes a batch inside the transaction. Put and Delete requests are
-// buffered (the transaction keeps their keys and values until it finishes;
-// the caller must not modify them) and answered at once; reads go to KV
-// unless the buffer already answers them. As in kvserver.evaluateBatch, a
-// batch's reads do not observe the same batch's writes.
+// buffered (the transaction keeps copies of their keys and values) and
+// answered at once; reads go to KV unless the buffer already answers them.
+// As in kvserver.evaluateBatch, a batch's reads do not observe the same
+// batch's writes. The caller may reuse its requests' keys and values once
+// Send returns. A response without scans may be in the transaction's own
+// storage, valid until its next send.
 func (t *Txn) Send(ctx context.Context, reqs ...kvpb.Request) (*kvpb.BatchResponse, error) {
 	var writes, unbufferable bool
 	for i := range reqs {
@@ -201,9 +236,9 @@ func (t *Txn) send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.BatchRespo
 // sendBuffered answers reads from the buffer where it can, sends the rest to
 // KV in one batch, and then buffers the batch's writes.
 func (t *Txn) sendBuffered(ctx context.Context, reqs []kvpb.Request) (*kvpb.BatchResponse, error) {
-	out := &kvpb.BatchResponse{Timestamp: t.meta.Ts, Responses: make([]kvpb.Response, len(reqs))}
-	var fwd []kvpb.Request
-	var fwdIdx []int
+	out := t.response(reqs)
+	clear(t.fwd)
+	fwd, fwdIdx := t.fwd[:0], t.fwdIdx[:0]
 	t.mu.Lock()
 	for i, r := range reqs {
 		if r.Method.IsWrite() {
@@ -219,6 +254,7 @@ func (t *Txn) sendBuffered(ctx context.Context, reqs []kvpb.Request) (*kvpb.Batc
 		fwdIdx = append(fwdIdx, i)
 	}
 	t.mu.Unlock()
+	t.fwd, t.fwdIdx = fwd, fwdIdx
 	var resp *kvpb.BatchResponse
 	if len(fwd) > 0 {
 		var err error
@@ -251,6 +287,24 @@ func (t *Txn) sendBuffered(ctx context.Context, reqs []kvpb.Request) (*kvpb.Batc
 		}
 	}
 	return out, nil
+}
+
+// response returns the response sendBuffered fills for reqs, emptied: in
+// the transaction's storage, unless reqs holds a Scan, whose rows come in
+// pages that the caller owns and releases with the response.
+func (t *Txn) response(reqs []kvpb.Request) *kvpb.BatchResponse {
+	for _, r := range reqs {
+		if r.Method == kvpb.Scan {
+			return &kvpb.BatchResponse{Timestamp: t.meta.Ts, Responses: make([]kvpb.Response, len(reqs))}
+		}
+	}
+	rs := t.resp.Responses
+	clear(rs)
+	if cap(rs) < len(reqs) {
+		rs = make([]kvpb.Response, 0, len(reqs))
+	}
+	t.resp = kvpb.BatchResponse{Timestamp: t.meta.Ts, Responses: rs[:len(reqs)]}
+	return &t.resp
 }
 
 // flush makes the transaction direct: the buffer goes to KV as one intent
@@ -391,9 +445,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	t.mu.finished = true
 	writes := t.mu.buf.requests()
-	t.mu.buf = writeBuffer{}
 	direct := t.mu.direct
 	t.mu.Unlock()
+	defer t.empty()
 	sp := trace.SpanFromContext(ctx)
 	switch {
 	case direct:
@@ -406,7 +460,11 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	resp, err := t.sendCommit(ctx, writes)
 	if err == nil && resp.Committed {
-		sp.Eventf("commit 1pc txn=%d writes=%d", t.meta.ID, len(writes))
+		// The guard keeps an untraced commit from boxing the event's
+		// arguments.
+		if sp != nil {
+			sp.Eventf("commit 1pc txn=%d writes=%d", t.meta.ID, len(writes))
+		}
 		t.coord.obs.TxnCommit(pathOnePhase)
 		return nil
 	}
@@ -451,8 +509,8 @@ func (t *Txn) Abort(ctx context.Context) error {
 	}
 	t.mu.finished = true
 	t.mu.aborted = true
-	t.mu.buf = writeBuffer{}
 	t.mu.Unlock()
+	defer t.empty()
 	intents, spans := t.footprint()
 	return t.resolve(ctx, intents, spans, false)
 }
@@ -601,18 +659,18 @@ func (c *Coordinator) RunTxn(ctx context.Context, fn func(context.Context, *Txn)
 	return c.RunTxnIn(ctx, new(Txn), fn)
 }
 
-// RunTxnIn is RunTxn in storage the caller lends: every attempt begins in t,
-// which must not be in use, and t is free again once RunTxnIn returns, kept
-// empty so it holds no keys or values alive. A connection that runs its
-// statements one at a time lends each the same storage.
+// RunTxnIn is RunTxn in storage the caller lends: every attempt begins in t
+// (BeginIn), which must not be in use, and t is free again once RunTxnIn
+// returns. Every attempt ends in Commit or Abort, so t then holds no keys or
+// values alive. A connection that runs its statements one at a time lends
+// each the same storage.
 func (c *Coordinator) RunTxnIn(ctx context.Context, t *Txn, fn func(context.Context, *Txn) error) error {
 	ctx, sp := trace.StartSpan(ctx, "txn.run")
 	defer sp.Finish()
-	defer func() { *t = Txn{} }()
 	const maxAttempts = 256
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		c.beginIn(t)
+		c.BeginIn(t)
 		// The ID is boxed once for the attribute and every event that
 		// names it.
 		var id any

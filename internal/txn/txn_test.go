@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,12 +10,20 @@ import (
 	"testing"
 	"time"
 
+	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/timeutil"
 	"crdbserverless/internal/trace"
 )
+
+// begin starts a transaction at the current HLC time, in storage of its own.
+func (c *Coordinator) begin() *Txn {
+	t := new(Txn)
+	c.BeginIn(t)
+	return t
+}
 
 func newTestSetup(t *testing.T) (*kvserver.Cluster, *Coordinator) {
 	t.Helper()
@@ -42,7 +51,7 @@ func TestTxnCommitMakesWritesVisible(t *testing.T) {
 	c, coord := newTestSetup(t)
 	ctx := context.Background()
 
-	t1 := coord.Begin()
+	t1 := coord.begin()
 	if err := t1.Put(ctx, k("a"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +62,7 @@ func TestTxnCommitMakesWritesVisible(t *testing.T) {
 	}
 	// A second transaction does not: the write is still in t1's buffer, so
 	// it reads the old state and meets no intent.
-	t2 := coord.Begin()
+	t2 := coord.begin()
 	if _, ok, err := t2.Get(ctx, k("a")); err != nil || ok {
 		t.Fatalf("pre-commit foreign read: ok=%v err=%v", ok, err)
 	}
@@ -73,14 +82,14 @@ func TestTxnCommitMakesWritesVisible(t *testing.T) {
 	}
 
 	// Unopposed, the same write commits, and a fresh transaction sees it.
-	t3 := coord.Begin()
+	t3 := coord.begin()
 	if err := t3.Put(ctx, k("a"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := t3.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t4 := coord.Begin()
+	t4 := coord.begin()
 	v, ok, err = t4.Get(ctx, k("a"))
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("post-commit read = %q %v %v", v, ok, err)
@@ -94,7 +103,7 @@ func TestTxnAbortRemovesIntents(t *testing.T) {
 	// A transaction that only buffered has nothing to remove, and sends
 	// nothing.
 	before := batchCount(c)
-	t1 := coord.Begin()
+	t1 := coord.begin()
 	t1.Put(ctx, k("a"), []byte("doomed"))
 	if err := t1.Abort(ctx); err != nil {
 		t.Fatal(err)
@@ -103,7 +112,7 @@ func TestTxnAbortRemovesIntents(t *testing.T) {
 		t.Fatalf("aborting buffered writes sent %d KV batches", got-before)
 	}
 	// A direct one (the DeleteRange ends buffering) laid down intents.
-	t2 := coord.Begin()
+	t2 := coord.begin()
 	t2.Put(ctx, k("a"), []byte("doomed"))
 	if _, err := t2.Send(ctx, kvpb.Request{Method: kvpb.DeleteRange, Key: k("x"), EndKey: k("y")}); err != nil {
 		t.Fatal(err)
@@ -116,7 +125,7 @@ func TestTxnAbortRemovesIntents(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertNoIntents(t, c)
-	t3 := coord.Begin()
+	t3 := coord.begin()
 	for _, key := range []keys.Key{k("a"), k("b")} {
 		if _, ok, err := t3.Get(ctx, key); err != nil || ok {
 			t.Fatalf("read %s after abort = ok=%v err=%v", key, ok, err)
@@ -137,7 +146,7 @@ func batchCount(c *kvserver.Cluster) int64 {
 func TestTxnFinishedRejectsFurtherOps(t *testing.T) {
 	_, coord := newTestSetup(t)
 	ctx := context.Background()
-	t1 := coord.Begin()
+	t1 := coord.begin()
 	t1.Put(ctx, k("a"), []byte("v"))
 	t1.Commit(ctx)
 	if err := t1.Put(ctx, k("b"), []byte("v")); err != ErrTxnFinished {
@@ -147,7 +156,7 @@ func TestTxnFinishedRejectsFurtherOps(t *testing.T) {
 	if err := t1.Commit(ctx); err != nil {
 		t.Fatalf("double commit = %v", err)
 	}
-	t2 := coord.Begin()
+	t2 := coord.begin()
 	t2.Abort(ctx)
 	if err := t2.Commit(ctx); err == nil {
 		t.Fatal("commit after abort should error")
@@ -160,14 +169,14 @@ func TestTxnFinishedRejectsFurtherOps(t *testing.T) {
 func TestTxnScan(t *testing.T) {
 	_, coord := newTestSetup(t)
 	ctx := context.Background()
-	setup := coord.Begin()
+	setup := coord.begin()
 	for i := 0; i < 5; i++ {
 		setup.Put(ctx, k(fmt.Sprintf("s%d", i)), []byte("v"))
 	}
 	if err := setup.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t1 := coord.Begin()
+	t1 := coord.begin()
 	rows, err := t1.Scan(ctx, keys.MakeTenantSpan(2), 0)
 	if err != nil || len(rows) != 5 {
 		t.Fatalf("scan = %d rows, %v", len(rows), err)
@@ -267,7 +276,7 @@ func TestTxnIDsUnique(t *testing.T) {
 	_, coord := newTestSetup(t)
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
-		tx := coord.Begin()
+		tx := coord.begin()
 		if seen[tx.meta.ID] {
 			t.Fatalf("duplicate txn id %d", tx.meta.ID)
 		}
@@ -415,5 +424,59 @@ func TestRunTxnRetryAppearsAsSpanEvent(t *testing.T) {
 	}
 	if v, ok := sp.Attr("txn.attempts"); !ok || v.(int) != 2 {
 		t.Fatalf("txn.attempts attr = %v ok=%v, want 2", v, ok)
+	}
+}
+
+// oneResponseSender answers every batch from one response it keeps, and
+// commits a commit batch in one phase: a sender that allocates nothing, so
+// what a transaction over it allocates is the transaction's own.
+type oneResponseSender struct {
+	resp kvpb.BatchResponse
+	rs   [8]kvpb.Response
+}
+
+func (s *oneResponseSender) Send(_ context.Context, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
+	s.resp = kvpb.BatchResponse{Responses: s.rs[:len(ba.Requests)], Committed: ba.TxnWrites > 0}
+	return &s.resp, nil
+}
+
+// A transaction begun in storage it had before keeps its arrays: the
+// buffer's index and writes, the commit batch's requests and the response
+// of a buffered statement. A transaction of eight statements — each reads
+// whether a new key is free and writes it, as an INSERT does, from buffers
+// the caller reuses — and its one-phase commit allocate once, for the slab
+// the buffered keys and values are copied into. A read the buffer answers
+// allocates nothing.
+func TestBufferedStatementsAllocateOnlyTheSlab(t *testing.T) {
+	coord := NewCoordinator(new(oneResponseSender), hlc.NewClock(timeutil.NewManualClock(time.Unix(1, 0))), 2)
+	ctx := context.Background()
+	var tx Txn
+	var key, value []byte
+	get := []kvpb.Request{{Method: kvpb.Get}}
+	run := func() {
+		coord.BeginIn(&tx)
+		for i := 0; i < 8; i++ {
+			key = append(key[:0], "order/"...)
+			key = append(key, byte('0'+i))
+			value = append(value[:0], "line "...)
+			value = append(value, byte('0'+i))
+			get[0].Key = key
+			if _, err := tx.Send(ctx, get...); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Put(ctx, key, value); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := tx.Get(ctx, key); err != nil || !ok || !bytes.Equal(v, value) {
+				t.Fatalf("buffered read of %q: %q %v %v", key, v, ok, err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 1 {
+		t.Fatalf("eight buffered statements and a one-phase commit: %v allocations, want 1 (the slab)", n)
 	}
 }

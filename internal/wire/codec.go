@@ -76,13 +76,11 @@ func appendDatums(b []byte, ds []sql.Datum) []byte {
 }
 
 // consumeDatums reads a counted datum list into dst's array when it has
-// room, and into a new one otherwise; an empty list is nil. Every datum is at
-// least its tag byte, which bounds the count.
+// room, and into a new one otherwise; an empty list keeps dst's array, so
+// the list after it can use it. Every datum is at least its tag byte, which
+// bounds the count.
 func consumeDatums(r *binenc.Reader, dst []sql.Datum) []sql.Datum {
 	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
 	ds := dst[:0]
 	if cap(ds) < n {
 		ds = make([]sql.Datum, 0, n)
@@ -100,18 +98,15 @@ func consumeDatums(r *binenc.Reader, dst []sql.Datum) []sql.Datum {
 // into one Query allocates nothing for the text of a statement it repeats,
 // nor for arguments that hold no string.
 func Decode(payload []byte, out interface{}) error {
+	if q, ok := out.(*Query); ok {
+		return DecodeQuery(payload, q, nil)
+	}
 	r := binenc.NewReader(payload)
 	switch m := out.(type) {
 	case *Startup:
 		m.Params = r.StringMap()
 	case *Auth:
 		*m = Auth{OK: r.Bool(), Msg: r.Str()}
-	case *Query:
-		m.TraceID, m.SpanID = r.Uint64(), r.Uint64()
-		if text := r.Bytes(); m.SQL != string(text) {
-			m.SQL = string(text)
-		}
-		m.Args = consumeDatums(r, m.Args)
 	case *Result:
 		*m = Result{}
 		if n := r.Count(1); n > 0 {
@@ -139,6 +134,31 @@ func Decode(payload []byte, out interface{}) error {
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("wire: decoding %v: %w", reflect.TypeOf(out), err)
+	}
+	return nil
+}
+
+// DecodeQuery is Decode of a Query payload into q, taking the text from
+// texts when it differs from q's: texts returns a string equal to its
+// argument, if it holds one — a SQL node's statement cache — so a text that
+// alternates with others is copied only when nothing holds it yet. A nil
+// texts holds none.
+func DecodeQuery(payload []byte, q *Query, texts func([]byte) (string, bool)) error {
+	r := binenc.NewReader(payload)
+	q.TraceID, q.SpanID = r.Uint64(), r.Uint64()
+	if text := r.Bytes(); q.SQL != string(text) {
+		held, ok := "", false
+		if texts != nil {
+			held, ok = texts(text)
+		}
+		if !ok {
+			held = string(text)
+		}
+		q.SQL = held
+	}
+	q.Args = consumeDatums(r, q.Args)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("wire: decoding %v: %w", reflect.TypeOf(q), err)
 	}
 	return nil
 }

@@ -308,3 +308,45 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	})
 }
+
+// A connection decodes every query into one Query. A statement without
+// arguments (BEGIN, COMMIT) keeps the Query's argument array, so the next
+// statement's arguments fill it again; and a text the node holds is taken
+// from it, not copied. After the first decode, a 3-argument, a 0-argument
+// and a 3-argument query, their texts held, allocate nothing.
+func TestDecodeQueryReusesArgsAcrossEmptyList(t *testing.T) {
+	queries := []Query{
+		{SQL: "SELECT c FROM t WHERE a = $1 AND b = $2 AND c = $3", Args: []sql.Datum{sql.DInt(1), sql.DInt(2), sql.DInt(3)}},
+		{SQL: "BEGIN"},
+		{SQL: "UPDATE t SET c = c + 1 WHERE a = $1 AND b = $2 AND d = $3", Args: []sql.Datum{sql.DInt(4), sql.DFloat(5), sql.DBool(true)}},
+	}
+	held := make(map[string]string)
+	var payloads [][]byte
+	for _, q := range queries {
+		held[q.SQL] = q.SQL
+		p, err := appendPayload(nil, &q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	texts := func(b []byte) (string, bool) {
+		s, ok := held[string(b)]
+		return s, ok
+	}
+	var q Query
+	decode := func() {
+		for i, p := range payloads {
+			if err := DecodeQuery(p, &q, texts); err != nil {
+				t.Fatal(err)
+			}
+			if q.SQL != queries[i].SQL || len(q.Args) != len(queries[i].Args) {
+				t.Fatalf("query %d decoded to %+v", i, q)
+			}
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(100, decode); n != 0 {
+		t.Fatalf("decoding three queries into one Query: %v allocations, want 0", n)
+	}
+}
