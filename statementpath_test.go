@@ -273,10 +273,10 @@ func TestScratchRowsAfterDistinctOnConnection(t *testing.T) {
 	}
 }
 
-// newOrderSetup makes a tenant with new_order's schema at a small scale (one
-// warehouse, two districts, three customers each, items items, and their
-// stock) and returns an open client on it.
-func newOrderSetup(tb testing.TB, items int) *Client {
+// newOrderSetup makes a tenant "orders" with new_order's schema at a small
+// scale (one warehouse, two districts, three customers each, items items,
+// and their stock) and returns the deployment and an open client on it.
+func newOrderSetup(tb testing.TB, items int) (*Serverless, *Client) {
 	tb.Helper()
 	s, err := New(Options{KVNodesPerRegion: 1})
 	if err != nil {
@@ -313,7 +313,7 @@ func newOrderSetup(tb testing.TB, items int) *Client {
 		exec("INSERT INTO item VALUES ($1, $2, $3)", DInt(int64(i)), DString(fmt.Sprintf("item-%d", i)), DFloat(float64(i)))
 		exec("INSERT INTO stock VALUES (1, $1, 1000000)", DInt(int64(i)))
 	}
-	return c
+	return s, c
 }
 
 // newOrder runs order o as the benchmark's new_order workload runs a
@@ -364,7 +364,7 @@ func TestNewOrderWholePathAllocs(t *testing.T) {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	const items = 10
-	c := newOrderSetup(t, items)
+	_, c := newOrderSetup(t, items)
 	o := 0
 	for ; o < 300; o++ {
 		if err := newOrder(c, o, items); err != nil {
@@ -393,7 +393,7 @@ func TestNewOrderWholePathAllocs(t *testing.T) {
 // above its own read.)
 func BenchmarkNewOrderWholePath(b *testing.B) {
 	const items = 100
-	c := newOrderSetup(b, items)
+	_, c := newOrderSetup(b, items)
 	order := func(o int) {
 		for attempt := 1; ; attempt++ {
 			err := newOrder(c, o, items)
@@ -414,5 +414,58 @@ func BenchmarkNewOrderWholePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		order(o)
 		o++
+	}
+}
+
+// Each connection runs its transactions in its session's slot and its
+// statements in its own scratch, and the leaseholder's batches share pooled
+// lookups. Two connections run new orders at once, under the race detector
+// in CI: connection w takes the orders o = 2j+w, so it has district 1+w and
+// items of its own (newOrder's item mapping with 4 items), and no order
+// conflicts with another. Every order, line and unit of stock must add up.
+func TestNewOrdersConcurrent(t *testing.T) {
+	const items, perConn = 4, 20
+	s, setup := newOrderSetup(t, items)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := s.Connect("orders", "pw")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for j := 0; j < perConn; j++ {
+				if err := newOrder(c, 2*j+w, items); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, check := range []struct {
+		q    string
+		want int64
+	}{
+		{"SELECT COUNT(*) FROM orders", 2 * perConn},
+		{"SELECT COUNT(*) FROM order_line", 4 * perConn},
+		{"SELECT SUM(s_quantity) FROM stock", items*1000000 - 4*perConn},
+		{"SELECT SUM(d_next_o_id) FROM district", 2 + 2*perConn},
+	} {
+		res, err := setup.Query(check.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].I != check.want {
+			t.Fatalf("%s = %v, want %d", check.q, res.Rows, check.want)
+		}
 	}
 }
