@@ -16,10 +16,15 @@ import (
 //
 // The cache is bounded: evicted entries fold into a low-water mark, which is
 // a safe over-approximation (it can cause spurious pushes, never missed
-// ones). It is not internally synchronized; the range latch serializes
-// access.
+// ones). The mark, like every entry, keeps the ID of the transaction whose
+// read set it and pushes every transaction but that one (raise): a fold
+// that raises the mark replaces its owner, and a read as new as the mark
+// from another transaction leaves it ownerless. Every other folded read is
+// then strictly below the mark, and the owner writes at or above its own
+// read timestamp, so exempting the owner misses no push. It is not
+// internally synchronized; the range latch serializes access.
 type tsCache struct {
-	lowWater hlc.Timestamp
+	lowWater tsCacheEntry
 	// points indexes entries by key. A key read again updates its entry in
 	// place: storing into a map under string(b) allocates the key even when
 	// it is present, and looking it up does not.
@@ -33,10 +38,26 @@ type tsCacheEntry struct {
 	txnID uint64
 }
 
+// raise folds read e into r: a newer read replaces r and its owner, and a
+// read as new by another transaction leaves r ownerless, so that it pushes
+// both transactions.
+func (r *tsCacheEntry) raise(e tsCacheEntry) {
+	switch {
+	case r.ts.Less(e.ts):
+		*r = e
+	case e.ts == r.ts && e.txnID != r.txnID:
+		r.txnID = 0
+	}
+}
+
+// pushes reports whether e's read pushes a write of txnID: it does unless
+// txnID made it, and a non-transactional write (txnID 0) is pushed by every
+// read.
+func (e tsCacheEntry) pushes(txnID uint64) bool { return txnID == 0 || e.txnID != txnID }
+
 type spanEntry struct {
-	span  keys.Span
-	ts    hlc.Timestamp
-	txnID uint64
+	span keys.Span
+	tsCacheEntry
 }
 
 const (
@@ -57,16 +78,14 @@ func (tc *tsCache) recordRead(span keys.Span, ts hlc.Timestamp, txnID uint64) {
 	if len(tc.spans) >= tsCacheMaxSpans {
 		tc.foldSpans()
 	}
-	tc.spans = append(tc.spans, spanEntry{span: span, ts: ts, txnID: txnID})
+	tc.spans = append(tc.spans, spanEntry{span: span, tsCacheEntry: tsCacheEntry{ts: ts, txnID: txnID}})
 }
 
-// recordPoint keeps e for key unless key's entry is at least as new. Only a
-// new key is copied, into the map.
+// recordPoint raises key's entry to e. Only a new key is copied, into the
+// map.
 func (tc *tsCache) recordPoint(key keys.Key, e tsCacheEntry) {
 	if i, ok := tc.points[string(key)]; ok {
-		if tc.entries[i].ts.Less(e.ts) {
-			tc.entries[i] = e
-		}
+		tc.entries[i].raise(e)
 		return
 	}
 	if len(tc.entries) >= tsCacheMaxPoints {
@@ -79,9 +98,7 @@ func (tc *tsCache) recordPoint(key keys.Key, e tsCacheEntry) {
 // foldPoints collapses all point entries into the low-water mark.
 func (tc *tsCache) foldPoints() {
 	for _, e := range tc.entries {
-		if tc.lowWater.Less(e.ts) {
-			tc.lowWater = e.ts
-		}
+		tc.lowWater.raise(e)
 	}
 	tc.points = make(map[string]int)
 	tc.entries = nil
@@ -90,22 +107,18 @@ func (tc *tsCache) foldPoints() {
 // foldSpans collapses all span entries into the low-water mark.
 func (tc *tsCache) foldSpans() {
 	for _, e := range tc.spans {
-		if tc.lowWater.Less(e.ts) {
-			tc.lowWater = e.ts
-		}
+		tc.lowWater.raise(e.tsCacheEntry)
 	}
 	tc.spans = tc.spans[:0]
 }
 
 // absorb carries another range's reads into this cache when a split or merge
-// creates this range: other's low-water mark, if higher, and every entry that
-// covers a key of span. The result does not depend on other's map order; if
-// it holds more entries than the cache keeps, they fold into the low-water
-// mark.
+// creates this range: other's low-water mark, folded into this one's, and
+// every entry that covers a key of span. The result does not depend on
+// other's map order; if it holds more entries than the cache keeps, they
+// fold into the low-water mark.
 func (tc *tsCache) absorb(other *tsCache, span keys.Span) {
-	if tc.lowWater.Less(other.lowWater) {
-		tc.lowWater = other.lowWater
-	}
+	tc.lowWater.raise(other.lowWater)
 	// New entries go in key order, so the entries' order does not depend on
 	// other's map order.
 	var in []string
@@ -120,8 +133,8 @@ func (tc *tsCache) absorb(other *tsCache, span keys.Span) {
 		if j, ok := tc.points[k]; !ok {
 			tc.points[k] = len(tc.entries)
 			tc.entries = append(tc.entries, other.entries[i])
-		} else if e := other.entries[i]; tc.entries[j].ts.Less(e.ts) {
-			tc.entries[j] = e
+		} else {
+			tc.entries[j].raise(other.entries[i])
 		}
 	}
 	if len(tc.entries) > tsCacheMaxPoints {
@@ -138,17 +151,19 @@ func (tc *tsCache) absorb(other *tsCache, span keys.Span) {
 }
 
 // maxReadOther returns the highest recorded read timestamp covering key from
-// any transaction other than txnID (the low-water mark is ownerless and
-// always applies).
+// any transaction other than txnID (the low-water mark covers every key).
 func (tc *tsCache) maxReadOther(key keys.Key, txnID uint64) hlc.Timestamp {
-	max := tc.lowWater
+	var max hlc.Timestamp
+	if tc.lowWater.pushes(txnID) {
+		max = tc.lowWater.ts
+	}
 	if i, ok := tc.points[string(key)]; ok {
-		if e := tc.entries[i]; (txnID == 0 || e.txnID != txnID) && max.Less(e.ts) {
+		if e := tc.entries[i]; e.pushes(txnID) && max.Less(e.ts) {
 			max = e.ts
 		}
 	}
 	for _, e := range tc.spans {
-		if e.span.ContainsKey(key) && (txnID == 0 || e.txnID != txnID) && max.Less(e.ts) {
+		if e.span.ContainsKey(key) && e.pushes(txnID) && max.Less(e.ts) {
 			max = e.ts
 		}
 	}

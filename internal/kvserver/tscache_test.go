@@ -31,6 +31,11 @@ func TestTSCachePointReads(t *testing.T) {
 	if got := tc.maxReadOther(k, 0); got != tcts(20) {
 		t.Fatalf("after overwrite = %v", got)
 	}
+	// A read as new by another txn makes the entry push both.
+	tc.recordRead(keys.Span{Key: k}, tcts(20), 4)
+	if got := tc.maxReadOther(k, 3); got != tcts(20) {
+		t.Fatalf("after an equal read by another txn = %v", got)
+	}
 	// Other keys unaffected.
 	if got := tc.maxReadOther(keys.Key("other"), 0); !got.IsEmpty() {
 		t.Fatalf("other key = %v", got)
@@ -54,16 +59,30 @@ func TestTSCacheSpanReads(t *testing.T) {
 
 func TestTSCacheFoldIntoLowWater(t *testing.T) {
 	tc := newTSCache()
-	// Overflow the point capacity: evicted entries become the ownerless
-	// low-water mark, a safe over-approximation.
+	// Overflow the point capacity: evicted entries fold into the low-water
+	// mark, a safe over-approximation that keeps the txn of its newest read.
 	for i := 0; i <= tsCacheMaxPoints; i++ {
 		k := keys.Key(fmt.Sprintf("k%06d", i))
 		tc.recordRead(keys.Span{Key: k}, tcts(int64(i+1)), 5)
 	}
-	// A key evicted into the low-water mark still pushes — even the txn
-	// that read it (ownership is lost in the fold).
-	if got := tc.maxReadOther(keys.Key("unrelated"), 5); got.IsEmpty() {
-		t.Fatal("low-water mark not applied")
+	mark := tcts(tsCacheMaxPoints)
+	// A key evicted into the low-water mark still pushes every other txn,
+	// on any key, but not the txn that read it.
+	if got := tc.maxReadOther(keys.Key("unrelated"), 6); got != mark {
+		t.Fatalf("low-water mark for another txn = %v, want %v", got, mark)
+	}
+	if got := tc.maxReadOther(keys.Key("k000001"), 5); !got.IsEmpty() {
+		t.Fatalf("low-water mark pushes the txn whose read it is: %v", got)
+	}
+	// A read as new as the mark from another txn leaves it ownerless, so
+	// it pushes both.
+	other := newTSCache()
+	other.lowWater = tsCacheEntry{ts: mark, txnID: 6}
+	tc.absorb(other, keys.Span{Key: keys.Key("k"), EndKey: keys.Key("l")})
+	for _, txnID := range []uint64{5, 6} {
+		if got := tc.maxReadOther(keys.Key("unrelated"), txnID); got != mark {
+			t.Fatalf("shared low-water mark for txn %d = %v, want %v", txnID, got, mark)
+		}
 	}
 	// Span overflow folds too.
 	tc2 := newTSCache()

@@ -178,7 +178,7 @@ func sameResult(t *testing.T, q string, got, want *Result, exactFloats bool) {
 		for j, w := range want.Rows[i] {
 			g := got.Rows[i][j]
 			same := sameDatum(g, w)
-			if !same && !g.Null && !w.Null && g.Kind == TypeFloat && w.Kind == TypeFloat {
+			if !same && g.Kind == TypeFloat && w.Kind == TypeFloat {
 				switch {
 				case math.IsNaN(g.F) || math.IsNaN(w.F):
 					same = math.IsNaN(g.F) && math.IsNaN(w.F)
@@ -418,8 +418,8 @@ func TestAggStateMergeMatchesUpdate(t *testing.T) {
 // and MAX values as their encodings.
 func sameAggState(a, b *aggState) bool {
 	return a.fn == b.fn && a.count == b.count && a.sum == b.sum && a.sumI == b.sumI && a.isInt == b.isInt &&
-		a.seen == b.seen && bytes.Equal(appendSlot(nil, &a.min), appendSlot(nil, &b.min)) &&
-		bytes.Equal(appendSlot(nil, &a.max), appendSlot(nil, &b.max))
+		a.seen == b.seen && bytes.Equal(AppendDatum(nil, a.min), AppendDatum(nil, b.min)) &&
+		bytes.Equal(AppendDatum(nil, a.max), AppendDatum(nil, b.max))
 }
 
 // q1Push is a Q1-like aggregation with an aggregate of each kind.
@@ -450,11 +450,11 @@ func FuzzDecodePartial(f *testing.F) {
 	p := pushPlanOf(f, q1Push)
 	seed := AppendDatum(nil, DString("A"))
 	for _, a := range []aggState{
-		{fn: aggSum, count: 3, isInt: true, sumI: 40, sum: 40, min: DInt(2).slot(), max: DInt(30).slot(), seen: true},
-		{fn: aggAvg, count: 3, sum: 1.5, min: DFloat(-0.5).slot(), max: DFloat(2).slot(), seen: true},
+		{fn: aggSum, count: 3, isInt: true, sumI: 40, sum: 40, min: DInt(2), max: DInt(30), seen: true},
+		{fn: aggAvg, count: 3, sum: 1.5, min: DFloat(-0.5), max: DFloat(2), seen: true},
 		{fn: aggCount, count: 7, isInt: true, seen: true},
 		{fn: aggMin, isInt: true},
-		{fn: aggMax, count: 1, isInt: true, sumI: 5, sum: 5, min: DString("A").slot(), max: DString("A").slot(), seen: true},
+		{fn: aggMax, count: 1, isInt: true, sumI: 5, sum: 5, min: DString("A"), max: DString("A"), seen: true},
 	} {
 		seed = appendAggState(seed, &a)
 	}
@@ -496,7 +496,7 @@ func TestDecodePartialRejectsMalformedInput(t *testing.T) {
 	p := pushPlanOf(t, q1Push)
 	good := AppendDatum(nil, DString("N"))
 	for range p.aggs {
-		good = appendAggState(good, &aggState{count: 1, isInt: true, sumI: 2, sum: 2, min: DInt(2).slot(), max: DInt(2).slot(), seen: true})
+		good = appendAggState(good, &aggState{count: 1, isInt: true, sumI: 2, sum: 2, min: DInt(2), max: DInt(2), seen: true})
 	}
 	vals, states, err := decodePartial(p, good, nil, nil)
 	if err != nil || len(vals) != 1 || vals[0] != DString("N") || len(states) != len(p.aggs) || states[0].sumI != 2 {

@@ -14,6 +14,8 @@ const (
 	TypeString
 	TypeFloat
 	TypeBool
+	// TypeNull is the kind of the NULL Datum, and no column's type.
+	TypeNull
 )
 
 // String implements fmt.Stringer.
@@ -27,6 +29,8 @@ func (t ColumnType) String() string {
 		return "FLOAT"
 	case TypeBool:
 		return "BOOL"
+	case TypeNull:
+		return "NULL"
 	default:
 		return fmt.Sprintf("ColumnType(%d)", int(t))
 	}

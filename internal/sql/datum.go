@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -13,20 +12,22 @@ import (
 	"crdbserverless/internal/keys"
 )
 
-// Datum is one SQL value. The concrete representation (rather than
-// interface{}) keeps comparisons allocation-free and lets the codecs below
-// switch on Kind instead of on a dynamic type.
+// Datum is one SQL value: the one typed form that the executor, the row
+// codec and the KV node's fold (scanFold) share, so that they order, key,
+// encode and fold values with the same code. Kind says which field holds
+// the value: an INT is I, a BOOL is I as 0 or 1, a FLOAT is F and a STRING
+// is S; a NULL (TypeNull) is none of them. The fields Kind does not name are
+// ignored. A Kind that is none of TypeInt to TypeNull encodes, keys and
+// compares as NULL.
 type Datum struct {
-	Null bool
 	Kind ColumnType
 	I    int64
 	F    float64
 	S    string
-	B    bool
 }
 
 // DNull is the SQL NULL.
-var DNull = Datum{Null: true}
+var DNull = Datum{Kind: TypeNull}
 
 // DInt returns an INT datum.
 func DInt(v int64) Datum { return Datum{Kind: TypeInt, I: v} }
@@ -38,13 +39,19 @@ func DString(v string) Datum { return Datum{Kind: TypeString, S: v} }
 func DFloat(v float64) Datum { return Datum{Kind: TypeFloat, F: v} }
 
 // DBool returns a BOOL datum.
-func DBool(v bool) Datum { return Datum{Kind: TypeBool, B: v} }
+func DBool(v bool) Datum {
+	if v {
+		return Datum{Kind: TypeBool, I: 1}
+	}
+	return Datum{Kind: TypeBool}
+}
+
+// isTrue reports whether d is the BOOL true: a WHERE or ON clause keeps a
+// row exactly when its value is.
+func (d Datum) isTrue() bool { return d.Kind == TypeBool && d.I != 0 }
 
 // String renders the datum for result output.
 func (d Datum) String() string {
-	if d.Null {
-		return "NULL"
-	}
 	switch d.Kind {
 	case TypeInt:
 		return fmt.Sprintf("%d", d.I)
@@ -53,7 +60,9 @@ func (d Datum) String() string {
 	case TypeFloat:
 		return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", d.F), "0"), ".")
 	case TypeBool:
-		return fmt.Sprintf("%t", d.B)
+		return fmt.Sprintf("%t", d.I != 0)
+	case TypeNull:
+		return "NULL"
 	default:
 		return "?"
 	}
@@ -63,109 +72,57 @@ func (d Datum) String() string {
 // the numbers, then STRINGs, then BOOLs (false before true). INT and FLOAT
 // compare by exact value, and a NaN equals every NaN and sorts below every
 // other number. So WHERE, MIN and MAX, ORDER BY and the KV node's pushed-down
-// conditions see one order, whatever the kinds of the two sides: each is
-// compareSlots.
+// conditions see one order, whatever the kinds of the two sides.
 func (d Datum) Compare(o Datum) int {
-	a, b := d.slot(), o.slot()
-	return compareSlots(&a, &b)
-}
-
-// slot is one value in typed form: the form the KV node's fold decodes a
-// row's columns into (readColumn), and the one Compare, appendGroupKey,
-// AppendDatum and the aggregate states work on, so that the row path and
-// the fold order, key, encode and fold values with the same code. tag is
-// the value's encoding tag; an INT is i, a BOOL is i as 0 or 1, a FLOAT is
-// f, and a STRING is b, which aliases the bytes it was read from (or the
-// Datum it views) and is never written. The fields the tag does not name
-// hold whatever they held before. A tag that is none of tagNull to tagBool
-// (the zero slot's) encodes and keys as NULL.
-type slot struct {
-	tag byte
-	i   int64
-	f   float64
-	b   []byte
-}
-
-// slot returns d in typed form. A STRING's bytes view d.S in place: a
-// string's bytes never change, and no slot's are written.
-func (d Datum) slot() slot {
-	switch {
-	case d.Null:
-		return slot{tag: tagNull}
-	case d.Kind == TypeInt:
-		return slot{tag: tagInt, i: d.I}
-	case d.Kind == TypeFloat:
-		return slot{tag: tagFloat, f: d.F}
-	case d.Kind == TypeString:
-		return slot{tag: tagString, b: unsafe.Slice(unsafe.StringData(d.S), len(d.S))}
-	case d.Kind == TypeBool && d.B:
-		return slot{tag: tagBool, i: 1}
-	case d.Kind == TypeBool:
-		return slot{tag: tagBool}
-	default:
-		return slot{tag: tagNull}
-	}
-}
-
-// datum returns s as a Datum, copying a STRING's bytes.
-func (s *slot) datum() Datum {
-	switch s.tag {
-	case tagInt:
-		return DInt(s.i)
-	case tagFloat:
-		return DFloat(s.f)
-	case tagString:
-		return DString(string(s.b))
-	case tagBool:
-		return DBool(s.i != 0)
-	default:
-		return DNull
-	}
-}
-
-// compareSlots orders a and b as Compare orders their Datums.
-func compareSlots(a, b *slot) int {
-	if a.tag == b.tag {
-		switch a.tag {
-		case tagInt, tagBool:
-			return cmp.Compare(a.i, b.i)
-		case tagFloat:
-			return cmp.Compare(a.f, b.f) // NaN == NaN < -Inf, and -0 == 0
-		case tagString:
-			return bytes.Compare(a.b, b.b)
+	if d.Kind == o.Kind {
+		switch d.Kind {
+		case TypeInt, TypeBool:
+			return cmp.Compare(d.I, o.I)
+		case TypeFloat:
+			return cmp.Compare(d.F, o.F) // NaN == NaN < -Inf, and -0 == 0
+		case TypeString:
+			return strings.Compare(d.S, o.S)
 		}
 		return 0
 	}
-	if c := cmp.Compare(tagRank(a.tag), tagRank(b.tag)); c != 0 {
+	if c := cmp.Compare(kindRank(d.Kind), kindRank(o.Kind)); c != 0 {
 		return c
 	}
-	if a.tag == tagFloat {
-		return compareFloatInt(a.f, b.i)
-	}
-	return -compareFloatInt(b.f, a.i)
-}
-
-// sameSlot reports whether compareSlots(a, b) == 0, comparing two INTs or
-// two STRINGs, a group column's common cases, by equality alone.
-func sameSlot(a, b *slot) bool {
 	switch {
-	case a.tag != b.tag:
-	case a.tag == tagInt:
-		return a.i == b.i
-	case a.tag == tagString:
-		return string(a.b) == string(b.b)
+	case d.Kind == TypeFloat && o.Kind == TypeInt:
+		return compareFloatInt(d.F, o.I)
+	case d.Kind == TypeInt && o.Kind == TypeFloat:
+		return -compareFloatInt(o.F, d.I)
 	}
-	return compareSlots(a, b) == 0
+	return 0 // two kinds that are both NULL
 }
 
-// tagRank is a value's place in Compare's order of kinds: the kinds that do
-// not compare with each other order by it. The tags are in that order, and
-// FLOAT shares INT's rank.
-func tagRank(tag byte) byte {
-	if tag == tagFloat {
-		return tagInt
+// Equal reports whether d and o Compare equal, comparing two INTs or two
+// STRINGs, a group column's common cases, by equality alone.
+func (d Datum) Equal(o Datum) bool {
+	switch {
+	case d.Kind != o.Kind:
+	case d.Kind == TypeInt:
+		return d.I == o.I
+	case d.Kind == TypeString:
+		return d.S == o.S
 	}
-	return tag
+	return d.Compare(o) == 0
+}
+
+// kindRank is a kind's place in Compare's order of kinds: the kinds that do
+// not compare with each other order by it. FLOAT shares INT's rank.
+func kindRank(k ColumnType) int {
+	switch k {
+	case TypeInt, TypeFloat:
+		return 1
+	case TypeString:
+		return 2
+	case TypeBool:
+		return 3
+	default:
+		return 0
+	}
 }
 
 // compareFloatInt compares f with i exactly: converting either to the
@@ -184,9 +141,6 @@ func compareFloatInt(f float64, i int64) int {
 	return cmp.Compare(f, t)
 }
 
-// Equal reports value equality.
-func (d Datum) Equal(o Datum) bool { return d.Compare(o) == 0 }
-
 func (d Datum) isNumeric() bool { return d.Kind == TypeInt || d.Kind == TypeFloat }
 
 func (d Datum) asFloat() float64 {
@@ -196,37 +150,31 @@ func (d Datum) asFloat() float64 {
 	return d.F
 }
 
-// appendGroupKey appends d's key for GROUP BY, DISTINCT and hash-join
-// lookups: datums Compare calls equal share one key. A key is a kind byte,
-// then 8 bytes for an INT, or for a FLOAT of integral value the INT it
-// equals (so -0 keys as 0), else the float's bits with every NaN folded to
-// one; a uvarint length and the bytes of a STRING, or one byte for a BOOL; a
-// NULL is its kind byte alone. Every key is self-delimiting, so a row's keys
-// appended one after another identify its values exactly and no two rows'
-// keys run together.
+// appendGroupKey appends d's key for GROUP BY, DISTINCT, hash-join lookups
+// and the KV node's groups: datums Compare calls equal share one key. A key
+// is a kind byte, then 8 bytes for an INT, or for a FLOAT of integral value
+// the INT it equals (so -0 keys as 0), else the float's bits with every NaN
+// folded to one; a uvarint length and the bytes of a STRING, or one byte
+// for a BOOL; a NULL is its kind byte alone. Every key is self-delimiting,
+// so a row's keys appended one after another identify its values exactly
+// and no two rows' keys run together.
 func appendGroupKey(b []byte, d Datum) []byte {
-	s := d.slot()
-	return appendSlotKey(b, &s)
-}
-
-// appendSlotKey is appendGroupKey of s.
-func appendSlotKey(b []byte, s *slot) []byte {
-	switch s.tag {
-	case tagInt:
-		return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(s.i))
-	case tagFloat:
-		if t := math.Trunc(s.f); t == s.f && t >= math.MinInt64 && t < -math.MinInt64 {
+	switch d.Kind {
+	case TypeInt:
+		return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(d.I))
+	case TypeFloat:
+		if t := math.Trunc(d.F); t == d.F && t >= math.MinInt64 && t < -math.MinInt64 {
 			return binary.BigEndian.AppendUint64(append(b, tagInt), uint64(int64(t)))
 		}
-		bits := math.Float64bits(s.f)
-		if math.IsNaN(s.f) {
+		bits := math.Float64bits(d.F)
+		if math.IsNaN(d.F) {
 			bits = math.Float64bits(math.NaN())
 		}
 		return binary.BigEndian.AppendUint64(append(b, tagFloat), bits)
-	case tagString:
-		return binenc.AppendBytes(append(b, tagString), s.b)
-	case tagBool:
-		return append(b, tagBool, byte(s.i))
+	case TypeString:
+		return binenc.AppendString(append(b, tagString), d.S)
+	case TypeBool:
+		return append(b, tagBool, byte(d.I))
 	default:
 		return append(b, tagNull)
 	}
@@ -253,7 +201,7 @@ func datumFromLiteral(v interface{}) (Datum, error) {
 // coerce converts d to the target column type where a lossless conversion
 // exists.
 func (d Datum) coerce(t ColumnType) (Datum, error) {
-	if d.Null {
+	if d.Kind == TypeNull {
 		return DNull, nil
 	}
 	if d.Kind == t {
@@ -282,9 +230,6 @@ const (
 
 // encodeDatumKey appends an order-preserving encoding of d.
 func encodeDatumKey(b keys.Key, d Datum) keys.Key {
-	if d.Null {
-		return append(b, tagNull)
-	}
 	switch d.Kind {
 	case TypeInt:
 		b = append(b, tagInt)
@@ -296,11 +241,7 @@ func encodeDatumKey(b keys.Key, d Datum) keys.Key {
 		b = append(b, tagString)
 		return keys.EncodeString(b, d.S)
 	case TypeBool:
-		b = append(b, tagBool)
-		if d.B {
-			return append(b, 1)
-		}
-		return append(b, 0)
+		return append(b, tagBool, byte(d.I))
 	default:
 		return append(b, tagNull)
 	}
@@ -308,19 +249,20 @@ func encodeDatumKey(b keys.Key, d Datum) keys.Key {
 
 // datumKeyLen is the number of bytes encodeDatumKey appends for d.
 func datumKeyLen(d Datum) int {
-	switch {
-	case d.Null:
-		return 1
-	case d.Kind == TypeInt, d.Kind == TypeFloat:
+	switch d.Kind {
+	case TypeInt, TypeFloat:
 		return 1 + 8
-	case d.Kind == TypeString:
-		return 1 + keys.EncodedBytesLen(unsafe.Slice(unsafe.StringData(d.S), len(d.S)))
-	case d.Kind == TypeBool:
+	case TypeString:
+		return 1 + keys.EncodedBytesLen(stringBytes(d.S))
+	case TypeBool:
 		return 2
 	default:
 		return 1
 	}
 }
+
+// stringBytes views the bytes of s, which must not be written.
+func stringBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // decodeDatumKey consumes one datum encoding.
 func decodeDatumKey(b keys.Key) (keys.Key, Datum, error) {
@@ -384,21 +326,15 @@ func floatFromSortableBits(bits uint64) float64 {
 // one byte 0/1 (BOOL). Stored row values and wire frames both carry datums in
 // this form; unlike the key encoding it is compact, not order-preserving.
 func AppendDatum(b []byte, d Datum) []byte {
-	s := d.slot()
-	return appendSlot(b, &s)
-}
-
-// appendSlot is AppendDatum of s.
-func appendSlot(b []byte, s *slot) []byte {
-	switch s.tag {
-	case tagInt:
-		return binary.AppendVarint(append(b, tagInt), s.i)
-	case tagFloat:
-		return binary.BigEndian.AppendUint64(append(b, tagFloat), math.Float64bits(s.f))
-	case tagString:
-		return binenc.AppendBytes(append(b, tagString), s.b)
-	case tagBool:
-		return append(b, tagBool, byte(s.i))
+	switch d.Kind {
+	case TypeInt:
+		return binary.AppendVarint(append(b, tagInt), d.I)
+	case TypeFloat:
+		return binary.BigEndian.AppendUint64(append(b, tagFloat), math.Float64bits(d.F))
+	case TypeString:
+		return binenc.AppendString(append(b, tagString), d.S)
+	case TypeBool:
+		return append(b, tagBool, byte(d.I))
 	default:
 		return append(b, tagNull)
 	}
@@ -421,7 +357,7 @@ func consumeDatum(r *binenc.Reader, prev Datum) Datum {
 		return DFloat(math.Float64frombits(r.Uint64()))
 	case tagString:
 		b := r.Bytes()
-		if !prev.Null && prev.Kind == TypeString && prev.S == string(b) {
+		if prev.Kind == TypeString && prev.S == string(b) {
 			return prev
 		}
 		return DString(string(b))

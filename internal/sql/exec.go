@@ -348,7 +348,7 @@ func (e *Executor) scanRows(ctx context.Context, t *txn.Txn, desc *TableDescript
 			if err != nil {
 				return err
 			}
-			if v.Null || v.Kind != TypeBool || !v.B {
+			if !v.isTrue() {
 				return nil
 			}
 		}
@@ -933,7 +933,7 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select
 			if err != nil {
 				return err
 			}
-			if v.Null || v.Kind != TypeBool || !v.B {
+			if !v.isTrue() {
 				return nil
 			}
 		}
@@ -949,13 +949,13 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select
 		ht := make(map[string][][]Datum, len(rightRows))
 		var key []byte
 		for _, r := range rightRows {
-			if !r[rcol].Null {
+			if r[rcol].Kind != TypeNull {
 				key = appendGroupKey(key[:0], r[rcol])
 				ht[string(key)] = append(ht[string(key)], r)
 			}
 		}
 		for _, l := range leftRows {
-			if l[lcol].Null {
+			if l[lcol].Kind == TypeNull {
 				continue
 			}
 			key = appendGroupKey(key[:0], l[lcol])
@@ -976,7 +976,7 @@ func (e *Executor) joinRows(ctx context.Context, t *txn.Txn, pl *plan, s *Select
 				if err != nil {
 					return err
 				}
-				if !v.Null && v.Kind == TypeBool && v.B {
+				if v.isTrue() {
 					if err := pass(row); err != nil {
 						return err
 					}
@@ -1139,52 +1139,45 @@ func aggFnNamed(name string) aggFn {
 // aggState accumulates one aggregate function over a group. It tracks only
 // what its function's result reads: count for every function (seen is
 // count > 0 once a state crosses the SQL/KV boundary), sum, sumI and isInt
-// for SUM and AVG, min for MIN and max for MAX. min and max are slots: at
-// the KV node a STRING's bytes alias the row value it was read from, which
-// outlives the fold, and on the SQL side they view a Datum's string.
+// for SUM and AVG, min for MIN and max for MAX. At the KV node a STRING min
+// or max views the row value it was read from, which outlives the fold
+// (scanFold).
 type aggState struct {
 	fn    aggFn
 	count int64
 	sum   float64
 	sumI  int64
 	isInt bool
-	min   slot
-	max   slot
+	min   Datum
+	max   Datum
 	seen  bool
 }
 
-// update folds d into a: it is add of d's slot.
+// update folds d into a, a step the row path and the KV node's fold share.
 func (a *aggState) update(d Datum) {
-	v := d.slot()
-	a.add(&v)
-}
-
-// add folds v into a, a step the row path (update) and the KV node's fold
-// share.
-func (a *aggState) add(v *slot) {
 	switch {
-	case v.tag == tagNull:
+	case d.Kind == TypeNull:
 		return
 	case a.fn == aggMin:
-		if !a.seen || compareSlots(v, &a.min) < 0 {
-			a.min = *v
+		if !a.seen || d.Compare(a.min) < 0 {
+			a.min = d
 		}
 	case a.fn == aggMax:
-		if !a.seen || compareSlots(v, &a.max) > 0 {
-			a.max = *v
+		if !a.seen || d.Compare(a.max) > 0 {
+			a.max = d
 		}
-	case v.tag == tagInt:
-		a.addInt(v.i)
+	case d.Kind == TypeInt:
+		a.addInt(d.I)
 		return
-	case v.tag == tagFloat:
-		a.addFloat(v.f)
+	case d.Kind == TypeFloat:
+		a.addFloat(d.F)
 		return
 	}
 	a.count++
 	a.seen = true
 }
 
-// addInt is add of an INT i to a state that sums (neither MIN nor MAX).
+// addInt is update of an INT i to a state that sums (neither MIN nor MAX).
 func (a *aggState) addInt(i int64) {
 	a.count++
 	a.sumI += i
@@ -1192,7 +1185,7 @@ func (a *aggState) addInt(i int64) {
 	a.seen = true
 }
 
-// addFloat is add of a FLOAT f to a state that sums.
+// addFloat is update of a FLOAT f to a state that sums.
 func (a *aggState) addFloat(f float64) {
 	a.count++
 	a.isInt = false
@@ -1218,11 +1211,11 @@ func (a *aggState) merge(p *aggState) {
 	a.count += p.count
 	switch a.fn {
 	case aggMin:
-		if !a.seen || compareSlots(&p.min, &a.min) < 0 {
+		if !a.seen || p.min.Compare(a.min) < 0 {
 			a.min = p.min
 		}
 	case aggMax:
-		if !a.seen || compareSlots(&p.max, &a.max) > 0 {
+		if !a.seen || p.max.Compare(a.max) > 0 {
 			a.max = p.max
 		}
 	default:
@@ -1254,12 +1247,12 @@ func (a *aggState) result() Datum {
 		if !a.seen {
 			return DNull
 		}
-		return a.min.datum()
+		return a.min
 	case aggMax:
 		if !a.seen {
 			return DNull
 		}
-		return a.max.datum()
+		return a.max
 	default:
 		return DNull
 	}

@@ -45,16 +45,16 @@ func evalExpr(env *evalEnv, e Expr) (Datum, error) {
 		}
 		switch x.Op {
 		case "NOT":
-			if v.Null {
+			if v.Kind == TypeNull {
 				return DNull, nil
 			}
 			if v.Kind != TypeBool {
 				return Datum{}, fmt.Errorf("sql: NOT requires a boolean")
 			}
-			return DBool(!v.B), nil
+			return DBool(!v.isTrue()), nil
 		case "-":
 			switch {
-			case v.Null:
+			case v.Kind == TypeNull:
 				return DNull, nil
 			case v.Kind == TypeInt:
 				return DInt(-v.I), nil
@@ -82,8 +82,8 @@ func evalBinary(env *evalEnv, x *BinaryExpr) (Datum, error) {
 		if err != nil {
 			return Datum{}, err
 		}
-		lb := !l.Null && l.Kind == TypeBool && l.B
-		if x.Op == "AND" && (l.Null || !lb) {
+		lb := l.isTrue()
+		if x.Op == "AND" && !lb {
 			return DBool(false), nil
 		}
 		if x.Op == "OR" && lb {
@@ -93,8 +93,7 @@ func evalBinary(env *evalEnv, x *BinaryExpr) (Datum, error) {
 		if err != nil {
 			return Datum{}, err
 		}
-		rb := !r.Null && r.Kind == TypeBool && r.B
-		return DBool(rb), nil
+		return DBool(r.isTrue()), nil
 	}
 
 	l, err := evalExpr(env, x.Left)
@@ -169,19 +168,13 @@ func (o cmpOp) flip() cmpOp {
 }
 
 // holds reports whether `l o r` is true: never when either side is NULL,
-// otherwise as Datum.Compare orders l and r. It is holdsSlots of their
-// slots, which the KV node's fold calls on the columns it decodes.
+// otherwise as Datum.Compare orders l and r. WHERE calls it on the values
+// it evaluates and the KV node's fold on the columns it decodes.
 func (o cmpOp) holds(l, r Datum) bool {
-	a, b := l.slot(), r.slot()
-	return o.holdsSlots(&a, &b)
-}
-
-// holdsSlots is holds of two values in typed form.
-func (o cmpOp) holdsSlots(l, r *slot) bool {
-	if l.tag == tagNull || r.tag == tagNull {
+	if l.Kind == TypeNull || r.Kind == TypeNull {
 		return false
 	}
-	return o.test(compareSlots(l, r))
+	return o.test(l.Compare(r))
 }
 
 // test reports whether o holds between two values that compare c.
@@ -203,7 +196,7 @@ func (o cmpOp) test(c int) bool {
 }
 
 func evalArith(op string, l, r Datum) (Datum, error) {
-	if l.Null || r.Null {
+	if l.Kind == TypeNull || r.Kind == TypeNull {
 		return DNull, nil
 	}
 	// String concatenation via +.

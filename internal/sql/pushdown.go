@@ -36,9 +36,9 @@ import (
 // The evaluator computes only what the statement reads: it decodes only the
 // columns the spec names, and each aggregate keeps only the state its
 // function's result needs. A condition holds there exactly when its
-// comparison does in WHERE: both are cmpOp.holdsSlots, WHERE's over two
-// Datums' slots and the evaluator's over the typed slots the row cursor
-// decodes a row's columns into (scanFold).
+// comparison does in WHERE: both are cmpOp.holds, over the Datums WHERE
+// evaluates and the Datums the row cursor decodes a row's columns into
+// (scanFold).
 
 func init() { kvserver.RegisterScanEvaluator(kvEvaluator{}) }
 
@@ -362,14 +362,15 @@ func appendAggState(b []byte, a *aggState) []byte {
 	b = binenc.AppendBool(b, a.isInt)
 	b = binary.AppendVarint(b, a.sumI)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(a.sum))
-	lo, hi := slot{tag: tagNull}, slot{tag: tagNull}
-	switch a.fn {
-	case aggMin:
+	lo, hi := DNull, DNull
+	switch {
+	case !a.seen:
+	case a.fn == aggMin:
 		lo = a.min
-	case aggMax:
+	case a.fn == aggMax:
 		hi = a.max
 	}
-	return appendSlot(appendSlot(b, &lo), &hi)
+	return AppendDatum(AppendDatum(b, lo), hi)
 }
 
 // consumeAggState reads one appendAggState encoding of a state of fn.
@@ -379,7 +380,7 @@ func consumeAggState(r *binenc.Reader, fn aggFn) aggState {
 		r.Fail()
 	}
 	a := aggState{fn: fn, count: int64(n), isInt: r.Bool(), sumI: r.Varint(), sum: math.Float64frombits(r.Uint64())}
-	a.min, a.max, a.seen = ConsumeDatum(r).slot(), ConsumeDatum(r).slot(), a.count > 0
+	a.min, a.max, a.seen = ConsumeDatum(r), ConsumeDatum(r), a.count > 0
 	return a
 }
 
@@ -445,47 +446,46 @@ func (kvEvaluator) Begin(spec []byte) (kvserver.ScanFold, error) {
 // scanFold evaluates one scan's spec. Folds are pooled: once one has served
 // a scan, a scan like it allocates nothing for its spec or its groups.
 //
-// A row is decoded into typed slots, not Datums: Row reads each column the
-// spec reads once, into slots[k] for column cols[k], and the conditions and
-// aggregates, resolved to slots by compile, read them there. A STRING slot's
-// bytes alias the row value, which is engine memory that does not change
-// (mvcc.ScanFunc), so no STRING is copied: a group's values and an
-// aggregate's MIN or MAX keep aliasing the row they came from until Finish
-// encodes them.
+// Row decodes each column the spec reads once, into row[k] for column
+// cols[k], and the conditions and aggregates, resolved to those positions
+// by compile, read them there. A STRING's S views the row value, which is
+// engine memory that does not change (mvcc.ScanFunc), so no STRING is
+// copied: a group's values and an aggregate's MIN or MAX keep viewing the
+// row they came from until Finish encodes them.
 type scanFold struct {
 	spec scanSpec // decoded into the slices it already holds
 	// cols lists the columns the spec reads, ascending and each once.
-	cols  []int
-	slots []slot
-	// have is how many of cols the row being evaluated has: slot k is one
+	cols []int
+	row  []Datum
+	// have is how many of cols the row being evaluated has: row[k] is one
 	// of its columns exactly when k < have. n is its column count.
 	have, n int
 	conds   []foldCond
-	groupBy []int // the slot of each group column
+	groupBy []int // the position in row of each group column
 	aggs    []foldAgg
 	key     []byte // the row's group key, when index finds groups
 	// keys holds every group's key back to back, group i's ending at
 	// ends[i], and vals its group values, at [i*len(groupBy):], their
-	// STRINGs aliasing the row that opened the group. A row's group is
+	// STRINGs viewing the row that opened the group. A row's group is
 	// found by comparing its values with each group's, or through index
 	// by its key once there are more than linearGroups.
 	keys  []byte
 	ends  []int
-	vals  []slot
+	vals  []Datum
 	index map[string]int
 	// states holds group i's aggregate states at [i*len(aggs):].
 	states []aggState
 	out    []byte // a partial row's value
 }
 
-// foldCond is a specCond resolved to its column's slot.
+// foldCond is a specCond resolved to its column's position in the row.
 type foldCond struct {
 	k   int
 	op  cmpOp
-	val slot // views the spec's constant
+	val Datum
 }
 
-// foldAgg is a specAgg resolved to its column's slot, k being countRows
+// foldAgg is a specAgg resolved to its column's position, k being countRows
 // for COUNT(*). sums is whether its state sums the values (its function is
 // neither MIN nor MAX).
 type foldAgg struct {
@@ -503,7 +503,7 @@ var foldPool sync.Pool
 
 // compile sets f.cols to the columns f's spec reads (those of its
 // conditions, its group columns and its aggregates) and resolves the
-// conditions, group columns and aggregates to their slots.
+// conditions, group columns and aggregates to their positions in f.row.
 func (f *scanFold) compile() {
 	cols := f.cols[:0]
 	for _, c := range f.spec.conds {
@@ -517,21 +517,21 @@ func (f *scanFold) compile() {
 	}
 	slices.Sort(cols)
 	f.cols = slices.Compact(cols)
-	f.slots = slices.Grow(f.slots[:0], len(f.cols))[:len(f.cols)]
-	slotOf := func(col int) int {
+	f.row = slices.Grow(f.row[:0], len(f.cols))[:len(f.cols)]
+	posOf := func(col int) int {
 		k, _ := slices.BinarySearch(f.cols, col)
 		return k
 	}
 	for _, c := range f.spec.conds {
-		f.conds = append(f.conds, foldCond{k: slotOf(c.col), op: c.op, val: c.val.slot()})
+		f.conds = append(f.conds, foldCond{k: posOf(c.col), op: c.op, val: c.val})
 	}
 	for _, c := range f.spec.groupBy {
-		f.groupBy = append(f.groupBy, slotOf(c))
+		f.groupBy = append(f.groupBy, posOf(c))
 	}
 	for _, a := range f.spec.aggs {
 		k := countRows
 		if a.col != countRows {
-			k = slotOf(a.col)
+			k = posOf(a.col)
 		}
 		f.aggs = append(f.aggs, foldAgg{k: k, fn: a.fn, sums: a.fn != aggMin && a.fn != aggMax})
 	}
@@ -550,14 +550,14 @@ func (f *scanFold) Row(value []byte) (bool, error) {
 		if c.k >= f.have {
 			return false, nil // the row has no such column
 		}
-		v := &f.slots[c.k]
+		v := &f.row[c.k]
 		// An INT column against an INT constant, the common case, needs
 		// no call.
-		if v.tag == tagInt && c.val.tag == tagInt {
-			if !c.op.test(cmp.Compare(v.i, c.val.i)) {
+		if v.Kind == TypeInt && c.val.Kind == TypeInt {
+			if !c.op.test(cmp.Compare(v.I, c.val.I)) {
 				return false, nil
 			}
-		} else if !c.op.holdsSlots(v, &c.val) {
+		} else if !c.op.holds(*v, c.val) {
 			return false, nil
 		}
 	}
@@ -567,28 +567,28 @@ func (f *scanFold) Row(value []byte) (bool, error) {
 	return false, f.fold()
 }
 
-// read decodes row value b into f's slots, reporting false where
-// decodeRowValue fails.
+// read decodes the columns of row value b that f keeps into f.row,
+// reporting false where decodeRowValue fails.
 func (f *scanFold) read(b []byte) bool {
 	b, n, ok := openRow(b)
 	if !ok {
 		return false
 	}
-	var skip slot
-	cols, slots := f.cols, f.slots
-	k, want := 0, -1 // the next column to keep, and its slot
+	var skip Datum
+	cols, row := f.cols, f.row
+	k, want := 0, -1 // the next column to keep, and its position in row
 	if len(cols) > 0 {
 		want = cols[0]
 	}
 	for i := range n {
-		s := &skip
+		d := &skip
 		if i == want {
-			s = &slots[k]
+			d = &row[k]
 			if k++; k < len(cols) {
 				want = cols[k]
 			}
 		}
-		if b, ok = readColumn(b, s); !ok {
+		if b, ok = readColumn(b, d); !ok {
 			return false
 		}
 	}
@@ -596,7 +596,7 @@ func (f *scanFold) read(b []byte) bool {
 	return len(b) == 0
 }
 
-// fold adds the row in f's slots, which passed the conditions, to its group.
+// fold adds the row in f.row, which passed the conditions, to its group.
 func (f *scanFold) fold() error {
 	for _, k := range f.groupBy {
 		if k >= f.have {
@@ -617,20 +617,20 @@ func (f *scanFold) fold() error {
 		case a.k >= f.have:
 			return fmt.Errorf("sql: aggregate column %d of a %d-column row", f.cols[a.k], f.n)
 		}
-		v := &f.slots[a.k]
+		v := &f.row[a.k]
 		switch {
-		case a.sums && v.tag == tagInt:
-			states[j].addInt(v.i) // add's INT and FLOAT cases, inline
-		case a.sums && v.tag == tagFloat:
-			states[j].addFloat(v.f)
+		case a.sums && v.Kind == TypeInt:
+			states[j].addInt(v.I) // update's INT and FLOAT cases, inline
+		case a.sums && v.Kind == TypeFloat:
+			states[j].addFloat(v.F)
 		default:
-			states[j].add(v)
+			states[j].update(*v)
 		}
 	}
 	return nil
 }
 
-// lookup returns the group of the row in f's slots: the group whose values
+// lookup returns the group of the row in f.row: the group whose values
 // its group columns equal, which is the group whose key it has
 // (appendGroupKey), so through index the row's key is built.
 func (f *scanFold) lookup() (int, bool) {
@@ -644,7 +644,7 @@ func (f *scanFold) lookup() (int, bool) {
 		vals := f.vals[g*ng : (g+1)*ng]
 		same := true
 		for i, k := range f.groupBy {
-			if !sameSlot(&f.slots[k], &vals[i]) {
+			if !f.row[k].Equal(vals[i]) {
 				same = false
 				break
 			}
@@ -656,21 +656,21 @@ func (f *scanFold) lookup() (int, bool) {
 	return 0, false
 }
 
-// appendKey appends the group key of the row in f's slots.
+// appendKey appends the group key of the row in f.row.
 func (f *scanFold) appendKey(b []byte) []byte {
 	for _, k := range f.groupBy {
-		b = appendSlotKey(b, &f.slots[k])
+		b = appendGroupKey(b, f.row[k])
 	}
 	return b
 }
 
-// open opens the group of the row in f's slots.
+// open opens the group of the row in f.row.
 func (f *scanFold) open() int {
 	g := len(f.ends)
 	f.keys = f.appendKey(f.keys)
 	f.ends = append(f.ends, len(f.keys))
 	for _, k := range f.groupBy {
-		f.vals = append(f.vals, f.slots[k])
+		f.vals = append(f.vals, f.row[k])
 	}
 	for _, a := range f.aggs {
 		f.states = append(f.states, aggState{fn: a.fn, isInt: true})
@@ -702,7 +702,7 @@ func (f *scanFold) Finish(page *kvpb.Page) error {
 		for g, end := range f.ends {
 			f.out = f.out[:0]
 			for i := g * ng; i < (g+1)*ng; i++ {
-				f.out = appendSlot(f.out, &f.vals[i])
+				f.out = AppendDatum(f.out, f.vals[i])
 			}
 			for j := g * na; j < (g+1)*na; j++ {
 				f.out = appendAggState(f.out, &f.states[j])
@@ -719,13 +719,13 @@ func (f *scanFold) Finish(page *kvpb.Page) error {
 // drops every reference into the rows f read, but keeps its spec's
 // constants for the next decode (scanSpec.decode).
 func (f *scanFold) reset() {
-	clear(f.slots)
+	clear(f.row)
 	clear(f.conds)
 	clear(f.vals)
 	clear(f.states)
 	*f = scanFold{
 		spec: scanSpec{conds: f.spec.conds[:0], groupBy: f.spec.groupBy[:0], aggs: f.spec.aggs[:0]},
-		cols: f.cols[:0], slots: f.slots[:0], conds: f.conds[:0], groupBy: f.groupBy[:0], aggs: f.aggs[:0],
+		cols: f.cols[:0], row: f.row[:0], conds: f.conds[:0], groupBy: f.groupBy[:0], aggs: f.aggs[:0],
 		key: f.key[:0], keys: f.keys[:0], ends: f.ends[:0], vals: f.vals[:0],
 		states: f.states[:0], out: f.out[:0],
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
@@ -24,7 +25,7 @@ func appendPrimaryKey(dst keys.Key, tenant keys.TenantID, desc *TableDescriptor,
 		if pkIdx >= len(row) {
 			return dst, fmt.Errorf("sql: row too short for primary key of %s", desc.Name)
 		}
-		if row[pkIdx].Null {
+		if row[pkIdx].Kind == TypeNull {
 			return dst, fmt.Errorf("sql: NULL in primary key of %s", desc.Name)
 		}
 		pkVals = append(pkVals, row[pkIdx])
@@ -69,19 +70,25 @@ func appendRowValue(b []byte, row []Datum) []byte {
 // dst, so a scan decodes every row into one buffer. The value comes out of
 // the KV layer, so it is decoded as untrusted bytes: a malformed one is an
 // error, and dst grows only once the column count is known to fit (every
-// datum is at least its tag byte). On error it returns dst as it was.
+// datum is at least its tag byte). On error it returns dst as it was. The
+// datums own their bytes: a STRING is copied out of b.
 func decodeRowValue(dst []Datum, b []byte) ([]Datum, error) {
 	cols, n, ok := openRow(b)
 	if !ok {
 		return dst, errMalformedRow
 	}
 	row := slices.Grow(dst, n)
-	var s slot
 	for range n {
-		if cols, ok = readColumn(cols, &s); !ok {
+		var d Datum
+		if cols, ok = readColumn(cols, &d); !ok {
 			return dst, errMalformedRow
 		}
-		row = append(row, s.datum())
+		if d.Kind == TypeString {
+			// A copy, which unlike strings.Clone costs no allocation for a
+			// string of one byte.
+			d.S = string(stringBytes(d.S))
+		}
+		row = append(row, d)
 	}
 	if len(cols) != 0 {
 		return dst, errMalformedRow
@@ -95,8 +102,9 @@ var errMalformedRow = fmt.Errorf("sql: decoding row: %w", binenc.ErrMalformed)
 // The row cursor: openRow and readColumn are the one decoder of the row
 // format, behind decodeRowValue and the KV node's fold (scanFold.read). They
 // check what binenc.Reader checks, so they fail exactly where ConsumeDatum
-// would on the same bytes, and read in place: a STRING's bytes alias the
-// row value.
+// would on the same bytes, and read in place: a STRING's S views the row
+// value's bytes (unsafe.String), so it is valid only while they do not
+// change.
 
 // openRow returns the columns of row value b and their count. It reports
 // false unless b begins with a count that the bytes behind it could hold,
@@ -109,23 +117,22 @@ func openRow(b []byte) ([]byte, int, bool) {
 	return b[w:], int(n), true
 }
 
-// readColumn reads the column at the front of b into s and returns the
+// readColumn reads the column at the front of b into d and returns the
 // bytes after it. It reports false when the column is malformed or
-// truncated. A short varint, which most INTs and STRING lengths are, takes
-// no loop.
-func readColumn(b []byte, s *slot) ([]byte, bool) {
+// truncated, and then leaves d as it was. A short varint, which most INTs
+// and STRING lengths are, takes no loop.
+func readColumn(b []byte, d *Datum) ([]byte, bool) {
 	if len(b) < 2 {
 		// Only a NULL, a tag alone, is shorter than two bytes.
 		if len(b) == 1 && b[0] == tagNull {
-			s.tag = tagNull
+			*d = DNull
 			return b[1:], true
 		}
 		return nil, false
 	}
-	tag := b[0]
-	s.tag = tag
-	switch tag {
+	switch b[0] {
 	case tagNull:
+		*d = DNull
 		return b[1:], true
 	case tagInt:
 		// binary.Varint, inline: Uvarint and the zigzag. Keys and dates are
@@ -140,13 +147,13 @@ func readColumn(b []byte, s *slot) ([]byte, bool) {
 				return nil, false
 			}
 		}
-		s.i = int64(u>>1) ^ -int64(u&1)
+		*d = DInt(int64(u>>1) ^ -int64(u&1))
 		return b[1+w:], true
 	case tagFloat:
 		if len(b) < 9 {
 			return nil, false
 		}
-		s.f = math.Float64frombits(binary.BigEndian.Uint64(b[1:9]))
+		*d = DFloat(math.Float64frombits(binary.BigEndian.Uint64(b[1:9])))
 		return b[9:], true
 	case tagString:
 		n, w := uint64(b[1]), 1
@@ -159,13 +166,13 @@ func readColumn(b []byte, s *slot) ([]byte, bool) {
 			return nil, false
 		}
 		end := 1 + w + int(n)
-		s.b = b[1+w : end : end]
+		*d = DString(unsafe.String(unsafe.SliceData(b[1+w:end]), n))
 		return b[end:], true
 	case tagBool:
 		if b[1] > 1 {
 			return nil, false
 		}
-		s.i = int64(b[1])
+		*d = Datum{Kind: TypeBool, I: int64(b[1])}
 		return b[2:], true
 	default:
 		return nil, false

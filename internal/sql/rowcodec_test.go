@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"crdbserverless/internal/binenc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/randutil"
 )
@@ -39,8 +40,7 @@ func mustHex(t testing.TB, s string) []byte {
 // sameDatum compares bit for bit, so a NaN equals itself and -0 differs
 // from 0.
 func sameDatum(a, b Datum) bool {
-	return a.Null == b.Null && a.Kind == b.Kind && a.I == b.I &&
-		math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S && a.B == b.B
+	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
 }
 
 func sameRow(a, b []Datum) bool {
@@ -74,7 +74,7 @@ func TestRowValueGolden(t *testing.T) {
 // float bit pattern survives.
 func TestRowValueEdgeValues(t *testing.T) {
 	row := []Datum{
-		DNull, {Null: true, Kind: TypeString, S: "ignored"},
+		DNull, {Kind: TypeNull, S: "ignored"},
 		DInt(0), DInt(-1), DInt(math.MinInt64), DInt(math.MaxInt64),
 		DString(""), DString("\x00\xff"),
 		DFloat(0), DFloat(math.Copysign(0, -1)), DFloat(math.Inf(1)), DFloat(math.Inf(-1)), DFloat(math.NaN()),
@@ -86,12 +86,75 @@ func TestRowValueEdgeValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append([]Datum(nil), row...)
-	want[1] = DNull // a NULL carries no kind
+	want[1] = DNull // a NULL carries no value
 	if !sameRow(got, want) {
 		t.Fatalf("round trip\n got %+v\nwant %+v", got, want)
 	}
 	if empty, err := decodeRowValue(nil, encodeRowValue(nil)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty row = %v, %v", empty, err)
+	}
+}
+
+// A decoded value owns its bytes: decodeRowValue, ConsumeDatum and
+// decodePartial copy every STRING out of their input, which the KV layer and
+// the wire reuse once they return. Only the KV node's fold reads STRINGs in
+// place (readColumn), and it encodes what it keeps before the row value can
+// change.
+func TestDecodedValuesOwnTheirBytes(t *testing.T) {
+	overwrite := func(b []byte) {
+		for i := range b {
+			b[i] = 0xee
+		}
+	}
+	row := []Datum{DString("key"), DInt(7), DString("a longer string value"), DNull, DString("x"), DString("")}
+	value := encodeRowValue(row)
+	decoded, err := decodeRowValue(nil, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwrite(value)
+	if !sameRow(decoded, row) {
+		t.Fatalf("decodeRowValue's row after its input changed = %+v, want %+v", decoded, row)
+	}
+
+	in := AppendDatum(AppendDatum(nil, DString("one")), DString("two"))
+	r := binenc.NewReader(in)
+	consumed := []Datum{ConsumeDatum(r), ConsumeDatum(r)}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	overwrite(in)
+	if want := []Datum{DString("one"), DString("two")}; !sameRow(consumed, want) {
+		t.Fatalf("ConsumeDatum's values after their input changed = %+v, want %+v", consumed, want)
+	}
+
+	p := pushPlanOf(t, q1Push) // its MAX is of a STRING column
+	partial := AppendDatum(nil, DString("N"))
+	for _, a := range p.aggs {
+		partial = appendAggState(partial, &aggState{fn: a.fn, count: 1, isInt: true, sumI: 2, sum: 2,
+			min: DString("lo"), max: DString("hi"), seen: true})
+	}
+	vals, states, err := decodePartial(p, partial, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwrite(partial)
+	if !sameRow(vals, []Datum{DString("N")}) {
+		t.Fatalf("decodePartial's group value after its input changed = %+v", vals)
+	}
+	for j, a := range p.aggs {
+		var want Datum
+		switch a.fn {
+		case aggMin:
+			want = DString("lo")
+		case aggMax:
+			want = DString("hi")
+		default:
+			continue
+		}
+		if got := states[j].result(); !sameDatum(got, want) {
+			t.Fatalf("decodePartial's aggregate %d after its input changed = %+v, want %+v", j, got, want)
+		}
 	}
 }
 
