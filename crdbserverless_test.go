@@ -252,7 +252,7 @@ func TestConfigSurface(t *testing.T) {
 		{Baseline{}, 6},
 		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 3},
-		{kvserver.Config{}, 3},
+		{kvserver.Config{}, 2},
 		{autoscaler.Config{}, 3},
 		{admission.CPUQueueOptions{}, 4},
 		{admission.WriteQueueOptions{}, 1},

@@ -7,7 +7,7 @@
 // Determinism: the same seed produces a byte-identical fault schedule and
 // operation trace. Everything that influences control flow is drawn from
 // seeded RNGs (the workload RNG and the registry's per-site streams), the
-// workload is single-threaded, the DistSender runs with Parallelism 1, and
+// workload is single-threaded, the DistSender, with faults armed, dispatches in request order, and
 // leases have no expiration, so wall-clock time never decides an outcome.
 // The trace records operations and results, never timestamps.
 
@@ -185,7 +185,7 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 	}
 	defer cluster.Close()
 	ds := kvserver.NewDistSender(cluster, kvserver.Identity{Tenant: chaosTenant},
-		kvserver.Config{Parallelism: 1, Faults: reg})
+		kvserver.Config{Faults: reg})
 	coord := txn.NewCoordinator(ds, cluster.Clock(), chaosTenant)
 	coord.SetFaults(reg)
 	obs := tenantobs.New(tenantobs.Config{Registry: metric.NewRegistry(), Clock: clock})

@@ -4,7 +4,7 @@
 // cmd/repro prints them and bench_test.go wraps them as benchmarks.
 //
 // Absolute numbers differ from the paper's GCP testbed — the substrate here
-// is the simulator described in DESIGN.md — but each experiment preserves
+// is the simulator DESIGN.md §1 describes — but each experiment preserves
 // the paper's shape: who wins, by roughly what factor, and where the
 // crossovers fall.
 package experiments

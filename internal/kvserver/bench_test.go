@@ -20,11 +20,12 @@ func BenchmarkKVBatchGet8Ranges(b *testing.B) {
 		parallelism int
 	}{
 		{"sequential", 1},
-		{"parallel", DefaultParallelism},
+		{"parallel", maxFanout},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			c, want := newFanoutCluster(b)
-			ds := NewDistSender(c, Identity{Tenant: 2}, Config{Parallelism: mode.parallelism})
+			ds := NewDistSender(c, Identity{Tenant: 2})
+			ds.parallelism = mode.parallelism
 			ba := batchOf64Gets(want)
 			ctx := context.Background()
 			// Warm the descriptor cache so the measurement is dispatch only.

@@ -30,8 +30,8 @@ import (
 type DistSender struct {
 	cluster  *Cluster
 	identity Identity
-	// parallelism bounds concurrent sub-batch dispatch; 1 means
-	// sequential.
+	// parallelism bounds concurrent sub-batch dispatch: maxFanout, or 1
+	// (sequential, in request order) when faults are armed.
 	parallelism int
 	// cacheLimit caps both the descriptor cache and the lease-hint map. It
 	// starts at descCacheLimit; only in-package tests lower it.
@@ -54,15 +54,12 @@ type DistSender struct {
 
 // Config tunes a DistSender. The zero value means defaults everywhere.
 type Config struct {
-	// Parallelism bounds how many per-range sub-batches Send dispatches
-	// concurrently. The effective fan-out is min(Parallelism, number of
-	// ranges addressed). 0 means DefaultParallelism; 1 disables the
-	// fan-out entirely (sequential dispatch in request order).
-	Parallelism int
 	// Faults, when non-nil, arms the sender's fault-injection sites:
 	// dist.subbatch.err fails a per-range sub-batch after the server applied
 	// it (the response is dropped on the floor), and dist.desc.stale makes a
 	// META lookup return a stale cached descriptor instead of the fresh one.
+	// With faults armed, sub-batches go out one at a time in request order,
+	// so a seed replays the order the sites are consulted in.
 	Faults *faultinject.Registry
 	// Obs, when non-nil, counts each Send against the sender's tenant on
 	// the tenant observability plane. The tenant's handle is resolved when
@@ -70,8 +67,9 @@ type Config struct {
 	Obs *tenantobs.Plane
 }
 
-// DefaultParallelism is the default bound on concurrent per-range dispatch.
-const DefaultParallelism = 8
+// maxFanout bounds how many per-range sub-batches Send dispatches
+// concurrently; the effective fan-out is min(maxFanout, ranges addressed).
+const maxFanout = 8
 
 // descCacheLimit caps the range-descriptor cache and the lease-hint map.
 // Long-lived senders on split-heavy clusters would otherwise grow those
@@ -80,19 +78,20 @@ const DefaultParallelism = 8
 const descCacheLimit = 512
 
 // NewDistSender returns a sender for the given identity. An optional Config
-// tunes fan-out parallelism and wires faults and observability.
+// wires faults and observability.
 func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	var conf Config
 	if len(cfg) > 0 {
 		conf = cfg[0]
 	}
-	if conf.Parallelism <= 0 {
-		conf.Parallelism = DefaultParallelism
+	parallelism := maxFanout
+	if conf.Faults != nil {
+		parallelism = 1
 	}
 	ds := &DistSender{
 		cluster:     c,
 		identity:    id,
-		parallelism: conf.Parallelism,
+		parallelism: parallelism,
 		cacheLimit:  descCacheLimit,
 		faults:      conf.Faults,
 		obs:         conf.Obs.Tenant(id.Tenant),
@@ -187,8 +186,8 @@ func (ds *DistSender) sendGroup(ctx context.Context, g requestGroup, ba *kvpb.Ba
 	return resp, err
 }
 
-// sendSequential dispatches the groups one at a time in request order — the
-// Parallelism<=1 configuration, and a batch regrouped after a cache miss.
+// sendSequential dispatches the groups one at a time in request order — a
+// sender with faults armed, and a batch regrouped after a cache miss.
 func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup, ba *kvpb.BatchRequest, out *kvpb.BatchResponse, injected []error) error {
 	for gi, g := range groups {
 		resp, err := ds.sendGroup(ctx, g, ba, injected, gi)

@@ -89,11 +89,12 @@ func TestCrossRangeScanMaxKeys(t *testing.T) {
 		parallelism int
 	}{
 		{"sequential", 1},
-		{"parallel", DefaultParallelism},
+		{"parallel", maxFanout},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			c := newTestCluster(t, 3)
-			ds := NewDistSender(c, Identity{Tenant: 2}, Config{Parallelism: mode.parallelism})
+			ds := NewDistSender(c, Identity{Tenant: 2})
+			ds.parallelism = mode.parallelism
 			want := loadKeys(t, ds, 12)
 			splitTenantKeyspace(t, c, "k003", "k006", "k009")
 			for _, maxKeys := range []int64{0, 1, 4, 5, 100} {
@@ -272,11 +273,12 @@ func TestDistSenderOneRangeAllocs(t *testing.T) {
 func TestRandomizedSplitScanProperty(t *testing.T) {
 	const numKeys = 40
 	for _, seed := range []int64{1, 7, 42} {
-		for _, parallelism := range []int{1, DefaultParallelism} {
+		for _, parallelism := range []int{1, maxFanout} {
 			t.Run(fmt.Sprintf("seed=%d/parallelism=%d", seed, parallelism), func(t *testing.T) {
 				rng := randutil.NewRand(seed)
 				c := newTestCluster(t, 3)
-				ds := NewDistSender(c, Identity{Tenant: 2}, Config{Parallelism: parallelism})
+				ds := NewDistSender(c, Identity{Tenant: 2})
+				ds.parallelism = parallelism
 				want := loadKeys(t, ds, numKeys)
 				// 3..6 random distinct split points inside the key run.
 				nSplits := 3 + rng.Intn(4)
@@ -393,7 +395,8 @@ func TestParallelFanoutSpeedup(t *testing.T) {
 	c, want := newFanoutCluster(t)
 	ba := batchOf64Gets(want)
 
-	seq := NewDistSender(c, Identity{Tenant: 2}, Config{Parallelism: 1})
+	seq := NewDistSender(c, Identity{Tenant: 2})
+	seq.parallelism = 1
 	par := NewDistSender(c, Identity{Tenant: 2})
 	seqD := timeBatch(t, seq, ba)
 	parD := timeBatch(t, par, ba)

@@ -99,10 +99,11 @@ func TestPushdownWithoutEvaluatorFailsClosed(t *testing.T) {
 // together must count every row exactly once.
 func TestPushdownPartialsNeverCutByMergeLimit(t *testing.T) {
 	withScanEvaluator(t, prefixEvaluator{})
-	for _, parallelism := range []int{1, DefaultParallelism} {
+	for _, parallelism := range []int{1, maxFanout} {
 		t.Run(fmt.Sprint("parallelism=", parallelism), func(t *testing.T) {
 			c := newTestCluster(t, 3)
-			ds := NewDistSender(c, Identity{Tenant: 2}, Config{Parallelism: parallelism})
+			ds := NewDistSender(c, Identity{Tenant: 2})
+			ds.parallelism = parallelism
 			const n = 40
 			loadKeys(t, ds, n)
 			splitTenantKeyspace(t, c, "k005", "k013", "k014", "k029")

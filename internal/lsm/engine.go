@@ -522,7 +522,7 @@ func (e *Engine) finishFlush(sp *trace.Span, job *flushJob) {
 // reads keep finding it, and the sstable build runs outside the lock on the
 // calling goroutine. The synchronous handoff — not a free-running
 // background goroutine — is what keeps same-seed runs byte-identical
-// (DESIGN.md §8). The sstable id is reserved here so id order matches
+// (DESIGN.md §9). The sstable id is reserved here so id order matches
 // rotation order; the replacement memtable's seed derives from nextID
 // exactly as the seed code did.
 func (e *Engine) flushLocked() (*trace.Span, *flushJob, error) {

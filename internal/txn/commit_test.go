@@ -44,13 +44,7 @@ func newCommitEnv(t *testing.T, faults *faultinject.Registry, wrap func(Sender) 
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	// Armed sites are consulted in a fixed order only under sequential
-	// dispatch.
-	cfg := kvserver.Config{Faults: faults}
-	if faults != nil {
-		cfg.Parallelism = 1
-	}
-	var sender Sender = kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2}, cfg)
+	var sender Sender = kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2}, kvserver.Config{Faults: faults})
 	if wrap != nil {
 		sender = wrap(sender)
 	}

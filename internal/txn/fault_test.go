@@ -34,7 +34,7 @@ func newFaultSetup(t *testing.T, reg *faultinject.Registry) (*kvserver.Cluster, 
 	}
 	t.Cleanup(c.Close)
 	ds := kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2},
-		kvserver.Config{Parallelism: 1, Faults: reg})
+		kvserver.Config{Faults: reg})
 	coord := NewCoordinator(ds, c.Clock(), 2)
 	coord.SetFaults(reg)
 	return c, coord

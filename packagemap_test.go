@@ -65,6 +65,83 @@ func TestDesignMapsEveryPackage(t *testing.T) {
 	}
 }
 
+// designMaxLines bounds DESIGN.md: it states contracts, one section each,
+// and what each change did and measured belongs in CHANGES.md.
+const designMaxLines = 800
+
+func TestDesignLength(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(design), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, want at most %d", n, designMaxLines)
+	}
+}
+
+var (
+	// designSection cites a section by number: "DESIGN.md §9".
+	designSection = regexp.MustCompile(`DESIGN\.md,?\s+§(\d+)`)
+	// titledSection cites a section or subsection by title:
+	// §8's "Byte formats".
+	titledSection = regexp.MustCompile(`§(\d+)'s\s+"([^"]+)"`)
+	designHeading = regexp.MustCompile(`^##\s+(\d+)\.\s+(.+)$`)
+	designSubhead = regexp.MustCompile(`^###\s+(.+)$`)
+)
+
+// TestDesignCitations fails when a Go comment cites a DESIGN.md section
+// that does not exist: every "DESIGN.md §N" needs a "## N." heading, and
+// every §N's "Title" needs a heading of that title in section N.
+func TestDesignCitations(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := map[string]map[string]bool{} // section number -> its headings
+	var section string
+	for _, line := range strings.Split(string(design), "\n") {
+		if m := designHeading.FindStringSubmatch(line); m != nil {
+			section = m[1]
+			titles[section] = map[string]bool{m[2]: true}
+		} else if m := designSubhead.FindStringSubmatch(line); m != nil && section != "" {
+			titles[section][m[1]] = true
+		}
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || d.Name()[0] == '.'):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			text := strings.Join(strings.Fields(cg.Text()), " ")
+			pos := fset.Position(cg.Pos())
+			for _, m := range designSection.FindAllStringSubmatch(text, -1) {
+				if titles[m[1]] == nil {
+					t.Errorf("%s cites DESIGN.md §%s, which has no \"## %s.\" heading", pos, m[1], m[1])
+				}
+			}
+			for _, m := range titledSection.FindAllStringSubmatch(text, -1) {
+				if !titles[m[1]][m[2]] {
+					t.Errorf("%s cites §%s's %q, which DESIGN.md §%s has no heading for", pos, m[1], m[2], m[1])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // assemblyCalls are the constructors of the serving fabric's parts. Only New
 // assembles them; a figure that builds its own measures a different system.
 var assemblyCalls = map[string]bool{

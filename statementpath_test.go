@@ -53,22 +53,28 @@ func pointRead(tb testing.TB, c *Client, k int, want Datum) {
 	}
 }
 
+// warmPointRead makes a 10-row usertable, reads every row 30 times, and
+// returns the point read the allocation tests measure.
+func warmPointRead(t *testing.T) func() {
+	c, values := pointReadSetup(t, 10)
+	for i := 0; i < 300; i++ {
+		pointRead(t, c, i%10, values[i%10])
+	}
+	return func() { pointRead(t, c, 7, values[7]) }
+}
+
 // TestPointReadWholePathAllocs pins the allocations of one point SELECT
 // through every layer in one process: the client's wire codec, the proxy's
 // relay, the SQL node's session loop, parse-free execution from the
 // statement cache, the transaction, DistSender and the KV node's evaluation
-// and MVCC read. DESIGN.md §8's "Allocation budget of a point read" names
+// and MVCC read. testdata/allocsites.golden names the function that makes
 // each one left.
 func TestPointReadWholePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	c, values := pointReadSetup(t, 10)
-	for i := 0; i < 300; i++ {
-		pointRead(t, c, i%10, values[i%10])
-	}
 	const want = 17
-	got := testing.AllocsPerRun(200, func() { pointRead(t, c, 7, values[7]) })
+	got := testing.AllocsPerRun(200, warmPointRead(t))
 	t.Logf("point SELECT through proxy and SQL node: %v allocations", got)
 	if got > want {
 		t.Fatalf("point SELECT through proxy and SQL node makes %v allocations, want at most %v", got, want)
@@ -374,17 +380,10 @@ func TestWriteAfterOwnFoldedReadsCommits(t *testing.T) {
 	pointRead(t, c, reads/2, DString("updated"))
 }
 
-// TestNewOrderWholePathAllocs pins the allocations of one new-order
-// transaction through every layer in one process: the client's wire codec,
-// the proxy's relay, the SQL node's session loop, the transaction's write
-// buffer and its one-phase commit, DistSender, the leaseholder's evaluation
-// and MVCC lookups, and the command's application on each replica.
-// DESIGN.md §8's "Allocation budget of a write transaction" names each one
-// left.
-func TestNewOrderWholePathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not exact under the race detector")
-	}
+// warmNewOrder sets up new_order's schema with 10 items, runs 300 orders,
+// and returns the next order, the operation the allocation tests measure;
+// each call runs a new one.
+func warmNewOrder(t *testing.T) func() {
 	const items = 10
 	_, c := newOrderSetup(t, items)
 	o := 0
@@ -393,13 +392,26 @@ func TestNewOrderWholePathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const want = 121
-	got := testing.AllocsPerRun(200, func() {
+	return func() {
 		if err := newOrder(c, o, items); err != nil {
 			t.Fatal(err)
 		}
 		o++
-	})
+	}
+}
+
+// TestNewOrderWholePathAllocs pins the allocations of one new-order
+// transaction through every layer in one process: the client's wire codec,
+// the proxy's relay, the SQL node's session loop, the transaction's write
+// buffer and its one-phase commit, DistSender, the leaseholder's evaluation
+// and MVCC lookups, and the command's application on each replica.
+// testdata/allocsites.golden names the function that makes each one left.
+func TestNewOrderWholePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const want = 121
+	got := testing.AllocsPerRun(200, warmNewOrder(t))
 	t.Logf("new-order transaction through proxy and SQL node: %v allocations", got)
 	if got > want {
 		t.Fatalf("new-order transaction through proxy and SQL node makes %v allocations, want at most %v", got, want)
