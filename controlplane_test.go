@@ -3,6 +3,7 @@ package crdbserverless
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -286,4 +287,56 @@ func TestNeverRunTenantsHoldNoControlPlaneState(t *testing.T) {
 	if !strings.HasPrefix(page.String(), "== tenant late ") {
 		t.Errorf("late tenant has no series of its own:\n%s", page.String())
 	}
+}
+
+// TestSuspendAndScaleDownRacingConnects: a client that connects and runs a
+// query while its tenant is suspended, or while a scale-down drains one of
+// its two pods, sees no error (paper §4.2.3, §4.3.1). A pod stops only once
+// its last session ends, and the proxy routes once more when a pod refuses
+// the connection because it is stopping or draining. Each round starts the
+// client, then runs the scale event 0–180 µs later.
+func TestSuspendAndScaleDownRacingConnects(t *testing.T) {
+	s := newServerless(t, Options{KVNodesPerRegion: 1})
+	ctx := context.Background()
+	tn, err := s.CreateTenant(ctx, "acme", TenantOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	connectAndClose(t, s, "us-central1", "acme")
+	orch := s.Orchestrator("us-central1")
+	rng := rand.New(rand.NewSource(59))
+	const rounds = 200
+	race := func(name string, before, event func()) {
+		failed := 0
+		var first error
+		for i := 0; i < rounds; i++ {
+			before()
+			done := make(chan error, 1)
+			go func() {
+				c, err := s.Connect("acme", "")
+				if err == nil {
+					_, err = c.Query("SELECT COUNT(*) FROM t")
+					c.Close()
+				}
+				done <- err
+			}()
+			time.Sleep(time.Duration(rng.Intn(181)) * time.Microsecond)
+			event()
+			if err := <-done; err != nil {
+				if failed++; first == nil {
+					first = err
+				}
+			}
+		}
+		if failed > 0 {
+			t.Errorf("%s: %d of %d clients failed; first: %v", name, failed, rounds, first)
+		}
+	}
+	race("suspend", func() {}, func() { orch.SuspendTenant("acme") })
+	scaleTo := func(n int) {
+		if _, err := orch.ScaleTenant(ctx, tn, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	race("scale-down", func() { orch.Tick(); scaleTo(2) }, func() { scaleTo(1) })
 }

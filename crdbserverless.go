@@ -350,9 +350,9 @@ func (s *Serverless) SQLSession(tenantName string) (*Session, error) {
 	return sql.NewSession(exec, "app"), nil
 }
 
-// Suspend scales a tenant to zero compute: it stops the tenant's pods in
-// every region. Suspending a tenant with no pods, or a dropped tenant's,
-// is not an error.
+// Suspend scales a tenant to zero compute in every region: no new session
+// reaches its pods, and each stops once its last session ends. A tenant with
+// no pods, or a dropped tenant's, suspends without error.
 func (s *Serverless) Suspend(ctx context.Context, tenantName string) error {
 	if _, err := s.registry.GetByName(tenantName); err != nil {
 		return err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,9 +137,9 @@ func Fig9(opts Fig9Options) (*Fig9Result, *Table, error) {
 		// Drain the old node and migrate its connections to the newest pod.
 		candidates := orch.PodsForTenant("prod")
 		newest := candidates[len(candidates)-1]
-		old.Node.Drain()
+		old.Node.Drain(false)
 		for tries := 0; tries < 100; tries++ {
-			if p.RequestMigrations(old.Node.Addr(), newest.Node.Addr()) == 0 &&
+			if p.RequestMigrations(old.Node.Addr(), newest.Node.Addr(), math.MaxInt) == 0 &&
 				old.Node.ConnCount() == 0 {
 				break
 			}

@@ -33,7 +33,7 @@ const (
 	PodWarm PodState = iota
 	// PodAssigned: stamped with a tenant and serving.
 	PodAssigned
-	// PodDraining: excluded from routing; connections migrate away.
+	// PodDraining: out of service; open sessions finish or migrate away.
 	PodDraining
 	// PodStopped: terminated.
 	PodStopped
@@ -55,28 +55,32 @@ func (s PodState) String() string {
 	}
 }
 
-// Pod is one SQL-node container.
+// Pod is one SQL-node container. Its lifecycle is its node's: whether the
+// node has a tenant, when it left service, and whether it has stopped.
 type Pod struct {
 	Node *server.SQLNode
-
-	mu         sync.Mutex
-	state      PodState
-	tenant     string
-	drainSince time.Time
 }
 
-// State returns the pod's lifecycle state.
+// State returns the pod's lifecycle state, read from its node.
 func (p *Pod) State() PodState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state
+	drainedAt, stopped := p.Node.Lifecycle()
+	switch {
+	case stopped:
+		return PodStopped
+	case !drainedAt.IsZero():
+		return PodDraining
+	case p.Node.Tenant() == nil:
+		return PodWarm
+	}
+	return PodAssigned
 }
 
 // TenantName returns the assigned tenant name ("" while warm).
 func (p *Pod) TenantName() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tenant
+	if t := p.Node.Tenant(); t != nil {
+		return t.Name
+	}
+	return ""
 }
 
 const (
@@ -184,19 +188,22 @@ func (o *Orchestrator) EnsureWarm(n int) error {
 }
 
 // addPod records a new pod in the fleet, and in the warm pool when warm. If
-// Close ran while the pod started, nothing would ever stop it: addPod closes
+// Close ran while the pod started, nothing would ever stop it: addPod stops
 // it and returns errClosed instead.
 func (o *Orchestrator) addPod(pod *Pod, warm bool) error {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.mu.closed {
-		pod.Node.Close()
+	closed := o.mu.closed
+	if !closed {
+		if warm {
+			o.mu.warm = append(o.mu.warm, pod)
+		}
+		o.mu.all = append(o.mu.all, pod)
+	}
+	o.mu.Unlock()
+	if closed {
+		o.stopPod(pod, true)
 		return errClosed
 	}
-	if warm {
-		o.mu.warm = append(o.mu.warm, pod)
-	}
-	o.mu.all = append(o.mu.all, pod)
 	return nil
 }
 
@@ -206,26 +213,21 @@ func (o *Orchestrator) addPod(pod *Pod, warm bool) error {
 // as the control plane would reschedule a crashed container.
 func (o *Orchestrator) createPod() (*Pod, error) {
 	const maxStartAttempts = 3
-	var lastErr error
+	var err error
 	for attempt := 0; attempt < maxStartAttempts; attempt++ {
 		nodeCfg := o.cfg.Node
 		nodeCfg.InstanceID = o.instanceIDs.Add(1)
-		node := server.NewSQLNode(nodeCfg)
-		pod := &Pod{Node: node, state: PodWarm}
+		pod := &Pod{Node: server.NewSQLNode(nodeCfg)}
 		o.podsCreated.Inc(1)
-		if err := o.cfg.Faults.MaybeErr("orchestrator.start.crash"); err != nil {
-			node.Close()
-			lastErr = err
-			continue
+		if err = o.cfg.Faults.MaybeErr("orchestrator.start.crash"); err == nil {
+			err = pod.Node.Start()
 		}
-		if err := node.Start(); err != nil {
-			node.Close()
-			lastErr = err
-			continue
+		if err == nil {
+			return pod, nil
 		}
-		return pod, nil
+		o.stopPod(pod, true)
 	}
-	return nil, fmt.Errorf("orchestrator: pod failed to start after %d attempts: %w", maxStartAttempts, lastErr)
+	return nil, fmt.Errorf("orchestrator: pod failed to start after %d attempts: %w", maxStartAttempts, err)
 }
 
 // WarmCount returns the warm pool size.
@@ -266,18 +268,13 @@ func (o *Orchestrator) AssignPod(ctx context.Context, t *core.Tenant) (*Pod, err
 		o.mu.Unlock()
 		return nil, errClosed
 	}
-	// Reuse a draining pod of this tenant.
+	// Reuse a draining pod of this tenant, unless it has retired.
 	for _, p := range o.mu.byTenant[t.Name] {
-		p.mu.Lock()
-		if p.state == PodDraining {
-			p.state = PodAssigned
-			p.Node.Undrain()
-			p.mu.Unlock()
+		if p.State() == PodDraining && p.Node.Undrain() {
 			o.mu.Unlock()
 			sp.Eventf("reused draining pod %d", p.Node.InstanceID())
 			return p, nil
 		}
-		p.mu.Unlock()
 	}
 	// Pull from the warm pool.
 	var pod *Pod
@@ -302,15 +299,12 @@ func (o *Orchestrator) AssignPod(ctx context.Context, t *core.Tenant) (*Pod, err
 	}
 	// Stamp with the tenant (the "certificates arrive" moment).
 	certCtx, certSp := trace.StartSpan(ctx, "orchestrator.cert_issue")
-	if err := pod.Node.AssignTenant(certCtx, t); err != nil {
-		certSp.Finish()
+	err := pod.Node.AssignTenant(certCtx, t)
+	certSp.Finish()
+	if err != nil {
+		o.stopPod(pod, true)
 		return nil, err
 	}
-	certSp.Finish()
-	pod.mu.Lock()
-	pod.state = PodAssigned
-	pod.tenant = t.Name
-	pod.mu.Unlock()
 	o.podsAssigned.Inc(1)
 	o.mu.Lock()
 	o.mu.byTenant[t.Name] = append(o.mu.byTenant[t.Name], pod)
@@ -346,11 +340,7 @@ func (o *Orchestrator) ScaleTenant(ctx context.Context, t *core.Tenant, want int
 				victim = p
 			}
 		}
-		victim.mu.Lock()
-		victim.state = PodDraining
-		victim.drainSince = o.cfg.Node.Clock.Now()
-		victim.mu.Unlock()
-		victim.Node.Drain()
+		victim.Node.Drain(false)
 	}
 }
 
@@ -366,7 +356,7 @@ func (o *Orchestrator) servingPods(name string) []*Pod {
 	return out
 }
 
-// Tick reaps draining pods whose connections have closed (or whose drain
+// Tick stops draining pods whose connections have closed (or whose drain
 // timeout expired): "a node shuts down once all connections close or after
 // 10 minutes" (§4.2.3).
 func (o *Orchestrator) Tick() {
@@ -375,40 +365,51 @@ func (o *Orchestrator) Tick() {
 	o.mu.Unlock()
 	now := o.cfg.Node.Clock.Now()
 	for _, p := range pods {
-		p.mu.Lock()
-		if p.state == PodAssigned && o.cfg.Faults.Should("orchestrator.pod.evict") {
+		switch drainedAt, _ := p.Node.Lifecycle(); {
+		case !drainedAt.IsZero():
+			// A draining pod keeps its connections, and stays reusable,
+			// until they close or the drain timeout expires.
+			timedOut := now.Sub(drainedAt) >= drainTimeout
+			if (timedOut || p.Node.ConnCount() == 0) && o.stopPod(p, timedOut) {
+				o.podsReaped.Inc(1)
+			}
+		case p.TenantName() != "" && o.cfg.Faults.Should("orchestrator.pod.evict"):
 			// Injected eviction: the infrastructure reclaims the VM out from
 			// under an assigned pod. The pod stops without draining; the next
 			// directory lookup re-assigns the tenant from the warm pool.
-			p.state = PodStopped
-			p.mu.Unlock()
-			o.stopPod(p)
+			o.stopPod(p, true)
+			o.podsReaped.Inc(1)
 			o.podsEvicted.Inc(1)
-			continue
 		}
-		if p.state == PodDraining &&
-			(p.Node.ConnCount() == 0 || now.Sub(p.drainSince) >= drainTimeout) {
-			p.state = PodStopped
-			p.mu.Unlock()
-			o.stopPod(p)
-			continue
-		}
-		p.mu.Unlock()
 	}
 }
 
-func (o *Orchestrator) stopPod(p *Pod) {
-	o.podsReaped.Inc(1)
-	p.Node.Close()
+// stopPod is the one way a pod stops, and the pod leaves the fleet at once.
+// With force its node closes at once, sessions and all: an eviction, the
+// drain timeout, a pod that failed to start or take its tenant, and Close.
+// Otherwise the node retires and stops itself once no session is open or
+// being bound: at once if none is, else when its last session ends. stopPod
+// reports whether the pod was still one of its tenant's pods.
+func (o *Orchestrator) stopPod(p *Pod, force bool) bool {
+	if force {
+		p.Node.Close()
+	} else {
+		p.Node.Drain(true)
+	}
+	name := p.TenantName()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	name := p.TenantName()
-	if list := removePod(o.mu.byTenant[name], p); len(list) > 0 {
+	o.mu.all = removePod(o.mu.all, p)
+	list := o.mu.byTenant[name]
+	if !slices.Contains(list, p) {
+		return false
+	}
+	if list = removePod(list, p); len(list) > 0 {
 		o.mu.byTenant[name] = list
 	} else {
 		delete(o.mu.byTenant, name)
 	}
-	o.mu.all = removePod(o.mu.all, p)
+	return true
 }
 
 // removePod drops p from list in place, keeping the order of the rest: Tick
@@ -421,27 +422,19 @@ func removePod(list []*Pod, p *Pod) []*Pod {
 }
 
 // SuspendTenant scales the tenant to zero in this region, the
-// scale-to-zero transition of §4.2.3: all its pods stop immediately. No
-// record changes; a tenant without pods here is suspended here.
+// scale-to-zero transition of §4.2.3. Its pods leave the pod map at once, so
+// no lookup returns or reuses them, and each retires: it stops at once if it
+// has no session, else when its last session ends. No record changes; a
+// tenant without pods here is suspended here.
 func (o *Orchestrator) SuspendTenant(name string) {
 	o.mu.Lock()
 	pods := o.mu.byTenant[name]
 	delete(o.mu.byTenant, name)
 	o.mu.Unlock()
 	for _, p := range pods {
-		p.mu.Lock()
-		p.state = PodStopped
-		p.mu.Unlock()
-		p.Node.Close()
+		o.stopPod(p, false)
 		o.suspendedPods.Inc(1)
 	}
-	// A stopped pod is never started again; keeping it would grow all, and
-	// the walk Tick makes over it, by a pod per resume/suspend cycle.
-	o.mu.Lock()
-	for _, p := range pods {
-		o.mu.all = removePod(o.mu.all, p)
-	}
-	o.mu.Unlock()
 }
 
 // resume is one in-flight pod assignment for a tenant with no serving pod;
@@ -464,18 +457,19 @@ func (o *Orchestrator) Lookup(ctx context.Context, tenantName string) ([]proxy.B
 	if t.Dropped {
 		return nil, core.ErrTenantDropped
 	}
-	if err := o.ensureServing(ctx, t); err != nil {
-		return nil, err
+	for {
+		if err := o.ensureServing(ctx, t); err != nil {
+			return nil, err
+		}
+		// Empty when a suspend took the pods between the two reads.
+		var out []proxy.Backend
+		for _, p := range o.servingPods(tenantName) {
+			out = append(out, proxy.Backend{ID: p.Node.InstanceID(), Addr: p.Node.Addr()})
+		}
+		if len(out) > 0 {
+			return out, nil
+		}
 	}
-	var out []proxy.Backend
-	for _, p := range o.servingPods(tenantName) {
-		out = append(out, proxy.Backend{
-			ID:       p.Node.InstanceID(),
-			Addr:     p.Node.Addr(),
-			Draining: p.Node.Draining(),
-		})
-	}
-	return out, nil
 }
 
 // ensureServing assigns the tenant a pod unless one serves. Concurrent
@@ -520,6 +514,6 @@ func (o *Orchestrator) Close() {
 	pods := append([]*Pod(nil), o.mu.all...)
 	o.mu.Unlock()
 	for _, p := range pods {
-		p.Node.Close()
+		o.stopPod(p, true)
 	}
 }

@@ -43,32 +43,59 @@ type proxiedConn struct {
 	migrateCh chan string
 }
 
-// connectBackend dials the SQL node and forwards the startup handshake.
-func (pc *proxiedConn) connectBackend(addr string, startup *wire.Startup) error {
+// route connects the session to a backend of its tenant: it looks the
+// tenant up (for a suspended tenant, the cold start), picks the least-loaded
+// backend other than exclude when there is another, and dials it with the
+// client's startup. A backend that fails the dial or the handshake without
+// refusing the client (connection refused or reset, EOF, a draining node)
+// is excluded and the tenant routed once more, which may be a cold start. A
+// refusal of the client's credentials is a *wire.AuthError, never retried.
+func (pc *proxiedConn) route(ctx context.Context, exclude string) error {
+	for retried := false; ; retried = true {
+		backends, err := pc.proxy.cfg.Directory.Lookup(ctx, pc.tenantName)
+		if err != nil {
+			return err
+		}
+		addr, err := pc.proxy.pickBackend(backends, exclude)
+		if err != nil {
+			return err
+		}
+		if err = pc.dial(addr, wire.MsgStartup, &pc.startup); err == nil {
+			return nil
+		}
+		pc.proxy.releaseBackend(addr)
+		var authErr *wire.AuthError
+		if retried || errors.As(err, &authErr) {
+			return err
+		}
+		trace.SpanFromContext(ctx).Eventf("backend %s refused the session: %v", addr, err)
+		exclude = addr
+	}
+}
+
+// dial opens a connection to the SQL node at addr with a Startup or Restore
+// message and, once the node accepts it, makes it the session's backend in
+// place of the one before.
+func (pc *proxiedConn) dial(addr string, typ byte, msg interface{}) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
 	rd := wire.NewReader(conn)
-	if err := handshake(conn, rd, wire.MsgStartup, startup); err != nil {
+	if err = wire.WriteMessage(conn, typ, msg); err == nil {
+		err = readAuth(rd)
+	}
+	if err != nil {
 		conn.Close()
 		rd.Release()
 		return err
 	}
-	pc.mu.Lock()
-	pc.backend = conn
-	pc.baddr = addr
-	pc.mu.Unlock()
-	pc.backendRd = rd
+	pc.setBackend(conn, rd, addr)
 	return nil
 }
 
-// handshake opens a backend connection with a Startup or Restore message and
-// reads the node's Auth answer through rd.
-func handshake(conn net.Conn, rd *wire.Reader, typ byte, msg interface{}) error {
-	if err := wire.WriteMessage(conn, typ, msg); err != nil {
-		return err
-	}
+// readAuth reads the node's answer to a Startup or Restore.
+func readAuth(rd *wire.Reader) error {
 	frame, err := rd.Next()
 	if err != nil {
 		return err
@@ -80,10 +107,28 @@ func handshake(conn net.Conn, rd *wire.Reader, typ byte, msg interface{}) error 
 	if err := wire.Decode(frame[wire.HeaderSize:], &auth); err != nil {
 		return err
 	}
-	if !auth.OK {
-		return &wire.AuthError{Msg: auth.Msg}
+	switch {
+	case auth.OK:
+		return nil
+	case auth.Msg == wire.RefusedDraining:
+		return errDraining
 	}
-	return nil
+	return &wire.AuthError{Msg: auth.Msg}
+}
+
+// setBackend makes conn, read through rd, the session's backend at addr, and
+// closes and releases the backend it replaces.
+func (pc *proxiedConn) setBackend(conn net.Conn, rd *wire.Reader, addr string) {
+	pc.mu.Lock()
+	old, oldAddr := pc.backend, pc.baddr
+	pc.backend, pc.baddr = conn, addr
+	pc.mu.Unlock()
+	if old != nil {
+		old.Close()
+		pc.backendRd.Release()
+		pc.proxy.releaseBackend(oldAddr)
+	}
+	pc.backendRd = rd
 }
 
 func (pc *proxiedConn) backendAddr() string {
@@ -156,12 +201,17 @@ func (pc *proxiedConn) relay() {
 			return
 		}
 		if pc.proxy.cfg.Faults.Should("proxy.backend.kill") {
-			// Injected SQL-node death between exchanges. The session must
-			// re-route to a healthy backend; only if no backend can be
-			// reached does the client connection die with it.
-			if err := pc.killBackendAndReconnect(); err != nil {
+			// Injected SQL-node death between exchanges. Session state cannot
+			// be captured from a dead node, so the session re-routes with a
+			// fresh startup while the client's connection survives; only if
+			// no backend can be reached does it die with the node.
+			dead := pc.backendAddr()
+			pc.setBackend(nil, nil, "")
+			if err := pc.route(context.Background(), dead); err != nil {
 				return
 			}
+			pc.span.Eventf("backend %s died; session re-routed to %s", dead, pc.backendAddr())
+			pc.proxy.backendReconnects.Inc(1)
 		}
 		if err := pc.exchange(req); err != nil {
 			return
@@ -197,51 +247,6 @@ func (pc *proxiedConn) exchange(req []byte) error {
 	return err
 }
 
-// killBackendAndReconnect severs the current backend connection (modeling a
-// SQL-node crash mid-session) and re-routes the session to a healthy node via
-// the directory. Unlike the idle-window serialize/restore path, session state
-// cannot be captured from a dead node: a fresh startup handshake re-establishes
-// the session, while the client's TCP connection survives untouched.
-func (pc *proxiedConn) killBackendAndReconnect() error {
-	pc.mu.Lock()
-	old := pc.backend
-	oldAddr := pc.baddr
-	pc.backend = nil
-	pc.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	pc.backendRd.Release()
-	pc.proxy.releaseBackend(oldAddr)
-	backends, err := pc.proxy.cfg.Directory.Lookup(context.Background(), pc.tenantName)
-	if err != nil {
-		return err
-	}
-	// Prefer a node other than the one that just died; fall back to it only
-	// when it is the sole backend (the directory may have restarted it).
-	candidates := backends[:0:0]
-	for _, b := range backends {
-		if b.Addr != oldAddr {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = backends
-	}
-	backend, err := pc.proxy.pickBackend(candidates)
-	if err != nil {
-		return err
-	}
-	startup := pc.startup
-	if err := pc.connectBackend(backend.Addr, &startup); err != nil {
-		pc.proxy.releaseBackend(backend.Addr)
-		return err
-	}
-	pc.span.Eventf("backend %s died; session re-routed to %s", oldAddr, backend.Addr)
-	pc.proxy.noteBackendReconnect()
-	return nil
-}
-
 // migrate executes the session-migration protocol: serialize on the old
 // node, restore on the new one, swap connections (§4.2.4). The client never
 // observes the swap.
@@ -267,8 +272,8 @@ func (pc *proxiedConn) migrate(toAddr string) error {
 	return err
 }
 
-// runMigration performs the three-step migration handshake, recording
-// each step on sp.
+// runMigration performs the migration handshake, recording each step on
+// sp.
 func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAddr string) error {
 	// 1. Capture the session. The node refuses if the session is not idle
 	// (open transaction), in which case we simply don't migrate now.
@@ -289,31 +294,15 @@ func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAdd
 	sp.Eventf("session serialized on %s (%d bytes)", oldAddr, len(ser.Data))
 
 	// 2. Restore on the new node using the revival token inside the blob —
-	// no client re-authentication.
-	conn, err := net.Dial("tcp", toAddr)
-	if err != nil {
-		return err
-	}
-	rd := wire.NewReader(conn)
-	if err := handshake(conn, rd, wire.MsgRestore, &wire.Restore{Data: ser.Data}); err != nil {
-		conn.Close()
-		rd.Release()
+	// no client re-authentication — and swap. A failed restore leaves the
+	// session on the old node, which still serves it.
+	if err := pc.dial(toAddr, wire.MsgRestore, &wire.Restore{Data: ser.Data}); err != nil {
 		return fmt.Errorf("proxy: restore failed: %w", err)
 	}
 	sp.Eventf("session restored on %s", toAddr)
-
-	// 3. Swap.
-	pc.mu.Lock()
-	pc.backend = conn
-	pc.baddr = toAddr
-	pc.mu.Unlock()
-	old.Close()
-	pc.backendRd.Release()
-	pc.backendRd = rd
-	pc.proxy.releaseBackend(oldAddr)
 	pc.proxy.mu.Lock()
 	pc.proxy.mu.connsPerBackend[toAddr]++
 	pc.proxy.mu.Unlock()
-	pc.proxy.noteMigration()
+	pc.proxy.migrations.Inc(1)
 	return nil
 }

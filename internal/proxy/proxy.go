@@ -24,15 +24,15 @@ import (
 
 // Backend is one SQL node a tenant connection may be routed to.
 type Backend struct {
-	ID       int64
-	Addr     string
-	Draining bool
+	ID   int64
+	Addr string
 }
 
-// Directory resolves tenants to SQL nodes. The orchestrator implements it;
-// for a tenant with no SQL node in the region (scaled to zero there, or
-// never run there), Lookup takes the cold-start path, pulling a warm node
-// and stamping it, before returning.
+// Directory resolves tenants to the SQL nodes serving them. The orchestrator
+// implements it; for a tenant with no SQL node in the region (scaled to zero
+// there, or never run there), Lookup takes the cold-start path, pulling a
+// warm node and stamping it, before returning. A node may leave service
+// after Lookup returns it; the proxy then routes once more.
 type Directory interface {
 	Lookup(ctx context.Context, tenantName string) ([]Backend, error)
 }
@@ -85,6 +85,10 @@ type Proxy struct {
 	authFailures      *metric.Counter
 	backendReconnects *metric.Counter
 }
+
+// errDraining is a SQL node's refusal of a new session while it is out of
+// service: a routing miss, not a refusal of the client.
+var errDraining = errors.New("proxy: SQL node is draining")
 
 // throttleBase is the backoff after a failed authentication; it doubles per
 // further failure, up to a minute.
@@ -224,25 +228,23 @@ func (p *Proxy) noteAuthSuccess(origin string) {
 	delete(p.mu.throttle, origin)
 }
 
-// pickBackend chooses the non-draining backend with the fewest proxied
-// connections ("least connections", §4.2.2).
-func (p *Proxy) pickBackend(backends []Backend) (Backend, error) {
+// pickBackend chooses the backend with the fewest proxied connections
+// ("least connections", §4.2.2), passing over exclude unless it is the only
+// one, and counts the new connection against it.
+func (p *Proxy) pickBackend(backends []Backend, exclude string) (string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	best := -1
-	for i, b := range backends {
-		if b.Draining {
-			continue
-		}
-		if best == -1 || p.mu.connsPerBackend[b.Addr] < p.mu.connsPerBackend[backends[best].Addr] {
-			best = i
+	best := ""
+	for _, b := range backends {
+		if best == "" || best == exclude || b.Addr != exclude && p.mu.connsPerBackend[b.Addr] < p.mu.connsPerBackend[best] {
+			best = b.Addr
 		}
 	}
-	if best == -1 {
-		return Backend{}, errors.New("proxy: no healthy SQL nodes")
+	if best == "" {
+		return "", errors.New("proxy: no healthy SQL nodes")
 	}
-	p.mu.connsPerBackend[backends[best].Addr]++
-	return backends[best], nil
+	p.mu.connsPerBackend[best]++
+	return best, nil
 }
 
 // releaseBackend returns a connection's hold on addr. An address left with
@@ -297,24 +299,6 @@ func (p *Proxy) handleConn(client net.Conn) {
 		span.SetAttr("proxy.origin", origin)
 		ctx = trace.ContextWithSpan(ctx, span)
 	}
-	// Routing — for a suspended tenant this is the cold-start path, and
-	// the orchestrator's pod-assignment work nests under proxy.route.
-	rctx, routeSp := trace.StartSpan(ctx, "proxy.route")
-	backends, err := p.cfg.Directory.Lookup(rctx, tenantName)
-	if err != nil {
-		routeSp.Finish()
-		wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: false, Msg: err.Error()})
-		return
-	}
-	backend, err := p.pickBackend(backends)
-	if err != nil {
-		routeSp.Finish()
-		wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: false, Msg: err.Error()})
-		return
-	}
-	routeSp.SetAttr("proxy.backend", backend.Addr)
-	routeSp.Finish()
-
 	pc := &proxiedConn{
 		proxy:      p,
 		client:     client,
@@ -324,24 +308,28 @@ func (p *Proxy) handleConn(client net.Conn) {
 		span:       span,
 		migrateCh:  make(chan string, 1),
 	}
-	if err := pc.connectBackend(backend.Addr, &startup); err != nil {
-		p.releaseBackend(backend.Addr)
-		// Detect the backend's negative auth response and throttle.
+	defer func() {
+		pc.close()
+		// Releases whichever backend the session ended on.
+		pc.setBackend(nil, nil, "")
+	}()
+	// Routing — for a suspended tenant this is the cold-start path, and
+	// the orchestrator's pod-assignment work nests under proxy.route.
+	rctx, routeSp := trace.StartSpan(ctx, "proxy.route")
+	err = pc.route(rctx, "")
+	routeSp.SetAttr("proxy.backend", pc.backendAddr())
+	routeSp.Finish()
+	if err != nil {
+		msg := err.Error()
+		// A refusal of the client's credentials throttles its origin.
 		var authErr *wire.AuthError
 		if errors.As(err, &authErr) {
 			p.noteAuthFailure(origin)
-			wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: false, Msg: authErr.Msg})
-		} else {
-			wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: false, Msg: err.Error()})
+			msg = authErr.Msg
 		}
+		wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: false, Msg: msg})
 		return
 	}
-	defer func() {
-		pc.close()
-		// The reader of whichever backend the session ended on.
-		pc.backendRd.Release()
-		p.releaseBackend(pc.backendAddr())
-	}()
 	// Register the connection before the client hears it is in, so a Close
 	// after the client's Connect returns finds it; a closing proxy turns it
 	// away.
@@ -367,55 +355,23 @@ func (p *Proxy) handleConn(client net.Conn) {
 	pc.relay()
 }
 
-// RequestMigrations asks every connection currently on fromAddr to migrate
-// to toAddr at its next idle moment (used for scale-down draining and
-// post-scale-up smoothing, §4.2.2).
-func (p *Proxy) RequestMigrations(fromAddr, toAddr string) int {
+// RequestMigrations asks up to limit connections on fromAddr to migrate to
+// toAddr at their next idle moment (scale-down draining and post-scale-up
+// smoothing, §4.2.2), and returns how many accepted the request.
+func (p *Proxy) RequestMigrations(fromAddr, toAddr string, limit int) int {
 	p.mu.Lock()
 	all := sortedConns(p.mu.conns)
 	p.mu.Unlock()
-	conns := make([]*proxiedConn, 0)
-	for _, pc := range all {
-		if pc.backendAddr() == fromAddr {
-			conns = append(conns, pc)
-		}
-	}
 	n := 0
-	for _, pc := range conns {
-		if pc.requestMigration(toAddr) {
+	for _, pc := range all {
+		if n < limit && pc.backendAddr() == fromAddr && pc.requestMigration(toAddr) {
 			n++
 		}
 	}
 	return n
 }
 
-// RequestMigration asks exactly one connection on fromAddr to migrate to
-// toAddr at its next idle moment. It reports whether a connection accepted
-// the request.
-func (p *Proxy) RequestMigration(fromAddr, toAddr string) bool {
-	p.mu.Lock()
-	all := sortedConns(p.mu.conns)
-	p.mu.Unlock()
-	conns := make([]*proxiedConn, 0)
-	for _, pc := range all {
-		if pc.backendAddr() == fromAddr {
-			conns = append(conns, pc)
-		}
-	}
-	for _, pc := range conns {
-		if pc.requestMigration(toAddr) {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *Proxy) noteMigration() { p.migrations.Inc(1) }
-
-func (p *Proxy) noteBackendReconnect() { p.backendReconnects.Inc(1) }
-
-// RebalanceTick evens connection counts across each tenant's healthy
-// backends (§4.2.2: "proxy servers periodically re-balance connections
+// RebalanceTick evens connection counts across each tenant's backends (§4.2.2: "proxy servers periodically re-balance connections
 // across available SQL nodes"; after a scale-up, connections migrate from
 // loaded nodes to new ones to smooth the distribution). It requests at most
 // one migration per overloaded backend per tick, and returns the number of
@@ -445,17 +401,11 @@ func (p *Proxy) RebalanceTick(ctx context.Context) int {
 		if err != nil {
 			continue
 		}
-		healthy := make([]Backend, 0, len(backends))
-		for _, b := range backends {
-			if !b.Draining {
-				healthy = append(healthy, b)
-			}
-		}
-		if len(healthy) < 2 {
+		if len(backends) < 2 {
 			continue
 		}
-		counts := make(map[string]int, len(healthy))
-		for _, b := range healthy {
+		counts := make(map[string]int, len(backends))
+		for _, b := range backends {
 			counts[b.Addr] = 0
 		}
 		for _, pc := range conns {
@@ -481,7 +431,7 @@ func (p *Proxy) RebalanceTick(ctx context.Context) int {
 			if maxC-minC <= 1 {
 				break
 			}
-			if !p.RequestMigration(maxA, minA) {
+			if p.RequestMigrations(maxA, minA, 1) == 0 {
 				break
 			}
 			requested++

@@ -76,7 +76,7 @@ func (e *env) Lookup(ctx context.Context, tenantName string) ([]Backend, error) 
 	var out []Backend
 	for _, n := range e.nodes {
 		if tn := n.Tenant(); tn != nil && tn.Name == tenantName {
-			out = append(out, Backend{ID: n.InstanceID(), Addr: n.Addr(), Draining: n.Draining()})
+			out = append(out, Backend{ID: n.InstanceID(), Addr: n.Addr()})
 		}
 	}
 	if len(out) == 0 {
@@ -181,7 +181,7 @@ func TestProxySkipsDrainingBackends(t *testing.T) {
 	acme, _ := e.reg.CreateTenant(ctx, "acme", core.TenantOptions{})
 	n1 := e.addNode(t, acme)
 	n2 := e.addNode(t, acme)
-	n1.Drain()
+	n1.Drain(false)
 	p := startProxy(t, Config{Directory: e})
 	for i := 0; i < 4; i++ {
 		c, err := wire.Connect(p.Addr(), map[string]string{"tenant": "acme"})
@@ -306,8 +306,8 @@ func TestProxySessionMigration(t *testing.T) {
 
 	// Scale up: a second node appears; drain the first and migrate.
 	n2 := e.addNode(t, acme)
-	n1.Drain()
-	if n := p.RequestMigrations(n1.Addr(), n2.Addr()); n != 1 {
+	n1.Drain(false)
+	if n := p.RequestMigrations(n1.Addr(), n2.Addr(), 1); n != 1 {
 		t.Fatalf("requested %d migrations", n)
 	}
 	// The migration happens at the next idle moment; poll until done.
@@ -350,7 +350,7 @@ func TestProxyMigrationSkipsBusySessions(t *testing.T) {
 	c.Query("INSERT INTO t VALUES (1)")
 
 	n2 := e.addNode(t, acme)
-	p.RequestMigrations(n1.Addr(), n2.Addr())
+	p.RequestMigrations(n1.Addr(), n2.Addr(), 1)
 	time.Sleep(100 * time.Millisecond)
 	if p.Migrations() != 0 {
 		t.Fatal("busy session migrated")

@@ -108,8 +108,8 @@ func TestRelayMigratesWithHalfAFrameBuffered(t *testing.T) {
 	frame := rc.encode(wire.MsgQuery, &wire.Query{SQL: "SELECT b FROM t WHERE a = 1"})
 	rc.write(frame[:3])
 	n2 := e.addNode(t, acme)
-	n1.Drain()
-	if n := p.RequestMigrations(n1.Addr(), n2.Addr()); n != 1 {
+	n1.Drain(false)
+	if n := p.RequestMigrations(n1.Addr(), n2.Addr(), 1); n != 1 {
 		t.Fatalf("requested %d migrations, want 1", n)
 	}
 	waitFor(t, "the migration", func() bool { return p.Migrations() == 1 })
@@ -149,8 +149,8 @@ func TestRelayLeavesNoGoroutineAfterClose(t *testing.T) {
 		defer c.Close()
 		clients = append(clients, c)
 	}
-	p.RequestMigrations(n1.Addr(), n2.Addr())
-	p.RequestMigrations(n2.Addr(), n1.Addr())
+	p.RequestMigrations(n1.Addr(), n2.Addr(), len(clients))
+	p.RequestMigrations(n2.Addr(), n1.Addr(), len(clients))
 	p.Close()
 	for _, c := range clients {
 		c.Close()

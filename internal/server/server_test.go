@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -335,17 +336,58 @@ func TestSQLNodeDrainRefusesNewConns(t *testing.T) {
 	env := newEnv(t)
 	tn, _ := env.reg.CreateTenant(context.Background(), "acme", core.TenantOptions{})
 	n := env.startNode(t, tn)
-	n.Drain()
-	if !n.Draining() {
-		t.Fatal("not draining")
+	open, err := wire.Connect(n.Addr(), map[string]string{"tenant": "acme"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer open.Close()
+	n.Drain(false)
+	if drainedAt, stopped := n.Lifecycle(); drainedAt.IsZero() || stopped {
+		t.Fatalf("after Drain(false): drained at %v, stopped %v; want draining, not stopped", drainedAt, stopped)
+	}
+	// The handshake itself is refused, so the client has sent no request
+	// when it learns the node is out of service.
+	var authErr *wire.AuthError
+	if _, err := wire.Connect(n.Addr(), map[string]string{"tenant": "acme"}); !errors.As(err, &authErr) || authErr.Msg != wire.RefusedDraining {
+		t.Fatalf("connect to a draining node = %v, want the draining refusal", err)
+	}
+	// The session open before the drain still serves.
+	if _, err := open.Query("SHOW TABLES"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSQLNodeRetiresWhenIdle: a node drained with stop keeps serving its
+// open session, refuses new ones, and stops itself when that session ends.
+func TestSQLNodeRetiresWhenIdle(t *testing.T) {
+	env := newEnv(t)
+	tn, _ := env.reg.CreateTenant(context.Background(), "acme", core.TenantOptions{})
+	n := env.startNode(t, tn)
 	c, err := wire.Connect(n.Addr(), map[string]string{"tenant": "acme"})
 	if err != nil {
-		t.Fatal(err) // auth still succeeds; the first query is refused
+		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Query("SHOW TABLES"); err == nil {
-		t.Fatal("draining node served a new connection")
+	n.Drain(true)
+	if _, stopped := n.Lifecycle(); stopped {
+		t.Fatal("node with an open session stopped")
+	}
+	if n.Undrain() {
+		t.Fatal("a retired node returned to service")
+	}
+	if _, err := c.Query("SHOW TABLES"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, stopped := n.Lifecycle(); !stopped; _, stopped = n.Lifecycle() {
+		if time.Now().After(deadline) {
+			t.Fatal("node did not stop after its last session ended")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if conn, err := net.Dial("tcp", n.Addr()); err == nil {
+		conn.Close()
+		t.Fatal("stopped node still accepts connections")
 	}
 }
 

@@ -63,38 +63,42 @@ type SQLNodeConfig struct {
 // flow of §4.3.1: Start opens the TCP listener and begins accepting before a
 // tenant is assigned (connections wait in the accept path instead of being
 // reset); AssignTenant — the analogue of certificates appearing on the
-// file system — completes initialization.
+// file system — completes initialization. The node owns its lifecycle: it
+// stops only when no session is open or being bound, or when Close forces it.
 type SQLNode struct {
 	cfg SQLNodeConfig
 	ln  net.Listener
 
 	tenantReady chan struct{}
-	// closing ends when Close starts, cutting short any quota throttle wait.
+	// closing ends when the node stops, cutting short any quota throttle
+	// wait; stopped is closed once its goroutines have ended.
 	closing context.Context
 	cancel  context.CancelFunc
+	stopped chan struct{}
 
 	mu struct {
 		sync.Mutex
-		tenant   *core.Tenant
-		exec     *sql.Executor
-		metered  *MeteredSender
-		bucket   *tenantcost.NodeBucket
-		draining bool
-		closed   bool
-		conns    map[net.Conn]*connState
-		// sessionCount is current open sessions; queries is cumulative.
+		tenant  *core.Tenant
+		exec    *sql.Executor
+		metered *MeteredSender
+		bucket  *tenantcost.NodeBucket
+		// drainedAt is when the node left service, zero while it serves. A
+		// retired node has left system.sql_instances and stops once conns
+		// is empty; closed is set when it stops.
+		drainedAt time.Time
+		retired   bool
+		closed    bool
+		// conns holds every accepted connection not yet ended: the sessions
+		// open or being bound.
+		conns map[net.Conn]struct{}
+		// queries is cumulative.
 		queries int64
 		// synthetic load for autoscaling experiments (vCPUs).
-		synthRate   float64
-		synthAccum  float64
-		synthSince  time.Time
-		activeConns int
+		synthRate  float64
+		synthAccum float64
+		synthSince time.Time
 	}
 	wg sync.WaitGroup
-}
-
-type connState struct {
-	session *sql.Session
 }
 
 // NewSQLNode creates a node; call Start to open its listener.
@@ -111,9 +115,9 @@ func NewSQLNode(cfg SQLNodeConfig) *SQLNode {
 	if cfg.CostScale == 0 {
 		cfg.CostScale = 1
 	}
-	n := &SQLNode{cfg: cfg, tenantReady: make(chan struct{})}
+	n := &SQLNode{cfg: cfg, tenantReady: make(chan struct{}), stopped: make(chan struct{})}
 	n.closing, n.cancel = context.WithCancel(context.Background())
-	n.mu.conns = make(map[net.Conn]*connState)
+	n.mu.conns = make(map[net.Conn]struct{})
 	n.mu.synthSince = cfg.Clock.Now()
 	return n
 }
@@ -150,22 +154,18 @@ func (n *SQLNode) Region() region.Region { return n.cfg.Region }
 // AssignTenant stamps the node with its tenant — the moment the tenant's
 // certificates land on the pod's file system in production (§4.3.1). The
 // node connects to the KV layer, builds its SQL stack, and registers itself
-// in system.sql_instances for DistSQL discovery. A closed node refuses: its
-// instance row would advertise a dead address that nothing removes.
+// in system.sql_instances for DistSQL discovery, under n.mu, so a retiring
+// Drain or Close deregisters after it. A retired node refuses: its instance
+// row would advertise a dead address that nothing removes.
 func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	n.mu.Lock()
-	if n.mu.closed {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.mu.retired {
 		return errors.New("server: node closed")
 	}
 	if n.mu.tenant != nil {
-		n.mu.Unlock()
 		return errors.New("server: tenant already assigned")
 	}
-	// Close waits for the registration below before it deregisters, so a
-	// Close racing this call cannot leave the row behind.
-	n.wg.Add(1)
-	defer n.wg.Done()
 	// The tenant enters the observability plane with its first pod, before
 	// any signal keyed by its ID alone could name a series after the ID.
 	// The DistSender, coordinator, executor and node bucket made below each
@@ -187,9 +187,8 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	if n.cfg.Buckets != nil {
 		n.mu.bucket = tenantcost.NewNodeBucket(n.cfg.Buckets, n.cfg.Clock, t.ID, int32(n.cfg.InstanceID))
 	}
-	n.mu.Unlock()
+	// Connections waiting on tenantReady bind once n.mu is released.
 	close(n.tenantReady)
-
 	// The startup write to system.sql_instances (§3.2.5).
 	return sql.RegisterInstance(ctx, coord, t.ID, sql.SQLInstance{
 		ID: n.cfg.InstanceID, Region: n.cfg.Region, Addr: n.Addr(),
@@ -210,53 +209,87 @@ func (n *SQLNode) Executor() *sql.Executor {
 	return n.mu.exec
 }
 
-// Drain puts the node into draining: new connections are refused while
-// existing ones finish or migrate (§4.2.3).
-func (n *SQLNode) Drain() {
+// Drain takes the node out of service (§4.2.3): from now on it refuses new
+// sessions, while open ones finish or migrate away. With stop, the node also
+// retires: it leaves system.sql_instances, cannot return to service, and
+// stops once no session is open or being bound, at once if none is, else
+// when the last one ends.
+func (n *SQLNode) Drain(stop bool) { n.leave(stop, false) }
+
+// Undrain returns a draining node to service, the churn-reduction path of
+// §4.2.3 where draining nodes are reused before pre-warmed ones. A retired
+// node stays out: Undrain reports whether the node serves.
+func (n *SQLNode) Undrain() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.mu.draining = true
+	if !n.mu.retired {
+		n.mu.drainedAt = time.Time{}
+	}
+	return !n.mu.retired
 }
 
-// Undrain returns a draining node to service — the churn-reduction path of
-// §4.2.3 where draining nodes are reused before pre-warmed ones.
-func (n *SQLNode) Undrain() {
+// Lifecycle reports when the node left service (zero while it serves) and
+// whether it has stopped.
+func (n *SQLNode) Lifecycle() (drainedAt time.Time, stopped bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.mu.draining = false
+	return n.mu.drainedAt, n.mu.closed
 }
 
-// Draining reports whether the node is draining.
-func (n *SQLNode) Draining() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.mu.draining
-}
-
-// ConnCount returns the number of open connections.
+// ConnCount returns the number of connections open or being bound.
 func (n *SQLNode) ConnCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.mu.activeConns
+	return len(n.mu.conns)
 }
 
-// Close shuts the node down.
+// Close stops the node at once, closing its open connections, and returns
+// once it has stopped.
 func (n *SQLNode) Close() {
+	n.leave(true, true)
+	<-n.stopped
+}
+
+// leave takes the node out of service, retiring it if retire, all under
+// n.mu; a retired node stops if force is set or no connection is left.
+func (n *SQLNode) leave(retire, force bool) {
 	n.mu.Lock()
-	if n.mu.closed {
-		n.mu.Unlock()
+	if n.mu.drainedAt.IsZero() {
+		n.mu.drainedAt = n.cfg.Clock.Now()
+	}
+	var tenant *core.Tenant
+	if retire && !n.mu.retired {
+		tenant = n.mu.tenant
+	}
+	n.mu.retired = n.mu.retired || retire
+	halt := n.mu.retired && !n.mu.closed && (force || len(n.mu.conns) == 0)
+	n.mu.closed = n.mu.closed || halt
+	n.mu.Unlock()
+	n.finish(tenant, halt)
+}
+
+// finish deregisters the node from system.sql_instances when tenant is
+// set, then, with halt, stops it: the listener and every connection close,
+// and their goroutines end.
+func (n *SQLNode) finish(tenant *core.Tenant, halt bool) {
+	if tenant != nil {
+		ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: tenant.ID})
+		coord := txn.NewCoordinator(ds, n.cfg.Cluster.Clock(), tenant.ID)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		//lint:allow faulterr best-effort deregistration during shutdown; the node is gone either way and the orchestrator prunes stale rows
+		_ = sql.UnregisterInstance(ctx, coord, tenant.ID, n.cfg.Region, n.cfg.InstanceID)
+		cancel()
+	}
+	if !halt {
 		return
 	}
-	n.mu.closed = true
+	n.mu.Lock()
 	conns := make([]net.Conn, 0, len(n.mu.conns))
 	for c := range n.mu.conns {
 		conns = append(conns, c)
 	}
-	sort.Slice(conns, func(i, j int) bool {
-		return conns[i].RemoteAddr().String() < conns[j].RemoteAddr().String()
-	})
-	tenant := n.mu.tenant
 	n.mu.Unlock()
+	sort.Slice(conns, func(i, j int) bool { return conns[i].RemoteAddr().String() < conns[j].RemoteAddr().String() })
 	n.cancel()
 	if n.ln != nil {
 		n.ln.Close()
@@ -265,16 +298,7 @@ func (n *SQLNode) Close() {
 		c.Close()
 	}
 	n.wg.Wait()
-	// Deregister from system.sql_instances. The wait above let an
-	// AssignTenant already past its closed check finish registering.
-	if tenant != nil {
-		ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: tenant.ID})
-		coord := txn.NewCoordinator(ds, n.cfg.Cluster.Clock(), tenant.ID)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		//lint:allow faulterr best-effort deregistration during shutdown; the node is gone either way and the orchestrator prunes stale rows
-		_ = sql.UnregisterInstance(ctx, coord, tenant.ID, n.cfg.Region, n.cfg.InstanceID)
-	}
+	close(n.stopped)
 }
 
 // CumulativeCPUSeconds returns the node's total CPU consumption: measured
@@ -323,22 +347,35 @@ func (n *SQLNode) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		n.mu.Unlock()
+		n.mu.conns[conn] = struct{}{}
 		n.wg.Add(1)
+		n.mu.Unlock()
 		go func() {
-			defer n.wg.Done()
 			n.handleConn(conn)
+			n.mu.Lock()
+			delete(n.mu.conns, conn)
+			halt := n.mu.retired && !n.mu.closed && len(n.mu.conns) == 0
+			n.mu.closed = n.mu.closed || halt
+			n.mu.Unlock()
+			// A retired node's last session stops it, outside the wait group.
+			n.wg.Done()
+			n.finish(nil, halt)
 		}()
 	}
 }
 
-// handleConn serves one wire-protocol connection.
+// handleConn serves one wire-protocol connection. A node out of service
+// refuses the session in its Auth answer, before the client sends a
+// request, so the proxy can route the client elsewhere.
 func (n *SQLNode) handleConn(conn net.Conn) {
 	defer conn.Close()
-
 	// Pre-warmed nodes accept the TCP connection before the tenant is known
 	// — the client's handshake waits here rather than seeing a reset.
-	<-n.tenantReady
+	select {
+	case <-n.tenantReady:
+	case <-n.closing.Done():
+		return
+	}
 
 	rd := wire.NewReader(conn)
 	defer rd.Release()
@@ -346,88 +383,50 @@ func (n *SQLNode) handleConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	session, refusal := n.open(frame)
+	if err := wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: session != nil, Msg: refusal}); err != nil || session == nil {
+		return
+	}
+	n.serveSession(conn, rd, session)
+}
+
+// open authenticates a startup against the tenant record, or resumes a
+// migrated session from a restore (§4.2.4), whose revival token
+// authenticates it without client credentials. It returns the session, or
+// why it is refused.
+func (n *SQLNode) open(frame []byte) (*sql.Session, string) {
+	if drainedAt, stopped := n.Lifecycle(); stopped || !drainedAt.IsZero() {
+		return nil, wire.RefusedDraining
+	}
 	payload := frame[wire.HeaderSize:]
-	var session *sql.Session
-	switch frame[0] {
-	case wire.MsgStartup:
-		var s wire.Startup
-		if err := wire.Decode(payload, &s); err != nil {
-			return
+	var s wire.Startup
+	var r wire.Restore
+	switch {
+	case frame[0] == wire.MsgStartup && wire.Decode(payload, &s) == nil:
+		tenant := n.Tenant()
+		if name := s.Params["tenant"]; name != "" && name != tenant.Name {
+			return nil, "tenant mismatch"
 		}
-		session = n.authenticate(conn, &s)
-	case wire.MsgRestore:
-		var r wire.Restore
-		if err := wire.Decode(payload, &r); err != nil {
-			return
+		if tenant.Password != "" && s.Params["password"] != tenant.Password {
+			return nil, "invalid credentials"
 		}
-		session = n.restore(conn, &r)
-	default:
-		return
+		user := s.Params["user"]
+		if user == "" {
+			user = "root"
+		}
+		return sql.NewSession(n.Executor(), user), ""
+	case frame[0] == wire.MsgRestore && wire.Decode(payload, &r) == nil:
+		ser, err := sql.DecodeSerializedSession(r.Data)
+		if err != nil {
+			return nil, "bad session payload"
+		}
+		session, err := sql.RestoreSession(n.Executor(), ser, n.cfg.RevivalSecret)
+		if err != nil {
+			return nil, err.Error()
+		}
+		return session, ""
 	}
-	if session == nil {
-		return
-	}
-
-	st := &connState{session: session}
-	n.mu.Lock()
-	if n.mu.draining || n.mu.closed {
-		n.mu.Unlock()
-		wire.WriteMessage(conn, wire.MsgResult, &wire.Result{Err: "server is draining"})
-		return
-	}
-	n.mu.conns[conn] = st
-	n.mu.activeConns++
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.mu.conns, conn)
-		n.mu.activeConns--
-		n.mu.Unlock()
-	}()
-
-	n.serveSession(conn, rd, st)
-}
-
-// authenticate validates startup credentials against the tenant record and
-// answers with an Auth message.
-func (n *SQLNode) authenticate(conn net.Conn, s *wire.Startup) *sql.Session {
-	tenant := n.Tenant()
-	name := s.Params["tenant"]
-	if name != "" && name != tenant.Name {
-		wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: false, Msg: "tenant mismatch"})
-		return nil
-	}
-	if tenant.Password != "" && s.Params["password"] != tenant.Password {
-		wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: false, Msg: "invalid credentials"})
-		return nil
-	}
-	if err := wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: true}); err != nil {
-		return nil
-	}
-	user := s.Params["user"]
-	if user == "" {
-		user = "root"
-	}
-	return sql.NewSession(n.Executor(), user)
-}
-
-// restore resumes a migrated session (§4.2.4): the revival token inside the
-// serialized payload authenticates it without client credentials.
-func (n *SQLNode) restore(conn net.Conn, r *wire.Restore) *sql.Session {
-	ser, err := sql.DecodeSerializedSession(r.Data)
-	if err != nil {
-		wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: false, Msg: "bad session payload"})
-		return nil
-	}
-	session, err := sql.RestoreSession(n.Executor(), ser, n.cfg.RevivalSecret)
-	if err != nil {
-		wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: false, Msg: err.Error()})
-		return nil
-	}
-	if err := wire.WriteMessage(conn, wire.MsgAuth, &wire.Auth{OK: true}); err != nil {
-		return nil
-	}
-	return session
+	return nil, "expected a startup or restore message"
 }
 
 // serveSession runs the query loop, reading the connection through rd. The
@@ -437,11 +436,11 @@ func (n *SQLNode) restore(conn net.Conn, r *wire.Restore) *sql.Session {
 // result, row array or implicit transaction of its own. The Scratch is
 // released once each result is written, so it keeps no values between
 // statements.
-func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
+func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, session *sql.Session) {
 	ctx := context.Background()
 	var q wire.Query
 	var scratch sql.Scratch
-	texts := st.session.CachedText
+	texts := session.CachedText
 	for {
 		frame, err := rd.Next()
 		if err != nil {
@@ -463,7 +462,7 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 				// so the span is already the context carrying itself.
 				qctx = qsp
 			}
-			res, qerr := st.session.ExecuteIn(qctx, &scratch, q.SQL, q.Args)
+			res, qerr := session.ExecuteIn(qctx, &scratch, q.SQL, q.Args)
 			qsp.Finish()
 			n.enforceQuota(n.closing)
 			out := &wire.Result{}
@@ -479,19 +478,17 @@ func (n *SQLNode) serveSession(conn net.Conn, rd *wire.Reader, st *connState) {
 			}
 			scratch.Release()
 		case wire.MsgSerialize:
-			ser, serr := st.session.Serialize(n.cfg.RevivalSecret)
+			ser, serr := session.Serialize(n.cfg.RevivalSecret)
 			resp := &wire.Serialized{}
 			if serr != nil {
 				resp.Err = serr.Error()
 			} else {
 				resp.Data = ser.Encode()
 			}
+			// The session serves on until the proxy, having restored it
+			// elsewhere, closes this connection: a failed restore leaves it
+			// where it is.
 			if err := wire.WriteMessage(conn, wire.MsgSerialized, resp); err != nil {
-				return
-			}
-			if resp.Err == "" {
-				// The proxy takes the session elsewhere; this connection is
-				// done.
 				return
 			}
 		default:

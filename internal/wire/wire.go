@@ -59,6 +59,11 @@ type Auth struct {
 	Msg string
 }
 
+// RefusedDraining is the Auth message of a SQL node out of service. The
+// refusal is the node's, not the client's credentials', so the proxy routes
+// the client elsewhere.
+const RefusedDraining = "server is draining"
+
 // Query is one SQL statement with bound arguments.
 type Query struct {
 	SQL  string
