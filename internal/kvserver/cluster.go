@@ -60,12 +60,15 @@ type rangeState struct {
 	// read evaluation records into the timestamp cache and write evaluation
 	// consults it, and the two must not interleave.
 	latch sync.Mutex
-	// desc is the range's descriptor, the same pointer the directory holds.
-	// Batches, the tick and the replication group's state machines read it
-	// without a lock (the state machines run under the group's lock, and
-	// splitLocked holds the cluster lock while calling into the group), so a
-	// split or move publishes a new descriptor instead of editing this one.
+	// desc is the range's descriptor. Batches, the tick and the replication
+	// group's state machines read it without a lock (the state machines run
+	// under the group's lock), so a split or move publishes a new descriptor,
+	// through the directory's swap, instead of editing this one.
 	desc atomic.Pointer[RangeDescriptor]
+	// retired is set when a merge takes the range out of the directory. A
+	// batch or merge that waited for the latch checks it before using the
+	// range.
+	retired atomic.Bool
 	// group is the range's replication group. A replica move replaces it
 	// while the tick and the lease balancer read it without a lock, so it is
 	// published the same way.
@@ -131,20 +134,18 @@ type Cluster struct {
 	// it, right after NewCluster.
 	splitSize int64
 
-	// nodesMu guards the node map separately from mu: liveness callbacks
-	// fire from lease checks that may run while mu is held.
+	// nodesMu guards the node map. Liveness callbacks read it from lease
+	// checks inside the replication groups.
 	nodesMu struct {
 		sync.RWMutex
 		nodes     map[NodeID]*Node
 		nodeOrder []NodeID
 	}
-	mu struct {
-		sync.RWMutex
-		ranges      map[RangeID]*rangeState
-		nextRangeID RangeID
-		auth        Authorizer
-	}
-	dir metaDirectory
+	// lastRangeID is the RangeID most recently handed out.
+	lastRangeID atomic.Int64
+	// auth is the installed Authorizer, nil if none is.
+	auth atomic.Pointer[Authorizer]
+	dir  metaDirectory
 }
 
 // NewCluster creates a cluster from the given nodes with a single range
@@ -158,8 +159,6 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, clock: cfg.Clock, hlc: hlc.NewClock(cfg.Clock), splitSize: splitSizeThreshold}
 	c.nodesMu.nodes = make(map[NodeID]*Node)
-	c.mu.ranges = make(map[RangeID]*rangeState)
-	c.mu.nextRangeID = 1
 	for _, n := range nodes {
 		if _, dup := c.nodesMu.nodes[n.id]; dup {
 			return nil, fmt.Errorf("kvserver: duplicate node id %d", n.id)
@@ -167,11 +166,18 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 		c.nodesMu.nodes[n.id] = n
 		c.nodesMu.nodeOrder = append(c.nodesMu.nodeOrder, n.id)
 	}
-	// Initial range spans the whole keyspace.
-	span := keys.Span{Key: keys.MinKey.Next(), EndKey: keys.MaxKey}
-	if _, err := c.createRangeLocked(span, c.pickReplicasLocked()); err != nil {
+	// The first range spans the whole keyspace. Its replicas are the first
+	// nodes round-robin from its RangeID, 1.
+	order := c.nodesMu.nodeOrder
+	replicas := make([]NodeID, min(replicationFactor, len(order)))
+	for i := range replicas {
+		replicas[i] = order[(1+i)%len(order)]
+	}
+	rs, err := c.newRangeState(keys.Span{Key: keys.MinKey.Next(), EndKey: keys.MaxKey}, replicas, 0)
+	if err != nil {
 		return nil, err
 	}
+	c.dir.ranges = []*rangeState{rs}
 	return c, nil
 }
 
@@ -180,9 +186,11 @@ func (c *Cluster) Clock() *hlc.Clock { return c.hlc }
 
 // SetAuthorizer installs the SQL/KV boundary authorization check.
 func (c *Cluster) SetAuthorizer(a Authorizer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mu.auth = a
+	if a == nil {
+		c.auth.Store(nil)
+		return
+	}
+	c.auth.Store(&a)
 }
 
 // A ScanEvaluator evaluates what a Scan pushes down to the KV node in
@@ -250,47 +258,15 @@ func (c *Cluster) liveness(id raftlite.NodeID) bool {
 	return ok && n.Live()
 }
 
-// pickReplicasLocked chooses replica nodes for a new range, preferring an
-// even spread (round-robin from a rotating offset).
-func (c *Cluster) pickReplicasLocked() []NodeID {
-	c.nodesMu.RLock()
-	defer c.nodesMu.RUnlock()
-	order := c.nodesMu.nodeOrder
-	rf := min(replicationFactor, len(order))
-	start := int(c.mu.nextRangeID) % len(order)
-	out := make([]NodeID, 0, rf)
-	for i := 0; i < rf; i++ {
-		out = append(out, order[(start+i)%len(order)])
-	}
-	return out
-}
-
-// createRangeLocked registers a new range over span with the given replicas
-// and inserts it into the directory.
-func (c *Cluster) createRangeLocked(span keys.Span, replicas []NodeID) (*rangeState, error) {
-	rs, err := c.newRangeStateLocked(span, replicas, 0)
-	if err != nil {
-		return nil, err
-	}
-	desc := rs.desc.Load()
-	if err := c.dir.insert(desc); err != nil {
-		delete(c.mu.ranges, desc.RangeID)
-		return nil, err
-	}
-	return rs, nil
-}
-
-// newRangeStateLocked allocates a range (ID, group, state) without touching
-// the directory; split commits the directory change atomically via replace.
-// The new range has no lease; the next tick grants one.
-func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID, generation int64) (*rangeState, error) {
-	id := c.mu.nextRangeID
-	c.mu.nextRangeID++
+// newRangeState allocates a range (ID, group, state) outside the directory,
+// which only a swap changes. The new range has no lease; the next tick grants
+// one.
+func (c *Cluster) newRangeState(span keys.Span, replicas []NodeID, generation int64) (*rangeState, error) {
 	// The range state exists before its group: each replica's state machine
 	// reads the descriptor (and writes the applied key) through it.
 	rs := &rangeState{tsc: newTSCache()}
 	rs.desc.Store(&RangeDescriptor{
-		RangeID:    id,
+		RangeID:    RangeID(c.lastRangeID.Add(1)),
 		Span:       span,
 		Replicas:   append([]NodeID(nil), replicas...),
 		Generation: generation,
@@ -300,7 +276,6 @@ func (c *Cluster) newRangeStateLocked(span keys.Span, replicas []NodeID, generat
 		return nil, err
 	}
 	rs.group.Store(group)
-	c.mu.ranges[id] = rs
 	return rs, nil
 }
 
@@ -325,34 +300,44 @@ func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, 
 	}, replicas, sms)
 }
 
-// rangeByID resolves a range ID to its live state (nil once merged away).
-func (c *Cluster) rangeByID(id RangeID) *rangeState {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.mu.ranges[id]
+// seedGroup starts g, the group of a range that continues the ranges whose
+// groups are preds, where their history left off: its commit index is the sum
+// of theirs, and each replica's applied index the sum of its applied indexes
+// in them. The data already lives in every replica's engine at those
+// indexes, so a replica that lagged in a predecessor reads as lagging here
+// too and heals via snapshot; a group seeded at zero would count it caught
+// up, and its state would stay stale once the predecessors' logs truncate.
+// copied, unless 0, is a replica that holds a copy of another's engine (a
+// move's target), applied at copiedAt.
+func seedGroup(g *raftlite.Group, preds []*raftlite.Group, copied NodeID, copiedAt uint64) {
+	var commit uint64
+	replicas := g.Replicas()
+	applied := make(map[NodeID]uint64, len(replicas))
+	for _, p := range preds {
+		commit += p.CommitIndex()
+		for _, nid := range replicas {
+			if a, err := p.AppliedIndex(nid); err == nil {
+				applied[nid] += a
+			}
+		}
+	}
+	if copied != 0 {
+		applied[copied] = copiedAt
+	}
+	g.SeedState(commit, applied)
 }
 
-// rangeFor returns the range state containing key. The directory lookup
-// shares the published descriptor; nothing is copied.
+// rangeFor returns the range containing key.
 func (c *Cluster) rangeFor(key keys.Key) (*rangeState, error) {
-	desc, err := c.dir.lookup(key)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rs, ok := c.mu.ranges[desc.RangeID]
-	if !ok {
-		return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
-	}
-	return rs, nil
+	rs, _, err := c.dir.lookup(key)
+	return rs, err
 }
 
 // LookupRange returns the descriptor for the range containing key — the META
 // range lookup. Reads of META tolerate staleness (follower reads, §3.2.5):
 // callers cache results and rely on redirects when ranges move.
 func (c *Cluster) LookupRange(key keys.Key) (*RangeDescriptor, error) {
-	d, err := c.dir.lookup(key)
+	_, d, err := c.dir.lookup(key)
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +365,6 @@ func (c *Cluster) SplitAt(key keys.Key) error {
 // splitLocked performs the split with rs.latch held. It reports whether a
 // split actually happened (false when key is already a boundary).
 func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	desc := rs.desc.Load()
 	if key.Equal(desc.Span.Key) {
 		return false, nil // already a boundary
@@ -391,48 +374,36 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	}
 	rightSpan := keys.Span{Key: key.Clone(), EndKey: desc.Span.EndKey}
 	// The right side inherits the parent's replicas: data stays in place.
-	right, err := c.newRangeStateLocked(rightSpan, desc.Replicas, 0)
+	right, err := c.newRangeState(rightSpan, desc.Replicas, 0)
 	if err != nil {
 		return false, err
 	}
-	// The right group continues the parent's history: its data already lives
-	// in every replica's engine at the parent's applied indexes. Seed it at
-	// the parent's commit so a replica that was lagging in the parent reads
-	// as lagging here too and heals via snapshot — a fresh group at commit
-	// zero would consider such a replica caught up and its right-span state
-	// would stay stale forever once the parent's log truncates.
 	parent := rs.group.Load()
-	applied := make(map[NodeID]uint64, len(desc.Replicas))
-	for _, nid := range desc.Replicas {
-		if a, err := parent.AppliedIndex(nid); err == nil {
-			applied[nid] = a
-		}
-	}
-	right.group.Load().SeedState(parent.CommitIndex(), applied)
+	seedGroup(right.group.Load(), []*raftlite.Group{parent}, 0, 0)
 	// The right side remembers the reads already served on its span, so no
 	// write there can land below one of them.
 	right.tsc.absorb(rs.tsc, rightSpan)
-	// Shrink the left side and commit both descriptors atomically.
+	// Split halves the parent's accumulated size statistic.
+	rs.statsMu.Lock()
+	half := rs.writtenBytes / 2
+	rs.statsMu.Unlock()
+	right.writtenBytes = half
+	// Shrink the left side and publish both descriptors at once.
 	left := *desc
 	left.Span.EndKey = key.Clone()
 	left.Generation++
-	rightDesc := right.desc.Load()
-	if err := c.dir.replace(desc.RangeID, &left, rightDesc); err != nil {
-		delete(c.mu.ranges, rightDesc.RangeID)
+	if err := c.dir.swap([]*RangeDescriptor{desc}, rangeUpdate{rs, &left}, rangeUpdate{right, right.desc.Load()}); err != nil {
 		return false, err
 	}
-	rs.desc.Store(&left)
+	rs.statsMu.Lock()
+	rs.writtenBytes = half
+	rs.statsMu.Unlock()
 	// The new right range's lease starts with the parent's leaseholder so
 	// serving continues without interruption.
 	if lh, ok := parent.Leaseholder(); ok {
 		//lint:allow faulterr a failed hand-over leaves the right range without a lease, which the next tick grants
 		_ = right.group.Load().AcquireLease(lh)
 	}
-	// Split halves the parent's accumulated size statistic.
-	rs.statsMu.Lock()
-	rs.writtenBytes /= 2
-	right.writtenBytes = rs.writtenBytes
-	rs.statsMu.Unlock()
 	return true, nil
 }
 
@@ -489,7 +460,7 @@ func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 // the per-node lease series of Fig 12.
 func (c *Cluster) LeaseCounts() map[NodeID]int {
 	out := make(map[NodeID]int)
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		if lh, ok := rs.group.Load().Leaseholder(); ok {
 			out[lh]++
 		}
@@ -508,7 +479,7 @@ type RangeLease struct {
 // (bench/e2e) counts lease transfers through it, and that module changes
 // only in changes of its own.
 func (c *Cluster) RangeLoads() []RangeLease {
-	ranges := c.rangesByID()
+	ranges := c.dir.byID()
 	out := make([]RangeLease, 0, len(ranges))
 	for _, rs := range ranges {
 		lh, _ := rs.group.Load().Leaseholder()
@@ -537,7 +508,7 @@ func (c *Cluster) Tick() {
 	// leases[n] lists the ranges node n holds the lease of, in RangeID
 	// order: the count balancer's input.
 	leases := make(map[NodeID][]*rangeState)
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		holder := rs.group.Load().Lease().Holder
 		if !live[holder] {
 			var ok bool
@@ -653,7 +624,7 @@ type ReplicaStatus struct {
 // reads these.
 func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 	var out []ReplicaStatus
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		g := rs.group.Load()
 		commit := g.CommitIndex()
 		for _, nid := range g.Replicas() {
@@ -674,7 +645,7 @@ func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 // truncated log (crashed stores) and rejoined via state transfer.
 func (c *Cluster) RaftSnapshots() int64 {
 	var total int64
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		total += rs.group.Load().Snapshots()
 	}
 	return total
@@ -685,7 +656,7 @@ func (c *Cluster) RaftSnapshots() int64 {
 // the raft log replay a revived node performs.
 func (c *Cluster) CatchUpReplicas() error {
 	var firstErr error
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		g := rs.group.Load()
 		for _, nid := range g.Replicas() {
 			if err := g.CatchUp(nid); err != nil && firstErr == nil {
@@ -694,22 +665,6 @@ func (c *Cluster) CatchUpReplicas() error {
 		}
 	}
 	return firstErr
-}
-
-// rangesByID snapshots the range states in RangeID order.
-func (c *Cluster) rangesByID() []*rangeState {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]RangeID, 0, len(c.mu.ranges))
-	for id := range c.mu.ranges {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]*rangeState, len(ids))
-	for i, id := range ids {
-		out[i] = c.mu.ranges[id]
-	}
-	return out
 }
 
 // RunGC reclaims old MVCC versions across every range and node, retaining
@@ -722,7 +677,7 @@ func (c *Cluster) rangesByID() []*rangeState {
 //lint:allow deadsurface roadmap: "One read path, one engine mode" step 4 drives MVCC GC from the tick
 func (c *Cluster) RunGC(keepAfter hlc.Timestamp) (int, error) {
 	removed := 0
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		rs.latch.Lock()
 		desc := rs.desc.Load()
 		for _, nid := range desc.Replicas {
@@ -763,11 +718,8 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	if !ok {
 		return nil, fmt.Errorf("kvserver: unknown node %d", nodeID)
 	}
-	c.mu.RLock()
-	auth := c.mu.auth
-	c.mu.RUnlock()
-	if auth != nil {
-		if err := auth.Authorize(id, ba); err != nil {
+	if auth := c.auth.Load(); auth != nil {
+		if err := (*auth).Authorize(id, ba); err != nil {
 			return nil, err
 		}
 	}
@@ -882,11 +834,11 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			lookups.Put(look)
 		}()
 	}
-	// A split or merge may have run while the batch waited for the latch: the
-	// range must still be live and still contain every request span, or the
-	// batch would write through a group whose span no longer covers its keys.
+	// A split or merge may have run while the batch waited for the latch: a
+	// merge retires the range, and a split leaves it a shorter span. The batch
+	// must not write through a group whose span no longer covers its keys.
 	desc := rs.desc.Load()
-	if c.rangeByID(desc.RangeID) != rs {
+	if rs.retired.Load() {
 		return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
 	}
 	if err := checkSpans(desc, ba); err != nil {
@@ -909,18 +861,6 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 			rs.tsc.recordRead(sp, readTs, txnID)
 		}
 	}()
-
-	if ba.IsReadOnly() {
-		for _, r := range ba.Requests {
-			out, err := evalRead(n, look, r, readTs, txnID, resp)
-			if err != nil {
-				return nil, err
-			}
-			readSpans = append(readSpans, r.Span())
-			resp.Responses = append(resp.Responses, out)
-		}
-		return resp, nil
-	}
 
 	// checkWrite combines the timestamp-cache push with MVCC conflicts, and
 	// returns the key's newest version, which the write's entries take.
@@ -1053,8 +993,8 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 		}
 	}
 
-	// A batch whose writes come to no entries (a resolve that found no
-	// intent) has nothing to replicate.
+	// A batch whose requests come to no entries (reads alone, or a resolve
+	// that found no intent) has nothing to replicate.
 	if len(ents.List) > 0 {
 		if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(ents.List)); err != nil {
 			return nil, err

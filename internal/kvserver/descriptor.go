@@ -6,7 +6,9 @@
 package kvserver
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,138 +40,123 @@ func (d *RangeDescriptor) String() string {
 	return fmt.Sprintf("r%d:%s replicas=%v gen=%d", d.RangeID, d.Span, d.Replicas, d.Generation)
 }
 
-// metaDirectory is the range-addressing index — the role of the META range
-// (§3.2.5). Lookups may be served from stale snapshots (modeling follower
-// reads); the source of truth is updated transactionally on splits.
+// metaDirectory is the range table, the role of the META range (§3.2.5):
+// the only index of the cluster's ranges, which it holds in key order. Their
+// spans partition the keyspace. A lookup reads, under the lock, the
+// partition the last swap left; it is never stale. Staleness comes from the
+// DistSender's descriptor cache (and the dist.desc.stale fault site), whose
+// sends rely on redirects when ranges change.
 //
-// The directory holds the same descriptor pointers the ranges publish. A
-// descriptor is immutable once published — a split, move or merge publishes
-// a new one — so in-package lookups share it; LookupRange and Descriptors
-// hand copies to callers outside the package.
+// A range's descriptor is immutable once published, and only a swap
+// publishes one, under the lock. In-package lookups share it; LookupRange
+// and Descriptors hand copies to callers outside the package.
 type metaDirectory struct {
-	mu sync.RWMutex
-	// byStart holds descriptors sorted by span start key; spans partition
-	// the keyspace with no overlaps.
-	byStart []*RangeDescriptor
+	mu     sync.RWMutex
+	ranges []*rangeState
 }
 
-// lookup returns the descriptor whose span contains k.
-func (m *metaDirectory) lookup(k keys.Key) (*RangeDescriptor, error) {
+// rangeUpdate is one range of a swap's result: rs, published with desc.
+type rangeUpdate struct {
+	rs   *rangeState
+	desc *RangeDescriptor
+}
+
+// lookup returns the range whose span contains k, with its descriptor.
+func (m *metaDirectory) lookup(k keys.Key) (*rangeState, *RangeDescriptor, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	i := sort.Search(len(m.byStart), func(i int) bool {
-		return k.Less(m.byStart[i].Span.Key)
+	i := sort.Search(len(m.ranges), func(i int) bool {
+		return k.Less(m.ranges[i].desc.Load().Span.Key)
 	})
-	if i == 0 {
-		return nil, fmt.Errorf("kvserver: no range contains key %s", k)
+	if i == 0 || !m.ranges[i-1].desc.Load().ContainsKey(k) {
+		return nil, nil, fmt.Errorf("kvserver: no range contains key %s", k)
 	}
-	d := m.byStart[i-1]
-	if !d.ContainsKey(k) {
-		return nil, fmt.Errorf("kvserver: no range contains key %s", k)
-	}
-	return d, nil
+	rs := m.ranges[i-1]
+	return rs, rs.desc.Load(), nil
 }
 
 // all returns copies of all descriptors in key order.
 func (m *metaDirectory) all() []*RangeDescriptor {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]*RangeDescriptor, len(m.byStart))
-	for i, d := range m.byStart {
-		out[i] = d.clone()
+	out := make([]*RangeDescriptor, len(m.ranges))
+	for i, rs := range m.ranges {
+		out[i] = rs.desc.Load().clone()
 	}
 	return out
 }
 
-// next returns the descriptor whose span starts exactly at start — the right
-// neighbor of a range ending there — or nil if no such range exists.
-func (m *metaDirectory) next(start keys.Key) *RangeDescriptor {
+// byID returns the ranges in RangeID order, the order of every walk whose
+// calls into the replication groups may consult fault sites.
+func (m *metaDirectory) byID() []*rangeState {
+	m.mu.RLock()
+	out := slices.Clone(m.ranges)
+	m.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *rangeState) int {
+		return cmp.Compare(a.desc.Load().RangeID, b.desc.Load().RangeID)
+	})
+	return out
+}
+
+// next returns the range whose span starts exactly at start, the right
+// neighbor of a range ending there, or nil if no such range exists.
+func (m *metaDirectory) next(start keys.Key) *rangeState {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	i := m.searchLocked(start)
-	if i < len(m.byStart) && m.byStart[i].Span.Key.Equal(start) {
-		return m.byStart[i]
+	if i := m.searchLocked(start); i < len(m.ranges) && m.ranges[i].desc.Load().Span.Key.Equal(start) {
+		return m.ranges[i]
 	}
 	return nil
 }
 
-// searchLocked returns the index of the first descriptor whose start key is
-// >= k (binary search; byStart is sorted by start key at all times).
+// searchLocked returns the index of the first range whose start key is >= k.
 func (m *metaDirectory) searchLocked(k keys.Key) int {
-	return sort.Search(len(m.byStart), func(i int) bool {
-		return !m.byStart[i].Span.Key.Less(k)
+	return sort.Search(len(m.ranges), func(i int) bool {
+		return !m.ranges[i].desc.Load().Span.Key.Less(k)
 	})
 }
 
-// insert adds a descriptor; spans must not overlap existing ones. The
-// descriptor is spliced into position with a binary search — no full re-sort,
-// so building a fleet of thousands of ranges stays O(n log n) total rather
-// than O(n² log n).
-func (m *metaDirectory) insert(d *RangeDescriptor) error {
+// swap publishes a split, a merge or a replica move: the ranges whose
+// descriptors are old, adjacent and in key order, give way to next, whose
+// non-empty spans must tile exactly the keys old covered. A range of old
+// that next does not keep is retired. swap refuses, changing nothing, when
+// one of old is no longer its range's current descriptor or they are not
+// adjacent, so a range is registered only by a swap that succeeded.
+func (m *metaDirectory) swap(old []*RangeDescriptor, next ...rangeUpdate) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.searchLocked(d.Span.Key)
-	// Only the neighbors can overlap a candidate that sorts at position i.
-	if i > 0 && m.byStart[i-1].Span.Overlaps(d.Span) {
-		return fmt.Errorf("kvserver: descriptor %s overlaps %s", d, m.byStart[i-1])
+	i := m.searchLocked(old[0].Span.Key)
+	if i+len(old) > len(m.ranges) {
+		return fmt.Errorf("kvserver: range %d is not current", old[0].RangeID)
 	}
-	if i < len(m.byStart) && m.byStart[i].Span.Overlaps(d.Span) {
-		return fmt.Errorf("kvserver: descriptor %s overlaps %s", d, m.byStart[i])
-	}
-	m.byStart = append(m.byStart, nil)
-	copy(m.byStart[i+1:], m.byStart[i:])
-	m.byStart[i] = d
-	return nil
-}
-
-// replace atomically swaps old for the given descriptors (the split commit).
-// The replacements are spliced into the vacated slot in key order.
-func (m *metaDirectory) replace(old RangeID, with ...*RangeDescriptor) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := m.indexOfLocked(old)
-	if idx == -1 {
-		return fmt.Errorf("kvserver: range %d not in directory", old)
-	}
-	repl := append([]*RangeDescriptor(nil), with...)
-	sort.Slice(repl, func(i, j int) bool {
-		return repl[i].Span.Key.Less(repl[j].Span.Key)
-	})
-	out := make([]*RangeDescriptor, 0, len(m.byStart)-1+len(repl))
-	out = append(out, m.byStart[:idx]...)
-	out = append(out, repl...)
-	out = append(out, m.byStart[idx+1:]...)
-	m.byStart = out
-	return nil
-}
-
-// mergeReplace atomically swaps two adjacent descriptors for their union (the
-// merge commit). It verifies adjacency under the directory lock so a racing
-// split can never leave the directory with a gap or an overlap.
-func (m *metaDirectory) mergeReplace(left, right RangeID, with *RangeDescriptor) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	li := m.indexOfLocked(left)
-	if li == -1 || li+1 >= len(m.byStart) || m.byStart[li+1].RangeID != right {
-		return fmt.Errorf("kvserver: ranges %d and %d are not adjacent in the directory", left, right)
-	}
-	ld, rd := m.byStart[li], m.byStart[li+1]
-	if !with.Span.Key.Equal(ld.Span.Key) || !with.Span.EndKey.Equal(rd.Span.EndKey) {
-		return fmt.Errorf("kvserver: merged span %s does not cover %s + %s", with.Span, ld.Span, rd.Span)
-	}
-	m.byStart[li] = with
-	m.byStart = append(m.byStart[:li+1], m.byStart[li+2:]...)
-	return nil
-}
-
-// indexOfLocked finds a descriptor's position by RangeID.
-func (m *metaDirectory) indexOfLocked(id RangeID) int {
-	for i, d := range m.byStart {
-		if d.RangeID == id {
-			return i
+	cur := m.ranges[i : i+len(old)]
+	for j, d := range old {
+		if cur[j].desc.Load() != d {
+			return fmt.Errorf("kvserver: range %d is not current or not adjacent", d.RangeID)
 		}
 	}
-	return -1
+	at := old[0].Span.Key
+	for _, u := range next {
+		if !u.desc.Span.Key.Equal(at) || !u.desc.Span.Key.Less(u.desc.Span.EndKey) {
+			return fmt.Errorf("kvserver: %s does not continue the swap at %s", u.desc, at)
+		}
+		at = u.desc.Span.EndKey
+	}
+	if !at.Equal(old[len(old)-1].Span.EndKey) {
+		return fmt.Errorf("kvserver: the swap's ranges end at %s, not %s", at, old[len(old)-1].Span.EndKey)
+	}
+	for _, rs := range cur {
+		if !slices.ContainsFunc(next, func(u rangeUpdate) bool { return u.rs == rs }) {
+			rs.retired.Store(true)
+		}
+	}
+	states := make([]*rangeState, len(next))
+	for j, u := range next {
+		u.rs.desc.Store(u.desc)
+		states[j] = u.rs
+	}
+	m.ranges = slices.Replace(m.ranges, i, i+len(old), states...)
+	return nil
 }
 
 func (d *RangeDescriptor) clone() *RangeDescriptor {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -335,11 +336,11 @@ func TestNonLeaseholderReadRedirects(t *testing.T) {
 	ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}})
 
 	desc, _ := c.LookupRange(k)
-	lh, ok := func() (NodeID, bool) {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.mu.ranges[desc.RangeID].group.Load().Leaseholder()
-	}()
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, ok := rs.group.Load().Leaseholder()
 	if !ok {
 		t.Fatal("no leaseholder")
 	}
@@ -351,7 +352,7 @@ func TestNonLeaseholderReadRedirects(t *testing.T) {
 		}
 	}
 	ba := &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(), Requests: []kvpb.Request{getReq(k)}}
-	_, err := c.Batch(ctx, follower, Identity{Tenant: 2}, ba)
+	_, err = c.Batch(ctx, follower, Identity{Tenant: 2}, ba)
 	var nle *kvpb.NotLeaseholderError
 	if !errors.As(err, &nle) || nle.Leaseholder != lh {
 		t.Fatalf("read from a follower = %v", err)
@@ -418,9 +419,10 @@ func TestDistSenderChasesLeaseholder(t *testing.T) {
 	}
 	// Move the lease away; the DistSender's hint is now stale.
 	desc, _ := c.LookupRange(k)
-	c.mu.RLock()
-	rs := c.mu.ranges[desc.RangeID]
-	c.mu.RUnlock()
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lh, _ := rs.group.Load().Leaseholder()
 	var other NodeID
 	for _, r := range desc.Replicas {
@@ -591,39 +593,111 @@ func TestCostConfigShapes(t *testing.T) {
 	}
 }
 
+// TestMetaDirectoryInvariants drives the range table through its one
+// publish, the swap. A split, a merge and a move each leave the table a
+// partition of the keyspace in which every range is found by key and by ID.
+// A swap whose old ranges are stale or not adjacent, or whose new spans do
+// not tile the old ones, is refused and leaves the table as it was.
 func TestMetaDirectoryInvariants(t *testing.T) {
-	var dir metaDirectory
-	d1 := &RangeDescriptor{RangeID: 1, Span: keys.Span{Key: keys.Key("a"), EndKey: keys.Key("m")}}
-	d2 := &RangeDescriptor{RangeID: 2, Span: keys.Span{Key: keys.Key("m"), EndKey: keys.Key("z")}}
-	if err := dir.insert(d1); err != nil {
+	c := newTestCluster(t, 4)
+	check := func(step string) {
+		t.Helper()
+		assertDirectoryPartitions(t, c)
+		descs := c.Descriptors()
+		byID := c.dir.byID()
+		if len(byID) != len(descs) {
+			t.Fatalf("after %s: %d ranges by ID, %d by key", step, len(byID), len(descs))
+		}
+		for i, rs := range byID {
+			desc := rs.desc.Load()
+			if i > 0 && byID[i-1].desc.Load().RangeID >= desc.RangeID {
+				t.Fatalf("after %s: ranges not in RangeID order: %v", step, descs)
+			}
+			if got, err := c.rangeFor(desc.Span.Key); err != nil || got != rs {
+				t.Fatalf("after %s: range %d not found by its start key (%v)", step, desc.RangeID, err)
+			}
+			if rs.retired.Load() {
+				t.Fatalf("after %s: range %d is in the table but retired", step, desc.RangeID)
+			}
+		}
+	}
+	refused := func(why string, old []*RangeDescriptor, next ...rangeUpdate) {
+		t.Helper()
+		before := c.Descriptors()
+		if err := c.dir.swap(old, next...); err == nil {
+			t.Fatalf("swap of %s was published", why)
+		}
+		if after := c.Descriptors(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refused swap of %s changed the table:\n%v\n%v", why, before, after)
+		}
+		check("a refused swap of " + why)
+	}
+	lookup := func(k keys.Key) (*rangeState, *RangeDescriptor) {
+		t.Helper()
+		rs, err := c.rangeFor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, rs.desc.Load()
+	}
+
+	for _, k := range []keys.Key{keys.MakeTenantPrefix(2), tenantKey(2, "m"), keys.MakeTenantPrefix(3)} {
+		if err := c.SplitAt(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("splits")
+	if _, err := c.rangeFor(keys.MinKey); err == nil {
+		t.Fatal("a key below the first range was found")
+	}
+
+	// A descriptor read before a split is stale once the split publishes.
+	rs, stale := lookup(tenantKey(2, "a"))
+	if err := c.SplitAt(tenantKey(2, "g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := dir.insert(d2); err != nil {
+	check("a split")
+	moved := *stale
+	moved.Generation++
+	refused("a stale range", []*RangeDescriptor{stale}, rangeUpdate{rs, &moved})
+
+	// [t2, g) and [m, t3) have [g, m) between them.
+	left, leftDesc := lookup(tenantKey(2, "a"))
+	right, rightDesc := lookup(tenantKey(2, "x"))
+	union := keys.Span{Key: leftDesc.Span.Key, EndKey: rightDesc.Span.EndKey}
+	merged, err := c.newRangeState(union, leftDesc.Replicas, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Overlap rejected.
-	if err := dir.insert(&RangeDescriptor{RangeID: 3, Span: keys.Span{Key: keys.Key("l"), EndKey: keys.Key("n")}}); err == nil {
-		t.Fatal("overlapping insert allowed")
+	refused("ranges that are not adjacent", []*RangeDescriptor{leftDesc, rightDesc}, rangeUpdate{merged, merged.desc.Load()})
+	if left.retired.Load() || right.retired.Load() {
+		t.Fatal("a refused swap retired a range")
 	}
-	got, err := dir.lookup(keys.Key("hello"))
-	if err != nil || got.RangeID != 1 {
-		t.Fatalf("lookup = %+v, %v", got, err)
+	short := *leftDesc
+	short.Span.EndKey = tenantKey(2, "c")
+	refused("a span that leaves a gap", []*RangeDescriptor{leftDesc}, rangeUpdate{left, &short})
+
+	if did, err := c.MergeAt(tenantKey(2, "a")); err != nil || !did {
+		t.Fatalf("MergeAt = (%v, %v)", did, err)
 	}
-	if _, err := dir.lookup(keys.Key("zz")); err == nil {
-		t.Fatal("out-of-bounds lookup should fail")
+	check("a merge")
+	if !left.retired.Load() {
+		t.Fatal("the merge did not retire its left range")
 	}
-	// Replace keeps ordering.
-	l := &RangeDescriptor{RangeID: 1, Span: keys.Span{Key: keys.Key("a"), EndKey: keys.Key("g")}}
-	r := &RangeDescriptor{RangeID: 4, Span: keys.Span{Key: keys.Key("g"), EndKey: keys.Key("m")}}
-	if err := dir.replace(1, l, r); err != nil {
+
+	rs, desc := lookup(tenantKey(2, "a"))
+	var to NodeID
+	for _, n := range c.Nodes() {
+		if !hasReplica(rs, n.ID()) {
+			to = n.ID()
+		}
+	}
+	if err := c.MoveReplica(desc.RangeID, desc.Replicas[0], to); err != nil {
 		t.Fatal(err)
 	}
-	if err := dir.replace(99); err == nil {
-		t.Fatal("replacing unknown range should fail")
-	}
-	all := dir.all()
-	if len(all) != 3 || all[0].RangeID != 1 || all[1].RangeID != 4 || all[2].RangeID != 2 {
-		t.Fatalf("directory after replace: %v", all)
+	check("a move")
+	if got, _ := lookup(tenantKey(2, "a")); got != rs || !hasReplica(rs, to) {
+		t.Fatalf("after the move the key's range is %p (want %p) with replicas %v", got, rs, rs.desc.Load().Replicas)
 	}
 }
 
@@ -639,9 +713,10 @@ func TestDistSenderRedirectEventOnSpan(t *testing.T) {
 	}
 	// Move the lease so the DistSender's leaseholder hint goes stale.
 	desc, _ := c.LookupRange(k)
-	c.mu.RLock()
-	rs := c.mu.ranges[desc.RangeID]
-	c.mu.RUnlock()
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lh, _ := rs.group.Load().Leaseholder()
 	var other NodeID
 	for _, r := range desc.Replicas {

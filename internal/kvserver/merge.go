@@ -4,14 +4,15 @@ import (
 	"errors"
 
 	"crdbserverless/internal/keys"
+	"crdbserverless/internal/raftlite"
 )
 
 // Range merging: the inverse of splitLocked, run only when asked (MergeAt;
 // the chaos merge storm drives it). Two adjacent ranges with identical
 // replica sets collapse into one — a fresh range over the union
-// span whose replication group is seeded (SeedState) at the sum of the
-// parents' commit indexes, with each replica's applied index the sum of its
-// parents' applied indexes. The span data never moves: it already lives in
+// span whose replication group seedGroup starts at the sum of the parents'
+// commit indexes, with each replica's applied index the sum of its parents'
+// applied indexes. The span data never moves: it already lives in
 // every replica's engine. A replica that was lagging in either parent reads
 // as lagging in the merged group and heals via snapshot from the catch-up
 // donor, exactly as split-created groups do.
@@ -31,28 +32,20 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	}
 	left.latch.Lock()
 	defer left.latch.Unlock()
-	leftDesc := left.desc.Load()
-	if c.rangeByID(leftDesc.RangeID) != left {
+	if left.retired.Load() {
 		return false, nil // merged away while we waited for the latch
 	}
-	rightDesc := c.dir.next(leftDesc.Span.EndKey)
-	if rightDesc == nil {
-		return false, nil // last range of the keyspace
-	}
-	right := c.rangeByID(rightDesc.RangeID)
+	leftDesc := left.desc.Load()
+	right := c.dir.next(leftDesc.Span.EndKey)
 	if right == nil {
-		return false, nil
+		return false, nil // last range of the keyspace
 	}
 	right.latch.Lock()
 	defer right.latch.Unlock()
-	// Re-verify under both latches: a racing split or merge may have
-	// changed either side while we acquired locks.
-	rightDesc = right.desc.Load()
-	if c.rangeByID(rightDesc.RangeID) != right ||
-		!rightDesc.Span.Key.Equal(leftDesc.Span.EndKey) {
-		return false, nil
-	}
-	if !mergeEligible(leftDesc, rightDesc) {
+	// The right range may have merged with its own neighbor since the
+	// lookup; while it is not retired, it starts where left ends.
+	rightDesc := right.desc.Load()
+	if right.retired.Load() || !mergeEligible(leftDesc, rightDesc) {
 		return false, nil
 	}
 
@@ -71,51 +64,25 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 		return false, err
 	}
 
-	lc, rc := lg.CommitIndex(), rg.CommitIndex()
-	applied := make(map[NodeID]uint64, len(leftDesc.Replicas))
-	for _, nid := range leftDesc.Replicas {
-		var la, ra uint64
-		if a, err := lg.AppliedIndex(nid); err == nil {
-			la = a
-		}
-		if a, err := rg.AppliedIndex(nid); err == nil {
-			ra = a
-		}
-		applied[nid] = la + ra
-	}
-
 	union := keys.Span{Key: leftDesc.Span.Key.Clone(), EndKey: rightDesc.Span.EndKey.Clone()}
-
-	c.mu.Lock()
-	merged, err := c.newRangeStateLocked(union, leftDesc.Replicas, max(leftDesc.Generation, rightDesc.Generation)+1)
+	merged, err := c.newRangeState(union, leftDesc.Replicas, max(leftDesc.Generation, rightDesc.Generation)+1)
 	if err != nil {
-		c.mu.Unlock()
 		return false, err
 	}
-	merged.group.Load().SeedState(lc+rc, applied)
+	seedGroup(merged.group.Load(), []*raftlite.Group{lg, rg}, 0, 0)
 	// The merged range remembers the reads both parents served.
 	merged.tsc.absorb(left.tsc, union)
 	merged.tsc.absorb(right.tsc, union)
-	// Commit: swap both parents for the union descriptor atomically, then
-	// retire the parents from the range map.
-	mergedDesc := merged.desc.Load()
-	if err := c.dir.mergeReplace(leftDesc.RangeID, rightDesc.RangeID, mergedDesc); err != nil {
-		delete(c.mu.ranges, mergedDesc.RangeID)
-		c.mu.Unlock()
-		return false, err
-	}
-	delete(c.mu.ranges, leftDesc.RangeID)
-	delete(c.mu.ranges, rightDesc.RangeID)
 	left.statsMu.Lock()
-	lb := left.writtenBytes
+	merged.writtenBytes = left.writtenBytes
 	left.statsMu.Unlock()
 	right.statsMu.Lock()
-	rb := right.writtenBytes
+	merged.writtenBytes += right.writtenBytes
 	right.statsMu.Unlock()
-	merged.statsMu.Lock()
-	merged.writtenBytes = lb + rb
-	merged.statsMu.Unlock()
-	c.mu.Unlock()
+	// Publish the union in place of both parents, which the swap retires.
+	if err := c.dir.swap([]*RangeDescriptor{leftDesc, rightDesc}, rangeUpdate{merged, merged.desc.Load()}); err != nil {
+		return false, err
+	}
 
 	// Serve without interruption: the donor is caught up in both parents,
 	// so it can take the merged lease immediately.

@@ -315,17 +315,85 @@ func TestMoveReplicaDuringTrafficIsRaceFree(t *testing.T) {
 	}
 }
 
-// TestBatchRechecksRangeUnderLatch splits a range while a put waits for its
-// latch. The put read the range's descriptor before the split moved its key
-// to the right half, so it must fail with a RangeKeyMismatchError, which the
-// DistSender retries, instead of writing through the left range's group.
+// TestBatchRechecksRangeUnderLatch changes a range while a put waits for its
+// latch. The put looked its range up before the change. After a split that
+// moved its key to the right half it must fail with a RangeKeyMismatchError,
+// and after a merge that retired its range with a RangeNotFoundError; the
+// DistSender retries both. It must never write through the old group.
 func TestBatchRechecksRangeUnderLatch(t *testing.T) {
-	c := newTestCluster(t, 3)
-	if err := c.SplitAt(keys.MakeTenantPrefix(2)); err != nil {
-		t.Fatal(err)
-	}
-	c.Tick()
-	k := tenantKey(2, "k")
+	t.Run("split", func(t *testing.T) {
+		c := newTestCluster(t, 3)
+		if err := c.SplitAt(keys.MakeTenantPrefix(2)); err != nil {
+			t.Fatal(err)
+		}
+		c.Tick()
+		k := tenantKey(2, "k")
+		rs, err := c.rangeFor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.latch.Lock()
+		done := putAfterAdmission(t, c, k)
+		if did, err := c.splitLocked(rs, k); err != nil || !did {
+			t.Fatalf("split under the held latch = (%v, %v)", did, err)
+		}
+		rs.latch.Unlock()
+
+		var rkm *kvpb.RangeKeyMismatchError
+		if err := <-done; !errors.As(err, &rkm) {
+			t.Fatalf("put that waited out a split = %v, want a RangeKeyMismatchError", err)
+		}
+	})
+	t.Run("merge", func(t *testing.T) {
+		c := newTestCluster(t, 3)
+		for _, k := range []keys.Key{keys.MakeTenantPrefix(2), tenantKey(2, "m")} {
+			if err := c.SplitAt(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Tick()
+		k := tenantKey(2, "c")
+		left, err := c.rangeFor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		right, err := c.rangeFor(tenantKey(2, "x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The merge takes the left latch and waits for the right one, held
+		// here, so the put queues on the left latch behind the merge.
+		right.latch.Lock()
+		merged := make(chan error, 1)
+		go func() {
+			did, err := c.MergeAt(k)
+			if err == nil && !did {
+				err = errors.New("no merge")
+			}
+			merged <- err
+		}()
+		for left.latch.TryLock() {
+			left.latch.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		done := putAfterAdmission(t, c, k)
+		right.latch.Unlock()
+		if err := <-merged; err != nil {
+			t.Fatalf("MergeAt = %v", err)
+		}
+
+		var rnf *kvpb.RangeNotFoundError
+		if err := <-done; !errors.As(err, &rnf) {
+			t.Fatalf("put that waited out a merge = %v, want a RangeNotFoundError", err)
+		}
+	})
+}
+
+// putAfterAdmission sends a put of k to its range's leaseholder and returns
+// once the put has passed admission, about to take the range latch. The put's
+// error arrives on the returned channel.
+func putAfterAdmission(t *testing.T, c *Cluster, k keys.Key) <-chan error {
+	t.Helper()
 	rs, err := c.rangeFor(k)
 	if err != nil {
 		t.Fatal(err)
@@ -336,34 +404,23 @@ func TestBatchRechecksRangeUnderLatch(t *testing.T) {
 	}
 	tr := trace.New(trace.Options{Clock: timeutil.NewRealClock(), Seed: 1})
 	root := tr.StartRoot("test")
+	t.Cleanup(root.Finish)
 	ctx := trace.ContextWithSpan(context.Background(), root)
-
-	rs.latch.Lock()
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Batch(ctx, lh, Identity{Tenant: 2}, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}})
 		done <- err
 	}()
 	// Batch sets admission.wait on its kv.eval span right before it
-	// evaluates, and evaluation starts by taking the latch held here.
+	// evaluates, and evaluation starts by taking the latch.
 	for {
 		if ch := root.Children(); len(ch) > 0 {
 			if _, ok := ch[0].Attr("admission.wait"); ok {
-				break
+				return done
 			}
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if did, err := c.splitLocked(rs, k); err != nil || !did {
-		t.Fatalf("split under the held latch = (%v, %v)", did, err)
-	}
-	rs.latch.Unlock()
-
-	var rkm *kvpb.RangeKeyMismatchError
-	if err := <-done; !errors.As(err, &rkm) {
-		t.Fatalf("put that waited out a split = %v, want a RangeKeyMismatchError", err)
-	}
-	root.Finish()
 }
 
 // readThenWriteBelow serves reads at one timestamp, runs between, and then

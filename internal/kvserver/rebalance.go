@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crdbserverless/internal/kvpb"
+	"crdbserverless/internal/raftlite"
 )
 
 // Replica movement and KV fleet membership — the substrate for automatic
@@ -52,7 +53,7 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 // the range descriptors. A node with no replicas has no entry.
 func (c *Cluster) ReplicaCounts() map[NodeID]int {
 	out := make(map[NodeID]int)
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		for _, nid := range rs.desc.Load().Replicas {
 			out[nid]++
 		}
@@ -66,13 +67,19 @@ func (c *Cluster) ReplicaCounts() map[NodeID]int {
 // still holds in the span, and the replication group is rebuilt over the new
 // membership. Writes to the range are blocked (range latch) for the
 // duration.
+//
+//lint:allow deadsurface test seam: the rebalance, drain and race tests move a replica they name by RangeID
 func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
-	c.mu.RLock()
-	rs, ok := c.mu.ranges[rangeID]
-	c.mu.RUnlock()
-	if !ok {
-		return &kvpb.RangeNotFoundError{RangeID: int64(rangeID)}
+	for _, rs := range c.dir.byID() {
+		if rs.desc.Load().RangeID == rangeID {
+			return c.moveReplica(rs, from, to)
+		}
 	}
+	return &kvpb.RangeNotFoundError{RangeID: int64(rangeID)}
+}
+
+// moveReplica is MoveReplica on a range the caller has already found.
+func (c *Cluster) moveReplica(rs *rangeState, from, to NodeID) error {
 	target, ok := c.Node(to)
 	if !ok {
 		return fmt.Errorf("kvserver: unknown target node %d", to)
@@ -82,6 +89,10 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	defer rs.latch.Unlock()
 
 	desc, old := rs.desc.Load(), rs.group.Load()
+	rangeID := desc.RangeID
+	if rs.retired.Load() {
+		return &kvpb.RangeNotFoundError{RangeID: int64(rangeID)}
+	}
 	hasFrom, hasTo := false, false
 	for _, r := range desc.Replicas {
 		if r == from {
@@ -120,8 +131,9 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 		}
 	}
 	// A node the range left earlier still holds that replica's data; the
-	// snapshot's span wipe drops it.
-	srcApplied, srcErr := old.AppliedIndex(src)
+	// snapshot's span wipe drops it. src is one of old's replicas, so its
+	// applied index is known.
+	srcApplied, _ := old.AppliedIndex(src)
 	snap, err := engineSM{n: srcNode, rs: rs}.Snapshot()
 	if err != nil {
 		return err
@@ -146,21 +158,8 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	// The rebuilt group continues the old group's history: surviving replicas
 	// keep their engine state at their old applied indexes, and the new
 	// replica holds a copy of src's engine, so it starts at src's applied
-	// index. Seeding at the old commit keeps any lagging survivor reading as
-	// lagging (it heals via snapshot) instead of as caught up.
-	applied := make(map[NodeID]uint64, len(newReplicas))
-	for _, nid := range newReplicas {
-		if nid == to {
-			continue
-		}
-		if a, err := old.AppliedIndex(nid); err == nil {
-			applied[nid] = a
-		}
-	}
-	if srcErr == nil {
-		applied[to] = srcApplied
-	}
-	group.SeedState(old.CommitIndex(), applied)
+	// index.
+	seedGroup(group, []*raftlite.Group{old}, to, srcApplied)
 	// Restore a lease: the previous holder if it survived the move,
 	// otherwise the new replica.
 	prevLH, hadLease := old.Leaseholder()
@@ -174,12 +173,11 @@ func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
 	newDesc := *desc
 	newDesc.Replicas = newReplicas
 	newDesc.Generation++
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rs.desc.Store(&newDesc)
+	if err := c.dir.swap([]*RangeDescriptor{desc}, rangeUpdate{rs, &newDesc}); err != nil {
+		return err
+	}
 	rs.group.Store(group)
-	return c.dir.replace(rangeID, &newDesc)
+	return nil
 }
 
 // RebalanceReplicas moves up to maxMoves replicas from the node with the
@@ -208,17 +206,17 @@ func (c *Cluster) RebalanceReplicas(maxMoves int) int {
 			return moves
 		}
 		// The lowest-RangeID range on maxNode without a replica on minNode.
-		var candidate RangeID
-		for _, rs := range c.rangesByID() {
+		var candidate *rangeState
+		for _, rs := range c.dir.byID() {
 			if hasReplica(rs, maxNode) && !hasReplica(rs, minNode) {
-				candidate = rs.desc.Load().RangeID
+				candidate = rs
 				break
 			}
 		}
-		if candidate == 0 {
+		if candidate == nil {
 			return moves
 		}
-		if err := c.MoveReplica(candidate, maxNode, minNode); err != nil {
+		if err := c.moveReplica(candidate, maxNode, minNode); err != nil {
 			return moves
 		}
 		moves++
@@ -232,7 +230,7 @@ func (c *Cluster) RebalanceReplicas(maxMoves int) int {
 func (c *Cluster) DrainNodeReplicas(id NodeID) error {
 	for {
 		var rs *rangeState
-		for _, r := range c.rangesByID() {
+		for _, r := range c.dir.byID() {
 			if hasReplica(r, id) {
 				rs = r
 				break
@@ -241,7 +239,6 @@ func (c *Cluster) DrainNodeReplicas(id NodeID) error {
 		if rs == nil {
 			return nil
 		}
-		rangeID := rs.desc.Load().RangeID
 		counts := c.ReplicaCounts()
 		var target NodeID
 		best := 1 << 30
@@ -255,9 +252,9 @@ func (c *Cluster) DrainNodeReplicas(id NodeID) error {
 			}
 		}
 		if target == 0 {
-			return fmt.Errorf("kvserver: no target node to drain range %d onto", rangeID)
+			return fmt.Errorf("kvserver: no target node to drain range %d onto", rs.desc.Load().RangeID)
 		}
-		if err := c.MoveReplica(rangeID, id, target); err != nil {
+		if err := c.moveReplica(rs, id, target); err != nil {
 			return err
 		}
 	}

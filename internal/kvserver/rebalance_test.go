@@ -3,6 +3,7 @@ package kvserver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,7 +194,7 @@ func TestRebalanceReplicasPicksLowestRangeID(t *testing.T) {
 		t.Fatalf("RebalanceReplicas moved %d, want 1", moves)
 	}
 	// Every range is movable, so the lowest RangeID is the one that moved.
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		id := rs.desc.Load().RangeID
 		if moved := hasReplica(rs, 4); moved != (id == 1) {
 			t.Fatalf("range %d has a replica on node 4: %v, want only range 1 moved", id, moved)
@@ -254,7 +255,7 @@ func TestMovedRangeKeepsFaultSites(t *testing.T) {
 	}
 	var target NodeID
 	for _, n := range c.Nodes() {
-		if !hasReplica(c.rangeByID(desc.RangeID), n.ID()) {
+		if !slices.Contains(desc.Replicas, n.ID()) {
 			target = n.ID()
 		}
 	}
@@ -335,7 +336,11 @@ func TestMoveReplicaBackDropsStaleData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, ok := c.rangeByID(desc.RangeID).group.Load().Leaseholder()
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, ok := rs.group.Load().Leaseholder()
 	if !ok {
 		t.Fatal("no leaseholder")
 	}

@@ -142,7 +142,7 @@ func (c *Cluster) RecoverNode(id NodeID) error {
 		return fmt.Errorf("kvserver: unknown node %d", id)
 	}
 	e := n.Engine()
-	for _, rs := range c.rangesByID() {
+	for _, rs := range c.dir.byID() {
 		if !hasReplica(rs, id) {
 			continue
 		}

@@ -73,7 +73,7 @@ func checkLockOrder(cg *callGraph) []Diagnostic {
 // *which* lock the caller holds (splitLocked's promise is about the range
 // latch, not the receiver's mutexes), so the assumption is evidence-based:
 // a receiver mutex-struct field counts as held at entry only when the body
-// reads state through it (`c.mu.nextRangeID`) without ever acquiring it
+// reads state through it (`n.mu.synthSince`) without ever acquiring it
 // itself — the signature of code that relies on a caller's critical section.
 func entryHeld(cg *callGraph, fn *funcNode) []lockClass {
 	if !strings.HasSuffix(fn.obj.Name(), "Locked") {

@@ -24,7 +24,6 @@ import (
 
 // Backend is one SQL node a tenant connection may be routed to.
 type Backend struct {
-	ID   int64
 	Addr string
 }
 

@@ -76,7 +76,7 @@ func (e *env) Lookup(ctx context.Context, tenantName string) ([]Backend, error) 
 	var out []Backend
 	for _, n := range e.nodes {
 		if tn := n.Tenant(); tn != nil && tn.Name == tenantName {
-			out = append(out, Backend{ID: n.InstanceID(), Addr: n.Addr()})
+			out = append(out, Backend{Addr: n.Addr()})
 		}
 	}
 	if len(out) == 0 {
