@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -40,6 +41,13 @@ func connectAndClose(t *testing.T, s *Serverless, r Region, tenant string) {
 		t.Fatal(err)
 	}
 	c.Close()
+	waitNoConns(t, s, r, tenant)
+}
+
+// waitNoConns waits until the region's pods of the tenant report no
+// connections.
+func waitNoConns(t *testing.T, s *Serverless, r Region, tenant string) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for _, p := range s.Orchestrator(r).PodsForTenant(tenant) {
 		for p.Node.ConnCount() > 0 {
@@ -339,4 +347,68 @@ func TestSuspendAndScaleDownRacingConnects(t *testing.T) {
 		}
 	}
 	race("scale-down", func() { orch.Tick(); scaleTo(2) }, func() { scaleTo(1) })
+}
+
+// One tenant, one row: a tenant driven through the proxy, its SQL pod, KV
+// and the autoscaler records every signal on the state its first pod bound
+// by name. No layer resolves it by ID into a second state named after the
+// ID, so /debug/metrics has no series labelled that way.
+func TestOneTenantOneRow(t *testing.T) {
+	clock := timeutil.NewManualClock(time.Unix(0, 0))
+	s := newServerless(t, Options{KVNodesPerRegion: 1, Clock: clock})
+	ctx := context.Background()
+	if _, err := s.CreateTenant(ctx, "acme", TenantOptions{Password: "pw"}); err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.TenantID("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Connect("acme", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"CREATE TABLE kv (k INT PRIMARY KEY, v STRING)",
+		"INSERT INTO kv VALUES (1, 'one')",
+		"SELECT v FROM kv WHERE k = 1",
+	} {
+		if _, err := c.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	c.Close()
+	waitNoConns(t, s, "us-central1", "acme")
+	// Idle past the suspend deadline: the autoscaler scales acme to zero.
+	tickFor(t, s, clock, 6*time.Minute)
+	if pods := len(s.Orchestrator("us-central1").PodsForTenant("acme")); pods != 0 {
+		t.Fatalf("acme has %d pods after 6m idle, want 0", pods)
+	}
+
+	h := s.DebugHandler()
+	var page strings.Builder
+	if err := h.WriteTenantz(&page, "acme", 0); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(page.String(), "== tenant acme @") {
+		t.Fatalf("drill-down is not acme's row:\n%s", page.String())
+	}
+	for _, family := range []string{
+		"conns", "queries ok", "batches", "ru", "one_phase", "read_only", "admission wait: n", "suspend",
+	} {
+		m := regexp.MustCompile(regexp.QuoteMeta(family) + `=([0-9.]+)`).FindStringSubmatch(page.String())
+		if m == nil || strings.Trim(m[1], "0.") == "" {
+			t.Errorf("drill-down records no %s:\n%s", family, page.String())
+		}
+	}
+	var metrics strings.Builder
+	if err := h.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if byID := fmt.Sprintf("tenant=%q", id.String()); strings.Contains(metrics.String(), byID) {
+		t.Errorf("/debug/metrics has a series labelled %s:\n%s", byID, metrics.String())
+	}
+	if !strings.Contains(metrics.String(), `proxy_tenant_conns{tenant="acme"} 1`) {
+		t.Errorf("/debug/metrics lacks acme's connection:\n%s", metrics.String())
+	}
 }

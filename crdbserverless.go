@@ -236,7 +236,6 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 	}
 	s.cluster = cluster
 	s.buckets = tenantcost.NewBucketServer(opts.Clock)
-	s.buckets.SetConsumptionObserver(func(id keys.TenantID) func(float64) { return s.obs.Tenant(id).AddRU })
 	s.registry, err = core.NewRegistry(cluster, s.buckets)
 	if err != nil {
 		cluster.Close()
@@ -274,9 +273,8 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 		s.autoscalers[r] = autoscaler.New(autoscaler.Config{
 			Orchestrator: orch,
 			Clock:        opts.Clock,
-			Obs:          s.obs,
 		})
-		p := proxy.New(proxy.Config{Directory: orch, Clock: opts.Clock, Metrics: regMetrics, Tracer: s.tracer, Obs: s.obs})
+		p := proxy.New(proxy.Config{Directory: orch, Clock: opts.Clock, Metrics: regMetrics, Tracer: s.tracer})
 		if err := p.Start("127.0.0.1:0"); err != nil {
 			s.Close()
 			return nil, err

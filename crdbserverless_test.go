@@ -253,12 +253,12 @@ func TestConfigSurface(t *testing.T) {
 		{lsm.Options{}, 10},
 		{kvserver.ClusterConfig{}, 3},
 		{kvserver.Config{}, 2},
-		{autoscaler.Config{}, 3},
+		{autoscaler.Config{}, 2},
 		{admission.CPUQueueOptions{}, 4},
 		{admission.WriteQueueOptions{}, 1},
 		{orchestrator.Config{}, 5},
 		{server.SQLNodeConfig{}, 12},
-		{proxy.Config{}, 8},
+		{proxy.Config{}, 7},
 		{tenantobs.Config{}, 3},
 		{trace.Options{}, 3},
 		{raftlite.Config{}, 6},

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"crdbserverless/internal/orchestrator"
-	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -95,9 +94,6 @@ type Config struct {
 	// by the proxy, not here.
 	Orchestrator *orchestrator.Orchestrator
 	Clock        timeutil.Clock
-	// Obs, when non-nil, records each scaling decision against its tenant
-	// (autoscaler.tenant_scale_events{result=up|down|suspend}).
-	Obs *tenantobs.Plane
 }
 
 // Autoscaler drives SQL node allocation for the tenants with pods in one
@@ -210,6 +206,10 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 			conns += p.Node.ConnCount()
 		}
 		want := a.DesiredNodes(name, conns)
+		// Every pod holds its tenant's record and observability handle
+		// since AssignPod stamped it; decisions are recorded on the handle
+		// (autoscaler.tenant_scale_events{result=up|down|suspend}).
+		tenant, obs := pods[0].Node.Tenant(), pods[0].Node.Obs()
 
 		// Idle tracking for suspension: no usage in the window and no
 		// connections.
@@ -226,7 +226,7 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 
 		if idle && now.Sub(since) >= suspendAfter {
 			a.cfg.Orchestrator.SuspendTenant(name)
-			a.cfg.Obs.Named(name).ScaleEvent("suspend")
+			obs.ScaleEvent("suspend")
 			a.mu.Lock()
 			delete(a.mu.idleSince, name)
 			a.mu.Unlock()
@@ -236,12 +236,11 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 			want = 1 // keep one node while not yet suspendable
 		}
 		if want > len(pods) {
-			a.cfg.Obs.Named(name).ScaleEvent("up")
+			obs.ScaleEvent("up")
 		} else if want < len(pods) {
-			a.cfg.Obs.Named(name).ScaleEvent("down")
+			obs.ScaleEvent("down")
 		}
-		// Every pod holds its tenant's record since AssignPod stamped it.
-		if _, err := a.cfg.Orchestrator.ScaleTenant(ctx, pods[0].Node.Tenant(), want); err != nil {
+		if _, err := a.cfg.Orchestrator.ScaleTenant(ctx, tenant, want); err != nil {
 			return err
 		}
 	}

@@ -130,7 +130,7 @@ func AblationTrickleGrants() (*AblationTrickleResult, *Table) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
 	srv := tenantcost.NewBucketServer(mc)
 	srv.SetQuota(2, quotaVCPUs)
-	nb := tenantcost.NewNodeBucket(srv, mc, 2, 1)
+	nb := tenantcost.NewNodeBucket(srv, mc, 2, 1, nil)
 	var trickleDelays []time.Duration
 	for i := 0; i < ops; i++ {
 		d := nb.Consume(opTokens)

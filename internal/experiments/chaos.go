@@ -188,11 +188,12 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		kvserver.Config{Faults: reg})
 	coord := txn.NewCoordinator(ds, cluster.Clock(), chaosTenant)
 	coord.SetFaults(reg)
-	obs := tenantobs.New(tenantobs.Config{Registry: metric.NewRegistry(), Clock: clock})
-	coord.SetObs(obs)
+	plane := tenantobs.New(tenantobs.Config{Registry: metric.NewRegistry(), Clock: clock})
+	coord.SetObs(plane)
+	obs := plane.Tenant(chaosTenant)
 	buckets := tenantcost.NewBucketServer(clock)
 	buckets.SetQuota(chaosTenant, 8)
-	bucket := tenantcost.NewNodeBucket(buckets, clock, chaosTenant, 1)
+	bucket := tenantcost.NewNodeBucket(buckets, clock, chaosTenant, 1, nil)
 
 	for _, s := range chaosSiteConfigs {
 		cfg := s.cfg
@@ -336,9 +337,9 @@ func Chaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 	chaosCheckInvariants(ctx, cluster, coord, buckets, bucket, model, res)
 
 	res.RaftSnapshots = cluster.RaftSnapshots()
-	res.OnePhaseCommits = obs.TxnCommits(chaosTenant.String(), "one_phase")
-	res.TwoPhaseCommits = obs.TxnCommits(chaosTenant.String(), "two_phase")
-	res.CommitRetries = obs.TxnCommitRetries(chaosTenant.String())
+	res.OnePhaseCommits = obs.TxnCommits("one_phase")
+	res.TwoPhaseCommits = obs.TxnCommits("two_phase")
+	res.CommitRetries = obs.TxnCommitRetries()
 	res.Schedule = reg.Schedule()
 	res.Trace = tr.String()
 	res.Table = chaosTable(res, siteFires)

@@ -158,7 +158,6 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 	}
 	defer cluster.Close()
 	buckets := tenantcost.NewBucketServer(clock)
-	buckets.SetConsumptionObserver(func(id keys.TenantID) func(float64) { return plane.Tenant(id).AddRU })
 
 	n := opts.Tenants
 	aggressors := n / 100
@@ -185,7 +184,8 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 	for rank := 1; rank <= n; rank++ {
 		id := keys.TenantID(rank + 1)
 		name := fmt.Sprintf("t-%04d", rank)
-		// Registered before its sender and bucket resolve the handle by ID.
+		// Registered before its sender resolves the handle by ID; the
+		// bucket records through the handle itself.
 		obs := plane.RegisterTenant(id, name)
 		t := &fleetTenant{
 			id:    id,
@@ -193,7 +193,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 			obs:   obs,
 			calmQ: fleetCalmLoad(rank),
 			ds:    kvserver.NewDistSender(cluster, kvserver.Identity{Tenant: id}, kvserver.Config{Obs: plane}),
-			nb:    tenantcost.NewNodeBucket(buckets, clock, id, 1),
+			nb:    tenantcost.NewNodeBucket(buckets, clock, id, 1, obs),
 			key:   append(keys.MakeTenantPrefix(id), 'k'),
 		}
 		fleet[rank-1] = t
@@ -215,7 +215,7 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 				fleet[rank-1].obs.ScaleEvent("up")
 			}
 			// Snapshot the victim's calm p99 before the storm lands.
-			run.victimP99Calm = plane.P99(fleet[victim-1].name, now, metric.BurnShortWindow)
+			run.victimP99Calm = fleet[victim-1].obs.P99(now, metric.BurnShortWindow)
 		}
 
 		// Total demand this tick sets the shared-queue multiplier.
@@ -258,12 +258,11 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 
 	now := clock.Now()
 	stormSpan := time.Duration(opts.StormTicks) * fleetTick
-	victimName := fleet[victim-1].name
-	aggrName := fleet[0].name
+	victimT, aggrT := fleet[victim-1], fleet[0]
 	run.absorbed = plane.Absorbed()
-	run.victimP99Strm = plane.P99(victimName, now, stormSpan)
-	run.victimBurn = plane.BurnRate(victimName, now, metric.BurnShortWindow)
-	run.aggrBurn = plane.BurnRate(aggrName, now, metric.BurnShortWindow)
+	run.victimP99Strm = victimT.obs.P99(now, stormSpan)
+	run.victimBurn = victimT.obs.BurnRate(now, metric.BurnShortWindow)
+	run.aggrBurn = aggrT.obs.BurnRate(now, metric.BurnShortWindow)
 
 	var b strings.Builder
 	if err := plane.WriteTenantz(&b, now, 8); err != nil {
@@ -271,12 +270,12 @@ func runFleetObs(opts FleetObsOptions, isolated bool) (*fleetRun, error) {
 	}
 	run.tenantz = b.String()
 	b.Reset()
-	if err := plane.WriteTenant(&b, victimName, now); err != nil {
+	if err := plane.WriteTenant(&b, victimT.name, now); err != nil {
 		return nil, err
 	}
 	run.victimPage = b.String()
 	b.Reset()
-	if err := plane.WriteTenant(&b, aggrName, now); err != nil {
+	if err := plane.WriteTenant(&b, aggrT.name, now); err != nil {
 		return nil, err
 	}
 	run.aggrPage = b.String()

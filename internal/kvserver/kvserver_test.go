@@ -692,7 +692,7 @@ func TestMetaDirectoryInvariants(t *testing.T) {
 			to = n.ID()
 		}
 	}
-	if err := c.MoveReplica(desc.RangeID, desc.Replicas[0], to); err != nil {
+	if err := moveByID(c, desc.RangeID, desc.Replicas[0], to); err != nil {
 		t.Fatal(err)
 	}
 	check("a move")

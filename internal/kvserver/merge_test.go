@@ -168,7 +168,7 @@ func TestMergeRefusesDifferentReplicaSets(t *testing.T) {
 			to = n.id
 		}
 	}
-	if err := c.MoveReplica(right.RangeID, right.Replicas[0], to); err != nil {
+	if err := moveByID(c, right.RangeID, right.Replicas[0], to); err != nil {
 		t.Fatal(err)
 	}
 	did, err := c.MergeAt(keys.MakeTenantPrefix(2))
@@ -280,7 +280,7 @@ func TestMoveReplicaDuringTrafficIsRaceFree(t *testing.T) {
 					to = n.id
 				}
 			}
-			if err := c.MoveReplica(desc.RangeID, desc.Replicas[i%len(desc.Replicas)], to); err != nil {
+			if err := moveByID(c, desc.RangeID, desc.Replicas[i%len(desc.Replicas)], to); err != nil {
 				errs <- err
 			}
 		}

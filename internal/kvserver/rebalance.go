@@ -13,7 +13,7 @@ import (
 // of added nodes or shift data away from nodes being removed."
 
 // AddNode joins a new KV node to the cluster. New ranges may place replicas
-// on it immediately; existing data moves via MoveReplica/RebalanceReplicas.
+// on it immediately; existing data moves to it via RebalanceReplicas.
 func (c *Cluster) AddNode(n *Node) error {
 	c.nodesMu.Lock()
 	defer c.nodesMu.Unlock()
@@ -26,7 +26,7 @@ func (c *Cluster) AddNode(n *Node) error {
 }
 
 // RemoveNode removes an empty KV node from the cluster. Every range must
-// have been moved off it first (drain with MoveReplica).
+// have been moved off it first (DrainNodeReplicas).
 func (c *Cluster) RemoveNode(id NodeID) error {
 	if n := c.ReplicaCounts()[id]; n > 0 {
 		return fmt.Errorf("kvserver: node %d still holds %d replicas", id, n)
@@ -61,24 +61,12 @@ func (c *Cluster) ReplicaCounts() map[NodeID]int {
 	return out
 }
 
-// MoveReplica relocates one range replica from one node to another: the
+// moveReplica relocates one replica of rs from one node to another: the
 // target is seeded the way raft catches up a lagging replica, with a
 // snapshot of a healthy replica that replaces whatever the target's engine
 // still holds in the span, and the replication group is rebuilt over the new
 // membership. Writes to the range are blocked (range latch) for the
 // duration.
-//
-//lint:allow deadsurface test seam: the rebalance, drain and race tests move a replica they name by RangeID
-func (c *Cluster) MoveReplica(rangeID RangeID, from, to NodeID) error {
-	for _, rs := range c.dir.byID() {
-		if rs.desc.Load().RangeID == rangeID {
-			return c.moveReplica(rs, from, to)
-		}
-	}
-	return &kvpb.RangeNotFoundError{RangeID: int64(rangeID)}
-}
-
-// moveReplica is MoveReplica on a range the caller has already found.
 func (c *Cluster) moveReplica(rs *rangeState, from, to NodeID) error {
 	target, ok := c.Node(to)
 	if !ok {

@@ -81,7 +81,7 @@ func TestMoveReplicaPreservesData(t *testing.T) {
 		t.Fatal("no spare node")
 	}
 	from := desc.Replicas[0]
-	if err := c.MoveReplica(desc.RangeID, from, target); err != nil {
+	if err := moveByID(c, desc.RangeID, from, target); err != nil {
 		t.Fatal(err)
 	}
 	// Descriptor updated.
@@ -113,17 +113,25 @@ func TestMoveReplicaPreservesData(t *testing.T) {
 	}
 }
 
+// moveByID moves the replica of the range with the given ID from one node
+// to another, as the rebalancer and a drain move the ranges they pick.
+func moveByID(c *Cluster, rangeID RangeID, from, to NodeID) error {
+	for _, rs := range c.dir.byID() {
+		if rs.desc.Load().RangeID == rangeID {
+			return c.moveReplica(rs, from, to)
+		}
+	}
+	return fmt.Errorf("no range %d", rangeID)
+}
+
 func TestMoveReplicaErrors(t *testing.T) {
 	c := newTestCluster(t, 4)
 	desc := c.Descriptors()[0]
-	if err := c.MoveReplica(999, 1, 4); err == nil {
-		t.Fatal("unknown range accepted")
-	}
-	if err := c.MoveReplica(desc.RangeID, 1, 99); err == nil {
+	if err := moveByID(c, desc.RangeID, 1, 99); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 	// Moving to an existing member fails.
-	if err := c.MoveReplica(desc.RangeID, desc.Replicas[0], desc.Replicas[1]); err == nil {
+	if err := moveByID(c, desc.RangeID, desc.Replicas[0], desc.Replicas[1]); err == nil {
 		t.Fatal("move onto existing member accepted")
 	}
 	// Moving from a non-member fails.
@@ -137,7 +145,7 @@ func TestMoveReplicaErrors(t *testing.T) {
 			nonMember = n.ID()
 		}
 	}
-	if err := c.MoveReplica(desc.RangeID, nonMember, nonMember); err == nil {
+	if err := moveByID(c, desc.RangeID, nonMember, nonMember); err == nil {
 		t.Fatal("move from non-member accepted")
 	}
 }
@@ -237,7 +245,7 @@ func TestAggregatesSurviveSplitMoveMergeDrain(t *testing.T) {
 	}
 }
 
-// TestMovedRangeKeepsFaultSites checks that the replication group MoveReplica
+// TestMovedRangeKeepsFaultSites checks that the replication group moveReplica
 // rebuilds consults the cluster's fault sites like every other group: an
 // armed raftlite.propose.err must fail a write to the moved range.
 func TestMovedRangeKeepsFaultSites(t *testing.T) {
@@ -259,7 +267,7 @@ func TestMovedRangeKeepsFaultSites(t *testing.T) {
 			target = n.ID()
 		}
 	}
-	if err := c.MoveReplica(desc.RangeID, desc.Replicas[0], target); err != nil {
+	if err := moveByID(c, desc.RangeID, desc.Replicas[0], target); err != nil {
 		t.Fatal(err)
 	}
 
@@ -352,14 +360,14 @@ func TestMoveReplicaBackDropsStaleData(t *testing.T) {
 		}
 	}
 	const spare = NodeID(4)
-	if err := c.MoveReplica(desc.RangeID, follower, spare); err != nil {
+	if err := moveByID(c, desc.RangeID, follower, spare); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(),
 		Requests: []kvpb.Request{{Method: kvpb.ResolveIntent, Key: k, ResolveTxnID: 77, ResolveTs: ts}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MoveReplica(desc.RangeID, spare, follower); err != nil {
+	if err := moveByID(c, desc.RangeID, spare, follower); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,9 +8,9 @@ import (
 
 // TestExpositionGolden pins the exact bytes of the exposition page for a
 // small registry covering every histogram line type — _bucket ladder, +Inf,
-// _sum, _count — plus a labeled vector with an overflowed child. Any
-// formatting drift (bucket bounds, label ordering, float rendering) fails
-// here first.
+// _sum, _count — plus a labeled vector whose children sort by label value,
+// the tenant plane's __overflow__ among them. Any formatting drift (bucket
+// bounds, label ordering, float rendering) fails here first.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("proxy.requests").Inc(7)
@@ -18,15 +18,14 @@ func TestExpositionGolden(t *testing.T) {
 	r.MustRegister("sql.exec_latency", h)
 	h.Record(5 * time.Millisecond)
 	v := r.NewCounterVec("kv.tenant_batches", "tenant")
-	v.SetMaxCardinality(2)
 	v.With("alpha").Inc(1)
 	v.With("beta").Inc(2)
-	v.With("gamma").Inc(4) // past the cap: absorbed into __overflow__
+	v.With("__overflow__").Inc(4)
 
 	const want = `# TYPE kv_tenant_batches counter
+kv_tenant_batches{tenant="__overflow__"} 4
 kv_tenant_batches{tenant="alpha"} 1
 kv_tenant_batches{tenant="beta"} 2
-kv_tenant_batches{tenant="__overflow__"} 4
 # TYPE proxy_requests counter
 proxy_requests 7
 # TYPE sql_exec_latency histogram

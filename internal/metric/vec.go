@@ -10,21 +10,9 @@ import (
 
 // This file implements labeled metric vectors: families of child metrics
 // keyed by a small, fixed set of label keys (the tenant dimension, mostly).
-// Cardinality is hard-capped: once a vector holds maxCardinality distinct
-// label sets, every further label set is routed to a single shared
-// __overflow__ child instead of allocating a new one. Which label sets land
-// in overflow is first-arrival order, so under a deterministic workload the
-// split is deterministic too — the same property every other part of this
-// codebase relies on for byte-identical same-seed output.
-
-// OverflowLabelValue is the label value under which a vector aggregates all
-// label sets beyond its cardinality cap.
-const OverflowLabelValue = "__overflow__"
-
-// DefaultVecCardinality is the per-vector cap on distinct label sets. 2048
-// comfortably holds the "thousands of tenants per cluster" regime the paper
-// targets while bounding worst-case memory to a few MB per vector.
-const DefaultVecCardinality = 2048
+// A vector holds one child per distinct label set, uncapped: the tenant
+// observability plane, which makes every labeled vector, caps its tenants
+// before it names a label.
 
 // labelKeyRE is the shape every label key must have: lowercase snake_case.
 // crdb-lint's metricnames check additionally restricts keys to a small
@@ -47,10 +35,7 @@ type vecCore struct {
 	keys []string
 
 	mu       sync.Mutex
-	max      int
 	children map[string]*vecChild
-	overflow *vecChild // lazily created once the cap is hit
-	absorbed int64     // distinct label sets routed to overflow
 }
 
 func newVecCore(name string, keys []string) vecCore {
@@ -69,7 +54,6 @@ func newVecCore(name string, keys []string) vecCore {
 	}
 	return vecCore{
 		keys:     append([]string(nil), keys...),
-		max:      DefaultVecCardinality,
 		children: make(map[string]*vecChild),
 	}
 }
@@ -77,21 +61,8 @@ func newVecCore(name string, keys []string) vecCore {
 // Keys returns the vector's label keys in declaration order.
 func (v *vecCore) Keys() []string { return append([]string(nil), v.keys...) }
 
-// SetMaxCardinality lowers (or raises) the cap on distinct label sets.
-// Existing children are kept even if they exceed a lowered cap; only new
-// label sets are affected.
-func (v *vecCore) SetMaxCardinality(n int) {
-	if n < 1 {
-		n = 1
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.max = n
-}
-
 // child returns the metric for the given label values, creating it with
-// mk on first use. Past the cardinality cap it returns the shared overflow
-// child instead.
+// mk on first use.
 func (v *vecCore) child(values []string, mk func() any) any {
 	if len(values) != len(v.keys) {
 		panic(fmt.Sprintf("metric: vector expects %d label values, got %d", len(v.keys), len(values)))
@@ -102,36 +73,13 @@ func (v *vecCore) child(values []string, mk func() any) any {
 	if c, ok := v.children[k]; ok {
 		return c.m
 	}
-	if len(v.children) >= v.max {
-		// An explicit __overflow__ label set maps to the same child, so the
-		// overflow bucket is addressable without inflating absorbed counts.
-		explicit := true
-		for _, val := range values {
-			if val != OverflowLabelValue {
-				explicit = false
-				break
-			}
-		}
-		if !explicit {
-			v.absorbed++
-		}
-		if v.overflow == nil {
-			ov := make([]string, len(v.keys))
-			for i := range ov {
-				ov[i] = OverflowLabelValue
-			}
-			v.overflow = &vecChild{values: ov, m: mk()}
-		}
-		return v.overflow.m
-	}
 	c := &vecChild{values: append([]string(nil), values...), m: mk()}
 	v.children[k] = c
 	return c.m
 }
 
 // peek returns the child for the given label values without creating it:
-// nil when the label set has never been observed. Explicit overflow values
-// resolve to the overflow child if one exists.
+// nil when the label set has never been observed.
 func (v *vecCore) peek(values []string) any {
 	if len(values) != len(v.keys) {
 		panic(fmt.Sprintf("metric: vector expects %d label values, got %d", len(v.keys), len(values)))
@@ -142,15 +90,11 @@ func (v *vecCore) peek(values []string) any {
 	if c, ok := v.children[k]; ok {
 		return c.m
 	}
-	if v.overflow != nil && k == strings.Join(v.overflow.values, vecSep) {
-		return v.overflow.m
-	}
 	return nil
 }
 
-// each calls fn for every child in sorted label-value order, with the
-// overflow child (if any) last. The snapshot is taken under the lock; fn
-// runs outside it.
+// each calls fn for every child in sorted label-value order. The snapshot
+// is taken under the lock; fn runs outside it.
 func (v *vecCore) each(fn func(values []string, m any)) {
 	v.mu.Lock()
 	keys := make([]string, 0, len(v.children))
@@ -158,12 +102,9 @@ func (v *vecCore) each(fn func(values []string, m any)) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	snap := make([]*vecChild, 0, len(keys)+1)
+	snap := make([]*vecChild, 0, len(keys))
 	for _, k := range keys {
 		snap = append(snap, v.children[k])
-	}
-	if v.overflow != nil {
-		snap = append(snap, v.overflow)
 	}
 	v.mu.Unlock()
 	for _, c := range snap {

@@ -464,7 +464,7 @@ func (o *Orchestrator) Lookup(ctx context.Context, tenantName string) ([]proxy.B
 		// Empty when a suspend took the pods between the two reads.
 		var out []proxy.Backend
 		for _, p := range o.servingPods(tenantName) {
-			out = append(out, proxy.Backend{Addr: p.Node.Addr()})
+			out = append(out, proxy.Backend{Addr: p.Node.Addr(), Obs: p.Node.Obs()})
 		}
 		if len(out) > 0 {
 			return out, nil

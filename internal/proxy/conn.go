@@ -50,26 +50,27 @@ type proxiedConn struct {
 // refusing the client (connection refused or reset, EOF, a draining node)
 // is excluded and the tenant routed once more, which may be a cold start. A
 // refusal of the client's credentials is a *wire.AuthError, never retried.
-func (pc *proxiedConn) route(ctx context.Context, exclude string) error {
+// route returns the backend the session is now on.
+func (pc *proxiedConn) route(ctx context.Context, exclude string) (Backend, error) {
 	for retried := false; ; retried = true {
 		backends, err := pc.proxy.cfg.Directory.Lookup(ctx, pc.tenantName)
 		if err != nil {
-			return err
+			return Backend{}, err
 		}
-		addr, err := pc.proxy.pickBackend(backends, exclude)
+		b, err := pc.proxy.pickBackend(backends, exclude)
 		if err != nil {
-			return err
+			return Backend{}, err
 		}
-		if err = pc.dial(addr, wire.MsgStartup, &pc.startup); err == nil {
-			return nil
+		if err = pc.dial(b.Addr, wire.MsgStartup, &pc.startup); err == nil {
+			return b, nil
 		}
-		pc.proxy.releaseBackend(addr)
+		pc.proxy.releaseBackend(b.Addr)
 		var authErr *wire.AuthError
 		if retried || errors.As(err, &authErr) {
-			return err
+			return Backend{}, err
 		}
-		trace.SpanFromContext(ctx).Eventf("backend %s refused the session: %v", addr, err)
-		exclude = addr
+		trace.SpanFromContext(ctx).Eventf("backend %s refused the session: %v", b.Addr, err)
+		exclude = b.Addr
 	}
 }
 
@@ -207,7 +208,7 @@ func (pc *proxiedConn) relay() {
 			// no backend can be reached does it die with the node.
 			dead := pc.backendAddr()
 			pc.setBackend(nil, nil, "")
-			if err := pc.route(context.Background(), dead); err != nil {
+			if _, err := pc.route(context.Background(), dead); err != nil {
 				return
 			}
 			pc.span.Eventf("backend %s died; session re-routed to %s", dead, pc.backendAddr())

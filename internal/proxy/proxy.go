@@ -25,6 +25,10 @@ import (
 // Backend is one SQL node a tenant connection may be routed to.
 type Backend struct {
 	Addr string
+	// Obs is the handle of the node's tenant on the observability plane,
+	// which counts the connections routed to it (proxy.tenant_conns); nil
+	// records nothing.
+	Obs *tenantobs.Tenant
 }
 
 // Directory resolves tenants to the SQL nodes serving them. The orchestrator
@@ -58,9 +62,6 @@ type Config struct {
 	// client's connection survives.
 	//lint:allow deadsurface test seam: TestBackendKillForcesReconnect arms proxy.backend.kill through it
 	Faults *faultinject.Registry
-	// Obs, when non-nil, receives per-tenant connection counts
-	// (proxy.tenant_conns).
-	Obs *tenantobs.Plane
 }
 
 // Proxy is a running proxy server.
@@ -230,19 +231,19 @@ func (p *Proxy) noteAuthSuccess(origin string) {
 // pickBackend chooses the backend with the fewest proxied connections
 // ("least connections", §4.2.2), passing over exclude unless it is the only
 // one, and counts the new connection against it.
-func (p *Proxy) pickBackend(backends []Backend, exclude string) (string, error) {
+func (p *Proxy) pickBackend(backends []Backend, exclude string) (Backend, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	best := ""
+	var best Backend
 	for _, b := range backends {
-		if best == "" || best == exclude || b.Addr != exclude && p.mu.connsPerBackend[b.Addr] < p.mu.connsPerBackend[best] {
-			best = b.Addr
+		if best.Addr == "" || best.Addr == exclude || b.Addr != exclude && p.mu.connsPerBackend[b.Addr] < p.mu.connsPerBackend[best.Addr] {
+			best = b
 		}
 	}
-	if best == "" {
-		return "", errors.New("proxy: no healthy SQL nodes")
+	if best.Addr == "" {
+		return Backend{}, errors.New("proxy: no healthy SQL nodes")
 	}
-	p.mu.connsPerBackend[best]++
+	p.mu.connsPerBackend[best.Addr]++
 	return best, nil
 }
 
@@ -315,7 +316,7 @@ func (p *Proxy) handleConn(client net.Conn) {
 	// Routing — for a suspended tenant this is the cold-start path, and
 	// the orchestrator's pod-assignment work nests under proxy.route.
 	rctx, routeSp := trace.StartSpan(ctx, "proxy.route")
-	err = pc.route(rctx, "")
+	backend, err := pc.route(rctx, "")
 	routeSp.SetAttr("proxy.backend", pc.backendAddr())
 	routeSp.Finish()
 	if err != nil {
@@ -350,7 +351,7 @@ func (p *Proxy) handleConn(client net.Conn) {
 	if err := wire.WriteMessage(client, wire.MsgAuth, &wire.Auth{OK: true}); err != nil {
 		return
 	}
-	p.cfg.Obs.Named(tenantName).ConnOpened()
+	backend.Obs.ConnOpened()
 	pc.relay()
 }
 

@@ -79,6 +79,7 @@ type SQLNode struct {
 	mu struct {
 		sync.Mutex
 		tenant  *core.Tenant
+		obs     *tenantobs.Tenant // the tenant's handle, bound with it
 		exec    *sql.Executor
 		metered *MeteredSender
 		bucket  *tenantcost.NodeBucket
@@ -168,9 +169,10 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 	}
 	// The tenant enters the observability plane with its first pod, before
 	// any signal keyed by its ID alone could name a series after the ID.
-	// The DistSender, coordinator, executor and node bucket made below each
-	// resolve its handle once, here.
-	n.cfg.Obs.RegisterTenant(t.ID, t.Name)
+	// The node keeps the handle for its bucket, the proxy and the
+	// autoscaler; the DistSender, coordinator and executor made below each
+	// resolve it by ID once, here.
+	obs := n.cfg.Obs.RegisterTenant(t.ID, t.Name)
 	ds := kvserver.NewDistSender(n.cfg.Cluster, kvserver.Identity{Tenant: t.ID}, kvserver.Config{Obs: n.cfg.Obs})
 	metered := NewMeteredSender(ds)
 	coord := txn.NewCoordinator(metered, n.cfg.Cluster.Clock(), t.ID)
@@ -182,10 +184,11 @@ func (n *SQLNode) AssignTenant(ctx context.Context, t *core.Tenant) error {
 		Obs:        n.cfg.Obs,
 	})
 	n.mu.tenant = t
+	n.mu.obs = obs
 	n.mu.exec = exec
 	n.mu.metered = metered
 	if n.cfg.Buckets != nil {
-		n.mu.bucket = tenantcost.NewNodeBucket(n.cfg.Buckets, n.cfg.Clock, t.ID, int32(n.cfg.InstanceID))
+		n.mu.bucket = tenantcost.NewNodeBucket(n.cfg.Buckets, n.cfg.Clock, t.ID, int32(n.cfg.InstanceID), obs)
 	}
 	// Connections waiting on tenantReady bind once n.mu is released.
 	close(n.tenantReady)
@@ -200,6 +203,14 @@ func (n *SQLNode) Tenant() *core.Tenant {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.mu.tenant
+}
+
+// Obs returns the assigned tenant's handle on the observability plane (nil
+// before assignment, or when the node has no plane).
+func (n *SQLNode) Obs() *tenantobs.Tenant {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.mu.obs
 }
 
 // Executor exposes the node's SQL executor (nil before assignment).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crdbserverless/internal/keys"
+	"crdbserverless/internal/tenantobs"
 	"crdbserverless/internal/timeutil"
 )
 
@@ -53,31 +54,6 @@ type BucketServer struct {
 	tenants map[keys.TenantID]*serverBucket
 	// trickleInterval is how long each trickle grant lasts.
 	trickleInterval time.Duration
-	// observer, when set, gives each new NodeBucket the function that
-	// observes its consumption.
-	observer func(keys.TenantID) func(tokens float64)
-}
-
-// SetConsumptionObserver installs observer, which each NodeBucket made after
-// the call asks, once, for the function that observes its tenant's token
-// consumption. The deployment wires this to the tenant observability plane
-// so per-tenant RU burn shows up on /debug/metrics (tenantcost.tenant_ru).
-func (s *BucketServer) SetConsumptionObserver(observer func(tenant keys.TenantID) func(tokens float64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observer = observer
-}
-
-// observerFor returns the consumption observer of a new bucket of tenant's,
-// nil when there is none.
-func (s *BucketServer) observerFor(tenant keys.TenantID) func(float64) {
-	s.mu.Lock()
-	observer := s.observer
-	s.mu.Unlock()
-	if observer == nil {
-		return nil
-	}
-	return observer(tenant)
 }
 
 // NewBucketServer returns a server using the given clock.
@@ -217,9 +193,9 @@ type NodeBucket struct {
 	clock  timeutil.Clock
 	tenant keys.TenantID
 	node   int32
-	// onConsume, when set, observes every consumption. It is called outside
-	// the bucket's and the server's locks.
-	onConsume func(tokens float64)
+	// obs records every consumption as the tenant's request units
+	// (tenantcost.tenant_ru), outside the bucket's and the server's locks.
+	obs *tenantobs.Tenant
 
 	mu struct {
 		sync.Mutex
@@ -242,13 +218,13 @@ type NodeBucket struct {
 	requestWindow time.Duration
 }
 
-// NewNodeBucket returns a client for (tenant, node) against server.
-func NewNodeBucket(server *BucketServer, clock timeutil.Clock, tenant keys.TenantID, node int32) *NodeBucket {
+// NewNodeBucket returns a client for (tenant, node) against server. obs is
+// the tenant's handle on the observability plane, nil when there is none.
+func NewNodeBucket(server *BucketServer, clock timeutil.Clock, tenant keys.TenantID, node int32, obs *tenantobs.Tenant) *NodeBucket {
 	if clock == nil {
 		clock = timeutil.NewRealClock()
 	}
-	nb := &NodeBucket{server: server, clock: clock, tenant: tenant, node: node, requestWindow: 10 * time.Second}
-	nb.onConsume = server.observerFor(tenant)
+	nb := &NodeBucket{server: server, clock: clock, tenant: tenant, node: node, obs: obs, requestWindow: 10 * time.Second}
 	nb.mu.lastUpdate = clock.Now()
 	nb.mu.trickleAccrued = clock.Now()
 	return nb
@@ -263,11 +239,9 @@ func (nb *NodeBucket) Consume(tokens float64) time.Duration {
 		return 0
 	}
 	// Registered before the Unlock defer below, so it runs after the lock
-	// is released: the observer (the observability plane) is called with no
-	// tenantcost locks held.
-	if nb.onConsume != nil {
-		defer nb.onConsume(tokens)
-	}
+	// is released: the observability plane is called with no tenantcost
+	// locks held.
+	defer nb.obs.AddRU(tokens)
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
 	now := nb.clock.Now()

@@ -260,7 +260,7 @@ func TestNodeBucketBurstsFromLocalBuffer(t *testing.T) {
 	s := NewBucketServer(mc)
 	s.SetQuota(2, 100) // effectively unconstrained
 	mc.Advance(10 * time.Second)
-	nb := NewNodeBucket(s, mc, 2, 1)
+	nb := NewNodeBucket(s, mc, 2, 1, nil)
 	// First consume fetches a lump; subsequent small consumes hit the
 	// local buffer with zero delay.
 	if d := nb.Consume(10); d != 0 {
@@ -285,7 +285,7 @@ func TestNodeBucketSmoothThrottleUnderTrickle(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
 	s := NewBucketServer(mc)
 	s.SetQuota(2, 1) // 1000 tokens/s
-	nb := NewNodeBucket(s, mc, 2, 1)
+	nb := NewNodeBucket(s, mc, 2, 1, nil)
 	// Consume far beyond the refill, sleeping each returned delay as a real
 	// caller would: consumption must be smeared at ~the trickle rate rather
 	// than stop/start.
@@ -315,7 +315,7 @@ func TestNodeBucketSmoothThrottleUnderTrickle(t *testing.T) {
 
 func TestNodeBucketZeroConsume(t *testing.T) {
 	s := NewBucketServer(timeutil.NewManualClock(time.Unix(0, 0)))
-	nb := NewNodeBucket(s, timeutil.NewManualClock(time.Unix(0, 0)), 2, 1)
+	nb := NewNodeBucket(s, timeutil.NewManualClock(time.Unix(0, 0)), 2, 1, nil)
 	if d := nb.Consume(0); d != 0 {
 		t.Fatalf("Consume(0) = %v", d)
 	}
@@ -350,7 +350,7 @@ func TestThrottleChargesSharedTotalOnce(t *testing.T) {
 	s := NewBucketServer(mc)
 	s.SetQuota(2, 100) // effectively unconstrained
 	mc.Advance(10 * time.Second)
-	nb := NewNodeBucket(s, mc, 2, 1)
+	nb := NewNodeBucket(s, mc, 2, 1, nil)
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -375,7 +375,7 @@ func TestThrottleWaitEndsWithCtx(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
 	s := NewBucketServer(mc)
 	s.SetQuota(2, 1) // 1000 tokens/s, and the bucket starts empty
-	nb := NewNodeBucket(s, mc, 2, 1)
+	nb := NewNodeBucket(s, mc, 2, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -405,7 +405,7 @@ func consumeFlatOut(nodes int, d time.Duration) (consumed, idleBalance float64) 
 	buckets := make([]*NodeBucket, nodes)
 	next := make([]time.Time, nodes)
 	for i := range buckets {
-		buckets[i] = NewNodeBucket(s, mc, 2, int32(i+1))
+		buckets[i] = NewNodeBucket(s, mc, 2, int32(i+1), nil)
 		next[i] = mc.Now()
 	}
 	end := mc.Now().Add(d)

@@ -8,27 +8,34 @@
 // telemetry exists; the flat registry of PRs 1–2 could not distinguish a
 // noisy neighbor from fleet-wide load.
 //
-// Signals are recorded through a per-tenant handle, a *Tenant, resolved once
-// where a component binds to its tenant: a SQL pod when it is assigned one,
-// a node bucket when it is made, a KV node's admission queue when it first
-// admits the tenant's work. A handle holds the tenant's window ring and its
-// children of the labeled vectors, so recording a signal takes neither the
-// plane's lock nor a vector's and joins no label values: the plane lock is
-// taken only to register a tenant (resolve a handle) and to render. Each
-// labeled child is looked up in its vector on the tenant's first signal of
-// that kind, as it was when every signal looked it up, so the set of series
-// and the order they appear in do not depend on when handles are resolved.
+// A tenant's state is created once, by ID: RegisterTenant binds the ID to
+// the tenant's name when its first pod or session binds it, and Tenant
+// resolves an ID the KV side meets that was never bound, naming it by the
+// ID. Signals are recorded through that state's handle, a *Tenant, held by
+// whatever bound the tenant: a SQL pod keeps the one it registered and hands
+// it to its node bucket, the proxy's backends and the autoscaler; a
+// DistSender, coordinator or executor resolves it by ID when made, and a KV
+// node's admission queue when it first admits the tenant's work. Only the
+// drill-down page looks a tenant up by name. A handle holds the tenant's
+// window ring and its children of the labeled vectors, so recording a signal
+// takes neither the plane's lock nor a vector's and joins no label values:
+// the plane lock is taken only to register a tenant (resolve a handle) and
+// to render. Each labeled child is looked up in its vector on the tenant's
+// first signal of that kind, as it was when every signal looked it up, so
+// the set of series and the order they appear in do not depend on when
+// handles are resolved.
 //
 // Every method is nil-safe: a nil *Plane resolves nil handles and a nil
 // *Tenant records nothing, so instrumented packages call unconditionally and
 // tests that don't care about observability pay nothing, the same contract
 // as nil trace spans.
 //
-// Tenant cardinality is hard-capped. Once MaxTenants distinct tenants have
-// been seen, further tenants collapse into a single __overflow__
-// pseudo-tenant (windows, SLO, and every labeled series included), so
-// memory stays bounded no matter how many tenants a run creates, and the
-// split is first-arrival deterministic.
+// Tenant cardinality is hard-capped here, and only here: the plane makes
+// every labeled vector, and the vectors themselves are uncapped. Once
+// MaxTenants distinct tenants have been seen, further tenants collapse into
+// a single __overflow__ pseudo-tenant (windows, SLO, and every labeled
+// series included), so memory stays bounded no matter how many tenants a
+// run creates, and the split is first-arrival deterministic.
 package tenantobs
 
 import (
@@ -53,6 +60,15 @@ type Config struct {
 	MaxTenants int
 }
 
+// OverflowLabelValue is the tenant label of the state every tenant past
+// the cap shares.
+const OverflowLabelValue = "__overflow__"
+
+// defaultMaxTenants is the cap when Config.MaxTenants is unset. 2048 holds
+// the "thousands of tenants per cluster" regime the paper targets while
+// bounding each vector to a few MB.
+const defaultMaxTenants = 2048
+
 // objective is every tenant's SLO: 99.9% of queries good within 100ms.
 var objective = metric.Objective{LatencyThreshold: 100 * time.Millisecond, Target: 0.999}
 
@@ -62,8 +78,7 @@ var objective = metric.Objective{LatencyThreshold: 100 * time.Millisecond, Targe
 // *Tenant records nothing. Safe for concurrent use.
 type Tenant struct {
 	p    *Plane
-	name string        // label value; OverflowLabelValue for the shared overflow state
-	id   keys.TenantID // guarded by p.mu
+	name string // label value; OverflowLabelValue for the shared overflow state
 	win  *metric.Windowed
 
 	conns *metric.Counter // proxy.tenant_conns{tenant}, made with the state
@@ -132,18 +147,19 @@ type Plane struct {
 	scaleEvents *metric.CounterVec   // autoscaler.tenant_scale_events{tenant,result}
 
 	// mu guards the tenant registry below; no signal takes it.
-	mu       sync.Mutex
-	byID     map[keys.TenantID]*Tenant
-	byName   map[string]*Tenant
-	states   []*Tenant // non-overflow states in creation order
-	overflow *Tenant   // lazily created at the cap
-	absorbed int64     // distinct tenants routed to overflow
+	mu     sync.Mutex
+	byID   map[keys.TenantID]*Tenant
+	byName map[string]*Tenant // for the drill-down page alone
+	// states holds the non-overflow states in creation order.
+	states   []*Tenant
+	overflow *Tenant // lazily created at the cap
+	absorbed int64   // distinct tenants routed to overflow
 }
 
 // New builds a Plane and registers its labeled vectors on cfg.Registry.
 func New(cfg Config) *Plane {
 	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = metric.DefaultVecCardinality
+		cfg.MaxTenants = defaultMaxTenants
 	}
 	r := cfg.Registry
 	p := &Plane{
@@ -162,18 +178,6 @@ func New(cfg Config) *Plane {
 		byID:        make(map[keys.TenantID]*Tenant),
 		byName:      make(map[string]*Tenant),
 	}
-	// The plane converts overflow tenants to the __overflow__ label before
-	// touching any vector, so the vector-level caps only need to cover the
-	// plane's own cap (plus the overflow child and the small result
-	// dimension on two-label vectors).
-	single := cfg.MaxTenants + 1
-	double := 4 * (cfg.MaxTenants + 1)
-	for _, v := range []interface{ SetMaxCardinality(int) }{p.conns, p.execLat, p.retries, p.commitRetry, p.batches, p.admWait, p.ru} {
-		v.SetMaxCardinality(single)
-	}
-	p.queries.SetMaxCardinality(double)
-	p.commits.SetMaxCardinality(double)
-	p.scaleEvents.SetMaxCardinality(double)
 	return p
 }
 
@@ -187,66 +191,38 @@ func (p *Plane) Now() time.Time {
 }
 
 // newStateLocked builds the state for name.
-func (p *Plane) newStateLocked(name string, id keys.TenantID) *Tenant {
+func (p *Plane) newStateLocked(name string) *Tenant {
 	return &Tenant{
 		p:     p,
 		name:  name,
-		id:    id,
 		win:   metric.NewWindowed(),
 		conns: p.conns.With(name),
 	}
 }
 
-// ensureLocked returns the state for (id, name), creating it if needed.
-// Either id or name may be zero-valued; known halves are merged. Past the
-// cap, new tenants map to the shared overflow state (and are remembered in
-// the lookup maps, so each distinct tenant is absorbed exactly once). The
-// overflow label names that state, not a tenant: it absorbs nothing, and
-// below the cap it registers no state of its own, whose series the overflow
-// state's would share. Caller must hold p.mu.
+// ensureLocked returns the state of tenant id, creating it under name if
+// the tenant is new. Past the cap a new tenant maps to the shared overflow
+// state, and is remembered, so each distinct tenant is absorbed exactly
+// once. The overflow label names that state, not a tenant: it absorbs
+// nothing, and below the cap it registers no state of its own, whose series
+// the overflow state's would share. Caller must hold p.mu.
 func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
-	if name == metric.OverflowLabelValue {
+	if name == OverflowLabelValue {
 		return p.overflowLocked()
 	}
-	if name != "" {
-		if st, ok := p.byName[name]; ok {
-			if id != 0 && st != p.overflow {
-				if st.id == 0 {
-					st.id = id
-				}
-				if _, ok := p.byID[id]; !ok {
-					p.byID[id] = st
-				}
-			}
-			return st
-		}
+	if st, ok := p.byID[id]; ok {
+		return st
 	}
-	if id != 0 {
-		if st, ok := p.byID[id]; ok {
-			return st
-		}
-	}
-	if name == "" {
-		name = id.String()
-		if st, ok := p.byName[name]; ok {
-			p.byID[id] = st
-			return st
-		}
-	}
-	if len(p.states) >= p.max {
+	var st *Tenant
+	if len(p.states) < p.max {
+		st = p.newStateLocked(name)
+		p.states = append(p.states, st)
+	} else {
 		p.absorbed++
-		p.byName[name] = p.overflowLocked()
-		if id != 0 {
-			p.byID[id] = p.overflow
-		}
-		return p.overflow
+		st = p.overflowLocked()
 	}
-	st := p.newStateLocked(name, id)
+	p.byID[id] = st
 	p.byName[name] = st
-	if id != 0 {
-		p.byID[id] = st
-	}
-	p.states = append(p.states, st)
 	return st
 }
 
@@ -254,14 +230,14 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
 // Caller must hold p.mu.
 func (p *Plane) overflowLocked() *Tenant {
 	if p.overflow == nil {
-		p.overflow = p.newStateLocked(metric.OverflowLabelValue, 0)
+		p.overflow = p.newStateLocked(OverflowLabelValue)
 	}
 	return p.overflow
 }
 
-// RegisterTenant declares a tenant up front, binding its ID to its
-// human-readable name so signals keyed by either converge on one series, and
-// returns its handle.
+// RegisterTenant binds a tenant's ID to its human-readable name, the label
+// of its series, and returns its handle. The first pod or session of the
+// tenant calls it; a later call returns the same handle.
 func (p *Plane) RegisterTenant(id keys.TenantID, name string) *Tenant {
 	if p == nil {
 		return nil
@@ -279,18 +255,12 @@ func (p *Plane) Tenant(id keys.TenantID) *Tenant {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.ensureLocked(id, "")
-}
-
-// Named returns the handle of the tenant with the given name, registering it
-// if it was never seen.
-func (p *Plane) Named(name string) *Tenant {
-	if p == nil {
-		return nil
+	// Checked here too so that the fallback name is formatted, an
+	// allocation, only for a new tenant.
+	if st, ok := p.byID[id]; ok {
+		return st
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ensureLocked(0, name)
+	return p.ensureLocked(id, id.String())
 }
 
 // Absorbed returns how many distinct tenants were routed to the overflow
@@ -302,16 +272,6 @@ func (p *Plane) Absorbed() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.absorbed
-}
-
-// TenantCount returns the number of distinct (non-overflow) tenants seen.
-func (p *Plane) TenantCount() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.states)
 }
 
 // Now returns the plane's clock reading; the zero time when t is nil.
@@ -415,38 +375,36 @@ func (t *Tenant) ScaleEvent(kind string) {
 }
 
 // lookup returns the state for name without creating one: nil when the
-// tenant has never been seen. Read paths use this so that rendering a
-// debug page never perturbs the set of series.
+// tenant has never been seen. Only the drill-down page resolves a tenant by
+// name.
 func (p *Plane) lookup(name string) *Tenant {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if name == metric.OverflowLabelValue {
+	if name == OverflowLabelValue {
 		return p.overflow
 	}
 	return p.byName[name]
 }
 
-// P99 returns the tenant's p99 query latency over the trailing span, or 0
-// for an unknown tenant.
-func (p *Plane) P99(name string, now time.Time, span time.Duration) time.Duration {
-	st := p.lookup(name)
-	if st == nil {
+// P99 returns the tenant's p99 query latency over the trailing span; 0 when
+// t is nil.
+func (t *Tenant) P99(now time.Time, span time.Duration) time.Duration {
+	if t == nil {
 		return 0
 	}
-	return st.win.Quantile(now, span, 0.99)
+	return t.win.Quantile(now, span, 0.99)
 }
 
-// BurnRate returns the tenant's SLO burn rate over the trailing span, or 0
-// for an unknown tenant.
-func (p *Plane) BurnRate(name string, now time.Time, span time.Duration) float64 {
-	st := p.lookup(name)
-	if st == nil {
+// BurnRate returns the tenant's SLO burn rate over the trailing span; 0 when
+// t is nil.
+func (t *Tenant) BurnRate(now time.Time, span time.Duration) float64 {
+	if t == nil {
 		return 0
 	}
-	count, bad, _ := st.win.Totals(now, span)
+	count, bad, _ := t.win.Totals(now, span)
 	return objective.Burn(count, bad)
 }
 
@@ -460,31 +418,28 @@ func counterValue(v *metric.CounterVec, values ...string) int64 {
 
 // TxnCommits returns how many of the tenant's transactions committed by the
 // given path (see TxnCommit).
-func (p *Plane) TxnCommits(name, path string) int64 {
-	st := p.lookup(name)
-	if st == nil {
+func (t *Tenant) TxnCommits(path string) int64 {
+	if t == nil {
 		return 0
 	}
-	return counterValue(p.commits, st.name, path)
+	return counterValue(t.p.commits, t.name, path)
 }
 
 // TxnCommitRetries returns how many times the tenant's commit batches were
 // re-sent.
-func (p *Plane) TxnCommitRetries(name string) int64 {
-	st := p.lookup(name)
-	if st == nil {
+func (t *Tenant) TxnCommitRetries() int64 {
+	if t == nil {
 		return 0
 	}
-	return counterValue(p.commitRetry, st.name)
+	return counterValue(t.p.commitRetry, t.name)
 }
 
 // RU returns the tenant's cumulative recorded request units.
-func (p *Plane) RU(name string) float64 {
-	st := p.lookup(name)
-	if st == nil {
+func (t *Tenant) RU() float64 {
+	if t == nil {
 		return 0
 	}
-	if g := p.ru.Peek(st.name); g != nil {
+	if g := t.p.ru.Peek(t.name); g != nil {
 		return g.Value()
 	}
 	return 0

@@ -22,8 +22,8 @@ func newTestPlane(max int) (*Plane, *timeutil.ManualClock, *metric.Registry) {
 
 func TestNilPlaneIsInert(t *testing.T) {
 	var p *Plane
-	p.RegisterTenant(2, "alpha")
-	p.Named("alpha").ConnOpened()
+	h := p.RegisterTenant(2, "alpha")
+	h.ConnOpened()
 	p.Tenant(2).QueryDone(time.Millisecond, false)
 	p.Tenant(2).TxnRetry()
 	p.Tenant(2).TxnCommit("one_phase")
@@ -31,9 +31,9 @@ func TestNilPlaneIsInert(t *testing.T) {
 	p.Tenant(2).Batch()
 	p.Tenant(2).AdmissionWait(0)
 	p.Tenant(2).AddRU(1)
-	p.Named("alpha").ScaleEvent("up")
-	if p.TenantCount() != 0 || p.Absorbed() != 0 || p.RU("alpha") != 0 ||
-		p.TxnCommits("alpha", "one_phase") != 0 || p.TxnCommitRetries("alpha") != 0 {
+	h.ScaleEvent("up")
+	if h != nil || p.Absorbed() != 0 || h.RU() != 0 || h.P99(time.Time{}, time.Minute) != 0 ||
+		h.BurnRate(time.Time{}, time.Minute) != 0 || h.TxnCommits("one_phase") != 0 || h.TxnCommitRetries() != 0 {
 		t.Fatal("nil plane reported data")
 	}
 	var b strings.Builder
@@ -50,9 +50,9 @@ func TestNilPlaneIsInert(t *testing.T) {
 
 func TestPlaneRecordsPerTenant(t *testing.T) {
 	p, clock, r := newTestPlane(0)
-	p.RegisterTenant(2, "alpha")
-	p.RegisterTenant(3, "beta")
-	p.Named("alpha").ConnOpened()
+	alpha := p.RegisterTenant(2, "alpha")
+	beta := p.RegisterTenant(3, "beta")
+	alpha.ConnOpened()
 	for i := 0; i < 100; i++ {
 		p.Tenant(2).QueryDone(10*time.Millisecond, false)
 		clock.Advance(time.Second)
@@ -66,27 +66,31 @@ func TestPlaneRecordsPerTenant(t *testing.T) {
 	p.Tenant(2).Batch()
 	p.Tenant(2).AdmissionWait(3 * time.Millisecond)
 	p.Tenant(2).AddRU(42.5)
-	p.Named("beta").ScaleEvent("suspend")
+	beta.ScaleEvent("suspend")
 
 	now := clock.Now()
 	if got := p.rate("alpha", now, metric.BurnShortWindow); got == 0 {
 		t.Fatal("alpha qps = 0, want > 0")
 	}
-	if got := p.BurnRate("beta", now, metric.BurnShortWindow); got == 0 {
+	if got := beta.BurnRate(now, metric.BurnShortWindow); got == 0 {
 		t.Fatal("beta burn rate = 0, want > 0 (its one query errored)")
 	}
-	if got := p.BurnRate("alpha", now, metric.BurnShortWindow); got != 0 {
+	if got := alpha.BurnRate(now, metric.BurnShortWindow); got != 0 {
 		t.Fatalf("alpha burn rate = %v, want 0", got)
 	}
-	if got := p.RU("alpha"); got != 42.5 {
+	if got := alpha.P99(now, metric.BurnShortWindow); got == 0 {
+		t.Fatal("alpha p99 = 0, want > 0")
+	}
+	if got := alpha.RU(); got != 42.5 {
 		t.Fatalf("alpha RU = %v, want 42.5", got)
 	}
-	if one, two, ro, retries := p.TxnCommits("beta", "one_phase"), p.TxnCommits("beta", "two_phase"),
-		p.TxnCommits("beta", "read_only"), p.TxnCommitRetries("beta"); one != 1 || two != 2 || ro != 0 || retries != 1 {
+	if one, two, ro, retries := beta.TxnCommits("one_phase"), beta.TxnCommits("two_phase"),
+		beta.TxnCommits("read_only"), beta.TxnCommitRetries(); one != 1 || two != 2 || ro != 0 || retries != 1 {
 		t.Fatalf("beta commits one/two/read-only = %d/%d/%d, retries %d; want 1/2/0, 1", one, two, ro, retries)
 	}
 
-	// Signals keyed by ID and by name converge on the same labeled series.
+	// Signals through the registered handle and through Tenant(id) converge
+	// on the same labeled series.
 	var b strings.Builder
 	if err := r.WriteExposition(&b); err != nil {
 		t.Fatal(err)
@@ -126,7 +130,7 @@ func TestPlaneOneRingServesSLO(t *testing.T) {
 	}
 
 	p, clock, _ := newTestPlane(0)
-	p.RegisterTenant(2, "alpha")
+	alpha := p.RegisterTenant(2, "alpha")
 	for i := 0; i < 1000; i++ {
 		lat, errored := 10*time.Millisecond, false
 		switch {
@@ -141,14 +145,14 @@ func TestPlaneOneRingServesSLO(t *testing.T) {
 	if got, want := p.rate("alpha", now, metric.BurnShortWindow), 1000/metric.BurnShortWindow.Seconds(); got != want {
 		t.Fatalf("qps(5m) = %v, want %v (each query recorded once)", got, want)
 	}
-	rows := p.snapshotRows(now)
+	rows := p.snapshot(now).rows
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
 	if got := rows[0].good5; got != 0.99 {
 		t.Fatalf("good(5m) = %v, want 0.99", got)
 	}
-	for _, burn := range []float64{rows[0].burn5, p.BurnRate("alpha", now, metric.BurnShortWindow)} {
+	for _, burn := range []float64{rows[0].burn5, alpha.BurnRate(now, metric.BurnShortWindow)} {
 		if burn < 9.99 || burn > 10.01 {
 			t.Fatalf("burn(5m) = %v, want ~10", burn)
 		}
@@ -168,10 +172,12 @@ func TestPlaneUnknownIDGetsFallbackName(t *testing.T) {
 	if got := p.rate("tenant-7", clock.Now(), metric.BurnShortWindow); got == 0 {
 		t.Fatal("unregistered tenant not recorded under fallback name")
 	}
-	// A later registration binds the ID to the existing fallback state.
-	p.RegisterTenant(7, "tenant-7")
-	if got := p.TenantCount(); got != 1 {
-		t.Fatalf("TenantCount = %d, want 1", got)
+	// A later registration returns the existing fallback state.
+	if p.RegisterTenant(7, "seven") != p.Tenant(7) {
+		t.Fatal("registering a fallback-named ID made a second state")
+	}
+	if got := p.snapshot(clock.Now()).tenants; got != 1 {
+		t.Fatalf("tenants = %d, want 1", got)
 	}
 }
 
@@ -186,8 +192,8 @@ func TestPlaneCardinalityGuard(t *testing.T) {
 		p.RegisterTenant(id, fmt.Sprintf("tenant-%04d", i))
 		p.Tenant(id).QueryDone(time.Millisecond, false)
 	}
-	if got := p.TenantCount(); got != max {
-		t.Fatalf("TenantCount = %d, want cap %d", got, max)
+	if got := p.snapshot(clock.Now()).tenants; got != max {
+		t.Fatalf("tenants = %d, want cap %d", got, max)
 	}
 	if got := p.Absorbed(); got != 1 {
 		t.Fatalf("Absorbed = %d, want 1", got)
@@ -215,19 +221,19 @@ func TestPlaneCardinalityGuard(t *testing.T) {
 	}
 }
 
-// The overflow label names the overflow state, never a tenant. At the cap,
-// resolving it by name absorbs no tenant, so tenantz's absorbed= counts
-// only tenants. Below the cap it registers no state of its own: were it a
-// tenant, it and the overflow state would write one series.
+// The overflow label names the overflow state, never a tenant. A tenant
+// registered under it gets that state: at the cap this absorbs no tenant, so
+// tenantz's absorbed= counts only tenants, and below the cap it makes no
+// state of its own, whose series the overflow state's would share.
 func TestPlaneOverflowLabelIsNotATenant(t *testing.T) {
 	const max = 2
 	p, clock, r := newTestPlane(max)
-	below := p.Named(metric.OverflowLabelValue)
-	if got := p.TenantCount(); got != 0 {
-		t.Fatalf("below the cap: TenantCount = %d after resolving the overflow label, want 0", got)
+	below := p.RegisterTenant(100, OverflowLabelValue)
+	if got := p.snapshot(clock.Now()).tenants; got != 0 {
+		t.Fatalf("below the cap: tenants = %d after registering the overflow label, want 0", got)
 	}
 	if got := p.Absorbed(); got != 0 {
-		t.Fatalf("below the cap: Absorbed = %d after resolving the overflow label, want 0", got)
+		t.Fatalf("below the cap: Absorbed = %d after registering the overflow label, want 0", got)
 	}
 	for i := 0; i < max+2; i++ {
 		p.RegisterTenant(keys.TenantID(i+2), fmt.Sprintf("tenant-%d", i))
@@ -235,12 +241,12 @@ func TestPlaneOverflowLabelIsNotATenant(t *testing.T) {
 	if got := p.Absorbed(); got != 2 {
 		t.Fatalf("Absorbed = %d with %d tenants past a cap of %d, want 2", got, max+2, max)
 	}
-	at := p.Named(metric.OverflowLabelValue)
+	at := p.RegisterTenant(101, OverflowLabelValue)
 	if at != below || at != p.Tenant(keys.TenantID(max+3)) {
 		t.Fatal("the overflow label and an absorbed tenant resolve to different states")
 	}
 	if got := p.Absorbed(); got != 2 {
-		t.Fatalf("at the cap: Absorbed = %d after resolving the overflow label, want 2", got)
+		t.Fatalf("at the cap: Absorbed = %d after registering the overflow label, want 2", got)
 	}
 	at.QueryDone(time.Millisecond, false)
 	p.Tenant(keys.TenantID(max+2)).QueryDone(time.Millisecond, false)
@@ -257,6 +263,32 @@ func TestPlaneOverflowLabelIsNotATenant(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "absorbed=2") {
 		t.Fatalf("tenantz page does not read absorbed=2:\n%s", b.String())
+	}
+}
+
+// At the cap, /debug/tenantz and /debug/slo both count the tenants with a
+// state of their own: the __overflow__ row is not a tenant.
+func TestPlanePagesCountTenantsAlike(t *testing.T) {
+	const max = 3
+	p, clock, _ := newTestPlane(max)
+	for i := 0; i < max+2; i++ {
+		p.RegisterTenant(keys.TenantID(i+2), fmt.Sprintf("tenant-%d", i)).QueryDone(time.Millisecond, false)
+	}
+	var tenantz, slo strings.Builder
+	if err := p.WriteTenantz(&tenantz, clock.Now(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteSLO(&slo, clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("tenants=%d ", max)
+	for page, text := range map[string]string{"tenantz": tenantz.String(), "slo": slo.String()} {
+		if !strings.Contains(text, "__overflow__") {
+			t.Fatalf("%s page has no overflow row:\n%s", page, text)
+		}
+		if !strings.Contains(text, want) {
+			t.Errorf("%s header does not read %q:\n%s", page, want, text)
+		}
 	}
 }
 
@@ -314,12 +346,9 @@ func TestPlaneRenderDeterministic(t *testing.T) {
 // TestPlaneTopKTieBreak: equal stats order by ascending tenant name.
 func TestPlaneTopKTieBreak(t *testing.T) {
 	p, clock, _ := newTestPlane(0)
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		p.RegisterTenant(0, name)
-	}
 	// Identical traffic for all three.
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		p.Named(name).ConnOpened()
+	for i, name := range []string{"zeta", "alpha", "mid"} {
+		p.RegisterTenant(keys.TenantID(i+2), name).ConnOpened()
 	}
 	var b strings.Builder
 	if err := p.WriteTenantz(&b, clock.Now(), 3); err != nil {
@@ -404,10 +433,10 @@ func TestTenantHandleConcurrentSignals(t *testing.T) {
 	for id := keys.TenantID(2); id < 8; id++ {
 		if h := p.Tenant(id); !seen[h] {
 			seen[h] = true
-			total += p.TxnCommitRetries(h.name)
+			total += h.TxnCommitRetries()
 		}
 	}
-	if total != writers*signals || p.TenantCount() != 4 || p.Absorbed() != 2 {
-		t.Fatalf("commit retries %d, tenants %d, absorbed %d; want %d, 4, 2", total, p.TenantCount(), p.Absorbed(), writers*signals)
+	if snap := p.snapshot(clock.Now()); total != writers*signals || snap.tenants != 4 || snap.absorbed != 2 {
+		t.Fatalf("commit retries %d, tenants %d, absorbed %d; want %d, 4, 2", total, snap.tenants, snap.absorbed, writers*signals)
 	}
 }

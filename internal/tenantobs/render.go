@@ -27,13 +27,23 @@ type row struct {
 	good5  float64
 }
 
-// snapshotRows computes a row per seen tenant (overflow pseudo-tenant
-// last), sorted by name.
-func (p *Plane) snapshotRows(now time.Time) []row {
+// snapshot is the plane's tenant set, read under one acquisition of its
+// lock: a row per seen tenant sorted by name (overflow pseudo-tenant last),
+// the count of tenants with a state of their own, and how many were
+// absorbed into the overflow state.
+type snapshot struct {
+	rows     []row
+	tenants  int
+	absorbed int64
+}
+
+// snapshot computes the plane's rows as of now.
+func (p *Plane) snapshot(now time.Time) snapshot {
 	p.mu.Lock()
 	states := append([]*Tenant(nil), p.states...)
-	overflow := p.overflow
+	overflow, absorbed := p.overflow, p.absorbed
 	p.mu.Unlock()
+	tenants := len(states)
 	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
 	if overflow != nil {
 		states = append(states, overflow)
@@ -42,20 +52,17 @@ func (p *Plane) snapshotRows(now time.Time) []row {
 	for _, st := range states {
 		count5, bad5, _ := st.win.Totals(now, metric.BurnShortWindow)
 		count1h, bad1h, _ := st.win.Totals(now, metric.BurnLongWindow)
-		r := row{
+		rows = append(rows, row{
 			name:   st.name,
 			qps:    st.win.Rate(now, metric.BurnShortWindow),
 			p99:    st.win.Quantile(now, metric.BurnShortWindow, 0.99),
 			burn5:  objective.Burn(count5, bad5),
 			burn1h: objective.Burn(count1h, bad1h),
 			good5:  metric.GoodFraction(count5, bad5),
-		}
-		if g := p.ru.Peek(st.name); g != nil {
-			r.ru = g.Value()
-		}
-		rows = append(rows, r)
+			ru:     st.RU(),
+		})
 	}
-	return rows
+	return snapshot{rows: rows, tenants: tenants, absorbed: absorbed}
 }
 
 // topBy returns the k highest rows by the given key, ties broken by
@@ -96,11 +103,11 @@ func (p *Plane) WriteTenantz(w io.Writer, now time.Time, topK int) error {
 	if topK <= 0 {
 		topK = 10
 	}
-	rows := p.snapshotRows(now)
+	snap := p.snapshot(now)
 	var b strings.Builder
 	fmt.Fprintf(&b, "== tenantz @ %s ==\n", now.UTC().Format(time.RFC3339))
 	fmt.Fprintf(&b, "tenants=%d cap=%d absorbed=%d window=%v\n",
-		p.TenantCount(), p.max, p.Absorbed(), metric.BurnShortWindow)
+		snap.tenants, p.max, snap.absorbed, metric.BurnShortWindow)
 	sections := []struct {
 		title string
 		key   func(row) float64
@@ -113,7 +120,7 @@ func (p *Plane) WriteTenantz(w io.Writer, now time.Time, topK int) error {
 	for _, sec := range sections {
 		fmt.Fprintf(&b, "\n-- top %d by %s --\n", topK, sec.title)
 		writeRowHeader(&b)
-		for i, r := range topBy(rows, topK, sec.key) {
+		for i, r := range topBy(snap.rows, topK, sec.key) {
 			writeRow(&b, i+1, r)
 		}
 	}
@@ -146,7 +153,7 @@ func (p *Plane) WriteTenant(w io.Writer, name string, now time.Time) error {
 		counter(p.queries, st.name, "error"),
 		counter(p.retries, st.name),
 		counter(p.batches, st.name),
-		p.RU(st.name))
+		st.RU())
 	fmt.Fprintf(&b, "commits: one_phase=%d two_phase=%d read_only=%d commit_retries=%d\n",
 		counter(p.commits, st.name, "one_phase"),
 		counter(p.commits, st.name, "two_phase"),
@@ -171,7 +178,8 @@ func (p *Plane) WriteSLO(w io.Writer, now time.Time) error {
 		_, err := io.WriteString(w, "tenant observability plane not configured\n")
 		return err
 	}
-	rows := p.snapshotRows(now)
+	snap := p.snapshot(now)
+	rows := snap.rows
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].burn5 != rows[j].burn5 {
 			return rows[i].burn5 > rows[j].burn5
@@ -180,7 +188,7 @@ func (p *Plane) WriteSLO(w io.Writer, now time.Time) error {
 	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "== slo @ %s ==\n", now.UTC().Format(time.RFC3339))
-	fmt.Fprintf(&b, "tenants=%d windows=%v/%v\n", len(rows), metric.BurnShortWindow, metric.BurnLongWindow)
+	fmt.Fprintf(&b, "tenants=%d windows=%v/%v\n", snap.tenants, metric.BurnShortWindow, metric.BurnLongWindow)
 	fmt.Fprintf(&b, "  %-24s %16s %10s %8s %8s\n", "tenant", "objective", "good5m", "burn5m", "burn1h")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-24s %16v %10.4f %8.2f %8.2f\n",

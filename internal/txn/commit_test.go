@@ -60,11 +60,11 @@ func newCommitEnv(t *testing.T, faults *faultinject.Registry, wrap func(Sender) 
 }
 
 func (e *commitEnv) commits(path string) int64 {
-	return e.obs.TxnCommits(keys.TenantID(2).String(), path)
+	return e.coord.obs.TxnCommits(path)
 }
 
 func (e *commitEnv) commitRetries() int64 {
-	return e.obs.TxnCommitRetries(keys.TenantID(2).String())
+	return e.coord.obs.TxnCommitRetries()
 }
 
 // A transaction whose writes sit in one range commits in one replicated
