@@ -1,7 +1,6 @@
 package kvserver
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -75,9 +74,9 @@ type rangeState struct {
 	group atomic.Pointer[raftlite.Group]
 	// tsc is the range's timestamp cache (lost-update protection).
 	tsc *tsCache
-
-	statsMu      sync.Mutex
-	writtenBytes int64
+	// writtenBytes is the logical bytes the range's batches wrote, its size
+	// signal: a batch adds to it, a split halves it and a merge sums it.
+	writtenBytes atomic.Int64
 }
 
 // engineSM adapts a node's engine to the raftlite.SnapshotStateMachine
@@ -191,46 +190,6 @@ func (c *Cluster) SetAuthorizer(a Authorizer) {
 		return
 	}
 	c.auth.Store(&a)
-}
-
-// A ScanEvaluator evaluates what a Scan pushes down to the KV node in
-// kvpb.Request.Filter: a filter, or an aggregation (the paper's §8 future
-// work). kvserver knows nothing of rows or of the spec's format: the SQL
-// layer registers the one evaluator, which decodes the specs and the values
-// it wrote.
-type ScanEvaluator interface {
-	// Begin starts evaluating spec over one scan's rows.
-	Begin(spec []byte) (ScanFold, error)
-}
-
-// A ScanFold is one scan's evaluation. The scan hands it every visible row in
-// key order, then calls Finish exactly once, also when the scan failed. A
-// row's value is engine memory that does not change, and the fold may keep
-// referring to it until Finish.
-type ScanFold interface {
-	// Row reports whether the row with this value goes into the response as
-	// it is. A filter keeps the rows that pass it; an aggregation keeps none
-	// and folds the ones that pass instead.
-	Row(value []byte) (keep bool, err error)
-	// Finish appends to page what the fold built (an aggregation's partial
-	// rows) and ends the fold. A nil page discards it.
-	Finish(page *kvpb.Page) error
-}
-
-// scanEvaluator is the registered ScanEvaluator, nil if none is.
-var scanEvaluator atomic.Pointer[ScanEvaluator]
-
-var errNoScanEvaluator = errors.New("kvserver: no evaluator for a pushed-down scan")
-
-// RegisterScanEvaluator makes ev the evaluator of every node's pushed-down
-// scans. The SQL layer calls it once, when it is initialized; a nil ev
-// unregisters.
-func RegisterScanEvaluator(ev ScanEvaluator) {
-	if ev == nil {
-		scanEvaluator.Store(nil)
-		return
-	}
-	scanEvaluator.Store(&ev)
 }
 
 // Node returns the node with the given ID.
@@ -384,10 +343,8 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	// write there can land below one of them.
 	right.tsc.absorb(rs.tsc, rightSpan)
 	// Split halves the parent's accumulated size statistic.
-	rs.statsMu.Lock()
-	half := rs.writtenBytes / 2
-	rs.statsMu.Unlock()
-	right.writtenBytes = half
+	half := rs.writtenBytes.Load() / 2
+	right.writtenBytes.Store(half)
 	// Shrink the left side and publish both descriptors at once.
 	left := *desc
 	left.Span.EndKey = key.Clone()
@@ -395,9 +352,7 @@ func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
 	if err := c.dir.swap([]*RangeDescriptor{desc}, rangeUpdate{rs, &left}, rangeUpdate{right, right.desc.Load()}); err != nil {
 		return false, err
 	}
-	rs.statsMu.Lock()
-	rs.writtenBytes = half
-	rs.statsMu.Unlock()
+	rs.writtenBytes.Store(half)
 	// The new right range's lease starts with the parent's leaseholder so
 	// serving continues without interruption.
 	if lh, ok := parent.Leaseholder(); ok {
@@ -440,10 +395,7 @@ func boundedMiddleKey(n *Node, span keys.Span) keys.Key {
 // maybeSizeSplit splits rs at its bounded-scan midpoint if it has absorbed
 // enough writes.
 func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
-	rs.statsMu.Lock()
-	over := rs.writtenBytes > c.splitSize
-	rs.statsMu.Unlock()
-	if !over {
+	if rs.writtenBytes.Load() <= c.splitSize {
 		return
 	}
 	mid := c.splitPoint(rs, leaseholder)
@@ -728,36 +680,18 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	}
 
 	// Locate the range; every request in the batch must fall within it
-	// (DistSender splits batches at range boundaries).
+	// (DistSender splits batches at range boundaries). evaluateBatch checks
+	// the range again under its latch, since it can split, merge or change
+	// leaseholder while the batch waits in admission; this early check turns
+	// a misrouted batch away before it queues and is charged CPU.
 	rs, err := c.rangeFor(ba.Requests[0].Key)
 	if err != nil {
 		return nil, err
 	}
-	desc := rs.desc.Load()
-	if err := checkSpans(desc, ba); err != nil {
+	desc, err := checkRange(rs, nodeID, ba, true)
+	if err != nil {
 		return nil, err
 	}
-
-	// Lease check. evaluateBatch checks again under the range latch, since
-	// the lease can move while the batch waits in admission; this early one
-	// turns a misrouted batch away before it queues.
-	g := rs.group.Load()
-	lh, ok := g.Leaseholder()
-	if !ok {
-		// Try to acquire for ourselves.
-		// AcquireLease itself catches the node up to the commit index
-		// before granting, so the new leaseholder serves current state.
-		if err := g.AcquireLease(nodeID); err != nil {
-			var nle *kvpb.NotLeaseholderError
-			if errors.As(err, &nle) {
-				return nil, nle
-			}
-			return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID)}
-		}
-	} else if lh != nodeID {
-		return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
-	}
-
 	sp.SetAttr("kv.range", desc.RangeID)
 
 	// Admission control (§5.1). The wait is the time queued: 0, which boxes
@@ -784,340 +718,73 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	return resp, nil
 }
 
-// checkSpans returns a RangeKeyMismatchError unless desc's span contains
-// every request span of ba.
-func checkSpans(desc *RangeDescriptor, ba *kvpb.BatchRequest) error {
+// checkRange returns rs's descriptor if rs is still in the directory, its
+// span contains every request span of ba, and nodeID holds its lease. A range
+// with no leaseholder is offered to nodeID when acquire is set (AcquireLease
+// catches the node up to the commit index before granting, so it serves
+// current state); otherwise it turns the batch away.
+func checkRange(rs *rangeState, nodeID NodeID, ba *kvpb.BatchRequest, acquire bool) (*RangeDescriptor, error) {
+	desc := rs.desc.Load()
+	if rs.retired.Load() {
+		return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
+	}
 	for _, r := range ba.Requests {
 		span := r.Span()
 		if !desc.Span.ContainsKey(span.Key) {
-			return &kvpb.RangeKeyMismatchError{RequestedKey: span.Key, ActualSpan: desc.Span}
+			return nil, &kvpb.RangeKeyMismatchError{RequestedKey: span.Key, ActualSpan: desc.Span}
 		}
 		if !span.IsPoint() && desc.Span.EndKey.Less(span.EndKey) {
-			return &kvpb.RangeKeyMismatchError{RequestedKey: span.EndKey, ActualSpan: desc.Span}
+			return nil, &kvpb.RangeKeyMismatchError{RequestedKey: span.EndKey, ActualSpan: desc.Span}
 		}
 	}
-	return nil
+	g := rs.group.Load()
+	lh, ok := g.Leaseholder()
+	if !ok && acquire {
+		if err := g.AcquireLease(nodeID); err != nil {
+			var nle *kvpb.NotLeaseholderError
+			if errors.As(err, &nle) {
+				return nil, nle
+			}
+			return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID)}
+		}
+	} else if !ok || lh != nodeID {
+		return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
+	}
+	return desc, nil
 }
 
 func hasReplica(rs *rangeState, nodeID NodeID) bool {
 	return slices.Contains(rs.desc.Load().Replicas, nodeID)
 }
 
-// evaluateBatch runs the batch against the node's engine, proposing writes
-// through the range's replication group.
+// evaluateBatch evaluates the batch on the node's engine under the range
+// latch (evalBatch), and proposes its entries through the range's
+// replication group.
 func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
 	readTs := ba.ReadTs()
 	if readTs.IsEmpty() {
 		readTs = c.hlc.Now()
 	}
-	var txnID uint64
-	if ba.Txn != nil {
-		txnID = ba.Txn.ID
-	}
-
-	resp := kvpb.NewBatchResponse(readTs, len(ba.Requests))
-
-	// All evaluation runs under the range latch: reads record into the
-	// timestamp cache and writes consult it, so a write can never land
-	// below a timestamp at which another transaction already read the key
-	// (the lost-update protection CRDB implements with its timestamp
-	// cache). Follower reads are intentionally stale and skip the cache.
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
-	// The batch's point lookups run one at a time, in one Lookup. A batch
-	// of scans alone makes none, and draws none.
-	var look *mvcc.Lookup
-	if !scansOnly(ba.Requests) {
-		look = lookups.Get().(*mvcc.Lookup)
-		defer func() {
-			look.Release()
-			lookups.Put(look)
-		}()
-	}
 	// A split or merge may have run while the batch waited for the latch: a
 	// merge retires the range, and a split leaves it a shorter span. The batch
 	// must not write through a group whose span no longer covers its keys.
-	desc := rs.desc.Load()
-	if rs.retired.Load() {
-		return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
-	}
-	if err := checkSpans(desc, ba); err != nil {
-		return nil, err
-	}
 	// The lease may also have moved since Batch checked it: a holder that
 	// failed liveness while the batch queued has lost the lease to a replica
 	// that may since have committed writes this node has not applied.
-	if lh, ok := rs.group.Load().Leaseholder(); !ok || lh != n.id {
-		return nil, &kvpb.NotLeaseholderError{RangeID: int64(desc.RangeID), Leaseholder: lh}
+	if _, err := checkRange(rs, n.id, ba, false); err != nil {
+		return nil, err
 	}
-
-	// Reads record into the timestamp cache only after the whole batch has
-	// been checked: a batch's own reads must not push its own writes (they
-	// all happen atomically at one timestamp). A few spans fit on the stack.
-	var spanBuf [4]keys.Span
-	readSpans := spanBuf[:0]
-	defer func() {
-		for _, sp := range readSpans {
-			rs.tsc.recordRead(sp, readTs, txnID)
-		}
-	}()
-
-	// checkWrite combines the timestamp-cache push with MVCC conflicts, and
-	// returns the key's newest version, which the write's entries take.
-	e := n.Engine()
-	checkWrite := func(key keys.Key) (mvcc.Version, error) {
-		if cached := rs.tsc.maxReadOther(key, txnID); !cached.Less(readTs) {
-			return mvcc.Version{}, &kvpb.WriteTooOldError{Key: key.Clone(), ActualTs: cached.Next()}
-		}
-		return look.CheckWriteConflict(e, key, readTs, txnID)
-	}
-
-	// A commit batch (TxnWrites > 0) that arrives with every write its
-	// transaction makes is committed here, in one command: its writes land
-	// as committed versions rather than intents, after the same checks
-	// any write gets. The range decides from what it received, not from what
-	// the sender believed — a batch split across ranges, or clipped by a
-	// stale descriptor on the way, holds fewer writes than TxnWrites and lays
-	// down intents for the coordinator to resolve.
-	commitBatch := ba.Txn != nil && ba.TxnWrites > 0
-	onePhase := commitBatch && len(ba.Requests) == ba.TxnWrites
-	for _, r := range ba.Requests {
-		onePhase = onePhase && (r.Method == kvpb.Put || r.Method == kvpb.Delete)
-	}
-	writeTxnID := txnID
-	if onePhase {
-		writeTxnID = 0
-	}
-	// conflicted ends evaluation on a failed checkWrite. The coordinator
-	// re-sends a commit batch whose response it lost, as it is, so a conflict
-	// may be the batch meeting its own first application: if every write in
-	// it is already there as a committed version at the transaction's
-	// timestamp, applying it again would leave the store as it is, and the
-	// batch succeeds without a command. A conflict that survives this check
-	// is a definite abort.
-	conflicted := func(err error) (*kvpb.BatchResponse, error) {
-		if !commitBatch || !kvpb.IsConflict(err) {
-			return nil, err
-		}
-		applied, aerr := alreadyCommitted(look, e, ba.Requests, readTs)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if !applied {
-			return nil, err
-		}
-		return &kvpb.BatchResponse{Timestamp: readTs, Committed: onePhase,
-			Responses: make([]kvpb.Response, len(ba.Requests))}, nil
-	}
-
-	// The command's entries are built against the engine as it stands
-	// before the batch. A batch writes every key at one timestamp, so a key
-	// it writes twice gets one storage key, and the later entry wins within
-	// the engine batch. Room for every point write is made up front.
-	var ents mvcc.Entries
-	writes, size := 0, 0
-	for _, r := range ba.Requests {
-		if r.Method == kvpb.Put || r.Method == kvpb.Delete {
-			writes++
-			size += mvcc.PutBytes(r.Key, r.Value)
-		}
-	}
-	ents.Grow(writes, size)
-	var writtenBytes int64
-	for _, r := range ba.Requests {
-		switch r.Method {
-		case kvpb.Get, kvpb.Scan:
-			out, err := evalRead(n, look, r, readTs, txnID, resp)
-			if err != nil {
-				return nil, err
-			}
-			readSpans = append(readSpans, r.Span())
-			resp.Responses = append(resp.Responses, out)
-		case kvpb.Put:
-			prior, err := checkWrite(r.Key)
-			if err != nil {
-				return conflicted(err)
-			}
-			ents.Put(r.Key, mvcc.Version{Ts: readTs, TxnID: writeTxnID, Data: r.Value}, prior)
-			writtenBytes += int64(len(r.Key) + len(r.Value))
-			resp.Responses = append(resp.Responses, kvpb.Response{})
-		case kvpb.Delete:
-			prior, err := checkWrite(r.Key)
-			if err != nil {
-				return conflicted(err)
-			}
-			ents.Put(r.Key, mvcc.Version{Ts: readTs, TxnID: writeTxnID, Tombstone: true}, prior)
-			writtenBytes += int64(len(r.Key))
-			resp.Responses = append(resp.Responses, kvpb.Response{})
-		case kvpb.DeleteRange:
-			res, err := mvcc.Scan(e, r.Span(), readTs, txnID, 0)
-			if err != nil {
-				return nil, err
-			}
-			// Report the deleted keys so a transactional caller can track
-			// (and later resolve) the intents this request lays down.
-			readSpans = append(readSpans, r.Span())
-			var deleted kvpb.Response
-			for _, kv := range res.Rows {
-				prior, err := checkWrite(kv.Key)
-				if err != nil {
-					return nil, err
-				}
-				ents.Put(kv.Key, mvcc.Version{Ts: readTs, TxnID: txnID, Tombstone: true}, prior)
-				writtenBytes += int64(len(kv.Key))
-				deleted.Rows = append(deleted.Rows, kvpb.KeyValue{Key: kv.Key.Clone()})
-			}
-			resp.Responses = append(resp.Responses, deleted)
-		case kvpb.ResolveIntent:
-			if err := ents.Resolve(look, e, r.Key, r.ResolveTxnID, r.ResolveCommit, r.ResolveTs); err != nil {
-				return nil, err
-			}
-			resp.Responses = append(resp.Responses, kvpb.Response{})
-		case kvpb.ResolveIntentRange:
-			// The leaseholder enumerates the transaction's intents in the
-			// span and resolves each one.
-			iks, err := mvcc.IntentKeys(e, r.Span(), r.ResolveTxnID)
-			if err != nil {
-				return nil, err
-			}
-			var out kvpb.Response
-			for _, k := range iks {
-				if err := ents.Resolve(look, e, k, r.ResolveTxnID, r.ResolveCommit, r.ResolveTs); err != nil {
-					return nil, err
-				}
-				out.Rows = append(out.Rows, kvpb.KeyValue{Key: k})
-			}
-			resp.Responses = append(resp.Responses, out)
-		default:
-			return nil, fmt.Errorf("kvserver: unsupported method %s", r.Method)
-		}
-	}
-
+	resp, ents, written, err := evalBatch(n.Engine(), rs.tsc, ba, readTs)
 	// A batch whose requests come to no entries (reads alone, or a resolve
 	// that found no intent) has nothing to replicate.
-	if len(ents.List) > 0 {
-		if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(ents.List)); err != nil {
-			return nil, err
-		}
-		rs.statsMu.Lock()
-		rs.writtenBytes += writtenBytes
-		rs.statsMu.Unlock()
+	if err != nil || len(ents.List) == 0 {
+		return resp, err
 	}
-	resp.Committed = onePhase
+	if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(ents.List)); err != nil {
+		return nil, err
+	}
+	rs.writtenBytes.Add(written)
 	return resp, nil
-}
-
-// lookups recycles the storage of evaluateBatch's point lookups, released of
-// their engine snapshots. A Lookup kept on each range instead would hold
-// its iterator for every range of the cluster, idle ones included: 0.24 MB
-// more live heap in the benchmark's cold_start fleet of 400 tenants.
-var lookups = sync.Pool{New: func() any { return new(mvcc.Lookup) }}
-
-// scansOnly reports whether every request of reqs is a Scan.
-func scansOnly(reqs []kvpb.Request) bool {
-	for _, r := range reqs {
-		if r.Method != kvpb.Scan {
-			return false
-		}
-	}
-	return true
-}
-
-// alreadyCommitted reports whether every request of a commit batch is already
-// in the engine as a committed version at exactly ts: the same bytes for a
-// Put, a tombstone for a Delete.
-func alreadyCommitted(look *mvcc.Lookup, e *lsm.Engine, reqs []kvpb.Request, ts hlc.Timestamp) (bool, error) {
-	for _, r := range reqs {
-		if r.Method != kvpb.Put && r.Method != kvpb.Delete {
-			return false, nil
-		}
-		v, ok, err := look.CommittedVersionAt(e, r.Key, ts)
-		if err != nil {
-			return false, err
-		}
-		if !ok || v.Tombstone != (r.Method == kvpb.Delete) || !bytes.Equal(v.Data, r.Value) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// evalRead serves a read request from the node's local engine. A scan reads
-// into a pooled page when the pool has one, and owner, the batch response
-// the rows go up in, owns it.
-func evalRead(n *Node, look *mvcc.Lookup, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, owner *kvpb.BatchResponse) (kvpb.Response, error) {
-	switch r.Method {
-	case kvpb.Get:
-		v, ok, err := look.Get(n.Engine(), r.Key, readTs, txnID)
-		if err != nil {
-			return kvpb.Response{}, err
-		}
-		return kvpb.Response{Value: v, Exists: ok}, nil
-	case kvpb.Scan:
-		page := kvpb.DrawPage()
-		owner.KeepPage(page)
-		if page == nil {
-			page = new(kvpb.Page)
-		}
-		if len(r.Filter) == 0 {
-			return evalScan(n, r, readTs, txnID, page)
-		}
-		return evalPushedScan(n, r, readTs, txnID, page)
-	default:
-		return kvpb.Response{}, fmt.Errorf("kvserver: %s is not a read", r.Method)
-	}
-}
-
-// evalScan returns the scan's rows as they are stored.
-func evalScan(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, page *kvpb.Page) (kvpb.Response, error) {
-	res, err := mvcc.ScanInto(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys, page)
-	if err != nil {
-		return kvpb.Response{}, err
-	}
-	out := kvpb.Response{Rows: res.Rows, ResumeSpan: res.Resume}
-	for _, kv := range res.Rows {
-		out.ScannedBytes += int64(len(kv.Key) + len(kv.Value))
-	}
-	return out, nil
-}
-
-// evalPushedScan serves a scan that pushes a filter or an aggregation down
-// (§8), handing each row to the registered evaluator as the MVCC scan reaches
-// it: a kept row goes into page, and a folded one never does. MaxKeys bounds
-// the rows scanned, not the rows returned, and ScannedBytes counts every row
-// scanned, as a plain scan's does.
-//
-// Without an evaluator every pushed scan fails: kvserver cannot tell a
-// filter from an aggregation, and rows returned in place of partial
-// aggregates would be read as partials.
-func evalPushedScan(n *Node, r kvpb.Request, readTs hlc.Timestamp, txnID uint64, page *kvpb.Page) (kvpb.Response, error) {
-	ev := scanEvaluator.Load()
-	if ev == nil {
-		return kvpb.Response{}, errNoScanEvaluator
-	}
-	fold, err := (*ev).Begin(r.Filter)
-	if err != nil {
-		return kvpb.Response{}, err
-	}
-	var out kvpb.Response
-	out.ResumeSpan, err = mvcc.ScanFunc(n.Engine(), r.Span(), readTs, txnID, r.MaxKeys, func(enc, value []byte) error {
-		out.ScannedBytes += int64(keys.DecodedBytesLen(enc) + len(value))
-		keep, err := fold.Row(value)
-		if keep && err == nil {
-			err = page.AppendRow(enc, value)
-		}
-		return err
-	})
-	into := page
-	if err != nil {
-		into = nil
-	}
-	if ferr := fold.Finish(into); err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return kvpb.Response{}, err
-	}
-	out.Rows = page.Rows
-	return out, nil
 }

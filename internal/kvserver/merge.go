@@ -73,12 +73,7 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	// The merged range remembers the reads both parents served.
 	merged.tsc.absorb(left.tsc, union)
 	merged.tsc.absorb(right.tsc, union)
-	left.statsMu.Lock()
-	merged.writtenBytes = left.writtenBytes
-	left.statsMu.Unlock()
-	right.statsMu.Lock()
-	merged.writtenBytes += right.writtenBytes
-	right.statsMu.Unlock()
+	merged.writtenBytes.Store(left.writtenBytes.Load() + right.writtenBytes.Load())
 	// Publish the union in place of both parents, which the swap retires.
 	if err := c.dir.swap([]*RangeDescriptor{leftDesc, rightDesc}, rangeUpdate{merged, merged.desc.Load()}); err != nil {
 		return false, err

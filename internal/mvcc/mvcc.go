@@ -200,7 +200,7 @@ func (l *Lookup) CheckWriteConflict(e *lsm.Engine, key keys.Key, ts hlc.Timestam
 
 // CommittedVersionAt returns the committed version of key written at exactly
 // ts, if there is one. A replica asks this to recognise a commit batch it has
-// applied before (kvserver.evaluateBatch). It is one seek among the key's
+// applied before (kvserver.evalBatch). It is one seek among the key's
 // versions, to key@ts, which must land on exactly that storage key.
 func (l *Lookup) CommittedVersionAt(e *lsm.Engine, key keys.Key, ts hlc.Timestamp) (Version, bool, error) {
 	lo, _ := l.seek(e, key)

@@ -211,6 +211,12 @@ func (p *Plane) ensureLocked(id keys.TenantID, name string) *Tenant {
 		return p.overflowLocked()
 	}
 	if st, ok := p.byID[id]; ok {
+		// A state Tenant(id) made under the fallback name is found by the
+		// name a later registration gives it too; its series keep the
+		// fallback label.
+		if st.name != name {
+			p.byName[name] = st
+		}
 		return st
 	}
 	var st *Tenant

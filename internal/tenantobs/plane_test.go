@@ -176,6 +176,10 @@ func TestPlaneUnknownIDGetsFallbackName(t *testing.T) {
 	if p.RegisterTenant(7, "seven") != p.Tenant(7) {
 		t.Fatal("registering a fallback-named ID made a second state")
 	}
+	// The drill-down finds it by its registered name too.
+	if p.lookup("seven") != p.Tenant(7) {
+		t.Fatal("a fallback-named state is not found by its registered name")
+	}
 	if got := p.snapshot(clock.Now()).tenants; got != 1 {
 		t.Fatalf("tenants = %d, want 1", got)
 	}

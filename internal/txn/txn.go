@@ -150,7 +150,7 @@ var ErrTxnFinished = errors.New("txn: transaction already finished")
 // Send executes a batch inside the transaction. Put and Delete requests are
 // buffered (the transaction keeps copies of their keys and values) and
 // answered at once; reads go to KV unless the buffer already answers them.
-// As in kvserver.evaluateBatch, a batch's reads do not observe the same
+// As in kvserver.evalBatch, a batch's reads do not observe the same
 // batch's writes. The caller may reuse its requests' keys and values once
 // Send returns. A response without scans may be in the transaction's own
 // storage, valid until its next send.
@@ -538,7 +538,7 @@ func (t *Txn) backoff(retry int) {
 // abort, and after a one-phase commit there are no intents whose removal
 // would make the abort true. So the batch is retried as it is, same ID and
 // timestamp, and the range recognises its own first application
-// (kvserver.evaluateBatch): a write conflict it still reports is therefore a
+// (kvserver.evalBatch): a write conflict it still reports is therefore a
 // definite abort. If retrying does not settle it the error is a
 // kvpb.AmbiguousCommitError.
 func (t *Txn) sendCommit(ctx context.Context, writes []kvpb.Request) (*kvpb.BatchResponse, error) {
