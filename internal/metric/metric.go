@@ -22,16 +22,19 @@ type Histogram struct {
 	total  uint64
 	sum    time.Duration
 	max    time.Duration
-	// The exact-sample reservoir: the first sampleCap values, for precise
-	// quantiles. Zeros are counted rather than stored, so a stream of them
-	// (an uncontended admission wait on every batch) costs no memory.
+	// The exact-sample reservoir: every value while there are at most
+	// sampleCap, for precise quantiles, and nothing once there are more.
+	// Zeros are counted rather than stored, so a stream of them (an
+	// uncontended admission wait on every batch) costs no memory.
 	samples []time.Duration // the non-zero values
 	zeros   uint64
 }
 
-// sampleCap bounds the exact-sample reservoir. Below the cap percentiles are
-// exact; above it they fall back to bucket interpolation.
-const sampleCap = 1 << 16
+// sampleCap bounds the exact-sample reservoir. Up to the cap percentiles are
+// exact; past it they are read from the buckets alone, so the reservoir is
+// dropped. No experiment's histogram reaches it; a long-lived one (a trace
+// operation's, a tenant's latency) passes it and then holds only buckets.
+const sampleCap = 1 << 12
 
 // numBuckets covers 1ns..~18h with ~4 buckets per doubling.
 const numBuckets = 64 * 4
@@ -75,12 +78,13 @@ func (h *Histogram) Record(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	if h.total <= sampleCap {
-		if d == 0 {
-			h.zeros++
-		} else {
-			h.samples = append(h.samples, d)
-		}
+	switch {
+	case h.total > sampleCap:
+		h.samples = nil // past the cap only the buckets are read
+	case d == 0:
+		h.zeros++
+	default:
+		h.samples = append(h.samples, d)
 	}
 }
 

@@ -133,6 +133,31 @@ func TestHistogramZerosMatchStoredSamples(t *testing.T) {
 	}
 }
 
+// TestHistogramDropsSamplesPastCap: past sampleCap values the quantiles are
+// read from the buckets alone, so the reservoir is let go, not kept full.
+func TestHistogramDropsSamplesPastCap(t *testing.T) {
+	h := NewHistogram()
+	var all []time.Duration
+	for i := 0; i <= sampleCap; i++ {
+		d := time.Duration(1+i%997) * time.Microsecond
+		h.Record(d)
+		all = append(all, d)
+		if i == sampleCap-1 && len(h.samples) != sampleCap {
+			t.Fatalf("at the cap the reservoir holds %d samples, want %d", len(h.samples), sampleCap)
+		}
+	}
+	if len(h.samples) != 0 || cap(h.samples) != 0 {
+		t.Fatalf("past the cap the reservoir holds %d samples (cap %d), want none", len(h.samples), cap(h.samples))
+	}
+	qs := []float64{0, 0.5, 0.95, 0.99, 1}
+	want := storedQuantiles(h, all, qs...)
+	for i, q := range qs {
+		if got := h.Quantile(q); got != want[i] {
+			t.Fatalf("Quantile(%v) = %v, want the bucket quantile %v", q, got, want[i])
+		}
+	}
+}
+
 func TestHistogramQuantileClamps(t *testing.T) {
 	h := NewHistogram()
 	h.Record(5 * time.Millisecond)

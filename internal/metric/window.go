@@ -1,12 +1,13 @@
 package metric
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
 // This file implements a windowed in-memory time-series store: observations
-// land in clock-aligned fixed-width windows arranged in a ring, so rate and
+// land in clock-aligned fixed-width windows, kept oldest first, so rate and
 // quantile queries over "the last 5 minutes" or "the last hour" are cheap
 // scans over a handful of windows and old data ages out without any
 // background goroutine. Alignment (window start = now truncated to the
@@ -52,29 +53,42 @@ const (
 	ringSpan    = windowWidth * windowCount
 )
 
-// Windowed is a ring of aligned windows. Safe for concurrent use.
+// Windowed holds the aligned windows that received an observation in the
+// hour up to the newest one, oldest first: a tenant that ran once holds one
+// window, a busy one at most windowCount. Safe for concurrent use.
 type Windowed struct {
-	mu    sync.Mutex
-	slots [windowCount]*window // index = (start/width) mod count; nil until first use
+	mu   sync.Mutex
+	wins []window // ascending start, all within ringSpan of the last
 }
 
 // NewWindowed returns an empty ring.
 func NewWindowed() *Windowed { return &Windowed{} }
 
-// slotFor returns the live window covering t, evicting a stale occupant of
-// the slot if the ring has wrapped. Caller must hold w.mu.
-func (w *Windowed) slotFor(t time.Time) *window {
+// windowFor returns the window covering t, adding it if no observation has
+// landed in it yet, and then drops the windows a ring span or more older
+// than the newest — nil if that is t's own. Caller must hold w.mu.
+func (w *Windowed) windowFor(t time.Time) *window {
 	start := t.Truncate(windowWidth)
-	idx := int((start.UnixNano() / int64(windowWidth)) % windowCount)
-	if idx < 0 {
-		idx += windowCount
+	// Observations arrive in time order but for the few that raced a window
+	// boundary, so the search starts at the newest window.
+	i := len(w.wins)
+	for i > 0 && w.wins[i-1].start.After(start) {
+		i--
 	}
-	if s := w.slots[idx]; s != nil && s.start.Equal(start) {
-		return s
+	if i > 0 && w.wins[i-1].start.Equal(start) {
+		return &w.wins[i-1]
 	}
-	s := &window{start: start}
-	w.slots[idx] = s
-	return s
+	w.wins = slices.Insert(w.wins, i, window{start: start})
+	cutoff := w.wins[len(w.wins)-1].start.Add(-ringSpan)
+	drop := 0
+	for !w.wins[drop].start.After(cutoff) {
+		drop++
+	}
+	w.wins = slices.Delete(w.wins, 0, drop)
+	if i < drop {
+		return nil
+	}
+	return &w.wins[i-drop]
 }
 
 // Observe records one observation at time now: its latency and whether it
@@ -82,7 +96,10 @@ func (w *Windowed) slotFor(t time.Time) *window {
 func (w *Windowed) Observe(now time.Time, latency time.Duration, bad bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := w.slotFor(now)
+	s := w.windowFor(now)
+	if s == nil {
+		return
+	}
 	s.count++
 	s.sum += latency
 	s.buckets[windowBucketFor(latency)]++
@@ -101,11 +118,8 @@ func (w *Windowed) visit(now time.Time, span time.Duration, fn func(*window)) {
 		span = ringSpan
 	}
 	cutoffStart := now.Add(-span).Truncate(windowWidth)
-	for _, s := range w.slots[:] {
-		if s == nil {
-			continue
-		}
-		if s.start.After(cutoffStart) && !s.start.After(now) {
+	for i := range w.wins {
+		if s := &w.wins[i]; s.start.After(cutoffStart) && !s.start.After(now) {
 			fn(s)
 		}
 	}

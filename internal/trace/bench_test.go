@@ -47,12 +47,12 @@ const (
 var benchTs = hlc.Timestamp{WallTime: 1_700_000_000_123_456_789, Logical: 2}
 
 // warmTracer returns a tracer whose per-operation histograms have stopped
-// growing: they keep exact samples for an operation's first 65 536 spans,
-// which a process pays once and a short benchmark would read as ≈ 20 B/op.
+// growing: they keep exact samples for an operation's first 4 096 spans,
+// which a process pays once and a short benchmark would read as bytes per op.
 func warmTracer() *Tracer {
 	tr := New(Options{})
 	conn := tr.StartRoot("proxy.conn")
-	for i := 0; i < 1<<16; i++ {
+	for i := 0; i < 1<<13; i++ {
 		statementTrace(tr, conn, benchTxnID, benchTs, benchWait)
 	}
 	conn.Finish()

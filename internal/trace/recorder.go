@@ -13,7 +13,7 @@ import (
 )
 
 // Recorder keeps the observable residue of finished traces: a bounded
-// ring of recently finished root traces, a bounded list of slow traces
+// ring of recently finished root traces, a bounded list of slow requests
 // force-retained past ring churn, and per-operation span-duration
 // histograms for the /debug/tracez percentile table.
 type Recorder struct {
@@ -25,18 +25,18 @@ type Recorder struct {
 		ring     []*Span // ring buffer of finished roots
 		ringNext int
 		ringLen  int
-		slow     []*Span // retained slow roots, oldest first
+		slow     []*Span // retained slow requests, oldest first
 		perOp    map[string]*metric.Histogram
 	}
 }
 
 const (
-	// slowThreshold is the root-span duration at or above which a finished
-	// trace is force-retained regardless of ring churn.
+	// slowThreshold is the request duration at or above which a finished
+	// request is force-retained regardless of ring churn.
 	slowThreshold = 250 * time.Millisecond
 	// ringSize bounds the ring of recently finished root traces.
 	ringSize = 64
-	// slowSize bounds the list of retained slow traces (oldest evicted
+	// slowSize bounds the list of retained slow requests (oldest evicted
 	// first).
 	slowSize = 32
 )
@@ -51,39 +51,46 @@ func newRecorder() *Recorder {
 	return r
 }
 
-// spanFinished feeds every finished span into the per-op histograms and
-// files finished roots into the ring (and the slow list when over
-// threshold).
-func (r *Recorder) spanFinished(s *Span, d time.Duration, isRoot bool) {
+// spanFinished feeds every finished span into the per-op histograms, files
+// finished roots into the ring, and keeps a slow request in the slow list.
+// A request is a child of a root — a connection's proxy.route,
+// proxy.exchange or proxy.migrate — or a root with no children (an LSM
+// flush or compaction). A root with children is not one: a proxy.conn root
+// lasts as long as its client stays connected, which says nothing about its
+// statements.
+func (r *Recorder) spanFinished(s *Span, d time.Duration) {
+	isRoot := s.mu.place == placeRoot
+	slow := d >= slowThreshold && (s.mu.place == placeTop || isRoot && !s.hasChildren())
 	r.mu.Lock()
 	h := r.mu.perOp[s.op]
 	if h == nil {
 		h = metric.NewHistogram()
 		r.mu.perOp[s.op] = h
 	}
-	if !isRoot {
-		r.mu.Unlock()
-		h.Record(d)
-		return
+	if isRoot {
+		r.mu.ring[r.mu.ringNext] = s
+		r.mu.ringNext = (r.mu.ringNext + 1) % len(r.mu.ring)
+		if r.mu.ringLen < len(r.mu.ring) {
+			r.mu.ringLen++
+		}
 	}
-	r.mu.ring[r.mu.ringNext] = s
-	r.mu.ringNext = (r.mu.ringNext + 1) % len(r.mu.ring)
-	if r.mu.ringLen < len(r.mu.ring) {
-		r.mu.ringLen++
-	}
-	if d >= slowThreshold {
+	if slow {
 		if len(r.mu.slow) == slowSize {
 			// Shift down rather than reslice: slow[1:] would leave the
-			// evicted root, and its whole tree, reachable through the
+			// evicted request, and its whole tree, reachable through the
 			// backing array.
 			r.mu.slow = slices.Delete(r.mu.slow, 0, 1)
 		}
 		r.mu.slow = append(r.mu.slow, s)
-		r.slowRetained.Inc(1)
 	}
 	r.mu.Unlock()
 	h.Record(d)
-	r.rootsRecorded.Inc(1)
+	if isRoot {
+		r.rootsRecorded.Inc(1)
+	}
+	if slow {
+		r.slowRetained.Inc(1)
+	}
 }
 
 // RecentRoots returns the finished root traces still in the ring,
@@ -102,7 +109,8 @@ func (r *Recorder) RecentRoots() []*Span {
 	return out
 }
 
-// SlowRoots returns the force-retained slow traces, oldest first.
+// SlowRoots returns the force-retained slow requests, oldest first: each the
+// root of its own subtree, whether or not it is a trace's root.
 func (r *Recorder) SlowRoots() []*Span {
 	if r == nil {
 		return nil
@@ -143,7 +151,7 @@ func (r *Recorder) OpSummary(op string) metric.Summary {
 }
 
 // WriteTracez renders the /debug/tracez text page: the per-operation
-// span-duration percentile table, the retained slow traces, and the
+// span-duration percentile table, the retained slow requests, and the
 // most recent finished traces.
 func (r *Recorder) WriteTracez(w io.Writer) error {
 	if r == nil {

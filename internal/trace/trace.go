@@ -52,7 +52,12 @@ type Options struct {
 // A nil *Tracer is a valid no-op tracer: every Start method returns a
 // nil (no-op) span.
 type Tracer struct {
-	clock    timeutil.Clock
+	clock timeutil.Clock
+	// epoch is the clock's reading when the tracer was made. A span keeps
+	// its start as an offset from it, 16 bytes narrower than a time.Time;
+	// epoch plus the offset is the reading the span started at, monotonic
+	// part included.
+	epoch    time.Time
 	recorder *Recorder
 	// ids is the root ID stream seeded by Options.Seed. Spans inherit
 	// their parent's stream, so an unforked trace draws every ID from
@@ -114,6 +119,7 @@ func New(opts Options) *Tracer {
 	}
 	t := &Tracer{
 		clock:         opts.Clock,
+		epoch:         opts.Clock.Now(),
 		recorder:      newRecorder(),
 		spansStarted:  &metric.Counter{},
 		spansFinished: &metric.Counter{},
@@ -145,6 +151,11 @@ func (t *Tracer) Clock() timeutil.Clock {
 	return t.clock
 }
 
+// now returns the clock's reading as an offset from the tracer's epoch.
+func (t *Tracer) now() time.Duration {
+	return t.clock.Now().Sub(t.epoch)
+}
+
 // newSpan mints a span. IDs come from ids when non-nil, otherwise from the
 // parent's stream (which, unforked, is the tracer's root stream). ctx is the
 // context the span derives from, context.Background for a span started
@@ -157,7 +168,14 @@ func (t *Tracer) newSpan(ctx context.Context, op string, traceID uint64, parent 
 			ids = t.ids
 		}
 	}
-	s := &Span{ctx: ctx, tracer: t, op: op, start: t.clock.Now(), ids: ids, root: parent == nil, live: live}
+	s := &Span{ctx: ctx, tracer: t, op: op, start: t.now(), ids: ids}
+	switch {
+	case parent == nil:
+		s.mu.place = placeRoot
+	case parent.mu.place == placeRoot:
+		s.mu.place = placeTop
+	}
+	s.mu.live = live
 	if traceID == 0 {
 		traceID = ids.next()
 	}
@@ -265,21 +283,24 @@ type Span struct {
 	traceID uint64
 	spanID  uint64
 	op      string
-	start   time.Time
+	// start is the span's start, as an offset from the tracer's epoch.
+	start time.Duration
 	// ids is the stream this span's descendants draw IDs from: the
 	// tracer's root stream normally, or a branch-private stream when the
 	// span was created by StartForkedChild.
 	ids *idStream
 	// next is the sibling started after this one, guarded by the parent's mu.
 	next *Span
-	// root marks a span with no parent in this tracer; live, one entered in
-	// Tracer.mu.live.
-	root, live bool
 
 	mu struct {
 		sync.Mutex
 		finished bool
 		nattrs   uint8
+		// place and live are set when the span is made and never change, so
+		// they are read without the lock; they fill the padding before
+		// dropped. live marks a span entered in Tracer.mu.live.
+		place place
+		live  bool
 		// dropped counts finished children evicted to keep children at
 		// maxChildren.
 		dropped   int32
@@ -292,6 +313,16 @@ type Span struct {
 		more        *spanMore
 	}
 }
+
+// place is where a span sits in its trace, which decides whether the
+// recorder may keep it as a slow request (see Recorder.spanFinished).
+type place uint8
+
+const (
+	placeInner place = iota // below a child of a root
+	placeTop                // a child of a root: one request of a connection
+	placeRoot               // no parent in this tracer
+)
 
 // inlineAttrs is how many attributes a span holds before it allocates a
 // spanMore. Five of a statement's six spans set at most two.
@@ -328,8 +359,9 @@ func (e *event) msg() string {
 
 // maxChildren caps the children a span keeps attached. A long-lived parent —
 // a proxy connection's root, which gains a subtree per statement — would
-// otherwise hold every one of them until it finishes.
-const maxChildren = 256
+// otherwise hold every one of them until it finishes; a slow statement
+// outlives its eviction in the recorder's slow list.
+const maxChildren = 32
 
 // Deadline, Done, Err and Value make the span a context.Context: the one it
 // was started from, plus itself under the package's key. Unlike the other
@@ -381,7 +413,7 @@ func (s *Span) Start() time.Time {
 	if s == nil {
 		return time.Time{}
 	}
-	return s.start
+	return s.tracer.epoch.Add(s.start)
 }
 
 // Eventf records a timestamped structured event on the span. The message
@@ -392,7 +424,7 @@ func (s *Span) Eventf(format string, args ...any) {
 	if s == nil {
 		return
 	}
-	ev := event{at: s.tracer.clock.Now().Sub(s.start), format: format}
+	ev := event{at: s.tracer.now() - s.start, format: format}
 	if len(args) <= len(ev.args) && immutable(args) {
 		ev.nargs = int8(copy(ev.args[:], args))
 	} else {
@@ -534,8 +566,9 @@ func (s *Span) Events() []Event {
 	}
 	// Formatting calls the arguments' String methods, so not under the lock.
 	out := make([]Event, len(evs))
+	start := s.Start()
 	for i := range evs {
-		out[i] = Event{At: s.start.Add(evs[i].at), Msg: evs[i].msg()}
+		out[i] = Event{At: start.Add(evs[i].at), Msg: evs[i].msg()}
 	}
 	return out
 }
@@ -649,15 +682,23 @@ func (s *Span) isFinished() bool {
 	return s.mu.finished
 }
 
+// hasChildren reports whether the span has had a child, kept or dropped.
+func (s *Span) hasChildren() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mu.first != nil || s.mu.dropped > 0
+}
+
 // Finish ends the span. Finishing a root span hands the whole trace to
-// the tracer's recorder; every finish feeds the per-operation duration
-// histograms behind /debug/tracez. Finish is idempotent.
+// the tracer's recorder, and finishing a slow request hands its subtree
+// (see Recorder.spanFinished); every finish feeds the per-operation
+// duration histograms behind /debug/tracez. Finish is idempotent.
 func (s *Span) Finish() {
 	if s == nil {
 		return
 	}
 	t := s.tracer
-	d := t.clock.Now().Sub(s.start)
+	d := t.now() - s.start
 	s.mu.Lock()
 	if s.mu.finished {
 		s.mu.Unlock()
@@ -667,11 +708,11 @@ func (s *Span) Finish() {
 	s.mu.dur = d
 	s.mu.Unlock()
 
-	if s.live {
+	if s.mu.live {
 		t.mu.Lock()
 		delete(t.mu.live, s.spanID)
 		t.mu.Unlock()
 	}
 	t.spansFinished.Inc(1)
-	t.recorder.spanFinished(s, d, s.root)
+	t.recorder.spanFinished(s, d)
 }

@@ -556,13 +556,44 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 	}
 }
 
-// A span is one allocation of at most 224 bytes. Widening it — a third
-// inline attribute, an inline end time — buys allocations with bytes, and
-// measured worse on every workload.
+// A span is one allocation of at most 208 bytes, a size class: its start is
+// an offset from the tracer's epoch, and its fixed flags sit in the padding
+// of its mu. Widening it — a third inline attribute, an inline end time —
+// buys allocations with bytes, and measured worse on every workload.
 func TestSpanSize(t *testing.T) {
-	if got := unsafe.Sizeof(Span{}); got > 224 {
-		t.Fatalf("Span is %d bytes, budget 224", got)
+	if got := unsafe.Sizeof(Span{}); got > 208 {
+		t.Fatalf("Span is %d bytes, budget 208", got)
 	}
+}
+
+// A span's start is the clock reading it started at: on a manual clock
+// exactly, and on the real clock with its monotonic reading, so durations
+// measured from it ignore wall-clock steps.
+func TestSpanStartIsTheClockReading(t *testing.T) {
+	tr, mc := newTestTracer(1)
+	mc.Advance(1500 * time.Millisecond)
+	s := tr.StartRoot("op")
+	if want := time.Unix(1, 500_000_000); !s.Start().Equal(want) || s.Start() != want {
+		t.Fatalf("Start() = %v, want %v", s.Start(), want)
+	}
+	mc.Advance(3 * time.Millisecond)
+	s.Eventf("e")
+	if at := s.Events()[0].At; at != time.Unix(1, 503_000_000) {
+		t.Fatalf("event at %v", at)
+	}
+	s.Finish()
+
+	rt := New(Options{})
+	before := time.Now()
+	r := rt.StartRoot("op")
+	after := time.Now()
+	if r.Start().Before(before) || r.Start().After(after) {
+		t.Fatalf("real-clock start %v outside [%v, %v]", r.Start(), before, after)
+	}
+	if r.Start().Round(0) == r.Start() {
+		t.Fatal("real-clock start lost its monotonic reading")
+	}
+	r.Finish()
 }
 
 // The slow list must not keep an evicted root reachable.
@@ -594,6 +625,94 @@ func TestEvictedSlowRootIsCollectable(t *testing.T) {
 		}
 	}
 	t.Fatal("the root evicted from the slow list is still reachable")
+}
+
+// The slow list holds slow requests, not long connections: a slow statement
+// on a connection that stays open is kept as soon as it finishes; a
+// connection open a second whose statements are fast keeps nothing; a root
+// with no children (an LSM flush) is its own request.
+func TestSlowListHoldsRequests(t *testing.T) {
+	tr, mc := newTestTracer(1)
+	rec := tr.Recorder()
+	conn := tr.StartRoot("proxy.conn")
+	ex := conn.StartChild("proxy.exchange")
+	_, exec := StartSpan(ContextWithSpan(context.Background(), ex), "sql.exec")
+	mc.Advance(300 * time.Millisecond)
+	exec.Finish()
+	if n := len(rec.SlowRoots()); n != 0 {
+		t.Fatalf("%d slow before the statement finished; a span below a request is not one", n)
+	}
+	ex.Finish()
+	if slow := rec.SlowRoots(); len(slow) != 1 || slow[0] != ex {
+		t.Fatalf("slow list after a 300ms statement = %v, want the statement", slow)
+	}
+
+	idle := tr.StartRoot("proxy.conn")
+	for i := 0; i < 1000; i++ {
+		s := idle.StartChild("proxy.exchange")
+		mc.Advance(time.Millisecond)
+		s.Finish()
+	}
+	idle.Finish()
+	if slow := rec.SlowRoots(); len(slow) != 1 {
+		t.Fatalf("a 1s connection of 1ms statements filed %d slow spans", len(slow)-1)
+	}
+	if recent := rec.RecentRoots(); recent[len(recent)-1] != idle {
+		t.Fatal("the finished connection is not in the ring")
+	}
+
+	flush := tr.StartRoot("lsm.flush")
+	mc.Advance(slowThreshold)
+	flush.Finish()
+	conn.Finish()
+	if slow := rec.SlowRoots(); len(slow) != 2 || slow[1] != flush {
+		t.Fatalf("slow list = %v, want the statement and the flush", slow)
+	}
+}
+
+// A connection that served 10 000 statements keeps maxChildren of them, and
+// a slow statement evicted from both the connection and the slow list can be
+// collected. A statement and its children form a cycle (a child's context
+// holds its parent), on which a finalizer never runs, so the finalizer is on
+// a value only the statement holds.
+func TestEvictedSlowStatementIsCollectable(t *testing.T) {
+	tr, mc := newTestTracer(1)
+	conn := tr.StartRoot("proxy.conn")
+	collected := make(chan struct{})
+	for i := 0; i <= slowSize; i++ {
+		s := conn.StartChild("proxy.exchange")
+		_, exec := StartSpan(ContextWithSpan(context.Background(), s), "sql.exec")
+		if i == 0 {
+			probe := &[64]byte{}
+			runtime.SetFinalizer(probe, func(*[64]byte) { close(collected) })
+			s.SetAttr("probe", probe)
+		}
+		mc.Advance(slowThreshold)
+		exec.Finish()
+		s.Finish()
+	}
+	for i := 0; i < 10000; i++ {
+		statement := conn.StartChild("proxy.exchange")
+		_, exec := StartSpan(ContextWithSpan(context.Background(), statement), "sql.exec")
+		exec.Finish()
+		statement.Finish()
+	}
+	if got := len(conn.Children()); got != maxChildren {
+		t.Fatalf("connection holds %d statements, want %d", got, maxChildren)
+	}
+	if got := len(tr.Recorder().SlowRoots()); got != slowSize {
+		t.Fatalf("slow list holds %d, want %d", got, slowSize)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			conn.Finish()
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the statement evicted from the connection and the slow list is still reachable")
 }
 
 // renderTree returns the detailed text rendering of one trace.
