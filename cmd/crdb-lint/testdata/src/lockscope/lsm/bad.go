@@ -12,7 +12,7 @@ type entry struct{ key string }
 
 type table struct{ entries []entry }
 
-func mergeRuns(runs [][]entry) []entry { return nil }
+func mergeSources(runs [][]entry) []entry { return nil }
 
 func newSSTable(id uint64, entries []entry) *table { return &table{entries: entries} }
 
@@ -37,7 +37,7 @@ func (e *engine) flushUnderLock(entries []entry) {
 
 func (e *engine) compactUnderLock(runs [][]entry) {
 	e.mu.Lock()
-	merged := mergeRuns(runs)                  // want lockscope
+	merged := mergeSources(runs)               // want lockscope
 	sort.Slice(e.tables, func(i, j int) bool { // want lockscope
 		return e.tables[i].entries[0].key < e.tables[j].entries[0].key
 	})

@@ -21,7 +21,7 @@ func (e *engine) consultOutsideLock(runs [][]entry) []entry {
 	if e.faults.Should("lsm.compact.error") {
 		return nil
 	}
-	merged := mergeRuns(runs)
+	merged := mergeSources(runs)
 	e.mu.Lock()
 	e.mu.Unlock()
 	return merged

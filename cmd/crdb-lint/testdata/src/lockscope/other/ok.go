@@ -17,16 +17,16 @@ type thing struct {
 	xs     []int
 }
 
-func mergeRuns(xs []int) []int { return xs }
+func mergeSources(xs []int) []int { return xs }
 
 func (t *thing) sortUnderLockElsewhere() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sort.Slice(t.xs, func(i, j int) bool { return t.xs[i] < t.xs[j] })
-	_ = mergeRuns(t.xs)
+	_ = mergeSources(t.xs)
 	_ = t.faults.Should("some.site")
 }
 
 func (t *thing) helperLocked() {
-	_ = mergeRuns(t.xs)
+	_ = mergeSources(t.xs)
 }

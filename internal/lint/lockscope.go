@@ -17,7 +17,7 @@ var lockScopeDirs = map[string]bool{"lsm": true, "raftlite": true}
 
 // lockScopeHeavyIdents are package-level functions considered heavy: calling
 // them while a mutex is held defeats the write-path pipelining.
-var lockScopeHeavyIdents = map[string]bool{"mergeRuns": true, "newSSTable": true}
+var lockScopeHeavyIdents = map[string]bool{"mergeSources": true, "newSSTable": true}
 
 // lockScopeScoped reports whether the check applies to files in pkgDir.
 func lockScopeScoped(pkgDir string) bool {

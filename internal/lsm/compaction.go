@@ -134,9 +134,6 @@ func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 	// Compute the key range covered by the input tables.
 	var lo, hi []byte
 	for _, t := range from {
-		if t.numEntries == 0 {
-			continue
-		}
 		if lo == nil || bytes.Compare(t.minKey, lo) < 0 {
 			lo = t.minKey
 		}
@@ -172,8 +169,10 @@ func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 }
 
 // runMerge executes a plan's merge and builds the output table and the new
-// next-level layout. It runs outside the engine lock; the e.mergesActive
-// counter is the test hook that asserts reads stay live while it does.
+// next-level layout. The output is nil when a bottommost merge drops every
+// entry: no table is installed, and the inputs still retire. It runs outside
+// the engine lock; the e.mergesActive counter is the test hook that asserts
+// reads stay live while it does.
 func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable) {
 	e.mergesActive.Add(1)
 	defer e.mergesActive.Add(-1)
@@ -182,23 +181,29 @@ func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable) {
 	sp.SetAttr("lsm.level", plan.lvl)
 	sp.SetAttr("lsm.input_tables", len(plan.inputs))
 
-	// Newer runs first: L0 is stored newest-first; within L1+ tables are
-	// disjoint so order does not matter, but inputs from the upper level
-	// are newer than the lower level.
-	runs := make([][]Entry, 0, len(plan.inputs)+len(plan.overlapping))
-	for _, t := range plan.inputs {
-		runs = append(runs, t.entries())
+	// Newer runs first: L0 is stored newest-first, one source per table; a
+	// sorted level is one source, and the upper level is newer than the
+	// lower.
+	srcs := make([]iterSource, 0, len(plan.inputs)+1)
+	if plan.lvl == 0 {
+		for i := range plan.inputs {
+			srcs = append(srcs, iterSource{tables: plan.inputs[i : i+1]})
+		}
+	} else {
+		srcs = append(srcs, iterSource{tables: plan.inputs})
 	}
-	for _, t := range plan.overlapping {
-		runs = append(runs, t.entries())
+	srcs = append(srcs, iterSource{tables: plan.overlapping})
+	merged := mergeSources(srcs, plan.bottommost)
+	next := append([]*ssTable(nil), plan.keep...)
+	var out *ssTable
+	if len(merged) > 0 {
+		out = newSSTable(plan.outID, merged)
+		next = append(next, out)
+		sort.Slice(next, func(i, j int) bool {
+			return bytes.Compare(next[i].minKey, next[j].minKey) < 0
+		})
+		sp.SetAttr("lsm.output_bytes", out.sizeB)
 	}
-	merged := mergeRuns(runs, plan.bottommost)
-	out := newSSTable(plan.outID, merged)
-	next := append(append([]*ssTable(nil), plan.keep...), out)
-	sort.Slice(next, func(i, j int) bool {
-		return bytes.Compare(next[i].minKey, next[j].minKey) < 0
-	})
-	sp.SetAttr("lsm.output_bytes", out.sizeB)
 	return out, next
 }
 
@@ -228,13 +233,17 @@ func (e *Engine) installCompactionLocked(plan *compactionPlan, out *ssTable, nex
 	}
 	e.mu.levels[plan.lvl] = remain
 	e.mu.levels[plan.lvl+1] = next
-	e.mu.metrics.CompactedBytes += out.sizeB
 	e.mu.metrics.CompactionCount++
+	if out != nil {
+		e.mu.metrics.CompactedBytes += out.sizeB
+	}
 	if e.mu.wal != nil {
 		// Output file before the manifest adopting it; input files only
 		// after the manifest stops referencing them. A crash at any point
 		// leaves a recoverable state (orphan outputs are deleted by Open).
-		persistSSTable(e.opts.Durable, out)
+		if out != nil {
+			persistSSTable(e.opts.Durable, out)
+		}
 		e.writeManifestLocked()
 		for _, t := range plan.inputs {
 			e.opts.Durable.Remove(sstFileName(t.id))

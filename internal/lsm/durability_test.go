@@ -403,7 +403,8 @@ func TestManifestChecksumCorruption(t *testing.T) {
 
 // TestOpenTruncatedSSTable: sstable files carry no checksum, so a short or
 // damaged one must fail Open with ErrCorruption — not panic it on a length
-// read from the file.
+// read from the file. No path writes an empty table, so a file cut to nothing
+// is corruption too, not a table whose keys are silently gone.
 func TestOpenTruncatedSSTable(t *testing.T) {
 	dir := flushedStore()
 	ssts := dir.List("sst-")
@@ -412,6 +413,7 @@ func TestOpenTruncatedSSTable(t *testing.T) {
 	}
 	whole, _ := dir.ReadFile(ssts[0])
 	damaged := map[string][]byte{
+		"cut to nothing": whole[:0],
 		"cut mid-entry":  whole[:len(whole)-1],
 		"cut mid-header": whole[:entryHeaderLen/2],
 		"key length past the file": func() []byte {
@@ -623,6 +625,62 @@ func TestWALBytesFramedAccounting(t *testing.T) {
 	seg, _ := dir.ReadFile(walSegmentName(1))
 	if got := int64(len(seg)); got != wantFramed+walSegmentHeaderLen {
 		t.Fatalf("segment size = %d, want %d", got, wantFramed+walSegmentHeaderLen)
+	}
+}
+
+// TestCompactionInstallsNoEmptyTable: a bottommost compaction that drops
+// every entry installs no table — none in the level, the manifest or the
+// directory — and still retires its inputs, round after round.
+func TestCompactionInstallsNoEmptyTable(t *testing.T) {
+	dir := NewDir()
+	e := New(durableOpts(dir))
+	e.noAutoCompact = true
+	defer e.Close()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 100; i++ {
+			e.Set([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+		}
+		e.Flush()
+		e.Compact()
+		for i := 0; i < 100; i++ {
+			e.Delete([]byte(fmt.Sprintf("k%03d", i)))
+		}
+		e.Flush()
+		e.Compact()
+
+		e.mu.RLock()
+		levels := e.mu.levels
+		e.mu.RUnlock()
+		for lvl, tables := range levels {
+			if len(tables) > 0 {
+				t.Fatalf("round %d: L%d holds %v", round, lvl, tables)
+			}
+		}
+		m, ok, err := loadManifest(dir)
+		if err != nil || !ok {
+			t.Fatalf("round %d: manifest: ok=%v err=%v", round, ok, err)
+		}
+		for lvl, ids := range m.levels {
+			if len(ids) > 0 {
+				t.Fatalf("round %d: manifest lists L%d tables %v", round, lvl, ids)
+			}
+		}
+		if files := dir.List("sst-"); len(files) > 0 {
+			t.Fatalf("round %d: directory holds %v", round, files)
+		}
+		if it := e.NewIter(nil, nil); it.Valid() {
+			t.Fatalf("round %d: deleted key %q still reads", round, it.Key())
+		}
+	}
+	// With nothing left beneath it, the next compaction out of L0 is
+	// bottommost and may drop tombstones: no empty table pins them.
+	e.Delete([]byte("k000"))
+	e.Flush()
+	e.mu.Lock()
+	plan := e.planCompactionLocked(0)
+	e.mu.Unlock()
+	if plan == nil || !plan.bottommost {
+		t.Fatalf("L0 compaction plan %+v, want a bottommost one", plan)
 	}
 }
 

@@ -559,7 +559,7 @@ func (e *Engine) flushLocked() (*trace.Span, *flushJob, error) {
 // build, yet the flush still completes before the write (or Flush call)
 // that caused it returns.
 func (e *Engine) buildAndInstall(sp *trace.Span, job *flushJob) {
-	t := newSSTable(job.id, job.mem.entries())
+	t := newSSTable(job.id, mergeSources([]iterSource{{mem: job.mem}}, false))
 	e.mu.Lock()
 	e.installFlushLocked(job, t, sp)
 	e.mu.Unlock()

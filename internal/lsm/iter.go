@@ -2,7 +2,10 @@ package lsm
 
 import (
 	"bytes"
+	"math"
 	"sort"
+
+	"crdbserverless/internal/metric"
 )
 
 // Iterator is a forward scan over [lo, hi) of a snapshot of the engine. A nil
@@ -22,11 +25,12 @@ import (
 // arenas with it) and a compacted-away table live exactly as long as an
 // iterator refers to them, and iterators are short-lived.
 //
-// The iterator is the engine's only read path. A point read positions one at
-// the key, by NewIter's lower bound or a SeekGE, and checks that it landed on
-// exactly that key.
+// The iterator is the engine's only read path, and its sources are the
+// engine's only merge: a flush or compaction drains them through
+// mergeSources. A point read positions one at the key, by NewIter's lower
+// bound or a SeekGE, and checks that it landed on exactly that key.
 type Iterator struct {
-	e      *Engine
+	probed *metric.Counter // lsm.tables.probed; nil in a merge, which counts none
 	seq    uint64
 	lo, hi []byte
 	srcs   []iterSource // newest run first: a key's first holder shadows the rest
@@ -68,7 +72,7 @@ func (e *Engine) NewIter(lo, hi []byte) *Iterator {
 // [lo, hi) of a snapshot captured now, whatever it was before. The snapshot
 // lives as long as it does; a caller that keeps it past its use zeroes it.
 func (e *Engine) IterIn(it *Iterator, lo, hi []byte) {
-	*it = Iterator{e: e, lo: lo, hi: hi}
+	*it = Iterator{probed: e.readMetrics.TablesProbed, lo: lo, hi: hi}
 	e.mu.RLock()
 	it.seq = e.mu.seq
 	e.snapSeq.Store(it.seq) // writers now retain every version at or below it
@@ -142,11 +146,7 @@ func (it *Iterator) seekSources(key []byte, forward bool) {
 		if forward && (s.key == nil || bytes.Compare(s.key, key) >= 0) {
 			continue
 		}
-		if s.mem != nil {
-			s.settleMem(it, s.mem.seek(key, nil))
-		} else {
-			s.seekTables(it, key)
-		}
+		s.seek(it, key)
 	}
 	it.settle()
 }
@@ -162,26 +162,65 @@ func (it *Iterator) skipCurrent() {
 	}
 }
 
-// settle makes the smallest key across the sources current — the newest run
-// winning a tie — and skips it if that run holds a tombstone for it.
+// pick makes the smallest key across the sources current, the newest run
+// winning a tie; nil when every source is exhausted.
+func (it *Iterator) pick() {
+	it.cur = nil
+	for i := range it.srcs {
+		s := &it.srcs[i]
+		if s.key != nil && (it.cur == nil || bytes.Compare(s.key, it.cur.key) < 0) {
+			it.cur = s
+		}
+	}
+}
+
+// settle picks the next key and skips it while its newest run holds a
+// tombstone for it.
 func (it *Iterator) settle() {
-	for {
-		it.cur = nil
-		for i := range it.srcs {
-			s := &it.srcs[i]
-			if s.key != nil && (it.cur == nil || bytes.Compare(s.key, it.cur.key) < 0) {
-				it.cur = s
-			}
-		}
-		if it.cur == nil || !it.cur.tombstone() {
-			return
-		}
+	for it.pick(); it.cur != nil && it.cur.tombstone(); it.pick() {
 		it.skipCurrent()
 	}
 }
 
+// mergeSources drains sorted runs, newest first, into the entries newSSTable
+// encodes: each key's newest entry, in key order, with every memtable version
+// visible. A tombstone is kept unless dropTombstones is set, which is valid
+// only when the output is bottommost. The entries alias the sources' memory.
+// A merge counts no table probes.
+func mergeSources(srcs []iterSource, dropTombstones bool) []Entry {
+	it := Iterator{seq: math.MaxUint64, srcs: srcs}
+	n := 0
+	for i := range srcs {
+		s := &srcs[i]
+		if s.mem != nil {
+			n += s.mem.count
+		}
+		for _, t := range s.tables {
+			n += t.numEntries
+		}
+		s.seek(&it, nil)
+	}
+	out := make([]Entry, 0, n)
+	for it.pick(); it.cur != nil; it.pick() {
+		if s := it.cur; !dropTombstones || !s.tombstone() {
+			out = append(out, Entry{Key: s.key, Value: s.val, Tombstone: s.tombstone()})
+		}
+		it.skipCurrent()
+	}
+	return out
+}
+
 // tombstone reports whether the source's current entry is a tombstone.
 func (s *iterSource) tombstone() bool { return s.val == nil }
+
+// seek positions the source on its first entry >= key.
+func (s *iterSource) seek(it *Iterator, key []byte) {
+	if s.mem != nil {
+		s.settleMem(it, s.mem.seek(key, nil))
+	} else {
+		s.seekTables(it, key)
+	}
+}
 
 // block returns a table source's current block.
 func (s *iterSource) block() []byte { return s.tables[s.ti].blocks[s.bi] }
@@ -265,21 +304,18 @@ func (s *iterSource) seekTables(it *Iterator, key []byte) {
 	s.load(it)
 }
 
-// openTable points the source at the head of tables[ti], passing over empty
-// tables (a bottommost compaction that dropped everything leaves one). It
-// reports false, and exhausts the source, when no table is left or the table
-// starts at or past hi. A table counts as probed when a source positions in
-// it.
+// openTable points the source at the head of tables[ti]. It reports false,
+// and exhausts the source, when no table is left or the table starts at or
+// past hi. A table counts as probed when a read's source positions in it.
 func (s *iterSource) openTable(it *Iterator) bool {
-	for int(s.ti) < len(s.tables) && s.tables[s.ti].numEntries == 0 {
-		s.ti++
-	}
 	if int(s.ti) >= len(s.tables) || (it.hi != nil && bytes.Compare(s.tables[s.ti].minKey, it.hi) >= 0) {
 		s.key = nil
 		return false
 	}
 	s.bi, s.off = 0, 0
-	it.e.readMetrics.TablesProbed.Inc(1)
+	if it.probed != nil {
+		it.probed.Inc(1)
+	}
 	return true
 }
 

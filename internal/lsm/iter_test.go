@@ -438,3 +438,35 @@ func TestIterProbesOnlyOverlappingTables(t *testing.T) {
 		t.Fatalf("single-table range scan probed %d tables, want 1", probed)
 	}
 }
+
+// lsm.tables.probed counts the tables reads position in; the merges a flush
+// and a compaction run count none, and a read after them still counts.
+func TestMergesCountNoProbes(t *testing.T) {
+	e := newManualEngine(Options{})
+	defer e.Close()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 50; i++ {
+			if err := e.Set([]byte(fmt.Sprintf("k%02d-%d", i, round)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := e.Metrics().TablesProbed
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		e.Compact()
+		if probed := e.Metrics().TablesProbed - before; probed != 0 {
+			t.Fatalf("round %d: a flush and a compaction probed %d tables, want 0", round, probed)
+		}
+	}
+	if m := e.Metrics(); m.FlushCount != 3 || m.CompactionCount == 0 {
+		t.Fatalf("%d flushes and %d compactions, want 3 and some", m.FlushCount, m.CompactionCount)
+	}
+	before := e.Metrics().TablesProbed
+	if it := e.NewIter([]byte("k07-1"), nil); !it.Valid() || string(it.Key()) != "k07-1" {
+		t.Fatal("k07-1 missing after compaction")
+	}
+	if probed := e.Metrics().TablesProbed - before; probed != 1 {
+		t.Fatalf("a read positioned in the one table probed %d, want 1", probed)
+	}
+}

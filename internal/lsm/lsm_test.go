@@ -3,8 +3,10 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -509,11 +511,20 @@ func TestEngineValueIsolation(t *testing.T) {
 	}
 }
 
+// mergeTables merges runs given newest first, each in a table of its own.
+func mergeTables(dropTombstones bool, runs ...[]Entry) []Entry {
+	srcs := make([]iterSource, len(runs))
+	for i, r := range runs {
+		srcs[i].tables = []*ssTable{newSSTable(uint64(len(runs)-i), r)}
+	}
+	return mergeSources(srcs, dropTombstones)
+}
+
 func TestMergeRunsPrecedence(t *testing.T) {
 	newer := []Entry{{Key: []byte("a"), Value: []byte("new")}}
 	older := []Entry{{Key: []byte("a"), Value: []byte("old")}, {Key: []byte("b"), Value: []byte("b")}}
-	out := mergeRuns([][]Entry{newer, older}, false)
-	if len(out) != 2 || string(out[0].Value) != "new" {
+	out := mergeTables(false, newer, older)
+	if len(out) != 2 || string(out[0].Value) != "new" || string(out[1].Key) != "b" {
 		t.Fatalf("merge precedence: %+v", out)
 	}
 }
@@ -521,13 +532,163 @@ func TestMergeRunsPrecedence(t *testing.T) {
 func TestMergeRunsTombstoneHandling(t *testing.T) {
 	newer := []Entry{{Key: []byte("a"), Tombstone: true}}
 	older := []Entry{{Key: []byte("a"), Value: []byte("old")}}
-	kept := mergeRuns([][]Entry{newer, older}, false)
+	kept := mergeTables(false, newer, older)
 	if len(kept) != 1 || !kept[0].Tombstone {
 		t.Fatalf("tombstone should be kept when not bottommost: %+v", kept)
 	}
-	dropped := mergeRuns([][]Entry{newer, older}, true)
+	dropped := mergeTables(true, newer, older)
 	if len(dropped) != 0 {
 		t.Fatalf("tombstone should be dropped at bottom: %+v", dropped)
+	}
+}
+
+// A memtable source yields each key's newest version whatever snapshots
+// retained the older ones, and an empty value is a value, not a tombstone.
+func TestMergeMemTableSource(t *testing.T) {
+	m := newMemTable(randutil.NewRand(1))
+	for seq, e := range []Entry{
+		{Key: []byte("a"), Value: []byte("a1")},
+		{Key: []byte("b"), Value: []byte("b1")},
+		{Key: []byte("a"), Value: []byte("a2")},
+		{Key: []byte("b"), Tombstone: true},
+		{Key: []byte("c"), Value: []byte("c1")},
+		{Key: []byte("a"), Value: []byte("a3")},
+		{Key: []byte("c"), Value: []byte{}},
+	} {
+		// Every version is retained, as if a snapshot held each one.
+		m.set(e, uint64(seq+1), math.MaxUint64)
+	}
+	older := newSSTable(1, []Entry{{Key: []byte("b"), Value: []byte("b0")}, {Key: []byte("d"), Value: []byte("d0")}})
+	srcs := func() []iterSource { return []iterSource{{mem: m}, {tables: []*ssTable{older}}} }
+	for _, tc := range []struct {
+		drop bool
+		want string
+	}{
+		{false, "a=a3 b=<del> c= d=d0"},
+		{true, "a=a3 c= d=d0"},
+	} {
+		out := mergeSources(srcs(), tc.drop)
+		if got := formatEntries(out); got != tc.want {
+			t.Fatalf("drop tombstones %v: merged %s, want %s", tc.drop, got, tc.want)
+		}
+		for _, e := range out {
+			if string(e.Key) == "c" && (e.Value == nil || e.Tombstone) {
+				t.Fatalf("empty value of c merged as %+v, want a live empty value", e)
+			}
+		}
+	}
+	// The flush's shape: the memtable alone, tombstones kept, into a table.
+	tbl := newSSTable(2, mergeSources([]iterSource{{mem: m}}, false))
+	if got := formatEntries(mergeSources([]iterSource{{tables: []*ssTable{tbl}}}, false)); got != "a=a3 b=<del> c=" {
+		t.Fatalf("flushed table holds %s", got)
+	}
+}
+
+func formatEntries(ents []Entry) string {
+	var b strings.Builder
+	for i, e := range ents {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		if e.Tombstone {
+			fmt.Fprintf(&b, "%s=<del>", e.Key)
+		} else {
+			fmt.Fprintf(&b, "%s=%s", e.Key, e.Value)
+		}
+	}
+	return b.String()
+}
+
+// TestMergeVsModel merges seeded random shapes — a memtable holding several
+// versions of some keys, overlapping L0 tables and a sorted level of disjoint
+// tables — and checks the output against each key's newest entry, with
+// tombstones dropped or kept.
+func TestMergeVsModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		key := func() string { return fmt.Sprintf("k%03d", rng.Intn(120)) }
+		entry := func(k string, tag int) Entry {
+			if rng.Intn(4) == 0 {
+				return Entry{Key: []byte(k), Tombstone: true}
+			}
+			return Entry{Key: []byte(k), Value: []byte(fmt.Sprintf("v%d-%d", tag, rng.Intn(3)))[:rng.Intn(6)]}
+		}
+		// sortedRun draws up to n distinct keys into a run in key order.
+		sortedRun := func(n, tag int) []Entry {
+			seen := map[string]bool{}
+			var ks []string
+			for i := 0; i < n; i++ {
+				if k := key(); !seen[k] {
+					seen[k] = true
+					ks = append(ks, k)
+				}
+			}
+			sort.Strings(ks)
+			run := make([]Entry, len(ks))
+			for i, k := range ks {
+				run[i] = entry(k, tag)
+			}
+			return run
+		}
+		newest := map[string]Entry{} // filled newest run first: the first entry wins
+		note := func(run []Entry) {
+			for _, e := range run {
+				if _, ok := newest[string(e.Key)]; !ok {
+					newest[string(e.Key)] = e
+				}
+			}
+		}
+
+		var srcs []iterSource
+		if rng.Intn(4) != 0 {
+			m := newMemTable(randutil.NewRand(seed))
+			latest := map[string]Entry{}
+			for seq, n := uint64(1), uint64(rng.Intn(80)); seq <= n; seq++ {
+				e := entry(key(), 0)
+				m.set(e, seq, uint64(rng.Intn(int(seq)+1)))
+				latest[string(e.Key)] = e
+			}
+			var run []Entry
+			for _, e := range latest {
+				run = append(run, e)
+			}
+			sort.Slice(run, func(i, j int) bool { return bytes.Compare(run[i].Key, run[j].Key) < 0 })
+			note(run)
+			if !m.empty() {
+				srcs = append(srcs, iterSource{mem: m})
+			}
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			if run := sortedRun(1+rng.Intn(60), len(srcs)+1); len(run) > 0 {
+				note(run)
+				srcs = append(srcs, iterSource{tables: []*ssTable{newSSTable(uint64(len(srcs)+1), run)}})
+			}
+		}
+		if level := sortedRun(rng.Intn(150), 9); len(level) > 0 {
+			note(level)
+			var tables []*ssTable
+			for len(level) > 0 {
+				n := 1 + rng.Intn(len(level))
+				tables = append(tables, newSSTable(uint64(100+len(tables)), level[:n]))
+				level = level[n:]
+			}
+			srcs = append(srcs, iterSource{tables: tables})
+		}
+
+		for _, drop := range []bool{false, true} {
+			var want []Entry
+			for _, e := range newest {
+				if !drop || !e.Tombstone {
+					want = append(want, e)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].Key, want[j].Key) < 0 })
+			in := append([]iterSource(nil), srcs...) // a merge consumes its sources
+			got := mergeSources(in, drop)
+			if g, w := formatEntries(got), formatEntries(want); g != w {
+				t.Fatalf("seed %d, drop tombstones %v, %d sources:\nmerged %s\nwant   %s", seed, drop, len(srcs), g, w)
+			}
+		}
 	}
 }
 

@@ -170,7 +170,8 @@ func persistSSTable(dir *Dir, t *ssTable) {
 
 // loadSSTable re-reads a persisted table. Rebuilding via newSSTable re-chunks
 // the entries deterministically, so block boundaries and size accounting come
-// back identical to the pre-crash table.
+// back identical to the pre-crash table. No path writes an empty table, so a
+// file that holds no entry is corruption.
 func loadSSTable(dir *Dir, id uint64) (*ssTable, error) {
 	data, ok := dir.ReadFile(sstFileName(id))
 	if !ok {
@@ -179,6 +180,9 @@ func loadSSTable(dir *Dir, id uint64) (*ssTable, error) {
 	ents, err := decodeBlock(data)
 	if err != nil {
 		return nil, fmt.Errorf("loading sstable sst-%06d: %w", id, err)
+	}
+	if len(ents) == 0 {
+		return nil, fmt.Errorf("%w: sstable sst-%06d holds no entry", ErrCorruption, id)
 	}
 	return newSSTable(id, ents), nil
 }

@@ -234,10 +234,6 @@ func (m *memTable) setNext(n *memNode, level int, x uint32) {
 
 func (m *memTable) key(n *memNode) []byte { return m.bytes.slice(n.key, n.klen) }
 
-func (m *memTable) value(v *memVersion) []byte {
-	return m.bytes.slice(v.val, uint32(v.valueLen()))
-}
-
 // version resolves a version reference of node n.
 func (m *memTable) version(n *memNode, ref uint32) *memVersion {
 	if ref == 0 {
@@ -373,19 +369,6 @@ func (m *memTable) set(e Entry, seq, snapSeq uint64) {
 	}
 	m.count++
 	m.sizeB += int64(len(e.Key) + len(e.Value) + 16)
-}
-
-// entries returns the newest entry of every key, in key order, aliasing the
-// arena. Called on a rotated memtable, which no longer has a writer.
-func (m *memTable) entries() []Entry {
-	out := make([]Entry, 0, m.count)
-	for x := m.nodes.at(0).next0.Load(); x != 0; {
-		n := m.nodes.at(x)
-		v := m.version(n, n.newest.Load())
-		out = append(out, Entry{Key: m.key(n), Value: m.value(v), Tombstone: v.tombstone()})
-		x = n.next0.Load()
-	}
-	return out
 }
 
 func (m *memTable) empty() bool { return m.count == 0 }

@@ -41,7 +41,7 @@ func (k *modelKey) asOf(seq uint64) int {
 // shrinking values (a few past the byte arena's largest chunk) and snapshots
 // taken between batches. After every batch each snapshot still held reads
 // exactly the model's history as of its sequence number, the newest state is
-// in key order through entries, and sizeB follows its formula.
+// in key order through the merge a flush runs, and sizeB follows its formula.
 func TestMemTableVsModel(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -157,17 +157,21 @@ func checkMemTable(t *testing.T, m *memTable, model map[string]*modelKey, keys [
 	}
 	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
-	ents := m.entries()
+	ents := mergeSources([]iterSource{{mem: m}}, false)
 	if len(ents) != len(sorted) {
-		t.Fatalf("entries: %d, want %d", len(ents), len(sorted))
+		t.Fatalf("merged: %d entries, want %d", len(ents), len(sorted))
 	}
 	for i, ent := range ents {
 		want := model[sorted[i]].writes[len(model[sorted[i]].writes)-1]
 		if string(ent.Key) != sorted[i] || !bytes.Equal(ent.Value, want.value) || ent.Tombstone != want.tomb {
-			t.Fatalf("entries[%d] = %q (%d bytes, tombstone %v), want %q (%d bytes, tombstone %v)",
+			t.Fatalf("merged[%d] = %q (%d bytes, tombstone %v), want %q (%d bytes, tombstone %v)",
 				i, ent.Key, len(ent.Value), ent.Tombstone, sorted[i], len(want.value), want.tomb)
 		}
 	}
+}
+
+func (m *memTable) value(v *memVersion) []byte {
+	return m.bytes.slice(v.val, uint32(v.valueLen()))
 }
 
 // arenaBytes is what a memtable's chunks hold, used or not.

@@ -134,17 +134,13 @@ func decodeBlock(b []byte) ([]Entry, error) {
 		}
 		off = int(end)
 	}
-	return appendBlockEntries(make([]Entry, 0, n), b), nil
-}
-
-// appendBlockEntries appends the entries of a well-formed block (see entryAt).
-func appendBlockEntries(out []Entry, b []byte) []Entry {
+	out := make([]Entry, 0, n)
 	for off := 0; off < len(b); {
 		var e Entry
 		e, off = entryAt(b, off)
 		out = append(out, e)
 	}
-	return out
+	return out, nil
 }
 
 // blockFor returns the index of the block that could contain key, or -1.
@@ -171,21 +167,9 @@ func blockSeek(b, key []byte) int {
 	return off
 }
 
-// entries decodes the whole table in key order (compaction input, scans).
-func (t *ssTable) entries() []Entry {
-	out := make([]Entry, 0, t.numEntries)
-	for _, b := range t.blocks {
-		out = appendBlockEntries(out, b)
-	}
-	return out
-}
-
 // overlaps reports whether the table's key range intersects [lo, hi]. A nil
 // hi means +infinity; a nil lo means -infinity.
 func (t *ssTable) overlaps(lo, hi []byte) bool {
-	if t.numEntries == 0 {
-		return false
-	}
 	if hi != nil && bytes.Compare(t.minKey, hi) > 0 {
 		return false
 	}
@@ -197,49 +181,4 @@ func (t *ssTable) overlaps(lo, hi []byte) bool {
 
 func (t *ssTable) String() string {
 	return fmt.Sprintf("sst-%d[%q,%q] %dB", t.id, t.minKey, t.maxKey, t.sizeB)
-}
-
-// mergeRuns merges sorted runs into a single sorted run. Runs earlier in the
-// slice take precedence for duplicate keys (they are newer). If dropTombstones
-// is set, tombstones are elided from the output (valid only when merging into
-// the bottommost level).
-func mergeRuns(runs [][]Entry, dropTombstones bool) []Entry {
-	type cursor struct {
-		run []Entry
-		idx int
-	}
-	cursors := make([]cursor, len(runs))
-	for i, r := range runs {
-		cursors[i] = cursor{run: r}
-	}
-	var out []Entry
-	for {
-		best := -1
-		for i := range cursors {
-			c := &cursors[i]
-			if c.idx >= len(c.run) {
-				continue
-			}
-			if best == -1 || bytes.Compare(c.run[c.idx].Key, cursors[best].run[cursors[best].idx].Key) < 0 {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		e := cursors[best].run[cursors[best].idx]
-		cursors[best].idx++
-		// Skip older duplicates in other runs.
-		for i := range cursors {
-			c := &cursors[i]
-			for c.idx < len(c.run) && bytes.Equal(c.run[c.idx].Key, e.Key) {
-				c.idx++
-			}
-		}
-		if e.Tombstone && dropTombstones {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }
