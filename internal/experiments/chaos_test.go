@@ -12,7 +12,7 @@ import (
 // is intended, say why and re-pin.
 const (
 	chaosSeed42Pin      = "fec8f780d6064be6a608a65d7472264b8d52e57f03de9a9d86ac215c4b2501ef"
-	mergeStormSeed23Pin = "dc31148b4aae2a6312f2c15fa3ddf7dc4da5510a94ea78ead124ae47c278eebf"
+	mergeStormSeed23Pin = "f8c163fe17b0a5416b398285fd6cce0da027afeb584f7334f0e466e6f89fb107"
 )
 
 // replayDigest is the hex SHA-256 of a run's schedule followed by its trace.

@@ -53,25 +53,23 @@ type ClusterConfig struct {
 	CommitMetrics *raftlite.CommitMetrics
 }
 
-// rangeState is one range: descriptor, replication group, and stats.
+// rangeState is one range: descriptor, replication group, and stats. A
+// range is a value: succeed builds it, and once the directory publishes it,
+// its descriptor and group never change. A split, merge or move builds
+// successors and retires it (swap).
 type rangeState struct {
 	// latch serializes batch evaluation on the range (reads and writes):
 	// read evaluation records into the timestamp cache and write evaluation
 	// consults it, and the two must not interleave.
 	latch sync.Mutex
-	// desc is the range's descriptor. Batches, the tick and the replication
-	// group's state machines read it without a lock (the state machines run
-	// under the group's lock), so a split or move publishes a new descriptor,
-	// through the directory's swap, instead of editing this one.
-	desc atomic.Pointer[RangeDescriptor]
-	// retired is set when a merge takes the range out of the directory. A
-	// batch or merge that waited for the latch checks it before using the
-	// range.
+	// desc is the range's descriptor.
+	desc *RangeDescriptor
+	// group is the range's replication group.
+	group *raftlite.Group
+	// retired is set when a split, merge or move takes the range out of the
+	// directory. A batch, split, merge or move that waited for the latch
+	// checks it before using the range.
 	retired atomic.Bool
-	// group is the range's replication group. A replica move replaces it
-	// while the tick and the lease balancer read it without a lock, so it is
-	// published the same way.
-	group atomic.Pointer[raftlite.Group]
 	// tsc is the range's timestamp cache (lost-update protection).
 	tsc *tsCache
 	// writtenBytes is the logical bytes the range's batches wrote, its size
@@ -105,7 +103,7 @@ func (sm engineSM) Apply(index uint64, cmd []byte) error {
 	var key [appliedKeyLen]byte
 	var value [8]byte
 	applied := lsm.Entry{
-		Key:   appendAppliedKey(key[:0], sm.rs.desc.Load().RangeID),
+		Key:   appendAppliedKey(key[:0], sm.rs.desc.RangeID),
 		Value: keys.EncodeUint64(value[:0], index),
 	}
 	// Stored, not appended: an append's copy would send the applied key and
@@ -172,7 +170,7 @@ func NewCluster(cfg ClusterConfig, nodes []*Node) (*Cluster, error) {
 	for i := range replicas {
 		replicas[i] = order[(1+i)%len(order)]
 	}
-	rs, err := c.newRangeState(keys.Span{Key: keys.MinKey.Next(), EndKey: keys.MaxKey}, replicas, 0)
+	rs, err := c.succeed(nil, RangeID(c.lastRangeID.Add(1)), keys.Span{Key: keys.MinKey.Next(), EndKey: keys.MaxKey}, replicas, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -217,31 +215,34 @@ func (c *Cluster) liveness(id raftlite.NodeID) bool {
 	return ok && n.Live()
 }
 
-// newRangeState allocates a range (ID, group, state) outside the directory,
-// which only a swap changes. The new range has no lease; the next tick grants
-// one.
-func (c *Cluster) newRangeState(span keys.Span, replicas []NodeID, generation int64) (*rangeState, error) {
+// succeed builds the range that continues preds, the ranges a split, merge
+// or move retires, over span: its group is seeded from theirs (seedGroup),
+// its timestamp cache holds the reads they served on span, and size is its
+// size statistic. The range is not yet published: the caller hands it a
+// lease and swaps it in for preds. The first range has no predecessors.
+func (c *Cluster) succeed(preds []*rangeState, id RangeID, span keys.Span, replicas []NodeID, generation, size int64) (*rangeState, error) {
 	// The range state exists before its group: each replica's state machine
 	// reads the descriptor (and writes the applied key) through it.
-	rs := &rangeState{tsc: newTSCache()}
-	rs.desc.Store(&RangeDescriptor{
-		RangeID:    RangeID(c.lastRangeID.Add(1)),
-		Span:       span,
-		Replicas:   append([]NodeID(nil), replicas...),
-		Generation: generation,
-	})
+	rs := &rangeState{
+		desc: &RangeDescriptor{RangeID: id, Span: span, Replicas: slices.Clone(replicas), Generation: generation},
+		tsc:  newTSCache(),
+	}
 	group, err := c.newGroup(rs, replicas)
 	if err != nil {
 		return nil, err
 	}
-	rs.group.Store(group)
+	seedGroup(group, preds)
+	rs.group = group
+	for _, p := range preds {
+		rs.tsc.absorb(p.tsc, span)
+	}
+	rs.writtenBytes.Store(size)
 	return rs, nil
 }
 
 // newGroup builds a replication group for rs over replicas, one engine state
-// machine per replica. Every group the cluster creates — new ranges, splits,
-// merges and replica moves — comes from here, so each one gets the same
-// configuration, fault sites included.
+// machine per replica. Every group the cluster creates comes from here, so
+// each one gets the same configuration, fault sites included.
 func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, error) {
 	sms := make([]raftlite.StateMachine, len(replicas))
 	for i, nid := range replicas {
@@ -252,55 +253,51 @@ func (c *Cluster) newGroup(rs *rangeState, replicas []NodeID) (*raftlite.Group, 
 		sms[i] = engineSM{n: n, rs: rs}
 	}
 	return raftlite.NewGroup(raftlite.Config{
-		RangeID:       int64(rs.desc.Load().RangeID),
+		RangeID:       int64(rs.desc.RangeID),
 		Liveness:      c.liveness,
 		Faults:        c.cfg.Faults,
 		CommitMetrics: c.cfg.CommitMetrics,
 	}, replicas, sms)
 }
 
-// seedGroup starts g, the group of a range that continues the ranges whose
-// groups are preds, where their history left off: its commit index is the sum
-// of theirs, and each replica's applied index the sum of its applied indexes
-// in them. The data already lives in every replica's engine at those
-// indexes, so a replica that lagged in a predecessor reads as lagging here
-// too and heals via snapshot; a group seeded at zero would count it caught
-// up, and its state would stay stale once the predecessors' logs truncate.
-// copied, unless 0, is a replica that holds a copy of another's engine (a
-// move's target), applied at copiedAt.
-func seedGroup(g *raftlite.Group, preds []*raftlite.Group, copied NodeID, copiedAt uint64) {
+// seedGroup starts g, the group of a range that continues preds, where their
+// history left off: its commit index is the sum of theirs, and each replica's
+// applied index the sum of its applied indexes in them. The data already
+// lives in every replica's engine at those indexes, so a replica that lagged
+// in a predecessor reads as lagging here too and heals via snapshot; a group
+// seeded at zero would count it caught up, and its state would stay stale
+// once the predecessors' logs truncate. A replica new to the range (a move's
+// target) starts at zero, behind the seeded log, so it too is filled by
+// snapshot.
+func seedGroup(g *raftlite.Group, preds []*rangeState) {
 	var commit uint64
 	replicas := g.Replicas()
 	applied := make(map[NodeID]uint64, len(replicas))
 	for _, p := range preds {
-		commit += p.CommitIndex()
+		commit += p.group.CommitIndex()
 		for _, nid := range replicas {
-			if a, err := p.AppliedIndex(nid); err == nil {
+			if a, err := p.group.AppliedIndex(nid); err == nil {
 				applied[nid] += a
 			}
 		}
-	}
-	if copied != 0 {
-		applied[copied] = copiedAt
 	}
 	g.SeedState(commit, applied)
 }
 
 // rangeFor returns the range containing key.
 func (c *Cluster) rangeFor(key keys.Key) (*rangeState, error) {
-	rs, _, err := c.dir.lookup(key)
-	return rs, err
+	return c.dir.lookup(key)
 }
 
 // LookupRange returns the descriptor for the range containing key — the META
 // range lookup. Reads of META tolerate staleness (follower reads, §3.2.5):
 // callers cache results and rely on redirects when ranges move.
 func (c *Cluster) LookupRange(key keys.Key) (*RangeDescriptor, error) {
-	_, d, err := c.dir.lookup(key)
+	rs, err := c.dir.lookup(key)
 	if err != nil {
 		return nil, err
 	}
-	return d.clone(), nil
+	return rs.desc.clone(), nil
 }
 
 // Descriptors returns all range descriptors in key order.
@@ -310,54 +307,63 @@ func (c *Cluster) Descriptors() []*RangeDescriptor { return c.dir.all() }
 // Used both by size-based splitting and by the cluster-virtualization
 // layer to place tenant boundaries on range boundaries (§3.2.1: the KV layer
 // enforces that no two tenants share a range).
+//
+// A split, merge or move that retires the range while the split waits for its
+// latch sends the split back to the directory for the key's new range.
 func (c *Cluster) SplitAt(key keys.Key) error {
-	rs, err := c.rangeFor(key)
-	if err != nil {
-		return err
+	for {
+		rs, err := c.rangeFor(key)
+		if err != nil {
+			return err
+		}
+		rs.latch.Lock()
+		_, err = c.splitLocked(rs, key)
+		rs.latch.Unlock()
+		var rnf *kvpb.RangeNotFoundError
+		if !errors.As(err, &rnf) {
+			return err
+		}
 	}
-	rs.latch.Lock()
-	defer rs.latch.Unlock()
-	_, err = c.splitLocked(rs, key)
-	return err
 }
 
 // splitLocked performs the split with rs.latch held. It reports whether a
-// split actually happened (false when key is already a boundary).
+// split actually happened (false when key is already a boundary). Both halves
+// succeed rs over its replicas, so the data stays in place: the left keeps
+// rs's RangeID, and each remembers the reads rs served on its span, so no
+// write there can land below one of them.
 func (c *Cluster) splitLocked(rs *rangeState, key keys.Key) (bool, error) {
-	desc := rs.desc.Load()
+	desc := rs.desc
+	if rs.retired.Load() {
+		return false, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
+	}
 	if key.Equal(desc.Span.Key) {
 		return false, nil // already a boundary
 	}
 	if !desc.Span.ContainsKey(key) {
 		return false, &kvpb.RangeKeyMismatchError{RequestedKey: key, ActualSpan: desc.Span}
 	}
-	rightSpan := keys.Span{Key: key.Clone(), EndKey: desc.Span.EndKey}
-	// The right side inherits the parent's replicas: data stays in place.
-	right, err := c.newRangeState(rightSpan, desc.Replicas, 0)
+	key = key.Clone()
+	preds := []*rangeState{rs}
+	// Split halves the parent's accumulated size statistic.
+	half := rs.writtenBytes.Load() / 2
+	right, err := c.succeed(preds, RangeID(c.lastRangeID.Add(1)), keys.Span{Key: key, EndKey: desc.Span.EndKey}, desc.Replicas, 0, half)
 	if err != nil {
 		return false, err
 	}
-	parent := rs.group.Load()
-	seedGroup(right.group.Load(), []*raftlite.Group{parent}, 0, 0)
-	// The right side remembers the reads already served on its span, so no
-	// write there can land below one of them.
-	right.tsc.absorb(rs.tsc, rightSpan)
-	// Split halves the parent's accumulated size statistic.
-	half := rs.writtenBytes.Load() / 2
-	right.writtenBytes.Store(half)
-	// Shrink the left side and publish both descriptors at once.
-	left := *desc
-	left.Span.EndKey = key.Clone()
-	left.Generation++
-	if err := c.dir.swap([]*RangeDescriptor{desc}, rangeUpdate{rs, &left}, rangeUpdate{right, right.desc.Load()}); err != nil {
+	left, err := c.succeed(preds, desc.RangeID, keys.Span{Key: desc.Span.Key, EndKey: key}, desc.Replicas, desc.Generation+1, half)
+	if err != nil {
 		return false, err
 	}
-	rs.writtenBytes.Store(half)
-	// The new right range's lease starts with the parent's leaseholder so
-	// serving continues without interruption.
-	if lh, ok := parent.Leaseholder(); ok {
-		//lint:allow faulterr a failed hand-over leaves the right range without a lease, which the next tick grants
-		_ = right.group.Load().AcquireLease(lh)
+	// Both halves start with the parent's leaseholder so serving continues
+	// without interruption.
+	if lh, ok := rs.group.Leaseholder(); ok {
+		for _, half := range []*rangeState{left, right} {
+			//lint:allow faulterr a failed hand-over leaves the half without a lease, which the next tick grants
+			_ = half.group.AcquireLease(lh)
+		}
+	}
+	if err := c.dir.swap(preds, left, right); err != nil {
+		return false, err
 	}
 	return true, nil
 }
@@ -372,7 +378,7 @@ func (c *Cluster) splitPoint(rs *rangeState, leaseholder NodeID) keys.Key {
 	if !ok {
 		return nil
 	}
-	return boundedMiddleKey(n, rs.desc.Load().Span)
+	return boundedMiddleKey(n, rs.desc.Span)
 }
 
 // boundedMiddleKey scans at most middleKeyScanLimit rows of span (at the
@@ -413,7 +419,7 @@ func (c *Cluster) maybeSizeSplit(rs *rangeState, leaseholder NodeID) {
 func (c *Cluster) LeaseCounts() map[NodeID]int {
 	out := make(map[NodeID]int)
 	for _, rs := range c.dir.byID() {
-		if lh, ok := rs.group.Load().Leaseholder(); ok {
+		if lh, ok := rs.group.Leaseholder(); ok {
 			out[lh]++
 		}
 	}
@@ -434,8 +440,8 @@ func (c *Cluster) RangeLoads() []RangeLease {
 	ranges := c.dir.byID()
 	out := make([]RangeLease, 0, len(ranges))
 	for _, rs := range ranges {
-		lh, _ := rs.group.Load().Leaseholder()
-		out = append(out, RangeLease{RangeID: rs.desc.Load().RangeID, Leaseholder: lh})
+		lh, _ := rs.group.Leaseholder()
+		out = append(out, RangeLease{RangeID: rs.desc.RangeID, Leaseholder: lh})
 	}
 	return out
 }
@@ -461,7 +467,7 @@ func (c *Cluster) Tick() {
 	// order: the count balancer's input.
 	leases := make(map[NodeID][]*rangeState)
 	for _, rs := range c.dir.byID() {
-		holder := rs.group.Load().Lease().Holder
+		holder := rs.group.Lease().Holder
 		if !live[holder] {
 			var ok bool
 			if holder, ok = c.grantLease(rs, live); !ok {
@@ -478,7 +484,7 @@ func (c *Cluster) Tick() {
 // reports the holder, or false when no live replica could take the lease;
 // the next tick retries.
 func (c *Cluster) grantLease(rs *rangeState, live map[NodeID]bool) (NodeID, bool) {
-	g := rs.group.Load()
+	g := rs.group
 	for _, nid := range g.Replicas() {
 		if live[nid] {
 			if err := g.AcquireLease(nid); err == nil {
@@ -530,7 +536,7 @@ func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState, live map[Node
 		}
 		moved := false
 		for i, rs := range leases[maxN] {
-			g := rs.group.Load()
+			g := rs.group
 			lh, ok := g.Leaseholder()
 			if !ok || lh != maxN {
 				continue
@@ -547,8 +553,8 @@ func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState, live map[Node
 			// TransferLease catches the target up before handing over.
 			if err := g.TransferLease(lh, best); err == nil {
 				leases[lh] = slices.Delete(leases[lh], i, i+1)
-				id := rs.desc.Load().RangeID
-				at := sort.Search(len(leases[best]), func(j int) bool { return leases[best][j].desc.Load().RangeID > id })
+				id := rs.desc.RangeID
+				at := sort.Search(len(leases[best]), func(j int) bool { return leases[best][j].desc.RangeID > id })
 				leases[best] = slices.Insert(leases[best], at, rs)
 				counts[lh]--
 				counts[best]++
@@ -577,7 +583,7 @@ type ReplicaStatus struct {
 func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 	var out []ReplicaStatus
 	for _, rs := range c.dir.byID() {
-		g := rs.group.Load()
+		g := rs.group
 		commit := g.CommitIndex()
 		for _, nid := range g.Replicas() {
 			applied, err := g.AppliedIndex(nid)
@@ -585,7 +591,7 @@ func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 				continue
 			}
 			out = append(out, ReplicaStatus{
-				RangeID: rs.desc.Load().RangeID, Node: nid, Applied: applied, Commit: commit,
+				RangeID: rs.desc.RangeID, Node: nid, Applied: applied, Commit: commit,
 			})
 		}
 	}
@@ -593,15 +599,10 @@ func (c *Cluster) ReplicaStatuses() []ReplicaStatus {
 }
 
 // RaftSnapshots returns the total number of snapshot catch-ups performed
-// across every range's replication group — replicas that fell behind the
-// truncated log (crashed stores) and rejoined via state transfer.
-func (c *Cluster) RaftSnapshots() int64 {
-	var total int64
-	for _, rs := range c.dir.byID() {
-		total += rs.group.Load().Snapshots()
-	}
-	return total
-}
+// by every replication group the cluster has published, retired ones
+// included — replicas that fell behind the truncated log (crashed stores)
+// and rejoined via state transfer, and replicas that moves added.
+func (c *Cluster) RaftSnapshots() int64 { return c.dir.snapshots() }
 
 // CatchUpReplicas applies pending committed entries on every replica of every
 // range — the quiescence step before checking convergence, standing in for
@@ -609,7 +610,7 @@ func (c *Cluster) RaftSnapshots() int64 {
 func (c *Cluster) CatchUpReplicas() error {
 	var firstErr error
 	for _, rs := range c.dir.byID() {
-		g := rs.group.Load()
+		g := rs.group
 		for _, nid := range g.Replicas() {
 			if err := g.CatchUp(nid); err != nil && firstErr == nil {
 				firstErr = err
@@ -631,7 +632,7 @@ func (c *Cluster) RunGC(keepAfter hlc.Timestamp) (int, error) {
 	removed := 0
 	for _, rs := range c.dir.byID() {
 		rs.latch.Lock()
-		desc := rs.desc.Load()
+		desc := rs.desc
 		for _, nid := range desc.Replicas {
 			n, ok := c.Node(nid)
 			if !ok {
@@ -724,7 +725,7 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 // catches the node up to the commit index before granting, so it serves
 // current state); otherwise it turns the batch away.
 func checkRange(rs *rangeState, nodeID NodeID, ba *kvpb.BatchRequest, acquire bool) (*RangeDescriptor, error) {
-	desc := rs.desc.Load()
+	desc := rs.desc
 	if rs.retired.Load() {
 		return nil, &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
 	}
@@ -737,7 +738,7 @@ func checkRange(rs *rangeState, nodeID NodeID, ba *kvpb.BatchRequest, acquire bo
 			return nil, &kvpb.RangeKeyMismatchError{RequestedKey: span.EndKey, ActualSpan: desc.Span}
 		}
 	}
-	g := rs.group.Load()
+	g := rs.group
 	lh, ok := g.Leaseholder()
 	if !ok && acquire {
 		if err := g.AcquireLease(nodeID); err != nil {
@@ -754,7 +755,7 @@ func checkRange(rs *rangeState, nodeID NodeID, ba *kvpb.BatchRequest, acquire bo
 }
 
 func hasReplica(rs *rangeState, nodeID NodeID) bool {
-	return slices.Contains(rs.desc.Load().Replicas, nodeID)
+	return slices.Contains(rs.desc.Replicas, nodeID)
 }
 
 // evaluateBatch evaluates the batch on the node's engine under the range
@@ -767,9 +768,9 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	}
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
-	// A split or merge may have run while the batch waited for the latch: a
-	// merge retires the range, and a split leaves it a shorter span. The batch
-	// must not write through a group whose span no longer covers its keys.
+	// A split, merge or move may have run while the batch waited for the
+	// latch and retired the range. The batch must not write through a retired
+	// range's group.
 	// The lease may also have moved since Batch checked it: a holder that
 	// failed liveness while the batch queued has lost the lease to a replica
 	// that may since have committed writes this node has not applied.
@@ -782,7 +783,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	if err != nil || len(ents.List) == 0 {
 		return resp, err
 	}
-	if err := rs.group.Load().ProposeCtx(ctx, n.id, encodeCommand(ents.List)); err != nil {
+	if err := rs.group.ProposeCtx(ctx, n.id, encodeCommand(ents.List)); err != nil {
 		return nil, err
 	}
 	rs.writtenBytes.Add(written)

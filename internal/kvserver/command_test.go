@@ -84,7 +84,7 @@ func TestOverwritingTheEntryAfterApplyLeavesTheEngine(t *testing.T) {
 	for i := range entry {
 		entry[i] = 0xff
 	}
-	applied := appliedKey(rs.desc.Load().RangeID)
+	applied := appliedKey(rs.desc.RangeID)
 	want := []lsm.Entry{
 		{Key: applied, Value: keys.EncodeUint64(nil, index)},
 		goldenCommand[0],

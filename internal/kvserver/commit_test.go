@@ -136,7 +136,7 @@ func TestOnePhaseCommitCommandAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, _ := rs.group.Load().Leaseholder()
+	lh, _ := rs.group.Leaseholder()
 	n, _ := c.Node(lh)
 	commit := func() {
 		ba.Txn.ID++

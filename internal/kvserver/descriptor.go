@@ -47,32 +47,28 @@ func (d *RangeDescriptor) String() string {
 // DistSender's descriptor cache (and the dist.desc.stale fault site), whose
 // sends rely on redirects when ranges change.
 //
-// A range's descriptor is immutable once published, and only a swap
-// publishes one, under the lock. In-package lookups share it; LookupRange
-// and Descriptors hand copies to callers outside the package.
+// A range is immutable once published, and only a swap publishes one, under
+// the lock. In-package lookups share its descriptor; LookupRange and
+// Descriptors hand copies to callers outside the package.
 type metaDirectory struct {
 	mu     sync.RWMutex
 	ranges []*rangeState
+	// retiredSnapshots counts the snapshot catch-ups of the groups of every
+	// range a swap retired.
+	retiredSnapshots int64
 }
 
-// rangeUpdate is one range of a swap's result: rs, published with desc.
-type rangeUpdate struct {
-	rs   *rangeState
-	desc *RangeDescriptor
-}
-
-// lookup returns the range whose span contains k, with its descriptor.
-func (m *metaDirectory) lookup(k keys.Key) (*rangeState, *RangeDescriptor, error) {
+// lookup returns the range whose span contains k.
+func (m *metaDirectory) lookup(k keys.Key) (*rangeState, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	i := sort.Search(len(m.ranges), func(i int) bool {
-		return k.Less(m.ranges[i].desc.Load().Span.Key)
+		return k.Less(m.ranges[i].desc.Span.Key)
 	})
-	if i == 0 || !m.ranges[i-1].desc.Load().ContainsKey(k) {
-		return nil, nil, fmt.Errorf("kvserver: no range contains key %s", k)
+	if i == 0 || !m.ranges[i-1].desc.ContainsKey(k) {
+		return nil, fmt.Errorf("kvserver: no range contains key %s", k)
 	}
-	rs := m.ranges[i-1]
-	return rs, rs.desc.Load(), nil
+	return m.ranges[i-1], nil
 }
 
 // all returns copies of all descriptors in key order.
@@ -81,7 +77,7 @@ func (m *metaDirectory) all() []*RangeDescriptor {
 	defer m.mu.RUnlock()
 	out := make([]*RangeDescriptor, len(m.ranges))
 	for i, rs := range m.ranges {
-		out[i] = rs.desc.Load().clone()
+		out[i] = rs.desc.clone()
 	}
 	return out
 }
@@ -93,7 +89,7 @@ func (m *metaDirectory) byID() []*rangeState {
 	out := slices.Clone(m.ranges)
 	m.mu.RUnlock()
 	slices.SortFunc(out, func(a, b *rangeState) int {
-		return cmp.Compare(a.desc.Load().RangeID, b.desc.Load().RangeID)
+		return cmp.Compare(a.desc.RangeID, b.desc.RangeID)
 	})
 	return out
 }
@@ -103,7 +99,7 @@ func (m *metaDirectory) byID() []*rangeState {
 func (m *metaDirectory) next(start keys.Key) *rangeState {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if i := m.searchLocked(start); i < len(m.ranges) && m.ranges[i].desc.Load().Span.Key.Equal(start) {
+	if i := m.searchLocked(start); i < len(m.ranges) && m.ranges[i].desc.Span.Key.Equal(start) {
 		return m.ranges[i]
 	}
 	return nil
@@ -112,51 +108,60 @@ func (m *metaDirectory) next(start keys.Key) *rangeState {
 // searchLocked returns the index of the first range whose start key is >= k.
 func (m *metaDirectory) searchLocked(k keys.Key) int {
 	return sort.Search(len(m.ranges), func(i int) bool {
-		return !m.ranges[i].desc.Load().Span.Key.Less(k)
+		return !m.ranges[i].desc.Span.Key.Less(k)
 	})
 }
 
-// swap publishes a split, a merge or a replica move: the ranges whose
-// descriptors are old, adjacent and in key order, give way to next, whose
-// non-empty spans must tile exactly the keys old covered. A range of old
-// that next does not keep is retired. swap refuses, changing nothing, when
-// one of old is no longer its range's current descriptor or they are not
-// adjacent, so a range is registered only by a swap that succeeded.
-func (m *metaDirectory) swap(old []*RangeDescriptor, next ...rangeUpdate) error {
+// swap publishes a split, a merge or a replica move: the ranges old,
+// adjacent and in key order, give way to next, whose non-empty spans must
+// tile exactly the keys old covered, and every range of old is retired. swap
+// refuses, changing nothing, when one of old is no longer in the table or
+// they are not adjacent, so a range is registered only by a swap that
+// succeeded.
+func (m *metaDirectory) swap(old []*rangeState, next ...*rangeState) error {
+	// Read before the lock, under which nothing is acquired (DESIGN.md §12).
+	// The callers hold old's latches, so only a tick's lease grant could add
+	// to these counts before the swap.
+	var snapshots int64
+	for _, rs := range old {
+		snapshots += rs.group.Snapshots()
+	}
+	first, last := old[0].desc, old[len(old)-1].desc
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.searchLocked(old[0].Span.Key)
-	if i+len(old) > len(m.ranges) {
-		return fmt.Errorf("kvserver: range %d is not current", old[0].RangeID)
+	i := m.searchLocked(first.Span.Key)
+	if i+len(old) > len(m.ranges) || !slices.Equal(m.ranges[i:i+len(old)], old) {
+		return fmt.Errorf("kvserver: range %d is not current or the ranges are not adjacent", first.RangeID)
 	}
-	cur := m.ranges[i : i+len(old)]
-	for j, d := range old {
-		if cur[j].desc.Load() != d {
-			return fmt.Errorf("kvserver: range %d is not current or not adjacent", d.RangeID)
+	at := first.Span.Key
+	for _, rs := range next {
+		d := rs.desc
+		if !d.Span.Key.Equal(at) || !d.Span.Key.Less(d.Span.EndKey) {
+			return fmt.Errorf("kvserver: %s does not continue the swap at %s", d, at)
 		}
+		at = d.Span.EndKey
 	}
-	at := old[0].Span.Key
-	for _, u := range next {
-		if !u.desc.Span.Key.Equal(at) || !u.desc.Span.Key.Less(u.desc.Span.EndKey) {
-			return fmt.Errorf("kvserver: %s does not continue the swap at %s", u.desc, at)
-		}
-		at = u.desc.Span.EndKey
+	if !at.Equal(last.Span.EndKey) {
+		return fmt.Errorf("kvserver: the swap's ranges end at %s, not %s", at, last.Span.EndKey)
 	}
-	if !at.Equal(old[len(old)-1].Span.EndKey) {
-		return fmt.Errorf("kvserver: the swap's ranges end at %s, not %s", at, old[len(old)-1].Span.EndKey)
+	for _, rs := range old {
+		rs.retired.Store(true)
 	}
-	for _, rs := range cur {
-		if !slices.ContainsFunc(next, func(u rangeUpdate) bool { return u.rs == rs }) {
-			rs.retired.Store(true)
-		}
-	}
-	states := make([]*rangeState, len(next))
-	for j, u := range next {
-		u.rs.desc.Store(u.desc)
-		states[j] = u.rs
-	}
-	m.ranges = slices.Replace(m.ranges, i, i+len(old), states...)
+	m.retiredSnapshots += snapshots
+	m.ranges = slices.Replace(m.ranges, i, i+len(old), next...)
 	return nil
+}
+
+// snapshots returns the snapshot catch-ups of every group published: those
+// of the ranges in the table and of those retired.
+func (m *metaDirectory) snapshots() int64 {
+	m.mu.RLock()
+	ranges, total := slices.Clone(m.ranges), m.retiredSnapshots
+	m.mu.RUnlock()
+	for _, rs := range ranges {
+		total += rs.group.Snapshots()
+	}
+	return total
 }
 
 func (d *RangeDescriptor) clone() *RangeDescriptor {

@@ -100,11 +100,12 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	return ds
 }
 
-// maxSendRetries bounds redirect-chasing per range visited. A stale
+// maxSendRetries bounds redirect-chasing per range version visited. A stale
 // descriptor whose refresh finds a range version the visit has not tried yet
-// (a split, merge or replica change landed since the lookup) does not count:
-// a writer racing a run of splits to the right of it makes progress on every
-// refresh, and the topology changes in flight are finite.
+// (a split, merge or replica move landed since the lookup, and turned away
+// the batches queued on the range it retired) restarts the budget: a writer
+// racing a run of splits or moves makes progress on every refresh, and the
+// topology changes in flight are finite.
 const maxSendRetries = 16
 
 // Send routes and executes the batch, merging per-range responses back into
@@ -350,8 +351,8 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 		seg.pending = pending
 		sent := false
 		// tried lists the descriptors this visit has been redirected away
-		// from; refreshed counts the refreshes that found a range version
-		// not among them.
+		// from; refreshed is the attempt after the last refresh that found a
+		// range version not among them, where the budget restarts.
 		var tried []*RangeDescriptor
 		refreshed := 0
 		for attempt := 0; attempt-refreshed < maxSendRetries; attempt++ {
@@ -402,7 +403,7 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 				if !slices.ContainsFunc(tried, func(d *RangeDescriptor) bool {
 					return d.RangeID == fresh.RangeID && d.Generation == fresh.Generation
 				}) {
-					refreshed++
+					refreshed = attempt + 1
 				}
 				desc = fresh
 			default:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -340,7 +341,7 @@ func TestNonLeaseholderReadRedirects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, ok := rs.group.Load().Leaseholder()
+	lh, ok := rs.group.Leaseholder()
 	if !ok {
 		t.Fatal("no leaseholder")
 	}
@@ -376,12 +377,12 @@ func TestOldLeaseholderReadRechecksLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, ok := rs.group.Load().Leaseholder()
+	old, ok := rs.group.Leaseholder()
 	if !ok {
 		t.Fatal("no leaseholder")
 	}
 	var other NodeID
-	for _, r := range rs.desc.Load().Replicas {
+	for _, r := range rs.desc.Replicas {
 		if r != old {
 			other = r
 			break
@@ -423,7 +424,7 @@ func TestDistSenderChasesLeaseholder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, _ := rs.group.Load().Leaseholder()
+	lh, _ := rs.group.Leaseholder()
 	var other NodeID
 	for _, r := range desc.Replicas {
 		if r != lh {
@@ -431,10 +432,10 @@ func TestDistSenderChasesLeaseholder(t *testing.T) {
 			break
 		}
 	}
-	if err := rs.group.Load().TransferLease(lh, other); err != nil {
+	if err := rs.group.TransferLease(lh, other); err != nil {
 		t.Fatal(err)
 	}
-	_ = rs.group.Load().CatchUp(other)
+	_ = rs.group.CatchUp(other)
 	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v2")}}); err != nil {
 		t.Fatalf("send after lease move: %v", err)
 	}
@@ -596,10 +597,19 @@ func TestCostConfigShapes(t *testing.T) {
 // TestMetaDirectoryInvariants drives the range table through its one
 // publish, the swap. A split, a merge and a move each leave the table a
 // partition of the keyspace in which every range is found by key and by ID.
-// A swap whose old ranges are stale or not adjacent, or whose new spans do
-// not tile the old ones, is refused and leaves the table as it was.
+// Each retires the ranges it replaces, and its successors' groups hold their
+// descriptors' replicas and continue their predecessors' logs. A swap whose
+// old ranges are stale or not adjacent, or whose new spans do not tile the
+// old ones, is refused and leaves the table as it was.
 func TestMetaDirectoryInvariants(t *testing.T) {
 	c := newTestCluster(t, 4)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	put := func(s string) {
+		t.Helper()
+		if _, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(tenantKey(2, s), "v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	check := func(step string) {
 		t.Helper()
 		assertDirectoryPartitions(t, c)
@@ -609,8 +619,8 @@ func TestMetaDirectoryInvariants(t *testing.T) {
 			t.Fatalf("after %s: %d ranges by ID, %d by key", step, len(byID), len(descs))
 		}
 		for i, rs := range byID {
-			desc := rs.desc.Load()
-			if i > 0 && byID[i-1].desc.Load().RangeID >= desc.RangeID {
+			desc := rs.desc
+			if i > 0 && byID[i-1].desc.RangeID >= desc.RangeID {
 				t.Fatalf("after %s: ranges not in RangeID order: %v", step, descs)
 			}
 			if got, err := c.rangeFor(desc.Span.Key); err != nil || got != rs {
@@ -621,14 +631,50 @@ func TestMetaDirectoryInvariants(t *testing.T) {
 			}
 		}
 	}
-	refused := func(why string, old []*RangeDescriptor, next ...rangeUpdate) {
+	// succeeded checks the ranges that took the place of preds: each pred is
+	// retired and out of the table, and each range now over their span has
+	// its descriptor's replicas and the sum of their commit indexes.
+	succeeded := func(step string, preds ...*rangeState) {
+		t.Helper()
+		check(step)
+		table := c.dir.byID()
+		var commit uint64
+		for _, p := range preds {
+			if !p.retired.Load() || slices.Contains(table, p) {
+				t.Fatalf("after %s: predecessor r%d retired=%v, in the table=%v", step, p.desc.RangeID, p.retired.Load(), slices.Contains(table, p))
+			}
+			commit += p.group.CommitIndex()
+		}
+		span := keys.Span{Key: preds[0].desc.Span.Key, EndKey: preds[len(preds)-1].desc.Span.EndKey}
+		for _, rs := range table {
+			if !span.ContainsKey(rs.desc.Span.Key) {
+				continue
+			}
+			if got := rs.group.Replicas(); !slices.Equal(got, rs.desc.Replicas) {
+				t.Fatalf("after %s: r%d's group has replicas %v, its descriptor %v", step, rs.desc.RangeID, got, rs.desc.Replicas)
+			}
+			if got := rs.group.CommitIndex(); got != commit {
+				t.Fatalf("after %s: r%d's commit index is %d, its predecessors' sum %d", step, rs.desc.RangeID, got, commit)
+			}
+		}
+	}
+	refused := func(why string, old []*rangeState, next *rangeState) {
 		t.Helper()
 		before := c.Descriptors()
-		if err := c.dir.swap(old, next...); err == nil {
+		retired := make([]bool, len(old))
+		for i, rs := range old {
+			retired[i] = rs.retired.Load()
+		}
+		if err := c.dir.swap(old, next); err == nil {
 			t.Fatalf("swap of %s was published", why)
 		}
 		if after := c.Descriptors(); !reflect.DeepEqual(after, before) {
 			t.Fatalf("refused swap of %s changed the table:\n%v\n%v", why, before, after)
+		}
+		for i, rs := range old {
+			if rs.retired.Load() != retired[i] {
+				t.Fatalf("refused swap of %s changed whether r%d is retired", why, rs.desc.RangeID)
+			}
 		}
 		check("a refused swap of " + why)
 	}
@@ -638,52 +684,59 @@ func TestMetaDirectoryInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs, rs.desc.Load()
+		return rs, rs.desc
+	}
+	// successor builds, unpublished, the range that would continue old over
+	// span.
+	successor := func(old []*rangeState, id RangeID, span keys.Span) *rangeState {
+		t.Helper()
+		rs, err := c.succeed(old, id, span, old[0].desc.Replicas, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
 
+	put("b")
 	for _, k := range []keys.Key{keys.MakeTenantPrefix(2), tenantKey(2, "m"), keys.MakeTenantPrefix(3)} {
+		pred, _ := lookup(k)
 		if err := c.SplitAt(k); err != nil {
 			t.Fatal(err)
 		}
+		succeeded(fmt.Sprintf("a split at %s", k), pred)
 	}
-	check("splits")
 	if _, err := c.rangeFor(keys.MinKey); err == nil {
 		t.Fatal("a key below the first range was found")
 	}
 
-	// A descriptor read before a split is stale once the split publishes.
+	// A range read before a split is stale once the split publishes. The
+	// split's left half keeps its RangeID.
 	rs, stale := lookup(tenantKey(2, "a"))
 	if err := c.SplitAt(tenantKey(2, "g")); err != nil {
 		t.Fatal(err)
 	}
-	check("a split")
-	moved := *stale
-	moved.Generation++
-	refused("a stale range", []*RangeDescriptor{stale}, rangeUpdate{rs, &moved})
+	succeeded("a split", rs)
+	if _, desc := lookup(tenantKey(2, "a")); desc.RangeID != stale.RangeID {
+		t.Fatalf("the split's left half is r%d, want r%d", desc.RangeID, stale.RangeID)
+	}
+	refused("a stale range", []*rangeState{rs}, successor([]*rangeState{rs}, stale.RangeID, stale.Span))
 
 	// [t2, g) and [m, t3) have [g, m) between them.
 	left, leftDesc := lookup(tenantKey(2, "a"))
 	right, rightDesc := lookup(tenantKey(2, "x"))
 	union := keys.Span{Key: leftDesc.Span.Key, EndKey: rightDesc.Span.EndKey}
-	merged, err := c.newRangeState(union, leftDesc.Replicas, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refused("ranges that are not adjacent", []*RangeDescriptor{leftDesc, rightDesc}, rangeUpdate{merged, merged.desc.Load()})
-	if left.retired.Load() || right.retired.Load() {
-		t.Fatal("a refused swap retired a range")
-	}
-	short := *leftDesc
-	short.Span.EndKey = tenantKey(2, "c")
-	refused("a span that leaves a gap", []*RangeDescriptor{leftDesc}, rangeUpdate{left, &short})
+	refused("ranges that are not adjacent", []*rangeState{left, right}, successor([]*rangeState{left, right}, 99, union))
+	short := keys.Span{Key: leftDesc.Span.Key, EndKey: tenantKey(2, "c")}
+	refused("a span that leaves a gap", []*rangeState{left}, successor([]*rangeState{left}, leftDesc.RangeID, short))
 
+	// Writes on both sides make the merged commit index a real sum.
+	put("a")
+	put("h")
+	mid, _ := lookup(tenantKey(2, "h"))
 	if did, err := c.MergeAt(tenantKey(2, "a")); err != nil || !did {
 		t.Fatalf("MergeAt = (%v, %v)", did, err)
 	}
-	check("a merge")
-	if !left.retired.Load() {
-		t.Fatal("the merge did not retire its left range")
-	}
+	succeeded("a merge", left, mid)
 
 	rs, desc := lookup(tenantKey(2, "a"))
 	var to NodeID
@@ -695,9 +748,9 @@ func TestMetaDirectoryInvariants(t *testing.T) {
 	if err := moveByID(c, desc.RangeID, desc.Replicas[0], to); err != nil {
 		t.Fatal(err)
 	}
-	check("a move")
-	if got, _ := lookup(tenantKey(2, "a")); got != rs || !hasReplica(rs, to) {
-		t.Fatalf("after the move the key's range is %p (want %p) with replicas %v", got, rs, rs.desc.Load().Replicas)
+	succeeded("a move", rs)
+	if got, gotDesc := lookup(tenantKey(2, "a")); gotDesc.RangeID != desc.RangeID || !reflect.DeepEqual(gotDesc.Span, desc.Span) || !hasReplica(got, to) {
+		t.Fatalf("after the move the key's range is %s, want r%d over %s with a replica on n%d", gotDesc, desc.RangeID, desc.Span, to)
 	}
 }
 
@@ -717,7 +770,7 @@ func TestDistSenderRedirectEventOnSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, _ := rs.group.Load().Leaseholder()
+	lh, _ := rs.group.Leaseholder()
 	var other NodeID
 	for _, r := range desc.Replicas {
 		if r != lh {
@@ -725,10 +778,10 @@ func TestDistSenderRedirectEventOnSpan(t *testing.T) {
 			break
 		}
 	}
-	if err := rs.group.Load().TransferLease(lh, other); err != nil {
+	if err := rs.group.TransferLease(lh, other); err != nil {
 		t.Fatal(err)
 	}
-	_ = rs.group.Load().CatchUp(other)
+	_ = rs.group.CatchUp(other)
 	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v2")}}); err != nil {
 		t.Fatalf("send after lease move: %v", err)
 	}

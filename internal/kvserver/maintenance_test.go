@@ -75,7 +75,7 @@ func TestTickLeasesRideLiveness(t *testing.T) {
 	leases := func() map[RangeID]raftlite.Lease {
 		out := make(map[RangeID]raftlite.Lease)
 		for _, rs := range c.dir.byID() {
-			out[rs.desc.Load().RangeID] = rs.group.Load().Lease()
+			out[rs.desc.RangeID] = rs.group.Lease()
 		}
 		return out
 	}

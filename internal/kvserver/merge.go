@@ -4,13 +4,12 @@ import (
 	"errors"
 
 	"crdbserverless/internal/keys"
-	"crdbserverless/internal/raftlite"
 )
 
 // Range merging: the inverse of splitLocked, run only when asked (MergeAt;
 // the chaos merge storm drives it). Two adjacent ranges with identical
-// replica sets collapse into one — a fresh range over the union
-// span whose replication group seedGroup starts at the sum of the parents'
+// replica sets collapse into one — a range over the union span that succeeds
+// both, whose replication group seedGroup starts at the sum of the parents'
 // commit indexes, with each replica's applied index the sum of its parents'
 // applied indexes. The span data never moves: it already lives in
 // every replica's engine. A replica that was lagging in either parent reads
@@ -33,9 +32,9 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	left.latch.Lock()
 	defer left.latch.Unlock()
 	if left.retired.Load() {
-		return false, nil // merged away while we waited for the latch
+		return false, nil // retired while we waited for the latch
 	}
-	leftDesc := left.desc.Load()
+	leftDesc := left.desc
 	right := c.dir.next(leftDesc.Span.EndKey)
 	if right == nil {
 		return false, nil // last range of the keyspace
@@ -44,7 +43,7 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	defer right.latch.Unlock()
 	// The right range may have merged with its own neighbor since the
 	// lookup; while it is not retired, it starts where left ends.
-	rightDesc := right.desc.Load()
+	rightDesc := right.desc
 	if right.retired.Load() || !mergeEligible(leftDesc, rightDesc) {
 		return false, nil
 	}
@@ -56,33 +55,30 @@ func (c *Cluster) MergeAt(key keys.Key) (bool, error) {
 	if !ok {
 		return false, errMergeIneligible
 	}
-	lg, rg := left.group.Load(), right.group.Load()
-	if err := lg.CatchUp(donor); err != nil {
+	if err := left.group.CatchUp(donor); err != nil {
 		return false, err
 	}
-	if err := rg.CatchUp(donor); err != nil {
+	if err := right.group.CatchUp(donor); err != nil {
 		return false, err
 	}
 
-	union := keys.Span{Key: leftDesc.Span.Key.Clone(), EndKey: rightDesc.Span.EndKey.Clone()}
-	merged, err := c.newRangeState(union, leftDesc.Replicas, max(leftDesc.Generation, rightDesc.Generation)+1)
+	// The merged range remembers the reads both parents served, and its size
+	// is theirs summed.
+	preds := []*rangeState{left, right}
+	union := keys.Span{Key: leftDesc.Span.Key, EndKey: rightDesc.Span.EndKey}
+	merged, err := c.succeed(preds, RangeID(c.lastRangeID.Add(1)), union, leftDesc.Replicas,
+		max(leftDesc.Generation, rightDesc.Generation)+1, left.writtenBytes.Load()+right.writtenBytes.Load())
 	if err != nil {
 		return false, err
 	}
-	seedGroup(merged.group.Load(), []*raftlite.Group{lg, rg}, 0, 0)
-	// The merged range remembers the reads both parents served.
-	merged.tsc.absorb(left.tsc, union)
-	merged.tsc.absorb(right.tsc, union)
-	merged.writtenBytes.Store(left.writtenBytes.Load() + right.writtenBytes.Load())
-	// Publish the union in place of both parents, which the swap retires.
-	if err := c.dir.swap([]*RangeDescriptor{leftDesc, rightDesc}, rangeUpdate{merged, merged.desc.Load()}); err != nil {
-		return false, err
-	}
-
 	// Serve without interruption: the donor is caught up in both parents,
 	// so it can take the merged lease immediately.
 	//lint:allow faulterr a failed grant leaves the merged range without a lease, which the next tick grants
-	_ = merged.group.Load().AcquireLease(donor)
+	_ = merged.group.AcquireLease(donor)
+	// Publish the union in place of both parents, which the swap retires.
+	if err := c.dir.swap(preds, merged); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
@@ -112,13 +108,13 @@ func mergeEligible(left, right *RangeDescriptor) bool {
 // the left leaseholder if live, else the right's, else the first live
 // replica in descriptor order.
 func (c *Cluster) mergeDonor(left, right *rangeState) (NodeID, bool) {
-	if lh, ok := left.group.Load().Leaseholder(); ok {
+	if lh, ok := left.group.Leaseholder(); ok {
 		return lh, true
 	}
-	if lh, ok := right.group.Load().Leaseholder(); ok {
+	if lh, ok := right.group.Leaseholder(); ok {
 		return lh, true
 	}
-	for _, nid := range left.desc.Load().Replicas {
+	for _, nid := range left.desc.Replicas {
 		if c.liveness(nid) {
 			return nid, true
 		}

@@ -236,11 +236,40 @@ func TestSplitDuringTrafficIsRaceFree(t *testing.T) {
 	}
 }
 
+// TestConcurrentSplitsAllLand splits one range at many keys at once. A split
+// that waited for the latch while another retired the range looks its key up
+// again, so every split lands.
+func TestConcurrentSplitsAllLand(t *testing.T) {
+	c := newTestCluster(t, 3)
+	const splits = 8
+	errs := make(chan error, splits)
+	var wg sync.WaitGroup
+	for i := 0; i < splits; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- c.SplitAt(tenantKey(2, fmt.Sprintf("k%d", i)))
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertDirectoryPartitions(t, c)
+	if got := len(c.Descriptors()); got != splits+1 {
+		t.Fatalf("%d ranges after %d splits of one, want %d", got, splits, splits+1)
+	}
+}
+
 // TestMoveReplicaDuringTrafficIsRaceFree writes to a tenant while a second
 // goroutine moves its range's replicas around a 4-node cluster and a third
-// ticks the cluster and reads lease counts. Every write must land, and under
-// the race detector no reader may see a replication group while a move
-// replaces it.
+// ticks the cluster and reads lease counts. Every write must land, though
+// each move turns away the writes queued on the range it retires, and under
+// the race detector no reader may see a range while a move builds its
+// successor.
 func TestMoveReplicaDuringTrafficIsRaceFree(t *testing.T) {
 	c := newTestCluster(t, 4)
 	for _, k := range []keys.Key{keys.MakeTenantPrefix(2), keys.MakeTenantPrefix(3)} {
@@ -273,7 +302,7 @@ func TestMoveReplicaDuringTrafficIsRaceFree(t *testing.T) {
 				errs <- err
 				return
 			}
-			desc := rs.desc.Load()
+			desc := rs.desc
 			to := NodeID(0)
 			for _, n := range c.Nodes() {
 				if !hasReplica(rs, n.id) {
@@ -316,10 +345,10 @@ func TestMoveReplicaDuringTrafficIsRaceFree(t *testing.T) {
 }
 
 // TestBatchRechecksRangeUnderLatch changes a range while a put waits for its
-// latch. The put looked its range up before the change. After a split that
-// moved its key to the right half it must fail with a RangeKeyMismatchError,
-// and after a merge that retired its range with a RangeNotFoundError; the
-// DistSender retries both. It must never write through the old group.
+// latch. The put looked its range up before the change. A split or a merge
+// retires the range, so the put must fail with a RangeNotFoundError, which
+// the DistSender retries on the range's successor. It must never write
+// through the old group.
 func TestBatchRechecksRangeUnderLatch(t *testing.T) {
 	t.Run("split", func(t *testing.T) {
 		c := newTestCluster(t, 3)
@@ -339,9 +368,23 @@ func TestBatchRechecksRangeUnderLatch(t *testing.T) {
 		}
 		rs.latch.Unlock()
 
-		var rkm *kvpb.RangeKeyMismatchError
-		if err := <-done; !errors.As(err, &rkm) {
-			t.Fatalf("put that waited out a split = %v, want a RangeKeyMismatchError", err)
+		var rnf *kvpb.RangeNotFoundError
+		if err := <-done; !errors.As(err, &rnf) {
+			t.Fatalf("put that waited out a split = %v, want a RangeNotFoundError", err)
+		}
+		// The same put, through a DistSender, lands on the successor.
+		commit := rs.group.CommitIndex()
+		ds := NewDistSender(c, Identity{Tenant: 2})
+		if _, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+			t.Fatal(err)
+		}
+		succ, err := c.rangeFor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if succ == rs || succ.group.CommitIndex() != commit+1 || rs.group.CommitIndex() != commit {
+			t.Fatalf("the put committed at %d on its range's successor (was %d) and at %d on the retired range; want %d and %d",
+				succ.group.CommitIndex(), commit, rs.group.CommitIndex(), commit+1, commit)
 		}
 	})
 	t.Run("merge", func(t *testing.T) {
@@ -398,7 +441,7 @@ func putAfterAdmission(t *testing.T, c *Cluster, k keys.Key) <-chan error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, ok := rs.group.Load().Leaseholder()
+	lh, ok := rs.group.Leaseholder()
 	if !ok {
 		t.Fatal("range has no leaseholder after a tick")
 	}

@@ -2,9 +2,9 @@ package kvserver
 
 import (
 	"fmt"
+	"slices"
 
 	"crdbserverless/internal/kvpb"
-	"crdbserverless/internal/raftlite"
 )
 
 // Replica movement and KV fleet membership — the substrate for automatic
@@ -54,118 +54,74 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 func (c *Cluster) ReplicaCounts() map[NodeID]int {
 	out := make(map[NodeID]int)
 	for _, rs := range c.dir.byID() {
-		for _, nid := range rs.desc.Load().Replicas {
+		for _, nid := range rs.desc.Replicas {
 			out[nid]++
 		}
 	}
 	return out
 }
 
-// moveReplica relocates one replica of rs from one node to another: the
-// target is seeded the way raft catches up a lagging replica, with a
-// snapshot of a healthy replica that replaces whatever the target's engine
-// still holds in the span, and the replication group is rebuilt over the new
-// membership. Writes to the range are blocked (range latch) for the
+// moveReplica relocates one replica of rs from one node to another: a
+// successor with the new membership, keeping rs's RangeID and span, replaces
+// rs, and its group fills the target the way raft catches up a lagging
+// replica, with a snapshot from a caught-up survivor that replaces whatever
+// the target's engine still holds in the span; with no live survivor the
+// move is refused. Writes to the range are blocked (range latch) for the
 // duration.
 func (c *Cluster) moveReplica(rs *rangeState, from, to NodeID) error {
-	target, ok := c.Node(to)
-	if !ok {
-		return fmt.Errorf("kvserver: unknown target node %d", to)
-	}
-
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
 
-	desc, old := rs.desc.Load(), rs.group.Load()
-	rangeID := desc.RangeID
+	desc := rs.desc
 	if rs.retired.Load() {
-		return &kvpb.RangeNotFoundError{RangeID: int64(rangeID)}
+		return &kvpb.RangeNotFoundError{RangeID: int64(desc.RangeID)}
 	}
-	hasFrom, hasTo := false, false
+	if !slices.Contains(desc.Replicas, from) {
+		return fmt.Errorf("kvserver: range %d has no replica on node %d", desc.RangeID, from)
+	}
+	if slices.Contains(desc.Replicas, to) {
+		return fmt.Errorf("kvserver: range %d already has a replica on node %d", desc.RangeID, to)
+	}
+
+	// The live survivors reach the old group's commit index, as a merge's
+	// donor does, so the successor, seeded there, has a snapshot donor for
+	// the target. With no live survivor there is none: from is not in the
+	// successor's group.
+	replicas := make([]NodeID, 0, len(desc.Replicas))
+	donor := false
 	for _, r := range desc.Replicas {
 		if r == from {
-			hasFrom = true
+			continue
 		}
-		if r == to {
-			hasTo = true
-		}
-	}
-	if !hasFrom {
-		return fmt.Errorf("kvserver: range %d has no replica on node %d", rangeID, from)
-	}
-	if hasTo {
-		return fmt.Errorf("kvserver: range %d already has a replica on node %d", rangeID, to)
-	}
-
-	// Copy the range's data from a live replica (prefer the leaseholder).
-	src := from
-	if lh, ok := old.Leaseholder(); ok {
-		src = lh
-	}
-	srcNode, ok := c.Node(src)
-	if !ok || !srcNode.Live() {
-		// Fall back to any live replica.
-		found := false
-		for _, r := range desc.Replicas {
-			if n, ok := c.Node(r); ok && n.Live() {
-				srcNode = n
-				src = r
-				found = true
-				break
+		if c.liveness(r) {
+			if err := rs.group.CatchUp(r); err != nil {
+				return err
 			}
+			donor = true
 		}
-		if !found {
-			return fmt.Errorf("kvserver: range %d has no live replica to copy from", rangeID)
-		}
+		replicas = append(replicas, r)
 	}
-	// A node the range left earlier still holds that replica's data; the
-	// snapshot's span wipe drops it. src is one of old's replicas, so its
-	// applied index is known.
-	srcApplied, _ := old.AppliedIndex(src)
-	snap, err := engineSM{n: srcNode, rs: rs}.Snapshot()
+	if !donor {
+		return fmt.Errorf("kvserver: range %d has no live replica besides node %d to fill node %d", desc.RangeID, from, to)
+	}
+	replicas = append(replicas, to)
+	preds := []*rangeState{rs}
+	next, err := c.succeed(preds, desc.RangeID, desc.Span, replicas, desc.Generation+1, rs.writtenBytes.Load())
 	if err != nil {
 		return err
 	}
-	if err := (engineSM{n: target, rs: rs}).ApplySnapshot(srcApplied, snap); err != nil {
+	if err := next.group.CatchUp(to); err != nil {
 		return err
 	}
-
-	// Rebuild membership and the replication group. The fresh group's log
-	// starts after the snapshot.
-	newReplicas := make([]NodeID, 0, len(desc.Replicas))
-	for _, r := range desc.Replicas {
-		if r != from {
-			newReplicas = append(newReplicas, r)
-		}
-	}
-	newReplicas = append(newReplicas, to)
-	group, err := c.newGroup(rs, newReplicas)
-	if err != nil {
-		return err
-	}
-	// The rebuilt group continues the old group's history: surviving replicas
-	// keep their engine state at their old applied indexes, and the new
-	// replica holds a copy of src's engine, so it starts at src's applied
-	// index.
-	seedGroup(group, []*raftlite.Group{old}, to, srcApplied)
 	// Restore a lease: the previous holder if it survived the move,
 	// otherwise the new replica.
-	prevLH, hadLease := old.Leaseholder()
 	newLH := to
-	if hadLease && prevLH != from {
-		newLH = prevLH
+	if lh, ok := rs.group.Leaseholder(); ok && lh != from {
+		newLH = lh
 	}
 	//lint:allow faulterr lease restore after a replica move is best-effort; the next request re-acquires
-	_ = group.AcquireLease(newLH)
-
-	newDesc := *desc
-	newDesc.Replicas = newReplicas
-	newDesc.Generation++
-	if err := c.dir.swap([]*RangeDescriptor{desc}, rangeUpdate{rs, &newDesc}); err != nil {
-		return err
-	}
-	rs.group.Store(group)
-	return nil
+	_ = next.group.AcquireLease(newLH)
+	return c.dir.swap(preds, next)
 }
 
 // RebalanceReplicas moves up to maxMoves replicas from the node with the
@@ -240,7 +196,7 @@ func (c *Cluster) DrainNodeReplicas(id NodeID) error {
 			}
 		}
 		if target == 0 {
-			return fmt.Errorf("kvserver: no target node to drain range %d onto", rs.desc.Load().RangeID)
+			return fmt.Errorf("kvserver: no target node to drain range %d onto", rs.desc.RangeID)
 		}
 		if err := c.moveReplica(rs, id, target); err != nil {
 			return err

@@ -3,6 +3,7 @@ package kvserver
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -81,9 +82,7 @@ func TestMoveReplicaPreservesData(t *testing.T) {
 		t.Fatal("no spare node")
 	}
 	from := desc.Replicas[0]
-	if err := moveByID(c, desc.RangeID, from, target); err != nil {
-		t.Fatal(err)
-	}
+	moveChecked(t, c, desc.RangeID, from, target)
 	// Descriptor updated.
 	desc2, _ := c.LookupRange(keys.MakeTenantPrefix(2))
 	if desc2.Generation <= desc.Generation {
@@ -113,11 +112,156 @@ func TestMoveReplicaPreservesData(t *testing.T) {
 	}
 }
 
+// moveChecked moves a replica as moveByID does and checks the move's
+// catch-up: exactly one snapshot filled the target, whose engine then holds
+// the same pairs over the range's span as every other live replica.
+func moveChecked(t *testing.T, c *Cluster, rangeID RangeID, from, to NodeID) {
+	t.Helper()
+	before := c.RaftSnapshots()
+	if err := moveByID(c, rangeID, from, to); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.RaftSnapshots() - before; got != 1 {
+		t.Fatalf("the move of r%d to n%d took %d snapshots, want 1", rangeID, to, got)
+	}
+	var rs *rangeState
+	for _, r := range c.dir.byID() {
+		if r.desc.RangeID == rangeID {
+			rs = r
+		}
+	}
+	target, _ := c.Node(to)
+	want := spanPairs(target, rs.desc.Span)
+	for _, nid := range rs.desc.Replicas {
+		if n, _ := c.Node(nid); nid != to && n.Live() {
+			if got := spanPairs(n, rs.desc.Span); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the move of r%d, n%d holds %d pairs in its span and the target n%d %d", rangeID, nid, len(got), to, len(want))
+			}
+		}
+	}
+}
+
+// spanPairs returns copies of the engine pairs of n in span.
+func spanPairs(n *Node, span keys.Span) []enginePair {
+	lo, hi := mvcc.EngineSpan(span)
+	var out []enginePair
+	for it := n.Engine().NewIter(lo, hi); it.Valid(); it.Next() {
+		out = append(out, enginePair{Key: slices.Clone(it.Key()), Value: slices.Clone(it.Value())})
+	}
+	return out
+}
+
+// TestMoveOffOnlyCaughtUpReplica moves the leaseholder's replica while one
+// survivor is down and the other lags: the move must bring the live laggard
+// up to date, so the new replica has a snapshot donor and receives every
+// row.
+func TestMoveOffOnlyCaughtUpReplica(t *testing.T) {
+	c := newTestCluster(t, 4)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ctx := context.Background()
+	span := keys.MakeTenantSpan(2)
+	for _, k := range []keys.Key{span.Key, span.EndKey} {
+		if err := c.SplitAt(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Tick()
+	rs, err := c.rangeFor(span.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, ok := rs.group.Leaseholder()
+	if !ok {
+		t.Fatal("no leaseholder")
+	}
+	var followers []NodeID
+	for _, r := range rs.desc.Replicas {
+		if r != lh {
+			followers = append(followers, r)
+		}
+	}
+	var spare NodeID
+	for _, n := range c.Nodes() {
+		if !hasReplica(rs, n.ID()) {
+			spare = n.ID()
+		}
+	}
+	lagging, _ := c.Node(followers[1])
+	lagging.SetCordoned(true)
+	const rows = 20
+	for i := 0; i < rows; i++ {
+		k := tenantKey(2, fmt.Sprintf("k%02d", i))
+		if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{putReq(k, "v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lagging.SetCordoned(false)
+	down, _ := c.Node(followers[0])
+	down.SetCordoned(true)
+
+	if err := moveByID(c, rs.desc.RangeID, lh, spare); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := c.Node(spare)
+	res, err := mvcc.Scan(n.Engine(), span, c.Clock().Now(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != rows {
+		t.Fatalf("the new replica n%d holds %d rows, want %d", spare, len(res.Rows), rows)
+	}
+}
+
+// TestMoveWithoutLiveSurvivorIsRefused pins that a move needs a live replica
+// other than the one leaving: the successor's group does not hold from, so
+// only a survivor can fill the target. With both others down the move is
+// refused and the range stays as it was.
+func TestMoveWithoutLiveSurvivorIsRefused(t *testing.T) {
+	c := newTestCluster(t, 4)
+	span := keys.MakeTenantSpan(2)
+	for _, k := range []keys.Key{span.Key, span.EndKey} {
+		if err := c.SplitAt(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Tick()
+	rs, err := c.rangeFor(span.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, ok := rs.group.Leaseholder()
+	if !ok {
+		t.Fatal("no leaseholder")
+	}
+	var spare NodeID
+	for _, n := range c.Nodes() {
+		if !hasReplica(rs, n.ID()) {
+			spare = n.ID()
+		}
+	}
+	for _, r := range rs.desc.Replicas {
+		if r != lh {
+			n, _ := c.Node(r)
+			n.SetCordoned(true)
+		}
+	}
+	before := c.Descriptors()
+	if err := moveByID(c, rs.desc.RangeID, lh, spare); err == nil {
+		t.Fatal("a move with no live survivor was accepted")
+	}
+	if rs.retired.Load() {
+		t.Fatal("a refused move retired its range")
+	}
+	if after := c.Descriptors(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused move changed the table:\n%v\n%v", before, after)
+	}
+}
+
 // moveByID moves the replica of the range with the given ID from one node
 // to another, as the rebalancer and a drain move the ranges they pick.
 func moveByID(c *Cluster, rangeID RangeID, from, to NodeID) error {
 	for _, rs := range c.dir.byID() {
-		if rs.desc.Load().RangeID == rangeID {
+		if rs.desc.RangeID == rangeID {
 			return c.moveReplica(rs, from, to)
 		}
 	}
@@ -203,7 +347,7 @@ func TestRebalanceReplicasPicksLowestRangeID(t *testing.T) {
 	}
 	// Every range is movable, so the lowest RangeID is the one that moved.
 	for _, rs := range c.dir.byID() {
-		id := rs.desc.Load().RangeID
+		id := rs.desc.RangeID
 		if moved := hasReplica(rs, 4); moved != (id == 1) {
 			t.Fatalf("range %d has a replica on node 4: %v, want only range 1 moved", id, moved)
 		}
@@ -348,7 +492,7 @@ func TestMoveReplicaBackDropsStaleData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, ok := rs.group.Load().Leaseholder()
+	lh, ok := rs.group.Leaseholder()
 	if !ok {
 		t.Fatal("no leaseholder")
 	}
@@ -360,16 +504,12 @@ func TestMoveReplicaBackDropsStaleData(t *testing.T) {
 		}
 	}
 	const spare = NodeID(4)
-	if err := moveByID(c, desc.RangeID, follower, spare); err != nil {
-		t.Fatal(err)
-	}
+	moveChecked(t, c, desc.RangeID, follower, spare)
 	if _, err := ds.Send(ctx, &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(),
 		Requests: []kvpb.Request{{Method: kvpb.ResolveIntent, Key: k, ResolveTxnID: 77, ResolveTs: ts}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := moveByID(c, desc.RangeID, spare, follower); err != nil {
-		t.Fatal(err)
-	}
+	moveChecked(t, c, desc.RangeID, spare, follower)
 
 	for _, id := range []NodeID{lh, follower} {
 		n, _ := c.Node(id)

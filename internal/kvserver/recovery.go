@@ -92,7 +92,7 @@ func decodeSnapshot(data []byte) ([]enginePair, error) {
 // — is caught up from this instead of replay. The iterator's keys and values
 // alias immutable engine memory, so the pairs are not copied before encoding.
 func (sm engineSM) Snapshot() ([]byte, error) {
-	lo, hi := mvcc.EngineSpan(sm.rs.desc.Load().Span)
+	lo, hi := mvcc.EngineSpan(sm.rs.desc.Span)
 	var pairs []enginePair
 	for it := sm.n.Engine().NewIter(lo, hi); it.Valid(); it.Next() {
 		pairs = append(pairs, enginePair{Key: it.Key(), Value: it.Value()})
@@ -111,7 +111,7 @@ func (sm engineSM) ApplySnapshot(index uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	desc := sm.rs.desc.Load()
+	desc := sm.rs.desc
 	lo, hi := mvcc.EngineSpan(desc.Span)
 	e := sm.n.Engine()
 	var ents []lsm.Entry
@@ -146,11 +146,11 @@ func (c *Cluster) RecoverNode(id NodeID) error {
 		if !hasReplica(rs, id) {
 			continue
 		}
-		applied, err := durableAppliedIndex(e, rs.desc.Load().RangeID)
+		applied, err := durableAppliedIndex(e, rs.desc.RangeID)
 		if err != nil {
 			return err
 		}
-		if err := rs.group.Load().RegressApplied(id, applied); err != nil {
+		if err := rs.group.RegressApplied(id, applied); err != nil {
 			return err
 		}
 	}

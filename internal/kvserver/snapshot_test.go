@@ -98,7 +98,7 @@ func TestSnapshotRoundTripBetweenReplicas(t *testing.T) {
 	re := recv.Engine()
 	put(re, "a", 50, 0, []byte("stale"))
 	put(re, "z", 5, 0, []byte("stale"))
-	outside := appliedKey(rs.desc.Load().RangeID + 1)
+	outside := appliedKey(rs.desc.RangeID + 1)
 	must(re.ApplyBatch([]lsm.Entry{{Key: outside, Value: []byte("other range")}}))
 
 	data, err := engineSM{n: donor, rs: rs}.Snapshot()
@@ -119,7 +119,7 @@ func TestSnapshotRoundTripBetweenReplicas(t *testing.T) {
 				read.ts, read.txn, got.Rows, gotErr, want.Rows, wantErr)
 		}
 	}
-	if applied, err := durableAppliedIndex(re, rs.desc.Load().RangeID); err != nil || applied != index {
+	if applied, err := durableAppliedIndex(re, rs.desc.RangeID); err != nil || applied != index {
 		t.Errorf("applied index = %d, %v; want %d", applied, err, index)
 	}
 	if it := re.NewIter(outside, nil); !it.Valid() || !bytes.Equal(it.Key(), outside) || string(it.Value()) != "other range" {
