@@ -1,6 +1,9 @@
 // Command crdb-sim starts a local Serverless deployment and offers an
 // interactive SQL shell against it: a quick way to see cluster
-// virtualization, scale-to-zero, and cold starts working.
+// virtualization, scale-to-zero, and cold starts working. The deployment
+// runs its own control loops, so a tenant left idle scales to zero on its
+// own once the autoscaler's five-minute windows pass (paper §4.2.3), and its
+// next connection is a cold start; \suspend does the same at once.
 //
 // Usage:
 //

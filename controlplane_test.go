@@ -11,22 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"crdbserverless/internal/autoscaler"
 	"crdbserverless/internal/metric"
 	"crdbserverless/internal/timeutil"
 )
-
-// tickFor advances the manual clock in 3 s steps for d, ticking the
-// deployment after each step.
-func tickFor(t *testing.T, s *Serverless, clock *timeutil.ManualClock, d time.Duration) {
-	t.Helper()
-	ctx := context.Background()
-	for end := clock.Now().Add(d); clock.Now().Before(end); {
-		clock.Advance(3 * time.Second)
-		if err := s.Tick(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // connectAndClose opens a connection to the tenant through region r, runs
 // one statement and closes it, then waits until the region's pods report
@@ -84,7 +72,7 @@ func TestRegionKeepsAutoscalingAfterAnotherSuspends(t *testing.T) {
 	}
 	defer cu.Close()
 
-	tickFor(t, s, clock, 6*time.Minute)
+	clock.Advance(6 * time.Minute)
 	if len(eu.PodsForTenant("acme")) != 0 || len(us.PodsForTenant("acme")) != 1 {
 		t.Fatalf("after 6m: europe-west1 pods=%d, us-central1 pods=%d; want 0, 1",
 			len(eu.PodsForTenant("acme")), len(us.PodsForTenant("acme")))
@@ -101,7 +89,7 @@ func TestRegionKeepsAutoscalingAfterAnotherSuspends(t *testing.T) {
 	}
 
 	us.PodsForTenant("acme")[0].Node.SetSyntheticLoad(6)
-	tickFor(t, s, clock, 15*time.Second)
+	clock.Advance(15 * time.Second)
 	if got := len(us.PodsForTenant("acme")); got != 2 {
 		t.Fatalf("us-central1 pods under 6 vCPUs = %d, want 2", got)
 	}
@@ -120,7 +108,7 @@ func TestTickReapsDroppedTenantPods(t *testing.T) {
 	if err := s.Registry().Drop(ctx, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	tickFor(t, s, clock, 6*time.Minute)
+	clock.Advance(6 * time.Minute)
 	if got := len(s.Orchestrator("us-central1").PodsForTenant("gone")); got != 0 {
 		t.Fatalf("dropped tenant has %d pods after 6 idle minutes, want 0", got)
 	}
@@ -238,18 +226,23 @@ func liveHeap() uint64 {
 // TestNeverRunTenantsHoldNoControlPlaneState fills a deployment with 2 100
 // tenants that are created and suspended without ever running. Each costs
 // its registry record and keyspace boundary, not autoscaler or
-// observability state: the autoscaler's tick allocates the same at 10 and
+// observability state: an autoscaler round allocates the same at 10 and
 // at 2 000 of them, and a tenant that connects after them all, past the
 // observability plane's 2 048-tenant cap, still gets a series of its own.
+//
+// Advancing the deployment's clock would run 30 KV upkeep rounds beside its
+// autoscaler's, so the rounds counted are those of an autoscaler over the
+// region's orchestrator on a clock of its own, which nothing else reads.
 func TestNeverRunTenantsHoldNoControlPlaneState(t *testing.T) {
 	const fleet = 2100
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	s := newServerless(t, Options{KVNodesPerRegion: 1, Clock: clock})
 	ctx := context.Background()
-	as := s.autoscalers["us-central1"]
+	asClock := timeutil.NewManualClock(time.Unix(0, 0))
+	as := autoscaler.New(autoscaler.Config{Orchestrator: s.Orchestrator("us-central1"), Clock: asClock})
 	tickAllocs := func() float64 {
 		return testing.AllocsPerRun(20, func() {
-			clock.Advance(3 * time.Second)
+			asClock.Advance(3 * time.Second)
 			if err := as.Tick(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -271,12 +264,12 @@ func TestNeverRunTenantsHoldNoControlPlaneState(t *testing.T) {
 			at10 = tickAllocs()
 		case 2000:
 			if at2000 := tickAllocs(); at2000 != at10 {
-				t.Errorf("autoscaler Tick allocates %v at 10 suspended tenants and %v at 2 000", at10, at2000)
+				t.Errorf("an autoscaler round allocates %v at 10 suspended tenants and %v at 2 000", at10, at2000)
 			}
 		}
 	}
 	perTenant := int64(liveHeap()-base) / fleet
-	t.Logf("%d B per suspended tenant, %v allocs per autoscaler tick", perTenant, at10)
+	t.Logf("%d B per suspended tenant, %v allocs per autoscaler round", perTenant, at10)
 	if perTenant > 2048 {
 		t.Errorf("a suspended tenant costs %d B, want at most 2 KiB", perTenant)
 	}
@@ -380,7 +373,7 @@ func TestOneTenantOneRow(t *testing.T) {
 	c.Close()
 	waitNoConns(t, s, "us-central1", "acme")
 	// Idle past the suspend deadline: the autoscaler scales acme to zero.
-	tickFor(t, s, clock, 6*time.Minute)
+	clock.Advance(6 * time.Minute)
 	if pods := len(s.Orchestrator("us-central1").PodsForTenant("acme")); pods != 0 {
 		t.Fatalf("acme has %d pods after 6m idle, want 0", pods)
 	}
@@ -410,5 +403,45 @@ func TestOneTenantOneRow(t *testing.T) {
 	}
 	if !strings.Contains(metrics.String(), `proxy_tenant_conns{tenant="acme"} 1`) {
 		t.Errorf("/debug/metrics lacks acme's connection:\n%s", metrics.String())
+	}
+}
+
+// TestControlLoopsRaceTickAndClose: the deployment's loops run their rounds
+// inside Advance on one goroutine while another calls Tick and a third
+// closes the deployment. CI runs this under the race detector. Once Close
+// has returned no loop is scheduled on the clock.
+func TestControlLoopsRaceTickAndClose(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		clock := timeutil.NewManualClock(time.Unix(0, 0))
+		s, err := New(Options{KVNodesPerRegion: 1, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateTenant(context.Background(), "acme", TenantOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		connectAndClose(t, s, "us-central1", "acme")
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				clock.Advance(50 * time.Millisecond)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				if err := s.Tick(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		time.Sleep(time.Duration(i) * time.Millisecond)
+		s.Close()
+		wg.Wait()
+		if n := clock.NumWaiters(); n != 0 {
+			t.Fatalf("%d waiters on the clock after Close", n)
+		}
 	}
 }

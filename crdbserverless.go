@@ -20,7 +20,9 @@ package crdbserverless
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"time"
 
 	"crdbserverless/internal/autoscaler"
 	"crdbserverless/internal/core"
@@ -80,6 +82,12 @@ const (
 	kvNodeVCPUs = 8
 	// warmPoolSize is the pre-warmed SQL pod pool per region (§4.3.1).
 	warmPoolSize = 4
+	// kvUpkeepInterval is the KV upkeep loop's period (Cluster.Tick). The
+	// AIMD slot adjustment samples the executor queues at this rate (§5.1.3
+	// samples at 1 kHz; one step per 100 ms still follows a storm within a
+	// second), and a range whose leaseholder fails liveness gets a new one
+	// within it.
+	kvUpkeepInterval = 100 * time.Millisecond
 )
 
 // Options configure a Serverless deployment.
@@ -156,8 +164,11 @@ type Serverless struct {
 	obs *tenantobs.Plane
 
 	orchestrators map[Region]*orchestrator.Orchestrator
-	autoscalers   map[Region]*autoscaler.Autoscaler
 	proxies       map[Region]*proxy.Proxy
+
+	// loops are the deployment's control loops on its clock: KV upkeep,
+	// then each region's autoscaler. New starts them and Close stops them.
+	loops []*timeutil.Loop
 }
 
 // New assembles and starts a deployment.
@@ -192,7 +203,6 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 		metrics:       metric.NewRegistry(),
 		regionMetrics: make(map[Region]*metric.Registry),
 		orchestrators: make(map[Region]*orchestrator.Orchestrator),
-		autoscalers:   make(map[Region]*autoscaler.Autoscaler),
 		proxies:       make(map[Region]*proxy.Proxy),
 	}
 	s.tracer = trace.New(trace.Options{Clock: opts.Clock, Seed: opts.TraceSeed, Metrics: s.metrics})
@@ -242,6 +252,10 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 		return nil, err
 	}
 
+	s.loops = append(s.loops, timeutil.Every(opts.Clock, kvUpkeepInterval, func(context.Context) error {
+		cluster.Tick()
+		return nil
+	}))
 	for _, r := range opts.Regions {
 		// One registry per region, shared by the orchestrator and proxy:
 		// their metric names repeat across regions, so merging them into
@@ -270,10 +284,9 @@ func NewBaseline(opts Options, b Baseline) (*Serverless, error) {
 			return nil, err
 		}
 		s.orchestrators[r] = orch
-		s.autoscalers[r] = autoscaler.New(autoscaler.Config{
-			Orchestrator: orch,
-			Clock:        opts.Clock,
-		})
+		as := autoscaler.New(autoscaler.Config{Orchestrator: orch, Clock: opts.Clock})
+		failed := regMetrics.NewCounter("autoscaler.failed_rounds")
+		s.loops = append(s.loops, as.Start(func(error) { failed.Inc(1) }))
 		p := proxy.New(proxy.Config{Directory: orch, Clock: opts.Clock, Metrics: regMetrics, Tracer: s.tracer})
 		if err := p.Start("127.0.0.1:0"); err != nil {
 			s.Close()
@@ -361,20 +374,26 @@ func (s *Serverless) Suspend(ctx context.Context, tenantName string) error {
 	return nil
 }
 
-// Tick advances periodic maintenance: KV cluster upkeep and every region's
-// autoscaler. Call at ~3s cadence (a manual clock drives experiments).
+// Tick runs one round of each control loop now, KV upkeep first, under the
+// loops' own locks, and returns their failures joined.
+//
+// Deprecated: the deployment runs its loops itself from New to Close, on
+// its clock; nothing needs to call Tick. bench/e2e still calls it between
+// slices, until a change to the benchmark drops the call.
 func (s *Serverless) Tick(ctx context.Context) error {
-	s.cluster.Tick()
-	for _, r := range s.opts.Regions {
-		if err := s.autoscalers[r].Tick(ctx); err != nil {
-			return err
-		}
+	var errs []error
+	for _, l := range s.loops {
+		errs = append(errs, l.Tick(ctx))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// Close shuts the deployment down.
+// Close shuts the deployment down. The control loops stop first, after any
+// round still running.
 func (s *Serverless) Close() {
+	for _, l := range s.loops {
+		l.Stop()
+	}
 	for _, r := range s.opts.Regions {
 		if p := s.proxies[r]; p != nil {
 			p.Close()

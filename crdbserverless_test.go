@@ -105,9 +105,10 @@ func TestSuspendUnknownTenant(t *testing.T) {
 	}
 }
 
-// TestTickSuspendsIdleTenant pins the product's scale-to-zero: driven by Tick
-// at the 3 s scrape cadence, a tenant with no load and no connections keeps
-// its pod through 4 idle minutes and is suspended to zero pods by 6.
+// TestTickSuspendsIdleTenant pins the product's scale-to-zero: with the
+// autoscaler's loop ticking every 3 s, a tenant with no load and no
+// connections keeps its pod through 4 idle minutes and is suspended to zero
+// pods by 6.
 func TestTickSuspendsIdleTenant(t *testing.T) {
 	clock := timeutil.NewManualClock(time.Unix(0, 0))
 	s := newServerless(t, Options{KVNodesPerRegion: 1, Clock: clock})
@@ -120,24 +121,15 @@ func TestTickSuspendsIdleTenant(t *testing.T) {
 	if _, err := orch.ScaleTenant(ctx, tenant, 1); err != nil {
 		t.Fatal(err)
 	}
-	idle := func(d time.Duration) {
-		t.Helper()
-		for end := clock.Now().Add(d); clock.Now().Before(end); {
-			clock.Advance(3 * time.Second)
-			if err := s.Tick(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	check := func(after string, pods int) {
 		t.Helper()
 		if got := len(orch.PodsForTenant("sleepy")); got != pods {
 			t.Fatalf("after %s idle: pods=%d, want %d", after, got, pods)
 		}
 	}
-	idle(4 * time.Minute)
+	clock.Advance(4 * time.Minute)
 	check("4m", 1)
-	idle(2 * time.Minute)
+	clock.Advance(2 * time.Minute)
 	check("6m", 0)
 }
 
@@ -225,17 +217,56 @@ func TestSQLSessionDirectPath(t *testing.T) {
 	}
 }
 
-func TestTickRunsMaintenance(t *testing.T) {
-	s := newServerless(t, Options{})
-	ctx := context.Background()
-	s.CreateTenant(ctx, "acme", TenantOptions{})
-	if err := s.Tick(ctx); err != nil {
+// TestKVUpkeepMovesLeaseOffCordonedNode: the deployment's KV upkeep loop
+// runs on its clock with no caller ticking. Once the node holding a range's
+// lease is cordoned, one 100 ms advance of a manual clock hands the lease to
+// a live replica.
+func TestKVUpkeepMovesLeaseOffCordonedNode(t *testing.T) {
+	clock := timeutil.NewManualClock(time.Unix(0, 0))
+	s := newServerless(t, Options{Clock: clock})
+	if _, err := s.CreateTenant(context.Background(), "acme", TenantOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := s.Tick(ctx); err != nil {
-			t.Fatal(err)
+	c := s.Cluster()
+	loads := c.RangeLoads()
+	rangeID := loads[len(loads)-1].RangeID // the newest, from the tenant split
+	holder := func() kvserver.NodeID {
+		for _, rl := range c.RangeLoads() {
+			if rl.RangeID == rangeID {
+				return rl.Leaseholder
+			}
 		}
+		t.Fatalf("range %d is gone", rangeID)
+		return 0
+	}
+	n, ok := c.Node(holder())
+	if !ok {
+		t.Fatalf("range %d has no leaseholder", rangeID)
+	}
+	n.SetCordoned(true)
+	if lh := holder(); lh != 0 {
+		t.Fatalf("range %d: node %d holds the lease with its holder cordoned and no time passed", rangeID, lh)
+	}
+	clock.Advance(100 * time.Millisecond)
+	if n, ok := c.Node(holder()); !ok || !n.Live() {
+		t.Fatalf("range %d: no live replica holds the lease 100ms after its holder was cordoned", rangeID)
+	}
+}
+
+// TestIdleTenantScalesToZeroUntended: a tenant that connects through the
+// proxy, runs a statement and disconnects has no pods once six idle
+// minutes pass on the deployment's clock. Nothing but the clock moves: the
+// autoscaler's loop notices the idle tenant and suspends it.
+func TestIdleTenantScalesToZeroUntended(t *testing.T) {
+	clock := timeutil.NewManualClock(time.Unix(0, 0))
+	s := newServerless(t, Options{KVNodesPerRegion: 1, Clock: clock})
+	if _, err := s.CreateTenant(context.Background(), "acme", TenantOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	connectAndClose(t, s, "us-central1", "acme")
+	clock.Advance(6 * time.Minute)
+	if pods := len(s.Orchestrator("us-central1").PodsForTenant("acme")); pods != 0 {
+		t.Fatalf("acme has %d pods after 6 idle minutes, want 0", pods)
 	}
 }
 

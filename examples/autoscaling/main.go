@@ -46,12 +46,7 @@ func main() {
 	}
 	fmt.Println("tenant 'sleepy' active with 1 SQL node; going idle...")
 	start := clock.Now()
-	for i := 0; i < 130; i++ { // ~6.5 simulated minutes of silence
-		clock.Advance(3 * time.Second)
-		if err := srv.Tick(ctx); err != nil {
-			log.Fatal(err)
-		}
-	}
+	clock.Advance(390 * time.Second) // 6.5 simulated minutes of silence
 	// A tenant with no pods is suspended: the next connection cold-starts it.
 	pods := len(orch.PodsForTenant("sleepy"))
 	state := "active"

@@ -9,6 +9,8 @@ package autoscaler
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -193,9 +195,13 @@ func (a *Autoscaler) DesiredNodes(name string, conns int) int {
 }
 
 // Reconcile scales every tenant with pods toward its desired node count,
-// and suspends tenants that have been fully idle past the suspend deadline.
+// suspends tenants that have been fully idle past the suspend deadline, and
+// reaps drained pods. A tenant whose scaling fails does not stop the rest:
+// every tenant is reconciled and the pods reaped, and the failures come back
+// joined.
 func (a *Autoscaler) Reconcile(ctx context.Context) error {
 	now := a.cfg.Clock.Now()
+	var errs []error
 	for _, name := range a.cfg.Orchestrator.Tenants() {
 		pods := a.cfg.Orchestrator.PodsForTenant(name)
 		if len(pods) == 0 {
@@ -241,16 +247,28 @@ func (a *Autoscaler) Reconcile(ctx context.Context) error {
 			obs.ScaleEvent("down")
 		}
 		if _, err := a.cfg.Orchestrator.ScaleTenant(ctx, tenant, want); err != nil {
-			return err
+			errs = append(errs, fmt.Errorf("autoscaler: scaling tenant %s: %w", name, err))
 		}
 	}
 	a.cfg.Orchestrator.Tick()
-	return nil
+	return errors.Join(errs...)
 }
 
-// Tick performs one scrape+reconcile step. The caller drives it at
-// scrapeInterval (tests and the simulation use a manual clock).
+// Tick performs one scrape+reconcile step. Start runs it every
+// scrapeInterval; tests that build an Autoscaler alone call it themselves.
 func (a *Autoscaler) Tick(ctx context.Context) error {
 	a.Scrape()
 	return a.Reconcile(ctx)
+}
+
+// Start runs Tick every scrapeInterval on the configured clock until the
+// returned loop stops. failed receives the error of every round that fails.
+func (a *Autoscaler) Start(failed func(error)) *timeutil.Loop {
+	return timeutil.Every(a.cfg.Clock, scrapeInterval, func(ctx context.Context) error {
+		err := a.Tick(ctx)
+		if err != nil {
+			failed(err)
+		}
+		return err
+	})
 }

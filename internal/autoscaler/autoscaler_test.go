@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crdbserverless/internal/core"
+	"crdbserverless/internal/faultinject"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/orchestrator"
 	"crdbserverless/internal/server"
@@ -388,5 +389,53 @@ func TestScrapeForgetsInactiveTenants(t *testing.T) {
 				i, usage, idle, lastCPU, active, pods)
 		}
 		e.orch.SuspendTenant(name)
+	}
+}
+
+// TestReconcilePastAFailingTenant: with every pod start crashing
+// (orchestrator.start.crash) and no warm pod, tenant "a"'s scale-up fails.
+// The round still scales "b", which sorts after it, down from two pods to
+// one, and reaps the pod it drained; the loop hands the failure to Start's
+// callback.
+func TestReconcilePastAFailingTenant(t *testing.T) {
+	e := newEnv(t)
+	ctx := context.Background()
+	faults := faultinject.New(5, nil)
+	orch, err := orchestrator.New(orchestrator.Config{
+		Registry: e.reg,
+		Node:     server.SQLNodeConfig{Cluster: e.cluster, Region: "us-central1", Clock: e.clock},
+		Faults:   faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(orch.Close)
+	var failed []error
+	loop := New(Config{Orchestrator: orch, Clock: e.clock}).Start(func(err error) { failed = append(failed, err) })
+	defer loop.Stop()
+
+	a, _ := e.reg.CreateTenant(ctx, "a", core.TenantOptions{})
+	b, _ := e.reg.CreateTenant(ctx, "b", core.TenantOptions{})
+	for _, tn := range []*core.Tenant{a, b} {
+		if _, err := orch.ScaleTenant(ctx, tn, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.clock.Advance(scrapeInterval) // the first round reads every pod's CPU
+	orch.PodsForTenant("a")[0].Node.SetSyntheticLoad(8)
+	if _, err := orch.ScaleTenant(ctx, b, 2); err != nil {
+		t.Fatal(err)
+	}
+	faults.Enable("orchestrator.start.crash", faultinject.Site{Probability: 1})
+	e.clock.Advance(scrapeInterval)
+
+	if len(failed) != 1 || !faultinject.IsInjected(failed[0]) {
+		t.Fatalf("round failures = %v, want one injected crash", failed)
+	}
+	if got := len(orch.PodsForTenant("a")); got != 1 {
+		t.Fatalf("a has %d pods, want 1: its scale-up failed", got)
+	}
+	if got := len(orch.PodsForTenant("b")); got != 1 {
+		t.Fatalf("b has %d pods, want 1: scaled down, and the drained pod reaped", got)
 	}
 }

@@ -229,9 +229,6 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 		return nil, nil, err
 	}
 
-	// Ensure leases are placed before the storm.
-	srv.Cluster().Tick()
-
 	// A bucket banks up to 10 s of quota while its tenant idles (§5.2.2), so
 	// setup leaves each limited noisy tenant more credit than a run of a few
 	// seconds can spend, while the paper measures long after the burst is
@@ -300,7 +297,7 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 		}()
 	}
 
-	// Sampler: cluster maintenance + the Fig 12/13 series.
+	// Sampler: the Fig 12/13 series.
 	var timeline []TimelineSample
 	nodes := srv.Cluster().Nodes()
 	prevBusy := make([]time.Duration, len(nodes))
@@ -316,7 +313,6 @@ func runNoisyConfig(cfg NoisyConfig, opts Table1Options) (*Table1Row, []Timeline
 	deadline := begin.Add(opts.Duration)
 	for clock.Now().Before(deadline) {
 		clock.Sleep(sampleEvery)
-		srv.Cluster().Tick()
 		s := TimelineSample{At: clock.Since(begin), ECPUPerTenant: map[string]float64{}}
 		for i, n := range nodes {
 			busy := n.CPUBusy()

@@ -506,6 +506,13 @@ const maxLeaseTransfersPerTick = 128
 // the node with the most, lowest RangeID first, and hands the first lease it
 // can to the replica peer with the fewest. live is the tick's liveness read.
 func (c *Cluster) rebalanceLeases(leases map[NodeID][]*rangeState, live map[NodeID]bool) {
+	if len(live) < 2 {
+		// One node has no peer to even out with. Returning before any
+		// allocation also keeps a one-node round out of the 16-byte blocks
+		// the runtime packs tiny allocations into, which the foreground's
+		// allocation-site profile (TestWholePathAllocSites) reads.
+		return
+	}
 	liveIDs := make([]NodeID, 0, len(live))
 	for nid, ok := range live {
 		if ok {

@@ -254,7 +254,8 @@ func (n *Node) recordBatch() float64 {
 
 // Tick runs the node's periodic maintenance: the AIMD slot adjustment from
 // the executor queue depth (the 1000Hz runnable-queue sampling of §5.1.3,
-// invoked here at the caller's cadence) and the write-capacity re-estimate.
+// here once per Cluster.Tick, which a deployment runs every 100 ms) and the
+// write-capacity re-estimate.
 func (n *Node) Tick() {
 	n.cpuQ.AdjustSlots(n.ex.queueDepth(), n.vcpus)
 	n.writeQ.Tick()

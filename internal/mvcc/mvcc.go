@@ -489,10 +489,12 @@ func (b *Entries) Resolve(l *Lookup, e *lsm.Engine, key keys.Key, txnID uint64, 
 	return nil
 }
 
-// GCOldVersions removes all but the newest committed version of each key in
-// span, retaining any version newer than keepAfter. It returns the number of
-// versions removed. This is the storage reclamation path (MVCC GC). The
-// removals go to the engine as one batch.
+// GCOldVersions removes the versions of each key in span that no read at or
+// above keepAfter can see, and returns how many it removed: intents and
+// versions above keepAfter survive, and so does the newest committed version
+// at or below keepAfter unless it is a deletion tombstone, which reads as
+// nothing does. This is the storage reclamation path (MVCC GC). The removals
+// go to the engine as one batch.
 func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int, error) {
 	var toDelete []lsm.Entry
 	var curKey keys.Key
@@ -512,12 +514,13 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 			return 0, err
 		}
 		if v.IsIntent() || keepAfter.Less(ts) {
-			kept = true // intents and recent versions always survive
-			continue
+			continue // intents and recent versions always survive
 		}
 		if !kept {
-			kept = true // newest committed version survives
-			continue
+			kept = true // the version a read at keepAfter sees survives
+			if !v.Tombstone {
+				continue
+			}
 		}
 		// The key aliases immutable engine memory, and ApplyBatch copies it.
 		toDelete = append(toDelete, lsm.Entry{Key: it.Key(), Tombstone: true})

@@ -505,21 +505,95 @@ func TestGCKeepsIntentsAndRecent(t *testing.T) {
 	put(e, k, ts(10), 0, []byte("old"))
 	put(e, k, ts(20), 0, []byte("mid"))
 	put(e, k, ts(30), 7, []byte("intent"))
-	// keepAfter=15: version@20 is recent, intent survives, version@10 is
-	// shadowed by version@20 (the newest committed <= keepAfter boundary
-	// logic retains the newest non-recent committed version as well).
+	// keepAfter=15: version@20 is recent and the intent always survives.
+	// version@10 is the newest committed version at or below 15, which a
+	// read at 15 to 19 returns, so it survives too: nothing is removed.
 	n, err := GCOldVersions(e, keys.Span{Key: keys.Key("a"), EndKey: keys.Key("z")}, ts(15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("gc removed %d, want 1 (only v@10)", n)
+	if n != 0 {
+		t.Fatalf("gc removed %d, want 0", n)
 	}
 	if v, ok, err := Get(e, k, ts(30), 7); err != nil || !ok || string(v) != "intent" {
 		t.Fatalf("intent lost: %q %v %v", v, ok, err)
 	}
 	if v, ok, _ := Get(e, k, ts(25), 0); !ok || string(v) != "mid" {
 		t.Fatalf("recent version lost: %q %v", v, ok)
+	}
+	if v, ok, _ := Get(e, k, ts(17), 0); !ok || string(v) != "old" {
+		t.Fatalf("read at 17, above the GC threshold, = %q %v; want \"old\"", v, ok)
+	}
+}
+
+// TestGCPropertyKeepsReadsAboveThreshold: GC at keepAfter changes no read
+// at or above keepAfter. Each history mixes committed puts and deletes with
+// intents, some committed and some aborted, at increasing timestamps, and
+// the threshold falls anywhere in it.
+func TestGCPropertyKeepsReadsAboveThreshold(t *testing.T) {
+	type op struct {
+		KeyIdx uint8
+		Kind   uint8 // put, delete, intent, commit the key's intent, abort it
+		Val    uint16
+	}
+	const nkeys = 4
+	span := keys.Span{Key: keys.Key("a"), EndKey: keys.Key("z")}
+	removed := 0
+	f := func(ops []op, threshold uint8) bool {
+		e := newEngine()
+		defer e.Close()
+		for i, o := range ops {
+			k := keys.Key(fmt.Sprintf("k%d", o.KeyIdx%nkeys))
+			txn := uint64(o.KeyIdx%nkeys) + 1 // one writer per key
+			at := ts(int64(i + 1))
+			// A write into another transaction's intent, or a resolve with
+			// no intent to resolve, fails and leaves the history as it is.
+			switch o.Kind % 5 {
+			case 0:
+				_ = put(e, k, at, 0, []byte(fmt.Sprintf("v%d", o.Val)))
+			case 1:
+				_ = del(e, k, at, 0)
+			case 2:
+				_ = put(e, k, at, txn, []byte(fmt.Sprintf("i%d", o.Val)))
+			case 3:
+				_ = resolveIntent(e, k, txn, true, at)
+			case 4:
+				_ = resolveIntent(e, k, txn, false, hlc.Timestamp{})
+			}
+		}
+		end := int64(len(ops) + 1)
+		keepAfter := int64(threshold) % (end + 1)
+		reads := func() []string {
+			var out []string
+			for i := 0; i < nkeys; i++ {
+				k := keys.Key(fmt.Sprintf("k%d", i))
+				for r := keepAfter; r <= end; r++ {
+					v, ok, err := Get(e, k, ts(r), 0)
+					out = append(out, fmt.Sprintf("%s@%d: %q %v %v", k, r, v, ok, err != nil))
+				}
+			}
+			return out
+		}
+		before := reads()
+		n, err := GCOldVersions(e, span, ts(keepAfter))
+		if err != nil {
+			return false
+		}
+		removed += n
+		after := reads()
+		for i := range before {
+			if before[i] != after[i] {
+				t.Logf("GC at %d changed a read: %s, then %s", keepAfter, before[i], after[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if removed == 0 {
+		t.Fatal("no history gave GC anything to remove")
 	}
 }
 

@@ -21,6 +21,10 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// Sleep blocks until d has elapsed on this clock.
 	Sleep(d time.Duration)
+	// AfterFunc calls f once d has elapsed on this clock. The returned stop
+	// cancels the call and reports whether it did; false means f has been
+	// called or is being called.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
 // RealClock is a Clock backed by the system clock.
@@ -41,13 +45,21 @@ func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 // Sleep implements Clock.
 func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 
+// AfterFunc implements Clock: f runs in its own goroutine.
+func (RealClock) AfterFunc(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(d, f).Stop
+}
+
 // ManualClock is a Clock whose time only moves when Advance is called. Waiters
-// registered via After/Sleep fire when the clock passes their deadline. It is
-// safe for concurrent use.
+// registered via After/Sleep fire when the clock passes their deadline, and
+// AfterFunc callbacks run inside the Advance that reaches theirs. It is safe
+// for concurrent use.
 type ManualClock struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters waiterHeap
+	// seq numbers waiters in registration order, which breaks deadline ties.
+	seq uint64
 }
 
 // NewManualClock returns a ManualClock initialized to start.
@@ -76,8 +88,36 @@ func (c *ManualClock) After(d time.Duration) <-chan time.Time {
 		ch <- c.now
 		return ch
 	}
-	heap.Push(&c.waiters, &waiter{at: c.now.Add(d), ch: ch})
+	c.pushLocked(&waiter{at: c.now.Add(d), ch: ch})
 	return ch
+}
+
+// AfterFunc implements Clock. The Advance or AdvanceTo that reaches the
+// deadline calls f on the advancing goroutine, outside the clock's lock,
+// with Now reading the deadline; due callbacks run in deadline order, ties
+// in registration order, so a run is deterministic. f must not wait on this
+// clock: nothing advances it while f runs. A non-positive d runs f at the
+// next Advance.
+func (c *ManualClock) AfterFunc(d time.Duration, f func()) func() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := &waiter{at: c.now.Add(max(d, 0)), f: f}
+	c.pushLocked(w)
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if w.index < 0 {
+			return false
+		}
+		heap.Remove(&c.waiters, w.index)
+		return true
+	}
+}
+
+func (c *ManualClock) pushLocked(w *waiter) {
+	c.seq++
+	w.seq = c.seq
+	heap.Push(&c.waiters, w)
 }
 
 // Sleep implements Clock. It blocks until another goroutine advances the
@@ -89,28 +129,46 @@ func (c *ManualClock) Sleep(d time.Duration) {
 	<-c.After(d)
 }
 
-// Advance moves the clock forward by d, firing any waiters whose deadlines
-// are reached.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	fired := c.popDueLocked()
-	now := c.now
-	c.mu.Unlock()
-	for _, w := range fired {
-		w.ch <- now
-	}
-}
+// Advance moves the clock forward by d, firing the waiters and running the
+// callbacks whose deadlines are reached.
+func (c *ManualClock) Advance(d time.Duration) { c.advance(d, time.Time{}) }
 
 // AdvanceTo moves the clock to t if t is later than the current time.
 //
 //lint:allow deadsurface roadmap: the virtual-time driver advances the clock to the next deadline
-func (c *ManualClock) AdvanceTo(t time.Time) {
+func (c *ManualClock) AdvanceTo(t time.Time) { c.advance(0, t) }
+
+// advance moves the clock to target, or by d when target is zero. It stops
+// at each due callback's deadline to run it: the waiters due by then fire
+// first, with that time, then the callback runs unlocked. The rest fire with
+// the clock at target.
+func (c *ManualClock) advance(d time.Duration, target time.Time) {
 	c.mu.Lock()
-	if t.After(c.now) {
-		c.now = t
+	if target.IsZero() {
+		target = c.now.Add(d)
 	}
-	fired := c.popDueLocked()
+	var fired []*waiter
+	for c.waiters.Len() > 0 && !c.waiters[0].at.After(target) {
+		w := heap.Pop(&c.waiters).(*waiter)
+		if w.f == nil {
+			fired = append(fired, w)
+			continue
+		}
+		if w.at.After(c.now) {
+			c.now = w.at
+		}
+		now := c.now
+		c.mu.Unlock()
+		for _, fw := range fired {
+			fw.ch <- now
+		}
+		fired = fired[:0]
+		w.f()
+		c.mu.Lock()
+	}
+	if target.After(c.now) {
+		c.now = target
+	}
 	now := c.now
 	c.mu.Unlock()
 	for _, w := range fired {
@@ -118,8 +176,9 @@ func (c *ManualClock) AdvanceTo(t time.Time) {
 	}
 }
 
-// NumWaiters returns the number of goroutines blocked on this clock. Useful
-// for tests that step time until all waiters drain.
+// NumWaiters returns the number of pending waiters: goroutines blocked on
+// this clock and callbacks not yet run. Useful for tests that step time
+// until all waiters drain.
 //
 //lint:allow deadsurface roadmap: the virtual-time driver releases parked goroutines one at a time
 func (c *ManualClock) NumWaiters() int {
@@ -128,8 +187,8 @@ func (c *ManualClock) NumWaiters() int {
 	return c.waiters.Len()
 }
 
-// NextDeadline returns the earliest pending waiter deadline and true, or a
-// zero time and false if there are no waiters.
+// NextDeadline returns the earliest pending waiter or callback deadline and
+// true, or a zero time and false if there are none.
 //
 //lint:allow deadsurface roadmap: the virtual-time driver advances to the smallest pending deadline
 func (c *ManualClock) NextDeadline() (time.Time, bool) {
@@ -141,30 +200,40 @@ func (c *ManualClock) NextDeadline() (time.Time, bool) {
 	return c.waiters[0].at, true
 }
 
-func (c *ManualClock) popDueLocked() []*waiter {
-	var fired []*waiter
-	for c.waiters.Len() > 0 && !c.waiters[0].at.After(c.now) {
-		fired = append(fired, heap.Pop(&c.waiters).(*waiter))
-	}
-	return fired
-}
-
+// waiter is a pending After (ch) or AfterFunc (f). index is its place in
+// the heap, -1 once it has left it.
 type waiter struct {
-	at time.Time
-	ch chan time.Time
+	at    time.Time
+	seq   uint64
+	ch    chan time.Time
+	f     func()
+	index int
 }
 
 type waiterHeap []*waiter
 
-func (h waiterHeap) Len() int            { return len(h) }
-func (h waiterHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Len() int { return len(h) }
+func (h waiterHeap) Less(i, j int) bool {
+	if !h[i].at.Equal(h[j].at) {
+		return h[i].at.Before(h[j].at)
+	}
+	return h[i].seq < h[j].seq
+}
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *waiterHeap) Push(x interface{}) {
+	w := x.(*waiter)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
 func (h *waiterHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	w := old[n-1]
 	old[n-1] = nil
+	w.index = -1
 	*h = old[:n-1]
 	return w
 }

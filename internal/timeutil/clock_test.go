@@ -1,6 +1,7 @@
 package timeutil
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -142,5 +143,124 @@ func TestManualClockConcurrentWaiters(t *testing.T) {
 	case <-doneCh:
 	case <-time.After(5 * time.Second):
 		t.Fatal("not all sleepers woke")
+	}
+}
+
+// AfterFunc callbacks run inside the Advance that reaches them, in deadline
+// order with ties in registration order, each reading its own deadline from
+// Now. A callback that schedules another within the same Advance runs it
+// there too, and waiters due before a callback have fired by the time it
+// runs.
+func TestManualClockAfterFuncOrder(t *testing.T) {
+	start := time.Unix(0, 0)
+	c := NewManualClock(start)
+	var got []string
+	note := func(name string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%v", name, c.Since(start))) }
+	}
+	c.AfterFunc(2*time.Second, note("b"))
+	c.AfterFunc(time.Second, note("a"))
+	c.AfterFunc(2*time.Second, note("c"))
+	c.AfterFunc(time.Second, func() {
+		note("d")()
+		c.AfterFunc(1500*time.Millisecond, note("e"))
+	})
+	ch := c.After(500 * time.Millisecond)
+	c.AfterFunc(600*time.Millisecond, func() {
+		select {
+		case <-ch:
+			got = append(got, "waiter fired")
+		default:
+			got = append(got, "waiter pending")
+		}
+	})
+	c.Advance(3 * time.Second)
+	want := "[waiter fired a@1s d@1s b@2s c@2s e@2.5s]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("callbacks ran as %v, want %s", got, want)
+	}
+	if now := c.Since(start); now != 3*time.Second {
+		t.Fatalf("clock at %v after the advance, want 3s", now)
+	}
+	if c.NumWaiters() != 0 {
+		t.Fatalf("%d waiters left", c.NumWaiters())
+	}
+}
+
+// stop cancels a callback that has not run and reports it; once the
+// callback has run, stop reports false.
+func TestManualClockAfterFuncStop(t *testing.T) {
+	c := NewManualClock(time.Unix(0, 0))
+	ran := 0
+	stopA := c.AfterFunc(time.Second, func() { ran++ })
+	stopB := c.AfterFunc(time.Second, func() { ran += 10 })
+	if !stopA() {
+		t.Fatal("stop of a pending callback reported false")
+	}
+	if stopA() {
+		t.Fatal("a second stop reported true")
+	}
+	c.Advance(time.Second)
+	if ran != 10 {
+		t.Fatalf("ran = %d, want only the unstopped callback (10)", ran)
+	}
+	if stopB() {
+		t.Fatal("stop after the callback ran reported true")
+	}
+}
+
+// runningClock returns a real clock, or a manual one that a goroutine of
+// its own advances a microsecond at a time, and a func that stops it.
+func runningClock(name string) (Clock, func()) {
+	if name == "real" {
+		return NewRealClock(), func() {}
+	}
+	m := NewManualClock(time.Unix(0, 0))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				m.Advance(time.Microsecond)
+			}
+		}
+	}()
+	return m, func() { close(done); wg.Wait() }
+}
+
+// AfterFunc races its stop on both clocks: each callback runs exactly when
+// its stop reports false. CI runs this under the race detector.
+func TestAfterFuncRacesStop(t *testing.T) {
+	for _, name := range []string{"real", "manual"} {
+		t.Run(name, func(t *testing.T) {
+			c, stopClock := runningClock(name)
+			defer stopClock()
+			const n = 200
+			var ran sync.WaitGroup
+			var mu sync.Mutex
+			calls, missed := 0, 0
+			for i := 0; i < n; i++ {
+				ran.Add(1)
+				stop := c.AfterFunc(time.Duration(i%3)*time.Microsecond, func() {
+					mu.Lock()
+					calls++
+					mu.Unlock()
+					ran.Done()
+				})
+				if stop() {
+					ran.Done()
+					missed++
+				}
+			}
+			ran.Wait()
+			if calls+missed != n {
+				t.Fatalf("%d callbacks ran and %d were stopped, of %d", calls, missed, n)
+			}
+		})
 	}
 }
