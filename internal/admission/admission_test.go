@@ -218,7 +218,7 @@ func TestCPUQueueGrantOnSlotGrowth(t *testing.T) {
 }
 
 // newWriteQueueAt returns a write queue on clock whose bucket refills at rate
-// bytes/sec and holds one second of it, as after a capacity estimate.
+// bytes/sec and holds one second of it, as after a node rates L0's drain.
 func newWriteQueueAt(clock timeutil.Clock, rate float64) *WriteQueue {
 	q := NewWriteQueue(WriteQueueOptions{Clock: clock})
 	q.SetRate(rate)
@@ -317,7 +317,7 @@ func TestWriteQueueSetRate(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { _, err := q.Admit(context.Background(), info(2), 500); done <- err }()
 	time.Sleep(20 * time.Millisecond)
-	q.SetRate(1 << 20) // capacity estimate jumped; burst now covers the wait
+	q.SetRate(1 << 20) // L0 drained faster; burst now covers the wait
 	mc.Advance(time.Second)
 	q.Tick()
 	select {
@@ -330,6 +330,23 @@ func TestWriteQueueSetRate(t *testing.T) {
 	}
 	if got := q.Stats().Rate; got != 1<<20 {
 		t.Fatalf("rate = %f", got)
+	}
+	// An unlimited rate grants a waiter at once and forgives the debt of a
+	// write larger than the bucket.
+	mc.Advance(time.Second)
+	if wait, err := q.Admit(context.Background(), info(2), 4<<20); err != nil || wait != 0 {
+		t.Fatalf("4 MiB write into a full bucket: wait %v, err %v", wait, err)
+	}
+	go func() { _, err := q.Admit(context.Background(), info(2), 500); done <- err }()
+	for q.Stats().Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	q.SetRate(math.Inf(1))
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Admit(context.Background(), info(2), 1<<40); err != nil || q.Stats().Waiting != 0 {
+		t.Fatalf("unlimited queue: err %v, %+v", err, q.Stats())
 	}
 }
 
@@ -399,12 +416,19 @@ func TestAdmitUncontendedAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("CPUQueue.Admit + Slot.Release: %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, err := wq.Admit(ctx, info(2), 100); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("WriteQueue.Admit: %v allocs, want 0", n)
+	writeAllocs := func() float64 {
+		return testing.AllocsPerRun(1000, func() {
+			if _, err := wq.Admit(ctx, info(2), 100); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := writeAllocs(); n != 0 {
+		t.Errorf("WriteQueue.Admit, unlimited: %v allocs, want 0", n)
+	}
+	wq.SetRate(1 << 30) // a bucket that 1001 writes of 100 bytes do not empty
+	if n := writeAllocs(); n != 0 {
+		t.Errorf("WriteQueue.Admit at a finite rate: %v allocs, want 0", n)
 	}
 }
 
@@ -499,58 +523,56 @@ func TestLinearModelDegenerate(t *testing.T) {
 	}
 }
 
-func TestCapacityEstimatorTracksThroughput(t *testing.T) {
-	var ce CapacityEstimator
-	now := time.Unix(0, 0)
-	m := lsm.Metrics{}
-	first := ce.Update(m, now)
-	if first <= 0 {
-		t.Fatal("initial estimate must be positive")
-	}
-	// 30 MiB flushed + 30 MiB compacted over 15s => 4 MiB/s observed.
-	m.FlushedBytes = 30 << 20
-	m.CompactedBytes = 30 << 20
-	got := ce.Update(m, now.Add(15*time.Second))
-	// EWMA moves halfway from the optimistic prior toward 4 MiB/s; after
-	// several intervals it converges.
-	for i := 2; i <= 8; i++ {
-		m.FlushedBytes += 30 << 20
-		m.CompactedBytes += 30 << 20
-		got = ce.Update(m, now.Add(time.Duration(i)*15*time.Second))
-	}
-	want := 4.0 * (1 << 20)
-	if math.Abs(got-want)/want > 0.1 {
-		t.Fatalf("capacity = %f, want ~%f", got, want)
+// l0Metrics returns engine metrics with l0Files files and l0Bytes bytes in L0
+// after flushed bytes have been flushed into it.
+func l0Metrics(l0Files int, flushed, l0Bytes int64) lsm.Metrics {
+	m := lsm.Metrics{L0Files: l0Files, FlushedBytes: flushed}
+	m.LevelBytes[0] = l0Bytes
+	return m
+}
+
+// TestWriteRate: the queue is unlimited while L0 holds at most l0Threshold
+// files.
+func TestWriteRate(t *testing.T) {
+	const mib = 1 << 20
+	for _, c := range []struct {
+		name      string
+		prev, cur lsm.Metrics
+	}{
+		{"empty L0", l0Metrics(0, 0, 0), l0Metrics(0, 0, 0)},
+		{"L0 at threshold, nothing drained", l0Metrics(2, 0, 2*mib), l0Metrics(l0Threshold, 6*mib, 8*mib)},
+	} {
+		if got := WriteRate(c.prev, c.cur, 15*time.Second); !math.IsInf(got, 1) {
+			t.Errorf("%s: WriteRate = %v, want unlimited", c.name, got)
+		}
 	}
 }
 
+// TestCapacityEstimatorL0Backlog: with more than l0Threshold files in L0 the
+// engine's write capacity is the bytes that left L0 per second.
 func TestCapacityEstimatorL0Backlog(t *testing.T) {
-	var ce CapacityEstimator
-	now := time.Unix(0, 0)
-	base := lsm.Metrics{}
-	ce.Update(base, now)
-	base.FlushedBytes = 60 << 20
-	healthy := ce.Update(base, now.Add(15*time.Second))
-	backlogged := base
-	backlogged.L0Files = 4 * l0Threshold
-	reduced := ce.Update(backlogged, now.Add(16*time.Second))
-	if reduced >= healthy {
-		t.Fatalf("L0 backlog should reduce capacity: %f >= %f", reduced, healthy)
-	}
-	if math.Abs(reduced-healthy/4) > healthy*0.05 {
-		t.Fatalf("reduction factor wrong: healthy=%f reduced=%f", healthy, reduced)
+	const mib = 1 << 20
+	// 150 MiB flushed into L0 and L0 grew by 30 MiB: 120 MiB drained in 15s.
+	prev, cur := l0Metrics(4, 10*mib, 40*mib), l0Metrics(l0Threshold+1, 160*mib, 70*mib)
+	if got := WriteRate(prev, cur, 15*time.Second); got != 8*mib {
+		t.Fatalf("WriteRate = %v, want %v", got, 8*mib)
 	}
 }
 
+// TestCapacityEstimatorFloor: a backlogged L0 that drains little or nothing
+// never rates the engine below capacityFloor.
 func TestCapacityEstimatorFloor(t *testing.T) {
-	var ce CapacityEstimator
-	now := time.Unix(0, 0)
-	ce.Update(lsm.Metrics{}, now)
-	// No throughput ever observed: smoothed stays at optimistic prior, but
-	// a massive backlog cannot push below the floor.
-	m := lsm.Metrics{L0Files: 1 << 20}
-	if got := ce.Update(m, now.Add(time.Hour)); got < capacityFloor {
-		t.Fatalf("capacity %f below floor", got)
+	const mib = 1 << 20
+	for _, c := range []struct {
+		name      string
+		prev, cur lsm.Metrics
+	}{
+		{"nothing drained", l0Metrics(4, 10*mib, 40*mib), l0Metrics(4*l0Threshold, 40*mib, 70*mib)},
+		{"drained under the floor", l0Metrics(4, 0, 0), l0Metrics(l0Threshold+1, mib, 0)},
+	} {
+		if got := WriteRate(c.prev, c.cur, 15*time.Second); got != capacityFloor {
+			t.Errorf("%s: WriteRate = %v, want %v", c.name, got, capacityFloor)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // Two resources are controlled. CPU admission uses a dynamic number of
 // concurrency "slots" tuned by an additive increase/decrease loop driven by
-// runnable-queue sampling (§5.1.3). Write admission uses a token bucket whose
-// refill rate is estimated from LSM flush and compaction throughput, reduced
-// when level 0 develops a backlog.
+// runnable-queue sampling (§5.1.3). Write admission uses a token bucket that
+// is unlimited while the LSM's level 0 is shallow and, once L0 backs up,
+// refills at the rate L0 drained (WriteRate).
 //
 // Both queues share the same fairness structure: a heap of tenants ordered by
 // recent resource consumption (least-consuming first), each holding a heap of

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // WriteQueue admits write work against a token bucket denominated in bytes.
-// The refill rate is the estimated sustainable write capacity of the storage
-// engine (see CapacityEstimator), so a write burst that outruns flush and
-// compaction bandwidth queues here instead of growing an L0 backlog
+// The refill rate is what the storage engine can absorb (WriteRate):
+// unlimited while L0 is shallow, L0's drain rate once it backs up, so a write
+// burst that outruns compaction queues here instead of growing an L0 backlog
 // (§5.1.3). Fairness across tenants follows the same least-consuming-first
 // rule as the CPU queue.
 type WriteQueue struct {
@@ -35,20 +36,17 @@ type WriteQueueOptions struct {
 	Clock timeutil.Clock
 }
 
-// initialWriteRate is the refill rate in bytes/sec until the first capacity
-// estimate arrives (SetRate); the bucket holds one second of it.
-const initialWriteRate = 64 << 20
-
-// NewWriteQueue returns a WriteQueue.
+// NewWriteQueue returns an unlimited WriteQueue: an engine starts with an
+// empty L0.
 func NewWriteQueue(opts WriteQueueOptions) *WriteQueue {
 	if opts.Clock == nil {
 		opts.Clock = timeutil.NewRealClock()
 	}
 	q := &WriteQueue{clock: opts.Clock}
 	q.mu.fq = newFairQueue(usageHalfLife, opts.Clock.Now())
-	q.mu.rate = initialWriteRate
-	q.mu.burst = initialWriteRate
-	q.mu.tokens = initialWriteRate
+	q.mu.rate = math.Inf(1)
+	q.mu.burst = math.Inf(1)
+	q.mu.tokens = math.Inf(1)
 	q.mu.lastRefill = opts.Clock.Now()
 	return q
 }
@@ -77,8 +75,8 @@ func (q *WriteQueue) Admit(ctx context.Context, info WorkInfo, bytes int64) (tim
 	return awaitGrant(ctx, q.clock, &q.mu.Mutex, w, "write")
 }
 
-// Tick refills the bucket and grants waiting work. Call periodically (the KV
-// node drives this from its heartbeat loop) or rely on refill at Admit time.
+// Tick refills the bucket and grants waiting work. The KV node calls it from
+// its upkeep round (Node.Tick); Admit also refills.
 func (q *WriteQueue) Tick() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -86,7 +84,9 @@ func (q *WriteQueue) Tick() {
 	q.grantLocked()
 }
 
-// SetRate updates the refill rate from a fresh capacity estimate.
+// SetRate sets the refill rate in bytes/sec; the bucket holds one second of
+// it. An infinite rate (WriteRate's unlimited) fills the bucket, forgiving
+// any debt, and grants every waiter.
 func (q *WriteQueue) SetRate(bytesPerSec float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -95,8 +95,8 @@ func (q *WriteQueue) SetRate(bytesPerSec float64) {
 		bytesPerSec = 1
 	}
 	q.mu.rate = bytesPerSec
-	q.mu.burst = bytesPerSec // one second of capacity
-	if q.mu.tokens > q.mu.burst {
+	q.mu.burst = bytesPerSec
+	if q.mu.tokens > q.mu.burst || math.IsInf(bytesPerSec, 1) {
 		q.mu.tokens = q.mu.burst
 	}
 	q.grantLocked()
@@ -190,61 +190,28 @@ func FitLinearModel(xs, ys []float64) LinearModel {
 	return LinearModel{A: a, B: b}
 }
 
-// The capacity estimator's constants: the minimum time between re-estimates
-// (15s in the paper), the L0 file count above which capacity is reduced, and
-// the minimum capacity returned, in bytes/sec.
+// l0Threshold is the L0 file count above which writes are rated, and
+// capacityFloor the least rate WriteRate returns, in bytes/sec.
 const (
-	capacityInterval = 15 * time.Second
-	l0Threshold      = 8
-	capacityFloor    = 1 << 20
+	l0Threshold   = 8
+	capacityFloor = 1 << 20
 )
 
-// CapacityEstimator turns LSM instrumentation into a write-capacity estimate
-// in bytes/sec, re-evaluated every capacityInterval. The estimate is the
-// observed flush+compaction throughput, scaled down when L0 accumulates
-// files so compactions can drain the backlog.
-type CapacityEstimator struct {
-	initialized bool
-	lastMetrics lsm.Metrics
-	lastAt      time.Time
-	smoothed    float64
-}
-
-// Update folds in a metrics snapshot taken at now and returns the current
-// capacity estimate in bytes/sec. Snapshots arriving before Interval has
-// elapsed return the previous estimate.
-func (ce *CapacityEstimator) Update(m lsm.Metrics, now time.Time) float64 {
-	if !ce.initialized {
-		ce.initialized = true
-		ce.lastMetrics = m
-		ce.lastAt = now
-		ce.smoothed = capacityFloor * 64 // optimistic until measured
-		return ce.estimate(m)
+// WriteRate returns the write queue's refill rate in bytes/sec from two
+// engine snapshots taken dt apart (§5.1.3). While L0 holds at most
+// l0Threshold files the engine keeps up and the rate is unlimited (+Inf).
+// Above it, the rate is the bytes that left L0 over the interval — flushed
+// into L0 less L0's growth — so admitted writes add to L0 no faster than
+// compactions take from it. The rate never falls below capacityFloor: a
+// compaction runs only after a flush, so a zero rate would admit no write,
+// flush nothing, and wedge a node whose compactions failed.
+func WriteRate(prev, cur lsm.Metrics, dt time.Duration) float64 {
+	if cur.L0Files <= l0Threshold {
+		return math.Inf(1)
 	}
-	dt := now.Sub(ce.lastAt).Seconds()
-	if dt < capacityInterval.Seconds() {
-		return ce.estimate(m)
+	drained := (cur.FlushedBytes - prev.FlushedBytes) - (cur.LevelBytes[0] - prev.LevelBytes[0])
+	if rate := float64(drained) / dt.Seconds(); rate > capacityFloor {
+		return rate
 	}
-	deltaBytes := float64((m.FlushedBytes - ce.lastMetrics.FlushedBytes) +
-		(m.CompactedBytes - ce.lastMetrics.CompactedBytes))
-	observed := deltaBytes / dt
-	if observed > 0 {
-		// EWMA smoothing keeps the estimate stable across bursty intervals.
-		ce.smoothed = 0.5*ce.smoothed + 0.5*observed
-	}
-	ce.lastMetrics = m
-	ce.lastAt = now
-	return ce.estimate(m)
-}
-
-// estimate applies the L0-backlog reduction to the smoothed throughput.
-func (ce *CapacityEstimator) estimate(m lsm.Metrics) float64 {
-	cap := ce.smoothed
-	if m.L0Files > l0Threshold {
-		cap *= float64(l0Threshold) / float64(m.L0Files)
-	}
-	if cap < capacityFloor {
-		cap = capacityFloor
-	}
-	return cap
+	return capacityFloor
 }

@@ -447,7 +447,7 @@ func (c *Cluster) RangeLoads() []RangeLease {
 }
 
 // Tick runs periodic cluster maintenance: node ticks (AIMD, token refills,
-// capacity estimation), lease grants, and lease rebalancing. A lease lasts
+// write rates from L0), lease grants, and lease rebalancing. A lease lasts
 // while its holder is live, so it needs no renewal: the tick reads each
 // node's liveness once, and one pass over the ranges in RangeID order grants
 // a lease only to a range whose holder is not live. The order is fixed

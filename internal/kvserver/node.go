@@ -64,7 +64,6 @@ type Node struct {
 
 	cpuQ   *admission.CPUQueue
 	writeQ *admission.WriteQueue
-	capEst admission.CapacityEstimator
 	// writeModel translates a batch's logical write bytes into estimated
 	// physical bytes (raft log + state machine application), per §5.1.4.
 	writeModel admission.LinearModel
@@ -78,8 +77,11 @@ type Node struct {
 		batchRate   float64 // EWMA batches/sec
 		lastBatchAt time.Time
 		batches     int64
-		lastCapAt   time.Time
 		cordoned    bool
+		// ratedAt and ratedLSM are the time and engine snapshot of the last
+		// write-rate interval.
+		ratedAt  time.Time
+		ratedLSM lsm.Metrics
 	}
 }
 
@@ -121,7 +123,8 @@ func NewNode(cfg NodeConfig) *Node {
 	})
 	n.writeQ = admission.NewWriteQueue(admission.WriteQueueOptions{Clock: cfg.Clock})
 	n.mu.lastBatchAt = cfg.Clock.Now()
-	n.mu.lastCapAt = cfg.Clock.Now()
+	n.mu.ratedAt = cfg.Clock.Now()
+	n.mu.ratedLSM = n.Engine().Metrics()
 	return n
 }
 
@@ -252,24 +255,28 @@ func (n *Node) recordBatch() float64 {
 	return n.mu.batchRate
 }
 
-// Tick runs the node's periodic maintenance: the AIMD slot adjustment from
-// the executor queue depth (the 1000Hz runnable-queue sampling of §5.1.3,
-// here once per Cluster.Tick, which a deployment runs every 100 ms) and the
-// write-capacity re-estimate.
+// writeRateInterval is how often the node re-rates its write queue from its
+// engine's L0 (§5.1.3: every 15 s).
+const writeRateInterval = 15 * time.Second
+
+// Tick runs the node's periodic maintenance, once per Cluster.Tick (every
+// 100 ms in a deployment): the AIMD slot adjustment from the executor queue
+// depth (the 1000Hz runnable-queue sampling of §5.1.3), the write queue's
+// refill, and every writeRateInterval its rate (admission.WriteRate).
 func (n *Node) Tick() {
 	n.cpuQ.AdjustSlots(n.ex.queueDepth(), n.vcpus)
 	n.writeQ.Tick()
 	now := n.clock.Now()
 	n.mu.Lock()
-	due := now.Sub(n.mu.lastCapAt) >= 15*time.Second
-	if due {
-		n.mu.lastCapAt = now
+	dt := now.Sub(n.mu.ratedAt)
+	if dt < writeRateInterval {
+		n.mu.Unlock()
+		return
 	}
+	prev, cur := n.mu.ratedLSM, n.Engine().Metrics()
+	n.mu.ratedAt, n.mu.ratedLSM = now, cur
 	n.mu.Unlock()
-	if due {
-		capacity := n.capEst.Update(n.Engine().Metrics(), now)
-		n.writeQ.SetRate(capacity)
-	}
+	n.writeQ.SetRate(admission.WriteRate(prev, cur, dt))
 }
 
 // AdmissionStats exposes the node's admission queue state.

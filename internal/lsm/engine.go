@@ -91,9 +91,9 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Metrics is a point-in-time snapshot of engine instrumentation. Admission
-// control's capacity estimator (§5.1.3) consumes FlushedBytes,
-// CompactedBytes, and L0 state.
+// Metrics is a point-in-time snapshot of engine instrumentation. Write
+// admission (§5.1.3, admission.WriteRate) rates writes from L0Files and, over
+// an interval, the bytes that left L0: FlushedBytes less LevelBytes[0]'s growth.
 type Metrics struct {
 	// L0Files is the current number of sstables in level 0. A backlog here
 	// increases read amplification and signals that compactions are behind.

@@ -46,14 +46,16 @@ type serverBucket struct {
 	trickleUntil map[int32]time.Time // end of each node's charged trickle window
 }
 
+// trickleInterval is how long each trickle grant lasts.
+const trickleInterval = time.Second
+
 // BucketServer is the token-bucket authority for all tenants of a cluster.
+// Only SetQuota makes a tenant's bucket; a tenant without one is unlimited.
 type BucketServer struct {
 	clock timeutil.Clock
 
 	mu      sync.Mutex
 	tenants map[keys.TenantID]*serverBucket
-	// trickleInterval is how long each trickle grant lasts.
-	trickleInterval time.Duration
 }
 
 // NewBucketServer returns a server using the given clock.
@@ -62,9 +64,8 @@ func NewBucketServer(clock timeutil.Clock) *BucketServer {
 		clock = timeutil.NewRealClock()
 	}
 	return &BucketServer{
-		clock:           clock,
-		tenants:         make(map[keys.TenantID]*serverBucket),
-		trickleInterval: time.Second,
+		clock:   clock,
+		tenants: make(map[keys.TenantID]*serverBucket),
 	}
 }
 
@@ -73,7 +74,15 @@ func NewBucketServer(clock timeutil.Clock) *BucketServer {
 func (s *BucketServer) SetQuota(tenant keys.TenantID, vcpus float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.bucketLocked(tenant)
+	b, ok := s.tenants[tenant]
+	if !ok {
+		b = &serverBucket{
+			lastUpdate:   s.clock.Now(),
+			nodeRates:    make(map[int32]float64),
+			trickleUntil: make(map[int32]time.Time),
+		}
+		s.tenants[tenant] = b
+	}
 	b.rate = vcpus * TokensPerVCPUSecond
 	b.burst = b.rate * 10
 	if b.tokens > b.burst {
@@ -91,19 +100,6 @@ func (s *BucketServer) Quota(tenant keys.TenantID) float64 {
 		return b.rate / TokensPerVCPUSecond
 	}
 	return 0
-}
-
-func (s *BucketServer) bucketLocked(tenant keys.TenantID) *serverBucket {
-	b, ok := s.tenants[tenant]
-	if !ok {
-		b = &serverBucket{
-			lastUpdate:   s.clock.Now(),
-			nodeRates:    make(map[int32]float64),
-			trickleUntil: make(map[int32]time.Time),
-		}
-		s.tenants[tenant] = b
-	}
-	return b
 }
 
 func (b *serverBucket) refill(now time.Time) {
@@ -130,8 +126,8 @@ func (s *BucketServer) Request(tenant keys.TenantID, node int32, rate, want floa
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clock.Now()
-	b := s.bucketLocked(tenant)
-	if b.rate == 0 {
+	b, ok := s.tenants[tenant]
+	if !ok || b.rate == 0 {
 		// No quota configured: unlimited.
 		return GrantResponse{Granted: want}
 	}
@@ -161,7 +157,7 @@ func (s *BucketServer) Request(tenant keys.TenantID, node int32, rate, want floa
 	}
 	grant := b.tokens // hand over whatever remains as a partial lump
 	b.tokens = 0
-	trickle, deadline := b.rate*share, now.Add(s.trickleInterval)
+	trickle, deadline := b.rate*share, now.Add(trickleInterval)
 	// Charge only the part of the window not charged to this node before.
 	from := now
 	if prev := b.trickleUntil[node]; prev.After(from) {
@@ -180,7 +176,10 @@ func (s *BucketServer) Request(tenant keys.TenantID, node int32, rate, want floa
 func (s *BucketServer) Available(tenant keys.TenantID) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.bucketLocked(tenant)
+	b, ok := s.tenants[tenant]
+	if !ok {
+		return 0
+	}
 	b.refill(s.clock.Now())
 	return b.tokens
 }
@@ -213,10 +212,11 @@ type NodeBucket struct {
 		// charged is the largest cumulative total Throttle has charged.
 		charged float64
 	}
-	// requestSize is the lump requested when the buffer runs dry: the
-	// node's demand over 10 seconds (§5.2.2).
-	requestWindow time.Duration
 }
+
+// requestWindow sizes the lump a NodeBucket requests when its buffer runs
+// dry: the node's demand over this window (§5.2.2).
+const requestWindow = 10 * time.Second
 
 // NewNodeBucket returns a client for (tenant, node) against server. obs is
 // the tenant's handle on the observability plane, nil when there is none.
@@ -224,7 +224,7 @@ func NewNodeBucket(server *BucketServer, clock timeutil.Clock, tenant keys.Tenan
 	if clock == nil {
 		clock = timeutil.NewRealClock()
 	}
-	nb := &NodeBucket{server: server, clock: clock, tenant: tenant, node: node, obs: obs, requestWindow: 10 * time.Second}
+	nb := &NodeBucket{server: server, clock: clock, tenant: tenant, node: node, obs: obs}
 	nb.mu.lastUpdate = clock.Now()
 	nb.mu.trickleAccrued = clock.Now()
 	return nb
@@ -255,7 +255,7 @@ func (nb *NodeBucket) Consume(tokens float64) time.Duration {
 	}
 
 	// Buffer dry: ask the server for the next window of demand.
-	want := nb.mu.rate * nb.requestWindow.Seconds()
+	want := nb.mu.rate * requestWindow.Seconds()
 	if min := tokens * 4; want < min {
 		want = min
 	}
@@ -345,7 +345,7 @@ func (nb *NodeBucket) updateRateLocked(now time.Time, tokens float64) {
 	}
 	instant := tokens / dt
 	// Smooth over roughly the request window.
-	alpha := dt / (dt + nb.requestWindow.Seconds()/2)
+	alpha := dt / (dt + requestWindow.Seconds()/2)
 	if alpha > 1 {
 		alpha = 1
 	}

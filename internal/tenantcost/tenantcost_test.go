@@ -208,6 +208,24 @@ func TestBucketServerUnlimitedWithoutQuota(t *testing.T) {
 	}
 }
 
+// TestBucketServerKeepsNoBucketWithoutQuota: tenants without a quota are
+// granted what they ask and report nothing available, and the server keeps
+// no state for them.
+func TestBucketServerKeepsNoBucketWithoutQuota(t *testing.T) {
+	s := NewBucketServer(timeutil.NewManualClock(time.Unix(0, 0)))
+	for tenant := keys.TenantID(2); tenant < 102; tenant++ {
+		if resp := s.Request(tenant, 1, 500, 5000); resp.Granted != 5000 || resp.TrickleRate != 0 {
+			t.Fatalf("tenant %d without a quota: grant %+v", tenant, resp)
+		}
+		if got := s.Available(tenant); got != 0 {
+			t.Fatalf("tenant %d without a quota: available %f", tenant, got)
+		}
+	}
+	if n := len(s.tenants); n != 0 {
+		t.Fatalf("server holds %d buckets for tenants without a quota", n)
+	}
+}
+
 func TestBucketServerTrickleWhenEmpty(t *testing.T) {
 	mc := timeutil.NewManualClock(time.Unix(0, 0))
 	s := NewBucketServer(mc)
