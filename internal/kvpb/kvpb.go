@@ -204,17 +204,56 @@ type BatchResponse struct {
 }
 
 // NewBatchResponse returns an empty response at ts with room for n
-// responses, in one allocation when n is 1, as a point read's is.
+// responses. For up to 16 responses, which covers a point read and a
+// transaction's commit batch, it is one allocation: the response with an
+// array of exactly n beside it. A larger batch's array is a second one.
 func NewBatchResponse(ts hlc.Timestamp, n int) *BatchResponse {
-	if n == 1 {
-		b := &struct {
-			BatchResponse
-			one [1]Response
-		}{}
-		b.Timestamp, b.Responses = ts, b.one[:0]
-		return &b.BatchResponse
+	switch n {
+	case 1:
+		return withRoom(ts, func(a *[1]Response) []Response { return a[:0] })
+	case 2:
+		return withRoom(ts, func(a *[2]Response) []Response { return a[:0] })
+	case 3:
+		return withRoom(ts, func(a *[3]Response) []Response { return a[:0] })
+	case 4:
+		return withRoom(ts, func(a *[4]Response) []Response { return a[:0] })
+	case 5:
+		return withRoom(ts, func(a *[5]Response) []Response { return a[:0] })
+	case 6:
+		return withRoom(ts, func(a *[6]Response) []Response { return a[:0] })
+	case 7:
+		return withRoom(ts, func(a *[7]Response) []Response { return a[:0] })
+	case 8:
+		return withRoom(ts, func(a *[8]Response) []Response { return a[:0] })
+	case 9:
+		return withRoom(ts, func(a *[9]Response) []Response { return a[:0] })
+	case 10:
+		return withRoom(ts, func(a *[10]Response) []Response { return a[:0] })
+	case 11:
+		return withRoom(ts, func(a *[11]Response) []Response { return a[:0] })
+	case 12:
+		return withRoom(ts, func(a *[12]Response) []Response { return a[:0] })
+	case 13:
+		return withRoom(ts, func(a *[13]Response) []Response { return a[:0] })
+	case 14:
+		return withRoom(ts, func(a *[14]Response) []Response { return a[:0] })
+	case 15:
+		return withRoom(ts, func(a *[15]Response) []Response { return a[:0] })
+	case 16:
+		return withRoom(ts, func(a *[16]Response) []Response { return a[:0] })
 	}
 	return &BatchResponse{Timestamp: ts, Responses: make([]Response, 0, n)}
+}
+
+// withRoom allocates a response together with the array A its Responses
+// start empty in; room slices the array.
+func withRoom[A any](ts hlc.Timestamp, room func(*A) []Response) *BatchResponse {
+	b := &struct {
+		BatchResponse
+		room A
+	}{}
+	b.Timestamp, b.Responses = ts, room(&b.room)
+	return &b.BatchResponse
 }
 
 // ReadBytes returns the total bytes returned by reads in the response: what

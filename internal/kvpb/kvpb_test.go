@@ -83,6 +83,25 @@ func TestBatchResponseReadBytes(t *testing.T) {
 	}
 }
 
+// NewBatchResponse is one allocation, with room for every response, for a
+// batch of up to 16 requests, and two past that.
+func TestNewBatchResponseAllocs(t *testing.T) {
+	ts := hlc.Timestamp{WallTime: 7}
+	for n := 0; n <= 17; n++ {
+		want := 1.0
+		if n > 16 {
+			want = 2
+		}
+		var b *BatchResponse
+		if got := testing.AllocsPerRun(10, func() { b = NewBatchResponse(ts, n) }); got != want {
+			t.Errorf("NewBatchResponse(ts, %d) makes %v allocations, want %v", n, got, want)
+		}
+		if b.Timestamp != ts || len(b.Responses) != 0 || cap(b.Responses) != n {
+			t.Errorf("NewBatchResponse(ts, %d) = ts %v, %d responses of room %d", n, b.Timestamp, len(b.Responses), cap(b.Responses))
+		}
+	}
+}
+
 func TestErrorsFormatAndRetriable(t *testing.T) {
 	errs := []error{
 		&NotLeaseholderError{RangeID: 1, Leaseholder: 3},

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"crdbserverless/internal/faultinject"
 	"crdbserverless/internal/hlc"
@@ -710,11 +711,12 @@ func (c *Cluster) Batch(ctx context.Context, nodeID NodeID, id Identity, ba *kvp
 	}
 	sp.SetAttr("admission.wait", slot.Wait)
 
-	resp, evalErr := c.evaluateBatch(ctx, n, rs, ba)
-	// Charge ground-truth CPU: the work happens whether or not evaluation
-	// errored (conflict checks consume CPU too), but successful responses
-	// carry the payload costs.
-	cost := n.chargeCPU(ba, resp)
+	resp, start, evalErr := c.evaluateBatch(ctx, n, rs, ba)
+	// Charge ground-truth CPU from the latch grant: the work happens whether
+	// or not evaluation errored (conflict checks consume CPU too), but
+	// successful responses carry the payload costs. The waits in admission
+	// and for the latch are queueing, not CPU.
+	cost := n.chargeCPU(ba, resp, start)
 	slot.Release(cost)
 	if evalErr != nil {
 		return nil, evalErr
@@ -767,14 +769,16 @@ func hasReplica(rs *rangeState, nodeID NodeID) bool {
 
 // evaluateBatch evaluates the batch on the node's engine under the range
 // latch (evalBatch), and proposes its entries through the range's
-// replication group.
-func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
+// replication group. It returns the time it took the latch, where the
+// batch's CPU booking starts: evaluation and the proposal run inside it.
+func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, time.Time, error) {
 	readTs := ba.ReadTs()
 	if readTs.IsEmpty() {
 		readTs = c.hlc.Now()
 	}
 	rs.latch.Lock()
 	defer rs.latch.Unlock()
+	start := n.clock.Now()
 	// A split, merge or move may have run while the batch waited for the
 	// latch and retired the range. The batch must not write through a retired
 	// range's group.
@@ -782,17 +786,17 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	// failed liveness while the batch queued has lost the lease to a replica
 	// that may since have committed writes this node has not applied.
 	if _, err := checkRange(rs, n.id, ba, false); err != nil {
-		return nil, err
+		return nil, start, err
 	}
 	resp, ents, written, err := evalBatch(n.Engine(), rs.tsc, ba, readTs)
 	// A batch whose requests come to no entries (reads alone, or a resolve
 	// that found no intent) has nothing to replicate.
 	if err != nil || len(ents.List) == 0 {
-		return resp, err
+		return resp, start, err
 	}
 	if err := rs.group.ProposeCtx(ctx, n.id, encodeCommand(ents.List)); err != nil {
-		return nil, err
+		return nil, start, err
 	}
 	rs.writtenBytes.Add(written)
-	return resp, nil
+	return resp, start, nil
 }

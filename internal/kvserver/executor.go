@@ -11,13 +11,15 @@ import (
 
 // executor models a node's physical CPUs as a calendar: for each vCPU, the
 // time it next falls idle. A task books the earliest-free vCPU from the later
-// of now and that time, for its service duration, and its caller waits until
-// the booking ends. When offered load exceeds capacity the bookings run ahead
-// of the clock and a queue builds — the overload condition admission control
-// exists to manage (§5.1.1). The number of bookings not yet started doubles as
-// the "runnable goroutines" signal for the AIMD slot loop, and sustained deep
-// queues make the node fail liveness (shedding its leases, as in the paper's
-// no-limits baseline of Fig 12).
+// of its start (a batch's latch grant) and that time, for its service
+// duration, and its caller waits until the booking ends. The task's own work
+// since its start runs inside the booking, so the caller waits for the later
+// of the two, not for both. When offered load exceeds capacity the bookings
+// run ahead of the clock and a queue builds — the overload condition
+// admission control exists to manage (§5.1.1). The number of bookings not yet
+// started doubles as the "runnable goroutines" signal for the AIMD slot loop,
+// and sustained deep queues make the node fail liveness (shedding its leases,
+// as in the paper's no-limits baseline of Fig 12).
 type executor struct {
 	clock timeutil.Clock
 	// accountOnly skips the booking and the wait and only records busy time.
@@ -31,8 +33,9 @@ type executor struct {
 		// free holds, per vCPU, the time that vCPU next falls idle.
 		free []time.Time
 		// starts holds the start times of the bookings that have not started
-		// yet, in booking order. Starts never decrease, so the bookings that
-		// have started are always a prefix.
+		// yet, in booking order. Such a booking starts when the earliest-free
+		// vCPU falls idle, which never moves back, so the bookings that have
+		// started are always a prefix.
 		starts   []time.Time
 		busyTime time.Duration // cumulative vCPU-busy time of finished tasks
 	}
@@ -51,21 +54,23 @@ func newExecutor(clock timeutil.Clock, vcpus int) *executor {
 	return ex
 }
 
-// run executes a task of the given service duration, blocking until it has
-// finished. Tasks start in the order they are booked, each on the vCPU that
-// falls idle first.
-func (ex *executor) run(dur time.Duration) {
+// run books a task of the given service duration that started at start, no
+// later than now, and blocks until the booking ends: at once if the work since
+// start already outlasted it. Tasks are placed in the order they are booked,
+// each on the vCPU that falls idle first.
+func (ex *executor) run(start time.Time, dur time.Duration) {
 	if !ex.accountOnly {
-		ex.occupy(ex.book(dur))
+		ex.occupy(ex.book(start, dur))
 	}
 	ex.mu.Lock()
 	ex.mu.busyTime += dur
 	ex.mu.Unlock()
 }
 
-// book reserves the earliest-free vCPU for dur and returns the time the task
-// finishes.
-func (ex *executor) book(dur time.Duration) time.Time {
+// book reserves the earliest-free vCPU for dur from the later of start and the
+// time it falls idle, and returns the time the task finishes. A booking that
+// starts after now counts in the queue depth until then.
+func (ex *executor) book(start time.Time, dur time.Duration) time.Time {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	now := ex.clock.Now()
@@ -76,10 +81,10 @@ func (ex *executor) book(dur time.Duration) time.Time {
 			i = j
 		}
 	}
-	start := ex.mu.free[i]
-	if start.Before(now) {
-		start = now
-	} else if start.After(now) {
+	if f := ex.mu.free[i]; f.After(start) {
+		start = f
+	}
+	if start.After(now) {
 		ex.mu.starts = append(ex.mu.starts, start)
 	}
 	ex.mu.free[i] = start.Add(dur)
@@ -101,9 +106,12 @@ func (ex *executor) pruneLocked(now time.Time) {
 const occupySpinTail = 200 * time.Microsecond
 
 // occupy holds the caller until deadline: a sleep for the bulk, then a spin.
+// The sleep is SleepPrecise's: a runtime timer would stretch a sub-millisecond
+// wait to the next whole millisecond whenever no other goroutine runs, so a
+// batch's latency would depend on what the rest of the process is doing.
 func (ex *executor) occupy(deadline time.Time) {
 	if d := deadline.Sub(ex.clock.Now()) - occupySpinTail; d > 0 {
-		ex.clock.Sleep(d)
+		timeutil.SleepPrecise(ex.clock, d)
 	}
 	for ex.clock.Now().Before(deadline) {
 		runtime.Gosched()

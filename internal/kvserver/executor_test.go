@@ -34,7 +34,7 @@ func TestExecutorCalendarIsFIFOMG2(t *testing.T) {
 	done := make(chan int, len(durs))
 	for i, d := range durs {
 		go func() {
-			ex.run(d)
+			ex.run(t0, d)
 			done <- i
 		}()
 		// Each caller books, then sleeps on the clock until near its finish.
@@ -80,11 +80,90 @@ func TestExecutorCalendarIsFIFOMG2(t *testing.T) {
 	}
 }
 
+// TestExecutorBookingStartsAtTaskStart books tasks that started before now,
+// as a batch does from its latch grant, on one vCPU against a manual clock.
+// The caller waits for the later of its work so far and its booking's end: a
+// task whose work outran its cost returns at once, and one that started
+// behind a busy vCPU starts when the vCPU falls idle and counts as queued
+// until then. Busy time is the sum of the costs whatever the waits.
+func TestExecutorBookingStartsAtTaskStart(t *testing.T) {
+	now := time.Unix(1000, 0)
+	clock := timeutil.NewManualClock(now)
+	ex := newExecutor(clock, 1)
+	ex.accountOnly = false // queue for real on the manual clock
+	ms := time.Millisecond
+	run := func(start time.Time, d time.Duration) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			ex.run(start, d)
+			close(done)
+		}()
+		return done
+	}
+	finished := func(what string, done chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not finish", what)
+		}
+	}
+	busy := func(want time.Duration) {
+		t.Helper()
+		if got := ex.busyTime(); got != want {
+			t.Fatalf("busy time = %v, want %v", got, want)
+		}
+	}
+
+	// Started 3 ms ago with a 5 ms cost: the caller is released 2 ms from now.
+	first := run(now.Add(-3*ms), 5*ms)
+	waitUntil(t, "first task to sleep", func() bool { return clock.NumWaiters() == 1 })
+	if got := ex.queueDepth(); got != 0 {
+		t.Fatalf("queue depth = %d, want 0 (the first task started 3 ms ago)", got)
+	}
+	// Started 1 ms ago behind the busy vCPU: it starts at the vCPU's free
+	// time, 2 ms from now, and runs 4 ms from there.
+	second := run(now.Add(-1*ms), 4*ms)
+	waitUntil(t, "second task to sleep", func() bool { return clock.NumWaiters() == 2 })
+	if got := ex.queueDepth(); got != 1 {
+		t.Fatalf("queue depth = %d, want 1 (the second task waits for the vCPU)", got)
+	}
+	// The first caller wakes from its sleep and spins to its finish.
+	clock.AdvanceTo(now.Add(1900 * time.Microsecond))
+	waitUntil(t, "first task to wake", func() bool { return clock.NumWaiters() == 1 })
+	select {
+	case <-first:
+		t.Fatal("first task finished 100µs before its booking ends")
+	default:
+	}
+	clock.AdvanceTo(now.Add(2 * ms))
+	finished("first task", first)
+	busy(5 * ms)
+	if got := ex.queueDepth(); got != 0 {
+		t.Fatalf("queue depth = %d once the vCPU freed, want 0", got)
+	}
+	clock.AdvanceTo(now.Add(6 * ms))
+	finished("second task", second)
+	busy(9 * ms)
+
+	// Started 3 ms ago on an idle vCPU with a 1 ms cost: the work outran the
+	// booking, so the caller does not wait.
+	now = now.Add(10 * ms)
+	clock.AdvanceTo(now)
+	third := run(now.Add(-3*ms), 1*ms)
+	finished("third task", third)
+	if got := clock.NumWaiters(); got != 0 {
+		t.Fatalf("%d callers sleep, want 0 (the third task's booking ended 2 ms ago)", got)
+	}
+	busy(10 * ms)
+}
+
 // TestExecutorRunOnIdleVCPUDoesNotAllocate pins the executor's cost per batch
 // on an idle node: booking and waiting allocate nothing.
 func TestExecutorRunOnIdleVCPUDoesNotAllocate(t *testing.T) {
-	ex := newExecutor(timeutil.NewRealClock(), 2)
-	if allocs := testing.AllocsPerRun(100, func() { ex.run(20 * time.Microsecond) }); allocs != 0 {
+	clock := timeutil.NewRealClock()
+	ex := newExecutor(clock, 2)
+	if allocs := testing.AllocsPerRun(100, func() { ex.run(clock.Now(), 20*time.Microsecond) }); allocs != 0 {
 		t.Fatalf("run on an idle vCPU allocates %.1f times, want 0", allocs)
 	}
 }

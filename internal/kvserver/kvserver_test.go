@@ -399,7 +399,7 @@ func TestOldLeaseholderReadRechecksLease(t *testing.T) {
 	oldNode.SetCordoned(false)
 	// A read that passed the old holder's early lease check evaluates now.
 	ba := &kvpb.BatchRequest{Tenant: 2, Timestamp: c.Clock().Now(), Requests: []kvpb.Request{getReq(k)}}
-	resp, err := c.evaluateBatch(ctx, oldNode, rs, ba)
+	resp, _, err := c.evaluateBatch(ctx, oldNode, rs, ba)
 	var nle *kvpb.NotLeaseholderError
 	if !errors.As(err, &nle) || nle.Leaseholder != other {
 		var got string
@@ -534,6 +534,70 @@ func TestNodeCPUAccounting(t *testing.T) {
 	}
 	if n.BatchCount() < 10 {
 		t.Fatalf("batch count = %d", n.BatchCount())
+	}
+}
+
+// TestLatchWaitIsNotCPU holds a range's latch while a batch waits for it, on
+// a node that books its vCPU for real on a manual clock. The wait is queueing,
+// not CPU: the batch's booking starts at its latch grant, so its caller is
+// released at grant + cost, not at arrival + cost.
+func TestLatchWaitIsNotCPU(t *testing.T) {
+	mc := timeutil.NewManualClock(time.Unix(10_000, 0))
+	const cost = 5 * time.Millisecond
+	c := newTestCluster(t, 1, func(cfg *NodeConfig) {
+		cfg.Clock = mc
+		cfg.Cost = CostConfig{ReadBatchOverhead: cost}
+	})
+	n, _ := c.Node(1)
+	n.ex.accountOnly = false
+	k := tenantKey(2, "k")
+	rs, err := c.rangeFor(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mc.NumWaiters(); got != 0 {
+		t.Fatalf("%d waiters on the clock before the batch, want 0", got)
+	}
+
+	rs.latch.Lock()
+	arrival := mc.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Batch(context.Background(), 1, Identity{Tenant: 2},
+			&kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{getReq(k)}})
+		done <- err
+	}()
+	// Admitted, the batch goes on to the latch the test holds.
+	waitUntil(t, "batch to be admitted", func() bool {
+		cpu, _ := n.AdmissionStats()
+		return cpu.Used == 1
+	})
+	grant := arrival.Add(3 * time.Millisecond)
+	mc.AdvanceTo(grant)
+	rs.latch.Unlock()
+
+	waitUntil(t, "batch to sleep on its booking", func() bool { return mc.NumWaiters() == 1 })
+	if wake, _ := mc.NextDeadline(); !wake.Equal(grant.Add(cost - occupySpinTail)) {
+		t.Fatalf("batch sleeps until arrival + %v, want its latch grant + cost - spin tail (%v)",
+			wake.Sub(arrival), 3*time.Millisecond+cost-occupySpinTail)
+	}
+	mc.AdvanceTo(arrival.Add(cost))
+	select {
+	case err := <-done:
+		t.Fatalf("batch finished at arrival + cost (err %v), before its latch grant + cost", err)
+	default:
+	}
+	mc.AdvanceTo(grant.Add(cost))
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch did not finish at its latch grant + cost")
+	}
+	if got := n.CPUBusy(); got != cost {
+		t.Fatalf("cpu busy = %v, want the batch's cost %v", got, cost)
 	}
 }
 

@@ -226,12 +226,12 @@ func (n *Node) admit(ctx context.Context, ba *kvpb.BatchRequest) (admission.Slot
 	return slot, err
 }
 
-// chargeCPU occupies a vCPU for the batch's ground-truth cost and returns
-// the cost charged.
-func (n *Node) chargeCPU(ba *kvpb.BatchRequest, resp *kvpb.BatchResponse) time.Duration {
+// chargeCPU occupies a vCPU for the batch's ground-truth cost from start, the
+// time the batch took its range latch, and returns the cost charged.
+func (n *Node) chargeCPU(ba *kvpb.BatchRequest, resp *kvpb.BatchResponse, start time.Time) time.Duration {
 	rate := n.recordBatch()
 	cost := n.cost.BatchCost(ba, resp, rate, !n.colocated)
-	n.ex.run(cost)
+	n.ex.run(start, cost)
 	return cost
 }
 

@@ -410,7 +410,7 @@ func TestNewOrderWholePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const want = 121
+	const want = 120
 	got := testing.AllocsPerRun(200, warmNewOrder(t))
 	t.Logf("new-order transaction through proxy and SQL node: %v allocations", got)
 	if got > want {
