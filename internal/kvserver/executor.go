@@ -1,7 +1,6 @@
 package kvserver
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -57,10 +56,13 @@ func newExecutor(clock timeutil.Clock, vcpus int) *executor {
 // run books a task of the given service duration that started at start, no
 // later than now, and blocks until the booking ends: at once if the work since
 // start already outlasted it. Tasks are placed in the order they are booked,
-// each on the vCPU that falls idle first.
+// each on the vCPU that falls idle first. The wait is SleepPrecise's: a
+// runtime timer would stretch a sub-millisecond wait to the next whole
+// millisecond whenever no other goroutine runs, so a batch's latency would
+// depend on what the rest of the process is doing.
 func (ex *executor) run(start time.Time, dur time.Duration) {
 	if !ex.accountOnly {
-		ex.occupy(ex.book(start, dur))
+		timeutil.SleepPrecise(ex.clock, ex.book(start, dur).Sub(ex.clock.Now()))
 	}
 	ex.mu.Lock()
 	ex.mu.busyTime += dur
@@ -98,24 +100,6 @@ func (ex *executor) pruneLocked(now time.Time) {
 		n++
 	}
 	ex.mu.starts = slices.Delete(ex.mu.starts, 0, n)
-}
-
-// occupySpinTail is how much of each wait the caller spins rather than
-// sleeps. Most service times are under 200µs — a point read's whole
-// modelled CPU is 37µs — which is below what a timer wake-up resolves.
-const occupySpinTail = 200 * time.Microsecond
-
-// occupy holds the caller until deadline: a sleep for the bulk, then a spin.
-// The sleep is SleepPrecise's: a runtime timer would stretch a sub-millisecond
-// wait to the next whole millisecond whenever no other goroutine runs, so a
-// batch's latency would depend on what the rest of the process is doing.
-func (ex *executor) occupy(deadline time.Time) {
-	if d := deadline.Sub(ex.clock.Now()) - occupySpinTail; d > 0 {
-		timeutil.SleepPrecise(ex.clock, d)
-	}
-	for ex.clock.Now().Before(deadline) {
-		runtime.Gosched()
-	}
 }
 
 // queueDepth returns the number of booked tasks that have not started — the

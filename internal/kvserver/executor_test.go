@@ -128,9 +128,11 @@ func TestExecutorBookingStartsAtTaskStart(t *testing.T) {
 	if got := ex.queueDepth(); got != 1 {
 		t.Fatalf("queue depth = %d, want 1 (the second task waits for the vCPU)", got)
 	}
-	// The first caller wakes from its sleep and spins to its finish.
+	// The first caller sleeps to its finish in one sleep on the clock.
 	clock.AdvanceTo(now.Add(1900 * time.Microsecond))
-	waitUntil(t, "first task to wake", func() bool { return clock.NumWaiters() == 1 })
+	if got := clock.NumWaiters(); got != 2 {
+		t.Fatalf("%d callers sleep 100µs before the first booking ends, want 2", got)
+	}
 	select {
 	case <-first:
 		t.Fatal("first task finished 100µs before its booking ends")

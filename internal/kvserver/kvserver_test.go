@@ -577,9 +577,9 @@ func TestLatchWaitIsNotCPU(t *testing.T) {
 	rs.latch.Unlock()
 
 	waitUntil(t, "batch to sleep on its booking", func() bool { return mc.NumWaiters() == 1 })
-	if wake, _ := mc.NextDeadline(); !wake.Equal(grant.Add(cost - occupySpinTail)) {
-		t.Fatalf("batch sleeps until arrival + %v, want its latch grant + cost - spin tail (%v)",
-			wake.Sub(arrival), 3*time.Millisecond+cost-occupySpinTail)
+	if wake, _ := mc.NextDeadline(); !wake.Equal(grant.Add(cost)) {
+		t.Fatalf("batch sleeps until arrival + %v, want its latch grant + cost (%v)",
+			wake.Sub(arrival), 3*time.Millisecond+cost)
 	}
 	mc.AdvanceTo(arrival.Add(cost))
 	select {

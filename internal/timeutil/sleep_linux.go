@@ -3,6 +3,7 @@ package timeutil
 import (
 	"errors"
 	"os"
+	"runtime"
 	"syscall"
 	"time"
 	"unsafe"
@@ -107,4 +108,11 @@ func sleepPrecise(d time.Duration) {
 	default:
 		t.f.Close()
 	}
+}
+
+// yield gives up the goroutine's processor and then its thread's core, so
+// that a thread the kernel has just woken runs now, not at the next tick.
+func yield() {
+	runtime.Gosched()
+	syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
 }

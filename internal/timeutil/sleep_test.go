@@ -86,3 +86,63 @@ func TestSleepPreciseDoesNotAllocate(t *testing.T) {
 		t.Fatalf("SleepPrecise allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestSleepPreciseInsideTheTail waits 10, 50 and 150 µs, each shorter than
+// spinTail, so the whole wait is the spin. Every wait lasts at least d, the
+// median of 21 ends within 50 µs of d, and none allocates. A loaded host gets
+// three tries.
+func TestSleepPreciseInsideTheTail(t *testing.T) {
+	c := NewRealClock()
+	for _, d := range []time.Duration{10 * time.Microsecond, 50 * time.Microsecond, 150 * time.Microsecond} {
+		var median time.Duration
+		for try := 0; try < 3; try++ {
+			var took []time.Duration
+			for i := 0; i < 21; i++ {
+				start := time.Now()
+				SleepPrecise(c, d)
+				got := time.Since(start)
+				if got < d {
+					t.Fatalf("SleepPrecise(%v) returned after %v", d, got)
+				}
+				took = append(took, got)
+			}
+			slices.Sort(took)
+			if median = took[len(took)/2]; median < d+50*time.Microsecond {
+				break
+			}
+		}
+		if median >= d+50*time.Microsecond {
+			t.Fatalf("SleepPrecise(%v) took %v at the median, want under %v", d, median, d+50*time.Microsecond)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { SleepPrecise(c, d) }); allocs != 0 {
+			t.Fatalf("SleepPrecise(%v) allocates %.1f times, want 0", d, allocs)
+		}
+	}
+}
+
+// TestSleepPreciseParksPastTheTail counts the parks on the kernel timer: a
+// wait longer than spinTail parks once, for all of it but the tail, and a
+// wait inside the tail never parks.
+func TestSleepPreciseParksPastTheTail(t *testing.T) {
+	var parked []time.Duration
+	defer func(p func(time.Duration)) { park = p }(park)
+	park = func(d time.Duration) {
+		parked = append(parked, d)
+		sleepPrecise(d)
+	}
+	c := NewRealClock()
+	const d = 2 * time.Millisecond
+	start := time.Now()
+	SleepPrecise(c, d)
+	if got := time.Since(start); got < d {
+		t.Fatalf("SleepPrecise(%v) returned after %v", d, got)
+	}
+	if len(parked) != 1 || parked[0] != d-spinTail {
+		t.Fatalf("SleepPrecise(%v) parked for %v, want once for %v", d, parked, d-spinTail)
+	}
+	parked = nil
+	SleepPrecise(c, spinTail-time.Microsecond)
+	if len(parked) != 0 {
+		t.Fatalf("SleepPrecise(%v) parked for %v, want only the spin", spinTail-time.Microsecond, parked)
+	}
+}
