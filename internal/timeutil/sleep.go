@@ -21,15 +21,17 @@ const spinTail = 200 * time.Microsecond
 // park sleeps on a pooled kernel timer; tests swap it to count the parks.
 var park = sleepPrecise
 
-// SleepPrecise blocks until d has elapsed on c. On the real clock it wakes
-// within a few microseconds of d: it parks on a kernel timer for all but the
-// last spinTail, as it would in time.Sleep, holding no thread, and spins the
-// rest, yielding each round. time.Sleep alone wakes on time only while another
-// goroutine runs: in an otherwise idle process the runtime waits on its
-// poller, whose timeout is in whole milliseconds, so a 0.5 ms sleep lasts
-// 0.5 ms or about 1.1 ms depending on what else happens to be running. A
-// caller that models a service time with its sleep wants the first. On any
-// other clock it is c.Sleep.
+// SleepPrecise blocks until d has elapsed on c. On the real clock it parks on
+// a kernel timer for all but the last spinTail, as it would in time.Sleep,
+// holding no thread, and spins the rest, yielding each round. It wakes within
+// a few microseconds of d while its core is free; a yield that finds another
+// runnable thread of the process hands that thread the core, and the wait can
+// then end tens, now and then hundreds, of microseconds late. time.Sleep
+// alone wakes on time only while another goroutine runs: in an otherwise idle
+// process the runtime waits on its poller, whose timeout is in whole
+// milliseconds, so a 0.5 ms sleep lasts 0.5 ms or about 1.1 ms depending on
+// what else happens to be running. A caller that models a service time with
+// its sleep wants the first. On any other clock it is c.Sleep.
 func SleepPrecise(c Clock, d time.Duration) {
 	if _, ok := c.(RealClock); !ok {
 		c.Sleep(d)

@@ -2,8 +2,11 @@ package timeutil
 
 import (
 	"net"
+	"os"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -70,9 +73,18 @@ func TestTimerfdSleepLeavesNothingPending(t *testing.T) {
 // request. A spin that yields only its processor keeps its thread runnable on
 // its core, so a thread the kernel wakes for the other connection waits for
 // the next scheduler tick (4 ms at HZ=250): more than 1 round trip in 100
-// took 4 ms. With the thread's core yielded too, 99 in 100 end within 2 ms. A
-// loaded host gets three tries.
+// took 4 ms. With the thread's core yielded too, 99 in 100 end within 2 ms.
+//
+// Another process that holds a core (a compiler building the next test
+// binary) stalls the spinners the same way, so a try that misses while other
+// processes ran more than a quarter of a core does not count. The stall needs
+// every core held by a spin, so the test runs only on a host of at most two
+// cores; it was seen on two cores with a 4 ms tick, and a host with a shorter
+// tick may not fail it without the yield either.
 func TestSpinTailLetsWokenThreadsRun(t *testing.T) {
+	if runtime.NumCPU() > 2 {
+		t.Skipf("%d cores: two spinning processors leave a core free for a woken thread", runtime.NumCPU())
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -102,46 +114,91 @@ func TestSpinTailLetsWokenThreadsRun(t *testing.T) {
 			}()
 		}
 	}()
-	const conns, trips = 2, 1000
-	var p99 time.Duration
+	const want = 2 * time.Millisecond
+	var p99 time.Duration // of the last try that missed on an otherwise idle host
 	for try := 0; try < 3; try++ {
-		took := make([]time.Duration, conns*trips)
-		var wg sync.WaitGroup
-		errs := make(chan error, conns)
-		for i := 0; i < conns; i++ {
-			wg.Add(1)
-			go func(mine []time.Duration) {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
+		start, others := time.Now(), othersCPU(t)
+		got := roundTripP99(t, ln.Addr().String())
+		if got < want {
+			return
+		}
+		if others, took := othersCPU(t)-others, time.Since(start); others > took/4 {
+			t.Logf("other processes ran %v on the CPUs in a try of %v", others, took)
+			continue
+		}
+		p99 = got
+	}
+	if p99 == 0 {
+		t.Skip("other processes held a core in every try")
+	}
+	t.Fatalf("round trips beside spin tails took %v at the 99th percentile, want under %v", p99, want)
+}
+
+// roundTripP99 makes 1000 round trips to addr on each of two connections at
+// once and returns the 99th percentile.
+func roundTripP99(t *testing.T, addr string) time.Duration {
+	const conns, trips = 2, 1000
+	took := make([]time.Duration, conns*trips)
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(mine []time.Duration) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer conn.Close()
+			var b [1]byte
+			for j := range mine {
+				start := time.Now()
+				if _, err := conn.Write(b[:]); err != nil {
 					errs <- err
 					return
 				}
-				defer conn.Close()
-				var b [1]byte
-				for j := range mine {
-					start := time.Now()
-					if _, err := conn.Write(b[:]); err != nil {
-						errs <- err
-						return
-					}
-					if _, err := conn.Read(b[:]); err != nil {
-						errs <- err
-						return
-					}
-					mine[j] = time.Since(start)
+				if _, err := conn.Read(b[:]); err != nil {
+					errs <- err
+					return
 				}
-			}(took[i*trips : (i+1)*trips])
+				mine[j] = time.Since(start)
+			}
+		}(took[i*trips : (i+1)*trips])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	slices.Sort(took)
+	return took[len(took)*99/100]
+}
+
+// othersCPU returns the CPU time the host has spent outside this process:
+// the busy ticks of /proc/stat's first line (USER_HZ, 100 a second, steal
+// included) less this process's user and system time. In a container
+// /proc/stat may count the whole host.
+func othersCPU(t *testing.T) time.Duration {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cpu user nice system idle iowait irq softirq steal guest guest_nice
+	var ticks int64
+	for i, f := range strings.Fields(strings.SplitN(string(b), "\n", 2)[0])[1:] {
+		if i == 3 || i == 4 || i >= 8 { // idle, iowait, and guest time user already counts
+			continue
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
 			t.Fatal(err)
 		}
-		slices.Sort(took)
-		if p99 = took[len(took)*99/100]; p99 < 2*time.Millisecond {
-			return
-		}
+		ticks += n
 	}
-	t.Fatalf("round trips beside spin tails took %v at the 99th percentile, want under 2ms", p99)
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ticks)*10*time.Millisecond - time.Duration(ru.Utime.Nano()+ru.Stime.Nano())
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -60,17 +61,25 @@ func TestSleepPreciseOnManualClock(t *testing.T) {
 }
 
 // TestSleepPreciseConcurrentPastCap runs more sleepers than there are timer
-// slots: the ones past the cap sleep on the runtime's timers, every one
-// returns, and every slot is given back.
+// slots, each waiting long enough to park: the ones past the cap sleep on the
+// runtime's timers, so fewer sleeps park than are made, every one returns,
+// and every slot is given back.
 func TestSleepPreciseConcurrentPastCap(t *testing.T) {
+	var parks atomic.Int64
+	defer func(p func(time.Duration)) { park = p }(park)
+	park = func(d time.Duration) {
+		parks.Add(1)
+		sleepPrecise(d)
+	}
 	c := NewRealClock()
+	const sleepers, rounds = preciseSleepers + 8, 5
 	var wg sync.WaitGroup
-	for i := 0; i < preciseSleepers+8; i++ {
+	for i := 0; i < sleepers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				SleepPrecise(c, 200*time.Microsecond)
+			for j := 0; j < rounds; j++ {
+				SleepPrecise(c, spinTail+time.Millisecond)
 			}
 		}()
 	}
@@ -78,12 +87,28 @@ func TestSleepPreciseConcurrentPastCap(t *testing.T) {
 	if n := len(preciseSlots); n != 0 {
 		t.Fatalf("%d timer slots still held after every sleeper returned", n)
 	}
+	if n := parks.Load(); n >= sleepers*rounds {
+		t.Fatalf("all %d sleeps parked on a kernel timer, want some past the cap of %d", n, preciseSleepers)
+	}
 }
 
+// TestSleepPreciseDoesNotAllocate waits past the tail, so each wait parks on a
+// pooled kernel timer before it spins.
 func TestSleepPreciseDoesNotAllocate(t *testing.T) {
+	parks := 0
+	defer func(p func(time.Duration)) { park = p }(park)
+	park = func(d time.Duration) {
+		parks++
+		sleepPrecise(d)
+	}
 	c := NewRealClock()
-	if allocs := testing.AllocsPerRun(100, func() { SleepPrecise(c, time.Microsecond) }); allocs != 0 {
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { SleepPrecise(c, spinTail+100*time.Microsecond) }); allocs != 0 {
 		t.Fatalf("SleepPrecise allocates %.1f times, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up run.
+	if parks != runs+1 {
+		t.Fatalf("%d of %d waits parked on the timer, want all", parks, runs+1)
 	}
 }
 
