@@ -11,8 +11,8 @@ import (
 // the trace. A change that moves one changed what the storm does: if that
 // is intended, say why and re-pin.
 const (
-	chaosSeed42Pin      = "fec8f780d6064be6a608a65d7472264b8d52e57f03de9a9d86ac215c4b2501ef"
-	mergeStormSeed23Pin = "f8c163fe17b0a5416b398285fd6cce0da027afeb584f7334f0e466e6f89fb107"
+	chaosSeed42Pin      = "d766b9e3f5cddc2d52308b520a716a667e6569bc4ee7089a71f239aa5eb0f327"
+	mergeStormSeed23Pin = "1e409b28db0dc9b96247733dfdfcb17caa9bf96e2522c4d360b056b328e57cea"
 )
 
 // replayDigest is the hex SHA-256 of a run's schedule followed by its trace.

@@ -12,34 +12,52 @@ import (
 )
 
 // BenchmarkKVBatchGet8Ranges measures a 64-request Get batch spread across 8
-// ranges under both fan-out modes; each sub-batch costs ~5ms of executor
-// time, so the benchmark reflects dispatch overlap, not Go overhead.
+// ranges; each range visit costs ~5ms of executor time, so the benchmark
+// reflects the walk's eight visits, not Go overhead.
 func BenchmarkKVBatchGet8Ranges(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		parallelism int
-	}{
-		{"sequential", 1},
-		{"parallel", maxFanout},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			c, want := newFanoutCluster(b)
-			ds := NewDistSender(c, Identity{Tenant: 2})
-			ds.parallelism = mode.parallelism
-			ba := batchOf64Gets(want)
-			ctx := context.Background()
-			// Warm the descriptor cache so the measurement is dispatch only.
-			if _, err := ds.Send(ctx, ba); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ds.Send(ctx, ba); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c, want := newEightRangeCluster(b)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	ba := batchOf64Gets(want)
+	ctx := context.Background()
+	// Warm the descriptor cache so the measurement is dispatch only.
+	if _, err := ds.Send(ctx, ba); err != nil {
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ds.Send(ctx, ba); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newEightRangeCluster builds a cluster whose reads cost real executor time
+// and loads 64 keys into 8 ranges. 8 vCPUs per node keeps workers from being
+// the bottleneck.
+func newEightRangeCluster(b *testing.B) (*Cluster, []string) {
+	b.Helper()
+	costs := CostConfig{
+		ReadBatchOverhead:  5 * time.Millisecond,
+		WriteBatchOverhead: time.Nanosecond,
+		ReadRequestCost:    time.Microsecond,
+		WriteRequestCost:   time.Nanosecond,
+	}
+	c := newTestCluster(b, 4, func(cfg *NodeConfig) {
+		cfg.VCPUs = 8
+		cfg.Cost = costs
+	})
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	want := loadKeys(b, ds, 64)
+	splitTenantKeyspace(b, c, want[8], want[16], want[24], want[32], want[40], want[48], want[56])
+	return c, want
+}
+
+func batchOf64Gets(suffixes []string) *kvpb.BatchRequest {
+	ba := &kvpb.BatchRequest{Tenant: 2}
+	for _, s := range suffixes {
+		ba.Requests = append(ba.Requests, getReq(tenantKey(2, s)))
+	}
+	return ba
 }
 
 // BenchmarkKVScanMultiRange measures a full-keyspace scan crossing 8 ranges

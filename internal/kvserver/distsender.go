@@ -20,19 +20,12 @@ import (
 // §3.2.5 — and repairs the cache on NotLeaseholder / RangeKeyMismatch
 // redirects.
 //
-// Send dispatches the per-range sub-batches of a multi-range batch
-// concurrently on a bounded worker pool (production CRDB's per-range RPC
-// fan-out), merging responses back into request order. Parallel dispatch
-// preserves trace determinism: each sub-batch runs under a forked child
-// span whose ID stream is drawn from the seeded tracer RNG in request
-// order before any goroutine launches, and branches attach to the parent
-// span in that same order, never in completion order.
+// A batch goes out as one walk over the ranges it touches, one range at a
+// time in the order its requests first reach them (see sendToRange). Each
+// tenant has ranges of its own (§3.2.1), so almost every batch is one visit.
 type DistSender struct {
 	cluster  *Cluster
 	identity Identity
-	// parallelism bounds concurrent sub-batch dispatch: maxFanout, or 1
-	// (sequential, in request order) when faults are armed.
-	parallelism int
 	// cacheLimit caps both the descriptor cache and the lease-hint map. It
 	// starts at descCacheLimit; only in-package tests lower it.
 	cacheLimit int
@@ -55,21 +48,16 @@ type DistSender struct {
 // Config tunes a DistSender. The zero value means defaults everywhere.
 type Config struct {
 	// Faults, when non-nil, arms the sender's fault-injection sites:
-	// dist.subbatch.err fails a per-range sub-batch after the server applied
-	// it (the response is dropped on the floor), and dist.desc.stale makes a
-	// META lookup return a stale cached descriptor instead of the fresh one.
-	// With faults armed, sub-batches go out one at a time in request order,
-	// so a seed replays the order the sites are consulted in.
+	// dist.subbatch.err fails a range visit after the server applied it (the
+	// response is dropped on the floor), and dist.desc.stale makes a META
+	// lookup return a stale cached descriptor instead of the fresh one. The
+	// walk consults them in one order, so a seed replays it.
 	Faults *faultinject.Registry
 	// Obs, when non-nil, counts each Send against the sender's tenant on
 	// the tenant observability plane. The tenant's handle is resolved when
 	// the sender is made.
 	Obs *tenantobs.Plane
 }
-
-// maxFanout bounds how many per-range sub-batches Send dispatches
-// concurrently; the effective fan-out is min(maxFanout, ranges addressed).
-const maxFanout = 8
 
 // descCacheLimit caps the range-descriptor cache and the lease-hint map.
 // Long-lived senders on split-heavy clusters would otherwise grow those
@@ -84,17 +72,12 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 	if len(cfg) > 0 {
 		conf = cfg[0]
 	}
-	parallelism := maxFanout
-	if conf.Faults != nil {
-		parallelism = 1
-	}
 	ds := &DistSender{
-		cluster:     c,
-		identity:    id,
-		parallelism: parallelism,
-		cacheLimit:  descCacheLimit,
-		faults:      conf.Faults,
-		obs:         conf.Obs.Tenant(id.Tenant),
+		cluster:    c,
+		identity:   id,
+		cacheLimit: descCacheLimit,
+		faults:     conf.Faults,
+		obs:        conf.Obs.Tenant(id.Tenant),
 	}
 	ds.mu.leaseHints = make(map[RangeID]NodeID)
 	return ds
@@ -108,8 +91,8 @@ func NewDistSender(c *Cluster, id Identity, cfg ...Config) *DistSender {
 // topology changes in flight are finite.
 const maxSendRetries = 16
 
-// Send routes and executes the batch, merging per-range responses back into
-// request order.
+// Send routes and executes the batch, walking the ranges it touches (see
+// sendToRange) and merging per-range responses back into request order.
 func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
 	ctx, sp := trace.StartSpan(ctx, "dist.send")
 	defer sp.Finish()
@@ -118,222 +101,28 @@ func (ds *DistSender) Send(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.Ba
 	if ba.Timestamp.IsEmpty() && ba.Txn == nil {
 		ba.Timestamp = ds.cluster.Clock().Now()
 	}
-	whole, groups, err := ds.splitByRange(ba.Requests)
+	if len(ba.Requests) == 0 {
+		return &kvpb.BatchResponse{Timestamp: ba.ReadTs()}, nil
+	}
+	resp, err := ds.sendToRange(ctx, ba)
 	if err != nil {
 		return nil, err
 	}
-
-	// Pre-draw per-sub-batch fault decisions sequentially in group order —
-	// the same discipline as the pre-forked trace spans — so parallel
-	// dispatch cannot reorder schedule consultations. An injected sub-batch
-	// failure surfaces after the server applied the sub-batch: the write
-	// landed but the client never hears about it (a lost response).
-	var injected []error
-	if ds.faults != nil {
-		injected = make([]error, max(len(groups), 1))
-		for i := range injected {
-			injected[i] = ds.faults.MaybeErr("dist.subbatch.err")
-		}
+	resp.Timestamp = ba.ReadTs()
+	if resp.Ranges > 1 {
+		sp.SetAttr("dist.ranges", resp.Ranges)
 	}
-	if whole != nil {
-		// One range takes the whole batch, in order: its response is the
-		// batch's, and there is nothing to fold.
-		resp, err := ds.sendGroup(ctx, requestGroup{desc: whole, requests: ba.Requests}, ba, injected, 0)
-		if err != nil {
-			return nil, err
-		}
-		resp.Timestamp = ba.ReadTs()
-		return resp, nil
-	}
-	out := &kvpb.BatchResponse{Timestamp: ba.ReadTs(), Responses: make([]kvpb.Response, len(ba.Requests))}
-	if len(groups) > 1 && ds.parallelism > 1 {
-		sp.SetAttr("dist.ranges", len(groups))
-		err = ds.sendParallel(ctx, sp, groups, ba, out, injected)
-	} else {
-		err = ds.sendSequential(ctx, groups, ba, out, injected)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return resp, nil
 }
 
-// fold copies one group's merged response into the batch's, which takes its
-// pages. A commit batch counts as committed only when one range, in one
-// visit, took all of it.
-func (g *requestGroup) fold(out, resp *kvpb.BatchResponse, groups int) {
-	for i, pos := range g.indexes {
-		out.Responses[pos] = resp.Responses[i]
-	}
-	out.TakePages(resp)
-	out.Ranges += resp.Ranges
-	out.Committed = resp.Committed && groups == 1
-}
-
-// sendGroup sends group gi's sub-batch to its range. The group that is the
-// whole batch goes out as ba itself, uncopied.
-func (ds *DistSender) sendGroup(ctx context.Context, g requestGroup, ba *kvpb.BatchRequest, injected []error, gi int) (*kvpb.BatchResponse, error) {
-	sub := ba
-	if g.indexes != nil {
-		cp := *ba
-		cp.Requests = g.requests
-		sub = &cp
-	}
-	resp, err := ds.sendToRange(ctx, g.desc, sub)
-	if err == nil && injected != nil && injected[gi] != nil {
-		// The sub-batch applied; its response is lost.
-		err = injected[gi]
-	}
-	return resp, err
-}
-
-// sendSequential dispatches the groups one at a time in request order — a
-// sender with faults armed, and a batch regrouped after a cache miss.
-func (ds *DistSender) sendSequential(ctx context.Context, groups []requestGroup, ba *kvpb.BatchRequest, out *kvpb.BatchResponse, injected []error) error {
-	for gi, g := range groups {
-		resp, err := ds.sendGroup(ctx, g, ba, injected, gi)
-		if err != nil {
-			return err
-		}
-		g.fold(out, resp, len(groups))
-	}
-	return nil
-}
-
-// sendParallel dispatches one goroutine per group on a bounded worker pool.
-// Trace determinism: the per-branch dist.fanout spans (and the forked ID
-// streams their descendants draw from) are created sequentially in group
-// order before any goroutine starts, and responses merge by group index —
-// completion order never leaks into the trace or the response.
-func (ds *DistSender) sendParallel(ctx context.Context, sp *trace.Span, groups []requestGroup, ba *kvpb.BatchRequest, out *kvpb.BatchResponse, injected []error) error {
-	type branch struct {
-		ctx  context.Context
-		sp   *trace.Span
-		resp *kvpb.BatchResponse
-		err  error
-	}
-	branches := make([]branch, len(groups))
-	for i := range groups {
-		bsp := sp.StartForkedChild("dist.fanout")
-		bsp.SetAttr("dist.range", groups[i].desc.RangeID)
-		branches[i] = branch{ctx: trace.ContextWithSpan(ctx, bsp), sp: bsp}
-	}
-	workers := ds.parallelism
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			b := &branches[i]
-			b.resp, b.err = ds.sendGroup(b.ctx, groups[i], ba, injected, i)
-			b.sp.Finish()
-		}(i)
-	}
-	wg.Wait()
-	for i := range groups {
-		if branches[i].err != nil {
-			return branches[i].err
-		}
-		groups[i].fold(out, branches[i].resp, len(groups))
-	}
-	return nil
-}
-
-// requestGroup is a set of requests addressed to one range.
-type requestGroup struct {
-	desc     *RangeDescriptor
-	requests []kvpb.Request
-	// indexes are the requests' positions in the original batch; nil when the
-	// group is the whole batch, in order.
-	indexes []int
-}
-
-// splitByRange partitions requests by the (cached) range containing each
-// request's start key. The descriptor cache is consulted once for the whole
-// batch under a single lock acquisition; only misses fall back to META via
-// lookupFresh. Scans that cross range boundaries are split into per-range
-// sub-scans by sendToRange's mismatch handling.
-//
-// A batch whose requests all sit in one cached range — a point read, a
-// transaction on a tenant whose tables share a range — is the usual case and
-// comes back as that range's descriptor, whole, with nothing built; groups
-// are built only when whole is nil.
-func (ds *DistSender) splitByRange(reqs []kvpb.Request) (whole *RangeDescriptor, groups []requestGroup, err error) {
-	// descs stays nil while every request so far is in the first one's range.
-	var descs []*RangeDescriptor
-	var first *RangeDescriptor
-	var misses []int
-	ds.mu.Lock()
-	for i, r := range reqs {
-		d := ds.cachedDescLocked(r.Key)
-		if i == 0 {
-			first = d
-		}
-		if descs == nil {
-			if d != nil && d == first {
-				continue
-			}
-			descs = make([]*RangeDescriptor, len(reqs))
-			for j := range descs[:i] {
-				descs[j] = first
-			}
-		}
-		if d != nil {
-			descs[i] = d
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	ds.mu.Unlock()
-	if descs == nil && len(reqs) > 0 {
-		return first, nil, nil
-	}
-	var last *RangeDescriptor
-	for _, i := range misses {
-		if last != nil && last.ContainsKey(reqs[i].Key) {
-			descs[i] = last
-			continue
-		}
-		d, err := ds.lookupFresh(reqs[i].Key)
-		if err != nil {
-			return nil, nil, err
-		}
-		descs[i] = d
-		last = d
-	}
-
-	byRange := make(map[RangeID]*requestGroup)
-	var order []RangeID
-	for i, r := range reqs {
-		desc := descs[i]
-		g, ok := byRange[desc.RangeID]
-		if !ok {
-			g = &requestGroup{desc: desc}
-			byRange[desc.RangeID] = g
-			order = append(order, desc.RangeID)
-		}
-		g.requests = append(g.requests, r)
-		g.indexes = append(g.indexes, i)
-	}
-	out := make([]requestGroup, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byRange[id])
-	}
-	return nil, out, nil
-}
-
-// sendToRange delivers a sub-batch to its range, chasing redirects and
-// splitting scans at range boundaries as needed. Cross-range continuation is
-// iterative — one segment per range visited, folded back together at the
-// end — so a scan over many ranges neither grows the stack nor interleaves
+// sendToRange walks the batch across ranges, starting at the first request's:
+// each visit sends the requests that start in the range (chasing redirects,
+// and cutting scans at its end), defers the rest, and the walk continues on
+// the range of the first request still pending. The walk is iterative — one
+// segment per range visited, folded back together in request order at the
+// end — so a batch over many ranges neither grows the stack nor interleaves
 // its trace events out of range order.
-func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
+func (ds *DistSender) sendToRange(ctx context.Context, ba *kvpb.BatchRequest) (*kvpb.BatchResponse, error) {
 	// segment records one range's worth of the walk: the requests pending
 	// when the range was reached, how each was routed (sent, truncated, or
 	// deferred to the continuation), and the range's response.
@@ -347,6 +136,10 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 	segs := make([]segment, 0, 1)
 	pending := ba.Requests
 	for {
+		desc, err := ds.descFor(pending[0].Key)
+		if err != nil {
+			return nil, err
+		}
 		var seg segment
 		seg.pending = pending
 		sent := false
@@ -413,6 +206,10 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 		if !sent {
 			return nil, errRetryExhausted
 		}
+		if err := ds.faults.MaybeErr("dist.subbatch.err"); err != nil {
+			// The visit applied; its response is lost.
+			return nil, err
+		}
 		remainder, remIdx := seg.clip.continuation(pending, seg.resp)
 		seg.remIdx = remIdx
 		segs = append(segs, seg)
@@ -423,11 +220,6 @@ func (ds *DistSender) sendToRange(ctx context.Context, desc *RangeDescriptor, ba
 		// iteration fully serves at least one request (or strictly advances
 		// a scan's start key past desc.Span.EndKey), so the walk terminates.
 		trace.SpanFromContext(ctx).Eventf("range lookup: batch continues past r%d", desc.RangeID)
-		nextDesc, lerr := ds.lookupFresh(remainder[0].Key)
-		if lerr != nil {
-			return nil, lerr
-		}
-		desc = nextDesc
 		pending = remainder
 	}
 
@@ -491,6 +283,19 @@ func (ds *DistSender) cachedDescLocked(key keys.Key) *RangeDescriptor {
 	return nil
 }
 
+// descFor returns the descriptor of the range containing key: the cached one,
+// or on a miss the one META holds. A stale hit draws a redirect, and the
+// visit refreshes it.
+func (ds *DistSender) descFor(key keys.Key) (*RangeDescriptor, error) {
+	ds.mu.Lock()
+	desc := ds.cachedDescLocked(key)
+	ds.mu.Unlock()
+	if desc != nil {
+		return desc, nil
+	}
+	return ds.lookupFresh(key)
+}
+
 // lookupFresh reads META and updates the cache.
 func (ds *DistSender) lookupFresh(key keys.Key) (*RangeDescriptor, error) {
 	desc, err := ds.cluster.LookupRange(key)
@@ -529,9 +334,7 @@ func (ds *DistSender) lookupFresh(key keys.Key) (*RangeDescriptor, error) {
 // rangeClip describes how one range's visit routed the pending requests. A
 // request whose start key lies inside the range is sent (a scan extending
 // past the range end is truncated at it first); a request whose start key
-// lies in some other range — possible when a stale cache grouped points
-// that a split has since scattered — is deferred wholly to the
-// continuation.
+// lies in some other range is deferred wholly to the continuation.
 type rangeClip struct {
 	sent []kvpb.Request
 	// sentIdx maps each pending index to its position in sent, or -1 if

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
@@ -81,30 +80,21 @@ func paginateScan(t *testing.T, ds *DistSender, maxKeys int64) []string {
 }
 
 // TestCrossRangeScanMaxKeys covers scans spanning four ranges with MaxKeys
-// limits under both sequential and parallel fan-out: merged row order, limit
-// enforcement, and ResumeSpan correctness.
+// limits: merged row order, limit enforcement, and ResumeSpan correctness.
 func TestCrossRangeScanMaxKeys(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		parallelism int
-	}{
-		{"sequential", 1},
-		{"parallel", maxFanout},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			c := newTestCluster(t, 3)
-			ds := NewDistSender(c, Identity{Tenant: 2})
-			ds.parallelism = mode.parallelism
-			want := loadKeys(t, ds, 12)
-			splitTenantKeyspace(t, c, "k003", "k006", "k009")
-			for _, maxKeys := range []int64{0, 1, 4, 5, 100} {
-				got := paginateScan(t, ds, maxKeys)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("maxKeys=%d: got %v, want %v", maxKeys, got, want)
-				}
+	c := newTestCluster(t, 3)
+	ds := NewDistSender(c, Identity{Tenant: 2})
+	want := loadKeys(t, ds, 12)
+	splitTenantKeyspace(t, c, "k003", "k006", "k009")
+	// The walk visits one range at a time; the subtest keeps that mode's name.
+	t.Run("sequential", func(t *testing.T) {
+		for _, maxKeys := range []int64{0, 1, 4, 5, 100} {
+			got := paginateScan(t, ds, maxKeys)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("maxKeys=%d: got %v, want %v", maxKeys, got, want)
 			}
-		})
-	}
+		}
+	})
 }
 
 // Regression: a pushed-down filter can leave a range's page short of MaxKeys
@@ -150,17 +140,17 @@ func TestCrossRangeFilteredScanResumesInsideRange(t *testing.T) {
 	}
 }
 
-// TestParallelBatchMergesInRequestOrder sends one batch whose requests are
+// TestMultiRangeBatchMergesInRequestOrder sends one batch whose requests are
 // deliberately shuffled across four ranges and checks every response lands
 // at its original index.
-func TestParallelBatchMergesInRequestOrder(t *testing.T) {
+func TestMultiRangeBatchMergesInRequestOrder(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ds := NewDistSender(c, Identity{Tenant: 2})
 	want := loadKeys(t, ds, 16)
 	splitTenantKeyspace(t, c, "k004", "k008", "k012")
 
 	// Interleave the ranges: 0, 4, 8, 12, 1, 5, ... so adjacent requests
-	// never share a range and any completion-order merge would scramble.
+	// never share a range and any range-order merge would scramble.
 	var reqs []kvpb.Request
 	var order []int
 	for off := 0; off < 4; off++ {
@@ -184,64 +174,9 @@ func TestParallelBatchMergesInRequestOrder(t *testing.T) {
 	}
 }
 
-// A batch in one cached range comes back whole, as the range's descriptor,
-// and costs nothing; a batch in two is two groups in first-request order
-// with each response folded back to its position.
-func TestSplitByRangeGroups(t *testing.T) {
-	c := newTestCluster(t, 3)
-	ds := NewDistSender(c, Identity{Tenant: 2})
-	want := loadKeys(t, ds, 8)
-	// Interleaved across what will be the two ranges: 5 1 6 2 7 3.
-	var reqs []kvpb.Request
-	var order []int
-	for i := 1; i < 4; i++ {
-		reqs = append(reqs, getReq(tenantKey(2, want[i+4])), getReq(tenantKey(2, want[i])))
-		order = append(order, i+4, i)
-	}
-	check := func(wantGroups int) []requestGroup {
-		t.Helper()
-		whole, groups, err := ds.splitByRange(reqs)
-		if wantGroups == 1 && whole != nil && groups == nil {
-			groups = []requestGroup{{desc: whole, requests: reqs}}
-		} else if whole != nil {
-			t.Fatalf("splitByRange = whole r%d; want %d groups", whole.RangeID, wantGroups)
-		}
-		if err != nil || len(groups) != wantGroups {
-			t.Fatalf("splitByRange = %d groups, %v; want %d", len(groups), err, wantGroups)
-		}
-		resp, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: reqs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, r := range resp.Responses {
-			if wantVal := fmt.Sprintf("v%03d", order[j]); string(r.Value) != wantVal {
-				t.Fatalf("%d groups: response %d = %q, want %q", wantGroups, j, r.Value, wantVal)
-			}
-		}
-		return groups
-	}
-
-	check(1)
-	if n := testing.AllocsPerRun(100, func() { _, _, _ = ds.splitByRange(reqs) }); n != 0 {
-		t.Fatalf("one-range splitByRange allocates %v objects, want 0", n)
-	}
-
-	splitTenantKeyspace(t, c, want[4])
-	// Refresh the cache on both sides of the split.
-	for _, k := range []string{want[0], want[4]} {
-		if _, err := ds.lookupFresh(tenantKey(2, k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	two := check(2)
-	if fmt.Sprint(two[0].indexes, two[1].indexes) != "[0 2 4] [1 3 5]" {
-		t.Fatalf("two-range indexes = %v %v", two[0].indexes, two[1].indexes)
-	}
-}
-
 // A one-request batch in one range goes to the range as it is and comes back
-// as the range's response: routing adds at most the slice of groups and a
-// little beside it to what the range's own evaluation allocates.
+// as the range's response: routing adds nothing to what the range's own
+// evaluation allocates.
 func TestDistSenderOneRangeAllocs(t *testing.T) {
 	c := newTestCluster(t, 3)
 	ds := NewDistSender(c, Identity{Tenant: 2})
@@ -255,48 +190,75 @@ func TestDistSenderOneRangeAllocs(t *testing.T) {
 	if resp.Timestamp != ba.ReadTs() || resp.Ranges != 1 {
 		t.Fatalf("response timestamp %v ranges %d, want %v and 1", resp.Timestamp, resp.Ranges, ba.ReadTs())
 	}
-	whole, _, err := ds.splitByRange(ba.Requests)
-	if err != nil || whole == nil {
-		t.Fatalf("splitByRange = r%v, %v; want the whole batch in one range", whole, err)
+	ds.mu.Lock()
+	desc := ds.cachedDescLocked(ba.Requests[0].Key)
+	ds.mu.Unlock()
+	if desc == nil {
+		t.Fatal("the first Send left no cached descriptor")
 	}
-	leaseholder := ds.target(whole, 0)
+	leaseholder := ds.target(desc, 0)
 	send := testing.AllocsPerRun(100, func() { _, _ = ds.Send(ctx, ba) })
 	batch := testing.AllocsPerRun(100, func() { _, _ = c.Batch(ctx, leaseholder, ds.identity, ba) })
-	if send-batch > 3 {
-		t.Fatalf("Send allocates %v objects, the range %v: routing costs %v, want at most 3", send, batch, send-batch)
+	if send-batch > 0 {
+		t.Fatalf("Send allocates %v objects, the range %v: routing costs %v, want 0", send, batch, send-batch)
+	}
+}
+
+// A fresh sender's first one-range Send looks the range up in META and
+// sends the batch on as it is: a cold cache costs the lookup and its cache
+// entry, and nothing per request.
+func TestDistSenderColdCacheAllocs(t *testing.T) {
+	c := newTestCluster(t, 3)
+	want := loadKeys(t, NewDistSender(c, Identity{Tenant: 2}), 1)
+	ctx := context.Background()
+	ba := &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{getReq(tenantKey(2, want[0]))}}
+	// AllocsPerRun calls the function once before it counts.
+	const runs = 50
+	senders := make([]*DistSender, runs+1)
+	for i := range senders {
+		senders[i] = NewDistSender(c, Identity{Tenant: 2})
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		ds := senders[next]
+		next++
+		resp, err := ds.Send(ctx, ba)
+		if err != nil || string(resp.Responses[0].Value) != "v000" {
+			t.Fatalf("cold get = %+v, %v", resp, err)
+		}
+	})
+	if n > 8 {
+		t.Fatalf("a cold one-range Send allocates %v objects, want at most 8", n)
 	}
 }
 
 // TestRandomizedSplitScanProperty is a property test: under random splits
 // and random page limits (seeded RNG), a paginated scan always returns
-// every key exactly once, in order, under both fan-out modes.
+// every key exactly once, in order.
 func TestRandomizedSplitScanProperty(t *testing.T) {
 	const numKeys = 40
 	for _, seed := range []int64{1, 7, 42} {
-		for _, parallelism := range []int{1, maxFanout} {
-			t.Run(fmt.Sprintf("seed=%d/parallelism=%d", seed, parallelism), func(t *testing.T) {
-				rng := randutil.NewRand(seed)
-				c := newTestCluster(t, 3)
-				ds := NewDistSender(c, Identity{Tenant: 2})
-				ds.parallelism = parallelism
-				want := loadKeys(t, ds, numKeys)
-				// 3..6 random distinct split points inside the key run.
-				nSplits := 3 + rng.Intn(4)
-				used := map[int]bool{}
-				for len(used) < nSplits {
-					i := 1 + rng.Intn(numKeys-1)
-					if !used[i] {
-						used[i] = true
-						splitTenantKeyspace(t, c, want[i])
-					}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := randutil.NewRand(seed)
+			c := newTestCluster(t, 3)
+			ds := NewDistSender(c, Identity{Tenant: 2})
+			want := loadKeys(t, ds, numKeys)
+			// 3..6 random distinct split points inside the key run.
+			nSplits := 3 + rng.Intn(4)
+			used := map[int]bool{}
+			for len(used) < nSplits {
+				i := 1 + rng.Intn(numKeys-1)
+				if !used[i] {
+					used[i] = true
+					splitTenantKeyspace(t, c, want[i])
 				}
-				maxKeys := int64(1 + rng.Intn(7))
-				got := paginateScan(t, ds, maxKeys)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("got %v, want %v", got, want)
-				}
-			})
-		}
+			}
+			maxKeys := int64(1 + rng.Intn(7))
+			got := paginateScan(t, ds, maxKeys)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("got %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -337,70 +299,5 @@ func TestDistSenderCacheBounds(t *testing.T) {
 	got := paginateScan(t, ds, 5)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("scan with bounded caches: got %v, want %v", got, want)
-	}
-}
-
-// newFanoutCluster builds a cluster whose reads cost real executor time, so
-// the wall-clock difference between sequential and parallel dispatch is
-// measurable. 8 vCPUs per node keeps workers from being the bottleneck.
-func newFanoutCluster(t testing.TB) (*Cluster, []string) {
-	t.Helper()
-	costs := CostConfig{
-		ReadBatchOverhead:  5 * time.Millisecond,
-		WriteBatchOverhead: time.Nanosecond,
-		ReadRequestCost:    time.Microsecond,
-		WriteRequestCost:   time.Nanosecond,
-	}
-	c := newTestCluster(t, 4, func(cfg *NodeConfig) {
-		cfg.VCPUs = 8
-		cfg.Cost = costs
-	})
-	ds := NewDistSender(c, Identity{Tenant: 2})
-	want := loadKeys(t, ds, 64)
-	splitTenantKeyspace(t, c, want[8], want[16], want[24], want[32], want[40], want[48], want[56])
-	return c, want
-}
-
-func batchOf64Gets(suffixes []string) *kvpb.BatchRequest {
-	ba := &kvpb.BatchRequest{Tenant: 2}
-	for _, s := range suffixes {
-		ba.Requests = append(ba.Requests, getReq(tenantKey(2, s)))
-	}
-	return ba
-}
-
-// timeBatch measures the fastest of three sends (the minimum discards
-// scheduler noise and cold descriptor caches).
-func timeBatch(t *testing.T, ds *DistSender, ba *kvpb.BatchRequest) time.Duration {
-	t.Helper()
-	ctx := context.Background()
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if _, err := ds.Send(ctx, ba); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// TestParallelFanoutSpeedup is the ≥2x acceptance criterion: a 64-request
-// batch across 8 ranges, each sub-batch costing ~5ms of executor time, must
-// run at least twice as fast under parallel fan-out as sequentially
-// (theoretically ~8x: 8 range visits overlap instead of serializing).
-func TestParallelFanoutSpeedup(t *testing.T) {
-	c, want := newFanoutCluster(t)
-	ba := batchOf64Gets(want)
-
-	seq := NewDistSender(c, Identity{Tenant: 2})
-	seq.parallelism = 1
-	par := NewDistSender(c, Identity{Tenant: 2})
-	seqD := timeBatch(t, seq, ba)
-	parD := timeBatch(t, par, ba)
-	if seqD < 2*parD {
-		t.Fatalf("parallel fan-out not ≥2x faster: sequential %v, parallel %v", seqD, parD)
 	}
 }

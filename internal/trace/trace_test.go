@@ -251,70 +251,6 @@ func TestFinishIdempotent(t *testing.T) {
 	}
 }
 
-// TestForkedChildDeterminism: descendants of forked children draw span IDs
-// from branch-private streams, so a parallel region produces byte-identical
-// structure across same-seed runs regardless of goroutine interleaving.
-func TestForkedChildDeterminism(t *testing.T) {
-	run := func(seed int64, reverse bool) string {
-		tr, _ := newTestTracer(seed)
-		root := tr.StartRoot("root")
-		// Fork branches in deterministic order (as the DistSender fan-out
-		// does before launching goroutines)...
-		branches := make([]*Span, 4)
-		for i := range branches {
-			branches[i] = root.StartForkedChild("branch")
-		}
-		// ...then run the per-branch work in an arbitrary order to model
-		// scheduler nondeterminism. Each branch's descendants draw from its
-		// private stream, so the order must not matter.
-		order := []int{0, 1, 2, 3}
-		if reverse {
-			order = []int{3, 2, 1, 0}
-		}
-		for _, i := range order {
-			ctx := ContextWithSpan(context.Background(), branches[i])
-			_, inner := StartSpan(ctx, "work")
-			inner.Finish()
-			branches[i].Finish()
-		}
-		root.Finish()
-		return structureString(root)
-	}
-	a, b := run(7, false), run(7, true)
-	if a != b {
-		t.Fatalf("forked-branch traces differ across interleavings:\n--- in order\n%s\n--- reversed\n%s", a, b)
-	}
-	if c := run(8, false); c == a {
-		t.Fatal("different seeds produced identical forked traces")
-	}
-	// Branches must have distinct IDs from each other and the root stream.
-	tr, _ := newTestTracer(7)
-	root := tr.StartRoot("root")
-	b1 := root.StartForkedChild("b1")
-	b2 := root.StartForkedChild("b2")
-	plain := root.StartChild("plain")
-	seen := map[uint64]bool{root.SpanID(): true}
-	for _, s := range []*Span{b1, b2, plain} {
-		if s.TraceID() != root.TraceID() {
-			t.Fatalf("%s trace ID %x != root %x", s.Op(), s.TraceID(), root.TraceID())
-		}
-		if seen[s.SpanID()] {
-			t.Fatalf("duplicate span ID %x", s.SpanID())
-		}
-		seen[s.SpanID()] = true
-		s.Finish()
-	}
-	root.Finish()
-}
-
-// TestForkedChildNilSafety: forking from a nil span is a no-op.
-func TestForkedChildNilSafety(t *testing.T) {
-	var s *Span
-	if got := s.StartForkedChild("x"); got != nil {
-		t.Fatalf("nil span forked child = %v", got)
-	}
-}
-
 // A long-lived parent keeps its most recent maxChildren children: finished
 // ones are evicted oldest first and counted, one still in flight never is,
 // and the tracez render says how many went.
@@ -348,7 +284,7 @@ func TestSpanChildrenAreCapped(t *testing.T) {
 	}
 
 	// Children all in flight grow past the cap rather than lose one.
-	busy := tr.StartRoot("dist.fanout")
+	busy := tr.StartRoot("busy")
 	for i := 0; i < maxChildren+10; i++ {
 		busy.StartChild("dist.send")
 	}
@@ -487,17 +423,16 @@ func TestOnlyHandleStartedSpansAreLive(t *testing.T) {
 	}
 	query := tr.StartRemote(exchange.TraceID(), exchange.SpanID(), "sqlnode.query")
 	ctx, exec := StartSpan(ContextWithSpan(context.Background(), query), "sql.exec")
-	orphan := tr.newSpan(context.Background(), "background", 0, nil, nil, false)
-	fork := exec.StartForkedChild("dist.fanout")
+	orphan := tr.newSpan(context.Background(), "background", 0, nil, false)
 	_, send := StartSpan(ctx, "dist.send")
 	if live() != 2 {
-		t.Fatalf("live = %d: a span started from a context, a remote parent or a fork entered it", live())
+		t.Fatalf("live = %d: a span started from a context or a remote parent entered it", live())
 	}
 	late := tr.StartRemote(exec.TraceID(), exec.SpanID(), "late")
-	if len(exec.Children()) != 2 {
+	if len(exec.Children()) != 1 {
 		t.Fatal("a context-started span was found as a remote parent")
 	}
-	for _, s := range []*Span{late, send, fork, orphan, exec, query, exchange, root} {
+	for _, s := range []*Span{late, send, orphan, exec, query, exchange, root} {
 		s.Finish()
 	}
 	if live() != 0 {
@@ -556,13 +491,13 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 	}
 }
 
-// A span is one allocation of at most 208 bytes, a size class: its start is
+// A span is one allocation of at most 192 bytes, a size class: its start is
 // an offset from the tracer's epoch, and its fixed flags sit in the padding
 // of its mu. Widening it — a third inline attribute, an inline end time —
 // buys allocations with bytes, and measured worse on every workload.
 func TestSpanSize(t *testing.T) {
-	if got := unsafe.Sizeof(Span{}); got > 208 {
-		t.Fatalf("Span is %d bytes, budget 208", got)
+	if got := unsafe.Sizeof(Span{}); got > 192 {
+		t.Fatalf("Span is %d bytes, budget 192", got)
 	}
 }
 

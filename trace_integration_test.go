@@ -109,10 +109,10 @@ func TestSameSeedTracesAreIdentical(t *testing.T) {
 	}
 }
 
-// runParallelBatchTrace runs a 16-request batch spread across four ranges
-// through a DistSender with parallel fan-out enabled, under a tracer seeded
-// with seed, and returns the root trace's structure rendering.
-func runParallelBatchTrace(t *testing.T, seed int64) string {
+// runMultiRangeBatchTrace runs a 16-request batch spread across four ranges
+// through a fresh DistSender, under a tracer seeded with seed, and returns
+// the root trace's structure rendering and the batch's dist.send span.
+func runMultiRangeBatchTrace(t *testing.T, seed int64) (string, *trace.Span) {
 	t.Helper()
 	tr := trace.New(trace.Options{Seed: seed})
 	cheap := kvserver.CostConfig{
@@ -153,8 +153,8 @@ func runParallelBatchTrace(t *testing.T, seed int64) string {
 	for i := 0; i < 16; i++ {
 		ba.Requests = append(ba.Requests, kvpb.Request{Method: kvpb.Get, Key: key(i)})
 	}
-	// A fresh sender sees the post-split range layout, so the batch splits
-	// into four groups and takes the parallel fan-out path.
+	// A fresh sender sees the post-split range layout, so the batch walks
+	// the four ranges.
 	ds = kvserver.NewDistSender(c, kvserver.Identity{Tenant: 2})
 	resp, err := ds.Send(ctx, ba)
 	if err != nil {
@@ -166,24 +166,34 @@ func runParallelBatchTrace(t *testing.T, seed int64) string {
 		}
 	}
 	root.Finish()
-	return traceStructure(root)
+	children := root.Children()
+	return traceStructure(root), children[len(children)-1]
 }
 
-// TestParallelBatchTraceDeterminism: with parallel fan-out enabled, a
-// multi-range batch still produces byte-identical trace structure (IDs and
-// span tree) on every same-seed run — goroutine completion order must not
-// leak into the trace.
-func TestParallelBatchTraceDeterminism(t *testing.T) {
-	a := runParallelBatchTrace(t, 42)
-	if !strings.Contains(a, "dist.fanout") {
-		t.Fatalf("parallel fan-out path not exercised:\n%s", a)
-	}
-	for i := 0; i < 5; i++ {
-		if b := runParallelBatchTrace(t, 42); a != b {
-			t.Fatalf("same-seed parallel traces differ (run %d):\n--- run 1\n%s\n--- run %d\n%s", i+2, a, i+2, b)
+// TestMultiRangeBatchTraceDeterminism: a batch over four ranges visits each
+// once, under its own kv.eval span, says on its dist.send span how many
+// ranges it visited, and produces byte-identical trace structure (IDs and
+// span tree) on every same-seed run.
+func TestMultiRangeBatchTraceDeterminism(t *testing.T) {
+	a, send := runMultiRangeBatchTrace(t, 42)
+	var evals int
+	for _, c := range send.Children() {
+		if c.Op() == "kv.eval" {
+			evals++
 		}
 	}
-	if c := runParallelBatchTrace(t, 43); a == c {
+	if send.Op() != "dist.send" || evals != 4 {
+		t.Fatalf("%s has %d kv.eval spans, want dist.send with one per range:\n%s", send.Op(), evals, a)
+	}
+	if got, _ := send.Attr("dist.ranges"); got != 4 {
+		t.Fatalf("dist.ranges = %v, want 4", got)
+	}
+	for i := 0; i < 5; i++ {
+		if b, _ := runMultiRangeBatchTrace(t, 42); a != b {
+			t.Fatalf("same-seed multi-range traces differ (run %d):\n--- run 1\n%s\n--- run %d\n%s", i+2, a, i+2, b)
+		}
+	}
+	if c, _ := runMultiRangeBatchTrace(t, 43); a == c {
 		t.Fatal("different seeds produced identical trace IDs")
 	}
 }
