@@ -2,9 +2,14 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
 	"time"
+
+	"crdbserverless/internal/randutil"
 )
 
 // buildDeepEngine constructs a deep shape — a 10-file L0 backlog plus
@@ -224,4 +229,72 @@ func BenchmarkKVRecovery(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/open")
+}
+
+// BenchmarkKVApplyTail measures the tail of ApplyBatch at default options:
+// 32 MiB of 1 KiB values under random 8-byte keys, in batches of 64, from one
+// writer and from four. Most batches only reach the memtable; the few that
+// cross its threshold are the ones that may wait on a flush or a
+// compaction, so the percentiles past p99 are the figures to read. It also
+// reports compacted ÷ flushed bytes, the engine's write amplification below
+// the memtable.
+func BenchmarkKVApplyTail(b *testing.B) {
+	const (
+		valueSize = 1 << 10
+		batchSize = 64
+		batches   = (32 << 20) / valueSize / batchSize
+	)
+	value := bytes.Repeat([]byte{'v'}, valueSize)
+	for _, writers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			var lat []time.Duration
+			var flushed, compacted int64
+			for n := 0; n < b.N; n++ {
+				e := New(Options{})
+				per := make([][]time.Duration, writers)
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						rng := randutil.NewRand(int64(n*writers + w + 1))
+						batch := make([]Entry, batchSize)
+						for i := range batch {
+							batch[i] = Entry{Key: make([]byte, 8), Value: value}
+						}
+						for i := w; i < batches; i += writers {
+							for j := range batch {
+								binary.BigEndian.PutUint64(batch[j].Key, rng.Uint64())
+							}
+							start := time.Now()
+							if err := e.ApplyBatch(batch); err != nil {
+								b.Error(err)
+								return
+							}
+							per[w] = append(per[w], time.Since(start))
+						}
+					}(w)
+				}
+				wg.Wait()
+				m := e.Metrics()
+				flushed += m.FlushedBytes
+				compacted += m.CompactedBytes
+				e.Close()
+				for _, l := range per {
+					lat = append(lat, l...)
+				}
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			at := func(q float64) float64 {
+				return float64(lat[int(q*float64(len(lat)-1))]) / float64(time.Microsecond)
+			}
+			b.ReportMetric(at(0.5), "p50-us")
+			b.ReportMetric(at(0.99), "p99-us")
+			b.ReportMetric(at(0.999), "p99.9-us")
+			b.ReportMetric(at(1), "max-us")
+			if flushed > 0 {
+				b.ReportMetric(float64(compacted)/float64(flushed), "compacted/flushed")
+			}
+		})
+	}
 }

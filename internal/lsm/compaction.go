@@ -5,39 +5,12 @@ import (
 	"sort"
 )
 
-// maybeCompact runs compactions until the level invariants hold: L0 file
-// count below threshold and every level below its size target. Compactions
-// run synchronously on the caller; the engine is single-writer from the
-// perspective of the replica state machine above it, so deterministic
-// caller-driven compaction keeps experiments reproducible.
-//
-// maybeCompact is the auto-compaction entry point and is single-flight:
-// when another caller is already draining the backlog, this trigger is
-// absorbed (counted on lsm.compact.coalesced) instead of queueing a
-// redundant round behind it — the running round re-checks the invariants
-// after every compaction and picks up any backlog added meanwhile. In the
-// worst interleaving a trigger is absorbed just as the runner finishes its
-// final check; the backlog then waits for the next write, which is also
-// what happens when a round fails (see lsm.compact.error).
-func (e *Engine) maybeCompact() {
-	if !e.compactMu.TryLock() {
-		e.writeMetrics.CompactCoalesced.Inc(1)
-		return
-	}
-	defer e.compactMu.Unlock()
-	for i := 0; i < 64; i++ { // bound runaway loops defensively
-		if !e.compactOnce() {
-			break
-		}
-	}
-}
-
 // compactionPlan is the under-lock half of a compaction: the inputs picked
 // from level lvl and the overlapping tables of lvl+1, snapshotted so the
 // merge can run outside the engine lock.
 type compactionPlan struct {
 	lvl         int
-	inputs      []*ssTable // level lvl at plan time (for L0, those older than any in-flight flush)
+	inputs      []*ssTable // all of level lvl at plan time
 	overlapping []*ssTable // tables of lvl+1 the inputs' key range overlaps
 	keep        []*ssTable // tables of lvl+1 untouched by the merge
 	bottommost  bool
@@ -45,12 +18,13 @@ type compactionPlan struct {
 }
 
 // compactOnce picks and executes at most one compaction. It reports whether
-// any work was done. The caller must hold e.compactMu.
+// any work was done. The caller must hold e.maintMu.
 //
 // The level pick and input snapshot happen under the engine lock; the merge
 // and sstable build run outside it (readers and writers proceed); the
-// install re-takes the lock and verifies the inputs are still current
-// before swapping them for the output.
+// install re-takes the lock to swap the inputs for the output. Only the
+// holder of e.maintMu installs, so the levels the plan read are still the
+// engine's at the install: rotations meanwhile wait in e.mu.imm.
 func (e *Engine) compactOnce() bool {
 	e.mu.Lock()
 	if e.mu.closed {
@@ -58,7 +32,7 @@ func (e *Engine) compactOnce() bool {
 		return false
 	}
 	// An injected compaction failure skips this round; the backlog persists
-	// until a later write re-triggers the scheduler.
+	// until a later write re-triggers the drain.
 	//lint:allow lockscope fault site is delay-free by contract (Options.Faults)
 	if e.opts.Faults.Should("lsm.compact.error") {
 		e.mu.Unlock()
@@ -80,7 +54,7 @@ func (e *Engine) compactOnce() bool {
 
 // mergeAndInstall runs a planned compaction's merge outside the engine lock
 // (readers and writers proceed) and re-takes the lock to install the output.
-// The caller holds e.compactMu but not e.mu.
+// The caller holds e.maintMu but not e.mu.
 func (e *Engine) mergeAndInstall(plan *compactionPlan) {
 	out, next := e.runMerge(plan)
 	e.mu.Lock()
@@ -110,22 +84,13 @@ func (e *Engine) pickCompactionLocked() int {
 	return -1
 }
 
-// planCompactionLocked snapshots the inputs for merging level lvl plus the
-// overlapping tables of lvl+1 into lvl+1, and reserves the output table id.
-// Returns nil when the level has nothing to compact.
-//
-// For L0 the inputs are only the tables older than every flush still in
-// flight: an in-flight flush installs into L0 later, and a younger table
-// already moved beneath it would be shadowed by the older data.
+// planCompactionLocked snapshots the inputs for merging all of level lvl
+// plus the overlapping tables of lvl+1 into lvl+1, and reserves the output
+// table id. Returns nil when the level has nothing to compact. Every
+// memtable waiting in e.mu.imm is newer than every table in the levels, so
+// moving L0 down beneath them inverts no shadowing.
 func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 	from := e.mu.levels[lvl]
-	if lvl == 0 && len(e.mu.imm) > 0 {
-		// Both queues are newest-first by id: the oldest in-flight flush is
-		// imm's last job, and the tables older than it are a suffix of L0.
-		floor := e.mu.imm[len(e.mu.imm)-1].id
-		i := sort.Search(len(from), func(i int) bool { return from[i].id < floor })
-		from = from[i:]
-	}
 	if len(from) == 0 {
 		return nil
 	}
@@ -144,7 +109,7 @@ func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 
 	plan := &compactionPlan{
 		lvl:    lvl,
-		inputs: append([]*ssTable(nil), from...),
+		inputs: from,
 		outID:  e.mu.nextID,
 	}
 	e.mu.nextID++
@@ -171,11 +136,9 @@ func (e *Engine) planCompactionLocked(lvl int) *compactionPlan {
 // runMerge executes a plan's merge and builds the output table and the new
 // next-level layout. The output is nil when a bottommost merge drops every
 // entry: no table is installed, and the inputs still retire. It runs outside
-// the engine lock; the e.mergesActive counter is the test hook that asserts
-// reads stay live while it does.
+// the engine lock.
 func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable) {
-	e.mergesActive.Add(1)
-	defer e.mergesActive.Add(-1)
+	defer e.jobStarted("compact")()
 	sp := e.opts.Tracer.StartRoot("lsm.compact")
 	defer sp.Finish()
 	sp.SetAttr("lsm.level", plan.lvl)
@@ -207,31 +170,14 @@ func (e *Engine) runMerge(plan *compactionPlan) (*ssTable, []*ssTable) {
 	return out, next
 }
 
-// installCompactionLocked swaps a finished merge into the level layout. The
-// inputs must still be exactly the engine's current state for the affected
-// levels: a concurrent flush prepends new L0 tables (which must survive the
-// install), and a concurrent round could in principle have superseded the
-// inputs entirely — in that case the output is discarded and the round
-// abandoned (the invariant re-check in maybeCompact's loop redoes the work
-// against current state).
+// installCompactionLocked swaps a finished merge into the level layout: the
+// from-level empties and the next level becomes the merge's layout. A
+// closed engine installs and persists nothing.
 func (e *Engine) installCompactionLocked(plan *compactionPlan, out *ssTable, next []*ssTable) {
-	if e.mu.closed || !e.planInputsCurrentLocked(plan) {
+	if e.mu.closed {
 		return
 	}
-	// Keep the tables of the from-level that arrived after the plan was
-	// taken (flushes prepend to L0 while the merge runs); drop exactly the
-	// planned inputs.
-	planned := make(map[uint64]bool, len(plan.inputs))
-	for _, t := range plan.inputs {
-		planned[t.id] = true
-	}
-	var remain []*ssTable
-	for _, t := range e.mu.levels[plan.lvl] {
-		if !planned[t.id] {
-			remain = append(remain, t)
-		}
-	}
-	e.mu.levels[plan.lvl] = remain
+	e.mu.levels[plan.lvl] = nil
 	e.mu.levels[plan.lvl+1] = next
 	e.mu.metrics.CompactionCount++
 	if out != nil {
@@ -254,46 +200,13 @@ func (e *Engine) installCompactionLocked(plan *compactionPlan, out *ssTable, nex
 	}
 }
 
-// planInputsCurrentLocked reports whether every planned input (from-level
-// tables and the next level's overlapping-or-kept split) is still present
-// in the engine. Single-flight makes competing rounds impossible today, so
-// this is a cheap belt-and-suspenders invariant; new L0 arrivals from
-// concurrent flushes do not invalidate a plan.
-func (e *Engine) planInputsCurrentLocked(plan *compactionPlan) bool {
-	present := make(map[uint64]bool, len(e.mu.levels[plan.lvl])+len(e.mu.levels[plan.lvl+1]))
-	for _, t := range e.mu.levels[plan.lvl] {
-		present[t.id] = true
-	}
-	for _, t := range e.mu.levels[plan.lvl+1] {
-		present[t.id] = true
-	}
-	for _, t := range plan.inputs {
-		if !present[t.id] {
-			return false
-		}
-	}
-	for _, t := range plan.overlapping {
-		if !present[t.id] {
-			return false
-		}
-	}
-	for _, t := range plan.keep {
-		if !present[t.id] {
-			return false
-		}
-	}
-	return true
-}
-
 // Compact forces a full manual compaction of every level down to the
-// bottom. Unlike maybeCompact it queues behind any in-flight round rather
-// than coalescing with it: callers rely on the level shape being fully
-// compacted on return.
+// bottom. It waits for a running drain, so the level shape is fully
+// compacted on return, and then drains what rotated while it ran.
 //
 //lint:allow deadsurface test seam: TestRecoverNodeReadsAppliedIndexFromTable compacts a node's engine to the bottom level
 func (e *Engine) Compact() {
-	e.compactMu.Lock()
-	defer e.compactMu.Unlock()
+	e.maintMu.Lock()
 	for lvl := 0; lvl < numLevels-1; lvl++ {
 		e.mu.Lock()
 		plan := e.planCompactionLocked(lvl)
@@ -302,4 +215,6 @@ func (e *Engine) Compact() {
 			e.mergeAndInstall(plan)
 		}
 	}
+	e.maintMu.Unlock()
+	e.drain(false)
 }

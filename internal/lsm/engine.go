@@ -3,7 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,6 +23,10 @@ const (
 	// lBaseMaxBytes is the target size of L1; each deeper level is 10x
 	// larger.
 	lBaseMaxBytes = 16 << 20
+	// maxWaitingMemTables is how many rotated memtables may wait for the
+	// maintenance drain. A writer whose rotation leaves more waiting drains
+	// them itself, after the running drain: the engine's only write stall.
+	maxWaitingMemTables = 4
 )
 
 // Options configures an Engine.
@@ -123,11 +127,6 @@ type Metrics struct {
 	// from the engine's ReadMetrics counter, which may be shared with other
 	// engines in the same deployment.
 	TablesProbed int64
-	// CompactionsCoalesced counts auto-compaction triggers that found
-	// another compaction already in flight and handed it the backlog
-	// instead of queueing behind the single-flight guard. Drawn from the
-	// engine's WriteMetrics counter, which may be shared like ReadMetrics.
-	CompactionsCoalesced int64
 	// VlogLiveBytes and VlogDeadBytes are always 0: every value is stored
 	// inline.
 	//
@@ -160,9 +159,6 @@ func newUnregisteredReadMetrics() *ReadMetrics {
 // shared by all engines registered against the same metric.Registry; see
 // Options.WriteMetrics.
 type WriteMetrics struct {
-	// CompactCoalesced counts auto-compaction triggers absorbed by an
-	// already-running round (the single-flight guard).
-	CompactCoalesced *metric.Counter
 	// WALBytes counts framed bytes appended to the WAL (headers + CRC);
 	// WALFsyncs counts sync operations issued under the fsync policy.
 	WALBytes  *metric.Counter
@@ -173,27 +169,16 @@ type WriteMetrics struct {
 // shared instance to hand to each engine's Options.
 func NewWriteMetrics(reg *metric.Registry) *WriteMetrics {
 	return &WriteMetrics{
-		CompactCoalesced: reg.NewCounter("lsm.compact.coalesced"),
-		WALBytes:         reg.NewCounter("lsm.wal.bytes"),
-		WALFsyncs:        reg.NewCounter("lsm.wal.fsyncs"),
+		WALBytes:  reg.NewCounter("lsm.wal.bytes"),
+		WALFsyncs: reg.NewCounter("lsm.wal.fsyncs"),
 	}
 }
 
 func newUnregisteredWriteMetrics() *WriteMetrics {
 	return &WriteMetrics{
-		CompactCoalesced: &metric.Counter{},
-		WALBytes:         &metric.Counter{},
-		WALFsyncs:        &metric.Counter{},
+		WALBytes:  &metric.Counter{},
+		WALFsyncs: &metric.Counter{},
 	}
-}
-
-// flushJob is a rotated (immutable) memtable waiting for its SSTable build
-// to install. The table id is reserved at rotation time so id order — which
-// seeds the replacement memtable and orders L0 — matches rotation order even
-// when concurrent builds install out of order.
-type flushJob struct {
-	mem *memTable
-	id  uint64
 }
 
 // Engine is a single-node LSM storage engine. It is safe for concurrent use.
@@ -214,15 +199,17 @@ type Engine struct {
 	lBaseMax      int64
 	noAutoCompact bool
 
-	// compactMu is the compaction single-flight guard. Auto-compaction
-	// (maybeCompact) TryLocks it and counts a coalesced round on failure;
-	// manual Compact blocks on it. It is always acquired before e.mu, never
+	// maintMu is held by the one maintenance job: the drain, or a manual
+	// Compact. Only its holder builds, merges or installs a table, so L0 and
+	// L1+ change only under it. It is always acquired before e.mu, never
 	// while holding it.
-	compactMu sync.Mutex
+	maintMu sync.Mutex
 
-	// mergesActive counts compaction merges currently running outside the
-	// engine lock — a test hook for asserting reads stay unblocked.
-	mergesActive atomic.Int32
+	// jobStarted runs as each flush build ("flush") and compaction merge
+	// ("compact") starts, outside e.mu, and the func it returns runs as the
+	// job ends: a test seam that holds a job open or counts the jobs
+	// running. It does nothing unless a test sets it.
+	jobStarted func(job string) (ended func())
 
 	// snapSeq is the highest mu.seq an iterator has captured. NewIter stores
 	// it under the read lock (mu.seq only grows, so it only grows); writers
@@ -239,9 +226,9 @@ type Engine struct {
 		// memtable versions above it.
 		seq uint64
 		mem *memTable
-		// imm holds rotated memtables whose SSTable builds are in flight,
+		// imm holds rotated memtables waiting for the drain to install them,
 		// newest-first. Reads consult mem → imm → levels.
-		imm     []*flushJob
+		imm     []*memTable
 		levels  [numLevels][]*ssTable // L0 newest-first; L1+ sorted, non-overlapping
 		nextID  uint64
 		metrics Metrics
@@ -261,6 +248,7 @@ var ErrClosed = errors.New("lsm: engine is closed")
 // durable state.
 func newEngineShell(opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults(), l0Threshold: l0CompactionThreshold, lBaseMax: lBaseMaxBytes}
+	e.jobStarted = func(string) func() { return func() {} }
 	e.readMetrics = e.opts.ReadMetrics
 	if e.readMetrics == nil {
 		e.readMetrics = newUnregisteredReadMetrics()
@@ -319,7 +307,7 @@ func Open(opts Options) (*Engine, error) {
 		}
 	}
 	e.mu.nextID = m.nextID
-	// The replacement-memtable convention from flushLocked: the skiplist seed
+	// The replacement-memtable convention from rotateLocked: the skiplist seed
 	// derives from the next table id, so recovery lands on the same seed a
 	// surviving engine would have used for a memtable created at this point.
 	mem := newMemTable(randutil.NewRand(int64(m.nextID)))
@@ -391,12 +379,12 @@ func (e *Engine) noteWALFsyncsLocked(pre int64) {
 
 // minUnflushedSegLocked returns the lowest WAL segment still holding
 // unflushed data: the minimum firstSeg over the active memtable and every
-// immutable memtable whose sstable build has not installed.
+// immutable memtable whose sstable has not installed.
 func (e *Engine) minUnflushedSegLocked() uint64 {
 	min := e.mu.mem.firstSeg
-	for _, j := range e.mu.imm {
-		if j.mem.firstSeg < min {
-			min = j.mem.firstSeg
+	for _, m := range e.mu.imm {
+		if m.firstSeg < min {
+			min = m.firstSeg
 		}
 	}
 	return min
@@ -428,7 +416,9 @@ func (e *Engine) writeManifestLocked() {
 // If the batch pushes the memtable past its threshold, the rotation happens
 // inside the same critical section as the writes: a concurrent writer that
 // also crossed the threshold observes the already-rotated (empty) memtable
-// instead of re-flushing it.
+// instead of re-flushing it. The writer that rotated then runs the drain,
+// unless the drain is already running, in which case it returns at once —
+// or, when its rotation left more than maxWaitingMemTables waiting, waits.
 func (e *Engine) ApplyBatch(entries []Entry) error {
 	// An injected write stall (a backed-up WAL or flush queue) delays the
 	// batch before it reaches the engine lock, so stalled writers don't block
@@ -467,22 +457,24 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 		e.mu.mem.set(ent, e.mu.seq, snapSeq)
 	}
 	e.mu.metrics.MemTableBytes = e.mu.mem.sizeB
-	var sp *trace.Span
-	var job *flushJob
+	rotated, stall := false, false
 	if e.mu.mem.sizeB >= e.opts.MemTableSize {
 		// A failed background flush is not a write failure: the entries are
 		// already durable in the memtable (and WAL, in a real engine) and the
 		// rotation is retried at the next threshold crossing.
-		sp, job, _ = e.flushLocked() //lint:allow faulterr a failed background flush is not a write failure; rotation retries at the next threshold crossing
+		rotated, _ = e.rotateLocked() //lint:allow faulterr a failed background flush is not a write failure; rotation retries at the next threshold crossing
+		stall = len(e.mu.imm) > maxWaitingMemTables
 	}
 	e.mu.Unlock()
-	e.finishFlush(sp, job)
+	if rotated {
+		e.drain(stall)
+	}
 	return nil
 }
 
 // Flush moves the active memtable into a new L0 sstable. The flush is
 // complete — data queryable from L0, metrics updated — by the time Flush
-// returns, even though the build runs outside the engine lock.
+// returns: it waits for a running drain and then drains itself.
 //
 //lint:allow deadsurface test seam: TestScanMatchesGet and TestRecoverNodeReadsAppliedIndexFromTable flush to reach an sstable
 func (e *Engine) Flush() error {
@@ -491,50 +483,34 @@ func (e *Engine) Flush() error {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	sp, job, err := e.flushLocked()
+	rotated, err := e.rotateLocked()
 	e.mu.Unlock()
-	e.finishFlush(sp, job)
+	if rotated {
+		e.drain(true)
+	}
 	return err
 }
 
-// finishFlush runs the follow-ups of a rotation outside the engine lock:
-// build and install the sstable, compact if auto-compaction is on, and
-// finish the flush span. A nil job (nothing rotated) does nothing.
-func (e *Engine) finishFlush(sp *trace.Span, job *flushJob) {
-	if job == nil {
-		return
-	}
-	e.buildAndInstall(sp, job)
-	if !e.noAutoCompact {
-		e.maybeCompact()
-	}
-	sp.Finish()
-}
-
-// flushLocked rotates the active memtable. The caller must hold e.mu
-// (write-locked) and, after releasing it, pass the returned span and job to
-// finishFlush (the span's duration is meant to cover any follow-up
-// compaction). The job is nil when nothing rotated: the memtable was empty,
-// or an injected flush error (lsm.flush.error) left it in place — nothing is
-// lost, the rotation just didn't happen.
+// rotateLocked swaps the active memtable for an empty one and queues it on
+// e.mu.imm, where reads keep finding it until the drain installs its
+// sstable. The caller must hold e.mu (write-locked) and, after releasing it,
+// run the drain. It reports false when nothing rotated: the memtable was
+// empty, or an injected flush error (lsm.flush.error) left it in place —
+// nothing is lost, the rotation just didn't happen.
 //
-// The rotation is a pointer swap: the old memtable joins e.mu.imm, where
-// reads keep finding it, and the sstable build runs outside the lock on the
-// calling goroutine. The synchronous handoff — not a free-running
-// background goroutine — is what keeps same-seed runs byte-identical
-// (DESIGN.md §9). The sstable id is reserved here so id order matches
-// rotation order; the replacement memtable's seed derives from nextID
-// exactly as the seed code did.
-func (e *Engine) flushLocked() (*trace.Span, *flushJob, error) {
+// The sstable ID is reserved here, and the replacement memtable's seed
+// derives from nextID exactly as the seed code did, so a seeded run's table
+// IDs follow its rotations.
+func (e *Engine) rotateLocked() (bool, error) {
 	if e.mu.mem.empty() {
-		return nil, nil, nil
+		return false, nil
 	}
 	//lint:allow lockscope fault site is delay-free by contract (Options.Faults)
 	if err := e.opts.Faults.MaybeErr("lsm.flush.error"); err != nil {
-		return nil, nil, err
+		return false, err
 	}
-	sp := e.opts.Tracer.StartRoot("lsm.flush")
-	job := &flushJob{mem: e.mu.mem, id: e.mu.nextID}
+	rotated := e.mu.mem
+	rotated.id = e.mu.nextID
 	e.mu.nextID++
 	if e.mu.wal != nil {
 		// Rotate the WAL with the memtable: the rotated memtable's records
@@ -549,45 +525,81 @@ func (e *Engine) flushLocked() (*trace.Span, *flushJob, error) {
 		e.mu.mem.firstSeg = e.mu.wal.seg
 	}
 	e.mu.metrics.MemTableBytes = 0
-	e.mu.imm = append([]*flushJob{job}, e.mu.imm...)
-	return sp, job, nil
+	e.mu.imm = append([]*memTable{rotated}, e.mu.imm...)
+	return true, nil
 }
 
-// buildAndInstall constructs the sstable for a rotated memtable outside the
-// engine lock and publishes it into L0. It runs synchronously on the
-// goroutine that triggered the rotation: readers are not blocked by the
-// build, yet the flush still completes before the write (or Flush call)
-// that caused it returns.
-func (e *Engine) buildAndInstall(sp *trace.Span, job *flushJob) {
-	t := newSSTable(job.id, mergeSources([]iterSource{{mem: job.mem}}, false))
-	e.mu.Lock()
-	e.installFlushLocked(job, t, sp)
-	e.mu.Unlock()
+// drain is the engine's one maintenance job, run on the calling goroutine,
+// never on a background one, which keeps same-seed runs byte-identical
+// (DESIGN.md §9). With wait set (Flush, or a writer past
+// maxWaitingMemTables) it waits for a running drain and then maintains.
+// Otherwise a caller that finds e.maintMu held returns at once: it rotated
+// after the holder's last look at imm, so the holder, having unlocked,
+// looks again and maintains if no one else holds maintMu by then.
+func (e *Engine) drain(wait bool) {
+	if wait {
+		e.maintMu.Lock()
+		e.maintain()
+		e.maintMu.Unlock()
+	}
+	for e.oldestWaiting() != nil && e.maintMu.TryLock() {
+		e.maintain()
+		e.maintMu.Unlock()
+	}
 }
 
-// installFlushLocked publishes a built sstable into L0, retiring its flush
-// job from the immutable queue. L0 is kept ordered newest-first by table id,
-// so out-of-order installs from concurrent builds cannot invert shadowing.
+// maintain installs every rotated memtable, oldest first, and runs
+// compaction rounds until the level invariants hold, installing what
+// rotates meanwhile before each round. The caller holds e.maintMu.
+func (e *Engine) maintain() {
+	for round := 0; round < 64; round++ { // bound runaway loops defensively
+		e.installWaiting()
+		if e.noAutoCompact || !e.compactOnce() {
+			return
+		}
+	}
+}
+
+// oldestWaiting returns the oldest rotated memtable waiting for the drain,
+// or nil when none waits or the engine is closed.
+func (e *Engine) oldestWaiting() *memTable {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.mu.closed || len(e.mu.imm) == 0 {
+		return nil
+	}
+	return e.mu.imm[len(e.mu.imm)-1]
+}
+
+// installWaiting builds and installs every rotated memtable, oldest first,
+// each build outside the engine lock. The caller holds e.maintMu.
+func (e *Engine) installWaiting() {
+	for m := e.oldestWaiting(); m != nil; m = e.oldestWaiting() {
+		sp := e.opts.Tracer.StartRoot("lsm.flush")
+		ended := e.jobStarted("flush")
+		t := newSSTable(m.id, mergeSources([]iterSource{{mem: m}}, false))
+		ended()
+		e.mu.Lock()
+		e.installFlushLocked(t, sp)
+		e.mu.Unlock()
+		sp.Finish()
+	}
+}
+
+// installFlushLocked publishes a built sstable at the top of L0 and retires
+// its memtable, the oldest in e.mu.imm. Nothing installs or persists once
+// the engine is closed: a store's directory outlives a crashed engine as the
+// next incarnation's state.
 //
 // Every slice mutation here is copy-on-write: readers snapshot the imm and
 // level slice headers under RLock and keep walking them after releasing the
 // lock, so the arrays behind a published header must never change.
-func (e *Engine) installFlushLocked(job *flushJob, t *ssTable, sp *trace.Span) {
-	imm := make([]*flushJob, 0, len(e.mu.imm))
-	for _, j := range e.mu.imm {
-		if j != job {
-			imm = append(imm, j)
-		}
+func (e *Engine) installFlushLocked(t *ssTable, sp *trace.Span) {
+	if e.mu.closed {
+		return
 	}
-	e.mu.imm = imm
-	pos := sort.Search(len(e.mu.levels[0]), func(i int) bool {
-		return e.mu.levels[0][i].id < t.id
-	})
-	l0 := make([]*ssTable, 0, len(e.mu.levels[0])+1)
-	l0 = append(l0, e.mu.levels[0][:pos]...)
-	l0 = append(l0, t)
-	l0 = append(l0, e.mu.levels[0][pos:]...)
-	e.mu.levels[0] = l0
+	e.mu.imm = slices.Clone(e.mu.imm[:len(e.mu.imm)-1])
+	e.mu.levels[0] = append([]*ssTable{t}, e.mu.levels[0]...)
 	e.mu.metrics.FlushedBytes += t.sizeB
 	e.mu.metrics.FlushCount++
 	if e.mu.wal != nil {
@@ -620,7 +632,6 @@ func (e *Engine) Metrics() Metrics {
 		}
 	}
 	m.TablesProbed = e.readMetrics.TablesProbed.Value()
-	m.CompactionsCoalesced = e.writeMetrics.CompactCoalesced.Value()
 	return m
 }
 

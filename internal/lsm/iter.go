@@ -80,10 +80,10 @@ func (e *Engine) IterIn(it *Iterator, lo, hi []byte) {
 	e.mu.RUnlock()
 
 	it.srcs = append(it.buf[:0], iterSource{mem: mem})
-	// Immutable memtables (rotated, build in flight) are newer than any
-	// sstable; the queue is newest-first.
-	for _, j := range imm {
-		it.srcs = append(it.srcs, iterSource{mem: j.mem})
+	// Immutable memtables (rotated, waiting for the drain) are newer than
+	// any sstable; the queue is newest-first.
+	for _, m := range imm {
+		it.srcs = append(it.srcs, iterSource{mem: m})
 	}
 	// L0 newest-first: any table may overlap the bounds, but the min/max
 	// pre-check skips the ones that provably don't.

@@ -3,29 +3,132 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"crdbserverless/internal/randutil"
 )
 
-// rotateWithoutBuild performs the under-lock half of a pipelined flush and
-// returns the pending job, leaving the engine in the mid-pipeline state a
-// reader can observe: data in the immutable queue, not yet in L0.
-func rotateWithoutBuild(t *testing.T, e *Engine) *flushJob {
-	t.Helper()
-	e.mu.Lock()
-	sp, job, err := e.flushLocked()
-	e.mu.Unlock()
-	if err != nil || job == nil {
-		t.Fatalf("flushLocked = job=%v err=%v", job, err)
+// levelIDs renders each non-empty level's table IDs in level order, as
+// "L0[9 7] L1[8]".
+func levelIDs(e *Engine) string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var parts []string
+	for lvl, tables := range e.mu.levels {
+		if len(tables) == 0 {
+			continue
+		}
+		ids := make([]string, len(tables))
+		for i, t := range tables {
+			ids[i] = fmt.Sprint(t.id)
+		}
+		parts = append(parts, fmt.Sprintf("L%d[%s]", lvl, strings.Join(ids, " ")))
 	}
-	sp.Finish()
-	return job
+	return strings.Join(parts, " ")
 }
 
-// While a rotated memtable's SSTable build is in flight, its data must stay
+// One writer's maintenance is a fixed sequence: each seeded stream of
+// batches, against a 4 KiB memtable and a 64 KiB L1 target, crosses
+// L0→L1 and L1→L2 compactions and ends in exactly these counts, bytes and
+// table IDs. A writer alone never finds maintenance running, so it flushes
+// and compacts exactly when its own rotation asks.
+func TestSingleWriterMaintenanceSequence(t *testing.T) {
+	for _, tc := range []struct {
+		seed                 int64
+		flushes, compactions int64
+		flushedB, compactedB int64
+		levels               string
+	}{
+		{1, 119, 35, 514102, 2461958, "L0[154 153 152] L1[151] L2[146]"},
+		{2, 123, 36, 531799, 2646078, "L0[159 158 157] L2[156]"},
+		{3, 120, 36, 517820, 2634388, "L2[156]"},
+	} {
+		e := New(Options{MemTableSize: 4 << 10})
+		e.lBaseMax = 64 << 10
+		rng := randutil.NewRand(tc.seed)
+		for b := 0; b < 1500; b++ {
+			n := 1 + rng.Intn(4)
+			batch := make([]Entry, n)
+			for i := range batch {
+				batch[i].Key = []byte(fmt.Sprintf("key-%05d", rng.Intn(3000)))
+				if rng.Intn(10) == 0 {
+					batch[i].Tombstone = true
+				} else {
+					batch[i].Value = bigVal(fmt.Sprintf("v%d-%d-", b, i), 64+rng.Intn(128))
+				}
+			}
+			if err := e.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := e.Metrics()
+		got := fmt.Sprintf("flushes=%d compactions=%d flushed=%d compacted=%d %s",
+			m.FlushCount, m.CompactionCount, m.FlushedBytes, m.CompactedBytes, levelIDs(e))
+		want := fmt.Sprintf("flushes=%d compactions=%d flushed=%d compacted=%d %s",
+			tc.flushes, tc.compactions, tc.flushedB, tc.compactedB, tc.levels)
+		if got != want {
+			t.Errorf("seed %d:\n got %s\nwant %s", tc.seed, got, want)
+		}
+		e.Close()
+	}
+}
+
+// rotate swaps the active memtable into the immutable queue and leaves it
+// there, undrained: the state a reader sees while the drain is busy.
+func rotate(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	rotated, err := e.rotateLocked()
+	e.mu.Unlock()
+	if !rotated || err != nil {
+		t.Fatalf("rotateLocked = %v, %v", rotated, err)
+	}
+}
+
+// waiting returns the number of rotated memtables waiting for the drain.
+func waiting(e *Engine) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.mu.imm)
+}
+
+// holdFirst makes the engine's first job of the given kind ("flush" or
+// "compact") wait, once it has started, until release is closed; started
+// closes as it starts.
+func holdFirst(e *Engine, kind string) (started, release chan struct{}) {
+	started, release = make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	e.jobStarted = func(job string) func() {
+		if job == kind && held.CompareAndSwap(false, true) {
+			close(started)
+			<-release
+		}
+		return func() {}
+	}
+	return started, release
+}
+
+// waitPastBound waits until more than maxWaitingMemTables memtables wait
+// for the drain. After 30 s it fails the test, first closing release so the
+// job it holds cannot hang the package.
+func waitPastBound(t *testing.T, e *Engine, release chan struct{}) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for waiting(e) <= maxWaitingMemTables {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d memtables waiting after 30 s, want more than %d", waiting(e), maxWaitingMemTables)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// While a rotated memtable waits for the drain, its data must stay
 // readable from the immutable queue, new writes must land in the fresh
 // memtable, and Metrics must count the extra sorted run.
 func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
@@ -34,9 +137,9 @@ func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
 	e.Set([]byte("a"), []byte("1"))
 	e.Set([]byte("b"), []byte("2"))
 
-	job := rotateWithoutBuild(t, e)
+	rotate(t, e)
 
-	// Mid-pipeline: nothing in L0 yet, data only in the immutable queue.
+	// Before the drain: nothing in L0 yet, data only in the immutable queue.
 	m := e.Metrics()
 	if m.L0Files != 0 || m.FlushCount != 0 {
 		t.Fatalf("mid-build metrics: L0Files=%d FlushCount=%d", m.L0Files, m.FlushCount)
@@ -54,7 +157,7 @@ func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
 		t.Fatalf("fresh memtable does not shadow immutable queue: %q", v)
 	}
 
-	e.buildAndInstall(nil, job)
+	e.drain(true)
 
 	m = e.Metrics()
 	if m.L0Files != 1 || m.FlushCount != 1 || m.ReadAmplification != 2 {
@@ -69,205 +172,285 @@ func TestImmutableMemtableVisibleDuringBuild(t *testing.T) {
 	}
 }
 
-// Two rotations can be in flight at once; installing them out of order must
-// not invert shadowing, because L0 ordering goes by table id (= rotation
-// order), not install order.
-func TestOutOfOrderInstallKeepsShadowing(t *testing.T) {
-	e := newManualEngine(Options{})
-	defer e.Close()
-	e.Set([]byte("k"), []byte("old"))
-	first := rotateWithoutBuild(t, e)
-	e.Set([]byte("k"), []byte("new"))
-	second := rotateWithoutBuild(t, e)
-
-	// Install the newer rotation first, then the older one.
-	e.buildAndInstall(nil, second)
-	e.buildAndInstall(nil, first)
-
-	if v, _ := get(t, e, []byte("k")); string(v) != "new" {
-		t.Fatalf("out-of-order install inverted shadowing: get(k) = %q", v)
-	}
-	e.mu.RLock()
-	l0 := e.mu.levels[0]
-	e.mu.RUnlock()
-	if len(l0) != 2 || l0[0].id <= l0[1].id {
-		t.Fatalf("L0 not newest-first by id: %d tables", len(l0))
-	}
-}
-
-// An L0→L1 compaction must not move a table past an older flush still in
-// flight: the older flush installs into L0 afterwards, above L1, and would
-// shadow the newer data with its stale version.
-func TestCompactionSkipsL0YoungerThanInFlightFlush(t *testing.T) {
-	e := newManualEngine(Options{})
-	defer e.Close()
-	e.Set([]byte("k"), []byte("old"))
-	first := rotateWithoutBuild(t, e)
-	e.Set([]byte("k"), []byte("new"))
-	second := rotateWithoutBuild(t, e)
-
-	e.buildAndInstall(nil, second)
-	e.Compact()
-	e.buildAndInstall(nil, first)
-
-	if v, _ := get(t, e, []byte("k")); string(v) != "new" {
-		t.Fatalf("get(k) = %q, want new", v)
-	}
-	e.Compact() // nothing in flight now: both tables compact
-	if v, _ := get(t, e, []byte("k")); string(v) != "new" {
-		t.Fatalf("after full compaction get(k) = %q, want new", v)
-	}
-	if m := e.Metrics(); m.L0Files != 0 {
-		t.Fatalf("L0Files = %d after full compaction, want 0", m.L0Files)
-	}
-}
-
-// Drive the three compaction phases by hand with reads, writes, and a flush
-// interleaved into the merge window: the install must keep the tables that
-// arrived mid-merge and the merged output must not lose or resurrect keys.
+// While a compaction's merge runs the engine lock is free: reads see the
+// merge's inputs, and writes land and rotate. A memtable rotated during the
+// merge stays readable in the immutable queue and installs into L0 after
+// the merge, above its output.
 func TestCompactionMergeWindowAllowsProgress(t *testing.T) {
-	e := newManualEngine(Options{})
+	e := newManualEngine(Options{MemTableSize: 64}) // a 64-byte value rotates
 	defer e.Close()
+	val := func(s string) []byte { return bigVal(s, 64) }
 	for i := 0; i < 4; i++ {
-		e.Set([]byte(fmt.Sprintf("key-%02d", i)), []byte(fmt.Sprintf("v%d", i)))
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		e.Set([]byte(fmt.Sprintf("key-%02d", i)), val(fmt.Sprintf("v%d-", i)))
 	}
-
-	// Phase 1: plan under the lock.
-	e.mu.Lock()
-	plan := e.planCompactionLocked(0)
-	e.mu.Unlock()
-	if plan == nil || len(plan.inputs) != 4 {
-		t.Fatalf("plan = %+v", plan)
+	if m := e.Metrics(); m.L0Files != 4 {
+		t.Fatalf("L0Files = %d before the merge, want 4", m.L0Files)
 	}
+	started, release := holdFirst(e, "compact")
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		e.Compact()
+	}()
+	<-started
 
-	// Merge window: the engine lock is free, so reads, writes, and even a
-	// whole flush proceed while the merge would be running.
-	if v, ok := get(t, e, []byte("key-00")); !ok || string(v) != "v0" {
+	// Merge window: reads, overwrites and rotations proceed; the writers
+	// find the drain running (Compact holds it) and return.
+	if v, ok := get(t, e, []byte("key-00")); !ok || !bytes.Equal(v, val("v0-")) {
 		t.Fatalf("read during merge window: %q %v", v, ok)
 	}
-	e.Set([]byte("key-00"), []byte("v0-new"))
-	e.Set([]byte("mid-merge"), []byte("late"))
-	if err := e.Flush(); err != nil { // prepends a 5th L0 table mid-merge
-		t.Fatal(err)
+	e.Set([]byte("key-00"), val("v0-new-"))
+	e.Set([]byte("mid-merge"), val("late-"))
+	if m := e.Metrics(); m.L0Files != 4 || m.FlushCount != 4 || waiting(e) != 2 {
+		t.Fatalf("mid-merge: L0Files=%d FlushCount=%d waiting=%d, want 4, 4, 2",
+			m.L0Files, m.FlushCount, waiting(e))
+	}
+	if v, _ := get(t, e, []byte("key-00")); !bytes.Equal(v, val("v0-new-")) {
+		t.Fatalf("mid-merge overwrite unreadable from the queue: %q", v)
 	}
 
-	// Phases 2+3: merge outside the lock, install under it.
-	e.mergeAndInstall(plan)
-
+	close(release)
+	<-compacted
 	m := e.Metrics()
-	if m.CompactionCount != 1 {
-		t.Fatalf("CompactionCount = %d", m.CompactionCount)
+	if m.L0Files != 2 || m.FlushCount != 6 || waiting(e) != 0 {
+		t.Fatalf("after the merge: L0Files=%d FlushCount=%d waiting=%d, want 2, 6, 0",
+			m.L0Files, m.FlushCount, waiting(e))
 	}
-	// The mid-merge flush survived in L0; the four planned inputs moved to L1.
-	if m.L0Files != 1 {
-		t.Fatalf("L0Files = %d, want 1 (the mid-merge flush)", m.L0Files)
+	if ids := levelIDs(e); ids != "L0[7 6] L6[12]" {
+		t.Fatalf("levels %s, want the mid-merge tables in L0, newest first, over the compacted ones", ids)
 	}
-	if v, _ := get(t, e, []byte("key-00")); string(v) != "v0-new" {
+	if v, _ := get(t, e, []byte("key-00")); !bytes.Equal(v, val("v0-new-")) {
 		t.Fatalf("mid-merge overwrite lost: %q", v)
 	}
-	if v, ok := get(t, e, []byte("mid-merge")); !ok || string(v) != "late" {
+	if v, ok := get(t, e, []byte("mid-merge")); !ok || !bytes.Equal(v, val("late-")) {
 		t.Fatalf("mid-merge write lost: %q %v", v, ok)
 	}
 	for i := 1; i < 4; i++ {
 		k := fmt.Sprintf("key-%02d", i)
-		if v, ok := get(t, e, []byte(k)); !ok || string(v) != fmt.Sprintf("v%d", i) {
+		if v, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(v, val(fmt.Sprintf("v%d-", i))) {
 			t.Fatalf("compacted key %s = %q %v", k, v, ok)
 		}
 	}
 }
 
-// A merge whose inputs were superseded before install must be discarded:
-// nothing changes and no compaction is counted.
-func TestCompactionInstallAbandonedWhenInputsGone(t *testing.T) {
-	e := newManualEngine(Options{})
+// A writer that finds the drain running returns without building: its
+// memtable waits, readable, in the immutable queue, and the running drain
+// installs it once its merge ends.
+func TestCompactionSingleFlightCoalesces(t *testing.T) {
+	e := newEngineWithL0(Options{MemTableSize: 64}, 2) // a 64-byte value rotates
 	defer e.Close()
-	for i := 0; i < 3; i++ {
-		e.Set([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
-		e.Flush()
+	write := func(i int) {
+		if err := e.Set([]byte(fmt.Sprintf("key-%04d", i)), bigVal(fmt.Sprintf("v%d-", i), 64)); err != nil {
+			t.Error(err)
+		}
 	}
-	e.mu.Lock()
-	stale := e.planCompactionLocked(0)
-	e.mu.Unlock()
+	started, release := holdFirst(e, "compact")
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		write(0)
+		write(1) // L0 reaches two files: this writer's drain merges them
+	}()
+	<-started
 
-	// A competing round completes first, consuming the stale plan's inputs.
-	e.Compact()
-	before := e.Metrics()
-
-	e.mergeAndInstall(stale)
-
-	after := e.Metrics()
-	if after.CompactionCount != before.CompactionCount {
-		t.Fatalf("stale install counted: %d -> %d", before.CompactionCount, after.CompactionCount)
+	for i := 2; i < 2+maxWaitingMemTables; i++ {
+		write(i) // rotates, finds the drain running, returns
 	}
-	if after.L0Files != before.L0Files || after.LevelBytes != before.LevelBytes {
-		t.Fatalf("stale install mutated levels: %+v -> %+v", before.LevelBytes, after.LevelBytes)
+	held := e.Metrics()
+	if held.FlushCount != 2 || held.CompactionCount != 0 || waiting(e) != maxWaitingMemTables {
+		t.Fatalf("merge held: FlushCount=%d CompactionCount=%d waiting=%d, want 2, 0, %d",
+			held.FlushCount, held.CompactionCount, waiting(e), maxWaitingMemTables)
 	}
-	for i := 0; i < 3; i++ {
-		if _, ok := get(t, e, []byte(fmt.Sprintf("k%d", i))); !ok {
-			t.Fatalf("k%d lost after abandoned install", i)
+	for i := 2; i < 2+maxWaitingMemTables; i++ {
+		if _, ok := get(t, e, []byte(fmt.Sprintf("key-%04d", i))); !ok {
+			t.Fatalf("key-%04d unreadable while it waits", i)
+		}
+	}
+
+	close(release)
+	<-drained
+	m := e.Metrics()
+	// After its merge the drain installs the four waiting memtables, and
+	// they merge in a second round.
+	if m.FlushCount != 2+maxWaitingMemTables || m.CompactionCount != 2 || m.L0Files != 0 || waiting(e) != 0 {
+		t.Fatalf("drained: FlushCount=%d CompactionCount=%d L0Files=%d waiting=%d",
+			m.FlushCount, m.CompactionCount, m.L0Files, waiting(e))
+	}
+	for i := 0; i < 2+maxWaitingMemTables; i++ {
+		if _, ok := get(t, e, []byte(fmt.Sprintf("key-%04d", i))); !ok {
+			t.Fatalf("key-%04d lost across the drain", i)
 		}
 	}
 }
 
-// Regression test for the compaction stampede: auto-compaction triggers that
-// find a round in flight must be absorbed (counted, not queued), and the
-// backlog must drain on a later trigger once the round ends.
-func TestCompactionSingleFlightCoalesces(t *testing.T) {
-	e := newEngineWithL0(Options{
-		MemTableSize: 64, // every small batch crosses the threshold
-	}, 2)
+// A writer whose rotation leaves more than maxWaitingMemTables waiting does
+// not return until it has drained them: the engine's one write stall.
+func TestDrainStallsWriterPastWaitingBound(t *testing.T) {
+	e := newManualEngine(Options{MemTableSize: 64}) // a 64-byte value rotates
 	defer e.Close()
-
 	write := func(i int) {
-		if err := e.Set([]byte(fmt.Sprintf("key-%04d", i)), []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")); err != nil {
-			t.Fatal(err)
+		if err := e.Set([]byte(fmt.Sprintf("key-%04d", i)), bigVal("v", 64)); err != nil {
+			t.Error(err)
 		}
 	}
+	started, release := holdFirst(e, "flush")
+	go write(0) // its drain's build is held; its memtable still waits
+	<-started
+	for i := 1; i < maxWaitingMemTables; i++ {
+		write(i) // the queue fills to the bound; each writer returns
+	}
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		write(maxWaitingMemTables)
+	}()
+	waitPastBound(t, e, release)
+	select {
+	case <-stalled:
+		t.Fatal("the writer past the bound returned while the drain was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-stalled
+	if m := e.Metrics(); m.FlushCount != maxWaitingMemTables+1 || waiting(e) != 0 {
+		t.Fatalf("after the stall: FlushCount=%d waiting=%d", m.FlushCount, waiting(e))
+	}
+}
 
-	// Hold the single-flight guard as an in-flight round would, then trigger
-	// auto-compaction via threshold-crossing writes.
-	e.compactMu.Lock()
-	for i := 0; i < 6; i++ {
-		write(i)
+// Concurrent writers cross the memtable threshold while a merge is held
+// open. One maintenance job runs at a time; a writer that finds it running
+// returns (or, past maxWaitingMemTables, waits its turn). Once every writer
+// has returned, no memtable is left waiting, L0's IDs strictly descend, and
+// every key reads what its writer wrote last.
+func TestDrainOneJobAtATimeBesideHeldMerge(t *testing.T) {
+	e := newEngineWithL0(Options{MemTableSize: 256}, 2)
+	defer e.Close()
+	var active atomic.Int32
+	var held atomic.Bool
+	release := make(chan struct{})
+	e.jobStarted = func(job string) func() {
+		if n := active.Add(1); n > 1 {
+			t.Errorf("a %s job started beside %d other jobs", job, n-1)
+		}
+		if job == "compact" && held.CompareAndSwap(false, true) {
+			<-release
+		}
+		return func() { active.Add(-1) }
 	}
-	held := e.Metrics()
-	e.compactMu.Unlock()
 
-	if held.CompactionsCoalesced == 0 {
-		t.Fatal("no triggers coalesced while a round was in flight")
+	const writers, perWriter = 4, 150
+	want := make([]map[string][]byte, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		want[w] = map[string][]byte{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := fmt.Sprintf("w%d-%04d", w, i%100) // the last 50 overwrite
+				v := bigVal(fmt.Sprintf("val-%d-%d-", w, i), 48)
+				if err := e.Set([]byte(k), v); err != nil {
+					t.Error(err)
+					return
+				}
+				want[w][k] = v
+			}
+		}(w)
 	}
-	if held.CompactionCount != 0 {
-		t.Fatalf("CompactionCount = %d while guard held", held.CompactionCount)
-	}
-	if held.L0Files < e.l0Threshold {
-		t.Fatalf("backlog did not build: L0Files = %d", held.L0Files)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	// Hold the first merge until some writer's rotation passes the bound,
+	// so the held merge sees returning writers and a stalled one.
+	waitPastBound(t, e, release)
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the writers did not finish")
 	}
 
-	// The next trigger drains the whole backlog.
-	write(6)
-	drained := e.Metrics()
-	if drained.CompactionCount == 0 {
-		t.Fatal("backlog not drained after guard released")
+	if n := waiting(e); n != 0 {
+		t.Fatalf("%d memtables left waiting after every writer returned", n)
 	}
-	if drained.L0Files >= e.l0Threshold {
-		t.Fatalf("L0 backlog remains: %d files", drained.L0Files)
+	e.mu.RLock()
+	l0 := e.mu.levels[0]
+	e.mu.RUnlock()
+	for i := 1; i < len(l0); i++ {
+		if l0[i-1].id <= l0[i].id {
+			t.Fatalf("L0 IDs do not strictly descend: %s", levelIDs(e))
+		}
 	}
-	for i := 0; i <= 6; i++ {
-		if _, ok := get(t, e, []byte(fmt.Sprintf("key-%04d", i))); !ok {
-			t.Fatalf("key-%04d lost across coalesced rounds", i)
+	for w := range want {
+		for k, v := range want[w] {
+			if got, ok := get(t, e, []byte(k)); !ok || !bytes.Equal(got, v) {
+				t.Fatalf("%s = %q %v, want %q", k, got, ok, v)
+			}
+		}
+	}
+}
+
+// A durable engine installs and persists nothing once it is closed, whether
+// the drain starts after Close or a build in flight finishes after it: the
+// store's directory is the next incarnation's state, so it holds exactly
+// what Close left.
+func TestDrainInstallsNothingAfterClose(t *testing.T) {
+	files := func(dir *Dir) map[string]string {
+		out := map[string]string{}
+		for _, name := range dir.List("") {
+			b, _ := dir.ReadFile(name)
+			out[name] = string(b)
+		}
+		return out
+	}
+	for _, inFlight := range []bool{false, true} {
+		dir := NewDir()
+		e := newManualEngine(Options{Durable: dir})
+		if err := e.Set([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		rotate(t, e)
+		var before map[string]string
+		if inFlight {
+			started, release := holdFirst(e, "flush")
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				e.drain(true)
+			}()
+			<-started
+			e.Close()
+			before = files(dir)
+			close(release)
+			<-drained
+		} else {
+			e.Close()
+			before = files(dir)
+			e.drain(true)
+		}
+		if after := files(dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("in flight %v: the drain changed the directory after Close: %d files, now %v",
+				inFlight, len(before), dir.List(""))
+		}
+		if m := e.Metrics(); m.FlushCount != 0 || m.L0Files != 0 {
+			t.Errorf("in flight %v: FlushCount=%d L0Files=%d after Close, want 0, 0", inFlight, m.FlushCount, m.L0Files)
 		}
 	}
 }
 
 // Reads must complete while a compaction merge is actually in flight: start
 // a large manual compaction and require at least one read that both began and
-// finished with the merge still running (the mergesActive hook).
+// finished with the merge still running (counted through jobStarted).
 func TestReadsCompleteWhileMergeActive(t *testing.T) {
 	e := newManualEngine(Options{})
 	defer e.Close()
+	var merging atomic.Int32
+	e.jobStarted = func(job string) func() {
+		if job != "compact" {
+			return func() {}
+		}
+		merging.Add(1)
+		return func() { merging.Add(-1) }
+	}
 	const tables, perTable = 4, 25000
 	for tbl := 0; tbl < tables; tbl++ {
 		entries := make([]Entry, 0, perTable)
@@ -300,21 +483,21 @@ func TestReadsCompleteWhileMergeActive(t *testing.T) {
 			return
 		default:
 		}
-		if e.mergesActive.Load() == 0 {
+		if merging.Load() == 0 {
 			continue
 		}
 		k := []byte(fmt.Sprintf("t%d-%06d", rng.Intn(tables), rng.Intn(perTable)))
 		if _, ok := get(t, e, k); !ok {
 			t.Fatalf("read of %s during merge found nothing", k)
 		}
-		if e.mergesActive.Load() > 0 {
+		if merging.Load() > 0 {
 			overlapped++
 		}
 	}
 }
 
 // Concurrent readers and writers against tiny memtables force constant
-// flushes and compactions; under -race this is the pipeline's lock-discipline
+// flushes and compactions; under -race this is the drain's lock-discipline
 // test, and the final state must match a per-writer shadow map.
 func TestConcurrentReadersWritersDuringFlushAndCompaction(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {

@@ -191,6 +191,9 @@ type memTable struct {
 	// (durable engines only). The manifest records the minimum across the
 	// active and immutable memtables; recovery replays the WAL from there.
 	firstSeg uint64
+	// id is the ID of the sstable this memtable flushes to, set once, under
+	// the engine lock, when it rotates.
+	id uint64
 }
 
 // The largest chunks: 48 KiB of nodes, 48 KiB of versions, 32 KiB of links

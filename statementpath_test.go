@@ -6,14 +6,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"crdbserverless/internal/timeutil"
 )
 
 // pointReadSetup makes a tenant with a usertable of rows rows, as the
-// benchmark's point_read workload has, and returns an open client on it and
-// each row's value.
-func pointReadSetup(tb testing.TB, rows int) (*Client, []Datum) {
+// benchmark's point_read workload has, on a deployment running on clock (nil
+// is the real clock), and returns an open client on it and each row's value.
+func pointReadSetup(tb testing.TB, clock timeutil.Clock, rows int) (*Client, []Datum) {
 	tb.Helper()
-	s, err := New(Options{KVNodesPerRegion: 1})
+	s, err := New(Options{KVNodesPerRegion: 1, Clock: clock})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,9 +57,11 @@ func pointRead(tb testing.TB, c *Client, k int, want Datum) {
 }
 
 // warmPointRead makes a 10-row usertable, reads every row 30 times, and
-// returns the point read the allocation tests measure.
+// returns the point read the allocation tests measure. The deployment runs
+// on a manual clock that never moves, so its KV upkeep and autoscaler loops
+// make no allocation while the tests count.
 func warmPointRead(t *testing.T) func() {
-	c, values := pointReadSetup(t, 10)
+	c, values := pointReadSetup(t, timeutil.NewManualClock(time.Unix(0, 0)), 10)
 	for i := 0; i < 300; i++ {
 		pointRead(t, c, i%10, values[i%10])
 	}
@@ -85,7 +90,7 @@ func TestPointReadWholePathAllocs(t *testing.T) {
 // SQL node and KV node of one deployment, as the benchmark's point_read
 // workload runs it (one connection, no think time).
 func BenchmarkPointReadWholePath(b *testing.B) {
-	c, values := pointReadSetup(b, 100)
+	c, values := pointReadSetup(b, nil, 100)
 	for i := 0; i < 300; i++ {
 		pointRead(b, c, i%100, values[i%100])
 	}
@@ -281,10 +286,11 @@ func TestScratchRowsAfterDistinctOnConnection(t *testing.T) {
 
 // newOrderSetup makes a tenant "orders" with new_order's schema at a small
 // scale (one warehouse, two districts, three customers each, items items,
-// and their stock) and returns the deployment and an open client on it.
-func newOrderSetup(tb testing.TB, items int) (*Serverless, *Client) {
+// and their stock) on a deployment running on clock (nil is the real clock),
+// and returns the deployment and an open client on it.
+func newOrderSetup(tb testing.TB, clock timeutil.Clock, items int) (*Serverless, *Client) {
 	tb.Helper()
-	s, err := New(Options{KVNodesPerRegion: 1})
+	s, err := New(Options{KVNodesPerRegion: 1, Clock: clock})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -364,7 +370,7 @@ func newOrder(c *Client, o, items int) error {
 // keeps, and its update of a row it read commits in its one attempt.
 func TestWriteAfterOwnFoldedReadsCommits(t *testing.T) {
 	const rows, reads = 4200, 4000
-	c, values := pointReadSetup(t, rows)
+	c, values := pointReadSetup(t, nil, rows)
 	exec := func(q string, args ...Datum) {
 		t.Helper()
 		if _, err := c.Query(q, args...); err != nil {
@@ -382,10 +388,11 @@ func TestWriteAfterOwnFoldedReadsCommits(t *testing.T) {
 
 // warmNewOrder sets up new_order's schema with 10 items, runs 300 orders,
 // and returns the next order, the operation the allocation tests measure;
-// each call runs a new one.
+// each call runs a new one. The deployment runs on a manual clock, as
+// warmPointRead's does.
 func warmNewOrder(t *testing.T) func() {
 	const items = 10
-	_, c := newOrderSetup(t, items)
+	_, c := newOrderSetup(t, timeutil.NewManualClock(time.Unix(0, 0)), items)
 	o := 0
 	for ; o < 300; o++ {
 		if err := newOrder(c, o, items); err != nil {
@@ -424,7 +431,7 @@ func TestNewOrderWholePathAllocs(t *testing.T) {
 // fails it.
 func BenchmarkNewOrderWholePath(b *testing.B) {
 	const items = 100
-	_, c := newOrderSetup(b, items)
+	_, c := newOrderSetup(b, nil, items)
 	order := func(o int) {
 		if err := newOrder(c, o, items); err != nil {
 			b.Fatal(err)
@@ -450,7 +457,7 @@ func BenchmarkNewOrderWholePath(b *testing.B) {
 // conflicts with another. Every order, line and unit of stock must add up.
 func TestNewOrdersConcurrent(t *testing.T) {
 	const items, perConn = 4, 20
-	s, setup := newOrderSetup(t, items)
+	s, setup := newOrderSetup(t, nil, items)
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for w := 0; w < 2; w++ {
