@@ -158,11 +158,19 @@ func MakeTableIndexPrefix(tenant TenantID, table TableID, index IndexID) Key {
 }
 
 // AppendTableIndexPrefix appends the key prefix of (tenant, table, index) to
-// b.
+// b: the table's prefix, then the index ID.
 func AppendTableIndexPrefix(b Key, tenant TenantID, table TableID, index IndexID) Key {
-	b = appendTenantPrefix(b, tenant)
-	b = EncodeUint64(b, uint64(table))
-	return EncodeUint64(b, uint64(index))
+	return EncodeUint64(appendTablePrefix(b, tenant, table), uint64(index))
+}
+
+// MakeTablePrefix returns the key prefix every index of (tenant, table)
+// shares, in one allocation: its span holds all of the table's data.
+func MakeTablePrefix(tenant TenantID, table TableID) Key {
+	return appendTablePrefix(make(Key, 0, tenantPrefixLen+8), tenant, table)
+}
+
+func appendTablePrefix(b Key, tenant TenantID, table TableID) Key {
+	return EncodeUint64(appendTenantPrefix(b, tenant), uint64(table))
 }
 
 // MakeTableIndexSpan returns the span covering the whole (table, index).

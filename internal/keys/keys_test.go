@@ -311,6 +311,31 @@ func TestPrefixBuildersAllocateOnce(t *testing.T) {
 	}
 }
 
+// A table's prefix is the one every index prefix of it starts with, and the
+// next table's prefix lies past the table's whole span: DROP TABLE deletes
+// that span.
+func TestTablePrefixCoversEveryIndex(t *testing.T) {
+	p := MakeTablePrefix(3, 50)
+	if len(p) != cap(p) {
+		t.Errorf("MakeTablePrefix has %d bytes and capacity %d", len(p), cap(p))
+	}
+	span := Span{Key: p, EndKey: p.PrefixEnd()}
+	for _, idx := range []IndexID{PrimaryIndexID, 2, 1<<32 - 1} {
+		ip := MakeTableIndexPrefix(3, 50, idx)
+		if !bytes.HasPrefix(ip, p) || !span.ContainsKey(ip) || !span.ContainsKey(append(ip, 0xff, 0xff)) {
+			t.Errorf("index %d prefix %x is not inside table span %v", idx, ip, span)
+		}
+	}
+	for _, other := range []Key{MakeTablePrefix(3, 51), MakeTableIndexPrefix(3, 49, 7), MakeTablePrefix(4, 50)} {
+		if span.ContainsKey(other) {
+			t.Errorf("table span %v contains %x", span, other)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { keySink = MakeTablePrefix(3, 50) }); n != 1 {
+		t.Errorf("MakeTablePrefix makes %v allocations, want 1", n)
+	}
+}
+
 // TenantSpanContains agrees with MakeTenantSpan's bounds, the end's carry
 // over 0xff bytes included, at and around both bounds.
 func TestTenantSpanContains(t *testing.T) {

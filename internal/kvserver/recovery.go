@@ -89,13 +89,14 @@ func decodeSnapshot(data []byte) ([]enginePair, error) {
 // Snapshot implements raftlite.SnapshotStateMachine: it serializes every
 // engine pair in the range's span (all MVCC versions and intents). A replica
 // that fell behind the group's truncated log — a store revived after a crash
-// — is caught up from this instead of replay. The iterator's keys and values
-// alias immutable engine memory, so the pairs are not copied before encoding.
+// — is caught up from this instead of replay. The iterator's values alias
+// immutable engine memory, so only its keys, lent until it moves, are copied
+// before encoding.
 func (sm engineSM) Snapshot() ([]byte, error) {
 	lo, hi := mvcc.EngineSpan(sm.rs.desc.Span)
 	var pairs []enginePair
 	for it := sm.n.Engine().NewIter(lo, hi); it.Valid(); it.Next() {
-		pairs = append(pairs, enginePair{Key: it.Key(), Value: it.Value()})
+		pairs = append(pairs, enginePair{Key: bytes.Clone(it.Key()), Value: it.Value()})
 	}
 	return encodeSnapshot(pairs), nil
 }
@@ -116,7 +117,7 @@ func (sm engineSM) ApplySnapshot(index uint64, data []byte) error {
 	e := sm.n.Engine()
 	var ents []lsm.Entry
 	for it := e.NewIter(lo, hi); it.Valid(); it.Next() {
-		ents = append(ents, lsm.Entry{Key: it.Key(), Tombstone: true})
+		ents = append(ents, lsm.Entry{Key: bytes.Clone(it.Key()), Tombstone: true})
 	}
 	// Pairs follow the wipe: a key present in both resolves to the donor's
 	// value (later entries win within a batch).

@@ -258,10 +258,10 @@ func tornWAL() *Dir {
 	dir := NewDir()
 	w := newWALWriter(dir, 1, 1<<20, 1<<20) // never auto-syncs
 	for _, p := range tornWALPayloads {
-		w.append(appendEntry(nil, Entry{Key: p, Value: p}))
+		w.append(appendEntry(nil, 0, Entry{Key: p, Value: p}))
 	}
 	w.sync()
-	w.append(appendEntry(nil, Entry{Key: []byte("torn"), Value: []byte("torn")}))
+	w.append(appendEntry(nil, 0, Entry{Key: []byte("torn"), Value: []byte("torn")}))
 	dir.Crash(3)
 	return dir
 }
@@ -272,13 +272,14 @@ func corruptWAL() *Dir {
 	dir := NewDir()
 	w := newWALWriter(dir, 1, 1<<20, 0)
 	for i := 0; i < 5; i++ {
-		w.append(appendEntry(nil, Entry{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")}))
+		w.append(appendEntry(nil, 0, Entry{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")}))
 	}
 	name := walSegmentName(1)
 	data, _ := dir.ReadFile(name)
-	// Records are fixed-size here (8-byte frame + 12-byte entry), after the
-	// 8-byte segment header.
-	recLen := walRecordHeaderLen + 9 + 2 + 1
+	// Records are fixed-size here (8-byte frame + 7-byte entry: a flags byte,
+	// three one-byte lengths, the key and the value), after the 8-byte
+	// segment header.
+	recLen := walRecordHeaderLen + 4 + 2 + 1
 	data[walSegmentHeaderLen+2*recLen+walRecordHeaderLen+3] ^= 0xff
 	dir.WriteFileSync(name, data)
 	return dir
@@ -323,7 +324,7 @@ func TestCorruptRecordTruncates(t *testing.T) {
 func TestWALVersionMismatch(t *testing.T) {
 	dir := NewDir()
 	w := newWALWriter(dir, 1, 1<<20, 0)
-	w.append(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("v")}))
+	w.append(appendEntry(nil, 0, Entry{Key: []byte("k"), Value: []byte("v")}))
 	name := walSegmentName(1)
 	data, _ := dir.ReadFile(name)
 	binary.BigEndian.PutUint32(data[4:8], walFormatVersion+1)
@@ -415,11 +416,12 @@ func TestOpenTruncatedSSTable(t *testing.T) {
 	damaged := map[string][]byte{
 		"cut to nothing": whole[:0],
 		"cut mid-entry":  whole[:len(whole)-1],
-		"cut mid-header": whole[:entryHeaderLen/2],
+		"cut mid-header": whole[:2],
 		"key length past the file": func() []byte {
-			b := append([]byte(nil), whole...)
-			binary.BigEndian.PutUint32(b[1:5], 1<<31)
-			return b
+			// The flags byte and shared length, then 2^31 where the first
+			// key's one-byte unshared length was.
+			b := binary.AppendUvarint([]byte{whole[0], whole[1]}, 1<<31)
+			return append(b, whole[3:]...)
 		}(),
 	}
 	for name, data := range damaged {
@@ -439,7 +441,7 @@ func TestOpenTruncatedSSTable(t *testing.T) {
 // retiredVptrEntry is an entry carrying flag 0x02, which once marked a value
 // stored in a value log: a 12-byte (file, offset, length) pointer.
 func retiredVptrEntry() []byte {
-	b := appendEntry(nil, Entry{Key: []byte("a"), Value: []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3}})
+	b := appendEntry(nil, 0, Entry{Key: []byte("a"), Value: []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3}})
 	b[0] = 0x02
 	return b
 }
@@ -453,7 +455,7 @@ func TestRetiredVptrFlagIsCorruption(t *testing.T) {
 	}
 	dir := NewDir()
 	w := newWALWriter(dir, 1, 1<<20, 0)
-	w.append(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("v")}))
+	w.append(appendEntry(nil, 0, Entry{Key: []byte("k"), Value: []byte("v")}))
 	w.append(retiredVptrEntry())
 	n, err := replayWAL(dir, 1, func([]Entry) {})
 	if !errors.Is(err, ErrCorruption) || n != 1 {
@@ -464,17 +466,76 @@ func TestRetiredVptrFlagIsCorruption(t *testing.T) {
 	}
 }
 
+// encodeLike re-encodes ents, which decodeBlock decoded from data, each key
+// sharing exactly as many bytes with the one before it as it did in data.
+func encodeLike(data []byte, ents []Entry) []byte {
+	var out []byte
+	for i, off := 0, 0; i < len(ents); i++ {
+		shared, _, _, _, next := entryAt(data, off)
+		out = appendEntry(out, shared, ents[i])
+		off = next
+	}
+	return out
+}
+
+// corruptBlocks are encoded entries decodeBlock must refuse, one for each way
+// a header can lie.
+func corruptBlocks() map[string][]byte {
+	ab := appendEntry(nil, 0, Entry{Key: []byte("ab"), Value: []byte("v")})
+	return map[string][]byte{
+		"shares more than the key before it has": appendEntry(append([]byte(nil), ab...), 3, Entry{Key: []byte("abcd")}),
+		"first entry shares":                     appendEntry(nil, 1, Entry{Key: []byte("ab")}),
+		"truncated uvarint":                      {0, 0, 0x80},
+		"overflowing uvarint":                    append([]byte{0, 0}, bytes.Repeat([]byte{0xff}, 10)...),
+		"overlong uvarint":                       {0, 0x80, 0x00, 1, 0, 'k'},
+		"key past the buffer":                    {0, 0, 5, 0, 'k'},
+		"value past the buffer":                  {0, 0, 1, 9, 'k', 'v'},
+		"length past the buffer":                 append([]byte{0, 0}, binary.AppendUvarint(nil, 1<<40)...),
+		"unknown flag":                           {0x04, 0, 1, 0, 'k'},
+	}
+}
+
+// TestDecodeBlockCorruption: every header that lies — a shared length longer
+// than the key before it, a first entry that shares, a uvarint cut short,
+// overflowing or longer than it needs to be, a length past the buffer, an
+// unknown flag — is ErrCorruption, and the well-formed prefix of a block
+// decodes.
+func TestDecodeBlockCorruption(t *testing.T) {
+	for name, b := range corruptBlocks() {
+		if _, err := decodeBlock(b); !errors.Is(err, ErrCorruption) {
+			t.Errorf("%s: decodeBlock(%x) error = %v, want ErrCorruption", name, b, err)
+		}
+	}
+	var b []byte
+	var prev []byte
+	for _, k := range []string{"apple", "applesauce", "apply", "b", ""} {
+		b = appendEntry(b, sharedLen(prev, []byte(k)), Entry{Key: []byte(k), Value: []byte(k)})
+		prev = []byte(k)
+	}
+	// "" sorts first, but decoding does not check order: any sequence a
+	// WAL batch holds decodes.
+	ents, err := decodeBlock(b)
+	if err != nil || formatEntries(ents) != "apple=apple applesauce=applesauce apply=apply b=b =" {
+		t.Fatalf("decodeBlock = %s, %v", formatEntries(ents), err)
+	}
+}
+
 // FuzzDecodeBlock feeds decodeBlock — which reads sstable files and WAL
-// payloads — arbitrary bytes: it must never panic, and whatever it accepts
-// must re-encode to exactly the input.
+// payloads — arbitrary bytes: it must never panic, every error must be
+// ErrCorruption, and whatever it accepts must re-encode, each key sharing
+// what it shared in the input, to exactly the input.
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("value")}))
-	f.Add(appendEntry(nil, Entry{Key: []byte("gone"), Tombstone: true}))
-	two := appendEntry(nil, Entry{Key: []byte("a"), Value: []byte("abc")})
-	f.Add(appendEntry(two, Entry{Key: []byte("b")}))
+	f.Add(appendEntry(nil, 0, Entry{Key: []byte("k"), Value: []byte("value")}))
+	f.Add(appendEntry(nil, 0, Entry{Key: []byte("gone"), Tombstone: true}))
+	two := appendEntry(nil, 0, Entry{Key: []byte("a"), Value: []byte("abc")})
+	f.Add(appendEntry(two, 0, Entry{Key: []byte("b")}))
+	f.Add(appendEntry(append([]byte(nil), two...), 1, Entry{Key: []byte("ab"), Value: []byte("x")}))
 	f.Add(two[:len(two)-1])
 	f.Add(append(two, retiredVptrEntry()...))
+	for _, b := range corruptBlocks() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ents, err := decodeBlock(data)
 		if err != nil {
@@ -483,11 +544,7 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 			return
 		}
-		var again []byte
-		for _, ent := range ents {
-			again = appendEntry(again, ent)
-		}
-		if !bytes.Equal(again, data) {
+		if again := encodeLike(data, ents); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode round trip changed the block:\n in  %x\n out %x", data, again)
 		}
 	})
@@ -542,7 +599,7 @@ func FuzzReplayWAL(f *testing.F) {
 	binary.BigEndian.PutUint32(otherVersion[4:8], walFormatVersion+1)
 	undecodable := NewDir()
 	w := newWALWriter(undecodable, 1, 1<<20, 0)
-	w.append(appendEntry(nil, Entry{Key: []byte("k"), Value: []byte("v")}))
+	w.append(appendEntry(nil, 0, Entry{Key: []byte("k"), Value: []byte("v")}))
 	w.append([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0}) // a flag bit no build writes
 	retired := NewDir()
 	w = newWALWriter(retired, 1, 1<<20, 0)
@@ -553,13 +610,9 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := NewDir()
 		dir.WriteFileSync(walSegmentName(1), seg)
-		var applied [][]byte // each applied record, re-encoded
+		var applied [][]Entry // each applied record's entries
 		n, err := replayWAL(dir, 1, func(ents []Entry) {
-			var p []byte
-			for _, ent := range ents {
-				p = appendEntry(p, ent)
-			}
-			applied = append(applied, p)
+			applied = append(applied, ents)
 		})
 
 		// The records replay must apply, and the typed error it must stop with.
@@ -591,8 +644,8 @@ func FuzzReplayWAL(f *testing.F) {
 			t.Fatalf("replay applied %d records (reported %d), want %d", len(applied), n, len(want))
 		}
 		for i := range want {
-			if !bytes.Equal(applied[i], want[i]) {
-				t.Fatalf("record %d applied as %x, framed as %x", i, applied[i], want[i])
+			if got := encodeLike(want[i], applied[i]); !bytes.Equal(got, want[i]) {
+				t.Fatalf("record %d applied as %x, framed as %x", i, got, want[i])
 			}
 		}
 	})
@@ -603,7 +656,8 @@ func FuzzReplayWAL(f *testing.F) {
 // durable and volatile engines.
 func TestWALBytesFramedAccounting(t *testing.T) {
 	key, val := []byte("k"), []byte("hello")
-	wantFramed := int64(walRecordHeaderLen + 9 + len(key) + len(val))
+	// The entry: a flags byte, three one-byte lengths, the key and the value.
+	wantFramed := int64(walRecordHeaderLen + 4 + len(key) + len(val))
 	vol := New(Options{})
 	defer vol.Close()
 	vol.Set(key, val)

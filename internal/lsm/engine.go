@@ -102,11 +102,14 @@ type Metrics struct {
 	// L0Files is the current number of sstables in level 0. A backlog here
 	// increases read amplification and signals that compactions are behind.
 	L0Files int
-	// LevelBytes reports the bytes resident in each level.
+	// LevelBytes reports the bytes resident in each level: logical bytes, the
+	// sum of each entry's Entry.size, not the encoded blocks' length (a key
+	// that shares its prefix takes fewer).
 	LevelBytes [numLevels]int64
-	// FlushedBytes is the cumulative bytes flushed from memtables to L0.
-	FlushedBytes int64
-	// CompactedBytes is the cumulative bytes written by compactions.
+	// FlushedBytes is the cumulative bytes flushed from memtables to L0, and
+	// CompactedBytes the cumulative bytes written by compactions, both
+	// logical as LevelBytes is.
+	FlushedBytes   int64
 	CompactedBytes int64
 	// FlushCount and CompactionCount are cumulative operation counts.
 	FlushCount      int64
@@ -435,15 +438,18 @@ func (e *Engine) ApplyBatch(entries []Entry) error {
 	// batch would have framed, so WALBytes stays comparable.
 	if len(entries) > 0 {
 		if e.mu.wal != nil {
-			var payload []byte
+			var payload, prev []byte
 			for _, ent := range entries {
-				payload = appendEntry(payload, ent)
+				payload = appendEntry(payload, sharedLen(prev, ent.Key), ent)
+				prev = ent.Key
 			}
 			e.walAppendLocked(payload)
 		} else {
 			framed := int64(walRecordHeaderLen)
+			var prev []byte
 			for _, ent := range entries {
-				framed += int64(entryHeaderLen + len(ent.Key) + len(ent.Value))
+				framed += int64(entryLen(sharedLen(prev, ent.Key), ent))
+				prev = ent.Key
 			}
 			e.mu.metrics.WALBytes += framed
 			e.writeMetrics.WALBytes.Inc(framed)

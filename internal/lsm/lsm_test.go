@@ -710,9 +710,15 @@ func TestSSTableBlocksExactlySized(t *testing.T) {
 		for bi, b := range tbl.blocks {
 			lens += int64(len(b))
 			caps += int64(cap(b))
+			var key []byte
 			for off := 0; off < len(b); n++ {
-				var e Entry
-				e, off = entryAt(b, off)
+				shared, suffix, value, tombstone, next := entryAt(b, off)
+				if off == 0 && shared != 0 {
+					t.Fatalf("value %d: block %d's first entry shares %d key bytes", valLen, bi, shared)
+				}
+				key = append(key[:shared], suffix...)
+				e := Entry{Key: key, Value: value, Tombstone: tombstone}
+				off = next
 				if !bytes.Equal(e.Key, entries[n].Key) || !bytes.Equal(e.Value, entries[n].Value) || e.Tombstone != entries[n].Tombstone {
 					t.Fatalf("value %d: block %d entry %d = %q, want %q", valLen, bi, n, e.Key, entries[n].Key)
 				}

@@ -16,13 +16,14 @@ import (
 //	[crc32c u32][length u32][payload]
 //
 // where the CRC (Castagnoli) covers the payload and the payload is a batch of
-// entries in the same [flags][keyLen][valLen][key][val] encoding sstable
-// blocks use (appendEntry / decodeBlock). Records are appended inside
-// ApplyBatch's critical section, so WAL order is exactly memtable apply
-// order. Segments rotate on size and at every memtable rotation, so each
-// memtable's contents live in a dense run of segments; the manifest records
-// the lowest segment still holding unflushed data and recovery replays from
-// there. Everything below that floor is deleted after the manifest installs.
+// entries in the encoding sstable blocks use (appendEntry / decodeBlock), each
+// key sharing its prefix with the key before it in the batch. Records are
+// appended inside ApplyBatch's critical section, so WAL order is exactly
+// memtable apply order. Segments rotate on size and at every memtable
+// rotation, so each memtable's contents live in a dense run of segments; the
+// manifest records the lowest segment still holding unflushed data and
+// recovery replays from there. Everything below that floor is deleted after
+// the manifest installs.
 //
 // Sync policy: WALBytesPerSync == 0 syncs after every record (no acked write
 // can be lost); > 0 syncs once that many bytes have accumulated, leaving an
@@ -34,7 +35,7 @@ const (
 	walRecordHeaderLen  = 8
 	walSegmentHeaderLen = 8
 	walMagic            = uint32('W')<<24 | uint32('A')<<16 | uint32('L')<<8 | uint32('S')
-	walFormatVersion    = 1
+	walFormatVersion    = 2
 )
 
 var crc32cTable = crc32.MakeTable(crc32.Castagnoli)

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
@@ -86,8 +87,8 @@ type Lookup struct {
 }
 
 // Release drops the engine snapshot of l's last lookup; l stays ready for
-// the next one.
-func (l *Lookup) Release() { l.it = lsm.Iterator{} }
+// the next one, and keeps the iterator's storage for it.
+func (l *Lookup) Release() { l.it.Release() }
 
 // seek positions l's iterator on key's newest version, and returns the
 // bounds of key's versions: lo has room behind it for a timestamp.
@@ -400,23 +401,26 @@ func ScanInto(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64,
 
 // ScanFunc is Scan handing each row to visit as the scan reaches it, in key
 // order, instead of keeping it: enc is the row's user key as
-// keys.EncodeBytes wrote it, and value its value. Both alias engine memory,
-// which does not change under them: ScanInto's page keeps each value. maxKeys
-// bounds the rows visited, and the span not reached is returned as Scan's
-// Resume is. An error from visit ends the scan and is returned.
+// keys.EncodeBytes wrote it, and value its value. enc is the iterator's lent
+// key, valid until visit returns; value aliases engine memory, which does not
+// change under it: ScanInto's page keeps each value. maxKeys bounds the rows
+// visited, and the span not reached is returned as Scan's Resume is. An error from visit ends the scan and is returned.
 //
 // Versions of one user key share its encoded prefix, so the scan compares
 // prefixes in place and never decodes a user key, except a resume key or a
 // conflicting intent's.
 func ScanFunc(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64, maxKeys int64, visit func(enc, value []byte) error) (*keys.Span, error) {
 	var (
-		curPrefix []byte // encoded user key being decided; aliases engine memory
+		curPrefix []byte // encoded user key being decided, copied from the lent key
 		decided   bool   // whether visibility for it has been settled
 		passed    int    // older versions of it stepped over since
 		nextKey   []byte // seek target scratch
 		visited   int64
 	)
-	it := e.NewIter(EngineSpan(span))
+	it := scanIters.Get().(*lsm.Iterator)
+	defer releaseScanIter(it)
+	lo, hi := EngineSpan(span)
+	e.IterIn(it, lo, hi)
 	for it.Valid() {
 		prefix, ts, err := splitKey(it.Key())
 		if err != nil {
@@ -430,7 +434,7 @@ func ScanFunc(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64,
 				}
 				return &keys.Span{Key: user, EndKey: span.EndKey}, nil
 			}
-			curPrefix, decided, passed = prefix, false, 0
+			curPrefix, decided, passed = append(curPrefix[:0], prefix...), false, 0
 		}
 		if decided {
 			if passed++; passed < scanSeekAfter {
@@ -468,6 +472,16 @@ func ScanFunc(e *lsm.Engine, span keys.Span, readTs hlc.Timestamp, txnID uint64,
 		it.Next()
 	}
 	return nil, nil
+}
+
+// scanIters keeps ScanFunc's iterators between scans, with the storage each
+// grew: its sources and the buffers a table source lends keys from.
+var scanIters = sync.Pool{New: func() any { return new(lsm.Iterator) }}
+
+// releaseScanIter drops the iterator's snapshot and returns it to scanIters.
+func releaseScanIter(it *lsm.Iterator) {
+	it.Release()
+	scanIters.Put(it)
 }
 
 // Resolve appends the entries that finalize txnID's intent on key: a
@@ -522,8 +536,8 @@ func GCOldVersions(e *lsm.Engine, span keys.Span, keepAfter hlc.Timestamp) (int,
 				continue
 			}
 		}
-		// The key aliases immutable engine memory, and ApplyBatch copies it.
-		toDelete = append(toDelete, lsm.Entry{Key: it.Key(), Tombstone: true})
+		// The iterator lends its key only until it moves.
+		toDelete = append(toDelete, lsm.Entry{Key: bytes.Clone(it.Key()), Tombstone: true})
 	}
 	if err := e.ApplyBatch(toDelete); err != nil {
 		return 0, err

@@ -763,6 +763,42 @@ func TestLookupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A Lookup that has made one Get allocates nothing for the next when the
+// key sits in an L1 table, behind other keys of its block: the table source
+// rebuilds each key that shares a prefix with the one before in its key
+// buffer, which the Lookup keeps across lookups and Release.
+func TestLookupGetFromTableAllocatesNothing(t *testing.T) {
+	e := newEngine()
+	defer e.Close()
+	key := func(i int) keys.Key { return keys.Key(fmt.Sprintf("usertable\x00\x00\x00%05d", i)) }
+	for f := 0; f < 4; f++ { // the fourth flush compacts L0 into L1
+		for i := 100 * f; i < 100*(f+1); i++ {
+			if err := applyPut(e, key(i), ts(10), 0, []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := e.Metrics(); m.L0Files != 0 || m.LevelBytes[1] == 0 || m.MemTableBytes != 0 {
+		t.Fatalf("engine %v: want every key in L1", m)
+	}
+	var l Lookup
+	k := key(257)
+	get := func() {
+		v, ok, err := l.Get(e, k, ts(20), 0)
+		if err != nil || !ok || string(v) != "v257" {
+			t.Fatalf("Get = %q %v %v, want v257", v, ok, err)
+		}
+		l.Release()
+	}
+	get()
+	if n := testing.AllocsPerRun(100, get); n != 0 {
+		t.Fatalf("Get from an L1 table in a used Lookup makes %v allocations, want 0", n)
+	}
+}
+
 // TestGetCostIndependentOfHistory: a Get looks at the newest version and
 // seeks to the read timestamp, so it allocates the same at 1, 100 and 10 000
 // versions — reading the newest, or one in the middle of the history.

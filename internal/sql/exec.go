@@ -779,8 +779,7 @@ func (e *Executor) dropTable(ctx context.Context, s *DropTable) (*Result, error)
 		return nil, err
 	}
 	// Delete all table data (every index) in one ranged delete.
-	prefix := keys.MakeTenantPrefix(e.tenant)
-	prefix = keys.EncodeUint64(prefix, uint64(desc.ID))
+	prefix := keys.MakeTablePrefix(e.tenant, desc.ID)
 	err = e.coord.RunTxn(ctx, func(ctx context.Context, t *txn.Txn) error {
 		_, err := t.Send(ctx, kvpb.Request{
 			Method: kvpb.DeleteRange, Key: prefix, EndKey: prefix.PrefixEnd(),

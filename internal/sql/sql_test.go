@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvserver"
 	"crdbserverless/internal/region"
 	"crdbserverless/internal/txn"
@@ -393,6 +394,60 @@ func TestShowTablesAndDrop(t *testing.T) {
 	res = mustExec(t, s, "SHOW TABLES")
 	if got := rowStrings(res); fmt.Sprint(got) != fmt.Sprint([]string{"bbb"}) {
 		t.Fatalf("show tables after drop = %v", got)
+	}
+}
+
+// DROP TABLE clears the span every index of the table shares and nothing
+// past it: the table created after it, whose ID is the next one, keeps its
+// rows and its secondary index entries.
+func TestDropTableClearsEveryIndexAndNoOtherTable(t *testing.T) {
+	exec, s := newTestDB(t)
+	ctx := context.Background()
+	var descs []*TableDescriptor
+	for _, name := range []string{"dropped", "kept"} {
+		mustExec(t, s, "CREATE TABLE "+name+" (a INT PRIMARY KEY, b INT)")
+		mustExec(t, s, "CREATE INDEX "+name+"_b ON "+name+" (b)")
+		for i := int64(1); i <= 3; i++ {
+			mustExec(t, s, "INSERT INTO "+name+" VALUES ($1, $2)", DInt(i), DInt(10*i))
+		}
+		desc, err := exec.catalog.Lookup(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		descs = append(descs, desc)
+	}
+	if descs[1].ID != descs[0].ID+1 || len(descs[0].Indexes) == 0 {
+		t.Fatalf("table IDs %d, %d and %d secondary indexes: want consecutive IDs and an index", descs[0].ID, descs[1].ID, len(descs[0].Indexes))
+	}
+	// entries counts the KV pairs of each of the table's indexes.
+	entries := func(desc *TableDescriptor) []int {
+		ids := []keys.IndexID{keys.PrimaryIndexID}
+		for _, idx := range desc.Indexes {
+			ids = append(ids, idx.ID)
+		}
+		var n []int
+		for _, id := range ids {
+			if err := exec.coord.RunTxn(ctx, func(ctx context.Context, tx *txn.Txn) error {
+				kvs, err := tx.Scan(ctx, keys.MakeTableIndexSpan(exec.tenant, desc.ID, id), 0)
+				n = append(n, len(kvs))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	for _, desc := range descs {
+		if got := entries(desc); fmt.Sprint(got) != "[3 3]" {
+			t.Fatalf("%s before DROP: index entries %v, want [3 3]", desc.Name, got)
+		}
+	}
+	mustExec(t, s, "DROP TABLE dropped")
+	if got := entries(descs[0]); fmt.Sprint(got) != "[0 0]" {
+		t.Fatalf("dropped table after DROP: index entries %v, want [0 0]", got)
+	}
+	if got := entries(descs[1]); fmt.Sprint(got) != "[3 3]" {
+		t.Fatalf("next table after DROP: index entries %v, want [3 3]", got)
 	}
 }
 

@@ -87,11 +87,17 @@ var (
 	titledSection = regexp.MustCompile(`§(\d+)'s\s+"([^"]+)"`)
 	designHeading = regexp.MustCompile(`^##\s+(\d+)\.\s+(.+)$`)
 	designSubhead = regexp.MustCompile(`^###\s+(.+)$`)
+	// designTestName is a test, benchmark or fuzz target DESIGN.md cites in
+	// backticks, perhaps with a subtest path: `TestX/case`.
+	designTestName = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)\\w*)(?:/[^`]*)?`")
 )
 
 // TestDesignCitations fails when a Go comment cites a DESIGN.md section
 // that does not exist: every "DESIGN.md §N" needs a "## N." heading, and
-// every §N's "Title" needs a heading of that title in section N.
+// every §N's "Title" needs a heading of that title in section N. It also
+// fails when DESIGN.md cites a test that does not exist: every `Test…`,
+// `Benchmark…` and `Fuzz…` name it puts in backticks, less any subtest
+// path, must be a function of some _test.go file in the tree.
 func TestDesignCitations(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -108,6 +114,7 @@ func TestDesignCitations(t *testing.T) {
 		}
 	}
 	fset := token.NewFileSet()
+	testFuncs := map[string]bool{}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -120,6 +127,13 @@ func TestDesignCitations(t *testing.T) {
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					testFuncs[fn.Name.Name] = true
+				}
+			}
 		}
 		for _, cg := range f.Comments {
 			text := strings.Join(strings.Fields(cg.Text()), " ")
@@ -139,6 +153,11 @@ func TestDesignCitations(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range designTestName.FindAllStringSubmatch(string(design), -1) {
+		if !testFuncs[m[1]] {
+			t.Errorf("DESIGN.md cites %s, which no _test.go file defines", m[0])
+		}
 	}
 }
 
